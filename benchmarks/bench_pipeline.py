@@ -3,7 +3,7 @@
 Streams the paper's 4-query netflow-like workload through
 ``ShardedStreamSystem`` under the ``process`` and ``pipeline`` executors
 at increasing shard counts and records the throughput of each in a
-``pipeline`` section of ``BENCH_perf.json``::
+``pipeline`` section of ``benchmarks/results/pipeline.json``::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py
     PYTHONPATH=src python benchmarks/bench_pipeline.py --quick  # CI smoke
@@ -35,7 +35,7 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.observability import MetricsRegistry
 from repro.workloads import measure_statistics, paper_like_trace
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+OUT = Path(__file__).resolve().parent / "results" / "pipeline.json"
 DEFAULT_SHARDS = "2,4"
 MEMORY = 40_000.0
 EPOCH_SECONDS = 10.0
@@ -44,8 +44,8 @@ EPOCH_SECONDS = 10.0
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Compare the process-pool and pipelined shared-memory "
-                    "shard executors and append a 'pipeline' section to "
-                    "BENCH_perf.json.")
+                    "shard executors and write a 'pipeline' section to "
+                    "benchmarks/results/pipeline.json.")
     parser.add_argument("--records", type=int, default=1_000_000,
                         help="stream length (default 1M, the paper's "
                              "synthetic scale)")
@@ -180,11 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         "points": points,
     }
 
-    if args.out.exists():
-        document = json.loads(args.out.read_text())
-    else:
-        document = {"schema": "bench-perf/1"}
-    document["pipeline"] = section
+    document = {"schema": "bench-perf/1", "pipeline": section}
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote pipeline section -> {args.out}")
 

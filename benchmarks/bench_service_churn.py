@@ -13,9 +13,9 @@ Per registry size it measures GS planning with the benefit cache on
 (the pre-cache scan), plus the replanner's cache-hit path (a tenant
 joining an already-instantiated group-by — the common churn event, which
 must cost microseconds, not a plan). Results land in a ``service``
-section of ``BENCH_perf.json`` next to the existing planner/engine
-cases; identical-plan equivalence between the cached and uncached GS
-runs is asserted, so a cache bug fails the run rather than skewing it.
+section of ``benchmarks/results/service_churn.json``; identical-plan
+equivalence between the cached and uncached GS runs is asserted, so a
+cache bug fails the run rather than skewing it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 from repro.service.replan import IncrementalReplanner
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+OUT = Path(__file__).resolve().parent / "results" / "service_churn.json"
 ATTRIBUTES = "ABCDEFGH"
 CARDINALITIES = {name: 6 + 7 * i for i, name in enumerate(ATTRIBUTES)}
 MEMORY = 40_000.0
@@ -110,7 +110,8 @@ def bench(sizes: list[int], reps: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark service re-plan latency vs registry size "
-                    "and append a 'service' section to BENCH_perf.json.")
+                    "and write a 'service' section to "
+                    "benchmarks/results/service_churn.json.")
     parser.add_argument("--quick", action="store_true",
                         help="small sizes, one rep (CI smoke)")
     parser.add_argument("--out", type=Path, default=OUT)
@@ -120,11 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     reps = 1 if args.quick else 3
     section = bench(sizes, reps)
 
-    if args.out.exists():
-        document = json.loads(args.out.read_text())
-    else:
-        document = {"schema": "bench-perf/1"}
-    document["service"] = section
+    document = {"schema": "bench-perf/1", "service": section}
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote service section -> {args.out}")
     return 0

@@ -23,7 +23,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.allocation import StrategyPlanner
 from repro.core.cost_model import CostParameters
 from repro.core.explain import explain
 from repro.core.feeding_graph import FeedingGraph
@@ -33,7 +32,6 @@ from repro.errors import ReproError
 from repro.gigascope.load import LoadModel
 from repro.gigascope.online import LiveStreamSystem
 from repro.gigascope.runtime import StreamSystem
-from repro.gigascope.strategy import resolve_strategies
 from repro.observability import MetricsRegistry, RunManifest
 from repro.parallel import ShardedStreamSystem, make_partitioner
 from repro.resilience import FaultPlan, RetryPolicy
@@ -70,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "CSV")
     parser.add_argument("--execute", action="store_true",
                         help="also stream the dataset through the plan")
-    parser.add_argument("--strategy", default=None, metavar="SPEC",
-                        help="per-relation aggregation strategy: 'auto' "
-                             "(pick hash/sort/shared from the measured "
-                             "g/b per relation), a single name applied "
-                             "to every leaf relation, or comma-separated "
-                             "REL=NAME overrides (e.g. 'AB=sort,CD=shared')")
     parser.add_argument("--shards", type=int, default=1,
                         help="run --execute on N parallel LFTA shards "
                              "(default 1: single-core)")
@@ -151,48 +143,13 @@ def _load_dataset(path_text: str, value_columns: tuple[str, ...]):
                      "(use .npz or .csv)")
 
 
-def _strategy_spec(text: str | None, the_plan, stats):
-    """Turn ``--strategy`` into (spec, auto decisions).
-
-    ``auto`` runs the :class:`StrategyPlanner` over the measured group
-    counts and the plan's bucket allocation; any other value is passed
-    through as an explicit spec (single name, or ``REL=NAME`` pairs)
-    and resolved eagerly so a conflict with the plan — a relation the
-    configuration does not instantiate (no ``buckets=`` entry), a
-    non-hash interior relation — is rejected here with a
-    :class:`~repro.errors.ConfigurationError` naming the relation,
-    before any execution starts.
-    """
-    if text is None:
-        return None, None
-    text = text.strip()
-    if text == "auto":
-        planner = StrategyPlanner()
-        decisions = planner.choose(the_plan.configuration, stats,
-                                   the_plan.allocation.buckets)
-        return {d.relation: d.strategy for d in decisions}, decisions
-    if "=" not in text:
-        spec: str | dict = text
-    else:
-        spec = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part or "=" not in part:
-                raise ReproError(
-                    f"bad --strategy entry {part!r} (expected REL=NAME)")
-            rel, _, name = part.partition("=")
-            spec[rel.strip()] = name.strip()
-    resolve_strategies(the_plan.configuration, spec)
-    return spec, None
-
-
 #: Batches per checkpointed run — one snapshot is written after each.
 _CHECKPOINT_BATCHES = 16
 
 
 def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
                           where, registry, checkpoint_dir,
-                          strategy=None, native=True) -> LiveStreamSystem:
+                          native=True) -> LiveStreamSystem:
     """Stream through the live runtime, snapshotting as we go.
 
     Resumes from ``checkpoint_dir/live.ckpt`` when one exists: the
@@ -210,7 +167,7 @@ def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
         live = LiveStreamSystem(dataset.schema, queries, the_plan,
                                 params=params, value_column=value_column,
                                 where=where, registry=registry,
-                                strategy=strategy, native=native)
+                                native=native)
     start = live.records_seen
     n = len(dataset)
     step = max(1, (n + _CHECKPOINT_BATCHES - 1) // _CHECKPOINT_BATCHES)
@@ -259,8 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         the_plan = plan(queries, stats, args.memory, params,
                         algorithm=args.algorithm, phi=args.phi,
                         peak_load_limit=args.peak_load)
-        strategy, strategy_decisions = _strategy_spec(
-            args.strategy, the_plan, stats)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -272,17 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"where: {where}")
     print()
     print(explain(the_plan, stats, params).render())
-    if strategy is not None:
-        resolved = resolve_strategies(the_plan.configuration, strategy)
-        print()
-        print("strategies:")
-        if strategy_decisions is not None:
-            for decision in strategy_decisions:
-                print(f"  {decision.relation.label():<8} "
-                      f"{decision.strategy:<7} {decision.reason}")
-        else:
-            for rel in sorted(resolved, key=lambda r: r.label()):
-                print(f"  {rel.label():<8} {resolved[rel]}")
 
     if args.execute or args.metrics_json or args.trace or \
             args.checkpoint_dir:
@@ -299,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                 live = _execute_checkpointed(
                     dataset, queries, the_plan, params, value_column,
                     where, registry, args.checkpoint_dir,
-                    strategy=strategy, native=not args.no_native)
+                    native=not args.no_native)
             elif args.shards > 1:
                 partitioner = make_partitioner(
                     args.partition, column=args.partition_column)
@@ -311,15 +255,13 @@ def main(argv: list[str] | None = None) -> int:
                     shards=args.shards, partitioner=partitioner,
                     executor=args.shard_executor, registry=registry,
                     retry=RetryPolicy(max_attempts=args.max_retries + 1),
-                    fault_plan=fault_plan, strategy=strategy,
-                    native=not args.no_native)
+                    fault_plan=fault_plan, native=not args.no_native)
                 report = system.run()
             else:
                 system = StreamSystem.from_plan(dataset, queries, the_plan,
                                                 params=params,
                                                 value_column=value_column,
                                                 where=where,
-                                                strategy=strategy,
                                                 native=not args.no_native)
                 report = system.run(registry=registry)
         except ReproError as exc:
@@ -352,10 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                 shard_registries=getattr(system, "shard_registries", None),
                 epoch_reports=(live.epoch_reports if live else None),
                 reconfigurations=(live.reconfigurations if live else None),
-                strategies=(resolve_strategies(the_plan.configuration,
-                                               strategy)
-                            if strategy is not None else None),
-                strategy_decisions=strategy_decisions,
                 extra=({"partition": system.partition_summary}
                        if getattr(system, "partition_summary", None)
                        is not None else None))

@@ -36,11 +36,8 @@ from repro.core.allocation.exhaustive import (
     ExhaustiveAllocator,
     compositions,
 )
-from repro.core.allocation.strategy import StrategyDecision, StrategyPlanner
 
 __all__ = [
-    "StrategyDecision",
-    "StrategyPlanner",
     "Allocation",
     "SpaceAllocator",
     "demand_score",

@@ -27,7 +27,6 @@ from repro.experiments.common import (
     record_count,
 )
 from repro.gigascope.engine import simulate
-from repro.gigascope.hashing import HashCache
 from repro.workloads.datasets import one_record_per_flow
 
 __all__ = ["run"]
@@ -36,13 +35,13 @@ PROJECTIONS = ("A", "AB", "ABC", "ABCD")
 DEFAULT_RATIOS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
 
 
-def measured_collision_rate(dataset, attrs: AttributeSet, buckets: int,
-                            hash_cache: HashCache | None = None) -> float:
+def measured_collision_rate(dataset, attrs: AttributeSet,
+                            buckets: int) -> float:
     """Collision rate of one table over the whole stream as a single epoch."""
     config = Configuration.flat([attrs])
     horizon = dataset.duration + 1.0
     result = simulate(dataset, config, {attrs: buckets},
-                      epoch_seconds=horizon, hash_cache=hash_cache)
+                      epoch_seconds=horizon)
     counters = result.counters.counters(attrs)
     if counters.arrivals_intra == 0:
         return 0.0
@@ -70,12 +69,9 @@ def run(full_scale: bool = False, seed: int = 0,
         collapsed = one_record_per_flow(trace, attrs)
         g = collapsed.group_count(attrs)
         measured = []
-        # Only the bucket count varies across the sweep, so the hashing
-        # work (group codes + digests) is shared across all ratios.
-        cache = HashCache()
         for ratio in ratios:
             buckets = max(int(round(g / ratio)), 1)
-            x = measured_collision_rate(collapsed, attrs, buckets, cache)
+            x = measured_collision_rate(collapsed, attrs, buckets)
             measured.append(x)
             model = precise_rate(g, buckets)
             if model > 0.02:

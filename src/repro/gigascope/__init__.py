@@ -18,16 +18,9 @@ from repro.gigascope.metrics import (
     SimulationResult,
 )
 from repro.gigascope.engine import simulate
-from repro.gigascope.hashing import HashCache
 from repro.gigascope.lfta import SequentialLFTA, run_reference
 from repro.gigascope.runtime import RunReport, StreamSystem
 from repro.gigascope.online import EpochReport, LiveStreamSystem
-from repro.gigascope.strategy import (
-    STRATEGIES,
-    SharedGroupTable,
-    StrategyState,
-    resolve_strategies,
-)
 from repro.gigascope.load import LoadModel
 from repro.gigascope.filters import (
     And,
@@ -51,17 +44,12 @@ __all__ = [
     "RelationCounters",
     "SimulationResult",
     "simulate",
-    "HashCache",
     "SequentialLFTA",
     "run_reference",
     "RunReport",
     "StreamSystem",
     "EpochReport",
     "LiveStreamSystem",
-    "STRATEGIES",
-    "SharedGroupTable",
-    "StrategyState",
-    "resolve_strategies",
     "And",
     "BitMask",
     "Bucketize",

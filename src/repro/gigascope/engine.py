@@ -34,20 +34,13 @@ from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.errors import ConfigurationError
 from repro.gigascope.hashing import (
-    HashCache,
     bucket_indices,
-    combine_columns,
     pack_tuples,
     relation_salt,
 )
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
-from repro.gigascope.strategy import (
-    SharedGroupTable,
-    StrategyState,
-    resolve_strategies,
-)
 from repro.native import ingest as _native
 from repro.observability.tracing import trace
 
@@ -67,9 +60,6 @@ def simulate(dataset: Dataset, config: Configuration,
              counters: CostCounters | None = None,
              hfta: HFTA | None = None,
              registry=None,
-             hash_cache: HashCache | None = None,
-             strategies: str | dict | None = None,
-             strategy_state: StrategyState | None = None,
              native: bool = True,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
@@ -80,22 +70,6 @@ def simulate(dataset: Dataset, config: Configuration,
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span plus record/epoch counters; when None the engine performs
     no clock reads of its own.
-
-    ``hash_cache`` (opt-in) reuses raw relations' group codes and hash
-    digests across repeated simulations of the *same dataset* — e.g.
-    bucket-count sweeps — leaving only the ``% buckets`` reduction per
-    sweep point. Results are bit-identical with or without it (fed
-    relations are never cached; their streams depend on parent sizes).
-    Cached codes and digests are strategy-invariant, so one cache may be
-    shared across runs that flip strategies between sweeps.
-
-    ``strategies`` selects the per-relation execution strategy (see
-    :mod:`repro.gigascope.strategy`): None/"hash" reproduce the paper's
-    direct-mapped machine; ``sort``/``shared`` change only how leaf
-    partials reach the HFTA — answers and cost counters stay
-    bit-identical. ``strategy_state`` carries the ``shared`` strategy's
-    persistent tables across calls (the incremental runtime passes one
-    per system); a fresh state is created per call when omitted.
 
     ``native`` (default True) lets the accounting pass run through the
     fused C ingest kernel (:mod:`repro.native.ingest`) when one could be
@@ -115,18 +89,13 @@ def simulate(dataset: Dataset, config: Configuration,
     max_b = max(table_sizes.values())
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
-    resolved = resolve_strategies(config, strategies)
-    if strategy_state is None and \
-            any(s == "shared" for s in resolved.values()):
-        strategy_state = StrategyState()
     n_epochs = 0
     with trace(registry, "engine"):
         for epoch_id, start, end in dataset.epoch_slices(epoch_seconds):
             n_epochs += 1
             _simulate_epoch(dataset, config, table_sizes, salts, depths,
                             max_b, counters, hfta, epoch_id, start, end,
-                            value_column, hash_cache, resolved,
-                            strategy_state, native)
+                            value_column, native)
     if registry is not None:
         registry.counter("engine.records").inc(len(dataset))
         registry.counter("engine.epochs").inc(n_epochs)
@@ -140,9 +109,6 @@ def _simulate_epoch(dataset: Dataset, config: Configuration,
                     counters: CostCounters, hfta: HFTA, epoch_id: int,
                     start: int, end: int,
                     value_column: str | None,
-                    hash_cache: HashCache | None = None,
-                    strategies: dict[AttributeSet, str] | None = None,
-                    strategy_state: StrategyState | None = None,
                     native: bool = True) -> None:
     n = end - start
     stride = np.int64(n + max_b + 2)
@@ -158,37 +124,17 @@ def _simulate_epoch(dataset: Dataset, config: Configuration,
         arrivals[root] = (times0, ones, values, values, values, cols)
     for rel in config.relations:  # topological: parents first
         t, w, vs, vmin, vmax, cols = arrivals.pop(rel)
-        hashed = None
-        if hash_cache is not None and rel in raw:
-            # Raw arrival streams are a pure function of the epoch slice,
-            # so the size-independent hashing work can be reused across
-            # simulations that only vary table sizes.
-            hashed = hash_cache.codes_and_digests(
-                rel.label(), salts[rel], (epoch_id, start, end),
-                lambda: [cols[a] for a in rel.names])
-        strategy = strategies[rel] if strategies is not None else "hash"
-        table = (strategy_state.table(rel.label(), rel.names)
-                 if strategy == "shared" else None)
         evicted = _process_relation(
             rel, t, w, vs, vmin, vmax, cols, n, stride, table_sizes[rel],
             salts[rel], depths[rel], counters,
-            times_sorted=rel in raw, hashed=hashed,
-            strategy=strategy, table=table, native=native)
+            times_sorted=rel in raw, native=native)
         if evicted is None:
             continue
         ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols = evicted
         children = config.children(rel)
         if not children:
-            # Sort and shared emissions are one row per group by
-            # construction (a group-unique over runs / an exact global
-            # table), so the HFTA adopts the batch as columnar state
-            # directly instead of re-folding it. Bit-identical either
-            # way: their sums are already the run-order bincount the
-            # fold would recompute, and a single-row bin folds to its
-            # own value.
             hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
-                               ev_vmin, ev_vmax,
-                               premerged=strategy in ("sort", "shared"))
+                               ev_vmin, ev_vmax)
             continue
         for child in children:
             child_cols = {a: ev_cols[a] for a in child.names}
@@ -203,9 +149,6 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                       n: int, stride: np.int64, n_buckets: int, salt: int,
                       depth: int, counters: CostCounters,
                       times_sorted: bool = False,
-                      hashed: tuple[np.ndarray, np.ndarray] | None = None,
-                      strategy: str = "hash",
-                      table: SharedGroupTable | None = None,
                       native: bool = True,
                       ) -> _Arrivals | None:
     c = counters.counters(rel)
@@ -213,19 +156,11 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
     if m == 0:
         return None
 
-    key = digests = None
-    if hashed is not None:
-        key, digests = hashed
-    elif strategy == "shared":
-        # The shared table reuses the bucket chain digests as its index,
-        # so compute them explicitly instead of through bucket_indices.
-        digests = combine_columns([cols[a] for a in rel.names], salt)
-
     flush_base = np.int64(n) + np.int64(depth) * stride
     if native and _native.kernel_available():
-        fused = _accounting_native(rel, t, w, vs, vmin, vmax, cols, key,
-                                   digests, n, n_buckets, salt,
-                                   int(flush_base), times_sorted)
+        fused = _accounting_native(rel, t, w, vs, vmin, vmax, cols, n,
+                                   n_buckets, salt, int(flush_base),
+                                   times_sorted)
         if fused is not None:
             (rep, run_w, run_vs, run_vmin, run_vmax, evict_t,
              intra, ev_intra) = fused
@@ -234,26 +169,15 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
             n_runs = int(rep.shape[0])
             c.evictions_intra += ev_intra
             c.evictions_flush += n_runs - ev_intra
-            if strategy == "sort":
-                run_keys = (key[rep] if key is not None else
-                            pack_tuples([cols[a][rep] for a in rel.names]))
-                return _emit_sorted(rel, run_keys, run_w, run_vs, run_vmin,
-                                    run_vmax, rep, cols)
-            if strategy == "shared":
-                return _emit_shared(rel, table, digests, run_w, run_vs,
-                                    run_vmin, run_vmax, rep, cols)
             ev_cols = {a: cols[a][rep] for a in rel.names}
             return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols
 
     intra = int(np.count_nonzero(t < n))
     c.arrivals_intra += intra
     c.arrivals_flush += m - intra
-    if key is None:
-        key = pack_tuples([cols[a] for a in rel.names])
-    if digests is not None:
-        bkt = (digests % np.uint64(n_buckets)).astype(np.int64)
-    else:
-        bkt = bucket_indices([cols[a] for a in rel.names], salt, n_buckets)
+    columns = [cols[a] for a in rel.names]
+    key = pack_tuples(columns)
+    bkt = bucket_indices(columns, salt, n_buckets)
     if times_sorted:
         # t is already ascending (raw streams arrive in time order), so a
         # stable single-key sort on the bucket yields the same permutation
@@ -300,18 +224,6 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
     c.evictions_flush += n_runs - ev_intra
 
     rep = order[run_start]
-    # The accounting above is common to every strategy (the direct-mapped
-    # machine is always simulated, so counters are strategy-invariant);
-    # only the emission data path below differs. Non-hash emissions fold
-    # per-group partials over runs *in run order* — the same order the
-    # HFTA's own merge folds the hash path's per-run batch — so value
-    # sums are bit-identical, not merely numerically close.
-    if strategy == "sort":
-        return _emit_sorted(rel, sk[run_start], run_w, run_vs, run_vmin,
-                            run_vmax, rep, cols)
-    if strategy == "shared":
-        return _emit_shared(rel, table, digests, run_w, run_vs, run_vmin,
-                            run_vmax, rep, cols)
     ev_cols = {a: cols[a][rep] for a in rel.names}
     return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols
 
@@ -319,7 +231,6 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
 def _accounting_native(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                        vs: np.ndarray | None, vmin: np.ndarray | None,
                        vmax: np.ndarray | None, cols: dict[str, np.ndarray],
-                       key: np.ndarray | None, digests: np.ndarray | None,
                        n: int, n_buckets: int, salt: int, flush_base: int,
                        times_sorted: bool):
     """Run the accounting pass through the fused C kernel, or None.
@@ -340,23 +251,18 @@ def _accounting_native(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                            or vmin is None or vmin.dtype != np.float64
                            or vmax is None or vmax.dtype != np.float64):
         return None
-    if key is not None:
-        # Cached pack codes are collision-free group ids: one equality
-        # column replaces the raw attribute comparison.
-        eq_cols = [key]
-    else:
-        eq_cols = []
-        for a in rel.names:
-            col = cols[a]
-            if col.dtype == np.int64:
-                # Same bits the chain hashes: int64 -> uint64 is a view.
-                eq_cols.append(col.view(np.uint64))
-            elif col.dtype == np.uint64:
-                eq_cols.append(col)
-            elif col.dtype.kind in "iub":
-                eq_cols.append(col.astype(np.uint64))
-            else:
-                return None
+    eq_cols = []
+    for a in rel.names:
+        col = cols[a]
+        if col.dtype == np.int64:
+            # Same bits the chain hashes: int64 -> uint64 is a view.
+            eq_cols.append(col.view(np.uint64))
+        elif col.dtype == np.uint64:
+            eq_cols.append(col)
+        elif col.dtype.kind in "iub":
+            eq_cols.append(col.astype(np.uint64))
+        else:
+            return None
     order = None
     if not times_sorted:
         # The kernel consumes arrivals in time order; fed streams arrive
@@ -366,74 +272,11 @@ def _accounting_native(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
         eq_cols = [col[order] for col in eq_cols]
         t = t[order]
         w = w[order]
-        if digests is not None:
-            digests = digests[order]
         if vs is not None:
             vs, vmin, vmax = vs[order], vmin[order], vmax[order]
-    out = _native.ingest_runs(eq_cols, digests, salt, t, w, vs, vmin, vmax,
+    out = _native.ingest_runs(eq_cols, salt, t, w, vs, vmin, vmax,
                               n, n_buckets, flush_base)
     if order is not None:
         rep = order[out[0]]
         return (rep, *out[1:])
     return out
-
-
-def _emit_sorted(rel: AttributeSet, run_keys: np.ndarray,
-                 run_w: np.ndarray, run_vs: np.ndarray | None,
-                 run_vmin: np.ndarray | None, run_vmax: np.ndarray | None,
-                 rep: np.ndarray, cols: dict[str, np.ndarray]
-                 ) -> _Arrivals:
-    """Sort-aggregate emission: one merged partial per group per epoch.
-
-    ``run_keys`` holds one collision-free group code per run, in run
-    order; grouping them reduces the epoch's ``r`` run partials to ``g``
-    group partials before the HFTA ever sees them — the win when
-    collisions make ``r >> g``. The codes only need to be
-    order-isomorphic to the group tuples (``pack_tuples`` codes are
-    lexicographic), so the numpy and native callers' differently-scoped
-    factorizations yield identical groupings and fold orders."""
-    _, first, inverse = np.unique(run_keys, return_index=True,
-                                  return_inverse=True)
-    g = int(first.shape[0])
-    g_w = np.bincount(inverse, weights=run_w, minlength=g).astype(np.int64)
-    g_vs = (np.bincount(inverse, weights=run_vs, minlength=g)
-            if run_vs is not None else None)
-    g_vmin = g_vmax = None
-    if run_vmin is not None:
-        g_vmin = np.full(g, np.inf)
-        np.minimum.at(g_vmin, inverse, run_vmin)
-        g_vmax = np.full(g, -np.inf)
-        np.maximum.at(g_vmax, inverse, run_vmax)
-    rep_g = rep[first]
-    ev_cols = {a: cols[a][rep_g] for a in rel.names}
-    return None, g_w, g_vs, g_vmin, g_vmax, ev_cols
-
-
-def _emit_shared(rel: AttributeSet, table: SharedGroupTable,
-                 digests: np.ndarray, run_w: np.ndarray,
-                 run_vs: np.ndarray | None, run_vmin: np.ndarray | None,
-                 run_vmax: np.ndarray | None, rep: np.ndarray,
-                 cols: dict[str, np.ndarray]) -> _Arrivals:
-    """Shared-global-table emission: persistent exact slots, no rebuild.
-
-    Each run's representative resolves to a slot in the relation's
-    cross-epoch :class:`SharedGroupTable`; the epoch emits one partial
-    per *present* slot, with group columns gathered from the table."""
-    slots = table.assign(digests[rep], [cols[a][rep] for a in rel.names])
-    size = len(table)
-    present = np.bincount(slots, minlength=size) > 0
-    g_w = np.bincount(slots, weights=run_w,
-                      minlength=size).astype(np.int64)[present]
-    g_vs = (np.bincount(slots, weights=run_vs, minlength=size)[present]
-            if run_vs is not None else None)
-    g_vmin = g_vmax = None
-    if run_vmin is not None:
-        g_vmin = np.full(size, np.inf)
-        np.minimum.at(g_vmin, slots, run_vmin)
-        g_vmin = g_vmin[present]
-        g_vmax = np.full(size, -np.inf)
-        np.maximum.at(g_vmax, slots, run_vmax)
-        g_vmax = g_vmax[present]
-    ev_cols = {a: stored[present]
-               for a, stored in zip(rel.names, table.arrays())}
-    return None, g_w, g_vs, g_vmin, g_vmax, ev_cols

@@ -29,7 +29,6 @@ __all__ = [
     "combine_columns",
     "pack_tuples",
     "relation_salt",
-    "HashCache",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -153,51 +152,6 @@ def pack_tuples(columns: Sequence[np.ndarray]) -> np.ndarray:
 def _factorize(arr: np.ndarray) -> tuple[np.ndarray, int]:
     uniques, inverse = np.unique(arr, return_inverse=True)
     return inverse.astype(np.int64), int(uniques.size)
-
-
-class HashCache:
-    """Opt-in cache of the bucket-size-independent half of bucket hashing.
-
-    A raw relation's per-epoch arrival stream is fixed by the dataset, so
-    its splitmix64 chain digests and :func:`pack_tuples` group codes are
-    identical across simulations that only vary table sizes (the Figure 5
-    bucket sweeps, ES grid evaluations, parameter studies). Entries are
-    keyed by ``(relation label, salt, epoch slice)``; a hit leaves only
-    the ``% buckets`` reduction to redo. Only *raw* relations are
-    cacheable — a fed relation's arrivals depend on its parent's bucket
-    count — and the engine enforces that.
-
-    The cache trusts its key: reuse an instance only across simulations
-    of the *same dataset* (the epoch slice identifies rows positionally).
-    """
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[str, int, tuple[int, int, int]],
-                          tuple[np.ndarray, np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def codes_and_digests(self, label: str, salt: int,
-                          epoch_slice: tuple[int, int, int],
-                          columns_factory) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(pack_tuples codes, chain digests)`` for one stream.
-
-        ``columns_factory`` is called (once, on miss) to produce the value
-        columns; on a hit no hashing work is performed at all.
-        """
-        key = (label, salt, epoch_slice)
-        entry = self._store.get(key)
-        if entry is None:
-            self.misses += 1
-            columns = columns_factory()
-            entry = (pack_tuples(columns), _chain(columns, salt))
-            self._store[key] = entry
-        else:
-            self.hits += 1
-        return entry
 
 
 def relation_salt(label: str, seed: int = 0) -> int:

@@ -206,9 +206,6 @@ class HFTA:
         #: :meth:`totals` API boundary); derived, dropped from pickles.
         self._answer_cache: dict[tuple[AttributeSet, int],
                                  _GroupTotals] = {}
-        #: Keys whose every pending batch arrived pre-merged (one row
-        #: per group).
-        self._premerged: set[tuple[AttributeSet, int]] = set()
         self.evictions_received = 0
         #: Diagnostic counters for the merge path (manifest/bench food).
         self.folds = 0
@@ -222,21 +219,8 @@ class HFTA:
                       counts: np.ndarray,
                       value_sums: np.ndarray | None = None,
                       value_mins: np.ndarray | None = None,
-                      value_maxs: np.ndarray | None = None,
-                      premerged: bool = False) -> None:
-        """Accept a batch of evicted entries as aligned arrays.
-
-        ``premerged`` declares that the batch already holds exactly one
-        row per group — the ``sort``/``shared`` strategy emissions,
-        which group-merge (or keep an exact global table of) the epoch's
-        runs before shipping. An epoch whose only contribution is one
-        premerged batch is adopted as columnar state directly, skipping
-        the group-merge fold (the answers are bit-identical either way;
-        a single-row "bin" folds to its own value). The flag is demoted
-        the moment a second batch — premerged or not — touches the key:
-        two one-row-per-group batches still hold duplicate groups
-        *between* them.
-        """
+                      value_maxs: np.ndarray | None = None) -> None:
+        """Accept a batch of evicted entries as aligned arrays."""
         n = int(np.asarray(counts).shape[0])
         if n == 0:
             return
@@ -248,11 +232,6 @@ class HFTA:
         vmaxs = (None if value_maxs is None
                  else np.asarray(value_maxs, dtype=np.float64))
         key = (relation, epoch)
-        if premerged and key not in self._batches \
-                and key not in self._columnar:
-            self._premerged.add(key)
-        else:
-            self._premerged.discard(key)
         self._batches[key].append(
             (cols, np.asarray(counts, dtype=np.int64), vsums, vmins, vmaxs))
         self._answer_cache.pop(key, None)
@@ -300,12 +279,6 @@ class HFTA:
                               state.counts, state.value_sums,
                               state.value_mins, state.value_maxs))
             parts.extend(other._batches.get(key, ()))
-            if key in other._premerged and state is None \
-                    and len(parts) == 1 and key not in self._batches \
-                    and key not in self._columnar:
-                self._premerged.add(key)
-            else:
-                self._premerged.discard(key)
             if state is not None and key not in self._batches \
                     and key not in self._columnar and len(parts) == 1:
                 # Nothing on this side: adopt the folded state wholesale.
@@ -324,20 +297,6 @@ class HFTA:
         state["_answer_cache"] = {}
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        # Pre-columnar snapshots carry raw batch lists plus a totals
-        # cache of GroupAggregate dicts; the batches are the source of
-        # truth, so drop the cache and refold lazily. `_premerged`
-        # (older still) defaults empty — always safe, it only ever
-        # skips work.
-        state.pop("_totals_cache", None)
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_premerged", set())
-        self.__dict__.setdefault("_columnar", {})
-        self.__dict__.setdefault("_answer_cache", {})
-        self.__dict__.setdefault("folds", 0)
-        self.__dict__.setdefault("rows_folded", 0)
-
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
@@ -353,20 +312,7 @@ class HFTA:
         state = self._columnar.get(key)
         if not batches:
             return state
-        premerged = key in self._premerged
-        self._premerged.discard(key)
         names = relation.names
-        if state is None and premerged and len(batches) == 1:
-            # One batch, one row per group by contract: adopt verbatim.
-            cols, counts, vsums, vmins, vmaxs = batches[0]
-            n = counts.shape[0]
-            state = ColumnarTotals(
-                names, [np.asarray(cols[name]) for name in names], counts,
-                vsums,
-                vmins if vmins is not None else np.full(n, np.inf),
-                vmaxs if vmaxs is not None else np.full(n, -np.inf))
-            self._columnar[key] = state
-            return state
         parts: list[_Batch] = []
         if state is not None:
             # State rows first: extending an accumulated sum with new

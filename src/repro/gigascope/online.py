@@ -30,11 +30,6 @@ from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters
 from repro.gigascope.records import Dataset, StreamSchema
-from repro.gigascope.strategy import (
-    StrategyState,
-    record_strategy_metrics,
-    resolve_strategies,
-)
 from repro.observability.tracing import trace
 
 __all__ = ["EpochReport", "LiveStreamSystem"]
@@ -78,7 +73,6 @@ class _Era:
 
     configuration: Configuration
     buckets: dict[AttributeSet, int]
-    strategies: dict[AttributeSet, str]
     counters: CostCounters = field(init=False)
 
     def __post_init__(self) -> None:
@@ -98,8 +92,7 @@ class LiveStreamSystem:
                  plan: Plan, params: CostParameters | None = None,
                  value_column: str | None = None,
                  controller=None, salt_seed: int = 0,
-                 where=None, registry=None, strategy=None,
-                 native: bool = True):
+                 where=None, registry=None, native: bool = True):
         self.schema = schema
         self.queries = queries
         self.params = params or CostParameters()
@@ -114,10 +107,6 @@ class LiveStreamSystem:
         self.eras: list[_Era] = []
         self.epoch_reports: list[EpochReport] = []
         self.reconfigurations: list[tuple[int, Configuration]] = []
-        #: The user's strategy spec, kept verbatim so reconfigurations can
-        #: re-resolve it against each new plan's configuration.
-        self.strategy_spec = strategy
-        self._strategy_state = StrategyState()
         self._apply_plan(plan)
         # Buffered records of the (single) currently open epoch.
         self._pending_cols: dict[str, list[np.ndarray]] = \
@@ -131,16 +120,11 @@ class LiveStreamSystem:
     # ------------------------------------------------------------------
     # Configuration management
     # ------------------------------------------------------------------
-    def _apply_plan(self, plan: Plan, strict: bool = True) -> None:
+    def _apply_plan(self, plan: Plan) -> None:
         _require_plan_covers(self.queries, plan)
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
-        # The first era resolves strictly (a bad spec should fail at
-        # construction); later eras resolve leniently because a mapping
-        # spec may name relations the new plan no longer instantiates.
-        strategies = resolve_strategies(plan.configuration,
-                                        self.strategy_spec, strict=strict)
-        self.eras.append(_Era(plan.configuration, buckets, strategies))
+        self.eras.append(_Era(plan.configuration, buckets))
         self._staged_plan: Plan | None = None
         self._staged_queries: QuerySet | None = None
 
@@ -293,9 +277,7 @@ class LiveStreamSystem:
             simulate(dataset, era.configuration, era.buckets,
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
-                     registry=self.registry, strategies=era.strategies,
-                     strategy_state=self._strategy_state,
-                     native=self.native)
+                     registry=self.registry, native=self.native)
         # Fold the closed epoch's eviction batches into compact columnar
         # state now (its own span, so manifests show merge vs ingest
         # share): the raw batch lists are released, bounding HFTA memory
@@ -321,8 +303,6 @@ class LiveStreamSystem:
                 report.intra_cost)
             self.registry.histogram("live.epoch_flush_cost").observe(
                 report.flush_cost)
-            record_strategy_metrics(self.registry, era.strategies,
-                                    self._strategy_state)
         self._pending_cols = {a: [] for a in self.schema.attributes}
         self._pending_vals = []
         self._pending_times = []
@@ -335,7 +315,7 @@ class LiveStreamSystem:
             staged = self._staged_plan
             if self._staged_queries is not None:
                 self.queries = self._staged_queries
-            self._apply_plan(staged, strict=False)
+            self._apply_plan(staged)
             self.reconfigurations.append((epoch + 1, staged.configuration))
             if self.registry is not None:
                 self.registry.counter("live.reconfigurations").inc()

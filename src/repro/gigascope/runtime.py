@@ -21,11 +21,6 @@ from repro.gigascope.engine import simulate
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
-from repro.gigascope.strategy import (
-    StrategyState,
-    record_strategy_metrics,
-    resolve_strategies,
-)
 from repro.observability.tracing import trace
 
 __all__ = ["StreamSystem", "RunReport"]
@@ -101,7 +96,6 @@ class StreamSystem:
                  engine: str = "vectorized",
                  salt_seed: int = 0,
                  where=None,
-                 strategy=None,
                  native: bool = True):
         if where is not None:
             from repro.gigascope.filters import filter_dataset
@@ -134,16 +128,6 @@ class StreamSystem:
         if value_column is not None and value_column not in dataset.values:
             raise ConfigurationError(
                 f"dataset carries no value column {value_column!r}")
-        # Resolve the per-relation execution strategy up front so an
-        # override that conflicts with the configuration (a relation with
-        # no buckets= entry, a non-hash interior relation) is rejected
-        # here, with the relation named, rather than mid-stream.
-        self.strategies = resolve_strategies(configuration, strategy)
-        if engine == "reference" and \
-                any(s != "hash" for s in self.strategies.values()):
-            raise ConfigurationError(
-                "the reference engine implements only the hash strategy; "
-                "drop strategy= or use engine='vectorized'")
         self.dataset = dataset
         self.queries = queries
         self.configuration = configuration
@@ -169,14 +153,10 @@ class StreamSystem:
         the ``engine`` phase span and record/epoch counters.
         """
         if self.engine == "vectorized":
-            state = StrategyState()
             result = simulate(self.dataset, self.configuration, self.buckets,
                               self.queries.epoch_seconds, self.value_column,
                               self.salt_seed, registry=registry,
-                              strategies=self.strategies,
-                              strategy_state=state, native=self.native)
-            if registry is not None:
-                record_strategy_metrics(registry, self.strategies, state)
+                              native=self.native)
         else:
             with trace(registry, "engine"):
                 result = run_reference(

@@ -8,7 +8,7 @@ the source and flags, and loaded through :mod:`ctypes`. This module owns
 that pattern once — compiler discovery, the on-disk cache with atomic
 publish, the ``REPRO_NO_CKERNEL`` opt-out, and per-kernel status records
 (available / disabled / compiler error) that observability surfaces in
-``RunManifest.machine`` and ``BENCH_perf.json``.
+``RunManifest.machine``.
 
 Kernels are best-effort by design: a missing compiler or a failed build
 degrades to the numpy path, never to an exception. The degradation is no

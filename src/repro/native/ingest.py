@@ -9,8 +9,7 @@ the time-ordered arrivals that hashes, probes, accumulates, and detects
 collisions per record, then a stable counting sort by bucket that lands
 the evicted runs in exactly the numpy path's (bucket, start-time) order.
 
-Bit-identity contract (pinned by ``tests/gigascope/test_native_ingest.py``
-and the equivalence gate in ``benchmarks/bench_perf_suite.py``):
+Bit-identity contract (pinned by ``tests/gigascope/test_native_ingest.py``):
 
 * *Runs.* A bucket's resident run is extended only while every raw
   attribute value matches the run's representative — the same equivalence
@@ -18,9 +17,7 @@ and the equivalence gate in ``benchmarks/bench_perf_suite.py``):
   entirely.
 * *Hashes.* The in-loop splitmix64 chain replicates
   :func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``
-  (identical wrap-around arithmetic); callers with precomputed digests
-  (the shared strategy, a warm :class:`~repro.gigascope.hashing.HashCache`)
-  pass them in and the hash is skipped.
+  (identical wrap-around arithmetic).
 * *Floats.* Value sums accumulate in arrival-time order starting from
   ``0.0`` — the order and seed of ``np.bincount`` over a sorted run — and
   min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. With
@@ -67,7 +64,6 @@ static uint64_t mix64(uint64_t z) {
  * with eviction time < n (the intra-epoch counters). */
 int64_t repro_ingest(
     const uint64_t **cols, int64_t k,
-    const uint64_t *digests,         /* NULL: hash cols inline */
     uint64_t salt,
     const int64_t *t, const int64_t *w,
     const double *vs, const double *vmin, const double *vmax,
@@ -89,13 +85,9 @@ int64_t repro_ingest(
     for (i = 0; i < m; i++) {
         uint64_t d;
         if (t[i] < n) arr_intra++;
-        if (digests) {
-            d = digests[i];
-        } else {
-            d = mix64(cols[0][i] ^ state);
-            for (c = 1; c < k; c++)
-                d = mix64(d ^ mix64(cols[c][i] ^ state));
-        }
+        d = mix64(cols[0][i] ^ state);
+        for (c = 1; c < k; c++)
+            d = mix64(d ^ mix64(cols[c][i] ^ state));
         b = (int64_t)(d % nb);
         r = slot_run[b];
         if (r >= 0) {
@@ -182,7 +174,7 @@ def kernel_available() -> bool:
         if lib is not None:
             lib.repro_ingest.restype = ctypes.c_int64
             lib.repro_ingest.argtypes = [
-                ctypes.POINTER(_U64P), ctypes.c_int64, _U64P,
+                ctypes.POINTER(_U64P), ctypes.c_int64,
                 ctypes.c_uint64, _I64P, _I64P, _F64P, _F64P, _F64P,
                 ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                 ctypes.c_int64, _I64P, _I64P,
@@ -201,27 +193,24 @@ def _f64(a: np.ndarray | None):
     return None if a is None else a.ctypes.data_as(_F64P)
 
 
-def ingest_runs(cols: list[np.ndarray], digests: np.ndarray | None,
-                salt: int, t: np.ndarray, w: np.ndarray,
-                vs: np.ndarray | None, vmin: np.ndarray | None,
-                vmax: np.ndarray | None, n: int, n_buckets: int,
-                flush_base: int):
+def ingest_runs(cols: list[np.ndarray], salt: int, t: np.ndarray,
+                w: np.ndarray, vs: np.ndarray | None,
+                vmin: np.ndarray | None, vmax: np.ndarray | None,
+                n: int, n_buckets: int, flush_base: int):
     """Run one relation-epoch through the fused kernel.
 
-    ``cols`` are the uint64 equality columns (raw attribute values, or a
-    single column of cached pack codes) and ``t`` must already be in
-    ascending time order. Returns ``(rep, run_w, run_vs, run_vmin,
-    run_vmax, evict_t, arrivals_intra, evictions_intra)`` with runs in
-    the numpy path's (bucket, start-time) order and ``rep`` indexing the
-    kernel's input arrays. Call only when :func:`kernel_available`.
+    ``cols`` are the uint64 equality columns (raw attribute values) and
+    ``t`` must already be in ascending time order. Returns ``(rep, run_w,
+    run_vs, run_vmin, run_vmax, evict_t, arrivals_intra,
+    evictions_intra)`` with runs in the numpy path's (bucket, start-time)
+    order and ``rep`` indexing the kernel's input arrays. Call only when
+    :func:`kernel_available`.
     """
     assert _lib is not None
     m = int(t.shape[0])
     k = len(cols)
     cols = [np.ascontiguousarray(col, dtype=np.uint64) for col in cols]
     col_ptrs = (_U64P * k)(*[col.ctypes.data_as(_U64P) for col in cols])
-    if digests is not None:
-        digests = np.ascontiguousarray(digests, dtype=np.uint64)
     t = np.ascontiguousarray(t, dtype=np.int64)
     w = np.ascontiguousarray(w, dtype=np.int64)
     has_values = vs is not None
@@ -243,7 +232,6 @@ def ingest_runs(cols: list[np.ndarray], digests: np.ndarray | None,
 
     n_runs = _lib.repro_ingest(
         col_ptrs, ctypes.c_int64(k),
-        None if digests is None else digests.ctypes.data_as(_U64P),
         ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
         _i64(t), _i64(w),
         _f64(vs), _f64(vmin), _f64(vmax),

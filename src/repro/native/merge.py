@@ -9,8 +9,8 @@ does it the way *Global Hash Tables Strike Back!* argues wins in the
 partial-aggregate regime: one pass over the rows through an
 open-addressing hash table, accumulating in place.
 
-Bit-identity contract (pinned by ``tests/gigascope/test_hfta_columnar.py``
-and the ``hfta`` equivalence gate in ``benchmarks/bench_perf_suite.py``):
+Bit-identity contract (pinned by
+``tests/gigascope/test_hfta_columnar.py``):
 
 * *Grouping.* Two rows merge iff every raw key column matches — the same
   equivalence relation as the numpy fold's collision-free pack codes.

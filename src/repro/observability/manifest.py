@@ -72,8 +72,6 @@ class RunManifest:
     epochs: list[dict] = field(default_factory=list)
     reconfigurations: list[dict] = field(default_factory=list)
     resilience: dict = field(default_factory=dict)
-    strategies: dict[str, str] = field(default_factory=dict)
-    strategy_decisions: list[dict] = field(default_factory=list)
     #: Host + native-kernel diagnostics (platform, compiler, per-kernel
     #: availability and compile errors) from
     #: :func:`repro.native.machine_info` — the record of whether this
@@ -87,7 +85,6 @@ class RunManifest:
                 buckets=None, registry=None, shard_results=None,
                 shard_registries=None, epoch_reports=None,
                 reconfigurations=None, resilience=None,
-                strategies=None, strategy_decisions=None,
                 created_unix: float | None = None,
                 git_sha: str | None | bool = True,
                 extra: dict | None = None) -> "RunManifest":
@@ -114,14 +111,6 @@ class RunManifest:
             ``repro-plan --fault-plan`` can replay. Defaults to
             ``report.resilience`` when a sharded run's report carries
             one.
-        strategies:
-            The resolved per-relation execution strategies (a mapping of
-            :class:`~repro.core.attributes.AttributeSet` or label to
-            strategy name) the run used.
-        strategy_decisions:
-            The :class:`~repro.core.allocation.StrategyDecision` list
-            (or ``to_dict()`` forms) behind an ``auto`` pick — the
-            crossover evidence (g, b, g/b, reason) per relation.
         git_sha:
             ``True`` (default) probes ``git rev-parse HEAD``; pass a
             string to pin it or ``None``/``False`` to skip the probe.
@@ -194,14 +183,6 @@ class RunManifest:
         if resilience is not None:
             manifest.resilience = (resilience if isinstance(resilience, dict)
                                    else resilience.to_dict())
-        if strategies is not None:
-            manifest.strategies = {
-                (rel if isinstance(rel, str) else rel.label()): name
-                for rel, name in strategies.items()}
-        if strategy_decisions is not None:
-            manifest.strategy_decisions = [
-                d if isinstance(d, dict) else d.to_dict()
-                for d in strategy_decisions]
         if registry is not None:
             manifest.metrics = registry.to_dict()
         if extra:
@@ -231,8 +212,6 @@ class RunManifest:
             "epochs": self.epochs,
             "reconfigurations": self.reconfigurations,
             "resilience": self.resilience,
-            "strategies": self.strategies,
-            "strategy_decisions": self.strategy_decisions,
             "machine": self.machine,
             "metrics": self.metrics,
             "extra": self.extra,

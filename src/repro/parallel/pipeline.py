@@ -59,7 +59,6 @@ from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
-from repro.gigascope.strategy import StrategyState
 from repro.observability import MetricsRegistry
 from repro.parallel.merge import EpochMerger
 from repro.parallel.sharded import _ShardJob, _validate_outcome
@@ -112,7 +111,6 @@ class _EngineSetup(NamedTuple):
     epoch_seconds: float
     value_column: str | None
     salt_seed: int
-    strategies: dict[AttributeSet, str] | None = None
     native: bool = True
 
 
@@ -246,10 +244,6 @@ def _pipeline_worker(shard: int, attempt: int, ring: _ChunkRing,
                 time.sleep(fault.delay_seconds)
         registry = MetricsRegistry()
         counters = CostCounters(setup.configuration)
-        # One strategy state for the worker's whole lifetime: a shared
-        # table must persist across this shard's epochs exactly as it
-        # would in a whole-shard serial run.
-        strategy_state = StrategyState()
         epoch_arrays: list[np.ndarray] | None = None
         epoch_id = 0
         fill = 0
@@ -283,8 +277,7 @@ def _pipeline_worker(shard: int, attempt: int, ring: _ChunkRing,
             simulate(epoch, setup.configuration, setup.buckets,
                      setup.epoch_seconds, setup.value_column,
                      setup.salt_seed, counters=counters, hfta=epoch_hfta,
-                     registry=registry, strategies=setup.strategies,
-                     strategy_state=strategy_state, native=setup.native)
+                     registry=registry, native=setup.native)
             n_records += len(epoch)
             n_epochs += 1
             results_tx.send(("epoch", n_epochs, epoch_hfta))
@@ -358,8 +351,7 @@ class PipelineCoordinator:
         self.setup = _EngineSetup(
             system._single.configuration, system.shard_buckets,
             system.queries.epoch_seconds, system.value_column,
-            system._single.salt_seed, system._single.strategies,
-            system._single.native)
+            system._single.salt_seed, system._single.native)
         self.ctx = _fork_context()
         self.merger = EpochMerger()
         self.lanes: dict[int, _Lane] = {}
@@ -639,7 +631,7 @@ class PipelineCoordinator:
         return _ShardJob(shard, shard_dataset, self.setup.configuration,
                          self.setup.buckets, self.setup.epoch_seconds,
                          self.setup.value_column, self.setup.salt_seed,
-                         self.setup.strategies, self.setup.native)
+                         self.setup.native)
 
     def _feed_retry(self, lane: _Lane, job: _ShardJob) -> None:
         columns = self.layout.stream_columns(job.dataset)

@@ -63,7 +63,6 @@ from repro.gigascope.engine import simulate
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
 from repro.gigascope.runtime import RunReport, StreamSystem
-from repro.gigascope.strategy import record_strategy_metrics
 from repro.observability import MetricsRegistry
 from repro.parallel.merge import merge_results
 from repro.parallel.partition import (HashPartitioner, shard_balance,
@@ -93,7 +92,6 @@ class _ShardJob(NamedTuple):
     epoch_seconds: float
     value_column: str | None
     salt_seed: int
-    strategies: dict[AttributeSet, str] | None = None
     native: bool = True
 
 
@@ -121,8 +119,7 @@ def _run_shard(job: _ShardJob, attempt: int = 1,
     registry = MetricsRegistry()
     result = simulate(job.dataset, job.configuration, job.buckets,
                       job.epoch_seconds, job.value_column, job.salt_seed,
-                      registry=registry, strategies=job.strategies,
-                      native=job.native)
+                      registry=registry, native=job.native)
     if fault is not None and fault.kind == "corrupt":
         # Falsified record count, missing sub-registry: garbage the
         # parent's outcome validation must reject.
@@ -242,7 +239,6 @@ class ShardedStreamSystem:
                  fault_plan: FaultPlan | None = None,
                  pipeline_chunk_records: int = 32768,
                  pipeline_ring_slots: int = 4,
-                 strategy=None,
                  native: bool = True):
         if int(shards) < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -260,7 +256,7 @@ class ShardedStreamSystem:
         self._single = StreamSystem(
             dataset, queries, configuration, buckets, plan=plan,
             params=params, value_column=value_column, salt_seed=salt_seed,
-            where=where, strategy=strategy, native=native)
+            where=where, native=native)
         self.shards = int(shards)
         unsplittable = [rel for rel, b in self._single.buckets.items()
                         if b < self.shards]
@@ -330,11 +326,6 @@ class ShardedStreamSystem:
     @property
     def params(self) -> CostParameters:
         return self._single.params
-
-    @property
-    def strategies(self) -> dict[AttributeSet, str]:
-        """Resolved per-relation execution strategies (shared by shards)."""
-        return self._single.strategies
 
     @property
     def value_column(self) -> str | None:
@@ -409,7 +400,6 @@ class ShardedStreamSystem:
         for index, _, shard_registry in outcomes:
             registry.merge(shard_registry, prefix=f"shard{index}.")
         registry.gauge("shards").set(self.shards)
-        record_strategy_metrics(registry, self._single.strategies)
         with registry.span("merge"):
             merged = merge_results(
                 results, self._single.configuration,
@@ -427,7 +417,7 @@ class ShardedStreamSystem:
             _ShardJob(index, shard, self._single.configuration,
                       self.shard_buckets, epoch_seconds,
                       self.value_column, self._single.salt_seed,
-                      self._single.strategies, self._single.native)
+                      self._single.native)
             for index, shard in enumerate(
                 split_dataset(dataset, shard_ids, self.shards))
             if len(shard)
@@ -436,7 +426,6 @@ class ShardedStreamSystem:
             jobs = [_ShardJob(0, dataset, self._single.configuration,
                               self.shard_buckets, epoch_seconds,
                               self.value_column, self._single.salt_seed,
-                              self._single.strategies,
                               self._single.native)]
         return jobs
 

@@ -16,21 +16,12 @@ Format: a pickle whose top level is a plain dict carrying a magic
 string and ``checkpoint_version`` (currently {version}) ahead of the
 state payload, so a reader can reject foreign or future files with a
 :class:`~repro.errors.CheckpointError` instead of a pickle traceback.
-Version history: version 1 predates runtime query-set swaps (no
-``_staged_queries``) and carries no ``extra`` payload; version 2
-predates per-relation execution strategies (no ``strategy_spec`` /
-``_strategy_state``); version 3 predates the columnar HFTA — its HFTA
-payload holds raw eviction batch lists (plus a ``_totals_cache`` of
-merged dicts) instead of folded per-group columnar state. Older files
-are still readable — missing fields take their implied defaults (no
-staged query set, all-hash strategies with an empty shared-table
-state), and a version-3 HFTA upgrades itself on unpickle
-(``HFTA.__setstate__`` drops the stale cache and keeps the batch
-lists, which the first fold then compacts). The
-``extra`` payload is an opaque caller dict: the multi-tenant
-:class:`~repro.service.StreamService` stores its query registry,
-tenant activation windows and admission configuration there so a
-restart is transparent to tenants.
+There is one format and one reader: a file carrying any other version
+is rejected with a :class:`~repro.errors.CheckpointError` naming the
+version found and the one supported. The ``extra`` payload is an opaque
+caller dict: the multi-tenant :class:`~repro.service.StreamService`
+stores its query registry, tenant activation windows and admission
+configuration there so a restart is transparent to tenants.
 
 Two things are deliberately *not* serialized and must be re-attached on
 restore: the adaptive ``controller`` and the metrics ``registry`` (both
@@ -53,7 +44,7 @@ __all__ = ["CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "load_live_checkpoint",
            "read_checkpoint_document", "save_live_checkpoint"]
 
 CHECKPOINT_MAGIC = "repro-live-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 __doc__ = __doc__.format(version=CHECKPOINT_VERSION)
 
@@ -63,36 +54,7 @@ _STATE_ATTRS = (
     "epoch_seconds", "hfta", "eras", "epoch_reports", "reconfigurations",
     "_staged_plan", "_staged_queries", "_pending_cols", "_pending_vals",
     "_pending_times", "_pending_epoch", "_last_time", "records_seen",
-    "strategy_spec", "_strategy_state",
 )
-
-#: Fields added after version 1, with the value a version-1 snapshot
-#: implies (version 1 predates staged query-set swaps).
-_V1_DEFAULTS = {"_staged_queries": None}
-
-
-def _upgrade_state(state: dict, version: int) -> None:
-    """Fill state fields an older snapshot predates with the values it
-    implies, mutating ``state`` (and its eras) in place."""
-    if version < 2:
-        for name, default in _V1_DEFAULTS.items():
-            state.setdefault(name, default)
-    if version < 3:
-        # Version 2 predates per-relation strategies: everything ran the
-        # hash machine with no shared-table state.
-        from repro.gigascope.strategy import StrategyState
-
-        state.setdefault("strategy_spec", None)
-        state.setdefault("_strategy_state", StrategyState())
-        for era in state.get("eras", ()):
-            if not hasattr(era, "strategies"):
-                era.strategies = {rel: "hash"
-                                  for rel in era.configuration.relations}
-    # version < 4 needs no handling here: the pre-columnar HFTA payload
-    # (raw batch lists + `_totals_cache`) upgrades itself during
-    # unpickling — ``HFTA.__setstate__`` fills the columnar fields and
-    # drops the stale cache, and the first fold compacts the batches.
-
 
 def save_live_checkpoint(system, path: str | Path,
                          extra: dict | None = None) -> Path:
@@ -126,9 +88,8 @@ def save_live_checkpoint(system, path: str | Path,
 def read_checkpoint_document(path: str | Path) -> dict:
     """Read and validate a checkpoint file; returns the full document.
 
-    The returned dict carries ``state`` (the system attributes, with
-    older versions' missing fields filled with their implied defaults)
-    and ``extra`` (the caller payload, ``{}`` for version-1 files).
+    The returned dict carries ``state`` (the system attributes) and
+    ``extra`` (the caller payload).
     """
     path = Path(path)
     try:
@@ -145,13 +106,13 @@ def read_checkpoint_document(path: str | Path) -> dict:
         raise CheckpointError(
             f"{path} is not a live-stream checkpoint (bad magic)")
     version = document.get("checkpoint_version")
-    if not isinstance(version, int) or \
-            not 1 <= version <= CHECKPOINT_VERSION:
+    if not isinstance(version, int) or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path} has checkpoint_version {version!r}; this code "
-            f"reads versions 1..{CHECKPOINT_VERSION}")
-    state = document["state"]
-    _upgrade_state(state, version)
+            f"reads only version {CHECKPOINT_VERSION}")
+    state = document.get("state")
+    if not isinstance(state, dict):
+        raise CheckpointError(f"{path} has no state payload")
     document.setdefault("extra", {})
     missing = [name for name in _STATE_ATTRS if name not in state]
     if missing:

@@ -67,75 +67,6 @@ class TestIngestAndTotals:
         assert hfta.totals(rel, 0)[(1,)].count == 2
 
 
-class TestPremergedBatches:
-    """The shared-strategy fast path: a lone premerged batch (one row
-    per group by contract) skips the group-unique fold, and every
-    escape hatch back to the general merge is taken when the contract
-    stops holding."""
-
-    def test_lone_premerged_batch_folds_identically(self):
-        hfta, plain = HFTA(), HFTA()
-        rel = A("AB")
-        cols = {"A": [1, 1, 2], "B": [2, 3, 2]}
-        counts, sums = [3, 4, 5], [1.0, 2.0, 3.5]
-        mins, maxs = [0.25, 2.0, 0.5], [0.75, 2.0, 3.0]
-        hfta.ingest_arrays(rel, 0, cols, counts, sums, mins, maxs,
-                           premerged=True)
-        plain.ingest_arrays(rel, 0, cols, counts, sums, mins, maxs)
-        assert hfta.totals(rel, 0) == plain.totals(rel, 0)
-
-    def test_second_batch_demotes_to_general_merge(self):
-        """A premerged epoch that later receives an ordinary batch must
-        re-merge — the one-row-per-group invariant is gone."""
-        hfta = HFTA()
-        rel = A("AB")
-        hfta.ingest_arrays(rel, 0, {"A": [1], "B": [2]}, [3], [1.0],
-                           premerged=True)
-        hfta.ingest_arrays(rel, 0, {"A": [1], "B": [2]}, [4], [2.5])
-        agg = hfta.totals(rel, 0)[(1, 2)]
-        assert agg.count == 7
-        assert agg.value_sum == pytest.approx(3.5)
-
-    def test_premerged_after_ordinary_batch_is_not_trusted(self):
-        """Order matters: if plain rows arrived first, a premerged flag
-        on a later batch cannot make the epoch single-batch-exact."""
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [7]}, [1])
-        hfta.ingest_arrays(rel, 0, {"A": [7]}, [2], premerged=True)
-        assert hfta.totals(rel, 0)[(7,)].count == 3
-
-    def test_merge_from_keeps_flag_only_for_lone_shard_batches(self):
-        """Cross-shard merge: the flag survives only when exactly one
-        shard contributed (a second premerged batch still holds
-        duplicate groups across shards), and answers stay exact."""
-        rel = A("A")
-        a, b = HFTA(), HFTA()
-        a.ingest_arrays(rel, 0, {"A": [1]}, [2], premerged=True)
-        b.ingest_arrays(rel, 0, {"A": [1]}, [5], premerged=True)
-        target = HFTA()
-        target.merge_from(a)
-        assert (rel, 0) in target._premerged
-        target.merge_from(b)
-        assert (rel, 0) not in target._premerged
-        assert target.totals(rel, 0)[(1,)].count == 7
-
-    def test_unpickling_pre_strategy_snapshot_fills_default(self):
-        """Old pickled HFTAs predate ``_premerged``; they must come back
-        with the empty set, not crash in ``totals``."""
-        import pickle
-
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [4]}, [2])
-        state = hfta.__dict__.copy()
-        del state["_premerged"]
-        old = pickle.loads(pickle.dumps(hfta))
-        old.__setstate__(state)
-        assert old._premerged == set()
-        assert old.totals(rel, 0)[(4,)].count == 2
-
-
 class TestQueryAnswers:
     def _hfta(self):
         hfta = HFTA()

@@ -19,8 +19,7 @@ ways:
   degenerates both sides to.
 
 Plus the memory-bounding contract: folding releases raw batch lists,
-``finalize_epoch`` does it eagerly as the live runtime closes epochs,
-and version-3 (pre-columnar) checkpoints still restore.
+and ``finalize_epoch`` does it eagerly as the live runtime closes epochs.
 """
 
 import math
@@ -130,8 +129,7 @@ def _workload(draw):
     # After which batches to force a fold (exercises incremental
     # state-rows-first re-folds and the answer cache).
     folds = draw(st.sets(st.integers(0, len(batches) - 1)))
-    premerged_first = draw(st.booleans())
-    return batches, folds, premerged_first
+    return batches, folds
 
 
 class TestDifferentialVsReference:
@@ -140,19 +138,11 @@ class TestDifferentialVsReference:
     def test_totals_bit_identical(self, workload):
         """Interleaved ingest/fold produces exactly the reference's
         per-group count/sum/min/max — float bits included."""
-        batches, folds, premerged_first = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
-            cols, counts, vsums, vmins, vmaxs = batch
-            # The premerged contract is one row per group; only a
-            # genuinely group-unique batch may carry the flag (the
-            # engine's sort/shared emissions guarantee it).
-            rows = list(zip(cols["A"].tolist(), cols["B"].tolist()))
-            premerged = (premerged_first and i == 0
-                         and len(set(rows)) == len(rows))
-            hfta.ingest_arrays(rel, 0, cols, counts, vsums, vmins, vmaxs,
-                               premerged=premerged)
+            hfta.ingest_arrays(rel, 0, *batch)
             if i in folds:
                 hfta.totals(rel, 0)
         _assert_totals_equal(hfta.totals(rel, 0),
@@ -169,7 +159,7 @@ class TestDifferentialVsReference:
         tree-shaped addition the row-shipping design exists to avoid).
         The destination may fold whenever: its state re-enters later
         folds first, preserving the sequence."""
-        batches, folds, _ = workload
+        batches, folds = workload
         split = min(split, len(batches))
         rel = A("AB")
         a, b = HFTA(), HFTA()
@@ -190,7 +180,7 @@ class TestDifferentialVsReference:
                                                            workload):
         """A fully folded shard merged into an empty HFTA is adopted
         wholesale — bitwise the shard's own totals, no re-fold."""
-        batches, _, _ = workload
+        batches, _ = workload
         rel = A("AB")
         shard = HFTA()
         for batch in batches:
@@ -205,7 +195,7 @@ class TestDifferentialVsReference:
     @given(workload=_workload())
     @settings(max_examples=40)
     def test_pickle_roundtrip_preserves_totals(self, workload):
-        batches, folds, _ = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
@@ -245,7 +235,7 @@ class TestQueryAnswerBruteForce:
            having=st.one_of(st.none(), st.integers(0, 30)))
     @settings(max_examples=120)
     def test_matches_oracle(self, workload, kind, having):
-        batches, folds, _ = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
@@ -371,36 +361,6 @@ class TestKernelVsNumpyFold:
         assert agg == GroupAggregate(7, 0.875, math.inf, -math.inf)
 
 
-class TestPremergedStaleFlag:
-    """Regression (satellite 1): a second premerged batch arriving after
-    the first was already folded must demote the flag — the old check
-    only looked at pending batches, which the fold had just released."""
-
-    def test_second_premerged_batch_after_fold_is_remerged(self):
-        hfta = HFTA()
-        rel = A("AB")
-        hfta.ingest_arrays(rel, 0, {"A": [1, 2], "B": [3, 4]}, [5, 6],
-                           [1.0, 2.0], premerged=True)
-        # Fold: the premerged batch is adopted as columnar state and the
-        # pending list is released.
-        assert hfta.totals(rel, 0)[(1, 3)].count == 5
-        hfta.ingest_arrays(rel, 0, {"A": [1], "B": [3]}, [7], [4.0],
-                           premerged=True)
-        assert (rel, 0) not in hfta._premerged
-        agg = hfta.totals(rel, 0)[(1, 3)]
-        assert agg.count == 12
-        assert agg.value_sum == 5.0
-
-    def test_flag_not_set_when_columnar_state_exists(self):
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [9]}, [1])
-        hfta.totals(rel, 0)
-        hfta.ingest_arrays(rel, 0, {"A": [9]}, [2], premerged=True)
-        assert (rel, 0) not in hfta._premerged
-        assert hfta.totals(rel, 0)[(9,)].count == 3
-
-
 class TestBoundedMemory:
     """Folding is the memory-bounding step: raw batch lists are released
     and only one row per group remains."""
@@ -508,78 +468,3 @@ class TestColumnarInterface:
         a.totals(rel, 0)
         assert a.folds == folds_before + 1
         assert a.rows_folded >= 4
-
-
-class TestCheckpointV3Restore:
-    """A version-3 (pre-columnar) checkpoint carries an HFTA payload of
-    raw batch lists plus a ``_totals_cache``; it must restore, upgrade
-    itself, and finish with the oracle's answers."""
-
-    def test_version3_checkpoint_restores_and_finishes(self, tmp_path):
-        from collections import defaultdict
-
-        from repro import QuerySet, StreamSchema, plan
-        from repro.core.feeding_graph import FeedingGraph
-        from repro.gigascope.online import LiveStreamSystem
-        from repro.workloads import (
-            make_group_universe,
-            measure_statistics,
-            uniform_dataset,
-        )
-
-        schema = StreamSchema(("A", "B"))
-        universe = make_group_universe(schema, (5, 9), value_pool=16,
-                                       seed=11)
-        dataset = uniform_dataset(universe, 1200, duration=6.0, seed=2)
-        queries = QuerySet.counts(["AB"], epoch_seconds=2.0)
-        stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
-        the_plan = plan(queries, stats, memory=120)
-
-        def push(live, start, stop):
-            cols = {a: dataset.columns[a][start:stop]
-                    for a in schema.attributes}
-            live.push(cols, dataset.timestamps[start:stop])
-
-        oracle = LiveStreamSystem(schema, queries, the_plan)
-        push(oracle, 0, len(dataset))
-        oracle.finish()
-
-        live = LiveStreamSystem(schema, queries, the_plan)
-        push(live, 0, 700)
-        path = tmp_path / "v3.ckpt"
-        live.checkpoint(path)
-
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-        # Rewrite the HFTA payload in the pre-columnar shape: every
-        # key's rows as raw batch lists (the folded state rides as one
-        # batch — exactly what a v3 file holds after its own merges),
-        # plus the _totals_cache field v3 serialized.
-        hfta = payload["state"]["hfta"]
-        batches = defaultdict(list)
-        for key, state in hfta._columnar.items():
-            batches[key].append((dict(zip(state.names, state.columns)),
-                                 state.counts, state.value_sums,
-                                 state.value_mins, state.value_maxs))
-        for key, pending in hfta._batches.items():
-            batches[key].extend(pending)
-        old = HFTA.__new__(HFTA)
-        old.__dict__ = {
-            "_batches": batches,
-            "_totals_cache": {},
-            "_premerged": set(),
-            "evictions_received": hfta.evictions_received,
-        }
-        payload["state"]["hfta"] = old
-        payload["checkpoint_version"] = 3
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle)
-
-        restored = LiveStreamSystem.restore(path)
-        assert restored.hfta._columnar == {}
-        assert not hasattr(restored.hfta, "_totals_cache")
-        assert restored.hfta.folds == 0
-        push(restored, 700, len(dataset))
-        restored.finish()
-        for query in queries:
-            assert restored.answers(query) == oracle.answers(query)

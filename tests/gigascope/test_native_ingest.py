@@ -3,11 +3,9 @@
 The native accounting pass (:mod:`repro.native.ingest`) promises answers
 and cost counters *bit-identical* to the numpy engine path — the
 accounting pass is the paper's measured quantity, so "close" is not
-good enough. These tests pin that promise the way
-``test_strategy_equivalence.py`` pins the strategy emissions: hypothesis
-generates workloads and every one is run with ``native=True`` and
-``native=False`` — across all three strategies, through the HashCache,
-and through all three shard executors — and compared field by field.
+good enough. Hypothesis generates workloads and every one is run with
+``native=True`` and ``native=False`` — directly and through all three
+shard executors — and compared field by field.
 
 When no C compiler is available (or ``REPRO_NO_CKERNEL=1`` is set, the
 CI matrix leg), ``native=True`` falls back to the numpy path and the
@@ -22,13 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.configuration import Configuration
 from repro.core.queries import QuerySet
 from repro.errors import ConfigurationError
-from repro.gigascope import (
-    Dataset,
-    StrategyState,
-    StreamSchema,
-    simulate,
-)
-from repro.gigascope.hashing import HashCache
+from repro.gigascope import Dataset, StreamSchema, simulate
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
@@ -76,7 +68,6 @@ workloads = st.fixed_dictionaries({
     "buckets": st.integers(2, 17),
     "clustered": st.booleans(),
     "values": st.booleans(),
-    "strategy": st.sampled_from([None, "sort", "shared"]),
 })
 
 
@@ -90,7 +81,6 @@ def _run(workload, native):
     return config, simulate(
         dataset, config, buckets, workload["epoch_seconds"],
         value_column="v" if workload["values"] else None,
-        strategies=workload["strategy"], strategy_state=StrategyState(),
         native=native)
 
 
@@ -102,11 +92,9 @@ def _answers(result, config):
     }
 
 
-def _assert_equal_runs(ref, ref_config, got, got_config, label=""):
-    assert got.counters.relations == ref.counters.relations, \
-        f"{label} counters diverged"
-    assert _answers(got, got_config) == _answers(ref, ref_config), \
-        f"{label} answers diverged"
+def _assert_equal_runs(ref, ref_config, got, got_config):
+    assert got.counters.relations == ref.counters.relations
+    assert _answers(got, got_config) == _answers(ref, ref_config)
     assert got.n_records == ref.n_records
     assert got.n_epochs == ref.n_epochs
 
@@ -115,36 +103,10 @@ class TestKernelDifferential:
     @given(workload=workloads)
     def test_native_matches_numpy(self, workload):
         """Answers (including float sums) and every per-relation counter
-        are bit-identical between the kernel and the numpy path, for
-        every strategy."""
+        are bit-identical between the kernel and the numpy path."""
         config, ref = _run(workload, native=False)
         got_config, got = _run(workload, native=True)
-        _assert_equal_runs(ref, config, got, got_config,
-                           label=workload["strategy"] or "hash")
-
-    @given(workload=workloads)
-    @settings(max_examples=10)
-    def test_hash_cache_interoperates(self, workload):
-        """A cache warmed by either path yields bit-identical results on
-        the other: cached pack codes and digests feed the kernel's
-        equality/bucket lanes directly."""
-        config, ref = _run(workload, native=False)
-        dataset = _dataset(workload["seed"], workload["n"],
-                           workload["domain"], workload["duration"],
-                           workload["clustered"])
-        buckets = {rel: workload["buckets"] + 2 * i
-                   for i, rel in enumerate(config.relations)}
-        value_column = "v" if workload["values"] else None
-        cache = HashCache()
-        for native in (False, True, True):  # warm numpy, reuse native x2
-            got = simulate(dataset, config, buckets,
-                           workload["epoch_seconds"],
-                           value_column=value_column,
-                           strategies=workload["strategy"],
-                           strategy_state=StrategyState(),
-                           hash_cache=cache, native=native)
-            _assert_equal_runs(ref, config, got, config, label="cache")
-        assert cache.hits > 0
+        _assert_equal_runs(ref, config, got, got_config)
 
 
 class TestExecutorDifferential:
@@ -153,33 +115,38 @@ class TestExecutorDifferential:
     @settings(max_examples=3, deadline=None)
     def test_native_agrees_across_executors(self, executor, data):
         """On every shard executor, a native run's answers and merged
-        counters equal the numpy run's, example by example."""
+        counters equal the numpy run's, example by example — on a flat
+        configuration of the drawn queries and on a three-level forest
+        (fed relations reach the kernel in parent emission order)."""
         seed = data.draw(st.integers(0, 2**16), label="seed")
         domain = data.draw(st.integers(3, 6), label="domain")
-        strategy = data.draw(st.sampled_from([None, "sort", "shared"]),
-                             label="strategy")
         labels = data.draw(
             st.sets(st.sampled_from(["A", "B", "AB", "BC", "AC"]),
                     min_size=1, max_size=3),
             label="queries")
-        queries = QuerySet.counts(sorted(labels), epoch_seconds=2.5)
-        config = Configuration.flat([q.group_by for q in queries])
-        buckets = {rel: 5 for rel in config.relations}
+        flat = QuerySet.counts(sorted(labels), epoch_seconds=2.5)
+        forest = Configuration.from_notation("ABC(AB(A B) BC)")
         dataset = _dataset(seed, 800, domain, 8.0, clustered=False)
 
-        reports = {}
-        for native in (False, True):
-            system = ShardedStreamSystem(
-                dataset, queries, config, buckets, shards=2,
-                executor=executor, strategy=strategy, native=native)
-            reports[native] = system.run()
-        ref, got = reports[False], reports[True]
-        for query in queries:
-            assert got.answers(query) == ref.answers(query)
-        assert got.result.counters.relations == \
-            ref.result.counters.relations
-        assert got.result.n_records == ref.result.n_records
-        assert got.result.n_epochs == ref.result.n_epochs
+        for queries, config in (
+                (flat, Configuration.flat([q.group_by for q in flat])),
+                (QuerySet.counts(["A", "B", "BC"], epoch_seconds=2.5),
+                 forest)):
+            buckets = {rel: 5 for rel in config.relations}
+            reports = {}
+            for native in (False, True):
+                system = ShardedStreamSystem(
+                    dataset, queries, config, buckets, shards=2,
+                    executor=executor, native=native)
+                reports[native] = system.run()
+            ref, got = reports[False], reports[True]
+            for query in queries:
+                assert got.answers(query) == ref.answers(query)
+                assert ref.answers(query)
+            assert got.result.counters.relations == \
+                ref.result.counters.relations
+            assert got.result.n_records == ref.result.n_records
+            assert got.result.n_epochs == ref.result.n_epochs
 
 
 class TestDegenerateShapes:
@@ -187,13 +154,11 @@ class TestDegenerateShapes:
     counter- and answer-identical to the numpy path."""
 
     def _compare(self, config, dataset, buckets, epoch_seconds,
-                 value_column=None, strategies=None):
+                 value_column=None):
         ref = simulate(dataset, config, buckets, epoch_seconds,
-                       value_column=value_column, strategies=strategies,
-                       strategy_state=StrategyState(), native=False)
+                       value_column=value_column, native=False)
         got = simulate(dataset, config, buckets, epoch_seconds,
-                       value_column=value_column, strategies=strategies,
-                       strategy_state=StrategyState(), native=True)
+                       value_column=value_column, native=True)
         _assert_equal_runs(ref, config, got, config)
         return ref, got
 
@@ -224,9 +189,7 @@ class TestDegenerateShapes:
         config = Configuration.from_notation("AB BC")
         dataset = _dataset(3, 1, 2, 1.0, clustered=False)
         buckets = {rel: 7 for rel in config.relations}
-        for strategies in (None, "sort", "shared"):
-            self._compare(config, dataset, buckets, 0.5,
-                          value_column="v", strategies=strategies)
+        self._compare(config, dataset, buckets, 0.5, value_column="v")
 
     def test_all_records_collide(self):
         """Every record a distinct group, one bucket: every intra-epoch
@@ -248,9 +211,7 @@ class TestDegenerateShapes:
         config = Configuration.from_notation("ABC(AB(A B) C)")
         dataset = _dataset(11, 200, 3, 4.0, clustered=True)
         buckets = {rel: 1 for rel in config.relations}
-        for strategies in (None, "sort", "shared"):
-            self._compare(config, dataset, buckets, 1.3,
-                          value_column="v", strategies=strategies)
+        self._compare(config, dataset, buckets, 1.3, value_column="v")
 
     def test_max_width_packed_keys(self):
         """Eight wide-domain attributes force the numpy path's

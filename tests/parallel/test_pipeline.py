@@ -207,72 +207,6 @@ class TestPipelineFaults:
         assert_bit_identical(pipe_report, serial_report, queries)
 
 
-class TestPipelineStrategies:
-    """The sort/shared execution strategies through the ring buffers.
-
-    Chunked epochs, overlapped merge and worker retries must all be
-    invisible to the strategy choice: every combination stays
-    bit-identical to its serial twin, and — because the strategies are
-    themselves bit-identical to hash — to the serial *hash* run too.
-    """
-
-    @pytest.mark.parametrize("strategy", ["sort", "shared"])
-    def test_strategy_matches_serial_twin(self, netflow, paper_plan,
-                                          strategy):
-        queries, the_plan = paper_plan
-        _, serial_report, _, pipe_report = run_pair(
-            netflow, queries, the_plan,
-            serial_kwargs={"strategy": strategy},
-            pipeline_kwargs={"strategy": strategy})
-        assert_bit_identical(pipe_report, serial_report, queries)
-
-    @pytest.mark.parametrize("strategy", ["sort", "shared"])
-    def test_strategy_matches_serial_hash_oracle(self, netflow, paper_plan,
-                                                 strategy):
-        """Cross-strategy: a pipelined sort/shared run against the plain
-        serial hash run — the differential promise holds end to end."""
-        queries, the_plan = paper_plan
-        _, serial_report, _, pipe_report = run_pair(
-            netflow, queries, the_plan,
-            pipeline_kwargs={"strategy": strategy})
-        assert_bit_identical(pipe_report, serial_report, queries)
-
-    @pytest.mark.parametrize("kind", ["crash", "corrupt"])
-    @pytest.mark.parametrize("strategy", ["sort", "shared"])
-    def test_fault_on_strategy_worker_recovers_exact(
-            self, netflow, paper_plan, strategy, kind):
-        """A fault lands on a worker mid-strategy; the retry rebuilds the
-        shard's engine (and any shared table) from scratch."""
-        queries, the_plan = paper_plan
-        _, serial_report, piped, pipe_report = run_pair(
-            netflow, queries, the_plan,
-            serial_kwargs={"strategy": strategy},
-            pipeline_kwargs={"strategy": strategy,
-                             "fault_plan": FaultPlan(
-                                 (FaultSpec(kind, shard=1, attempt=1),)),
-                             "retry": fast_retry()})
-        assert_bit_identical(pipe_report, serial_report, queries)
-        row = next(o for o in piped.resilience_report.shards
-                   if o.shard == 1)
-        assert row.attempts == 2 and row.succeeded
-
-    def test_mixed_leaf_spec_under_backpressure(self, netflow, paper_plan):
-        """Half the leaves sort, half keep shared tables, with tiny
-        chunks forcing multi-chunk epochs and ring stalls."""
-        queries, the_plan = paper_plan
-        leaves = sorted(the_plan.configuration.leaves,
-                        key=lambda rel: rel.label())
-        spec = {rel.label(): ("sort" if i % 2 else "shared")
-                for i, rel in enumerate(leaves)}
-        _, serial_report, _, pipe_report = run_pair(
-            netflow, queries, the_plan,
-            serial_kwargs={"strategy": spec},
-            pipeline_kwargs={"strategy": spec,
-                             "pipeline_chunk_records": 128,
-                             "pipeline_ring_slots": 2})
-        assert_bit_identical(pipe_report, serial_report, queries)
-
-
 class TestDegenerateShapes:
     def test_single_live_shard_falls_back_to_serial_loop(self, netflow,
                                                          paper_plan):

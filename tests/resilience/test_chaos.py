@@ -19,12 +19,6 @@ from tests.resilience.conftest import fast_retry
 
 EXECUTORS = ("serial", "process", "pipeline")
 
-# The non-default per-relation execution strategies. "hash" is what the
-# rest of the matrix already runs; sort and shared are bit-identical to
-# it by construction, so every faulted strategy run must still match the
-# fault-free *hash* oracle.
-STRATEGIES = ("sort", "shared")
-
 
 def sharded(dataset, queries, config, buckets, **kwargs):
     kwargs.setdefault("shards", 3)
@@ -268,74 +262,6 @@ class TestHardWorkerDeath:
                                           serial_fallback=False))
         with pytest.raises(ShardExecutionError, match="shard 0"):
             system.run()
-
-
-class TestStrategyChaos:
-    """Faults landing on shards that run the sort or shared strategy.
-
-    A retried attempt rebuilds its engine from scratch, so no state from
-    the aborted attempt — sort buffers, shared-table slots — may leak
-    into the retry's answers.  Success is defined against the same
-    fault-free hash oracle as the rest of the matrix.
-    """
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_crash_once_on_every_shard_stays_exact(
-            self, dataset, queries, config, buckets, single_report,
-            executor, strategy):
-        system = sharded(dataset, queries, config, buckets,
-                         executor=executor, strategy=strategy,
-                         fault_plan=FaultPlan.crash_once(3))
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        resilience = system.resilience_report
-        assert resilience.total_retries == 3
-        assert all(o.succeeded for o in resilience.shards)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_corrupt_every_shard_retry_rebuilds_strategy_state(
-            self, dataset, queries, config, buckets, single_report,
-            strategy):
-        plan = FaultPlan(tuple(FaultSpec("corrupt", shard=s, attempt=1)
-                               for s in range(3)))
-        system = sharded(dataset, queries, config, buckets,
-                         executor="serial", strategy=strategy,
-                         fault_plan=plan)
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        assert system.resilience_report.fault_counts == {"corrupt": 3}
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_mixed_leaf_strategies_survive_timeout(
-            self, dataset, queries, config, buckets, single_report,
-            executor):
-        """One leaf sorts, the other keeps a shared table, and shard 0's
-        first attempt is delayed past the timeout."""
-        plan = FaultPlan((FaultSpec("delay", shard=0, attempt=1,
-                                    delay_seconds=0.4),))
-        system = sharded(dataset, queries, config, buckets,
-                         executor=executor,
-                         strategy={"AB": "sort", "BC": "shared"},
-                         fault_plan=plan,
-                         retry=fast_retry(timeout_seconds=0.05))
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        row = next(o for o in system.resilience_report.shards
-                   if o.shard == 0)
-        assert row.attempts >= 2
-        assert any("Timeout" in e for e in row.errors)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_exhausted_retries_still_name_the_shard(
-            self, dataset, queries, config, buckets, strategy):
-        system = sharded(dataset, queries, config, buckets,
-                         executor="serial", strategy=strategy,
-                         fault_plan=FaultPlan.crash_always(1),
-                         retry=fast_retry(max_attempts=2))
-        with pytest.raises(ShardExecutionError, match="shard 1") as info:
-            system.run()
-        assert info.value.shard == 1
 
 
 class TestNoFaultBaseline:

@@ -177,13 +177,29 @@ class TestRejection:
             LiveStreamSystem.restore(path)
 
     def test_wrong_version(self, tmp_path):
+        """One format, one reader: every other version — retired, future,
+        or a bool posing as an int — is refused by name, and a document
+        with the right magic and version but a missing or non-dict
+        ``state`` is a CheckpointError too, never a KeyError or
+        AttributeError."""
         path = tmp_path / "version.ckpt"
-        with path.open("wb") as handle:
-            pickle.dump({"magic": CHECKPOINT_MAGIC,
-                         "checkpoint_version": CHECKPOINT_VERSION + 1,
-                         "state": {}}, handle)
-        with pytest.raises(CheckpointError, match="version"):
-            LiveStreamSystem.restore(path)
+        good = {"magic": CHECKPOINT_MAGIC,
+                "checkpoint_version": CHECKPOINT_VERSION, "state": {}}
+        damaged = [({**good, "checkpoint_version": version},
+                    f"checkpoint_version {version!r}.*"
+                    f"version {CHECKPOINT_VERSION}")
+                   for version in (1, 2, 3, 4, CHECKPOINT_VERSION + 1, True)]
+        damaged.append(({"magic": CHECKPOINT_MAGIC,
+                         "checkpoint_version": CHECKPOINT_VERSION},
+                        "no state payload"))
+        damaged.append(({**good, "state": ["not", "a", "dict"]},
+                        "no state payload"))
+        for document, match in damaged:
+            with path.open("wb") as handle:
+                pickle.dump(document, handle)
+            with pytest.raises(CheckpointError, match=match) as info:
+                LiveStreamSystem.restore(path)
+            assert str(path) in str(info.value)
 
     def test_missing_state_field(self, live_dataset, live_queries,
                                  live_plan, tmp_path):
@@ -221,8 +237,8 @@ class TestRejection:
 class TestStagedReconfiguration:
     """A staged-but-unapplied reconfiguration must survive the trip.
 
-    Regression: the snapshot carries ``_staged_plan`` AND (since
-    version 2) ``_staged_queries``, so a plan/query-set swap staged
+    Regression: the snapshot carries ``_staged_plan`` AND
+    ``_staged_queries``, so a plan/query-set swap staged
     inside the open epoch still lands at the first boundary after
     restore, exactly as in the uninterrupted run.
     """
@@ -268,56 +284,3 @@ class TestStagedReconfiguration:
             assert restored.answers(query) == oracle.answers(query)
         cd = list(wider)[-1]
         assert restored.answers(cd)
-
-    def test_version1_checkpoint_loads_with_no_staged_queries(
-            self, live_dataset, live_queries, live_plan, tmp_path):
-        """Old snapshots predate staged query-set swaps; restoring one
-        fills the implied default instead of crashing."""
-        live = LiveStreamSystem(SCHEMA, live_queries, live_plan)
-        push_slice(live, live_dataset, 0, 1000)
-        path = tmp_path / "v1.ckpt"
-        live.checkpoint(path)
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-        payload["checkpoint_version"] = 1
-        del payload["state"]["_staged_queries"]
-        del payload["extra"]
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle)
-
-        restored = LiveStreamSystem.restore(path)
-        assert restored._staged_queries is None
-        push_slice(restored, live_dataset, 1000, len(live_dataset))
-        restored.finish()
-        assert len(restored.epoch_reports) == 5
-
-    def test_version2_checkpoint_restores_as_all_hash(
-            self, live_dataset, live_queries, live_plan, tmp_path):
-        """Pre-strategy snapshots (version 2) predate ``strategy_spec``,
-        shared-table state and per-era strategies; restoring one implies
-        the hash-everywhere era and finishes identically to the
-        uninterrupted hash run."""
-        live = LiveStreamSystem(SCHEMA, live_queries, live_plan)
-        push_slice(live, live_dataset, 0, 1000)
-        path = tmp_path / "v2.ckpt"
-        live.checkpoint(path)
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-        payload["checkpoint_version"] = 2
-        del payload["state"]["strategy_spec"]
-        del payload["state"]["_strategy_state"]
-        for era in payload["state"]["eras"]:
-            del era.strategies
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle)
-
-        restored = LiveStreamSystem.restore(path)
-        assert restored.strategy_spec is None
-        assert restored._strategy_state.stats()["tables"] == 0
-        for era in restored.eras:
-            assert set(era.strategies.values()) == {"hash"}
-        push_slice(restored, live_dataset, 1000, len(live_dataset))
-        restored.finish()
-        oracle = run_uninterrupted(live_dataset, live_queries, live_plan)
-        for query in live_queries:
-            assert restored.answers(query) == oracle.answers(query)

@@ -50,6 +50,12 @@ class TestPlanCli:
             main(["--data", path, "--execute", "--shards", "2",
                   "--partition", "range", query])
         assert "--partition-column" in capsys.readouterr().err
+        # There is one LFTA data path and no flag to pick another.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--data", path, "--execute", "--strategy", "sort", query])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --strategy" in \
+            capsys.readouterr().err
 
     def test_execute_sharded(self, npz_path, capsys):
         path, _ = npz_path
@@ -118,6 +124,7 @@ class TestPlanCli:
         assert manifest["n_records"] == len(data)
         assert manifest["metrics"]["counters"]["engine.records"] == \
             len(data)
+        assert not [key for key in manifest if key.startswith("strateg")]
 
     def test_trace_prints_phase_spans(self, npz_path, capsys):
         path, _ = npz_path
@@ -177,59 +184,3 @@ class TestPlanCli:
         code = main(["--data", path, "--memory", "2000",
                      "select Z, count(*) from R group by Z"])
         assert code == 2
-
-
-class TestStrategyCli:
-    QUERY = "select A, count(*) from R group by A, time/3"
-
-    def test_conflicting_explicit_strategy_names_the_relation(
-            self, npz_path, capsys):
-        """An explicit override for a relation the plan does not
-        instantiate must die with exit 2 *before* any execution, and the
-        error must name the relation and the actual conflict."""
-        path, _ = npz_path
-        code = main(["--data", path, "--memory", "2000", "--execute",
-                     "--strategy", "ZZ=sort", self.QUERY])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'ZZ'" in err
-        assert "no buckets= entry" in err
-
-    def test_unknown_strategy_name_rejected(self, npz_path, capsys):
-        path, _ = npz_path
-        code = main(["--data", path, "--memory", "2000",
-                     "--strategy", "turbo", self.QUERY])
-        assert code == 2
-        assert "unknown strategy 'turbo'" in capsys.readouterr().err
-
-    def test_malformed_entry_rejected(self, npz_path, capsys):
-        path, _ = npz_path
-        code = main(["--data", path, "--memory", "2000",
-                     "--strategy", "A=sort,bogus", self.QUERY])
-        assert code == 2
-        assert "expected REL=NAME" in capsys.readouterr().err
-
-    def test_auto_prints_planner_decisions(self, npz_path, capsys):
-        path, _ = npz_path
-        code = main(["--data", path, "--memory", "2000",
-                     "--strategy", "auto", self.QUERY])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "strategies:" in out
-        assert "g/b" in out  # every decision carries its reason
-
-    def test_explicit_strategy_executes_and_lands_in_manifest(
-            self, npz_path, tmp_path, capsys):
-        import json
-        path, data = npz_path
-        out_file = tmp_path / "strategy.json"
-        code = main(["--data", path, "--memory", "2000",
-                     "--strategy", "sort",
-                     "--metrics-json", str(out_file), self.QUERY])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "strategies:" in out
-        assert f"records processed : {len(data)}" in out
-        manifest = json.loads(out_file.read_text())
-        assert manifest["strategies"]
-        assert "sort" in manifest["strategies"].values()
