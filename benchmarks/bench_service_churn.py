@@ -122,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     section = bench(sizes, reps)
 
     document = {"schema": "bench-perf/1", "service": section}
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote service section -> {args.out}")
     return 0

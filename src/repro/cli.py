@@ -69,23 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--execute", action="store_true",
                         help="also stream the dataset through the plan")
     parser.add_argument("--shards", type=int, default=1,
-                        help="run --execute on N parallel LFTA shards "
-                             "(default 1: single-core)")
+                        help="run --execute on N LFTA shards, in-process "
+                             "(default 1: unsharded)")
     parser.add_argument("--partition", default="hash",
                         choices=["hash", "round-robin", "range"],
                         help="record-to-shard strategy for --shards > 1")
     parser.add_argument("--partition-column", default=None,
                         help="attribute for --partition range")
-    parser.add_argument("--shard-executor", default="process",
-                        choices=["process", "serial", "pipeline"],
-                        help="worker processes per shard, inline serial "
-                             "execution (deterministic, for debugging), or "
-                             "the pipelined shared-memory executor "
-                             "(ring-buffered epoch chunks, overlapped "
-                             "merge)")
     parser.add_argument("--max-retries", type=int, default=2,
-                        help="retries per failing shard before the serial "
-                             "fallback kicks in (default 2)")
+                        help="retries per failing shard before the run "
+                             "fails (default 2)")
     parser.add_argument("--fault-plan", default=None, metavar="PATH",
                         help="JSON fault plan to inject into sharded "
                              "execution — either a bare plan or a "
@@ -253,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
                     dataset, queries, the_plan, params=params,
                     value_column=value_column, where=where,
                     shards=args.shards, partitioner=partitioner,
-                    executor=args.shard_executor, registry=registry,
+                    registry=registry,
                     retry=RetryPolicy(max_attempts=args.max_retries + 1),
                     fault_plan=fault_plan, native=not args.no_native)
                 report = system.run()
@@ -276,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if args.shards > 1:
                 print(f"shards            : {args.shards} "
-                      f"({args.partition}, {args.shard_executor})")
+                      f"({args.partition})")
             print(report.summary())
             rate = LoadModel(params=params).sustainable_rate(
                 report.per_record_cost)

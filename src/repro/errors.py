@@ -46,12 +46,11 @@ class WorkloadError(ReproError):
 
 
 class ShardExecutionError(ReproError):
-    """A shard worker failed and every recovery avenue was exhausted.
+    """A shard run failed on every attempt its retry policy allowed.
 
     Carries the shard index and job metadata so operators see *which*
-    partition of the stream failed instead of a raw
-    ``BrokenProcessPool`` or pickling traceback. The underlying worker
-    exception is chained as ``__cause__``.
+    partition of the stream failed instead of the raw underlying
+    exception, which is chained as ``__cause__``.
     """
 
     def __init__(self, message: str, *, shard: int | None = None,

@@ -79,8 +79,7 @@ class RunReport:
         ]
         if self.resilience is not None and self.resilience.total_retries:
             lines.append(
-                f"shard retries     : {self.resilience.total_retries} "
-                f"({self.resilience.total_fallbacks} serial fallbacks)")
+                f"shard retries     : {self.resilience.total_retries}")
         return "\n".join(lines)
 
 

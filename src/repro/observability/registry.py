@@ -15,8 +15,8 @@ The clock is injected at construction (default
 behind the caller's back, so hot paths stay measurable and tests stay
 deterministic.
 
-Registries are plain picklable objects: a worker process can build one,
-run instrumented code, and ship the registry back to be
+Registries are plain objects: a sub-task can build one, run
+instrumented code, and hand the registry back to be
 :meth:`merged <MetricsRegistry.merge>` (optionally under a name prefix,
 which is how :class:`~repro.parallel.sharded.ShardedStreamSystem` folds
 per-shard sub-registries into the run-level one).

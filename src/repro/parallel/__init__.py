@@ -9,17 +9,15 @@ HFTA-level merge combines into the same per-epoch answers the single-core
 * :mod:`~repro.parallel.partition` — hash / round-robin / key-range
   record-to-shard assignment;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
-  multi-core mirror of :class:`StreamSystem`;
-* :mod:`~repro.parallel.pipeline` — the pipelined shared-memory executor
-  (ring-buffered epoch chunks, backpressure, overlapped merge);
+  sharded mirror of :class:`StreamSystem` (shards run in-process, in
+  shard order, each behind a retry loop);
 * :mod:`~repro.parallel.merge` — exact merging of per-shard HFTAs and
-  cost counters, batch-level or incrementally per epoch.
+  cost counters.
 
 See ``docs/sharding.md`` for semantics and the memory-split policy.
 """
 
 from repro.parallel.merge import (
-    EpochMerger,
     merge_counters,
     merge_hftas,
     merge_results,
@@ -33,15 +31,11 @@ from repro.parallel.partition import (
     shard_balance,
     split_dataset,
 )
-from repro.parallel.pipeline import PipelineCoordinator, PipelineWorkerError
 from repro.parallel.sharded import ShardedStreamSystem
 
 __all__ = [
-    "EpochMerger",
     "HashPartitioner",
     "KeyRangePartitioner",
-    "PipelineCoordinator",
-    "PipelineWorkerError",
     "RoundRobinPartitioner",
     "ShardedStreamSystem",
     "derive_range_bounds",

@@ -23,7 +23,6 @@ the same memory budget — see ``docs/sharding.md``).
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 from repro.core.configuration import Configuration
@@ -31,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters, SimulationResult
 
-__all__ = ["merge_counters", "merge_hftas", "merge_results", "EpochMerger"]
+__all__ = ["merge_counters", "merge_hftas", "merge_results"]
 
 
 def merge_counters(parts: Iterable[CostCounters],
@@ -54,46 +53,6 @@ def merge_hftas(parts: Iterable[HFTA]) -> HFTA:
     for part in parts:
         merged.merge_from(part)
     return merged
-
-
-class EpochMerger:
-    """Fold per-epoch HFTA deliveries into per-shard partials as they land.
-
-    The pipelined executor ships one small HFTA per (shard, epoch) while
-    later epochs are still being ingested; this accumulator performs the
-    HFTA merge for epoch ``k`` overlapped with ingest of epoch ``k+1``.
-    Exactness relies on ordering: each worker emits its epochs in stream
-    order, and :meth:`add` merges deliveries in receipt order, so the
-    accumulated per-shard HFTA is batch-for-batch identical to the HFTA a
-    serial run of that shard would have produced (each ``(relation,
-    epoch)`` key appears in exactly one delivery, so list order per key
-    is the engine's own eviction order). Deliveries deliberately
-    accumulate as pending rows rather than being folded per shard as
-    they land: folding each shard early and then merging folded states
-    would tree-shape the float additions at the cross-shard merge, while
-    the single fold at answer time replays every shipped row in one
-    sequential pass — bit-identical to the serial sharded executor.
-    """
-
-    def __init__(self) -> None:
-        self._shards: dict[int, HFTA] = {}
-        self.epochs_merged = 0
-        self.merge_seconds = 0.0
-
-    def add(self, shard: int, part: HFTA) -> None:
-        """Merge one epoch's partial for ``shard`` (timed)."""
-        started = time.perf_counter()
-        self._shards.setdefault(shard, HFTA()).merge_from(part)
-        self.epochs_merged += 1
-        self.merge_seconds += time.perf_counter() - started
-
-    def discard(self, shard: int) -> None:
-        """Drop a shard's accumulated partial (failed attempt)."""
-        self._shards.pop(shard, None)
-
-    def take(self, shard: int) -> HFTA:
-        """Remove and return a shard's accumulated HFTA."""
-        return self._shards.pop(shard, None) or HFTA()
 
 
 def merge_results(parts: Sequence[SimulationResult],

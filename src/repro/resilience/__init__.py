@@ -1,16 +1,15 @@
-"""Resilience: fault injection, retries, fallback, live checkpoints.
+"""Resilience: fault injection, retries, live checkpoints.
 
 The failure-handling spine of the runtime, in four pieces that compose
 with the existing sharded and live systems rather than wrapping them:
 
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan`, a seedable,
   JSON-serializable description of crash/delay/corrupt faults keyed by
-  shard and attempt, injected inside the production worker entry point;
+  shard and attempt, injected inside the production shard entry point;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, exponential
-  backoff with deterministic jitter, per-attempt timeouts, and an
-  opt-out serial fallback;
+  backoff with deterministic jitter and per-attempt timeouts;
 * :mod:`~repro.resilience.report` — :class:`ResilienceReport`, the
-  attempts/faults/fallbacks/overhead story of one run, published to the
+  attempts/faults/overhead story of one run, published to the
   metrics registry and the run manifest;
 * :mod:`~repro.resilience.checkpoint` — versioned snapshot/restore for
   :class:`~repro.gigascope.online.LiveStreamSystem`.

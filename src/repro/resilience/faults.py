@@ -1,24 +1,25 @@
-"""Deterministic fault injection for shard workers.
+"""Deterministic fault injection for shard runs.
 
 A :class:`FaultPlan` is a declarative, seedable description of *what goes
 wrong where*: each :class:`FaultSpec` targets one shard index (or all
 shards) on one attempt number (or every attempt) and names a failure
-mode. The plan is consulted from inside the production worker entry
-point (:func:`repro.parallel.sharded._run_shard`), so an injected fault
-exercises exactly the code path a real failure would — the crash
-propagates through the executor, the retry layer, and (for the process
-pool) inter-process pickling, nothing is mocked out.
+mode. The plan is consulted from inside the production shard entry
+point (:func:`repro.parallel.sharded._run_shard`, which runs in the
+caller's process), so an injected fault exercises exactly the code path
+a real failure would — the crash propagates into the retry loop and a
+corrupted result into outcome validation, nothing is mocked out.
 
 Three fault kinds:
 
 ``crash``
-    The worker raises :class:`InjectedFault` before touching the engine.
+    The shard run raises :class:`InjectedFault` before touching the
+    engine.
 ``delay``
-    The worker sleeps ``delay_seconds`` before running — long enough,
-    and the retry layer's timeout fires.
+    The shard run sleeps ``delay_seconds`` before running — long enough,
+    and the retry layer's post-hoc timeout fails the attempt.
 ``corrupt``
-    The worker runs the engine normally, then falsifies the returned
-    record count and drops its sub-registry — garbage the parent's
+    The shard run executes the engine normally, then falsifies the
+    returned record count and drops its sub-registry — garbage the
     outcome validation must catch (see
     :func:`repro.parallel.sharded.ShardedStreamSystem`).
 
@@ -42,11 +43,11 @@ FAULT_KINDS = ("crash", "delay", "corrupt")
 
 
 class InjectedFault(ReproError):
-    """The failure a ``crash`` fault raises inside the worker."""
+    """The failure a ``crash`` fault raises inside the shard run."""
 
 
 class CorruptResultError(ReproError):
-    """A shard outcome failed the parent's validation checks."""
+    """A shard outcome failed the validation checks."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class FaultSpec:
         Target shard index; ``None`` targets every shard.
     attempt:
         1-based attempt number the fault fires on; ``None`` fires on
-        every attempt (including the serial fallback).
+        every attempt, so no retry budget can save the shard.
     kind:
         ``"crash"``, ``"delay"`` or ``"corrupt"``.
     delay_seconds:
@@ -93,9 +94,8 @@ class FaultSpec:
 class FaultPlan:
     """An ordered list of :class:`FaultSpec`; first match wins.
 
-    Plain data end to end: picklable (it ships to worker processes
-    inside the shard job) and JSON-round-trippable (it ships inside the
-    run manifest).
+    Plain data end to end: JSON-round-trippable, because it ships
+    inside the run manifest.
     """
 
     def __init__(self, faults: tuple[FaultSpec, ...] | list[FaultSpec] = (),

@@ -27,6 +27,9 @@ class ShardOutcome:
     attempts: int = 0
     faults: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    # Never set: shards have one way to run, so there is nothing to fall
+    # back to. Kept, with ``total_fallbacks``, because ``benchmarks/e2e``
+    # reads it as ``sharded.fallbacks``.
     fallback: bool = False
     succeeded: bool = False
 
@@ -56,9 +59,6 @@ class ResilienceReport:
     shards: list[ShardOutcome] = field(default_factory=list)
     backoff_seconds: float = 0.0
     failed_attempt_seconds: float = 0.0
-    #: Timed-out attempts that were cancelled (or whose worker was torn
-    #: down) instead of being left to run concurrently with their retry.
-    cancelled_attempts: int = 0
 
     def outcome(self, shard: int, records: int) -> ShardOutcome:
         """Get-or-create the outcome row for one shard."""
@@ -102,7 +102,6 @@ class ResilienceReport:
         registry.counter("resilience.attempts").inc(self.total_attempts)
         registry.counter("resilience.retries").inc(self.total_retries)
         registry.counter("resilience.fallbacks").inc(self.total_fallbacks)
-        registry.counter("resilience.cancelled").inc(self.cancelled_attempts)
         for kind, count in sorted(self.fault_counts.items()):
             registry.counter(f"resilience.faults.{kind}").inc(count)
         registry.histogram("resilience.backoff_seconds").observe(
@@ -121,6 +120,5 @@ class ResilienceReport:
             "fault_counts": self.fault_counts,
             "backoff_seconds": self.backoff_seconds,
             "failed_attempt_seconds": self.failed_attempt_seconds,
-            "cancelled_attempts": self.cancelled_attempts,
             "overhead_seconds": self.overhead_seconds,
         }

@@ -23,8 +23,7 @@ class RetryPolicy:
     fights for a failing shard.
 
     max_attempts:
-        Total attempts per shard on the primary executor (1 = no
-        retries).
+        Total attempts per shard (1 = no retries).
     backoff_base / backoff_multiplier / backoff_cap:
         Sleep before retry *k* (k >= 2) is
         ``min(cap, base * multiplier**(k-2))``, scaled by jitter.
@@ -32,15 +31,10 @@ class RetryPolicy:
         Uniform multiplicative jitter in ``[1, 1+jitter)``, drawn from a
         seeded RNG so runs are reproducible.
     timeout_seconds:
-        Per-attempt wall-clock cap; ``None`` waits forever. With the
-        process executor the wait on the worker future times out; with
-        the serial executor the attempt cannot be interrupted, so an
-        overlong attempt is failed *after* it returns (post-hoc).
-    serial_fallback:
-        After ``max_attempts`` process-executor failures, re-run the
-        shard once on the in-process serial path before giving up
-        (graceful degradation: slower, but immune to pool breakage and
-        pickling trouble).
+        Per-attempt wall-clock cap; ``None`` means no cap. Shards run
+        in-process, where an attempt cannot be interrupted, so an
+        overlong attempt is failed *after* it returns (post-hoc) and
+        retried.
     seed:
         Seed for the jitter RNG.
     sleep:
@@ -54,7 +48,6 @@ class RetryPolicy:
     backoff_cap: float = 2.0
     jitter: float = 0.25
     timeout_seconds: float | None = None
-    serial_fallback: bool = True
     seed: int = 0
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False,
                                            compare=False)
@@ -86,7 +79,6 @@ class RetryPolicy:
             "backoff_cap": self.backoff_cap,
             "jitter": self.jitter,
             "timeout_seconds": self.timeout_seconds,
-            "serial_fallback": self.serial_fallback,
             "seed": self.seed,
         }
 

@@ -4,8 +4,8 @@ The native accounting pass (:mod:`repro.native.ingest`) promises answers
 and cost counters *bit-identical* to the numpy engine path — the
 accounting pass is the paper's measured quantity, so "close" is not
 good enough. Hypothesis generates workloads and every one is run with
-``native=True`` and ``native=False`` — directly and through all three
-shard executors — and compared field by field.
+``native=True`` and ``native=False`` — directly and through the sharded
+system — and compared field by field.
 
 When no C compiler is available (or ``REPRO_NO_CKERNEL=1`` is set, the
 CI matrix leg), ``native=True`` falls back to the numpy path and the
@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.configuration import Configuration
 from repro.core.queries import QuerySet
-from repro.errors import ConfigurationError
-from repro.gigascope import Dataset, StreamSchema, simulate
+from repro.gigascope import Dataset, StreamSchema, StreamSystem, simulate
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
@@ -109,15 +108,15 @@ class TestKernelDifferential:
         _assert_equal_runs(ref, config, got, got_config)
 
 
-class TestExecutorDifferential:
-    @pytest.mark.parametrize("executor", ["serial", "process", "pipeline"])
+class TestShardedDifferential:
     @given(data=st.data())
     @settings(max_examples=3, deadline=None)
-    def test_native_agrees_across_executors(self, executor, data):
-        """On every shard executor, a native run's answers and merged
-        counters equal the numpy run's, example by example — on a flat
-        configuration of the drawn queries and on a three-level forest
-        (fed relations reach the kernel in parent emission order)."""
+    def test_native_agrees_sharded_and_single(self, data):
+        """A sharded native run's answers and merged counters equal the
+        sharded numpy run's, and its answers the unsharded system's,
+        example by example — on a flat configuration of the drawn
+        queries and on a three-level forest (fed relations reach the
+        kernel in parent emission order)."""
         seed = data.draw(st.integers(0, 2**16), label="seed")
         domain = data.draw(st.integers(3, 6), label="domain")
         labels = data.draw(
@@ -137,11 +136,13 @@ class TestExecutorDifferential:
             for native in (False, True):
                 system = ShardedStreamSystem(
                     dataset, queries, config, buckets, shards=2,
-                    executor=executor, native=native)
+                    native=native)
                 reports[native] = system.run()
             ref, got = reports[False], reports[True]
+            single = StreamSystem(dataset, queries, config, buckets).run()
             for query in queries:
                 assert got.answers(query) == ref.answers(query)
+                assert got.answers(query) == single.answers(query)
                 assert ref.answers(query)
             assert got.result.counters.relations == \
                 ref.result.counters.relations
@@ -310,24 +311,3 @@ class TestBuildMachinery:
         assert doc["machine"]["kernels"].keys() >= {"engine_ingest",
                                                     "es_descend"}
         assert isinstance(doc["machine"]["c_kernel"], bool)
-
-
-class TestForkGuard:
-    def test_pipeline_guard_names_platform_start_method(self, monkeypatch):
-        """Requesting the pipeline executor on a fork-less platform fails
-        at construction with the available start methods named, not deep
-        in worker setup."""
-        import multiprocessing
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        config = Configuration.from_notation("AB")
-        dataset = _dataset(1, 40, 3, 2.0, clustered=False)
-        queries = QuerySet.counts(["AB"], epoch_seconds=1.0)
-        buckets = {rel: 4 for rel in config.relations}
-        with pytest.raises(ConfigurationError) as err:
-            ShardedStreamSystem(dataset, queries, config, buckets,
-                                shards=2, executor="pipeline")
-        message = str(err.value)
-        assert "spawn" in message and "fork" in message
-        assert "executor='process'" in message

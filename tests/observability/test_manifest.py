@@ -65,8 +65,7 @@ class TestRunManifest:
         dataset, queries, the_plan = executed
         registry = MetricsRegistry()
         system = ShardedStreamSystem.from_plan(
-            dataset, queries, the_plan, shards=3, executor="serial",
-            registry=registry)
+            dataset, queries, the_plan, shards=3, registry=registry)
         report = system.run()
         manifest = RunManifest.collect(
             report, plan=the_plan, queries=queries, registry=registry,

@@ -1,5 +1,9 @@
 """Sharded-exactness properties: N shards + merge == one StreamSystem."""
 
+import multiprocessing
+import re
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -15,6 +19,7 @@ from repro import (
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError
 from repro.gigascope.filters import Comparison
+from repro.gigascope.records import Dataset
 from repro.parallel import (
     HashPartitioner,
     KeyRangePartitioner,
@@ -60,7 +65,7 @@ PARTITIONERS = [HashPartitioner(), HashPartitioner(AttributeSet.parse("B")),
 
 
 class TestShardedExactness:
-    @pytest.mark.parametrize("shards", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize("partitioner", PARTITIONERS,
                              ids=["hash", "hash-B", "round-robin", "range"])
     def test_netflow_answers_identical(self, netflow, pair_plan, shards,
@@ -70,7 +75,7 @@ class TestShardedExactness:
         single = StreamSystem.from_plan(netflow, queries, the_plan).run()
         sharded = ShardedStreamSystem.from_plan(
             netflow, queries, the_plan, shards=shards,
-            partitioner=partitioner, executor="serial").run()
+            partitioner=partitioner).run()
         assert sharded.result.n_records == single.result.n_records
         assert sharded.result.n_epochs == single.result.n_epochs
         for query in queries:
@@ -94,8 +99,7 @@ class TestShardedExactness:
         single = StreamSystem(synthetic, queries, config, buckets,
                               value_column="len").run()
         sharded = ShardedStreamSystem(synthetic, queries, config, buckets,
-                                      value_column="len", shards=shards,
-                                      executor="serial").run()
+                                      value_column="len", shards=shards).run()
         for query in queries:
             mine, theirs = sharded.answers(query), single.answers(query)
             assert mine.keys() == theirs.keys()
@@ -105,20 +109,6 @@ class TestShardedExactness:
                     assert mine[epoch][group] == \
                         pytest.approx(theirs[epoch][group], rel=1e-12)
 
-    def test_process_executor_matches_serial(self, netflow, pair_plan):
-        queries, the_plan = pair_plan
-        reports = {
-            executor: ShardedStreamSystem.from_plan(
-                netflow, queries, the_plan, shards=3,
-                executor=executor).run()
-            for executor in ("serial", "process")
-        }
-        for query in queries:
-            assert reports["process"].answers(query) == \
-                reports["serial"].answers(query)
-        assert reports["process"].result.counters.relations.keys() == \
-            reports["serial"].result.counters.relations.keys()
-
     def test_where_filter_applies_before_partitioning(self, netflow,
                                                       pair_plan):
         queries, the_plan = pair_plan
@@ -126,11 +116,41 @@ class TestShardedExactness:
         single = StreamSystem.from_plan(netflow, queries, the_plan,
                                         where=where).run()
         sharded = ShardedStreamSystem.from_plan(
-            netflow, queries, the_plan, where=where, shards=3,
-            executor="serial").run()
+            netflow, queries, the_plan, where=where, shards=3).run()
         assert sharded.result.n_records == single.result.n_records
         for query in queries:
             assert sharded.answers(query) == single.answers(query)
+
+
+class TestDegenerateShapes:
+    def test_single_live_shard(self, netflow, pair_plan):
+        """A range boundary above every key collapses all records onto
+        shard 0; the empty shards are skipped and answers stay exact."""
+        queries, the_plan = pair_plan
+        partitioner = KeyRangePartitioner(
+            "A", boundaries=(float(10**6), float(10**6 + 1)))
+        single = StreamSystem.from_plan(netflow, queries, the_plan).run()
+        system = ShardedStreamSystem.from_plan(
+            netflow, queries, the_plan, shards=3, partitioner=partitioner)
+        report = system.run()
+        assert system.partition_summary["empty_shards"] == 2
+        assert len(system.shard_results) == 1
+        for query in queries:
+            assert report.answers(query) == single.answers(query)
+
+    def test_empty_stream(self, netflow):
+        empty = Dataset(
+            netflow.schema,
+            {name: np.empty(0, dtype=np.int64)
+             for name in netflow.schema.attributes},
+            np.empty(0, dtype=np.float64), {})
+        queries = QuerySet.counts(["AB", "BC"], epoch_seconds=10.0)
+        config = Configuration.flat([q.group_by for q in queries])
+        buckets = {rel: 8 for rel in config.relations}
+        report = ShardedStreamSystem(empty, queries, config, buckets,
+                                     shards=2).run()
+        assert report.result.n_records == 0
+        assert report.result.n_epochs == 0
 
 
 class TestCounterConsistency:
@@ -140,8 +160,7 @@ class TestCounterConsistency:
                                                partitioner):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(
-            netflow, queries, the_plan, shards=4, partitioner=partitioner,
-            executor="serial")
+            netflow, queries, the_plan, shards=4, partitioner=partitioner)
         report = system.run()
         merged = report.result.counters
         parts = [r.counters for r in system.shard_results]
@@ -161,7 +180,7 @@ class TestCounterConsistency:
     def test_costs_accumulate(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         report = ShardedStreamSystem.from_plan(
-            netflow, queries, the_plan, shards=2, executor="serial").run()
+            netflow, queries, the_plan, shards=2).run()
         assert report.per_record_cost > 0
         assert report.total_cost == pytest.approx(
             report.intra_cost.total + report.flush_cost.total)
@@ -191,22 +210,27 @@ class TestShardedSystemApi:
 
     def test_rejects_bad_arguments(self, netflow, pair_plan):
         queries, the_plan = pair_plan
-        with pytest.raises(ConfigurationError):
-            ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                          shards=0)
-        with pytest.raises(ValueError):
-            ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                          executor="gpu")
+        for bad in (0, 2.7, True, "2"):
+            with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+                ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                              shards=bad)
+        # Shards have one way to run; the knobs that picked another are
+        # gone, not ignored.
+        for removed in ({"executor": "serial"}, {"max_workers": 1}):
+            with pytest.raises(TypeError):
+                ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                              **removed)
 
     def test_timings_populated(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=2, executor="serial")
+                                               shards=2)
         assert system.last_timings is None
         system.run()
         assert set(system.last_timings) == {
             "partition_seconds", "engine_seconds", "merge_seconds"}
         assert system.last_timings["engine_seconds"] > 0
+        assert multiprocessing.active_children() == []
 
 
 class TestMemoryBudget:
@@ -224,8 +248,7 @@ class TestMemoryBudget:
         queries = QuerySet.counts(["AB"], epoch_seconds=3.0)
         config = Configuration.flat([A("AB")])
         system = ShardedStreamSystem(synthetic, queries, config,
-                                     {A("AB"): 2}, shards=2,
-                                     executor="serial")
+                                     {A("AB"): 2}, shards=2)
         assert system.shard_buckets[A("AB")] == 1
         system.run()  # must still produce exact answers
 
@@ -244,40 +267,13 @@ class TestMemoryBudget:
                                 shards=5)
 
 
-class TestWorkerCap:
-    def test_default_matches_docstring(self, netflow, pair_plan):
-        """Default pool size is min(shards, cpu count), capped at jobs."""
-        import os
-        queries, the_plan = pair_plan
-        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=8)
-        cpu = os.cpu_count() or 1
-        assert system._effective_workers(8) == min(8, cpu)
-        assert system._effective_workers(3) == min(3, cpu)
-
-    def test_user_max_workers_capped_at_job_count(self, netflow,
-                                                  pair_plan):
-        queries, the_plan = pair_plan
-        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=4, max_workers=64)
-        assert system._effective_workers(4) == 4
-        assert system._effective_workers(1) == 1
-
-    def test_user_max_workers_below_job_count_respected(self, netflow,
-                                                        pair_plan):
-        queries, the_plan = pair_plan
-        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=4, max_workers=2)
-        assert system._effective_workers(4) == 2
-
-
 class TestObservabilityWiring:
     def test_phase_spans_recorded(self, netflow, pair_plan):
         from repro import MetricsRegistry
         queries, the_plan = pair_plan
         registry = MetricsRegistry()
         system = ShardedStreamSystem.from_plan(
-            netflow, queries, the_plan, shards=3, executor="serial",
+            netflow, queries, the_plan, shards=3,
             registry=registry)
         system.run()
         assert registry.last_span("partition") is not None
@@ -289,7 +285,7 @@ class TestObservabilityWiring:
                                                     pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=3, executor="serial")
+                                               shards=3)
         system.run()
         assert system.shard_registries is not None
         total = sum(
@@ -301,10 +297,20 @@ class TestObservabilityWiring:
                         for r in system.shard_registries)
         assert per_shard == len(netflow)
 
+    def test_partition_summary_surfaced(self, netflow, pair_plan):
+        queries, the_plan = pair_plan
+        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                               shards=3)
+        system.run()
+        summary = system.partition_summary
+        assert summary["strategy"] == "HashPartitioner"
+        assert sum(summary["records"]) == len(netflow)
+        assert system.registry.gauges["partition.imbalance"].value >= 1.0
+
     def test_last_timings_derived_from_spans(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=2, executor="serial")
+                                               shards=2)
         assert system.last_timings is None
         system.run()
         timings = system.last_timings
@@ -333,7 +339,7 @@ class TestMergeResults:
         """Shards sharing epochs must not double-count them."""
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(
-            netflow, queries, the_plan, shards=3, executor="serial")
+            netflow, queries, the_plan, shards=3)
         report = system.run()
         shard_epoch_sum = sum(r.n_epochs for r in system.shard_results)
         assert report.result.n_epochs <= shard_epoch_sum

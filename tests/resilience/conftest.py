@@ -1,7 +1,7 @@
 """Shared fixtures for the resilience suite: one small stream, one plan.
 
 Kept deliberately small (3000 records) because the chaos matrix runs the
-same stream many times, including through real worker processes.
+same stream many times.
 """
 
 from __future__ import annotations

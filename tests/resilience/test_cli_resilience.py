@@ -56,7 +56,6 @@ class TestFaultPlanReplay:
         plan_path.write_text(json.dumps(FaultPlan.crash_once(2).to_dict()))
         manifest_path = tmp_path / "manifest.json"
         code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--shard-executor", "serial",
                      "--fault-plan", str(plan_path),
                      "--metrics-json", str(manifest_path), QUERY])
         assert code == 0
@@ -77,11 +76,10 @@ class TestFaultPlanReplay:
         plan_path.write_text(json.dumps(FaultPlan.crash_once(2).to_dict()))
         manifest_path = tmp_path / "manifest.json"
         main(["--data", npz_path, "--execute", "--shards", "2",
-              "--shard-executor", "serial", "--fault-plan", str(plan_path),
+              "--fault-plan", str(plan_path),
               "--metrics-json", str(manifest_path), QUERY])
         capsys.readouterr()
         code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--shard-executor", "serial",
                      "--fault-plan", str(manifest_path), QUERY])
         assert code == 0
         assert "shard retries     : 2" in capsys.readouterr().out
@@ -92,7 +90,6 @@ class TestFaultPlanReplay:
         plan_path.write_text(json.dumps(
             FaultPlan.crash_always(0).to_dict()))
         code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--shard-executor", "serial",
                      "--max-retries", "1",
                      "--fault-plan", str(plan_path), QUERY])
         assert code == 2
@@ -105,7 +102,6 @@ class TestFaultPlanReplay:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}")
         code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--shard-executor", "serial",
                      "--fault-plan", str(bad), QUERY])
         assert code == 2
         assert "fault plan" in capsys.readouterr().err

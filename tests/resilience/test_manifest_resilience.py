@@ -14,7 +14,7 @@ from tests.resilience.conftest import fast_retry
 @pytest.fixture(scope="module")
 def chaotic_system(dataset, queries, config, buckets):
     system = ShardedStreamSystem(dataset, queries, config, buckets,
-                                 shards=3, executor="serial",
+                                 shards=3,
                                  retry=fast_retry(max_attempts=3, seed=5),
                                  fault_plan=FaultPlan.crash_once(3))
     system.report = system.run()
@@ -63,7 +63,7 @@ class TestManifestResilience:
     def test_fault_free_run_reports_empty_history(self, dataset, queries,
                                                   config, buckets):
         system = ShardedStreamSystem(dataset, queries, config, buckets,
-                                     shards=2, executor="serial")
+                                     shards=2)
         report = system.run()
         manifest = RunManifest.collect(report)
         assert manifest.resilience["total_retries"] == 0

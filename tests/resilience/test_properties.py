@@ -3,8 +3,7 @@
 Hypothesis drives the workload shape (queries, shards, buckets,
 partitioner, epoch length) and a seeded random fault plan; the
 single-core ``StreamSystem`` is the oracle. Whatever the draw, the
-sharded answers must be *exactly* equal — faults, retries, and
-fallbacks included.
+sharded answers must be *exactly* equal — faults and retries included.
 
 Run with ``--hypothesis-profile=ci`` for the fixed-seed, bounded CI
 configuration registered in ``tests/conftest.py``.
@@ -74,7 +73,6 @@ def test_sharded_matches_single_core(workload, shards, partitioner_name,
 
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        executor="serial",
         partitioner=make_partitioner(partitioner_name),
         retry=RetryPolicy(backoff_base=0.0),
         fault_plan=fault_plan)
@@ -105,8 +103,7 @@ def test_every_random_fault_is_survivable(shards, seed):
     buckets = {rel: 16 for rel in config.relations}
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        executor="serial", retry=RetryPolicy(backoff_base=0.0),
-        fault_plan=plan_)
+        retry=RetryPolicy(backoff_base=0.0), fault_plan=plan_)
     report = system.run()
     expected = oracle_answers(labels, 3.0, 16)
     assert report.answers(next(iter(queries))) == expected["AB"]

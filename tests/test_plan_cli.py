@@ -50,29 +50,32 @@ class TestPlanCli:
             main(["--data", path, "--execute", "--shards", "2",
                   "--partition", "range", query])
         assert "--partition-column" in capsys.readouterr().err
-        # There is one LFTA data path and no flag to pick another.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--data", path, "--execute", "--strategy", "sort", query])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --strategy" in \
-            capsys.readouterr().err
+        # There is one LFTA data path and one way to run shards, and no
+        # flag to pick another.
+        for flag, value in (("--strategy", "sort"),
+                            ("--shard-executor", "serial")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--data", path, "--execute", "--shards", "2",
+                      flag, value, query])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
 
     def test_execute_sharded(self, npz_path, capsys):
         path, _ = npz_path
         code = main(["--data", path, "--memory", "2000", "--execute",
-                     "--shards", "2", "--shard-executor", "serial",
+                     "--shards", "2",
                      "select A, count(*) from R group by A, time/3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards            : 2 (hash, serial)" in out
+        assert "shards            : 2 (hash)" in out.splitlines()
         assert "records processed : 4000" in out
 
     def test_sharded_answers_match_single_core(self, npz_path, capsys):
         path, _ = npz_path
         query = "select A, B, count(*) from R group by A, B, time/3"
         outputs = {}
-        for extra in ([], ["--shards", "3", "--partition", "round-robin",
-                           "--shard-executor", "serial"]):
+        for extra in ([], ["--shards", "3", "--partition", "round-robin"]):
             code = main(["--data", path, "--memory", "2000", "--execute",
                          *extra, query])
             assert code == 0
@@ -90,8 +93,7 @@ class TestPlanCli:
         path, data = npz_path
         out = tmp_path / "out.json"
         code = main(["--data", path, "--memory", "2000",
-                     "--shards", "4", "--shard-executor", "serial",
-                     "--metrics-json", str(out),
+                     "--shards", "4", "--metrics-json", str(out),
                      "select A, count(*) from R group by A, time/3"])
         assert code == 0
         assert "metrics manifest" in capsys.readouterr().out
@@ -129,8 +131,7 @@ class TestPlanCli:
     def test_trace_prints_phase_spans(self, npz_path, capsys):
         path, _ = npz_path
         code = main(["--data", path, "--memory", "2000",
-                     "--shards", "2", "--shard-executor", "serial",
-                     "--trace",
+                     "--shards", "2", "--trace",
                      "select A, count(*) from R group by A, time/3"])
         assert code == 0
         out = capsys.readouterr().out
