@@ -3,10 +3,11 @@
 ``repro.native.build`` owns the compile-at-first-use pattern every C
 kernel shares (compiler discovery, on-disk cache, ``REPRO_NO_CKERNEL``
 opt-out, per-kernel diagnostics); ``repro.native.ingest`` is the fused
-LFTA accounting kernel behind the vectorized engine's hot loop and
-``repro.native.merge`` the HFTA's hash-table group-merge fold. The
-allocation descent kernel (:mod:`repro.core.allocation._ckernel`) builds
-on the same machinery.
+LFTA accounting kernel behind the vectorized engine's hot loop,
+``repro.native.merge`` the HFTA's hash-table group-merge fold and
+``repro.native.partition`` the sharded runtime's hash-and-scatter pass.
+The allocation descent kernel (:mod:`repro.core.allocation._ckernel`)
+builds on the same machinery.
 
 This package deliberately imports nothing from the rest of ``repro`` at
 module level, so any tier can depend on it without cycles.
@@ -36,6 +37,7 @@ __all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path", "diagnostics",
 _KNOWN_KERNELS = (
     ("repro.native.ingest", "kernel_available"),
     ("repro.native.merge", "kernel_available"),
+    ("repro.native.partition", "kernel_available"),
     ("repro.core.allocation._ckernel", "kernel_available"),
 )
 

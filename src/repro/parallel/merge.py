@@ -11,9 +11,13 @@ performs on LFTA eviction batches, applied one level up.
 eviction batches, or an already-folded shard's columnar state as one
 pseudo-batch per key); the single hash-table fold at answer time then
 accumulates every group's float sum in one sequential left-to-right
-pass — bit-identical to an unsharded run, with no state-into-state tree
-additions. The fold itself runs through the runtime-compiled merge
-kernel (:mod:`repro.native.merge`) when available.
+pass in shard order, with no state-into-state tree additions. Counts,
+minima and maxima therefore equal an unsharded run's exactly; a float
+sum adds the same terms in another order (shard by shard instead of
+arrival order) and can differ from the unsharded sum in the last ulp —
+the tests assert 1e-12 relative agreement. The fold itself runs through
+the runtime-compiled merge kernel (:mod:`repro.native.merge`) when
+available.
 
 Cost counters merge by plain summation: a probe or eviction that happened
 on some shard happened in the system, so the merged counters price the

@@ -18,13 +18,21 @@ trade balance against per-shard group locality:
   with explicit boundaries or data-derived quantiles. Keeps related keys
   together (e.g. subnets) at the price of skew sensitivity.
 
-Each partitioner preserves arrival order within a shard (boolean masking of
-time-sorted arrays), so shard streams remain valid time-ordered datasets.
+Each partitioner preserves arrival order within a shard (a stable scatter
+of time-sorted arrays), so shard streams remain valid time-ordered datasets.
+
+The two whole-stream passes — the hash behind :class:`HashPartitioner`
+and the scatter behind :func:`split_dataset` — run through the
+runtime-compiled partition kernel whenever it loaded; the numpy bodies
+below are the fallback (no compiler, ``REPRO_NO_CKERNEL=1``) and the
+oracle the kernel is tested against, with identical ids, shards and
+error messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +40,8 @@ from repro.core.attributes import AttributeSet
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.hashing import combine_columns
 from repro.gigascope.records import Dataset
+from repro.native.partition import (hash_shards, kernel_available,
+                                    scatter_lanes)
 
 __all__ = [
     "HashPartitioner",
@@ -41,6 +51,8 @@ __all__ = [
     "split_dataset",
     "derive_range_bounds",
     "shard_balance",
+    "check_shard_count",
+    "check_shard_ids",
 ]
 
 #: Salt decorrelating shard placement from LFTA bucket placement; a record's
@@ -49,11 +61,58 @@ __all__ = [
 _SHARD_SALT = 0x5A2D_51AB
 
 
-def _check_shards(n_shards: int) -> int:
-    n = int(n_shards)
-    if n < 1:
-        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    return n
+def check_shard_count(n_shards) -> int:
+    """The one shard-count check: an integer (not a bool) >= 1."""
+    if (isinstance(n_shards, bool) or not isinstance(n_shards, Integral)
+            or n_shards < 1):
+        raise ConfigurationError(
+            f"shard count must be an integer >= 1, got {n_shards!r}")
+    return int(n_shards)
+
+
+def _by(source: str) -> str:
+    return f" from {source}" if source else ""
+
+
+def _bad_ids(ids: np.ndarray, n_shards: int, first: int,
+             source: str) -> ConfigurationError:
+    """The out-of-range error, worded once for the kernel and numpy."""
+    return ConfigurationError(
+        f"shard ids{_by(source)} must lie in [0, {n_shards}), got range "
+        f"[{ids.min()}, {ids.max()}] (first bad id at record {first})")
+
+
+def _check_ids_shape(shard_ids, n_records: int | None,
+                     source: str) -> np.ndarray:
+    """Integer dtype, one id per record — the checks that cost nothing."""
+    ids = np.asarray(shard_ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(
+            f"shard ids{_by(source)} must be integers, got dtype "
+            f"{ids.dtype}")
+    if ids.ndim != 1 or (n_records is not None
+                         and ids.shape != (n_records,)):
+        expected = "n" if n_records is None else n_records
+        raise ConfigurationError(
+            f"shard assignment{_by(source)} has shape {ids.shape}, "
+            f"expected ({expected},): one id per record")
+    return ids
+
+
+def check_shard_ids(shard_ids, n_shards: int, n_records: int | None = None,
+                    source: str = "") -> np.ndarray:
+    """Validate a record-to-shard assignment and return it as an array.
+
+    Integer dtype, shape ``(n_records,)`` (any length when ``n_records``
+    is None) and every id in ``[0, n_shards)``; anything else is a
+    :class:`~repro.errors.ConfigurationError` naming ``source`` (the
+    partitioner type) and the offending range.
+    """
+    ids = _check_ids_shape(shard_ids, n_records, source)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_shards):
+        first = int(np.flatnonzero((ids < 0) | (ids >= n_shards))[0])
+        raise _bad_ids(ids, n_shards, first, source)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -71,11 +130,13 @@ class HashPartitioner:
     salt: int = _SHARD_SALT
 
     def shard_ids(self, dataset: Dataset, n_shards: int) -> np.ndarray:
-        n_shards = _check_shards(n_shards)
+        n_shards = check_shard_count(n_shards)
         attrs = (dataset.schema.all_attributes if self.key is None
                  else dataset.schema.attribute_set(self.key))
-        hashes = combine_columns([dataset.columns[a] for a in attrs],
-                                 self.salt)
+        columns = [dataset.columns[a] for a in attrs]
+        if kernel_available():
+            return hash_shards(columns, self.salt, n_shards)
+        hashes = combine_columns(columns, self.salt)
         return (hashes % np.uint64(n_shards)).astype(np.int64)
 
 
@@ -84,7 +145,7 @@ class RoundRobinPartitioner:
     """Shard record ``i`` to ``i % n_shards``: balanced, key-oblivious."""
 
     def shard_ids(self, dataset: Dataset, n_shards: int) -> np.ndarray:
-        n_shards = _check_shards(n_shards)
+        n_shards = check_shard_count(n_shards)
         return np.arange(len(dataset), dtype=np.int64) % n_shards
 
 
@@ -105,7 +166,7 @@ class KeyRangePartitioner:
     boundaries: tuple[float, ...] | None = None
 
     def shard_ids(self, dataset: Dataset, n_shards: int) -> np.ndarray:
-        n_shards = _check_shards(n_shards)
+        n_shards = check_shard_count(n_shards)
         if self.column not in dataset.columns:
             raise SchemaError(
                 f"range-partition column {self.column!r} is not a grouping "
@@ -142,7 +203,7 @@ def derive_range_bounds(values: np.ndarray, n_shards: int) -> np.ndarray:
     shards are guaranteed non-empty; only when cardinality is smaller
     than the shard count do trailing shards stay empty.
     """
-    n_shards = _check_shards(n_shards)
+    n_shards = check_shard_count(n_shards)
     uniq, counts = np.unique(np.asarray(values), return_counts=True)
     k = min(n_shards, uniq.size)
     if k <= 1:
@@ -167,10 +228,12 @@ def shard_balance(shard_ids: np.ndarray, n_shards: int,
 
     The dict is JSON-ready and rides in the run manifest so skewed or
     collapsed partitions are visible post-hoc instead of silently
-    degrading parallelism.
+    degrading parallelism. Ids outside ``[0, n_shards)`` are a
+    :class:`~repro.errors.ConfigurationError`, as in
+    :func:`split_dataset`.
     """
-    n_shards = _check_shards(n_shards)
-    ids = np.asarray(shard_ids)
+    n_shards = check_shard_count(n_shards)
+    ids = check_shard_ids(shard_ids, n_shards, source=strategy)
     counts = (np.bincount(ids, minlength=n_shards) if ids.size
               else np.zeros(n_shards, dtype=np.int64))
     largest = int(counts.max()) if n_shards else 0
@@ -218,27 +281,28 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
                   n_shards: int) -> list[Dataset]:
     """Materialize the shard streams for a record-to-shard assignment.
 
-    ``shard_ids`` must assign every record an id in ``[0, n_shards)``.
-    Within each shard, records keep their arrival order, so timestamps
-    remain non-decreasing.
+    ``shard_ids`` must assign every record an integer id in
+    ``[0, n_shards)``. Within each shard, records keep their arrival
+    order, so timestamps remain non-decreasing. With the kernel the
+    shards are slices of one scattered buffer per column (the bytes the
+    per-shard copies would allocate, without the per-shard masks).
     """
-    n_shards = _check_shards(n_shards)
-    ids = np.asarray(shard_ids)
-    if ids.shape != (len(dataset),):
-        raise ConfigurationError(
-            f"shard assignment length {ids.shape} does not match "
-            f"{len(dataset)} records")
-    if len(dataset) and (ids.min() < 0 or ids.max() >= n_shards):
-        raise ConfigurationError(
-            f"shard ids must lie in [0, {n_shards}), got range "
-            f"[{ids.min()}, {ids.max()}]")
-    shards = []
-    for shard in range(n_shards):
-        keep = ids == shard
-        shards.append(Dataset(
-            dataset.schema,
-            {name: col[keep] for name, col in dataset.columns.items()},
-            dataset.timestamps[keep],
-            {name: col[keep] for name, col in dataset.values.items()},
-        ))
-    return shards
+    n_shards = check_shard_count(n_shards)
+    lanes = [*dataset.columns.values(), dataset.timestamps,
+             *dataset.values.values()]
+    if kernel_available():
+        ids = _check_ids_shape(shard_ids, len(dataset), "")
+        buffers, offsets, bad_row = scatter_lanes(ids, n_shards, lanes)
+        if bad_row >= 0:
+            raise _bad_ids(ids, n_shards, bad_row, "")
+        cuts = ([buffer[lo:hi] for buffer in buffers]
+                for lo, hi in zip(offsets[:-1], offsets[1:]))
+    else:
+        ids = check_shard_ids(shard_ids, n_shards, len(dataset))
+        masks = (ids == shard for shard in range(n_shards))
+        cuts = ([lane[keep] for lane in lanes] for keep in masks)
+    k = len(dataset.columns)
+    return [Dataset(dataset.schema,
+                    dict(zip(dataset.columns, cut[:k])), cut[k],
+                    dict(zip(dataset.values, cut[k + 1:])))
+            for cut in cuts]

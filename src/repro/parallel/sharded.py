@@ -42,7 +42,6 @@ story is summarized in a :class:`~repro.resilience.ResilienceReport`
 from __future__ import annotations
 
 import time
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -57,9 +56,11 @@ from repro.gigascope.engine import simulate
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
 from repro.gigascope.runtime import RunReport, StreamSystem
+from repro.native.partition import kernel_available
 from repro.observability import MetricsRegistry
 from repro.parallel.merge import merge_results
-from repro.parallel.partition import (HashPartitioner, shard_balance,
+from repro.parallel.partition import (HashPartitioner, check_shard_count,
+                                      check_shard_ids, shard_balance,
                                       split_dataset)
 from repro.resilience.faults import CorruptResultError, FaultPlan, InjectedFault
 from repro.resilience.report import ResilienceReport, ShardOutcome
@@ -141,14 +142,6 @@ def _validate_outcome(outcome, *, index: int, records: int) -> _ShardOutcome:
     return outcome
 
 
-def _count_epochs(dataset: Dataset, epoch_seconds: float) -> int:
-    """Distinct non-empty epochs of the unsharded stream."""
-    if len(dataset) == 0:
-        return 0
-    ids = np.floor(dataset.timestamps / epoch_seconds).astype(np.int64)
-    return int(np.unique(ids).size)
-
-
 class ShardedStreamSystem:
     """A partitioned, multi-engine LFTA tier with one merging HFTA.
 
@@ -194,10 +187,7 @@ class ShardedStreamSystem:
                  retry: RetryPolicy | None = None,
                  fault_plan: FaultPlan | None = None,
                  native: bool = True):
-        if (isinstance(shards, bool) or not isinstance(shards, Integral)
-                or shards < 1):
-            raise ConfigurationError(
-                f"shards must be an integer >= 1, got {shards!r}")
+        shards = check_shard_count(shards)
         # A hidden single-core system performs all validation (plan
         # resolution, bucket completeness, value column, WHERE filter) and
         # serves as the shards=1 fast path.
@@ -205,7 +195,7 @@ class ShardedStreamSystem:
             dataset, queries, configuration, buckets, plan=plan,
             params=params, value_column=value_column, salt_seed=salt_seed,
             where=where, native=native)
-        self.shards = int(shards)
+        self.shards = shards
         unsplittable = [rel for rel, b in self._single.buckets.items()
                         if b < self.shards]
         if unsplittable:
@@ -308,15 +298,23 @@ class ShardedStreamSystem:
         dataset = self._single.dataset
         epoch_seconds = self.queries.epoch_seconds
         with registry.span("partition"):
-            shard_ids = self.partitioner.shard_ids(dataset, self.shards)
-            summary = shard_balance(
-                shard_ids, self.shards,
-                strategy=type(self.partitioner).__name__)
+            strategy = type(self.partitioner).__name__
+            # Validated before anything is published or copied: a bad
+            # partitioner fails here, typed, with no partition_summary.
+            shard_ids = check_shard_ids(
+                self.partitioner.shard_ids(dataset, self.shards),
+                self.shards, len(dataset), source=strategy)
+            summary = shard_balance(shard_ids, self.shards,
+                                    strategy=strategy)
             self.partition_summary = summary
             registry.gauge("partition.empty_shards").set(
                 summary["empty_shards"])
             registry.gauge("partition.imbalance").set(summary["imbalance"])
+            registry.gauge("partition.kernel").set(int(kernel_available()))
             jobs = self._materialize_jobs(dataset, shard_ids)
+            # The stream's own non-empty epochs: one epoch's records
+            # usually land on several shards, so shard counts do not add.
+            n_epochs = sum(1 for _ in dataset.epoch_slices(epoch_seconds))
         with registry.span("engine"):
             resilience = self._new_resilience()
             rng = self.retry_policy.rng()
@@ -332,8 +330,7 @@ class ShardedStreamSystem:
         with registry.span("merge"):
             merged = merge_results(
                 results, self._single.configuration,
-                n_records=len(dataset),
-                n_epochs=_count_epochs(dataset, epoch_seconds))
+                n_records=len(dataset), n_epochs=n_epochs)
         return RunReport(merged, self.params, self.queries,
                          resilience=resilience)
 

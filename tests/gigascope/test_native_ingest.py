@@ -23,7 +23,8 @@ from repro.gigascope import Dataset, StreamSchema, StreamSystem, simulate
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
-from repro.parallel import ShardedStreamSystem
+from repro.native import partition as native_partition
+from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
 
 SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
 
@@ -275,6 +276,30 @@ class TestBuildMachinery:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert native_build.load_kernel(name, "this is not C") is None
+        # The same failure inside a kernel module: the partition kernel's
+        # callers degrade to their numpy bodies with identical output.
+        name = native_partition.KERNEL_NAME
+        dataset = _dataset(3, 500, 40, 4.0, clustered=False)
+        native_partition.kernel_available()
+        ids = HashPartitioner().shard_ids(dataset, 3)
+        shards = split_dataset(dataset, ids, 3)
+        monkeypatch.setattr(native_partition, "_SOURCE", "this is not C")
+        monkeypatch.setattr(native_partition, "_tried", False)
+        monkeypatch.setattr(native_partition, "_lib", None)
+        monkeypatch.delitem(native_build._statuses, name)
+        monkeypatch.delitem(native_build._libs, name, raising=False)
+        with pytest.warns(RuntimeWarning, match=name):
+            assert not native_partition.kernel_available()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(HashPartitioner().shard_ids(dataset, 3),
+                                  ids)
+            for got, want in zip(split_dataset(dataset, ids, 3), shards):
+                assert np.array_equal(got.timestamps, want.timestamps)
+                assert np.array_equal(got.values["v"], want.values["v"])
+        status = machine_info(probe=False)["kernels"][name]
+        assert not status["available"] and not status["disabled"]
+        assert status["error"]
 
     def test_opt_out_env_suppresses_attempt(self, monkeypatch):
         monkeypatch.setenv(native_build.DISABLE_ENV, "1")
@@ -299,6 +324,7 @@ class TestBuildMachinery:
                              "compiler", "c_kernel", "kernels"}
         assert "engine_ingest" in info["kernels"]
         assert "es_descend" in info["kernels"]
+        assert native_partition.KERNEL_NAME in info["kernels"]
         for status in info["kernels"].values():
             assert set(status) == {"available", "disabled", "compiler",
                                    "error"}
@@ -308,6 +334,6 @@ class TestBuildMachinery:
 
         manifest = RunManifest.collect(git_sha=False)
         doc = manifest.to_dict()
-        assert doc["machine"]["kernels"].keys() >= {"engine_ingest",
-                                                    "es_descend"}
+        assert doc["machine"]["kernels"].keys() >= {
+            "engine_ingest", "es_descend", native_partition.KERNEL_NAME}
         assert isinstance(doc["machine"]["c_kernel"], bool)

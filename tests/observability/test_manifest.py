@@ -72,6 +72,10 @@ class TestRunManifest:
             shard_results=system.shard_results,
             shard_registries=system.shard_registries)
         doc = manifest.to_dict()
+        assert set(doc["machine"]["kernels"]["shard_partition"]) >= {
+            "available", "disabled", "error"}
+        assert doc["metrics"]["gauges"]["partition.kernel"] == int(
+            doc["machine"]["kernels"]["shard_partition"]["available"])
         assert len(doc["shards"]) == len(system.shard_results)
         for shard in doc["shards"]:
             assert any(span["name"] == "engine" for span in shard["spans"])

@@ -2,10 +2,12 @@
 
 import multiprocessing
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.parallel.partition as partition_module
 from repro import (
     Aggregate,
     AggregationQuery,
@@ -20,6 +22,7 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError
 from repro.gigascope.filters import Comparison
 from repro.gigascope.records import Dataset
+from repro.native.partition import kernel_available
 from repro.parallel import (
     HashPartitioner,
     KeyRangePartitioner,
@@ -176,6 +179,17 @@ class TestCounterConsistency:
         assert intra_raw == len(netflow) * len(raw)
         assert report.result.hfta.evictions_received == sum(
             r.hfta.evictions_received for r in system.shard_results)
+        # The partition kernel and its numpy fallback (REPRO_NO_CKERNEL=1)
+        # cut the same shards: same balance, counters and answers.
+        fallback = ShardedStreamSystem.from_plan(
+            netflow, queries, the_plan, shards=4, partitioner=partitioner)
+        with mock.patch.object(partition_module, "kernel_available",
+                               lambda: False):
+            numpy_report = fallback.run()
+        assert fallback.partition_summary == system.partition_summary
+        assert numpy_report.result.counters.relations == merged.relations
+        for query in queries:
+            assert numpy_report.answers(query) == report.answers(query)
 
     def test_costs_accumulate(self, netflow, pair_plan):
         queries, the_plan = pair_plan
@@ -220,6 +234,32 @@ class TestShardedSystemApi:
             with pytest.raises(TypeError):
                 ShardedStreamSystem.from_plan(netflow, queries, the_plan,
                                               **removed)
+
+    def test_rejects_bad_partitioner_ids(self, netflow, pair_plan):
+        """A partitioner's ids are validated before balance and split:
+        a typed error naming the partitioner, nothing published."""
+        queries, the_plan = pair_plan
+
+        class Broken:
+            def __init__(self, make_ids):
+                self.make_ids = make_ids
+
+            def shard_ids(self, dataset, n_shards):
+                return self.make_ids(len(dataset))
+
+        for make_ids, detail in (
+                (lambda n: np.full(n, -1), "[-1, -1]"),
+                (lambda n: np.arange(n) % 6, "[0, 5]"),
+                (lambda n: np.zeros(n), "float64"),
+                (lambda n: np.zeros(n - 1, dtype=np.int64), "shape")):
+            system = ShardedStreamSystem.from_plan(
+                netflow, queries, the_plan, shards=2,
+                partitioner=Broken(make_ids))
+            with pytest.raises(ConfigurationError,
+                               match="from Broken") as excinfo:
+                system.run()
+            assert detail in str(excinfo.value)
+            assert system.partition_summary is None
 
     def test_timings_populated(self, netflow, pair_plan):
         queries, the_plan = pair_plan
@@ -306,6 +346,8 @@ class TestObservabilityWiring:
         assert summary["strategy"] == "HashPartitioner"
         assert sum(summary["records"]) == len(netflow)
         assert system.registry.gauges["partition.imbalance"].value >= 1.0
+        assert system.registry.gauges["partition.kernel"].value == \
+            int(kernel_available())
 
     def test_last_timings_derived_from_spans(self, netflow, pair_plan):
         queries, the_plan = pair_plan
@@ -346,3 +388,21 @@ class TestMergeResults:
         single_epochs = StreamSystem.from_plan(
             netflow, queries, the_plan).run().result.n_epochs
         assert report.result.n_epochs == single_epochs
+        # Epochs 2-4 are empty, and epoch 5 holds one A-group only, so
+        # under an A-keyed hash it lands on one shard entirely: the
+        # count is the stream's (3), not a per-shard sum or maximum.
+        keep = netflow.timestamps < 30.0
+        columns = {name: col[keep] for name, col in netflow.columns.items()}
+        tail = int(np.count_nonzero(netflow.timestamps[keep] >= 20.0))
+        head = int(np.count_nonzero(keep)) - tail
+        columns["A"] = np.concatenate((columns["A"][:head],
+                                       np.full(tail, 123_456)))
+        timestamps = netflow.timestamps[keep].copy()
+        timestamps[head:] += 30.0
+        gappy = Dataset(netflow.schema, columns, timestamps, {})
+        by_a = ShardedStreamSystem.from_plan(
+            gappy, queries, the_plan, shards=2,
+            partitioner=HashPartitioner(A("A")))
+        assert by_a.run().result.n_epochs == 3 == StreamSystem.from_plan(
+            gappy, queries, the_plan).run().result.n_epochs
+        assert sorted(r.n_epochs for r in by_a.shard_results) == [2, 3]
