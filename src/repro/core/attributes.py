@@ -31,11 +31,11 @@ class AttributeSet:
     __slots__ = ("_names", "_hash")
 
     def __init__(self, names: Iterable[str]):
-        unique = sorted(set(names))
-        for name in unique:
+        names = tuple(names)
+        for name in names:
             if not name or not isinstance(name, str):
                 raise SchemaError(f"invalid attribute name: {name!r}")
-        self._names: tuple[str, ...] = tuple(unique)
+        self._names: tuple[str, ...] = tuple(sorted(set(names)))
         self._hash = hash(self._names)
 
     # ------------------------------------------------------------------
@@ -138,6 +138,12 @@ class AttributeSet:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __setstate__(self, state) -> None:
+        # String hashes differ between processes, so the hash pickled
+        # with a checkpoint is stale in the process that restores it.
+        self._names = state[1]["_names"]
+        self._hash = hash(self._names)
 
     def label(self) -> str:
         """Canonical display form.

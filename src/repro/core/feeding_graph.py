@@ -15,7 +15,6 @@ union of two or more query grouping sets that is not itself a query.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from repro.core.attributes import AttributeSet
@@ -30,25 +29,24 @@ def enumerate_phantoms(query_attrs: Iterable[AttributeSet]) -> list[AttributeSet
     A candidate is the union of at least two of the queries, excluding unions
     that coincide with an existing query (those are already instantiated).
     The result is deterministically ordered by (size, name).
+
+    The closure under union runs on integer bitmasks, one bit per attribute
+    name of the query set; ``AttributeSet`` objects are built only for the
+    phantoms that come out of it.
     """
     queries = list(dict.fromkeys(query_attrs))
-    query_set = set(queries)
-    candidates: set[AttributeSet] = set()
-    frontier: set[AttributeSet] = set(queries)
-    # Closing the query set under pairwise union yields every union of two or
-    # more queries (union of k queries = union of pairwise unions).
-    while frontier:
-        new: set[AttributeSet] = set()
-        for a, b in combinations(sorted(frontier | candidates | query_set,
-                                        key=AttributeSet.sort_key), 2):
-            union = a | b
-            if union in query_set or union in candidates or union in frontier:
-                continue
-            new.add(union)
-        candidates |= frontier - query_set
-        frontier = new
-    candidates -= query_set
-    return sorted(candidates, key=AttributeSet.sort_key)
+    names = sorted({name for query in queries for name in query})
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    query_masks = {sum(bit[name] for name in query) for query in queries}
+    # Folding the queries in one at a time leaves the union of every
+    # non-empty subset of them.
+    unions: set[int] = set()
+    for mask in query_masks:
+        unions |= {mask | union for union in unions}
+        unions.add(mask)
+    phantoms = [AttributeSet(name for name in names if mask & bit[name])
+                for mask in unions - query_masks]
+    return sorted(phantoms, key=AttributeSet.sort_key)
 
 
 class FeedingGraph:
@@ -71,12 +69,14 @@ class FeedingGraph:
         self._query_set = queries
         self.queries: list[AttributeSet] = list(queries.group_bys)
         self.phantoms: list[AttributeSet] = enumerate_phantoms(self.queries)
-        self._nodes = sorted(set(self.queries) | set(self.phantoms),
+        self._queries = frozenset(self.queries)
+        self._phantoms = frozenset(self.phantoms)
+        self._nodes = sorted(self._queries | self._phantoms,
                              key=AttributeSet.sort_key)
-        node_set = set(self._nodes)
+        names = {node: frozenset(node) for node in self._nodes}
         self._feeds: dict[AttributeSet, list[AttributeSet]] = {
-            node: [other for other in self._nodes if other < node]
-            for node in node_set
+            node: [other for other in self._nodes if names[other] < mine]
+            for node, mine in names.items()
         }
 
     @property
@@ -85,10 +85,10 @@ class FeedingGraph:
         return list(self._nodes)
 
     def is_query(self, attrs: AttributeSet) -> bool:
-        return attrs in set(self.queries)
+        return attrs in self._queries
 
     def is_phantom(self, attrs: AttributeSet) -> bool:
-        return attrs in set(self.phantoms)
+        return attrs in self._phantoms
 
     def feedable(self, attrs: AttributeSet) -> list[AttributeSet]:
         """Relations that ``attrs`` can feed (its strict subsets in the graph)."""
@@ -100,11 +100,10 @@ class FeedingGraph:
 
     def fed_queries(self, attrs: AttributeSet) -> list[AttributeSet]:
         """The user queries a phantom can feed."""
-        queries = set(self.queries)
-        return [node for node in self._feeds[attrs] if node in queries]
+        return [node for node in self._feeds[attrs] if node in self._queries]
 
     def __contains__(self, attrs: object) -> bool:
-        return attrs in set(self._nodes)
+        return attrs in self._feeds
 
     def __len__(self) -> int:
         return len(self._nodes)

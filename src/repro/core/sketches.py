@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.attributes import AttributeSet
 from repro.core.statistics import RelationStatistics
 from repro.errors import StatisticsError
-from repro.gigascope.hashing import splitmix64
+from repro.gigascope.hashing import chain_hasher, splitmix64
 
 __all__ = [
     "KMVDistinctCounter",
@@ -56,6 +56,15 @@ class KMVDistinctCounter:
         if len(keys) == 0:
             return
         hashes = splitmix64(np.asarray(keys, dtype=np.uint64) ^ self.salt)
+        if self._minima.size == self.k:
+            # A full sketch changes only through hashes below its k-th
+            # minimum; one above it is a (k+1)-th distinct value.
+            kth = self._minima[-1]
+            if not self._saturated:
+                self._saturated = bool((hashes > kth).any())
+            hashes = hashes[hashes < kth]
+            if hashes.size == 0:
+                return
         merged = np.unique(np.concatenate([self._minima, hashes]))
         if merged.size > self.k:
             merged = merged[:self.k]
@@ -179,19 +188,18 @@ class StreamStatisticsCollector:
 
     def observe(self, columns: Mapping[str, np.ndarray]) -> None:
         """Absorb one batch given as attribute-name -> column arrays."""
-        from repro.gigascope.hashing import combine_columns
-        n = None
+        # Value-stable hashes: equal tuples get equal codes in every
+        # batch (pack_tuples codes would be batch-local). One hash pass
+        # per batch: columns and chain prefixes are shared by relations.
+        chain = chain_hasher(columns)
+        n = 0
         for rel in self.relations:
-            cols = [np.asarray(columns[a]) for a in rel]
-            # Value-stable hashes: equal tuples get equal codes in every
-            # batch (pack_tuples codes would be batch-local).
-            codes = combine_columns(cols)
-            if n is None:
-                n = codes.size
+            codes = chain(rel.names)
+            n = codes.size
             self._distinct[rel].update(codes)
             if self._runs is not None:
                 self._runs[rel].update(codes)
-        self.records_seen += int(n or 0)
+        self.records_seen += n
 
     def statistics(self) -> RelationStatistics:
         """A planner-ready snapshot of the current estimates."""

@@ -18,7 +18,7 @@ is an excellent cheap approximation of that ideal.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "bucket_indices",
     "bucket_of_values",
     "combine_columns",
+    "chain_hasher",
     "pack_tuples",
     "relation_salt",
 ]
@@ -65,6 +66,34 @@ def combine_columns(columns: Sequence[np.ndarray],
     with probability ~2^-64 per pair, negligible for estimation.
     """
     return _chain(columns, salt)
+
+
+def chain_hasher(columns: Mapping[str, np.ndarray]
+                 ) -> Callable[[tuple[str, ...]], np.ndarray]:
+    """``names -> combine_columns([columns[n] for n in names])``, shared.
+
+    The returned function hashes each column once and memoises every
+    chain prefix (``chain(ABC) = splitmix64(chain(AB) ^ chain(C))``), so
+    many relations over one batch cost one pass per distinct prefix
+    instead of one per relation and attribute. The operations are the
+    ones :func:`combine_columns` performs, in its order: the hashes are
+    bit-identical.
+    """
+    state = splitmix64(np.uint64(0))
+    memo: dict[tuple[str, ...], np.ndarray] = {}
+
+    def chain(names: tuple[str, ...]) -> np.ndarray:
+        acc = memo.get(names)
+        if acc is None:
+            if len(names) == 1:
+                col64 = np.asarray(columns[names[0]]).astype(np.uint64)
+                acc = splitmix64(col64 ^ state)
+            else:
+                acc = splitmix64(chain(names[:-1]) ^ chain(names[-1:]))
+            memo[names] = acc
+        return acc
+
+    return chain
 
 
 def _chain(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:

@@ -14,9 +14,8 @@ planning entirely.
 When planning *is* needed it runs GS with benefit caching on
 (:class:`~repro.core.choosing.greedy_space.GreedySpace` with
 ``cache_benefits=True``, the default), which prunes the per-round
-candidate rescans — the effect the churn benchmark
-(``benchmarks/bench_service_churn.py``) measures against
-``cache_benefits=False``.
+candidate rescans and chooses exactly what ``cache_benefits=False``
+chooses.
 
 Plans produced here are *staged*, not applied: the service hands them to
 :meth:`~repro.gigascope.online.LiveStreamSystem.reconfigure`, and the

@@ -167,17 +167,18 @@ class StreamService:
             registry = self._tenant_metrics[tenant] = MetricsRegistry()
         return registry
 
-    def _ensure_collector(self, queries: QuerySet) -> None:
-        graph = FeedingGraph(queries)
-        singles = [AttributeSet.parse(name)
-                   for name in self.schema.attributes]
+    def _ensure_collector(self, graph: FeedingGraph) -> None:
+        relations = graph.nodes + [AttributeSet.parse(name)
+                                   for name in self.schema.attributes]
         if self.collector is None:
             self.collector = StreamStatisticsCollector(
-                list(graph.nodes) + singles, k=self.sketch_k,
-                counters=self._counters)
+                relations, k=self.sketch_k, counters=self._counters)
         else:
-            self.collector.ensure(list(graph.nodes) + singles,
-                                  counters=self._counters)
+            self.collector.ensure(relations, counters=self._counters)
+        # The collector only ever grows; the live graph shrinks on retire.
+        self.metrics.gauge("sketches.relations").set(
+            len(self.collector.relations))
+        self.metrics.gauge("service.graph_nodes").set(len(graph))
 
     def planning_statistics(self, queries: QuerySet) -> RelationStatistics:
         """Sketch statistics for ``queries``' full feeding graph.
@@ -187,12 +188,13 @@ class StreamService:
         their single-attribute estimates, capped by the number of
         records seen, further raised by any ``expected_groups`` hint.
         """
-        self._ensure_collector(queries)
+        graph = FeedingGraph(queries)
+        self._ensure_collector(graph)
         assert self.collector is not None
         stats = self.collector.statistics()
         groups = dict(stats.groups)
         seen = max(self.collector.records_seen, 1)
-        for rel in FeedingGraph(queries).nodes:
+        for rel in graph.nodes:
             est = groups.get(rel, 1.0)
             hint = self._hints.get(rel, 1.0)
             if est <= 1.0:
@@ -459,15 +461,19 @@ class StreamService:
         ever sees epochs computed while its registration was live.
         """
         self._resolve_leases()
+        mine = [lease for lease in self._leases.values()
+                if lease.tenant == tenant]
+        if not mine:
+            raise SchemaError(f"unknown tenant {tenant!r}")
+        hfta = self.live.hfta if self.live is not None else None
         out: dict[str, dict[int, dict]] = {}
-        for (owner, label), lease in self._leases.items():
-            if owner != tenant:
-                continue
-            per_epoch = (self.live.answers(lease.query)
-                         if self.live is not None else {})
-            out[label] = {epoch: answer
-                          for epoch, answer in per_epoch.items()
-                          if lease.covers(epoch)}
+        for lease in mine:
+            query = lease.query
+            epochs = hfta.epochs(query.group_by) if hfta is not None else []
+            # Lease first: only epochs the tenant may read are rendered.
+            out[query.group_by.label()] = {
+                epoch: hfta.query_answer(query, epoch)
+                for epoch in epochs if lease.covers(epoch)}
         self.tenant_metrics(tenant).counter("answer_requests").inc()
         return out
 

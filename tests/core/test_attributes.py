@@ -1,5 +1,7 @@
 """Unit tests for AttributeSet."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,8 +31,13 @@ class TestConstruction:
             AttributeSet.parse("a++b")
 
     def test_rejects_non_string(self):
-        with pytest.raises(SchemaError):
-            AttributeSet([1, 2])  # type: ignore[list-item]
+        """Names are checked before they are sorted, so a mixed list gets
+        the typed error naming the value, not ``sorted()``'s TypeError."""
+        for names, offender in [([1, 2], "1"), (["A", 1], "1"),
+                                (["A", None], "None"), (["A", ""], "''")]:
+            with pytest.raises(SchemaError,
+                               match=f"invalid attribute name: {offender}"):
+                AttributeSet(names)  # type: ignore[arg-type]
 
 
 class TestAlgebra:
@@ -81,6 +88,16 @@ class TestHashing:
     def test_usable_in_dict(self):
         d = {AttributeSet.parse("AB"): 1}
         assert d[AttributeSet.of("A", "B")] == 1
+
+    def test_unpickled_set_hashes_like_a_fresh_one(self):
+        """A checkpoint is restored by another process, where the same
+        names hash differently: the pickled hash must not survive."""
+        written = AttributeSet.parse("ABC")
+        written._hash = hash(written) ^ 1  # as another process computed it
+        restored = pickle.loads(pickle.dumps(written))
+        assert restored == AttributeSet.parse("ABC")
+        assert hash(restored) == hash(AttributeSet.parse("ABC"))
+        assert {restored: 1}[AttributeSet.parse("ABC")] == 1
 
     def test_sort_key_orders_by_size_then_name(self):
         items = [AttributeSet.parse(t) for t in ("ABC", "B", "AC", "A")]

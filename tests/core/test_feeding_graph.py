@@ -6,6 +6,8 @@ from repro.core.attributes import AttributeSet
 from repro.core.feeding_graph import FeedingGraph, enumerate_phantoms
 from repro.core.queries import QuerySet
 
+from tests.references import reference_phantoms
+
 
 def labels(attr_sets):
     return sorted(a.label() for a in attr_sets)
@@ -90,3 +92,56 @@ def test_phantoms_are_strict_supersets_of_two_queries(query_sets):
         for q in supported[1:]:
             union = union | q
         assert union == phantom
+
+
+SINGLE = "ABCDEFGH"
+MULTI = ("src_ip", "dst_ip", "sport", "dport", "proto", "len", "ttl", "tos")
+
+
+@st.composite
+def query_lists(draw):
+    """1-6 queries over 1-8 attribute names; nesting and repeats allowed."""
+    pool = draw(st.sampled_from([SINGLE, MULTI]))[:draw(st.integers(1, 8))]
+    subsets = st.sets(st.sampled_from(pool), min_size=1).map(AttributeSet)
+    return draw(st.lists(subsets, min_size=1, max_size=6))
+
+
+def check_against_reference(queries):
+    """``enumerate_phantoms`` and every ``FeedingGraph`` view against the
+    pairwise-``AttributeSet`` closure and plain subset tests."""
+    phantoms = reference_phantoms(queries)
+    assert enumerate_phantoms(queries) == phantoms
+    distinct = list(dict.fromkeys(queries))
+    graph = FeedingGraph(QuerySet.counts(distinct))
+    nodes = sorted(set(distinct) | set(phantoms), key=AttributeSet.sort_key)
+    assert graph.queries == distinct
+    assert graph.phantoms == phantoms
+    assert graph.nodes == nodes
+    assert len(graph) == len(nodes)
+    for node in nodes:
+        assert node in graph
+        assert graph.is_query(node) == (node in distinct)
+        assert graph.is_phantom(node) == (node in phantoms)
+        assert graph.feedable(node) == [o for o in nodes if o < node]
+        assert graph.feeders(node) == [o for o in nodes if node < o]
+        assert graph.fed_queries(node) == [o for o in nodes
+                                           if o < node and o in distinct]
+
+
+@given(query_lists())
+def test_bitmask_closure_matches_attribute_set_reference(queries):
+    check_against_reference(queries)
+
+
+def test_closure_reference_on_named_shapes():
+    parse = AttributeSet.parse
+    for labels_ in (["ABC", "AB"],                       # nested
+                    ["AB", "AB", "BC", "AB"],            # duplicates
+                    ["ABCDEFGH"],                        # a single query
+                    ["src_ip+dst_ip", "dst_ip+dport", "src_ip"],
+                    ["A", "B", "C", "D", "E", "F", "G", "H"]):
+        check_against_reference([parse(label) for label in labels_])
+    outsider = parse("AD")
+    graph = FeedingGraph(QuerySet.counts(["AB", "BC"]))
+    assert outsider not in graph
+    assert not graph.is_query(outsider) and not graph.is_phantom(outsider)

@@ -11,6 +11,13 @@ from repro.core.sketches import (
     StreamStatisticsCollector,
 )
 from repro.errors import StatisticsError
+from repro.gigascope.hashing import (
+    chain_hasher,
+    combine_columns,
+    splitmix64,
+)
+
+from tests.references import reference_kmv_update, reference_observe
 
 
 class TestKMV:
@@ -134,3 +141,116 @@ def test_kmv_exact_for_small_cardinalities(values, n_batches):
     for chunk in np.array_split(arr, n_batches):
         counter.update(chunk)
     assert counter.estimate() == len(set(values))
+
+
+def assert_same_sketch(got, want):
+    assert got._minima.dtype == want._minima.dtype == np.uint64
+    assert got._minima.tobytes() == want._minima.tobytes()
+    assert got._saturated == want._saturated
+    assert got.estimate() == want.estimate()
+
+
+def feed_both(batches, k, salt=0):
+    """The same batches through ``update`` and the unfiltered reference,
+    compared after every batch; returns the two sketches."""
+    got, want = KMVDistinctCounter(k, salt), KMVDistinctCounter(k, salt)
+    for batch in batches:
+        keys = np.array(batch, dtype=np.uint64)
+        got.update(keys)
+        reference_kmv_update(want, keys)
+        assert_same_sketch(got, want)
+    return got, want
+
+
+@given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=8),
+       st.lists(st.lists(st.integers(20, 60), max_size=30), max_size=4),
+       st.integers(3, 12), st.integers(0, 3))
+def test_filtered_update_matches_unfiltered_reference(left, right, k, salt):
+    """Small key domains around small ``k``: sketches fill, batches repeat
+    held minima, and both halves overlap before they are merged."""
+    got, want = feed_both(left, k, salt)
+    other_got, other_want = feed_both(right, k, salt)
+    got.merge(other_got)
+    want.merge(other_want)
+    assert_same_sketch(got, want)
+
+
+class TestKMVThresholdFilter:
+    """A sketch holding exactly ``k`` minima, then one batch of each kind."""
+
+    K = 8
+
+    def keys_by_hash(self):
+        keys = np.arange(64, dtype=np.uint64)
+        return keys[np.argsort(splitmix64(keys))]
+
+    def full(self):
+        """Both sketches holding the keys ranked 4..11: room below."""
+        return feed_both([self.keys_by_hash()[4:4 + self.K]], self.K)
+
+    def step(self, keys):
+        got, want = self.full()
+        assert len(got) == self.K and not got._saturated
+        before = got._minima.copy()
+        got.update(keys)
+        reference_kmv_update(want, keys)
+        assert_same_sketch(got, want)
+        return got, before
+
+    def test_empty_and_held_keys_leave_it_exact(self):
+        ranked = self.keys_by_hash()
+        for keys in (ranked[:0],                 # empty batch
+                     ranked[11:12],              # only the k-th minimum
+                     np.repeat(ranked[11], 50),  # ... many times over
+                     np.tile(ranked[4:12], 3)):  # all duplicates
+            got, before = self.step(keys)
+            assert not got._saturated
+            assert got.estimate() == self.K
+            assert np.array_equal(got._minima, before)
+
+    def test_new_key_above_the_kth_saturates_without_changing_minima(self):
+        got, before = self.step(self.keys_by_hash()[12:13])
+        assert got._saturated
+        assert np.array_equal(got._minima, before)
+
+    def test_new_key_below_the_kth_replaces_it(self):
+        ranked = self.keys_by_hash()
+        got, before = self.step(ranked[:1])
+        assert got._saturated
+        assert got._minima[0] == splitmix64(ranked[:1])[0]
+        assert np.array_equal(got._minima[1:], before[:-1])
+
+
+EXTREMES = np.array([np.iinfo(np.int64).min, -1, 0, 1,
+                     np.iinfo(np.int64).max], dtype=np.int64)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_observe_matches_per_relation_hashing(seed, track_flows):
+    """One shared hash pass per batch against one chain per relation:
+    int64 extremes, relations joining through ``ensure``, run lengths."""
+    rng = np.random.default_rng(seed)
+    parse = AttributeSet.parse
+    first = [parse(t) for t in ("A", "C", "AB", "BC", "ABC", "BCD")]
+    later = [parse(t) for t in ("D", "AD", "ABD", "ABCD")]
+    got = StreamStatisticsCollector(first, k=8, track_flows=track_flows)
+    want = StreamStatisticsCollector(first, k=8, track_flows=track_flows)
+    for batch in range(6):
+        if batch == 3:
+            assert got.ensure(later) == want.ensure(later) == later
+        n = int(rng.integers(0, 40))
+        columns = {name: np.concatenate([
+            rng.choice(EXTREMES, n // 2),
+            rng.integers(-3, 4, n - n // 2)]) for name in "ABCD"}
+        got.observe(columns)
+        reference_observe(want, columns)
+        assert got.records_seen == want.records_seen
+        assert got.relations == want.relations
+        chain = chain_hasher(columns)
+        for rel in want.relations:
+            assert_same_sketch(got._distinct[rel], want._distinct[rel])
+            # Every hash, not only the k smallest the sketches keep.
+            assert np.array_equal(
+                chain(rel.names),
+                combine_columns([columns[name] for name in rel]))
+        assert got.statistics() == want.statistics()

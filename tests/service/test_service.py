@@ -19,10 +19,19 @@ from repro import (
     StreamService,
 )
 from repro.core.queries import Aggregate, AggregationQuery
+from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
 from repro.errors import AllocationError, SchemaError
 from repro.gigascope.engine import simulate
+from repro.gigascope.records import StreamSchema
+from repro.service.replan import IncrementalReplanner
 from repro.service.service import ServiceSLO
+from repro.workloads import make_group_universe, uniform_dataset
 
+from tests.references import (
+    reference_kmv_update,
+    reference_observe,
+    reference_phantoms,
+)
 from tests.service.conftest import EPOCH, SCHEMA, push_slice, query
 
 
@@ -120,6 +129,59 @@ class TestChurnExactness:
         # The surviving tenant still sees everything.
         assert service.answers("keep")["AB"] == \
             offline_answers(dataset, "AB")
+
+    def test_successive_leases_on_one_group_by_read_only_their_windows(
+            self, dataset):
+        """Three tenants lease ``CD`` one after the other. Each reads
+        exactly the epochs of its own window out of the shared table —
+        the rendered epochs are chosen by the lease, so this equals
+        ``all_answers`` cut down to the window — and a registration that
+        has not landed yet reads nothing."""
+        service = StreamService(SCHEMA, memory=800)
+        service.register("keep", query("AB"))
+        service.register("first", query("CD"))
+        n = len(dataset)
+        push_slice(service, dataset, 0, n // 3)
+        service.retire("first")
+        service.register("second", query("CD"))
+        assert service.leases("second")[0]["pending"]
+        assert service.answers("second") == {"CD": {}}
+        push_slice(service, dataset, n // 3, 2 * n // 3)
+        service.retire("second")
+        service.register("third", query("CD"))
+        push_slice(service, dataset, 2 * n // 3, n)
+        service.finish()
+
+        everything = service.live.hfta.all_answers(query("CD"))
+        assert everything == offline_answers(dataset, "CD")
+        seen = []
+        for tenant in ("first", "second", "third"):
+            window = service.leases(tenant)[0]
+            assert not window["pending"]
+            assert window["retired"] == (tenant != "third")
+            start = window["start"] or 0
+            end = window["end"] if window["end"] is not None else np.inf
+            expected = {e: a for e, a in everything.items()
+                        if start <= e < end}
+            assert service.answers(tenant) == {"CD": expected}
+            assert expected
+            seen += sorted(expected)
+        # Back to back: together the three windows are the whole stream.
+        assert seen == sorted(everything)
+
+    def test_answers_for_an_unknown_tenant_raise(self, dataset):
+        """Same typed error as ``registry.retire`` for the same input,
+        and probing names leaves no per-tenant metrics behind."""
+        service = StreamService(SCHEMA, memory=800)
+        service.register("acme", query("AB"))
+        push_slice(service, dataset, 0, len(dataset) // 2)
+        with pytest.raises(SchemaError, match="unknown tenant 'ghost'"):
+            service.answers("ghost")
+        counters = service.metrics_snapshot().to_dict()["counters"]
+        assert not [name for name in counters if "ghost" in name]
+        assert counters.get("tenant.acme.answer_requests", 0) == 0
+        service.retire("acme")  # retired, but it held a lease
+        assert set(service.answers("acme")) == {"AB"}
 
 
 class TestAdmissionIsolation:
@@ -303,3 +365,86 @@ class TestManifest:
         assert section["group_bys"] == ["AB"]
         assert section["leases"][0]["tenant"] == "acme"
         assert doc["epochs"]
+        gauges = service.metrics_snapshot().to_dict()["gauges"]
+        # AB plus the four single attributes the cold bound needs.
+        assert gauges["sketches.relations"] == 5
+        assert gauges["service.graph_nodes"] == 1
+
+
+class TestPlansPinned:
+    """The optimized control plane plans what the plain one plans.
+
+    A ``service_churn``-shaped run (a tenant registers at every closed
+    epoch over a rotation of 2- and 3-attribute group-bys, the oldest
+    retires beyond six live) is driven twice: once as shipped, once with
+    the reference closure, unfiltered KMV update and per-relation
+    ``observe`` of the differential suites swapped in. Every plan the
+    replanner returns must be the same, in order."""
+
+    CHURN_SCHEMA = StreamSchema(tuple("ABCDEF"))
+    GROUP_BYS = ("AB", "BCD", "BCE", "AC", "BCF", "BDE", "AD", "BDF", "BEF",
+                 "AE", "CDE", "CDF", "AF", "CEF", "DEF")
+
+    def plans(self, seed, monkeypatch, reference):
+        if reference:
+            monkeypatch.setattr("repro.core.feeding_graph.enumerate_phantoms",
+                                reference_phantoms)
+            monkeypatch.setattr(KMVDistinctCounter, "update",
+                                reference_kmv_update)
+            monkeypatch.setattr(StreamStatisticsCollector, "observe",
+                                reference_observe)
+        returned = []
+        replan = IncrementalReplanner.replan
+
+        def recording(self, queries, stats, token=None):
+            new_plan, cached = replan(self, queries, stats, token=token)
+            returned.append((
+                tuple(gb.label() for gb in queries.group_bys),
+                new_plan.configuration,
+                {rel.label(): b
+                 for rel, b in new_plan.allocation.buckets.items()}))
+            return new_plan, cached
+
+        monkeypatch.setattr(IncrementalReplanner, "replan", recording)
+        universe = make_group_universe(
+            self.CHURN_SCHEMA, (10, 40, 100, 300, 600, 900), seed=seed)
+        data = uniform_dataset(universe, 6000, duration=12.0, seed=seed + 1,
+                               zipf_exponent=0.8)
+        service = StreamService(self.CHURN_SCHEMA, memory=50_000.0,
+                                sketch_k=64)
+        live = []
+
+        def register():
+            index = len(service.leases())
+            group_by = self.GROUP_BYS[index % len(self.GROUP_BYS)]
+            service.register(f"tenant{index}", AggregationQuery(
+                AttributeSet.parse(group_by), epoch_seconds=1.0))
+            live.append(f"tenant{index}")
+
+        for _ in range(4):
+            register()
+        for start in range(0, len(data), 256):
+            columns = {a: data.columns[a][start:start + 256]
+                       for a in self.CHURN_SCHEMA.attributes}
+            for _ in service.push(columns,
+                                  data.timestamps[start:start + 256]):
+                register()
+                if len(live) > 6:
+                    service.retire(live.pop(0))
+        service.finish()
+        monkeypatch.undo()
+        saturated = sum(sketch._saturated
+                        for sketch in service.collector._distinct.values())
+        return returned, saturated
+
+    @pytest.mark.parametrize("seed", [1, 23])
+    def test_same_plans_as_the_reference_control_plane(self, seed,
+                                                       monkeypatch):
+        shipped, saturated = self.plans(seed, monkeypatch, reference=False)
+        plain, _ = self.plans(seed, monkeypatch, reference=True)
+        assert len(shipped) > 20
+        # Full sketches and phantoms in the plans, or neither the filter
+        # nor the closure was exercised.
+        assert saturated > 10
+        assert any(config.phantoms for _, config, _ in shipped)
+        assert shipped == plain

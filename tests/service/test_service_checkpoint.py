@@ -52,6 +52,10 @@ class TestRoundTrip:
         assert restored.live.epoch_reports == oracle.live.epoch_reports
         assert restored.live.reconfigurations == \
             oracle.live.reconfigurations
+        # The pickled sketches kept absorbing batches after the restore.
+        target = oracle.registry.physical_query_set()
+        assert restored.planning_statistics(target) == \
+            oracle.planning_statistics(target)
 
     def test_restored_service_keeps_admitting(self, dataset, tmp_path):
         service = fresh_service()
