@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="print the recorded phase spans after "
                              "execution; implies --execute")
-    parser.add_argument("--no-native", action="store_true",
-                        help="pin the pure numpy engine path (skip the "
-                             "runtime-compiled C ingest kernel); results "
-                             "are bit-identical either way")
     return parser
 
 
@@ -141,8 +137,7 @@ _CHECKPOINT_BATCHES = 16
 
 
 def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
-                          where, registry, checkpoint_dir,
-                          native=True) -> LiveStreamSystem:
+                          where, registry, checkpoint_dir) -> LiveStreamSystem:
     """Stream through the live runtime, snapshotting as we go.
 
     Resumes from ``checkpoint_dir/live.ckpt`` when one exists: the
@@ -159,8 +154,7 @@ def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
     else:
         live = LiveStreamSystem(dataset.schema, queries, the_plan,
                                 params=params, value_column=value_column,
-                                where=where, registry=registry,
-                                native=native)
+                                where=where, registry=registry)
     start = live.records_seen
     n = len(dataset)
     step = max(1, (n + _CHECKPOINT_BATCHES - 1) // _CHECKPOINT_BATCHES)
@@ -235,8 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.checkpoint_dir is not None:
                 live = _execute_checkpointed(
                     dataset, queries, the_plan, params, value_column,
-                    where, registry, args.checkpoint_dir,
-                    native=not args.no_native)
+                    where, registry, args.checkpoint_dir)
             elif args.shards > 1:
                 partitioner = make_partitioner(
                     args.partition, column=args.partition_column)
@@ -248,14 +241,13 @@ def main(argv: list[str] | None = None) -> int:
                     shards=args.shards, partitioner=partitioner,
                     registry=registry,
                     retry=RetryPolicy(max_attempts=args.max_retries + 1),
-                    fault_plan=fault_plan, native=not args.no_native)
+                    fault_plan=fault_plan)
                 report = system.run()
             else:
                 system = StreamSystem.from_plan(dataset, queries, the_plan,
                                                 params=params,
                                                 value_column=value_column,
-                                                where=where,
-                                                native=not args.no_native)
+                                                where=where)
                 report = system.run(registry=registry)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)

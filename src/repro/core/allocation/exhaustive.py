@@ -10,21 +10,20 @@ multi-start coordinate descent over the same grid, polished to sub-grid
 resolution. Tests verify the descent matches the true grid wherever both
 run.
 
-Evaluation is tiered for speed, all tiers bit-identical to the scalar
-reference (asserted by tests, not assumed):
+Two fast paths, both bit-identical to the scalar code beside them
+(asserted by tests, not assumed):
 
 * :meth:`CostEvaluator.cost_many` scores a whole batch of space vectors
   with numpy, mirroring the scalar float ops lane-for-lane (left-to-right
-  accumulation, same lerp) so batched decisions match scalar ones exactly.
-* :meth:`ExhaustiveAllocator._descend` scans whole sweeps of (i, j) trial
-  moves per ``cost_many`` call, simulating the scalar loop's
-  mutate-and-revert arithmetic so even its rounding quirks are preserved;
-  trials are evaluated on copies, so a raising collision model can no
-  longer corrupt the caller's space vector.
-* When a C compiler is available the entire descent runs natively
-  (:mod:`repro.core.allocation._ckernel`), which is what makes ES usable
-  as an online reference; set ``native=False`` or ``REPRO_NO_CKERNEL`` to
-  force the numpy path.
+  accumulation, same lerp) so batched decisions match scalar ones exactly;
+  the literal grid uses it.
+* :meth:`ExhaustiveAllocator._descend` is a first-improvement coordinate
+  descent, inherently sequential. When :mod:`repro.native.descend` loaded
+  (and the model is the plain lookup table it hard-codes) the whole
+  descent runs in C, which is what makes ES usable as an online
+  reference; otherwise the scalar Python loop it replicates op-for-op
+  runs, on a copy, so a raising collision model cannot corrupt the
+  caller's space vector.
 """
 
 from __future__ import annotations
@@ -49,11 +48,12 @@ from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
+from repro.native import descend as _native
 
 __all__ = ["CostEvaluator", "ExhaustiveAllocator", "compositions"]
 
-#: Improvement threshold of the coordinate descent (matches the scalar
-#: reference; a trial must beat the incumbent by more than this).
+#: Improvement threshold of the coordinate descent (the kernel hard-codes
+#: the same; a trial must beat the incumbent by more than this).
 _IMPROVE_EPS = 1e-15
 
 #: Rows per ``cost_many`` chunk when scanning the literal grid.
@@ -135,8 +135,8 @@ class CostEvaluator:
         return np.asarray(flat, dtype=np.float64).reshape(buckets_2d.shape)
 
     def _lookup_rates(self, buckets_2d: np.ndarray) -> np.ndarray:
-        # Lean inline of LookupModel.rates for the descent hot loop: same
-        # float ops, fewer temporaries than the general broadcast version.
+        # Lean inline of LookupModel.rates for the grid scan: same float
+        # ops, fewer temporaries than the general broadcast version.
         table = self.model.table_array
         tstep = self.model.table_step
         positive = buckets_2d > 0
@@ -212,6 +212,41 @@ def compositions(total: int, parts: int,
             yield (first,) + rest
 
 
+def _scalar_descend(evaluator: CostEvaluator, spaces: list[float],
+                    floors: list[float], step: float,
+                    min_step: float) -> list[float]:
+    """First-improvement coordinate descent, mutating ``spaces``.
+
+    The loop :mod:`repro.native.descend` replicates op-for-op, lossy
+    ``(a - s) + s`` reverts included.
+    """
+    n = len(spaces)
+    cost = evaluator.cost(spaces)
+    while step >= min_step:
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n):
+                if spaces[i] - step < floors[i]:
+                    continue
+                for j in range(n):
+                    if i == j:
+                        continue
+                    spaces[i] -= step
+                    spaces[j] += step
+                    trial = evaluator.cost(spaces)
+                    if trial < cost - _IMPROVE_EPS:
+                        cost = trial
+                        improved = True
+                    else:
+                        spaces[i] += step
+                        spaces[j] -= step
+                    if spaces[i] - step < floors[i]:
+                        break
+        step /= 2.0
+    return spaces
+
+
 @dataclass(frozen=True)
 class ExhaustiveAllocator:
     """The ES reference allocator.
@@ -233,11 +268,6 @@ class ExhaustiveAllocator:
         precomputed ``x(g/b)`` lookup (Section 4.4). The coordinate
         descent relies on the objective being near-convex, which holds
         for any monotone concave rate curve.
-    native:
-        Allow the runtime-compiled C descent kernel when the model is the
-        plain :class:`LookupModel` and a compiler is available; falls back
-        to the batched numpy path otherwise (both are bit-identical to
-        the scalar reference).
     """
 
     grid_step: float = 0.01
@@ -246,7 +276,6 @@ class ExhaustiveAllocator:
     model: CollisionModel | None = None
     clustered: bool = True
     name: str = "ES"
-    native: bool = True
 
     def allocate(self, config: Configuration, stats: RelationStatistics,
                  memory: float, params: CostParameters) -> Allocation:
@@ -322,124 +351,16 @@ class ExhaustiveAllocator:
         base = [float(v) for v in spaces]
         if step < min_step:
             return base
-        if self.native and type(evaluator.model) is LookupModel:
-            from repro.core.allocation import _ckernel
-            if _ckernel.kernel_available():
-                return _ckernel.descend(
-                    base, floors, evaluator._groups_arr,
-                    evaluator._entry_arr, evaluator._flow_arr,
-                    evaluator._parent_arr, evaluator._leaf_arr,
-                    evaluator.c1, evaluator.c2,
-                    evaluator.model.table_array, evaluator.model.table_step,
-                    step, min_step)
-        return self._descend_batched(evaluator, base, floors, step, min_step)
-
-    def _descend_batched(self, evaluator: CostEvaluator, base: list[float],
-                         floors: list[float], step: float,
-                         min_step: float) -> list[float]:
-        n = len(base)
-        cost = evaluator.cost(base)
-        while step >= min_step:
-            improved = True
-            while improved:
-                improved = False
-                pos: tuple[int, int] | None = (0, 0)
-                while pos is not None:
-                    cands, rows, end_base = self._scan_moves(
-                        base, floors, step, n, pos)
-                    if not cands:
-                        base = end_base
-                        break
-                    costs = evaluator.cost_many(rows)
-                    hit = None
-                    threshold = cost - _IMPROVE_EPS
-                    for k in range(len(cands)):
-                        if costs[k] < threshold:
-                            hit = k
-                            break
-                    if hit is None:
-                        base = end_base
-                        pos = None
-                    else:
-                        i, j = cands[hit]
-                        base = [float(v) for v in rows[hit]]
-                        cost = float(costs[hit])
-                        improved = True
-                        pos = ((i + 1, 0) if base[i] - step < floors[i]
-                               else (i, j + 1))
-            step /= 2.0
-        return base
-
-    @staticmethod
-    def _scan_moves(base: list[float], floors: list[float], step: float,
-                    n: int, pos: tuple[int, int]
-                    ) -> tuple[list[tuple[int, int]], np.ndarray,
-                               list[float]]:
-        """Enumerate the scalar scan's remaining (i, j) trials from ``pos``.
-
-        Trial rows are built against a working vector that replays the
-        scalar loop's ``-= step`` / ``+= step`` revert after every trial
-        (assuming rejection — valid for every row before the first accept,
-        which is the only prefix the caller consumes). This keeps the
-        sub-ulp drift of lossy reverts identical to the reference, so the
-        batched scan visits the exact same float states.
-        """
-        i0, j0 = pos
-        # Fast path: when every coordinate round-trips the mutate/revert
-        # exactly, the working vector provably never drifts, the mid-row
-        # floor break can never fire, and the whole scan is plain (i, j)
-        # enumeration over a constant base — built vectorized.
-        if all((v - step) + step == v and (v + step) - step == v
-               for v in base):
-            cands = []
-            for i in range(i0, n):
-                if i == i0 and j0 > 0:
-                    cands.extend((i, j) for j in range(j0, n) if j != i)
-                    continue
-                if base[i] - step < floors[i]:
-                    continue
-                cands.extend((i, j) for j in range(n) if j != i)
-            if not cands:
-                return cands, np.empty((0, n), dtype=np.float64), list(base)
-            m = len(cands)
-            matrix = np.empty((m, n), dtype=np.float64)
-            matrix[:] = base
-            rindex = np.arange(m)
-            pairs = np.array(cands, dtype=np.intp)
-            matrix[rindex, pairs[:, 0]] -= step
-            matrix[rindex, pairs[:, 1]] += step
-            return cands, matrix, list(base)
-        work = list(base)
-        cands = []
-        rows: list[list[float]] = []
-        i = i0
-        resumed = j0 > 0
-        while i < n:
-            if not resumed and work[i] - step < floors[i]:
-                i += 1
-                continue
-            j = j0 if resumed else 0
-            resumed = False
-            while j < n:
-                if j == i:
-                    j += 1
-                    continue
-                lowered = work[i] - step
-                raised = work[j] + step
-                trial = list(work)
-                trial[i] = lowered
-                trial[j] = raised
-                cands.append((i, j))
-                rows.append(trial)
-                work[i] = lowered + step
-                work[j] = raised - step
-                if work[i] - step < floors[i]:
-                    break
-                j += 1
-            i += 1
-        matrix = (np.asarray(rows, dtype=np.float64) if rows
-                  else np.empty((0, n), dtype=np.float64))
-        return cands, matrix, work
+        if type(evaluator.model) is LookupModel and \
+                _native.kernel_available():
+            return _native.descend(
+                base, floors, evaluator._groups_arr,
+                evaluator._entry_arr, evaluator._flow_arr,
+                evaluator._parent_arr, evaluator._leaf_arr,
+                evaluator.c1, evaluator.c2,
+                evaluator.model.table_array, evaluator.model.table_step,
+                step, min_step)
+        return _scalar_descend(evaluator, base, floors, step, min_step)
 
     def _multistart_spaces(self, evaluator: CostEvaluator,
                            config: Configuration, stats: RelationStatistics,

@@ -22,8 +22,10 @@ When the host offers a C compiler, steps 1-3 run instead as one fused
 native pass (:mod:`repro.native.ingest`) that simulates the direct-mapped
 table record-at-a-time in C — pack, hash, probe, collision detect, and
 eviction emission in a single loop — with bit-identical runs, counters,
-and float partials. ``native=False`` or ``REPRO_NO_CKERNEL=1`` pins the
-numpy path; both paths are differentially tested against each other.
+and float partials. Which of the two runs is decided by
+:mod:`repro.native` alone (no compiler or ``REPRO_NO_CKERNEL=1`` leaves
+the numpy path); both are differentially tested against each other and
+against the record-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ def simulate(dataset: Dataset, config: Configuration,
              counters: CostCounters | None = None,
              hfta: HFTA | None = None,
              registry=None,
-             native: bool = True,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
 
@@ -70,12 +71,6 @@ def simulate(dataset: Dataset, config: Configuration,
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span plus record/epoch counters; when None the engine performs
     no clock reads of its own.
-
-    ``native`` (default True) lets the accounting pass run through the
-    fused C ingest kernel (:mod:`repro.native.ingest`) when one could be
-    compiled; results are bit-identical either way, so this is purely a
-    speed knob. Pass ``native=False`` — or set ``REPRO_NO_CKERNEL=1`` —
-    to pin the numpy path.
     """
     table_sizes: dict[AttributeSet, int] = {}
     for rel in config.relations:
@@ -95,7 +90,7 @@ def simulate(dataset: Dataset, config: Configuration,
             n_epochs += 1
             _simulate_epoch(dataset, config, table_sizes, salts, depths,
                             max_b, counters, hfta, epoch_id, start, end,
-                            value_column, native)
+                            value_column)
     if registry is not None:
         registry.counter("engine.records").inc(len(dataset))
         registry.counter("engine.epochs").inc(n_epochs)
@@ -108,8 +103,7 @@ def _simulate_epoch(dataset: Dataset, config: Configuration,
                     depths: dict[AttributeSet, int], max_b: int,
                     counters: CostCounters, hfta: HFTA, epoch_id: int,
                     start: int, end: int,
-                    value_column: str | None,
-                    native: bool = True) -> None:
+                    value_column: str | None) -> None:
     n = end - start
     stride = np.int64(n + max_b + 2)
     times0 = np.arange(n, dtype=np.int64)
@@ -127,7 +121,7 @@ def _simulate_epoch(dataset: Dataset, config: Configuration,
         evicted = _process_relation(
             rel, t, w, vs, vmin, vmax, cols, n, stride, table_sizes[rel],
             salts[rel], depths[rel], counters,
-            times_sorted=rel in raw, native=native)
+            times_sorted=rel in raw)
         if evicted is None:
             continue
         ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols = evicted
@@ -149,7 +143,6 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                       n: int, stride: np.int64, n_buckets: int, salt: int,
                       depth: int, counters: CostCounters,
                       times_sorted: bool = False,
-                      native: bool = True,
                       ) -> _Arrivals | None:
     c = counters.counters(rel)
     m = int(t.shape[0])
@@ -157,7 +150,7 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
         return None
 
     flush_base = np.int64(n) + np.int64(depth) * stride
-    if native and _native.kernel_available():
+    if _native.kernel_available():
         fused = _accounting_native(rel, t, w, vs, vmin, vmax, cols, n,
                                    n_buckets, salt, int(flush_base),
                                    times_sorted)
@@ -237,32 +230,19 @@ def _accounting_native(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
 
     Returns ``(rep, run_w, run_vs, run_vmin, run_vmax, evict_t,
     arrivals_intra, evictions_intra)`` with ``rep`` indexing the original
-    (unsorted) arrival arrays, or None when the inputs fall outside the
-    kernel's contract (non-integer group columns, non-float64 values, a
-    table vastly larger than the batch) — the caller then takes the numpy
-    path, which computes the identical result.
+    (unsorted) arrival arrays, or None for a table vastly larger than
+    the batch — the caller then takes the numpy path, which computes the
+    identical result.
     """
     m = int(t.shape[0])
     # The kernel's table scan is O(n_buckets); beyond any sane
     # buckets-per-record ratio the numpy path's O(m log m) wins anyway.
     if n_buckets > 8 * m + 1024:
         return None
-    if vs is not None and (vs.dtype != np.float64
-                           or vmin is None or vmin.dtype != np.float64
-                           or vmax is None or vmax.dtype != np.float64):
-        return None
-    eq_cols = []
-    for a in rel.names:
-        col = cols[a]
-        if col.dtype == np.int64:
-            # Same bits the chain hashes: int64 -> uint64 is a view.
-            eq_cols.append(col.view(np.uint64))
-        elif col.dtype == np.uint64:
-            eq_cols.append(col)
-        elif col.dtype.kind in "iub":
-            eq_cols.append(col.astype(np.uint64))
-        else:
-            return None
+    # Dataset coerces attribute columns to int64 and value columns to
+    # float64, and evictions are fancy-indexed from those. The uint64
+    # view is the same bits the chain hashes.
+    eq_cols = [cols[a].view(np.uint64) for a in rel.names]
     order = None
     if not times_sorted:
         # The kernel consumes arrivals in time order; fed streams arrive

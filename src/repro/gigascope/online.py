@@ -82,24 +82,17 @@ class _Era:
 class LiveStreamSystem:
     """A two-level stream system fed incrementally."""
 
-    #: Class-level default so checkpoint-restored instances (which carry
-    #: only the serialized state attributes) fall back to the native
-    #: engine path. Like ``controller``/``registry``, the flag is not
-    #: checkpointed — it cannot affect answers, only speed.
-    native = True
-
     def __init__(self, schema: StreamSchema, queries: QuerySet,
                  plan: Plan, params: CostParameters | None = None,
                  value_column: str | None = None,
                  controller=None, salt_seed: int = 0,
-                 where=None, registry=None, native: bool = True):
+                 where=None, registry=None):
         self.schema = schema
         self.queries = queries
         self.params = params or CostParameters()
         self.value_column = value_column
         self.controller = controller
         self.salt_seed = salt_seed
-        self.native = native
         self.where = where
         self.registry = registry
         self.epoch_seconds = queries.epoch_seconds
@@ -277,7 +270,7 @@ class LiveStreamSystem:
             simulate(dataset, era.configuration, era.buckets,
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
-                     registry=self.registry, native=self.native)
+                     registry=self.registry)
         # Fold the closed epoch's eviction batches into compact columnar
         # state now (its own span, so manifests show merge vs ingest
         # share): the raw batch lists are released, bounding HFTA memory

@@ -94,8 +94,7 @@ class StreamSystem:
                  value_column: str | None = None,
                  engine: str = "vectorized",
                  salt_seed: int = 0,
-                 where=None,
-                 native: bool = True):
+                 where=None):
         if where is not None:
             from repro.gigascope.filters import filter_dataset
             dataset = filter_dataset(dataset, where)
@@ -135,10 +134,6 @@ class StreamSystem:
         self.value_column = value_column
         self.engine = engine
         self.salt_seed = salt_seed
-        #: Speed knob only: the fused C ingest kernel and the numpy path
-        #: are bit-identical, and the flag is ignored by the reference
-        #: engine (which has no native path).
-        self.native = native
 
     @classmethod
     def from_plan(cls, dataset: Dataset, queries: QuerySet, plan: Plan,
@@ -154,8 +149,7 @@ class StreamSystem:
         if self.engine == "vectorized":
             result = simulate(self.dataset, self.configuration, self.buckets,
                               self.queries.epoch_seconds, self.value_column,
-                              self.salt_seed, registry=registry,
-                              native=self.native)
+                              self.salt_seed, registry=registry)
         else:
             with trace(registry, "engine"):
                 result = run_reference(

@@ -1,20 +1,28 @@
 """Shared build machinery for runtime-compiled C kernels.
 
-Every native fast path in the repo (the allocation descent kernel, the
-engine ingest kernel) follows the same pattern: a self-contained C source
-string is compiled at first use with whatever compiler the host offers,
-cached as a shared object in the system temp directory keyed by a hash of
-the source and flags, and loaded through :mod:`ctypes`. This module owns
-that pattern once — compiler discovery, the on-disk cache with atomic
-publish, the ``REPRO_NO_CKERNEL`` opt-out, and per-kernel status records
-(available / disabled / compiler error) that observability surfaces in
+Every native fast path in the repo (the four kernels of this package:
+engine ingest, HFTA merge, shard partition, ES descent) follows the same
+pattern: a self-contained C source string is compiled at first use with
+whatever compiler the host offers, cached as a shared object in the
+system temp directory keyed by a hash of the source and flags, and loaded
+through :mod:`ctypes`. This module owns that pattern once — compiler
+discovery, the on-disk cache with atomic publish, the ``REPRO_NO_CKERNEL``
+opt-out (read here and nowhere else), and the one per-process memo of
+load outcomes (library, or disabled / compiler error) that every
+``kernel_available()`` looks up and observability surfaces in
 ``RunManifest.machine``.
 
 Kernels are best-effort by design: a missing compiler or a failed build
-degrades to the numpy path, never to an exception. The degradation is no
-longer silent, though — the first failed load of each kernel emits a
+degrades to the numpy path, never to an exception. The degradation is
+not silent — the first failed load of each kernel emits a
 ``RuntimeWarning`` carrying the compiler diagnostic, and the error string
 stays queryable through :func:`kernel_status` / :func:`diagnostics`.
+
+The cache lives in a shared directory under a predictable name, so a
+cached file is loaded only when it is a regular file owned by this user
+that nobody else can write; anything else is rebuilt over. A cached file
+that fails to load (truncated, wrong architecture) is unlinked and
+compiled once more before the kernel is given up.
 
 The default flags disable floating-point contraction and fast-math so C
 doubles round identically to numpy's IEEE binary64 ops — the property
@@ -27,11 +35,13 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 __all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path", "diagnostics",
            "kernels_disabled", "kernel_status", "load_kernel"]
@@ -58,14 +68,16 @@ class KernelStatus:
     compiler: str | None = None
     #: Diagnostic for a failed build/load, None on success.
     error: str | None = None
+    #: The loaded library, signatures applied (None unless available).
+    lib: ctypes.CDLL | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {"available": self.available, "disabled": self.disabled,
                 "compiler": self.compiler, "error": self.error}
 
 
+#: The per-process memo: one load attempt, hence one record, per kernel.
 _statuses: dict[str, KernelStatus] = {}
-_libs: dict[str, ctypes.CDLL] = {}
 
 
 def kernels_disabled() -> bool:
@@ -82,20 +94,32 @@ def compiler_path() -> str | None:
     return None
 
 
-def _compile(name: str, source: str, flags: tuple[str, ...],
-             status: KernelStatus) -> Path | None:
-    compiler = compiler_path()
-    status.compiler = compiler
-    if compiler is None:
-        status.error = "no C compiler found (tried cc, gcc, clang)"
-        return None
+def _uid() -> int:
+    return getattr(os, "getuid", lambda: 0)()
+
+
+def _cache_path(name: str, source: str, flags: tuple[str, ...]) -> Path:
     digest = hashlib.sha256(
         (source + " ".join(flags)).encode()).hexdigest()[:16]
-    uid = getattr(os, "getuid", lambda: 0)()
-    cache = Path(tempfile.gettempdir()) / \
-        f"repro_kernel_{name}_{digest}_{uid}.so"
-    if cache.exists():
-        return cache
+    return Path(tempfile.gettempdir()) / \
+        f"repro_kernel_{name}_{digest}_{_uid()}.so"
+
+
+def _trusted(cache: Path) -> bool:
+    """Whether a cached object may be loaded: a regular file (not a
+    link) owned by this user that neither group nor other can write."""
+    try:
+        found = os.lstat(cache)
+    except OSError:
+        return False
+    return (stat.S_ISREG(found.st_mode) and found.st_uid == _uid()
+            and not found.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _compile(compiler: str, name: str, source: str, flags: tuple[str, ...],
+             cache: Path, status: KernelStatus) -> bool:
+    """Build ``source`` and publish it at ``cache``; False (with
+    ``status.error`` set) when the build or the publish fails."""
     with tempfile.TemporaryDirectory() as build:
         src = Path(build) / f"{name}.c"
         out = Path(build) / f"{name}.so"
@@ -106,42 +130,75 @@ def _compile(name: str, source: str, flags: tuple[str, ...],
                 capture_output=True, timeout=60.0)
         except (OSError, subprocess.SubprocessError) as exc:
             status.error = f"compiler invocation failed: {exc}"
-            return None
+            return False
         if result.returncode != 0 or not out.exists():
             stderr = result.stderr.decode(errors="replace").strip()
             status.error = (f"{compiler} exited {result.returncode}"
                             + (f": {stderr}" if stderr else ""))
-            return None
-        # Atomic publish so concurrent processes race safely.
-        os.replace(out, cache)
-    return cache
+            return False
+        try:
+            # Whatever the umask, the published file passes _trusted.
+            out.chmod(0o755)
+            # Atomic publish so concurrent processes race safely, and so
+            # an untrusted file under the same name is replaced, not read.
+            os.replace(out, cache)
+        except OSError as exc:
+            status.error = f"cannot publish {cache}: {exc}"
+            return False
+    return True
+
+
+def _build_and_load(name: str, source: str, flags: tuple[str, ...],
+                    status: KernelStatus) -> ctypes.CDLL | None:
+    compiler = compiler_path()
+    status.compiler = compiler
+    if compiler is None:
+        status.error = "no C compiler found (tried cc, gcc, clang)"
+        return None
+    cache = _cache_path(name, source, flags)
+    if _trusted(cache):
+        try:
+            return ctypes.CDLL(str(cache))
+        except OSError:
+            # Truncated or otherwise unloadable: left in place it would
+            # fail every later process too. Rebuild, once.
+            cache.unlink(missing_ok=True)
+    if not _compile(compiler, name, source, flags, cache, status):
+        return None
+    return ctypes.CDLL(str(cache))
 
 
 def load_kernel(name: str, source: str,
+                signatures: Mapping[str, tuple[object, Sequence]],
                 flags: tuple[str, ...] = DEFAULT_FLAGS
                 ) -> ctypes.CDLL | None:
     """Compile-and-load ``source`` as kernel ``name``; None on failure.
 
-    One attempt per process per name: the outcome (library or failure
-    diagnostic) is cached, so callers may gate hot paths on this freely.
-    A failed build emits a one-time ``RuntimeWarning`` with the compiler
-    error; ``REPRO_NO_CKERNEL`` suppresses both the attempt and the
-    warning.
+    ``signatures`` maps each exported function to its ctypes ``(restype,
+    argtypes)``, applied once when the library loads. One attempt per
+    process per name: the outcome (library or failure diagnostic) is
+    memoised here and nowhere else, so callers gate hot paths on this
+    freely. A failed build emits a one-time ``RuntimeWarning`` with the
+    compiler error; ``REPRO_NO_CKERNEL`` suppresses both the attempt and
+    the warning.
     """
-    if name in _statuses:
-        return _libs.get(name)
-    status = KernelStatus(name=name)
-    _statuses[name] = status
+    status = _statuses.get(name)
+    if status is not None:
+        return status.lib
+    status = _statuses[name] = KernelStatus(name=name)
     if kernels_disabled():
         status.disabled = True
         return None
     try:
-        cache = _compile(name, source, tuple(flags), status)
-        if cache is not None:
-            _libs[name] = ctypes.CDLL(str(cache))
+        lib = _build_and_load(name, source, tuple(flags), status)
+        if lib is not None:
+            for function, (restype, argtypes) in signatures.items():
+                entry = getattr(lib, function)
+                entry.restype, entry.argtypes = restype, argtypes
+            status.lib = lib
             status.available = True
-            return _libs[name]
-    except Exception as exc:  # pragma: no cover - load-time OS failures
+            return lib
+    except Exception as exc:  # e.g. a fresh build that does not load
         if status.error is None:
             status.error = f"{type(exc).__name__}: {exc}"
     warnings.warn(

@@ -1,25 +1,25 @@
-"""Runtime-compiled C kernel for the ES coordinate descent.
+"""C kernel for the ES coordinate descent.
 
-The batched numpy path in :mod:`repro.core.allocation.exhaustive` removes
-most per-trial Python overhead, but first-improvement descent is inherently
-sequential — every accepted move invalidates the remaining batch — so the
-numpy path is bounded at a few-x. This module compiles the *entire* descent
-loop (Eq. 7 evaluation + mutate/revert scan) to native code at first use,
-which is where the >=10x target comes from.
+First-improvement descent is inherently sequential — every accepted move
+changes the point the next trial starts from — so it does not vectorize;
+this module compiles the *entire* descent loop of
+:meth:`repro.core.allocation.exhaustive.ExhaustiveAllocator._descend`
+(Eq. 7 evaluation + mutate/revert scan) to native code at first use,
+which is what makes ES usable as an online reference.
 
-Bit-identity contract: the C source replicates the pre-PR scalar Python
-op-for-op — same lookup-table lerp, same ``min(max(x,0),1)`` comparison
-semantics, same in-place ``-= step`` / ``+= step`` mutate-and-revert (whose
-rounding the pure-Python reference also exhibits). Python floats and C
-doubles are both IEEE binary64, so with floating-point contraction disabled
-(``-ffp-contract=off``, no fast-math) every intermediate rounds identically
-and the kernel's output is bitwise equal to the interpreter's.
+Bit-identity contract (pinned by
+``tests/core/test_cost_evaluator_vectorized.py``): the C source
+replicates the allocator's scalar Python loop op-for-op — same
+lookup-table lerp, same ``min(max(x,0),1)`` comparison semantics, same
+in-place ``-= step`` / ``+= step`` mutate-and-revert, including its
+rounding. Python floats and C doubles are both IEEE binary64, so with
+floating-point contraction disabled
+(:data:`repro.native.build.DEFAULT_FLAGS`) every intermediate rounds
+identically and the kernel's output is bitwise equal to the
+interpreter's.
 
-The kernel is best-effort: if no C compiler is present (or
-``REPRO_NO_CKERNEL`` is set) :func:`kernel_available` returns False and the
-allocator falls back to the batched numpy path. Compilation, the on-disk
-cache, the opt-out, and failure diagnostics are all owned by the shared
-:mod:`repro.native.build` machinery.
+The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` leaves
+the allocator on the scalar loop with identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.native.build import load_kernel
 
-__all__ = ["descend", "kernel_available"]
+__all__ = ["KERNEL_NAME", "descend", "kernel_available"]
 
 KERNEL_NAME = "es_descend"
 
@@ -116,32 +116,28 @@ double repro_descend(double *spaces, int64_t n, const double *floors,
 }
 """
 
-_lib: ctypes.CDLL | None = None
-_tried = False
+_DP = ctypes.POINTER(ctypes.c_double)
+_IP = ctypes.POINTER(ctypes.c_int64)
+_UP = ctypes.POINTER(ctypes.c_uint8)
+
+_SIGNATURES = {"repro_descend": (ctypes.c_double, [
+    _DP, ctypes.c_int64, _DP, _DP, _DP, _DP, _IP, _UP,
+    ctypes.c_double, ctypes.c_double, _DP, ctypes.c_int64,
+    ctypes.c_double, ctypes.c_double, ctypes.c_double, _DP, _DP,
+])}
+
+
+def _kernel() -> ctypes.CDLL | None:
+    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
 
 
 def kernel_available() -> bool:
-    """Whether the native descent kernel could be compiled and loaded."""
-    global _lib, _tried
-    if not _tried:
-        _tried = True
-        lib = load_kernel(KERNEL_NAME, _SOURCE)
-        if lib is not None:
-            dp = ctypes.POINTER(ctypes.c_double)
-            ip = ctypes.POINTER(ctypes.c_int64)
-            up = ctypes.POINTER(ctypes.c_uint8)
-            lib.repro_descend.restype = ctypes.c_double
-            lib.repro_descend.argtypes = [
-                dp, ctypes.c_int64, dp, dp, dp, dp, ip, up,
-                ctypes.c_double, ctypes.c_double, dp, ctypes.c_int64,
-                ctypes.c_double, ctypes.c_double, ctypes.c_double, dp, dp,
-            ]
-            _lib = lib
-    return _lib is not None
+    """Whether the descent kernel could be compiled and loaded."""
+    return _kernel() is not None
 
 
 def _dptr(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+    return a.ctypes.data_as(_DP)
 
 
 def descend(spaces, floors, groups, entry, flow, parent, leaf,
@@ -153,7 +149,8 @@ def descend(spaces, floors, groups, entry, flow, parent, leaf,
     buffers; ``spaces`` is copied, never mutated. Call only when
     :func:`kernel_available` is True.
     """
-    assert _lib is not None
+    lib = _kernel()
+    assert lib is not None
     s = np.ascontiguousarray(spaces, dtype=np.float64).copy()
     n = s.size
     fl = np.ascontiguousarray(floors, dtype=np.float64)
@@ -165,10 +162,9 @@ def descend(spaces, floors, groups, entry, flow, parent, leaf,
     t = np.ascontiguousarray(table, dtype=np.float64)
     coeff = np.empty(n, dtype=np.float64)
     x = np.empty(n, dtype=np.float64)
-    _lib.repro_descend(
+    lib.repro_descend(
         _dptr(s), ctypes.c_int64(n), _dptr(fl), _dptr(g), _dptr(e),
-        _dptr(f), p.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        lf.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+        _dptr(f), p.ctypes.data_as(_IP), lf.ctypes.data_as(_UP),
         ctypes.c_double(c1), ctypes.c_double(c2), _dptr(t),
         ctypes.c_int64(t.size), ctypes.c_double(tstep),
         ctypes.c_double(step), ctypes.c_double(min_step),

@@ -9,7 +9,7 @@ the time-ordered arrivals that hashes, probes, accumulates, and detects
 collisions per record, then a stable counting sort by bucket that lands
 the evicted runs in exactly the numpy path's (bucket, start-time) order.
 
-Bit-identity contract (pinned by ``tests/gigascope/test_native_ingest.py``):
+Bit-identity contract (pinned by ``tests/gigascope/test_differential.py``):
 
 * *Runs.* A bucket's resident run is extended only while every raw
   attribute value matches the run's representative — the same equivalence
@@ -28,9 +28,8 @@ Bit-identity contract (pinned by ``tests/gigascope/test_native_ingest.py``):
   stable counting sort by bucket reproduces the numpy path's
   ``lexsort((time, bucket))`` emission order exactly.
 
-The kernel is best-effort: no compiler, ``REPRO_NO_CKERNEL=1``, or
-``native=False`` at any API tier falls back to the numpy path with
-identical results.
+The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` falls
+back to the numpy path with identical results.
 """
 
 from __future__ import annotations
@@ -157,32 +156,27 @@ int64_t repro_ingest(
 }
 """
 
-_lib: ctypes.CDLL | None = None
-_tried = False
-
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
+_SIGNATURES = {"repro_ingest": (ctypes.c_int64, [
+    ctypes.POINTER(_U64P), ctypes.c_int64,
+    ctypes.c_uint64, _I64P, _I64P, _F64P, _F64P, _F64P,
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int64, _I64P, _I64P,
+    _I64P, _I64P, _I64P, _I64P, _F64P, _F64P, _F64P,
+    _I64P, _I64P, _I64P, _F64P, _F64P, _F64P, _I64P,
+])}
+
+
+def _kernel() -> ctypes.CDLL | None:
+    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
+
 
 def kernel_available() -> bool:
     """Whether the fused ingest kernel could be compiled and loaded."""
-    global _lib, _tried
-    if not _tried:
-        _tried = True
-        lib = load_kernel(KERNEL_NAME, _SOURCE)
-        if lib is not None:
-            lib.repro_ingest.restype = ctypes.c_int64
-            lib.repro_ingest.argtypes = [
-                ctypes.POINTER(_U64P), ctypes.c_int64,
-                ctypes.c_uint64, _I64P, _I64P, _F64P, _F64P, _F64P,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, _I64P, _I64P,
-                _I64P, _I64P, _I64P, _I64P, _F64P, _F64P, _F64P,
-                _I64P, _I64P, _I64P, _F64P, _F64P, _F64P, _I64P,
-            ]
-            _lib = lib
-    return _lib is not None
+    return _kernel() is not None
 
 
 def _i64(a: np.ndarray):
@@ -206,7 +200,8 @@ def ingest_runs(cols: list[np.ndarray], salt: int, t: np.ndarray,
     order and ``rep`` indexing the kernel's input arrays. Call only when
     :func:`kernel_available`.
     """
-    assert _lib is not None
+    lib = _kernel()
+    assert lib is not None
     m = int(t.shape[0])
     k = len(cols)
     cols = [np.ascontiguousarray(col, dtype=np.uint64) for col in cols]
@@ -230,7 +225,7 @@ def ingest_runs(cols: list[np.ndarray], salt: int, t: np.ndarray,
         tmp_f = out_f = None
     stats = np.zeros(2, dtype=np.int64)
 
-    n_runs = _lib.repro_ingest(
+    n_runs = lib.repro_ingest(
         col_ptrs, ctypes.c_int64(k),
         ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
         _i64(t), _i64(w),

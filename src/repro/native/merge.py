@@ -122,30 +122,25 @@ int64_t repro_hfta_merge(
 }
 """
 
-_lib: ctypes.CDLL | None = None
-_tried = False
-
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
+_SIGNATURES = {"repro_hfta_merge": (ctypes.c_int64, [
+    ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
+    _I64P, _F64P, _F64P, _F64P,
+    ctypes.c_uint64, ctypes.c_int64, _I64P,
+    _I64P, _I64P, _F64P, _F64P, _F64P,
+])}
+
+
+def _kernel() -> ctypes.CDLL | None:
+    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
+
 
 def kernel_available() -> bool:
     """Whether the HFTA merge kernel could be compiled and loaded."""
-    global _lib, _tried
-    if not _tried:
-        _tried = True
-        lib = load_kernel(KERNEL_NAME, _SOURCE)
-        if lib is not None:
-            lib.repro_hfta_merge.restype = ctypes.c_int64
-            lib.repro_hfta_merge.argtypes = [
-                ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
-                _I64P, _F64P, _F64P, _F64P,
-                ctypes.c_uint64, ctypes.c_int64, _I64P,
-                _I64P, _I64P, _F64P, _F64P, _F64P,
-            ]
-            _lib = lib
-    return _lib is not None
+    return _kernel() is not None
 
 
 def merge_rows(cols: list[np.ndarray], counts: np.ndarray,
@@ -160,7 +155,8 @@ def merge_rows(cols: list[np.ndarray], counts: np.ndarray,
     holding each group's first row index into the inputs. Call only when
     :func:`kernel_available`.
     """
-    assert _lib is not None
+    lib = _kernel()
+    assert lib is not None
     n = int(counts.shape[0])
     k = len(cols)
     cols = [np.ascontiguousarray(col, dtype=np.uint64) for col in cols]
@@ -179,7 +175,7 @@ def merge_rows(cols: list[np.ndarray], counts: np.ndarray,
     out_vmin = np.empty(n, dtype=np.float64)
     out_vmax = np.empty(n, dtype=np.float64)
 
-    g = _lib.repro_hfta_merge(
+    g = lib.repro_hfta_merge(
         col_ptrs, ctypes.c_int64(k), ctypes.c_int64(n),
         counts.ctypes.data_as(_I64P),
         vs.ctypes.data_as(_F64P), vmin.ctypes.data_as(_F64P),

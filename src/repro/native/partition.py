@@ -101,33 +101,29 @@ int64_t repro_partition_scatter(
 }
 """
 
-_lib: ctypes.CDLL | None = None
-_tried = False
-
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
+
+_SIGNATURES = {
+    "repro_partition_hash": (None, [
+        ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_uint64, ctypes.c_uint64, _I64P,
+    ]),
+    "repro_partition_scatter": (ctypes.c_int64, [
+        _I64P, ctypes.c_int64, ctypes.c_int64,
+        ctypes.POINTER(_U64P), ctypes.POINTER(_U64P),
+        ctypes.c_int64, _I64P, _I64P,
+    ]),
+}
+
+
+def _kernel() -> ctypes.CDLL | None:
+    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
 
 
 def kernel_available() -> bool:
     """Whether the partition kernel could be compiled and loaded."""
-    global _lib, _tried
-    if not _tried:
-        _tried = True
-        lib = load_kernel(KERNEL_NAME, _SOURCE)
-        if lib is not None:
-            lib.repro_partition_hash.restype = None
-            lib.repro_partition_hash.argtypes = [
-                ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_uint64, ctypes.c_uint64, _I64P,
-            ]
-            lib.repro_partition_scatter.restype = ctypes.c_int64
-            lib.repro_partition_scatter.argtypes = [
-                _I64P, ctypes.c_int64, ctypes.c_int64,
-                ctypes.POINTER(_U64P), ctypes.POINTER(_U64P),
-                ctypes.c_int64, _I64P, _I64P,
-            ]
-            _lib = lib
-    return _lib is not None
+    return _kernel() is not None
 
 
 def _words(lanes: list[np.ndarray], n: int):
@@ -152,14 +148,15 @@ def hash_shards(cols: list[np.ndarray], salt: int,
     ``cols`` are the int64 attribute columns of the partition key.
     Call only when :func:`kernel_available`.
     """
-    assert _lib is not None
+    lib = _kernel()
+    assert lib is not None
     if not cols or n_shards < 1:
         raise ValueError("need at least one column and one shard")
     n = int(cols[0].shape[0])
     col_ptrs, held = _words(
         [np.asarray(col).astype(np.int64, copy=False) for col in cols], n)
     ids = np.empty(n, dtype=np.int64)
-    _lib.repro_partition_hash(
+    lib.repro_partition_hash(
         col_ptrs, ctypes.c_int64(len(held)), ctypes.c_int64(n),
         ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
         ctypes.c_uint64(n_shards), ids.ctypes.data_as(_I64P))
@@ -176,7 +173,8 @@ def scatter_lanes(ids: np.ndarray, n_shards: int, lanes: list[np.ndarray]):
     is the first record whose id lies outside ``[0, n_shards)`` and the
     buffers are unwritten. Call only when :func:`kernel_available`.
     """
-    assert _lib is not None
+    lib = _kernel()
+    assert lib is not None
     if n_shards < 1:
         raise ValueError("need at least one shard")
     ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -188,7 +186,7 @@ def scatter_lanes(ids: np.ndarray, n_shards: int, lanes: list[np.ndarray]):
     out_ptrs, _out_held = _words(buffers, n)
     offsets = np.zeros(n_shards + 1, dtype=np.int64)
     cursor = np.zeros(n_shards, dtype=np.int64)
-    bad_row = _lib.repro_partition_scatter(
+    bad_row = lib.repro_partition_scatter(
         ids.ctypes.data_as(_I64P), ctypes.c_int64(n),
         ctypes.c_int64(n_shards), lane_ptrs, out_ptrs,
         ctypes.c_int64(len(held)),

@@ -40,8 +40,7 @@ from repro.core.attributes import AttributeSet
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.hashing import combine_columns
 from repro.gigascope.records import Dataset
-from repro.native.partition import (hash_shards, kernel_available,
-                                    scatter_lanes)
+from repro.native import partition as _native
 
 __all__ = [
     "HashPartitioner",
@@ -134,8 +133,8 @@ class HashPartitioner:
         attrs = (dataset.schema.all_attributes if self.key is None
                  else dataset.schema.attribute_set(self.key))
         columns = [dataset.columns[a] for a in attrs]
-        if kernel_available():
-            return hash_shards(columns, self.salt, n_shards)
+        if _native.kernel_available():
+            return _native.hash_shards(columns, self.salt, n_shards)
         hashes = combine_columns(columns, self.salt)
         return (hashes % np.uint64(n_shards)).astype(np.int64)
 
@@ -290,9 +289,10 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
     n_shards = check_shard_count(n_shards)
     lanes = [*dataset.columns.values(), dataset.timestamps,
              *dataset.values.values()]
-    if kernel_available():
+    if _native.kernel_available():
         ids = _check_ids_shape(shard_ids, len(dataset), "")
-        buffers, offsets, bad_row = scatter_lanes(ids, n_shards, lanes)
+        buffers, offsets, bad_row = _native.scatter_lanes(ids, n_shards,
+                                                          lanes)
         if bad_row >= 0:
             raise _bad_ids(ids, n_shards, bad_row, "")
         cuts = ([buffer[lo:hi] for buffer in buffers]

@@ -80,7 +80,6 @@ class _ShardJob(NamedTuple):
     epoch_seconds: float
     value_column: str | None
     salt_seed: int
-    native: bool = True
 
 
 _ShardOutcome = tuple[int, SimulationResult, MetricsRegistry]
@@ -107,7 +106,7 @@ def _run_shard(job: _ShardJob, attempt: int = 1,
     registry = MetricsRegistry()
     result = simulate(job.dataset, job.configuration, job.buckets,
                       job.epoch_seconds, job.value_column, job.salt_seed,
-                      registry=registry, native=job.native)
+                      registry=registry)
     if fault is not None and fault.kind == "corrupt":
         # Falsified record count, missing sub-registry: garbage the
         # outcome validation must reject.
@@ -185,8 +184,7 @@ class ShardedStreamSystem:
                  partitioner=None,
                  registry: MetricsRegistry | None = None,
                  retry: RetryPolicy | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 native: bool = True):
+                 fault_plan: FaultPlan | None = None):
         shards = check_shard_count(shards)
         # A hidden single-core system performs all validation (plan
         # resolution, bucket completeness, value column, WHERE filter) and
@@ -194,7 +192,7 @@ class ShardedStreamSystem:
         self._single = StreamSystem(
             dataset, queries, configuration, buckets, plan=plan,
             params=params, value_column=value_column, salt_seed=salt_seed,
-            where=where, native=native)
+            where=where)
         self.shards = shards
         unsplittable = [rel for rel, b in self._single.buckets.items()
                         if b < self.shards]
@@ -342,8 +340,7 @@ class ShardedStreamSystem:
         jobs: list[_ShardJob] = [
             _ShardJob(index, shard, self._single.configuration,
                       self.shard_buckets, epoch_seconds,
-                      self.value_column, self._single.salt_seed,
-                      self._single.native)
+                      self.value_column, self._single.salt_seed)
             for index, shard in enumerate(
                 split_dataset(dataset, shard_ids, self.shards))
             if len(shard)
@@ -351,8 +348,7 @@ class ShardedStreamSystem:
         if not jobs:
             jobs = [_ShardJob(0, dataset, self._single.configuration,
                               self.shard_buckets, epoch_seconds,
-                              self.value_column, self._single.salt_seed,
-                              self._single.native)]
+                              self.value_column, self._single.salt_seed)]
         return jobs
 
     def _new_resilience(self) -> ResilienceReport:

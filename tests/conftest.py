@@ -9,6 +9,8 @@ deterministic there).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -27,6 +29,8 @@ from repro import (
     RelationStatistics,
     StreamSchema,
 )
+from repro.native import build as native_build
+from repro.native import machine_info
 from repro.workloads import make_group_universe, uniform_dataset
 
 
@@ -38,6 +42,31 @@ PAPER_GROUPS = {
     "ABC": 2117, "ABD": 2260, "ACD": 2390, "BCD": 2520,
     "ABCD": 2837,
 }
+
+
+#: For tests that call a kernel function directly.
+needs_kernel = pytest.mark.skipif(
+    not machine_info()["c_kernel"],
+    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
+
+
+@contextmanager
+def numpy_kernels_off():
+    """Inside the block no C kernel is available: ``REPRO_NO_CKERNEL=1``
+    and a fresh load memo, exactly what a process started with the
+    variable sees. The kernels' callers take their numpy/scalar bodies;
+    calling a kernel function directly is an error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(native_build.DISABLE_ENV, "1")
+        patch.setattr(native_build, "_statuses", {})
+        yield
+
+
+@pytest.fixture
+def numpy_kernels():
+    """The whole test runs under :func:`numpy_kernels_off`."""
+    with numpy_kernels_off():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,27 +1,26 @@
-"""Batched / native ES evaluation vs the scalar reference.
+"""Batched / native ES evaluation vs the scalar code.
 
-The fast paths added to :mod:`repro.core.allocation.exhaustive` promise
-*bit-identical* results to the pre-PR scalar algorithm. These tests pin
-that promise: ``cost_many`` against ``cost`` lane by lane, and both the
-batched and (when a compiler is present) native descent against a verbatim
-copy of the original mutate-and-revert loop — including its lossy
-``(a - s) + s`` revert arithmetic, which the replacements must reproduce
-exactly.
+The fast paths of :mod:`repro.core.allocation.exhaustive` promise
+*bit-identical* results to the scalar code beside them. These tests pin
+that promise: ``cost_many`` against ``cost`` lane by lane, and (when a
+compiler is present) the descent kernel against the allocator's scalar
+mutate-and-revert loop — including its lossy ``(a - s) + s`` revert
+arithmetic, which the kernel must reproduce exactly.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import CostEvaluator, ExhaustiveAllocator
-from repro.core.allocation import _ckernel
+from repro.core.allocation.exhaustive import _scalar_descend
 from repro.core.attributes import AttributeSet
 from repro.core.collision.lookup import LinearModel, LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.core.statistics import RelationStatistics
+from repro.native import descend as native_descend
+from tests.conftest import needs_kernel, numpy_kernels_off
 
 
 def A(label):
@@ -35,36 +34,6 @@ STATS = RelationStatistics.from_counts({
 })
 CONFIG = Configuration.from_notation("(ABCD(AB BCD(BC BD CD)))")
 PARAMS = CostParameters()
-
-
-def reference_descend(evaluator, spaces, floors, step, min_step):
-    """Verbatim pre-PR scalar coordinate descent (the equivalence oracle)."""
-    spaces = list(spaces)
-    n = len(spaces)
-    cost = evaluator.cost(spaces)
-    while step >= min_step:
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                if spaces[i] - step < floors[i]:
-                    continue
-                for j in range(n):
-                    if i == j:
-                        continue
-                    spaces[i] -= step
-                    spaces[j] += step
-                    trial = evaluator.cost(spaces)
-                    if trial < cost - 1e-15:
-                        cost = trial
-                        improved = True
-                    else:
-                        spaces[i] += step
-                        spaces[j] -= step
-                    if spaces[i] - step < floors[i]:
-                        break
-        step /= 2.0
-    return spaces
 
 
 @pytest.fixture(scope="module")
@@ -125,61 +94,44 @@ class TestCostManyMatchesScalar:
 
 
 class TestDescentEquivalence:
-    def _case(self, evaluator, memory, start_fracs):
-        allocator = ExhaustiveAllocator()
-        floors = [float(h) for h in evaluator.entry_units]
-        total = sum(start_fracs)
-        start = [memory * f / total for f in start_fracs]
-        # Keep every coordinate above its floor so the descent is entered
-        # the same way in every implementation.
-        start = [max(s, f + 1.0) for s, f in zip(start, floors)]
-        step = allocator.grid_step * memory
-        min_step = allocator.polish_step * memory
-        expected = reference_descend(evaluator, start, floors, step, min_step)
-        return allocator, start, floors, step, min_step, expected
-
-    @given(st.floats(min_value=20000.0, max_value=200000.0),
-           st.lists(st.floats(min_value=0.05, max_value=1.0),
-                    min_size=6, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_batched_matches_reference(self, memory, start_fracs):
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
-        allocator, start, floors, step, min_step, expected = self._case(
-            evaluator, memory, start_fracs)
-        got = allocator._descend_batched(evaluator, list(start), floors,
-                                         step, min_step)
-        assert got == expected
-
-    @pytest.mark.skipif(not _ckernel.kernel_available(),
-                        reason="no C compiler available")
+    @needs_kernel
     @given(st.floats(min_value=20000.0, max_value=200000.0),
            st.lists(st.floats(min_value=0.05, max_value=1.0),
                     min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_native_matches_reference(self, memory, start_fracs):
         evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
-        _, start, floors, step, min_step, expected = self._case(
-            evaluator, memory, start_fracs)
-        got = _ckernel.descend(
+        allocator = ExhaustiveAllocator()
+        floors = [float(h) for h in evaluator.entry_units]
+        total = sum(start_fracs)
+        # Keep every coordinate above its floor so the descent is entered
+        # the same way in both implementations.
+        start = [max(memory * f / total, floor + 1.0)
+                 for f, floor in zip(start_fracs, floors)]
+        step = allocator.grid_step * memory
+        min_step = allocator.polish_step * memory
+        got = native_descend.descend(
             start, floors, evaluator._groups_arr, evaluator._entry_arr,
             evaluator._flow_arr, evaluator._parent_arr, evaluator._leaf_arr,
             evaluator.c1, evaluator.c2, evaluator.model.table_array,
             evaluator.model.table_step, step, min_step)
-        assert got == expected
+        assert got == _scalar_descend(evaluator, list(start), floors, step,
+                                      min_step)
 
-    def test_allocate_native_and_batched_agree(self):
-        native = ExhaustiveAllocator()
-        batched = ExhaustiveAllocator(native=False)
-        a = native.allocate(CONFIG, STATS, 40000.0, PARAMS)
-        b = batched.allocate(CONFIG, STATS, 40000.0, PARAMS)
+    def test_allocate_same_without_kernel(self):
+        a = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0, PARAMS)
+        with numpy_kernels_off():
+            b = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0,
+                                               PARAMS)
         assert a.buckets == b.buckets
 
     def test_grid_path_matches_descent_flavours(self):
         config = Configuration.from_notation("(ABC(AB BC))")
-        grid = ExhaustiveAllocator(max_grid_relations=4, native=False)
-        grid_native = ExhaustiveAllocator(max_grid_relations=4)
-        assert (grid.allocate(config, STATS, 20000.0, PARAMS).buckets
-                == grid_native.allocate(config, STATS, 20000.0, PARAMS).buckets)
+        grid = ExhaustiveAllocator(max_grid_relations=4)
+        kernel = grid.allocate(config, STATS, 20000.0, PARAMS).buckets
+        with numpy_kernels_off():
+            assert grid.allocate(config, STATS, 20000.0,
+                                 PARAMS).buckets == kernel
 
 
 class _ExplodingModel:
@@ -199,13 +151,13 @@ class _ExplodingModel:
 
 
 class TestExceptionSafety:
-    """Regression: the pre-PR descent mutated the caller's list in place,
-    so an evaluator raising mid-scan left ``spaces`` corrupted."""
+    """The descent works on a copy, so an evaluator raising mid-scan
+    leaves the caller's ``spaces`` as they were."""
 
     def test_spaces_untouched_when_cost_raises(self):
         model = _ExplodingModel(fuse=40)
         evaluator = CostEvaluator(CONFIG, STATS, PARAMS, model, True)
-        allocator = ExhaustiveAllocator(native=False)
+        allocator = ExhaustiveAllocator()
         spaces = [7000.0, 6000.0, 8000.0, 6500.0, 6200.0, 6300.0]
         original = list(spaces)
         with pytest.raises(RuntimeError, match="boom"):

@@ -1,0 +1,99 @@
+"""The engine-level differential matrix.
+
+Does the data path compute exactly what the paper's record-at-a-time
+LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
+{C kernels, ``numpy_kernels``} x {flat, two-, three-level forest} x
+{unsharded, 2 shards} x {counts only, value column} over hypothesis
+streams; every per-relation counter and ``hfta.totals`` (float sums
+included) compared for equality. Both modes equal the reference, hence
+each other; without a compiler both run the numpy bodies and stay green.
+Kernel-function checks live beside the code they test, hand-built
+degenerate streams in ``test_native_ingest.py``.
+"""
+
+from contextlib import nullcontext
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro import QuerySet, RelationStatistics, StreamSystem, plan
+from repro.core.allocation import ExhaustiveAllocator
+from repro.core.configuration import Configuration
+from repro.core.cost_model import CostParameters
+from repro.gigascope.online import LiveStreamSystem
+from repro.native import descend, ingest, machine_info, merge, partition
+from repro.parallel import ShardedStreamSystem
+from tests.conftest import PAPER_GROUPS, numpy_kernels_off
+from tests.references import abc_stream, assert_matches_reference
+
+#: Deeper forests feed the kernel in parent emission order, not time order.
+FORESTS = {
+    "flat": ["AB", "A B", "AB BC"],
+    "two-level": ["ABC(AB BC)", "AB(A B) C"],
+    "three-level": ["ABC(AB(A B) C)", "ABC(AB(A B) BC)"],
+}
+
+streams = st.fixed_dictionaries({
+    "pick": st.integers(0, 5),
+    "seed": st.integers(0, 2**16),
+    "n": st.integers(50, 600),
+    "domain": st.integers(2, 6),
+    "duration": st.sampled_from([1.0, 4.0, 9.0]),
+    "epoch_seconds": st.sampled_from([0.7, 1.3, 2.5]),
+    "buckets": st.integers(2, 17),
+    "clustered": st.booleans(),
+})
+
+
+@pytest.mark.parametrize("values", [False, True], ids=["counts", "values"])
+@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+@pytest.mark.parametrize("forest", sorted(FORESTS))
+@pytest.mark.parametrize("mode", [nullcontext, numpy_kernels_off],
+                         ids=["kernels", "numpy_kernels"])
+@given(stream=streams)
+def test_engine_matches_reference(mode, forest, shards, values, stream):
+    notations = FORESTS[forest]
+    config = Configuration.from_notation(
+        notations[stream["pick"] % len(notations)])
+    dataset = abc_stream(stream["seed"], stream["n"], stream["domain"],
+                         stream["duration"], stream["clustered"])
+    buckets = {rel: stream["buckets"] + 2 * i
+               for i, rel in enumerate(config.relations)}
+    with mode():
+        assert_matches_reference(
+            dataset, config, buckets, stream["epoch_seconds"],
+            value_column="v" if values else None, shards=shards)
+
+
+def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
+    """Under ``numpy_kernels`` every entry point finishes without one
+    call into C, and the manifest says why."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kernel function called under numpy_kernels")
+
+    for module, function in ((ingest, "ingest_runs"), (merge, "merge_rows"),
+                             (partition, "hash_shards"),
+                             (partition, "scatter_lanes"),
+                             (descend, "descend")):
+        monkeypatch.setattr(module, function, unreachable)
+    dataset = abc_stream(4, 600, 5, 6.0, clustered=True)
+    queries = QuerySet.counts(["AB", "BC"], epoch_seconds=2.0)
+    stats = RelationStatistics.from_counts(PAPER_GROUPS)
+    the_plan = plan(queries, stats, 4000.0)
+    single = StreamSystem.from_plan(dataset, queries, the_plan).run()
+    sharded = ShardedStreamSystem.from_plan(
+        dataset, queries, the_plan, shards=2).run()
+    live = LiveStreamSystem(dataset.schema, queries, the_plan)
+    live.push_dataset(dataset)
+    live.finish()
+    ExhaustiveAllocator().allocate(
+        the_plan.configuration, stats, 4000.0, CostParameters())
+    for query in queries:
+        assert single.answers(query)
+        assert sharded.answers(query) == single.answers(query)
+        assert live.hfta.all_answers(query) == single.answers(query)
+    kernels = machine_info()["kernels"]
+    assert set(kernels) == {"engine_ingest", "es_descend", "hfta_merge",
+                            "shard_partition"}
+    assert all(k["disabled"] and not k["available"]
+               for k in kernels.values())

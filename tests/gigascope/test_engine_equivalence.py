@@ -18,10 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.configuration import Configuration
 from repro.gigascope.engine import simulate
-from repro.gigascope.lfta import run_reference
-from repro.gigascope.records import Dataset, StreamSchema
-
-SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("len",))
+from repro.gigascope.records import Dataset
+from tests.references import (ABC_SCHEMA as SCHEMA, abc_stream,
+                              assert_matches_reference as assert_equivalent)
 
 CONFIGS = [
     "A B C",
@@ -34,31 +33,18 @@ CONFIGS = [
 
 
 def random_dataset(n, seed, domain=4, duration=5.0):
-    rng = np.random.default_rng(seed)
-    return Dataset(
-        SCHEMA,
-        {name: rng.integers(0, domain, n) for name in SCHEMA.attributes},
-        np.sort(rng.uniform(0, duration, n)),
-        {"len": rng.uniform(40, 1500, n)},
-    )
+    return abc_stream(seed, n, domain, duration, clustered=False)
 
 
-def clustered_dataset(n, seed, domain=4, run_length=6, duration=5.0):
-    rng = np.random.default_rng(seed)
-    n_runs = max(1, n // run_length)
-    lengths = rng.integers(1, 2 * run_length, n_runs)
-    cols = {name: np.repeat(rng.integers(0, domain, n_runs), lengths)[:n]
-            for name in SCHEMA.attributes}
-    m = len(next(iter(cols.values())))
-    return Dataset(SCHEMA, cols, np.sort(rng.uniform(0, duration, m)),
-                   {"len": rng.uniform(40, 1500, m)})
+def clustered_dataset(n, seed, domain=4, duration=5.0):
+    return abc_stream(seed, n, domain, duration, clustered=True)
 
 
 def exact_groupby(dataset, attrs, epoch_seconds):
     """Ground-truth (epoch, group) -> (count, value_sum)."""
     out = defaultdict(lambda: [0, 0.0])
     epochs = np.floor(dataset.timestamps / epoch_seconds).astype(int)
-    values = dataset.values.get("len")
+    values = dataset.values.get("v")
     for i in range(len(dataset)):
         group = tuple(int(dataset.columns[a][i]) for a in attrs)
         entry = out[(int(epochs[i]), group)]
@@ -66,26 +52,6 @@ def exact_groupby(dataset, attrs, epoch_seconds):
         if values is not None:
             entry[1] += float(values[i])
     return out
-
-
-def assert_equivalent(dataset, config, buckets, epoch_seconds,
-                      value_column=None):
-    vec = simulate(dataset, config, buckets, epoch_seconds, value_column)
-    ref = run_reference(dataset, config, buckets, epoch_seconds,
-                        value_column)
-    for rel in config.relations:
-        a = vec.counters.counters(rel)
-        b = ref.counters.counters(rel)
-        assert (a.arrivals_intra, a.arrivals_flush,
-                a.evictions_intra, a.evictions_flush) == \
-               (b.arrivals_intra, b.arrivals_flush,
-                b.evictions_intra, b.evictions_flush), f"counters differ at {rel}"
-    assert vec.hfta.evictions_received == ref.hfta.evictions_received
-    for leaf in config.leaves:
-        for epoch in vec.hfta.epochs(leaf):
-            assert vec.hfta.totals(leaf, epoch) == \
-                ref.hfta.totals(leaf, epoch)
-    return vec
 
 
 @pytest.mark.parametrize("notation", CONFIGS)
@@ -96,7 +62,7 @@ def test_engine_matches_reference(notation, maker):
     config = Configuration.from_notation(notation)
     buckets = {rel: 3 + 2 * i for i, rel in enumerate(config.relations)}
     assert_equivalent(dataset, config, buckets, epoch_seconds=2.0,
-                      value_column="len")
+                      value_column="v")
 
 
 @pytest.mark.parametrize("notation", CONFIGS)
@@ -106,7 +72,7 @@ def test_hfta_answers_are_exact(notation):
     config = Configuration.from_notation(notation)
     buckets = {rel: 2 for rel in config.relations}  # brutal collision rates
     result = simulate(dataset, config, buckets, epoch_seconds=2.0,
-                      value_column="len")
+                      value_column="v")
     for leaf in config.leaves:
         exact = exact_groupby(dataset, leaf, 2.0)
         got = {}
@@ -151,7 +117,7 @@ def test_empty_epochs_are_skipped():
         {name: rng.integers(0, 3, 10) for name in SCHEMA.attributes},
         np.concatenate([np.linspace(0, 0.5, 5),
                         np.linspace(10.0, 10.5, 5)]),
-        {"len": rng.uniform(40, 1500, 10)},
+        {"v": rng.uniform(40, 1500, 10)},
     )
     config = Configuration.from_notation("AB(A B)")
     result = simulate(dataset, config, {rel: 4 for rel in config.relations},

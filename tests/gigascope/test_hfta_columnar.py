@@ -38,10 +38,7 @@ from repro.gigascope.hfta import (
     _fold_rows_numpy,
 )
 from repro.native import merge as native_merge
-
-needs_kernel = pytest.mark.skipif(
-    not native_merge.kernel_available(),
-    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
+from tests.conftest import needs_kernel
 
 # NaN workloads trip numpy's elementwise warnings inside minimum.at /
 # maximum.at; the NaN propagation itself is exactly what's under test.
@@ -350,9 +347,8 @@ class TestKernelVsNumpyFold:
         assert exotic.totals(rel, 1) == {(1,): GroupAggregate(3)}
         assert not calls
 
-    def test_no_ckernel_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setattr(native_merge, "kernel_available",
-                            lambda: False)
+    def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
+        assert not native_merge.kernel_available()
         hfta = HFTA()
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 2], [0.5, 0.25])

@@ -1,168 +1,44 @@
-"""Differential equivalence of the fused C ingest kernel.
+"""The ingest kernel's degenerate shapes, and the shared build machinery.
 
-The native accounting pass (:mod:`repro.native.ingest`) promises answers
-and cost counters *bit-identical* to the numpy engine path — the
-accounting pass is the paper's measured quantity, so "close" is not
-good enough. Hypothesis generates workloads and every one is run with
-``native=True`` and ``native=False`` — directly and through the sharded
-system — and compared field by field.
-
-When no C compiler is available (or ``REPRO_NO_CKERNEL=1`` is set, the
-CI matrix leg), ``native=True`` falls back to the numpy path and the
-differential tests degenerate to numpy-vs-numpy — still green, which is
-exactly the opt-out contract.
+Hand-built streams most likely to break a fused pass, each run with the
+kernels and under ``numpy_kernels_off`` against the sequential reference
+(the hypothesis matrix is ``test_differential.py``), and the tests of
+:mod:`repro.native.build`: one load attempt and one warning per kernel,
+the opt-out, the on-disk cache.
 """
+
+import ctypes
+import stat
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.configuration import Configuration
-from repro.core.queries import QuerySet
-from repro.gigascope import Dataset, StreamSchema, StreamSystem, simulate
+from repro.gigascope import Dataset, StreamSchema, simulate
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
 from repro.native import partition as native_partition
-from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
-
-SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
-
-CONFIGS = [
-    "AB",
-    "A B",
-    "AB BC",
-    "ABC(AB BC)",
-    "ABC(AB(A B) C)",
-]
-
-needs_kernel = pytest.mark.skipif(
-    not native_ingest.kernel_available(),
-    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
-
-
-def _dataset(seed: int, n: int, domain: int, duration: float,
-             clustered: bool) -> Dataset:
-    rng = np.random.default_rng(seed)
-    if clustered:
-        n_runs = max(1, n // 5)
-        lengths = rng.integers(1, 10, n_runs)
-        cols = {name: np.repeat(rng.integers(0, domain, n_runs),
-                                lengths)[:n]
-                for name in SCHEMA.attributes}
-        n = len(next(iter(cols.values())))
-    else:
-        cols = {name: rng.integers(0, domain, n)
-                for name in SCHEMA.attributes}
-    return Dataset(SCHEMA, cols, np.sort(rng.uniform(0, duration, n)),
-                   {"v": rng.uniform(40, 1500, n)})
-
-
-workloads = st.fixed_dictionaries({
-    "notation": st.sampled_from(CONFIGS),
-    "seed": st.integers(0, 2**16),
-    "n": st.integers(50, 600),
-    "domain": st.integers(2, 6),
-    "duration": st.sampled_from([1.0, 4.0, 9.0]),
-    "epoch_seconds": st.sampled_from([0.7, 1.3, 2.5]),
-    "buckets": st.integers(2, 17),
-    "clustered": st.booleans(),
-    "values": st.booleans(),
-})
-
-
-def _run(workload, native):
-    config = Configuration.from_notation(workload["notation"])
-    dataset = _dataset(workload["seed"], workload["n"],
-                       workload["domain"], workload["duration"],
-                       workload["clustered"])
-    buckets = {rel: workload["buckets"] + 2 * i
-               for i, rel in enumerate(config.relations)}
-    return config, simulate(
-        dataset, config, buckets, workload["epoch_seconds"],
-        value_column="v" if workload["values"] else None,
-        native=native)
-
-
-def _answers(result, config):
-    return {
-        (leaf, epoch): result.hfta.totals(leaf, epoch)
-        for leaf in config.leaves
-        for epoch in result.hfta.epochs(leaf)
-    }
-
-
-def _assert_equal_runs(ref, ref_config, got, got_config):
-    assert got.counters.relations == ref.counters.relations
-    assert _answers(got, got_config) == _answers(ref, ref_config)
-    assert got.n_records == ref.n_records
-    assert got.n_epochs == ref.n_epochs
-
-
-class TestKernelDifferential:
-    @given(workload=workloads)
-    def test_native_matches_numpy(self, workload):
-        """Answers (including float sums) and every per-relation counter
-        are bit-identical between the kernel and the numpy path."""
-        config, ref = _run(workload, native=False)
-        got_config, got = _run(workload, native=True)
-        _assert_equal_runs(ref, config, got, got_config)
-
-
-class TestShardedDifferential:
-    @given(data=st.data())
-    @settings(max_examples=3, deadline=None)
-    def test_native_agrees_sharded_and_single(self, data):
-        """A sharded native run's answers and merged counters equal the
-        sharded numpy run's, and its answers the unsharded system's,
-        example by example — on a flat configuration of the drawn
-        queries and on a three-level forest (fed relations reach the
-        kernel in parent emission order)."""
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        domain = data.draw(st.integers(3, 6), label="domain")
-        labels = data.draw(
-            st.sets(st.sampled_from(["A", "B", "AB", "BC", "AC"]),
-                    min_size=1, max_size=3),
-            label="queries")
-        flat = QuerySet.counts(sorted(labels), epoch_seconds=2.5)
-        forest = Configuration.from_notation("ABC(AB(A B) BC)")
-        dataset = _dataset(seed, 800, domain, 8.0, clustered=False)
-
-        for queries, config in (
-                (flat, Configuration.flat([q.group_by for q in flat])),
-                (QuerySet.counts(["A", "B", "BC"], epoch_seconds=2.5),
-                 forest)):
-            buckets = {rel: 5 for rel in config.relations}
-            reports = {}
-            for native in (False, True):
-                system = ShardedStreamSystem(
-                    dataset, queries, config, buckets, shards=2,
-                    native=native)
-                reports[native] = system.run()
-            ref, got = reports[False], reports[True]
-            single = StreamSystem(dataset, queries, config, buckets).run()
-            for query in queries:
-                assert got.answers(query) == ref.answers(query)
-                assert got.answers(query) == single.answers(query)
-                assert ref.answers(query)
-            assert got.result.counters.relations == \
-                ref.result.counters.relations
-            assert got.result.n_records == ref.result.n_records
-            assert got.result.n_epochs == ref.result.n_epochs
+from repro.parallel import HashPartitioner, split_dataset
+from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.references import (ABC_SCHEMA as SCHEMA, abc_stream as _dataset,
+                              assert_matches_reference)
 
 
 class TestDegenerateShapes:
     """The kernel shapes most likely to break a fused pass, each pinned
-    counter- and answer-identical to the numpy path."""
+    counter- and answer-identical to the sequential reference on both
+    the kernel and the numpy path."""
 
-    def _compare(self, config, dataset, buckets, epoch_seconds,
-                 value_column=None):
-        ref = simulate(dataset, config, buckets, epoch_seconds,
-                       value_column=value_column, native=False)
-        got = simulate(dataset, config, buckets, epoch_seconds,
-                       value_column=value_column, native=True)
-        _assert_equal_runs(ref, config, got, config)
-        return ref, got
+    def _compare(self, config, dataset, buckets, epoch_seconds):
+        got = assert_matches_reference(dataset, config, buckets,
+                                       epoch_seconds, "v")
+        with numpy_kernels_off():
+            assert_matches_reference(dataset, config, buckets,
+                                     epoch_seconds, "v")
+        return got
 
     def test_empty_dataset(self):
         config = Configuration.from_notation("AB")
@@ -172,8 +48,7 @@ class TestDegenerateShapes:
                           np.array([], dtype=np.float64),
                           {"v": np.array([], dtype=np.float64)})
         buckets = {rel: 4 for rel in config.relations}
-        ref, got = self._compare(config, dataset, buckets, 1.0,
-                                 value_column="v")
+        got = self._compare(config, dataset, buckets, 1.0)
         assert got.n_records == 0
 
     def test_empty_epochs_between_batches(self):
@@ -185,13 +60,13 @@ class TestDegenerateShapes:
         dataset = Dataset(SCHEMA, cols, times,
                           {"v": np.linspace(1.0, 5.0, 5)})
         buckets = {rel: 3 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.0, value_column="v")
+        self._compare(config, dataset, buckets, 1.0)
 
     def test_single_record_batches(self):
         config = Configuration.from_notation("AB BC")
         dataset = _dataset(3, 1, 2, 1.0, clustered=False)
         buckets = {rel: 7 for rel in config.relations}
-        self._compare(config, dataset, buckets, 0.5, value_column="v")
+        self._compare(config, dataset, buckets, 0.5)
 
     def test_all_records_collide(self):
         """Every record a distinct group, one bucket: every intra-epoch
@@ -204,16 +79,15 @@ class TestDegenerateShapes:
                           np.linspace(0.0, 0.9, n),
                           {"v": np.linspace(1.0, 2.0, n)})
         buckets = {rel: 1 for rel in config.relations}
-        ref, _ = self._compare(config, dataset, buckets, 1.0,
-                               value_column="v")
-        (counters,) = ref.counters.relations.values()
+        got = self._compare(config, dataset, buckets, 1.0)
+        (counters,) = got.counters.relations.values()
         assert counters.evictions_intra == n - 1
 
     def test_b1_tables_deep_forest(self):
         config = Configuration.from_notation("ABC(AB(A B) C)")
         dataset = _dataset(11, 200, 3, 4.0, clustered=True)
         buckets = {rel: 1 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.3, value_column="v")
+        self._compare(config, dataset, buckets, 1.3)
 
     def test_max_width_packed_keys(self):
         """Eight wide-domain attributes force the numpy path's
@@ -228,7 +102,7 @@ class TestDegenerateShapes:
         dataset = Dataset(schema, cols, np.sort(rng.uniform(0, 3.0, n)),
                           {"v": rng.uniform(0, 10, n)})
         buckets = {rel: 9 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.0, value_column="v")
+        self._compare(config, dataset, buckets, 1.0)
 
     @needs_kernel
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -244,10 +118,9 @@ class TestDegenerateShapes:
         dataset = Dataset(SCHEMA, cols, np.sort(rng.uniform(0, 2.0, n)),
                           {"v": vals})
         buckets = {rel: 2 for rel in config.relations}
-        ref = simulate(dataset, config, buckets, 0.9, value_column="v",
-                       native=False)
-        got = simulate(dataset, config, buckets, 0.9, value_column="v",
-                       native=True)
+        got = simulate(dataset, config, buckets, 0.9, value_column="v")
+        with numpy_kernels_off():
+            ref = simulate(dataset, config, buckets, 0.9, value_column="v")
         assert got.counters.relations == ref.counters.relations
         for leaf in config.leaves:
             assert ref.hfta.epochs(leaf) == got.hfta.epochs(leaf)
@@ -260,34 +133,36 @@ class TestDegenerateShapes:
                         np.asarray(b[group], dtype=np.float64))
 
 
-class TestBuildMachinery:
-    def test_failed_compile_warns_once_and_records_error(self, monkeypatch):
-        import warnings
+_ANSWER = {"repro_answer": (ctypes.c_int, [])}
+_ANSWER_SOURCE = "int repro_answer(void) { return %d; }"
 
+
+class TestBuildMachinery:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        """Each test starts as a new process would: nothing attempted."""
+        monkeypatch.setattr(native_build, "_statuses", {})
+
+    def test_failed_compile_warns_once_and_records_error(self, monkeypatch):
         monkeypatch.delenv(native_build.DISABLE_ENV, raising=False)
         name = "test_bad_source_kernel"
-        native_build._statuses.pop(name, None)
         with pytest.warns(RuntimeWarning, match=name):
-            assert native_build.load_kernel(name, "this is not C") is None
+            assert native_build.load_kernel(name, "this is not C", {}) is None
         status = native_build.kernel_status(name)
         assert status is not None and not status.available
         assert status.error
         # Second load: cached failure, no second warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert native_build.load_kernel(name, "this is not C") is None
+            assert native_build.load_kernel(name, "this is not C", {}) is None
         # The same failure inside a kernel module: the partition kernel's
         # callers degrade to their numpy bodies with identical output.
         name = native_partition.KERNEL_NAME
         dataset = _dataset(3, 500, 40, 4.0, clustered=False)
-        native_partition.kernel_available()
         ids = HashPartitioner().shard_ids(dataset, 3)
         shards = split_dataset(dataset, ids, 3)
         monkeypatch.setattr(native_partition, "_SOURCE", "this is not C")
-        monkeypatch.setattr(native_partition, "_tried", False)
-        monkeypatch.setattr(native_partition, "_lib", None)
-        monkeypatch.delitem(native_build._statuses, name)
-        monkeypatch.delitem(native_build._libs, name, raising=False)
+        native_build._statuses.pop(name, None)  # forget the good load
         with pytest.warns(RuntimeWarning, match=name):
             assert not native_partition.kernel_available()
         with warnings.catch_warnings():
@@ -297,23 +172,54 @@ class TestBuildMachinery:
             for got, want in zip(split_dataset(dataset, ids, 3), shards):
                 assert np.array_equal(got.timestamps, want.timestamps)
                 assert np.array_equal(got.values["v"], want.values["v"])
-        status = machine_info(probe=False)["kernels"][name]
+        status = machine_info()["kernels"][name]
         assert not status["available"] and not status["disabled"]
         assert status["error"]
 
     def test_opt_out_env_suppresses_attempt(self, monkeypatch):
         monkeypatch.setenv(native_build.DISABLE_ENV, "1")
         name = "test_disabled_kernel"
-        native_build._statuses.pop(name, None)
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")  # opting out must not warn
-            assert native_build.load_kernel(name, "int x;") is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # opting out must not warn
+            assert native_build.load_kernel(name, "int x;", {}) is None
         status = native_build.kernel_status(name)
         assert status.disabled and not status.available
 
     @needs_kernel
+    @pytest.mark.parametrize("planted", ["corrupt", "group-writable"])
+    def test_bad_cache_file_is_rebuilt_not_loaded(self, planted,
+                                                  monkeypatch, tmp_path):
+        """A truncated cache file must not disable the kernel for every
+        later process, and a file somebody else could have written under
+        the predictable name must not be loaded at all."""
+        monkeypatch.delenv(native_build.DISABLE_ENV, raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        name, source = "test_cache_kernel", _ANSWER_SOURCE % 42
+        cache = native_build._cache_path(name, source,
+                                         native_build.DEFAULT_FLAGS)
+        if planted == "corrupt":
+            cache.write_bytes(b"\x7fELF, then nothing")
+        else:
+            assert native_build._compile(
+                native_build.compiler_path(), name, _ANSWER_SOURCE % 7,
+                native_build.DEFAULT_FLAGS, cache,
+                native_build.KernelStatus(name))
+            cache.chmod(0o775)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lib = native_build.load_kernel(name, source, _ANSWER)
+        assert lib is not None and lib.repro_answer() == 42
+        assert native_build.kernel_status(name).available
+        assert not cache.stat().st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+        # The next process finds a file it can load.
+        monkeypatch.setattr(native_build, "_statuses", {})
+        built = cache.stat().st_mtime_ns
+        assert native_build.load_kernel(name, source, _ANSWER) is not None
+        assert cache.stat().st_mtime_ns == built
+
+    @needs_kernel
     def test_ingest_kernel_reports_available(self):
+        assert native_ingest.kernel_available()
         status = native_build.kernel_status(native_ingest.KERNEL_NAME)
         assert status is not None and status.available
         assert status.compiler

@@ -1,16 +1,12 @@
 """Tests for the stream partitioners."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import repro.parallel.partition as partition_module
 from repro import AttributeSet, StreamSchema
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.records import Dataset
-from repro.native import partition as native_partition
 from repro.parallel import (
     HashPartitioner,
     KeyRangePartitioner,
@@ -20,21 +16,11 @@ from repro.parallel import (
     split_dataset,
 )
 from repro.workloads import make_group_universe, uniform_dataset
+from tests.conftest import needs_kernel, numpy_kernels_off
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
 _KEY_SCHEMA = StreamSchema(("A",))
-
-needs_kernel = pytest.mark.skipif(
-    not native_partition.kernel_available(),
-    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
-
-
-def numpy_path():
-    """Run the partition module's numpy bodies: the fallback of a host
-    without the kernel, and the oracle the kernel is compared against."""
-    return mock.patch.object(partition_module, "kernel_available",
-                             lambda: False)
 
 
 def _key_dataset(values) -> Dataset:
@@ -197,7 +183,7 @@ class TestSplitDataset:
             for call in calls:
                 with pytest.raises(ConfigurationError) as kernel:
                     call(ids)
-                with numpy_path(), \
+                with numpy_kernels_off(), \
                         pytest.raises(ConfigurationError) as fallback:
                     call(ids)
                 messages |= {str(kernel.value), str(fallback.value)}
@@ -210,7 +196,7 @@ class TestSplitDataset:
                     np.zeros((len(dataset), 1), dtype=np.int64)):
             with pytest.raises(ConfigurationError, match="shape"):
                 split_dataset(dataset, ids, 2)
-            with numpy_path(), \
+            with numpy_kernels_off(), \
                     pytest.raises(ConfigurationError, match="shape"):
                 split_dataset(dataset, ids, 2)
 
@@ -270,7 +256,7 @@ def _assert_split_agrees(data: Dataset, ids: np.ndarray, n_shards: int):
     """Kernel scatter == numpy masks, lane for lane, and every shard is
     a dataset the engine can take as it is."""
     shards = split_dataset(data, ids, n_shards)
-    with numpy_path():
+    with numpy_kernels_off():
         expected = split_dataset(data, ids, n_shards)
     assert len(shards) == len(expected) == n_shards
     for shard, (index, ref) in zip(shards, enumerate(expected)):
@@ -302,7 +288,7 @@ class TestKernelDifferential:
         like numpy's ``astype`` — INT64_MIN/-1/INT64_MAX included."""
         part = HashPartitioner(key, salt)
         ids = part.shard_ids(data, n_shards)
-        with numpy_path():
+        with numpy_kernels_off():
             expected = part.shard_ids(data, n_shards)
         assert ids.dtype == expected.dtype == np.int64
         assert np.array_equal(ids, expected)
@@ -337,7 +323,7 @@ class TestKernelDifferential:
                        {**dataset.columns, "A": wide[::2]},
                        dataset.timestamps, {})
         ids = HashPartitioner().shard_ids(data, 3)
-        with numpy_path():
+        with numpy_kernels_off():
             assert np.array_equal(ids, HashPartitioner().shard_ids(data, 3))
         _assert_split_agrees(data, ids.astype(np.int32), 3)
 

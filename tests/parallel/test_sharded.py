@@ -2,12 +2,10 @@
 
 import multiprocessing
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import repro.parallel.partition as partition_module
 from repro import (
     Aggregate,
     AggregationQuery,
@@ -36,6 +34,7 @@ from repro.workloads import (
     paper_like_trace,
     uniform_dataset,
 )
+from tests.conftest import numpy_kernels_off
 
 
 def A(label):
@@ -183,8 +182,7 @@ class TestCounterConsistency:
         # cut the same shards: same balance, counters and answers.
         fallback = ShardedStreamSystem.from_plan(
             netflow, queries, the_plan, shards=4, partitioner=partitioner)
-        with mock.patch.object(partition_module, "kernel_available",
-                               lambda: False):
+        with numpy_kernels_off():
             numpy_report = fallback.run()
         assert fallback.partition_summary == system.partition_summary
         assert numpy_report.result.counters.relations == merged.relations

@@ -8,6 +8,10 @@ from scratch. ``tests/core/test_feeding_graph.py`` and
 ``tests/core/test_sketches.py`` compare the production code against
 them input by input; ``tests/service/test_service.py`` swaps them in
 for a whole churn run and requires the same sequence of plans.
+
+For the data path the reference is the record-at-a-time ``SequentialLFTA``:
+:func:`assert_matches_reference` compares an engine run, unsharded or
+sharded, on whichever kernels the caller left available, with it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,14 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.attributes import AttributeSet
+from repro.core.queries import QuerySet
+from repro.gigascope import Dataset, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
+from repro.gigascope.lfta import run_reference
+from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
+from repro.parallel.merge import merge_results
+
+ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
 
 
 def reference_phantoms(query_attrs) -> list[AttributeSet]:
@@ -63,3 +74,60 @@ def reference_observe(collector, columns) -> None:
         if collector._runs is not None:
             collector._runs[rel].update(codes)
     collector.records_seen += int(n or 0)
+
+
+def abc_stream(seed: int, n: int, domain: int, duration: float,
+               clustered: bool) -> Dataset:
+    """A small A/B/C stream with a value column; ``clustered`` repeats
+    each group for a run of records, as flows do."""
+    rng = np.random.default_rng(seed)
+    if clustered:
+        n_runs = max(1, n // 5)
+        lengths = rng.integers(1, 10, n_runs)
+        cols = {name: np.repeat(rng.integers(0, domain, n_runs),
+                                lengths)[:n]
+                for name in ABC_SCHEMA.attributes}
+        n = len(next(iter(cols.values())))
+    else:
+        cols = {name: rng.integers(0, domain, n)
+                for name in ABC_SCHEMA.attributes}
+    return Dataset(ABC_SCHEMA, cols, np.sort(rng.uniform(0, duration, n)),
+                   {"v": rng.uniform(40, 1500, n)})
+
+
+def assert_matches_reference(dataset, config, buckets, epoch_seconds,
+                             value_column=None, shards=1):
+    """The engine's counters and HFTA totals equal the sequential
+    reference's, field for field; returns the engine's result.
+
+    With ``shards > 1`` the engine side is a ``ShardedStreamSystem`` run
+    and the reference side the sequential LFTA over each shard of the
+    same partition, merged — so the partitioner, the per-shard engines
+    and the merge are all inside the comparison.
+    """
+    if shards == 1:
+        got = simulate(dataset, config, buckets, epoch_seconds,
+                       value_column)
+        ref = run_reference(dataset, config, buckets, epoch_seconds,
+                            value_column)
+    else:
+        queries = QuerySet.counts([leaf.label() for leaf in config.leaves],
+                                  epoch_seconds=epoch_seconds)
+        system = ShardedStreamSystem(dataset, queries, config, buckets,
+                                     value_column=value_column,
+                                     shards=shards)
+        got = system.run().result
+        ids = HashPartitioner().shard_ids(dataset, shards)
+        ref = merge_results(
+            [run_reference(part, config, system.shard_buckets,
+                           epoch_seconds, value_column)
+             for part in split_dataset(dataset, ids, shards) if len(part)],
+            config)
+    assert got.counters.relations == ref.counters.relations
+    assert got.hfta.evictions_received == ref.hfta.evictions_received
+    for leaf in config.leaves:
+        assert got.hfta.epochs(leaf) == ref.hfta.epochs(leaf)
+        for epoch in ref.hfta.epochs(leaf):
+            assert got.hfta.totals(leaf, epoch) == \
+                ref.hfta.totals(leaf, epoch)
+    return got
