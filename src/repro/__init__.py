@@ -43,7 +43,6 @@ from repro.parallel import (
     RoundRobinPartitioner,
     ShardedStreamSystem,
 )
-from repro.resilience import FaultPlan, ResilienceReport, RetryPolicy
 from repro.service import (
     AdmissionError,
     AdmissionPolicy,
@@ -71,12 +70,9 @@ __all__ = [
     "StreamService",
     "plan",
     "Dataset",
-    "FaultPlan",
     "HashPartitioner",
     "KeyRangePartitioner",
     "MetricsRegistry",
-    "ResilienceReport",
-    "RetryPolicy",
     "RoundRobinPartitioner",
     "RunManifest",
     "RunReport",

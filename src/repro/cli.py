@@ -19,7 +19,6 @@ the recorded phase spans; both imply ``--execute``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,13 +27,12 @@ from repro.core.explain import explain
 from repro.core.feeding_graph import FeedingGraph
 from repro.core.optimizer import plan
 from repro.core.sql import parse_workload
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.gigascope.load import LoadModel
 from repro.gigascope.online import LiveStreamSystem
 from repro.gigascope.runtime import StreamSystem
 from repro.observability import MetricsRegistry, RunManifest
 from repro.parallel import ShardedStreamSystem, make_partitioner
-from repro.resilience import FaultPlan, RetryPolicy
 from repro.workloads.datasets import measure_statistics
 from repro.workloads.io import load_csv, load_npz
 
@@ -76,15 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record-to-shard strategy for --shards > 1")
     parser.add_argument("--partition-column", default=None,
                         help="attribute for --partition range")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="retries per failing shard before the run "
-                             "fails (default 2)")
-    parser.add_argument("--fault-plan", default=None, metavar="PATH",
-                        help="JSON fault plan to inject into sharded "
-                             "execution — either a bare plan or a "
-                             "--metrics-json manifest whose resilience "
-                             "section embeds one (reproduces a recorded "
-                             "failure); requires --shards > 1")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="execute incrementally through the live "
                              "runtime, checkpointing after every batch "
@@ -98,26 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the recorded phase spans after "
                              "execution; implies --execute")
     return parser
-
-
-def _load_fault_plan(path_text: str) -> FaultPlan:
-    """Read a fault plan from a bare JSON file or a run manifest."""
-    path = Path(path_text)
-    if not path.exists():
-        raise ReproError(f"no such fault-plan file: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read fault plan {path}: {exc}") from exc
-    if isinstance(data, dict):
-        if isinstance(data.get("resilience"), dict):  # a full manifest
-            data = data["resilience"]
-        if isinstance(data.get("fault_plan"), dict):  # a resilience section
-            data = data["fault_plan"]
-        if "faults" in data:
-            return FaultPlan.from_dict(data)
-    raise ReproError(f"{path} contains no fault plan (expected a "
-                     "'faults' list, possibly under resilience.fault_plan)")
 
 
 def _load_dataset(path_text: str, value_columns: tuple[str, ...]):
@@ -136,6 +105,24 @@ def _load_dataset(path_text: str, value_columns: tuple[str, ...]):
 _CHECKPOINT_BATCHES = 16
 
 
+def _check_resumable(live: LiveStreamSystem, ckpt: Path, dataset,
+                     queries) -> None:
+    """Refuse a snapshot that another workload or dataset wrote."""
+    if list(live.queries) != list(queries):
+        mismatch = (f"queries {[str(q) for q in live.queries]}, this run "
+                    f"asks for {[str(q) for q in queries]}")
+    elif tuple(live.schema.attributes) != tuple(dataset.schema.attributes):
+        mismatch = (f"schema attributes {list(live.schema.attributes)}, "
+                    f"the dataset has {list(dataset.schema.attributes)}")
+    elif live.records_seen > len(dataset):
+        mismatch = (f"{live.records_seen} ingested records, the dataset "
+                    f"has {len(dataset)}")
+    else:
+        return
+    raise CheckpointError(
+        f"checkpoint {ckpt} belongs to another run: it holds {mismatch}")
+
+
 def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
                           where, registry, checkpoint_dir) -> LiveStreamSystem:
     """Stream through the live runtime, snapshotting as we go.
@@ -149,6 +136,7 @@ def _execute_checkpointed(dataset, queries, the_plan, params, value_column,
     ckpt = Path(checkpoint_dir) / "live.ckpt"
     if ckpt.exists():
         live = LiveStreamSystem.restore(ckpt, registry=registry)
+        _check_resumable(live, ckpt, dataset, queries)
         print(f"resuming from {ckpt} "
               f"({live.records_seen} records already ingested)")
     else:
@@ -179,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shards must be >= 1")
     if args.partition == "range" and args.partition_column is None:
         parser.error("--partition range requires --partition-column")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.fault_plan is not None and args.shards <= 1:
-        parser.error("--fault-plan requires --shards > 1")
     if args.checkpoint_dir is not None and args.shards > 1:
         parser.error("--checkpoint-dir runs the single-core live "
                      "runtime; drop --shards")
@@ -233,15 +217,11 @@ def main(argv: list[str] | None = None) -> int:
             elif args.shards > 1:
                 partitioner = make_partitioner(
                     args.partition, column=args.partition_column)
-                fault_plan = (_load_fault_plan(args.fault_plan)
-                              if args.fault_plan is not None else None)
                 system = ShardedStreamSystem.from_plan(
                     dataset, queries, the_plan, params=params,
                     value_column=value_column, where=where,
                     shards=args.shards, partitioner=partitioner,
-                    registry=registry,
-                    retry=RetryPolicy(max_attempts=args.max_retries + 1),
-                    fault_plan=fault_plan)
+                    registry=registry)
                 report = system.run()
             else:
                 system = StreamSystem.from_plan(dataset, queries, the_plan,

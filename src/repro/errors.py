@@ -46,19 +46,17 @@ class WorkloadError(ReproError):
 
 
 class ShardExecutionError(ReproError):
-    """A shard run failed on every attempt its retry policy allowed.
+    """A shard's one engine run raised.
 
-    Carries the shard index and job metadata so operators see *which*
-    partition of the stream failed instead of the raw underlying
-    exception, which is chained as ``__cause__``.
+    Carries the shard index and record count so operators see *which*
+    partition of the stream failed; the underlying exception is chained
+    as ``__cause__``.
     """
 
     def __init__(self, message: str, *, shard: int | None = None,
-                 attempts: int | None = None,
                  records: int | None = None):
         super().__init__(message)
         self.shard = shard
-        self.attempts = attempts
         self.records = records
 
 

@@ -18,10 +18,8 @@ from repro.core.optimizer import Plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
-from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
-from repro.observability.tracing import trace
 
 __all__ = ["StreamSystem", "RunReport"]
 
@@ -33,10 +31,6 @@ class RunReport:
     result: SimulationResult
     params: CostParameters
     queries: QuerySet
-    #: Recovery story of a sharded run (attempts, faults, fallbacks) —
-    #: a :class:`~repro.resilience.ResilienceReport`; None for
-    #: single-core runs.
-    resilience: object | None = None
 
     @property
     def intra_cost(self) -> CostBreakdown:
@@ -77,9 +71,6 @@ class RunReport:
             f"HFTA merge        : {hfta.folds} folds over "
             f"{hfta.rows_folded} rows ({merge_path} kernel)",
         ]
-        if self.resilience is not None and self.resilience.total_retries:
-            lines.append(
-                f"shard retries     : {self.resilience.total_retries}")
         return "\n".join(lines)
 
 
@@ -92,7 +83,6 @@ class StreamSystem:
                  plan: Plan | None = None,
                  params: CostParameters | None = None,
                  value_column: str | None = None,
-                 engine: str = "vectorized",
                  salt_seed: int = 0,
                  where=None):
         if where is not None:
@@ -116,8 +106,6 @@ class StreamSystem:
                 f"{[rel.label() for rel in unbucketed]}")
         for rel in configuration.relations:
             dataset.schema.attribute_set(rel)
-        if engine not in ("vectorized", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
         needs_value = any(q.aggregate.needs_value or q.aggregate.needs_minmax
                           for q in queries)
         if needs_value and value_column is None:
@@ -132,7 +120,6 @@ class StreamSystem:
         self.buckets = {rel: int(b) for rel, b in buckets.items()}
         self.params = params or CostParameters()
         self.value_column = value_column
-        self.engine = engine
         self.salt_seed = salt_seed
 
     @classmethod
@@ -146,17 +133,7 @@ class StreamSystem:
         An optional :class:`~repro.observability.MetricsRegistry` records
         the ``engine`` phase span and record/epoch counters.
         """
-        if self.engine == "vectorized":
-            result = simulate(self.dataset, self.configuration, self.buckets,
-                              self.queries.epoch_seconds, self.value_column,
-                              self.salt_seed, registry=registry)
-        else:
-            with trace(registry, "engine"):
-                result = run_reference(
-                    self.dataset, self.configuration, self.buckets,
-                    self.queries.epoch_seconds, self.value_column,
-                    self.salt_seed)
-            if registry is not None:
-                registry.counter("engine.records").inc(result.n_records)
-                registry.counter("engine.epochs").inc(result.n_epochs)
+        result = simulate(self.dataset, self.configuration, self.buckets,
+                          self.queries.epoch_seconds, self.value_column,
+                          self.salt_seed, registry=registry)
         return RunReport(result, self.params, self.queries)

@@ -71,7 +71,6 @@ class RunManifest:
     shards: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
     reconfigurations: list[dict] = field(default_factory=list)
-    resilience: dict = field(default_factory=dict)
     #: Host + native-kernel diagnostics (platform, compiler, per-kernel
     #: availability and compile errors) from
     #: :func:`repro.native.machine_info` — the record of whether this
@@ -84,7 +83,7 @@ class RunManifest:
     def collect(cls, report=None, *, plan=None, queries=None,
                 buckets=None, registry=None, shard_results=None,
                 shard_registries=None, epoch_reports=None,
-                reconfigurations=None, resilience=None,
+                reconfigurations=None,
                 created_unix: float | None = None,
                 git_sha: str | None | bool = True,
                 extra: dict | None = None) -> "RunManifest":
@@ -104,13 +103,6 @@ class RunManifest:
             counters and per-shard phase spans.
         epoch_reports / reconfigurations:
             From :class:`LiveStreamSystem` incremental runs.
-        resilience:
-            A :class:`~repro.resilience.ResilienceReport` (or its
-            ``to_dict()`` form) — per-shard attempts, faults seen,
-            fallbacks, recovery overhead, and the fault plan, which
-            ``repro-plan --fault-plan`` can replay. Defaults to
-            ``report.resilience`` when a sharded run's report carries
-            one.
         git_sha:
             ``True`` (default) probes ``git rev-parse HEAD``; pass a
             string to pin it or ``None``/``False`` to skip the probe.
@@ -178,11 +170,6 @@ class RunManifest:
                 {"epoch": epoch, "configuration": str(config)}
                 for epoch, config in reconfigurations
             ]
-        if resilience is None and report is not None:
-            resilience = getattr(report, "resilience", None)
-        if resilience is not None:
-            manifest.resilience = (resilience if isinstance(resilience, dict)
-                                   else resilience.to_dict())
         if registry is not None:
             manifest.metrics = registry.to_dict()
         if extra:
@@ -211,7 +198,6 @@ class RunManifest:
             "shards": self.shards,
             "epochs": self.epochs,
             "reconfigurations": self.reconfigurations,
-            "resilience": self.resilience,
             "machine": self.machine,
             "metrics": self.metrics,
             "extra": self.extra,

@@ -10,7 +10,7 @@ HFTA-level merge combines into the same per-epoch answers the single-core
   record-to-shard assignment;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
   sharded mirror of :class:`StreamSystem` (shards run in-process, in
-  shard order, each behind a retry loop);
+  shard order, once each);
 * :mod:`~repro.parallel.merge` — exact merging of per-shard HFTAs and
   cost counters.
 

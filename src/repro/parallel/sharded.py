@@ -24,24 +24,13 @@ a :class:`~repro.observability.MetricsRegistry` (pass your own or read
 the system's), and each shard run returns its own sub-registry, merged
 under a ``shard<i>.`` prefix alongside the counter merge.
 
-Shard runs are allowed to fail. Each shard gets up to
-``retry.max_attempts`` tries with exponential backoff and deterministic
-jitter; a shard that exhausts them ends the run with a
-:class:`~repro.errors.ShardExecutionError` that names the shard and its
-job — never the raw underlying exception. Every returned outcome is
-validated (shard index, result type, record count, sub-registry type),
-so a shard run that returns garbage is retried exactly like one that
-crashed. A seedable
-:class:`~repro.resilience.FaultPlan` can be injected to exercise all of
-this deterministically on the production code path; the whole recovery
-story is summarized in a :class:`~repro.resilience.ResilienceReport`
-(``system.resilience_report``, ``report.resilience``, and
-``resilience.*`` registry counters). See ``docs/resilience.md``.
+A shard runs once. A shard whose engine call raises ends the run with a
+:class:`~repro.errors.ShardExecutionError` naming the shard, its record
+count and the underlying error, which is chained as ``__cause__``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -62,9 +51,6 @@ from repro.parallel.merge import merge_results
 from repro.parallel.partition import (HashPartitioner, check_shard_count,
                                       check_shard_ids, shard_balance,
                                       split_dataset)
-from repro.resilience.faults import CorruptResultError, FaultPlan, InjectedFault
-from repro.resilience.report import ResilienceReport, ShardOutcome
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ShardedStreamSystem"]
 
@@ -82,75 +68,30 @@ class _ShardJob(NamedTuple):
     salt_seed: int
 
 
-_ShardOutcome = tuple[int, SimulationResult, MetricsRegistry]
+_ShardRun = tuple[int, SimulationResult, MetricsRegistry]
 
 
-def _run_shard(job: _ShardJob, attempt: int = 1,
-               fault_plan: FaultPlan | None = None) -> _ShardOutcome:
+def _run_shard(job: _ShardJob) -> _ShardRun:
     """One vectorized engine pass over one shard.
 
     Builds a fresh per-shard registry so the engine span and counters of
-    this shard come back with the result. ``attempt`` and ``fault_plan``
-    are the fault-injection hook: when a plan names this (shard,
-    attempt), the planned fault fires *here*, inside the production
-    path, so crashes reach the real retry loop and corrupted results
-    flow through the real validation."""
-    fault = (fault_plan.fault_for(job.index, attempt)
-             if fault_plan is not None else None)
-    if fault is not None:
-        if fault.kind == "crash":
-            raise InjectedFault(
-                f"injected crash: shard {job.index}, attempt {attempt}")
-        if fault.kind == "delay":
-            time.sleep(fault.delay_seconds)
+    this shard come back with the result."""
     registry = MetricsRegistry()
     result = simulate(job.dataset, job.configuration, job.buckets,
                       job.epoch_seconds, job.value_column, job.salt_seed,
                       registry=registry)
-    if fault is not None and fault.kind == "corrupt":
-        # Falsified record count, missing sub-registry: garbage the
-        # outcome validation must reject.
-        result = SimulationResult(result.counters, result.hfta,
-                                  result.n_records + 1, result.n_epochs)
-        return job.index, result, None
     return job.index, result, registry
-
-
-def _validate_outcome(outcome, *, index: int, records: int) -> _ShardOutcome:
-    """Reject malformed shard results so they retry like crashes."""
-    if not isinstance(outcome, tuple) or len(outcome) != 3:
-        raise CorruptResultError(
-            f"shard {index} returned a malformed outcome "
-            f"({type(outcome).__name__})")
-    got_index, result, registry = outcome
-    if got_index != index:
-        raise CorruptResultError(
-            f"shard {index} returned an outcome labelled {got_index}")
-    if not isinstance(result, SimulationResult):
-        raise CorruptResultError(
-            f"shard {index} returned {type(result).__name__} "
-            "instead of a SimulationResult")
-    if not isinstance(registry, MetricsRegistry):
-        raise CorruptResultError(
-            f"shard {index} returned an invalid sub-registry "
-            f"({type(registry).__name__})")
-    if result.n_records != records:
-        raise CorruptResultError(
-            f"shard {index} reported {result.n_records} records "
-            f"for a {records}-record shard")
-    return outcome
 
 
 class ShardedStreamSystem:
     """A partitioned, multi-engine LFTA tier with one merging HFTA.
 
-    Accepts the same arguments as :class:`StreamSystem` (minus the engine
-    choice — shards always run the vectorized engine) plus:
+    Accepts the same arguments as :class:`StreamSystem` plus:
 
     shards:
         Number of LFTA shards, an integer >= 1. ``shards=1`` bypasses
-        partitioning and the retry loop entirely and behaves exactly
-        like a single :class:`StreamSystem`. Must not exceed any
+        partitioning entirely and behaves exactly like a single
+        :class:`StreamSystem`. Must not exceed any
         relation's planned bucket count (the per-shard split would
         exceed the LFTA memory budget);
         :class:`~repro.errors.ConfigurationError` otherwise.
@@ -162,14 +103,6 @@ class ShardedStreamSystem:
         A :class:`~repro.observability.MetricsRegistry` to record phase
         spans and counters into; one is created (and exposed as
         ``self.registry``) when omitted.
-    retry:
-        A :class:`~repro.resilience.RetryPolicy` governing per-shard
-        attempts, backoff and timeouts; the default policy allows 3
-        attempts per shard.
-    fault_plan:
-        A :class:`~repro.resilience.FaultPlan` to inject deterministic
-        crash/delay/corrupt faults into shard runs (testing and
-        failure reproduction; None in production).
     """
 
     def __init__(self, dataset: Dataset, queries: QuerySet,
@@ -182,9 +115,7 @@ class ShardedStreamSystem:
                  where=None,
                  shards: int = 2,
                  partitioner=None,
-                 registry: MetricsRegistry | None = None,
-                 retry: RetryPolicy | None = None,
-                 fault_plan: FaultPlan | None = None):
+                 registry: MetricsRegistry | None = None):
         shards = check_shard_count(shards)
         # A hidden single-core system performs all validation (plan
         # resolution, bucket completeness, value column, WHERE filter) and
@@ -207,21 +138,16 @@ class ShardedStreamSystem:
         self.partitioner = (partitioner if partitioner is not None
                             else HashPartitioner())
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.retry_policy = retry if retry is not None else RetryPolicy()
-        self.fault_plan = fault_plan
         self.shard_buckets = {rel: b // self.shards
                               for rel, b in self._single.buckets.items()}
-        # ``benchmarks/e2e`` reads ``last_timings``, ``partition_summary``,
-        # ``resilience_report`` (with ``total_fallbacks``, always 0) and the
-        # ``shard<i>.engine`` spans of ``registry``: all four stay public.
+        # ``benchmarks/e2e`` reads ``last_timings``, ``partition_summary``
+        # and the ``shard<i>.engine`` spans of ``registry``: all stay public.
         #: How the last run's records actually landed across shards
         #: (strategy, per-shard counts, empty shards, imbalance); set by
         #: :meth:`run` for ``shards > 1`` and surfaced in the manifest.
         self.partition_summary: dict | None = None
-        #: The last run's :class:`~repro.resilience.ResilienceReport`
-        #: (attempts, faults, fallbacks, overhead); None before
-        #: :meth:`run` and on the shards=1 fast path.
-        self.resilience_report: ResilienceReport | None = None
+        #: Always None; ``benchmarks/e2e`` still reads it.
+        self.resilience_report = None
         #: Per-shard ``SimulationResult`` list, populated by :meth:`run`.
         self.shard_results: list[SimulationResult] | None = None
         #: Per-shard ``MetricsRegistry`` list (engine spans and counters
@@ -291,7 +217,6 @@ class ShardedStreamSystem:
             report = self._single.run(registry=registry)
             self.shard_results = [report.result]
             self.shard_registries = None
-            self.resilience_report = None
             return report
         dataset = self._single.dataset
         epoch_seconds = self.queries.epoch_seconds
@@ -313,12 +238,17 @@ class ShardedStreamSystem:
             # The stream's own non-empty epochs: one epoch's records
             # usually land on several shards, so shard counts do not add.
             n_epochs = sum(1 for _ in dataset.epoch_slices(epoch_seconds))
+        outcomes: list[_ShardRun] = []
         with registry.span("engine"):
-            resilience = self._new_resilience()
-            rng = self.retry_policy.rng()
-            outcomes = [self._run_job(job, resilience, rng) for job in jobs]
-        resilience.record(registry)
-        self.resilience_report = resilience
+            for job in jobs:
+                try:
+                    outcomes.append(_run_shard(job))
+                except Exception as exc:
+                    raise ShardExecutionError(
+                        f"shard {job.index} ({len(job.dataset)} records, "
+                        f"{len(self.shard_buckets)} relations) failed: "
+                        f"{type(exc).__name__}: {exc}",
+                        shard=job.index, records=len(job.dataset)) from exc
         results = [result for _, result, _ in outcomes]
         self.shard_results = results
         self.shard_registries = [reg for _, _, reg in outcomes]
@@ -329,8 +259,7 @@ class ShardedStreamSystem:
             merged = merge_results(
                 results, self._single.configuration,
                 n_records=len(dataset), n_epochs=n_epochs)
-        return RunReport(merged, self.params, self.queries,
-                         resilience=resilience)
+        return RunReport(merged, self.params, self.queries)
 
     def _materialize_jobs(self, dataset: Dataset,
                           shard_ids: np.ndarray) -> list[_ShardJob]:
@@ -350,77 +279,3 @@ class ShardedStreamSystem:
                               self.shard_buckets, epoch_seconds,
                               self.value_column, self._single.salt_seed)]
         return jobs
-
-    def _new_resilience(self) -> ResilienceReport:
-        resilience = ResilienceReport(
-            policy=self.retry_policy.to_dict(),
-            fault_plan=(self.fault_plan.to_dict()
-                        if self.fault_plan is not None else None))
-        # Published before execution so a raising run still leaves its
-        # partial attempt history inspectable post-mortem.
-        self.resilience_report = resilience
-        return resilience
-
-    def _note_attempt(self, resilience: ResilienceReport, row: ShardOutcome,
-                      attempt: int, rng) -> None:
-        """Book-keep one attempt: count it, log its planned fault, and
-        sleep the backoff (attempt 1 never waits)."""
-        row.attempts = attempt
-        fault = (self.fault_plan.fault_for(row.shard, attempt)
-                 if self.fault_plan is not None else None)
-        if fault is not None:
-            row.faults.append(fault.kind)
-        wait = self.retry_policy.backoff_seconds(attempt, rng)
-        if wait > 0:
-            resilience.backoff_seconds += wait
-            self.retry_policy.sleep(wait)
-
-    def _note_failure(self, resilience: ResilienceReport, row: ShardOutcome,
-                      exc: Exception, started: float) -> None:
-        """Record a failed attempt that began at ``started``."""
-        row.errors.append(f"{type(exc).__name__}: {exc}")
-        resilience.failed_attempt_seconds += time.perf_counter() - started
-
-    def _exhausted(self, row: ShardOutcome,
-                   last_exc: Exception) -> ShardExecutionError:
-        detail = row.errors[-1] if row.errors else str(last_exc)
-        return ShardExecutionError(
-            f"shard {row.shard} ({row.records} records, "
-            f"{len(self.shard_buckets)} relations) failed after "
-            f"{row.attempts} attempts; last error: {detail}",
-            shard=row.shard, attempts=row.attempts, records=row.records)
-
-    def _check_timeout(self, started: float) -> None:
-        """Post-hoc timeout: an in-process attempt cannot be interrupted,
-        so an overlong one is failed after it returns."""
-        timeout = self.retry_policy.timeout_seconds
-        elapsed = time.perf_counter() - started
-        if timeout is not None and elapsed > timeout:
-            raise TimeoutError(
-                f"attempt took {elapsed:.3f}s, exceeding the "
-                f"{timeout:.3f}s per-attempt timeout")
-
-    def _run_job(self, job: _ShardJob, resilience: ResilienceReport,
-                 rng) -> _ShardOutcome:
-        """Run one shard to a validated outcome, retrying per policy.
-
-        Raises :class:`~repro.errors.ShardExecutionError` (naming the
-        shard, its size, and the last underlying error) only after the
-        policy's attempts are exhausted.
-        """
-        row = resilience.outcome(job.index, len(job.dataset))
-        last_exc: Exception | None = None
-        for attempt in range(1, self.retry_policy.max_attempts + 1):
-            self._note_attempt(resilience, row, attempt, rng)
-            started = time.perf_counter()
-            try:
-                outcome = _validate_outcome(
-                    _run_shard(job, attempt, self.fault_plan),
-                    index=job.index, records=len(job.dataset))
-                self._check_timeout(started)
-                row.succeeded = True
-                return outcome
-            except Exception as exc:
-                self._note_failure(resilience, row, exc, started)
-                last_exc = exc
-        raise self._exhausted(row, last_exc) from last_exc

@@ -14,6 +14,8 @@ from repro import (
 )
 from repro.gigascope.records import Dataset
 
+from tests.references import reference_report
+
 SCHEMA = StreamSchema(("A", "B"), value_columns=("len",))
 
 
@@ -45,15 +47,19 @@ def exact_minmax(data, attrs, epoch_seconds, fn):
 @pytest.mark.parametrize("notation", ["A B", "AB(A B)"])
 def test_minmax_exact_through_any_configuration(data, kind, fn, engine,
                                                 notation):
-    """min/max answers are exact regardless of phantoms and engine."""
+    """min/max answers are exact regardless of phantoms, through the
+    engine and through the sequential reference."""
     query = AggregationQuery(AttributeSet.parse("A"),
                              Aggregate(kind, "len"), epoch_seconds=2.0)
     other = AggregationQuery(AttributeSet.parse("B"), epoch_seconds=2.0)
     queries = QuerySet([query, other])
     config = Configuration.from_notation(notation)
-    report = StreamSystem(data, queries, config,
-                          {rel: 4 for rel in config.relations},
-                          value_column="len", engine=engine).run()
+    buckets = {rel: 4 for rel in config.relations}
+    if engine == "vectorized":
+        report = StreamSystem(data, queries, config, buckets,
+                              value_column="len").run()
+    else:
+        report = reference_report(data, queries, config, buckets, "len")
     exact = exact_minmax(data, query.group_by, 2.0, fn)
     for epoch, answers in report.answers(query).items():
         for group, value in answers.items():

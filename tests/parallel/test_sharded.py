@@ -226,9 +226,10 @@ class TestShardedSystemApi:
             with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
                 ShardedStreamSystem.from_plan(netflow, queries, the_plan,
                                               shards=bad)
-        # Shards have one way to run; the knobs that picked another are
-        # gone, not ignored.
-        for removed in ({"executor": "serial"}, {"max_workers": 1}):
+        # Shards have one way to run, once; the knobs that picked another
+        # or retried it are gone, not ignored.
+        for removed in ({"executor": "serial"}, {"max_workers": 1},
+                        {"retry": None}, {"fault_plan": None}):
             with pytest.raises(TypeError):
                 ShardedStreamSystem.from_plan(netflow, queries, the_plan,
                                               **removed)

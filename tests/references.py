@@ -11,7 +11,9 @@ for a whole churn run and requires the same sequence of plans.
 
 For the data path the reference is the record-at-a-time ``SequentialLFTA``:
 :func:`assert_matches_reference` compares an engine run, unsharded or
-sharded, on whichever kernels the caller left available, with it.
+sharded, on whichever kernels the caller left available, with it, and
+:func:`reference_report` is the ``RunReport`` a ``StreamSystem`` run
+would return, computed by it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.attributes import AttributeSet
+from repro.core.cost_model import CostParameters
 from repro.core.queries import QuerySet
-from repro.gigascope import Dataset, StreamSchema, simulate
+from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.lfta import run_reference
 from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
@@ -93,6 +96,16 @@ def abc_stream(seed: int, n: int, domain: int, duration: float,
                 for name in ABC_SCHEMA.attributes}
     return Dataset(ABC_SCHEMA, cols, np.sort(rng.uniform(0, duration, n)),
                    {"v": rng.uniform(40, 1500, n)})
+
+
+def reference_report(dataset, queries, config, buckets,
+                     value_column=None) -> RunReport:
+    """``StreamSystem(dataset, queries, config, buckets, value_column=
+    value_column).run()``, with the sequential reference LFTA in place of
+    the engine."""
+    result = run_reference(dataset, config, buckets, queries.epoch_seconds,
+                           value_column)
+    return RunReport(result, CostParameters(), queries)
 
 
 def assert_matches_reference(dataset, config, buckets, epoch_seconds,

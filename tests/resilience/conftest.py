@@ -1,10 +1,13 @@
-"""Shared fixtures for the resilience suite: one small stream, one plan.
+"""Shared fixtures for the resilience suite: one small stream, one plan,
+and a shard engine that fails on cue.
 
-Kept deliberately small (3000 records) because the chaos matrix runs the
-same stream many times.
+Kept deliberately small (3000 records) because several suites run the
+same stream.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -15,7 +18,7 @@ from repro import (
     StreamSchema,
     StreamSystem,
 )
-from repro.resilience import RetryPolicy
+from repro.parallel import sharded as sharded_module
 from repro.workloads import make_group_universe, uniform_dataset
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
@@ -23,12 +26,6 @@ SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
 def A(label: str) -> AttributeSet:
     return AttributeSet.parse(label)
-
-
-def fast_retry(**overrides) -> RetryPolicy:
-    """A policy that never actually sleeps — chaos tests stay quick."""
-    overrides.setdefault("backoff_base", 0.0)
-    return RetryPolicy(**overrides)
 
 
 @pytest.fixture(scope="package")
@@ -55,5 +52,42 @@ def buckets(config):
 
 @pytest.fixture(scope="package")
 def single_report(dataset, queries, config, buckets):
-    """The fault-free single-core oracle every chaos run must match."""
+    """The single-core oracle every sharded run must match."""
     return StreamSystem(dataset, queries, config, buckets).run()
+
+
+class FailingEngine:
+    """Stands in for the shard engine: records the dataset of every call,
+    raises ``error`` on the 1-based calls in ``failing`` and runs the
+    real engine on the others."""
+
+    def __init__(self, failing=(), error=None):
+        self.engine = sharded_module.simulate
+        self.failing = set(failing)
+        self.error = error
+        self.calls = []
+
+    def __call__(self, shard_dataset, *args, **kwargs):
+        self.calls.append(id(shard_dataset))
+        if len(self.calls) in self.failing:
+            raise self.error
+        return self.engine(shard_dataset, *args, **kwargs)
+
+
+@pytest.fixture
+def fail_shards(monkeypatch):
+    """``fail_shards(failing, error)`` installs a :class:`FailingEngine`
+    as the shard engine and returns it."""
+    def install(failing=(), error=None):
+        engine = FailingEngine(failing, error)
+        monkeypatch.setattr(sharded_module, "simulate", engine)
+        return engine
+    return install
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Every ``time.sleep`` call of the test, recorded instead of slept."""
+    recorded = []
+    monkeypatch.setattr(time, "sleep", recorded.append)
+    return recorded

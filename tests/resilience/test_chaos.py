@@ -1,23 +1,24 @@
-"""The chaos matrix: every planned failure mode on the shard retry loop.
+"""A failing shard on the one sharded path.
 
-Every scenario must end in one of exactly two states: answers identical
-to the fault-free single-core oracle, or a
-:class:`~repro.errors.ShardExecutionError` that names the failing shard
-— never a silent wrong answer, never the raw underlying exception.
+Every run must end in one of exactly two states: answers identical to
+the single-core oracle, or a :class:`~repro.errors.ShardExecutionError`
+that names the failing shard and chains the underlying exception —
+never a silent wrong answer. A shard runs once: a failure is not
+retried and nothing sleeps.
 """
+
+import time
 
 import pytest
 
 from repro import ShardedStreamSystem
-from repro.errors import ShardExecutionError
-from repro.resilience import FaultPlan, FaultSpec
-
-from tests.resilience.conftest import fast_retry
+from repro.errors import ConfigurationError, ReproError, ShardExecutionError
+from repro.parallel import make_partitioner
+from repro.parallel import sharded as sharded_module
 
 
 def sharded(dataset, queries, config, buckets, **kwargs):
     kwargs.setdefault("shards", 3)
-    kwargs.setdefault("retry", fast_retry())
     return ShardedStreamSystem(dataset, queries, config, buckets, **kwargs)
 
 
@@ -29,94 +30,145 @@ def assert_matches_oracle(report, single_report, queries):
 
 
 class TestCrashOnFirstAttempt:
-    """The acceptance scenario: crash-once on every shard, exact answers,
-    exactly one retry per shard in the resilience report."""
+    """A crash ends its run; the system stays usable for the next one."""
 
     def test_answers_match_fault_free_oracle(self, dataset, queries,
                                              config, buckets,
-                                             single_report):
-        system = sharded(dataset, queries, config, buckets,
-                         fault_plan=FaultPlan.crash_once(3))
+                                             single_report, fail_shards):
+        engine = fail_shards({1}, RuntimeError("crash"))
+        system = sharded(dataset, queries, config, buckets)
+        with pytest.raises(ShardExecutionError, match="shard 0"):
+            system.run()
+        assert len(engine.calls) == 1
         report = system.run()
+        assert len(engine.calls) == 1 + 3
         assert_matches_oracle(report, single_report, queries)
-        resilience = system.resilience_report
-        assert resilience is report.resilience
-        assert resilience.total_retries == 3
-        assert [o.attempts for o in resilience.shards] == [2, 2, 2]
-        assert resilience.fault_counts == {"crash": 3}
-        assert resilience.total_fallbacks == 0
-        assert all(o.succeeded for o in resilience.shards)
 
     def test_registry_counts_recovery(self, dataset, queries, config,
-                                      buckets):
-        system = sharded(dataset, queries, config, buckets,
-                         fault_plan=FaultPlan.crash_once(3))
+                                      buckets, fail_shards):
+        """The failed run merges no shard counters: after the rerun the
+        registry counts exactly what one clean run counts."""
+        clean = sharded(dataset, queries, config, buckets)
+        clean.run()
+        fail_shards({2}, RuntimeError("crash"))
+        system = sharded(dataset, queries, config, buckets)
+        with pytest.raises(ShardExecutionError, match="shard 1"):
+            system.run()
+        assert not any(name.startswith("shard")
+                       for name in system.registry.counters)
         system.run()
-        counters = system.registry.counters
-        assert counters["resilience.retries"].value == 3
-        assert counters["resilience.faults.crash"].value == 3
-        assert counters["resilience.fallbacks"].value == 0
+        counts = {name: counter.value
+                  for name, counter in system.registry.counters.items()}
+        assert counts == {name: counter.value
+                          for name, counter in clean.registry.counters.items()}
+        for index in range(3):
+            assert len([s for s in system.registry.spans
+                        if s.name == f"shard{index}.engine"]) == 1
 
 
 class TestCrashOnEveryAttempt:
     def test_exhausted_retries_name_the_shard(self, dataset, queries,
-                                              config, buckets):
-        system = sharded(dataset, queries, config, buckets,
-                         fault_plan=FaultPlan.crash_always(1),
-                         retry=fast_retry(max_attempts=2))
+                                              config, buckets, fail_shards,
+                                              sleeps):
+        """Shard 1's engine call raises: one call per shard up to it, no
+        sleep, and the typed error names shard 1 with the cause chained."""
+        cause = ValueError("shard engine failed")
+        # Every shard is non-empty, so the second call is shard 1.
+        engine = fail_shards({2}, cause)
+        system = sharded(dataset, queries, config, buckets)
         with pytest.raises(ShardExecutionError, match="shard 1") as info:
             system.run()
         assert info.value.shard == 1
         assert info.value.records is not None and info.value.records > 0
-        assert "InjectedFault" in str(info.value)
-        assert info.value.attempts == 2
-        assert "failed after 2 attempts;" in str(info.value)
+        assert f"{info.value.records} records" in str(info.value)
+        assert "ValueError: shard engine failed" in str(info.value)
+        assert info.value.__cause__ is cause
+        assert len(engine.calls) == len(set(engine.calls)) == 2
+        assert sleeps == []
+
+
+class TestFailingShard:
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    @pytest.mark.parametrize("partition", ["hash", "round-robin", "range"])
+    def test_error_names_the_failing_shard(self, dataset, queries, config,
+                                           buckets, fail_shards, sleeps,
+                                           partition, failing):
+        """Whatever the partition, the error carries the failing shard's
+        index and its partitioned record count; later shards never run."""
+        cause = ValueError("engine failed")
+        engine = fail_shards({failing + 1}, cause)
+        system = sharded(dataset, queries, config, buckets,
+                         partitioner=make_partitioner(partition, column="B"))
+        with pytest.raises(ShardExecutionError) as info:
+            system.run()
+        records = system.partition_summary["records"]
+        assert all(records)
+        assert info.value.shard == failing
+        assert info.value.records == records[failing]
+        assert str(info.value).startswith(
+            f"shard {failing} ({records[failing]} records, "
+            f"{len(config.relations)} relations) failed: ValueError: ")
+        assert info.value.__cause__ is cause
+        assert len(engine.calls) == failing + 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("cause", [
+        ValueError("bad value"), KeyError("missing"), OSError("disk"),
+        MemoryError("no room"), ConfigurationError("bad forest"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_any_engine_exception_is_wrapped(self, dataset, queries, config,
+                                             buckets, fail_shards, cause):
+        """Library errors included: the caller catches one type, and the
+        original is the cause."""
+        fail_shards({1}, cause)
+        with pytest.raises(ShardExecutionError) as info:
+            sharded(dataset, queries, config, buckets).run()
+        assert isinstance(info.value, ReproError)
+        assert f"failed: {type(cause).__name__}: {cause}" in str(info.value)
+        assert info.value.__cause__ is cause
+
+    def test_interrupt_is_not_wrapped(self, dataset, queries, config,
+                                      buckets, fail_shards):
+        """Only ``Exception`` becomes a shard error: an interrupt stops
+        the run as itself."""
+        interrupt = KeyboardInterrupt()
+        engine = fail_shards({1}, interrupt)
+        with pytest.raises(KeyboardInterrupt) as info:
+            sharded(dataset, queries, config, buckets).run()
+        assert info.value is interrupt
+        assert len(engine.calls) == 1
+
+    def test_failed_run_publishes_no_shard_results(self, dataset, queries,
+                                                   config, buckets,
+                                                   fail_shards):
+        fail_shards({3}, RuntimeError("crash"))
+        system = sharded(dataset, queries, config, buckets)
+        with pytest.raises(ShardExecutionError, match="shard 2"):
+            system.run()
+        assert system.shard_results is None
+        assert system.shard_registries is None
+        assert system.registry.last_span("merge") is None
+        assert "shards" not in system.registry.gauges
 
 
 class TestDelayPastTimeout:
-    def test_slow_attempt_times_out_and_retry_succeeds(
-            self, dataset, queries, config, buckets, single_report):
-        plan = FaultPlan((FaultSpec("delay", shard=0, attempt=1,
-                                    delay_seconds=0.4),))
-        system = sharded(dataset, queries, config, buckets, fault_plan=plan,
-                         retry=fast_retry(timeout_seconds=0.05))
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        row = next(o for o in system.resilience_report.shards
-                   if o.shard == 0)
-        assert row.attempts >= 2
-        assert any("Timeout" in e for e in row.errors)
-
     def test_fast_shards_are_not_timed_out(self, dataset, queries, config,
-                                           buckets, single_report):
-        system = sharded(dataset, queries, config, buckets,
-                         retry=fast_retry(timeout_seconds=30.0))
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        assert system.resilience_report.total_retries == 0
+                                           buckets, single_report,
+                                           monkeypatch):
+        """No shard is ever timed out: a slow one is waited for and
+        counts like the fast ones."""
+        engine, delay, slowed = sharded_module.simulate, 0.05, []
 
+        def slow_first_shard(*args, **kwargs):
+            if not slowed:
+                slowed.append(True)
+                time.sleep(delay)
+            return engine(*args, **kwargs)
 
-class TestCorruptedResults:
-    def test_corrupt_outcome_is_detected_and_retried(
-            self, dataset, queries, config, buckets, single_report):
-        plan = FaultPlan((FaultSpec("corrupt", shard=1, attempt=1),))
-        system = sharded(dataset, queries, config, buckets, fault_plan=plan)
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        row = next(o for o in system.resilience_report.shards
-                   if o.shard == 1)
-        assert row.attempts == 2
-        assert any("CorruptResultError" in e for e in row.errors)
-
-    def test_corrupt_on_every_shard_still_exact(self, dataset, queries,
-                                                config, buckets,
-                                                single_report):
-        plan = FaultPlan(tuple(FaultSpec("corrupt", shard=s, attempt=1)
-                               for s in range(3)))
-        system = sharded(dataset, queries, config, buckets, fault_plan=plan)
-        report = system.run()
-        assert_matches_oracle(report, single_report, queries)
-        assert system.resilience_report.fault_counts == {"corrupt": 3}
+        monkeypatch.setattr(sharded_module, "simulate", slow_first_shard)
+        system = sharded(dataset, queries, config, buckets)
+        assert_matches_oracle(system.run(), single_report, queries)
+        assert system.last_timings["engine_seconds"] >= delay
 
 
 class TestNoFaultBaseline:
@@ -125,8 +177,16 @@ class TestNoFaultBaseline:
         system = sharded(dataset, queries, config, buckets)
         report = system.run()
         assert_matches_oracle(report, single_report, queries)
-        resilience = system.resilience_report
-        assert resilience.total_retries == 0
-        assert resilience.total_attempts == len(resilience.shards)
-        assert resilience.overhead_seconds == 0.0
-        assert report.resilience is resilience
+        assert system.resilience_report is None
+        assert not hasattr(report, "resilience")
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_one_engine_call_per_shard(self, dataset, queries, config,
+                                       buckets, single_report, fail_shards,
+                                       sleeps, shards):
+        engine = fail_shards()
+        report = sharded(dataset, queries, config, buckets,
+                         shards=shards).run()
+        assert len(engine.calls) == len(set(engine.calls)) == shards
+        assert sleeps == []
+        assert_matches_oracle(report, single_report, queries)

@@ -1,45 +1,54 @@
-"""CLI surface for resilience: flags, fault-plan replay, checkpoint dirs."""
-
-import json
+"""CLI surface for resilience: removed flags, shard failures, checkpoint
+dirs."""
 
 import pytest
 
 from repro import StreamSchema
 from repro.cli import main
-from repro.resilience import FaultPlan
+from repro.gigascope.online import LiveStreamSystem
 from repro.workloads import make_group_universe, uniform_dataset
 from repro.workloads.io import save_npz
 
 QUERY = "select A, count(*) from R group by A, time/3"
 
 
-@pytest.fixture(scope="module")
-def npz_path(tmp_path_factory):
-    schema = StreamSchema(("A", "B", "C"))
+def write_npz(path, attributes, n_records):
+    schema = StreamSchema(attributes)
     universe = make_group_universe(schema, (8, 24, 60), value_pool=64,
                                    seed=3)
-    data = uniform_dataset(universe, 3000, duration=9.0, seed=4)
-    path = tmp_path_factory.mktemp("data") / "trace.npz"
-    save_npz(data, path)
+    save_npz(uniform_dataset(universe, n_records, duration=9.0, seed=4),
+             path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def npz_path(tmp_path_factory):
+    return write_npz(tmp_path_factory.mktemp("data") / "trace.npz",
+                     ("A", "B", "C"), 3000)
+
+
+def assert_unrecognised(flag, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestFlagValidation:
     def test_negative_max_retries_rejected(self, npz_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["--data", npz_path, "--execute", "--max-retries", "-1",
-                  QUERY])
-        assert "--max-retries must be >= 0" in capsys.readouterr().err
+        """A shard runs once: there is no retry budget to set."""
+        assert_unrecognised("--max-retries", [
+            "--data", npz_path, "--execute", "--shards", "2",
+            "--max-retries", "1", QUERY], capsys)
 
     def test_fault_plan_requires_sharding(self, npz_path, tmp_path,
                                           capsys):
+        """There is no fault injection to drive from a plan file."""
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(FaultPlan.crash_once(2).to_dict()))
-        with pytest.raises(SystemExit):
-            main(["--data", npz_path, "--execute",
-                  "--fault-plan", str(plan_path), QUERY])
-        assert "--fault-plan requires --shards > 1" \
-            in capsys.readouterr().err
+        plan_path.write_text("{\"faults\": []}")
+        assert_unrecognised("--fault-plan", [
+            "--data", npz_path, "--execute", "--shards", "2",
+            "--fault-plan", str(plan_path), QUERY], capsys)
 
     def test_checkpoint_dir_conflicts_with_shards(self, npz_path,
                                                   tmp_path, capsys):
@@ -48,63 +57,41 @@ class TestFlagValidation:
                   "--checkpoint-dir", str(tmp_path), QUERY])
         assert "drop --shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--max-retries", "2"),
+                                             ("--fault-plan", "plan.json")])
+    def test_removed_flags_rejected_without_shards(self, npz_path, capsys,
+                                                   flag, value):
+        assert_unrecognised(flag, ["--data", npz_path, "--execute", flag,
+                                   value, QUERY], capsys)
+
 
 class TestFaultPlanReplay:
-    def test_injected_crashes_recover_and_land_in_manifest(
-            self, npz_path, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(FaultPlan.crash_once(2).to_dict()))
-        manifest_path = tmp_path / "manifest.json"
-        code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--fault-plan", str(plan_path),
-                     "--metrics-json", str(manifest_path), QUERY])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "records processed : 3000" in out
-        assert "shard retries     : 2" in out
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["resilience"]["total_retries"] == 2
-        replayed = FaultPlan.from_dict(
-            manifest["resilience"]["fault_plan"])
-        assert replayed == FaultPlan.crash_once(2)
+    """A failing shard reaches the operator as one clean error line."""
 
-    def test_manifest_itself_is_a_valid_fault_plan_source(
-            self, npz_path, tmp_path, capsys):
-        """The loop closes: a manifest written by one run replays the
-        same faults in the next."""
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(FaultPlan.crash_once(2).to_dict()))
-        manifest_path = tmp_path / "manifest.json"
-        main(["--data", npz_path, "--execute", "--shards", "2",
-              "--fault-plan", str(plan_path),
-              "--metrics-json", str(manifest_path), QUERY])
-        capsys.readouterr()
+    def test_exhausted_plan_reports_clean_error(self, npz_path,
+                                                fail_shards, capsys):
+        fail_shards({1}, RuntimeError("engine failed"))
         code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--fault-plan", str(manifest_path), QUERY])
-        assert code == 0
-        assert "shard retries     : 2" in capsys.readouterr().out
-
-    def test_exhausted_plan_reports_clean_error(self, npz_path, tmp_path,
-                                                capsys):
-        plan_path = tmp_path / "always.json"
-        plan_path.write_text(json.dumps(
-            FaultPlan.crash_always(0).to_dict()))
-        code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--max-retries", "1",
-                     "--fault-plan", str(plan_path), QUERY])
+                     QUERY])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: shard 0" in err
-        assert "failed after 2 attempts" in err
+        assert "RuntimeError: engine failed" in err
+        assert "Traceback" not in err
 
-    def test_unreadable_plan_is_a_clean_error(self, npz_path, tmp_path,
-                                              capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"nope\": 1}")
-        code = main(["--data", npz_path, "--execute", "--shards", "2",
-                     "--fault-plan", str(bad), QUERY])
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failing_shard_is_one_error_line(self, npz_path, fail_shards,
+                                             capsys, failing):
+        engine = fail_shards({failing + 1}, RuntimeError("engine failed"))
+        code = main(["--data", npz_path, "--execute", "--shards", "3",
+                     QUERY])
         assert code == 2
-        assert "fault plan" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith(f"error: shard {failing} (")
+        assert line.endswith("failed: RuntimeError: engine failed")
+        assert "records processed" not in captured.out
+        assert len(engine.calls) == failing + 1
 
 
 class TestCheckpointDir:
@@ -163,3 +150,57 @@ class TestCheckpointDir:
         assert resumed.epoch_reports == oracle.epoch_reports
         for query in queries:
             assert resumed.answers(query) == oracle.answers(query)
+
+    def test_foreign_checkpoint_is_refused(self, npz_path, tmp_path,
+                                           capsys):
+        """A snapshot written for another query set, schema or longer
+        stream is refused naming the file, and left as it was."""
+        ckpt_dir = tmp_path / "ckpts"
+        assert main(["--data", npz_path, "--execute",
+                     "--checkpoint-dir", str(ckpt_dir), QUERY]) == 0
+        capsys.readouterr()
+        ckpt = ckpt_dir / "live.ckpt"
+        cases = [
+            (write_npz(tmp_path / "b.npz", ("A", "B", "C"), 1000),
+             "select B, C, count(*) from R group by B, C, time/3",
+             "queries"),
+            (write_npz(tmp_path / "abd.npz", ("A", "B", "D"), 3000),
+             QUERY, "schema attributes ['A', 'B', 'C']"),
+            (write_npz(tmp_path / "short.npz", ("A", "B", "C"), 1000),
+             QUERY, "3000 ingested records, the dataset has 1000"),
+        ]
+        for data, query, mismatch in cases:
+            code = main(["--data", data, "--execute",
+                         "--checkpoint-dir", str(ckpt_dir), query])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"error: checkpoint {ckpt}" in captured.err
+            assert mismatch in captured.err
+            assert "records processed" not in captured.out
+            assert LiveStreamSystem.restore(ckpt).records_seen == 3000
+
+    @pytest.mark.parametrize("queries", [
+        ["select A, count(*) from R group by A, time/5"],
+        ["select B, count(*) from R group by B, time/3"],
+        [QUERY, "select B, count(*) from R group by B, time/3"],
+    ], ids=["epoch", "grouping", "extra-query"])
+    def test_checkpoint_for_other_queries_is_refused(self, npz_path,
+                                                     tmp_path, capsys,
+                                                     queries):
+        """Same dataset, another workload: the snapshot's queries differ
+        from the ones asked for, so nothing resumes."""
+        ckpt_dir = tmp_path / "ckpts"
+        assert main(["--data", npz_path, "--execute",
+                     "--checkpoint-dir", str(ckpt_dir), QUERY]) == 0
+        capsys.readouterr()
+        ckpt = ckpt_dir / "live.ckpt"
+        code = main(["--data", npz_path, "--execute",
+                     "--checkpoint-dir", str(ckpt_dir), *queries])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: checkpoint {ckpt} belongs to another run: it " \
+            "holds queries" in captured.err
+        assert "records processed" not in captured.out
+        restored = LiveStreamSystem.restore(ckpt)
+        assert restored.records_seen == 3000
+        assert [q.group_by.label() for q in restored.queries] == ["A"]

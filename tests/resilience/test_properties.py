@@ -1,16 +1,18 @@
 """Property-based differential tests: sharded == single-core, always.
 
 Hypothesis drives the workload shape (queries, shards, buckets,
-partitioner, epoch length) and a seeded random fault plan; the
-single-core ``StreamSystem`` is the oracle. Whatever the draw, the
-sharded answers must be *exactly* equal — faults and retries included.
+partitioner, epoch length); the single-core ``StreamSystem`` is the
+oracle. Whatever the draw, the sharded answers must be *exactly* equal,
+and a failing shard is named by the error that ends its run.
 
 Run with ``--hypothesis-profile=ci`` for the fixed-seed, bounded CI
 configuration registered in ``tests/conftest.py``.
 """
 
 from functools import lru_cache
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro import (
@@ -22,10 +24,13 @@ from repro import (
     plan,
 )
 from repro.core.feeding_graph import FeedingGraph
+from repro.errors import ShardExecutionError
 from repro.gigascope.online import LiveStreamSystem
 from repro.parallel import make_partitioner
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.parallel import sharded as sharded_module
 from repro.workloads import make_group_universe, measure_statistics, uniform_dataset
+
+from tests.resilience.conftest import FailingEngine
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 LABEL_POOL = ("AB", "BC", "CD", "AC", "BD", "ABC")
@@ -59,55 +64,55 @@ workloads = st.tuples(
 
 @given(workload=workloads,
        shards=st.integers(min_value=2, max_value=4),
-       partitioner_name=st.sampled_from(("hash", "round-robin")),
-       fault_seed=st.one_of(st.none(), st.integers(0, 2**16)))
-def test_sharded_matches_single_core(workload, shards, partitioner_name,
-                                     fault_seed):
+       partitioner_name=st.sampled_from(("hash", "round-robin")))
+def test_sharded_matches_single_core(workload, shards, partitioner_name):
     labels, epoch_seconds, bucket_size = workload
     dataset = small_dataset()
     queries = QuerySet.counts(list(labels), epoch_seconds=epoch_seconds)
     config = Configuration.flat([q.group_by for q in queries])
     buckets = {rel: bucket_size for rel in config.relations}
-    fault_plan = (FaultPlan.random(shards, seed=fault_seed)
-                  if fault_seed is not None else None)
 
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        partitioner=make_partitioner(partitioner_name),
-        retry=RetryPolicy(backoff_base=0.0),
-        fault_plan=fault_plan)
+        partitioner=make_partitioner(partitioner_name))
     report = system.run()
 
     expected = oracle_answers(labels, epoch_seconds, bucket_size)
     assert report.result.n_records == len(dataset)
     for label, query in zip(labels, queries):
         assert report.answers(query) == expected[label]
-    if fault_plan is not None and len(fault_plan):
-        injected = sum(1 for spec in fault_plan.faults
-                       if spec.shard is not None and spec.shard < shards)
-        assert system.resilience_report.total_retries == injected
 
 
-@given(shards=st.integers(min_value=2, max_value=4),
-       seed=st.integers(0, 2**16))
-def test_every_random_fault_is_survivable(shards, seed):
-    """FaultPlan.random only faults first attempts, so one retry per
-    shard must always suffice — no plan may exhaust the policy."""
-    plan_ = FaultPlan.random(shards, seed=seed, fault_probability=1.0)
-    for spec in plan_.faults:
-        assert spec.attempt == 1
-    labels = ("AB",)
+@given(workload=workloads,
+       shards=st.integers(min_value=2, max_value=4),
+       partitioner_name=st.sampled_from(("hash", "round-robin")),
+       data=st.data())
+def test_failing_shard_is_named_and_rerun_is_exact(workload, shards,
+                                                   partitioner_name, data):
+    """Whichever shard's engine call raises, the run stops there with an
+    error naming that shard; the same system's next run is exact."""
+    labels, epoch_seconds, bucket_size = workload
     dataset = small_dataset()
-    queries = QuerySet.counts(list(labels), epoch_seconds=3.0)
+    queries = QuerySet.counts(list(labels), epoch_seconds=epoch_seconds)
     config = Configuration.flat([q.group_by for q in queries])
-    buckets = {rel: 16 for rel in config.relations}
+    buckets = {rel: bucket_size for rel in config.relations}
+    failing = data.draw(st.integers(min_value=0, max_value=shards - 1),
+                        label="failing shard")
+    engine = FailingEngine({failing + 1}, RuntimeError("engine failed"))
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        retry=RetryPolicy(backoff_base=0.0), fault_plan=plan_)
+        partitioner=make_partitioner(partitioner_name))
+    with patch.object(sharded_module, "simulate", engine):
+        with pytest.raises(ShardExecutionError) as info:
+            system.run()
+    assert info.value.shard == failing
+    assert info.value.records == system.partition_summary["records"][failing]
+    assert len(engine.calls) == failing + 1
+
     report = system.run()
-    expected = oracle_answers(labels, 3.0, 16)
-    assert report.answers(next(iter(queries))) == expected["AB"]
-    assert all(o.succeeded for o in system.resilience_report.shards)
+    expected = oracle_answers(labels, epoch_seconds, bucket_size)
+    for label, query in zip(labels, queries):
+        assert report.answers(query) == expected[label]
 
 
 @lru_cache(maxsize=1)
