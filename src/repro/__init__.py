@@ -35,7 +35,13 @@ from repro.core import (
     RelationStatistics,
     plan,
 )
-from repro.gigascope import Dataset, RunReport, StreamSchema, StreamSystem
+from repro.gigascope import (
+    Dataset,
+    QueryAnswer,
+    RunReport,
+    StreamSchema,
+    StreamSystem,
+)
 from repro.observability import MetricsRegistry, RunManifest
 from repro.parallel import (
     HashPartitioner,
@@ -63,6 +69,7 @@ __all__ = [
     "CostParameters",
     "FeedingGraph",
     "Plan",
+    "QueryAnswer",
     "QueryRegistry",
     "QuerySet",
     "RelationStatistics",

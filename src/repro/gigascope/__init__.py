@@ -11,7 +11,7 @@
 
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.gigascope.hash_table import DirectMappedTable, Entry, Eviction
-from repro.gigascope.hfta import HFTA
+from repro.gigascope.hfta import HFTA, QueryAnswer
 from repro.gigascope.metrics import (
     CostCounters,
     RelationCounters,
@@ -40,6 +40,7 @@ __all__ = [
     "Entry",
     "Eviction",
     "HFTA",
+    "QueryAnswer",
     "CostCounters",
     "RelationCounters",
     "SimulationResult",

@@ -27,17 +27,25 @@ shard's state as one pseudo-batch per key), never folds state into state
 when raw rows are still pending, so no tree-shaped float addition ever
 occurs where the sequential path would have been flat.
 
-Query answers (:meth:`query_answer`) are computed as whole-array
-operations over the columnar state — aggregate kind and HAVING threshold
-vectorized — with the Python dict materialized only at the API boundary.
+A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
+read-only ``Mapping`` over one key's folded state, with the aggregate
+kind applied as a whole-array operation and the HAVING threshold kept as
+a mask. It is a *snapshot* — a later fold replaces the key's state
+instead of mutating it, so an answer never changes once handed out — and
+it is *lazy*: ``len()``, ``columns`` and ``array`` touch only numpy
+arrays, and the ``{group: value}`` dict is built on first key-level
+access, once per answer.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from functools import cached_property
+from itertools import compress
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +55,7 @@ from repro.gigascope.hash_table import Eviction
 from repro.gigascope.hashing import pack_tuples
 from repro.native import merge as _native_merge
 
-__all__ = ["ColumnarTotals", "GroupAggregate", "HFTA"]
+__all__ = ["ColumnarTotals", "GroupAggregate", "HFTA", "QueryAnswer"]
 
 
 class GroupAggregate(NamedTuple):
@@ -110,6 +118,96 @@ class ColumnarTotals:
         state = self.__dict__.copy()
         state["_tuples"] = None
         return state
+
+
+class QueryAnswer(Mapping[tuple[int, ...], float]):
+    """One query's answer for one epoch: ``{group tuple: value}``, lazily.
+
+    Holds the key's :class:`ColumnarTotals` snapshot, the aggregate
+    values aligned with its rows and an optional HAVING mask (``None``
+    when every group passes). ``len()``, truthiness, :attr:`columns` and
+    :attr:`array` read only those arrays; ``[]``, ``in``, iteration,
+    ``keys()``/``items()``/``values()`` and ``==`` against a plain
+    mapping (either side) build the dict once, from the state's shared
+    :meth:`ColumnarTotals.group_tuples`. Two answers whose rows line up
+    compare on their arrays. Read-only: the arrays handed out are
+    non-writeable views.
+    """
+
+    def __init__(self, state: ColumnarTotals, values: np.ndarray,
+                 keep: np.ndarray | None = None) -> None:
+        self._state = state
+        self._values = values
+        self._keep = keep
+        self._len = (state.n_groups if keep is None
+                     else int(np.count_nonzero(keep)))
+
+    # -- columnar accessors ---------------------------------------------
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Attribute name -> key array of the passing groups."""
+        return {name: self._masked(col)
+                for name, col in zip(self._state.names, self._state.columns)}
+
+    @property
+    def array(self) -> np.ndarray:
+        """The passing groups' float64 values, aligned with :attr:`columns`."""
+        return self._masked(self._values)
+
+    def _masked(self, arr: np.ndarray) -> np.ndarray:
+        out = arr.view() if self._keep is None else arr[self._keep]
+        out.flags.writeable = False
+        return out
+
+    # -- Mapping ----------------------------------------------------------
+    def __len__(self) -> int:
+        return self._len
+
+    @cached_property
+    def _dict(self) -> dict[tuple[int, ...], float]:
+        pairs = zip(self._state.group_tuples(), self._values.tolist())
+        if self._keep is not None:
+            pairs = compress(pairs, self._keep.tolist())
+        return dict(pairs)
+
+    def __getitem__(self, group: tuple[int, ...]) -> float:
+        return self._dict[group]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._dict)
+
+    def keys(self):
+        return self._dict.keys()
+
+    def items(self):
+        return self._dict.items()
+
+    def values(self):
+        return self._dict.values()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QueryAnswer):
+            if len(self) != len(other):
+                return False
+            if self._same_rows(other):
+                return True
+            other = other._dict  # same groups in another order, or NaN
+        elif not isinstance(other, Mapping):
+            return NotImplemented
+        return self._dict == other
+
+    def _same_rows(self, other: "QueryAnswer") -> bool:
+        """Row-for-row equal arrays imply equal dicts (no tuples built)."""
+        mine, theirs = self.columns.values(), other.columns.values()
+        return (len(mine) == len(theirs)
+                and all(map(np.array_equal, mine, theirs))
+                and np.array_equal(self.array, other.array))
+
+    def __repr__(self) -> str:
+        return f"QueryAnswer({self._dict!r})"
+
+    def __reduce__(self):
+        return QueryAnswer, (self._state, self._values, self._keep)
 
 
 def _int_list(col: np.ndarray) -> list[int]:
@@ -405,17 +503,20 @@ class HFTA:
         return merged
 
     def query_answer(self, query: AggregationQuery,
-                     epoch: int) -> dict[tuple[int, ...], float]:
+                     epoch: int) -> QueryAnswer:
         """The final answer of a query for one epoch.
 
         Applies the aggregate function (``count``/``sum``/``avg``/
-        ``min``/``max``) and the HAVING threshold (on group count) as
-        whole-array operations over the columnar state; the dict is
-        materialized only at this API boundary.
+        ``min``/``max``) as a whole-array operation over the columnar
+        state and turns the HAVING threshold (on group count) into a
+        mask; the returned :class:`QueryAnswer` builds its dict only if
+        a caller reads it key by key.
         """
         state = self._fold(query.group_by, epoch)
-        if state is None or not state.n_groups:
-            return {}
+        if state is None:  # never fed: an empty answer
+            names = query.group_by.names
+            state = ColumnarTotals(names, [np.empty(0, dtype=np.int64)
+                                           for _ in names])
         counts = state.counts
         kind = query.aggregate.kind
         if kind == "count":
@@ -430,19 +531,15 @@ class HFTA:
             values = state.value_mins
         else:  # max
             values = state.value_maxs
-        groups = state.group_tuples()
+        keep = None
         if query.having_min is not None:
             keep = counts >= query.having_min
-            if not keep.all():
-                return {group: value
-                        for group, value, kept in zip(groups,
-                                                      values.tolist(),
-                                                      keep.tolist())
-                        if kept}
-        return dict(zip(groups, values.tolist()))
+            if keep.all():
+                keep = None
+        return QueryAnswer(state, values, keep)
 
     def all_answers(self, query: AggregationQuery
-                    ) -> dict[int, dict[tuple[int, ...], float]]:
+                    ) -> dict[int, QueryAnswer]:
         """Per-epoch answers for a query, over all epochs seen."""
         return {epoch: self.query_answer(query, epoch)
                 for epoch in self.epochs(query.group_by)}

@@ -24,10 +24,10 @@ from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.core.optimizer import Plan
-from repro.core.queries import QuerySet
+from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
-from repro.gigascope.hfta import HFTA
+from repro.gigascope.hfta import HFTA, QueryAnswer
 from repro.gigascope.metrics import CostCounters
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.observability.tracing import trace
@@ -364,6 +364,9 @@ class LiveStreamSystem:
     def total_flush_cost(self) -> float:
         return sum(r.flush_cost for r in self.epoch_reports)
 
-    def answers(self, query):
-        """Exact per-epoch answers for a user query (completed epochs)."""
+    def answers(self, query: AggregationQuery) -> dict[int, QueryAnswer]:
+        """Exact per-epoch answers for a user query (completed epochs).
+
+        Each epoch's answer is a lazy :class:`QueryAnswer` snapshot.
+        """
         return self.hfta.all_answers(query)

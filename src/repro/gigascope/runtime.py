@@ -18,6 +18,7 @@ from repro.core.optimizer import Plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
+from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
 
@@ -48,9 +49,11 @@ class RunReport:
     def total_cost(self) -> float:
         return self.result.total_cost(self.params)
 
-    def answers(self, query: AggregationQuery
-                ) -> dict[int, dict[tuple[int, ...], float]]:
-        """Exact per-epoch answers for one of the user queries."""
+    def answers(self, query: AggregationQuery) -> dict[int, QueryAnswer]:
+        """Exact per-epoch answers for one of the user queries.
+
+        Each epoch's answer is a lazy :class:`QueryAnswer` mapping.
+        """
         return self.result.hfta.all_answers(query)
 
     def summary(self) -> str:

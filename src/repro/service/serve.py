@@ -40,6 +40,7 @@ from repro.core.attributes import AttributeSet
 from repro.core.queries import AggregationQuery
 from repro.core.sql import parse_query
 from repro.errors import AdmissionError, ReproError
+from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.records import StreamSchema
 from repro.service.admission import AdmissionPolicy
 from repro.service.service import ServiceSLO, StreamService
@@ -109,17 +110,20 @@ def _register_query(args, op: dict) -> AggregationQuery:
                             epoch_seconds=args.epoch_seconds)
 
 
+def _answer_jsonable(answer: QueryAnswer) -> dict[str, float]:
+    """``{"a,b": value}`` straight from the answer's columns."""
+    keys = zip(*(map(str, col.tolist()) for col in answer.columns.values()))
+    return dict(zip(map(",".join, keys), answer.array.tolist()))
+
+
 def _answers_jsonable(service: StreamService) -> dict:
     out: dict = {}
     # Lease owners, not registry tenants: a retired tenant keeps read
     # access to the window it was active for.
     for tenant in sorted({w["tenant"] for w in service.leases()}):
         out[tenant] = {
-            label: {
-                str(epoch): {",".join(map(str, group)): value
-                             for group, value in answer.items()}
-                for epoch, answer in per_epoch.items()
-            }
+            label: {str(epoch): _answer_jsonable(answer)
+                    for epoch, answer in per_epoch.items()}
             for label, per_epoch in service.answers(tenant).items()
         }
     return out
@@ -170,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         schema = StreamSchema(
             tuple(a.strip() for a in args.attributes.split(",")
-                  if a.strip()))
+                  if a.strip()),
+            (args.value_column,) if args.value_column else ())
         policy = AdmissionPolicy(
             memory=args.memory, tenant_quota=args.tenant_quota,
             max_cost_per_record=args.admission_cost, phi=args.phi)

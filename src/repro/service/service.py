@@ -51,6 +51,7 @@ from repro.core.queries import AggregationQuery, QuerySet
 from repro.core.sketches import StreamStatisticsCollector
 from repro.core.statistics import RelationStatistics
 from repro.errors import AdmissionError, CheckpointError, SchemaError
+from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.online import EpochReport, LiveStreamSystem
 from repro.gigascope.records import StreamSchema
 from repro.observability import MetricsRegistry, RunManifest
@@ -453,12 +454,14 @@ class StreamService:
     # ------------------------------------------------------------------
     # Answers
     # ------------------------------------------------------------------
-    def answers(self, tenant: str) -> dict[str, dict[int, dict]]:
+    def answers(self, tenant: str) -> dict[str, dict[int, QueryAnswer]]:
         """Per-epoch answers for each of the tenant's leases.
 
         Keyed by group-by label, then epoch id; epochs outside a
         lease's activation window are filtered out, so a tenant only
-        ever sees epochs computed while its registration was live.
+        ever sees epochs computed while its registration was live. Each
+        answer is a lazy :class:`QueryAnswer`: nothing is rendered to
+        Python objects until the caller reads it.
         """
         self._resolve_leases()
         mine = [lease for lease in self._leases.values()
@@ -466,7 +469,7 @@ class StreamService:
         if not mine:
             raise SchemaError(f"unknown tenant {tenant!r}")
         hfta = self.live.hfta if self.live is not None else None
-        out: dict[str, dict[int, dict]] = {}
+        out: dict[str, dict[int, QueryAnswer]] = {}
         for lease in mine:
             query = lease.query
             epochs = hfta.epochs(query.group_by) if hfta is not None else []

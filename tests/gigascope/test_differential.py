@@ -65,6 +65,22 @@ def test_engine_matches_reference(mode, forest, shards, values, stream):
             value_column="v" if values else None, shards=shards)
 
 
+#: Fixed streams over forests the hypothesis matrix does not draw: an AC
+#: branch under ABC, and two raws where AC feeds only C.
+PINNED = ["ABC(AC(A C) B)", "AB(A B) AC(C)"]
+
+
+@pytest.mark.parametrize("notation", PINNED)
+@pytest.mark.parametrize("clustered", [False, True],
+                         ids=["random", "clustered"])
+def test_pinned_stream_matches_reference(clustered, notation):
+    config = Configuration.from_notation(notation)
+    dataset = abc_stream(PINNED.index(notation), 1500, 4, 5.0, clustered)
+    buckets = {rel: 3 + 2 * i for i, rel in enumerate(config.relations)}
+    assert_matches_reference(dataset, config, buckets, 2.0,
+                             value_column="v")
+
+
 def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
     """Under ``numpy_kernels`` every entry point finishes without one
     call into C, and the manifest says why."""
