@@ -1,27 +1,29 @@
-"""An end-to-end live pipeline: SQL in, adaptive execution, answers out.
+"""An end-to-end live pipeline: SQL in, self-correcting execution, answers out.
 
 Puts the deployment-facing pieces together:
 
 1. queries are written in the paper's GSQL dialect and parsed;
-2. the first plan comes from KMV sketches primed on a short prefix of the
-   stream (no exact counting anywhere);
+2. the first plan comes from exact statistics of a short prefix of the
+   stream (the first 2 seconds);
 3. the stream then arrives in irregular batches; the
-   :class:`LiveStreamSystem` closes epochs as their boundaries pass and an
-   :class:`AdaptiveController` re-plans when sketch statistics drift —
-   which happens here, because halfway through the trace a scan widens the
-   group structure by an order of magnitude.
+   :class:`LiveStreamSystem` closes epochs as their boundaries pass and
+   compares each epoch's measured cost per record with what the plan
+   predicted. Halfway through the trace a scan widens the group
+   structure by an order of magnitude, the ratio jumps far past its
+   calm level, and the system re-plans from the epoch it just saw.
 """
 
 import numpy as np
 
-from repro import CostParameters, StreamSchema
-from repro.core.adaptive import AdaptiveController
+from repro import MetricsRegistry, StreamSchema, plan
+from repro.core.feeding_graph import FeedingGraph
 from repro.core.sql import parse_queries
-from repro.gigascope.online import LiveStreamSystem
+from repro.gigascope.online import REPLAN_FACTOR, LiveStreamSystem
 from repro.gigascope.records import Dataset
 from repro.workloads import (
     NetflowTraceGenerator,
     make_group_universe,
+    measure_statistics,
     uniform_dataset,
 )
 
@@ -61,20 +63,13 @@ def main() -> None:
         print(f"  {text}")
 
     stream = build_stream()
-    params = CostParameters()
-    controller = AdaptiveController(queries, memory=25_000, params=params,
-                                    drift_threshold=0.5, warmup_epochs=1,
-                                    cooldown_epochs=2)
+    prefix = stream.head(int(np.searchsorted(stream.timestamps, 2.0)))
+    stats = measure_statistics(prefix, FeedingGraph(queries).nodes)
+    first_plan = plan(queries, stats, memory=25_000)
+    print(f"\ninitial plan (from the 2 s prefix): {first_plan.configuration}")
 
-    # Prime the sketches on the first ~2 seconds and plan from them.
-    prefix_end = int(np.searchsorted(stream.timestamps, 2.0))
-    controller.collector.observe(
-        {a: stream.columns[a][:prefix_end] for a in SCHEMA.attributes})
-    first_plan = controller.initial_plan()
-    print(f"\ninitial plan (from sketches): {first_plan.configuration}")
-
-    live = LiveStreamSystem(SCHEMA, queries, first_plan, params=params,
-                            controller=controller)
+    registry = MetricsRegistry()
+    live = LiveStreamSystem(SCHEMA, queries, first_plan, registry=registry)
     rng = np.random.default_rng(1)
     position = 0
     while position < len(stream):
@@ -87,16 +82,24 @@ def main() -> None:
     live.finish()
 
     print(f"\nepochs processed : {len(live.epoch_reports)}")
-    print(f"re-plans         : {controller.replan_count} "
-          f"({controller.planning_seconds_total * 1e3:.1f} ms total)")
-    for epoch, config in live.reconfigurations:
-        print(f"  from epoch {epoch}: {config}")
-    print("\nper-epoch cost/record (watch it jump at the scan, then "
-          "recover after the re-plan):")
+    print("per-epoch cost/record, measured vs predicted (watch the ratio "
+          "jump at the scan, then settle under the new plan):")
     for report in live.epoch_reports:
         phantoms = len(report.configuration.phantoms)
         print(f"  epoch {report.epoch:2d}: {report.per_record_cost:7.2f} "
+              f"/ {report.predicted_cost:6.2f} = "
+              f"{report.per_record_cost / report.predicted_cost:6.2f}  "
               f"({phantoms} phantom(s))")
+    replans = [e.fields for e in registry.events if e.name == "replan"]
+    print(f"\nre-plans: {len(replans)}")
+    for event in replans:
+        print(f"  after epoch {event['epoch']}: ratio {event['ratio']:.2f} "
+              f"left {REPLAN_FACTOR:g}x of its era's baseline "
+              f"{event['baseline']:.2f}")
+    for epoch, config in live.reconfigurations:
+        print(f"  from epoch {epoch}: {config}")
+    records = sum(r.records for r in live.epoch_reports)
+    print(f"cost/record over the run: {live.total_intra_cost() / records:.3f}")
 
     heavy = queries.query_for(
         next(g for g in queries.group_bys if len(g) == 1))

@@ -53,7 +53,6 @@ from repro.service import (
     AdmissionError,
     AdmissionPolicy,
     QueryRegistry,
-    ServiceSLO,
     StreamService,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "QueryRegistry",
     "QuerySet",
     "RelationStatistics",
-    "ServiceSLO",
     "StreamService",
     "plan",
     "Dataset",

@@ -30,7 +30,6 @@ from repro.core.sketches import (
     RunLengthEstimator,
     StreamStatisticsCollector,
 )
-from repro.core.adaptive import AdaptiveController
 from repro.core.explain import PlanExplanation, explain
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "KMVDistinctCounter",
     "RunLengthEstimator",
     "StreamStatisticsCollector",
-    "AdaptiveController",
     "PlanExplanation",
     "explain",
 ]

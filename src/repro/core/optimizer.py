@@ -38,7 +38,11 @@ __all__ = ["Plan", "plan"]
 
 @dataclass(frozen=True)
 class Plan:
-    """The output of :func:`plan`, ready to hand to the runtime."""
+    """The output of :func:`plan`, ready to hand to the runtime.
+
+    The trailing fields are the inputs a re-plan reuses (``memory`` is
+    None on plans built by hand or pickled before they were recorded).
+    """
 
     configuration: Configuration
     allocation: Allocation
@@ -46,6 +50,12 @@ class Plan:
     predicted_flush_cost: float
     planning_seconds: float
     algorithm: str
+    memory: float | None = None
+    phi: float = 1.0
+    clustered: bool = True
+    model: CollisionModel | None = None
+    peak_load_limit: float | None = None
+    peak_method: str = "auto"
 
     def __str__(self) -> str:
         return (f"Plan[{self.algorithm}] {self.configuration} "
@@ -84,6 +94,8 @@ def plan(queries: QuerySet, stats: RelationStatistics, memory: float,
         Round bucket counts to integers (>= 1) for execution; keep
         fractional for pure model studies.
     """
+    inputs = dict(memory=memory, phi=phi, clustered=clustered, model=model,
+                  peak_load_limit=peak_load_limit, peak_method=peak_method)
     params = params or CostParameters()
     model = model or LookupModel()
     start = time.perf_counter()
@@ -114,4 +126,4 @@ def plan(queries: QuerySet, stats: RelationStatistics, memory: float,
                            clustered)
     flush = flush_cost(config, stats, allocation.buckets, model,
                        params).total
-    return Plan(config, allocation, cost, flush, elapsed, algorithm)
+    return Plan(config, allocation, cost, flush, elapsed, algorithm, **inputs)

@@ -16,8 +16,9 @@ module provides small-state streaming estimators:
 * :class:`StreamStatisticsCollector` — one sketch pair per relation,
   consuming record batches and emitting a
   :class:`~repro.core.statistics.RelationStatistics` snapshot for the
-  planner. This is what makes the adaptive controller
-  (:mod:`repro.core.adaptive`) cheap enough to run per epoch.
+  planner. This is what lets the multi-tenant service
+  (:mod:`repro.service`) admit and plan every registration without
+  exact counting.
 """
 
 from __future__ import annotations

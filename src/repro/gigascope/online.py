@@ -2,15 +2,18 @@
 
 :class:`LiveStreamSystem` accepts record batches as they arrive (batches
 may split epochs arbitrarily), processes every *completed* epoch through
-the vectorized engine, and lets the caller — or an attached
-:class:`~repro.core.adaptive.AdaptiveController` — swap in a new plan at
-any epoch boundary. Because the LFTA flushes every table at epoch
-boundaries anyway, reconfiguration there is free: no state migrates.
+the vectorized engine, and swaps in a new plan at an epoch boundary —
+when the caller stages one, or when the re-plan rule below fires.
+Because the LFTA flushes every table at epoch boundaries anyway,
+reconfiguration there is free: no state migrates.
 
 This is the paper's deployment story (Sec. 8: "studying issues related to
-adaptivity and frequency of execution") built out: sketches estimate the
-statistics, the planner re-runs in milliseconds, and the configuration
-follows the stream.
+adaptivity and frequency of execution") built out. A plan is only as
+good as its Eq. 7 prediction, so the rule watches each closed epoch's
+measured ÷ predicted cost per record. The first epoch of an *era* (the
+epochs under one plan) sets the baseline, which absorbs any standing
+model bias; an epoch whose ratio leaves ``REPLAN_FACTOR`` of it re-plans
+from that epoch's exact statistics, landing at the next boundary.
 """
 
 from __future__ import annotations
@@ -23,16 +26,24 @@ import numpy as np
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.optimizer import Plan
+from repro.core.feeding_graph import FeedingGraph
+from repro.core.optimizer import Plan, plan
 from repro.core.queries import AggregationQuery, QuerySet
-from repro.errors import ConfigurationError, SchemaError
+from repro.errors import AllocationError, ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import HFTA, QueryAnswer
 from repro.gigascope.metrics import CostCounters
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.observability.tracing import trace
+from repro.workloads.datasets import measure_statistics
 
-__all__ = ["EpochReport", "LiveStreamSystem"]
+__all__ = ["EpochReport", "LiveStreamSystem", "REPLAN_FACTOR"]
+
+#: How far (either way) an epoch's measured/predicted Eq. 7 ratio may
+#: move from its era's baseline before the plan is re-made. Stationary
+#: traffic stays within ~10 % of the baseline even where the model is
+#: 2-4.5x off; a drift in group structure moves it 50x or more.
+REPLAN_FACTOR = 2.0
 
 
 def _require_plan_covers(queries: QuerySet, plan: Plan) -> None:
@@ -54,13 +65,18 @@ def _require_plan_covers(queries: QuerySet, plan: Plan) -> None:
 
 @dataclass(frozen=True)
 class EpochReport:
-    """Per-epoch accounting emitted as epochs complete."""
+    """Per-epoch accounting emitted as epochs complete.
+
+    ``predicted_cost`` is the plan's Eq. 7 cost per record (None for an
+    era restored from a checkpoint written before eras kept their plan).
+    """
 
     epoch: int
     records: int
     configuration: Configuration
     intra_cost: float
     flush_cost: float
+    predicted_cost: float | None = None
 
     @property
     def per_record_cost(self) -> float:
@@ -69,10 +85,14 @@ class EpochReport:
 
 @dataclass
 class _Era:
-    """A maximal span of epochs sharing one configuration."""
+    """A maximal span of epochs sharing one plan; ``baseline`` is the
+    cost ratio of its first epoch, which held ``baseline_records``."""
 
     configuration: Configuration
     buckets: dict[AttributeSet, int]
+    plan: Plan | None = None
+    baseline: float | None = None
+    baseline_records: int = 0
     counters: CostCounters = field(init=False)
 
     def __post_init__(self) -> None:
@@ -84,14 +104,12 @@ class LiveStreamSystem:
 
     def __init__(self, schema: StreamSchema, queries: QuerySet,
                  plan: Plan, params: CostParameters | None = None,
-                 value_column: str | None = None,
-                 controller=None, salt_seed: int = 0,
+                 value_column: str | None = None, salt_seed: int = 0,
                  where=None, registry=None):
         self.schema = schema
         self.queries = queries
         self.params = params or CostParameters()
         self.value_column = value_column
-        self.controller = controller
         self.salt_seed = salt_seed
         self.where = where
         self.registry = registry
@@ -117,7 +135,7 @@ class LiveStreamSystem:
         _require_plan_covers(self.queries, plan)
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
-        self.eras.append(_Era(plan.configuration, buckets))
+        self.eras.append(_Era(plan.configuration, buckets, plan))
         self._staged_plan: Plan | None = None
         self._staged_queries: QuerySet | None = None
 
@@ -284,7 +302,8 @@ class LiveStreamSystem:
             era.counters.measured_intra_cost(self.params).total
             - before_intra,
             era.counters.measured_flush_cost(self.params).total
-            - before_flush)
+            - before_flush,
+            era.plan.predicted_cost if era.plan is not None else None)
         self.epoch_reports.append(report)
         if self.registry is not None:
             self.registry.counter("live.epochs").inc()
@@ -300,10 +319,8 @@ class LiveStreamSystem:
         self._pending_vals = []
         self._pending_times = []
         self._pending_epoch = None
-        if self.controller is not None:
-            new_plan = self.controller.epoch_completed(self, dataset)
-            if new_plan is not None:
-                self.reconfigure(new_plan)
+        if self._staged_plan is None:
+            self._judge(era, report, dataset)
         if self._staged_plan is not None:
             staged = self._staged_plan
             if self._staged_queries is not None:
@@ -316,6 +333,50 @@ class LiveStreamSystem:
                     "reconfiguration", epoch=epoch + 1,
                     configuration=str(staged.configuration))
         return report
+
+    def _judge(self, era: _Era, report: EpochReport,
+               dataset: Dataset) -> None:
+        """The re-plan rule: stage a new plan if this epoch's measured ÷
+        predicted cost left ``REPLAN_FACTOR`` of the era's baseline.
+
+        Idle for a plan without recorded planning inputs; epochs under
+        half the era's first are not comparable and not judged. If the
+        budget cannot be allocated for the new statistics, the plan stays
+        and this epoch becomes the era's baseline.
+        """
+        running = era.plan
+        if running is None or running.memory is None \
+                or running.predicted_cost <= 0:
+            return
+        ratio = report.per_record_cost / running.predicted_cost
+        if era.baseline is None:
+            era.baseline, era.baseline_records = ratio, report.records
+            return
+        if 2 * report.records < era.baseline_records or \
+                era.baseline / REPLAN_FACTOR <= ratio \
+                <= era.baseline * REPLAN_FACTOR:
+            return
+        stats = measure_statistics(
+            dataset, FeedingGraph(self.queries).nodes,
+            counters=2 if self.value_column else 1)
+        try:
+            new_plan = plan(
+                self.queries, stats, running.memory, self.params,
+                algorithm=running.algorithm, phi=running.phi,
+                model=running.model,
+                peak_load_limit=running.peak_load_limit,
+                peak_method=running.peak_method,
+                clustered=running.clustered)
+        except AllocationError:
+            era.baseline, era.baseline_records = ratio, report.records
+            return
+        self.reconfigure(new_plan)
+        if self.registry is not None:
+            self.registry.counter("live.replans").inc()
+            self.registry.event(
+                "replan", epoch=report.epoch, ratio=ratio,
+                baseline=era.baseline,
+                predicted_cost=running.predicted_cost)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -335,25 +396,24 @@ class LiveStreamSystem:
         """Snapshot full mid-stream state to ``path``.
 
         The snapshot (versioned; see
-        :mod:`repro.resilience.checkpoint`) captures the eras and their
-        cost counters, HFTA partials, the open epoch's buffered records,
-        the watermark, the staged plan and staged query set, and emitted
-        reports — everything required for :meth:`restore` + replay of
-        the remaining stream to be byte-identical to an uninterrupted
-        run. ``extra`` rides along as an opaque payload (the stream
-        service stores its tenant registry there). The ``controller``
-        and ``registry`` are not serialized; re-attach them on restore.
+        :mod:`repro.resilience.checkpoint`) captures the eras with their
+        plans, re-plan baselines and cost counters, HFTA partials, the
+        open epoch's buffered records, the watermark, the staged plan
+        and staged query set, and emitted reports — everything required
+        for :meth:`restore` + replay of the remaining stream to be
+        byte-identical to an uninterrupted run. ``extra`` rides along as
+        an opaque payload (the stream service stores its tenant registry
+        there). The ``registry`` is not serialized; re-attach it on
+        restore.
         """
         from repro.resilience.checkpoint import save_live_checkpoint
         return save_live_checkpoint(self, path, extra=extra)
 
     @classmethod
-    def restore(cls, path, controller=None,
-                registry=None) -> "LiveStreamSystem":
+    def restore(cls, path, registry=None) -> "LiveStreamSystem":
         """Rebuild a system from a :meth:`checkpoint` snapshot."""
         from repro.resilience.checkpoint import load_live_checkpoint
-        return load_live_checkpoint(path, controller=controller,
-                                    registry=registry)
+        return load_live_checkpoint(path, registry=registry)
 
     # ------------------------------------------------------------------
     # Results

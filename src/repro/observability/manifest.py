@@ -162,6 +162,7 @@ class RunManifest:
             manifest.epochs = [
                 {"epoch": r.epoch, "records": r.records,
                  "intra_cost": r.intra_cost, "flush_cost": r.flush_cost,
+                 "predicted_cost": r.predicted_cost,
                  "configuration": str(r.configuration)}
                 for r in epoch_reports
             ]

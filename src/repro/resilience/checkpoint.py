@@ -23,9 +23,10 @@ caller dict: the multi-tenant :class:`~repro.service.StreamService`
 stores its query registry, tenant activation windows and admission
 configuration there so a restart is transparent to tenants.
 
-Two things are deliberately *not* serialized and must be re-attached on
-restore: the adaptive ``controller`` and the metrics ``registry`` (both
-commonly hold unpicklable callbacks, and neither affects answers).
+The metrics ``registry`` is deliberately *not* serialized (it never
+affects answers); re-attach one on restore. The re-plan rule's state
+rides in the eras; an era from a file written before eras kept their
+plan has none, and the rule stays idle until that era's next swap.
 
 Writes are atomic (temp file + rename), so a crash mid-checkpoint
 leaves the previous snapshot intact — the property the
@@ -121,23 +122,21 @@ def read_checkpoint_document(path: str | Path) -> dict:
     return document
 
 
-def _system_from_state(state: dict, controller=None, registry=None):
+def _system_from_state(state: dict, registry=None):
     from repro.gigascope.online import LiveStreamSystem
 
     system = LiveStreamSystem.__new__(LiveStreamSystem)
     for name in _STATE_ATTRS:
         setattr(system, name, state[name])
-    system.controller = controller
     system.registry = registry
     return system
 
 
-def load_live_checkpoint(path: str | Path, controller=None, registry=None):
+def load_live_checkpoint(path: str | Path, registry=None):
     """Rebuild a :class:`LiveStreamSystem` from a snapshot.
 
-    ``controller`` and ``registry`` re-attach the two un-serialized
-    collaborators; both default to detached (None).
+    ``registry`` re-attaches the un-serialized metrics registry
+    (default: detached).
     """
     document = read_checkpoint_document(path)
-    return _system_from_state(document["state"], controller=controller,
-                              registry=registry)
+    return _system_from_state(document["state"], registry=registry)

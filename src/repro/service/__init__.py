@@ -20,9 +20,9 @@ long-running service:
   planning entirely when the distinct group-by set and statistics are
   unchanged (e.g. a second tenant joining an existing table).
 * :class:`~repro.service.service.StreamService` — the session layer:
-  ingest, per-tenant answers and metrics, SLO-driven re-planning, and
-  checkpoints that carry the registry so restarts are transparent to
-  tenants.
+  ingest, per-tenant answers and metrics, drift re-planning inherited
+  from the live system, and checkpoints that carry the registry so
+  restarts are transparent to tenants.
 * ``repro-serve`` (:mod:`repro.service.serve`) — CLI driving the service
   from a JSON-lines workload file or stdin.
 
@@ -33,7 +33,7 @@ from repro.errors import AdmissionError
 from repro.service.admission import AdmissionPolicy, check_admission
 from repro.service.registry import QueryRegistry
 from repro.service.replan import IncrementalReplanner
-from repro.service.service import ServiceSLO, StreamService
+from repro.service.service import StreamService
 
 __all__ = [
     "AdmissionError",
@@ -41,6 +41,5 @@ __all__ = [
     "check_admission",
     "IncrementalReplanner",
     "QueryRegistry",
-    "ServiceSLO",
     "StreamService",
 ]

@@ -85,8 +85,9 @@ class IncrementalReplanner:
         ``token`` identifies the statistics snapshot (the service passes
         ``collector.records_seen``): two calls with equal group-by sets,
         epoch, token and counter width return the cached plan without
-        planning. Pass ``token=None`` to force a fresh plan (used by
-        SLO-triggered replans, where statistics drifted by definition).
+        planning. Pass ``token=None`` to force a fresh plan. Drift
+        re-plans do not come through here: the live system's re-plan
+        rule plans from the running plan's recorded inputs.
         """
         key = None
         if token is not None:

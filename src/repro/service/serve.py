@@ -15,10 +15,14 @@ operation per line::
 ``register`` takes either SQL (``query``) or a bare ``group_by`` (a
 count(*) query at ``--epoch-seconds``). Rejections are reported, not
 fatal: an over-budget tenant gets a ``rejected`` event naming the
-binding constraint and the stream keeps flowing for everyone else.
+binding constraint and the stream keeps flowing for everyone else. A
+line that is not a valid operation (not JSON, an unknown op, a missing
+field, a batch that does not match the schema) gets an ``error`` event
+with its line number and changes nothing.
 
 One JSON event per operation goes to stdout (``registered``,
-``rejected``, ``epochs``, ``retired``, ``checkpointed``, ``finished``).
+``rejected``, ``error``, ``epochs``, ``retired``, ``checkpointed``,
+``finished``).
 With ``--manifest-dir`` the service writes a
 :class:`~repro.observability.RunManifest` for every window of
 ``--manifest-every`` completed epochs, so a long-running service leaves
@@ -43,7 +47,7 @@ from repro.errors import AdmissionError, ReproError
 from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.records import StreamSchema
 from repro.service.admission import AdmissionPolicy
-from repro.service.service import ServiceSLO, StreamService
+from repro.service.service import StreamService
 
 __all__ = ["build_parser", "main"]
 
@@ -73,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default per-tenant space quota (units)")
     parser.add_argument("--admission-cost", type=float, default=None,
                         help="predicted cost/record admission ceiling")
-    parser.add_argument("--slo-cost", type=float, default=None,
-                        help="measured cost/record that triggers a "
-                             "re-plan")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="checkpoint path (periodic and for "
                              "pathless checkpoint ops)")
@@ -98,6 +99,23 @@ def _emit(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}), flush=True)
 
 
+def _parse_op(line: str) -> dict:
+    try:
+        op = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"not JSON: {exc}") from None
+    if not isinstance(op, dict):
+        raise ReproError("an operation must be a JSON object")
+    return op
+
+
+def _field(op: dict, name: str):
+    """``op[name]``, or a ReproError naming the op and the missing field."""
+    if name not in op:
+        raise ReproError(f"{op.get('op')} op needs a {name!r} field")
+    return op[name]
+
+
 def _register_query(args, op: dict) -> AggregationQuery:
     if "query" in op:
         parsed = parse_query(op["query"], args.epoch_seconds)
@@ -106,7 +124,7 @@ def _register_query(args, op: dict) -> AggregationQuery:
                 "repro-serve queries cannot carry WHERE clauses (the "
                 "service shares one unfiltered stream)")
         return parsed.query
-    return AggregationQuery(AttributeSet.parse(op["group_by"]),
+    return AggregationQuery(AttributeSet.parse(_field(op, "group_by")),
                             epoch_seconds=args.epoch_seconds)
 
 
@@ -179,10 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         policy = AdmissionPolicy(
             memory=args.memory, tenant_quota=args.tenant_quota,
             max_cost_per_record=args.admission_cost, phi=args.phi)
-        slo = (ServiceSLO(max_cost_per_record=args.slo_cost)
-               if args.slo_cost is not None else None)
         service = StreamService(
-            schema, args.memory, policy=policy, slo=slo,
+            schema, args.memory, policy=policy,
             algorithm=args.algorithm, phi=args.phi,
             value_column=args.value_column)
 
@@ -195,30 +211,31 @@ def main(argv: list[str] | None = None) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            op = json.loads(line)
-            kind = op.get("op")
             try:
+                op = _parse_op(line)
+                kind = op.get("op")
                 if kind == "register":
                     query = _register_query(args, op)
-                    service.register(op["tenant"], query,
+                    tenant = _field(op, "tenant")
+                    service.register(tenant, query,
                                      expected_groups=op.get(
                                          "expected_groups"))
-                    _emit("registered", tenant=op["tenant"],
+                    _emit("registered", tenant=tenant,
                           group_by=query.group_by.label())
                 elif kind == "retire":
-                    retired = service.retire(op["tenant"],
-                                             op.get("group_by"))
-                    _emit("retired", tenant=op["tenant"],
+                    tenant = _field(op, "tenant")
+                    retired = service.retire(tenant, op.get("group_by"))
+                    _emit("retired", tenant=tenant,
                           group_bys=[r.group_by.label()
                                      for r in retired])
                 elif kind == "push":
                     columns = {name: np.asarray(values)
                                for name, values in
-                               op["columns"].items()}
+                               _field(op, "columns").items()}
                     values = (np.asarray(op["values"])
                               if "values" in op else None)
-                    reports = service.push(columns, op["timestamps"],
-                                           values)
+                    reports = service.push(
+                        columns, _field(op, "timestamps"), values)
                     written = manifests.epochs_completed(service,
                                                          reports)
                     _emit("epochs",
@@ -253,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
                 _emit("rejected", tenant=exc.tenant,
                       constraint=exc.constraint, required=exc.required,
                       limit=exc.limit, line=line_no, message=str(exc))
+            except (ReproError, ValueError) as exc:
+                _emit("error", line=line_no, message=str(exc))
     finally:
         if stream is not sys.stdin:
             stream.close()

@@ -24,9 +24,8 @@ service tenants talk to:
 * **metrics** — one service-level
   :class:`~repro.observability.MetricsRegistry` plus one per tenant,
   mergeable into a single namespaced snapshot.
-* **SLO re-planning** — when measured per-record cost breaches
-  :class:`ServiceSLO`, the service re-plans from fresh sketch statistics
-  (bypassing the replanner cache) and stages the result.
+* **drift re-planning** — the live system's one re-plan rule, which
+  re-plans with the service's own algorithm, ``phi`` and budget.
 * **durability** — :meth:`checkpoint` rides the registry, leases,
   sketches and hints in the live checkpoint's ``extra`` payload;
   :meth:`restore` brings the whole service back mid-epoch.
@@ -41,7 +40,6 @@ cold-start admission errs toward caution rather than crashing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.attributes import AttributeSet
@@ -59,29 +57,7 @@ from repro.service.admission import AdmissionPolicy, check_admission
 from repro.service.registry import QueryRegistry, Registration
 from repro.service.replan import IncrementalReplanner
 
-__all__ = ["ServiceSLO", "StreamService"]
-
-
-@dataclass(frozen=True)
-class ServiceSLO:
-    """Measured-cost targets that trigger re-planning.
-
-    Parameters
-    ----------
-    max_cost_per_record:
-        Measured intra-epoch cost per record above which the service
-        re-plans from fresh statistics (None disables the trigger).
-    cooldown_epochs:
-        Minimum completed epochs between SLO-triggered re-plans, so one
-        bad epoch cannot thrash the planner.
-    min_records:
-        Epochs smaller than this are ignored (their per-record cost is
-        noise).
-    """
-
-    max_cost_per_record: float | None = None
-    cooldown_epochs: int = 2
-    min_records: int = 100
+__all__ = ["StreamService"]
 
 
 @dataclass
@@ -126,7 +102,6 @@ class StreamService:
 
     def __init__(self, schema: StreamSchema, memory: float,
                  policy: AdmissionPolicy | None = None,
-                 slo: ServiceSLO | None = None,
                  params: CostParameters | None = None,
                  algorithm: str = "gs", phi: float = 1.0,
                  value_column: str | None = None, salt_seed: int = 0,
@@ -135,7 +110,6 @@ class StreamService:
         self.schema = schema
         self.memory = memory
         self.policy = policy or AdmissionPolicy(memory=memory)
-        self.slo = slo
         self.params = params or CostParameters()
         self.algorithm = algorithm
         self.phi = phi
@@ -152,7 +126,6 @@ class StreamService:
         self._hints: dict[AttributeSet, float] = {}
         self._leases: dict[tuple[str, str], _Lease] = {}
         self._tenant_metrics: dict[str, MetricsRegistry] = {}
-        self._epochs_since_replan = 0
 
     # ------------------------------------------------------------------
     # Statistics
@@ -383,7 +356,8 @@ class StreamService:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _ensure_live(self) -> LiveStreamSystem:
+    def _live_system(self) -> LiveStreamSystem:
+        """The live system, or a new one planned for the registry."""
         if self.live is not None:
             return self.live
         if self.registry.is_empty:
@@ -394,16 +368,20 @@ class StreamService:
         assert self.collector is not None
         first_plan, _ = self.replanner.replan(
             queries, stats, token=self.collector.records_seen)
-        self.live = LiveStreamSystem(
+        return LiveStreamSystem(
             self.schema, queries, first_plan, self.params,
             value_column=self.value_column, salt_seed=self.salt_seed,
             registry=self.metrics)
-        return self.live
 
     def push(self, columns, timestamps, values=None) -> list[EpochReport]:
-        """Feed one in-order batch; returns completed-epoch reports."""
-        live = self._ensure_live()
+        """Feed one in-order batch; returns completed-epoch reports.
+
+        A first batch the live system refuses does not start the
+        stream: registrations after it still take effect from epoch 0.
+        """
+        live = self._live_system()
         reports = live.push(columns, timestamps, values)
+        self.live = live
         # Sketches only absorb batches the system accepted, so a
         # rejected batch leaves statistics untouched too.
         assert self.collector is not None
@@ -423,33 +401,8 @@ class StreamService:
 
     def _after_epochs(self, reports: list[EpochReport]) -> None:
         self._resolve_leases()
-        if not reports:
-            return
-        self._epochs_since_replan += len(reports)
-        self.metrics.counter("service.epochs").inc(len(reports))
-        if self.slo is None or self.slo.max_cost_per_record is None \
-                or self.registry.is_empty:
-            return
-        report = reports[-1]
-        if report.records < self.slo.min_records:
-            return
-        measured = report.per_record_cost
-        if not math.isfinite(measured) \
-                or measured <= self.slo.max_cost_per_record:
-            return
-        if self._epochs_since_replan < self.slo.cooldown_epochs:
-            return
-        target = self.registry.physical_query_set()
-        stats = self.planning_statistics(target)
-        # token=None bypasses the plan cache: the SLO fired because the
-        # model and the stream disagree, so force a fresh plan.
-        new_plan, _ = self.replanner.replan(target, stats, token=None)
-        assert self.live is not None
-        self.live.reconfigure(new_plan, target)
-        self._epochs_since_replan = 0
-        self.metrics.counter("service.slo_replans").inc()
-        self.metrics.event("slo-replan", measured_cost=measured,
-                           limit=self.slo.max_cost_per_record)
+        if reports:
+            self.metrics.counter("service.epochs").inc(len(reports))
 
     # ------------------------------------------------------------------
     # Answers
@@ -537,7 +490,6 @@ class StreamService:
             "collector": self.collector,
             "hints": dict(self._hints),
             "policy": self.policy,
-            "slo": self.slo,
             "config": {
                 "memory": self.memory,
                 "algorithm": self.algorithm,
@@ -545,7 +497,6 @@ class StreamService:
                 "value_column": self.value_column,
                 "salt_seed": self.salt_seed,
                 "sketch_k": self.sketch_k,
-                "epochs_since_replan": self._epochs_since_replan,
             },
         }}
         return live.checkpoint(path, extra=payload)
@@ -568,7 +519,7 @@ class StreamService:
         state = document["state"]
         service = cls(
             state["schema"], config["memory"], policy=payload["policy"],
-            slo=payload["slo"], params=state["params"],
+            params=state["params"],
             algorithm=config["algorithm"], phi=config["phi"],
             value_column=config["value_column"],
             salt_seed=config["salt_seed"], sketch_k=config["sketch_k"],
@@ -576,7 +527,6 @@ class StreamService:
         service.registry = QueryRegistry.from_state(payload["registry"])
         service.collector = payload["collector"]
         service._hints = dict(payload["hints"])
-        service._epochs_since_replan = config["epochs_since_replan"]
         service._leases = {
             (lease.tenant, lease.query.group_by.label()): lease
             for lease in payload["leases"]}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import QuerySet, RelationStatistics, plan
+from repro.core import Plan, QuerySet, RelationStatistics, plan
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, flush_cost
 from repro.core.collision import LookupModel
@@ -69,6 +69,22 @@ class TestPlan:
                          params).total
         assert got <= limit * 1.001
         assert bounded.predicted_cost >= free.predicted_cost
+
+    def test_plan_records_its_planning_inputs(self):
+        """A re-plan reuses them; a hand-built plan has none recorded."""
+        model = LookupModel()
+        p = plan(QUERIES, STATS, 40_000, algorithm="gs", phi=0.6,
+                 model=model, peak_load_limit=1e9, peak_method="shift",
+                 clustered=False)
+        assert (p.memory, p.phi, p.clustered, p.model, p.peak_load_limit,
+                p.peak_method) == (40_000, 0.6, False, model, 1e9, "shift")
+        default = plan(QUERIES, STATS, 40_000)
+        assert (default.phi, default.clustered, default.model,
+                default.peak_load_limit, default.peak_method) == \
+            (1.0, True, None, None, "auto")
+        bare = Plan(p.configuration, p.allocation, p.predicted_cost,
+                    p.predicted_flush_cost, 0.0, "gs")
+        assert bare.memory is None
 
     def test_str_mentions_algorithm(self):
         p = plan(QUERIES, STATS, 40_000)

@@ -65,9 +65,10 @@ def test_engine_matches_reference(mode, forest, shards, values, stream):
             value_column="v" if values else None, shards=shards)
 
 
-#: Fixed streams over forests the hypothesis matrix does not draw: an AC
-#: branch under ABC, and two raws where AC feeds only C.
-PINNED = ["ABC(AC(A C) B)", "AB(A B) AC(C)"]
+#: Fixed streams (seeded by position) beside the hypothesis matrix: an AC
+#: branch under ABC, two raws where AC feeds only C, one raw over three
+#: leaves, and the three-level forest with a value column at a fixed seed.
+PINNED = ["ABC(AC(A C) B)", "AB(A B) AC(C)", "ABC(A B C)", "ABC(AB(A B) C)"]
 
 
 @pytest.mark.parametrize("notation", PINNED)

@@ -1,4 +1,4 @@
-"""Tests for the incremental runtime and the adaptive controller."""
+"""Tests for the incremental runtime and its one re-plan rule."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,16 @@ from repro import (
     AttributeSet,
     Configuration,
     CostParameters,
+    MetricsRegistry,
     QuerySet,
     StreamSchema,
     StreamSystem,
     plan,
 )
-from repro.core.adaptive import AdaptiveController
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError, SchemaError
-from repro.gigascope.online import LiveStreamSystem
+from repro.core.sketches import StreamStatisticsCollector
+from repro.gigascope.online import REPLAN_FACTOR, LiveStreamSystem
 from repro.gigascope.records import Dataset
 from repro.workloads import make_group_universe, measure_statistics, uniform_dataset
 
@@ -319,53 +320,136 @@ class TestLiveMetrics:
             str(other_plan.configuration)
 
 
+def calm_then_burst(universe):
+    """4 s over the small universe, then 4 s over a 100x wider one."""
+    calm = uniform_dataset(universe, 4000, duration=4.0, seed=1)
+    big_universe = make_group_universe(SCHEMA, (800, 2400, 4800, 9000),
+                                       seed=9)
+    burst_raw = uniform_dataset(big_universe, 4000, duration=4.0, seed=2)
+    burst = Dataset(SCHEMA, burst_raw.columns, burst_raw.timestamps + 4.0)
+    return calm, burst
+
+
+def cost_per_record(live):
+    return live.total_intra_cost() / sum(r.records
+                                         for r in live.epoch_reports)
+
+
 class TestAdaptiveController:
+    """The re-plan rule: measured ÷ predicted Eq. 7 cost against the
+    ratio of the era's first epoch, ``REPLAN_FACTOR`` either way."""
+
     def test_replans_on_drift(self, universe, queries):
         params = CostParameters()
-        calm = uniform_dataset(universe, 4000, duration=4.0, seed=1)
-        big_universe = make_group_universe(SCHEMA, (800, 2400, 4800, 9000),
-                                           seed=9)
-        burst_raw = uniform_dataset(big_universe, 4000, duration=4.0,
-                                    seed=2)
-        burst = Dataset(SCHEMA, burst_raw.columns,
-                        burst_raw.timestamps + 4.0)
+        calm, burst = calm_then_burst(universe)
         stats = measure_statistics(calm, FeedingGraph(queries).nodes)
         first = plan(queries, stats, memory=3000, params=params)
-        controller = AdaptiveController(queries, memory=3000, params=params,
-                                        drift_threshold=0.5,
-                                        warmup_epochs=1, cooldown_epochs=1)
-        live = LiveStreamSystem(SCHEMA, queries, first,
-                                controller=controller)
+        registry = MetricsRegistry()
+        live = LiveStreamSystem(SCHEMA, queries, first, params=params,
+                                registry=registry)
         live.push_dataset(calm)
         live.push_dataset(burst)
         live.finish()
-        assert controller.replan_count >= 1
-        assert live.reconfigurations
-        # The re-planned configurations differ from the initial one.
-        assert any(cfg != first.configuration
-                   for _, cfg in live.reconfigurations)
+        # Exactly one re-plan: judged on the first burst epoch (2), it
+        # lands at epoch 3, and the new era calibrates to the burst.
+        assert [epoch for epoch, _ in live.reconfigurations] == [3]
+        assert live.reconfigurations[0][1] != first.configuration
+        assert registry.counter("live.replans").value == 1
+        (event,) = [e for e in registry.events if e.name == "replan"]
+        assert event.fields["epoch"] == 2
+        assert event.fields["predicted_cost"] == first.predicted_cost
+        assert event.fields["ratio"] > \
+            REPLAN_FACTOR * event.fields["baseline"]
+        new_plan = live.eras[-1].plan
+        assert (new_plan.memory, new_plan.algorithm) == (3000, "gcsl")
+        assert [r.predicted_cost for r in live.epoch_reports] == \
+            [first.predicted_cost] * 3 + [new_plan.predicted_cost]
+        # No worse than the sketch-drift controller this rule replaced
+        # (re-plans at epochs 1, 3 and 4, 55.588 per record).
+        assert cost_per_record(live) <= 55.588
 
     def test_stable_stream_does_not_replan_constantly(self, universe,
                                                       queries):
         data = uniform_dataset(universe, 8000, duration=8.0, seed=3)
         stats = measure_statistics(data, FeedingGraph(queries).nodes)
         first = plan(queries, stats, memory=800)
-        controller = AdaptiveController(queries, memory=800,
-                                        drift_threshold=0.5,
-                                        warmup_epochs=1, cooldown_epochs=1)
-        live = LiveStreamSystem(SCHEMA, queries, first,
-                                controller=controller)
+        live = LiveStreamSystem(SCHEMA, queries, first)
         live.push_dataset(data)
         live.finish()
-        # One initial sketch-based replan is fine; after that the stream
-        # is stationary, so the controller must settle.
-        assert controller.replan_count <= 2
+        assert live.reconfigurations == []
+        era = live.eras[0]
+        assert era.baseline == pytest.approx(
+            live.epoch_reports[0].per_record_cost / first.predicted_cost)
+        assert era.baseline_records == live.epoch_reports[0].records
 
     def test_initial_plan_from_sketches(self, universe, queries):
-        data = uniform_dataset(universe, 4000, duration=4.0, seed=4)
-        controller = AdaptiveController(queries, memory=800)
-        controller.collector.observe(data.columns)
-        first = controller.initial_plan()
-        assert first.configuration is not None
-        for q in queries.group_bys:
-            assert q in first.configuration
+        """A first plan from KMV sketches predicts its own cost with a
+        standing bias; the rule calibrates to it and stays quiet."""
+        data = uniform_dataset(universe, 8000, duration=8.0, seed=4)
+        collector = StreamStatisticsCollector(FeedingGraph(queries).nodes,
+                                              k=16)
+        collector.observe(data.head(400).columns)
+        first = plan(queries, collector.statistics(), memory=800)
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        live.push_dataset(data)
+        live.finish()
+        ratios = [r.per_record_cost / r.predicted_cost
+                  for r in live.epoch_reports]
+        assert abs(ratios[0] - 1.0) > 0.1  # the model is visibly off
+        assert live.reconfigurations == []
+
+    def test_small_epochs_are_not_judged(self, universe, queries):
+        """An epoch under half the era's first epoch is never judged,
+        however far its ratio strays."""
+        calm, burst = calm_then_burst(universe)
+        stats = measure_statistics(calm, FeedingGraph(queries).nodes)
+        first = plan(queries, stats, memory=3000)
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        live.push_dataset(calm)
+        live.push_dataset(burst.head(900))  # a burst epoch of 900 < 1980/2
+        live.finish()
+        assert [r.records for r in live.epoch_reports] == [1980, 2020, 900]
+        assert live.epoch_reports[-1].per_record_cost > \
+            10 * REPLAN_FACTOR * live.epoch_reports[0].per_record_cost
+        assert live.reconfigurations == []
+
+    def test_a_staged_swap_is_never_overridden(self, universe, queries):
+        """While a caller's swap is staged the rule stays out of the
+        way: the caller's plan lands, and the new era judges afresh."""
+        calm, burst = calm_then_burst(universe)
+        stats = measure_statistics(calm, FeedingGraph(queries).nodes)
+        first = plan(queries, stats, memory=3000)
+        flat = plan(queries, stats, memory=3000, algorithm="none")
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        live.push_dataset(calm)
+        live.push_dataset(burst.head(10))  # epoch 2 opens
+        live.reconfigure(flat)
+        live.push({a: burst.columns[a][10:] for a in SCHEMA.attributes},
+                  burst.timestamps[10:])
+        live.finish()
+        assert live.reconfigurations == [(3, flat.configuration)]
+        assert live.eras[-1].plan is flat
+
+    def test_a_replan_the_budget_cannot_fit_keeps_the_plan(
+            self, universe, queries, monkeypatch):
+        """A planner failure never escapes ``push``: the running plan
+        stays and the era re-calibrates to the epoch that drifted."""
+        from repro.errors import AllocationError
+        from repro.gigascope import online
+
+        def no_budget(*args, **kwargs):
+            raise AllocationError("budget too small")
+
+        calm, burst = calm_then_burst(universe)
+        stats = measure_statistics(calm, FeedingGraph(queries).nodes)
+        first = plan(queries, stats, memory=3000)
+        monkeypatch.setattr(online, "plan", no_budget)
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        live.push_dataset(calm)
+        live.push_dataset(burst)
+        live.finish()
+        assert live.reconfigurations == []
+        drifted = live.epoch_reports[2]
+        assert live.eras[0].baseline == pytest.approx(
+            drifted.per_record_cost / first.predicted_cost)
+        assert live.eras[0].baseline_records == drifted.records

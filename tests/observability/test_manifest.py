@@ -112,11 +112,13 @@ class TestRunManifest:
 
         class FakeEpochReport:
             epoch, records, intra_cost, flush_cost = 0, 10, 1.0, 2.0
+            predicted_cost = 0.5
             configuration = the_plan.configuration
 
         manifest = RunManifest.collect(
             epoch_reports=[FakeEpochReport()],
             reconfigurations=[(1, the_plan.configuration)], git_sha=None)
         assert manifest.epochs[0]["records"] == 10
+        assert manifest.epochs[0]["predicted_cost"] == 0.5
         assert manifest.reconfigurations[0]["epoch"] == 1
         json.dumps(manifest.to_dict())

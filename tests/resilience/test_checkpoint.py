@@ -7,20 +7,32 @@ run.
 """
 
 import pickle
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import QuerySet, StreamSchema, plan
+from repro import MetricsRegistry, QuerySet, StreamSchema, plan
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import CheckpointError
 from repro.gigascope.online import LiveStreamSystem
-from repro.observability import MetricsRegistry
+from repro.gigascope.records import Dataset
 from repro.resilience import CHECKPOINT_VERSION
 from repro.resilience.checkpoint import CHECKPOINT_MAGIC
 from repro.workloads import make_group_universe, measure_statistics, uniform_dataset
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
+
+#: Checkpoints written (format version 5, like today's) by the code
+#: before eras carried their plan and epoch reports their prediction.
+LEGACY = Path(__file__).parent / "data"
+
+
+def costs(reports):
+    """Epoch reports without ``predicted_cost``, which a legacy era
+    does not know."""
+    return [astuple(replace(r, predicted_cost=None)) for r in reports]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +143,11 @@ class TestAttachments:
                                                         live_queries,
                                                         live_plan,
                                                         tmp_path):
+        """The registry is the one attachment, and it is not serialized.
+        There is no ``controller`` to attach any more."""
+        with pytest.raises(TypeError):
+            LiveStreamSystem(SCHEMA, live_queries, live_plan,
+                             controller=None)
         registry = MetricsRegistry()
         live = LiveStreamSystem(SCHEMA, live_queries, live_plan,
                                 registry=registry)
@@ -142,11 +159,12 @@ class TestAttachments:
             payload = pickle.load(handle)
         assert payload["magic"] == CHECKPOINT_MAGIC
         assert payload["checkpoint_version"] == CHECKPOINT_VERSION
-        assert "controller" not in payload["state"]
         assert "registry" not in payload["state"]
 
         bare = LiveStreamSystem.restore(path)
-        assert bare.registry is None and bare.controller is None
+        assert bare.registry is None
+        with pytest.raises(TypeError):
+            LiveStreamSystem.restore(path, controller=None)
 
         fresh = MetricsRegistry()
         attached = LiveStreamSystem.restore(path, registry=fresh)
@@ -284,3 +302,56 @@ class TestStagedReconfiguration:
             assert restored.answers(query) == oracle.answers(query)
         cd = list(wider)[-1]
         assert restored.answers(cd)
+
+
+class TestReplanRule:
+    """The re-plan rule's state rides in the eras."""
+
+    def test_rule_resumes_after_restore(self, live_queries, tmp_path):
+        """Cut after the calm epochs set the baseline: the restored run
+        re-plans at the drift exactly as the uninterrupted one."""
+        universe = make_group_universe(SCHEMA, (8, 24, 48, 90), seed=7)
+        wide = make_group_universe(SCHEMA, (800, 2400, 4800, 9000), seed=9)
+        calm = uniform_dataset(universe, 4000, duration=4.0, seed=1)
+        burst = uniform_dataset(wide, 4000, duration=4.0, seed=2)
+        data = Dataset(SCHEMA,
+                       {a: np.concatenate([calm.columns[a],
+                                           burst.columns[a]])
+                        for a in SCHEMA.attributes},
+                       np.concatenate([calm.timestamps,
+                                       burst.timestamps + 4.0]))
+        stats = measure_statistics(calm, FeedingGraph(live_queries).nodes)
+        first = plan(live_queries, stats, memory=3000)
+        oracle = run_uninterrupted(data, live_queries, first)
+        assert [epoch for epoch, _ in oracle.reconfigurations] == [3]
+
+        live = LiveStreamSystem(SCHEMA, live_queries, first)
+        push_slice(live, data, 0, 4100)  # epochs 0, 1 closed, 2 open
+        assert live.eras[0].baseline is not None
+        path = tmp_path / "rule.ckpt"
+        live.checkpoint(path)
+        restored = LiveStreamSystem.restore(path)
+        assert restored.eras[0].plan == first
+        assert restored.eras[0].baseline == live.eras[0].baseline
+        push_slice(restored, data, 4100, len(data))
+        restored.finish()
+        assert restored.reconfigurations == oracle.reconfigurations
+        assert restored.epoch_reports == oracle.epoch_reports
+
+    def test_legacy_checkpoint_restores_and_finishes_like_a_run(
+            self, live_dataset, live_queries, live_plan):
+        """Written mid-stream (2000 records) over this module's stream
+        and plan by code whose eras had no plan: it still restores and
+        finishes equal to an uninterrupted run, and the rule stays idle
+        in the restored era."""
+        oracle = run_uninterrupted(live_dataset, live_queries, live_plan)
+        restored = LiveStreamSystem.restore(LEGACY / "live-v5.ckpt")
+        assert restored.records_seen == 2000
+        assert restored.eras[0].plan is None
+        push_slice(restored, live_dataset, 2000, len(live_dataset))
+        restored.finish()
+        assert restored.eras[0].baseline is None
+        assert costs(restored.epoch_reports) == costs(oracle.epoch_reports)
+        assert restored.reconfigurations == oracle.reconfigurations == []
+        for query in live_queries:
+            assert restored.answers(query) == oracle.answers(query)

@@ -81,3 +81,43 @@ def test_answers_json_equals_items_rendering(tmp_path, dataset,
     # HAVING filtered some groups out, so the mask path was rendered.
     assert any(len(groups) < 24 * 48
                for groups in doc["heavy"]["BC"].values())
+
+
+def test_malformed_lines_are_error_events(tmp_path, dataset, capsys):
+    """Each bad line gets an ``error`` event naming its line number, and
+    the run ends exactly as the same workload without those lines."""
+    values = np.zeros(len(dataset))
+    half = len(dataset) // 2
+    no_b = json.loads(_push(dataset, values, 0, half))
+    del no_b["columns"]["B"]
+    bad = {2: "not json",
+           3: json.dumps({"op": "bogus"}),
+           4: json.dumps({"op": "register", "group_by": "CD"}),
+           5: json.dumps(no_b)}
+    good = [json.dumps({"op": "register", "tenant": "acme",
+                        "group_by": "AB"}),
+            _push(dataset, values, 0, half),
+            _push(dataset, values, half, len(dataset)),
+            json.dumps({"op": "finish"})]
+
+    def run(lines, name):
+        workload = tmp_path / f"{name}.jsonl"
+        workload.write_text("\n".join(lines) + "\n")
+        answers = tmp_path / f"{name}.json"
+        assert serve.main([str(workload), "--attributes", "A,B,C,D",
+                           "--memory", "2000", "--epoch-seconds", "2",
+                           "--answers-json", str(answers)]) == 0
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        return answers.read_text(), events
+
+    clean, _ = run(good, "clean")
+    noisy, events = run(good[:1] + list(bad.values()) + good[1:], "noisy")
+    errors = [e for e in events if e["event"] == "error"]
+    assert [e["line"] for e in errors] == sorted(bad)
+    assert "not JSON" in errors[0]["message"]
+    assert "unknown op 'bogus'" in errors[1]["message"]
+    assert "'tenant'" in errors[2]["message"]
+    assert "missing column 'B'" in errors[3]["message"]
+    assert noisy == clean
+    assert json.loads(noisy)["acme"]["AB"]["0"]

@@ -22,9 +22,8 @@ from repro.core.queries import Aggregate, AggregationQuery
 from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
 from repro.errors import AllocationError, SchemaError
 from repro.gigascope.engine import simulate
-from repro.gigascope.records import StreamSchema
+from repro.gigascope.records import Dataset, StreamSchema
 from repro.service.replan import IncrementalReplanner
-from repro.service.service import ServiceSLO
 from repro.workloads import make_group_universe, uniform_dataset
 
 from tests.references import (
@@ -252,6 +251,22 @@ class TestAdmissionIsolation:
         assert service.answers("acme")["AB"] == \
             offline_answers(dataset, "AB")
 
+    def test_rejected_first_batch_does_not_start_the_stream(self, dataset):
+        """A first batch the live system refuses leaves no live system
+        behind, so a tenant registering next is still active from the
+        first epoch rather than staged for a later one."""
+        service = StreamService(SCHEMA, memory=800)
+        service.register("acme", query("AB"))
+        incomplete = {a: dataset.columns[a][:10] for a in ("A", "C", "D")}
+        with pytest.raises(SchemaError, match="missing column 'B'"):
+            service.push(incomplete, dataset.timestamps[:10])
+        assert service.live is None
+        service.register("beta", query("CD"))
+        push_slice(service, dataset, 0, len(dataset))
+        service.finish()
+        assert service.leases("beta")[0]["start"] is None
+        assert service.answers("beta")["CD"] == offline_answers(dataset, "CD")
+
     def test_value_aggregate_requires_value_column(self):
         service = StreamService(SCHEMA, memory=800)
         with pytest.raises(SchemaError, match="value column"):
@@ -329,20 +344,51 @@ class TestStagedSwap:
 
 
 class TestSLOReplan:
-    def test_measured_cost_breach_stages_a_replan(self, dataset):
-        service = StreamService(
-            SCHEMA, memory=800,
-            slo=ServiceSLO(max_cost_per_record=1e-6, cooldown_epochs=1,
-                           min_records=10))
+    """The service has no re-plan trigger of its own: it inherits the
+    live system's rule, whose metrics land in the service registry."""
+
+    def drifting(self, universe):
+        """6 s over the shared universe, then 6 s over a 100x wider one."""
+        calm = uniform_dataset(universe, 6000, duration=6.0, seed=1)
+        wide = make_group_universe(SCHEMA, (800, 2400, 4800, 9000), seed=9)
+        burst = uniform_dataset(wide, 6000, duration=6.0, seed=2)
+        return Dataset(SCHEMA,
+                       {a: np.concatenate([calm.columns[a],
+                                           burst.columns[a]])
+                        for a in SCHEMA.attributes},
+                       np.concatenate([calm.timestamps,
+                                       burst.timestamps + 6.0]))
+
+    def test_measured_cost_breach_stages_a_replan(self, universe):
+        data = self.drifting(universe)
+        service = StreamService(SCHEMA, memory=3000, phi=0.8)
         service.register("acme", query("AB"))
         service.register("acme", query("BC"))
-        push_slice(service, dataset, 0, len(dataset))
+        n = len(data)
+        push_slice(service, data, 0, n * 3 // 4)
+        # Registered inside the rule's new era (epoch 4 is open): its
+        # lease must align with the swap that carries it, the second.
+        service.register("late", query("CD"))
+        push_slice(service, data, n * 3 // 4, n)
         service.finish()
         snapshot = service.metrics_snapshot().to_dict()
-        assert snapshot["counters"].get("service.slo_replans", 0) >= 1
-        events = [e for e in snapshot["events"]
-                  if e["name"] == "slo-replan"]
-        assert events and events[0]["limit"] == 1e-6
+        assert snapshot["counters"]["live.replans"] == 1
+        (event,) = [e for e in snapshot["events"] if e["name"] == "replan"]
+        assert event["epoch"] == 3  # the first epoch over the wide universe
+        live = service.live
+        assert live.reconfigurations[0][0] == 4
+        replanned = live.eras[1].plan
+        assert (replanned.algorithm, replanned.phi, replanned.clustered,
+                replanned.memory) == ("gs", 0.8, False, 3000)
+        for tenant in ("acme", "late"):
+            for window in service.leases(tenant):
+                gb = window["group_by"]
+                start = window["start"] or 0
+                assert service.answers(tenant)[gb] == {
+                    e: a for e, a in offline_answers(data, gb).items()
+                    if e >= start}
+        assert [epoch for epoch, _ in live.reconfigurations] == [4, 5]
+        assert service.leases("late")[0]["start"] == 5
 
     def test_no_slo_means_no_replans(self, dataset):
         service = StreamService(SCHEMA, memory=800)
@@ -350,7 +396,10 @@ class TestSLOReplan:
         push_slice(service, dataset, 0, len(dataset))
         service.finish()
         counters = service.metrics_snapshot().to_dict()["counters"]
-        assert "service.slo_replans" not in counters
+        assert "live.replans" not in counters
+        assert service.live.reconfigurations == []
+        with pytest.raises(TypeError):
+            StreamService(SCHEMA, memory=800, slo=None)
 
 
 class TestManifest:
@@ -365,6 +414,8 @@ class TestManifest:
         assert section["group_bys"] == ["AB"]
         assert section["leases"][0]["tenant"] == "acme"
         assert doc["epochs"]
+        assert doc["epochs"][0]["predicted_cost"] == \
+            service.live.eras[0].plan.predicted_cost
         gauges = service.metrics_snapshot().to_dict()["gauges"]
         # AB plus the four single attributes the cold bound needs.
         assert gauges["sketches.relations"] == 5

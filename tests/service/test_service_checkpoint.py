@@ -6,6 +6,9 @@ reconfiguration that has not yet landed (a tenant registered inside the
 open epoch, then the crash).
 """
 
+from dataclasses import astuple, replace
+from pathlib import Path
+
 import pytest
 
 from repro import QueryRegistry, StreamService
@@ -16,8 +19,20 @@ from repro.resilience.checkpoint import read_checkpoint_document
 from tests.service.conftest import SCHEMA, push_slice, query
 
 
+#: Service checkpoints (format version 5, like today's) written by the
+#: code that still had an SLO re-plan trigger: one with ``slo=None``, one
+#: with a pickled ``ServiceSLO(max_cost_per_record=12.0)``.
+LEGACY = Path(__file__).parents[1] / "resilience" / "data"
+
+
 def fresh_service():
     return StreamService(SCHEMA, memory=800)
+
+
+def costs(reports):
+    """Epoch reports without ``predicted_cost``, which a legacy era
+    does not know."""
+    return [astuple(replace(r, predicted_cost=None)) for r in reports]
 
 
 class TestRoundTrip:
@@ -115,3 +130,32 @@ class TestPayload:
         service.register("acme", query("AB"))
         with pytest.raises(CheckpointError, match="not ingested"):
             service.checkpoint(tmp_path / "nope.ckpt")
+
+
+class TestLegacyCheckpoints:
+    def test_slo_free_checkpoint_restores_and_finishes_like_a_run(
+            self, dataset, tmp_path):
+        """Cut at 3000 records right after ``late`` registered, as in
+        :class:`TestRoundTrip`. The legacy ``slo`` and
+        ``epochs_since_replan`` payload keys are ignored."""
+        oracle = TestRoundTrip().run(dataset, False, tmp_path)
+        document = read_checkpoint_document(LEGACY / "service-v5.ckpt")
+        assert document["extra"]["service"]["slo"] is None
+        restored = StreamService.restore(LEGACY / "service-v5.ckpt")
+        assert restored.live.records_seen == len(dataset) // 2
+        assert restored.live._staged_plan.memory is None
+        push_slice(restored, dataset, len(dataset) // 2, len(dataset))
+        restored.finish()
+        assert restored.leases() == oracle.leases()
+        for tenant in ("acme", "beta", "late"):
+            assert restored.answers(tenant) == oracle.answers(tenant)
+        assert restored.live.reconfigurations == \
+            oracle.live.reconfigurations
+        assert costs(restored.live.epoch_reports) == \
+            costs(oracle.live.epoch_reports)
+
+    def test_checkpoint_with_a_pickled_slo_is_refused(self):
+        path = LEGACY / "service-v5-slo.ckpt"
+        with pytest.raises(CheckpointError, match="cannot read") as info:
+            StreamService.restore(path)
+        assert str(path) in str(info.value)
