@@ -15,9 +15,11 @@ This module parses that subset into :class:`AggregationQuery` objects:
   this library processes a single stream relation, as the paper does);
 * an optional WHERE clause of AND-ed comparisons (Gigascope's selection
   step — the F of FTA), shared by the whole query set in the MA model;
-* a GROUP BY list of attributes plus an optional ``time/N`` epoch term;
+* a GROUP BY list of attributes plus at most one ``time/N`` epoch term;
 * an optional ``HAVING count(*) > N`` / ``>= N`` threshold (the intro's
-  "provided this number of packets is more than 100").
+  "provided this number of packets is more than 100"), read exactly:
+  ``> N`` keeps counts of at least ``floor(N) + 1``, ``>= N`` of at
+  least ``ceil(N)``.
 
 Grammar (case-insensitive keywords)::
 
@@ -37,8 +39,10 @@ Grammar (case-insensitive keywords)::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from repro.core.attributes import AttributeSet
@@ -148,6 +152,9 @@ class _Parser:
                         f"more than one aggregate in {self._text!r}")
                 aggregate, aggregate_alias = item[1], item[2]
             else:  # epoch
+                if select_epoch is not None:
+                    raise NotationError(
+                        f"more than one time/N in SELECT of {self._text!r}")
                 select_epoch, epoch_alias = item[1], item[2]
             if not self._accept("symbol", ","):
                 break
@@ -165,6 +172,10 @@ class _Parser:
             while True:
                 token_kind, token_value = self._next()
                 if token_kind == "keyword" and token_value == "time":
+                    if group_epoch is not None:
+                        raise NotationError(
+                            f"more than one time/N in GROUP BY of "
+                            f"{self._text!r}")
                     self._expect("symbol", "/")
                     group_epoch = float(self._expect("number"))
                     if self._accept("keyword", "as"):
@@ -242,10 +253,11 @@ class _Parser:
         if op_kind != "symbol" or op not in (">", ">="):
             raise NotationError(
                 f"HAVING supports count(*) > N / >= N, got {op!r}")
-        threshold = float(self._expect("number"))
+        # Exact: a float would round thresholds beyond 2**53.
+        threshold = Fraction(self._expect("number"))
         if op == ">":
-            threshold += 1
-        return int(threshold)
+            return math.floor(threshold) + 1
+        return math.ceil(threshold)
 
     @staticmethod
     def _build(select_attrs, aggregate, aggregate_alias, select_epoch,

@@ -133,41 +133,3 @@ class Dataset:
         from repro.gigascope.hashing import pack_tuples  # avoid cycle at import
         codes = pack_tuples([self.columns[a] for a in attrs])
         return int(np.unique(codes).size)
-
-    def mean_flow_length(self, attrs: AttributeSet) -> float:
-        """Average length of maximal runs of equal group values.
-
-        This is the temporal derivation of flow length the paper uses
-        (Section 6.3.3): consecutive records with the same projected group
-        belong to one flow.
-        """
-        attrs = self.schema.attribute_set(attrs)
-        if len(self) == 0:
-            return 1.0
-        from repro.gigascope.hashing import pack_tuples
-        codes = pack_tuples([self.columns[a] for a in attrs])
-        runs = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
-        return len(self) / runs
-
-    def collapse_flows(self, attrs: AttributeSet | None = None) -> "Dataset":
-        """One record per maximal run of equal groups (clusteredness removal).
-
-        The paper validates its random-data collision model on real data by
-        "grouping all packets of a flow into a single record"; this method
-        performs that reduction. Runs are detected at the projection
-        ``attrs`` (default: all attributes); value columns keep the run's
-        first value.
-        """
-        target = (self.schema.all_attributes if attrs is None
-                  else self.schema.attribute_set(attrs))
-        if len(self) == 0:
-            return self
-        from repro.gigascope.hashing import pack_tuples
-        codes = pack_tuples([self.columns[a] for a in target])
-        keep = np.concatenate(([True], codes[1:] != codes[:-1]))
-        return Dataset(
-            self.schema,
-            {k: v[keep] for k, v in self.columns.items()},
-            self.timestamps[keep],
-            {k: v[keep] for k, v in self.values.items()},
-        )

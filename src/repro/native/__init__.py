@@ -6,7 +6,8 @@ kernel shares (compiler discovery, on-disk cache, the
 ``REPRO_NO_CKERNEL`` opt-out, the per-process memo of load outcomes);
 the four kernels are ``repro.native.ingest`` (the fused LFTA accounting
 pass behind the engine's hot loop), ``repro.native.merge`` (the HFTA's
-hash-table group-merge fold), ``repro.native.partition`` (the sharded
+hash-table group-merge fold, and through the same table the planner's
+exact group and flow counts), ``repro.native.partition`` (the sharded
 runtime's hash-and-scatter pass) and ``repro.native.descend`` (the ES
 allocator's coordinate descent). Each exposes ``kernel_available()`` —
 a lookup in that memo — and callers pick the kernel or their numpy /

@@ -5,11 +5,19 @@ and flow lengths for clustered data via two estimators —
 
 * **gap-based segmentation** (:func:`flow_count`): records of one group
   whose inter-arrival gap exceeds a timeout belong to different flows (the
-  standard netflow definition, the paper's "derived temporally");
+  standard netflow definition, the paper's "derived temporally"). This is
+  the one definition of a flow in the repo;
 * **probe-table calibration** (:func:`calibrated_flow_length`): run the
   projection through a real hash table and invert Eq. 15 — the paper's
   "maintaining the number of times hash table bucket entries are updated
   before being evicted".
+
+:func:`measure_statistics`, the planner's input, computes a relation's
+group count and gap-based flow count in one pass through the
+``hfta_merge`` kernel's hash table (:func:`repro.native.merge.group_stats`)
+when it is available. Its numpy body — ``Dataset.group_count``'s
+``np.unique`` plus :func:`flow_count`'s ``lexsort`` — is the fallback and
+the oracle the kernel is tested against, field for field.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from repro.core.statistics import RelationStatistics
 from repro.gigascope.engine import simulate
 from repro.gigascope.hashing import pack_tuples
 from repro.gigascope.records import Dataset
+from repro.native import merge
 
 __all__ = ["flow_count", "mean_flow_length", "calibrated_flow_length",
            "measure_statistics", "one_record_per_flow"]
@@ -80,10 +89,13 @@ def flow_count(dataset: Dataset, attrs: AttributeSet | str,
 def mean_flow_length(dataset: Dataset, attrs: AttributeSet | str,
                      timeout: float = 1.0) -> float:
     """Mean packets per flow at a projection (>= 1)."""
-    flows = flow_count(dataset, attrs, timeout)
+    return _mean_length(len(dataset), flow_count(dataset, attrs, timeout))
+
+
+def _mean_length(records: int, flows: int) -> float:
     if flows == 0:
         return 1.0
-    return max(len(dataset) / flows, 1.0)
+    return max(records / flows, 1.0)
 
 
 def calibrated_flow_length(dataset: Dataset, attrs: AttributeSet | str,
@@ -121,13 +133,25 @@ def measure_statistics(dataset: Dataset,
     """Exact group counts (and optionally flow lengths) for relations.
 
     Pass ``flow_timeout`` for clustered traces to record gap-based flow
-    lengths; omit it for random data (``l = 1`` everywhere).
+    lengths; omit it for random data (``l = 1`` everywhere). With the
+    ``hfta_merge`` kernel each relation costs one hash pass
+    (:func:`repro.native.merge.group_stats`); without it, a group-unique
+    and a flow sort, with equal results.
     """
     groups: dict[AttributeSet, float] = {}
     flows: dict[AttributeSet, float] = {}
+    one_pass = merge.kernel_available()
     for rel in relations:
         attrs = dataset.schema.attribute_set(rel)
-        groups[attrs] = float(dataset.group_count(attrs))
-        if flow_timeout is not None:
-            flows[attrs] = mean_flow_length(dataset, attrs, flow_timeout)
+        if one_pass:
+            g, n_flows = merge.group_stats(
+                [dataset.columns[a] for a in attrs], dataset.timestamps,
+                flow_timeout)
+            groups[attrs] = float(g)
+            if flow_timeout is not None:
+                flows[attrs] = _mean_length(len(dataset), n_flows)
+        else:
+            groups[attrs] = float(dataset.group_count(attrs))
+            if flow_timeout is not None:
+                flows[attrs] = mean_flow_length(dataset, attrs, flow_timeout)
     return RelationStatistics(groups, flows, counters=counters)

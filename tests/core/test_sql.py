@@ -62,9 +62,15 @@ class TestGrammar:
         assert q.aggregate.kind == "sum" and q.aggregate.column == "bytes"
 
     def test_having_ge(self):
-        q = parse_query("select A, count(*) from R group by A "
-                        "having count(*) >= 10").query
-        assert q.having_min == 10
+        """Thresholds are read exactly: ``> N`` is ``floor(N) + 1``,
+        ``>= N`` is ``ceil(N)``, with no float rounding past 2**53."""
+        for having, having_min in [
+                (">= 10", 10), (">= 2.5", 3), ("> 2.5", 3), ("> 2", 3),
+                (">= 0", 0), ("> 9007199254740993", 9007199254740994),
+                (">= 9007199254740993", 9007199254740993)]:
+            q = parse_query("select A, count(*) from R group by A "
+                            f"having count(*) {having}").query
+            assert q.having_min == having_min, having
 
     def test_no_group_by_uses_select_list(self):
         q = parse_query("select A, B, count(*) from R").query
@@ -95,6 +101,8 @@ class TestErrors:
         "select A count(*) from R group by A",          # missing comma
         "select A, count(*) from R group by A extra",
         "select A, time/10, count(*) from R group by A, time/20",
+        "select A, count(*) from R group by A, time/60, time/30",
+        "select A, time/60, time/30, count(*) from R",
         "select A, count(*) from",
         "select A, count(*) from R group by A; drop table R",
     ])

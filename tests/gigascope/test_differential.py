@@ -23,6 +23,7 @@ from repro.core.cost_model import CostParameters
 from repro.gigascope.online import LiveStreamSystem
 from repro.native import descend, ingest, machine_info, merge, partition
 from repro.parallel import ShardedStreamSystem
+from repro.workloads import measure_statistics
 from tests.conftest import PAPER_GROUPS, numpy_kernels_off
 from tests.references import abc_stream, assert_matches_reference
 
@@ -67,8 +68,10 @@ def test_engine_matches_reference(mode, forest, shards, values, stream):
 
 #: Fixed streams (seeded by position) beside the hypothesis matrix: an AC
 #: branch under ABC, two raws where AC feeds only C, one raw over three
-#: leaves, and the three-level forest with a value column at a fixed seed.
-PINNED = ["ABC(AC(A C) B)", "AB(A B) AC(C)", "ABC(A B C)", "ABC(AB(A B) C)"]
+#: leaves, the three-level forest, three flat leaves and a phantom beside
+#: a flat leaf, each with a value column at a fixed seed.
+PINNED = ["ABC(AC(A C) B)", "AB(A B) AC(C)", "ABC(A B C)", "ABC(AB(A B) C)",
+          "A B C", "AB(A B) C"]
 
 
 @pytest.mark.parametrize("notation", PINNED)
@@ -89,12 +92,15 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
         raise AssertionError("kernel function called under numpy_kernels")
 
     for module, function in ((ingest, "ingest_runs"), (merge, "merge_rows"),
+                             (merge, "group_stats"),
                              (partition, "hash_shards"),
                              (partition, "scatter_lanes"),
                              (descend, "descend")):
         monkeypatch.setattr(module, function, unreachable)
     dataset = abc_stream(4, 600, 5, 6.0, clustered=True)
     queries = QuerySet.counts(["AB", "BC"], epoch_seconds=2.0)
+    measured = measure_statistics(dataset, queries.group_bys, 1.0)
+    assert measured.covered(queries.group_bys)
     stats = RelationStatistics.from_counts(PAPER_GROUPS)
     the_plan = plan(queries, stats, 4000.0)
     single = StreamSystem.from_plan(dataset, queries, the_plan).run()

@@ -36,10 +36,6 @@ def random_dataset(n, seed, domain=4, duration=5.0):
     return abc_stream(seed, n, domain, duration, clustered=False)
 
 
-def clustered_dataset(n, seed, domain=4, duration=5.0):
-    return abc_stream(seed, n, domain, duration, clustered=True)
-
-
 def exact_groupby(dataset, attrs, epoch_seconds):
     """Ground-truth (epoch, group) -> (count, value_sum)."""
     out = defaultdict(lambda: [0, 0.0])
@@ -52,19 +48,6 @@ def exact_groupby(dataset, attrs, epoch_seconds):
         if values is not None:
             entry[1] += float(values[i])
     return out
-
-
-# The last four configurations' fixed streams are pinned in
-# test_differential.py.
-@pytest.mark.parametrize("notation", CONFIGS[:2])
-@pytest.mark.parametrize("maker", [random_dataset, clustered_dataset],
-                         ids=["random", "clustered"])
-def test_engine_matches_reference(notation, maker):
-    dataset = maker(1500, seed=hash(notation) % 2**16)
-    config = Configuration.from_notation(notation)
-    buckets = {rel: 3 + 2 * i for i, rel in enumerate(config.relations)}
-    assert_equivalent(dataset, config, buckets, epoch_seconds=2.0,
-                      value_column="v")
 
 
 @pytest.mark.parametrize("notation", CONFIGS)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.attributes import AttributeSet
 from repro.errors import SchemaError
 from repro.gigascope.records import Dataset, StreamSchema
+from repro.workloads import mean_flow_length, one_record_per_flow
 
 
 def make_dataset(n=10, epoch_spread=3.0):
@@ -109,18 +110,23 @@ class TestStatisticsHelpers:
         assert data.group_count(AttributeSet.parse("B")) == 1
 
     def test_mean_flow_length_of_runs(self):
+        """A flow is gap-based, not a run of consecutive records."""
         schema = StreamSchema(("A",))
         data = Dataset(schema, {"A": np.array([1, 1, 1, 2, 2, 1])},
                        np.arange(6.0))
-        # runs: 111 | 22 | 1 -> 6 records / 3 runs
-        assert data.mean_flow_length(AttributeSet.parse("A")) == 2.0
+        # The last 1 comes 3 s after its group's previous record: at a
+        # 1 s timeout it opens a third flow (6 records / 3 flows), at a
+        # 3 s timeout it continues the first (6 / 2).
+        assert mean_flow_length(data, "A", timeout=1.0) == 2.0
+        assert mean_flow_length(data, "A", timeout=3.0) == 3.0
 
     def test_collapse_flows(self):
         schema = StreamSchema(("A",))
         data = Dataset(schema, {"A": np.array([1, 1, 2, 2, 2, 3])},
                        np.arange(6.0))
-        collapsed = data.collapse_flows()
+        collapsed = one_record_per_flow(data, "A", timeout=1.0)
         assert list(collapsed.columns["A"]) == [1, 2, 3]
+        assert list(collapsed.timestamps) == [0.0, 2.0, 5.0]
 
     def test_head(self):
         data = make_dataset(n=10)

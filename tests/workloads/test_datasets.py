@@ -1,8 +1,11 @@
 """Tests for dataset statistics measurement."""
 
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from repro import AttributeSet, StreamSchema
+from repro.errors import StatisticsError
 from repro.gigascope.records import Dataset
 from repro.workloads import (
     NetflowTraceGenerator,
@@ -11,10 +14,12 @@ from repro.workloads import (
     make_group_universe,
     mean_flow_length,
     measure_statistics,
+    paper_like_trace,
     uniform_dataset,
 )
 from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import QuerySet
+from tests.conftest import numpy_kernels_off
 
 
 def A(label):
@@ -95,3 +100,59 @@ class TestMeasureStatistics:
         data = tiny_dataset([1], [0])
         stats = measure_statistics(data, [A("A")], counters=2)
         assert stats.entry_units(A("A")) == 3
+
+
+# ----------------------------------------------------------------------
+# The one-pass statistics kernel against the numpy body (its oracle)
+# ----------------------------------------------------------------------
+ABC = StreamSchema(("A", "B", "C"))
+#: Every projection of ABC, so one stream exercises 1..3 key columns.
+ABC_RELATIONS = ["A", "B", "C", "AB", "AC", "BC", "ABC"]
+#: Key offsets: small, negative, beyond 2**62 and at the int64 minimum.
+KEY_BASES = [0, -7, 2**62 + 3, -2**63]
+
+
+@st.composite
+def abc_streams(draw):
+    """Short streams whose steps hit 0 (equal timestamps) and the
+    timeouts under test exactly, beside non-dyadic ones."""
+    n = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 0.1]),
+                          min_size=n, max_size=n))
+    columns = {}
+    for name in ABC.attributes:
+        keys = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        base = draw(st.sampled_from(KEY_BASES))
+        stride = draw(st.sampled_from([1, 2**40]))
+        columns[name] = base + stride * np.array(keys, dtype=np.int64)
+    start = draw(st.sampled_from([0.0, 1e6 + 0.3]))
+    return Dataset(ABC, columns, start + np.cumsum(steps))
+
+
+class TestOnePassStatistics:
+    @pytest.mark.parametrize("flow_timeout", [None, 0.0, 0.5, 1.0])
+    @given(data=abc_streams())
+    def test_kernel_matches_numpy_body(self, flow_timeout, data):
+        fast = measure_statistics(data, ABC_RELATIONS, flow_timeout)
+        with numpy_kernels_off():
+            slow = measure_statistics(data, ABC_RELATIONS, flow_timeout)
+        assert fast == slow
+
+    def test_netflow_workload_shape(self):
+        """The netflow benchmark's input: a paper-like trace head, four
+        attributes, every node of the feeding graph, 1 s flows."""
+        data = paper_like_trace(n_records=60_000, seed=1).head(20_000)
+        nodes = FeedingGraph(QuerySet.counts(["AB", "BC", "BD", "CD"])).nodes
+        fast = measure_statistics(data, nodes, flow_timeout=1.0)
+        with numpy_kernels_off():
+            slow = measure_statistics(data, nodes, flow_timeout=1.0)
+        assert fast == slow
+        assert set(fast.flow_lengths) == set(nodes)
+        assert all(length > 1.0 for length in fast.flow_lengths.values())
+
+    def test_empty_input_raises_on_both_paths(self):
+        empty = tiny_dataset([], [])
+        with pytest.raises(StatisticsError):
+            measure_statistics(empty, [A("A")], flow_timeout=1.0)
+        with numpy_kernels_off(), pytest.raises(StatisticsError):
+            measure_statistics(empty, [A("A")], flow_timeout=1.0)
