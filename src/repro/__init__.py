@@ -43,12 +43,7 @@ from repro.gigascope import (
     StreamSystem,
 )
 from repro.observability import MetricsRegistry, RunManifest
-from repro.parallel import (
-    HashPartitioner,
-    KeyRangePartitioner,
-    RoundRobinPartitioner,
-    ShardedStreamSystem,
-)
+from repro.parallel import HashPartitioner, ShardedStreamSystem
 from repro.service import (
     AdmissionError,
     AdmissionPolicy,
@@ -76,9 +71,7 @@ __all__ = [
     "plan",
     "Dataset",
     "HashPartitioner",
-    "KeyRangePartitioner",
     "MetricsRegistry",
-    "RoundRobinPartitioner",
     "RunManifest",
     "RunReport",
     "ShardedStreamSystem",

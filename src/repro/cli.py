@@ -32,7 +32,7 @@ from repro.gigascope.load import LoadModel
 from repro.gigascope.online import LiveStreamSystem
 from repro.gigascope.runtime import StreamSystem
 from repro.observability import MetricsRegistry, RunManifest
-from repro.parallel import ShardedStreamSystem, make_partitioner
+from repro.parallel import ShardedStreamSystem
 from repro.workloads.datasets import measure_statistics
 from repro.workloads.io import load_csv, load_npz
 
@@ -67,13 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--execute", action="store_true",
                         help="also stream the dataset through the plan")
     parser.add_argument("--shards", type=int, default=1,
-                        help="run --execute on N LFTA shards, in-process "
+                        help="run --execute on N LFTA shards, in-process, "
+                             "hash-partitioned on the full group key "
                              "(default 1: unsharded)")
-    parser.add_argument("--partition", default="hash",
-                        choices=["hash", "round-robin", "range"],
-                        help="record-to-shard strategy for --shards > 1")
-    parser.add_argument("--partition-column", default=None,
-                        help="attribute for --partition range")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="execute incrementally through the live "
                              "runtime, checkpointing after every batch "
@@ -165,8 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.shards < 1:
         parser.error("--shards must be >= 1")
-    if args.partition == "range" and args.partition_column is None:
-        parser.error("--partition range requires --partition-column")
     if args.checkpoint_dir is not None and args.shards > 1:
         parser.error("--checkpoint-dir runs the single-core live "
                      "runtime; drop --shards")
@@ -215,13 +209,10 @@ def main(argv: list[str] | None = None) -> int:
                     dataset, queries, the_plan, params, value_column,
                     where, registry, args.checkpoint_dir)
             elif args.shards > 1:
-                partitioner = make_partitioner(
-                    args.partition, column=args.partition_column)
                 system = ShardedStreamSystem.from_plan(
                     dataset, queries, the_plan, params=params,
                     value_column=value_column, where=where,
-                    shards=args.shards, partitioner=partitioner,
-                    registry=registry)
+                    shards=args.shards, registry=registry)
                 report = system.run()
             else:
                 system = StreamSystem.from_plan(dataset, queries, the_plan,
@@ -240,8 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"end-of-epoch cost : {live.total_flush_cost():.0f}")
         else:
             if args.shards > 1:
-                print(f"shards            : {args.shards} "
-                      f"({args.partition})")
+                print(f"shards            : {args.shards}")
             print(report.summary())
             rate = LoadModel(params=params).sustainable_rate(
                 report.per_record_cost)

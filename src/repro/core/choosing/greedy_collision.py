@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.core.allocation.base import SpaceAllocator
 from repro.core.allocation.supernode import SupernodeLinear
-from repro.core.attributes import AttributeSet
 from repro.core.choosing.base import ChoiceResult, ChoiceStep
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
@@ -37,24 +36,16 @@ __all__ = ["GreedyCollision", "gcsl", "gcpl"]
 class GreedyCollision:
     """The GC algorithm with a pluggable space allocator.
 
-    ``cache_benefits`` (default off) enables lazy re-evaluation: candidates
-    are scanned in decreasing order of their last-known benefit and the
-    scan stops once the best *fresh* benefit matches the stale bound of
-    the next candidate. Unlike GS, a GC candidate's benefit is *not*
-    invariant across rounds — the allocator re-splits all of ``M`` over
-    every tree each round — so stale priorities can occasionally reorder
-    the scan and pick a slightly different phantom than the exhaustive
-    pass. Accepted costs and allocations are always freshly evaluated;
-    only the scan order is approximate. Leave it off when bit-exact
-    parity with the paper's algorithm matters (the default), and turn it
-    on for large planning sweeps where the full rescan dominates.
+    Every round re-evaluates every remaining candidate: unlike GS, a GC
+    candidate's benefit is *not* invariant across rounds — the allocator
+    re-splits all of ``M`` over every tree each round — so no benefit
+    can be carried from one round to the next.
     """
 
     allocator: SpaceAllocator = field(default_factory=SupernodeLinear)
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
     min_benefit: float = 1e-12
-    cache_benefits: bool = False
 
     @property
     def name(self) -> str:
@@ -73,40 +64,24 @@ class GreedyCollision:
                                params, self.clustered)
         trajectory = [ChoiceStep(None, config, cost)]
         remaining = [p for p in graph.phantoms if stats.has(p)]
-        # Last-known benefit per candidate; only consulted (as a scan
-        # order and early-stop bound) when cache_benefits is on.
-        stale: dict[AttributeSet, float] = {}
         while remaining:
-            if self.cache_benefits:
-                order = sorted(remaining,
-                               key=lambda p: -stale.get(p, float("inf")))
-            else:
-                order = remaining
             best = None
-            for phantom in order:
-                if self.cache_benefits and best is not None:
-                    # order is sorted by stale benefit descending, so this
-                    # candidate's stale value bounds every later one too.
-                    if cost - best[0] >= stale.get(phantom, float("inf")):
-                        break
+            for phantom in remaining:
                 try:
                     trial_config = config.with_phantom(phantom)
                     trial_alloc = self.allocator.allocate(
                         trial_config, stats, memory, params)
                 except (ConfigurationError, AllocationError):
-                    stale[phantom] = float("-inf")
                     continue
                 trial_cost = per_record_cost(
                     trial_config, stats, trial_alloc.buckets, self.model,
                     params, self.clustered)
-                stale[phantom] = cost - trial_cost
                 if best is None or trial_cost < best[0]:
                     best = (trial_cost, phantom, trial_config, trial_alloc)
             if best is None or cost - best[0] <= self.min_benefit:
                 break
             cost, chosen, config, allocation = best
             remaining.remove(chosen)
-            stale.pop(chosen, None)
             trajectory.append(ChoiceStep(chosen, config, cost))
         return ChoiceResult(config, allocation, cost, tuple(trajectory))
 

@@ -6,8 +6,9 @@ partitioned across N independent LFTA shard engines whose outputs one
 HFTA-level merge combines into the same per-epoch answers the single-core
 :class:`~repro.gigascope.runtime.StreamSystem` produces.
 
-* :mod:`~repro.parallel.partition` — hash / round-robin / key-range
-  record-to-shard assignment;
+* :mod:`~repro.parallel.partition` — record-to-shard assignment: the
+  ``shard_ids(dataset, n_shards)`` protocol, its one built-in
+  implementation :class:`HashPartitioner`, and the shared scatter;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
   sharded mirror of :class:`StreamSystem` (shards run in-process, in
   shard order, once each);
@@ -24,10 +25,6 @@ from repro.parallel.merge import (
 )
 from repro.parallel.partition import (
     HashPartitioner,
-    KeyRangePartitioner,
-    RoundRobinPartitioner,
-    derive_range_bounds,
-    make_partitioner,
     shard_balance,
     split_dataset,
 )
@@ -35,11 +32,7 @@ from repro.parallel.sharded import ShardedStreamSystem
 
 __all__ = [
     "HashPartitioner",
-    "KeyRangePartitioner",
-    "RoundRobinPartitioner",
     "ShardedStreamSystem",
-    "derive_range_bounds",
-    "make_partitioner",
     "merge_counters",
     "merge_hftas",
     "merge_results",

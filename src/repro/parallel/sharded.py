@@ -1,8 +1,9 @@
 """Sharded parallel ingestion: N LFTA shard engines, one exact HFTA merge.
 
 :class:`ShardedStreamSystem` mirrors the :class:`~repro.gigascope.runtime.
-StreamSystem` API but splits the stream into ``shards`` sub-streams with a
-pluggable :mod:`partitioner <repro.parallel.partition>`, runs the exact
+StreamSystem` API but splits the stream into ``shards`` sub-streams —
+by :class:`~repro.parallel.partition.HashPartitioner` unless the caller
+passes another object with ``shard_ids(dataset, n_shards)`` — runs the exact
 vectorized engine on every shard — in this process, one shard after the
 other in shard order — and merges the per-shard HFTAs and cost
 counters into one :class:`~repro.gigascope.metrics.SimulationResult`.
@@ -96,9 +97,12 @@ class ShardedStreamSystem:
         exceed the LFTA memory budget);
         :class:`~repro.errors.ConfigurationError` otherwise.
     partitioner:
-        Record-to-shard assignment strategy (default
+        Record-to-shard assignment (default
         :class:`~repro.parallel.partition.HashPartitioner` on the full
-        grouping key). Any partition yields exact answers.
+        grouping key): any object with a callable
+        ``shard_ids(dataset, n_shards)``, else
+        :class:`~repro.errors.ConfigurationError`. Any partition yields
+        exact answers.
     registry:
         A :class:`~repro.observability.MetricsRegistry` to record phase
         spans and counters into; one is created (and exposed as
@@ -135,8 +139,13 @@ class ShardedStreamSystem:
                 "shards: each shard table needs >= 1 bucket, which would "
                 "exceed the planned LFTA memory budget; use fewer shards "
                 "or a larger budget")
-        self.partitioner = (partitioner if partitioner is not None
-                            else HashPartitioner())
+        if partitioner is None:
+            partitioner = HashPartitioner()
+        elif not callable(getattr(partitioner, "shard_ids", None)):
+            raise ConfigurationError(
+                f"partitioner {type(partitioner).__name__} has no callable "
+                "shard_ids(dataset, n_shards)")
+        self.partitioner = partitioner
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shard_buckets = {rel: b // self.shards
                               for rel, b in self._single.buckets.items()}

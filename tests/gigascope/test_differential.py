@@ -7,12 +7,14 @@ LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
 streams; every per-relation counter and ``hfta.totals`` (float sums
 included) compared for equality. Both modes equal the reference, hence
 each other; without a compiler both run the numpy bodies and stay green.
-Kernel-function checks live beside the code they test, hand-built
-degenerate streams in ``test_native_ingest.py``.
+Pinned and degenerate streams run through the same comparison.
+Kernel-function checks live beside the code they test, the remaining
+hand-built kernel shapes in ``test_native_ingest.py``.
 """
 
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,12 +22,17 @@ from repro import QuerySet, RelationStatistics, StreamSystem, plan
 from repro.core.allocation import ExhaustiveAllocator
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
+from repro.gigascope import Dataset
 from repro.gigascope.online import LiveStreamSystem
 from repro.native import descend, ingest, machine_info, merge, partition
 from repro.parallel import ShardedStreamSystem
 from repro.workloads import measure_statistics
 from tests.conftest import PAPER_GROUPS, numpy_kernels_off
-from tests.references import abc_stream, assert_matches_reference
+from tests.references import ABC_SCHEMA, abc_stream, assert_matches_reference
+
+#: The two ways the data path runs: compiled kernels and numpy bodies.
+MODES = pytest.mark.parametrize("mode", [nullcontext, numpy_kernels_off],
+                                ids=["kernels", "numpy_kernels"])
 
 #: Deeper forests feed the kernel in parent emission order, not time order.
 FORESTS = {
@@ -49,8 +56,7 @@ streams = st.fixed_dictionaries({
 @pytest.mark.parametrize("values", [False, True], ids=["counts", "values"])
 @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
 @pytest.mark.parametrize("forest", sorted(FORESTS))
-@pytest.mark.parametrize("mode", [nullcontext, numpy_kernels_off],
-                         ids=["kernels", "numpy_kernels"])
+@MODES
 @given(stream=streams)
 def test_engine_matches_reference(mode, forest, shards, values, stream):
     notations = FORESTS[forest]
@@ -83,6 +89,40 @@ def test_pinned_stream_matches_reference(clustered, notation):
     buckets = {rel: 3 + 2 * i for i, rel in enumerate(config.relations)}
     assert_matches_reference(dataset, config, buckets, 2.0,
                              value_column="v")
+
+
+def _columns(*rows):
+    """An A/B/C stream whose three columns are each ``rows``."""
+    return {a: np.array(rows, dtype=np.int64) for a in ABC_SCHEMA.attributes}
+
+
+#: Streams at the edges of the per-epoch walk, as (forest, stream,
+#: buckets per relation, epoch seconds): no records at all; timestamp
+#: gaps that leave whole epochs without records, which the per-epoch
+#: kernel calls must skip identically; one record.
+DEGENERATE = {
+    "empty": ("AB", lambda: Dataset(ABC_SCHEMA, _columns(), np.array([]),
+                                    {"v": np.array([])}), 4, 1.0),
+    "empty-epochs": ("ABC(AB BC)",
+                     lambda: Dataset(ABC_SCHEMA, _columns(1, 2, 1, 2, 3),
+                                     np.array([0.1, 0.2, 5.3, 5.4, 20.9]),
+                                     {"v": np.linspace(1.0, 5.0, 5)}),
+                     3, 1.0),
+    "one-record": ("AB BC", lambda: abc_stream(3, 1, 2, 1.0, False), 7, 0.5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEGENERATE))
+@MODES
+def test_degenerate_stream_matches_reference(mode, shape):
+    notation, make_stream, size, epoch_seconds = DEGENERATE[shape]
+    config = Configuration.from_notation(notation)
+    dataset = make_stream()
+    with mode():
+        got = assert_matches_reference(
+            dataset, config, {rel: size for rel in config.relations},
+            epoch_seconds, value_column="v")
+    assert got.n_records == len(dataset)
 
 
 def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):

@@ -2,7 +2,8 @@
 
 Hand-built streams most likely to break a fused pass, each run with the
 kernels and under ``numpy_kernels_off`` against the sequential reference
-(the hypothesis matrix is ``test_differential.py``), and the tests of
+(the hypothesis matrix and the empty, gapped and one-record streams are
+``test_differential.py``), and the tests of
 :mod:`repro.native.build`: one load attempt and one warning per kernel,
 the opt-out, the on-disk cache.
 """
@@ -39,34 +40,6 @@ class TestDegenerateShapes:
             assert_matches_reference(dataset, config, buckets,
                                      epoch_seconds, "v")
         return got
-
-    def test_empty_dataset(self):
-        config = Configuration.from_notation("AB")
-        dataset = Dataset(SCHEMA,
-                          {a: np.array([], dtype=np.int64)
-                           for a in SCHEMA.attributes},
-                          np.array([], dtype=np.float64),
-                          {"v": np.array([], dtype=np.float64)})
-        buckets = {rel: 4 for rel in config.relations}
-        got = self._compare(config, dataset, buckets, 1.0)
-        assert got.n_records == 0
-
-    def test_empty_epochs_between_batches(self):
-        """Timestamp gaps leave whole epochs without records; the
-        per-epoch kernel calls must skip them identically."""
-        config = Configuration.from_notation("ABC(AB BC)")
-        times = np.array([0.1, 0.2, 5.3, 5.4, 20.9], dtype=np.float64)
-        cols = {a: np.array([1, 2, 1, 2, 3]) for a in SCHEMA.attributes}
-        dataset = Dataset(SCHEMA, cols, times,
-                          {"v": np.linspace(1.0, 5.0, 5)})
-        buckets = {rel: 3 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.0)
-
-    def test_single_record_batches(self):
-        config = Configuration.from_notation("AB BC")
-        dataset = _dataset(3, 1, 2, 1.0, clustered=False)
-        buckets = {rel: 7 for rel in config.relations}
-        self._compare(config, dataset, buckets, 0.5)
 
     def test_all_records_collide(self):
         """Every record a distinct group, one bucket: every intra-epoch

@@ -1,22 +1,25 @@
-"""Tests for the stream partitioners."""
+"""Tests for record-to-shard assignment: the built-in hash partitioner,
+the ``shard_ids`` protocol user partitioners implement, and the shared
+scatter."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import AttributeSet, StreamSchema
+from repro import (
+    AttributeSet,
+    Configuration,
+    QuerySet,
+    ShardedStreamSystem,
+    StreamSchema,
+)
+from repro.cli import main
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.records import Dataset
-from repro.parallel import (
-    HashPartitioner,
-    KeyRangePartitioner,
-    RoundRobinPartitioner,
-    make_partitioner,
-    shard_balance,
-    split_dataset,
-)
+from repro.parallel import HashPartitioner, shard_balance, split_dataset
 from repro.workloads import make_group_universe, uniform_dataset
 from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.references import KeyRange, RoundRobin
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
@@ -61,8 +64,6 @@ class TestHashPartitioner:
         for bad in (0, 2.9, True, "2"):
             for call in (
                     lambda: HashPartitioner().shard_ids(dataset, bad),
-                    lambda: RoundRobinPartitioner().shard_ids(dataset, bad),
-                    lambda: KeyRangePartitioner("A").shard_ids(dataset, bad),
                     lambda: shard_balance(ids, bad),
                     lambda: split_dataset(dataset, ids, bad)):
                 with pytest.raises(ConfigurationError, match=repr(bad)):
@@ -71,83 +72,132 @@ class TestHashPartitioner:
     def test_rejects_unknown_key(self, dataset):
         with pytest.raises(SchemaError):
             HashPartitioner(AttributeSet.parse("AZ")).shard_ids(dataset, 2)
+        # An empty key has nothing to hash: one typed error, worded the
+        # same by the kernel and the numpy path.
+        empty = HashPartitioner(AttributeSet(()))
+        with pytest.raises(ConfigurationError) as kernel:
+            empty.shard_ids(dataset, 2)
+        with numpy_kernels_off(), \
+                pytest.raises(ConfigurationError) as fallback:
+            empty.shard_ids(dataset, 2)
+        assert str(kernel.value) == str(fallback.value)
+        assert "empty key" in str(kernel.value)
+
+
+def _summary(partitioner, data: Dataset, n_shards: int) -> dict:
+    """A user partitioner's ids, validated and summarized the way the
+    sharded runtime does it."""
+    ids = partitioner.shard_ids(data, n_shards)
+    return shard_balance(ids, n_shards, strategy=type(partitioner).__name__)
 
 
 class TestRoundRobinPartitioner:
+    """A round-robin split written as user code against the protocol."""
+
     def test_perfect_balance(self, dataset):
-        ids = RoundRobinPartitioner().shard_ids(dataset, 4)
-        sizes = np.bincount(ids, minlength=4)
-        assert sizes.max() - sizes.min() <= 1
+        ids = RoundRobin().shard_ids(dataset, 4)
         assert np.array_equal(ids[:8], np.arange(8) % 4)
+        summary = _summary(RoundRobin(), dataset, 4)
+        assert max(summary["records"]) - min(summary["records"]) <= 1
+        assert summary["strategy"] == "RoundRobin"
+        assert summary["empty_shards"] == 0
+        assert summary["imbalance"] == pytest.approx(
+            summary["largest_shard"] / (len(dataset) / 4))
 
 
 class TestKeyRangePartitioner:
+    """A key-range split with fixed bounds, written as user code against
+    the protocol: its numpy ids go through the shared validation,
+    balance summary and scatter."""
+
     def test_explicit_boundaries(self, dataset):
-        part = KeyRangePartitioner("A", boundaries=(3.0, 6.0))
-        ids = part.shard_ids(dataset, 3)
-        a = dataset.columns["A"]
-        assert np.all(ids[a < 3] == 0)
-        assert np.all(ids[(a >= 3) & (a < 6)] == 1)
-        assert np.all(ids[a >= 6] == 2)
+        bounds = (150_000, 210_000)
+        ids = KeyRange("A", bounds).shard_ids(dataset, 3)
+        shards = split_dataset(dataset, ids, 3)
+        a = [shard.columns["A"] for shard in shards]
+        assert np.all(a[0] < 150_000)
+        assert np.all((a[1] >= 150_000) & (a[1] < 210_000))
+        assert np.all(a[2] >= 210_000)
+        assert sum(map(len, a)) == len(dataset)
 
     def test_quantile_boundaries_balance(self, dataset):
-        ids = KeyRangePartitioner("A").shard_ids(dataset, 2)
-        sizes = np.bincount(ids, minlength=2)
-        assert sizes.min() > 0
+        """Bounds inside the key's range leave no shard empty."""
+        summary = _summary(KeyRange("A", (200_000,)), dataset, 2)
+        assert summary["empty_shards"] == 0
+        assert sum(summary["records"]) == len(dataset)
 
     def test_skewed_column_still_covers_both_shards(self):
-        """Regression: interpolated quantiles on a heavily skewed column
-        used to produce a boundary no record crosses, silently collapsing
-        one shard to empty."""
-        data = _key_dataset([5] * 99 + [7])
-        ids = KeyRangePartitioner("A").shard_ids(data, 2)
-        sizes = np.bincount(ids, minlength=2)
-        assert sizes.min() > 0
+        """A skewed split is reported, not hidden: the summary carries
+        the per-shard counts and the largest shard over the mean."""
+        summary = _summary(KeyRange("A", (6,)), _key_dataset([5] * 99 + [7]),
+                           2)
+        assert summary["records"] == [99, 1]
+        assert summary["empty_shards"] == 0
+        assert summary["imbalance"] == pytest.approx(1.98)
 
     def test_low_cardinality_caps_live_shards_at_cardinality(self):
         """Two distinct values cannot cover four shards; the first two
         shards take one value each and the rest are knowingly empty."""
         data = _key_dataset([0] * 50 + [1] * 50)
-        ids = KeyRangePartitioner("A").shard_ids(data, 4)
-        sizes = np.bincount(ids, minlength=4)
-        assert list(sizes) == [50, 50, 0, 0]
-        summary = shard_balance(ids, 4, strategy="KeyRangePartitioner")
+        summary = _summary(KeyRange("A", (1, 2, 3)), data, 4)
         assert summary["empty_shards"] == 2
         assert summary["records"] == [50, 50, 0, 0]
+        ids = KeyRange("A", (1, 2, 3)).shard_ids(data, 4)
+        assert [len(s) for s in split_dataset(data, ids, 4)] == \
+            [50, 50, 0, 0]
 
     def test_constant_column_lands_on_one_shard(self):
-        data = _key_dataset([9] * 30)
-        ids = KeyRangePartitioner("A").shard_ids(data, 3)
-        assert np.all(ids == 0)
+        summary = _summary(KeyRange("A", (10, 20)), _key_dataset([9] * 30),
+                           3)
+        assert summary["records"] == [30, 0, 0]
+        assert summary["empty_shards"] == 2
+        assert summary["imbalance"] == 3.0
 
     @given(values=st.lists(st.integers(min_value=-50, max_value=50),
                            min_size=1, max_size=300),
            n_shards=st.integers(min_value=2, max_value=8))
     def test_derived_split_covers_all_reachable_shards(self, values,
                                                        n_shards):
-        """Whatever the skew, a derived key-range split fills shards
-        ``0..min(n_shards, cardinality)-1`` and only those, and shard ids
-        are monotone in the key (ranges stay contiguous)."""
+        """Whatever the skew, each shard of the scatter holds exactly its
+        key range in arrival order, and the summary counts what landed."""
         data = _key_dataset(sorted(values))
-        ids = KeyRangePartitioner("A").shard_ids(data, n_shards)
-        reachable = min(n_shards, np.unique(data.columns["A"]).size)
-        sizes = np.bincount(ids, minlength=n_shards)
-        assert np.all(sizes[:reachable] > 0)
-        assert np.all(sizes[reachable:] == 0)
+        bounds = (-30, -10, 0, 1, 10, 30, 45)[:n_shards - 1]
+        ids = KeyRange("A", bounds).shard_ids(data, n_shards)
         assert np.all(np.diff(ids) >= 0)  # sorted keys → sorted shards
+        shards = split_dataset(data, ids, n_shards)
+        edges = (-np.inf, *bounds, np.inf)
+        for index, shard in enumerate(shards):
+            keys = shard.columns["A"]
+            assert np.all((keys >= edges[index]) & (keys < edges[index + 1]))
+            assert np.all(np.diff(shard.timestamps) >= 0)
+        summary = shard_balance(ids, n_shards)
+        assert summary["records"] == [len(s) for s in shards]
+        assert summary["empty_shards"] == sum(not len(s) for s in shards)
 
     def test_boundary_count_mismatch(self, dataset):
-        with pytest.raises(ConfigurationError):
-            KeyRangePartitioner("A", boundaries=(3.0,)).shard_ids(dataset, 3)
+        """Fewer bounds than shards leave the top shards empty: reported
+        in the summary, and the run still covers every record."""
+        summary = _summary(KeyRange("A", (200_000,)), dataset, 3)
+        assert summary["records"][2] == 0
+        assert summary["empty_shards"] == 1
+        assert sum(summary["records"]) == len(dataset)
 
     def test_unknown_column(self, dataset):
-        with pytest.raises(SchemaError):
-            KeyRangePartitioner("Z").shard_ids(dataset, 2)
+        """A user partitioner's own error ends the run as itself, before
+        any balance is published."""
+        queries = QuerySet.counts(["AB"], epoch_seconds=3.0)
+        config = Configuration.flat([AttributeSet.parse("AB")])
+        system = ShardedStreamSystem(dataset, queries, config,
+                                     {AttributeSet.parse("AB"): 8}, shards=2,
+                                     partitioner=KeyRange("Z", (0,)))
+        with pytest.raises(KeyError, match="Z"):
+            system.run()
+        assert system.partition_summary is None
 
 
 class TestSplitDataset:
     def test_partition_covers_stream_in_order(self, dataset):
-        ids = RoundRobinPartitioner().shard_ids(dataset, 3)
+        ids = RoundRobin().shard_ids(dataset, 3)
         shards = split_dataset(dataset, ids, 3)
         assert sum(len(s) for s in shards) == len(dataset)
         for shard in shards:
@@ -160,7 +210,7 @@ class TestSplitDataset:
         universe = make_group_universe(schema, (6,), value_pool=16, seed=1)
         data = uniform_dataset(universe, 400, duration=4.0, seed=2,
                                value_column="len")
-        ids = RoundRobinPartitioner().shard_ids(data, 2)
+        ids = RoundRobin().shard_ids(data, 2)
         shards = split_dataset(data, ids, 2)
         assert np.array_equal(shards[0].values["len"],
                               data.values["len"][ids == 0])
@@ -245,10 +295,12 @@ _SHAPES = {
     "empty-shard": ({"A": [1, 2**63 - 1, 1], "B": [0, 0, 0]}, 4),
 }
 
+#: The built-in partitioner and two user ones, whose numpy ids reach the
+#: same scatter.
 _PARTITIONERS = {
     "hash": HashPartitioner(),
-    "round-robin": RoundRobinPartitioner(),
-    "range": KeyRangePartitioner("A"),
+    "round-robin": RoundRobin(),
+    "range": KeyRange("A", (-2**40, -1, 0, 1, 2, 2**40)),
 }
 
 
@@ -329,23 +381,46 @@ class TestKernelDifferential:
 
 
 class TestFactory:
+    """No name picks a partitioner: the hash partitioner is the one
+    built in, and anything else is an object the caller passes."""
+
     def test_known_strategies(self):
-        assert isinstance(make_partitioner("hash"), HashPartitioner)
-        assert isinstance(make_partitioner("round-robin"),
-                          RoundRobinPartitioner)
-        assert isinstance(make_partitioner("rr"), RoundRobinPartitioner)
-        ranged = make_partitioner("range", column="A")
-        assert isinstance(ranged, KeyRangePartitioner)
-        assert ranged.column == "A"
+        import repro
+        import repro.parallel
+        for module in (repro, repro.parallel):
+            assert module.HashPartitioner is HashPartitioner
+            for name in ("RoundRobinPartitioner", "KeyRangePartitioner",
+                         "make_partitioner", "derive_range_bounds"):
+                assert name not in module.__all__
+                with pytest.raises(ImportError):
+                    exec(f"from {module.__name__} import {name}", {})
 
-    def test_hash_key_parsing(self):
-        part = make_partitioner("hash", key="AB")
-        assert part.key == AttributeSet.parse("AB")
+    def test_hash_key_parsing(self, dataset):
+        """A text key is parsed against the schema like its
+        ``AttributeSet``."""
+        for n_shards in (2, 5):
+            assert np.array_equal(
+                HashPartitioner("AB").shard_ids(dataset, n_shards),
+                HashPartitioner(AttributeSet.parse("AB")).shard_ids(
+                    dataset, n_shards))
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ConfigurationError):
-            make_partitioner("modulo")
+    def test_unknown_strategy(self, dataset):
+        """A strategy name is not a partitioner: refused when the system
+        is built, naming the type."""
+        queries = QuerySet.counts(["AB"], epoch_seconds=3.0)
+        config = Configuration.flat([AttributeSet.parse("AB")])
+        with pytest.raises(ConfigurationError, match="partitioner str"):
+            ShardedStreamSystem(dataset, queries, config,
+                                {AttributeSet.parse("AB"): 8}, shards=2,
+                                partitioner="round-robin")
 
-    def test_range_needs_column(self):
-        with pytest.raises(ConfigurationError):
-            make_partitioner("range")
+    def test_range_needs_column(self, capsys):
+        """The command line has no partitioner choice left to make."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--data", "trace.npz", "--execute", "--shards", "2",
+                  "--partition", "range",
+                  "select A, count(*) from R group by A, time/3"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --partition" in err
+        assert "--partition-column" not in err

@@ -21,12 +21,7 @@ from repro.errors import ConfigurationError
 from repro.gigascope.filters import Comparison
 from repro.gigascope.records import Dataset
 from repro.native.partition import kernel_available
-from repro.parallel import (
-    HashPartitioner,
-    KeyRangePartitioner,
-    RoundRobinPartitioner,
-    merge_results,
-)
+from repro.parallel import HashPartitioner, merge_results
 from repro.core.optimizer import plan
 from repro.workloads import (
     make_group_universe,
@@ -35,6 +30,7 @@ from repro.workloads import (
     uniform_dataset,
 )
 from tests.conftest import numpy_kernels_off
+from tests.references import KeyRange, RoundRobin
 
 
 def A(label):
@@ -62,8 +58,11 @@ def pair_plan(netflow):
     return queries, plan(queries, stats, memory=4_000)
 
 
+#: The built-in partitioner on two keys, then two user partitioners.
 PARTITIONERS = [HashPartitioner(), HashPartitioner(AttributeSet.parse("B")),
-                RoundRobinPartitioner(), KeyRangePartitioner("A")]
+                RoundRobin(),
+                KeyRange("A", (40_000, 70_000, 95_000, 115_000, 135_000,
+                               155_000, 178_000))]
 
 
 class TestShardedExactness:
@@ -129,8 +128,7 @@ class TestDegenerateShapes:
         """A range boundary above every key collapses all records onto
         shard 0; the empty shards are skipped and answers stay exact."""
         queries, the_plan = pair_plan
-        partitioner = KeyRangePartitioner(
-            "A", boundaries=(float(10**6), float(10**6 + 1)))
+        partitioner = KeyRange("A", (10**6, 10**6 + 1))
         single = StreamSystem.from_plan(netflow, queries, the_plan).run()
         system = ShardedStreamSystem.from_plan(
             netflow, queries, the_plan, shards=3, partitioner=partitioner)
@@ -233,6 +231,12 @@ class TestShardedSystemApi:
             with pytest.raises(TypeError):
                 ShardedStreamSystem.from_plan(netflow, queries, the_plan,
                                               **removed)
+        # A partitioner without a callable shard_ids is refused when the
+        # system is built, not when it first runs.
+        with pytest.raises(ConfigurationError,
+                           match="partitioner object has no callable"):
+            ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                          shards=2, partitioner=object())
 
     def test_rejects_bad_partitioner_ids(self, netflow, pair_plan):
         """A partitioner's ids are validated before balance and split:

@@ -14,10 +14,16 @@ For the data path the reference is the record-at-a-time ``SequentialLFTA``:
 sharded, on whichever kernels the caller left available, with it, and
 :func:`reference_report` is the ``RunReport`` a ``StreamSystem`` run
 would return, computed by it.
+
+:class:`RoundRobin` and :class:`KeyRange` are partitioners written the
+way user code writes one: an object with ``shard_ids(dataset,
+n_shards)`` returning numpy ids, which the sharded runtime validates and
+scatters like :class:`~repro.parallel.HashPartitioner`'s.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +38,27 @@ from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
 from repro.parallel.merge import merge_results
 
 ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
+
+
+@dataclass(frozen=True)
+class RoundRobin:
+    """Record ``i`` to shard ``i % n_shards``: balanced, key-oblivious."""
+
+    def shard_ids(self, dataset, n_shards):
+        return np.arange(len(dataset)) % n_shards
+
+
+@dataclass(frozen=True)
+class KeyRange:
+    """Contiguous ranges of one column, cut at the first ``n_shards - 1``
+    of fixed increasing ``bounds``: shard ``i`` takes ``[b_i, b_{i+1})``."""
+
+    column: str
+    bounds: tuple = ()
+
+    def shard_ids(self, dataset, n_shards):
+        return np.searchsorted(np.asarray(self.bounds[:n_shards - 1]),
+                               dataset.columns[self.column], side="right")
 
 
 def reference_phantoms(query_attrs) -> list[AttributeSet]:

@@ -13,8 +13,14 @@ import pytest
 
 from repro import ShardedStreamSystem
 from repro.errors import ConfigurationError, ReproError, ShardExecutionError
-from repro.parallel import make_partitioner
+from repro.parallel import HashPartitioner
 from repro.parallel import sharded as sharded_module
+from tests.references import KeyRange, RoundRobin
+
+#: The built-in partitioner and two user ones; every shard of the
+#: package's dataset gets records under each.
+PARTITIONERS = {"hash": HashPartitioner(), "round-robin": RoundRobin(),
+                "range": KeyRange("B", (25, 40))}
 
 
 def sharded(dataset, queries, config, buckets, **kwargs):
@@ -89,7 +95,7 @@ class TestCrashOnEveryAttempt:
 
 class TestFailingShard:
     @pytest.mark.parametrize("failing", [0, 1, 2])
-    @pytest.mark.parametrize("partition", ["hash", "round-robin", "range"])
+    @pytest.mark.parametrize("partition", list(PARTITIONERS))
     def test_error_names_the_failing_shard(self, dataset, queries, config,
                                            buckets, fail_shards, sleeps,
                                            partition, failing):
@@ -98,7 +104,7 @@ class TestFailingShard:
         cause = ValueError("engine failed")
         engine = fail_shards({failing + 1}, cause)
         system = sharded(dataset, queries, config, buckets,
-                         partitioner=make_partitioner(partition, column="B"))
+                         partitioner=PARTITIONERS[partition])
         with pytest.raises(ShardExecutionError) as info:
             system.run()
         records = system.partition_summary["records"]

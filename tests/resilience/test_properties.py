@@ -26,10 +26,11 @@ from repro import (
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ShardExecutionError
 from repro.gigascope.online import LiveStreamSystem
-from repro.parallel import make_partitioner
+from repro.parallel import HashPartitioner
 from repro.parallel import sharded as sharded_module
 from repro.workloads import make_group_universe, measure_statistics, uniform_dataset
 
+from tests.references import RoundRobin
 from tests.resilience.conftest import FailingEngine
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
@@ -54,6 +55,9 @@ def oracle_answers(labels, epoch_seconds, bucket_size):
             for label, query in zip(labels, queries)}
 
 
+#: The built-in partitioner and a user one.
+partitioners = st.sampled_from((HashPartitioner(), RoundRobin()))
+
 workloads = st.tuples(
     st.sets(st.sampled_from(LABEL_POOL), min_size=1, max_size=3)
       .map(lambda s: tuple(sorted(s))),
@@ -64,8 +68,8 @@ workloads = st.tuples(
 
 @given(workload=workloads,
        shards=st.integers(min_value=2, max_value=4),
-       partitioner_name=st.sampled_from(("hash", "round-robin")))
-def test_sharded_matches_single_core(workload, shards, partitioner_name):
+       partitioner=partitioners)
+def test_sharded_matches_single_core(workload, shards, partitioner):
     labels, epoch_seconds, bucket_size = workload
     dataset = small_dataset()
     queries = QuerySet.counts(list(labels), epoch_seconds=epoch_seconds)
@@ -74,7 +78,7 @@ def test_sharded_matches_single_core(workload, shards, partitioner_name):
 
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        partitioner=make_partitioner(partitioner_name))
+        partitioner=partitioner)
     report = system.run()
 
     expected = oracle_answers(labels, epoch_seconds, bucket_size)
@@ -85,10 +89,10 @@ def test_sharded_matches_single_core(workload, shards, partitioner_name):
 
 @given(workload=workloads,
        shards=st.integers(min_value=2, max_value=4),
-       partitioner_name=st.sampled_from(("hash", "round-robin")),
+       partitioner=partitioners,
        data=st.data())
 def test_failing_shard_is_named_and_rerun_is_exact(workload, shards,
-                                                   partitioner_name, data):
+                                                   partitioner, data):
     """Whichever shard's engine call raises, the run stops there with an
     error naming that shard; the same system's next run is exact."""
     labels, epoch_seconds, bucket_size = workload
@@ -101,7 +105,7 @@ def test_failing_shard_is_named_and_rerun_is_exact(workload, shards,
     engine = FailingEngine({failing + 1}, RuntimeError("engine failed"))
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
-        partitioner=make_partitioner(partitioner_name))
+        partitioner=partitioner)
     with patch.object(sharded_module, "simulate", engine):
         with pytest.raises(ShardExecutionError) as info:
             system.run()

@@ -46,14 +46,12 @@ class TestPlanCli:
         with pytest.raises(SystemExit):
             main(["--data", path, "--execute", "--shards", "0", query])
         assert "--shards must be >= 1" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["--data", path, "--execute", "--shards", "2",
-                  "--partition", "range", query])
-        assert "--partition-column" in capsys.readouterr().err
-        # There is one LFTA data path and one way to run shards, and no
-        # flag to pick another.
+        # There is one LFTA data path, one way to run shards and one way
+        # to partition them, and no flag to pick another.
         for flag, value in (("--strategy", "sort"),
-                            ("--shard-executor", "serial")):
+                            ("--shard-executor", "serial"),
+                            ("--partition", "hash"),
+                            ("--partition-column", "A")):
             with pytest.raises(SystemExit) as exit_info:
                 main(["--data", path, "--execute", "--shards", "2",
                       flag, value, query])
@@ -68,14 +66,14 @@ class TestPlanCli:
                      "select A, count(*) from R group by A, time/3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards            : 2 (hash)" in out.splitlines()
+        assert "shards            : 2" in out.splitlines()
         assert "records processed : 4000" in out
 
     def test_sharded_answers_match_single_core(self, npz_path, capsys):
         path, _ = npz_path
         query = "select A, B, count(*) from R group by A, B, time/3"
         outputs = {}
-        for extra in ([], ["--shards", "3", "--partition", "round-robin"]):
+        for extra in ([], ["--shards", "3"]):
             code = main(["--data", path, "--memory", "2000", "--execute",
                          *extra, query])
             assert code == 0
