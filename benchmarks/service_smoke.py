@@ -14,8 +14,13 @@ Boots the real CLI as subprocesses against a generated workload:
    exactly, because the workload places every register/retire at a
    chosen point of the epoch timeline.
 
-Exits non-zero on any mismatch. Used by the (non-gating) CI
-``service-smoke`` job::
+Each phase also sends one malformed push ahead of the valid push of the
+same records: float attribute values in phase one, a NaN timestamp
+mid-batch in phase two. Each must get an ``error`` event naming its line
+and change nothing, so the oracle check also covers them.
+
+Exits non-zero on any mismatch. Used by the gating CI ``service-smoke``
+job::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
 """
@@ -56,6 +61,28 @@ def push_op(dataset, start, stop) -> str:
                     for a in SCHEMA.attributes},
         "timestamps": dataset.timestamps[start:stop].tolist(),
     })
+
+
+def float_push_op(dataset, start, stop) -> str:
+    """A push whose ``A`` column holds non-integer values."""
+    line = json.loads(push_op(dataset, start, stop))
+    line["columns"]["A"] = [a + 0.7 for a in line["columns"]["A"]]
+    return json.dumps(line)
+
+
+def nan_push_op(dataset, start, stop) -> str:
+    """A push with a NaN timestamp in the middle of the batch."""
+    line = json.loads(push_op(dataset, start, stop))
+    line["timestamps"][(stop - start) // 2] = float("nan")
+    return json.dumps(line)
+
+
+def check_refused(events: list[dict], lines: list[str],
+                  bad: int) -> None:
+    """Exactly one error event, naming line ``bad`` (0-based)."""
+    errors = [e for e in events if e["event"] == "error"]
+    assert [e["line"] for e in errors] == [bad + 1], errors
+    print(f"refused line {bad + 1}: {errors[0]['message']}")
 
 
 def op(**fields) -> str:
@@ -104,31 +131,37 @@ def main() -> int:
     answers_path = workdir / "answers.json"
 
     phase1 = workdir / "phase1.jsonl"
-    phase1.write_text("\n".join([
+    lines = [
         op(op="register", tenant="steady", group_by="AB"),
         op(op="register", tenant="leaver", group_by="BC"),
         push_op(dataset, 0, cut_mid),
         op(op="register", tenant="late", group_by="CD"),
+        float_push_op(dataset, cut_mid, cut_half),
         push_op(dataset, cut_mid, cut_half),
         op(op="checkpoint", path=str(checkpoint)),
-    ]) + "\n")
+    ]
+    phase1.write_text("\n".join(lines) + "\n")
     events = run_serve(phase1, "--attributes", "A,B,C,D",
                        "--memory", str(MEMORY),
                        "--epoch-seconds", str(EPOCH))
     assert any(e["event"] == "checkpointed" for e in events), events
+    check_refused(events, lines, 4)
     print(f"phase 1: {len(events)} events, checkpoint written")
     # The process exits here; state after the checkpoint is lost.
 
     phase2 = workdir / "phase2.jsonl"
-    phase2.write_text("\n".join([
+    lines = [
         push_op(dataset, cut_half, cut_late),
         op(op="retire", tenant="leaver"),
+        nan_push_op(dataset, cut_late, n),
         push_op(dataset, cut_late, n),
         op(op="finish"),
-    ]) + "\n")
+    ]
+    phase2.write_text("\n".join(lines) + "\n")
     events = run_serve(phase2, "--resume", str(checkpoint),
                        "--answers-json", str(answers_path))
     assert any(e["event"] == "resumed" for e in events), events
+    check_refused(events, lines, 2)
     print(f"phase 2: {len(events)} events, resumed from checkpoint")
 
     answers = json.loads(answers_path.read_text())

@@ -30,7 +30,7 @@ from repro.core.sql import parse_workload
 from repro.errors import CheckpointError, ReproError
 from repro.gigascope.load import LoadModel
 from repro.gigascope.online import LiveStreamSystem
-from repro.gigascope.runtime import StreamSystem
+from repro.gigascope.runtime import StreamSystem, check_run
 from repro.observability import MetricsRegistry, RunManifest
 from repro.parallel import ShardedStreamSystem
 from repro.workloads.datasets import measure_statistics
@@ -169,14 +169,15 @@ def main(argv: list[str] | None = None) -> int:
             v for v in args.value_columns.split(",") if v)
         dataset = _load_dataset(args.data, value_columns)
         queries, where = parse_workload(args.queries)
+        # The run's one value column, if any query reads one.
+        value_column = next((q.aggregate.column for q in queries
+                             if q.aggregate.column), None)
+        check_run(dataset.schema, queries, value_column=value_column,
+                  where=where)
         graph = FeedingGraph(queries)
-        for rel in graph.nodes:
-            dataset.schema.attribute_set(rel)
         stats = measure_statistics(dataset, graph.nodes,
                                    flow_timeout=args.flow_timeout,
-                                   counters=2 if any(
-                                       q.aggregate.needs_value
-                                       for q in queries) else 1)
+                                   counters=2 if value_column else 1)
         params = CostParameters(1.0, args.evict_cost)
         the_plan = plan(queries, stats, args.memory, params,
                         algorithm=args.algorithm, phi=args.phi,
@@ -195,10 +196,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.execute or args.metrics_json or args.trace or \
             args.checkpoint_dir:
-        value_column = None
-        for query in queries:
-            if query.aggregate.needs_value:
-                value_column = query.aggregate.column
         registry = MetricsRegistry()
         system = None
         live = None

@@ -27,7 +27,6 @@ from repro.core.optimizer import Plan, plan
 from repro.core.sql import ParsedQuery, parse_queries, parse_query
 from repro.core.sketches import (
     KMVDistinctCounter,
-    RunLengthEstimator,
     StreamStatisticsCollector,
 )
 from repro.core.explain import PlanExplanation, explain
@@ -54,7 +53,6 @@ __all__ = [
     "parse_queries",
     "parse_query",
     "KMVDistinctCounter",
-    "RunLengthEstimator",
     "StreamStatisticsCollector",
     "PlanExplanation",
     "explain",

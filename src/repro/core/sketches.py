@@ -9,13 +9,11 @@ module provides small-state streaming estimators:
 * :class:`KMVDistinctCounter` — the classic k-minimum-values distinct
   estimator: keep the ``k`` smallest hash values seen; with ``h_(k)`` the
   k-th smallest as a fraction of the hash space, ``D ~ (k - 1) / h_(k)``.
-  Unbiased, ~``1/sqrt(k-2)`` relative error, mergeable.
-* :class:`RunLengthEstimator` — streaming mean length of consecutive
-  equal-key runs (the simple temporal flow-length proxy; a lower bound
-  under flow interleaving).
-* :class:`StreamStatisticsCollector` — one sketch pair per relation,
+  Unbiased, ~``1/sqrt(k-2)`` relative error.
+* :class:`StreamStatisticsCollector` — one sketch per relation,
   consuming record batches and emitting a
-  :class:`~repro.core.statistics.RelationStatistics` snapshot for the
+  :class:`~repro.core.statistics.RelationStatistics` snapshot (group
+  counts; flow lengths stay 1, the unclustered model) for the
   planner. This is what lets the multi-tenant service
   (:mod:`repro.service`) admit and plan every registration without
   exact counting.
@@ -34,7 +32,6 @@ from repro.gigascope.hashing import chain_hasher, splitmix64
 
 __all__ = [
     "KMVDistinctCounter",
-    "RunLengthEstimator",
     "StreamStatisticsCollector",
 ]
 
@@ -72,18 +69,6 @@ class KMVDistinctCounter:
             self._saturated = True
         self._minima = merged
 
-    def merge(self, other: "KMVDistinctCounter") -> None:
-        """Combine with a sketch built over another substream."""
-        if other.k != self.k or other.salt != self.salt:
-            raise StatisticsError("can only merge KMV sketches with the "
-                                  "same k and salt")
-        merged = np.unique(np.concatenate([self._minima, other._minima]))
-        if merged.size > self.k:
-            merged = merged[:self.k]
-            self._saturated = True
-        self._saturated = self._saturated or other._saturated
-        self._minima = merged
-
     def estimate(self) -> float:
         """Estimated number of distinct keys seen (exact until saturation)."""
         if not self._saturated:
@@ -93,36 +78,6 @@ class KMVDistinctCounter:
 
     def __len__(self) -> int:
         return int(self._minima.size)
-
-
-class RunLengthEstimator:
-    """Streaming mean length of maximal runs of equal keys."""
-
-    def __init__(self) -> None:
-        self._last_key: int | None = None
-        self._records = 0
-        self._runs = 0
-
-    def update(self, keys: np.ndarray) -> None:
-        keys = np.asarray(keys)
-        if keys.size == 0:
-            return
-        boundaries = int(np.count_nonzero(keys[1:] != keys[:-1]))
-        self._runs += boundaries
-        if self._last_key is None or int(keys[0]) != self._last_key:
-            self._runs += 1
-        self._records += int(keys.size)
-        self._last_key = int(keys[-1])
-
-    @property
-    def records(self) -> int:
-        return self._records
-
-    def estimate(self) -> float:
-        """Mean run length (>= 1); 1.0 before any data."""
-        if self._runs == 0:
-            return 1.0
-        return max(self._records / self._runs, 1.0)
 
 
 class StreamStatisticsCollector:
@@ -136,12 +91,10 @@ class StreamStatisticsCollector:
         KMV size per relation. 256 gives ~6% relative error on group
         counts — ample for planning, whose inputs enter through square
         roots and ratios.
-    track_flows:
-        Also estimate run lengths per relation (for clustered streams).
     """
 
     def __init__(self, relations: Iterable[AttributeSet], k: int = 256,
-                 track_flows: bool = False, counters: int = 1):
+                 counters: int = 1):
         self.relations = sorted(set(relations), key=AttributeSet.sort_key)
         if not self.relations:
             raise StatisticsError("collector needs at least one relation")
@@ -149,8 +102,6 @@ class StreamStatisticsCollector:
             rel: KMVDistinctCounter(k, salt=i + 1)
             for i, rel in enumerate(self.relations)
         }
-        self._runs = ({rel: RunLengthEstimator() for rel in self.relations}
-                      if track_flows else None)
         self._counters = counters
         self.records_seen = 0
 
@@ -177,8 +128,6 @@ class StreamStatisticsCollector:
             salt = relation_salt(rel.label(), seed=len(rel))
             self._distinct[rel] = KMVDistinctCounter(
                 next(iter(self._distinct.values())).k, salt=salt)
-            if self._runs is not None:
-                self._runs[rel] = RunLengthEstimator()
             added.append(rel)
         if added:
             self.relations = sorted(self._distinct,
@@ -198,17 +147,10 @@ class StreamStatisticsCollector:
             codes = chain(rel.names)
             n = codes.size
             self._distinct[rel].update(codes)
-            if self._runs is not None:
-                self._runs[rel].update(codes)
         self.records_seen += n
 
     def statistics(self) -> RelationStatistics:
         """A planner-ready snapshot of the current estimates."""
         groups = {rel: max(counter.estimate(), 1.0)
                   for rel, counter in self._distinct.items()}
-        flows = ({rel: est.estimate() for rel, est in self._runs.items()}
-                 if self._runs is not None else {})
-        return RelationStatistics(groups, flows, counters=self._counters)
-
-    def group_estimate(self, rel: AttributeSet) -> float:
-        return self._distinct[rel].estimate()
+        return RelationStatistics(groups, {}, counters=self._counters)

@@ -31,9 +31,11 @@ from repro.core.optimizer import Plan, plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import AllocationError, ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
+from repro.gigascope.filters import filter_dataset
 from repro.gigascope.hfta import HFTA, QueryAnswer
 from repro.gigascope.metrics import CostCounters
 from repro.gigascope.records import Dataset, StreamSchema
+from repro.gigascope.runtime import check_run
 from repro.observability.tracing import trace
 from repro.workloads.datasets import measure_statistics
 
@@ -44,23 +46,6 @@ __all__ = ["EpochReport", "LiveStreamSystem", "REPLAN_FACTOR"]
 #: traffic stays within ~10 % of the baseline even where the model is
 #: 2-4.5x off; a drift in group structure moves it 50x or more.
 REPLAN_FACTOR = 2.0
-
-
-def _require_plan_covers(queries: QuerySet, plan: Plan) -> None:
-    """One validator for every plan hand-off (init, reconfigure, apply).
-
-    Raises :class:`~repro.errors.ConfigurationError` naming both the
-    queries the plan misses *and* the queries it does instantiate, so a
-    stale plan staged against a changed query set is diagnosable from the
-    message alone.
-    """
-    missing = [q for q in queries.group_bys if q not in plan.configuration]
-    if missing:
-        instantiated = [q for q in queries.group_bys
-                        if q in plan.configuration]
-        raise ConfigurationError(
-            f"plan does not instantiate queries {missing} "
-            f"(it instantiates {instantiated} of the requested set)")
 
 
 @dataclass(frozen=True)
@@ -100,12 +85,18 @@ class _Era:
 
 
 class LiveStreamSystem:
-    """A two-level stream system fed incrementally."""
+    """A two-level stream system fed incrementally.
+
+    Construction and :meth:`reconfigure` run
+    :func:`~repro.gigascope.runtime.check_run`.
+    """
 
     def __init__(self, schema: StreamSchema, queries: QuerySet,
                  plan: Plan, params: CostParameters | None = None,
                  value_column: str | None = None, salt_seed: int = 0,
                  where=None, registry=None):
+        check_run(schema, queries, plan.configuration,
+                  plan.allocation.buckets, value_column, where)
         self.schema = schema
         self.queries = queries
         self.params = params or CostParameters()
@@ -132,7 +123,6 @@ class LiveStreamSystem:
     # Configuration management
     # ------------------------------------------------------------------
     def _apply_plan(self, plan: Plan) -> None:
-        _require_plan_covers(self.queries, plan)
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
         self.eras.append(_Era(plan.configuration, buckets, plan))
@@ -160,7 +150,8 @@ class LiveStreamSystem:
             raise ConfigurationError(
                 f"staged query set changes the epoch length "
                 f"({queries.epoch_seconds}s != {self.epoch_seconds}s)")
-        _require_plan_covers(target, plan)
+        check_run(self.schema, target, plan.configuration,
+                  plan.allocation.buckets, self.value_column, self.where)
         self._staged_plan = plan
         self._staged_queries = queries
 
@@ -179,61 +170,42 @@ class LiveStreamSystem:
     def push(self, columns, timestamps, values=None) -> list[EpochReport]:
         """Feed a batch; returns reports for any epochs it completed.
 
-        Validation is strictly before mutation: a batch that raises
-        :class:`~repro.errors.SchemaError` leaves the system untouched
-        (``_last_time``, ``records_seen``, pending buffers), so the same
-        time range can be retried with a corrected batch.
+        The batch must be a valid :class:`Dataset` over the schema,
+        start no earlier than the last accepted record, and carry
+        ``values`` when the run has a value column. A batch refused with
+        :class:`~repro.errors.SchemaError` leaves the system untouched,
+        so the same time range can be retried with a corrected batch.
         """
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        n = timestamps.shape[0]
-        if n == 0:
+        if np.size(timestamps) == 0:
             return []
-        if timestamps[0] < self._last_time or \
-                np.any(np.diff(timestamps) < 0):
+        if self.value_column is not None and values is None:
+            raise SchemaError(
+                f"batch missing values for {self.value_column!r}")
+        batch = Dataset(self.schema, columns, timestamps,
+                        {self.value_column: values}
+                        if self.value_column is not None else {})
+        if batch.timestamps[0] < self._last_time:
             raise SchemaError("batches must arrive in timestamp order")
-        cols = {}
-        for name in self.schema.attributes:
-            if name not in columns:
-                raise SchemaError(f"batch missing column {name!r}")
-            arr = np.asarray(columns[name])
-            if arr.shape != (n,):
-                raise SchemaError(f"column {name!r} length mismatch")
-            cols[name] = arr.astype(np.int64, copy=False)
-        vals = None
-        if self.value_column is not None:
-            if values is None:
-                raise SchemaError(
-                    f"batch missing values for {self.value_column!r}")
-            vals = np.asarray(values, dtype=np.float64)
-            if vals.shape != (n,):
-                raise SchemaError(
-                    f"values for {self.value_column!r} length mismatch")
+        kept = (filter_dataset(batch, self.where)
+                if self.where is not None else batch)
 
         # Everything validated; state mutation starts here.
-        self._last_time = float(timestamps[-1])
-        if self.where is not None:
-            searchable: dict[str, np.ndarray] = dict(cols)
-            if vals is not None:
-                searchable[self.value_column] = vals
-            keep = self.where.mask(searchable)
-            cols = {name: arr[keep] for name, arr in cols.items()}
-            timestamps = timestamps[keep]
-            if vals is not None:
-                vals = vals[keep]
-            n = timestamps.shape[0]
-            self.records_seen += int(np.count_nonzero(~keep))
-            if n == 0:
-                # The filter dropped the whole batch, but the batch still
-                # proves stream time advanced: if it lies beyond the open
-                # epoch, that epoch will never see another record and must
-                # close now (otherwise its report and answers stall until
-                # some later record survives the filter).
-                return self._advance_time()
+        self._last_time = float(batch.timestamps[-1])
+        self.records_seen += len(batch)
+        if not len(kept):
+            # The filter dropped the whole batch, but the batch still
+            # proves stream time advanced: if it lies beyond the open
+            # epoch, that epoch will never see another record and must
+            # close now (otherwise its report and answers stall until
+            # some later record survives the filter).
+            return self._advance_time()
 
         completed: list[EpochReport] = []
+        timestamps = kept.timestamps
+        vals = kept.values.get(self.value_column)
         epoch_ids = np.floor(timestamps / self.epoch_seconds).astype(np.int64)
         boundaries = np.concatenate(
-            ([0], np.flatnonzero(np.diff(epoch_ids)) + 1, [n]))
+            ([0], np.flatnonzero(np.diff(epoch_ids)) + 1, [len(kept)]))
         for start, end in zip(boundaries[:-1], boundaries[1:]):
             epoch = int(epoch_ids[start])
             if self._pending_epoch is not None and \
@@ -241,11 +213,10 @@ class LiveStreamSystem:
                 completed.append(self._close_epoch())
             self._pending_epoch = epoch
             for name in self.schema.attributes:
-                self._pending_cols[name].append(cols[name][start:end])
+                self._pending_cols[name].append(kept.columns[name][start:end])
             self._pending_times.append(timestamps[start:end])
             if vals is not None:
                 self._pending_vals.append(vals[start:end])
-        self.records_seen += int(n)
         return completed
 
     def _advance_time(self) -> list[EpochReport]:

@@ -3,8 +3,9 @@
 The substrate is column-oriented: a :class:`Dataset` holds one integer numpy
 array per grouping attribute (e.g. source IP, destination port), an optional
 float array per value column (e.g. packet length, for ``sum``/``avg``
-aggregates), and a non-decreasing timestamp array used to cut the stream
-into epochs.
+aggregates), and a finite, non-decreasing timestamp array used to cut the
+stream into epochs. Constructing a :class:`Dataset` is the one check of a
+record batch: every runtime builds one from what it is handed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ class StreamSchema:
 
 @dataclass
 class Dataset:
-    """A finite stream prefix: columns + timestamps, in arrival order."""
+    """A finite stream prefix: columns + timestamps, in arrival order.
+
+    Construction refuses, with :class:`~repro.errors.SchemaError`, a
+    missing or non-integer attribute column, a value column the schema
+    does not declare, any column whose length differs from the
+    timestamps', and timestamps that are not finite and non-decreasing.
+    """
 
     schema: StreamSchema
     columns: Mapping[str, np.ndarray]
@@ -64,11 +71,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
+        if self.timestamps.ndim != 1:
+            raise SchemaError("timestamps must be one-dimensional")
         n = self.timestamps.shape[0]
         cols = {}
         for name in self.schema.attributes:
             if name not in self.columns:
-                raise SchemaError(f"dataset missing attribute column {name!r}")
+                raise SchemaError(f"dataset missing column {name!r}")
             arr = np.asarray(self.columns[name])
             if not np.issubdtype(arr.dtype, np.integer):
                 raise SchemaError(f"attribute column {name!r} must be integer")
@@ -87,8 +96,11 @@ class Dataset:
                 raise SchemaError(f"value column {name!r} has wrong length")
             vals[name] = arr
         self.values = vals
-        if n > 1 and np.any(np.diff(self.timestamps) < 0):
-            raise SchemaError("timestamps must be non-decreasing")
+        # Finite ends and non-negative steps: a NaN anywhere fails a step.
+        t = self.timestamps
+        if n and not (np.isfinite(t[0]) and np.isfinite(t[-1])
+                      and (np.diff(t) >= 0).all()):
+            raise SchemaError("timestamps must be finite and non-decreasing")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

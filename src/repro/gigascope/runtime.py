@@ -5,24 +5,81 @@ dataset, the user queries and a :class:`~repro.core.optimizer.Plan` (or an
 explicit configuration/allocation), call :meth:`run`, and read measured
 costs and exact per-epoch query answers off the returned
 :class:`RunReport`.
+
+:func:`check_run` is the one check of a runnable setup, shared by every
+runtime; a record batch is checked by building a
+:class:`~repro.gigascope.records.Dataset`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.core.optimizer import Plan
 from repro.core.queries import AggregationQuery, QuerySet
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.metrics import SimulationResult
-from repro.gigascope.records import Dataset
+from repro.gigascope.records import Dataset, StreamSchema
 
-__all__ = ["StreamSystem", "RunReport"]
+__all__ = ["StreamSystem", "RunReport", "check_run"]
+
+
+def check_run(schema: StreamSchema, queries: Iterable[AggregationQuery],
+              configuration: Configuration | None = None,
+              buckets: Mapping[AttributeSet, int] | None = None,
+              value_column: str | None = None, where=None) -> None:
+    """Refuse a setup no run over ``schema`` can answer, before any runs.
+
+    Every grouping attribute and every relation of ``configuration``
+    must be a schema attribute, and the configuration must instantiate
+    every query (the message names the queries it misses and the ones it
+    has) with a count in ``buckets`` for each relation. WHERE reads
+    only schema columns. A run has at most one value column, which the
+    schema declares, and every sum/avg/min/max query reads exactly it.
+    Schema violations raise :class:`~repro.errors.SchemaError`, the rest
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    queries = list(queries)
+    for query in queries:
+        schema.attribute_set(query.group_by)
+    if configuration is not None:
+        group_bys = [q.group_by for q in queries]
+        missing = [gb for gb in group_bys if gb not in configuration]
+        if missing:
+            instantiated = [gb for gb in group_bys if gb in configuration]
+            raise ConfigurationError(
+                f"plan does not instantiate queries {missing} "
+                f"(it instantiates {instantiated} of the requested set)")
+        for rel in configuration.relations:
+            schema.attribute_set(rel)
+        unbucketed = [rel.label() for rel in configuration.relations
+                      if rel not in buckets]
+        if unbucketed:
+            raise ConfigurationError(
+                f"buckets= has no entry for relations {unbucketed}")
+    if where is not None:
+        columns = schema.attributes + schema.value_columns
+        unknown = where.referenced_columns() - set(columns)
+        if unknown:
+            raise SchemaError(f"WHERE reads columns {sorted(unknown)} "
+                              f"not in schema {columns}")
+    for column in [value_column] + [q.aggregate.column for q in queries]:
+        if column is not None and column not in schema.value_columns:
+            raise SchemaError(f"value column {column!r} not declared in "
+                              f"schema {schema.value_columns}")
+    for query in queries:
+        column = query.aggregate.column
+        if column is not None and column != value_column:
+            raise ConfigurationError(
+                f"query {query} reads value column {column!r}, but the "
+                f"run's value column is {value_column!r}: pass "
+                f"value_column={column!r}")
 
 
 @dataclass
@@ -78,7 +135,11 @@ class RunReport:
 
 
 class StreamSystem:
-    """A runnable two-level LFTA/HFTA system for a planned configuration."""
+    """A runnable two-level LFTA/HFTA system for a planned configuration.
+
+    Construction runs :func:`check_run` and refuses a dataset that does
+    not carry the value column.
+    """
 
     def __init__(self, dataset: Dataset, queries: QuerySet,
                  configuration: Configuration,
@@ -88,35 +149,20 @@ class StreamSystem:
                  value_column: str | None = None,
                  salt_seed: int = 0,
                  where=None):
-        if where is not None:
-            from repro.gigascope.filters import filter_dataset
-            dataset = filter_dataset(dataset, where)
         if plan is not None:
             configuration = plan.configuration
-            buckets = {rel: int(b) for rel, b in plan.allocation.buckets.items()}
+            buckets = plan.allocation.buckets
         if buckets is None:
             raise ConfigurationError("StreamSystem needs bucket counts "
                                      "(pass buckets= or plan=)")
-        missing = [q for q in queries.group_bys if q not in configuration]
-        if missing:
-            raise ConfigurationError(
-                f"configuration does not instantiate queries {missing}")
-        unbucketed = [rel for rel in configuration.relations
-                      if rel not in buckets]
-        if unbucketed:
-            raise ConfigurationError(
-                "buckets= has no entry for relations "
-                f"{[rel.label() for rel in unbucketed]}")
-        for rel in configuration.relations:
-            dataset.schema.attribute_set(rel)
-        needs_value = any(q.aggregate.needs_value or q.aggregate.needs_minmax
-                          for q in queries)
-        if needs_value and value_column is None:
-            raise ConfigurationError(
-                "queries use sum/avg/min/max aggregates: pass value_column=")
+        check_run(dataset.schema, queries, configuration, buckets,
+                  value_column, where)
         if value_column is not None and value_column not in dataset.values:
             raise ConfigurationError(
                 f"dataset carries no value column {value_column!r}")
+        if where is not None:
+            from repro.gigascope.filters import filter_dataset
+            dataset = filter_dataset(dataset, where)
         self.dataset = dataset
         self.queries = queries
         self.configuration = configuration

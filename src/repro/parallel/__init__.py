@@ -10,8 +10,8 @@ HFTA-level merge combines into the same per-epoch answers the single-core
   ``shard_ids(dataset, n_shards)`` protocol, its one built-in
   implementation :class:`HashPartitioner`, and the shared scatter;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
-  sharded mirror of :class:`StreamSystem` (shards run in-process, in
-  shard order, once each);
+  :class:`StreamSystem` subclass whose run shards (in-process, in shard
+  order, once each);
 * :mod:`~repro.parallel.merge` — exact merging of per-shard HFTAs and
   cost counters.
 

@@ -1,7 +1,7 @@
 """Sharded parallel ingestion: N LFTA shard engines, one exact HFTA merge.
 
-:class:`ShardedStreamSystem` mirrors the :class:`~repro.gigascope.runtime.
-StreamSystem` API but splits the stream into ``shards`` sub-streams —
+:class:`ShardedStreamSystem` is a :class:`~repro.gigascope.runtime.
+StreamSystem` whose run splits the stream into ``shards`` sub-streams —
 by :class:`~repro.parallel.partition.HashPartitioner` unless the caller
 passes another object with ``shard_ids(dataset, n_shards)`` — runs the exact
 vectorized engine on every shard — in this process, one shard after the
@@ -38,9 +38,6 @@ import numpy as np
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters
-from repro.core.optimizer import Plan
-from repro.core.queries import QuerySet
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.gigascope.engine import simulate
 from repro.gigascope.metrics import SimulationResult
@@ -84,15 +81,16 @@ def _run_shard(job: _ShardJob) -> _ShardRun:
     return job.index, result, registry
 
 
-class ShardedStreamSystem:
+class ShardedStreamSystem(StreamSystem):
     """A partitioned, multi-engine LFTA tier with one merging HFTA.
 
-    Accepts the same arguments as :class:`StreamSystem` plus:
+    A :class:`StreamSystem` (same arguments, same checks; ``buckets``
+    stays the undivided plan) whose :meth:`run` partitions, plus:
 
     shards:
         Number of LFTA shards, an integer >= 1. ``shards=1`` bypasses
-        partitioning entirely and behaves exactly like a single
-        :class:`StreamSystem`. Must not exceed any
+        partitioning entirely and runs as a plain :class:`StreamSystem`.
+        Must not exceed any
         relation's planned bucket count (the per-shard split would
         exceed the LFTA memory budget);
         :class:`~repro.errors.ConfigurationError` otherwise.
@@ -109,27 +107,12 @@ class ShardedStreamSystem:
         ``self.registry``) when omitted.
     """
 
-    def __init__(self, dataset: Dataset, queries: QuerySet,
-                 configuration: Configuration,
-                 buckets: dict[AttributeSet, int] | None = None,
-                 plan: Plan | None = None,
-                 params: CostParameters | None = None,
-                 value_column: str | None = None,
-                 salt_seed: int = 0,
-                 where=None,
-                 shards: int = 2,
-                 partitioner=None,
-                 registry: MetricsRegistry | None = None):
+    def __init__(self, *args, shards: int = 2, partitioner=None,
+                 registry: MetricsRegistry | None = None, **kwargs):
         shards = check_shard_count(shards)
-        # A hidden single-core system performs all validation (plan
-        # resolution, bucket completeness, value column, WHERE filter) and
-        # serves as the shards=1 fast path.
-        self._single = StreamSystem(
-            dataset, queries, configuration, buckets, plan=plan,
-            params=params, value_column=value_column, salt_seed=salt_seed,
-            where=where)
+        super().__init__(*args, **kwargs)
         self.shards = shards
-        unsplittable = [rel for rel, b in self._single.buckets.items()
+        unsplittable = [rel for rel, b in self.buckets.items()
                         if b < self.shards]
         if unsplittable:
             labels = [rel.label() for rel in sorted(
@@ -148,7 +131,7 @@ class ShardedStreamSystem:
         self.partitioner = partitioner
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shard_buckets = {rel: b // self.shards
-                              for rel, b in self._single.buckets.items()}
+                              for rel, b in self.buckets.items()}
         # ``benchmarks/e2e`` reads ``last_timings``, ``partition_summary``
         # and the ``shard<i>.engine`` spans of ``registry``: all stay public.
         #: How the last run's records actually landed across shards
@@ -163,39 +146,6 @@ class ShardedStreamSystem:
         #: as measured inside each shard run), populated by :meth:`run` and
         #: also merged into :attr:`registry` under ``shard<i>.`` prefixes.
         self.shard_registries: list[MetricsRegistry] | None = None
-
-    @classmethod
-    def from_plan(cls, dataset: Dataset, queries: QuerySet, plan: Plan,
-                  **kwargs) -> "ShardedStreamSystem":
-        return cls(dataset, queries, plan.configuration, plan=plan, **kwargs)
-
-    # ------------------------------------------------------------------
-    # StreamSystem-compatible accessors
-    # ------------------------------------------------------------------
-    @property
-    def dataset(self) -> Dataset:
-        return self._single.dataset
-
-    @property
-    def queries(self) -> QuerySet:
-        return self._single.queries
-
-    @property
-    def configuration(self) -> Configuration:
-        return self._single.configuration
-
-    @property
-    def buckets(self) -> dict[AttributeSet, int]:
-        """The undivided (single-core) bucket counts of the plan."""
-        return self._single.buckets
-
-    @property
-    def params(self) -> CostParameters:
-        return self._single.params
-
-    @property
-    def value_column(self) -> str | None:
-        return self._single.value_column
 
     @property
     def last_timings(self) -> dict[str, float] | None:
@@ -223,11 +173,11 @@ class ShardedStreamSystem:
         """Partition, stream every shard, merge; one report, exact answers."""
         registry = self.registry
         if self.shards == 1:
-            report = self._single.run(registry=registry)
+            report = super().run(registry=registry)
             self.shard_results = [report.result]
             self.shard_registries = None
             return report
-        dataset = self._single.dataset
+        dataset = self.dataset
         epoch_seconds = self.queries.epoch_seconds
         with registry.span("partition"):
             strategy = type(self.partitioner).__name__
@@ -266,7 +216,7 @@ class ShardedStreamSystem:
         registry.gauge("shards").set(self.shards)
         with registry.span("merge"):
             merged = merge_results(
-                results, self._single.configuration,
+                results, self.configuration,
                 n_records=len(dataset), n_epochs=n_epochs)
         return RunReport(merged, self.params, self.queries)
 
@@ -276,15 +226,15 @@ class ShardedStreamSystem:
         skipped; an empty stream yields one job for the empty result)."""
         epoch_seconds = self.queries.epoch_seconds
         jobs: list[_ShardJob] = [
-            _ShardJob(index, shard, self._single.configuration,
+            _ShardJob(index, shard, self.configuration,
                       self.shard_buckets, epoch_seconds,
-                      self.value_column, self._single.salt_seed)
+                      self.value_column, self.salt_seed)
             for index, shard in enumerate(
                 split_dataset(dataset, shard_ids, self.shards))
             if len(shard)
         ]
         if not jobs:
-            jobs = [_ShardJob(0, dataset, self._single.configuration,
+            jobs = [_ShardJob(0, dataset, self.configuration,
                               self.shard_buckets, epoch_seconds,
-                              self.value_column, self._single.salt_seed)]
+                              self.value_column, self.salt_seed)]
         return jobs

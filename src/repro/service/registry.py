@@ -138,13 +138,6 @@ class QueryRegistry:
         return [tenant for tenant, held in self._tenants.items()
                 if group_by in held]
 
-    def needs_value(self) -> bool:
-        """Whether any registered aggregate carries a value column."""
-        return any(r.query.aggregate.needs_value
-                   or r.query.aggregate.needs_minmax
-                   for held in self._tenants.values()
-                   for r in held.values())
-
     def physical_query_set(
             self, extra: AggregationQuery | None = None) -> QuerySet:
         """The planner-facing query set: one count query per distinct

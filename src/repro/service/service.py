@@ -52,12 +52,17 @@ from repro.errors import AdmissionError, CheckpointError, SchemaError
 from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.online import EpochReport, LiveStreamSystem
 from repro.gigascope.records import StreamSchema
+from repro.gigascope.runtime import check_run
 from repro.observability import MetricsRegistry, RunManifest
 from repro.service.admission import AdmissionPolicy, check_admission
 from repro.service.registry import QueryRegistry, Registration
 from repro.service.replan import IncrementalReplanner
 
 __all__ = ["StreamService"]
+
+#: KMV size per sketched relation: ~6 % relative error on group counts,
+#: ample for planning, whose inputs enter through square roots and ratios.
+SKETCH_K = 256
 
 
 @dataclass
@@ -105,7 +110,6 @@ class StreamService:
                  params: CostParameters | None = None,
                  algorithm: str = "gs", phi: float = 1.0,
                  value_column: str | None = None, salt_seed: int = 0,
-                 sketch_k: int = 256,
                  metrics: MetricsRegistry | None = None):
         self.schema = schema
         self.memory = memory
@@ -115,7 +119,6 @@ class StreamService:
         self.phi = phi
         self.value_column = value_column
         self.salt_seed = salt_seed
-        self.sketch_k = sketch_k
         self.metrics = metrics or MetricsRegistry()
         self.registry = QueryRegistry()
         self.replanner = IncrementalReplanner(
@@ -146,7 +149,7 @@ class StreamService:
                                    for name in self.schema.attributes]
         if self.collector is None:
             self.collector = StreamStatisticsCollector(
-                relations, k=self.sketch_k, counters=self._counters)
+                relations, k=SKETCH_K, counters=self._counters)
         else:
             self.collector.ensure(relations, counters=self._counters)
         # The collector only ever grows; the live graph shrinks on retire.
@@ -160,7 +163,8 @@ class StreamService:
         Cold relations (registered before any data at their granularity)
         get the most conservative defensible estimate: the product of
         their single-attribute estimates, capped by the number of
-        records seen, further raised by any ``expected_groups`` hint.
+        records seen, further raised by the ``expected_groups`` hint of
+        a landed registration.
         """
         graph = FeedingGraph(queries)
         self._ensure_collector(graph)
@@ -191,27 +195,28 @@ class StreamService:
         """Admission-check and register one tenant query.
 
         ``expected_groups`` hints the group count of the query's
-        grouping attributes for admission before data has flowed.
-        Raises :class:`~repro.errors.AdmissionError` on rejection; the
-        registry, the live plan and every other tenant are untouched.
+        grouping attributes for admission before data has flowed; it is
+        kept for later plans only once the registration lands. A query
+        :func:`~repro.gigascope.runtime.check_run` refuses raises its
+        error, a rejection :class:`~repro.errors.AdmissionError`; either
+        way the registry, the hints, the live plan and every other
+        tenant are untouched.
         """
-        aggregate = query.aggregate
-        if (aggregate.needs_value or aggregate.needs_minmax) \
-                and self.value_column is None:
-            raise SchemaError(
-                f"aggregate {aggregate.label()} needs a value column but "
-                "the service was created without one")
+        check_run(self.schema, [query], value_column=self.value_column)
         if self.registry.epoch_seconds is not None and \
                 query.epoch_seconds != self.registry.epoch_seconds:
             raise SchemaError(
                 f"query epoch {query.epoch_seconds}s does not match the "
                 f"service epoch {self.registry.epoch_seconds}s")
-        if expected_groups is not None:
-            self._hints[query.group_by] = max(
-                self._hints.get(query.group_by, 1.0),
-                float(expected_groups))
         candidate = self.registry.physical_query_set(extra=query)
         stats = self.planning_statistics(candidate)
+        gb = query.group_by
+        if expected_groups is not None:
+            # This call's statistics only; kept once the registration lands.
+            stats = RelationStatistics(
+                {**stats.groups, gb: max(stats.groups[gb],
+                                         float(expected_groups))},
+                stats.flow_lengths, counters=stats.counters)
         try:
             check_admission(self.policy, self.registry, tenant, query,
                             stats, self.params)
@@ -238,6 +243,9 @@ class StreamService:
                 self._leases[key] = previous
             self.replanner.invalidate()
             raise
+        if expected_groups is not None:
+            self._hints[gb] = max(self._hints.get(gb, 1.0),
+                                  float(expected_groups))
         self.metrics.counter("service.registrations").inc()
         tm = self.tenant_metrics(tenant)
         tm.counter("registrations").inc()
@@ -496,7 +504,6 @@ class StreamService:
                 "phi": self.phi,
                 "value_column": self.value_column,
                 "salt_seed": self.salt_seed,
-                "sketch_k": self.sketch_k,
             },
         }}
         return live.checkpoint(path, extra=payload)
@@ -504,7 +511,10 @@ class StreamService:
     @classmethod
     def restore(cls, path,
                 metrics: MetricsRegistry | None = None) -> "StreamService":
-        """Rebuild a service (and its live system) from a checkpoint."""
+        """Rebuild a service (and its live system) from a checkpoint.
+
+        The restored sketches keep their own size; a ``sketch_k`` key in
+        the payload's config is ignored."""
         from repro.resilience.checkpoint import (
             _system_from_state,
             read_checkpoint_document,
@@ -522,8 +532,7 @@ class StreamService:
             params=state["params"],
             algorithm=config["algorithm"], phi=config["phi"],
             value_column=config["value_column"],
-            salt_seed=config["salt_seed"], sketch_k=config["sketch_k"],
-            metrics=metrics)
+            salt_seed=config["salt_seed"], metrics=metrics)
         service.registry = QueryRegistry.from_state(payload["registry"])
         service.collector = payload["collector"]
         service._hints = dict(payload["hints"])

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.attributes import AttributeSet
-from repro.core.sketches import (
-    KMVDistinctCounter,
-    RunLengthEstimator,
-    StreamStatisticsCollector,
-)
+from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
 from repro.errors import StatisticsError
 from repro.gigascope.hashing import (
     chain_hasher,
     combine_columns,
     splitmix64,
 )
+from repro.gigascope.records import Dataset, StreamSchema
+from repro.workloads import measure_statistics
 
 from tests.references import reference_kmv_update, reference_observe
 
@@ -42,23 +40,31 @@ class TestKMV:
         assert counter.estimate() == pytest.approx(realized, rel=0.15)
 
     def test_merge_equals_union(self):
+        """Two overlapping batches in a row leave the sketch of their
+        union; sketches of separate substreams are never merged."""
         rng = np.random.default_rng(1)
         a = KMVDistinctCounter(k=128)
-        b = KMVDistinctCounter(k=128)
         left = rng.integers(0, 5000, 20_000).astype(np.uint64)
         right = rng.integers(2500, 7500, 20_000).astype(np.uint64)
         a.update(left)
-        b.update(right)
-        a.merge(b)
+        a.update(right)
         combined = KMVDistinctCounter(k=128)
         combined.update(np.concatenate([left, right]))
-        assert a.estimate() == pytest.approx(combined.estimate())
+        assert_same_sketch(a, combined)
+        assert not hasattr(a, "merge")
 
     def test_merge_requires_same_parameters(self):
-        with pytest.raises(StatisticsError):
-            KMVDistinctCounter(k=64).merge(KMVDistinctCounter(k=128))
-        with pytest.raises(StatisticsError):
-            KMVDistinctCounter(salt=1).merge(KMVDistinctCounter(salt=2))
+        """``k`` and the salt decide the sketch: a smaller ``k`` keeps a
+        prefix of a larger one's minima, another salt other minima."""
+        keys = np.random.default_rng(3).integers(
+            0, 2**40, 5000).astype(np.uint64)
+        small, large, salted = (KMVDistinctCounter(k=64),
+                                KMVDistinctCounter(k=128),
+                                KMVDistinctCounter(k=64, salt=2))
+        for sketch in (small, large, salted):
+            sketch.update(keys)
+        assert np.array_equal(small._minima, large._minima[:64])
+        assert not np.array_equal(small._minima, salted._minima)
 
     def test_rejects_tiny_k(self):
         with pytest.raises(StatisticsError):
@@ -70,29 +76,32 @@ class TestKMV:
         assert counter.estimate() == 0.0
 
 
+def flow_length(*batches, timeout=1.0):
+    """The planner's flow length of ``A`` over the batches laid back to
+    back, one record per second: the exact gap-based count of
+    ``measure_statistics``; the sketches estimate no flow lengths."""
+    keys = np.concatenate([np.asarray(b, dtype=np.int64) for b in batches])
+    data = Dataset(StreamSchema(("A",)), {"A": keys},
+                   np.arange(keys.size, dtype=np.float64))
+    return measure_statistics(data, ["A"], flow_timeout=timeout) \
+        .flow_length(AttributeSet.parse("A"))
+
+
 class TestRunLength:
     def test_single_batch(self):
-        est = RunLengthEstimator()
-        est.update(np.array([1, 1, 1, 2, 2, 3]))
-        assert est.estimate() == 2.0  # 6 records / 3 runs
+        assert flow_length([1, 1, 1, 2, 2, 3]) == 2.0  # 6 records / 3 flows
 
     def test_runs_spanning_batches(self):
-        est = RunLengthEstimator()
-        est.update(np.array([1, 1]))
-        est.update(np.array([1, 2]))  # the run of 1s continues
-        assert est.estimate() == pytest.approx(4 / 2)
+        assert flow_length([1, 1], [1, 2]) == pytest.approx(4 / 2)
 
     def test_new_run_at_batch_boundary(self):
-        est = RunLengthEstimator()
-        est.update(np.array([1, 1]))
-        est.update(np.array([2, 2]))
-        assert est.estimate() == pytest.approx(4 / 2)
+        assert flow_length([1, 1], [2, 2]) == pytest.approx(4 / 2)
+        # A gap past the timeout starts a new flow of the same group.
+        assert flow_length([1, 2, 2, 1]) == pytest.approx(4 / 3)
 
     def test_empty(self):
-        est = RunLengthEstimator()
-        assert est.estimate() == 1.0
-        est.update(np.array([]))
-        assert est.estimate() == 1.0
+        with pytest.raises(StatisticsError):
+            flow_length([])
 
 
 class TestCollector:
@@ -115,16 +124,21 @@ class TestCollector:
         collector.observe({"A": np.arange(5), "B": np.zeros(5, dtype=int)})
         collector.observe({"A": np.arange(5, 10),
                            "B": np.zeros(5, dtype=int)})
-        assert collector.group_estimate(AttributeSet.parse("A")) == 10
+        assert collector.statistics().group_count(
+            AttributeSet.parse("A")) == 10
         assert collector.records_seen == 10
 
     def test_flow_tracking(self):
-        collector = self._collector(k=64, track_flows=True)
+        """The collector tracks no flows: its statistics plan every
+        relation unclustered (l = 1), however long the runs."""
+        collector = self._collector(k=64)
         collector.observe({"A": np.array([1, 1, 1, 1]),
                            "B": np.array([7, 7, 8, 8])})
         stats = collector.statistics()
-        assert stats.flow_length(AttributeSet.parse("A")) == 4.0
-        assert stats.flow_length(AttributeSet.parse("B")) == 2.0
+        assert stats.flow_length(AttributeSet.parse("A")) == 1.0
+        assert stats.flow_length(AttributeSet.parse("B")) == 1.0
+        with pytest.raises(TypeError):
+            self._collector(track_flows=True)
 
     def test_requires_relations(self):
         with pytest.raises(StatisticsError):
@@ -167,12 +181,8 @@ def feed_both(batches, k, salt=0):
        st.integers(3, 12), st.integers(0, 3))
 def test_filtered_update_matches_unfiltered_reference(left, right, k, salt):
     """Small key domains around small ``k``: sketches fill, batches repeat
-    held minima, and both halves overlap before they are merged."""
-    got, want = feed_both(left, k, salt)
-    other_got, other_want = feed_both(right, k, salt)
-    got.merge(other_got)
-    want.merge(other_want)
-    assert_same_sketch(got, want)
+    held minima, and the second run of batches overlaps the first."""
+    feed_both(left + right, k, salt)
 
 
 class TestKMVThresholdFilter:
@@ -225,16 +235,16 @@ EXTREMES = np.array([np.iinfo(np.int64).min, -1, 0, 1,
                      np.iinfo(np.int64).max], dtype=np.int64)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_observe_matches_per_relation_hashing(seed, track_flows):
+@given(st.integers(0, 2 ** 32 - 1))
+def test_observe_matches_per_relation_hashing(seed):
     """One shared hash pass per batch against one chain per relation:
-    int64 extremes, relations joining through ``ensure``, run lengths."""
+    int64 extremes, relations joining through ``ensure``."""
     rng = np.random.default_rng(seed)
     parse = AttributeSet.parse
     first = [parse(t) for t in ("A", "C", "AB", "BC", "ABC", "BCD")]
     later = [parse(t) for t in ("D", "AD", "ABD", "ABCD")]
-    got = StreamStatisticsCollector(first, k=8, track_flows=track_flows)
-    want = StreamStatisticsCollector(first, k=8, track_flows=track_flows)
+    got = StreamStatisticsCollector(first, k=8)
+    want = StreamStatisticsCollector(first, k=8)
     for batch in range(6):
         if batch == 3:
             assert got.ensure(later) == want.ensure(later) == later

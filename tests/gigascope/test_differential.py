@@ -7,7 +7,8 @@ LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
 streams; every per-relation counter and ``hfta.totals`` (float sums
 included) compared for equality. Both modes equal the reference, hence
 each other; without a compiler both run the numpy bodies and stay green.
-Pinned and degenerate streams run through the same comparison.
+Pinned, small-table and degenerate streams run through the same
+comparison.
 Kernel-function checks live beside the code they test, the remaining
 hand-built kernel shapes in ``test_native_ingest.py``.
 """
@@ -16,7 +17,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import QuerySet, RelationStatistics, StreamSystem, plan
 from repro.core.allocation import ExhaustiveAllocator
@@ -91,6 +92,22 @@ def test_pinned_stream_matches_reference(clustered, notation):
                              value_column="v")
 
 
+@MODES
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(PINNED), st.integers(2, 9))
+@settings(max_examples=25, deadline=None)
+def test_small_tables_match_reference(mode, seed, n_epochs, notation,
+                                      domain):
+    """The pinned forests (two raws included) over 1-11 buckets per
+    relation, b = 1 included, which the matrix above never draws."""
+    dataset = abc_stream(seed, 400, domain, float(n_epochs), False)
+    config = Configuration.from_notation(notation)
+    rng = np.random.default_rng(seed + 1)
+    buckets = {rel: int(rng.integers(1, 12)) for rel in config.relations}
+    with mode():
+        assert_matches_reference(dataset, config, buckets, 1.0)
+
+
 def _columns(*rows):
     """An A/B/C stream whose three columns are each ``rows``."""
     return {a: np.array(rows, dtype=np.int64) for a in ABC_SCHEMA.attributes}
@@ -99,8 +116,11 @@ def _columns(*rows):
 #: Streams at the edges of the per-epoch walk, as (forest, stream,
 #: buckets per relation, epoch seconds): no records at all; timestamp
 #: gaps that leave whole epochs without records, which the per-epoch
-#: kernel calls must skip identically; one record.
+#: kernel calls must skip identically; one record; one-bucket tables
+#: three levels deep, where every parent eviction cascades.
 DEGENERATE = {
+    "b1-deep-forest": ("ABC(AB(A B) C)",
+                       lambda: abc_stream(11, 200, 3, 4.0, True), 1, 1.3),
     "empty": ("AB", lambda: Dataset(ABC_SCHEMA, _columns(), np.array([]),
                                     {"v": np.array([])}), 4, 1.0),
     "empty-epochs": ("ABC(AB BC)",

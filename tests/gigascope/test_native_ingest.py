@@ -2,8 +2,8 @@
 
 Hand-built streams most likely to break a fused pass, each run with the
 kernels and under ``numpy_kernels_off`` against the sequential reference
-(the hypothesis matrix and the empty, gapped and one-record streams are
-``test_differential.py``), and the tests of
+(the hypothesis matrix and the empty, gapped, one-record and one-bucket
+deep-forest streams are ``test_differential.py``), and the tests of
 :mod:`repro.native.build`: one load attempt and one warning per kernel,
 the opt-out, the on-disk cache.
 """
@@ -55,12 +55,6 @@ class TestDegenerateShapes:
         got = self._compare(config, dataset, buckets, 1.0)
         (counters,) = got.counters.relations.values()
         assert counters.evictions_intra == n - 1
-
-    def test_b1_tables_deep_forest(self):
-        config = Configuration.from_notation("ABC(AB(A B) C)")
-        dataset = _dataset(11, 200, 3, 4.0, clustered=True)
-        buckets = {rel: 1 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.3)
 
     def test_max_width_packed_keys(self):
         """Eight wide-domain attributes force the numpy path's

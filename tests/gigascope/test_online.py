@@ -170,6 +170,30 @@ class TestLiveStreamSystem:
         with pytest.raises(ConfigurationError):
             LiveStreamSystem(SCHEMA, queries, base_plan).reconfigure(
                 plan_with_config(base_plan, bad))
+        # The same run check refuses, at construction as StreamSystem
+        # does, what used to fail at the first epoch boundary.
+        from repro.core.queries import Aggregate, AggregationQuery
+        from repro.gigascope.filters import Comparison
+        valued = StreamSchema(SCHEMA.attributes, value_columns=("len",))
+        avg = QuerySet([AggregationQuery(q.group_by, Aggregate("avg", "len"),
+                                         epoch_seconds=2.0)
+                        for q in queries])
+        for schema, query_set, kwargs, error in (
+                # avg without a value column (answered 0.0 everywhere)
+                (valued, avg, {}, ConfigurationError),
+                # a plan over attribute D, which the schema lacks
+                (StreamSchema(("A", "B", "C")), queries, {}, SchemaError),
+                # a value column the schema does not declare
+                (SCHEMA, queries, {"value_column": "len"}, SchemaError),
+                # WHERE on a column the schema does not have
+                (SCHEMA, queries, {"where": Comparison("Z", "=", 1)},
+                 SchemaError)):
+            with pytest.raises(error):
+                LiveStreamSystem(schema, query_set, base_plan, **kwargs)
+        live = LiveStreamSystem(valued, queries, base_plan)
+        with pytest.raises(ConfigurationError, match="value_column='len'"):
+            live.reconfigure(base_plan, avg)
+        assert live._staged_plan is None
 
 
 def plan_with_config(base_plan, config):
@@ -185,20 +209,32 @@ class TestPushExceptionSafety:
 
     def test_bad_column_length_leaves_state_unchanged(self, queries,
                                                       base_plan):
+        """Every batch a ``Dataset`` refuses — a column of another
+        length among them — changes nothing, and the same time range is
+        then accepted."""
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
-        good = {a: np.array([1, 2]) for a in SCHEMA.attributes}
-        live.push(good, np.array([0.5, 1.0]))
-        seen, last_time = live.records_seen, live._last_time
+        good = {a: np.array([1, 2, 3]) for a in SCHEMA.attributes}
+        live.push(good, np.array([0.5, 1.0, 2.5]))
+        state = (live.watermark, live.records_seen, live.open_epoch)
         pending = sum(len(c) for chunks in live._pending_cols.values()
                       for c in chunks)
-        bad = dict(good)
-        bad["B"] = np.array([1, 2, 3])  # length mismatch
-        with pytest.raises(SchemaError):
-            live.push(bad, np.array([5.0, 6.0]))
-        assert live.records_seen == seen
-        assert live._last_time == last_time
-        assert sum(len(c) for chunks in live._pending_cols.values()
-                   for c in chunks) == pending
+        times = np.array([3.0, 3.5, 4.5])
+        for columns, stamps in (
+                (dict(good, B=np.array([1, 2])), times),
+                (dict(good, B=np.array([1.7, 2.0, 3.0])), times),  # was 1
+                (good, np.array([3.0, np.nan, 4.5])),  # was epoch -2**63
+                (good, np.array([np.nan, 3.5, 4.5])),
+                (good, np.array([3.0, 3.5, np.inf])),
+                (good, np.array([3.0, 2.9, 4.5]))):
+            with pytest.raises(SchemaError):
+                live.push(columns, stamps)
+            assert (live.watermark, live.records_seen,
+                    live.open_epoch) == state
+            assert sum(len(c) for chunks in live._pending_cols.values()
+                       for c in chunks) == pending
+        assert [r.epoch for r in live.push(good, times)] == [1]
+        live.finish()
+        assert sum(r.records for r in live.epoch_reports) == 6
 
     def test_missing_column_leaves_state_unchanged(self, queries,
                                                    base_plan):

@@ -60,9 +60,15 @@ class TestDatasetValidation:
 
     def test_unsorted_timestamps(self):
         schema = StreamSchema(("A",))
+        for times in ([0.0, 2.0, 1.0],
+                      # Not finite: a NaN anywhere fails the order pass.
+                      [0.0, np.nan, 1.0], [np.nan, 1.0, 2.0],
+                      [0.0, 1.0, np.nan], [-np.inf, 1.0, 2.0],
+                      [0.0, 1.0, np.inf]):
+            with pytest.raises(SchemaError, match="finite"):
+                Dataset(schema, {"A": np.arange(3)}, np.array(times))
         with pytest.raises(SchemaError):
-            Dataset(schema, {"A": np.arange(3)},
-                    np.array([0.0, 2.0, 1.0]))
+            Dataset(schema, {"A": np.arange(1)}, np.array(5.0))
 
     def test_undeclared_value_column(self):
         schema = StreamSchema(("A",))

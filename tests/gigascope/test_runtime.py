@@ -8,10 +8,12 @@ from repro import (
     AttributeSet,
     Configuration,
     QuerySet,
+    StreamSchema,
     StreamSystem,
 )
 from repro.core.optimizer import plan
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
+from repro.gigascope.records import Dataset
 from repro.workloads import measure_statistics, uniform_dataset
 from repro.core.feeding_graph import FeedingGraph
 
@@ -84,6 +86,24 @@ class TestStreamSystem:
         for per_epoch in answers.values():
             for value in per_epoch.values():
                 assert 40.0 <= value <= 10_000.0
+        # A run has one value column, and every value query reads it: a
+        # max(ttl) run over value_column="len" was answered from len.
+        ttl = QuerySet([AggregationQuery(A("A"), Aggregate("max", "ttl"),
+                                         epoch_seconds=3.0)])
+        with pytest.raises(SchemaError, match="'ttl' not declared"):
+            StreamSystem(dataset, ttl, config, {A("A"): 16},
+                         value_column="len")
+        both = StreamSchema(dataset.schema.attributes,
+                            value_columns=("len", "ttl"))
+        with_ttl = Dataset(both, dataset.columns, dataset.timestamps,
+                           {"len": dataset.values["len"],
+                            "ttl": dataset.values["len"] % 64})
+        with pytest.raises(ConfigurationError, match="'len'"):
+            StreamSystem(with_ttl, ttl, config, {A("A"): 16},
+                         value_column="len")
+        assert StreamSystem(with_ttl, ttl, config, {A("A"): 16},
+                            value_column="ttl").run().answers(ttl.query_for(
+                                A("A")))
 
     def test_missing_query_in_configuration(self, dataset):
         queries = QuerySet.counts(["A", "B"], epoch_seconds=3.0)

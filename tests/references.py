@@ -101,8 +101,6 @@ def reference_observe(collector, columns) -> None:
         if n is None:
             n = codes.size
         collector._distinct[rel].update(codes)
-        if collector._runs is not None:
-            collector._runs[rel].update(codes)
     collector.records_seen += int(n or 0)
 
 

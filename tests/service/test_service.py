@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
-from repro.errors import AllocationError, SchemaError
+from repro.errors import AllocationError, ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.service.replan import IncrementalReplanner
@@ -197,6 +197,10 @@ class TestAdmissionIsolation:
         with pytest.raises(AdmissionError) as err:
             service.register("hog", query("ABCD"))
         assert err.value.constraint in ("tenant-quota", "global-memory")
+        # A rejected registration's expected_groups hint is not kept.
+        with pytest.raises(AdmissionError):
+            service.register("hog", query("ABCD"), expected_groups=10**6)
+        assert service._hints == {}
 
         # Registry, plan and the admitted tenant's stream are untouched.
         assert service.registry.version == before_version
@@ -207,8 +211,8 @@ class TestAdmissionIsolation:
         assert service.answers("acme")["AB"] == \
             offline_answers(dataset, "AB")
         snapshot = service.metrics_snapshot().to_dict()["counters"]
-        assert snapshot["service.rejections"] == 1
-        assert snapshot["tenant.hog.rejections"] == 1
+        assert snapshot["service.rejections"] == 2
+        assert snapshot["tenant.hog.rejections"] == 2
 
     def test_readmission_after_rejection_succeeds(self):
         """A rejected tenant can come back once capacity frees up.
@@ -245,6 +249,11 @@ class TestAdmissionIsolation:
         assert service.registry.tenants == ["acme"]
         assert service.leases("hog") == []
         assert service.live._staged_plan is None
+        # The rolled-back hint is gone with it: ABCD without a hint is
+        # planned from the sketches, as on a service that never saw it.
+        assert service._hints == {}
+        service.register("acme", query("ABCD"))
+        assert service.live._staged_plan is not None
 
         push_slice(service, dataset, half, len(dataset))
         service.finish()
@@ -272,6 +281,18 @@ class TestAdmissionIsolation:
         with pytest.raises(SchemaError, match="value column"):
             service.register("acme", query(
                 "AB", aggregate=Aggregate("sum", "v")))
+        # A tenant reads the service's one value column or is refused:
+        # max(ttl) on a value_column="len" service was answered from len.
+        valued = StreamSchema(SCHEMA.attributes, ("len", "ttl"))
+        service = StreamService(valued, memory=800, value_column="len")
+        for group_by, error in (("AB", ConfigurationError),
+                                ("AZ", SchemaError)):
+            with pytest.raises(error):
+                service.register("acme", query(
+                    group_by, aggregate=Aggregate("max", "ttl")))
+        assert service.registry.is_empty and not service._leases
+        service.register("acme", query("AB", aggregate=Aggregate("max",
+                                                                 "len")))
 
 
 class TestStagedSwap:
@@ -457,12 +478,13 @@ class TestPlansPinned:
             return new_plan, cached
 
         monkeypatch.setattr(IncrementalReplanner, "replan", recording)
+        # Small sketches, so that many of them saturate.
+        monkeypatch.setattr("repro.service.service.SKETCH_K", 64)
         universe = make_group_universe(
             self.CHURN_SCHEMA, (10, 40, 100, 300, 600, 900), seed=seed)
         data = uniform_dataset(universe, 6000, duration=12.0, seed=seed + 1,
                                zipf_exponent=0.8)
-        service = StreamService(self.CHURN_SCHEMA, memory=50_000.0,
-                                sketch_k=64)
+        service = StreamService(self.CHURN_SCHEMA, memory=50_000.0)
         live = []
 
         def register():

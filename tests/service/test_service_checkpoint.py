@@ -136,11 +136,13 @@ class TestLegacyCheckpoints:
     def test_slo_free_checkpoint_restores_and_finishes_like_a_run(
             self, dataset, tmp_path):
         """Cut at 3000 records right after ``late`` registered, as in
-        :class:`TestRoundTrip`. The legacy ``slo`` and
-        ``epochs_since_replan`` payload keys are ignored."""
+        :class:`TestRoundTrip`. The legacy ``slo``,
+        ``epochs_since_replan`` and ``config["sketch_k"]`` payload keys
+        are ignored."""
         oracle = TestRoundTrip().run(dataset, False, tmp_path)
         document = read_checkpoint_document(LEGACY / "service-v5.ckpt")
         assert document["extra"]["service"]["slo"] is None
+        assert document["extra"]["service"]["config"]["sketch_k"] == 256
         restored = StreamService.restore(LEGACY / "service-v5.ckpt")
         assert restored.live.records_seen == len(dataset) // 2
         assert restored.live._staged_plan.memory is None

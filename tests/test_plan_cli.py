@@ -158,6 +158,29 @@ class TestPlanCli:
         out = capsys.readouterr().out
         assert "per-record cost" in out
 
+    def test_execute_min_max(self, npz_path, capsys, monkeypatch):
+        """min/max read the run's value column like sum/avg do, and
+        answer exactly."""
+        import numpy as np
+
+        from repro.gigascope.runtime import StreamSystem
+        path, data = npz_path
+        reports = []
+        run = StreamSystem.run
+        monkeypatch.setattr(StreamSystem, "run", lambda self, registry=None:
+                            reports.append(run(self, registry)) or reports[-1])
+        code = main(["--data", path, "--memory", "2000", "--execute",
+                     "select A, max(len) from R group by A, time/3"])
+        assert code == 0
+        assert "records processed : 4000" in capsys.readouterr().out
+        (query,) = reports[0].queries
+        epochs = np.floor(data.timestamps / 3.0).astype(int)
+        for epoch, answer in reports[0].answers(query).items():
+            rows = epochs == epoch
+            assert answer == {
+                (a,): data.values["len"][rows & (data.columns["A"] == a)]
+                .max() for a in np.unique(data.columns["A"][rows])}
+
     def test_missing_file(self, capsys):
         code = main(["--data", "/nonexistent.npz", "--memory", "2000",
                      "select A, count(*) from R group by A"])
@@ -183,3 +206,10 @@ class TestPlanCli:
         code = main(["--data", path, "--memory", "2000",
                      "select Z, count(*) from R group by Z"])
         assert code == 2
+        # So is a value column the data does not declare.
+        for queries in (["select A, max(ttl) from R group by A"],
+                        ["select A, sum(len) from R group by A",
+                         "select B, min(B) from R group by B"]):
+            assert main(["--data", path, "--memory", "2000", "--execute",
+                         *queries]) == 2
+            assert "error:" in capsys.readouterr().err
