@@ -15,8 +15,8 @@ the LFTA memory ``M`` among their hash tables:
 
 from repro.core.allocation.base import (
     Allocation,
+    ForestAllocator,
     SpaceAllocator,
-    demand_score,
     minimum_space,
     spaces_to_allocation,
 )
@@ -39,8 +39,8 @@ from repro.core.allocation.exhaustive import (
 
 __all__ = [
     "Allocation",
+    "ForestAllocator",
     "SpaceAllocator",
-    "demand_score",
     "minimum_space",
     "spaces_to_allocation",
     "flat_allocation",

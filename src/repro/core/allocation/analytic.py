@@ -26,11 +26,7 @@ import math
 from typing import Mapping, Sequence
 
 from repro.core.attributes import AttributeSet
-from repro.core.allocation.base import (
-    Allocation,
-    demand_score,
-    spaces_to_allocation,
-)
+from repro.core.allocation.base import Allocation, spaces_to_allocation
 from repro.core.collision.lookup import PAPER_MU
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
@@ -92,8 +88,9 @@ def flat_allocation(config: Configuration, stats: RelationStatistics,
     if any(config.parent(rel) is not None for rel in config.relations):
         raise AllocationError("flat_allocation requires a phantom-free "
                               "configuration")
-    scores = {rel: demand_score(config, stats, rel)
-              for rel in config.relations}
+    forest = config.forest(stats)
+    scores = {rel: forest.demand_score(i)
+              for i, rel in enumerate(forest.universe.rels)}
     return spaces_to_allocation(config, stats, flat_spaces(scores, memory),
                                 memory)
 
@@ -111,7 +108,9 @@ def two_level_allocation(config: Configuration, stats: RelationStatistics,
     if any(not config.is_leaf(ch) for ch in children):
         raise AllocationError(
             "two_level_allocation requires a two-level configuration")
-    scores = [demand_score(config, stats, ch) for ch in children]
+    forest = config.forest(stats)
+    index = forest.universe.rels.index
+    scores = [forest.demand_score(index(ch)) for ch in children]
     root_space, child_spaces = two_level_split(scores, memory, params, mu)
     spaces = {root: root_space}
     spaces.update(dict(zip(children, child_spaces)))

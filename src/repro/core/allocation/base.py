@@ -10,18 +10,21 @@ entry size in units (Section 5.3's variable-sized buckets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
+from repro.core.forest import Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 
 __all__ = [
     "Allocation",
     "SpaceAllocator",
-    "demand_score",
+    "ForestAllocator",
+    "allocation_of",
+    "split_to_buckets",
     "spaces_to_allocation",
     "minimum_space",
 ]
@@ -97,65 +100,83 @@ class SpaceAllocator(Protocol):
         ...
 
 
-def demand_score(config: Configuration, stats: RelationStatistics,
-                 rel: AttributeSet) -> float:
-    """The score ``v_R = g_R h_R / l_R`` driving sqrt-proportional rules.
+class ForestAllocator:
+    """A heuristic (SL, SR, PL, PR) whose rule runs on the planner's index
+    form: :meth:`split` returns a forest's bucket list, indexed like it,
+    and :meth:`allocate` is its ``Configuration`` adapter. The greedy
+    choosers price their trials through :meth:`split`."""
 
-    Flow lengths only damp collision rates for relations fed directly by the
-    (clustered) stream; fed relations see eviction streams, so their score
-    uses ``l = 1``.
-    """
-    v = stats.group_count(rel) * stats.entry_units(rel)
-    if config.is_raw(rel):
-        v /= stats.flow_length(rel)
-    return v
+    def split(self, forest: Forest, memory: float,
+              params: CostParameters) -> list[float]:
+        raise NotImplementedError
+
+    def allocate(self, config: Configuration, stats: RelationStatistics,
+                 memory: float, params: CostParameters) -> Allocation:
+        forest = config.forest(stats)
+        return allocation_of(forest, self.split(forest, memory, params))
 
 
 def minimum_space(config: Configuration, stats: RelationStatistics) -> float:
     """Units needed to give every relation one bucket."""
-    return float(sum(stats.entry_units(rel) for rel in config.relations))
+    return config.forest(stats).minimum_space()
 
 
-def spaces_to_allocation(config: Configuration, stats: RelationStatistics,
-                         spaces: Mapping[AttributeSet, float],
-                         memory: float) -> Allocation:
+def split_to_buckets(forest: Forest, spaces: Sequence[float],
+                     memory: float) -> list[float]:
     """Convert per-relation *space* shares into bucket counts.
 
-    Enforces a one-bucket minimum per relation: relations whose share is
-    below one bucket are raised to one bucket and the deficit is taken
-    proportionally from the rest. Raises :class:`AllocationError` if the
-    budget cannot give every relation a bucket.
+    ``spaces[i]`` is relation ``i``'s space share; the result is indexed
+    like it. Enforces a one-bucket minimum per relation: relations whose
+    share is below one bucket are raised to one bucket and the deficit is
+    taken proportionally from the rest. Raises :class:`AllocationError`
+    if the budget cannot give every relation a bucket.
     """
-    min_needed = minimum_space(config, stats)
+    order, h = forest.order, forest.universe.h
+    min_needed = forest.minimum_space()
     if memory < min_needed:
         raise AllocationError(
             f"memory {memory} units cannot hold one bucket per relation "
             f"({min_needed} units needed)")
-    spaces = {rel: max(float(spaces[rel]), 0.0) for rel in config.relations}
     # Iteratively pin relations at their one-bucket floor and rescale the rest.
-    pinned: dict[AttributeSet, float] = {}
-    free = dict(spaces)
+    pinned: dict[int, float] = {}
+    free = {i: max(float(spaces[i]), 0.0) for i in order}
     budget = float(memory)
     while True:
         total = sum(free.values())
         if total <= 0:
             # Degenerate shares: split the remaining budget evenly.
             share = budget / len(free) if free else 0.0
-            free = {rel: share for rel in free}
+            free = {i: share for i in free}
             total = budget
         scale = budget / total if total > 0 else 0.0
-        below = [rel for rel in free
-                 if free[rel] * scale < stats.entry_units(rel)]
+        below = [i for i in free if free[i] * scale < h[i]]
         if not below:
-            for rel in free:
-                pinned[rel] = free[rel] * scale
+            for i in free:
+                pinned[i] = free[i] * scale
             break
-        for rel in below:
-            pinned[rel] = float(stats.entry_units(rel))
-            budget -= pinned[rel]
-            del free[rel]
+        for i in below:
+            pinned[i] = float(h[i])
+            budget -= pinned[i]
+            del free[i]
         if not free:
             break
-    buckets = {rel: pinned[rel] / stats.entry_units(rel)
-               for rel in config.relations}
-    return Allocation(buckets)
+    buckets = [0.0] * len(h)
+    for i in order:
+        buckets[i] = pinned[i] / h[i]
+    return buckets
+
+
+def allocation_of(forest: Forest, buckets: Sequence[float]) -> Allocation:
+    """The :class:`Allocation` of a forest's bucket list, in topological
+    order (the order :meth:`Allocation.rounded` breaks ties in)."""
+    rels = forest.universe.rels
+    return Allocation({rels[i]: buckets[i] for i in forest.order})
+
+
+def spaces_to_allocation(config: Configuration, stats: RelationStatistics,
+                         spaces: Mapping[AttributeSet, float],
+                         memory: float) -> Allocation:
+    """:func:`split_to_buckets` for a configuration's relations."""
+    forest = config.forest(stats)
+    shares = [spaces[rel] for rel in forest.universe.rels]
+    return allocation_of(forest, split_to_buckets(forest, shares, memory))

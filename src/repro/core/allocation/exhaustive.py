@@ -45,7 +45,7 @@ from repro.core.allocation.supernode import SupernodeLinear
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters
+from repro.core.cost_model import CostParameters, eq7_sums, relation_rate
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 from repro.native import descend as _native
@@ -83,6 +83,7 @@ class CostEvaluator:
             for rel in self.relations
         ]
         self.is_leaf = [config.is_leaf(rel) for rel in self.relations]
+        self._order = range(len(self.relations))
         self.groups = [stats.group_count(rel) for rel in self.relations]
         self.entry_units = [stats.entry_units(rel) for rel in self.relations]
         self.flow_div = [
@@ -101,25 +102,14 @@ class CostEvaluator:
 
     def rates(self, spaces: Sequence[float]) -> list[float]:
         """Collision rates per relation for a space vector (units)."""
-        out = []
-        for i, space in enumerate(spaces):
-            buckets = space / self.entry_units[i]
-            x = self.model.rate(self.groups[i], buckets) / self.flow_div[i]
-            out.append(min(max(x, 0.0), 1.0))
-        return out
+        return [relation_rate(self.model, self.groups[i],
+                              space / self.entry_units[i], self.flow_div[i])
+                for i, space in enumerate(spaces)]
 
     def cost(self, spaces: Sequence[float]) -> float:
         """Eq. 7 per-record cost for a space vector (units per relation)."""
-        x = self.rates(spaces)
-        coeff = [1.0] * len(spaces)
-        probe = 0.0
-        evict = 0.0
-        for i, parent in enumerate(self.parent_index):
-            if parent >= 0:
-                coeff[i] = coeff[parent] * x[parent]
-            probe += coeff[i]
-            if self.is_leaf[i]:
-                evict += coeff[i] * x[i]
+        probe, evict = eq7_sums(self._order, self.parent_index, self.is_leaf,
+                                self.rates(spaces))
         return probe * self.c1 + evict * self.c2
 
     def _model_rates(self, buckets_2d: np.ndarray) -> np.ndarray:
@@ -178,18 +168,8 @@ class CostEvaluator:
         np.divide(x, self._flow_arr, out=x)
         np.maximum(x, 0.0, out=x)
         np.minimum(x, 1.0, out=x)
-        coeff = np.empty_like(x)
-        probe = np.zeros(m, dtype=np.float64)
-        evict = np.zeros(m, dtype=np.float64)
-        for i, parent in enumerate(self.parent_index):
-            column = coeff[:, i]
-            if parent >= 0:
-                np.multiply(coeff[:, parent], x[:, parent], out=column)
-            else:
-                column[:] = 1.0
-            probe += column
-            if self.is_leaf[i]:
-                evict += column * x[:, i]
+        probe, evict = eq7_sums(self._order, self.parent_index, self.is_leaf,
+                                x.T, zero=np.zeros(m, dtype=np.float64))
         return probe * self.c1 + evict * self.c2
 
     def to_allocation(self, spaces: Sequence[float]) -> Allocation:

@@ -15,38 +15,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.allocation.base import Allocation, spaces_to_allocation
-from repro.core.configuration import Configuration
+from repro.core.allocation.base import ForestAllocator, split_to_buckets
 from repro.core.cost_model import CostParameters
-from repro.core.statistics import RelationStatistics
+from repro.core.forest import Forest
 
 __all__ = ["ProportionalLinear", "ProportionalSqrt"]
 
 
 @dataclass(frozen=True)
-class ProportionalLinear:
+class _ProportionalAllocator(ForestAllocator):
+    """Common PL/PR machinery; subclasses choose the weight of ``g``."""
+
+    name: str = "proportional"
+
+    def _weight(self, groups: float) -> float:
+        raise NotImplementedError
+
+    def split(self, forest: Forest, memory: float,
+              params: CostParameters) -> list[float]:
+        """Bucket counts for an index-form forest (indexed like it)."""
+        g = forest.universe.g
+        weights = {i: self._weight(g[i]) for i in forest.order}
+        total = sum(weights.values())
+        spaces = [0.0] * len(g)
+        for i, w in weights.items():
+            spaces[i] = memory * w / total
+        return split_to_buckets(forest, spaces, memory)
+
+
+@dataclass(frozen=True)
+class ProportionalLinear(_ProportionalAllocator):
     """Heuristic PL: space share proportional to ``g_R``."""
 
     name: str = "PL"
 
-    def allocate(self, config: Configuration, stats: RelationStatistics,
-                 memory: float, params: CostParameters) -> Allocation:
-        weights = {rel: stats.group_count(rel) for rel in config.relations}
-        total = sum(weights.values())
-        spaces = {rel: memory * w / total for rel, w in weights.items()}
-        return spaces_to_allocation(config, stats, spaces, memory)
+    def _weight(self, groups: float) -> float:
+        return groups
 
 
 @dataclass(frozen=True)
-class ProportionalSqrt:
+class ProportionalSqrt(_ProportionalAllocator):
     """Heuristic PR: space share proportional to ``sqrt(g_R)``."""
 
     name: str = "PR"
 
-    def allocate(self, config: Configuration, stats: RelationStatistics,
-                 memory: float, params: CostParameters) -> Allocation:
-        weights = {rel: math.sqrt(stats.group_count(rel))
-                   for rel in config.relations}
-        total = sum(weights.values())
-        spaces = {rel: memory * w / total for rel, w in weights.items()}
-        return spaces_to_allocation(config, stats, spaces, memory)
+    def _weight(self, groups: float) -> float:
+        return math.sqrt(groups)

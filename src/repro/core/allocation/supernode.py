@@ -19,23 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.attributes import AttributeSet
 from repro.core.allocation.analytic import flat_spaces, two_level_split
-from repro.core.allocation.base import (
-    Allocation,
-    demand_score,
-    spaces_to_allocation,
-)
+from repro.core.allocation.base import ForestAllocator, split_to_buckets
 from repro.core.collision.lookup import PAPER_MU
-from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.statistics import RelationStatistics
+from repro.core.forest import Forest
 
 __all__ = ["SupernodeLinear", "SupernodeSqrt"]
 
 
 @dataclass(frozen=True)
-class _SupernodeAllocator:
+class _SupernodeAllocator(ForestAllocator):
     """Common SL/SR machinery; subclasses choose the combination rule."""
 
     mu: float = PAPER_MU
@@ -44,37 +38,32 @@ class _SupernodeAllocator:
     def _combine(self, own: float, child_scores: list[float]) -> float:
         raise NotImplementedError
 
-    def allocate(self, config: Configuration, stats: RelationStatistics,
-                 memory: float, params: CostParameters) -> Allocation:
-        combined: dict[AttributeSet, float] = {}
+    def split(self, forest: Forest, memory: float,
+              params: CostParameters) -> list[float]:
+        """Bucket counts for an index-form forest (indexed like it)."""
+        children = forest.children
+        combined = [0.0] * len(children)
         # Children precede parents in reversed topological order.
-        for rel in reversed(config.relations):
-            own = demand_score(config, stats, rel)
-            kids = config.children(rel)
-            if not kids:
-                combined[rel] = own
-            else:
-                combined[rel] = self._combine(own,
-                                              [combined[k] for k in kids])
+        for i in reversed(forest.order):
+            own = forest.demand_score(i)
+            kids = children[i]
+            combined[i] = (self._combine(own, [combined[k] for k in kids])
+                           if kids else own)
 
-        spaces: dict[AttributeSet, float] = {}
+        spaces = [0.0] * len(children)
         root_spaces = flat_spaces(
-            {root: combined[root] for root in config.raw_relations}, memory)
-
-        def decompose(rel: AttributeSet, space: float) -> None:
-            kids = config.children(rel)
+            {root: combined[root] for root in forest.roots}, memory)
+        stack = list(root_spaces.items())
+        while stack:
+            i, space = stack.pop()
+            kids = children[i]
             if not kids:
-                spaces[rel] = space
-                return
-            own_space, kid_spaces = two_level_split(
+                spaces[i] = space
+                continue
+            spaces[i], kid_spaces = two_level_split(
                 [combined[k] for k in kids], space, params, self.mu)
-            spaces[rel] = own_space
-            for kid, kid_space in zip(kids, kid_spaces):
-                decompose(kid, kid_space)
-
-        for root in config.raw_relations:
-            decompose(root, root_spaces[root])
-        return spaces_to_allocation(config, stats, spaces, memory)
+            stack.extend(zip(kids, kid_spaces))
+        return split_to_buckets(forest, spaces, memory)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ from dataclasses import dataclass, field
 from repro.core.attributes import AttributeSet
 from repro.core.allocation.base import Allocation
 from repro.core.configuration import Configuration
+from repro.core.feeding_graph import FeedingGraph
+from repro.core.forest import Forest, Universe
+from repro.core.queries import QuerySet
+from repro.core.statistics import RelationStatistics
 
-__all__ = ["ChoiceStep", "ChoiceResult"]
+__all__ = ["ChoiceStep", "ChoiceResult", "plan_forest"]
 
 
 @dataclass(frozen=True)
@@ -38,3 +42,23 @@ class ChoiceResult:
     def phantoms_chosen(self) -> list[AttributeSet]:
         return [step.phantom for step in self.trajectory
                 if step.phantom is not None]
+
+
+def plan_forest(queries: QuerySet, stats: RelationStatistics) -> Forest:
+    """The queries-only forest a greedy chooser starts from.
+
+    Its universe is what the plan may instantiate: every query and each
+    candidate phantom with recorded statistics, in the feeding graph's
+    ``sort_key`` order, so the candidates are the non-query indices in
+    ascending order. A query nests under its minimal query superset (free
+    sharing; flat for antichain query sets, as in all the paper's
+    workloads).
+    """
+    graph = FeedingGraph(queries)
+    nodes = graph.nodes
+    keep = [k for k, rel in enumerate(nodes)
+            if graph.is_query(rel) or stats.has(rel)]
+    universe = Universe([nodes[k] for k in keep], queries.group_bys, stats,
+                        [graph.masks[k] for k in keep])
+    return Forest.nested(universe, [i for i, rel in enumerate(universe.rels)
+                                    if rel in universe.queries])

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.allocation.base import SpaceAllocator
+from repro.core.allocation.base import ForestAllocator, allocation_of
 from repro.core.allocation.supernode import SupernodeLinear
-from repro.core.choosing.base import ChoiceResult, ChoiceStep
+from repro.core.choosing.base import ChoiceResult, ChoiceStep, plan_forest
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters, per_record_cost
-from repro.core.feeding_graph import FeedingGraph
+from repro.core.cost_model import CostParameters, intra_cost
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError
 
 __all__ = ["GreedyCollision", "gcsl", "gcpl"]
 
@@ -39,10 +38,11 @@ class GreedyCollision:
     Every round re-evaluates every remaining candidate: unlike GS, a GC
     candidate's benefit is *not* invariant across rounds — the allocator
     re-splits all of ``M`` over every tree each round — so no benefit
-    can be carried from one round to the next.
+    can be carried from one round to the next. Candidates are index-form
+    forests, priced through the allocator's ``split``.
     """
 
-    allocator: SpaceAllocator = field(default_factory=SupernodeLinear)
+    allocator: ForestAllocator = field(default_factory=SupernodeLinear)
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
     min_benefit: float = 1e-12
@@ -53,37 +53,39 @@ class GreedyCollision:
 
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
-        graph = FeedingGraph(queries)
-        # The starting configuration is "only the queries", with the
-        # natural feed structure: a query nests under its minimal query
-        # superset (free sharing; for antichain query sets this is flat).
-        config = Configuration.from_relations(queries.group_bys,
-                                              queries.group_bys)
-        allocation = self.allocator.allocate(config, stats, memory, params)
-        cost = per_record_cost(config, stats, allocation.buckets, self.model,
-                               params, self.clustered)
-        trajectory = [ChoiceStep(None, config, cost)]
-        remaining = [p for p in graph.phantoms if stats.has(p)]
+        forest = plan_forest(queries, stats)
+        rels = forest.universe.rels
+        split = self.allocator.split
+        buckets = split(forest, memory, params)
+        cost = intra_cost(forest, buckets, self.model, params,
+                          self.clustered)
+        trajectory = [ChoiceStep(None, Configuration.from_forest(forest),
+                                 cost)]
+        remaining = [i for i, rel in enumerate(rels)
+                     if rel not in forest.universe.queries]
         while remaining:
             best = None
-            for phantom in remaining:
-                try:
-                    trial_config = config.with_phantom(phantom)
-                    trial_alloc = self.allocator.allocate(
-                        trial_config, stats, memory, params)
-                except (ConfigurationError, AllocationError):
+            for p in remaining:
+                trial = forest.with_phantom(p)
+                if trial is None:
                     continue
-                trial_cost = per_record_cost(
-                    trial_config, stats, trial_alloc.buckets, self.model,
-                    params, self.clustered)
+                try:
+                    trial_buckets = split(trial, memory, params)
+                except AllocationError:
+                    continue
+                trial_cost = intra_cost(trial, trial_buckets, self.model,
+                                        params, self.clustered)
                 if best is None or trial_cost < best[0]:
-                    best = (trial_cost, phantom, trial_config, trial_alloc)
+                    best = (trial_cost, p, trial, trial_buckets)
             if best is None or cost - best[0] <= self.min_benefit:
                 break
-            cost, chosen, config, allocation = best
+            cost, chosen, forest, buckets = best
             remaining.remove(chosen)
-            trajectory.append(ChoiceStep(chosen, config, cost))
-        return ChoiceResult(config, allocation, cost, tuple(trajectory))
+            trajectory.append(ChoiceStep(
+                rels[chosen], Configuration.from_forest(forest), cost))
+        return ChoiceResult(trajectory[-1].configuration,
+                            allocation_of(forest, buckets), cost,
+                            tuple(trajectory))
 
 
 def gcsl(**kwargs) -> GreedyCollision:

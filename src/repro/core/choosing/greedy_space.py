@@ -17,41 +17,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.attributes import AttributeSet
-from repro.core.allocation.base import Allocation
-from repro.core.choosing.base import ChoiceResult, ChoiceStep
+from repro.core.allocation.base import allocation_of, split_to_buckets
+from repro.core.choosing.base import ChoiceResult, ChoiceStep, plan_forest
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters, per_record_cost
-from repro.core.feeding_graph import FeedingGraph
+from repro.core.cost_model import (
+    CostParameters,
+    eq7_sums,
+    intra_cost,
+    relation_rate,
+)
+from repro.core.forest import RAW, Forest
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
-from repro.errors import ConfigurationError
 
 __all__ = ["GreedySpace"]
+
+#: Relative slack of a round's one-pass benefit scores: every candidate
+#: scoring within it of the best is re-scored with the exact Eq. 7
+#: difference. Rounding in either sum is ~1e-15 of the cost.
+_SCORE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class GreedySpace:
     """The GS algorithm with table sizes fixed at ``phi * g`` buckets.
 
-    ``cache_benefits`` (default on) reuses each candidate's benefit across
-    rounds: under phi-sizing every relation's collision rate depends only
-    on itself, so Eq. 7 is additive and a candidate's benefit involves
-    only its ancestor chain plus the children it would capture. A cached
-    benefit is dropped only when the accepted phantom is comparable to
-    the candidate or attaches under the same parent and steals overlapping
-    children; all other insertions provably leave it unchanged. Cached
-    rounds skip the ``with_phantom`` + full-cost re-evaluation entirely;
-    equivalence with the uncached scan is asserted by tests.
+    Under phi-sizing every relation's collision rate depends only on
+    itself (and, on clustered streams, on whether it is raw), so Eq. 7 is
+    additive: a candidate changes the cost only below the point it would
+    attach at. Each round scores every candidate from per-relation reach
+    and subtree costs in one pass, then re-scores those the pass cannot
+    tell from the best with the exact Eq. 7 difference, so the pick is
+    the full rescan's, ties included (first in candidate order).
     """
 
     phi: float = 1.0
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
     min_benefit: float = 1e-12
-    cache_benefits: bool = True
 
     def __post_init__(self) -> None:
         if self.phi <= 0:
@@ -61,149 +66,139 @@ class GreedySpace:
     def name(self) -> str:
         return f"GS(phi={self.phi:g})"
 
-    # ------------------------------------------------------------------
-    def _phi_buckets(self, config: Configuration,
-                     stats: RelationStatistics) -> dict[AttributeSet, float]:
-        return {rel: max(self.phi * stats.group_count(rel), 1.0)
-                for rel in config.relations}
-
-    def _phi_space(self, config: Configuration,
-                   stats: RelationStatistics) -> float:
-        return sum(max(self.phi * stats.group_count(rel), 1.0)
-                   * stats.entry_units(rel) for rel in config.relations)
-
-    def _cost(self, config: Configuration, stats: RelationStatistics,
-              params: CostParameters) -> float:
-        return per_record_cost(config, stats, self._phi_buckets(config, stats),
-                               self.model, params, self.clustered)
-
-    # ------------------------------------------------------------------
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
-        graph = FeedingGraph(queries)
-        # Queries only, with nested queries feeding each other (flat for
-        # antichain query sets, as in all the paper's workloads).
-        config = Configuration.from_relations(queries.group_bys,
-                                              queries.group_bys)
-        cost = self._cost(config, stats, params)
-        # Trajectory costs include the leftover-space distribution, so they
-        # reflect what the configuration would actually cost if the greedy
-        # stopped here (the paper's Figure 12 view); the *selection* itself
-        # compares phi-sized costs, per the algorithm.
-        trajectory = [ChoiceStep(None, config,
-                                 self._distributed_cost(config, stats,
-                                                        memory, params))]
-        remaining = [p for p in graph.phantoms if stats.has(p)]
-        # Used space is maintained incrementally: the base configuration is
-        # summed once and each accepted phantom adds exactly the `extra`
-        # the budget check already priced in.
-        used = self._phi_space(config, stats)
-        # phantom -> (benefit per unit or None if uninstantiable, attach
-        # signature). Under phi-sizing Eq. 7 is additive and a candidate's
-        # benefit involves only its ancestor chain plus the children it
-        # would capture, so an entry stays valid until an accepted phantom
-        # is comparable to it or competes for the same captured children.
-        cache: dict[AttributeSet,
-                    tuple[float | None,
-                          tuple[AttributeSet | None,
-                                frozenset[AttributeSet]]]] = {}
+        forest = plan_forest(queries, stats)
+        u = forest.universe
+        c1, c2 = params.probe_cost, params.evict_cost
+        size = [max(self.phi * g, 1.0) for g in u.g]
+        price = [b * h for b, h in zip(size, u.h)]
+        # A relation's rate when fed by another relation and when fed by
+        # the stream; they differ only on clustered streams.
+        fed = [relation_rate(self.model, g, b) for g, b in zip(u.g, size)]
+        raw = fed
+        if self.clustered:
+            raw = [relation_rate(self.model, g, b, l)
+                   for g, l, b in zip(u.g, u.l, size)]
+
+        def phi_rates(f: Forest) -> list[float]:
+            return [raw[i] if p == RAW else fed[i]
+                    for i, p in enumerate(f.parent)]
+
+        def phi_cost(f: Forest) -> float:
+            probe, evict = eq7_sums(f.order, f.parent, f.leaf, phi_rates(f))
+            return probe * c1 + evict * c2
+
+        def step(phantom, f: Forest) -> tuple[list[float], ChoiceStep]:
+            # Trajectory costs include the leftover-space distribution, so
+            # they reflect what the configuration would actually cost if
+            # the greedy stopped here (the paper's Figure 12 view); the
+            # *selection* itself compares phi-sized costs.
+            buckets = _final_buckets(f, size, price, memory)
+            cost = intra_cost(f, buckets, self.model, params, self.clustered)
+            return buckets, ChoiceStep(phantom, Configuration.from_forest(f),
+                                       cost)
+
+        cost = phi_cost(forest)
+        buckets, first = step(None, forest)
+        trajectory = [first]
+        remaining = [i for i, rel in enumerate(u.rels)
+                     if rel not in u.queries]
+        used = sum(price[i] for i in forest.order)
         while remaining:
             best = None
-            for phantom in remaining:
-                extra = (max(self.phi * stats.group_count(phantom), 1.0)
-                         * stats.entry_units(phantom))
-                if used + extra > memory:
-                    continue
-                entry = cache.get(phantom) if self.cache_benefits else None
-                if entry is not None:
-                    benefit_per_unit = entry[0]
-                else:
-                    signature = self._attach_signature(config, phantom)
-                    try:
-                        trial_config = config.with_phantom(phantom)
-                    except ConfigurationError:
-                        benefit_per_unit = None
-                    else:
-                        trial_cost = self._cost(trial_config, stats, params)
-                        benefit_per_unit = (cost - trial_cost) / extra
-                    if self.cache_benefits:
-                        cache[phantom] = (benefit_per_unit, signature)
-                if benefit_per_unit is None:
-                    continue
+            for p in _leaders(forest, remaining, used, memory, price, fed,
+                              raw, phi_rates(forest), cost, c1, c2):
+                trial = forest.with_phantom(p)
+                trial_cost = phi_cost(trial)
+                benefit_per_unit = (cost - trial_cost) / price[p]
                 if best is None or benefit_per_unit > best[0]:
-                    best = (benefit_per_unit, phantom, extra)
+                    best = (benefit_per_unit, p, trial, trial_cost)
             if best is None or best[0] <= self.min_benefit:
                 break
-            _, chosen, extra = best
-            entry = cache.pop(chosen, None)
-            chosen_sig = (entry[1] if entry is not None
-                          else self._attach_signature(config, chosen))
-            config = config.with_phantom(chosen)
-            cost = self._cost(config, stats, params)
-            used += extra
+            _, chosen, forest, cost = best
+            used += price[chosen]
             remaining.remove(chosen)
-            for other, (_, other_sig) in list(cache.items()):
-                if (other < chosen or chosen < other
-                        or (other_sig[0] == chosen_sig[0]
-                            and other_sig[1] & chosen_sig[1])):
-                    del cache[other]
-            trajectory.append(ChoiceStep(
-                chosen, config,
-                self._distributed_cost(config, stats, memory, params)))
-        allocation = self._final_allocation(config, stats, memory)
-        final_cost = per_record_cost(config, stats, allocation.buckets,
-                                     self.model, params, self.clustered)
-        return ChoiceResult(config, allocation, final_cost, tuple(trajectory))
+            buckets, last = step(u.rels[chosen], forest)
+            trajectory.append(last)
+        final = trajectory[-1]
+        return ChoiceResult(final.configuration,
+                            allocation_of(forest, buckets), final.cost,
+                            tuple(trajectory))
 
-    @staticmethod
-    def _attach_signature(
-        config: Configuration, phantom: AttributeSet,
-    ) -> tuple[AttributeSet | None, frozenset[AttributeSet]]:
-        """Where ``with_phantom(phantom)`` would attach and what it captures.
 
-        Mirrors ``with_phantom``: the phantom nests under its minimal
-        instantiated strict superset (``None`` when it becomes a raw root)
-        and captures that parent's children — or the raw roots — that it
-        strictly contains. Under phi-sizing a candidate's benefit depends
-        only on this signature's surroundings: its ancestor chain can only
-        change via a comparable insertion, and its captured subtrees can
-        only change via a comparable insertion or a same-parent sibling
-        stealing overlapping children.
-        """
-        supersets = [r for r in config.relations if phantom < r]
-        if supersets:
-            minimal = [s for s in supersets
-                       if not any(t < s for t in supersets)]
-            parent = min(minimal, key=AttributeSet.sort_key)
-            captured = frozenset(c for c in config.children(parent)
-                                 if c < phantom)
-            return parent, captured
-        return None, frozenset(r for r in config.raw_relations if r < phantom)
+def _leaders(forest: Forest, remaining: list[int], used: float,
+             memory: float, price: list[float], fed: list[float],
+             raw: list[float], x: list[float], cost: float, c1: float,
+             c2: float) -> list[int]:
+    """The affordable candidates that may carry the round's best benefit.
 
-    def _distributed_cost(self, config: Configuration,
-                          stats: RelationStatistics, memory: float,
-                          params: CostParameters) -> float:
-        allocation = self._final_allocation(config, stats, memory)
-        return per_record_cost(config, stats, allocation.buckets, self.model,
-                               params, self.clustered)
+    Phantom ``p`` attaching under ``par`` and capturing ``C`` changes
+    Eq. 7 only there. With ``reach`` Eq. 7's coefficient and ``below(R)``
+    the cost of ``R``'s subtree per unit of reach::
 
-    def _final_allocation(self, config: Configuration,
-                          stats: RelationStatistics,
-                          memory: float) -> Allocation:
-        """Distribute leftover space proportional to group counts.
+        cost - cost' = reach(p) (sum_C below(c) - c1 - x_p sum_C below'(c))
 
-        If even the base ``phi * g`` sizing does not fit (possible when the
-        query tables alone exceed ``M``), all tables are scaled down
-        proportionally instead.
-        """
-        buckets = self._phi_buckets(config, stats)
-        used = sum(b * stats.entry_units(rel) for rel, b in buckets.items())
-        if used > memory:
-            return Allocation(buckets).scaled(memory / used)
-        leftover = memory - used
-        total_groups = sum(stats.group_count(rel)
-                           for rel in config.relations)
-        for rel in config.relations:
-            share = leftover * stats.group_count(rel) / total_groups
-            buckets[rel] += share / stats.entry_units(rel)
-        return Allocation(buckets)
+    where ``below'`` differs from ``below`` only for captured roots, which
+    stop being raw. Returned in candidate order.
+    """
+    order, parent = forest.order, forest.parent
+    children, leaf = forest.children, forest.leaf
+    reach = [0.0] * len(parent)
+    eq7_sums(order, parent, leaf, x, reach=reach)
+    below = [0.0] * len(parent)
+    for i in reversed(order):
+        below[i] = c1 + (c2 * x[i] if leaf[i]
+                         else x[i] * sum([below[k] for k in children[i]]))
+    scored = []
+    for p in remaining:
+        if used + price[p] > memory:
+            continue
+        par, captured = forest.attach_point(p)
+        if not captured:
+            continue
+        stay = sum([below[c] for c in captured])
+        if par == RAW:
+            kp, xp = 1.0, raw[p]
+            moved = sum([c1 + (c2 * fed[c] if leaf[c] else
+                               fed[c] * sum([below[k] for k in children[c]]))
+                         for c in captured])
+        else:
+            kp, xp = reach[par] * x[par], fed[p]
+            moved = stay
+        scored.append((kp * (stay - c1 - xp * moved) / price[p], p))
+    if not scored:
+        return []
+    slack = _SCORE_SLACK * (abs(cost) + c1 + c2)
+    floor = max(score - slack / price[p] for score, p in scored)
+    return [p for score, p in scored if score + slack / price[p] >= floor]
+
+
+def _final_buckets(forest: Forest, size: list[float], price: list[float],
+                   memory: float) -> list[float]:
+    """Distribute leftover space proportional to group counts.
+
+    If even the base ``phi * g`` sizing does not fit (possible when the
+    query tables alone exceed ``M``), all tables are scaled down
+    proportionally instead; tables that would fall below one bucket are
+    pinned at one and the rest share what is left, as
+    :func:`~repro.core.allocation.split_to_buckets` does (and, like it,
+    a budget below one bucket per table raises ``AllocationError``).
+    """
+    order = forest.order
+    u = forest.universe
+    used = sum(price[i] for i in order)
+    buckets = [0.0] * len(size)
+    if used > memory:
+        factor = memory / used
+        if any(size[i] * factor < 1.0 for i in order):
+            return split_to_buckets(forest, price, memory)
+        for i in order:
+            buckets[i] = size[i] * factor
+        return buckets
+    leftover = memory - used
+    total_groups = sum(u.g[i] for i in order)
+    for i in order:
+        share = leftover * u.g[i] / total_groups
+        buckets[i] = size[i] + share / u.h[i]
+    return buckets

@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from repro.core.attributes import AttributeSet
+from repro.core.forest import ABSENT, RAW, Forest, Universe
+from repro.core.statistics import RelationStatistics
 from repro.errors import ConfigurationError, NotationError
 
 __all__ = ["Configuration"]
@@ -202,6 +204,50 @@ class Configuration:
                 parent[rel] = min(minimal, key=tie_break)
         return cls(parent, queries)
 
+    @classmethod
+    def from_forest(cls, forest: Forest) -> "Configuration":
+        """The configuration an index-form forest describes.
+
+        A forest built from a configuration, by :meth:`Forest.nested` over
+        the queries or by :meth:`Forest.with_phantom` already satisfies
+        every rule :meth:`__init__` checks (edges are strict subsets,
+        queries are instantiated, leaves are queries) and carries the
+        children and topological order, so they are taken as they are.
+        """
+        rels, parent = forest.universe.rels, forest.parent
+        config = cls.__new__(cls)
+        config._parent = {rels[i]: None if parent[i] == RAW
+                          else rels[parent[i]] for i in forest.order}
+        config._queries = forest.universe.queries
+        config._children = {rels[i]: [rels[k] for k in forest.children[i]]
+                            for i in forest.order}
+        config._order = [rels[i] for i in forest.order]
+        return config
+
+    def forest(self, stats: RelationStatistics | None = None) -> Forest:
+        """This configuration in index form, indexed in topological order
+        (so the forest's ``order`` is ``0, 1, ...``); with ``stats`` its
+        universe carries every relation's ``g``, ``h`` and ``l``."""
+        return self._forest_in(Universe(self._order, self._queries, stats))
+
+    def _forest_in(self, universe: Universe) -> Forest:
+        rels = universe.rels
+        index = {rel: i for i, rel in enumerate(rels)}
+        parent = [ABSENT] * len(rels)
+        children: list[list[int]] = [[] for _ in rels]
+        roots: list[int] = []
+        for i, rel in enumerate(rels):
+            if rel not in self._parent:
+                continue
+            par = self._parent[rel]
+            if par is None:
+                parent[i] = RAW
+                roots.append(i)
+            else:
+                parent[i] = index[par]
+                children[index[par]].append(i)
+        return Forest(universe, parent, children, roots)
+
     # ------------------------------------------------------------------
     # Validation & structure
     # ------------------------------------------------------------------
@@ -312,15 +358,14 @@ class Configuration:
         """
         if phantom in self._parent:
             raise ConfigurationError(f"{phantom} is already instantiated")
-        supersets = [r for r in self._parent if phantom < r]
-        minimal = [s for s in supersets if not any(t < s for t in supersets)]
-        new_parent_of_phantom = (min(minimal, key=AttributeSet.sort_key)
-                                 if minimal else None)
+        universe = Universe.of([*self._parent, phantom], self._queries)
+        rels = universe.rels
+        par, captured = self._forest_in(universe).attach_point(
+            rels.index(phantom))
         parent = dict(self._parent)
-        parent[phantom] = new_parent_of_phantom
-        for rel, par in self._parent.items():
-            if par == new_parent_of_phantom and rel < phantom:
-                parent[rel] = phantom
+        parent[phantom] = None if par == RAW else rels[par]
+        for c in captured:
+            parent[rels[c]] = phantom
         return Configuration(parent, self._queries)
 
     def without_phantom(self, phantom: AttributeSet) -> "Configuration":

@@ -30,23 +30,36 @@ Collision rates come from a pluggable :class:`CollisionModel`; clusteredness
 divides the per-record rate by the relation's mean flow length (Eq. 15).
 Flush-time propagation uses *unclustered* rates, because flush arrivals are
 per-group entries rather than packets.
+
+Both equations are written once, over the planner's index form
+(:mod:`repro.core.forest`): :func:`eq7_sums` and :func:`eq8_sums` walk a
+topological order with parent indices, summing left to right. The
+``Configuration``-taking functions below are adapters onto them, and
+:class:`~repro.core.allocation.CostEvaluator` runs the same
+:func:`eq7_sums` on one space vector or, lane by lane, on a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.attributes import AttributeSet
 from repro.core.collision.base import CollisionModel, clamp_rate
 from repro.core.configuration import Configuration
+from repro.core.forest import RAW, Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 
 __all__ = [
     "CostParameters",
     "CostBreakdown",
+    "eq7_sums",
+    "eq8_sums",
+    "relation_rate",
+    "forest_rates",
+    "intra_cost",
     "collision_rates",
     "intra_epoch_cost",
     "per_record_cost",
@@ -89,6 +102,99 @@ class CostBreakdown:
         return self.probe + self.evict
 
 
+def eq7_sums(order: Sequence[int], parent: Sequence[int],
+             leaf: Sequence[bool], x: Sequence, zero=0.0,
+             reach: list | None = None) -> tuple:
+    """Eq. 7's probe and eviction sums, before the ``c1``/``c2`` weights.
+
+    ``order`` is topological (parents first) and ``parent[i] < 0`` marks a
+    raw relation. Each ``x[i]`` is a rate, or a column of rates to price
+    a batch lane by lane with the same float operations (pass an array
+    ``zero``). ``reach``, if given, receives each relation's coefficient
+    ``prod_{R' in A_R} x_{R'}``.
+    """
+    if reach is None:
+        reach = [0.0] * len(parent)
+    probe = evict = zero
+    for i in order:
+        p = parent[i]
+        r = 1.0 if p < 0 else reach[p] * x[p]
+        reach[i] = r
+        probe = probe + r
+        if leaf[i]:
+            evict = evict + r * x[i]
+    return probe, evict
+
+
+def eq8_sums(order: Sequence[int], parent: Sequence[int],
+             leaf: Sequence[bool], x: Sequence[float],
+             occ: Sequence[float]) -> tuple[float, float]:
+    """Eq. 8's probe and eviction sums, before the ``c1``/``c2`` weights."""
+    arrivals = [0.0] * len(parent)
+    probe = 0.0
+    evict = 0.0
+    for i in order:
+        p = parent[i]
+        if p < 0:
+            a = 0.0
+        else:
+            a = occ[p] + x[p] * arrivals[p]
+            arrivals[i] = a
+            probe += a
+        if leaf[i]:
+            evict += occ[i] + a
+    return probe, evict
+
+
+def relation_rate(model: CollisionModel, groups: float, buckets: float,
+                  flow_length: float = 1.0) -> float:
+    """One relation's collision rate, divided by the mean flow length of
+    the clustered stream feeding it (Eq. 15; ``1`` when it is fed by
+    another relation, or the stream is not clustered)."""
+    return clamp_rate(model.rate(groups, buckets) / flow_length)
+
+
+def forest_rates(forest: Forest, buckets: Sequence[float],
+                 model: CollisionModel, clustered: bool) -> list[float]:
+    """Per-relation collision rates, indexed like ``buckets``.
+
+    With ``clustered`` a raw relation's rate is divided by its mean flow
+    length (Eq. 15); fed relations see eviction streams, whose
+    clusteredness is already consumed upstream.
+    """
+    u = forest.universe
+    g, l, parent = u.g, u.l, forest.parent
+    x = [0.0] * len(g)
+    for i in forest.order:
+        x[i] = relation_rate(model, g[i], buckets[i],
+                             l[i] if clustered and parent[i] == RAW else 1.0)
+    return x
+
+
+def intra_cost(forest: Forest, buckets: Sequence[float],
+               model: CollisionModel, params: CostParameters,
+               clustered: bool = True) -> float:
+    """Eq. 7's total for a forest and its bucket counts."""
+    x = forest_rates(forest, buckets, model, clustered)
+    probe, evict = eq7_sums(forest.order, forest.parent, forest.leaf, x)
+    return probe * params.probe_cost + evict * params.evict_cost
+
+
+def _bucket_list(forest: Forest,
+                 buckets: Mapping[AttributeSet, float]) -> list[float]:
+    out = []
+    for rel in forest.universe.rels:
+        try:
+            b = buckets[rel]
+        except KeyError:
+            raise AllocationError(
+                f"no bucket count allocated for {rel}") from None
+        if b <= 0:
+            raise AllocationError(f"non-positive bucket count for {rel}: {b}")
+        out.append(b)
+    return out
+
+
 def collision_rates(config: Configuration, stats: RelationStatistics,
                     buckets: Mapping[AttributeSet, float],
                     model: CollisionModel,
@@ -101,37 +207,18 @@ def collision_rates(config: Configuration, stats: RelationStatistics,
     already consumed upstream, so flow lengths for non-raw relations should
     normally be 1 in ``stats`` unless measured otherwise.
     """
-    rates: dict[AttributeSet, float] = {}
-    for rel in config.relations:
-        try:
-            b = buckets[rel]
-        except KeyError:
-            raise AllocationError(f"no bucket count allocated for {rel}") from None
-        if b <= 0:
-            raise AllocationError(f"non-positive bucket count for {rel}: {b}")
-        x = model.rate(stats.group_count(rel), b)
-        if clustered and config.is_raw(rel):
-            x = x / stats.flow_length(rel)
-        rates[rel] = clamp_rate(x)
-    return rates
+    forest = config.forest(stats)
+    x = forest_rates(forest, _bucket_list(forest, buckets), model, clustered)
+    return dict(zip(forest.universe.rels, x))
 
 
 def intra_epoch_cost(config: Configuration,
                      rates: Mapping[AttributeSet, float],
                      params: CostParameters) -> CostBreakdown:
     """Eq. 7: expected per-record maintenance cost given collision rates."""
-    coeff: dict[AttributeSet, float] = {}
-    probe = 0.0
-    evict = 0.0
-    for rel in config.relations:  # topological: parents first
-        parent = config.parent(rel)
-        if parent is None:
-            coeff[rel] = 1.0
-        else:
-            coeff[rel] = coeff[parent] * rates[parent]
-        probe += coeff[rel]
-        if config.is_leaf(rel):
-            evict += coeff[rel] * rates[rel]
+    forest = config.forest()
+    x = [rates[rel] for rel in forest.universe.rels]
+    probe, evict = eq7_sums(forest.order, forest.parent, forest.leaf, x)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)
 
@@ -141,8 +228,9 @@ def per_record_cost(config: Configuration, stats: RelationStatistics,
                     model: CollisionModel, params: CostParameters,
                     clustered: bool = True) -> float:
     """Convenience: Eq. 7 total from statistics and an allocation."""
-    rates = collision_rates(config, stats, buckets, model, clustered)
-    return intra_epoch_cost(config, rates, params).total
+    forest = config.forest(stats)
+    return intra_cost(forest, _bucket_list(forest, buckets), model, params,
+                      clustered)
 
 
 def expected_occupancy(groups: float, buckets: float) -> float:
@@ -177,20 +265,10 @@ def flush_cost(config: Configuration, stats: RelationStatistics,
     above the measured flush cost on phantom trees — safe for the
     peak-load constraint it exists to enforce.
     """
-    rates = collision_rates(config, stats, buckets, model, clustered=False)
-    occ = {rel: expected_occupancy(stats.group_count(rel), buckets[rel])
-           for rel in config.relations}
-    arrivals: dict[AttributeSet, float] = {}
-    probe = 0.0
-    evict = 0.0
-    for rel in config.relations:
-        parent = config.parent(rel)
-        if parent is None:
-            arrivals[rel] = 0.0
-        else:
-            arrivals[rel] = occ[parent] + rates[parent] * arrivals[parent]
-            probe += arrivals[rel]
-        if config.is_leaf(rel):
-            evict += occ[rel] + arrivals[rel]
+    forest = config.forest(stats)
+    b = _bucket_list(forest, buckets)
+    x = forest_rates(forest, b, model, clustered=False)
+    occ = [expected_occupancy(g, bi) for g, bi in zip(forest.universe.g, b)]
+    probe, evict = eq8_sums(forest.order, forest.parent, forest.leaf, x, occ)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)

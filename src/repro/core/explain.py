@@ -17,6 +17,7 @@ from repro.core.collision.lookup import LookupModel
 from repro.core.cost_model import (
     CostParameters,
     collision_rates,
+    eq7_sums,
     expected_occupancy,
     flush_cost,
 )
@@ -87,12 +88,14 @@ def explain(plan: Plan, stats: RelationStatistics,
     config = plan.configuration
     buckets = plan.allocation.buckets
     rates = collision_rates(config, stats, buckets, model)
-    reach: dict = {}
+    forest = config.forest()
+    reach_of = [0.0] * len(forest.order)
+    eq7_sums(forest.order, forest.parent, forest.leaf,
+             [rates[rel] for rel in forest.universe.rels], reach=reach_of)
+    reach = dict(zip(forest.universe.rels, reach_of))
     rows = []
     per_record = 0.0
     for rel in config.relations:
-        parent = config.parent(rel)
-        reach[rel] = 1.0 if parent is None else reach[parent] * rates[parent]
         is_query = rel in config.queries
         is_raw = config.is_raw(rel)
         is_leaf = config.is_leaf(rel)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.attributes import AttributeSet
+from repro.core.forest import attribute_masks
 from repro.core.queries import QuerySet
 
 __all__ = ["FeedingGraph", "enumerate_phantoms"]
@@ -63,6 +64,10 @@ class FeedingGraph:
         Grouping sets of the user queries.
     phantoms:
         Candidate phantom grouping sets (unions of >= 2 queries).
+    masks:
+        One attribute bitmask per node, in :attr:`nodes` order: node ``a``
+        feeds node ``b`` exactly when ``a != b and a & b == b``. The feed
+        relation is read off the masks, never tabulated.
     """
 
     def __init__(self, queries: QuerySet):
@@ -70,14 +75,9 @@ class FeedingGraph:
         self.queries: list[AttributeSet] = list(queries.group_bys)
         self.phantoms: list[AttributeSet] = enumerate_phantoms(self.queries)
         self._queries = frozenset(self.queries)
-        self._phantoms = frozenset(self.phantoms)
-        self._nodes = sorted(self._queries | self._phantoms,
+        self._nodes = sorted(self._queries.union(self.phantoms),
                              key=AttributeSet.sort_key)
-        names = {node: frozenset(node) for node in self._nodes}
-        self._feeds: dict[AttributeSet, list[AttributeSet]] = {
-            node: [other for other in self._nodes if names[other] < mine]
-            for node, mine in names.items()
-        }
+        self.masks: list[int] = attribute_masks(self._nodes)
 
     @property
     def nodes(self) -> list[AttributeSet]:
@@ -87,23 +87,8 @@ class FeedingGraph:
     def is_query(self, attrs: AttributeSet) -> bool:
         return attrs in self._queries
 
-    def is_phantom(self, attrs: AttributeSet) -> bool:
-        return attrs in self._phantoms
-
-    def feedable(self, attrs: AttributeSet) -> list[AttributeSet]:
-        """Relations that ``attrs`` can feed (its strict subsets in the graph)."""
-        return list(self._feeds[attrs])
-
-    def feeders(self, attrs: AttributeSet) -> list[AttributeSet]:
-        """Relations that can feed ``attrs`` (its strict supersets)."""
-        return [node for node in self._nodes if attrs < node]
-
-    def fed_queries(self, attrs: AttributeSet) -> list[AttributeSet]:
-        """The user queries a phantom can feed."""
-        return [node for node in self._feeds[attrs] if node in self._queries]
-
     def __contains__(self, attrs: object) -> bool:
-        return attrs in self._feeds
+        return attrs in self._queries or attrs in self.phantoms
 
     def __len__(self) -> int:
         return len(self._nodes)

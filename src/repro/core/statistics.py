@@ -96,16 +96,6 @@ class RelationStatistics:
         return (len(attrs) * self.attr_units
                 + self.counters * self.counter_units)
 
-    def demand_score(self, attrs: AttributeSet) -> float:
-        """The space-demand score ``g_R * h_R / l_R``.
-
-        Section 5.3's generalized allocation rule gives space proportional
-        to ``sqrt(g h / l)``; this score is the quantity under the root, and
-        what the supernode heuristics (SL/SR) combine.
-        """
-        return (self.group_count(attrs) * self.entry_units(attrs)
-                / self.flow_length(attrs))
-
     def has(self, attrs: AttributeSet) -> bool:
         return attrs in self.groups
 

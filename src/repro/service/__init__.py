@@ -16,7 +16,7 @@ long-running service:
   evaluation; rejections raise a typed
   :class:`~repro.errors.AdmissionError` naming the binding constraint.
 * :class:`~repro.service.replan.IncrementalReplanner` — re-optimizes on
-  registry or workload change, reusing the GS benefit cache and skipping
+  registry or workload change with GS, skipping
   planning entirely when the distinct group-by set and statistics are
   unchanged (e.g. a second tenant joining an existing table).
 * :class:`~repro.service.service.StreamService` — the session layer:

@@ -113,9 +113,9 @@ def _candidate_rows(evaluator: CostEvaluator, stats: RelationStatistics,
     one call; admission compares the SLO against the cheapest.
     """
     entry = np.asarray(evaluator.entry_units, dtype=np.float64)
-    demand = np.asarray(
-        [stats.demand_score(rel) for rel in evaluator.relations],
-        dtype=np.float64)
+    forest = evaluator.config.forest(stats)
+    demand = np.asarray([forest.demand_score(i) for i in forest.order],
+                        dtype=np.float64)
     shapes = [
         np.sqrt(demand) * entry,
         demand * entry,

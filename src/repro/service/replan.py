@@ -11,11 +11,10 @@ recognizes those no-ops with a plan cache keyed on the physical problem
 ``(distinct group-bys, statistics token, counter width)`` and skips
 planning entirely.
 
-When planning *is* needed it runs GS with benefit caching on
-(:class:`~repro.core.choosing.greedy_space.GreedySpace` with
-``cache_benefits=True``, the default), which prunes the per-round
-candidate rescans and chooses exactly what ``cache_benefits=False``
-chooses.
+When planning *is* needed it runs GS
+(:class:`~repro.core.choosing.greedy_space.GreedySpace`), which scores a
+round's candidates in one pass over the planner's index arrays and
+re-scores only the leaders exactly.
 
 Plans produced here are *staged*, not applied: the service hands them to
 :meth:`~repro.gigascope.online.LiveStreamSystem.reconfigure`, and the
@@ -47,8 +46,7 @@ class IncrementalReplanner:
     params:
         Cost model parameters shared with admission control.
     algorithm:
-        Planning algorithm (default ``"gs"``; GS's benefit cache is the
-        incremental win on large registries — see module docstring).
+        Planning algorithm (default ``"gs"``, see module docstring).
     phi:
         GS sizing parameter.
     clustered:

@@ -232,10 +232,10 @@ class StreamService:
         try:
             self._reconcile(stats=stats, starting=[lease])
         except Exception:
-            # Admission is a feasibility floor, not a full plan: the
-            # optimizer can still fail (e.g. integer allocation needs
-            # more than the budget). Registration is all-or-nothing,
-            # so unwind to the pre-call state before re-raising.
+            # Admission is a feasibility floor, not a full plan; should
+            # the planner still fail on an admitted registration, unwind
+            # to the pre-call state before re-raising (registration is
+            # all-or-nothing).
             self.registry.retire(tenant, query.group_by)
             if previous is None:
                 del self._leases[key]

@@ -13,8 +13,10 @@ from repro.core.choosing import (
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, per_record_cost
 from repro.core.collision import LookupModel
+from repro.core.optimizer import plan
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
+from repro.errors import AllocationError
 
 
 def A(label):
@@ -111,6 +113,32 @@ class TestGreedySpace:
         result = GreedySpace(phi=5.0).choose(QUERIES, STATS, 3000.0, PARAMS)
         assert result.allocation.space_used(STATS) <= 3000.0 * (1 + 1e-9)
         assert result.configuration == Configuration.flat(QUERIES.group_bys)
+
+    def test_scaled_down_tables_pay_for_their_one_bucket_floor(self):
+        """When the phi-sized query tables do not fit, scaling them down
+        pins a table that would fall below one bucket at one bucket and
+        rescales the rest, so the allocation fits the budget; below one
+        bucket per table GS raises GCSL's error."""
+        stats = RelationStatistics.from_counts(
+            {"AB": 100, "BC": 1, "ABC": 100})
+        queries = QuerySet.counts(["AB", "BC"])
+        for memory in (6.5, 12.0):
+            fractional = plan(queries, stats, memory, PARAMS,
+                              algorithm="gs", integer=False)
+            assert fractional.allocation.space_used(stats) == \
+                pytest.approx(memory)
+        assert plan(queries, stats, 12.0, PARAMS, algorithm="gs",
+                    integer=False).allocation.buckets == \
+            {A("AB"): 3.0, A("BC"): 1.0}
+        rounded = plan(queries, stats, 6.5, PARAMS, algorithm="gs")
+        assert rounded.allocation.buckets == {A("AB"): 1, A("BC"): 1}
+        with pytest.raises(AllocationError) as gs_error:
+            plan(queries, stats, 5, PARAMS, algorithm="gs")
+        with pytest.raises(AllocationError) as gcsl_error:
+            plan(queries, stats, 5, PARAMS, algorithm="gcsl")
+        assert str(gs_error.value) == str(gcsl_error.value) == (
+            "memory 5 units cannot hold one bucket per relation "
+            "(6.0 units needed)")
 
     def test_trajectory_records_distributed_costs(self):
         """Trajectory costs reflect leftover-distributed allocations.

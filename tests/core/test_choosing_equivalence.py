@@ -1,10 +1,11 @@
-"""Chooser fast paths vs verbatim pre-PR references.
+"""Choosers vs the frozen dict-based planner of ``tests/references.py``.
 
-``GreedySpace`` gained a cross-round benefit cache and an incremental
-used-space accumulator. These tests pin the promised behaviour: GS with
-the cache (the default) reproduces the original exhaustive rescan
-*exactly* — configuration, allocation, cost and trajectory — and GC,
-which has no cache, is the exhaustive rescan.
+The index-form choosers must reproduce the planner they replaced
+*exactly* — configuration, allocation, cost and trajectory — on hand-picked
+query sets: GS scores a round's candidates in one pass and re-scores only
+the leaders exactly, GC prices every trial on index arrays.
+``test_planner_differential.py`` runs the same comparison over random
+query sets.
 """
 
 import itertools
@@ -12,15 +13,19 @@ import random
 
 import pytest
 
-from repro.core.choosing.base import ChoiceResult, ChoiceStep
-from repro.core.choosing.greedy_collision import GreedyCollision, gcsl, gcpl
+from repro.core.choosing.base import ChoiceResult
+from repro.core.choosing.greedy_collision import gcsl, gcpl
 from repro.core.choosing.greedy_space import GreedySpace
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters, per_record_cost
-from repro.core.feeding_graph import FeedingGraph
+from repro.core.cost_model import CostParameters
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
-from repro.errors import AllocationError, ConfigurationError
+from tests.references import (
+    ref_gc_choose,
+    ref_gs_choose,
+    ref_pl_allocate,
+    ref_sl_allocate,
+)
 
 STATS4 = RelationStatistics.from_counts({
     "A": 552, "B": 760, "C": 940, "D": 1120,
@@ -66,74 +71,15 @@ def result_key(result: ChoiceResult):
 
 
 def reference_gs_choose(gs: GreedySpace, queries, stats, memory, params):
-    """Verbatim pre-PR GreedySpace.choose (full rescan every round)."""
-    graph = FeedingGraph(queries)
-    config = Configuration.from_relations(queries.group_bys,
-                                          queries.group_bys)
-    cost = gs._cost(config, stats, params)
-    trajectory = [ChoiceStep(None, config,
-                             gs._distributed_cost(config, stats, memory,
-                                                  params))]
-    remaining = [p for p in graph.phantoms if stats.has(p)]
-    while remaining:
-        used = gs._phi_space(config, stats)
-        best = None
-        for phantom in remaining:
-            extra = (max(gs.phi * stats.group_count(phantom), 1.0)
-                     * stats.entry_units(phantom))
-            if used + extra > memory:
-                continue
-            try:
-                trial_config = config.with_phantom(phantom)
-            except ConfigurationError:
-                continue
-            trial_cost = gs._cost(trial_config, stats, params)
-            benefit_per_unit = (cost - trial_cost) / extra
-            if best is None or benefit_per_unit > best[0]:
-                best = (benefit_per_unit, phantom, trial_config, trial_cost)
-        if best is None or best[0] <= gs.min_benefit:
-            break
-        _, chosen, config, cost = best
-        remaining.remove(chosen)
-        trajectory.append(ChoiceStep(
-            chosen, config,
-            gs._distributed_cost(config, stats, memory, params)))
-    allocation = gs._final_allocation(config, stats, memory)
-    final_cost = per_record_cost(config, stats, allocation.buckets,
-                                 gs.model, params, gs.clustered)
-    return ChoiceResult(config, allocation, final_cost, tuple(trajectory))
+    return ref_gs_choose(gs.phi, queries, stats, memory, params, gs.model,
+                         gs.clustered, gs.min_benefit)
 
 
-def reference_gc_choose(gc: GreedyCollision, queries, stats, memory, params):
-    """Verbatim pre-PR GreedyCollision.choose (exhaustive rescan)."""
-    graph = FeedingGraph(queries)
-    config = Configuration.from_relations(queries.group_bys,
-                                          queries.group_bys)
-    allocation = gc.allocator.allocate(config, stats, memory, params)
-    cost = per_record_cost(config, stats, allocation.buckets, gc.model,
-                           params, gc.clustered)
-    trajectory = [ChoiceStep(None, config, cost)]
-    remaining = [p for p in graph.phantoms if stats.has(p)]
-    while remaining:
-        best = None
-        for phantom in remaining:
-            try:
-                trial_config = config.with_phantom(phantom)
-                trial_alloc = gc.allocator.allocate(
-                    trial_config, stats, memory, params)
-            except (ConfigurationError, AllocationError):
-                continue
-            trial_cost = per_record_cost(
-                trial_config, stats, trial_alloc.buckets, gc.model,
-                params, gc.clustered)
-            if best is None or trial_cost < best[0]:
-                best = (trial_cost, phantom, trial_config, trial_alloc)
-        if best is None or cost - best[0] <= gc.min_benefit:
-            break
-        cost, chosen, config, allocation = best
-        remaining.remove(chosen)
-        trajectory.append(ChoiceStep(chosen, config, cost))
-    return ChoiceResult(config, allocation, cost, tuple(trajectory))
+def reference_gc_choose(gc, queries, stats, memory, params):
+    allocate = {"SL": ref_sl_allocate, "PL": ref_pl_allocate}[
+        gc.allocator.name]
+    return ref_gc_choose(allocate, queries, stats, memory, params, gc.model,
+                         gc.clustered, gc.min_benefit)
 
 
 class TestGreedySpaceCache:
@@ -147,30 +93,42 @@ class TestGreedySpaceCache:
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_uncached_matches_reference_exactly(self, case):
+        """Every round scores every candidate, so there is no cache to
+        turn off (``cache_benefits=`` is a ``TypeError``), and unclustered
+        GS at other ``phi`` values also equals the full rescan."""
         queries, stats, memory = CASES[case]
-        plain = GreedySpace(cache_benefits=False).choose(
-            queries, stats, memory, PARAMS)
-        reference = reference_gs_choose(GreedySpace(), queries, stats,
-                                        memory, PARAMS)
-        assert result_key(plain) == result_key(reference)
+        with pytest.raises(TypeError):
+            GreedySpace(cache_benefits=False)
+        for phi in (0.5, 2.0):
+            gs = GreedySpace(phi=phi, clustered=False)
+            assert result_key(gs.choose(queries, stats, memory, PARAMS)) == \
+                result_key(reference_gs_choose(gs, queries, stats, memory,
+                                               PARAMS))
 
     def test_cache_saves_evaluations(self, monkeypatch):
-        import repro.core.choosing.greedy_space as gsm
+        """What the benefit cache used to save is now structural: a plan
+        builds one ``Configuration`` per trajectory step and none per
+        candidate it tries."""
         queries, stats, memory = CASES[6]
-        calls = {"n": 0}
-        original = per_record_cost
+        built = []
+        init, from_forest = Configuration.__init__, Configuration.from_forest
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(gsm, "per_record_cost", counting)
-        GreedySpace().choose(queries, stats, memory, PARAMS)
-        cached_calls = calls["n"]
-        calls["n"] = 0
-        GreedySpace(cache_benefits=False).choose(queries, stats, memory,
-                                                 PARAMS)
-        assert cached_calls < calls["n"]
+        def counting_from_forest(forest):
+            built.append(forest)
+            return from_forest(forest)
+
+        monkeypatch.setattr(Configuration, "__init__", counting_init)
+        monkeypatch.setattr(Configuration, "from_forest",
+                            counting_from_forest)
+        for chooser in (GreedySpace(), gcsl()):
+            built.clear()
+            result = chooser.choose(queries, stats, memory, PARAMS)
+            assert len(result.trajectory) > 1
+            assert len(built) == len(result.trajectory)
 
 
 class TestGreedyCollision:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.attributes import AttributeSet
+from repro.core.configuration import Configuration
 from repro.core.statistics import RelationStatistics
 from repro.errors import StatisticsError
 
@@ -45,9 +46,13 @@ class TestAccessors:
         assert stats.entry_units(A("AB")) == 4
 
     def test_demand_score(self):
+        """``g h / l`` for a stream-fed relation, ``g h`` for a fed one."""
         stats = RelationStatistics.from_counts(
-            {"AB": 100}, {"AB": 4.0})
-        assert stats.demand_score(A("AB")) == pytest.approx(100 * 3 / 4)
+            {"AB": 100, "ABC": 10}, {"AB": 4.0, "ABC": 2.0})
+        forest = Configuration.from_notation("ABC(AB)").forest(stats)
+        assert forest.universe.rels == [A("ABC"), A("AB")]
+        assert forest.demand_score(0) == pytest.approx(10 * 4 / 2)
+        assert forest.demand_score(1) == pytest.approx(100 * 3)
 
     def test_covered(self):
         stats = RelationStatistics.from_counts({"A": 10, "B": 20})

@@ -108,6 +108,16 @@ class TestSpaceAllocationExperiments:
         means = {s.name: np.mean(s.y) for s in result.series}
         assert means["SL (%)"] == min(means.values())
 
+    def test_tab2_sl_lowest_at_every_memory_and_near_es(self, results):
+        """Table 2: at every M, SL's average error is the lowest of the
+        four heuristics and within ~6 % of ES."""
+        result = get(results, "tab2", **SMALL)
+        errors = {s.name: s.y for s in result.series}
+        for k in range(len(errors["SL (%)"])):
+            row = {name: ys[k] for name, ys in errors.items()}
+            assert row["SL (%)"] == min(row.values())
+            assert row["SL (%)"] <= 6.0
+
     def test_tab3_sl_frequently_best(self, results):
         result = get(results, "tab3", **SMALL)
         share = result.series_by_name("SL being best (%)")
@@ -124,6 +134,13 @@ class TestPhantomChoiceExperiments:
         assert gcsl.y[0] <= min(gs.y) * 1.05
         # the GS curve has a knee: endpoints above the minimum
         assert gs.y[0] > min(gs.y) and gs.y[-1] > min(gs.y)
+
+    def test_fig11_gcsl_below_gs_at_every_phi(self, results):
+        """Figure 11: GCSL is below GS at every phi, not only the best."""
+        result = get(results, "fig11")
+        gs = result.series_by_name("GS")
+        gcsl = result.series_by_name("GCSL")
+        assert all(c < g for c, g in zip(gcsl.y, gs.y))
 
     def test_fig11_costs_at_least_optimal(self, results):
         result = get(results, "fig11")

@@ -9,8 +9,8 @@ included) compared for equality. Both modes equal the reference, hence
 each other; without a compiler both run the numpy bodies and stay green.
 Pinned, small-table and degenerate streams run through the same
 comparison.
-Kernel-function checks live beside the code they test, the remaining
-hand-built kernel shapes in ``test_native_ingest.py``.
+Kernel-function checks live beside the code they test, the NaN-value
+kernel shape in ``test_native_ingest.py``.
 """
 
 from contextlib import nullcontext
@@ -23,7 +23,7 @@ from repro import QuerySet, RelationStatistics, StreamSystem, plan
 from repro.core.allocation import ExhaustiveAllocator
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.gigascope import Dataset
+from repro.gigascope import Dataset, StreamSchema
 from repro.gigascope.online import LiveStreamSystem
 from repro.native import descend, ingest, machine_info, merge, partition
 from repro.parallel import ShardedStreamSystem
@@ -113,12 +113,38 @@ def _columns(*rows):
     return {a: np.array(rows, dtype=np.int64) for a in ABC_SCHEMA.attributes}
 
 
+def _all_collide():
+    """64 distinct groups in one epoch, each attribute a multiple of its
+    position, so every arrival into a one-bucket table evicts."""
+    n = 64
+    return Dataset(ABC_SCHEMA,
+                   {a: np.arange(n) * (i + 1)
+                    for i, a in enumerate(ABC_SCHEMA.attributes)},
+                   np.linspace(0.0, 0.9, n), {"v": np.linspace(1.0, 2.0, n)})
+
+
+def _max_width():
+    """Eight wide-domain attributes: the numpy path's ``pack_tuples``
+    re-factorizes them (radix overflow) while the kernel compares column
+    by column."""
+    names = tuple("ABCDEFGH")
+    rng = np.random.default_rng(5)
+    n = 300
+    return Dataset(StreamSchema(names, value_columns=("v",)),
+                   {a: rng.integers(-2**40, 2**40, n) for a in names},
+                   np.sort(rng.uniform(0, 3.0, n)),
+                   {"v": rng.uniform(0, 10, n)})
+
+
 #: Streams at the edges of the per-epoch walk, as (forest, stream,
 #: buckets per relation, epoch seconds): no records at all; timestamp
 #: gaps that leave whole epochs without records, which the per-epoch
 #: kernel calls must skip identically; one record; one-bucket tables
-#: three levels deep, where every parent eviction cascades.
+#: three levels deep, where every parent eviction cascades; every record
+#: colliding in a one-bucket table; the widest packed keys.
 DEGENERATE = {
+    "all-records-collide": ("ABC", _all_collide, 1, 1.0),
+    "max-width-keys": ("ABCDEFGH", _max_width, 9, 1.0),
     "b1-deep-forest": ("ABC(AB(A B) C)",
                        lambda: abc_stream(11, 200, 3, 4.0, True), 1, 1.3),
     "empty": ("AB", lambda: Dataset(ABC_SCHEMA, _columns(), np.array([]),
@@ -143,6 +169,9 @@ def test_degenerate_stream_matches_reference(mode, shape):
             dataset, config, {rel: size for rel in config.relations},
             epoch_seconds, value_column="v")
     assert got.n_records == len(dataset)
+    if shape == "all-records-collide":
+        (counters,) = got.counters.relations.values()
+        assert counters.evictions_intra == len(dataset) - 1
 
 
 def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):

@@ -1,9 +1,8 @@
 """The ingest kernel's degenerate shapes, and the shared build machinery.
 
-Hand-built streams most likely to break a fused pass, each run with the
-kernels and under ``numpy_kernels_off`` against the sequential reference
-(the hypothesis matrix and the empty, gapped, one-record and one-bucket
-deep-forest streams are ``test_differential.py``), and the tests of
+NaN values through the kernel against the numpy path (every other
+degenerate stream runs against the sequential reference on both kernel
+modes in ``test_differential.py``), and the tests of
 :mod:`repro.native.build`: one load attempt and one warning per kernel,
 the opt-out, the on-disk cache.
 """
@@ -17,59 +16,20 @@ import numpy as np
 import pytest
 
 from repro.core.configuration import Configuration
-from repro.gigascope import Dataset, StreamSchema, simulate
+from repro.gigascope import Dataset, simulate
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
 from repro.native import partition as native_partition
 from repro.parallel import HashPartitioner, split_dataset
 from tests.conftest import needs_kernel, numpy_kernels_off
-from tests.references import (ABC_SCHEMA as SCHEMA, abc_stream as _dataset,
-                              assert_matches_reference)
+from tests.references import ABC_SCHEMA as SCHEMA, abc_stream as _dataset
 
 
 class TestDegenerateShapes:
-    """The kernel shapes most likely to break a fused pass, each pinned
-    counter- and answer-identical to the sequential reference on both
-    the kernel and the numpy path."""
-
-    def _compare(self, config, dataset, buckets, epoch_seconds):
-        got = assert_matches_reference(dataset, config, buckets,
-                                       epoch_seconds, "v")
-        with numpy_kernels_off():
-            assert_matches_reference(dataset, config, buckets,
-                                     epoch_seconds, "v")
-        return got
-
-    def test_all_records_collide(self):
-        """Every record a distinct group, one bucket: every intra-epoch
-        arrival after the first evicts the resident."""
-        config = Configuration.from_notation("ABC")
-        n = 64
-        cols = {a: np.arange(n) * (i + 1)
-                for i, a in enumerate(SCHEMA.attributes)}
-        dataset = Dataset(SCHEMA, cols,
-                          np.linspace(0.0, 0.9, n),
-                          {"v": np.linspace(1.0, 2.0, n)})
-        buckets = {rel: 1 for rel in config.relations}
-        got = self._compare(config, dataset, buckets, 1.0)
-        (counters,) = got.counters.relations.values()
-        assert counters.evictions_intra == n - 1
-
-    def test_max_width_packed_keys(self):
-        """Eight wide-domain attributes force the numpy path's
-        ``pack_tuples`` through its radix re-factorization; the kernel's
-        per-column equality loop must agree exactly."""
-        names = tuple("ABCDEFGH")
-        schema = StreamSchema(names, value_columns=("v",))
-        config = Configuration.flat([schema.attribute_set("ABCDEFGH")])
-        rng = np.random.default_rng(5)
-        n = 300
-        cols = {a: rng.integers(-2**40, 2**40, n) for a in names}
-        dataset = Dataset(schema, cols, np.sort(rng.uniform(0, 3.0, n)),
-                          {"v": rng.uniform(0, 10, n)})
-        buckets = {rel: 9 for rel in config.relations}
-        self._compare(config, dataset, buckets, 1.0)
+    """NaN values, the kernel shape the engine differential cannot pin
+    against the sequential reference (its min/max are plain floats); the
+    other degenerate streams run in ``test_differential.py``."""
 
     @needs_kernel
     @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -231,11 +231,14 @@ class TestAdmissionIsolation:
         service.register("bursty", query("ABCD"))
         assert "bursty" in service.registry.tenants
 
-    def test_planner_failure_after_admission_rolls_back(self, dataset):
-        """Admission is a feasibility floor; the optimizer's integer
-        allocation can still fail on a budget the floor accepts. The
-        registration must unwind whole — registry, lease, and the
-        ability to keep serving the admitted tenants."""
+    def test_planner_failure_after_admission_rolls_back(self, dataset,
+                                                         monkeypatch):
+        """Admission is a feasibility floor, not a plan: should the
+        optimizer still fail on a registration it admitted, the
+        registration must unwind whole — registry, lease, hint, and the
+        ability to keep serving the admitted tenants. (GS pays for its
+        one-bucket floors, so a budget the floor accepts plans; the
+        failure is injected.)"""
         service = StreamService(SCHEMA, memory=4000,
                                 policy=AdmissionPolicy(memory=4000))
         service.register("acme", query("AB"))
@@ -243,9 +246,15 @@ class TestAdmissionIsolation:
         half = len(dataset) // 2
         push_slice(service, dataset, 0, half)
 
-        with pytest.raises(AllocationError):
-            service.register("hog", query("ABCD"),
-                             expected_groups=10**9)
+        def failing(*args, **kwargs):
+            raise AllocationError("memory 4000 too small for integer "
+                                  "allocation (needs 4002 units)")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(service.replanner, "replan", failing)
+            with pytest.raises(AllocationError):
+                service.register("hog", query("ABCD"),
+                                 expected_groups=10**9)
         assert service.registry.tenants == ["acme"]
         assert service.leases("hog") == []
         assert service.live._staged_plan is None
