@@ -7,8 +7,8 @@ the LFTA memory ``M`` among their hash tables:
   analysis-derived heuristics (Section 5.2), exact on solvable cases;
 * :class:`ProportionalLinear` (PL) / :class:`ProportionalSqrt` (PR) — naive
   proportional baselines;
-* :class:`ExhaustiveAllocator` (ES) — the reference optimum (1%-of-``M``
-  grid, with a convex-descent oracle for large configurations);
+* :class:`ExhaustiveAllocator` (ES) — the reference optimum: the paper's
+  1%-of-``M`` grid, found by multi-start coordinate descent on Eq. 7;
 * :func:`flat_allocation` / :func:`two_level_allocation` — closed-form
   optima for the solvable cases (Section 5.1, Eqs. 20/21).
 """
@@ -31,11 +31,7 @@ from repro.core.allocation.proportional import (
     ProportionalLinear,
     ProportionalSqrt,
 )
-from repro.core.allocation.exhaustive import (
-    CostEvaluator,
-    ExhaustiveAllocator,
-    compositions,
-)
+from repro.core.allocation.exhaustive import ExhaustiveAllocator
 
 __all__ = [
     "Allocation",
@@ -51,7 +47,5 @@ __all__ = [
     "SupernodeSqrt",
     "ProportionalLinear",
     "ProportionalSqrt",
-    "CostEvaluator",
     "ExhaustiveAllocator",
-    "compositions",
 ]

@@ -12,7 +12,11 @@ from repro.core.forest import Forest, Universe
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 
-__all__ = ["ChoiceStep", "ChoiceResult", "plan_forest"]
+__all__ = ["MIN_BENEFIT", "ChoiceStep", "ChoiceResult", "plan_forest"]
+
+#: A greedy chooser accepts a phantom only if it lowers the cost (GC) or
+#: scores a benefit per unit of space (GS) above this.
+MIN_BENEFIT = 1e-12
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from repro.core.allocation.base import SpaceAllocator
 from repro.core.allocation.exhaustive import ExhaustiveAllocator
 from repro.core.choosing.base import ChoiceResult, ChoiceStep
 from repro.core.collision.base import CollisionModel
@@ -92,26 +91,25 @@ def enumerate_structures(relations, queries, limit: int = 64,
 
 @dataclass(frozen=True)
 class ExhaustiveChoice:
-    """Try every phantom subset; allocate each with ES (or a given allocator)."""
+    """Try every phantom subset; allocate each with ES.
 
-    allocator: SpaceAllocator = field(default_factory=ExhaustiveAllocator)
+    ES optimises Eq. 7 under this chooser's own ``model`` and
+    ``clustered``, the objective the result is priced and compared by.
+    """
+
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
-    max_phantoms: int | None = None
     prune_single_child: bool = True
 
-    @property
-    def name(self) -> str:
-        return f"EP{self.allocator.name}"
+    name = "EPES"
 
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
         graph = FeedingGraph(queries)
         candidates = [p for p in graph.phantoms if stats.has(p)]
+        allocator = ExhaustiveAllocator(self.model, self.clustered)
         best: ChoiceResult | None = None
-        max_k = (len(candidates) if self.max_phantoms is None
-                 else min(self.max_phantoms, len(candidates)))
-        for k in range(0, max_k + 1):
+        for k in range(0, len(candidates) + 1):
             for subset in combinations(candidates, k):
                 relations = list(queries.group_bys) + list(subset)
                 # prune_single_child: the paper's heuristic (docstring).
@@ -119,7 +117,7 @@ class ExhaustiveChoice:
                         relations, queries.group_bys,
                         prune_single_child=self.prune_single_child):
                     try:
-                        allocation = self.allocator.allocate(
+                        allocation = allocator.allocate(
                             config, stats, memory, params)
                     except AllocationError:
                         continue

@@ -19,11 +19,17 @@ from dataclasses import dataclass, field
 
 from repro.core.allocation.base import ForestAllocator, allocation_of
 from repro.core.allocation.supernode import SupernodeLinear
-from repro.core.choosing.base import ChoiceResult, ChoiceStep, plan_forest
+from repro.core.choosing.base import (
+    MIN_BENEFIT,
+    ChoiceResult,
+    ChoiceStep,
+    plan_forest,
+)
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost
+from repro.core.forest import Forest
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
@@ -45,20 +51,36 @@ class GreedyCollision:
     allocator: ForestAllocator = field(default_factory=SupernodeLinear)
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
-    min_benefit: float = 1e-12
 
     @property
     def name(self) -> str:
         return f"GC{self.allocator.name}"
 
-    def choose(self, queries: QuerySet, stats: RelationStatistics,
-               memory: float, params: CostParameters) -> ChoiceResult:
+    def _first(self, queries: QuerySet, stats: RelationStatistics,
+               memory: float, params: CostParameters
+               ) -> tuple[Forest, list[float], float]:
+        """The queries-only forest, its split of ``M`` and Eq. 7."""
         forest = plan_forest(queries, stats)
-        rels = forest.universe.rels
-        split = self.allocator.split
-        buckets = split(forest, memory, params)
+        buckets = self.allocator.split(forest, memory, params)
         cost = intra_cost(forest, buckets, self.model, params,
                           self.clustered)
+        return forest, buckets, cost
+
+    def start(self, queries: QuerySet, stats: RelationStatistics,
+              memory: float, params: CostParameters) -> ChoiceResult:
+        """GC's start step on its own: the queries-only configuration
+        with all of ``M`` split by the allocator (``plan(algorithm=
+        "none")``)."""
+        forest, buckets, cost = self._first(queries, stats, memory, params)
+        config = Configuration.from_forest(forest)
+        return ChoiceResult(config, allocation_of(forest, buckets), cost,
+                            (ChoiceStep(None, config, cost),))
+
+    def choose(self, queries: QuerySet, stats: RelationStatistics,
+               memory: float, params: CostParameters) -> ChoiceResult:
+        forest, buckets, cost = self._first(queries, stats, memory, params)
+        rels = forest.universe.rels
+        split = self.allocator.split
         trajectory = [ChoiceStep(None, Configuration.from_forest(forest),
                                  cost)]
         remaining = [i for i, rel in enumerate(rels)
@@ -77,7 +99,7 @@ class GreedyCollision:
                                         params, self.clustered)
                 if best is None or trial_cost < best[0]:
                     best = (trial_cost, p, trial, trial_buckets)
-            if best is None or cost - best[0] <= self.min_benefit:
+            if best is None or cost - best[0] <= MIN_BENEFIT:
                 break
             cost, chosen, forest, buckets = best
             remaining.remove(chosen)

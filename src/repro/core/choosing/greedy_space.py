@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.allocation.base import allocation_of, split_to_buckets
-from repro.core.choosing.base import ChoiceResult, ChoiceStep, plan_forest
+from repro.core.choosing.base import (
+    MIN_BENEFIT,
+    ChoiceResult,
+    ChoiceStep,
+    plan_forest,
+)
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
@@ -56,7 +61,6 @@ class GreedySpace:
     phi: float = 1.0
     model: CollisionModel = field(default_factory=LookupModel)
     clustered: bool = True
-    min_benefit: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.phi <= 0:
@@ -114,7 +118,7 @@ class GreedySpace:
                 benefit_per_unit = (cost - trial_cost) / price[p]
                 if best is None or benefit_per_unit > best[0]:
                     best = (benefit_per_unit, p, trial, trial_cost)
-            if best is None or best[0] <= self.min_benefit:
+            if best is None or best[0] <= MIN_BENEFIT:
                 break
             _, chosen, forest, cost = best
             used += price[chosen]

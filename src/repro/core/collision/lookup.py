@@ -96,30 +96,6 @@ class LookupModel:
         """Uniform ratio spacing between adjacent table entries."""
         return self._step
 
-    def rates(self, groups: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rate` over arrays of the same shape.
-
-        Elementwise bit-identical to the scalar path: the same
-        ``table[i]*(1-frac) + table[i+1]*frac`` lerp is applied per lane
-        (``np.interp`` is avoided — its slope form rounds differently).
-        """
-        g = np.asarray(groups, dtype=np.float64)
-        b = np.asarray(buckets, dtype=np.float64)
-        g, b = np.broadcast_arrays(g, b)
-        table = self._array
-        valid = (g > 1.0) & (b > 0)
-        safe_b = np.where(b > 0, b, 1.0)
-        position = (g / safe_b) / self._step
-        # index >= len-1  <=>  position >= len-1 (truncation of position>=0),
-        # tested on the float to avoid int64 overflow for huge ratios.
-        hi = position >= float(table.size - 1)
-        idx = np.where(hi | ~valid, 0.0, position).astype(np.int64)
-        np.maximum(idx, 0, out=idx)
-        frac = position - idx
-        out = table[idx] * (1.0 - frac) + table[idx + 1] * frac
-        out = np.where(hi, table[-1], out)
-        return np.where(valid, out, 0.0)
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -138,17 +114,6 @@ class LinearModel:
         if groups <= 1.0 or buckets <= 0:
             return 0.0
         return clamp_rate(self.alpha + self.mu * groups / buckets)
-
-    def rates(self, groups: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rate`; elementwise-identical to the scalar."""
-        g = np.asarray(groups, dtype=np.float64)
-        b = np.asarray(buckets, dtype=np.float64)
-        g, b = np.broadcast_arrays(g, b)
-        valid = (g > 1.0) & (b > 0)
-        safe_b = np.where(b > 0, b, 1.0)
-        raw = self.alpha + self.mu * g / safe_b
-        clamped = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
-        return np.where(valid, clamped, 0.0)
 
 
 def fit_linear_low_region(max_rate: float = 0.4,

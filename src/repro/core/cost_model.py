@@ -34,9 +34,8 @@ per-group entries rather than packets.
 Both equations are written once, over the planner's index form
 (:mod:`repro.core.forest`): :func:`eq7_sums` and :func:`eq8_sums` walk a
 topological order with parent indices, summing left to right. The
-``Configuration``-taking functions below are adapters onto them, and
-:class:`~repro.core.allocation.CostEvaluator` runs the same
-:func:`eq7_sums` on one space vector or, lane by lane, on a batch.
+``Configuration``-taking functions below are adapters onto them; the
+choosers, ES and admission price forests with :func:`intra_cost`.
 """
 
 from __future__ import annotations
@@ -103,26 +102,24 @@ class CostBreakdown:
 
 
 def eq7_sums(order: Sequence[int], parent: Sequence[int],
-             leaf: Sequence[bool], x: Sequence, zero=0.0,
-             reach: list | None = None) -> tuple:
+             leaf: Sequence[bool], x: Sequence[float],
+             reach: list | None = None) -> tuple[float, float]:
     """Eq. 7's probe and eviction sums, before the ``c1``/``c2`` weights.
 
     ``order`` is topological (parents first) and ``parent[i] < 0`` marks a
-    raw relation. Each ``x[i]`` is a rate, or a column of rates to price
-    a batch lane by lane with the same float operations (pass an array
-    ``zero``). ``reach``, if given, receives each relation's coefficient
-    ``prod_{R' in A_R} x_{R'}``.
+    raw relation. ``reach``, if given, receives each relation's
+    coefficient ``prod_{R' in A_R} x_{R'}``.
     """
     if reach is None:
         reach = [0.0] * len(parent)
-    probe = evict = zero
+    probe = evict = 0.0
     for i in order:
         p = parent[i]
         r = 1.0 if p < 0 else reach[p] * x[p]
         reach[i] = r
-        probe = probe + r
+        probe += r
         if leaf[i]:
-            evict = evict + r * x[i]
+            evict += r * x[i]
     return probe, evict
 
 

@@ -99,7 +99,7 @@ def plan(queries: QuerySet, stats: RelationStatistics, memory: float,
     params = params or CostParameters()
     model = model or LookupModel()
     start = time.perf_counter()
-    if algorithm == "gcsl":
+    if algorithm in ("gcsl", "none"):
         chooser = GreedyCollision(allocator=SupernodeLinear(), model=model,
                                   clustered=clustered)
     elif algorithm == "gcpl":
@@ -109,12 +109,12 @@ def plan(queries: QuerySet, stats: RelationStatistics, memory: float,
         chooser = GreedySpace(phi=phi, model=model, clustered=clustered)
     elif algorithm == "epes":
         chooser = ExhaustiveChoice(model=model, clustered=clustered)
-    elif algorithm == "none":
-        chooser = GreedyCollision(allocator=SupernodeLinear(), model=model,
-                                  clustered=clustered, min_benefit=float("inf"))
     else:
         raise ValueError(f"unknown planning algorithm {algorithm!r}")
-    result = chooser.choose(queries, stats, memory, params)
+    if algorithm == "none":
+        result = chooser.start(queries, stats, memory, params)
+    else:
+        result = chooser.choose(queries, stats, memory, params)
     config, allocation = result.configuration, result.allocation
     if peak_load_limit is not None:
         allocation = repair(config, stats, allocation, model, params,

@@ -79,15 +79,14 @@ def chain_hasher(columns: Mapping[str, np.ndarray]
     ones :func:`combine_columns` performs, in its order: the hashes are
     bit-identical.
     """
-    state = splitmix64(np.uint64(0))
+    state = _chain_state(0)
     memo: dict[tuple[str, ...], np.ndarray] = {}
 
     def chain(names: tuple[str, ...]) -> np.ndarray:
         acc = memo.get(names)
         if acc is None:
             if len(names) == 1:
-                col64 = np.asarray(columns[names[0]]).astype(np.uint64)
-                acc = splitmix64(col64 ^ state)
+                acc = _column_hash(columns[names[0]], state)
             else:
                 acc = splitmix64(chain(names[:-1]) ^ chain(names[-1:]))
             memo[names] = acc
@@ -96,15 +95,24 @@ def chain_hasher(columns: Mapping[str, np.ndarray]
     return chain
 
 
+def _chain_state(salt: int) -> np.uint64:
+    return splitmix64(np.uint64(salt & 0xFFFFFFFFFFFFFFFF))
+
+
+def _column_hash(col: np.ndarray, state: np.uint64) -> np.ndarray:
+    """The chain's per-column step: ``splitmix64(col ^ state)``."""
+    return splitmix64(np.asarray(col).astype(np.uint64) ^ state)
+
+
 def _chain(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:
-    state = splitmix64(np.uint64(salt & 0xFFFFFFFFFFFFFFFF))
+    """``h(c1)``, then ``splitmix64(acc ^ h(c))`` for each further column
+    ``c``, with ``h`` the per-column step. The C kernels' ``chain64``
+    (:data:`repro.native.build.HASH_CHAIN_SOURCE`) is the same chain."""
+    state = _chain_state(salt)
     acc = None
     for col in columns:
-        col64 = np.asarray(col).astype(np.uint64)
-        if acc is None:
-            acc = splitmix64(col64 ^ state)
-        else:
-            acc = splitmix64(acc ^ splitmix64(col64 ^ state))
+        h = _column_hash(col, state)
+        acc = h if acc is None else splitmix64(acc ^ h)
     if acc is None:
         raise ValueError("need at least one column to hash")
     return acc

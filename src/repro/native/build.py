@@ -43,13 +43,42 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-__all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path", "diagnostics",
-           "kernels_disabled", "kernel_status", "load_kernel"]
+__all__ = ["DEFAULT_FLAGS", "HASH_CHAIN_SOURCE", "KernelStatus",
+           "compiler_path", "diagnostics", "kernels_disabled",
+           "kernel_status", "load_kernel"]
 
 #: Contraction and fast-math stay off: bit-identity to numpy requires
 #: every intermediate to round exactly as IEEE binary64.
 DEFAULT_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
                  "-fno-fast-math")
+
+#: C source of the salted splitmix64 chain of
+#: :func:`repro.gigascope.hashing.combine_columns`, op-for-op on
+#: ``uint64_t`` (which wraps exactly like numpy's): ``mix64`` is the
+#: finalizer, ``chain64`` hashes row ``i`` of ``k`` key columns with
+#: ``state = mix64(salt)``. The hashing kernels (ingest, HFTA merge, shard
+#: partition) start their sources with it.
+HASH_CHAIN_SOURCE = r"""
+#include <stdint.h>
+
+/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
+static uint64_t mix64(uint64_t z) {
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The chain over row i of cols[0..k). */
+static inline uint64_t chain64(const uint64_t **cols, int64_t k, int64_t i,
+                               uint64_t state) {
+    uint64_t d = mix64(cols[0][i] ^ state);
+    int64_t c;
+    for (c = 1; c < k; c++)
+        d = mix64(d ^ mix64(cols[c][i] ^ state));
+    return d;
+}
+"""
 
 #: Environment opt-out honoured by every kernel (no compile attempt, no
 #: warning — the downgrade is requested, not silent).

@@ -2,15 +2,19 @@
 
 First-improvement descent is inherently sequential — every accepted move
 changes the point the next trial starts from — so it does not vectorize;
-this module compiles the *entire* descent loop of
-:meth:`repro.core.allocation.exhaustive.ExhaustiveAllocator._descend`
-(Eq. 7 evaluation + mutate/revert scan) to native code at first use,
-which is what makes ES usable as an online reference.
+this module compiles the *entire* descent of
+:func:`repro.core.allocation.exhaustive.descend` (Eq. 7 evaluation +
+mutate/revert scan) to native code at first use, which is what makes ES
+usable as an online reference. It reads the configuration's forest as
+arrays: ``g``, ``h`` (entry sizes, also the one-bucket floors), the flow
+divisor per relation (``l`` for a raw relation on a clustered stream,
+else 1), ``parent`` (negative for raw) and ``leaf``.
 
 Bit-identity contract (pinned by
 ``tests/core/test_cost_evaluator_vectorized.py``): the C source
-replicates the allocator's scalar Python loop op-for-op — same
-lookup-table lerp, same ``min(max(x,0),1)`` comparison semantics, same
+replicates ``exhaustive._scalar_descend`` op-for-op — the scalar Eq. 7
+of :func:`~repro.core.cost_model.intra_cost` with the same lookup-table
+lerp and ``min(max(x,0),1)`` comparison semantics, and the same
 in-place ``-= step`` / ``+= step`` mutate-and-revert, including its
 rounding. Python floats and C doubles are both IEEE binary64, so with
 floating-point contraction disabled

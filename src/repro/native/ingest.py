@@ -15,7 +15,8 @@ Bit-identity contract (pinned by ``tests/gigascope/test_differential.py``):
   attribute value matches the run's representative — the same equivalence
   relation as the collision-free packed codes, so the pack is fused away
   entirely.
-* *Hashes.* The in-loop splitmix64 chain replicates
+* *Hashes.* The in-loop splitmix64 chain (the shared ``chain64`` of
+  :data:`repro.native.build.HASH_CHAIN_SOURCE`) replicates
   :func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``
   (identical wrap-around arithmetic).
 * *Floats.* Value sums accumulate in arrival-time order starting from
@@ -38,24 +39,15 @@ import ctypes
 
 import numpy as np
 
-from repro.native.build import load_kernel
+from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
 
 __all__ = ["KERNEL_NAME", "ingest_runs", "kernel_available"]
 
 KERNEL_NAME = "engine_ingest"
 
-_SOURCE = r"""
+_SOURCE = HASH_CHAIN_SOURCE + r"""
 #include <stddef.h>
-#include <stdint.h>
 #include <math.h>
-
-/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
-static uint64_t mix64(uint64_t z) {
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 
 /* One epoch of one relation's direct-mapped table, arrivals in time
  * order. Emits runs into out_* in (bucket, start-time) order; returns
@@ -84,9 +76,7 @@ int64_t repro_ingest(
     for (i = 0; i < m; i++) {
         uint64_t d;
         if (t[i] < n) arr_intra++;
-        d = mix64(cols[0][i] ^ state);
-        for (c = 1; c < k; c++)
-            d = mix64(d ^ mix64(cols[c][i] ^ state));
+        d = chain64(cols, k, i, state);
         b = (int64_t)(d % nb);
         r = slot_run[b];
         if (r >= 0) {

@@ -14,9 +14,10 @@ Bit-identity contract (pinned by
 
 * *Grouping.* Two rows merge iff every raw key column matches — the same
   equivalence relation as the numpy fold's collision-free pack codes.
-  The splitmix64 chain (op-for-op :func:`repro.gigascope.hashing._chain`)
-  only *places* rows; equality is always decided on the columns, so hash
-  collisions cost probes, never correctness.
+  The splitmix64 chain (``chain64``, op-for-op
+  :func:`repro.gigascope.hashing._chain`) only *places* rows; equality
+  is always decided on the columns, so hash collisions cost probes,
+  never correctness.
 * *Floats.* A group's value sum accumulates in row order starting from
   ``0.0`` — the order and seed of ``np.bincount`` — and min/max reproduce
   ``np.minimum.at``/``np.maximum.at`` NaN-propagation. With contraction
@@ -57,24 +58,15 @@ import math
 
 import numpy as np
 
-from repro.native.build import load_kernel
+from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
 
 __all__ = ["KERNEL_NAME", "group_stats", "kernel_available", "merge_rows"]
 
 KERNEL_NAME = "hfta_merge"
 
-_SOURCE = r"""
+_SOURCE = HASH_CHAIN_SOURCE + r"""
 #include <stddef.h>
-#include <stdint.h>
 #include <math.h>
-
-/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
-static uint64_t mix64(uint64_t z) {
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 
 /* The slot of row i's group in an open-addressing slot array (capacity
  * mask + 1, a power of two, filled with -1 by the caller): the slot
@@ -86,13 +78,11 @@ static inline uint64_t find_slot(
     const uint64_t **cols, int64_t k, int64_t i, uint64_t state,
     uint64_t mask, const int64_t *table, const int64_t *rep)
 {
-    uint64_t d = mix64(cols[0][i] ^ state), s;
+    uint64_t s;
     int64_t g, r;
     int c;
 
-    for (c = 1; c < k; c++)
-        d = mix64(d ^ mix64(cols[c][i] ^ state));
-    for (s = d & mask;; s = (s + 1ULL) & mask) {
+    for (s = chain64(cols, k, i, state) & mask;; s = (s + 1ULL) & mask) {
         g = table[s];
         if (g < 0)
             return s;

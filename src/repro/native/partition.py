@@ -9,8 +9,9 @@ streaming pass *Global Hash Tables Strike Back!* asks of any
 partition-and-ship GROUP BY, in two entry points:
 
 * :func:`hash_shards` — the salted splitmix64 chain of
-  :func:`repro.gigascope.hashing._chain`, op-for-op the ``mix64`` loop of
-  the ingest kernel, reduced ``% n_shards`` to int64 shard ids.
+  :func:`repro.gigascope.hashing._chain` (the shared ``chain64`` of
+  :data:`repro.native.build.HASH_CHAIN_SOURCE`), reduced ``% n_shards``
+  to int64 shard ids.
 * :func:`scatter_lanes` — a stable scatter of every 8-byte lane of the
   stream (int64 attribute columns, float64 timestamps, float64 value
   columns) into one buffer per lane laid out shard after shard. Shard
@@ -36,23 +37,14 @@ import ctypes
 
 import numpy as np
 
-from repro.native.build import load_kernel
+from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
 
 __all__ = ["KERNEL_NAME", "hash_shards", "kernel_available", "scatter_lanes"]
 
 KERNEL_NAME = "shard_partition"
 
-_SOURCE = r"""
+_SOURCE = HASH_CHAIN_SOURCE + r"""
 #include <stddef.h>
-#include <stdint.h>
-
-/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
-static uint64_t mix64(uint64_t z) {
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 
 /* ids[i] = chain(cols[0..k)[i], salt) % n_shards. */
 void repro_partition_hash(
@@ -60,14 +52,10 @@ void repro_partition_hash(
     uint64_t salt, uint64_t n_shards, int64_t *ids)
 {
     const uint64_t state = mix64(salt);
-    int64_t i, c;
+    int64_t i;
 
-    for (i = 0; i < n; i++) {
-        uint64_t d = mix64(cols[0][i] ^ state);
-        for (c = 1; c < k; c++)
-            d = mix64(d ^ mix64(cols[c][i] ^ state));
-        ids[i] = (int64_t)(d % n_shards);
-    }
+    for (i = 0; i < n; i++)
+        ids[i] = (int64_t)(chain64(cols, k, i, state) % n_shards);
 }
 
 /* Stable scatter of n_lanes 8-byte lanes by shard id. offsets has

@@ -11,9 +11,8 @@ long-running service:
 * :class:`~repro.service.admission.AdmissionPolicy` /
   :func:`~repro.service.admission.check_admission` — every registration
   is priced against the global LFTA budget, optional per-tenant quotas,
-  and an optional predicted-cost SLO via batched
-  :meth:`~repro.core.allocation.exhaustive.CostEvaluator.cost_many`
-  evaluation; rejections raise a typed
+  and an optional predicted-cost SLO (the planner's scalar Eq. 7 on three
+  candidate space splits); rejections raise a typed
   :class:`~repro.errors.AdmissionError` naming the binding constraint.
 * :class:`~repro.service.replan.IncrementalReplanner` — re-optimizes on
   registry or workload change with GS, skipping

@@ -15,12 +15,12 @@ Three constraints, checked in order of severity, each raising
   cheaper for everyone, which is the economy the service exists to
   exploit. Quotas are optional and per-tenant.
 * **cost-slo** — predicted per-record cost with the candidate admitted
-  must stay under ``max_cost_per_record``. Several candidate space
-  allocations (the paper's sqrt demand rule, proportional, uniform) are
-  scored in one batched
-  :meth:`~repro.core.allocation.exhaustive.CostEvaluator.cost_many`
-  call and the cheapest is compared against the SLO, so admission stays
-  O(microseconds) and never runs the full planner.
+  must stay under ``max_cost_per_record``. Three candidate space splits
+  of the flat configuration (the paper's sqrt demand rule, proportional,
+  uniform) are each priced with the planner's scalar Eq. 7
+  (:func:`~repro.core.cost_model.intra_cost`) and the cheapest is
+  compared against the SLO, so admission stays O(microseconds) and never
+  runs the full planner.
 
 A rejection leaves the registry, the live plan, and every admitted
 tenant untouched; the same tenant may retry later (e.g. after another
@@ -41,11 +41,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.allocation.base import minimum_space
-from repro.core.allocation.exhaustive import CostEvaluator
 from repro.core.attributes import AttributeSet
+from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters
+from repro.core.cost_model import CostParameters, intra_cost
+from repro.core.forest import Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AdmissionError
 from repro.service.registry import QueryRegistry
@@ -104,16 +104,16 @@ def _table_price(policy: AdmissionPolicy, stats: RelationStatistics,
             * stats.entry_units(rel))
 
 
-def _candidate_rows(evaluator: CostEvaluator, stats: RelationStatistics,
-                    memory: float) -> np.ndarray:
-    """A few plausible space splits of ``memory``, floored at one bucket.
+def _candidate_costs(forest: Forest, memory: float,
+                     params: CostParameters) -> list[float]:
+    """Eq. 7 of a few plausible space splits of ``memory`` over ``forest``.
 
     Shapes tried: the paper's Section 5.3 sqrt demand rule, straight
-    proportional-to-demand, and uniform. ``cost_many`` scores them all in
-    one call; admission compares the SLO against the cheapest.
+    proportional-to-demand, and uniform, each floored at one bucket per
+    table. Admission compares the SLO against the cheapest.
     """
-    entry = np.asarray(evaluator.entry_units, dtype=np.float64)
-    forest = evaluator.config.forest(stats)
+    h = forest.universe.h
+    entry = np.asarray(h, dtype=np.float64)
     demand = np.asarray([forest.demand_score(i) for i in forest.order],
                         dtype=np.float64)
     shapes = [
@@ -121,7 +121,8 @@ def _candidate_rows(evaluator: CostEvaluator, stats: RelationStatistics,
         demand * entry,
         np.ones_like(entry),
     ]
-    rows = []
+    model = LookupModel()
+    costs = []
     for shape in shapes:
         total = float(shape.sum())
         if total <= 0 or not math.isfinite(total):
@@ -138,8 +139,9 @@ def _candidate_rows(evaluator: CostEvaluator, stats: RelationStatistics,
                 spaces[surplus] = (entry[surplus]
                                    + (spaces[surplus] - entry[surplus])
                                    * scale)
-        rows.append(spaces)
-    return np.asarray(rows, dtype=np.float64)
+        buckets = [s / h[i] for i, s in enumerate(spaces.tolist())]
+        costs.append(intra_cost(forest, buckets, model, params))
+    return costs
 
 
 def check_admission(policy: AdmissionPolicy, registry: QueryRegistry,
@@ -155,7 +157,8 @@ def check_admission(policy: AdmissionPolicy, registry: QueryRegistry,
     candidate = registry.physical_query_set(extra=query)
     config = Configuration.flat(candidate.group_bys)
 
-    floor = minimum_space(config, stats)
+    forest = config.forest(stats)
+    floor = forest.minimum_space()
     if floor > policy.memory:
         raise AdmissionError(
             f"cannot admit tenant {tenant!r}: binding constraint is "
@@ -183,16 +186,14 @@ def check_admission(policy: AdmissionPolicy, registry: QueryRegistry,
                 required=price, limit=quota)
 
     if policy.max_cost_per_record is not None:
-        evaluator = CostEvaluator(config, stats, params)
-        rows = _candidate_rows(evaluator, stats, policy.memory)
-        if rows.size:
-            costs = evaluator.cost_many(rows)
-            best = float(np.nanmin(costs))
+        costs = _candidate_costs(forest, policy.memory, params)
+        if costs:
+            best = min(costs)
             if best > policy.max_cost_per_record:
                 raise AdmissionError(
                     f"cannot admit tenant {tenant!r}: binding constraint "
                     f"is cost-slo — best predicted cost {best:.3f}/record "
-                    f"over {len(rows)} candidate allocations exceeds the "
+                    f"over {len(costs)} candidate allocations exceeds the "
                     f"SLO of {policy.max_cost_per_record:.3f}",
                     constraint="cost-slo", tenant=tenant,
                     required=best, limit=policy.max_cost_per_record)

@@ -12,11 +12,12 @@ from repro.core.choosing import (
 )
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, per_record_cost
-from repro.core.collision import LookupModel
+from repro.core.collision import LinearModel, LookupModel
 from repro.core.optimizer import plan
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
+from repro.experiments.timing import PAPER_LIKE_GROUPS
 
 
 def A(label):
@@ -173,10 +174,18 @@ class TestExhaustiveChoice:
         for q in PAIR_QUERIES.group_bys:
             assert q in epes.configuration
 
-    def test_max_phantoms_cap(self):
-        capped = ExhaustiveChoice(max_phantoms=0).choose(
-            QUERIES, STATS, 40_000.0, PARAMS)
-        assert capped.configuration == Configuration.flat(QUERIES.group_bys)
+    def test_allocates_under_its_own_model(self):
+        """ES inside EPES optimises the model EPES prices with: under the
+        linear model the optimum must not lose to GCSL (it once allocated
+        under the lookup model and reported 20.127 against GCSL's
+        20.050)."""
+        stats = RelationStatistics.from_counts(PAPER_LIKE_GROUPS)
+        epes = plan(QUERIES, stats, 20_000.0, PARAMS, algorithm="epes",
+                    model=LinearModel(), integer=False)
+        greedy = plan(QUERIES, stats, 20_000.0, PARAMS, algorithm="gcsl",
+                      model=LinearModel(), integer=False)
+        assert epes.predicted_cost <= greedy.predicted_cost
+        assert epes.predicted_cost == pytest.approx(20.048, abs=5e-4)
 
     def test_cost_is_consistent(self):
         epes = ExhaustiveChoice().choose(QUERIES, STATS, 40_000.0, PARAMS)

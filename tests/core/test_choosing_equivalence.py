@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.choosing.base import ChoiceResult
+from repro.core.choosing.base import MIN_BENEFIT, ChoiceResult
 from repro.core.choosing.greedy_collision import gcsl, gcpl
 from repro.core.choosing.greedy_space import GreedySpace
 from repro.core.configuration import Configuration
@@ -72,14 +72,14 @@ def result_key(result: ChoiceResult):
 
 def reference_gs_choose(gs: GreedySpace, queries, stats, memory, params):
     return ref_gs_choose(gs.phi, queries, stats, memory, params, gs.model,
-                         gs.clustered, gs.min_benefit)
+                         gs.clustered, MIN_BENEFIT)
 
 
 def reference_gc_choose(gc, queries, stats, memory, params):
     allocate = {"SL": ref_sl_allocate, "PL": ref_pl_allocate}[
         gc.allocator.name]
     return ref_gc_choose(allocate, queries, stats, memory, params, gc.model,
-                         gc.clustered, gc.min_benefit)
+                         gc.clustered, MIN_BENEFIT)
 
 
 class TestGreedySpaceCache:

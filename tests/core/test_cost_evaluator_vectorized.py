@@ -1,9 +1,9 @@
-"""Batched / native ES evaluation vs the scalar code.
+"""ES's pricing and descent: the frozen batched lanes and the C kernel.
 
-The fast paths of :mod:`repro.core.allocation.exhaustive` promise
-*bit-identical* results to the scalar code beside them. These tests pin
-that promise: ``cost_many`` against ``cost`` lane by lane, and (when a
-compiler is present) the descent kernel against the allocator's scalar
+ES prices a space vector with the planner's scalar Eq. 7 on the
+configuration's forest. These tests pin that price to the lanes of the
+batched evaluator it replaced (kept in ``tests/references.py``), and
+(when a compiler is present) the descent kernel to the scalar
 mutate-and-revert loop — including its lossy ``(a - s) + s`` revert
 arithmetic, which the kernel must reproduce exactly.
 """
@@ -12,15 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import CostEvaluator, ExhaustiveAllocator
-from repro.core.allocation.exhaustive import _scalar_descend
+from repro.core.allocation import ExhaustiveAllocator
+from repro.core.allocation.exhaustive import (
+    POLISH_STEP,
+    START_STEP,
+    _scalar_descend,
+    descend,
+)
 from repro.core.attributes import AttributeSet
 from repro.core.collision.lookup import LinearModel, LookupModel
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters
+from repro.core.cost_model import CostParameters, intra_cost, per_record_cost
+from repro.core.forest import RAW
 from repro.core.statistics import RelationStatistics
+from repro.errors import AllocationError
 from repro.native import descend as native_descend
 from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.references import RefCostEvaluator
 
 
 def A(label):
@@ -33,16 +41,21 @@ STATS = RelationStatistics.from_counts({
     "ABC": 2117, "BCD": 2520, "ABCD": 2837,
 })
 CONFIG = Configuration.from_notation("(ABCD(AB BCD(BC BD CD)))")
+FOREST = CONFIG.forest(STATS)
 PARAMS = CostParameters()
 
 
-@pytest.fixture(scope="module")
-def evaluator():
-    return CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
+def price(spaces, model):
+    """ES's price of a space vector: Eq. 7 on ``spaces[i] / h[i]``."""
+    h = FOREST.universe.h
+    return intra_cost(FOREST, [s / h[i] for i, s in enumerate(spaces)],
+                      model, PARAMS)
 
 
 class TestCostManyMatchesScalar:
-    # Tiny positive spaces are excluded: the *scalar* path raises
+    """The scalar price equals the frozen ``cost_many`` lane by lane."""
+
+    # Tiny positive spaces are excluded: the scalar lookup raises
     # OverflowError there (``int(inf)``) so equivalence is undefined.
     @given(st.lists(
         st.lists(st.one_of(
@@ -52,45 +65,45 @@ class TestCostManyMatchesScalar:
         min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_scalar_cost(self, rows):
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
-        batched = evaluator.cost_many(rows)
+        lanes = RefCostEvaluator(CONFIG, STATS, PARAMS).cost_many(rows)
         for k, row in enumerate(rows):
-            scalar = evaluator.cost(row)
-            assert abs(batched[k] - scalar) <= 1e-12
-            assert batched[k] == scalar  # in fact bit-identical
+            assert price(row, LookupModel()) == lanes[k]
 
     def test_linear_model_rows_match(self):
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LinearModel(), True)
         rng = np.random.default_rng(5)
         rows = rng.uniform(-100.0, 60000.0, size=(64, 6))
-        batched = evaluator.cost_many(rows)
+        lanes = RefCostEvaluator(CONFIG, STATS, PARAMS,
+                                 LinearModel()).cost_many(rows)
         for k in range(rows.shape[0]):
-            assert batched[k] == evaluator.cost(list(rows[k]))
+            assert price(rows[k].tolist(), LinearModel()) == lanes[k]
 
-    def test_scalar_model_fallback_rows_match(self, evaluator):
+    def test_scalar_model_fallback_rows(self):
         class OddModel:
             def rate(self, groups, buckets):
                 if groups <= 1.0 or buckets <= 0:
                     return 0.0
                 return min(1.0, 0.3 * groups / buckets)
 
-        odd = CostEvaluator(CONFIG, STATS, PARAMS, OddModel(), True)
         rows = [[5000.0 + 7 * i] * 6 for i in range(10)]
-        batched = odd.cost_many(rows)
+        lanes = RefCostEvaluator(CONFIG, STATS, PARAMS,
+                                 OddModel()).cost_many(rows)
         for k, row in enumerate(rows):
-            assert batched[k] == odd.cost(row)
+            assert price(row, OddModel()) == lanes[k]
 
-    def test_input_not_mutated(self, evaluator):
-        rows = np.full((4, 6), 6000.0)
-        before = rows.copy()
-        evaluator.cost_many(rows)
-        assert np.array_equal(rows, before)
+    def test_input_not_mutated(self):
+        spaces = [7000.0, 6000.0, 8000.0, 6500.0, 6200.0, 6300.0]
+        before = list(spaces)
+        descend(FOREST, spaces, 40000.0, LookupModel(), PARAMS)
+        assert spaces == before
 
-    def test_shape_validation(self, evaluator):
-        with pytest.raises(ValueError):
-            evaluator.cost_many([1.0, 2.0])
-        with pytest.raises(ValueError):
-            evaluator.cost_many([[1.0, 2.0, 3.0]])
+    def test_shape_validation(self):
+        buckets = {rel: 100.0 for rel in CONFIG.relations}
+        del buckets[A("BD")]
+        with pytest.raises(AllocationError, match="no bucket count"):
+            per_record_cost(CONFIG, STATS, buckets, LookupModel(), PARAMS)
+        buckets[A("BD")] = 0.0
+        with pytest.raises(AllocationError, match="non-positive"):
+            per_record_cost(CONFIG, STATS, buckets, LookupModel(), PARAMS)
 
 
 class TestDescentEquivalence:
@@ -100,23 +113,22 @@ class TestDescentEquivalence:
                     min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_native_matches_reference(self, memory, start_fracs):
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
-        allocator = ExhaustiveAllocator()
-        floors = [float(h) for h in evaluator.entry_units]
+        u = FOREST.universe
+        model = LookupModel()
         total = sum(start_fracs)
         # Keep every coordinate above its floor so the descent is entered
         # the same way in both implementations.
-        start = [max(memory * f / total, floor + 1.0)
-                 for f, floor in zip(start_fracs, floors)]
-        step = allocator.grid_step * memory
-        min_step = allocator.polish_step * memory
+        start = [max(memory * f / total, h + 1.0)
+                 for f, h in zip(start_fracs, u.h)]
+        step, min_step = START_STEP * memory, POLISH_STEP * memory
+        flow = [u.l[i] if p == RAW else 1.0
+                for i, p in enumerate(FOREST.parent)]
         got = native_descend.descend(
-            start, floors, evaluator._groups_arr, evaluator._entry_arr,
-            evaluator._flow_arr, evaluator._parent_arr, evaluator._leaf_arr,
-            evaluator.c1, evaluator.c2, evaluator.model.table_array,
-            evaluator.model.table_step, step, min_step)
-        assert got == _scalar_descend(evaluator, list(start), floors, step,
-                                      min_step)
+            start, u.h, u.g, u.h, flow, FOREST.parent, FOREST.leaf,
+            PARAMS.probe_cost, PARAMS.evict_cost, model.table_array,
+            model.table_step, step, min_step)
+        assert got == _scalar_descend(FOREST, list(start), step, min_step,
+                                      model, PARAMS, True)
 
     def test_allocate_same_without_kernel(self):
         a = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0, PARAMS)
@@ -126,12 +138,14 @@ class TestDescentEquivalence:
         assert a.buckets == b.buckets
 
     def test_grid_path_matches_descent_flavours(self):
+        """A small configuration, unclustered: the kernel and the scalar
+        loop agree there too."""
         config = Configuration.from_notation("(ABC(AB BC))")
-        grid = ExhaustiveAllocator(max_grid_relations=4)
-        kernel = grid.allocate(config, STATS, 20000.0, PARAMS).buckets
+        es = ExhaustiveAllocator(clustered=False)
+        kernel = es.allocate(config, STATS, 20000.0, PARAMS).buckets
         with numpy_kernels_off():
-            assert grid.allocate(config, STATS, 20000.0,
-                                 PARAMS).buckets == kernel
+            assert es.allocate(config, STATS, 20000.0,
+                               PARAMS).buckets == kernel
 
 
 class _ExplodingModel:
@@ -151,24 +165,20 @@ class _ExplodingModel:
 
 
 class TestExceptionSafety:
-    """The descent works on a copy, so an evaluator raising mid-scan
-    leaves the caller's ``spaces`` as they were."""
+    """The descent works on a copy, so a model raising mid-scan leaves
+    the caller's ``spaces`` as they were."""
 
     def test_spaces_untouched_when_cost_raises(self):
         model = _ExplodingModel(fuse=40)
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, model, True)
-        allocator = ExhaustiveAllocator()
         spaces = [7000.0, 6000.0, 8000.0, 6500.0, 6200.0, 6300.0]
         original = list(spaces)
         with pytest.raises(RuntimeError, match="boom"):
-            allocator._descend(evaluator, STATS, 40000.0, spaces)
+            descend(FOREST, spaces, 40000.0, model, PARAMS)
         assert spaces == original
 
     def test_cost_many_propagates_and_leaves_input(self):
         model = _ExplodingModel(fuse=3)
-        evaluator = CostEvaluator(CONFIG, STATS, PARAMS, model, True)
-        rows = np.full((2, 6), 6000.0)
-        before = rows.copy()
+        buckets = [1000.0] * 6
         with pytest.raises(RuntimeError, match="boom"):
-            evaluator.cost_many(rows)
-        assert np.array_equal(rows, before)
+            intra_cost(FOREST, buckets, model, PARAMS)
+        assert buckets == [1000.0] * 6

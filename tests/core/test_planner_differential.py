@@ -67,13 +67,14 @@ def problems(draw):
             phi, clustered)
 
 
-def chooser(algorithm, phi, clustered):
+def choose(algorithm, phi, clustered, *args):
     if algorithm == "gs":
-        return GreedySpace(phi=phi, clustered=clustered)
+        return GreedySpace(phi=phi, clustered=clustered).choose(*args)
     if algorithm == "gcpl":
-        return gcpl(clustered=clustered)
-    return gcsl(clustered=clustered,
-                min_benefit=float("inf") if algorithm == "none" else 1e-12)
+        return gcpl(clustered=clustered).choose(*args)
+    if algorithm == "none":
+        return gcsl(clustered=clustered).start(*args)
+    return gcsl(clustered=clustered).choose(*args)
 
 
 def outcome(run):
@@ -90,8 +91,8 @@ def choice_key(result):
 
 
 def produced(queries, stats, memory, algorithm, phi, clustered):
-    result = chooser(algorithm, phi, clustered).choose(queries, stats,
-                                                       memory, PARAMS)
+    result = choose(algorithm, phi, clustered, queries, stats, memory,
+                    PARAMS)
     the_plan = plan(queries, stats, memory, PARAMS, algorithm=algorithm,
                     phi=phi, clustered=clustered)
     assert the_plan.configuration == result.configuration

@@ -27,7 +27,9 @@ GC/GS loops (GS as its uncached full rescan, which chose exactly what
 the cached one did), and :func:`ref_plan` wiring them like ``plan()``.
 ``tests/core/test_planner_differential.py`` and
 ``test_choosing_equivalence.py`` hold the production planner to them
-bit for bit.
+bit for bit. :class:`RefExhaustiveAllocator`, :class:`RefCostEvaluator`
+and :func:`ref_check_admission` are ES and admission from before they
+priced allocations on the planner's forests (see their section below).
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ from repro.core.allocation.base import Allocation
 from repro.core.attributes import AttributeSet
 from repro.core.choosing.base import ChoiceResult, ChoiceStep
 from repro.core.collision.base import clamp_rate
-from repro.core.collision.lookup import PAPER_MU, LookupModel
+from repro.core.collision.lookup import PAPER_MU, LinearModel, LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.core.queries import QuerySet
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AdmissionError, AllocationError, ConfigurationError
 from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.lfta import run_reference
@@ -494,3 +496,375 @@ def ref_plan(queries, stats, memory, params, algorithm="gcsl", phi=1.0,
     flush = ref_flush_cost(result.configuration, stats, allocation.buckets,
                            model, params).total
     return result, allocation, cost, flush
+
+
+# ----------------------------------------------------------------------
+# ES and admission as they priced allocations through their own
+# evaluator, before they moved onto the planner's forests: the evaluator
+# (scalar ``cost`` and the batched ``cost_many``, with the lane-capable
+# Eq. 7 and the vectorized ``LinearModel.rates`` it relied on), ES's
+# ``allocate`` with its literal 1 % grid, and admission's candidate rows
+# and check. ``tests/core/test_es_differential.py`` holds the production
+# code to them bit for bit; the grid is also the reference the descent is
+# checked against (``tests/core/test_allocation.py``).
+# ----------------------------------------------------------------------
+
+
+def ref_eq7_sums(order, parent, leaf, x, zero=0.0):
+    """Eq. 7's sums; each ``x[i]`` a rate or a column of lane rates."""
+    reach = [0.0] * len(parent)
+    probe = evict = zero
+    for i in order:
+        p = parent[i]
+        r = 1.0 if p < 0 else reach[p] * x[p]
+        reach[i] = r
+        probe = probe + r
+        if leaf[i]:
+            evict = evict + r * x[i]
+    return probe, evict
+
+
+def ref_linear_rates(model, groups, buckets):
+    """``LinearModel.rates``: elementwise its scalar ``rate``."""
+    g = np.asarray(groups, dtype=np.float64)
+    b = np.asarray(buckets, dtype=np.float64)
+    g, b = np.broadcast_arrays(g, b)
+    valid = (g > 1.0) & (b > 0)
+    safe_b = np.where(b > 0, b, 1.0)
+    raw = model.alpha + model.mu * g / safe_b
+    clamped = np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
+    return np.where(valid, clamped, 0.0)
+
+
+class RefCostEvaluator:
+    """Eq. 7 for space vectors over a fixed configuration, one vector
+    (``cost``) or a batch lane by lane (``cost_many``)."""
+
+    def __init__(self, config, stats, params, model=None, clustered=True):
+        self.config = config
+        self.relations = config.relations
+        self.model = model if model is not None else LookupModel()
+        index = {rel: i for i, rel in enumerate(self.relations)}
+        self.parent_index = [
+            -1 if config.parent(rel) is None else index[config.parent(rel)]
+            for rel in self.relations
+        ]
+        self.is_leaf = [config.is_leaf(rel) for rel in self.relations]
+        self._order = range(len(self.relations))
+        self.groups = [stats.group_count(rel) for rel in self.relations]
+        self.entry_units = [stats.entry_units(rel) for rel in self.relations]
+        self.flow_div = [
+            stats.flow_length(rel) if (clustered and config.is_raw(rel))
+            else 1.0
+            for rel in self.relations
+        ]
+        self.c1 = params.probe_cost
+        self.c2 = params.evict_cost
+        self._groups_arr = np.asarray(self.groups, dtype=np.float64)
+        self._entry_arr = np.asarray(self.entry_units, dtype=np.float64)
+        self._flow_arr = np.asarray(self.flow_div, dtype=np.float64)
+        self._parent_arr = np.asarray(self.parent_index, dtype=np.int64)
+        self._leaf_arr = np.asarray(self.is_leaf, dtype=np.uint8)
+        self._groups_valid = self._groups_arr > 1.0
+
+    def rates(self, spaces):
+        return [clamp_rate(self.model.rate(self.groups[i],
+                                           space / self.entry_units[i])
+                           / self.flow_div[i])
+                for i, space in enumerate(spaces)]
+
+    def cost(self, spaces):
+        probe, evict = ref_eq7_sums(self._order, self.parent_index,
+                                    self.is_leaf, self.rates(spaces))
+        return probe * self.c1 + evict * self.c2
+
+    def _model_rates(self, buckets_2d):
+        if type(self.model) is LookupModel:
+            return self._lookup_rates(buckets_2d)
+        groups = np.broadcast_to(self._groups_arr, buckets_2d.shape)
+        if type(self.model) is LinearModel:
+            return np.array(ref_linear_rates(self.model, groups, buckets_2d),
+                            dtype=np.float64)
+        rate = self.model.rate
+        flat = [rate(g, b) for g, b in zip(groups.ravel().tolist(),
+                                           buckets_2d.ravel().tolist())]
+        return np.asarray(flat, dtype=np.float64).reshape(buckets_2d.shape)
+
+    def _lookup_rates(self, buckets_2d):
+        table = self.model.table_array
+        tstep = self.model.table_step
+        positive = buckets_2d > 0
+        valid = positive & self._groups_valid
+        safe = np.where(positive, buckets_2d, 1.0)
+        position = self._groups_arr / safe
+        position /= tstep
+        hi = position >= float(table.size - 1)
+        invalid = ~valid
+        idx = np.where(hi | invalid, 0.0, position).astype(np.int64)
+        frac = position - idx
+        left = table[idx]
+        right = table[idx + 1]
+        left *= 1.0 - frac
+        right *= frac
+        left += right
+        np.copyto(left, table[-1], where=hi)
+        np.copyto(left, 0.0, where=invalid)
+        return left
+
+    def cost_many(self, spaces_2d):
+        spaces = np.asarray(spaces_2d, dtype=np.float64)
+        if spaces.ndim != 2:
+            raise ValueError("cost_many expects an (m, n) space matrix")
+        m, n = spaces.shape
+        if n != len(self.relations):
+            raise ValueError(
+                f"space matrix has {n} columns for {len(self.relations)} "
+                "relations")
+        buckets = spaces / self._entry_arr
+        x = self._model_rates(buckets)
+        np.divide(x, self._flow_arr, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
+        probe, evict = ref_eq7_sums(self._order, self.parent_index,
+                                    self.is_leaf, x.T,
+                                    zero=np.zeros(m, dtype=np.float64))
+        return probe * self.c1 + evict * self.c2
+
+    def to_allocation(self, spaces):
+        return Allocation({
+            rel: spaces[i] / self.entry_units[i]
+            for i, rel in enumerate(self.relations)
+        })
+
+
+def compositions(total, parts, minimums):
+    """All ways to split ``total`` steps into ``parts`` with per-part
+    floors."""
+    if parts == 1:
+        if total >= minimums[0]:
+            yield (total,)
+        return
+    rest_min = sum(minimums[1:])
+    for first in range(minimums[0], total - rest_min + 1):
+        for rest in compositions(total - first, parts - 1, minimums[1:]):
+            yield (first,) + rest
+
+
+def ref_scalar_descend(evaluator, spaces, floors, step, min_step):
+    n = len(spaces)
+    cost = evaluator.cost(spaces)
+    while step >= min_step:
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n):
+                if spaces[i] - step < floors[i]:
+                    continue
+                for j in range(n):
+                    if i == j:
+                        continue
+                    spaces[i] -= step
+                    spaces[j] += step
+                    trial = evaluator.cost(spaces)
+                    if trial < cost - 1e-15:
+                        cost = trial
+                        improved = True
+                    else:
+                        spaces[i] += step
+                        spaces[j] -= step
+                    if spaces[i] - step < floors[i]:
+                        break
+        step /= 2.0
+    return spaces
+
+
+@dataclass(frozen=True)
+class RefExhaustiveAllocator:
+    """ES: the literal grid for configurations of at most
+    ``max_grid_relations`` relations (polished by a descent from
+    ``grid_step / 2``), else multi-start descent from SL, PL and
+    uniform."""
+
+    grid_step: float = 0.01
+    max_grid_relations: int = 0
+    polish_step: float = 0.0025
+    model: object = None
+    clustered: bool = True
+
+    def allocate(self, config, stats, memory, params):
+        if memory < ref_minimum_space(config, stats):
+            raise AllocationError(
+                f"memory {memory} too small for {len(config)} relations")
+        evaluator = RefCostEvaluator(config, stats, params, self.model,
+                                     self.clustered)
+        if len(config) <= self.max_grid_relations:
+            spaces = self._grid_spaces(evaluator, stats, memory)
+            spaces = self._descend(evaluator, stats, memory, list(spaces),
+                                   initial_step=self.grid_step / 2)
+        else:
+            spaces = self._multistart_spaces(evaluator, config, stats,
+                                             memory, params)
+        return evaluator.to_allocation(spaces)
+
+    def _grid_spaces(self, evaluator, stats, memory):
+        steps = max(int(round(1.0 / self.grid_step)), len(evaluator.relations))
+        unit = memory / steps
+        minimums = [max(1, math.ceil(h / unit))
+                    for h in evaluator.entry_units]
+        best_cost = float("inf")
+        best = None
+        chunk = []
+        for combo in compositions(steps, len(evaluator.relations), minimums):
+            chunk.append(combo)
+            if len(chunk) >= 16384:
+                best_cost, best = self._best_grid_point(
+                    evaluator, chunk, unit, best_cost, best)
+                chunk = []
+        if chunk:
+            best_cost, best = self._best_grid_point(
+                evaluator, chunk, unit, best_cost, best)
+        if best is None:
+            raise AllocationError(
+                "grid too coarse to give every relation a bucket; lower "
+                "grid_step or raise memory")
+        return tuple(k * unit for k in best)
+
+    @staticmethod
+    def _best_grid_point(evaluator, chunk, unit, best_cost, best):
+        rows = np.asarray(chunk, dtype=np.float64) * unit
+        costs = evaluator.cost_many(rows)
+        ranked = np.where(np.isnan(costs), np.inf, costs)
+        k = int(np.argmin(ranked))
+        if costs[k] < best_cost:
+            return float(costs[k]), chunk[k]
+        return best_cost, best
+
+    def _descend(self, evaluator, stats, memory, spaces,
+                 initial_step=None):
+        from repro.native import descend as native
+        floors = [float(h) for h in evaluator.entry_units]
+        step = (initial_step if initial_step is not None
+                else self.grid_step) * memory
+        min_step = self.polish_step * memory
+        base = [float(v) for v in spaces]
+        if step < min_step:
+            return base
+        if type(evaluator.model) is LookupModel and \
+                native.kernel_available():
+            return native.descend(
+                base, floors, evaluator._groups_arr,
+                evaluator._entry_arr, evaluator._flow_arr,
+                evaluator._parent_arr, evaluator._leaf_arr,
+                evaluator.c1, evaluator.c2,
+                evaluator.model.table_array, evaluator.model.table_step,
+                step, min_step)
+        return ref_scalar_descend(evaluator, base, floors, step, min_step)
+
+    def _multistart_spaces(self, evaluator, config, stats, memory, params):
+        starts = []
+        for allocate in (ref_sl_allocate, ref_pl_allocate):
+            allocation = allocate(config, stats, memory, params)
+            starts.append([allocation[rel] * stats.entry_units(rel)
+                           for rel in evaluator.relations])
+        allocation = ref_spaces_to_allocation(
+            config, stats,
+            {rel: memory / len(config) for rel in config.relations}, memory)
+        starts.append([allocation[rel] * stats.entry_units(rel)
+                       for rel in evaluator.relations])
+        best_cost = float("inf")
+        best = None
+        for start in starts:
+            refined = self._descend(evaluator, stats, memory, list(start),
+                                    initial_step=0.08)
+            cost = evaluator.cost(refined)
+            if cost < best_cost:
+                best_cost = cost
+                best = refined
+        assert best is not None
+        return best
+
+
+def ref_minimum_space(config, stats):
+    return float(sum(stats.entry_units(rel) for rel in config.relations))
+
+
+def ref_candidate_rows(evaluator, stats, memory):
+    """Admission's sqrt-demand, proportional and uniform space splits,
+    floored at one bucket per table."""
+    entry = np.asarray(evaluator.entry_units, dtype=np.float64)
+    demand = np.asarray([ref_demand_score(evaluator.config, stats, rel)
+                         for rel in evaluator.relations], dtype=np.float64)
+    shapes = [
+        np.sqrt(demand) * entry,
+        demand * entry,
+        np.ones_like(entry),
+    ]
+    rows = []
+    for shape in shapes:
+        total = float(shape.sum())
+        if total <= 0 or not math.isfinite(total):
+            continue
+        spaces = shape * (memory / total)
+        deficit = float(np.clip(entry - spaces, 0.0, None).sum())
+        spaces = np.maximum(spaces, entry)
+        surplus = spaces > entry
+        if deficit > 0 and surplus.any():
+            excess = float((spaces[surplus] - entry[surplus]).sum())
+            if excess > 0:
+                scale = max(0.0, 1.0 - deficit / excess)
+                spaces[surplus] = (entry[surplus]
+                                   + (spaces[surplus] - entry[surplus])
+                                   * scale)
+        rows.append(spaces)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def ref_check_admission(policy, registry, tenant, query, stats,
+                        params=None):
+    """``check_admission`` with the cost SLO priced by ``cost_many``."""
+    params = params or CostParameters()
+    candidate = registry.physical_query_set(extra=query)
+    config = Configuration.flat(candidate.group_bys)
+
+    floor = ref_minimum_space(config, stats)
+    if floor > policy.memory:
+        raise AdmissionError(
+            f"cannot admit tenant {tenant!r}: binding constraint is "
+            f"global-memory — {len(config)} tables need {floor:.0f} units "
+            f"just for one bucket each, budget is {policy.memory:.0f}",
+            constraint="global-memory", tenant=tenant,
+            required=floor, limit=policy.memory)
+
+    quota = policy.quota_for(tenant)
+    if quota is not None:
+        held = [r.group_by for r in registry.queries_for(tenant)]
+        if query.group_by not in held:
+            held.append(query.group_by)
+        price = 0.0
+        for attrs in held:
+            sharing = set(registry.sharers(attrs)) | {tenant}
+            price += (max(policy.phi * stats.group_count(attrs), 1.0)
+                      * stats.entry_units(attrs)) / len(sharing)
+        if price > quota:
+            raise AdmissionError(
+                f"cannot admit tenant {tenant!r}: binding constraint is "
+                f"tenant-quota — reservation price {price:.0f} units "
+                f"(phi={policy.phi:g} sizing, shared tables split) "
+                f"exceeds the tenant's quota of {quota:.0f}",
+                constraint="tenant-quota", tenant=tenant,
+                required=price, limit=quota)
+
+    if policy.max_cost_per_record is not None:
+        evaluator = RefCostEvaluator(config, stats, params)
+        rows = ref_candidate_rows(evaluator, stats, policy.memory)
+        if rows.size:
+            costs = evaluator.cost_many(rows)
+            best = float(np.nanmin(costs))
+            if best > policy.max_cost_per_record:
+                raise AdmissionError(
+                    f"cannot admit tenant {tenant!r}: binding constraint "
+                    f"is cost-slo — best predicted cost {best:.3f}/record "
+                    f"over {len(rows)} candidate allocations exceeds the "
+                    f"SLO of {policy.max_cost_per_record:.3f}",
+                    constraint="cost-slo", tenant=tenant,
+                    required=best, limit=policy.max_cost_per_record)
