@@ -25,7 +25,7 @@ def _ablation() -> dict[str, float]:
     params = paper_params()
     model = LookupModel()
     deep = Configuration.from_notation("(ABCD(AB BCD(BC BD CD)))")
-    forest = deep.forest(stats)
+    forest = deep.topological(stats)
     h = forest.universe.h
     es = ExhaustiveAllocator().allocate(deep, stats, 40_000, params)
     start = [b * h[i] for i, b in enumerate(

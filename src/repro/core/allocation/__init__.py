@@ -18,7 +18,6 @@ from repro.core.allocation.base import (
     ForestAllocator,
     SpaceAllocator,
     minimum_space,
-    spaces_to_allocation,
 )
 from repro.core.allocation.analytic import (
     flat_allocation,
@@ -38,7 +37,6 @@ __all__ = [
     "ForestAllocator",
     "SpaceAllocator",
     "minimum_space",
-    "spaces_to_allocation",
     "flat_allocation",
     "flat_spaces",
     "two_level_allocation",

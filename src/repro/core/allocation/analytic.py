@@ -26,7 +26,11 @@ import math
 from typing import Mapping, Sequence
 
 from repro.core.attributes import AttributeSet
-from repro.core.allocation.base import Allocation, spaces_to_allocation
+from repro.core.allocation.base import (
+    Allocation,
+    allocation_of,
+    split_to_buckets,
+)
 from repro.core.collision.lookup import PAPER_MU
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
@@ -88,11 +92,10 @@ def flat_allocation(config: Configuration, stats: RelationStatistics,
     if any(config.parent(rel) is not None for rel in config.relations):
         raise AllocationError("flat_allocation requires a phantom-free "
                               "configuration")
-    forest = config.forest(stats)
-    scores = {rel: forest.demand_score(i)
-              for i, rel in enumerate(forest.universe.rels)}
-    return spaces_to_allocation(config, stats, flat_spaces(scores, memory),
-                                memory)
+    priced = config.with_stats(stats)
+    spaces = flat_spaces({i: priced.demand_score(i) for i in priced.order},
+                         memory)
+    return allocation_of(priced, split_to_buckets(priced, spaces, memory))
 
 
 def two_level_allocation(config: Configuration, stats: RelationStatistics,
@@ -108,10 +111,10 @@ def two_level_allocation(config: Configuration, stats: RelationStatistics,
     if any(not config.is_leaf(ch) for ch in children):
         raise AllocationError(
             "two_level_allocation requires a two-level configuration")
-    forest = config.forest(stats)
-    index = forest.universe.rels.index
-    scores = [forest.demand_score(index(ch)) for ch in children]
-    root_space, child_spaces = two_level_split(scores, memory, params, mu)
-    spaces = {root: root_space}
-    spaces.update(dict(zip(children, child_spaces)))
-    return spaces_to_allocation(config, stats, spaces, memory)
+    priced = config.with_stats(stats)
+    index = priced.universe.index
+    kids = [index[ch] for ch in children]
+    root_space, child_spaces = two_level_split(
+        [priced.demand_score(k) for k in kids], memory, params, mu)
+    spaces = {index[root]: root_space, **dict(zip(kids, child_spaces))}
+    return allocation_of(priced, split_to_buckets(priced, spaces, memory))

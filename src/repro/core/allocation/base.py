@@ -15,7 +15,6 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.forest import Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 
@@ -25,7 +24,6 @@ __all__ = [
     "ForestAllocator",
     "allocation_of",
     "split_to_buckets",
-    "spaces_to_allocation",
     "minimum_space",
 ]
 
@@ -101,38 +99,40 @@ class SpaceAllocator(Protocol):
 
 
 class ForestAllocator:
-    """A heuristic (SL, SR, PL, PR) whose rule runs on the planner's index
-    form: :meth:`split` returns a forest's bucket list, indexed like it,
-    and :meth:`allocate` is its ``Configuration`` adapter. The greedy
-    choosers price their trials through :meth:`split`."""
+    """A heuristic (SL, SR, PL, PR) whose rule runs on index arrays:
+    :meth:`split` returns the bucket list of a configuration with
+    statistics attached, indexed like its universe, and :meth:`allocate`
+    attaches them. The greedy choosers price their trials by :meth:`split`."""
 
-    def split(self, forest: Forest, memory: float,
+    def split(self, config: Configuration, memory: float,
               params: CostParameters) -> list[float]:
         raise NotImplementedError
 
     def allocate(self, config: Configuration, stats: RelationStatistics,
                  memory: float, params: CostParameters) -> Allocation:
-        forest = config.forest(stats)
-        return allocation_of(forest, self.split(forest, memory, params))
+        config = config.with_stats(stats)
+        return allocation_of(config, self.split(config, memory, params))
 
 
 def minimum_space(config: Configuration, stats: RelationStatistics) -> float:
     """Units needed to give every relation one bucket."""
-    return config.forest(stats).minimum_space()
+    return config.with_stats(stats).minimum_space()
 
 
-def split_to_buckets(forest: Forest, spaces: Sequence[float],
+def split_to_buckets(config: Configuration,
+                     spaces: Sequence[float] | Mapping[int, float],
                      memory: float) -> list[float]:
     """Convert per-relation *space* shares into bucket counts.
 
     ``spaces[i]`` is relation ``i``'s space share; the result is indexed
-    like it. Enforces a one-bucket minimum per relation: relations whose
-    share is below one bucket are raised to one bucket and the deficit is
-    taken proportionally from the rest. Raises :class:`AllocationError`
-    if the budget cannot give every relation a bucket.
+    like ``config``'s universe. Enforces a one-bucket minimum per
+    relation: relations whose share is below one bucket are raised to one
+    bucket and the deficit is taken proportionally from the rest. Raises
+    :class:`AllocationError` if the budget cannot give every relation a
+    bucket.
     """
-    order, h = forest.order, forest.universe.h
-    min_needed = forest.minimum_space()
+    order, h = config.order, config.universe.h
+    min_needed = config.minimum_space()
     if memory < min_needed:
         raise AllocationError(
             f"memory {memory} units cannot hold one bucket per relation "
@@ -166,17 +166,9 @@ def split_to_buckets(forest: Forest, spaces: Sequence[float],
     return buckets
 
 
-def allocation_of(forest: Forest, buckets: Sequence[float]) -> Allocation:
-    """The :class:`Allocation` of a forest's bucket list, in topological
-    order (the order :meth:`Allocation.rounded` breaks ties in)."""
-    rels = forest.universe.rels
-    return Allocation({rels[i]: buckets[i] for i in forest.order})
-
-
-def spaces_to_allocation(config: Configuration, stats: RelationStatistics,
-                         spaces: Mapping[AttributeSet, float],
-                         memory: float) -> Allocation:
-    """:func:`split_to_buckets` for a configuration's relations."""
-    forest = config.forest(stats)
-    shares = [spaces[rel] for rel in forest.universe.rels]
-    return allocation_of(forest, split_to_buckets(forest, shares, memory))
+def allocation_of(config: Configuration,
+                  buckets: Sequence[float]) -> Allocation:
+    """The :class:`Allocation` of a bucket list, in topological order
+    (the order :meth:`Allocation.rounded` breaks ties in)."""
+    rels = config.universe.rels
+    return Allocation({rels[i]: buckets[i] for i in config.order})

@@ -9,15 +9,16 @@ objective under ``x = mu g / b`` is a posynomial in the bucket counts
 descent, halving its step down to sub-grid resolution. Tests check the
 descent against the literal grid (kept in ``tests/references.py``).
 
-ES prices an allocation the way every planner path does: the
-configuration's forest (:meth:`Configuration.forest`) and
-:func:`~repro.core.cost_model.intra_cost` on ``spaces[i] / h[i]``. The
+ES prices an allocation the way every planner path does, with
+:func:`~repro.core.cost_model.intra_cost` on ``spaces[i] / h[i]``, over
+:meth:`Configuration.topological`: the descent loops over ``0..n-1``, so
+parents come first, and its coordinate order is part of its result. The
 descent is a first-improvement scan, inherently sequential. When
 :mod:`repro.native.descend` loaded (and the model is the plain lookup
-table it hard-codes) the whole descent runs in C on the forest's ``g``,
-``h``, ``l``, ``parent`` and ``leaf``; otherwise the scalar loop it
-replicates op-for-op runs, on a copy, so a raising collision model cannot
-corrupt the caller's space vector.
+table it hard-codes) the whole descent runs in C on those coordinates'
+``g``, ``h``, ``l``, ``parent_of`` and ``leaf``; otherwise the scalar
+loop it replicates op-for-op runs, on a copy, so a raising collision
+model cannot corrupt the caller's space vector.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from repro.core.allocation.proportional import ProportionalLinear
 from repro.core.allocation.supernode import SupernodeLinear
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
-from repro.core.configuration import Configuration
+from repro.core.configuration import RAW, Configuration
 from repro.core.cost_model import CostParameters, intra_cost
-from repro.core.forest import RAW, Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 from repro.native import descend as _native
@@ -53,16 +53,17 @@ START_STEP = 0.08
 POLISH_STEP = 0.0025
 
 
-def _price(forest: Forest, spaces: Sequence[float], model: CollisionModel,
-           params: CostParameters, clustered: bool) -> float:
+def _price(config: Configuration, spaces: Sequence[float],
+           model: CollisionModel, params: CostParameters,
+           clustered: bool) -> float:
     """Eq. 7 for a space vector (units per relation, indexed like
-    ``forest``)."""
-    h = forest.universe.h
-    return intra_cost(forest, [s / h[i] for i, s in enumerate(spaces)],
+    ``config``)."""
+    h = config.universe.h
+    return intra_cost(config, [s / h[i] for i, s in enumerate(spaces)],
                       model, params, clustered)
 
 
-def _scalar_descend(forest: Forest, spaces: list[float], step: float,
+def _scalar_descend(config: Configuration, spaces: list[float], step: float,
                     min_step: float, model: CollisionModel,
                     params: CostParameters, clustered: bool) -> list[float]:
     """First-improvement coordinate descent, mutating ``spaces``.
@@ -71,9 +72,9 @@ def _scalar_descend(forest: Forest, spaces: list[float], step: float,
     :mod:`repro.native.descend` replicates op-for-op, lossy
     ``(a - s) + s`` reverts included.
     """
-    floors = forest.universe.h
+    floors = config.universe.h
     n = len(spaces)
-    cost = _price(forest, spaces, model, params, clustered)
+    cost = _price(config, spaces, model, params, clustered)
     while step >= min_step:
         improved = True
         while improved:
@@ -86,7 +87,7 @@ def _scalar_descend(forest: Forest, spaces: list[float], step: float,
                         continue
                     spaces[i] -= step
                     spaces[j] += step
-                    trial = _price(forest, spaces, model, params, clustered)
+                    trial = _price(config, spaces, model, params, clustered)
                     if trial < cost - _IMPROVE_EPS:
                         cost = trial
                         improved = True
@@ -99,23 +100,24 @@ def _scalar_descend(forest: Forest, spaces: list[float], step: float,
     return spaces
 
 
-def descend(forest: Forest, spaces: Sequence[float], memory: float,
+def descend(config: Configuration, spaces: Sequence[float], memory: float,
             model: CollisionModel, params: CostParameters,
             clustered: bool = True) -> list[float]:
     """One coordinate descent from ``spaces``, steps from
     :data:`START_STEP` down to :data:`POLISH_STEP` of ``memory``; returns
-    the refined spaces (``spaces`` itself is left as it was)."""
-    u = forest.universe
+    the refined spaces (``spaces`` itself is left as it was). ``config``
+    is indexed like :meth:`Configuration.topological` leaves it."""
+    u = config.universe
     base = [float(v) for v in spaces]
     step, min_step = START_STEP * memory, POLISH_STEP * memory
     if type(model) is LookupModel and _native.kernel_available():
         flow = [u.l[i] if clustered and p == RAW else 1.0
-                for i, p in enumerate(forest.parent)]
+                for i, p in enumerate(config.parent_of)]
         return _native.descend(
-            base, u.h, u.g, u.h, flow, forest.parent, forest.leaf,
+            base, u.h, u.g, u.h, flow, config.parent_of, config.leaf,
             params.probe_cost, params.evict_cost, model.table_array,
             model.table_step, step, min_step)
-    return _scalar_descend(forest, base, step, min_step, model, params,
+    return _scalar_descend(config, base, step, min_step, model, params,
                            clustered)
 
 
@@ -144,27 +146,27 @@ class ExhaustiveAllocator:
 
     def allocate(self, config: Configuration, stats: RelationStatistics,
                  memory: float, params: CostParameters) -> Allocation:
-        forest = config.forest(stats)
-        if memory < forest.minimum_space():
+        config = config.topological(stats)
+        if memory < config.minimum_space():
             raise AllocationError(
                 f"memory {memory} too small for {len(config)} relations")
         model = self.model if self.model is not None else LookupModel()
-        h = forest.universe.h
+        h = config.universe.h
         n = len(h)
         starts = [
-            SupernodeLinear().split(forest, memory, params),
-            ProportionalLinear().split(forest, memory, params),
-            split_to_buckets(forest, [memory / n] * n, memory),
+            SupernodeLinear().split(config, memory, params),
+            ProportionalLinear().split(config, memory, params),
+            split_to_buckets(config, [memory / n] * n, memory),
         ]
         best_cost = float("inf")
         best: list[float] | None = None
         for buckets in starts:
             spaces = [b * h[i] for i, b in enumerate(buckets)]
-            refined = descend(forest, spaces, memory, model, params,
+            refined = descend(config, spaces, memory, model, params,
                               self.clustered)
-            cost = _price(forest, refined, model, params, self.clustered)
+            cost = _price(config, refined, model, params, self.clustered)
             if cost < best_cost:
                 best_cost = cost
                 best = refined
         assert best is not None
-        return allocation_of(forest, [s / h[i] for i, s in enumerate(best)])
+        return allocation_of(config, [s / h[i] for i, s in enumerate(best)])

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from repro.core.allocation.base import ForestAllocator, split_to_buckets
+from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.forest import Forest
 
 __all__ = ["ProportionalLinear", "ProportionalSqrt"]
 
@@ -31,16 +31,16 @@ class _ProportionalAllocator(ForestAllocator):
     def _weight(self, groups: float) -> float:
         raise NotImplementedError
 
-    def split(self, forest: Forest, memory: float,
+    def split(self, config: Configuration, memory: float,
               params: CostParameters) -> list[float]:
-        """Bucket counts for an index-form forest (indexed like it)."""
-        g = forest.universe.g
-        weights = {i: self._weight(g[i]) for i in forest.order}
+        """Bucket counts for a configuration (indexed like its universe)."""
+        g = config.universe.g
+        weights = {i: self._weight(g[i]) for i in config.order}
         total = sum(weights.values())
         spaces = [0.0] * len(g)
         for i, w in weights.items():
             spaces[i] = memory * w / total
-        return split_to_buckets(forest, spaces, memory)
+        return split_to_buckets(config, spaces, memory)
 
 
 @dataclass(frozen=True)

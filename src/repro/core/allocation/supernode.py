@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from repro.core.allocation.analytic import flat_spaces, two_level_split
 from repro.core.allocation.base import ForestAllocator, split_to_buckets
 from repro.core.collision.lookup import PAPER_MU
+from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.forest import Forest
 
 __all__ = ["SupernodeLinear", "SupernodeSqrt"]
 
@@ -38,21 +38,21 @@ class _SupernodeAllocator(ForestAllocator):
     def _combine(self, own: float, child_scores: list[float]) -> float:
         raise NotImplementedError
 
-    def split(self, forest: Forest, memory: float,
+    def split(self, config: Configuration, memory: float,
               params: CostParameters) -> list[float]:
-        """Bucket counts for an index-form forest (indexed like it)."""
-        children = forest.children
+        """Bucket counts for a configuration (indexed like its universe)."""
+        children = config.children_of
         combined = [0.0] * len(children)
         # Children precede parents in reversed topological order.
-        for i in reversed(forest.order):
-            own = forest.demand_score(i)
+        for i in reversed(config.order):
+            own = config.demand_score(i)
             kids = children[i]
             combined[i] = (self._combine(own, [combined[k] for k in kids])
                            if kids else own)
 
         spaces = [0.0] * len(children)
         root_spaces = flat_spaces(
-            {root: combined[root] for root in forest.roots}, memory)
+            {root: combined[root] for root in config.roots}, memory)
         stack = list(root_spaces.items())
         while stack:
             i, space = stack.pop()
@@ -63,7 +63,7 @@ class _SupernodeAllocator(ForestAllocator):
             spaces[i], kid_spaces = two_level_split(
                 [combined[k] for k in kids], space, params, self.mu)
             stack.extend(zip(kids, kid_spaces))
-        return split_to_buckets(forest, spaces, memory)
+        return split_to_buckets(config, spaces, memory)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ from dataclasses import dataclass, field
 
 from repro.core.attributes import AttributeSet
 from repro.core.allocation.base import Allocation
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, Universe
 from repro.core.feeding_graph import FeedingGraph
-from repro.core.forest import Forest, Universe
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 
-__all__ = ["MIN_BENEFIT", "ChoiceStep", "ChoiceResult", "plan_forest"]
+__all__ = ["MIN_BENEFIT", "ChoiceStep", "ChoiceResult", "plan_universe",
+           "start_configuration"]
 
 #: A greedy chooser accepts a phantom only if it lowers the cost (GC) or
 #: scores a benefit per unit of space (GS) above this.
@@ -48,21 +48,22 @@ class ChoiceResult:
                 if step.phantom is not None]
 
 
-def plan_forest(queries: QuerySet, stats: RelationStatistics) -> Forest:
-    """The queries-only forest a greedy chooser starts from.
-
-    Its universe is what the plan may instantiate: every query and each
-    candidate phantom with recorded statistics, in the feeding graph's
-    ``sort_key`` order, so the candidates are the non-query indices in
-    ascending order. A query nests under its minimal query superset (free
-    sharing; flat for antichain query sets, as in all the paper's
-    workloads).
-    """
+def plan_universe(queries: QuerySet,
+                  stats: RelationStatistics) -> Universe:
+    """What a plan may instantiate: the queries and each candidate phantom
+    with statistics, in the feeding graph's order and with its masks."""
     graph = FeedingGraph(queries)
     nodes = graph.nodes
     keep = [k for k, rel in enumerate(nodes)
             if graph.is_query(rel) or stats.has(rel)]
-    universe = Universe([nodes[k] for k in keep], queries.group_bys, stats,
-                        [graph.masks[k] for k in keep])
-    return Forest.nested(universe, [i for i, rel in enumerate(universe.rels)
-                                    if rel in universe.queries])
+    return Universe([nodes[k] for k in keep], queries.group_bys, stats,
+                    [graph.masks[k] for k in keep])
+
+
+def start_configuration(queries: QuerySet,
+                        stats: RelationStatistics) -> Configuration:
+    """The queries-only configuration a greedy chooser starts from. A
+    query nests under its minimal query superset (flat for antichains,
+    as in all the paper's workloads)."""
+    return Configuration.nested(queries.group_bys, queries.group_bys,
+                                plan_universe(queries, stats))

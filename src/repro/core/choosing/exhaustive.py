@@ -26,67 +26,79 @@ exploits such chains (its surgery allows them); pass
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
+from typing import Iterable, Iterator
 
 from repro.core.allocation.exhaustive import ExhaustiveAllocator
-from repro.core.choosing.base import ChoiceResult, ChoiceStep
+from repro.core.choosing.base import ChoiceResult, ChoiceStep, plan_universe
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
-from repro.core.configuration import Configuration
+from repro.core.configuration import ABSENT, RAW, Configuration, Universe
 from repro.core.cost_model import CostParameters, per_record_cost
-from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError
 
 __all__ = ["ExhaustiveChoice", "enumerate_structures"]
 
 
-def enumerate_structures(relations, queries, limit: int = 64,
-                         prune_single_child: bool = False):
-    """Every feed forest over a fixed relation set.
+def enumerate_structures(universe: Universe, members: Iterable[int],
+                         limit: int = 64, prune_single_child: bool = False
+                         ) -> Iterator[Configuration]:
+    """Every feed forest over the universe relations ``members``.
 
-    ``Configuration.from_relations`` resolves a relation with several
+    :meth:`Configuration.nested` resolves a relation with several
     incomparable minimal supersets by a fixed tie-break; the choice can
     matter (e.g. with relations {A, B, C, AB, AC}, attaching A under AB
     versus under AC yields different costs), so the oracle enumerates the
-    cartesian product of parent choices. ``limit`` caps the product
-    (ambiguity is rare; 2-4 options per ambiguous relation in practice).
-    With ``prune_single_child`` a forest that gives some phantom fewer
-    than two children counts against ``limit`` but is not yielded.
+    cartesian product of parent choices, read off the universe's masks.
+    ``limit`` caps the product (ambiguity is rare; 2-4 options per
+    ambiguous relation in practice). With ``prune_single_child`` a forest
+    that gives some phantom fewer than two children counts against
+    ``limit`` but is not yielded.
 
     Almost every assignment leaves some phantom childless (103 820 of
-    103 920 over one {A,B,C,D} choice), so feasibility is read off the
-    parent assignment and only forests that will be yielded are built.
+    103 920 over one {A,B,C,D} choice) and is no configuration, so the
+    product is walked depth first, in its own order, and a branch is cut
+    on reaching a childless phantom: its strict subsets, the only
+    relations that can feed it, all come before it.
     """
-    rels = sorted(set(relations), key=lambda r: r.sort_key())
-    choices: list[list] = []
-    for rel in rels:
-        supersets = [other for other in rels if rel < other]
-        minimal = [s for s in supersets
-                   if not any(t < s for t in supersets)]
-        choices.append(minimal if minimal else [None])
-    queries = frozenset(queries)
-    phantoms = [rel for rel in rels if rel not in queries]
+    members = sorted(members)
+    rels = universe.rels
+    if not universe.queries <= {rels[i] for i in members}:
+        return
+    member_set = set(members)
+    choices: list[list[int]] = []
+    for i in members:
+        sups = [j for j in universe.supersets(i) if j in member_set]
+        choices.append([s for s in sups if not any(
+            s in universe.supersets(t) for t in sups)] or [RAW])
+    phantoms = {i for i in members if rels[i] not in universe.queries}
+    parent_of = [ABSENT] * len(rels)
+    fed = [0] * (len(rels) + 1)  # the last slot, fed[RAW], counts roots
     count = 0
-    for assignment in product(*choices):
-        if count >= limit:
+
+    def walk(k: int) -> Iterator[Configuration]:
+        nonlocal count
+        if k == len(members):
+            if count < limit:
+                count += 1
+                if not prune_single_child or all(fed[p] >= 2
+                                                 for p in phantoms):
+                    yield Configuration.from_arrays(universe, parent_of[:])
             return
-        fed = Counter(assignment)
-        fewest = min((fed[p] for p in phantoms), default=2)
-        if fewest == 0:
-            continue  # a childless phantom: not a configuration
-        if prune_single_child and fewest < 2:
-            count += 1
-            continue
-        try:
-            config = Configuration(dict(zip(rels, assignment)), queries)
-        except ConfigurationError:
-            continue
-        count += 1
-        yield config
+        if members[k] in phantoms and not fed[members[k]]:
+            return  # childless: its strict subsets all come before it
+        for choice in choices[k]:
+            parent_of[members[k]] = choice
+            fed[choice] += 1
+            yield from walk(k + 1)
+            fed[choice] -= 1
+            if count >= limit:
+                return
+
+    yield from walk(0)
 
 
 @dataclass(frozen=True)
@@ -105,16 +117,17 @@ class ExhaustiveChoice:
 
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
-        graph = FeedingGraph(queries)
-        candidates = [p for p in graph.phantoms if stats.has(p)]
+        universe = plan_universe(queries, stats)
+        targets = [universe.index[q] for q in universe.queries]
+        candidates = [i for i, rel in enumerate(universe.rels)
+                      if rel not in universe.queries]
         allocator = ExhaustiveAllocator(self.model, self.clustered)
         best: ChoiceResult | None = None
         for k in range(0, len(candidates) + 1):
             for subset in combinations(candidates, k):
-                relations = list(queries.group_bys) + list(subset)
                 # prune_single_child: the paper's heuristic (docstring).
                 for config in enumerate_structures(
-                        relations, queries.group_bys,
+                        universe, targets + list(subset),
                         prune_single_child=self.prune_single_child):
                     try:
                         allocation = allocator.allocate(

@@ -23,13 +23,12 @@ from repro.core.choosing.base import (
     MIN_BENEFIT,
     ChoiceResult,
     ChoiceStep,
-    plan_forest,
+    start_configuration,
 )
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost
-from repro.core.forest import Forest
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
@@ -44,8 +43,9 @@ class GreedyCollision:
     Every round re-evaluates every remaining candidate: unlike GS, a GC
     candidate's benefit is *not* invariant across rounds — the allocator
     re-splits all of ``M`` over every tree each round — so no benefit
-    can be carried from one round to the next. Candidates are index-form
-    forests, priced through the allocator's ``split``.
+    can be carried from one round to the next. Candidates are priced
+    through the allocator's ``split``; the trajectory records the
+    configurations priced.
     """
 
     allocator: ForestAllocator = field(default_factory=SupernodeLinear)
@@ -58,37 +58,35 @@ class GreedyCollision:
 
     def _first(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters
-               ) -> tuple[Forest, list[float], float]:
-        """The queries-only forest, its split of ``M`` and Eq. 7."""
-        forest = plan_forest(queries, stats)
-        buckets = self.allocator.split(forest, memory, params)
-        cost = intra_cost(forest, buckets, self.model, params,
+               ) -> tuple[Configuration, list[float], float]:
+        """The queries-only configuration, its split of ``M`` and Eq. 7."""
+        config = start_configuration(queries, stats)
+        buckets = self.allocator.split(config, memory, params)
+        cost = intra_cost(config, buckets, self.model, params,
                           self.clustered)
-        return forest, buckets, cost
+        return config, buckets, cost
 
     def start(self, queries: QuerySet, stats: RelationStatistics,
               memory: float, params: CostParameters) -> ChoiceResult:
         """GC's start step on its own: the queries-only configuration
         with all of ``M`` split by the allocator (``plan(algorithm=
         "none")``)."""
-        forest, buckets, cost = self._first(queries, stats, memory, params)
-        config = Configuration.from_forest(forest)
-        return ChoiceResult(config, allocation_of(forest, buckets), cost,
+        config, buckets, cost = self._first(queries, stats, memory, params)
+        return ChoiceResult(config, allocation_of(config, buckets), cost,
                             (ChoiceStep(None, config, cost),))
 
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
-        forest, buckets, cost = self._first(queries, stats, memory, params)
-        rels = forest.universe.rels
+        config, buckets, cost = self._first(queries, stats, memory, params)
+        rels = config.universe.rels
         split = self.allocator.split
-        trajectory = [ChoiceStep(None, Configuration.from_forest(forest),
-                                 cost)]
+        trajectory = [ChoiceStep(None, config, cost)]
         remaining = [i for i, rel in enumerate(rels)
-                     if rel not in forest.universe.queries]
+                     if rel not in config.queries]
         while remaining:
             best = None
             for p in remaining:
-                trial = forest.with_phantom(p)
+                trial = config.with_phantom_at(p)
                 if trial is None:
                     continue
                 try:
@@ -101,12 +99,10 @@ class GreedyCollision:
                     best = (trial_cost, p, trial, trial_buckets)
             if best is None or cost - best[0] <= MIN_BENEFIT:
                 break
-            cost, chosen, forest, buckets = best
+            cost, chosen, config, buckets = best
             remaining.remove(chosen)
-            trajectory.append(ChoiceStep(
-                rels[chosen], Configuration.from_forest(forest), cost))
-        return ChoiceResult(trajectory[-1].configuration,
-                            allocation_of(forest, buckets), cost,
+            trajectory.append(ChoiceStep(rels[chosen], config, cost))
+        return ChoiceResult(config, allocation_of(config, buckets), cost,
                             tuple(trajectory))
 
 

@@ -22,18 +22,17 @@ from repro.core.choosing.base import (
     MIN_BENEFIT,
     ChoiceResult,
     ChoiceStep,
-    plan_forest,
+    start_configuration,
 )
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
-from repro.core.configuration import Configuration
+from repro.core.configuration import RAW, Configuration
 from repro.core.cost_model import (
     CostParameters,
     eq7_sums,
     intra_cost,
     relation_rate,
 )
-from repro.core.forest import RAW, Forest
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 
@@ -72,8 +71,8 @@ class GreedySpace:
 
     def choose(self, queries: QuerySet, stats: RelationStatistics,
                memory: float, params: CostParameters) -> ChoiceResult:
-        forest = plan_forest(queries, stats)
-        u = forest.universe
+        config = start_configuration(queries, stats)
+        u = config.universe
         c1, c2 = params.probe_cost, params.evict_cost
         size = [max(self.phi * g, 1.0) for g in u.g]
         price = [b * h for b, h in zip(size, u.h)]
@@ -85,53 +84,51 @@ class GreedySpace:
             raw = [relation_rate(self.model, g, b, l)
                    for g, l, b in zip(u.g, u.l, size)]
 
-        def phi_rates(f: Forest) -> list[float]:
+        def phi_rates(f: Configuration) -> list[float]:
             return [raw[i] if p == RAW else fed[i]
-                    for i, p in enumerate(f.parent)]
+                    for i, p in enumerate(f.parent_of)]
 
-        def phi_cost(f: Forest) -> float:
-            probe, evict = eq7_sums(f.order, f.parent, f.leaf, phi_rates(f))
+        def phi_cost(f: Configuration) -> float:
+            probe, evict = eq7_sums(f.order, f.parent_of, f.leaf, phi_rates(f))
             return probe * c1 + evict * c2
 
-        def step(phantom, f: Forest) -> tuple[list[float], ChoiceStep]:
+        def step(phantom, f: Configuration
+                 ) -> tuple[list[float], ChoiceStep]:
             # Trajectory costs include the leftover-space distribution, so
             # they reflect what the configuration would actually cost if
             # the greedy stopped here (the paper's Figure 12 view); the
             # *selection* itself compares phi-sized costs.
             buckets = _final_buckets(f, size, price, memory)
             cost = intra_cost(f, buckets, self.model, params, self.clustered)
-            return buckets, ChoiceStep(phantom, Configuration.from_forest(f),
-                                       cost)
+            return buckets, ChoiceStep(phantom, f, cost)
 
-        cost = phi_cost(forest)
-        buckets, first = step(None, forest)
+        cost = phi_cost(config)
+        buckets, first = step(None, config)
         trajectory = [first]
         remaining = [i for i, rel in enumerate(u.rels)
                      if rel not in u.queries]
-        used = sum(price[i] for i in forest.order)
+        used = sum(price[i] for i in config.order)
         while remaining:
             best = None
-            for p in _leaders(forest, remaining, used, memory, price, fed,
-                              raw, phi_rates(forest), cost, c1, c2):
-                trial = forest.with_phantom(p)
+            for p in _leaders(config, remaining, used, memory, price, fed,
+                              raw, phi_rates(config), cost, c1, c2):
+                trial = config.with_phantom_at(p)
                 trial_cost = phi_cost(trial)
                 benefit_per_unit = (cost - trial_cost) / price[p]
                 if best is None or benefit_per_unit > best[0]:
                     best = (benefit_per_unit, p, trial, trial_cost)
             if best is None or best[0] <= MIN_BENEFIT:
                 break
-            _, chosen, forest, cost = best
+            _, chosen, config, cost = best
             used += price[chosen]
             remaining.remove(chosen)
-            buckets, last = step(u.rels[chosen], forest)
+            buckets, last = step(u.rels[chosen], config)
             trajectory.append(last)
-        final = trajectory[-1]
-        return ChoiceResult(final.configuration,
-                            allocation_of(forest, buckets), final.cost,
-                            tuple(trajectory))
+        return ChoiceResult(config, allocation_of(config, buckets),
+                            trajectory[-1].cost, tuple(trajectory))
 
 
-def _leaders(forest: Forest, remaining: list[int], used: float,
+def _leaders(config: Configuration, remaining: list[int], used: float,
              memory: float, price: list[float], fed: list[float],
              raw: list[float], x: list[float], cost: float, c1: float,
              c2: float) -> list[int]:
@@ -146,8 +143,8 @@ def _leaders(forest: Forest, remaining: list[int], used: float,
     where ``below'`` differs from ``below`` only for captured roots, which
     stop being raw. Returned in candidate order.
     """
-    order, parent = forest.order, forest.parent
-    children, leaf = forest.children, forest.leaf
+    order, parent = config.order, config.parent_of
+    children, leaf = config.children_of, config.leaf
     reach = [0.0] * len(parent)
     eq7_sums(order, parent, leaf, x, reach=reach)
     below = [0.0] * len(parent)
@@ -158,7 +155,7 @@ def _leaders(forest: Forest, remaining: list[int], used: float,
     for p in remaining:
         if used + price[p] > memory:
             continue
-        par, captured = forest.attach_point(p)
+        par, captured = config.attach_point(p)
         if not captured:
             continue
         stay = sum([below[c] for c in captured])
@@ -178,8 +175,8 @@ def _leaders(forest: Forest, remaining: list[int], used: float,
     return [p for score, p in scored if score + slack / price[p] >= floor]
 
 
-def _final_buckets(forest: Forest, size: list[float], price: list[float],
-                   memory: float) -> list[float]:
+def _final_buckets(config: Configuration, size: list[float],
+                   price: list[float], memory: float) -> list[float]:
     """Distribute leftover space proportional to group counts.
 
     If even the base ``phi * g`` sizing does not fit (possible when the
@@ -189,14 +186,14 @@ def _final_buckets(forest: Forest, size: list[float], price: list[float],
     :func:`~repro.core.allocation.split_to_buckets` does (and, like it,
     a budget below one bucket per table raises ``AllocationError``).
     """
-    order = forest.order
-    u = forest.universe
+    order = config.order
+    u = config.universe
     used = sum(price[i] for i in order)
     buckets = [0.0] * len(size)
     if used > memory:
         factor = memory / used
         if any(size[i] * factor < 1.0 for i in order):
-            return split_to_buckets(forest, price, memory)
+            return split_to_buckets(config, price, memory)
         for i in order:
             buckets[i] = size[i] * factor
         return buckets

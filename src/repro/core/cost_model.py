@@ -31,11 +31,11 @@ divides the per-record rate by the relation's mean flow length (Eq. 15).
 Flush-time propagation uses *unclustered* rates, because flush arrivals are
 per-group entries rather than packets.
 
-Both equations are written once, over the planner's index form
-(:mod:`repro.core.forest`): :func:`eq7_sums` and :func:`eq8_sums` walk a
-topological order with parent indices, summing left to right. The
-``Configuration``-taking functions below are adapters onto them; the
-choosers, ES and admission price forests with :func:`intra_cost`.
+Both equations are written once, over a configuration's index arrays:
+:func:`eq7_sums` and :func:`eq8_sums` walk a topological order with
+parent indices, summing left to right. The functions below that take
+statistics attach them (``config.with_stats(stats)``) and call them; the
+choosers, ES and admission price with :func:`intra_cost`.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from typing import Mapping, Sequence
 
 from repro.core.attributes import AttributeSet
 from repro.core.collision.base import CollisionModel, clamp_rate
-from repro.core.configuration import Configuration
-from repro.core.forest import RAW, Forest
+from repro.core.configuration import RAW, Configuration
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 
@@ -57,7 +56,7 @@ __all__ = [
     "eq7_sums",
     "eq8_sums",
     "relation_rate",
-    "forest_rates",
+    "config_rates",
     "intra_cost",
     "collision_rates",
     "intra_epoch_cost",
@@ -151,7 +150,7 @@ def relation_rate(model: CollisionModel, groups: float, buckets: float,
     return clamp_rate(model.rate(groups, buckets) / flow_length)
 
 
-def forest_rates(forest: Forest, buckets: Sequence[float],
+def config_rates(config: Configuration, buckets: Sequence[float],
                  model: CollisionModel, clustered: bool) -> list[float]:
     """Per-relation collision rates, indexed like ``buckets``.
 
@@ -159,28 +158,30 @@ def forest_rates(forest: Forest, buckets: Sequence[float],
     length (Eq. 15); fed relations see eviction streams, whose
     clusteredness is already consumed upstream.
     """
-    u = forest.universe
-    g, l, parent = u.g, u.l, forest.parent
+    u = config.universe
+    g, l, parent = u.g, u.l, config.parent_of
     x = [0.0] * len(g)
-    for i in forest.order:
+    for i in config.order:
         x[i] = relation_rate(model, g[i], buckets[i],
                              l[i] if clustered and parent[i] == RAW else 1.0)
     return x
 
 
-def intra_cost(forest: Forest, buckets: Sequence[float],
+def intra_cost(config: Configuration, buckets: Sequence[float],
                model: CollisionModel, params: CostParameters,
                clustered: bool = True) -> float:
-    """Eq. 7's total for a forest and its bucket counts."""
-    x = forest_rates(forest, buckets, model, clustered)
-    probe, evict = eq7_sums(forest.order, forest.parent, forest.leaf, x)
+    """Eq. 7's total for a configuration and its bucket counts."""
+    x = config_rates(config, buckets, model, clustered)
+    probe, evict = eq7_sums(config.order, config.parent_of, config.leaf, x)
     return probe * params.probe_cost + evict * params.evict_cost
 
 
-def _bucket_list(forest: Forest,
-                 buckets: Mapping[AttributeSet, float]) -> list[float]:
-    out = []
-    for rel in forest.universe.rels:
+def bucket_list(config: Configuration,
+                buckets: Mapping[AttributeSet, float]) -> list[float]:
+    """An allocation's bucket counts indexed like ``config``'s universe
+    (zero for relations it does not instantiate)."""
+    out = [0.0] * len(config.universe.rels)
+    for i, rel in zip(config.order, config.relations):
         try:
             b = buckets[rel]
         except KeyError:
@@ -188,7 +189,7 @@ def _bucket_list(forest: Forest,
                 f"no bucket count allocated for {rel}") from None
         if b <= 0:
             raise AllocationError(f"non-positive bucket count for {rel}: {b}")
-        out.append(b)
+        out[i] = b
     return out
 
 
@@ -204,18 +205,18 @@ def collision_rates(config: Configuration, stats: RelationStatistics,
     already consumed upstream, so flow lengths for non-raw relations should
     normally be 1 in ``stats`` unless measured otherwise.
     """
-    forest = config.forest(stats)
-    x = forest_rates(forest, _bucket_list(forest, buckets), model, clustered)
-    return dict(zip(forest.universe.rels, x))
+    config = config.with_stats(stats)
+    x = config_rates(config, bucket_list(config, buckets), model, clustered)
+    rels = config.universe.rels
+    return {rels[i]: x[i] for i in config.order}
 
 
 def intra_epoch_cost(config: Configuration,
                      rates: Mapping[AttributeSet, float],
                      params: CostParameters) -> CostBreakdown:
     """Eq. 7: expected per-record maintenance cost given collision rates."""
-    forest = config.forest()
-    x = [rates[rel] for rel in forest.universe.rels]
-    probe, evict = eq7_sums(forest.order, forest.parent, forest.leaf, x)
+    x = [rates[rel] if rel in config else 0.0 for rel in config.universe.rels]
+    probe, evict = eq7_sums(config.order, config.parent_of, config.leaf, x)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)
 
@@ -225,8 +226,8 @@ def per_record_cost(config: Configuration, stats: RelationStatistics,
                     model: CollisionModel, params: CostParameters,
                     clustered: bool = True) -> float:
     """Convenience: Eq. 7 total from statistics and an allocation."""
-    forest = config.forest(stats)
-    return intra_cost(forest, _bucket_list(forest, buckets), model, params,
+    config = config.with_stats(stats)
+    return intra_cost(config, bucket_list(config, buckets), model, params,
                       clustered)
 
 
@@ -262,10 +263,11 @@ def flush_cost(config: Configuration, stats: RelationStatistics,
     above the measured flush cost on phantom trees — safe for the
     peak-load constraint it exists to enforce.
     """
-    forest = config.forest(stats)
-    b = _bucket_list(forest, buckets)
-    x = forest_rates(forest, b, model, clustered=False)
-    occ = [expected_occupancy(g, bi) for g, bi in zip(forest.universe.g, b)]
-    probe, evict = eq8_sums(forest.order, forest.parent, forest.leaf, x, occ)
+    config = config.with_stats(stats)
+    b = bucket_list(config, buckets)
+    x = config_rates(config, b, model, clustered=False)
+    occ = [expected_occupancy(g, bi) for g, bi in zip(config.universe.g, b)]
+    probe, evict = eq8_sums(config.order, config.parent_of, config.leaf, x,
+                            occ)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
+from repro.core.configuration import RAW
 from repro.core.cost_model import (
     CostParameters,
-    collision_rates,
+    bucket_list,
+    config_rates,
     eq7_sums,
     expected_occupancy,
     flush_cost,
@@ -80,36 +81,36 @@ class PlanExplanation:
 
 
 def explain(plan: Plan, stats: RelationStatistics,
-            params: CostParameters | None = None,
-            model: CollisionModel | None = None) -> PlanExplanation:
-    """Break a plan's predicted cost down per relation."""
+            params: CostParameters | None = None) -> PlanExplanation:
+    """Break a plan's predicted cost down per relation.
+
+    Prices under the plan's own collision model and clusteredness, so
+    the rows sum to ``plan.predicted_cost``: each row's probe and
+    eviction terms are read off the one Eq. 7 walk.
+    """
     params = params or CostParameters()
-    model = model or LookupModel()
-    config = plan.configuration
-    buckets = plan.allocation.buckets
-    rates = collision_rates(config, stats, buckets, model)
-    forest = config.forest()
-    reach_of = [0.0] * len(forest.order)
-    eq7_sums(forest.order, forest.parent, forest.leaf,
-             [rates[rel] for rel in forest.universe.rels], reach=reach_of)
-    reach = dict(zip(forest.universe.rels, reach_of))
+    model = plan.model or LookupModel()
+    config = plan.configuration.with_stats(stats)
+    buckets = bucket_list(config, plan.allocation.buckets)
+    rates = config_rates(config, buckets, model, plan.clustered)
+    reach = [0.0] * len(buckets)
+    eq7_sums(config.order, config.parent_of, config.leaf, rates,
+             reach=reach)
+    u = config.universe
     rows = []
     per_record = 0.0
-    for rel in config.relations:
-        is_query = rel in config.queries
-        is_raw = config.is_raw(rel)
-        is_leaf = config.is_leaf(rel)
-        role = ("query" if is_query else "phantom")
-        if is_raw:
-            role = "raw " + role
-        probe = reach[rel] * params.probe_cost
-        evict = (reach[rel] * rates[rel] * params.evict_cost
-                 if is_leaf else 0.0)
+    for i in config.order:
+        rel = u.rels[i]
+        role = (("raw " if config.parent_of[i] == RAW else "")
+                + ("query" if rel in u.queries else "phantom"))
+        probe = reach[i] * params.probe_cost
+        evict = (reach[i] * rates[i] * params.evict_cost
+                 if config.leaf[i] else 0.0)
         per_record += probe + evict
-        g = stats.group_count(rel)
-        b = float(buckets[rel])
+        g, b = u.g[i], float(buckets[i])
         rows.append(RelationExplanation(
-            rel.label(), role, g, b, g / b, rates[rel], reach[rel],
+            rel.label(), role, g, b, g / b, rates[i], reach[i],
             probe, evict, expected_occupancy(g, b)))
-    flush = flush_cost(config, stats, buckets, model, params).total
+    flush = flush_cost(plan.configuration, stats, plan.allocation.buckets,
+                       model, params).total
     return PlanExplanation(plan, tuple(rows), per_record, flush)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.attributes import AttributeSet
-from repro.core.forest import attribute_masks
+from repro.core.configuration import attribute_masks
 from repro.core.queries import QuerySet
 
 __all__ = ["FeedingGraph", "enumerate_phantoms"]

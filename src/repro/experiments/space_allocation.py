@@ -118,7 +118,7 @@ def all_configurations(queries: QuerySet,
     for k in range(len(candidates) + 1):
         for subset in combinations(candidates, k):
             try:
-                config = Configuration.from_relations(
+                config = Configuration.nested(
                     list(queries.group_bys) + list(subset),
                     queries.group_bys)
             except ConfigurationError:

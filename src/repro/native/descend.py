@@ -5,10 +5,11 @@ changes the point the next trial starts from — so it does not vectorize;
 this module compiles the *entire* descent of
 :func:`repro.core.allocation.exhaustive.descend` (Eq. 7 evaluation +
 mutate/revert scan) to native code at first use, which is what makes ES
-usable as an online reference. It reads the configuration's forest as
-arrays: ``g``, ``h`` (entry sizes, also the one-bucket floors), the flow
-divisor per relation (``l`` for a raw relation on a clustered stream,
-else 1), ``parent`` (negative for raw) and ``leaf``.
+usable as an online reference. It reads the configuration in
+topological index order (``Configuration.topological``) as arrays:
+``g``, ``h`` (entry sizes, also the one-bucket floors), the flow divisor
+per relation (``l`` for a raw relation on a clustered stream, else 1),
+``parent`` (negative for raw) and ``leaf``.
 
 Bit-identity contract (pinned by
 ``tests/core/test_cost_evaluator_vectorized.py``): the C source

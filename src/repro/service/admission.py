@@ -45,7 +45,6 @@ from repro.core.attributes import AttributeSet
 from repro.core.collision.lookup import LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost
-from repro.core.forest import Forest
 from repro.core.statistics import RelationStatistics
 from repro.errors import AdmissionError
 from repro.service.registry import QueryRegistry
@@ -104,17 +103,18 @@ def _table_price(policy: AdmissionPolicy, stats: RelationStatistics,
             * stats.entry_units(rel))
 
 
-def _candidate_costs(forest: Forest, memory: float,
+def _candidate_costs(config: Configuration, memory: float,
                      params: CostParameters) -> list[float]:
-    """Eq. 7 of a few plausible space splits of ``memory`` over ``forest``.
+    """Eq. 7 of a few plausible space splits of ``memory`` over ``config``
+    (indexed in topological order, :meth:`Configuration.topological`).
 
     Shapes tried: the paper's Section 5.3 sqrt demand rule, straight
     proportional-to-demand, and uniform, each floored at one bucket per
     table. Admission compares the SLO against the cheapest.
     """
-    h = forest.universe.h
+    h = config.universe.h
     entry = np.asarray(h, dtype=np.float64)
-    demand = np.asarray([forest.demand_score(i) for i in forest.order],
+    demand = np.asarray([config.demand_score(i) for i in config.order],
                         dtype=np.float64)
     shapes = [
         np.sqrt(demand) * entry,
@@ -140,7 +140,7 @@ def _candidate_costs(forest: Forest, memory: float,
                                    + (spaces[surplus] - entry[surplus])
                                    * scale)
         buckets = [s / h[i] for i, s in enumerate(spaces.tolist())]
-        costs.append(intra_cost(forest, buckets, model, params))
+        costs.append(intra_cost(config, buckets, model, params))
     return costs
 
 
@@ -155,10 +155,8 @@ def check_admission(policy: AdmissionPolicy, registry: QueryRegistry,
     """
     params = params or CostParameters()
     candidate = registry.physical_query_set(extra=query)
-    config = Configuration.flat(candidate.group_bys)
-
-    forest = config.forest(stats)
-    floor = forest.minimum_space()
+    config = Configuration.flat(candidate.group_bys).topological(stats)
+    floor = config.minimum_space()
     if floor > policy.memory:
         raise AdmissionError(
             f"cannot admit tenant {tenant!r}: binding constraint is "
@@ -186,7 +184,7 @@ def check_admission(policy: AdmissionPolicy, registry: QueryRegistry,
                 required=price, limit=quota)
 
     if policy.max_cost_per_record is not None:
-        costs = _candidate_costs(forest, policy.memory, params)
+        costs = _candidate_costs(config, policy.memory, params)
         if costs:
             best = min(costs)
             if best > policy.max_cost_per_record:

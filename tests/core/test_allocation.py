@@ -15,10 +15,10 @@ from repro.core.allocation import (
     SupernodeSqrt,
     flat_allocation,
     minimum_space,
-    spaces_to_allocation,
     two_level_allocation,
     two_level_split,
 )
+from repro.core.allocation.base import allocation_of, split_to_buckets
 from repro.core.collision.lookup import PAPER_MU, LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, per_record_cost
@@ -62,6 +62,15 @@ class TestAllocationContainer:
         alloc = Allocation({A("A"): 10.0})
         with pytest.raises(AllocationError):
             alloc.rounded(STATS, memory=5)
+
+
+def spaces_to_allocation(config, stats, spaces, memory):
+    """Per-relation space shares through the one-bucket floor
+    (``split_to_buckets``) into an allocation."""
+    priced = config.with_stats(stats)
+    index = priced.universe.index
+    shares = {index[rel]: space for rel, space in spaces.items()}
+    return allocation_of(priced, split_to_buckets(priced, shares, memory))
 
 
 class TestSpacesToAllocation:

@@ -106,29 +106,28 @@ class TestGreedySpaceCache:
                                                PARAMS))
 
     def test_cache_saves_evaluations(self, monkeypatch):
-        """What the benefit cache used to save is now structural: a plan
-        builds one ``Configuration`` per trajectory step and none per
-        candidate it tries."""
+        """What the benefit cache used to save is now structural: a
+        chooser prices index arrays and records the configurations it
+        priced, so a plan builds no ``Configuration`` from a parent map
+        and every trajectory step lives on the plan's one universe."""
         queries, stats, memory = CASES[6]
         built = []
-        init, from_forest = Configuration.__init__, Configuration.from_forest
+        init = Configuration.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
-        def counting_from_forest(forest):
-            built.append(forest)
-            return from_forest(forest)
-
         monkeypatch.setattr(Configuration, "__init__", counting_init)
-        monkeypatch.setattr(Configuration, "from_forest",
-                            counting_from_forest)
         for chooser in (GreedySpace(), gcsl()):
             built.clear()
             result = chooser.choose(queries, stats, memory, PARAMS)
             assert len(result.trajectory) > 1
-            assert len(built) == len(result.trajectory)
+            assert built == []
+            assert result.configuration is \
+                result.trajectory[-1].configuration
+            assert len({id(step.configuration.universe)
+                        for step in result.trajectory}) == 1
 
 
 class TestGreedyCollision:

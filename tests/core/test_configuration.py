@@ -105,8 +105,8 @@ class TestStructure:
         cfg = Configuration.from_notation("ABC(AB BC) BD CD")
         assert cfg.is_raw(A("BD")) and cfg.is_leaf(A("BD"))
 
-    def test_from_relations_minimal_superset(self):
-        cfg = Configuration.from_relations(
+    def test_nested_minimal_superset(self):
+        cfg = Configuration.nested(
             [A(t) for t in ("A", "B", "AB", "ABC", "C")],
             [A(t) for t in ("A", "B", "C")])
         assert cfg.parent(A("A")) == A("AB")
@@ -151,12 +151,12 @@ class TestSurgery:
 
 
 @given(st.data())
-def test_from_relations_always_valid_forest(data):
+def test_nested_always_valid_forest(data):
     queries = [A(t) for t in ("AB", "BC", "BD", "CD")]
     phantoms = enumerate_phantoms(queries)
     subset = data.draw(st.sets(st.sampled_from(phantoms)))
     try:
-        cfg = Configuration.from_relations(queries + list(subset), queries)
+        cfg = Configuration.nested(queries + list(subset), queries)
     except ConfigurationError:
         return  # a childless-phantom structure; rejection is correct
     # Structural invariants hold for every accepted forest.

@@ -1,8 +1,9 @@
 """ES's pricing and descent: the frozen batched lanes and the C kernel.
 
 ES prices a space vector with the planner's scalar Eq. 7 on the
-configuration's forest. These tests pin that price to the lanes of the
-batched evaluator it replaced (kept in ``tests/references.py``), and
+configuration's relations in topological order. These tests pin that
+price to the lanes of the batched evaluator it replaced (kept in
+``tests/references.py``), and
 (when a compiler is present) the descent kernel to the scalar
 mutate-and-revert loop — including its lossy ``(a - s) + s`` revert
 arithmetic, which the kernel must reproduce exactly.
@@ -21,9 +22,8 @@ from repro.core.allocation.exhaustive import (
 )
 from repro.core.attributes import AttributeSet
 from repro.core.collision.lookup import LinearModel, LookupModel
-from repro.core.configuration import Configuration
+from repro.core.configuration import RAW, Configuration
 from repro.core.cost_model import CostParameters, intra_cost, per_record_cost
-from repro.core.forest import RAW
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
 from repro.native import descend as native_descend
@@ -41,7 +41,7 @@ STATS = RelationStatistics.from_counts({
     "ABC": 2117, "BCD": 2520, "ABCD": 2837,
 })
 CONFIG = Configuration.from_notation("(ABCD(AB BCD(BC BD CD)))")
-FOREST = CONFIG.forest(STATS)
+FOREST = CONFIG.topological(STATS)
 PARAMS = CostParameters()
 
 
@@ -122,9 +122,9 @@ class TestDescentEquivalence:
                  for f, h in zip(start_fracs, u.h)]
         step, min_step = START_STEP * memory, POLISH_STEP * memory
         flow = [u.l[i] if p == RAW else 1.0
-                for i, p in enumerate(FOREST.parent)]
+                for i, p in enumerate(FOREST.parent_of)]
         got = native_descend.descend(
-            start, u.h, u.g, u.h, flow, FOREST.parent, FOREST.leaf,
+            start, u.h, u.g, u.h, flow, FOREST.parent_of, FOREST.leaf,
             PARAMS.probe_cost, PARAMS.evict_cost, model.table_array,
             model.table_step, step, min_step)
         assert got == _scalar_descend(FOREST, list(start), step, min_step,

@@ -59,7 +59,7 @@ def configurations(draw):
     flows = {rel: float(draw(st.integers(1, 6))) for rel in groups}
     stats = RelationStatistics(groups, flows,
                                counters=draw(st.sampled_from([1, 2])))
-    config = Configuration.from_relations(queries, queries)
+    config = Configuration.nested(queries, queries)
     shape = draw(st.sampled_from(["queries", "deep", "gc"]))
     if shape == "deep":
         # Widest phantoms first, so later ones nest under earlier ones.
@@ -122,7 +122,8 @@ def test_admission_prices_match_cost_many_lanes(data):
     evaluator = RefCostEvaluator(config, stats, PARAMS)
     lanes = evaluator.cost_many(ref_candidate_rows(evaluator, stats,
                                                    memory)).tolist()
-    assert _candidate_costs(config.forest(stats), memory, PARAMS) == lanes
+    assert _candidate_costs(config.topological(stats), memory,
+                            PARAMS) == lanes
 
 
 def _verdict(check, *args):

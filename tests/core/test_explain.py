@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core import QuerySet, RelationStatistics, plan
+from repro.core.collision.lookup import LinearModel
 from repro.core.cost_model import CostParameters
 from repro.core.explain import explain
+from repro.core.feeding_graph import FeedingGraph
+from repro.workloads import paper_like_trace
+from repro.workloads.datasets import measure_statistics
 
 STATS = RelationStatistics.from_counts({
     "A": 552, "B": 760, "C": 940, "D": 1120,
@@ -73,3 +77,27 @@ class TestExplain:
                 row.groups / row.buckets)
             assert 0 <= row.collision_rate <= 1
             assert row.occupancy <= min(row.groups, row.buckets) + 1e-6
+
+
+class TestPlanModel:
+    """``explain`` prices under the plan's own model and clusteredness,
+    so its rows sum to the plan's predicted cost whatever those are."""
+
+    @pytest.fixture(scope="class")
+    def trace_stats(self):
+        queries = QuerySet.counts(["AB", "BC", "BD", "CD"])
+        stats = measure_statistics(paper_like_trace(100_000, seed=1),
+                                   FeedingGraph(queries).nodes,
+                                   flow_timeout=1.0)
+        return queries, stats
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"clustered": False}, {"model": LinearModel()}])
+    def test_rows_sum_to_predicted_cost(self, trace_stats, kwargs):
+        queries, stats = trace_stats
+        the_plan = plan(queries, stats, 40_000, PARAMS, **kwargs)
+        result = explain(the_plan, stats, PARAMS)
+        total = sum(row.total_cost for row in result.relations)
+        assert total == pytest.approx(the_plan.predicted_cost, rel=1e-12)
+        assert result.per_record_cost == pytest.approx(
+            the_plan.predicted_cost, rel=1e-12)

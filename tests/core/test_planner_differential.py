@@ -110,8 +110,7 @@ def referenced(queries, stats, memory, algorithm, phi, clustered):
 def gs_floors(queries, stats, memory, phi):
     """Whether the old GS scaled a table of the query-only
     configuration below one bucket (it accepts no phantom then)."""
-    start = Configuration.from_relations(queries.group_bys,
-                                         queries.group_bys)
+    start = Configuration.nested(queries.group_bys, queries.group_bys)
     sizes = [max(phi * stats.group_count(rel), 1.0)
              for rel in start.relations]
     used = sum(b * stats.entry_units(rel)

@@ -49,10 +49,11 @@ class TestAccessors:
         """``g h / l`` for a stream-fed relation, ``g h`` for a fed one."""
         stats = RelationStatistics.from_counts(
             {"AB": 100, "ABC": 10}, {"AB": 4.0, "ABC": 2.0})
-        forest = Configuration.from_notation("ABC(AB)").forest(stats)
-        assert forest.universe.rels == [A("ABC"), A("AB")]
-        assert forest.demand_score(0) == pytest.approx(10 * 4 / 2)
-        assert forest.demand_score(1) == pytest.approx(100 * 3)
+        config = Configuration.from_notation("ABC(AB)").with_stats(stats)
+        index = config.universe.index
+        assert config.demand_score(index[A("ABC")]) == \
+            pytest.approx(10 * 4 / 2)
+        assert config.demand_score(index[A("AB")]) == pytest.approx(100 * 3)
 
     def test_covered(self):
         stats = RelationStatistics.from_counts({"A": 10, "B": 20})

@@ -30,13 +30,18 @@ the cached one did), and :func:`ref_plan` wiring them like ``plan()``.
 bit for bit. :class:`RefExhaustiveAllocator`, :class:`RefCostEvaluator`
 and :func:`ref_check_admission` are ES and admission from before they
 priced allocations on the planner's forests (see their section below).
+:class:`RefConfiguration` is ``Configuration`` as a dict tree, before it
+became index arrays, and :func:`ref_enumerate_structures` the exhaustive
+chooser's product walk over it (the last section).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -49,7 +54,12 @@ from repro.core.collision.lookup import PAPER_MU, LinearModel, LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.core.queries import QuerySet
-from repro.errors import AdmissionError, AllocationError, ConfigurationError
+from repro.errors import (
+    AdmissionError,
+    AllocationError,
+    ConfigurationError,
+    NotationError,
+)
 from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.lfta import run_reference
@@ -366,8 +376,7 @@ def ref_gc_choose(allocate, queries, stats, memory, params, model,
                   clustered=True, min_benefit=1e-12):
     """GreedyCollision.choose with ``allocate(config, stats, memory,
     params)`` as its allocator."""
-    config = Configuration.from_relations(queries.group_bys,
-                                          queries.group_bys)
+    config = Configuration.nested(queries.group_bys, queries.group_bys)
     allocation = allocate(config, stats, memory, params)
     cost = ref_per_record_cost(config, stats, allocation.buckets, model,
                                params, clustered)
@@ -430,8 +439,7 @@ def ref_gs_choose(phi, queries, stats, memory, params, model,
         return ref_per_record_cost(config, stats, allocation.buckets, model,
                                    params, clustered)
 
-    config = Configuration.from_relations(queries.group_bys,
-                                          queries.group_bys)
+    config = Configuration.nested(queries.group_bys, queries.group_bys)
     cost = cost_of(config)
     trajectory = [ChoiceStep(None, config, distributed_cost(config))]
     remaining = [p for p in reference_phantoms(queries.group_bys)
@@ -868,3 +876,381 @@ def ref_check_admission(policy, registry, tenant, query, stats,
                     f"SLO of {policy.max_cost_per_record:.3f}",
                     constraint="cost-slo", tenant=tenant,
                     required=best, limit=policy.max_cost_per_record)
+
+
+# ----------------------------------------------------------------------
+# Configuration as a dict tree, before it became index arrays, copied
+# verbatim from the last version that had no index form at all (the
+# version after it kept this tree and only added conversions to and from
+# the planner's arrays), and the exhaustive chooser's structure
+# generator over it. ``tests/core/test_configuration_reference.py`` and
+# ``tests/core/test_enumerate_structures.py`` hold the production code
+# to them.
+# ----------------------------------------------------------------------
+
+
+def _ref_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    current = ""
+    for ch in text:
+        if ch in "()":
+            if current:
+                tokens.append(current)
+                current = ""
+            tokens.append(ch)
+        elif ch.isspace():
+            if current:
+                tokens.append(current)
+                current = ""
+        else:
+            current += ch
+    if current:
+        tokens.append(current)
+    return tokens
+
+
+class _RefParser:
+    """Recursive-descent parser for the configuration notation."""
+
+    def __init__(self, tokens: list[str]):
+        self._tokens = tokens
+        self._pos = 0
+
+    def _peek(self) -> str | None:
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos]
+        return None
+
+    def _next(self) -> str:
+        token = self._peek()
+        if token is None:
+            raise NotationError("unexpected end of configuration notation")
+        self._pos += 1
+        return token
+
+    def parse_forest(self) -> list[tuple[AttributeSet, list]]:
+        """Parse a whitespace-separated list of nodes until ')' or EOF."""
+        nodes: list[tuple[AttributeSet, list]] = []
+        while True:
+            token = self._peek()
+            if token is None or token == ")":
+                return nodes
+            if token == "(":
+                # A bare parenthesized group splices its contents (the paper
+                # wraps whole configurations in one extra pair of parens).
+                self._next()
+                nodes.extend(self.parse_forest())
+                if self._next() != ")":
+                    raise NotationError("unbalanced parentheses")
+                continue
+            label = self._next()
+            attrs = AttributeSet.parse(label)
+            children: list = []
+            if self._peek() == "(":
+                self._next()
+                children = self.parse_forest()
+                if not children:
+                    raise NotationError(f"empty child list for {label!r}")
+                if self._next() != ")":
+                    raise NotationError("unbalanced parentheses")
+            nodes.append((attrs, children))
+
+    def finish(self) -> None:
+        if self._peek() is not None:
+            raise NotationError(
+                f"trailing tokens in configuration notation: {self._tokens[self._pos:]}"
+            )
+
+
+class RefConfiguration:
+    """An immutable forest of instantiated relations.
+
+    Parameters
+    ----------
+    parent:
+        Mapping from each instantiated relation to its feeding parent, or
+        ``None`` for raw relations (fed directly by the stream).
+    queries:
+        The user-query grouping sets. Every query must be instantiated, and
+        every leaf of the forest must be a query.
+
+    Notes
+    -----
+    Use :meth:`from_notation`, :meth:`from_relations`, :meth:`flat` or the
+    surgery methods :meth:`with_phantom` / :meth:`without_phantom` rather
+    than building parent maps by hand.
+    """
+
+    def __init__(self, parent: Mapping[AttributeSet, AttributeSet | None],
+                 queries: Iterable[AttributeSet]):
+        self._parent: dict[AttributeSet, AttributeSet | None] = dict(parent)
+        self._queries: frozenset[AttributeSet] = frozenset(queries)
+        self._children: dict[AttributeSet, list[AttributeSet]] = {
+            rel: [] for rel in self._parent
+        }
+        for rel, par in self._parent.items():
+            if par is not None:
+                if par not in self._parent:
+                    raise ConfigurationError(
+                        f"parent {par} of {rel} is not instantiated")
+                self._children[par].append(rel)
+        for lst in self._children.values():
+            lst.sort(key=AttributeSet.sort_key)
+        self._validate()
+        self._order = self._topological_order()
+
+    # ------------------------------------------------------------------
+    # Constructors
+    # ------------------------------------------------------------------
+    @classmethod
+    def flat(cls, queries: Iterable[AttributeSet]) -> "RefConfiguration":
+        """The no-phantom configuration: every query is raw and leaf."""
+        qs = list(queries)
+        return cls({q: None for q in qs}, qs)
+
+    @classmethod
+    def from_notation(cls, text: str,
+                      queries: Iterable[AttributeSet] | None = None
+                      ) -> "RefConfiguration":
+        """Parse the paper's notation, e.g. ``"(ABCD(AB BCD(BC BD CD)))"``.
+
+        If ``queries`` is omitted, the leaves of the parsed forest are taken
+        to be the user queries (the paper's convention: only queries are
+        leaves).
+        """
+        parser = _RefParser(_ref_tokenize(text))
+        forest = parser.parse_forest()
+        parser.finish()
+        if not forest:
+            raise NotationError(f"no relations in notation {text!r}")
+        parent: dict[AttributeSet, AttributeSet | None] = {}
+
+        def visit(node: tuple[AttributeSet, list],
+                  par: AttributeSet | None) -> None:
+            attrs, children = node
+            if attrs in parent:
+                raise ConfigurationError(f"relation {attrs} appears twice")
+            parent[attrs] = par
+            for child in children:
+                visit(child, attrs)
+
+        for root in forest:
+            visit(root, None)
+        if queries is None:
+            queries = [rel for rel in parent
+                       if not any(p == rel for p in parent.values())]
+        return cls(parent, queries)
+
+    @classmethod
+    def from_relations(cls, relations: Iterable[AttributeSet],
+                       queries: Iterable[AttributeSet],
+                       tie_break: Callable[[AttributeSet], object] | None = None
+                       ) -> "RefConfiguration":
+        """Derive the forest for a set of instantiated relations.
+
+        Each relation's parent is its *minimal* instantiated strict superset.
+        When several incomparable minimal supersets exist, ``tie_break``
+        chooses among them (smallest key wins); the default prefers the
+        smallest attribute set, then lexicographic order, which favours the
+        parent with the fewest groups in typical data.
+        """
+        rels = sorted(set(relations), key=AttributeSet.sort_key)
+        if tie_break is None:
+            tie_break = AttributeSet.sort_key
+        parent: dict[AttributeSet, AttributeSet | None] = {}
+        for rel in rels:
+            supersets = [other for other in rels if rel < other]
+            minimal = [s for s in supersets
+                       if not any(t < s for t in supersets)]
+            if not minimal:
+                parent[rel] = None
+            else:
+                parent[rel] = min(minimal, key=tie_break)
+        return cls(parent, queries)
+
+    # ------------------------------------------------------------------
+    # Validation & structure
+    # ------------------------------------------------------------------
+    def _validate(self) -> None:
+        if not self._parent:
+            raise ConfigurationError("a configuration must not be empty")
+        for rel, par in self._parent.items():
+            if par is not None and not rel < par:
+                raise ConfigurationError(
+                    f"{rel} cannot be fed by {par}: not a strict subset")
+        missing = self._queries - set(self._parent)
+        if missing:
+            raise ConfigurationError(
+                f"queries not instantiated: {sorted(missing, key=AttributeSet.sort_key)}")
+        for rel in self._parent:
+            if not self._children[rel] and rel not in self._queries:
+                raise ConfigurationError(
+                    f"leaf relation {rel} is not a user query")
+
+    def _topological_order(self) -> list[AttributeSet]:
+        order: list[AttributeSet] = []
+        roots = sorted((r for r, p in self._parent.items() if p is None),
+                       key=AttributeSet.sort_key)
+        stack = list(reversed(roots))
+        while stack:
+            rel = stack.pop()
+            order.append(rel)
+            stack.extend(reversed(self._children[rel]))
+        if len(order) != len(self._parent):
+            raise ConfigurationError("configuration contains a cycle")
+        return order
+
+    # ------------------------------------------------------------------
+    # Accessors
+    # ------------------------------------------------------------------
+    @property
+    def relations(self) -> list[AttributeSet]:
+        """All instantiated relations in topological order (parents first)."""
+        return list(self._order)
+
+    @property
+    def queries(self) -> frozenset[AttributeSet]:
+        return self._queries
+
+    @property
+    def phantoms(self) -> list[AttributeSet]:
+        """Instantiated relations that are not user queries."""
+        return [r for r in self._order if r not in self._queries]
+
+    @property
+    def raw_relations(self) -> list[AttributeSet]:
+        """Relations fed directly by the stream (the forest roots)."""
+        return [r for r in self._order if self._parent[r] is None]
+
+    @property
+    def leaves(self) -> list[AttributeSet]:
+        """Relations with no children (always user queries)."""
+        return [r for r in self._order if not self._children[r]]
+
+    def parent(self, rel: AttributeSet) -> AttributeSet | None:
+        return self._parent[rel]
+
+    def children(self, rel: AttributeSet) -> list[AttributeSet]:
+        return list(self._children[rel])
+
+    def ancestors(self, rel: AttributeSet) -> list[AttributeSet]:
+        """Instantiated ancestors, nearest (parent) first."""
+        chain: list[AttributeSet] = []
+        current = self._parent[rel]
+        while current is not None:
+            chain.append(current)
+            current = self._parent[current]
+        return chain
+
+    def depth(self, rel: AttributeSet) -> int:
+        """0 for raw relations, 1 for their children, and so on."""
+        return len(self.ancestors(rel))
+
+    def is_raw(self, rel: AttributeSet) -> bool:
+        return self._parent[rel] is None
+
+    def is_leaf(self, rel: AttributeSet) -> bool:
+        return not self._children[rel]
+
+    def __contains__(self, rel: object) -> bool:
+        return rel in self._parent
+
+    def __len__(self) -> int:
+        return len(self._parent)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefConfiguration):
+            return NotImplemented
+        return self._parent == other._parent and self._queries == other._queries
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._parent.items()), self._queries))
+
+    # ------------------------------------------------------------------
+    # Surgery
+    # ------------------------------------------------------------------
+    def with_phantom(self, phantom: AttributeSet) -> "RefConfiguration":
+        """Add a phantom, re-attaching the affected relations.
+
+        The phantom's parent becomes its minimal instantiated strict superset
+        (or the stream); relations currently attached to that parent whose
+        attributes are strict subsets of the phantom are re-attached to it.
+        """
+        if phantom in self._parent:
+            raise ConfigurationError(f"{phantom} is already instantiated")
+        supersets = [r for r in self._parent if phantom < r]
+        minimal = [s for s in supersets if not any(t < s for t in supersets)]
+        new_parent_of_phantom = (min(minimal, key=AttributeSet.sort_key)
+                                 if minimal else None)
+        parent = dict(self._parent)
+        parent[phantom] = new_parent_of_phantom
+        for rel, par in self._parent.items():
+            if par == new_parent_of_phantom and rel < phantom:
+                parent[rel] = phantom
+        return RefConfiguration(parent, self._queries)
+
+    def without_phantom(self, phantom: AttributeSet) -> "RefConfiguration":
+        """Remove a phantom, re-attaching its children to its parent."""
+        if phantom not in self._parent:
+            raise ConfigurationError(f"{phantom} is not instantiated")
+        if phantom in self._queries:
+            raise ConfigurationError(f"{phantom} is a user query; it cannot be removed")
+        grand = self._parent[phantom]
+        parent = {rel: par for rel, par in self._parent.items() if rel != phantom}
+        for rel in self._children[phantom]:
+            parent[rel] = grand
+        return RefConfiguration(parent, self._queries)
+
+    # ------------------------------------------------------------------
+    # Display
+    # ------------------------------------------------------------------
+    def to_notation(self) -> str:
+        """Render in the paper's notation (inverse of :meth:`from_notation`)."""
+
+        def render(rel: AttributeSet) -> str:
+            kids = self._children[rel]
+            if not kids:
+                return rel.label()
+            inner = " ".join(render(k) for k in kids)
+            return f"{rel.label()}({inner})"
+
+        return " ".join(render(root) for root in self.raw_relations)
+
+    def __repr__(self) -> str:
+        return f"RefConfiguration({self.to_notation()!r})"
+
+    def __str__(self) -> str:
+        return self.to_notation()
+
+
+def ref_enumerate_structures(relations, queries, limit=64,
+                             prune_single_child=False):
+    """``enumerate_structures`` over ``AttributeSet`` relations: the
+    cartesian product of minimal-superset parent choices, each
+    assignment counted with a ``Counter``."""
+    rels = sorted(set(relations), key=lambda r: r.sort_key())
+    choices: list[list] = []
+    for rel in rels:
+        supersets = [other for other in rels if rel < other]
+        minimal = [s for s in supersets
+                   if not any(t < s for t in supersets)]
+        choices.append(minimal if minimal else [None])
+    queries = frozenset(queries)
+    phantoms = [rel for rel in rels if rel not in queries]
+    count = 0
+    for assignment in product(*choices):
+        if count >= limit:
+            return
+        fed = Counter(assignment)
+        fewest = min((fed[p] for p in phantoms), default=2)
+        if fewest == 0:
+            continue  # a childless phantom: not a configuration
+        if prune_single_child and fewest < 2:
+            count += 1
+            continue
+        try:
+            config = RefConfiguration(dict(zip(rels, assignment)), queries)
+        except ConfigurationError:
+            continue
+        count += 1
+        yield config
