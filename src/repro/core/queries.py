@@ -13,6 +13,7 @@ temporal epoch length, and an optional HAVING-style threshold (the intro's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -91,8 +92,8 @@ class AggregationQuery:
     def __post_init__(self) -> None:
         if not self.group_by:
             raise SchemaError("a query must group by at least one attribute")
-        if self.epoch_seconds <= 0:
-            raise SchemaError("epoch_seconds must be positive")
+        if not 0 < self.epoch_seconds < math.inf:
+            raise SchemaError("epoch_seconds must be positive and finite")
         if self.having_min is not None and self.having_min < 0:
             raise SchemaError("having_min must be non-negative")
 

@@ -84,13 +84,20 @@ def simulate(dataset: Dataset, config: Configuration,
     max_b = max(table_sizes.values())
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
-    n_epochs = 0
     with trace(registry, "engine"):
-        for epoch_id, start, end in dataset.epoch_slices(epoch_seconds):
-            n_epochs += 1
+        slices = list(dataset.epoch_slices(epoch_seconds))
+        n_epochs = len(slices)
+        # A raw arrival's time is its index in the epoch and its weight
+        # is 1: every epoch reads a prefix of the same two buffers.
+        longest = max((end - start for _, start, end in slices), default=0)
+        times0 = np.arange(longest, dtype=np.int64)
+        ones = np.ones(longest, dtype=np.int64)
+        times0.flags.writeable = ones.flags.writeable = False
+        for epoch_id, start, end in slices:
             _simulate_epoch(dataset, config, table_sizes, salts, depths,
                             max_b, counters, hfta, epoch_id, start, end,
-                            value_column)
+                            value_column, times0[:end - start],
+                            ones[:end - start])
     if registry is not None:
         registry.counter("engine.records").inc(len(dataset))
         registry.counter("engine.epochs").inc(n_epochs)
@@ -102,12 +109,10 @@ def _simulate_epoch(dataset: Dataset, config: Configuration,
                     salts: dict[AttributeSet, int],
                     depths: dict[AttributeSet, int], max_b: int,
                     counters: CostCounters, hfta: HFTA, epoch_id: int,
-                    start: int, end: int,
-                    value_column: str | None) -> None:
+                    start: int, end: int, value_column: str | None,
+                    times0: np.ndarray, ones: np.ndarray) -> None:
     n = end - start
     stride = np.int64(n + max_b + 2)
-    times0 = np.arange(n, dtype=np.int64)
-    ones = np.ones(n, dtype=np.int64)
     values = (dataset.values[value_column][start:end]
               if value_column else None)
     arrivals: dict[AttributeSet, _Arrivals] = {}

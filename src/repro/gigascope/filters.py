@@ -21,6 +21,7 @@ front-end's WHERE clause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol, runtime_checkable
 
@@ -222,8 +223,8 @@ class Bucketize:
     width: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise SchemaError("bucket width must be positive")
+        if not 0 < self.width < math.inf:
+            raise SchemaError("bucket width must be positive and finite")
 
     def compute(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return np.floor(

@@ -18,6 +18,7 @@ from that epoch's exact statistics, landing at the next boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,6 +189,7 @@ class LiveStreamSystem:
             raise SchemaError("batches must arrive in timestamp order")
         kept = (filter_dataset(batch, self.where)
                 if self.where is not None else batch)
+        slices = list(kept.epoch_slices(self.epoch_seconds))
 
         # Everything validated; state mutation starts here.
         self._last_time = float(batch.timestamps[-1])
@@ -203,11 +205,7 @@ class LiveStreamSystem:
         completed: list[EpochReport] = []
         timestamps = kept.timestamps
         vals = kept.values.get(self.value_column)
-        epoch_ids = np.floor(timestamps / self.epoch_seconds).astype(np.int64)
-        boundaries = np.concatenate(
-            ([0], np.flatnonzero(np.diff(epoch_ids)) + 1, [len(kept)]))
-        for start, end in zip(boundaries[:-1], boundaries[1:]):
-            epoch = int(epoch_ids[start])
+        for epoch, start, end in slices:
             if self._pending_epoch is not None and \
                     epoch != self._pending_epoch:
                 completed.append(self._close_epoch())
@@ -223,7 +221,7 @@ class LiveStreamSystem:
         """Close the open epoch if ``_last_time`` has moved past its end."""
         if self._pending_epoch is None:
             return []
-        latest_epoch = int(np.floor(self._last_time / self.epoch_seconds))
+        latest_epoch = math.floor(self._last_time / self.epoch_seconds)
         if latest_epoch > self._pending_epoch:
             return [self._close_epoch()]
         return []

@@ -10,6 +10,7 @@ record batch: every runtime builds one from what it is handed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -19,6 +20,11 @@ from repro.core.attributes import AttributeSet
 from repro.errors import SchemaError
 
 __all__ = ["StreamSchema", "Dataset"]
+
+#: Epoch ids are int64: ``floor(t / epoch_seconds)`` must lie in
+#: ``[-2**63, 2**63)``.
+_EPOCH_ID_MIN = -2.0 ** 63
+_EPOCH_ID_END = 2.0 ** 63
 
 
 @dataclass(frozen=True)
@@ -125,19 +131,44 @@ class Dataset:
                      ) -> Iterator[tuple[int, int, int]]:
         """Yield ``(epoch_id, start, end)`` record ranges per epoch.
 
-        Epochs are aligned to absolute time (``floor(t / epoch_seconds)``,
-        the paper's ``time/60`` convention); empty epochs are skipped.
+        Epochs are aligned to absolute time, the paper's ``time/60``
+        convention: a record's epoch is ``floor(t / epoch_seconds)``
+        with ``t / epoch_seconds`` rounded as float64 division rounds
+        it, and empty epochs are skipped. The cut is exact: every record
+        lands in the epoch that expression gives it, also where the
+        quotient rounds across an edge ``k * epoch_seconds``.
+
+        Cost: O(log n) per non-empty epoch, not O(n). Timestamps are
+        sorted and the epoch is monotone in them, so each epoch's end is
+        a binary search for the next edge, fixed up by whole runs of
+        equal timestamps where the quotient rounds the other way; the
+        search jumps over any number of empty epochs. A non-finite or
+        non-positive length, or an epoch id outside int64, is refused
+        with :class:`~repro.errors.SchemaError`.
         """
-        if epoch_seconds <= 0:
-            raise SchemaError("epoch_seconds must be positive")
-        if len(self) == 0:
+        e = float(epoch_seconds)
+        if not 0 < e < math.inf:
+            raise SchemaError("epoch_seconds must be positive and finite")
+        n = len(self)
+        if n == 0:
             return
-        epoch_ids = np.floor(self.timestamps / epoch_seconds).astype(np.int64)
-        boundaries = np.flatnonzero(np.diff(epoch_ids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(self)]))
-        for start, end in zip(starts, ends):
-            yield int(epoch_ids[start]), int(start), int(end)
+        t = self.timestamps
+        if not (_EPOCH_ID_MIN <= float(t[0]) / e
+                and float(t[-1]) / e < _EPOCH_ID_END):
+            raise SchemaError("timestamps / epoch_seconds exceed the int64 "
+                              "range of epoch ids")
+        start = 0
+        while start < n:
+            epoch = math.floor(float(t[start]) / e)
+            end = max(int(np.searchsorted(t, (epoch + 1) * e)), start + 1)
+            # The quotient, not the edge, decides: step over whole runs
+            # of equal timestamps that round to the other side.
+            while end < n and math.floor(float(t[end]) / e) <= epoch:
+                end = int(np.searchsorted(t, t[end], side="right"))
+            while math.floor(float(t[end - 1]) / e) > epoch:
+                end = int(np.searchsorted(t, t[end - 1], side="left"))
+            yield epoch, start, end
+            start = end
 
     def group_count(self, attrs: AttributeSet) -> int:
         """Exact number of distinct groups at this projection."""

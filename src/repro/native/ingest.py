@@ -8,6 +8,8 @@ attribute), the salted splitmix64 chain, an ``argsort``/``lexsort`` by
 the time-ordered arrivals that hashes, probes, accumulates, and detects
 collisions per record, then a stable counting sort by bucket that lands
 the evicted runs in exactly the numpy path's (bucket, start-time) order.
+The pass hashes a block of 64 arrivals, then probes that block: the
+hashes of a block are independent, so they overlap in the CPU.
 
 Bit-identity contract (pinned by ``tests/gigascope/test_differential.py``):
 
@@ -49,6 +51,9 @@ _SOURCE = HASH_CHAIN_SOURCE + r"""
 #include <stddef.h>
 #include <math.h>
 
+/* Arrivals hashed ahead of each probe loop. */
+#define INGEST_BLOCK 64
+
 /* One epoch of one relation's direct-mapped table, arrivals in time
  * order. Emits runs into out_* in (bucket, start-time) order; returns
  * the run count. stats[0] = arrivals with t < n, stats[1] = evictions
@@ -71,46 +76,52 @@ int64_t repro_ingest(
     const uint64_t nb = (uint64_t)n_buckets;
     const uint64_t state = mix64(salt);
     int64_t n_runs = 0, arr_intra = 0, ev_intra = 0;
-    int64_t i, b, r, c, pos, count, offset;
+    int64_t i, i0, i1, b, r, c, pos, count, offset;
+    int64_t block[INGEST_BLOCK];
 
-    for (i = 0; i < m; i++) {
-        uint64_t d;
-        if (t[i] < n) arr_intra++;
-        d = chain64(cols, k, i, state);
-        b = (int64_t)(d % nb);
-        r = slot_run[b];
-        if (r >= 0) {
-            const int64_t rep = run_rep[r];
-            int same = 1;
-            for (c = 0; c < k; c++) {
-                if (cols[c][i] != cols[c][rep]) { same = 0; break; }
-            }
-            if (same) {  /* probe hit: extend the resident run */
-                run_w[r] += w[i];
-                if (has_values) {
-                    run_vs[r] += vs[i];
-                    /* np.minimum/np.maximum: NaN always propagates */
-                    if (isnan(vmin[i]) || vmin[i] < run_vmin[r])
-                        run_vmin[r] = vmin[i];
-                    if (isnan(vmax[i]) || vmax[i] > run_vmax[r])
-                        run_vmax[r] = vmax[i];
+    /* Hash a block of arrivals, then probe it: the hash chains of a
+     * block are independent of each other and of the table. */
+    for (i0 = 0; i0 < m; i0 = i1) {
+        i1 = m - i0 < INGEST_BLOCK ? m : i0 + INGEST_BLOCK;
+        for (i = i0; i < i1; i++)
+            block[i - i0] = (int64_t)(chain64(cols, k, i, state) % nb);
+        for (i = i0; i < i1; i++) {
+            if (t[i] < n) arr_intra++;
+            b = block[i - i0];
+            r = slot_run[b];
+            if (r >= 0) {
+                const int64_t rep = run_rep[r];
+                int same = 1;
+                for (c = 0; c < k; c++) {
+                    if (cols[c][i] != cols[c][rep]) { same = 0; break; }
                 }
-                continue;
+                if (same) {  /* probe hit: extend the resident run */
+                    run_w[r] += w[i];
+                    if (has_values) {
+                        run_vs[r] += vs[i];
+                        /* np.minimum/np.maximum: NaN always propagates */
+                        if (isnan(vmin[i]) || vmin[i] < run_vmin[r])
+                            run_vmin[r] = vmin[i];
+                        if (isnan(vmax[i]) || vmax[i] > run_vmax[r])
+                            run_vmax[r] = vmax[i];
+                    }
+                    continue;
+                }
+                /* collision: evict the resident at this arrival's time */
+                run_evict[r] = t[i];
+                if (t[i] < n) ev_intra++;
             }
-            /* collision: evict the resident at this arrival's time */
-            run_evict[r] = t[i];
-            if (t[i] < n) ev_intra++;
-        }
-        r = n_runs++;
-        slot_run[b] = r;
-        bucket_pos[b]++;
-        run_bucket[r] = b;
-        run_rep[r] = i;
-        run_w[r] = w[i];
-        if (has_values) {
-            run_vs[r] = 0.0 + vs[i];  /* bincount seeds its sums at 0.0 */
-            run_vmin[r] = vmin[i];
-            run_vmax[r] = vmax[i];
+            r = n_runs++;
+            slot_run[b] = r;
+            bucket_pos[b]++;
+            run_bucket[r] = b;
+            run_rep[r] = i;
+            run_w[r] = w[i];
+            if (has_values) {
+                run_vs[r] = 0.0 + vs[i];  /* bincount seeds its sums at 0.0 */
+                run_vmin[r] = vmin[i];
+                run_vmax[r] = vmax[i];
+            }
         }
     }
 

@@ -1,5 +1,7 @@
 """Unit tests for query specifications."""
 
+import math
+
 import pytest
 
 from repro.core.attributes import AttributeSet
@@ -43,6 +45,13 @@ class TestAggregationQuery:
     def test_rejects_nonpositive_epoch(self):
         with pytest.raises(SchemaError):
             AggregationQuery(AttributeSet.parse("A"), epoch_seconds=0)
+
+    @pytest.mark.parametrize("epoch", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epoch(self, epoch):
+        """NaN passes a ``<= 0`` check; a run planned with it keyed
+        every answer to epoch -2**63."""
+        with pytest.raises(SchemaError, match="finite"):
+            QuerySet.counts(["AB", "CD"], epoch_seconds=epoch)
 
     def test_rejects_negative_having(self):
         with pytest.raises(SchemaError):

@@ -134,6 +134,9 @@ class TestTransforms:
             BitMask("A", keep_bits=0)
         with pytest.raises(SchemaError):
             Bucketize("A", width=0)
+        for width in (np.nan, np.inf, -np.inf):
+            with pytest.raises(SchemaError, match="finite"):
+                Bucketize("A", width=width)
 
     def test_unknown_source_column(self):
         with pytest.raises(SchemaError):

@@ -1,25 +1,33 @@
 """The ingest kernel's degenerate shapes, and the shared build machinery.
 
-NaN values through the kernel against the numpy path (every other
-degenerate stream runs against the sequential reference on both kernel
-modes in ``test_differential.py``), and the tests of
-:mod:`repro.native.build`: one load attempt and one warning per kernel,
-the opt-out, the on-disk cache.
+NaN values and the edges of the kernel's hash blocks through the kernel
+against the numpy path (every other degenerate stream runs against the
+sequential reference on both kernel modes in ``test_differential.py``),
+and the tests of :mod:`repro.native.build`: one load attempt and one
+warning per kernel, the opt-out, the on-disk cache, and every kernel
+source compiling without a warning.
 """
 
 import ctypes
 import stat
+import subprocess
 import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.gigascope import Dataset, simulate
+from repro.gigascope.engine import _process_relation
+from repro.gigascope.hashing import bucket_indices, relation_salt
+from repro.gigascope.metrics import CostCounters
 from repro.native import build as native_build
+from repro.native import descend as native_descend
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
+from repro.native import merge as native_merge
 from repro.native import partition as native_partition
 from repro.parallel import HashPartitioner, split_dataset
 from tests.conftest import needs_kernel, numpy_kernels_off
@@ -58,6 +66,96 @@ class TestDegenerateShapes:
                     np.testing.assert_array_equal(
                         np.asarray(a[group], dtype=np.float64),
                         np.asarray(b[group], dtype=np.float64))
+
+
+#: The kernel hashes this many arrivals ahead of its probe loop.
+_BLOCK = 64
+_AB = AttributeSet.parse("AB")
+
+
+def _block_edge_stream(m, n_buckets, edge, salt, seed):
+    """``m`` arrivals of two small-domain key columns in which, at every
+    block edge, either one run spans the edge (``edge="run"``) or the
+    first arrival of the block evicts the resident of its bucket
+    (``edge="collide"``)."""
+    rng = np.random.default_rng(seed)
+    cols = rng.integers(0, 5, (2, m))
+    for start in range(_BLOCK, m, _BLOCK):
+        if edge == "run":
+            cols[:, start - 3:start + 3] = cols[:, [start - 3]]
+            continue
+        resident = cols[:, start - 1]
+        a, b = np.divmod(np.arange(100_000), 300)
+        same = bucket_indices([a, b], salt, n_buckets) == bucket_indices(
+            [resident[:1], resident[1:]], salt, n_buckets)[0]
+        same &= (a != resident[0]) | (b != resident[1])
+        pick = np.flatnonzero(same)[0]
+        cols[:, start] = a[pick], b[pick]
+    return cols
+
+
+class TestBlockEdges:
+    """The kernel hashes a block of arrivals before probing it. Runs and
+    collisions across block edges must come out as the numpy path's,
+    bit for bit."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("values", [False, True])
+    @pytest.mark.parametrize("edge", ["run", "collide"])
+    @pytest.mark.parametrize("n_buckets", [1, 2, 7, 4205])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129, 1000])
+    def test_kernel_equals_numpy(self, m, n_buckets, edge, values):
+        salt = relation_salt(_AB.label(), m)
+        cols = _block_edge_stream(m, n_buckets, edge, salt, seed=m)
+        rng = np.random.default_rng(n_buckets)
+        t = np.arange(m, dtype=np.int64)
+        w = rng.integers(1, 5, m)
+        vs = vmin = vmax = None
+        if values:
+            vs = rng.uniform(40, 1500, m)
+            vmin, vmax = vs - rng.uniform(0, 1, m), vs + rng.uniform(0, 1, m)
+        n = m - m // 4  # the last quarter arrives in the flush window
+        stride = 2 * m + n_buckets  # depth 1: flush times from n + stride
+        counters = CostCounters(Configuration.from_notation("AB"))
+        with numpy_kernels_off():
+            want = _process_relation(
+                _AB, t, w, vs, vmin, vmax, {"A": cols[0], "B": cols[1]},
+                n, np.int64(stride), n_buckets, salt, 1, counters,
+                times_sorted=True)
+        (rep, run_w, run_vs, run_vmin, run_vmax, evict_t, intra,
+         ev_intra) = native_ingest.ingest_runs(
+            [cols[0].view(np.uint64), cols[1].view(np.uint64)], salt,
+            t, w, vs, vmin, vmax, n, n_buckets, n + stride)
+        c = counters.counters(_AB)
+        assert (intra, ev_intra) == (c.arrivals_intra, c.evictions_intra)
+        assert c.evictions_intra + c.evictions_flush == rep.size
+        np.testing.assert_array_equal(evict_t, want[0])
+        np.testing.assert_array_equal(run_w, want[1])
+        for got, ref in zip((run_vs, run_vmin, run_vmax), want[2:5]):
+            assert (got is None) == (ref is None) == (not values)
+            if values:
+                assert got.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(cols[0][rep], want[5]["A"])
+        np.testing.assert_array_equal(cols[1][rep], want[5]["B"])
+
+
+@pytest.mark.skipif(
+    native_build.compiler_path() is None
+    or native_build.kernels_disabled(),
+    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
+@pytest.mark.parametrize("module", [native_ingest, native_merge,
+                                    native_partition, native_descend],
+                         ids=lambda module: module.__name__)
+def test_kernel_source_compiles_without_warnings(module, tmp_path):
+    """Every kernel builds clean under ``-Wall -Wextra -Werror`` with the
+    flags it ships with."""
+    source = tmp_path / "kernel.c"
+    source.write_text(module._SOURCE)
+    result = subprocess.run(
+        [native_build.compiler_path(), *native_build.DEFAULT_FLAGS,
+         "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
+         str(source)], capture_output=True, text=True, timeout=60.0)
+    assert result.returncode == 0, result.stderr
 
 
 _ANSWER = {"repro_answer": (ctypes.c_int, [])}

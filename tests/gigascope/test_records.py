@@ -1,12 +1,16 @@
 """Tests for stream schemas and datasets."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.core.attributes import AttributeSet
 from repro.errors import SchemaError
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.workloads import mean_flow_length, one_record_per_flow
+from tests.references import ref_epoch_slices
 
 
 def make_dataset(n=10, epoch_spread=3.0):
@@ -82,6 +86,35 @@ class TestDatasetValidation:
         assert data.values == {}
 
 
+_EPOCHS = (1e-3, 0.1, 1 / 3, 3.7, 60.0)
+
+
+def _stamped(times) -> Dataset:
+    times = np.asarray(times, dtype=np.float64)
+    return Dataset(StreamSchema(("A",)),
+                   {"A": np.zeros(times.size, dtype=np.int64)}, times)
+
+
+@st.composite
+def _edge_times(draw, epoch):
+    """``(epoch, sorted timestamps)``, the timestamps on and next to
+    epoch edges ``k * epoch``."""
+    # A few hundred consecutive edges: a few percent of them round
+    # across, so every example exercises the fix-up.
+    first = draw(st.integers(-10 ** 6, 10 ** 6))
+    edges = np.arange(first, first + draw(st.integers(1, 400)),
+                      dtype=np.float64) * epoch
+    near = np.concatenate([np.nextafter(edges, -np.inf), edges,
+                           np.nextafter(edges, np.inf)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times = [np.repeat(near, rng.integers(0, 3, near.size))]
+    if draw(st.booleans()):
+        # A run of one timestamp at an edge, longer than any fix-up step.
+        times.append(np.full(draw(st.integers(10_000, 12_000)),
+                             rng.choice(near)))
+    return epoch, np.sort(np.concatenate(times))
+
+
 class TestEpochSlices:
     def test_covers_everything_in_order(self):
         data = make_dataset(n=50, epoch_spread=4.9)
@@ -104,6 +137,51 @@ class TestEpochSlices:
     def test_rejects_bad_epoch(self):
         with pytest.raises(SchemaError):
             list(make_dataset().epoch_slices(0))
+
+    @pytest.mark.parametrize("epoch", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_epoch(self, epoch):
+        with pytest.raises(SchemaError, match="finite"):
+            list(make_dataset().epoch_slices(epoch))
+
+    def test_rejects_epoch_ids_beyond_int64(self):
+        with pytest.raises(SchemaError, match="int64"):
+            list(_stamped([0.0, 1e300]).epoch_slices(1e-3))
+        with pytest.raises(SchemaError, match="int64"):
+            list(_stamped([-2.0 ** 64, 0.0]).epoch_slices(1.0))
+
+    @pytest.mark.parametrize("epoch, times, want", [
+        # 7 * (1/3) rounds down to 2.333333333333333, whose quotient
+        # rounds to 6.999999999999999: at the edge, still epoch 6.
+        (1 / 3, [2.0, 2.333333333333333, 2.4], [(6, 0, 2), (7, 2, 3)]),
+        # 0.9999999999999999 / (1/3) rounds up to 3.0: below the edge
+        # 1.0, already epoch 3.
+        (1 / 3, [0.5, 0.9999999999999999, 1.0], [(1, 0, 1), (3, 1, 3)]),
+        # The quotient underflows to -0.0, whose floor is epoch 0.
+        (60.0, [-5e-324, 0.0], [(0, 0, 2)]),
+    ])
+    def test_quotient_not_edge_decides(self, epoch, times, want):
+        assert list(_stamped(times).epoch_slices(epoch)) == want
+        assert ref_epoch_slices(times, epoch) == want
+
+    @given(st.sampled_from(_EPOCHS).flatmap(_edge_times))
+    @example((1 / 3, np.array([2.0] + [2.333333333333333] * 10_000)))
+    @example((0.1, np.array([-25.200000000000003, -25.2, -25.1])))
+    def test_search_cut_equals_floor_cut(self, case):
+        """The search-based cut yields the floor/diff pass's slices on
+        edges ``k * e``, their float neighbours, long runs of one
+        timestamp at an edge, and negative times."""
+        epoch, times = case
+        assert list(_stamped(times).epoch_slices(epoch)) == \
+            ref_epoch_slices(times, epoch)
+
+    def test_empty_epochs_cost_nothing(self):
+        """A gap of 10**12 empty epochs is one binary search."""
+        times = [-3.7, 0.0, 1e12 * 3.7, 1e12 * 3.7, 2e12 * 3.7 + 1.0]
+        began = time.perf_counter()
+        got = list(_stamped(times).epoch_slices(3.7))
+        assert time.perf_counter() - began < 0.5
+        assert got == ref_epoch_slices(times, 3.7)
+        assert [eid for eid, _, _ in got] == [-1, 0, 10 ** 12, 2 * 10 ** 12]
 
 
 class TestStatisticsHelpers:

@@ -9,6 +9,10 @@ from scratch. ``tests/core/test_feeding_graph.py`` and
 them input by input; ``tests/service/test_service.py`` swaps them in
 for a whole churn run and requires the same sequence of plans.
 
+:func:`ref_epoch_slices` is the epoch cut as one floor/diff pass over
+every timestamp; ``tests/gigascope/test_records.py`` holds the
+search-based ``Dataset.epoch_slices`` to it.
+
 For the data path the reference is the record-at-a-time ``SequentialLFTA``:
 :func:`assert_matches_reference` compares an engine run, unsharded or
 sharded, on whichever kernels the caller left available, with it, and
@@ -160,6 +164,21 @@ def reference_report(dataset, queries, config, buckets,
     result = run_reference(dataset, config, buckets, queries.epoch_seconds,
                            value_column)
     return RunReport(result, CostParameters(), queries)
+
+
+def ref_epoch_slices(timestamps, epoch_seconds):
+    """``Dataset.epoch_slices`` as a whole-array pass: floor every
+    quotient, cut where it changes. O(n) per call, and the definition
+    the search-based cut must reproduce slice for slice."""
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if len(timestamps) == 0:
+        return []
+    epoch_ids = np.floor(timestamps / epoch_seconds).astype(np.int64)
+    boundaries = np.flatnonzero(np.diff(epoch_ids)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(timestamps)]))
+    return [(int(epoch_ids[start]), int(start), int(end))
+            for start, end in zip(starts, ends)]
 
 
 def assert_matches_reference(dataset, config, buckets, epoch_seconds,
