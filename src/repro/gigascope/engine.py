@@ -18,14 +18,22 @@ times ``[0, n)``; the flush of a depth-``d`` relation occupies the window
 never overlap, reproducing the top-down bucket-scan flush of the sequential
 reference exactly (tests assert counter-for-counter equality).
 
-When the host offers a C compiler, steps 1-3 run instead as one fused
-native pass (:mod:`repro.native.ingest`) that simulates the direct-mapped
-table record-at-a-time in C — pack, hash, probe, collision detect, and
-eviction emission in a single loop — with bit-identical runs, counters,
-and float partials. Which of the two runs is decided by
-:mod:`repro.native` alone (no compiler or ``REPRO_NO_CKERNEL=1`` leaves
-the numpy path); both are differentially tested against each other and
-against the record-at-a-time reference.
+Which relations ship their evictions to the HFTA is one list of emit
+flags built here (today: the leaves); a relation that emits still feeds
+its children.
+
+When the host offers a C compiler, the whole walk runs instead as one
+kernel call per epoch (:mod:`repro.native.ingest`): every relation in
+topological order simulates its direct-mapped table record-at-a-time in
+C, appends its evictions in eviction (= time) order to a list that is
+its children's arrival stream, and hands the emitting relations' runs
+out in the numpy walk's (bucket, start-time) order. Bit-identity
+contract: the same buckets, runs, float accumulation order, counters,
+and HFTA batches in the same order as the numpy walk, which stays as
+the path without a compiler and as the reference. Which of the two runs
+is decided by :mod:`repro.native` alone (no compiler or
+``REPRO_NO_CKERNEL=1`` leaves the numpy walk); both are differentially
+tested against each other and against the record-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -46,13 +54,34 @@ from repro.gigascope.records import Dataset
 from repro.native import ingest as _native
 from repro.observability.tracing import trace
 
-__all__ = ["simulate"]
+__all__ = ["Tables", "simulate"]
 
 # (times, weights, value-sums, value-mins, value-maxs, group columns);
 # the three value arrays are all present or all None.
 _Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray | None,
                   np.ndarray | None, np.ndarray | None,
                   dict[str, np.ndarray]]
+
+
+class Tables:
+    """The LFTA's tables for one configuration, kept between
+    :func:`simulate` calls.
+
+    Without one, the kernel walk allocates its slot arrays, runs and
+    eviction buffers in every call, sized to the call's longest epoch. A
+    caller that runs one configuration through many calls, one at a
+    time — ``LiveStreamSystem`` closes each epoch with one — hands every
+    call the same ``Tables``, and the buffers are allocated again only
+    when the configuration, an allocation, the salts, the emit flags or
+    the value column change, or an epoch outgrows them. The results
+    never depend on it.
+    """
+
+    __slots__ = ("key", "walk")
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.walk: _native.Walk | None = None
 
 
 def simulate(dataset: Dataset, config: Configuration,
@@ -62,26 +91,30 @@ def simulate(dataset: Dataset, config: Configuration,
              counters: CostCounters | None = None,
              hfta: HFTA | None = None,
              registry=None,
+             tables: Tables | None = None,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
 
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
-    epoch per call into shared accumulators). An optional
+    epoch per call into shared accumulators), and the same ``tables`` to
+    keep the kernel's buffers between them. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span plus record/epoch counters; when None the engine performs
     no clock reads of its own.
     """
+    rels = config.relations
     table_sizes: dict[AttributeSet, int] = {}
-    for rel in config.relations:
+    for rel in rels:
         b = int(buckets[rel])
         if b < 1:
             raise ConfigurationError(f"relation {rel} needs >= 1 bucket")
         table_sizes[rel] = b
-    salts = {rel: relation_salt(rel.label(), salt_seed)
-             for rel in config.relations}
-    depths = {rel: config.depth(rel) for rel in config.relations}
-    max_b = max(table_sizes.values())
+    salts = {rel: relation_salt(rel.label(), salt_seed) for rel in rels}
+    # The emit rule: a relation ships its evictions to the HFTA iff it is
+    # a leaf. Both walks read it from here, and a relation that emits
+    # still feeds its children.
+    emit = [config.is_leaf(rel) for rel in rels]
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
     with trace(registry, "engine"):
@@ -93,52 +126,102 @@ def simulate(dataset: Dataset, config: Configuration,
         times0 = np.arange(longest, dtype=np.int64)
         ones = np.ones(longest, dtype=np.int64)
         times0.flags.writeable = ones.flags.writeable = False
-        for epoch_id, start, end in slices:
-            _simulate_epoch(dataset, config, table_sizes, salts, depths,
-                            max_b, counters, hfta, epoch_id, start, end,
-                            value_column, times0[:end - start],
-                            ones[:end - start])
+        values = dataset.values[value_column] if value_column else None
+        if slices:
+            walk = (_walk_native if _native.kernel_available()
+                    else _walk_numpy)
+            walk(dataset, config, table_sizes, salts, emit, counters, hfta,
+                 slices, values, times0, ones, tables)
     if registry is not None:
         registry.counter("engine.records").inc(len(dataset))
         registry.counter("engine.epochs").inc(n_epochs)
     return SimulationResult(counters, hfta, len(dataset), n_epochs)
 
 
-def _simulate_epoch(dataset: Dataset, config: Configuration,
-                    table_sizes: dict[AttributeSet, int],
-                    salts: dict[AttributeSet, int],
-                    depths: dict[AttributeSet, int], max_b: int,
-                    counters: CostCounters, hfta: HFTA, epoch_id: int,
-                    start: int, end: int, value_column: str | None,
-                    times0: np.ndarray, ones: np.ndarray) -> None:
-    n = end - start
-    stride = np.int64(n + max_b + 2)
-    values = (dataset.values[value_column][start:end]
-              if value_column else None)
-    arrivals: dict[AttributeSet, _Arrivals] = {}
+def _walk_native(dataset: Dataset, config: Configuration,
+                 table_sizes: dict[AttributeSet, int],
+                 salts: dict[AttributeSet, int], emit: list[bool],
+                 counters: CostCounters, hfta: HFTA,
+                 slices: list[tuple[int, int, int]],
+                 values: np.ndarray | None, times0: np.ndarray,
+                 ones: np.ndarray, tables: Tables | None = None) -> None:
+    """Every epoch through the ingest kernel, one call per epoch."""
+    rels = config.relations
+    names = list(dict.fromkeys(a for rel in rels for a in rel.names))
+    key = (config, tuple(table_sizes[rel] for rel in rels),
+           tuple(salts[rel] for rel in rels), tuple(emit), values is None)
+    walk = tables.walk if tables is not None and tables.key == key else None
+    if walk is None or walk.longest < times0.shape[0]:
+        position = {rel: i for i, rel in enumerate(rels)}
+        column = {a: i for i, a in enumerate(names)}
+        parents = [config.parent(rel) for rel in rels]
+        walk = _native.Walk(
+            [-1 if p is None else position[p] for p in parents],
+            [[column[a] for a in rel.names] for rel in rels],
+            [salts[rel] for rel in rels],
+            [table_sizes[rel] for rel in rels], emit, values is not None,
+            # a kept walk that an epoch outgrew doubles
+            longest=max(times0.shape[0], 2 * walk.longest if walk else 0))
+        if tables is not None:
+            tables.key, tables.walk = key, walk
+    walk.bind([dataset.columns[a] for a in names], values)
+    walk.stats[:] = 0
+    for epoch_id, start, end in slices:
+        n = end - start
+        emitted = _native.ingest_runs(walk, start, times0[:n], ones[:n])
+        for r, rows, run_w, run_vs, run_vmin, run_vmax in emitted:
+            rel = rels[r]
+            cols = {a: dataset.columns[a][start:end][rows]
+                    for a in rel.names}
+            hfta.ingest_arrays(rel, epoch_id, cols, run_w, run_vs,
+                               run_vmin, run_vmax)
+    # Every relation sees arrivals in every non-empty epoch.
+    for rel, (a_intra, a_flush, e_intra, e_flush) in zip(
+            rels, walk.stats.tolist()):
+        c = counters.counters(rel)
+        c.arrivals_intra += a_intra
+        c.arrivals_flush += a_flush
+        c.evictions_intra += e_intra
+        c.evictions_flush += e_flush
+
+
+def _walk_numpy(dataset: Dataset, config: Configuration,
+                table_sizes: dict[AttributeSet, int],
+                salts: dict[AttributeSet, int], emit: list[bool],
+                counters: CostCounters, hfta: HFTA,
+                slices: list[tuple[int, int, int]],
+                values: np.ndarray | None, times0: np.ndarray,
+                ones: np.ndarray, tables: Tables | None = None) -> None:
+    """Every epoch through the numpy walk, one relation at a time; it
+    keeps nothing in ``tables``."""
+    depths = {rel: config.depth(rel) for rel in config.relations}
+    max_b = max(table_sizes.values())
     raw = set(config.raw_relations)
-    for root in raw:
-        cols = {a: dataset.columns[a][start:end] for a in root.names}
-        # A single record's partials: sum = min = max = its value.
-        arrivals[root] = (times0, ones, values, values, values, cols)
-    for rel in config.relations:  # topological: parents first
-        t, w, vs, vmin, vmax, cols = arrivals.pop(rel)
-        evicted = _process_relation(
-            rel, t, w, vs, vmin, vmax, cols, n, stride, table_sizes[rel],
-            salts[rel], depths[rel], counters,
-            times_sorted=rel in raw)
-        if evicted is None:
-            continue
-        ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols = evicted
-        children = config.children(rel)
-        if not children:
-            hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
-                               ev_vmin, ev_vmax)
-            continue
-        for child in children:
-            child_cols = {a: ev_cols[a] for a in child.names}
-            arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
-                               child_cols)
+    for epoch_id, start, end in slices:
+        n = end - start
+        stride = np.int64(n + max_b + 2)
+        arrivals: dict[AttributeSet, _Arrivals] = {}
+        vals = values[start:end] if values is not None else None
+        for root in raw:
+            cols = {a: dataset.columns[a][start:end] for a in root.names}
+            # A single record's partials: sum = min = max = its value.
+            arrivals[root] = (times0[:n], ones[:n], vals, vals, vals, cols)
+        for rel, emits in zip(config.relations, emit):  # parents first
+            t, w, vs, vmin, vmax, cols = arrivals.pop(rel)
+            evicted = _process_relation(
+                rel, t, w, vs, vmin, vmax, cols, n, stride,
+                table_sizes[rel], salts[rel], depths[rel], counters,
+                times_sorted=rel in raw)
+            if evicted is None:
+                continue
+            ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols = evicted
+            if emits:
+                hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
+                                   ev_vmin, ev_vmax)
+            for child in config.children(rel):
+                child_cols = {a: ev_cols[a] for a in child.names}
+                arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
+                                   child_cols)
 
 
 def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
@@ -155,21 +238,6 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
         return None
 
     flush_base = np.int64(n) + np.int64(depth) * stride
-    if _native.kernel_available():
-        fused = _accounting_native(rel, t, w, vs, vmin, vmax, cols, n,
-                                   n_buckets, salt, int(flush_base),
-                                   times_sorted)
-        if fused is not None:
-            (rep, run_w, run_vs, run_vmin, run_vmax, evict_t,
-             intra, ev_intra) = fused
-            c.arrivals_intra += intra
-            c.arrivals_flush += m - intra
-            n_runs = int(rep.shape[0])
-            c.evictions_intra += ev_intra
-            c.evictions_flush += n_runs - ev_intra
-            ev_cols = {a: cols[a][rep] for a in rel.names}
-            return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols
-
     intra = int(np.count_nonzero(t < n))
     c.arrivals_intra += intra
     c.arrivals_flush += m - intra
@@ -224,44 +292,3 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
     rep = order[run_start]
     ev_cols = {a: cols[a][rep] for a in rel.names}
     return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols
-
-
-def _accounting_native(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
-                       vs: np.ndarray | None, vmin: np.ndarray | None,
-                       vmax: np.ndarray | None, cols: dict[str, np.ndarray],
-                       n: int, n_buckets: int, salt: int, flush_base: int,
-                       times_sorted: bool):
-    """Run the accounting pass through the fused C kernel, or None.
-
-    Returns ``(rep, run_w, run_vs, run_vmin, run_vmax, evict_t,
-    arrivals_intra, evictions_intra)`` with ``rep`` indexing the original
-    (unsorted) arrival arrays, or None for a table vastly larger than
-    the batch — the caller then takes the numpy path, which computes the
-    identical result.
-    """
-    m = int(t.shape[0])
-    # The kernel's table scan is O(n_buckets); beyond any sane
-    # buckets-per-record ratio the numpy path's O(m log m) wins anyway.
-    if n_buckets > 8 * m + 1024:
-        return None
-    # Dataset coerces attribute columns to int64 and value columns to
-    # float64, and evictions are fancy-indexed from those. The uint64
-    # view is the same bits the chain hashes.
-    eq_cols = [cols[a].view(np.uint64) for a in rel.names]
-    order = None
-    if not times_sorted:
-        # The kernel consumes arrivals in time order; fed streams arrive
-        # in the parent's emission order instead. Times are distinct
-        # within a relation, so a plain argsort is deterministic.
-        order = np.argsort(t)
-        eq_cols = [col[order] for col in eq_cols]
-        t = t[order]
-        w = w[order]
-        if vs is not None:
-            vs, vmin, vmax = vs[order], vmin[order], vmax[order]
-    out = _native.ingest_runs(eq_cols, salt, t, w, vs, vmin, vmax,
-                              n, n_buckets, flush_base)
-    if order is not None:
-        rep = order[out[0]]
-        return (rep, *out[1:])
-    return out

@@ -195,9 +195,10 @@ def relation_salt(label: str, seed: int = 0) -> int:
     """A stable per-relation salt derived from its label and a seed.
 
     Python's builtin ``hash`` is randomized per process, so we fold the
-    label bytes through splitmix64 instead.
+    label bytes through splitmix64 instead (on plain ints: the same
+    arithmetic as :func:`splitmix64`, without a numpy scalar per byte).
     """
-    acc = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    acc = seed & _MASK_INT
     for byte in label.encode("utf-8"):
-        acc = splitmix64(acc ^ np.uint64(byte))
-    return int(acc)
+        acc = _splitmix64_int(acc ^ byte)
+    return acc

@@ -31,7 +31,7 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.core.optimizer import Plan, plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import AllocationError, ConfigurationError, SchemaError
-from repro.gigascope.engine import simulate
+from repro.gigascope.engine import Tables, simulate
 from repro.gigascope.filters import filter_dataset
 from repro.gigascope.hfta import HFTA, QueryAnswer
 from repro.gigascope.metrics import CostCounters
@@ -72,7 +72,9 @@ class EpochReport:
 @dataclass
 class _Era:
     """A maximal span of epochs sharing one plan; ``baseline`` is the
-    cost ratio of its first epoch, which held ``baseline_records``."""
+    cost ratio of its first epoch, which held ``baseline_records``.
+    ``tables`` keeps the engine's buffers from epoch to epoch while the
+    era is the newest; a checkpoint leaves them out."""
 
     configuration: Configuration
     buckets: dict[AttributeSet, int]
@@ -80,9 +82,20 @@ class _Era:
     baseline: float | None = None
     baseline_records: int = 0
     counters: CostCounters = field(init=False)
+    tables: Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.counters = CostCounters(self.configuration)
+        self.tables = Tables()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["tables"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.tables = Tables()
 
 
 class LiveStreamSystem:
@@ -126,7 +139,13 @@ class LiveStreamSystem:
     def _apply_plan(self, plan: Plan) -> None:
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
-        self.eras.append(_Era(plan.configuration, buckets, plan))
+        era = _Era(plan.configuration, buckets, plan)
+        if self.eras:
+            # Only the newest era runs, so the engine's buffers move on
+            # to it (and are rebuilt in place for a new plan) rather than
+            # staying behind with every era of a long run.
+            era.tables, self.eras[-1].tables = self.eras[-1].tables, Tables()
+        self.eras.append(era)
         self._staged_plan: Plan | None = None
         self._staged_queries: QuerySet | None = None
 
@@ -257,7 +276,7 @@ class LiveStreamSystem:
             simulate(dataset, era.configuration, era.buckets,
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
-                     registry=self.registry)
+                     registry=self.registry, tables=era.tables)
         # Fold the closed epoch's eviction batches into compact columnar
         # state now (its own span, so manifests show merge vs ingest
         # share): the raw batch lists are released, bounding HFTA memory

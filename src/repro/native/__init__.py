@@ -4,8 +4,8 @@ This package is the one place that knows whether C is available.
 ``repro.native.build`` owns the compile-at-first-use pattern every
 kernel shares (compiler discovery, on-disk cache, the
 ``REPRO_NO_CKERNEL`` opt-out, the per-process memo of load outcomes);
-the four kernels are ``repro.native.ingest`` (the fused LFTA accounting
-pass behind the engine's hot loop), ``repro.native.merge`` (the HFTA's
+the four kernels are ``repro.native.ingest`` (the engine's LFTA walk of
+the whole forest, one call per epoch), ``repro.native.merge`` (the HFTA's
 hash-table group-merge fold, and through the same table the planner's
 exact group and flow counts), ``repro.native.partition`` (the sharded
 runtime's hash-and-scatter pass) and ``repro.native.descend`` (the ES

@@ -176,13 +176,15 @@ int64_t repro_group_stats(
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
+_VOIDP = ctypes.c_void_p
 
 _SIGNATURES = {
+    # Addresses as plain ints: one call binds no pointer objects.
     "repro_hfta_merge": (ctypes.c_int64, [
-        ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
-        _I64P, _F64P, _F64P, _F64P,
-        ctypes.c_uint64, ctypes.c_int64, _I64P,
-        _I64P, _I64P, _F64P, _F64P, _F64P,
+        _VOIDP, ctypes.c_int64, ctypes.c_int64,
+        _VOIDP, _VOIDP, _VOIDP, _VOIDP,
+        ctypes.c_uint64, ctypes.c_int64, _VOIDP,
+        _VOIDP, _VOIDP, _VOIDP, _VOIDP, _VOIDP,
     ]),
     "repro_group_stats": (ctypes.c_int64, [
         ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64, _F64P,
@@ -225,7 +227,7 @@ def merge_rows(cols: list[np.ndarray], counts: np.ndarray,
     n = int(counts.shape[0])
     k = len(cols)
     cols = [np.ascontiguousarray(col, dtype=np.uint64) for col in cols]
-    col_ptrs = (_U64P * k)(*[col.ctypes.data_as(_U64P) for col in cols])
+    col_ptrs = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     vmin = np.ascontiguousarray(vmin, dtype=np.float64)
@@ -234,23 +236,20 @@ def merge_rows(cols: list[np.ndarray], counts: np.ndarray,
     cap, table = _empty_table(n)
     rep = np.empty(n, dtype=np.int64)
     out_counts = np.empty(n, dtype=np.int64)
-    out_vs = np.empty(n, dtype=np.float64)
-    out_vmin = np.empty(n, dtype=np.float64)
-    out_vmax = np.empty(n, dtype=np.float64)
+    # The three float outputs in one block: sum, min, max.
+    out_f = np.empty((3, n), dtype=np.float64)
+    at_f = out_f.ctypes.data
 
     g = lib.repro_hfta_merge(
-        col_ptrs, ctypes.c_int64(k), ctypes.c_int64(n),
-        counts.ctypes.data_as(_I64P),
-        vs.ctypes.data_as(_F64P), vmin.ctypes.data_as(_F64P),
-        vmax.ctypes.data_as(_F64P),
-        ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
-        ctypes.c_int64(cap), table.ctypes.data_as(_I64P),
-        rep.ctypes.data_as(_I64P), out_counts.ctypes.data_as(_I64P),
-        out_vs.ctypes.data_as(_F64P), out_vmin.ctypes.data_as(_F64P),
-        out_vmax.ctypes.data_as(_F64P))
+        col_ptrs.ctypes.data, k, n, counts.ctypes.data, vs.ctypes.data,
+        vmin.ctypes.data, vmax.ctypes.data, salt & 0xFFFFFFFFFFFFFFFF,
+        cap, table.ctypes.data, rep.ctypes.data, out_counts.ctypes.data,
+        at_f, at_f + 8 * n, at_f + 16 * n)
 
-    return (rep[:g].copy(), out_counts[:g].copy(), out_vs[:g].copy(),
-            out_vmin[:g].copy(), out_vmax[:g].copy())
+    if g < n:
+        out_counts, out_f = out_counts[:g].copy(), out_f[:, :g].copy()
+    out_vs, out_vmin, out_vmax = out_f
+    return rep[:g], out_counts, out_vs, out_vmin, out_vmax
 
 
 def group_stats(cols: list[np.ndarray], timestamps: np.ndarray,

@@ -126,6 +126,16 @@ class TestRelationSalt:
     def test_seed_sensitivity(self):
         assert relation_salt("AB", 0) != relation_salt("AB", 1)
 
+    @given(st.text(max_size=12), st.integers(-2**70, 2**70))
+    def test_equals_numpy_splitmix_fold(self, label, seed):
+        """The plain-int fold is the numpy ``splitmix64`` fold, bit for
+        bit, and a Python int."""
+        acc = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        for byte in label.encode("utf-8"):
+            acc = splitmix64(acc ^ np.uint64(byte))
+        salt = relation_salt(label, seed)
+        assert type(salt) is int and salt == int(acc)
+
 
 @given(COLUMN, COLUMN)
 @settings(max_examples=50)

@@ -1,18 +1,24 @@
 """The ingest kernel's degenerate shapes, and the shared build machinery.
 
-NaN values and the edges of the kernel's hash blocks through the kernel
-against the numpy path (every other degenerate stream runs against the
-sequential reference on both kernel modes in ``test_differential.py``),
+NaN values and the edges of the kernel's hash blocks through the walk
+of a one-relation forest against the numpy path (every other degenerate
+stream runs against the sequential reference on both kernel modes in
+``test_differential.py``, whole forests in ``test_forest_walk.py``),
 and the tests of :mod:`repro.native.build`: one load attempt and one
-warning per kernel, the opt-out, the on-disk cache, and every kernel
+warning per kernel, the opt-out, the on-disk cache, racing first
+compiles, a compiler gone before the first load, and every kernel
 source compiling without a warning.
 """
 
 import ctypes
+import json
+import os
 import stat
 import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,8 +102,8 @@ def _block_edge_stream(m, n_buckets, edge, salt, seed):
 
 class TestBlockEdges:
     """The kernel hashes a block of arrivals before probing it. Runs and
-    collisions across block edges must come out as the numpy path's,
-    bit for bit."""
+    collisions across block edges, through the walk of a one-relation
+    forest, must come out as the numpy path's, bit for bit."""
 
     @needs_kernel
     @pytest.mark.parametrize("values", [False, True])
@@ -110,33 +116,32 @@ class TestBlockEdges:
         rng = np.random.default_rng(n_buckets)
         t = np.arange(m, dtype=np.int64)
         w = rng.integers(1, 5, m)
-        vs = vmin = vmax = None
+        vs = None
         if values:
             vs = rng.uniform(40, 1500, m)
-            vmin, vmax = vs - rng.uniform(0, 1, m), vs + rng.uniform(0, 1, m)
-        n = m - m // 4  # the last quarter arrives in the flush window
-        stride = 2 * m + n_buckets  # depth 1: flush times from n + stride
         counters = CostCounters(Configuration.from_notation("AB"))
         with numpy_kernels_off():
             want = _process_relation(
-                _AB, t, w, vs, vmin, vmax, {"A": cols[0], "B": cols[1]},
-                n, np.int64(stride), n_buckets, salt, 1, counters,
-                times_sorted=True)
-        (rep, run_w, run_vs, run_vmin, run_vmax, evict_t, intra,
-         ev_intra) = native_ingest.ingest_runs(
-            [cols[0].view(np.uint64), cols[1].view(np.uint64)], salt,
-            t, w, vs, vmin, vmax, n, n_buckets, n + stride)
+                _AB, t, w, vs, vs, vs, {"A": cols[0], "B": cols[1]},
+                m, np.int64(m + n_buckets + 2), n_buckets, salt, 0,
+                counters, times_sorted=True)
+        walk = native_ingest.Walk([-1], [[0, 1]], [salt], [n_buckets],
+                                  [True], values, m)
+        walk.bind([cols[0], cols[1]], vs)
+        ((r, rows, run_w, run_vs, run_vmin, run_vmax),) = \
+            native_ingest.ingest_runs(walk, 0, t, w)
         c = counters.counters(_AB)
-        assert (intra, ev_intra) == (c.arrivals_intra, c.evictions_intra)
-        assert c.evictions_intra + c.evictions_flush == rep.size
-        np.testing.assert_array_equal(evict_t, want[0])
+        assert r == 0
+        assert walk.stats.tolist() == [[
+            c.arrivals_intra, c.arrivals_flush, c.evictions_intra,
+            c.evictions_flush]]
         np.testing.assert_array_equal(run_w, want[1])
         for got, ref in zip((run_vs, run_vmin, run_vmax), want[2:5]):
             assert (got is None) == (ref is None) == (not values)
             if values:
                 assert got.tobytes() == ref.tobytes()
-        np.testing.assert_array_equal(cols[0][rep], want[5]["A"])
-        np.testing.assert_array_equal(cols[1][rep], want[5]["B"])
+        np.testing.assert_array_equal(cols[0][rows], want[5]["A"])
+        np.testing.assert_array_equal(cols[1][rows], want[5]["B"])
 
 
 @pytest.mark.skipif(
@@ -156,6 +161,49 @@ def test_kernel_source_compiles_without_warnings(module, tmp_path):
          "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
          str(source)], capture_output=True, text=True, timeout=60.0)
     assert result.returncode == 0, result.stderr
+
+
+_ROOT = Path(__file__).resolve().parents[2]
+
+#: A small three-level run whose counters and answers come out as JSON.
+_RUN_SOURCE = """
+def racer_run():
+    import numpy as np
+    from repro.core.configuration import Configuration
+    from repro.gigascope import Dataset, StreamSchema, simulate
+    rng = np.random.default_rng(3)
+    n = 3000
+    schema = StreamSchema(("A", "B", "C"), value_columns=("v",))
+    dataset = Dataset(schema, {a: rng.integers(0, 9, n) for a in "ABC"},
+                      np.sort(rng.uniform(0, 4.0, n)),
+                      {"v": rng.uniform(0, 100, n)})
+    config = Configuration.from_notation("ABC(AB(A B) C)")
+    result = simulate(dataset, config, {rel: 5 for rel in config.relations},
+                      1.0, "v")
+    counters = {rel.label(): vars(c)
+                for rel, c in result.counters.relations.items()}
+    totals = {f"{leaf.label()}@{epoch}": sorted(
+                  [list(group), agg.count, agg.value_sum.hex()]
+                  for group, agg in result.hfta.totals(leaf, epoch).items())
+              for leaf in config.leaves for epoch in result.hfta.epochs(leaf)}
+    return {"counters": counters, "totals": totals}
+"""
+
+_RACER = _RUN_SOURCE + """
+import json
+from repro.native import build, ingest
+run = racer_run()
+status = build.kernel_status(ingest.KERNEL_NAME).to_dict()
+print(json.dumps({"status": {key: status[key] for key in
+                             ("available", "disabled", "error")},
+                  "run": run}))
+"""
+
+
+def _racer_run() -> dict:
+    namespace: dict = {}
+    exec(_RUN_SOURCE, namespace)
+    return namespace["racer_run"]()
 
 
 _ANSWER = {"repro_answer": (ctypes.c_int, [])}
@@ -241,6 +289,52 @@ class TestBuildMachinery:
         built = cache.stat().st_mtime_ns
         assert native_build.load_kernel(name, source, _ANSWER) is not None
         assert cache.stat().st_mtime_ns == built
+
+    @needs_kernel
+    def test_racing_first_compiles_agree(self, tmp_path):
+        """Two processes that find no cached ingest kernel in a fresh
+        ``TMPDIR`` compile it at the same time: both load it, and both
+        runs equal this process's."""
+        env = {key: value for key, value in os.environ.items()
+               if key != native_build.DISABLE_ENV}
+        env["TMPDIR"] = str(tmp_path)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(_ROOT / "src"), str(_ROOT)] +
+            ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        racers = [subprocess.Popen([sys.executable, "-c", _RACER],
+                                   env=env, stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE, text=True)
+                  for _ in range(2)]
+        outputs = []
+        for racer in racers:
+            out, err = racer.communicate(timeout=300)
+            assert racer.returncode == 0, err
+            outputs.append(json.loads(out))
+        assert [o["status"] for o in outputs] == [
+            {"available": True, "disabled": False, "error": None}] * 2
+        assert outputs[0]["run"] == outputs[1]["run"] == _racer_run()
+        assert list(tmp_path.glob(
+            f"repro_kernel_{native_ingest.KERNEL_NAME}_*.so"))
+
+    @needs_kernel
+    def test_compiler_gone_before_first_load(self, monkeypatch):
+        """The compiler vanishes before the ingest kernel's first load:
+        one warning, the error on record, the numpy walk's answers, which
+        are the kernel's."""
+        for module in (native_merge, native_partition, native_descend):
+            assert module.kernel_available()
+        with pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings(record=True) as caught:
+            patch.setattr(native_build, "compiler_path", lambda: None)
+            warnings.simplefilter("always")
+            run = _racer_run()
+        assert [type(w.message) for w in caught] == [RuntimeWarning]
+        assert native_ingest.KERNEL_NAME in str(caught[0].message)
+        status = native_build.kernel_status(native_ingest.KERNEL_NAME)
+        assert not status.available and status.error
+        native_build._statuses.pop(native_ingest.KERNEL_NAME)
+        assert native_ingest.kernel_available()
+        assert run == _racer_run()
 
     @needs_kernel
     def test_ingest_kernel_reports_available(self):

@@ -165,6 +165,20 @@ class TestLiveStreamSystem:
         for q in queries:
             assert live.answers(q) == reference.answers(q)
 
+    def test_only_the_newest_era_keeps_engine_buffers(self, dataset,
+                                                      queries, base_plan):
+        """Re-planning every epoch leaves one era holding the engine's
+        buffers, not one per era of the run."""
+        stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
+        other_plan = plan(queries, stats, memory=800, algorithm="none")
+        live = LiveStreamSystem(SCHEMA, queries, base_plan)
+        for i, (cols, times) in enumerate(batches(dataset, [700] * 8)):
+            live.push(cols, times)
+            live.reconfigure(other_plan if i % 2 == 0 else base_plan)
+        live.finish()
+        assert len(live.eras) > 3
+        assert all(era.tables.walk is None for era in live.eras[:-1])
+
     def test_rejects_plan_missing_queries(self, queries, base_plan):
         bad = Configuration.flat([AttributeSet.parse("AB")])
         with pytest.raises(ConfigurationError):
