@@ -34,9 +34,27 @@ the path without a compiler and as the reference. Which of the two runs
 is decided by :mod:`repro.native` alone (no compiler or
 ``REPRO_NO_CKERNEL=1`` leaves the numpy walk); both are differentially
 tested against each other and against the record-at-a-time reference.
+
+*Epochs in parallel.* Every table is flushed at each epoch boundary, so
+no LFTA state crosses an epoch and two epochs can be walked at the same
+time. A kernel walk over more than one non-empty epoch runs on a pool of
+threads, one per usable core and at most one per epoch, each with its
+own scratch; they pull epochs in order from one queue, and the caller
+hands the HFTA every batch in epoch order, then relation order, after
+the join, and sums the threads' counters. The calls, batches and floats
+are those of a one-thread walk, bit for bit. A one-epoch call (every
+live epoch close) and the numpy walk stay on the calling thread.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Mapping
 
 import numpy as np
 
@@ -54,7 +72,7 @@ from repro.gigascope.records import Dataset
 from repro.native import ingest as _native
 from repro.observability.tracing import trace
 
-__all__ = ["Tables", "simulate"]
+__all__ = ["Tables", "bucket_counts", "simulate"]
 
 # (times, weights, value-sums, value-mins, value-maxs, group columns);
 # the three value arrays are all present or all None.
@@ -75,6 +93,11 @@ class Tables:
     when the configuration, an allocation, the salts, the emit flags or
     the value column change, or an epoch outgrows them. The results
     never depend on it.
+
+    A one-epoch call walks on the kept buffers on the calling thread. A
+    call over several epochs walks them on a pool of threads: the first
+    one uses the kept buffers, every other thread gets its own for the
+    call.
     """
 
     __slots__ = ("key", "walk")
@@ -84,8 +107,51 @@ class Tables:
         self.walk: _native.Walk | None = None
 
 
+def bucket_counts(relations, buckets: Mapping[AttributeSet, object] | None
+                  ) -> dict[AttributeSet, int]:
+    """Each relation's table size read from a ``buckets`` map: the one
+    check of it, shared by :func:`simulate` and ``check_run``.
+
+    Every relation needs an entry; the missing ones are named. A count
+    is a real number (numpy's included, a bool not), floored, and at
+    least 1, so the float allocations plans and experiments hand in
+    pass. Anything else raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    buckets = {} if buckets is None else buckets
+    missing = [rel.label() for rel in relations if rel not in buckets]
+    if missing:
+        raise ConfigurationError(
+            f"buckets= has no entry for relations {missing}")
+    sizes: dict[AttributeSet, int] = {}
+    for rel in relations:
+        b = size = buckets[rel]
+        if type(b) is not int:  # a plain int needs no further check
+            if not isinstance(b, numbers.Real) or isinstance(b, bool):
+                raise ConfigurationError(
+                    f"relation {rel} has bucket count {b!r}, not a number")
+            try:
+                size = math.floor(b)
+            except (OverflowError, ValueError):  # inf, nan
+                size = 0
+        if size < 1:
+            raise ConfigurationError(f"relation {rel} needs >= 1 bucket")
+        sizes[rel] = size
+    return sizes
+
+
+def _workers(n_epochs: int) -> int:
+    """Threads for a kernel walk over ``n_epochs`` non-empty epochs: one
+    per usable core, at most one per epoch."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_epochs))
+
+
 def simulate(dataset: Dataset, config: Configuration,
-             buckets: dict[AttributeSet, int], epoch_seconds: float,
+             buckets: Mapping[AttributeSet, int], epoch_seconds: float,
              value_column: str | None = None,
              salt_seed: int = 0,
              counters: CostCounters | None = None,
@@ -98,18 +164,16 @@ def simulate(dataset: Dataset, config: Configuration,
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
     epoch per call into shared accumulators), and the same ``tables`` to
-    keep the kernel's buffers between them. An optional
+    keep the kernel's buffers between them. With the kernel, a call over
+    several epochs walks them on a thread pool and touches
+    ``counters``/``hfta`` only once every epoch is walked: an error
+    leaves both as they were. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
-    phase span plus record/epoch counters; when None the engine performs
-    no clock reads of its own.
+    phase span, record/epoch counters and an ``engine.workers`` gauge;
+    when None the engine performs no clock reads of its own.
     """
     rels = config.relations
-    table_sizes: dict[AttributeSet, int] = {}
-    for rel in rels:
-        b = int(buckets[rel])
-        if b < 1:
-            raise ConfigurationError(f"relation {rel} needs >= 1 bucket")
-        table_sizes[rel] = b
+    table_sizes = bucket_counts(rels, buckets)
     salts = {rel: relation_salt(rel.label(), salt_seed) for rel in rels}
     # The emit rule: a relation ships its evictions to the HFTA iff it is
     # a leaf. Both walks read it from here, and a relation that emits
@@ -117,9 +181,11 @@ def simulate(dataset: Dataset, config: Configuration,
     emit = [config.is_leaf(rel) for rel in rels]
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
+    native = _native.kernel_available()
     with trace(registry, "engine"):
         slices = list(dataset.epoch_slices(epoch_seconds))
         n_epochs = len(slices)
+        workers = _workers(n_epochs) if native and n_epochs > 1 else 1
         # A raw arrival's time is its index in the epoch and its weight
         # is 1: every epoch reads a prefix of the same two buffers.
         longest = max((end - start for _, start, end in slices), default=0)
@@ -127,15 +193,20 @@ def simulate(dataset: Dataset, config: Configuration,
         ones = np.ones(longest, dtype=np.int64)
         times0.flags.writeable = ones.flags.writeable = False
         values = dataset.values[value_column] if value_column else None
-        if slices:
-            walk = (_walk_native if _native.kernel_available()
-                    else _walk_numpy)
-            walk(dataset, config, table_sizes, salts, emit, counters, hfta,
-                 slices, values, times0, ones, tables)
+        if slices and native:
+            _walk_native(dataset, config, table_sizes, salts, emit,
+                         counters, hfta, slices, values, times0, ones,
+                         tables, workers)
+        elif slices:
+            _walk_numpy(dataset, config, table_sizes, salts, emit,
+                        counters, hfta, slices, values, times0, ones)
     if registry is not None:
         registry.counter("engine.records").inc(len(dataset))
         registry.counter("engine.epochs").inc(n_epochs)
-    return SimulationResult(counters, hfta, len(dataset), n_epochs)
+        registry.gauge("engine.workers").set(workers)
+    walk = (f"native kernel, {workers} worker{'s' * (workers != 1)}"
+            if native else "numpy")
+    return SimulationResult(counters, hfta, len(dataset), n_epochs, walk)
 
 
 def _walk_native(dataset: Dataset, config: Configuration,
@@ -144,45 +215,105 @@ def _walk_native(dataset: Dataset, config: Configuration,
                  counters: CostCounters, hfta: HFTA,
                  slices: list[tuple[int, int, int]],
                  values: np.ndarray | None, times0: np.ndarray,
-                 ones: np.ndarray, tables: Tables | None = None) -> None:
-    """Every epoch through the ingest kernel, one call per epoch."""
+                 ones: np.ndarray, tables: Tables | None = None,
+                 workers: int = 1) -> None:
+    """Every epoch through the ingest kernel, one call per epoch, on
+    ``workers`` threads (the calling one alone when 1). The HFTA and the
+    counters take the results after the last epoch, in epoch order."""
     rels = config.relations
     names = list(dict.fromkeys(a for rel in rels for a in rel.names))
+
+    def new_walk(longest: int) -> _native.Walk:
+        position = {rel: i for i, rel in enumerate(rels)}
+        column = {a: i for i, a in enumerate(names)}
+        return _native.Walk(
+            [-1 if p is None else position[p]
+             for p in map(config.parent, rels)],
+            [[column[a] for a in rel.names] for rel in rels],
+            [salts[rel] for rel in rels],
+            [table_sizes[rel] for rel in rels], emit, values is not None,
+            longest)
+
     key = (config, tuple(table_sizes[rel] for rel in rels),
            tuple(salts[rel] for rel in rels), tuple(emit), values is None)
     walk = tables.walk if tables is not None and tables.key == key else None
     if walk is None or walk.longest < times0.shape[0]:
-        position = {rel: i for i, rel in enumerate(rels)}
-        column = {a: i for i, a in enumerate(names)}
-        parents = [config.parent(rel) for rel in rels]
-        walk = _native.Walk(
-            [-1 if p is None else position[p] for p in parents],
-            [[column[a] for a in rel.names] for rel in rels],
-            [salts[rel] for rel in rels],
-            [table_sizes[rel] for rel in rels], emit, values is not None,
-            # a kept walk that an epoch outgrew doubles
-            longest=max(times0.shape[0], 2 * walk.longest if walk else 0))
+        # a kept walk that an epoch outgrew doubles
+        walk = new_walk(max(times0.shape[0], 2 * walk.longest if walk else 0))
         if tables is not None:
             tables.key, tables.walk = key, walk
-    walk.bind([dataset.columns[a] for a in names], values)
-    walk.stats[:] = 0
-    for epoch_id, start, end in slices:
+    walks = [walk] + [new_walk(times0.shape[0]) for _ in range(workers - 1)]
+    # One conversion of the stream's columns serves every walk.
+    columns = [np.ascontiguousarray(dataset.columns[a], dtype=np.int64)
+               for a in names]
+    if values is not None:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+    for w in walks:
+        w.bind(columns, values)
+        w.stats[:] = 0
+
+    def epoch_batches(own: _native.Walk, start: int, end: int) -> list:
+        """One epoch's emitted runs. ``rows`` is a view of the walk's
+        scratch, so the group columns are copied out here, before the
+        walk's next call."""
         n = end - start
-        emitted = _native.ingest_runs(walk, start, times0[:n], ones[:n])
-        for r, rows, run_w, run_vs, run_vmin, run_vmax in emitted:
-            rel = rels[r]
-            cols = {a: dataset.columns[a][start:end][rows]
-                    for a in rel.names}
-            hfta.ingest_arrays(rel, epoch_id, cols, run_w, run_vs,
+        return [(r, {a: dataset.columns[a][start:end][rows]
+                     for a in rels[r].names}, *runs)
+                for r, rows, *runs in _native.ingest_runs(
+                    own, start, times0[:n], ones[:n])]
+
+    if len(walks) == 1:
+        emitted = [epoch_batches(walk, start, end)
+                   for _, start, end in slices]
+        stats = walk.stats
+    else:
+        emitted = _on_pool(walks, slices, epoch_batches)
+        stats = sum(w.stats for w in walks)
+    for (epoch_id, _, _), batches in zip(slices, emitted):
+        for r, cols, run_w, run_vs, run_vmin, run_vmax in batches:
+            hfta.ingest_arrays(rels[r], epoch_id, cols, run_w, run_vs,
                                run_vmin, run_vmax)
     # Every relation sees arrivals in every non-empty epoch.
     for rel, (a_intra, a_flush, e_intra, e_flush) in zip(
-            rels, walk.stats.tolist()):
+            rels, stats.tolist()):
         c = counters.counters(rel)
         c.arrivals_intra += a_intra
         c.arrivals_flush += a_flush
         c.evictions_intra += e_intra
         c.evictions_flush += e_flush
+
+
+def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
+             epoch_batches) -> list[list]:
+    """``epoch_batches(walk, start, end)`` of every epoch, on one thread
+    per walk; each thread pulls the next epoch from a shared queue. The
+    first exception stops the threads after their current epoch and is
+    raised here."""
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(slices)):
+        todo.put(i)
+    emitted: list = [None] * len(slices)
+    failed = threading.Event()
+
+    def run(own: _native.Walk) -> None:
+        try:
+            while not failed.is_set():
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                _, start, end = slices[i]
+                emitted[i] = epoch_batches(own, start, end)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(len(walks)) as pool:
+        futures = [pool.submit(run, w) for w in walks]
+    errors = [f.exception() for f in futures if f.exception()]
+    if errors:
+        raise errors[0]
+    return emitted
 
 
 def _walk_numpy(dataset: Dataset, config: Configuration,

@@ -136,4 +136,5 @@ def run_reference(dataset: Dataset, config: Configuration,
             value = float(values[i]) if values is not None else None
             lfta.process_record(record, value)
         lfta.flush_epoch()
-    return SimulationResult(lfta.counters, lfta.hfta, len(dataset), n_epochs)
+    return SimulationResult(lfta.counters, lfta.hfta, len(dataset), n_epochs,
+                            "record at a time")

@@ -89,13 +89,17 @@ class SimulationResult:
     Produced by both the sequential reference
     (:func:`repro.gigascope.lfta.run_reference`) and the vectorized engine
     (:func:`repro.gigascope.engine.simulate`); tests assert the two agree
-    counter-for-counter.
+    counter-for-counter. ``walk`` names how the LFTA ran: ``"native
+    kernel, N workers"`` or ``"numpy"`` from the engine, ``"record at a
+    time"`` from the reference; a merge of shards keeps their distinct
+    descriptions.
     """
 
     counters: CostCounters
     hfta: HFTA
     n_records: int
     n_epochs: int
+    walk: str | None = None
 
     def intra_cost(self, params: CostParameters) -> CostBreakdown:
         return self.counters.measured_intra_cost(params)

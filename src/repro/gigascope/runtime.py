@@ -22,7 +22,7 @@ from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.core.optimizer import Plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import ConfigurationError, SchemaError
-from repro.gigascope.engine import simulate
+from repro.gigascope.engine import bucket_counts, simulate
 from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset, StreamSchema
@@ -39,7 +39,8 @@ def check_run(schema: StreamSchema, queries: Iterable[AggregationQuery],
     Every grouping attribute and every relation of ``configuration``
     must be a schema attribute, and the configuration must instantiate
     every query (the message names the queries it misses and the ones it
-    has) with a count in ``buckets`` for each relation. WHERE reads
+    has) with a count in ``buckets`` for each relation that
+    :func:`~repro.gigascope.engine.bucket_counts` accepts. WHERE reads
     only schema columns. A run has at most one value column, which the
     schema declares, and every sum/avg/min/max query reads exactly it.
     Schema violations raise :class:`~repro.errors.SchemaError`, the rest
@@ -58,11 +59,7 @@ def check_run(schema: StreamSchema, queries: Iterable[AggregationQuery],
                 f"(it instantiates {instantiated} of the requested set)")
         for rel in configuration.relations:
             schema.attribute_set(rel)
-        unbucketed = [rel.label() for rel in configuration.relations
-                      if rel not in buckets]
-        if unbucketed:
-            raise ConfigurationError(
-                f"buckets= has no entry for relations {unbucketed}")
+        bucket_counts(configuration.relations, buckets)
     if where is not None:
         columns = schema.attributes + schema.value_columns
         unknown = where.referenced_columns() - set(columns)
@@ -131,6 +128,8 @@ class RunReport:
             f"HFTA merge        : {hfta.folds} folds over "
             f"{hfta.rows_folded} rows ({merge_path} kernel)",
         ]
+        if self.result.walk is not None:
+            lines.insert(-1, f"LFTA walk         : {self.result.walk}")
         return "\n".join(lines)
 
 

@@ -80,4 +80,6 @@ def merge_results(parts: Sequence[SimulationResult],
         n_records = sum(p.n_records for p in parts)
     if n_epochs is None:
         n_epochs = len(hfta.epochs_seen)
-    return SimulationResult(counters, hfta, int(n_records), int(n_epochs))
+    walks = dict.fromkeys(p.walk for p in parts if p.walk is not None)
+    return SimulationResult(counters, hfta, int(n_records), int(n_epochs),
+                            "; ".join(walks) or None)

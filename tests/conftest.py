@@ -29,6 +29,7 @@ from repro import (
     RelationStatistics,
     StreamSchema,
 )
+from repro.gigascope import engine
 from repro.native import build as native_build
 from repro.native import machine_info
 from repro.workloads import make_group_universe, uniform_dataset
@@ -67,6 +68,25 @@ def numpy_kernels():
     """The whole test runs under :func:`numpy_kernels_off`."""
     with numpy_kernels_off():
         yield
+
+
+@contextmanager
+def walk_workers_of(n: int):
+    """Inside the block every kernel walk over more than one epoch runs
+    on ``n`` threads, ``n`` larger than the epoch count included;
+    ``engine._workers`` is patched, so the numpy walk is untouched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_workers", lambda n_epochs: n)
+        yield
+
+
+@pytest.fixture
+def walk_workers():
+    """``walk_workers(n)`` runs the rest of the test under
+    :func:`walk_workers_of`."""
+    with pytest.MonkeyPatch.context() as patch:
+        yield lambda n: patch.setattr(engine, "_workers",
+                                      lambda n_epochs: n)
 
 
 @pytest.fixture(scope="session")

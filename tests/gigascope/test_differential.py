@@ -2,18 +2,19 @@
 
 Does the data path compute exactly what the paper's record-at-a-time
 LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
-{C kernels, ``numpy_kernels``} x {flat, two-, three-level forest} x
-{unsharded, 2 shards} x {counts only, value column} over hypothesis
-streams; every per-relation counter and ``hfta.totals`` (float sums
-included) compared for equality. Both modes equal the reference, hence
-each other; without a compiler both run the numpy bodies and stay green.
+{C kernels walking the epochs on 1 thread, on 3, ``numpy_kernels``} x
+{flat, two-, three-level forest} x {unsharded, 2 shards} x {counts
+only, value column} over hypothesis streams; every per-relation counter
+and ``hfta.totals`` (float sums included) compared for equality. Every
+mode equals the reference, hence each other; without a compiler all run
+the numpy bodies and stay green.
 Pinned, small-table and degenerate streams run through the same
 comparison.
 Kernel-function checks live beside the code they test, the NaN-value
 kernel shape in ``test_native_ingest.py``.
 """
 
-from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,12 +29,22 @@ from repro.gigascope.online import LiveStreamSystem
 from repro.native import descend, ingest, machine_info, merge, partition
 from repro.parallel import ShardedStreamSystem
 from repro.workloads import measure_statistics
-from tests.conftest import PAPER_GROUPS, numpy_kernels_off
+from tests.conftest import (
+    PAPER_GROUPS,
+    needs_kernel,
+    numpy_kernels_off,
+    walk_workers_of,
+)
 from tests.references import ABC_SCHEMA, abc_stream, assert_matches_reference
 
-#: The two ways the data path runs: compiled kernels and numpy bodies.
-MODES = pytest.mark.parametrize("mode", [nullcontext, numpy_kernels_off],
-                                ids=["kernels", "numpy_kernels"])
+#: The ways the data path runs: compiled kernels walking the epochs on
+#: one thread or on a pool of three, and the numpy bodies. Without a
+#: compiler the pool leg would repeat the numpy one, so it is skipped.
+MODES = pytest.mark.parametrize("mode", [
+    pytest.param(partial(walk_workers_of, 1), id="kernels"),
+    pytest.param(partial(walk_workers_of, 3), id="kernels-3-workers",
+                 marks=needs_kernel),
+    pytest.param(numpy_kernels_off, id="numpy_kernels")])
 
 #: Deeper forests feed the kernel in parent emission order, not time order.
 FORESTS = {

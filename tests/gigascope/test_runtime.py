@@ -1,5 +1,6 @@
 """Tests for the end-to-end StreamSystem."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,6 +14,7 @@ from repro import (
 )
 from repro.core.optimizer import plan
 from repro.errors import ConfigurationError, SchemaError
+from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset
 from repro.workloads import measure_statistics, uniform_dataset
 from repro.core.feeding_graph import FeedingGraph
@@ -140,3 +142,57 @@ class TestStreamSystem:
         report = StreamSystem.from_plan(dataset, queries, p).run()
         assert report.per_record_cost == pytest.approx(
             p.predicted_cost, rel=0.6)
+
+
+class TestBucketMaps:
+    """``simulate`` and ``check_run`` read a bucket map through one
+    check: every relation needs a count, a count is a real number and
+    not a bool, floored and at least 1."""
+
+    config = Configuration.from_notation("AB(A B)")
+
+    def run(self, dataset, buckets):
+        return simulate(dataset, self.config, buckets, 3.0)
+
+    def both(self, dataset, buckets):
+        """The error ``simulate`` raises, after ``StreamSystem``
+        (``check_run``) raised the same one."""
+        queries = QuerySet.counts(["A", "B"], epoch_seconds=3.0)
+        with pytest.raises(ConfigurationError) as checked:
+            StreamSystem(dataset, queries, self.config, buckets)
+        with pytest.raises(ConfigurationError) as simulated:
+            self.run(dataset, buckets)
+        assert str(checked.value) == str(simulated.value)
+        return str(simulated.value)
+
+    def test_missing_relations_are_named(self, dataset):
+        message = self.both(dataset, {A("AB"): 16})
+        assert message == "buckets= has no entry for relations ['A', 'B']"
+
+    @pytest.mark.parametrize("count", [True, np.bool_(True), "12", None,
+                                       b"4", [4]])
+    def test_non_numbers_are_refused(self, dataset, count):
+        buckets = {rel: 8 for rel in self.config.relations}
+        buckets[A("B")] = count
+        assert "not a number" in self.both(dataset, buckets)
+
+    @pytest.mark.parametrize("count", [0, 0.9, -3, float("nan"),
+                                       float("inf")])
+    def test_counts_below_one_are_refused(self, dataset, count):
+        buckets = {rel: 8 for rel in self.config.relations}
+        buckets[A("A")] = count
+        assert "needs >= 1 bucket" in self.both(dataset, buckets)
+
+    def test_numpy_and_float_counts_floor(self, dataset):
+        want = self.run(dataset, {A("AB"): 16, A("A"): 7, A("B"): 5})
+        for buckets in ({A("AB"): np.int64(16), A("A"): np.int32(7),
+                         A("B"): np.uint8(5)},
+                        {A("AB"): 16.99, A("A"): np.float64(7.5),
+                         A("B"): 5.0}):
+            got = self.run(dataset, buckets)
+            assert got.counters.relations == want.counters.relations
+            for rel in self.config.leaves:
+                assert got.hfta.epochs(rel) == want.hfta.epochs(rel)
+                for epoch in want.hfta.epochs(rel):
+                    assert got.hfta.totals(rel, epoch) == \
+                        want.hfta.totals(rel, epoch)
