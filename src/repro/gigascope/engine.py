@@ -158,8 +158,15 @@ def simulate(dataset: Dataset, config: Configuration,
              hfta: HFTA | None = None,
              registry=None,
              tables: Tables | None = None,
+             rows: np.ndarray | None = None,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
+
+    ``rows``, when given, is the integer index of the rows this call
+    walks (1-D, strictly ascending, inside ``[0, len(dataset))``, else
+    :class:`~repro.errors.ConfigurationError`): the result is that of
+    the dataset of just those rows, bit for bit, read in place. A
+    sharded run walks each shard this way.
 
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
@@ -179,11 +186,13 @@ def simulate(dataset: Dataset, config: Configuration,
     # a leaf. Both walks read it from here, and a relation that emits
     # still feeds its children.
     emit = [config.is_leaf(rel) for rel in rels]
+    rows = _row_index(rows, len(dataset))
+    n_records = len(dataset) if rows is None else len(rows)
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
     native = _native.kernel_available()
     with trace(registry, "engine"):
-        slices = list(dataset.epoch_slices(epoch_seconds))
+        slices = _epochs(dataset, epoch_seconds, rows)
         n_epochs = len(slices)
         workers = _workers(n_epochs) if native and n_epochs > 1 else 1
         # A raw arrival's time is its index in the epoch and its weight
@@ -196,17 +205,59 @@ def simulate(dataset: Dataset, config: Configuration,
         if slices and native:
             _walk_native(dataset, config, table_sizes, salts, emit,
                          counters, hfta, slices, values, times0, ones,
-                         tables, workers)
+                         rows, tables, workers)
         elif slices:
             _walk_numpy(dataset, config, table_sizes, salts, emit,
-                        counters, hfta, slices, values, times0, ones)
+                        counters, hfta, slices, values, times0, ones, rows)
     if registry is not None:
-        registry.counter("engine.records").inc(len(dataset))
+        registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
         registry.gauge("engine.workers").set(workers)
     walk = (f"native kernel, {workers} worker{'s' * (workers != 1)}"
             if native else "numpy")
-    return SimulationResult(counters, hfta, len(dataset), n_epochs, walk)
+    return SimulationResult(counters, hfta, n_records, n_epochs, walk)
+
+
+def _row_index(rows, n_records: int) -> np.ndarray | None:
+    """``simulate``'s ``rows=``, checked once: None, or the index as
+    contiguous int64 once it is known to be 1-D, integer, strictly
+    ascending and inside ``[0, n_records)``."""
+    if rows is None:
+        return None
+    index = np.asarray(rows)
+    if index.ndim != 1:
+        raise ConfigurationError(
+            f"rows= must be a 1-D row index, got shape {index.shape}")
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ConfigurationError(
+            f"rows= must be integers, got dtype {index.dtype}")
+    steps = np.flatnonzero(index[1:] <= index[:-1])
+    if steps.size:
+        i = int(steps[0]) + 1
+        defect = "repeats" if index[i] == index[i - 1] else "is below"
+        raise ConfigurationError(
+            f"rows= must be strictly ascending: rows[{i}] = {index[i]} "
+            f"{defect} rows[{i - 1}] = {index[i - 1]}")
+    if index.size and (index[0] < 0 or index[-1] >= n_records):
+        raise ConfigurationError(
+            f"rows= must lie in [0, {n_records}), got range "
+            f"[{index[0]}, {index[-1]}]")
+    return np.ascontiguousarray(index, dtype=np.int64)
+
+
+def _epochs(dataset: Dataset, epoch_seconds: float,
+            rows: np.ndarray | None) -> list[tuple[int, int, int]]:
+    """``(epoch_id, lo, hi)`` of every non-empty epoch: a range of
+    stream rows, or with ``rows`` a range of positions in it."""
+    slices = list(dataset.epoch_slices(epoch_seconds))
+    if rows is None or not slices:
+        return slices
+    ids, starts, ends = np.array(slices, dtype=np.int64).T
+    lo = np.searchsorted(rows, starts)
+    hi = np.searchsorted(rows, ends)
+    keep = hi > lo
+    return list(zip(ids[keep].tolist(), lo[keep].tolist(),
+                    hi[keep].tolist()))
 
 
 def _walk_native(dataset: Dataset, config: Configuration,
@@ -215,11 +266,12 @@ def _walk_native(dataset: Dataset, config: Configuration,
                  counters: CostCounters, hfta: HFTA,
                  slices: list[tuple[int, int, int]],
                  values: np.ndarray | None, times0: np.ndarray,
-                 ones: np.ndarray, tables: Tables | None = None,
-                 workers: int = 1) -> None:
+                 ones: np.ndarray, rows: np.ndarray | None = None,
+                 tables: Tables | None = None, workers: int = 1) -> None:
     """Every epoch through the ingest kernel, one call per epoch, on
     ``workers`` threads (the calling one alone when 1). The HFTA and the
-    counters take the results after the last epoch, in epoch order."""
+    counters take the results after the last epoch, in epoch order.
+    With ``rows`` the kernel reads the stream's rows through it."""
     rels = config.relations
     names = list(dict.fromkeys(a for rel in rels for a in rel.names))
 
@@ -252,15 +304,20 @@ def _walk_native(dataset: Dataset, config: Configuration,
         w.bind(columns, values)
         w.stats[:] = 0
 
-    def epoch_batches(own: _native.Walk, start: int, end: int) -> list:
-        """One epoch's emitted runs. ``rows`` is a view of the walk's
+    def epoch_batches(own: _native.Walk, lo: int, hi: int) -> list:
+        """One epoch's emitted runs. ``reps`` is a view of the walk's
         scratch, so the group columns are copied out here, before the
         walk's next call."""
-        n = end - start
-        return [(r, {a: dataset.columns[a][start:end][rows]
+        n = hi - lo
+        if rows is None:  # the kernel's rows are relative to ``start``
+            start, out = lo, _native.ingest_runs(own, lo, times0[:n],
+                                                 ones[:n])
+        else:
+            start, out = 0, _native.ingest_runs(own, 0, times0[:n],
+                                                ones[:n], rows[lo:hi])
+        return [(r, {a: dataset.columns[a][start:][reps]
                      for a in rels[r].names}, *runs)
-                for r, rows, *runs in _native.ingest_runs(
-                    own, start, times0[:n], ones[:n])]
+                for r, reps, *runs in out]
 
     if len(walks) == 1:
         emitted = [epoch_batches(walk, start, end)
@@ -322,19 +379,20 @@ def _walk_numpy(dataset: Dataset, config: Configuration,
                 counters: CostCounters, hfta: HFTA,
                 slices: list[tuple[int, int, int]],
                 values: np.ndarray | None, times0: np.ndarray,
-                ones: np.ndarray, tables: Tables | None = None) -> None:
-    """Every epoch through the numpy walk, one relation at a time; it
-    keeps nothing in ``tables``."""
+                ones: np.ndarray, rows: np.ndarray | None = None) -> None:
+    """Every epoch through the numpy walk, one relation at a time; with
+    ``rows`` each epoch gathers its rows through it."""
     depths = {rel: config.depth(rel) for rel in config.relations}
     max_b = max(table_sizes.values())
     raw = set(config.raw_relations)
-    for epoch_id, start, end in slices:
-        n = end - start
+    for epoch_id, lo, hi in slices:
+        n = hi - lo
         stride = np.int64(n + max_b + 2)
         arrivals: dict[AttributeSet, _Arrivals] = {}
-        vals = values[start:end] if values is not None else None
+        take = slice(lo, hi) if rows is None else rows[lo:hi]
+        vals = values[take] if values is not None else None
         for root in raw:
-            cols = {a: dataset.columns[a][start:end] for a in root.names}
+            cols = {a: dataset.columns[a][take] for a in root.names}
             # A single record's partials: sum = min = max = its value.
             arrivals[root] = (times0[:n], ones[:n], vals, vals, vals, cols)
         for rel, emits in zip(config.relations, emit):  # parents first

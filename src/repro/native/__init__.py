@@ -8,7 +8,7 @@ the four kernels are ``repro.native.ingest`` (the engine's LFTA walk of
 the whole forest, one call per epoch), ``repro.native.merge`` (the HFTA's
 hash-table group-merge fold, and through the same table the planner's
 exact group and flow counts), ``repro.native.partition`` (the sharded
-runtime's hash-and-scatter pass) and ``repro.native.descend`` (the ES
+runtime's partition hash) and ``repro.native.descend`` (the ES
 allocator's coordinate descent). Each exposes ``kernel_available()`` —
 a lookup in that memo — and callers pick the kernel or their numpy /
 scalar body from it; there is no per-call or per-object switch.

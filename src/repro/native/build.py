@@ -38,6 +38,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,7 +107,12 @@ class KernelStatus:
 
 
 #: The per-process memo: one load attempt, hence one record, per kernel.
+#: A record is published only once its attempt has an outcome.
 _statuses: dict[str, KernelStatus] = {}
+
+#: Held around every first attempt, so a concurrent caller waits for its
+#: outcome instead of reading an attempt still in progress.
+_first_load = threading.Lock()
 
 
 def kernels_disabled() -> bool:
@@ -207,19 +213,35 @@ def load_kernel(name: str, source: str,
     argtypes)``, applied once when the library loads. One attempt per
     process per name: the outcome (library or failure diagnostic) is
     memoised here and nowhere else, so callers gate hot paths on this
-    freely. A failed build emits a one-time ``RuntimeWarning`` with the
-    compiler error; ``REPRO_NO_CKERNEL`` suppresses both the attempt and
-    the warning.
+    freely; a thread that asks while another thread's first attempt is
+    under way waits for its outcome. A failed build emits a one-time
+    ``RuntimeWarning`` with the compiler error; ``REPRO_NO_CKERNEL``
+    suppresses both the attempt and the warning.
     """
     status = _statuses.get(name)
     if status is not None:
         return status.lib
-    status = _statuses[name] = KernelStatus(name=name)
+    with _first_load:
+        status = _statuses.get(name)
+        if status is not None:  # another thread's attempt finished
+            return status.lib
+        status = KernelStatus(name=name)
+        try:
+            return _attempt(name, source, signatures, tuple(flags), status)
+        finally:
+            _statuses[name] = status
+
+
+def _attempt(name: str, source: str,
+             signatures: Mapping[str, tuple[object, Sequence]],
+             flags: tuple[str, ...], status: KernelStatus
+             ) -> ctypes.CDLL | None:
+    """:func:`load_kernel`'s one attempt, recorded into ``status``."""
     if kernels_disabled():
         status.disabled = True
         return None
     try:
-        lib = _build_and_load(name, source, tuple(flags), status)
+        lib = _build_and_load(name, source, flags, status)
         if lib is not None:
             for function, (restype, argtypes) in signatures.items():
                 entry = getattr(lib, function)
@@ -234,7 +256,7 @@ def load_kernel(name: str, source: str,
         f"native kernel {name!r} unavailable, falling back to the "
         f"pure-python/numpy path ({status.error}); set "
         f"{DISABLE_ENV}=1 to silence this warning",
-        RuntimeWarning, stacklevel=2)
+        RuntimeWarning, stacklevel=3)
     return None
 
 

@@ -11,7 +11,9 @@ topological order, one cache-friendly pass over its time-ordered arrivals
 that hashes, probes, accumulates, and detects collisions per record,
 then the end-of-epoch flush. The pass hashes a block of 64 arrivals, then
 probes that block: the hashes of a block are independent, so they overlap
-in the CPU.
+in the CPU. The raw arrivals of an epoch are a contiguous range of the
+stream's rows or, given a row index, the rows it names: a shard is
+walked in place, its attributes and values read through the index.
 
 *The feed.* A relation appends every eviction, in the order it happens,
 to its eviction list: the collisions in arrival-time order, then the
@@ -95,6 +97,7 @@ typedef struct { int64_t bucket, run; } order_t;
  * relation) and the largest table. */
 typedef struct {
     int64_t n_rel, longest, max_buckets;
+    int64_t n_stream;           /* rows of the bound stream */
     const int64_t *parent;      /* walk index of the parent, -1 = raw */
     const int64_t *key_off;     /* [n_rel + 1] into key_col */
     const int64_t *key_col;     /* stream column of each key column */
@@ -125,7 +128,8 @@ static int by_bucket_then_run(const void *a, const void *b) {
 
 /* One relation-epoch. Arrival j is raw row rows[j] (row j when rows is
  * NULL) at time t[j] with weight w[j]; vs/vmin/vmax are NULL for a
- * count-only stream. */
+ * count-only stream. A raw relation reads an arrival's value at its row,
+ * a child at j (its parent's evictions). */
 static void walk_relation(
     walk_t *W, int64_t r, int64_t start, int64_t n, int64_t stride,
     int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
@@ -138,6 +142,7 @@ static void walk_relation(
     const uint64_t state = mix64(W->salt[r]);
     const int64_t flush_base = n + W->depth[r] * stride;
     const int has_values = vs != NULL;
+    const int raw = W->parent[r] < 0;
     const int feeds = (int)W->feeds[r];
     int64_t *slot_run = W->slot_run;
     run_t *runs = W->runs;
@@ -187,6 +192,7 @@ static void walk_relation(
         }
         for (j = j0; j < j1; j++) {
             const int64_t row = blk_row[j - j0];
+            const int64_t v = raw ? row : j;
             if (t[j] < n) arr_intra++;
             b = blk_bucket[j - j0];
             q = slot_run[b];
@@ -200,12 +206,12 @@ static void walk_relation(
                 if (c == k) {  /* probe hit: extend the resident run */
                     R->w += w[j];
                     if (has_values) {
-                        R->vs += vs[j];
+                        R->vs += vs[v];
                         /* np.minimum/np.maximum: NaN always propagates */
-                        if (isnan(vmin[j]) || vmin[j] < R->vmin)
-                            R->vmin = vmin[j];
-                        if (isnan(vmax[j]) || vmax[j] > R->vmax)
-                            R->vmax = vmax[j];
+                        if (isnan(vmin[v]) || vmin[v] < R->vmin)
+                            R->vmin = vmin[v];
+                        if (isnan(vmax[v]) || vmax[v] > R->vmax)
+                            R->vmax = vmax[v];
                     }
                     continue;
                 }
@@ -220,9 +226,9 @@ static void walk_relation(
             R->row = row;
             R->w = w[j];
             if (has_values) {
-                R->vs = 0.0 + vs[j];  /* bincount seeds its sums at 0.0 */
-                R->vmin = vmin[j];
-                R->vmax = vmax[j];
+                R->vs = 0.0 + vs[v];  /* bincount seeds its sums at 0.0 */
+                R->vmin = vmin[v];
+                R->vmax = vmax[v];
             }
         }
     }
@@ -295,23 +301,31 @@ static void walk_relation(
     W->stats[4 * r + 3] += n_runs - ev_intra;
 }
 
-/* One epoch through the whole forest: rows [start, start + n) of the
- * stream arrive at the raw relations at times t with weights w; every
- * other relation is fed its parent's evictions in eviction order. */
-void repro_walk(walk_t *W, int64_t start, const int64_t *t,
-                const int64_t *w, int64_t n)
+/* One epoch through the whole forest: n rows of the stream arrive at
+ * the raw relations at times t with weights w, arrival j being row
+ * start + j, or start + rows[j] when rows is not NULL; every other
+ * relation is fed its parent's evictions in eviction order. Returns -1,
+ * or the first j whose start + rows[j] lies outside the stream, in
+ * which case nothing has been walked. */
+int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
+                   const int64_t *t, const int64_t *w, int64_t n)
 {
     const int64_t L = W->longest;
     const int64_t stride = n + W->max_buckets + 2;
     const double *values = W->values ? W->values + start : NULL;
-    int64_t r, p, d;
+    int64_t r, p, d, j;
+
+    if (rows)
+        for (j = 0; j < n; j++)
+            if ((uint64_t)rows[j] >= (uint64_t)(W->n_stream - start))
+                return j;
 
     for (r = 0; r < W->n_rel; r++) {
         W->n_runs[r] = 0;
         p = W->parent[r];
         if (p < 0) {
             if (n > 0)
-                walk_relation(W, r, start, n, stride, n, NULL, t, w,
+                walk_relation(W, r, start, n, stride, n, rows, t, w,
                               values, values, values);
             continue;
         }
@@ -326,6 +340,7 @@ void repro_walk(walk_t *W, int64_t start, const int64_t *t,
             values ? W->ev_f + d * 3 * L + L : NULL,
             values ? W->ev_f + d * 3 * L + 2 * L : NULL);
     }
+    return -1;
 }
 """
 
@@ -334,7 +349,7 @@ class _WalkStruct(ctypes.Structure):
     """``walk_t``: every pointer a ``void *`` on this side."""
 
     _fields_ = [(name, ctypes.c_int64) for name in
-                ("n_rel", "longest", "max_buckets")] + \
+                ("n_rel", "longest", "max_buckets", "n_stream")] + \
         [(name, ctypes.c_void_p) for name in
          ("parent", "key_off", "key_col", "salt", "n_buckets", "depth",
           "emit", "feeds", "out_slot", "columns", "values", "keys",
@@ -344,8 +359,8 @@ class _WalkStruct(ctypes.Structure):
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
-_SIGNATURES = {"repro_walk": (None, [
-    ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P,
+_SIGNATURES = {"repro_walk": (ctypes.c_int64, [
+    ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P, _I64P,
     ctypes.c_int64,
 ])}
 
@@ -485,36 +500,53 @@ class Walk:
         lengths = [col.shape[0] for col in self.columns]
         if self.values is not None:
             lengths.append(self.values.shape[0])
-        self.rows = min(lengths, default=0)
+        self.rows = self._struct.n_stream = min(lengths, default=0)
 
 
-def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray):
+def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
+                rows: np.ndarray | None = None):
     """Run one epoch through every relation of ``walk`` in one call.
 
     Rows ``[start, start + len(t))`` of the walk's stream arrive at the
     raw relations at times ``t`` (distinct and ascending; ``[0, n)`` in
-    every runtime) with weights ``w`` (all 1 in every runtime); the epoch
-    is ``n = len(t)`` long, so the flush windows start at ``n``. Every
-    other relation is fed its parent's evictions. Returns one ``(r, rows,
-    run_w, run_vs, run_vmin, run_vmax)`` per emitting relation ``r`` with
-    at least one run, in walk order; its runs are in the numpy path's
-    (bucket, start-time) order and ``rows`` are the representatives' rows
-    relative to ``start`` (a view of the walk's scratch, valid until the
-    next call). The value arrays are None for a count-only stream. The
-    counters accumulate in ``walk.stats``. Call only when
+    every runtime) with weights ``w`` (all 1 in every runtime). With
+    ``rows`` (contiguous int64, one per arrival, each in ``[0, walk.rows
+    - start)``, which the kernel checks before it walks) arrival ``j`` is
+    row ``start + rows[j]`` instead, its attributes and value read
+    through that index. The epoch is ``n = len(t)`` long, so the flush
+    windows start at ``n``. Every other relation is fed its parent's
+    evictions. Returns one ``(r, reps, run_w, run_vs, run_vmin,
+    run_vmax)`` per emitting relation ``r`` with at least one run, in
+    walk order; its runs are in the numpy path's (bucket, start-time)
+    order and ``reps`` are the representatives' rows relative to
+    ``start`` (a view of the walk's scratch, valid until the next call).
+    The value arrays are None for a count-only stream. The counters
+    accumulate in ``walk.stats``. Call only when
     :func:`kernel_available`.
     """
     lib = _kernel()
     assert lib is not None
     n = int(t.shape[0])
-    if not 0 <= start <= start + n <= walk.rows or n > walk.longest:
+    if n > walk.longest or not 0 <= start <= walk.rows or \
+            (rows is None and start + n > walk.rows):
         raise ValueError(f"epoch rows [{start}, {start + n}) outside the "
                          f"walk's stream or scratch")
     if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
             or not (t.flags.c_contiguous and w.flags.c_contiguous):
         raise ValueError("t and w must be equal-length contiguous int64")
-    lib.repro_walk(walk._ref, start, t.ctypes.data_as(_I64P),
-                   w.ctypes.data_as(_I64P), n)
+    raw = None
+    if rows is not None:
+        if rows.shape != t.shape or rows.dtype != np.int64 \
+                or not rows.flags.c_contiguous:
+            raise ValueError("rows must be contiguous int64, one per "
+                             "arrival")
+        raw = rows.ctypes.data_as(_I64P)
+    bad = lib.repro_walk(walk._ref, start, raw, t.ctypes.data_as(_I64P),
+                         w.ctypes.data_as(_I64P), n)
+    if bad >= 0:
+        raise ValueError(f"rows[{bad}] = {rows[bad]} outside [0, "
+                         f"{walk.rows - start}): the walk's stream past "
+                         f"row {start}")
     out = []
     n_runs = walk.n_runs
     for r, emits in enumerate(walk.emit):
@@ -522,10 +554,10 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray):
             continue
         runs = int(n_runs[r])
         slot = int(walk.out_slot[r])
-        rows, run_w = walk._out_i[slot, :, :runs]
+        reps, run_w = walk._out_i[slot, :, :runs]
         if not walk.has_values:
             vs = vmin = vmax = None
         else:
             vs, vmin, vmax = walk._out_f[slot, :, :runs].copy()
-        out.append((r, rows, run_w.copy(), vs, vmin, vmax))
+        out.append((r, reps, run_w.copy(), vs, vmin, vmax))
     return out

@@ -1,33 +1,26 @@
-"""C kernel for the sharded runtime's partition pass (hash, then scatter).
+"""C kernel for the sharded runtime's partition hash.
 
 Sharding is lossless whatever the record-to-shard assignment, so the
 only thing it may cost is the partition step itself. The numpy path
-pays for it many times over — the splitmix64 chain as dozens of
-whole-array passes with a temporary each, then per shard one boolean
-mask and a masked copy of every column. This kernel makes it the single
-streaming pass *Global Hash Tables Strike Back!* asks of any
-partition-and-ship GROUP BY, in two entry points:
+pays the salted splitmix64 chain as dozens of whole-array passes with a
+temporary each; this kernel makes it one streaming pass:
 
 * :func:`hash_shards` — the salted splitmix64 chain of
   :func:`repro.gigascope.hashing._chain` (the shared ``chain64`` of
   :data:`repro.native.build.HASH_CHAIN_SOURCE`), reduced ``% n_shards``
   to int64 shard ids.
-* :func:`scatter_lanes` — a stable scatter of every 8-byte lane of the
-  stream (int64 attribute columns, float64 timestamps, float64 value
-  columns) into one buffer per lane laid out shard after shard. Shard
-  ``s`` of a lane is the slice ``offsets[s]:offsets[s + 1]`` of its
-  buffer; records keep their arrival order within a shard. The ids are
-  range-checked inside the counting loop and the first bad row is
-  reported instead of scattered.
+
+The ids are the whole of the kernel's job: a shard is a row index into
+the stream's columns (:func:`repro.parallel.partition.shard_rows`), which
+the engine walks in place, so no lane is copied.
 
 Bit-identity contract (pinned by ``tests/parallel/test_partition.py``):
 int64 attribute values are *viewed* as uint64, which wraps negatives
 exactly like numpy's ``astype(np.uint64)``; ``uint64_t`` arithmetic
-wraps like numpy's; lanes are copied as opaque 8-byte words, so NaN
-payloads and signed zeros survive.
+wraps like numpy's.
 
 The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` leaves
-:mod:`repro.parallel.partition` on its numpy bodies with identical
+:mod:`repro.parallel.partition` on its numpy body with identical
 results.
 """
 
@@ -39,7 +32,7 @@ import numpy as np
 
 from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
 
-__all__ = ["KERNEL_NAME", "hash_shards", "kernel_available", "scatter_lanes"]
+__all__ = ["KERNEL_NAME", "hash_shards", "kernel_available"]
 
 KERNEL_NAME = "shard_partition"
 
@@ -57,36 +50,6 @@ void repro_partition_hash(
     for (i = 0; i < n; i++)
         ids[i] = (int64_t)(chain64(cols, k, i, state) % n_shards);
 }
-
-/* Stable scatter of n_lanes 8-byte lanes by shard id. offsets has
- * n_shards + 1 entries and cursor n_shards, both zeroed by the caller;
- * on return shard s occupies out[l][offsets[s] .. offsets[s + 1]).
- * Returns -1, or the first row whose id is outside [0, n_shards), in
- * which case nothing has been written to out. */
-int64_t repro_partition_scatter(
-    const int64_t *ids, int64_t n, int64_t n_shards,
-    const uint64_t **lanes, uint64_t **out, int64_t n_lanes,
-    int64_t *offsets, int64_t *cursor)
-{
-    int64_t i, s, l, pos;
-
-    for (i = 0; i < n; i++) {
-        s = ids[i];
-        if (s < 0 || s >= n_shards)
-            return i;
-        offsets[s + 1]++;
-    }
-    for (s = 0; s < n_shards; s++) {
-        offsets[s + 1] += offsets[s];
-        cursor[s] = offsets[s];
-    }
-    for (i = 0; i < n; i++) {
-        pos = cursor[ids[i]]++;
-        for (l = 0; l < n_lanes; l++)
-            out[l][pos] = lanes[l][i];
-    }
-    return -1;
-}
 """
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
@@ -96,11 +59,6 @@ _SIGNATURES = {
     "repro_partition_hash": (None, [
         ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
         ctypes.c_uint64, ctypes.c_uint64, _I64P,
-    ]),
-    "repro_partition_scatter": (ctypes.c_int64, [
-        _I64P, ctypes.c_int64, ctypes.c_int64,
-        ctypes.POINTER(_U64P), ctypes.POINTER(_U64P),
-        ctypes.c_int64, _I64P, _I64P,
     ]),
 }
 
@@ -149,34 +107,3 @@ def hash_shards(cols: list[np.ndarray], salt: int,
         ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
         ctypes.c_uint64(n_shards), ids.ctypes.data_as(_I64P))
     return ids
-
-
-def scatter_lanes(ids: np.ndarray, n_shards: int, lanes: list[np.ndarray]):
-    """Scatter ``lanes`` by shard id, stably, one buffer per lane.
-
-    ``ids`` are int64 shard ids, one per record; ``lanes`` the stream's
-    8-byte columns. Returns ``(buffers, offsets, bad_row)``: on success
-    ``bad_row`` is -1, ``buffers[l]`` has ``lanes[l]``'s dtype and holds
-    shard ``s`` at ``offsets[s]:offsets[s + 1]``; otherwise ``bad_row``
-    is the first record whose id lies outside ``[0, n_shards)`` and the
-    buffers are unwritten. Call only when :func:`kernel_available`.
-    """
-    lib = _kernel()
-    assert lib is not None
-    if n_shards < 1:
-        raise ValueError("need at least one shard")
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
-    n = int(ids.shape[0])
-    lane_ptrs, held = _words(lanes, n)
-    buffers = [np.empty(n, dtype=lane.dtype) for lane in lanes]
-    out_ptrs, _out_held = _words(buffers, n)
-    offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    cursor = np.zeros(n_shards, dtype=np.int64)
-    bad_row = lib.repro_partition_scatter(
-        ids.ctypes.data_as(_I64P), ctypes.c_int64(n),
-        ctypes.c_int64(n_shards), lane_ptrs, out_ptrs,
-        ctypes.c_int64(len(held)),
-        offsets.ctypes.data_as(_I64P), cursor.ctypes.data_as(_I64P))
-    return buffers, offsets, int(bad_row)

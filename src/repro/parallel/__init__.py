@@ -8,7 +8,7 @@ HFTA-level merge combines into the same per-epoch answers the single-core
 
 * :mod:`~repro.parallel.partition` — record-to-shard assignment: the
   ``shard_ids(dataset, n_shards)`` protocol, its one built-in
-  implementation :class:`HashPartitioner`, and the shared scatter;
+  implementation :class:`HashPartitioner`, and each shard's row index;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
   :class:`StreamSystem` subclass whose run shards (in-process, in shard
   order, once each);

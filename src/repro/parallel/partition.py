@@ -6,9 +6,11 @@ returning one integer shard id in ``[0, n_shards)`` per record of a
 aggregates are exactly mergeable (counts and value sums add,
 minima/maxima combine — the same property that makes phantoms lossless),
 *any* assignment preserves query answers; :func:`check_shard_ids`
-validates one, and :func:`split_dataset` scatters the stream by it,
-keeping arrival order within a shard so shard streams remain valid
-time-ordered datasets.
+validates one, and :func:`shard_rows` turns it into one ascending row
+index per shard. A shard is that index into the stream's columns —
+``simulate(..., rows=)`` walks it in place — so a shard costs 8 bytes
+per record, not a copy of every lane; :func:`split_dataset` gathers the
+same rows into shard datasets for callers that want copies.
 
 :class:`HashPartitioner` is the one built-in partitioner: a salted
 splitmix64 hash of a grouping-key projection. Records of one group land
@@ -16,12 +18,10 @@ on one shard, so each shard's tables see a disjoint slice of the group
 space and keep the single-system groups-per-bucket ratio the cost model
 prices.
 
-The two whole-stream passes — the hash behind :class:`HashPartitioner`
-and the scatter behind :func:`split_dataset` — run through the
-runtime-compiled partition kernel whenever it loaded; the numpy bodies
-below are the fallback (no compiler, ``REPRO_NO_CKERNEL=1``) and the
-oracle the kernel is tested against, with identical ids, shards and
-error messages.
+The hash behind :class:`HashPartitioner` runs through the
+runtime-compiled partition kernel whenever it loaded; the numpy body
+below is the fallback (no compiler, ``REPRO_NO_CKERNEL=1``) and the
+oracle the kernel is tested against, with identical ids.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ __all__ = [
     "HashPartitioner",
     "split_dataset",
     "shard_balance",
+    "balance_summary",
+    "shard_rows",
     "check_shard_count",
     "check_shard_ids",
 ]
@@ -60,35 +62,6 @@ def check_shard_count(n_shards) -> int:
     return int(n_shards)
 
 
-def _by(source: str) -> str:
-    return f" from {source}" if source else ""
-
-
-def _bad_ids(ids: np.ndarray, n_shards: int, first: int,
-             source: str) -> ConfigurationError:
-    """The out-of-range error, worded once for the kernel and numpy."""
-    return ConfigurationError(
-        f"shard ids{_by(source)} must lie in [0, {n_shards}), got range "
-        f"[{ids.min()}, {ids.max()}] (first bad id at record {first})")
-
-
-def _check_ids_shape(shard_ids, n_records: int | None,
-                     source: str) -> np.ndarray:
-    """Integer dtype, one id per record — the checks that cost nothing."""
-    ids = np.asarray(shard_ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ConfigurationError(
-            f"shard ids{_by(source)} must be integers, got dtype "
-            f"{ids.dtype}")
-    if ids.ndim != 1 or (n_records is not None
-                         and ids.shape != (n_records,)):
-        expected = "n" if n_records is None else n_records
-        raise ConfigurationError(
-            f"shard assignment{_by(source)} has shape {ids.shape}, "
-            f"expected ({expected},): one id per record")
-    return ids
-
-
 def check_shard_ids(shard_ids, n_shards: int, n_records: int | None = None,
                     source: str = "") -> np.ndarray:
     """Validate a record-to-shard assignment and return it as an array.
@@ -98,10 +71,22 @@ def check_shard_ids(shard_ids, n_shards: int, n_records: int | None = None,
     :class:`~repro.errors.ConfigurationError` naming ``source`` (the
     partitioner type) and the offending range.
     """
-    ids = _check_ids_shape(shard_ids, n_records, source)
+    by = f" from {source}" if source else ""
+    ids = np.asarray(shard_ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(
+            f"shard ids{by} must be integers, got dtype {ids.dtype}")
+    if ids.ndim != 1 or (n_records is not None
+                         and ids.shape != (n_records,)):
+        expected = "n" if n_records is None else n_records
+        raise ConfigurationError(
+            f"shard assignment{by} has shape {ids.shape}, "
+            f"expected ({expected},): one id per record")
     if ids.size and (ids.min() < 0 or ids.max() >= n_shards):
         first = int(np.flatnonzero((ids < 0) | (ids >= n_shards))[0])
-        raise _bad_ids(ids, n_shards, first, source)
+        raise ConfigurationError(
+            f"shard ids{by} must lie in [0, {n_shards}), got range "
+            f"[{ids.min()}, {ids.max()}] (first bad id at record {first})")
     return ids
 
 
@@ -135,6 +120,13 @@ class HashPartitioner:
         return (hashes % np.uint64(n_shards)).astype(np.int64)
 
 
+def shard_rows(shard_ids: np.ndarray, n_shards: int) -> list[np.ndarray]:
+    """Each shard's rows of a checked assignment (see
+    :func:`check_shard_ids`): one ascending int64 index per shard, what
+    ``simulate(..., rows=)`` walks."""
+    return [np.flatnonzero(shard_ids == shard) for shard in range(n_shards)]
+
+
 def shard_balance(shard_ids: np.ndarray, n_shards: int,
                   strategy: str = "") -> dict:
     """Summarize how a record-to-shard assignment actually landed.
@@ -149,13 +141,19 @@ def shard_balance(shard_ids: np.ndarray, n_shards: int,
     ids = check_shard_ids(shard_ids, n_shards, source=strategy)
     counts = (np.bincount(ids, minlength=n_shards) if ids.size
               else np.zeros(n_shards, dtype=np.int64))
-    largest = int(counts.max()) if n_shards else 0
-    mean = ids.size / n_shards if n_shards else 0.0
+    return balance_summary([int(c) for c in counts], strategy)
+
+
+def balance_summary(counts: list[int], strategy: str = "") -> dict:
+    """:func:`shard_balance`'s dict from the per-shard record counts."""
+    n_shards = len(counts)
+    largest = max(counts, default=0)
+    mean = sum(counts) / n_shards if n_shards else 0.0
     return {
         "strategy": strategy,
         "shards": n_shards,
-        "records": [int(c) for c in counts],
-        "empty_shards": int(np.count_nonzero(counts == 0)),
+        "records": list(counts),
+        "empty_shards": counts.count(0),
         "largest_shard": largest,
         "imbalance": float(largest / mean) if mean else 1.0,
     }
@@ -166,28 +164,14 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
     """Materialize the shard streams for a record-to-shard assignment.
 
     ``shard_ids`` must assign every record an integer id in
-    ``[0, n_shards)``. Within each shard, records keep their arrival
-    order, so timestamps remain non-decreasing. With the kernel the
-    shards are slices of one scattered buffer per column (the bytes the
-    per-shard copies would allocate, without the per-shard masks).
+    ``[0, n_shards)``. Each shard gathers the rows :func:`shard_rows`
+    gives it, so records keep their arrival order and timestamps remain
+    non-decreasing.
     """
     n_shards = check_shard_count(n_shards)
-    lanes = [*dataset.columns.values(), dataset.timestamps,
-             *dataset.values.values()]
-    if _native.kernel_available():
-        ids = _check_ids_shape(shard_ids, len(dataset), "")
-        buffers, offsets, bad_row = _native.scatter_lanes(ids, n_shards,
-                                                          lanes)
-        if bad_row >= 0:
-            raise _bad_ids(ids, n_shards, bad_row, "")
-        cuts = ([buffer[lo:hi] for buffer in buffers]
-                for lo, hi in zip(offsets[:-1], offsets[1:]))
-    else:
-        ids = check_shard_ids(shard_ids, n_shards, len(dataset))
-        masks = (ids == shard for shard in range(n_shards))
-        cuts = ([lane[keep] for lane in lanes] for keep in masks)
-    k = len(dataset.columns)
+    ids = check_shard_ids(shard_ids, n_shards, len(dataset))
     return [Dataset(dataset.schema,
-                    dict(zip(dataset.columns, cut[:k])), cut[k],
-                    dict(zip(dataset.values, cut[k + 1:])))
-            for cut in cuts]
+                    {a: col[rows] for a, col in dataset.columns.items()},
+                    dataset.timestamps[rows],
+                    {v: col[rows] for v, col in dataset.values.items()})
+            for rows in shard_rows(ids, n_shards)]

@@ -1,14 +1,21 @@
 """Sharded parallel ingestion: N LFTA shard engines, one exact HFTA merge.
 
 :class:`ShardedStreamSystem` is a :class:`~repro.gigascope.runtime.
-StreamSystem` whose run splits the stream into ``shards`` sub-streams —
-by :class:`~repro.parallel.partition.HashPartitioner` unless the caller
-passes another object with ``shard_ids(dataset, n_shards)`` — runs the exact
-vectorized engine on every shard — in this process, one shard after the
-other in shard order — and merges the per-shard HFTAs and cost
-counters into one :class:`~repro.gigascope.metrics.SimulationResult`.
+StreamSystem` whose run assigns every record to one of ``shards``
+shards — by :class:`~repro.parallel.partition.HashPartitioner` unless the
+caller passes another object with ``shard_ids(dataset, n_shards)`` —,
+runs the exact vectorized engine on every shard — in this process, one
+shard after the other in shard order, each shard's epochs on the
+engine's thread pool — and merges the per-shard HFTAs and cost counters
+into one :class:`~repro.gigascope.metrics.SimulationResult`.
 ``RunReport``, ``summary()`` and every cost/answer accessor therefore work
 unchanged on the merged report.
+
+A shard is not a copy of the stream: it is the ascending index of its
+rows (:func:`~repro.parallel.partition.shard_rows`), and its engine call
+``simulate(dataset, ..., rows=index)`` reads the parent's columns
+through it — 8 bytes per record instead of a copy of every lane, with
+the answers, counters and HFTA batches of a copied shard, bit for bit.
 
 The LFTA memory budget is divided across shards: each shard's table for
 relation ``R`` gets ``buckets_R // shards`` buckets, so a sharded run
@@ -22,12 +29,16 @@ depend on the split — only the measured collision/eviction counts do.
 
 Every run records ``partition`` / ``engine`` / ``merge`` phase spans into
 a :class:`~repro.observability.MetricsRegistry` (pass your own or read
-the system's), and each shard run returns its own sub-registry, merged
-under a ``shard<i>.`` prefix alongside the counter merge.
+the system's) — ``partition`` split into ``partition.assign`` (the
+partitioner and the id check) and ``partition.rows`` (the row indices
+and the balance summary) — and each shard run returns its own
+sub-registry, merged under a ``shard<i>.`` prefix alongside the counter
+merge.
 
 A shard runs once. A shard whose engine call raises ends the run with a
 :class:`~repro.errors.ShardExecutionError` naming the shard, its record
-count and the underlying error, which is chained as ``__cause__``.
+count and the underlying error, which is chained as ``__cause__``; the
+failed run publishes no shard results and no timings.
 """
 
 from __future__ import annotations
@@ -45,20 +56,22 @@ from repro.gigascope.records import Dataset
 from repro.gigascope.runtime import RunReport, StreamSystem
 from repro.native.partition import kernel_available
 from repro.observability import MetricsRegistry
+from repro.observability.tracing import Span
 from repro.parallel.merge import merge_results
-from repro.parallel.partition import (HashPartitioner, check_shard_count,
-                                      check_shard_ids, shard_balance,
-                                      split_dataset)
+from repro.parallel.partition import (HashPartitioner, balance_summary,
+                                      check_shard_count, check_shard_ids,
+                                      shard_rows)
 
 __all__ = ["ShardedStreamSystem"]
 
 
 class _ShardJob(NamedTuple):
     """One shard's work order: everything `simulate` needs plus the shard
-    index."""
+    index; the shard is ``rows`` of ``dataset``."""
 
     index: int
     dataset: Dataset
+    rows: np.ndarray
     configuration: Configuration
     buckets: dict[AttributeSet, int]
     epoch_seconds: float
@@ -77,7 +90,7 @@ def _run_shard(job: _ShardJob) -> _ShardRun:
     registry = MetricsRegistry()
     result = simulate(job.dataset, job.configuration, job.buckets,
                       job.epoch_seconds, job.value_column, job.salt_seed,
-                      registry=registry)
+                      registry=registry, rows=job.rows)
     return job.index, result, registry
 
 
@@ -146,20 +159,21 @@ class ShardedStreamSystem(StreamSystem):
         #: as measured inside each shard run), populated by :meth:`run` and
         #: also merged into :attr:`registry` under ``shard<i>.`` prefixes.
         self.shard_registries: list[MetricsRegistry] | None = None
+        # The last run's (partition, engine, merge) spans, once it
+        # completed; partition and merge are None for ``shards=1``.
+        self._phases: tuple[Span | None, Span, Span | None] | None = None
 
     @property
     def last_timings(self) -> dict[str, float] | None:
         """Phase wall seconds of the last :meth:`run`, from the spans.
 
         Read by the end-to-end benchmark (``benchmarks/e2e``); the
-        same numbers are the :attr:`registry` spans. None until
-        :meth:`run` has completed.
+        same numbers are the :attr:`registry` spans. None until a
+        :meth:`run` has completed, and after a run that failed.
         """
-        engine = self.registry.last_span("engine")
-        if engine is None:
+        if self._phases is None:
             return None
-        partition = self.registry.last_span("partition")
-        merge = self.registry.last_span("merge")
+        partition, engine, merge = self._phases
         return {
             "partition_seconds": partition.seconds if partition else 0.0,
             "engine_seconds": engine.seconds,
@@ -172,69 +186,67 @@ class ShardedStreamSystem(StreamSystem):
     def run(self) -> RunReport:
         """Partition, stream every shard, merge; one report, exact answers."""
         registry = self.registry
+        # Nothing of an earlier run stays published past this point.
+        self.partition_summary = None
+        self.shard_results = self.shard_registries = None
+        self._phases = None
         if self.shards == 1:
             report = super().run(registry=registry)
             self.shard_results = [report.result]
-            self.shard_registries = None
+            self._phases = (None, registry.last_span("engine"), None)
             return report
         dataset = self.dataset
         epoch_seconds = self.queries.epoch_seconds
-        with registry.span("partition"):
-            strategy = type(self.partitioner).__name__
-            # Validated before anything is published or copied: a bad
-            # partitioner fails here, typed, with no partition_summary.
-            shard_ids = check_shard_ids(
-                self.partitioner.shard_ids(dataset, self.shards),
-                self.shards, len(dataset), source=strategy)
-            summary = shard_balance(shard_ids, self.shards,
-                                    strategy=strategy)
+        with registry.span("partition") as partition:
+            with registry.span("partition.assign"):
+                strategy = type(self.partitioner).__name__
+                # Validated before anything is published: a bad
+                # partitioner fails here, typed, with no partition_summary.
+                shard_ids = check_shard_ids(
+                    self.partitioner.shard_ids(dataset, self.shards),
+                    self.shards, len(dataset), source=strategy)
+            with registry.span("partition.rows"):
+                rows = shard_rows(shard_ids, self.shards)
+                summary = balance_summary([len(r) for r in rows], strategy)
             self.partition_summary = summary
             registry.gauge("partition.empty_shards").set(
                 summary["empty_shards"])
             registry.gauge("partition.imbalance").set(summary["imbalance"])
             registry.gauge("partition.kernel").set(int(kernel_available()))
-            jobs = self._materialize_jobs(dataset, shard_ids)
+            jobs = self._jobs(dataset, rows)
             # The stream's own non-empty epochs: one epoch's records
             # usually land on several shards, so shard counts do not add.
             n_epochs = sum(1 for _ in dataset.epoch_slices(epoch_seconds))
         outcomes: list[_ShardRun] = []
-        with registry.span("engine"):
+        with registry.span("engine") as engine:
             for job in jobs:
                 try:
                     outcomes.append(_run_shard(job))
                 except Exception as exc:
                     raise ShardExecutionError(
-                        f"shard {job.index} ({len(job.dataset)} records, "
+                        f"shard {job.index} ({len(job.rows)} records, "
                         f"{len(self.shard_buckets)} relations) failed: "
                         f"{type(exc).__name__}: {exc}",
-                        shard=job.index, records=len(job.dataset)) from exc
+                        shard=job.index, records=len(job.rows)) from exc
         results = [result for _, result, _ in outcomes]
         self.shard_results = results
         self.shard_registries = [reg for _, _, reg in outcomes]
         for index, _, shard_registry in outcomes:
             registry.merge(shard_registry, prefix=f"shard{index}.")
         registry.gauge("shards").set(self.shards)
-        with registry.span("merge"):
+        with registry.span("merge") as merge:
             merged = merge_results(
                 results, self.configuration,
                 n_records=len(dataset), n_epochs=n_epochs)
+        self._phases = (partition, engine, merge)
         return RunReport(merged, self.params, self.queries)
 
-    def _materialize_jobs(self, dataset: Dataset,
-                          shard_ids: np.ndarray) -> list[_ShardJob]:
-        """Split the stream into per-shard work orders (empty shards are
-        skipped; an empty stream yields one job for the empty result)."""
-        epoch_seconds = self.queries.epoch_seconds
-        jobs: list[_ShardJob] = [
-            _ShardJob(index, shard, self.configuration,
-                      self.shard_buckets, epoch_seconds,
-                      self.value_column, self.salt_seed)
-            for index, shard in enumerate(
-                split_dataset(dataset, shard_ids, self.shards))
-            if len(shard)
-        ]
-        if not jobs:
-            jobs = [_ShardJob(0, dataset, self.configuration,
-                              self.shard_buckets, epoch_seconds,
-                              self.value_column, self.salt_seed)]
-        return jobs
+    def _jobs(self, dataset: Dataset,
+              rows: list[np.ndarray]) -> list[_ShardJob]:
+        """One work order per non-empty shard (an empty stream yields one
+        job, shard 0's, for the empty result)."""
+        indices = [index for index, r in enumerate(rows) if len(r)] or [0]
+        return [_ShardJob(index, dataset, rows[index], self.configuration,
+                          self.shard_buckets, self.queries.epoch_seconds,
+                          self.value_column, self.salt_seed)
+                for index in indices]

@@ -194,7 +194,6 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
     for module, function in ((ingest, "ingest_runs"), (merge, "merge_rows"),
                              (merge, "group_stats"),
                              (partition, "hash_shards"),
-                             (partition, "scatter_lanes"),
                              (descend, "descend")):
         monkeypatch.setattr(module, function, unreachable)
     dataset = abc_stream(4, 600, 5, 6.0, clustered=True)

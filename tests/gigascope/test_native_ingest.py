@@ -17,6 +17,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -335,6 +336,45 @@ class TestBuildMachinery:
         native_build._statuses.pop(native_ingest.KERNEL_NAME)
         assert native_ingest.kernel_available()
         assert run == _racer_run()
+
+    def test_concurrent_first_loads_wait_for_the_build(self, monkeypatch):
+        """Threads asking for a kernel while another thread's first build
+        is under way wait for that build: all get the library, from one
+        build, with no warning."""
+        monkeypatch.delenv(native_build.DISABLE_ENV, raising=False)
+        library, builds = object(), []
+        building, release = threading.Event(), threading.Event()
+
+        def slow_build(name, source, flags, status):
+            builds.append(name)
+            building.set()
+            release.wait(10.0)
+            return library
+
+        monkeypatch.setattr(native_build, "_build_and_load", slow_build)
+        got = []
+
+        def load():
+            got.append(native_build.load_kernel("test_slow_kernel", "", {}))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = threading.Thread(target=load)
+            first.start()
+            assert building.wait(10.0)
+            waiting = [threading.Thread(target=load) for _ in range(7)]
+            for thread in waiting:
+                thread.start()
+            waiting[0].join(0.2)
+            assert not got  # waiting, not handed a None
+            release.set()
+            for thread in [first, *waiting]:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        assert got == [library] * 8
+        assert builds == ["test_slow_kernel"]
+        assert caught == []
+        assert native_build.kernel_status("test_slow_kernel").available
 
     @needs_kernel
     def test_ingest_kernel_reports_available(self):

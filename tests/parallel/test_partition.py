@@ -1,6 +1,6 @@
 """Tests for record-to-shard assignment: the built-in hash partitioner,
-the ``shard_ids`` protocol user partitioners implement, and the shared
-scatter."""
+the ``shard_ids`` protocol user partitioners implement, and the shard
+datasets ``split_dataset`` gathers."""
 
 import numpy as np
 import pytest
@@ -108,7 +108,7 @@ class TestRoundRobinPartitioner:
 class TestKeyRangePartitioner:
     """A key-range split with fixed bounds, written as user code against
     the protocol: its numpy ids go through the shared validation,
-    balance summary and scatter."""
+    balance summary and split."""
 
     def test_explicit_boundaries(self, dataset):
         bounds = (150_000, 210_000)
@@ -158,7 +158,7 @@ class TestKeyRangePartitioner:
            n_shards=st.integers(min_value=2, max_value=8))
     def test_derived_split_covers_all_reachable_shards(self, values,
                                                        n_shards):
-        """Whatever the skew, each shard of the scatter holds exactly its
+        """Whatever the skew, each shard of the split holds exactly its
         key range in arrival order, and the summary counts what landed."""
         data = _key_dataset(sorted(values))
         bounds = (-30, -10, 0, 1, 10, 30, 45)[:n_shards - 1]
@@ -217,8 +217,8 @@ class TestSplitDataset:
 
     def test_rejects_out_of_range_ids(self, dataset):
         """Ids outside [0, n_shards) and non-integer ids are a typed
-        error — the same one, word for word, from the kernel's in-loop
-        check, the numpy path and ``shard_balance``."""
+        error — the same one, word for word, from ``split_dataset`` and
+        ``shard_balance``, with and without the kernels."""
         n = len(dataset)
         too_big = np.full(n, 5)
         negative = np.zeros(n, dtype=np.int64)
@@ -296,7 +296,7 @@ _SHAPES = {
 }
 
 #: The built-in partitioner and two user ones, whose numpy ids reach the
-#: same scatter.
+#: same split.
 _PARTITIONERS = {
     "hash": HashPartitioner(),
     "round-robin": RoundRobin(),
@@ -305,8 +305,9 @@ _PARTITIONERS = {
 
 
 def _assert_split_agrees(data: Dataset, ids: np.ndarray, n_shards: int):
-    """Kernel scatter == numpy masks, lane for lane, and every shard is
-    a dataset the engine can take as it is."""
+    """The split with and without the kernels == the masked lanes, lane
+    for lane, and every shard is a dataset the engine can take as it
+    is."""
     shards = split_dataset(data, ids, n_shards)
     with numpy_kernels_off():
         expected = split_dataset(data, ids, n_shards)
@@ -330,7 +331,8 @@ def _assert_split_agrees(data: Dataset, ids: np.ndarray, n_shards: int):
 
 @needs_kernel
 class TestKernelDifferential:
-    """The partition kernel against the numpy bodies it replaces."""
+    """The partition kernel against the numpy bodies it replaces, and the
+    split of its ids."""
 
     @given(data=streams(), n_shards=st.integers(min_value=1, max_value=7),
            key=st.sampled_from([None, AttributeSet.parse("AB")]),

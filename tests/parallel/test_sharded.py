@@ -352,6 +352,32 @@ class TestObservabilityWiring:
         assert system.registry.gauges["partition.kernel"].value == \
             int(kernel_available())
 
+    def test_partition_span_splits_in_two(self, netflow, pair_plan,
+                                          monkeypatch):
+        """``partition.assign`` (partitioner + the one id check) and
+        ``partition.rows`` (row indices + summary) lie inside the
+        ``partition`` span, one after the other."""
+        from repro.parallel import partition as partition_module
+        from repro.parallel import sharded as sharded_module
+
+        checks = []
+        check = partition_module.check_shard_ids
+        for module in (partition_module, sharded_module):
+            monkeypatch.setattr(module, "check_shard_ids",
+                                lambda *a, **k: checks.append(1) or
+                                check(*a, **k))
+        queries, the_plan = pair_plan
+        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                               shards=3)
+        system.run()
+        assert checks == [1]
+        registry = system.registry
+        whole, assign, rows = (registry.last_span(name) for name in (
+            "partition", "partition.assign", "partition.rows"))
+        assert whole.start <= assign.start <= assign.end <= rows.start \
+            <= rows.end <= whole.end
+        assert system.last_timings["partition_seconds"] == whole.seconds
+
     def test_last_timings_derived_from_spans(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,

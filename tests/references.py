@@ -22,7 +22,7 @@ would return, computed by it.
 :class:`RoundRobin` and :class:`KeyRange` are partitioners written the
 way user code writes one: an object with ``shard_ids(dataset,
 n_shards)`` returning numpy ids, which the sharded runtime validates and
-scatters like :class:`~repro.parallel.HashPartitioner`'s.
+cuts into row indices like :class:`~repro.parallel.HashPartitioner`'s.
 
 The ``ref_*`` functions are the planner as it ran on ``Configuration``
 objects and dicts before it moved to index arrays, copied verbatim:

@@ -57,9 +57,10 @@ def single_report(dataset, queries, config, buckets):
 
 
 class FailingEngine:
-    """Stands in for the shard engine: records the dataset of every call,
-    raises ``error`` on the 1-based calls in ``failing`` and runs the
-    real engine on the others."""
+    """Stands in for the shard engine: records the shard of every call
+    (the identity of its ``rows`` index: every shard passes the same
+    dataset), raises ``error`` on the 1-based calls in ``failing`` and
+    runs the real engine on the others."""
 
     def __init__(self, failing=(), error=None):
         self.engine = sharded_module.simulate
@@ -68,7 +69,7 @@ class FailingEngine:
         self.calls = []
 
     def __call__(self, shard_dataset, *args, **kwargs):
-        self.calls.append(id(shard_dataset))
+        self.calls.append(id(kwargs["rows"]))
         if len(self.calls) in self.failing:
             raise self.error
         return self.engine(shard_dataset, *args, **kwargs)

@@ -156,6 +156,32 @@ class TestFailingShard:
         assert system.registry.last_span("merge") is None
         assert "shards" not in system.registry.gauges
 
+    def test_failed_rerun_unpublishes_the_previous_run(self, dataset,
+                                                       queries, config,
+                                                       buckets, fail_shards):
+        """A run that fails after a successful one leaves nothing of the
+        earlier run published: no shard results or registries, and no
+        timings that mix its merge span with the failed run's spans."""
+        system = sharded(dataset, queries, config, buckets)
+        system.run()
+        assert system.shard_results and system.shard_registries
+        assert system.last_timings is not None
+        fail_shards({2}, RuntimeError("crash"))
+        with pytest.raises(ShardExecutionError, match="shard 1"):
+            system.run()
+        assert system.shard_results is None
+        assert system.shard_registries is None
+        assert system.last_timings is None
+        assert system.partition_summary["records"][1] > 0  # the failed run's
+        system.run()  # the engine's third call on: no more failures
+        registry = system.registry
+        assert system.last_timings == {
+            "partition_seconds": registry.last_span("partition").seconds,
+            "engine_seconds": registry.last_span("engine").seconds,
+            "merge_seconds": registry.last_span("merge").seconds,
+        }
+        assert len(system.shard_results) == 3
+
 
 class TestDelayPastTimeout:
     def test_fast_shards_are_not_timed_out(self, dataset, queries, config,
