@@ -13,12 +13,11 @@ ES prices an allocation the way every planner path does, with
 :func:`~repro.core.cost_model.intra_cost` on ``spaces[i] / h[i]``, over
 :meth:`Configuration.topological`: the descent loops over ``0..n-1``, so
 parents come first, and its coordinate order is part of its result. The
-descent is a first-improvement scan, inherently sequential. When
-:mod:`repro.native.descend` loaded (and the model is the plain lookup
-table it hard-codes) the whole descent runs in C on those coordinates'
-``g``, ``h``, ``l``, ``parent_of`` and ``leaf``; otherwise the scalar
-loop it replicates op-for-op runs, on a copy, so a raising collision
-model cannot corrupt the caller's space vector.
+descent is a first-improvement scan, inherently sequential, and runs in
+Python on a copy, so a raising collision model cannot corrupt the
+caller's space vector. ES allocates for the experiments and for
+``plan(algorithm="epes")``; GCSL/GS planning and admission never call
+it.
 """
 
 from __future__ import annotations
@@ -35,16 +34,15 @@ from repro.core.allocation.proportional import ProportionalLinear
 from repro.core.allocation.supernode import SupernodeLinear
 from repro.core.collision.base import CollisionModel
 from repro.core.collision.lookup import LookupModel
-from repro.core.configuration import RAW, Configuration
+from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
-from repro.native import descend as _native
 
 __all__ = ["ExhaustiveAllocator"]
 
-#: Improvement threshold of the coordinate descent (the kernel hard-codes
-#: the same; a trial must beat the incumbent by more than this).
+#: Improvement threshold of the coordinate descent: a trial must beat the
+#: incumbent by more than this.
 _IMPROVE_EPS = 1e-15
 
 #: First step of every descent, as a fraction of ``M``.
@@ -63,15 +61,20 @@ def _price(config: Configuration, spaces: Sequence[float],
                       model, params, clustered)
 
 
-def _scalar_descend(config: Configuration, spaces: list[float], step: float,
-                    min_step: float, model: CollisionModel,
-                    params: CostParameters, clustered: bool) -> list[float]:
-    """First-improvement coordinate descent, mutating ``spaces``.
+def descend(config: Configuration, spaces: Sequence[float], memory: float,
+            model: CollisionModel, params: CostParameters,
+            clustered: bool = True) -> list[float]:
+    """One first-improvement coordinate descent from ``spaces``, steps
+    from :data:`START_STEP` down to :data:`POLISH_STEP` of ``memory``;
+    returns the refined spaces (``spaces`` itself is left as it was).
+    ``config`` is indexed like :meth:`Configuration.topological` leaves
+    it.
 
-    No coordinate goes below one bucket (``h[i]`` units). The loop
-    :mod:`repro.native.descend` replicates op-for-op, lossy
-    ``(a - s) + s`` reverts included.
+    No coordinate goes below one bucket (``h[i]`` units). A rejected
+    move is reverted in place, so its ``(a - s) + s`` rounding stays.
     """
+    spaces = [float(v) for v in spaces]
+    step, min_step = START_STEP * memory, POLISH_STEP * memory
     floors = config.universe.h
     n = len(spaces)
     cost = _price(config, spaces, model, params, clustered)
@@ -98,27 +101,6 @@ def _scalar_descend(config: Configuration, spaces: list[float], step: float,
                         break
         step /= 2.0
     return spaces
-
-
-def descend(config: Configuration, spaces: Sequence[float], memory: float,
-            model: CollisionModel, params: CostParameters,
-            clustered: bool = True) -> list[float]:
-    """One coordinate descent from ``spaces``, steps from
-    :data:`START_STEP` down to :data:`POLISH_STEP` of ``memory``; returns
-    the refined spaces (``spaces`` itself is left as it was). ``config``
-    is indexed like :meth:`Configuration.topological` leaves it."""
-    u = config.universe
-    base = [float(v) for v in spaces]
-    step, min_step = START_STEP * memory, POLISH_STEP * memory
-    if type(model) is LookupModel and _native.kernel_available():
-        flow = [u.l[i] if clustered and p == RAW else 1.0
-                for i, p in enumerate(config.parent_of)]
-        return _native.descend(
-            base, u.h, u.g, u.h, flow, config.parent_of, config.leaf,
-            params.probe_cost, params.evict_cost, model.table_array,
-            model.table_step, step, min_step)
-    return _scalar_descend(config, base, step, min_step, model, params,
-                           clustered)
 
 
 @dataclass(frozen=True)

@@ -151,18 +151,23 @@ class LiveStreamSystem:
 
     def reconfigure(self, plan: Plan,
                     queries: QuerySet | None = None) -> None:
-        """Switch plans; takes effect from the next epoch boundary.
+        """Switch plans from the first epoch not yet processed.
 
-        The currently open epoch (and everything before it) keeps the old
-        configuration — tables are flushed at the boundary, so nothing
-        migrates and the swap is free.
+        The plan is staged and lands when the first record of an epoch
+        after the last closed one arrives: every epoch up to and
+        including the open one (or, with none open, the last closed one,
+        which a record arriving after :meth:`finish` may still reopen)
+        keeps the old configuration. The tables are empty at the swap
+        (they flush at every boundary), so nothing migrates and the swap
+        is free; its :attr:`reconfigurations` entry names the epoch
+        after the last closed one. Before any epoch has closed the plan
+        simply replaces the one the system was built with.
 
         ``queries`` optionally swaps the query set together with the plan
         (the multi-tenant service registers and retires queries at
-        runtime). The swap lands atomically at the same boundary: the
-        open epoch is still processed under the old queries and old
-        configuration. The new set must keep the system's epoch length —
-        every LFTA table flushes on the one shared epoch clock.
+        runtime), atomically with it. The new set must keep the system's
+        epoch length — every LFTA table flushes on the one shared epoch
+        clock.
         """
         target = queries if queries is not None else self.queries
         if queries is not None and \
@@ -174,6 +179,29 @@ class LiveStreamSystem:
                   plan.allocation.buckets, self.value_column, self.where)
         self._staged_plan = plan
         self._staged_queries = queries
+
+    def _land_staged(self, reached: int) -> None:
+        """Run the staged plan (if any) now that stream time has reached
+        epoch ``reached``, if that lies past the last closed epoch: no
+        later record can fall in a closed epoch then."""
+        staged = self._staged_plan
+        if staged is None or (self.epoch_reports
+                              and reached <= self.epoch_reports[-1].epoch):
+            return
+        if self._staged_queries is not None:
+            self.queries = self._staged_queries
+        if not self.epoch_reports:
+            # Nothing ran under the running plan: it is replaced.
+            self.eras.clear()
+            self._apply_plan(staged)
+            return
+        epoch = self.epoch_reports[-1].epoch + 1
+        self._apply_plan(staged)
+        self.reconfigurations.append((epoch, staged.configuration))
+        if self.registry is not None:
+            self.registry.counter("live.reconfigurations").inc()
+            self.registry.event("reconfiguration", epoch=epoch,
+                                configuration=str(staged.configuration))
 
     @property
     def configuration(self) -> Configuration:
@@ -228,6 +256,8 @@ class LiveStreamSystem:
             if self._pending_epoch is not None and \
                     epoch != self._pending_epoch:
                 completed.append(self._close_epoch())
+            if self._pending_epoch is None:
+                self._land_staged(epoch)
             self._pending_epoch = epoch
             for name in self.schema.attributes:
                 self._pending_cols[name].append(kept.columns[name][start:end])
@@ -237,13 +267,16 @@ class LiveStreamSystem:
         return completed
 
     def _advance_time(self) -> list[EpochReport]:
-        """Close the open epoch if ``_last_time`` has moved past its end."""
-        if self._pending_epoch is None:
-            return []
+        """Close the open epoch if ``_last_time`` has moved past its end,
+        and land a staged plan once it has moved past every closed one."""
         latest_epoch = math.floor(self._last_time / self.epoch_seconds)
-        if latest_epoch > self._pending_epoch:
-            return [self._close_epoch()]
-        return []
+        completed = []
+        if self._pending_epoch is not None and \
+                latest_epoch > self._pending_epoch:
+            completed.append(self._close_epoch())
+        if self._pending_epoch is None:
+            self._land_staged(latest_epoch)
+        return completed
 
     def push_dataset(self, dataset: Dataset) -> list[EpochReport]:
         """Convenience: push a whole :class:`Dataset` as one batch."""
@@ -309,17 +342,6 @@ class LiveStreamSystem:
         self._pending_epoch = None
         if self._staged_plan is None:
             self._judge(era, report, dataset)
-        if self._staged_plan is not None:
-            staged = self._staged_plan
-            if self._staged_queries is not None:
-                self.queries = self._staged_queries
-            self._apply_plan(staged)
-            self.reconfigurations.append((epoch + 1, staged.configuration))
-            if self.registry is not None:
-                self.registry.counter("live.reconfigurations").inc()
-                self.registry.event(
-                    "reconfiguration", epoch=epoch + 1,
-                    configuration=str(staged.configuration))
         return report
 
     def _judge(self, era: _Era, report: EpochReport,
@@ -358,13 +380,13 @@ class LiveStreamSystem:
         except AllocationError:
             era.baseline, era.baseline_records = ratio, report.records
             return
-        self.reconfigure(new_plan)
         if self.registry is not None:
             self.registry.counter("live.replans").inc()
             self.registry.event(
                 "replan", epoch=report.epoch, ratio=ratio,
                 baseline=era.baseline,
                 predicted_cost=running.predicted_cost)
+        self.reconfigure(new_plan)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

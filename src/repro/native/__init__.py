@@ -4,14 +4,13 @@ This package is the one place that knows whether C is available.
 ``repro.native.build`` owns the compile-at-first-use pattern every
 kernel shares (compiler discovery, on-disk cache, the
 ``REPRO_NO_CKERNEL`` opt-out, the per-process memo of load outcomes);
-the four kernels are ``repro.native.ingest`` (the engine's LFTA walk of
+the three kernels are ``repro.native.ingest`` (the engine's LFTA walk of
 the whole forest, one call per epoch), ``repro.native.merge`` (the HFTA's
 hash-table group-merge fold, and through the same table the planner's
-exact group and flow counts), ``repro.native.partition`` (the sharded
-runtime's partition hash) and ``repro.native.descend`` (the ES
-allocator's coordinate descent). Each exposes ``kernel_available()`` —
-a lookup in that memo — and callers pick the kernel or their numpy /
-scalar body from it; there is no per-call or per-object switch.
+exact group and flow counts) and ``repro.native.partition`` (the sharded
+runtime's partition hash). Each exposes ``kernel_available()`` — a
+lookup in that memo — and callers pick the kernel or their numpy body
+from it; there is no per-call or per-object switch.
 
 This package imports nothing from the rest of ``repro``, so any tier can
 depend on it without cycles.
@@ -24,7 +23,7 @@ import platform
 
 import numpy
 
-from repro.native import descend, ingest, merge, partition
+from repro.native import ingest, merge, partition
 from repro.native.build import (
     DEFAULT_FLAGS,
     KernelStatus,
@@ -47,7 +46,7 @@ def machine_info() -> dict:
     ``c_kernel`` is True only when every kernel compiled and loaded;
     per-kernel compiler errors live under ``kernels``.
     """
-    for module in (ingest, merge, partition, descend):
+    for module in (ingest, merge, partition):
         module.kernel_available()
     kernels = diagnostics()
     return {

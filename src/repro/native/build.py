@@ -1,7 +1,7 @@
 """Shared build machinery for runtime-compiled C kernels.
 
-Every native fast path in the repo (the four kernels of this package:
-engine ingest, HFTA merge, shard partition, ES descent) follows the same
+Every native fast path in the repo (the three kernels of this package:
+engine ingest, HFTA merge, shard partition) follows the same
 pattern: a self-contained C source string is compiled at first use with
 whatever compiler the host offers, cached as a shared object in the
 system temp directory keyed by a hash of the source and flags, and loaded

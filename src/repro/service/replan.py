@@ -16,11 +16,11 @@ When planning *is* needed it runs GS
 round's candidates in one pass over the planner's index arrays and
 re-scores only the leaders exactly.
 
-Plans produced here are *staged*, not applied: the service hands them to
-:meth:`~repro.gigascope.online.LiveStreamSystem.reconfigure`, and the
-swap lands at the next epoch boundary where the tables are empty and
-reconfiguration is free. Re-planning therefore never blocks ingest of
-the open epoch.
+Plans produced here never touch the open epoch: the service hands them
+to :meth:`~repro.gigascope.online.LiveStreamSystem.reconfigure`, and the
+swap lands at the first epoch not yet processed, where the tables are
+empty and reconfiguration is free. Re-planning therefore never blocks
+ingest of the open epoch.
 """
 
 from __future__ import annotations

@@ -6,17 +6,18 @@ service tenants talk to:
 
 * **register/retire** — admission-checked (:mod:`.admission`), recorded
   in the :class:`~repro.service.registry.QueryRegistry`, and turned into
-  a *staged* reconfiguration via the
+  a reconfiguration via the
   :class:`~repro.service.replan.IncrementalReplanner`. The swap lands at
-  the next epoch boundary; the open epoch is never touched, so registry
-  churn never blocks ingest.
+  the first epoch not yet processed; the open epoch is never touched, so
+  registry churn never blocks ingest.
 * **activation windows** — each registration owns a *lease* recording
   the epoch range in which it was live. A tenant registering mid-stream
   only sees epochs from its activation on; a retired tenant keeps read
   access to the window it paid for. Windows align exactly with plan
-  swaps: a pending lease resolves to the epoch recorded by the
-  reconfiguration entry its staging produced, so "active from" always
-  equals "first epoch computed under a plan that includes me".
+  swaps: every lease edge is that first unprocessed epoch at call time
+  (:meth:`StreamService._boundary_epoch`), which is where the swap
+  lands, so "active from" always equals "first epoch computed under a
+  plan that includes me".
 * **answers** — per-tenant, rendered from the shared HFTA partials with
   each tenant's own aggregate and HAVING threshold, filtered to the
   lease window. Tenants sharing a group-by share physical state but
@@ -69,36 +70,24 @@ SKETCH_K = 256
 class _Lease:
     """One registration's activation window, in epoch ids.
 
-    ``start``/``end`` of ``None`` mean unbounded; a pending index defers
-    resolution until the reconfiguration entry staged for this change
-    lands at an epoch boundary (``reconfigurations[pending][0]`` is then
-    the exact first/last-exclusive epoch of the window).
+    ``start`` is the first epoch of the window and ``end`` the first
+    after it; ``None`` means unbounded.
     """
 
     tenant: str
     query: AggregationQuery
     start: int | None = None
     end: int | None = None
-    pending_start: int | None = None
-    pending_end: int | None = None
     retired: bool = False
 
     def covers(self, epoch: int) -> bool:
-        if self.pending_start is not None:
-            return False  # not yet activated
-        if self.start is not None and epoch < self.start:
-            return False
-        if self.pending_end is None and self.end is not None \
-                and epoch >= self.end:
-            return False
-        return True
+        return (self.start is None or epoch >= self.start) and \
+            (self.end is None or epoch < self.end)
 
     def window(self) -> dict:
         return {"tenant": self.tenant,
                 "group_by": self.query.group_by.label(),
                 "start": self.start, "end": self.end,
-                "pending": (self.pending_start is not None
-                            or self.pending_end is not None),
                 "retired": self.retired}
 
 
@@ -276,11 +265,13 @@ class StreamService:
 
     # ------------------------------------------------------------------
     def _boundary_epoch(self) -> int | None:
-        """The first epoch a change staged *now* can affect, if known.
+        """The first epoch a change made *now* affects, if known.
 
         With an epoch open it is the next one; with data but nothing
-        open it is the epoch after the last completed; before any data
-        the window is unbounded (``None``).
+        open it is the epoch after the last completed (records that
+        reopen that epoch still run the old plan). Either way it is
+        where :meth:`LiveStreamSystem.reconfigure` lands a plan. Before
+        any data the window is unbounded (``None``).
         """
         live = self.live
         if live is None:
@@ -296,70 +287,39 @@ class StreamService:
                    ending: list[_Lease] | None = None) -> None:
         """Bring the live plan in line with the registry.
 
-        Stages a reconfiguration when the physical query set changed;
-        resolves or defers the affected leases' window edges so they
-        align with the epoch the change actually lands on.
+        Reconfigures the live system when the physical query set changed,
+        then sets the affected leases' window edges to the boundary epoch,
+        where that change lands. Before any data a registration is active
+        from the start and a retirement drops a lease that never was.
         """
         live = self.live
-        if live is None:
-            # No stream yet: registrations are active from the start,
-            # retirements before any data never were active at all.
-            for lease in ending or []:
+        if live is not None and self.registry.is_empty:
+            # Nothing left to plan for; the old tables idle until the
+            # next registration re-plans.
+            self.replanner.invalidate()
+        elif live is not None:
+            target = self.registry.physical_query_set()
+            changed = set(target.group_bys) != set(live.queries.group_bys)
+            staged = live._staged_queries
+            if staged is not None:
+                changed = changed or \
+                    set(target.group_bys) != set(staged.group_bys)
+            if changed:
+                if stats is None:
+                    stats = self.planning_statistics(target)
+                assert self.collector is not None
+                new_plan, _ = self.replanner.replan(
+                    target, stats, token=self.collector.records_seen)
+                live.reconfigure(new_plan, target)
+        boundary = self._boundary_epoch()
+        for lease in starting or []:
+            lease.start = boundary
+        for lease in ending or []:
+            if boundary is None:
                 self._leases.pop(
                     (lease.tenant, lease.query.group_by.label()), None)
-            return
-        boundary = self._boundary_epoch()
-        if self.registry.is_empty:
-            # Nothing left to plan for; the old tables idle until the
-            # next registration re-plans. Close the leases at the
-            # boundary (or drop them if they never activated).
-            for lease in ending or []:
-                if boundary is None:
-                    self._leases.pop(
-                        (lease.tenant, lease.query.group_by.label()), None)
-                else:
-                    lease.end = boundary
-            self.replanner.invalidate()
-            return
-        target = self.registry.physical_query_set()
-        changed = set(target.group_bys) != set(live.queries.group_bys)
-        staged = live._staged_queries
-        if staged is not None:
-            changed = changed or \
-                set(target.group_bys) != set(staged.group_bys)
-        if changed:
-            if stats is None:
-                stats = self.planning_statistics(target)
-            assert self.collector is not None
-            new_plan, _ = self.replanner.replan(
-                target, stats, token=self.collector.records_seen)
-            live.reconfigure(new_plan, target)
-            idx = len(live.reconfigurations)
-            for lease in starting or []:
-                lease.pending_start = idx
-            for lease in ending or []:
-                lease.pending_end = idx
-        else:
-            for lease in starting or []:
-                lease.start = boundary
-            for lease in ending or []:
+            else:
                 lease.end = boundary
-        self._resolve_leases()
-
-    def _resolve_leases(self) -> None:
-        live = self.live
-        if live is None:
-            return
-        landed = len(live.reconfigurations)
-        for lease in self._leases.values():
-            if lease.pending_start is not None \
-                    and landed > lease.pending_start:
-                lease.start = live.reconfigurations[lease.pending_start][0]
-                lease.pending_start = None
-            if lease.pending_end is not None \
-                    and landed > lease.pending_end:
-                lease.end = live.reconfigurations[lease.pending_end][0]
-                lease.pending_end = None
 
     # ------------------------------------------------------------------
     # Ingest
@@ -408,7 +368,6 @@ class StreamService:
         return reports
 
     def _after_epochs(self, reports: list[EpochReport]) -> None:
-        self._resolve_leases()
         if reports:
             self.metrics.counter("service.epochs").inc(len(reports))
 
@@ -424,7 +383,6 @@ class StreamService:
         answer is a lazy :class:`QueryAnswer`: nothing is rendered to
         Python objects until the caller reads it.
         """
-        self._resolve_leases()
         mine = [lease for lease in self._leases.values()
                 if lease.tenant == tenant]
         if not mine:
@@ -443,7 +401,6 @@ class StreamService:
 
     def leases(self, tenant: str | None = None) -> list[dict]:
         """Activation windows (all tenants, or one)."""
-        self._resolve_leases()
         return [lease.window() for lease in self._leases.values()
                 if tenant is None or lease.tenant == tenant]
 
@@ -536,8 +493,16 @@ class StreamService:
         service.registry = QueryRegistry.from_state(payload["registry"])
         service.collector = payload["collector"]
         service._hints = dict(payload["hints"])
+        service.live = _system_from_state(state, registry=service.metrics)
+        boundary = service._boundary_epoch()
+        for lease in payload["leases"]:
+            # A lease pickled while its change was staged still names the
+            # reconfiguration entry; that change lands at the boundary.
+            if lease.__dict__.pop("pending_start", None) is not None:
+                lease.start = boundary
+            if lease.__dict__.pop("pending_end", None) is not None:
+                lease.end = boundary
         service._leases = {
             (lease.tenant, lease.query.group_by.label()): lease
             for lease in payload["leases"]}
-        service.live = _system_from_state(state, registry=service.metrics)
         return service

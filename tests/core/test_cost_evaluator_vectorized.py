@@ -1,12 +1,11 @@
-"""ES's pricing and descent: the frozen batched lanes and the C kernel.
+"""ES's pricing and descent against their frozen references.
 
 ES prices a space vector with the planner's scalar Eq. 7 on the
 configuration's relations in topological order. These tests pin that
-price to the lanes of the batched evaluator it replaced (kept in
-``tests/references.py``), and
-(when a compiler is present) the descent kernel to the scalar
-mutate-and-revert loop — including its lossy ``(a - s) + s`` revert
-arithmetic, which the kernel must reproduce exactly.
+price to the lanes of the batched evaluator it replaced, and the descent
+to the frozen mutate-and-revert loop (both kept in
+``tests/references.py``), including its lossy ``(a - s) + s`` revert
+arithmetic.
 """
 
 import numpy as np
@@ -17,18 +16,16 @@ from repro.core.allocation import ExhaustiveAllocator
 from repro.core.allocation.exhaustive import (
     POLISH_STEP,
     START_STEP,
-    _scalar_descend,
     descend,
 )
 from repro.core.attributes import AttributeSet
 from repro.core.collision.lookup import LinearModel, LookupModel
-from repro.core.configuration import RAW, Configuration
+from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost, per_record_cost
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
-from repro.native import descend as native_descend
-from tests.conftest import needs_kernel, numpy_kernels_off
-from tests.references import RefCostEvaluator
+from tests.conftest import numpy_kernels_off
+from tests.references import RefCostEvaluator, ref_scalar_descend
 
 
 def A(label):
@@ -107,30 +104,27 @@ class TestCostManyMatchesScalar:
 
 
 class TestDescentEquivalence:
-    @needs_kernel
     @given(st.floats(min_value=20000.0, max_value=200000.0),
            st.lists(st.floats(min_value=0.05, max_value=1.0),
                     min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_native_matches_reference(self, memory, start_fracs):
-        u = FOREST.universe
-        model = LookupModel()
+        """ES's one descent equals the frozen scalar loop bit for bit."""
+        evaluator = RefCostEvaluator(CONFIG, STATS, PARAMS)
         total = sum(start_fracs)
         # Keep every coordinate above its floor so the descent is entered
         # the same way in both implementations.
         start = [max(memory * f / total, h + 1.0)
-                 for f, h in zip(start_fracs, u.h)]
-        step, min_step = START_STEP * memory, POLISH_STEP * memory
-        flow = [u.l[i] if p == RAW else 1.0
-                for i, p in enumerate(FOREST.parent_of)]
-        got = native_descend.descend(
-            start, u.h, u.g, u.h, flow, FOREST.parent_of, FOREST.leaf,
-            PARAMS.probe_cost, PARAMS.evict_cost, model.table_array,
-            model.table_step, step, min_step)
-        assert got == _scalar_descend(FOREST, list(start), step, min_step,
-                                      model, PARAMS, True)
+                 for f, h in zip(start_fracs, FOREST.universe.h)]
+        got = descend(FOREST, start, memory, LookupModel(), PARAMS)
+        assert got == ref_scalar_descend(
+            evaluator, list(start), evaluator.entry_units,
+            START_STEP * memory, POLISH_STEP * memory)
 
     def test_allocate_same_without_kernel(self):
+        """ES reaches no C kernel: switching them off leaves its buckets
+        as they were. It fails only if a kernel path comes back that
+        does not match the scalar descent."""
         a = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0, PARAMS)
         with numpy_kernels_off():
             b = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0,
@@ -138,8 +132,7 @@ class TestDescentEquivalence:
         assert a.buckets == b.buckets
 
     def test_grid_path_matches_descent_flavours(self):
-        """A small configuration, unclustered: the kernel and the scalar
-        loop agree there too."""
+        """The same guard on a small unclustered configuration."""
         config = Configuration.from_notation("(ABC(AB BC))")
         es = ExhaustiveAllocator(clustered=False)
         kernel = es.allocate(config, STATS, 20000.0, PARAMS).buckets

@@ -4,7 +4,26 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import QuerySet, plan
-from repro.core.hardness import _random_stats
+from repro.core.feeding_graph import FeedingGraph
+from repro.core.statistics import RelationStatistics
+
+
+def _random_stats(rng: np.random.Generator,
+                  queries: QuerySet) -> RelationStatistics:
+    """Random per-relation group counts respecting monotonicity.
+
+    Group counts must be monotone under projection (a superset of
+    attributes can only have at least as many groups); we draw a base
+    count per query and inflate unions by random factors.
+    """
+    graph = FeedingGraph(queries)
+    groups: dict = {}
+    for rel in graph.nodes:
+        subsets = [groups[s] for s in graph.nodes if s < rel and s in groups]
+        floor = max(subsets, default=0.0)
+        base = float(rng.integers(50, 4000))
+        groups[rel] = max(base, floor * float(rng.uniform(1.0, 2.0)))
+    return RelationStatistics(groups)
 
 
 QUERY_SETS = st.sampled_from([
@@ -14,6 +33,18 @@ QUERY_SETS = st.sampled_from([
     ("AB", "BC", "BD", "CD"),
     ("A", "AB", "ABC"),  # nested queries feed each other
 ])
+
+
+@given(QUERY_SETS, st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_monotone_group_counts(labels, seed):
+    """Random instances respect projection monotonicity."""
+    stats = _random_stats(np.random.default_rng(seed),
+                          QuerySet.counts(list(labels)))
+    for small, g_small in stats.groups.items():
+        for big, g_big in stats.groups.items():
+            if small < big:
+                assert g_small <= g_big
 
 
 @given(QUERY_SETS, st.integers(0, 10_000),

@@ -3,8 +3,8 @@
 The paper states "a phantom that feeds less than two relations is never
 beneficial". Under its own cost model with c2 >> c1 that is false: a
 chain phantom filters expensive leaf evictions at the price of cheap
-updates. This module pins a concrete counterexample (found by the
-hardness module's randomized search) and checks the EPES prune flag.
+updates. This module pins a concrete counterexample (found by a
+randomized search of GCSL against EPES) and checks the EPES prune flag.
 """
 
 

@@ -26,7 +26,7 @@ from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.gigascope import Dataset, StreamSchema
 from repro.gigascope.online import LiveStreamSystem
-from repro.native import descend, ingest, machine_info, merge, partition
+from repro.native import ingest, machine_info, merge, partition
 from repro.parallel import ShardedStreamSystem
 from repro.workloads import measure_statistics
 from tests.conftest import (
@@ -193,8 +193,7 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
 
     for module, function in ((ingest, "ingest_runs"), (merge, "merge_rows"),
                              (merge, "group_stats"),
-                             (partition, "hash_shards"),
-                             (descend, "descend")):
+                             (partition, "hash_shards")):
         monkeypatch.setattr(module, function, unreachable)
     dataset = abc_stream(4, 600, 5, 6.0, clustered=True)
     queries = QuerySet.counts(["AB", "BC"], epoch_seconds=2.0)
@@ -215,7 +214,7 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
         assert sharded.answers(query) == single.answers(query)
         assert live.hfta.all_answers(query) == single.answers(query)
     kernels = machine_info()["kernels"]
-    assert set(kernels) == {"engine_ingest", "es_descend", "hfta_merge",
+    assert set(kernels) == {"engine_ingest", "hfta_merge",
                             "shard_partition"}
     assert all(k["disabled"] and not k["available"]
                for k in kernels.values())

@@ -31,7 +31,6 @@ from repro.gigascope.engine import _process_relation
 from repro.gigascope.hashing import bucket_indices, relation_salt
 from repro.gigascope.metrics import CostCounters
 from repro.native import build as native_build
-from repro.native import descend as native_descend
 from repro.native import ingest as native_ingest
 from repro.native import machine_info
 from repro.native import merge as native_merge
@@ -150,7 +149,7 @@ class TestBlockEdges:
     or native_build.kernels_disabled(),
     reason="no C compiler available (or REPRO_NO_CKERNEL set)")
 @pytest.mark.parametrize("module", [native_ingest, native_merge,
-                                    native_partition, native_descend],
+                                    native_partition],
                          ids=lambda module: module.__name__)
 def test_kernel_source_compiles_without_warnings(module, tmp_path):
     """Every kernel builds clean under ``-Wall -Wextra -Werror`` with the
@@ -322,7 +321,7 @@ class TestBuildMachinery:
         """The compiler vanishes before the ingest kernel's first load:
         one warning, the error on record, the numpy walk's answers, which
         are the kernel's."""
-        for module in (native_merge, native_partition, native_descend):
+        for module in (native_merge, native_partition):
             assert module.kernel_available()
         with pytest.MonkeyPatch.context() as patch, \
                 warnings.catch_warnings(record=True) as caught:
@@ -388,7 +387,6 @@ class TestBuildMachinery:
         assert set(info) >= {"platform", "python", "numpy", "cpu_count",
                              "compiler", "c_kernel", "kernels"}
         assert "engine_ingest" in info["kernels"]
-        assert "es_descend" in info["kernels"]
         assert native_partition.KERNEL_NAME in info["kernels"]
         for status in info["kernels"].values():
             assert set(status) == {"available", "disabled", "compiler",
@@ -400,5 +398,5 @@ class TestBuildMachinery:
         manifest = RunManifest.collect(git_sha=False)
         doc = manifest.to_dict()
         assert doc["machine"]["kernels"].keys() >= {
-            "engine_ingest", "es_descend", native_partition.KERNEL_NAME}
+            "engine_ingest", native_partition.KERNEL_NAME}
         assert isinstance(doc["machine"]["c_kernel"], bool)

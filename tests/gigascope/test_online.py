@@ -18,7 +18,12 @@ from repro.errors import ConfigurationError, SchemaError
 from repro.core.sketches import StreamStatisticsCollector
 from repro.gigascope.online import REPLAN_FACTOR, LiveStreamSystem
 from repro.gigascope.records import Dataset
-from repro.workloads import make_group_universe, measure_statistics, uniform_dataset
+from repro.workloads import (
+    make_group_universe,
+    measure_statistics,
+    paper_like_trace,
+    uniform_dataset,
+)
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
@@ -149,6 +154,81 @@ class TestLiveStreamSystem:
         assert flip and kept
         assert min(flip) > max(kept)
         assert live.reconfigurations
+
+    @staticmethod
+    def _trace_and_plans():
+        trace = paper_like_trace(20_000, seed=1)
+        queries = QuerySet.counts(["AB", "BC", "BD", "CD"],
+                                  epoch_seconds=5.0)
+        stats = measure_statistics(trace, FeedingGraph(queries).nodes)
+        first = plan(queries, stats, memory=40_000)
+        flat = plan(queries, stats, memory=40_000, algorithm="none")
+        assert first.configuration != flat.configuration
+        return trace, queries, first, flat
+
+    @staticmethod
+    def _push_rows(live, trace, start, stop):
+        live.push({a: trace.columns[a][start:stop]
+                   for a in SCHEMA.attributes},
+                  trace.timestamps[start:stop])
+
+    def test_reconfigure_with_no_epoch_open_runs_the_next_epoch(self):
+        """A plan staged between ``finish`` and the next record runs the
+        very next epoch, not the one after it."""
+        trace, queries, first, flat = self._trace_and_plans()
+        cuts = np.searchsorted(trace.timestamps, [5.0, 15.0])
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        self._push_rows(live, trace, 0, cuts[0])
+        live.finish()
+        live.reconfigure(flat)
+        self._push_rows(live, trace, cuts[0], cuts[1])
+        live.finish()
+        assert [(r.epoch, r.configuration) for r in live.epoch_reports] == \
+            [(0, first.configuration), (1, flat.configuration),
+             (2, flat.configuration)]
+        assert live.reconfigurations == [(1, flat.configuration)]
+
+    def test_reopened_epoch_keeps_the_old_plan(self):
+        """Records after a mid-epoch ``finish`` may reopen the epoch it
+        closed. A plan staged in between waits for the next epoch, so
+        the reopened one runs the plan it started under and its answers
+        stay exact."""
+        trace, queries, first, flat = self._trace_and_plans()
+        cuts = np.searchsorted(trace.timestamps, [2.5, 5.0, 10.0])
+        live = LiveStreamSystem(SCHEMA, queries, first)
+        self._push_rows(live, trace, 0, cuts[0])
+        live.finish()
+        live.reconfigure(flat)
+        self._push_rows(live, trace, cuts[0], cuts[1])
+        assert live.configuration == first.configuration
+        self._push_rows(live, trace, cuts[1], cuts[2])
+        live.finish()
+        assert [(r.epoch, r.configuration) for r in live.epoch_reports] == \
+            [(0, first.configuration), (0, first.configuration),
+             (1, flat.configuration)]
+        assert live.reconfigurations == [(1, flat.configuration)]
+        head = trace.head(int(cuts[2]))
+        for q in queries:
+            reference = StreamSystem.from_plan(head, queries, first).run()
+            assert live.answers(q) == reference.answers(q)
+
+    def test_reconfigure_before_any_epoch_replaces_the_plan(
+            self, dataset, queries, base_plan):
+        """Nothing ran under the construction plan: the new one replaces
+        it, and no reconfiguration is recorded."""
+        stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
+        flat = plan(queries, stats, memory=800, algorithm="none")
+        live = LiveStreamSystem(SCHEMA, queries, base_plan)
+        live.reconfigure(flat)
+        live.push_dataset(dataset)
+        live.finish()
+        assert [era.plan for era in live.eras] == [flat]
+        assert {r.configuration for r in live.epoch_reports} == \
+            {flat.configuration}
+        assert live.reconfigurations == []
+        reference = StreamSystem.from_plan(dataset, queries, flat).run()
+        for q in queries:
+            assert live.answers(q) == reference.answers(q)
 
     def test_reconfigure_answers_still_exact(self, dataset, queries,
                                              base_plan):

@@ -590,8 +590,6 @@ class RefCostEvaluator:
         self._groups_arr = np.asarray(self.groups, dtype=np.float64)
         self._entry_arr = np.asarray(self.entry_units, dtype=np.float64)
         self._flow_arr = np.asarray(self.flow_div, dtype=np.float64)
-        self._parent_arr = np.asarray(self.parent_index, dtype=np.int64)
-        self._leaf_arr = np.asarray(self.is_leaf, dtype=np.uint8)
         self._groups_valid = self._groups_arr > 1.0
 
     def rates(self, spaces):
@@ -768,7 +766,6 @@ class RefExhaustiveAllocator:
 
     def _descend(self, evaluator, stats, memory, spaces,
                  initial_step=None):
-        from repro.native import descend as native
         floors = [float(h) for h in evaluator.entry_units]
         step = (initial_step if initial_step is not None
                 else self.grid_step) * memory
@@ -776,15 +773,6 @@ class RefExhaustiveAllocator:
         base = [float(v) for v in spaces]
         if step < min_step:
             return base
-        if type(evaluator.model) is LookupModel and \
-                native.kernel_available():
-            return native.descend(
-                base, floors, evaluator._groups_arr,
-                evaluator._entry_arr, evaluator._flow_arr,
-                evaluator._parent_arr, evaluator._leaf_arr,
-                evaluator.c1, evaluator.c2,
-                evaluator.model.table_array, evaluator.model.table_step,
-                step, min_step)
         return ref_scalar_descend(evaluator, base, floors, step, min_step)
 
     def _multistart_spaces(self, evaluator, config, stats, memory, params):

@@ -24,7 +24,11 @@ from repro.errors import AllocationError, ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.service.replan import IncrementalReplanner
-from repro.workloads import make_group_universe, uniform_dataset
+from repro.workloads import (
+    make_group_universe,
+    paper_like_trace,
+    uniform_dataset,
+)
 
 from tests.references import (
     reference_kmv_update,
@@ -143,7 +147,8 @@ class TestChurnExactness:
         push_slice(service, dataset, 0, n // 3)
         service.retire("first")
         service.register("second", query("CD"))
-        assert service.leases("second")[0]["pending"]
+        boundary = service.live.open_epoch + 1
+        assert service.leases("second")[0]["start"] == boundary
         assert service.answers("second") == {"CD": {}}
         push_slice(service, dataset, n // 3, 2 * n // 3)
         service.retire("second")
@@ -156,7 +161,7 @@ class TestChurnExactness:
         seen = []
         for tenant in ("first", "second", "third"):
             window = service.leases(tenant)[0]
-            assert not window["pending"]
+            assert "pending" not in window
             assert window["retired"] == (tenant != "third")
             start = window["start"] or 0
             end = window["end"] if window["end"] is not None else np.inf
@@ -334,6 +339,47 @@ class TestStagedSwap:
         assert len(live.eras) == n_eras + 1
         assert live.reconfigurations[0][0] == open_epoch + 1
         assert service.leases("newbie")[0]["start"] == open_epoch + 1
+
+    def test_registration_with_no_epoch_open_covers_the_next_epoch(self):
+        """Registered between ``finish`` and the next record, a tenant's
+        lease starts at the very next epoch, and that epoch is computed
+        for it."""
+        trace = paper_like_trace(20_000, seed=1)
+        epoch = 5.0
+        cuts = np.searchsorted(trace.timestamps, [epoch, 3 * epoch])
+        service = StreamService(SCHEMA, memory=40_000)
+        service.register("t0", query("AB", epoch_seconds=epoch))
+        push_slice(service, trace, 0, cuts[0])
+        service.finish()
+        service.register("t1", query("CD", epoch_seconds=epoch))
+        push_slice(service, trace, cuts[0], cuts[1])
+        service.finish()
+        assert service.leases("t1")[0]["start"] == 1
+        assert set(service.answers("t1")["CD"]) == {1, 2}
+        assert [e for e, _ in service.live.reconfigurations] == [1]
+
+    def test_retirement_before_a_reopened_epoch_keeps_it_exact(self):
+        """``finish`` mid-epoch, then a retirement whose group-by the new
+        plan drops: records that reopen the epoch still run the old plan,
+        so the retired tenant's answer for it is whole."""
+        trace = paper_like_trace(20_000, seed=1)
+        epoch = 5.0
+        cuts = np.searchsorted(trace.timestamps, [epoch / 2, epoch, 3 * epoch])
+        service = StreamService(SCHEMA, memory=40_000)
+        service.register("t0", query("AB", epoch_seconds=epoch))
+        service.register("t1", query("CD", epoch_seconds=epoch))
+        push_slice(service, trace, 0, cuts[0])
+        service.finish()
+        service.retire("t1")
+        assert service.leases("t1")[0]["end"] == 1
+        push_slice(service, trace, cuts[0], cuts[2])
+        service.finish()
+        head = trace.head(int(cuts[2]))
+        assert service.answers("t1")["CD"] == \
+            {0: offline_answers(head, "CD", epoch)[0]}
+        assert service.answers("t0")["AB"] == \
+            offline_answers(head, "AB", epoch)
+        assert [e for e, _ in service.live.reconfigurations] == [1]
 
     def test_retiring_last_query_of_a_phantom_drops_it(self, dataset):
         """S3 edge: phantoms exist to feed queries; when the queries a

@@ -4,16 +4,20 @@
 ``np.unique`` group-by that imports nothing from the system; here the
 service joins them. A schedule draws ``push`` batch sizes,
 ``register``/``retire`` of tenants over an antichain of group-bys,
-``answers`` calls and ``checkpoint``→``restore`` at random points. The
-expected lease windows come from a model of the contract, not from the
-service's own lease records: a change made while epoch ``e`` is open
-(``e`` = the epoch of the last record pushed) takes effect from epoch
-``e + 1``; a registration before any data covers the whole stream; a
-retirement before any data drops the lease.
+``answers`` calls, ``finish`` (possibly mid-epoch, so later records
+reopen the epoch it closed) and ``checkpoint``→``restore`` at random
+points. The expected lease windows come from a model of the contract,
+not from the service's own lease records: a change made after a record
+of epoch ``e`` was pushed takes effect from epoch ``e + 1``, whether
+``e`` is still open or was closed by ``finish``; a registration before
+any data covers the whole stream; a retirement before any data drops
+the lease.
 
 Each ``answers`` call must give, for every lease, exactly the oracle's
-answer of every *closed* epoch (one a later record has left) the window
-covers, and no other epoch.
+answer over the *flushed* records (those of an epoch a later record has
+left, and those pushed before a ``finish``) of every epoch the window
+covers, and no other epoch: an epoch reopened after ``finish`` answers
+with the records it held when it was closed.
 """
 
 import tempfile
@@ -56,7 +60,7 @@ steps = st.tuples(
     st.one_of(
         st.tuples(st.sampled_from(["register", "retire"]),
                   st.sampled_from(TENANTS), st.integers(0, 3)),
-        st.tuples(st.sampled_from(["answers", "checkpoint"]))))
+        st.tuples(st.sampled_from(["answers", "finish", "checkpoint"]))))
 
 
 class Schedule:
@@ -68,6 +72,7 @@ class Schedule:
         self.epochs = np.floor(dataset.timestamps / EPOCH).astype(np.int64)
         self.service = StreamService(SCHEMA, memory=4000)
         self.pushed = 0
+        self.flushed = 0
         self.active: set[tuple[str, str]] = set()
         self.windows: dict[tuple[str, str], list] = {}
         self.path = directory / "service.ckpt"
@@ -91,6 +96,16 @@ class Schedule:
             return
         self.service.push(*batch)
         self.pushed = stop
+        # Every epoch before the last record's has closed.
+        self.flushed = max(self.flushed, int(np.searchsorted(
+            self.epochs, self.epochs[stop - 1], side="left")))
+
+    def finish(self):
+        """Close the open epoch where the stream stands."""
+        if not self.pushed:
+            return
+        self.service.finish()
+        self.flushed = self.pushed
 
     def register(self, tenant, label):
         if (tenant, label) in self.active:
@@ -119,11 +134,9 @@ class Schedule:
         self.service = StreamService.restore(self.path)
 
     def check(self, final=False):
-        """Every tenant's answers against the oracle over closed epochs."""
-        pushed = self.epochs[:self.pushed]
-        closed = set(pushed.tolist())
-        if not final and self.pushed:
-            closed.discard(int(pushed[-1]))
+        """Every tenant's answers against the oracle over the flushed
+        records (all of them once the stream is ``final``)."""
+        flushed = self.pushed if final else self.flushed
         for tenant in TENANTS:
             mine = {label: window
                     for (t, label), window in self.windows.items()
@@ -135,11 +148,11 @@ class Schedule:
             got = self.service.answers(tenant)
             assert set(got) == set(mine), tenant
             for label, (start, end) in mine.items():
-                want = oracle(self.dataset.columns, self.dataset.timestamps,
-                              tuple(label), EPOCH)
+                want = oracle(
+                    {a: self.dataset.columns[a][:flushed] for a in NAMES},
+                    self.dataset.timestamps[:flushed], tuple(label), EPOCH)
                 want = {epoch: groups for epoch, groups in want.items()
-                        if epoch in closed
-                        and (start is None or epoch >= start)
+                        if (start is None or epoch >= start)
                         and (end is None or epoch < end)}
                 assert got[label] == want, (tenant, label, start, end)
 
@@ -157,6 +170,8 @@ def test_service_matches_oracle(group_bys, data):
             schedule.push(size)
             if op == "answers":
                 schedule.check()
+            elif op == "finish":
+                schedule.finish()
             elif op == "checkpoint":
                 schedule.checkpoint()
             else:
@@ -166,6 +181,25 @@ def test_service_matches_oracle(group_bys, data):
         schedule.push(len(dataset))
         schedule.service.finish()
         schedule.check(final=True)
+
+
+def test_registration_after_finish_matches_oracle(tmp_path):
+    """Registered while no epoch is open, a tenant's window starts at the
+    next epoch, and that epoch is answered for it."""
+    schedule = Schedule(stream(5, 1200, 9), tmp_path)
+    schedule.register("t0", "AB")
+    schedule.push(300)
+    schedule.finish()
+    schedule.register("t1", "CD")
+    schedule.check()
+    schedule.push(300)
+    schedule.retire("t0", "AB")
+    schedule.finish()
+    schedule.retire("t1", "CD")
+    schedule.register("t2", "AC")
+    schedule.push(1200)
+    schedule.service.finish()
+    schedule.check(final=True)
 
 
 @pytest.mark.xfail(strict=True, reason=(
