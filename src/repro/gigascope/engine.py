@@ -20,30 +20,38 @@ reference exactly (tests assert counter-for-counter equality).
 
 Which relations ship their evictions to the HFTA is one list of emit
 flags built here (today: the leaves); a relation that emits still feeds
-its children.
+its children. This walk hands an emitting relation's runs to the HFTA
+as one batch per epoch (``HFTA.ingest_arrays``), and the HFTA folds the
+batch when an answer or an epoch close needs it.
 
 When the host offers a C compiler, the whole walk runs instead as one
 kernel call per epoch (:mod:`repro.native.ingest`): every relation in
 topological order simulates its direct-mapped table record-at-a-time in
 C, appends its evictions in eviction (= time) order to a list that is
-its children's arrival stream, and hands the emitting relations' runs
-out in the numpy walk's (bucket, start-time) order. Bit-identity
-contract: the same buckets, runs, float accumulation order, counters,
-and HFTA batches in the same order as the numpy walk, which stays as
-the path without a compiler and as the reference. Which of the two runs
-is decided by :mod:`repro.native` alone (no compiler or
-``REPRO_NO_CKERNEL=1`` leaves the numpy walk); both are differentially
-tested against each other and against the record-at-a-time reference.
+its children's arrival stream, and *folds* the emitting relations' runs
+itself, in the numpy walk's (bucket, start-time) order, into one row per
+group. Who folds where: the kernel walk folds in the walk, extending the
+state the HFTA already holds for that relation and epoch (its rows
+first, then the runs: the HFTA's own ordering rule), and hands the HFTA
+the folded state (``HFTA.ingest_folded``); this module gathers only the
+new groups' key columns. Bit-identity contract: the same buckets, runs,
+float accumulation order and counters as the numpy walk, and the same
+HFTA state, group order and fold counts as the HFTA's fold of the numpy
+walk's batches. The numpy walk stays as the path without a compiler and
+as the reference. Which of the two runs is decided by
+:mod:`repro.native` alone (no compiler or ``REPRO_NO_CKERNEL=1`` leaves
+the numpy walk); both are differentially tested against each other and
+against the record-at-a-time reference.
 
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
 time. A kernel walk over more than one non-empty epoch runs on a pool of
 threads, one per usable core and at most one per epoch, each with its
 own scratch; they pull epochs in order from one queue, and the caller
-hands the HFTA every batch in epoch order, then relation order, after
-the join, and sums the threads' counters. The calls, batches and floats
-are those of a one-thread walk, bit for bit. A one-epoch call (every
-live epoch close) and the numpy walk stay on the calling thread.
+hands the HFTA every folded state in epoch order, then relation order,
+after the join, and sums the threads' counters. The calls, states and
+floats are those of a one-thread walk, bit for bit. A one-epoch call
+(every live epoch close) and the numpy walk stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from repro.gigascope.hashing import (
     pack_tuples,
     relation_salt,
 )
-from repro.gigascope.hfta import HFTA
+from repro.gigascope.hfta import HFTA, ColumnarTotals
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
 from repro.native import ingest as _native
@@ -85,11 +93,12 @@ class Tables:
     """The LFTA's tables for one configuration, kept between
     :func:`simulate` calls.
 
-    Without one, the kernel walk allocates its slot arrays, runs and
-    eviction buffers in every call, sized to the call's longest epoch. A
-    caller that runs one configuration through many calls, one at a
-    time — ``LiveStreamSystem`` closes each epoch with one — hands every
-    call the same ``Tables``, and the buffers are allocated again only
+    Without one, the kernel walk allocates its slot arrays, runs,
+    eviction buffers, fold outputs and group table in every call, sized
+    to the call's longest epoch and its largest fold. A caller that runs
+    one configuration through many calls, one at a time —
+    ``LiveStreamSystem`` closes each epoch with one — hands every call
+    the same ``Tables``, and the buffers are allocated again only
     when the configuration, an allocation, the salts, the emit flags or
     the value column change, or an epoch outgrows them. The results
     never depend on it.
@@ -269,9 +278,11 @@ def _walk_native(dataset: Dataset, config: Configuration,
                  ones: np.ndarray, rows: np.ndarray | None = None,
                  tables: Tables | None = None, workers: int = 1) -> None:
     """Every epoch through the ingest kernel, one call per epoch, on
-    ``workers`` threads (the calling one alone when 1). The HFTA and the
-    counters take the results after the last epoch, in epoch order.
-    With ``rows`` the kernel reads the stream's rows through it."""
+    ``workers`` threads (the calling one alone when 1). The walk folds
+    each emitting relation's runs, extending the state the HFTA already
+    holds for that relation and epoch; the HFTA and the counters take
+    the folded states after the last epoch, in epoch order. With
+    ``rows`` the kernel reads the stream's rows through it."""
     rels = config.relations
     names = list(dict.fromkeys(a for rel in rels for a in rel.names))
 
@@ -303,33 +314,52 @@ def _walk_native(dataset: Dataset, config: Configuration,
     for w in walks:
         w.bind(columns, values)
         w.stats[:] = 0
+    # The states the folds extend: whatever the HFTA holds for an
+    # emitting relation in an epoch of this call (a reopened live epoch,
+    # an earlier shard, an earlier call), pending batches folded first.
+    seeds: dict[int, dict[int, ColumnarTotals]] = {}
+    for epoch_id, _, _ in slices:
+        for r, emits in enumerate(emit):
+            held = hfta.totals_columnar(rels[r], epoch_id) if emits else None
+            if held is not None:
+                seeds.setdefault(epoch_id, {})[r] = held
 
-    def epoch_batches(own: _native.Walk, lo: int, hi: int) -> list:
-        """One epoch's emitted runs. ``reps`` is a view of the walk's
-        scratch, so the group columns are copied out here, before the
-        walk's next call."""
+    def epoch_states(own: _native.Walk, epoch_id: int, lo: int,
+                     hi: int) -> list:
+        """One epoch's folded states. ``reps`` is a view of the walk's
+        scratch, so the new groups' columns are gathered here, before
+        the walk's next call."""
         n = hi - lo
+        held = seeds.get(epoch_id, {})
+        extend = {r: (s.columns, s.counts, s.value_sums, s.value_mins,
+                      s.value_maxs) for r, s in held.items()}
         if rows is None:  # the kernel's rows are relative to ``start``
-            start, out = lo, _native.ingest_runs(own, lo, times0[:n],
-                                                 ones[:n])
+            start, folds = lo, _native.ingest_runs(
+                own, lo, times0[:n], ones[:n], seeds=extend)
         else:
-            start, out = 0, _native.ingest_runs(own, 0, times0[:n],
-                                                ones[:n], rows[lo:hi])
-        return [(r, {a: dataset.columns[a][start:][reps]
-                     for a in rels[r].names}, *runs)
-                for r, reps, *runs in out]
+            start, folds = 0, _native.ingest_runs(
+                own, 0, times0[:n], ones[:n], rows[lo:hi], extend)
+        states = []
+        for fold in folds:
+            rel = rels[fold.relation]
+            cols = [dataset.columns[a][start:][fold.reps] for a in rel.names]
+            if fold.relation in held:
+                cols = [np.concatenate((old, new)) for old, new
+                        in zip(held[fold.relation].columns, cols)]
+            states.append((rel, ColumnarTotals(
+                rel.names, cols, fold.counts, fold.sums, fold.mins,
+                fold.maxs), fold.runs))
+        return states
 
     if len(walks) == 1:
-        emitted = [epoch_batches(walk, start, end)
-                   for _, start, end in slices]
+        folded = [epoch_states(walk, *piece) for piece in slices]
         stats = walk.stats
     else:
-        emitted = _on_pool(walks, slices, epoch_batches)
+        folded = _on_pool(walks, slices, epoch_states)
         stats = sum(w.stats for w in walks)
-    for (epoch_id, _, _), batches in zip(slices, emitted):
-        for r, cols, run_w, run_vs, run_vmin, run_vmax in batches:
-            hfta.ingest_arrays(rels[r], epoch_id, cols, run_w, run_vs,
-                               run_vmin, run_vmax)
+    for (epoch_id, _, _), states in zip(slices, folded):
+        for rel, state, runs in states:
+            hfta.ingest_folded(rel, epoch_id, state, runs)
     # Every relation sees arrivals in every non-empty epoch.
     for rel, (a_intra, a_flush, e_intra, e_flush) in zip(
             rels, stats.tolist()):
@@ -341,15 +371,15 @@ def _walk_native(dataset: Dataset, config: Configuration,
 
 
 def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
-             epoch_batches) -> list[list]:
-    """``epoch_batches(walk, start, end)`` of every epoch, on one thread
-    per walk; each thread pulls the next epoch from a shared queue. The
-    first exception stops the threads after their current epoch and is
-    raised here."""
+             epoch_states) -> list[list]:
+    """``epoch_states(walk, epoch_id, start, end)`` of every epoch, on
+    one thread per walk; each thread pulls the next epoch from a shared
+    queue. The first exception stops the threads after their current
+    epoch and is raised here."""
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
     for i in range(len(slices)):
         todo.put(i)
-    emitted: list = [None] * len(slices)
+    folded: list = [None] * len(slices)
     failed = threading.Event()
 
     def run(own: _native.Walk) -> None:
@@ -359,8 +389,7 @@ def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
                     i = todo.get_nowait()
                 except queue.Empty:
                     return
-                _, start, end = slices[i]
-                emitted[i] = epoch_batches(own, start, end)
+                folded[i] = epoch_states(own, *slices[i])
         except BaseException:
             failed.set()
             raise
@@ -370,7 +399,7 @@ def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
     errors = [f.exception() for f in futures if f.exception()]
     if errors:
         raise errors[0]
-    return emitted
+    return folded
 
 
 def _walk_numpy(dataset: Dataset, config: Configuration,

@@ -8,11 +8,20 @@ tree can merge entries at every level without losing information.
 
 Per ``(relation, epoch)`` key the state is **columnar**: packed key
 columns plus aligned int64/float64 aggregate arrays
-(:class:`ColumnarTotals`), one row per group. Incoming eviction batches
-buffer briefly and are *folded* into that state by a hash-table
-group-merge — the runtime-compiled C kernel of :mod:`repro.native.merge`
-when available, else a vectorized numpy fold — and the raw batch rows are
-released, so a key's memory is bounded by its group count, not by how
+(:class:`ColumnarTotals`), one row per group. Who folds where:
+
+* With the ingest kernel, the engine's walk folds each emitting
+  relation's evicted runs itself and hands the folded state over
+  (:meth:`HFTA.ingest_folded`); nothing is buffered.
+* Batches that arrive as rows (:meth:`HFTA.ingest_arrays` from the numpy
+  walk, the record-at-a-time reference or any caller, and
+  :meth:`merge_from`'s rows) buffer briefly and are *folded* lazily, on
+  the first answer or at :meth:`finalize_epoch`, by a hash-table
+  group-merge — the runtime-compiled C kernel of
+  :mod:`repro.native.merge` when available, else a vectorized numpy
+  fold — and the raw batch rows are released.
+
+Either way a key's memory is bounded by its group count, not by how
 many batches (collisions, shards) ever mentioned it.
 
 Bit-identity of float sums across incremental folds relies on one
@@ -21,11 +30,15 @@ ordering rule: a re-fold concatenates the accumulated state's rows
 ``(((0 + a1) + a2) + b1) + b2`` — the exact left-to-right sequence a
 from-scratch fold over all raw rows would perform — because ``0.0 + S``
 is bitwise ``S`` for any accumulated sum ``S`` (state sums are never
-``-0.0``; they were seeded at ``+0.0``). The same rule makes shard merges
-exact: :meth:`merge_from` ships *rows* (pending batches, or a folded
-shard's state as one pseudo-batch per key), never folds state into state
-when raw rows are still pending, so no tree-shaped float addition ever
-occurs where the sequential path would have been flat.
+``-0.0``; they were seeded at ``+0.0``). The walk's fold keeps the same
+rule: a seeded fold puts the state the key holds first, then the runs,
+so a live epoch reopened after ``finish()`` adds its floats as one fold
+would. A sharded run walks each shard into a :meth:`fork` of the HFTA
+the shard before it left, so its folds extend the earlier shards'
+states in shard order. :meth:`merge_from`, for HFTAs filled apart, ships
+*rows* (pending batches, or a folded state as one pseudo-batch per key),
+never folds state into state when raw rows are still pending, so no
+tree-shaped float addition occurs where the sequential path is flat.
 
 A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
 read-only ``Mapping`` over one key's folded state, with the aggregate
@@ -39,39 +52,20 @@ access, once per answer.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.core.attributes import AttributeSet
 from repro.core.queries import AggregationQuery
-from repro.gigascope.hash_table import Eviction
 from repro.gigascope.hashing import pack_tuples
 from repro.native import merge as _native_merge
 
-__all__ = ["ColumnarTotals", "GroupAggregate", "HFTA", "QueryAnswer"]
-
-
-class GroupAggregate(NamedTuple):
-    """A group's merged partial aggregate for one epoch."""
-
-    count: int
-    value_sum: float = 0.0
-    value_min: float = math.inf
-    value_max: float = -math.inf
-
-    def merge(self, other: "GroupAggregate") -> "GroupAggregate":
-        return GroupAggregate(
-            self.count + other.count,
-            self.value_sum + other.value_sum,
-            min(self.value_min, other.value_min),
-            max(self.value_max, other.value_max))
+__all__ = ["ColumnarTotals", "HFTA", "QueryAnswer"]
 
 
 @dataclass(eq=False)
@@ -80,11 +74,10 @@ class ColumnarTotals:
 
     ``columns`` holds the group-key attribute values (aligned with
     ``names``); the aggregate arrays are int64 (counts) and float64
-    (sums and NaN-propagating min/max, with ``+inf``/``-inf`` sentinels
-    for value-less workloads, mirroring :class:`GroupAggregate`'s
-    defaults). Group order is first-appearance over the folded rows —
-    the invariant that keeps incremental re-folds bit-identical (state
-    rows re-enter a fold first, in state order).
+    (sums and NaN-propagating min/max, with 0.0 sums and ``+inf``/``-inf``
+    sentinels for value-less workloads). Group order is first-appearance
+    over the folded rows — the invariant that keeps incremental re-folds
+    bit-identical (state rows re-enter a fold first, in state order).
     """
 
     names: tuple[str, ...]
@@ -216,8 +209,6 @@ def _int_list(col: np.ndarray) -> list[int]:
     return [int(v) for v in col.tolist()]
 
 
-_GroupTotals = dict[tuple[int, ...], GroupAggregate]
-
 _Batch = tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
                np.ndarray | None, np.ndarray | None]
 
@@ -296,14 +287,11 @@ class HFTA:
         self._batches: dict[tuple[AttributeSet, int], list[_Batch]] = \
             defaultdict(list)
         #: Folded per-key state: one row per group, first-appearance
-        #: order. Keys move here (and their batch lists are released)
-        #: on the first :meth:`totals`/answer call or eagerly via
+        #: order. The ingest walk installs a key here directly
+        #: (:meth:`ingest_folded`); batch keys move here (and their batch
+        #: lists are released) on the first answer call or eagerly via
         #: :meth:`finalize_epoch`.
         self._columnar: dict[tuple[AttributeSet, int], ColumnarTotals] = {}
-        #: Materialized ``group tuple -> GroupAggregate`` dicts (the
-        #: :meth:`totals` API boundary); derived, dropped from pickles.
-        self._answer_cache: dict[tuple[AttributeSet, int],
-                                 _GroupTotals] = {}
         self.evictions_received = 0
         #: Diagnostic counters for the merge path (manifest/bench food).
         self.folds = 0
@@ -332,26 +320,25 @@ class HFTA:
         key = (relation, epoch)
         self._batches[key].append(
             (cols, np.asarray(counts, dtype=np.int64), vsums, vmins, vmaxs))
-        self._answer_cache.pop(key, None)
         self.evictions_received += n
 
-    def ingest_evictions(self, relation: AttributeSet, epoch: int,
-                         evictions: Iterable[Eviction]) -> None:
-        """Accept individual evictions (sequential reference path)."""
-        evs = list(evictions)
-        if not evs:
-            return
-        names = relation.names
-        columns = {
-            name: np.array([e.group[i] for e in evs], dtype=np.int64)
-            for i, name in enumerate(names)
-        }
-        self.ingest_arrays(
-            relation, epoch, columns,
-            np.array([e.count for e in evs], dtype=np.int64),
-            np.array([e.value_sum for e in evs], dtype=np.float64),
-            np.array([e.value_min for e in evs], dtype=np.float64),
-            np.array([e.value_max for e in evs], dtype=np.float64))
+    def ingest_folded(self, relation: AttributeSet, epoch: int,
+                      state: ColumnarTotals, rows: int) -> None:
+        """Take a key's state as the ingest walk folded it.
+
+        The walk folded ``rows`` evicted partials into the state the key
+        held (its rows first, then the new ones in emission order — the
+        ordering rule above), so ``state`` replaces it, and the counters
+        move as :meth:`_fold` would move them over those partials: one
+        fold, over the held state's rows and the new ones. The engine
+        folds a key's pending batches before the walk extends it.
+        """
+        key = (relation, epoch)
+        held = self._columnar.get(key)
+        self._columnar[key] = state
+        self.evictions_received += rows
+        self.folds += 1
+        self.rows_folded += rows + (0 if held is None else held.n_groups)
 
     def merge_from(self, other: "HFTA") -> None:
         """Fold another HFTA's partials into this one.
@@ -383,17 +370,30 @@ class HFTA:
                 self._columnar[key] = state
             else:
                 self._batches[key].extend(parts)
-            self._answer_cache.pop(key, None)
         self.evictions_received += other.evictions_received
         self.folds += other.folds
         self.rows_folded += other.rows_folded
 
-    def __getstate__(self) -> dict:
-        # The answer cache is derived state (and can be large); folds
-        # rebuild it on demand after a restore.
-        state = self.__dict__.copy()
-        state["_answer_cache"] = {}
-        return state
+    def fork(self) -> "HFTA":
+        """A new HFTA holding this one's partials, its counters at zero.
+
+        The folded states are shared (a fold replaces a key's state and
+        never changes one) and the pending batch lists copied, so feeding
+        either HFTA leaves the other's answers as they were. A sharded run
+        walks each shard into a fork of the HFTA the shard before it
+        left, so every key's fold extends the earlier shards' state.
+        """
+        other = HFTA()
+        other._columnar = dict(self._columnar)
+        for key, batches in self._batches.items():
+            other._batches[key] = list(batches)
+        return other
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before the dict answers were removed carry
+        # their (always empty) cache.
+        state.pop("_answer_cache", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Folding
@@ -480,27 +480,9 @@ class HFTA:
         """The folded columnar state for one key (None if never fed).
 
         Folds pending batches first, so the returned arrays are always
-        one row per group. This is the allocation-light interface —
-        :meth:`totals` is the same data materialized as a dict.
+        one row per group.
         """
         return self._fold(relation, epoch)
-
-    def totals(self, relation: AttributeSet, epoch: int) -> _GroupTotals:
-        """Merged ``group -> GroupAggregate`` for one epoch."""
-        key = (relation, epoch)
-        cached = self._answer_cache.get(key)
-        if cached is not None:
-            return cached
-        state = self._fold(relation, epoch)
-        merged: _GroupTotals = {}
-        if state is not None and state.n_groups:
-            merged = dict(zip(
-                state.group_tuples(),
-                map(GroupAggregate, state.counts.tolist(),
-                    state.value_sums.tolist(), state.value_mins.tolist(),
-                    state.value_maxs.tolist())))
-        self._answer_cache[key] = merged
-        return merged
 
     def query_answer(self, query: AggregationQuery,
                      epoch: int) -> QueryAnswer:

@@ -114,8 +114,14 @@ class RunReport:
         from repro.native import merge as native_merge
 
         hfta = self.result.hfta
-        merge_path = ("native" if native_merge.kernel_available()
-                      else "numpy")
+        walk = self.result.walk or ""
+        # The kernel walk folds as it ingests; every other walk leaves
+        # batches that the HFTA folds when an answer or an epoch close
+        # needs them.
+        where = ("in the walk, native ingest kernel"
+                 if walk.startswith("native") else
+                 "lazily, " + ("native" if native_merge.kernel_available()
+                               else "numpy") + " merge kernel")
         lines = [
             f"records processed : {self.result.n_records}",
             f"epochs            : {self.result.n_epochs}",
@@ -126,7 +132,7 @@ class RunReport:
             f"cost per record   : {self.per_record_cost:.3f}",
             f"HFTA evictions    : {hfta.evictions_received}",
             f"HFTA merge        : {hfta.folds} folds over "
-            f"{hfta.rows_folded} rows ({merge_path} kernel)",
+            f"{hfta.rows_folded} rows ({where})",
         ]
         if self.result.walk is not None:
             lines.insert(-1, f"LFTA walk         : {self.result.walk}")

@@ -24,19 +24,30 @@ run's representative, and children hash and compare the raw attribute
 columns through that row: equal on the parent's attributes means equal
 on the child's, so nothing is projected or copied.
 
-*Emission.* A relation whose emit flag is set (today the forest's
-leaves; a relation may emit and feed children) hands its runs out in
-(bucket, start-time) order, the numpy path's emission order.
+*The fold.* A relation whose emit flag is set (today the forest's
+leaves; a relation may emit and feed children) is the HFTA's input, and
+the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in the
+numpy path's emission order (bucket, start-time), go straight into an
+open-addressing group table — the ``find_slot`` probe of
+:mod:`repro.native.merge`, equality on the raw columns — that folds them
+to one row per group. A call returns, per emitting relation, the new
+groups' representative rows and every group's int64 count and float64
+sum/min/max, in first-appearance order. A fold may *extend* a state the
+caller hands in (a seed): the seed's groups enter first, then the runs,
+which is the HFTA's own ordering rule, so an epoch folded in two calls
+adds its floats in the order of one.
 
 *The bound.* A relation-epoch costs its arrivals and runs, never its
 table size: a slot is valid only when it names a run of the current pass
 that started in that bucket (so the slot array is never initialised or
 reset), and the flush and the emission order either scan the buckets or
 sort the runs by bucket, whichever the table size against the run count
-makes cheaper.
+makes cheaper. The group table is emptied by raising its base, never by
+a scan, and grows (here, in C) only when a fold outgrows half of it.
 
-Bit-identity contract with the numpy walk (pinned by
-``tests/gigascope/test_differential.py`` and
+Bit-identity contract with the numpy walk and its lazy HFTA fold (pinned
+by ``tests/gigascope/test_differential.py``,
+``tests/gigascope/test_walk_fold.py`` and
 ``tests/gigascope/test_native_ingest.py``):
 
 * *Runs.* A bucket's resident run is extended only while every raw
@@ -49,14 +60,18 @@ Bit-identity contract with the numpy walk (pinned by
   (identical wrap-around arithmetic).
 * *Floats.* Value sums accumulate in arrival-time order starting from
   ``0.0`` — the order and seed of ``np.bincount`` over a sorted run — and
-  min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. With
-  contraction and fast-math off (:data:`repro.native.build.DEFAULT_FLAGS`)
-  C doubles and numpy float64 round identically.
+  min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. A
+  group's sum then adds its runs in emission order, after the seed's
+  sum, as the HFTA merge kernel adds the rows of a batch after the
+  state's. With contraction and fast-math off
+  (:data:`repro.native.build.DEFAULT_FLAGS`) C doubles and numpy float64
+  round identically.
 * *Order and counters.* A child sees its parent's evictions in time
   order, the order the numpy walk's ``(bucket, time)`` sort keeps within
-  each bucket; emitted runs come out in that ``lexsort((time, bucket))``
-  order; the intra/flush arrival and eviction counts are the numpy
-  walk's, event for event.
+  each bucket; emitted runs are folded in that ``lexsort((time,
+  bucket))`` order, so groups appear in the order the HFTA's fold of the
+  numpy walk's batch gives them; the intra/flush arrival and eviction
+  counts are the numpy walk's, event for event.
 
 The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` leaves
 the numpy walk, with identical results.
@@ -65,32 +80,50 @@ the numpy walk, with identical results.
 from __future__ import annotations
 
 import ctypes
-from typing import Sequence
+import weakref
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
+from repro.native.merge import GROUP_TABLE_SOURCE
 
-__all__ = ["KERNEL_NAME", "Walk", "ingest_runs", "kernel_available"]
+__all__ = ["KERNEL_NAME", "Fold", "Walk", "ingest_runs", "kernel_available"]
 
 KERNEL_NAME = "engine_ingest"
 
-_SOURCE = HASH_CHAIN_SOURCE + r"""
+_SOURCE = HASH_CHAIN_SOURCE + GROUP_TABLE_SOURCE + r"""
 #include <stddef.h>
 #include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
 /* Arrivals hashed ahead of each probe loop. */
 #define INGEST_BLOCK 64
 
-/* A run of equal keys in one bucket: its representative's raw row and
- * its partial aggregates. */
+/* The smallest group table the folds allocate. */
+#define FOLD_MIN_CAP 1024
+
+/* A run of equal keys in one bucket: its key's hash, its
+ * representative's raw row and its partial aggregates. */
 typedef struct {
+    uint64_t hash;
     int64_t bucket, row, w;
     double vs, vmin, vmax;
 } run_t;
 
 typedef struct { int64_t bucket, run; } order_t;
+
+/* An emitting relation's epoch, folded: one row per group in
+ * first-appearance order, the n_seed groups of the state it extends
+ * first (their aggregates filled in by the caller), then the new ones. */
+typedef struct {
+    int64_t n_seed, n_groups;
+    const uint64_t **seed;      /* [k] the state's key columns, or NULL */
+    int64_t *rep;               /* new group's raw row; -1 - s: seed row s */
+    int64_t *w;
+    double *vs, *vmin, *vmax;
+} fold_t;
 
 /* One configuration bound to one stream; relations in topological
  * order. Scratch is sized for the longest epoch (`longest` arrivals per
@@ -103,7 +136,7 @@ typedef struct {
     const int64_t *key_col;     /* stream column of each key column */
     const uint64_t *salt;
     const int64_t *n_buckets, *depth, *emit, *feeds;
-    const int64_t *out_slot;    /* emission region of an emitting relation */
+    const int64_t *fold_slot;   /* the fold of an emitting relation */
     const uint64_t *const *columns;  /* the stream's attribute columns */
     const double *values;       /* the stream's value column, or NULL */
     const uint64_t **keys;      /* [key_off[n_rel]] this epoch's columns */
@@ -113,10 +146,11 @@ typedef struct {
     order_t *order;             /* [longest] */
     int64_t *ev_i;              /* [levels][3][longest] row, time, weight */
     double *ev_f;               /* [levels][3][longest] sum, min, max */
-    int64_t *out_i;             /* [emitting][2][longest] row, weight */
-    double *out_f;              /* [emitting][3][longest] sum, min, max */
+    fold_t *folds;              /* [emitting] */
     int64_t *n_runs;            /* [n_rel] this epoch's runs = evictions */
     int64_t *stats;             /* [n_rel][4] accumulated counters */
+    int64_t *table;             /* the folds' group table, malloc'd here */
+    int64_t cap, base;          /* its capacity; entries >= base are live */
 } walk_t;
 
 static int by_bucket_then_run(const void *a, const void *b) {
@@ -126,11 +160,93 @@ static int by_bucket_then_run(const void *a, const void *b) {
     return x->run < y->run ? -1 : (x->run > y->run);
 }
 
+/* A group table with room for `groups` at load <= 1/2: the held one, or
+ * a larger one (every entry -1, base 0). Returns -1 when out of memory. */
+static int reserve_groups(walk_t *W, int64_t groups)
+{
+    int64_t cap = W->cap < FOLD_MIN_CAP ? FOLD_MIN_CAP : W->cap;
+    int64_t *table;
+
+    if (W->table != NULL && 2 * groups <= W->cap)
+        return 0;
+    while (cap < 2 * groups)
+        cap *= 2;
+    table = (int64_t *)malloc((size_t)cap * sizeof(int64_t));
+    if (table == NULL)
+        return -1;
+    memset(table, 0xff, (size_t)cap * sizeof(int64_t));
+    free(W->table);
+    W->table = table;
+    W->cap = cap;
+    W->base = 0;
+    return 0;
+}
+
+/* Fold a relation-epoch's runs, taken in the order order[0..n_runs), into
+ * F: the seed's groups first, each run then extends its group or opens
+ * one. A run is placed by the hash its bucket came from (chain64 with
+ * `state`), a seed row by the same chain. Sums seed at 0.0 and min/max
+ * propagate NaN, as the HFTA merge kernel's; a count-only run is (0.0,
+ * +inf, -inf). Returns -1 when out of memory. */
+static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
+                     int64_t k, uint64_t state, int64_t n_runs,
+                     int has_values)
+{
+    const int64_t n_seed = F->n_seed;
+    int64_t i, g, n_groups = n_seed, base;
+    uint64_t s, mask;
+    int64_t *table;
+    const run_t *R;
+    double vs, vmin, vmax;
+
+    if (reserve_groups(W, n_seed + n_runs) < 0)
+        return -1;
+    table = W->table;
+    mask = (uint64_t)W->cap - 1ULL;
+    base = W->base;
+    /* the state's groups are distinct: each finds an empty slot */
+    for (g = 0; g < n_seed; g++) {
+        s = find_slot(F->seed, k, g, chain64(F->seed, k, g, state), mask,
+                      table, base, F->rep, F->seed);
+        table[s] = base + g;
+        F->rep[g] = -1 - g;
+    }
+    for (i = 0; i < n_runs; i++) {
+        R = &W->runs[W->order[i].run];
+        vs = has_values ? R->vs : 0.0;
+        vmin = has_values ? R->vmin : INFINITY;
+        vmax = has_values ? R->vmax : -INFINITY;
+        s = find_slot(keys, k, R->row, R->hash, mask, table, base, F->rep,
+                      F->seed);
+        g = table[s] - base;
+        if (g < 0) {                /* new group */
+            g = n_groups++;
+            table[s] = base + g;
+            F->rep[g] = R->row;
+            F->w[g] = R->w;
+            F->vs[g] = 0.0 + vs;    /* bincount seeds its sums at 0.0 */
+            F->vmin[g] = vmin;
+            F->vmax[g] = vmax;
+            continue;
+        }
+        F->w[g] += R->w;
+        F->vs[g] += vs;
+        /* np.minimum/np.maximum: NaN always propagates */
+        if (isnan(vmin) || vmin < F->vmin[g])
+            F->vmin[g] = vmin;
+        if (isnan(vmax) || vmax > F->vmax[g])
+            F->vmax[g] = vmax;
+    }
+    F->n_groups = n_groups;
+    W->base = base + n_groups;      /* empties the table for the next */
+    return 0;
+}
+
 /* One relation-epoch. Arrival j is raw row rows[j] (row j when rows is
  * NULL) at time t[j] with weight w[j]; vs/vmin/vmax are NULL for a
  * count-only stream. A raw relation reads an arrival's value at its row,
- * a child at j (its parent's evictions). */
-static void walk_relation(
+ * a child at j (its parent's evictions). Returns -1 when out of memory. */
+static int walk_relation(
     walk_t *W, int64_t r, int64_t start, int64_t n, int64_t stride,
     int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
     const double *vs, const double *vmin, const double *vmax)
@@ -146,11 +262,13 @@ static void walk_relation(
     const int feeds = (int)W->feeds[r];
     int64_t *slot_run = W->slot_run;
     run_t *runs = W->runs;
+    order_t *order = W->order;
     int64_t *ev_row = NULL, *ev_t = NULL, *ev_w = NULL;
     double *ev_vs = NULL, *ev_vmin = NULL, *ev_vmax = NULL;
     int64_t n_runs = 0, n_ev = 0, arr_intra = 0, ev_intra = 0;
-    int64_t i, j, j0, j1, b, q, c, pos, offset, count;
-    int64_t blk_bucket[INGEST_BLOCK], blk_row[INGEST_BLOCK];
+    int64_t i, j, j0, j1, b, q, c, offset, count;
+    uint64_t blk_hash[INGEST_BLOCK];
+    int64_t blk_row[INGEST_BLOCK];
     run_t *R;
     int dense;
 
@@ -188,13 +306,13 @@ static void walk_relation(
         for (j = j0; j < j1; j++) {
             const int64_t row = rows ? rows[j] : j;
             blk_row[j - j0] = row;
-            blk_bucket[j - j0] = (int64_t)(chain64(keys, k, row, state) % nb);
+            blk_hash[j - j0] = chain64(keys, k, row, state);
         }
         for (j = j0; j < j1; j++) {
             const int64_t row = blk_row[j - j0];
             const int64_t v = raw ? row : j;
             if (t[j] < n) arr_intra++;
-            b = blk_bucket[j - j0];
+            b = (int64_t)(blk_hash[j - j0] % nb);
             q = slot_run[b];
             /* The slot is live iff it names a run of this pass that
              * started in this bucket; anything else is a stale or
@@ -222,6 +340,7 @@ static void walk_relation(
             q = n_runs++;
             slot_run[b] = q;
             R = &runs[q];
+            R->hash = blk_hash[j - j0];
             R->bucket = b;
             R->row = row;
             R->w = w[j];
@@ -244,27 +363,24 @@ static void walk_relation(
         }
     } else {
         for (q = 0; q < n_runs; q++) {
-            W->order[q].bucket = runs[q].bucket;
-            W->order[q].run = q;
+            order[q].bucket = runs[q].bucket;
+            order[q].run = q;
         }
-        qsort(W->order, (size_t)n_runs, sizeof(order_t), by_bucket_then_run);
+        qsort(order, (size_t)n_runs, sizeof(order_t), by_bucket_then_run);
         for (i = 0; i < n_runs; i++) {
-            if (i + 1 < n_runs && W->order[i + 1].bucket == W->order[i].bucket)
+            if (i + 1 < n_runs && order[i + 1].bucket == order[i].bucket)
                 continue;  /* not the bucket's last run: evicted earlier */
-            EVICT(&runs[W->order[i].run], flush_base + W->order[i].bucket);
+            EVICT(&runs[order[i].run], flush_base + order[i].bucket);
         }
     }
 #undef EVICT
 
-    /* Emission in (bucket, start-time) order: the runs of a bucket are
-     * numbered in start order, so a stable sort by bucket. */
+    /* The fold takes the runs in (bucket, start-time) order: the runs
+     * of a bucket are numbered in start order, so the sort above, or a
+     * counting sort by bucket. */
     if (W->emit[r]) {
-        int64_t *out_row = W->out_i + W->out_slot[r] * 2 * L;
-        int64_t *out_w = out_row + L;
-        double *out_vs = W->out_f + W->out_slot[r] * 3 * L;
-        double *out_vmin = out_vs + L, *out_vmax = out_vmin + L;
-        int64_t *bucket_pos = W->bucket_pos;
         if (dense) {
+            int64_t *bucket_pos = W->bucket_pos;
             for (b = 0; b < (int64_t)nb; b++)
                 bucket_pos[b] = 0;
             for (q = 0; q < n_runs; q++)
@@ -275,23 +391,12 @@ static void walk_relation(
                 bucket_pos[b] = offset;
                 offset += count;
             }
+            for (q = 0; q < n_runs; q++)
+                order[bucket_pos[runs[q].bucket]++].run = q;
         }
-        for (i = 0; i < n_runs; i++) {
-            if (dense) {
-                q = i;
-                pos = bucket_pos[runs[q].bucket]++;
-            } else {
-                q = W->order[i].run;
-                pos = i;
-            }
-            out_row[pos] = runs[q].row;
-            out_w[pos] = runs[q].w;
-            if (has_values) {
-                out_vs[pos] = runs[q].vs;
-                out_vmin[pos] = runs[q].vmin;
-                out_vmax[pos] = runs[q].vmax;
-            }
-        }
+        if (fold_runs(W, &W->folds[W->fold_slot[r]], keys, k, state,
+                      n_runs, has_values) < 0)
+            return -1;
     }
 
     W->n_runs[r] = n_runs;
@@ -299,14 +404,16 @@ static void walk_relation(
     W->stats[4 * r + 1] += m - arr_intra;
     W->stats[4 * r + 2] += ev_intra;
     W->stats[4 * r + 3] += n_runs - ev_intra;
+    return 0;
 }
 
 /* One epoch through the whole forest: n rows of the stream arrive at
  * the raw relations at times t with weights w, arrival j being row
  * start + j, or start + rows[j] when rows is not NULL; every other
- * relation is fed its parent's evictions in eviction order. Returns -1,
+ * relation is fed its parent's evictions in eviction order. Returns -1;
  * or the first j whose start + rows[j] lies outside the stream, in
- * which case nothing has been walked. */
+ * which case nothing has been walked; or -2 when a fold ran out of
+ * memory. */
 int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
                    const int64_t *t, const int64_t *w, int64_t n)
 {
@@ -314,35 +421,56 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
     const int64_t stride = n + W->max_buckets + 2;
     const double *values = W->values ? W->values + start : NULL;
     int64_t r, p, d, j;
+    int failed;
 
     if (rows)
         for (j = 0; j < n; j++)
             if ((uint64_t)rows[j] >= (uint64_t)(W->n_stream - start))
                 return j;
 
+    for (r = 0; r < W->n_rel; r++)
+        if (W->emit[r])
+            W->folds[W->fold_slot[r]].n_groups = 0;
     for (r = 0; r < W->n_rel; r++) {
         W->n_runs[r] = 0;
         p = W->parent[r];
         if (p < 0) {
-            if (n > 0)
-                walk_relation(W, r, start, n, stride, n, rows, t, w,
-                              values, values, values);
+            failed = n > 0 && walk_relation(W, r, start, n, stride, n, rows,
+                                            t, w, values, values, values);
+        } else if (W->n_runs[p] == 0) {
             continue;
+        } else {
+            d = W->depth[p];
+            failed = walk_relation(
+                W, r, start, n, stride, W->n_runs[p],
+                W->ev_i + d * 3 * L, W->ev_i + d * 3 * L + L,
+                W->ev_i + d * 3 * L + 2 * L,
+                values ? W->ev_f + d * 3 * L : NULL,
+                values ? W->ev_f + d * 3 * L + L : NULL,
+                values ? W->ev_f + d * 3 * L + 2 * L : NULL);
         }
-        if (W->n_runs[p] == 0)
-            continue;
-        d = W->depth[p];
-        walk_relation(
-            W, r, start, n, stride, W->n_runs[p],
-            W->ev_i + d * 3 * L, W->ev_i + d * 3 * L + L,
-            W->ev_i + d * 3 * L + 2 * L,
-            values ? W->ev_f + d * 3 * L : NULL,
-            values ? W->ev_f + d * 3 * L + L : NULL,
-            values ? W->ev_f + d * 3 * L + 2 * L : NULL);
+        if (failed)
+            return -2;
     }
     return -1;
 }
+
+/* Release the folds' group table. */
+void repro_walk_free(walk_t *W)
+{
+    free(W->table);
+    W->table = NULL;
+    W->cap = W->base = 0;
+}
 """
+
+
+class _FoldStruct(ctypes.Structure):
+    """``fold_t``: every pointer a ``void *`` on this side."""
+
+    _fields_ = [("n_seed", ctypes.c_int64), ("n_groups", ctypes.c_int64)] \
+        + [(name, ctypes.c_void_p) for name in
+           ("seed", "rep", "w", "vs", "vmin", "vmax")]
 
 
 class _WalkStruct(ctypes.Structure):
@@ -352,20 +480,24 @@ class _WalkStruct(ctypes.Structure):
                 ("n_rel", "longest", "max_buckets", "n_stream")] + \
         [(name, ctypes.c_void_p) for name in
          ("parent", "key_off", "key_col", "salt", "n_buckets", "depth",
-          "emit", "feeds", "out_slot", "columns", "values", "keys",
+          "emit", "feeds", "fold_slot", "columns", "values", "keys",
           "slot_run", "bucket_pos", "runs", "order", "ev_i", "ev_f",
-          "out_i", "out_f", "n_runs", "stats")]
+          "folds", "n_runs", "stats", "table")] + \
+        [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
 
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
-_SIGNATURES = {"repro_walk": (ctypes.c_int64, [
-    ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P, _I64P,
-    ctypes.c_int64,
-])}
+_SIGNATURES = {
+    "repro_walk": (ctypes.c_int64, [
+        ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P, _I64P,
+        ctypes.c_int64,
+    ]),
+    "repro_walk_free": (None, [ctypes.POINTER(_WalkStruct)]),
+}
 
 #: 8-byte words of one ``run_t`` / ``order_t``.
-_RUN_WORDS, _ORDER_WORDS = 6, 2
+_RUN_WORDS, _ORDER_WORDS = 7, 2
 
 
 def _kernel() -> ctypes.CDLL | None:
@@ -377,6 +509,29 @@ def kernel_available() -> bool:
     return _kernel() is not None
 
 
+class Fold(NamedTuple):
+    """One emitting relation's epoch, folded by :func:`ingest_runs`: one
+    row per group in first-appearance order, the seed's groups first."""
+
+    #: The relation's walk index.
+    relation: int
+    #: The new groups' representative rows, relative to the call's
+    #: ``start`` (a view of the walk's scratch, valid until its next call).
+    reps: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    mins: np.ndarray
+    maxs: np.ndarray
+    #: The runs (evicted partials) the walk folded in.
+    runs: int
+
+
+#: A state a fold extends: its key columns (in the relation's key order)
+#: and its counts, sums, minima and maxima, one row per group.
+Seed = tuple[Sequence[np.ndarray], np.ndarray, np.ndarray, np.ndarray,
+             np.ndarray]
+
+
 class Walk:
     """A configuration's forest and the kernel's scratch, for
     :func:`ingest_runs`; :meth:`bind` points it at a stream.
@@ -385,13 +540,14 @@ class Walk:
     children, each subtree contiguous, as ``Configuration.order`` walks
     them). ``parent[r]`` is relation ``r``'s parent's number (negative
     for a raw relation), ``keys[r]`` the indices of its attributes among
-    the bound stream's columns, and ``emit[r]`` whether it hands its runs
-    out; ``values`` says whether the streams carry a value column.
+    the bound stream's columns, and ``emit[r]`` whether the walk folds
+    its runs; ``values`` says whether the streams carry a value column.
     Scratch for epochs of up to ``longest`` records is allocated here,
-    once, and serves every stream the walk is bound to. :attr:`stats`
-    holds the per-relation counters ``(arrivals_intra, arrivals_flush,
-    evictions_intra, evictions_flush)`` summed over every call since it
-    was last zeroed.
+    once, and serves every stream the walk is bound to; the folds' group
+    table is allocated by the kernel, as large as the largest fold needs,
+    and released with the walk. :attr:`stats` holds the per-relation
+    counters ``(arrivals_intra, arrivals_flush, evictions_intra,
+    evictions_flush)`` summed over every call since it was last zeroed.
     """
 
     def __init__(self, parent: Sequence[int],
@@ -429,11 +585,11 @@ class Walk:
         self.has_values = bool(values)
         self.longest = L = max(int(longest), 1)
         self.emit = [bool(e) for e in emit]
-        self.out_slot = out_slot = [-1] * n_rel
+        self.fold_slot = fold_slot = [-1] * n_rel
         n_emit = 0
         for r, emits in enumerate(self.emit):
             if emits:
-                out_slot[r], n_emit = n_emit, n_emit + 1
+                fold_slot[r], n_emit = n_emit, n_emit + 1
         levels = max((depth[r] + 1 for r in range(n_rel) if feeds[r]),
                      default=0)
         key_off = np.zeros(n_rel + 1, dtype=np.int64)
@@ -441,7 +597,6 @@ class Walk:
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
         max_b = max(buckets, default=1)
         fl = levels if values else 0
-        fe = n_emit if values else 0
         i64 = np.int64
         # Kept alive here for as long as the kernel may read them.
         self._arrays = arrays = {
@@ -453,7 +608,7 @@ class Walk:
             "depth": np.array(depth, dtype=i64),
             "emit": np.array(self.emit, dtype=i64),
             "feeds": np.array(feeds, dtype=i64),
-            "out_slot": np.array(out_slot, dtype=i64),
+            "fold_slot": np.array(fold_slot, dtype=i64),
             "columns": np.zeros(self.n_columns, dtype=np.uintp),
             "keys": np.zeros(int(key_off[-1]), dtype=np.uintp),
             # scratch the kernel writes before it reads
@@ -463,22 +618,40 @@ class Walk:
             "order": np.empty((L, _ORDER_WORDS), dtype=i64),
             "ev_i": np.empty((levels, 3, L), dtype=i64),
             "ev_f": np.empty((fl, 3, L), dtype=np.float64),
-            "out_i": np.empty((n_emit, 2, L), dtype=i64),
-            "out_f": np.empty((fe, 3, L), dtype=np.float64),
             "n_runs": np.zeros(n_rel, dtype=i64),
             "stats": np.zeros((n_rel, 4), dtype=i64),
         }
+        # Each fold's own output: rep, count / sum, min, max per group.
+        self._fold_i = np.empty((n_emit, 2, L), dtype=i64)
+        self._fold_f = np.empty((n_emit, 3, L), dtype=np.float64)
+        self._folds = (_FoldStruct * n_emit)()
+        for slot in range(n_emit):
+            self._point_fold(slot, self._fold_i[slot], self._fold_f[slot])
         struct = self._struct = _WalkStruct(
             n_rel=n_rel, longest=L, max_buckets=max_b)
         for name, array in arrays.items():
             setattr(struct, name, array.ctypes.data)
+        struct.folds = ctypes.addressof(self._folds)
         self.n_runs, self.stats = arrays["n_runs"], arrays["stats"]
         self._column_ptrs = arrays["columns"]
-        self._out_i, self._out_f = arrays["out_i"], arrays["out_f"]
         self._ref = ctypes.byref(struct)
+        lib = _kernel()
+        if lib is not None:
+            weakref.finalize(self, lib.repro_walk_free, self._ref)
         self.rows = 0
         self.columns: list[np.ndarray] = []
         self.values: np.ndarray | None = None
+
+    def _point_fold(self, slot: int, ints: np.ndarray, floats: np.ndarray,
+                    n_seed: int = 0, seed: np.ndarray | None = None) -> None:
+        """Aim fold ``slot`` at outputs ``ints`` (rep, count) and
+        ``floats`` (sum, min, max), after ``n_seed`` seed groups whose
+        key column addresses are ``seed``."""
+        fold = self._folds[slot]
+        fold.n_seed = n_seed
+        fold.seed = None if seed is None else seed.ctypes.data
+        fold.rep, fold.w = ints[0].ctypes.data, ints[1].ctypes.data
+        fold.vs, fold.vmin, fold.vmax = (row.ctypes.data for row in floats)
 
     def bind(self, columns: Sequence[np.ndarray],
              values: np.ndarray | None) -> None:
@@ -503,8 +676,33 @@ class Walk:
         self.rows = self._struct.n_stream = min(lengths, default=0)
 
 
+def _seeded_outputs(seed: Seed, k: int, n: int):
+    """A seeded fold's outputs, room for the seed's groups and ``n``
+    runs, the seed's aggregates filled in; and its ``k`` key columns as
+    the uint64 bits the kernel compares, with their addresses."""
+    cols, counts, sums, mins, maxs = seed
+    g = int(counts.shape[0])
+    if len(cols) != k or any(np.shape(col) != (g,) for col in cols):
+        raise ValueError(f"a seed needs {k} key columns of {g} rows")
+    if any(np.asarray(col).dtype.kind not in "iub" for col in cols):
+        raise ValueError("a seed's key columns must be integers, as the "
+                         "stream's are")
+    ints = np.empty((2, g + n), dtype=np.int64)
+    floats = np.empty((3, g + n), dtype=np.float64)
+    ints[1, :g] = counts
+    # A state row enters the HFTA's fold as 0.0 + its sum.
+    np.add(sums, 0.0, out=floats[0, :g])
+    floats[1, :g] = mins
+    floats[2, :g] = maxs
+    keys = [np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
+            for col in cols]
+    addresses = np.array([col.ctypes.data for col in keys], dtype=np.uintp)
+    return g, ints, floats, keys, addresses
+
+
 def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
-                rows: np.ndarray | None = None):
+                rows: np.ndarray | None = None,
+                seeds: Mapping[int, Seed] | None = None) -> list[Fold]:
     """Run one epoch through every relation of ``walk`` in one call.
 
     Rows ``[start, start + len(t))`` of the walk's stream arrive at the
@@ -515,14 +713,15 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     row ``start + rows[j]`` instead, its attributes and value read
     through that index. The epoch is ``n = len(t)`` long, so the flush
     windows start at ``n``. Every other relation is fed its parent's
-    evictions. Returns one ``(r, reps, run_w, run_vs, run_vmin,
-    run_vmax)`` per emitting relation ``r`` with at least one run, in
-    walk order; its runs are in the numpy path's (bucket, start-time)
-    order and ``reps`` are the representatives' rows relative to
-    ``start`` (a view of the walk's scratch, valid until the next call).
-    The value arrays are None for a count-only stream. The counters
-    accumulate in ``walk.stats``. Call only when
-    :func:`kernel_available`.
+    evictions.
+
+    Every emitting relation's runs are folded in the walk, in the numpy
+    path's (bucket, start-time) order; ``seeds[r]``, when given, is the
+    state relation ``r``'s fold extends (its groups first). Returns one
+    :class:`Fold` per emitting relation with at least one run, in walk
+    order; with a count-only stream the sums are 0.0 and the minima and
+    maxima ``+inf``/``-inf``. The counters accumulate in ``walk.stats``.
+    Call only when :func:`kernel_available`.
     """
     lib = _kernel()
     assert lib is not None
@@ -541,23 +740,42 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
             raise ValueError("rows must be contiguous int64, one per "
                              "arrival")
         raw = rows.ctypes.data_as(_I64P)
-    bad = lib.repro_walk(walk._ref, start, raw, t.ctypes.data_as(_I64P),
-                         w.ctypes.data_as(_I64P), n)
-    if bad >= 0:
-        raise ValueError(f"rows[{bad}] = {rows[bad]} outside [0, "
+    # A seeded fold writes into outputs of its own, kept alive here.
+    seeded = {}
+    key_off = walk._arrays["key_off"]
+    for r, seed in (seeds or {}).items():
+        if not 0 <= r < len(walk.emit) or not walk.emit[r]:
+            raise ValueError(f"relation {r} does not emit: nothing to seed")
+        seeded[r] = _seeded_outputs(seed, int(key_off[r + 1] - key_off[r]),
+                                    n)
+    try:
+        for r, (g, ints, floats, _, addresses) in seeded.items():
+            walk._point_fold(walk.fold_slot[r], ints, floats, g, addresses)
+        status = lib.repro_walk(walk._ref, start, raw,
+                                t.ctypes.data_as(_I64P),
+                                w.ctypes.data_as(_I64P), n)
+    finally:
+        for r in seeded:
+            slot = walk.fold_slot[r]
+            walk._point_fold(slot, walk._fold_i[slot], walk._fold_f[slot])
+    if status == -2:
+        raise MemoryError("no memory for the ingest walk's group table")
+    if status >= 0:
+        raise ValueError(f"rows[{status}] = {rows[status]} outside [0, "
                          f"{walk.rows - start}): the walk's stream past "
                          f"row {start}")
     out = []
-    n_runs = walk.n_runs
-    for r, emits in enumerate(walk.emit):
-        if not emits or not n_runs[r]:
+    for r, slot in enumerate(walk.fold_slot):
+        if slot < 0:
             continue
-        runs = int(n_runs[r])
-        slot = int(walk.out_slot[r])
-        reps, run_w = walk._out_i[slot, :, :runs]
-        if not walk.has_values:
-            vs = vmin = vmax = None
+        groups = walk._folds[slot].n_groups
+        if not groups:
+            continue
+        if r in seeded:
+            n_seed, ints, floats = seeded[r][:3]
         else:
-            vs, vmin, vmax = walk._out_f[slot, :, :runs].copy()
-        out.append((r, reps, run_w.copy(), vs, vmin, vmax))
+            n_seed, ints, floats = 0, walk._fold_i[slot], walk._fold_f[slot]
+        sums, mins, maxs = floats[:, :groups].copy()
+        out.append(Fold(r, ints[0, n_seed:groups], ints[1, :groups].copy(),
+                        sums, mins, maxs, int(walk.n_runs[r])))
     return out

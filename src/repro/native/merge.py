@@ -33,6 +33,11 @@ Bit-identity contract (pinned by
   extending an accumulated sum with new rows preserves the exact
   left-to-right addition sequence of a from-scratch fold.
 
+The table's probe, ``find_slot`` (:data:`GROUP_TABLE_SOURCE`), is also
+linked into the ingest kernel (:mod:`repro.native.ingest`), whose walk
+folds each emitting relation's runs through it; with that kernel loaded,
+:func:`merge_rows` serves only the HFTA's lazy folds.
+
 The same table serves a second entry, :func:`group_stats`: the planner's
 exact statistics (``g_R`` and the gap-based flow count behind ``l_R``)
 for one relation in one pass over the records, where the numpy body
@@ -60,39 +65,55 @@ import numpy as np
 
 from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
 
-__all__ = ["KERNEL_NAME", "group_stats", "kernel_available", "merge_rows"]
+__all__ = ["GROUP_TABLE_SOURCE", "KERNEL_NAME", "group_stats",
+           "kernel_available", "merge_rows"]
 
 KERNEL_NAME = "hfta_merge"
 
-_SOURCE = HASH_CHAIN_SOURCE + r"""
-#include <stddef.h>
-#include <math.h>
-
+#: C source of the open-addressing group table every fold here probes —
+#: the merge and statistics kernels below and the ingest kernel's in-walk
+#: fold (:mod:`repro.native.ingest`) — after :data:`HASH_CHAIN_SOURCE`.
+GROUP_TABLE_SOURCE = r"""
 /* The slot of row i's group in an open-addressing slot array (capacity
- * mask + 1, a power of two, filled with -1 by the caller): the slot
- * holding a group whose first row rep[g] equals row i on every raw key
- * column, or the empty slot where row i's group goes. Linear probing;
- * the hash only places rows, so collisions cost probes, never
- * correctness. */
+ * mask + 1, a power of two), probed linearly from the hash h: the slot
+ * holding a group whose representative equals row i on every key
+ * column, or the empty slot where row i's group goes. An entry e names
+ * group e - base and anything below base is empty, so raising base past
+ * every group empties the table without touching it (a table filled
+ * with -1 is empty at base 0). Group g's representative is row rep[g]
+ * of cols or, when rep[g] < 0, row -1 - rep[g] of seed: the state a
+ * fold extends. The hash only places rows: equality is decided on the
+ * columns, so collisions cost probes, never correctness. */
 static inline uint64_t find_slot(
-    const uint64_t **cols, int64_t k, int64_t i, uint64_t state,
-    uint64_t mask, const int64_t *table, const int64_t *rep)
+    const uint64_t **cols, int64_t k, int64_t i, uint64_t h,
+    uint64_t mask, const int64_t *table, int64_t base,
+    const int64_t *rep, const uint64_t **seed)
 {
     uint64_t s;
     int64_t g, r;
     int c;
 
-    for (s = chain64(cols, k, i, state) & mask;; s = (s + 1ULL) & mask) {
-        g = table[s];
+    for (s = h & mask;; s = (s + 1ULL) & mask) {
+        g = table[s] - base;
         if (g < 0)
             return s;
         r = rep[g];
-        for (c = 0; c < k && cols[c][i] == cols[c][r]; c++)
-            ;
+        if (r >= 0) {
+            for (c = 0; c < k && cols[c][i] == cols[c][r]; c++)
+                ;
+        } else {
+            for (c = 0; c < k && cols[c][i] == seed[c][-1 - r]; c++)
+                ;
+        }
         if (c == k)
             return s;
     }
 }
+"""
+
+_SOURCE = HASH_CHAIN_SOURCE + GROUP_TABLE_SOURCE + r"""
+#include <stddef.h>
+#include <math.h>
 
 /* Fold n partial-aggregate rows into one row per distinct key tuple.
  * Groups are numbered in first-appearance order; rep[g] is the first
@@ -112,7 +133,8 @@ int64_t repro_hfta_merge(
     uint64_t s;
 
     for (i = 0; i < n; i++) {
-        s = find_slot(cols, k, i, state, mask, table, rep);
+        s = find_slot(cols, k, i, chain64(cols, k, i, state), mask, table,
+                      0, rep, NULL);
         g = table[s];
         if (g < 0) {                /* new group */
             table[s] = n_groups;
@@ -154,7 +176,8 @@ int64_t repro_group_stats(
     uint64_t s;
 
     for (i = 0; i < n; i++) {
-        s = find_slot(cols, k, i, state, mask, table, rep);
+        s = find_slot(cols, k, i, chain64(cols, k, i, state), mask, table,
+                      0, rep, NULL);
         g = table[s];
         if (g < 0) {                /* new group, new flow */
             table[s] = n_groups;

@@ -6,8 +6,14 @@ shards — by :class:`~repro.parallel.partition.HashPartitioner` unless the
 caller passes another object with ``shard_ids(dataset, n_shards)`` —,
 runs the exact vectorized engine on every shard — in this process, one
 shard after the other in shard order, each shard's epochs on the
-engine's thread pool — and merges the per-shard HFTAs and cost counters
-into one :class:`~repro.gigascope.metrics.SimulationResult`.
+engine's thread pool — and merges the per-shard results and cost
+counters into one :class:`~repro.gigascope.metrics.SimulationResult`.
+Each shard walks into a fork of the HFTA the shard before it left
+(:meth:`~repro.gigascope.hfta.HFTA.fork`), so its folds extend the
+earlier shards' states, and the merged HFTA is the last shard's states
+with every shard's counters (:func:`~repro.parallel.merge.chain_hftas`):
+a group's float sum adds every shard's partials in shard order, one
+left-to-right chain.
 ``RunReport``, ``summary()`` and every cost/answer accessor therefore work
 unchanged on the merged report.
 
@@ -51,13 +57,14 @@ from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.gigascope.engine import simulate
+from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import SimulationResult
 from repro.gigascope.records import Dataset
 from repro.gigascope.runtime import RunReport, StreamSystem
 from repro.native.partition import kernel_available
 from repro.observability import MetricsRegistry
 from repro.observability.tracing import Span
-from repro.parallel.merge import merge_results
+from repro.parallel.merge import chain_hftas, merge_results
 from repro.parallel.partition import (HashPartitioner, balance_summary,
                                       check_shard_count, check_shard_ids,
                                       shard_rows)
@@ -82,15 +89,15 @@ class _ShardJob(NamedTuple):
 _ShardRun = tuple[int, SimulationResult, MetricsRegistry]
 
 
-def _run_shard(job: _ShardJob) -> _ShardRun:
-    """One vectorized engine pass over one shard.
+def _run_shard(job: _ShardJob, hfta: HFTA) -> _ShardRun:
+    """One vectorized engine pass over one shard, into ``hfta``.
 
     Builds a fresh per-shard registry so the engine span and counters of
     this shard come back with the result."""
     registry = MetricsRegistry()
     result = simulate(job.dataset, job.configuration, job.buckets,
                       job.epoch_seconds, job.value_column, job.salt_seed,
-                      registry=registry, rows=job.rows)
+                      hfta=hfta, registry=registry, rows=job.rows)
     return job.index, result, registry
 
 
@@ -153,7 +160,9 @@ class ShardedStreamSystem(StreamSystem):
         self.partition_summary: dict | None = None
         #: Always None; ``benchmarks/e2e`` still reads it.
         self.resilience_report = None
-        #: Per-shard ``SimulationResult`` list, populated by :meth:`run`.
+        #: Per-shard ``SimulationResult`` list, populated by :meth:`run`;
+        #: shard ``i``'s counters are its own, its HFTA holds the states
+        #: of shards ``0..i``.
         self.shard_results: list[SimulationResult] | None = None
         #: Per-shard ``MetricsRegistry`` list (engine spans and counters
         #: as measured inside each shard run), populated by :meth:`run` and
@@ -218,10 +227,16 @@ class ShardedStreamSystem(StreamSystem):
             # usually land on several shards, so shard counts do not add.
             n_epochs = sum(1 for _ in dataset.epoch_slices(epoch_seconds))
         outcomes: list[_ShardRun] = []
+        # Each shard walks into a fork of the HFTA the shard before it
+        # left: its folds extend the earlier shards' states, adding each
+        # group's partials in shard order, as one HFTA fed every shard's
+        # evictions would.
+        hfta = HFTA()
         with registry.span("engine") as engine:
             for job in jobs:
                 try:
-                    outcomes.append(_run_shard(job))
+                    outcomes.append(_run_shard(job, hfta))
+                    hfta = outcomes[-1][1].hfta.fork()
                 except Exception as exc:
                     raise ShardExecutionError(
                         f"shard {job.index} ({len(job.rows)} records, "
@@ -237,7 +252,8 @@ class ShardedStreamSystem(StreamSystem):
         with registry.span("merge") as merge:
             merged = merge_results(
                 results, self.configuration,
-                n_records=len(dataset), n_epochs=n_epochs)
+                n_records=len(dataset), n_epochs=n_epochs,
+                hfta=chain_hftas([r.hfta for r in results]))
         self._phases = (partition, engine, merge)
         return RunReport(merged, self.params, self.queries)
 

@@ -5,7 +5,8 @@ LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
 {C kernels walking the epochs on 1 thread, on 3, ``numpy_kernels``} x
 {flat, two-, three-level forest} x {unsharded, 2 shards} x {counts
 only, value column} over hypothesis streams; every per-relation counter
-and ``hfta.totals`` (float sums included) compared for equality. Every
+and every HFTA key's totals (``tests/hfta_totals.py``, float sums
+included) compared for equality. Every
 mode equals the reference, hence each other; without a compiler all run
 the numpy bodies and stay green.
 Pinned, small-table and degenerate streams run through the same

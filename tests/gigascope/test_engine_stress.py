@@ -16,6 +16,7 @@ from repro.core.configuration import Configuration
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset, StreamSchema
+from tests.hfta_totals import totals
 
 SCHEMA = StreamSchema(("A", "B"), value_columns=("v",))
 
@@ -38,8 +39,8 @@ class TestDegenerateInputs:
         result = simulate(data, config, {rel: 4 for rel in config.relations},
                           epoch_seconds=10.0)
         for leaf in config.leaves:
-            totals = result.hfta.totals(leaf, 0)
-            assert sum(agg.count for agg in totals.values()) == 1
+            groups = totals(result.hfta, leaf, 0)
+            assert sum(agg.count for agg in groups.values()) == 1
 
     def test_empty_dataset(self):
         data = dataset([], [])
@@ -56,8 +57,8 @@ class TestDegenerateInputs:
                           epoch_seconds=1e6)
         counters = result.counters.counters(AttributeSet.parse("AB"))
         assert counters.evictions_intra == 0  # one group never collides
-        totals = result.hfta.totals(AttributeSet.parse("A"), 0)
-        assert totals[(3,)].count == 1000
+        groups = totals(result.hfta, AttributeSet.parse("A"), 0)
+        assert groups[(3,)].count == 1000
 
     def test_duplicate_timestamps(self):
         """Equal timestamps are legal; arrival order still disambiguates."""
@@ -99,7 +100,7 @@ class TestConservation:
             vmin = float("inf")
             vmax = float("-inf")
             for epoch in result.hfta.epochs(leaf):
-                for agg in result.hfta.totals(leaf, epoch).values():
+                for agg in totals(result.hfta, leaf, epoch).values():
                     total_count += agg.count
                     total_value += agg.value_sum
                     vmin = min(vmin, agg.value_min)
@@ -125,7 +126,7 @@ class TestConservation:
         for value in a:
             exact[(int(value),)] += 1
         got = {g: agg.count for g, agg in
-               result.hfta.totals(AttributeSet.parse("A"), 0).items()}
+               totals(result.hfta, AttributeSet.parse("A"), 0).items()}
         assert got == dict(exact)
 
 

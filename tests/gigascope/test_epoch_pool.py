@@ -2,12 +2,12 @@
 
 Every LFTA table is flushed at each epoch boundary, so the kernel walk
 hands a call's epochs to a pool of threads, each with its own scratch,
-and the caller ingests the batches in epoch order after the join. Over
-random forests and streams (NaN and +-inf values included), more threads
-than epochs, one epoch, no records, epochs of very different sizes and a
-kept ``Tables``, N threads must give the counters and HFTA batches of
-one, and one thread those of the numpy walk: the same batches in the
-same order, bit for bit. A failing epoch
+and the caller hands the HFTA the folded states in epoch order after the
+join. Over random forests and streams (NaN and +-inf values included),
+more threads than epochs, one epoch, no records, epochs of very different
+sizes and a kept ``Tables``, N threads must give the counters and HFTA
+states of one, and one thread those of the numpy walk: the same states,
+bit for bit, and the same fold counts. A failing epoch
 must reach the caller with its own exception and leave the passed
 counters and HFTA as they were.
 """
@@ -28,9 +28,10 @@ from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     assert_same_walk,
-    batches,
+    columnar,
     forests,
     make_stream,
+    states,
     streams,
 )
 
@@ -75,9 +76,8 @@ def test_pool_shapes(shape, n_workers):
         assert_same_walk(one, walk(1, dataset, config, buckets))
     assert got.n_epochs == sum(1 for size in SHAPES[shape] if size)
     if shape == "uneven":
-        assert any(np.isnan(vmins).any()
-                   for parts in got.hfta._batches.values()
-                   for _, _, _, vmins, _ in parts)
+        assert any(np.isnan(state.value_mins).any()
+                   for state in columnar(got.hfta).values())
 
 
 @needs_kernel
@@ -102,7 +102,7 @@ def test_kept_tables_through_the_pool():
 @needs_kernel
 def test_many_threads_lose_no_epoch():
     """Sixteen threads over 60 short epochs, switching as often as the
-    interpreter allows: every epoch's batches arrive exactly once, in
+    interpreter allows: every epoch's states arrive exactly once, in
     epoch order, as one thread's."""
     config = Configuration.from_notation(NOTATION)
     buckets = {rel: 3 for rel in config.relations}
@@ -115,9 +115,9 @@ def test_many_threads_lose_no_epoch():
     finally:
         sys.setswitchinterval(interval)
     assert_same_walk(got, want)
-    epochs = [epoch for _, epoch in got.hfta._batches]
+    epochs = [epoch for _, epoch in got.hfta._columnar]
     assert epochs == sorted(epochs) and set(epochs) == set(range(60))
-    assert all(len(parts) == 1 for parts in got.hfta._batches.values())
+    assert got.hfta.folds == len(got.hfta._columnar)
 
 
 class KernelFault(RuntimeError):
@@ -133,21 +133,21 @@ def test_failing_epoch_leaves_accumulators_untouched(n_workers,
     first = walk(1, make_stream(1, [50, 60], 4, "finite", False), config,
                  buckets)
     counters, hfta = first.counters, first.hfta
-    before = (repr(counters.relations), batches(hfta))
+    before = (repr(counters.relations), states(hfta))
     dataset = make_stream(2, [30, 40, 50, 60, 70], 4, "finite", False)
     fail_at = int(np.searchsorted(dataset.timestamps, 3.0))
     ingest_runs = engine._native.ingest_runs
 
-    def faulty(walk_, start, t, w):
+    def faulty(walk_, start, t, w, *args, **kwargs):
         if start == fail_at:
             raise KernelFault(f"epoch at row {start}")
-        return ingest_runs(walk_, start, t, w)
+        return ingest_runs(walk_, start, t, w, *args, **kwargs)
 
     monkeypatch.setattr(engine._native, "ingest_runs", faulty)
     with pytest.raises(KernelFault, match=f"row {fail_at}"):
         walk(n_workers, dataset, config, buckets, counters=counters,
              hfta=hfta)
-    assert (repr(counters.relations), batches(hfta)) == before
+    assert (repr(counters.relations), states(hfta)) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),

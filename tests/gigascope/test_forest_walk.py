@@ -8,9 +8,10 @@ time); ``lfta.run_reference`` runs the paper's sequential LFTA. On random forest
 chains, fan-out 3), epochs of one record and empty epochs between full
 ones, tables of 1 bucket to far more buckets than records, count-only
 and value streams (NaN and +-inf included) and strided columns, the two
-walks must agree on every counter and every HFTA batch, in order and bit
-for bit, and equal the reference wherever its plain-float min/max can
-follow (finite values).
+walks must agree on every counter and every HFTA state — the kernel's
+folded in the walk, the numpy walk's batches folded by the HFTA — bit
+for bit, group order and fold counts included, and equal the reference
+wherever its plain-float min/max can follow (finite values).
 """
 
 import time
@@ -27,6 +28,7 @@ from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import CostCounters
 from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.hfta_totals import totals
 
 NAMES = tuple("ABCDEF")
 SCHEMA = StreamSchema(NAMES, value_columns=("v",))
@@ -109,24 +111,37 @@ def make_stream(seed, epochs, domain, values, strided):
     return dataset
 
 
-def batches(hfta: HFTA) -> list:
-    """Every pending HFTA batch, in arrival order, as raw bytes."""
-    out = []
-    for (rel, epoch), parts in hfta._batches.items():
-        for cols, counts, vsums, vmins, vmaxs in parts:
-            out.append((rel, epoch,
-                        [(name, col.dtype.str, col.tobytes())
-                         for name, col in cols.items()],
-                        counts.tobytes(), vsums.tobytes(),
-                        None if vmins is None else vmins.tobytes(),
-                        None if vmaxs is None else vmaxs.tobytes()))
-    return out
+def columnar(hfta: HFTA) -> dict:
+    """Every key's folded state, by relation label and epoch (pending
+    batches are folded first)."""
+    keys = sorted(set(hfta._batches) | set(hfta._columnar),
+                  key=lambda key: (key[0].label(), key[1]))
+    return {key: hfta.totals_columnar(*key) for key in keys}
+
+
+def nan_sums(sums):
+    """A state's sums as bytes, every NaN as numpy's: where a NaN sum
+    meets another NaN, which one's sign survives depends on the operand
+    order the compiler picks (the C folds and ``np.bincount`` differ),
+    so NaN sums compare as NaN."""
+    return np.where(np.isnan(sums), np.nan, sums).tobytes()
+
+
+def states(hfta: HFTA) -> list:
+    """Every key's folded state as raw bytes, then the HFTA's counters."""
+    out = [(rel, epoch,
+            [(name, col.dtype.str, col.tobytes())
+             for name, col in zip(state.names, state.columns)],
+            state.counts.tobytes(), nan_sums(state.value_sums),
+            state.value_mins.tobytes(), state.value_maxs.tobytes())
+           for (rel, epoch), state in columnar(hfta).items()]
+    return out + [(hfta.evictions_received, hfta.folds, hfta.rows_folded)]
 
 
 def assert_same_walk(got, want):
     assert got.counters.relations == want.counters.relations
     assert list(got.counters.relations) == list(want.counters.relations)
-    assert batches(got.hfta) == batches(want.hfta)
+    assert states(got.hfta) == states(want.hfta)
 
 
 @given(config=forests, stream=streams, data=st.data())
@@ -146,8 +161,8 @@ def test_walks_match_each_other_and_reference(config, stream, data):
     for leaf in config.leaves:
         assert got.hfta.epochs(leaf) == ref.hfta.epochs(leaf)
         for epoch in ref.hfta.epochs(leaf):
-            assert got.hfta.totals(leaf, epoch) == \
-                ref.hfta.totals(leaf, epoch)
+            assert totals(got.hfta, leaf, epoch) == \
+                totals(ref.hfta, leaf, epoch)
 
 
 def _walk(walk, config, dataset, buckets, emit, value_column):
@@ -172,7 +187,8 @@ def _walk(walk, config, dataset, buckets, emit, value_column):
 def test_inner_relation_emits_and_feeds(notation, value_column, stream,
                                         data):
     """A relation with children whose emit flag is set ships its runs to
-    the HFTA *and* feeds its children, the same in C as in numpy."""
+    the HFTA (the kernel folds them) *and* feeds its children, the same
+    in C as in numpy."""
     config = Configuration.from_notation(notation)
     dataset = make_stream(**{**stream, "epochs": stream["epochs"] + [40]})
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
@@ -183,10 +199,10 @@ def test_inner_relation_emits_and_feeds(notation, value_column, stream,
     want = _walk(engine._walk_numpy, config, dataset, buckets, emit,
                  value_column)
     assert got[0].relations == want[0].relations
-    assert batches(got[1]) == batches(want[1])
+    assert states(got[1]) == states(want[1])
     inner = {rel for rel, e in zip(config.relations, emit)
              if e and not config.is_leaf(rel)}
-    assert inner and inner <= {rel for rel, _ in got[1]._batches}
+    assert inner and inner <= {rel for rel, _ in columnar(got[1])}
 
 
 @pytest.mark.parametrize("records", [1, 3])

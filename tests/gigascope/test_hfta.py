@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.attributes import AttributeSet
 from repro.core.queries import Aggregate, AggregationQuery
-from repro.gigascope.hash_table import Eviction
 from repro.gigascope.hfta import HFTA
+from tests.hfta_totals import totals
 
 
 def A(label):
@@ -20,7 +20,7 @@ class TestIngestAndTotals:
         hfta.ingest_arrays(rel, 0, {"A": [1, 1], "B": [2, 2]}, [3, 4],
                            [1.0, 2.0])
         hfta.ingest_arrays(rel, 0, {"A": [1], "B": [2]}, [5], [0.5])
-        agg = hfta.totals(rel, 0)[(1, 2)]
+        agg = totals(hfta, rel, 0)[(1, 2)]
         assert agg.count == 12
         assert agg.value_sum == pytest.approx(3.5)
 
@@ -29,30 +29,30 @@ class TestIngestAndTotals:
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1]}, [2])
         hfta.ingest_arrays(rel, 1, {"A": [1]}, [3])
-        assert hfta.totals(rel, 0)[(1,)].count == 2
-        assert hfta.totals(rel, 1)[(1,)].count == 3
+        assert totals(hfta, rel, 0)[(1,)].count == 2
+        assert totals(hfta, rel, 1)[(1,)].count == 3
         assert hfta.epochs(rel) == [0, 1]
 
     def test_relations_kept_separate(self):
         hfta = HFTA()
         hfta.ingest_arrays(A("A"), 0, {"A": [1]}, [2])
         hfta.ingest_arrays(A("B"), 0, {"B": [1]}, [9])
-        assert hfta.totals(A("A"), 0)[(1,)].count == 2
-        assert hfta.totals(A("B"), 0)[(1,)].count == 9
+        assert totals(hfta, A("A"), 0)[(1,)].count == 2
+        assert totals(hfta, A("B"), 0)[(1,)].count == 9
 
     def test_empty_batch_ignored(self):
         hfta = HFTA()
         hfta.ingest_arrays(A("A"), 0, {"A": np.array([], dtype=int)},
                            np.array([], dtype=int))
         assert hfta.evictions_received == 0
-        assert hfta.totals(A("A"), 0) == {}
+        assert totals(hfta, A("A"), 0) == {}
 
     def test_ingest_evictions_objects(self):
+        """Two evictions of one group, each with its own partials."""
         hfta = HFTA()
-        evs = [Eviction((7, 8), 2, 1.0, 0, True, 0.4, 0.6),
-               Eviction((7, 8), 3, 2.0, 1, False, 0.1, 1.9)]
-        hfta.ingest_evictions(A("AB"), 0, evs)
-        agg = hfta.totals(A("AB"), 0)[(7, 8)]
+        hfta.ingest_arrays(A("AB"), 0, {"A": [7, 7], "B": [8, 8]}, [2, 3],
+                           [1.0, 2.0], [0.4, 0.1], [0.6, 1.9])
+        agg = totals(hfta, A("AB"), 0)[(7, 8)]
         assert agg.count == 5
         assert agg.value_sum == pytest.approx(3.0)
         assert agg.value_min == pytest.approx(0.1)
@@ -62,9 +62,9 @@ class TestIngestAndTotals:
         hfta = HFTA()
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1]}, [1])
-        assert hfta.totals(rel, 0)[(1,)].count == 1
+        assert totals(hfta, rel, 0)[(1,)].count == 1
         hfta.ingest_arrays(rel, 0, {"A": [1]}, [1])
-        assert hfta.totals(rel, 0)[(1,)].count == 2
+        assert totals(hfta, rel, 0)[(1,)].count == 2
 
 
 class TestQueryAnswers:

@@ -31,14 +31,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.attributes import AttributeSet
 from repro.core.queries import Aggregate, AggregationQuery
-from repro.gigascope.hfta import (
-    HFTA,
-    ColumnarTotals,
-    GroupAggregate,
-    _fold_rows_numpy,
-)
+from repro.gigascope.hfta import HFTA, ColumnarTotals, _fold_rows_numpy
 from repro.native import merge as native_merge
 from tests.conftest import needs_kernel
+from tests.hfta_totals import GroupAggregate, totals
 
 # NaN workloads trip numpy's elementwise warnings inside minimum.at /
 # maximum.at; the NaN propagation itself is exactly what's under test.
@@ -141,8 +137,8 @@ class TestDifferentialVsReference:
         for i, batch in enumerate(batches):
             hfta.ingest_arrays(rel, 0, *batch)
             if i in folds:
-                hfta.totals(rel, 0)
-        _assert_totals_equal(hfta.totals(rel, 0),
+                totals(hfta, rel, 0)
+        _assert_totals_equal(totals(hfta, rel, 0),
                              _reference_totals(batches, ("A", "B")))
 
     @given(workload=_workload(), split=st.integers(0, 6))
@@ -164,11 +160,11 @@ class TestDifferentialVsReference:
             if i < split:
                 a.ingest_arrays(rel, 0, *batch)
                 if i in folds:
-                    a.totals(rel, 0)
+                    totals(a, rel, 0)
             else:
                 b.ingest_arrays(rel, 0, *batch)
         a.merge_from(b)
-        _assert_totals_equal(a.totals(rel, 0),
+        _assert_totals_equal(totals(a, rel, 0),
                              _reference_totals(batches, ("A", "B")))
 
     @given(workload=_workload())
@@ -182,11 +178,11 @@ class TestDifferentialVsReference:
         shard = HFTA()
         for batch in batches:
             shard.ingest_arrays(rel, 0, *batch)
-        shard.totals(rel, 0)
+        totals(shard, rel, 0)
         folds_before = shard.folds
         parent = HFTA()
         parent.merge_from(shard)
-        _assert_totals_equal(parent.totals(rel, 0), shard.totals(rel, 0))
+        _assert_totals_equal(totals(parent, rel, 0), totals(shard, rel, 0))
         assert parent.folds == folds_before  # adoption, not a new fold
 
     @given(workload=_workload())
@@ -198,9 +194,9 @@ class TestDifferentialVsReference:
         for i, batch in enumerate(batches):
             hfta.ingest_arrays(rel, 0, *batch)
             if i in folds:
-                hfta.totals(rel, 0)
+                totals(hfta, rel, 0)
         clone = pickle.loads(pickle.dumps(hfta))
-        _assert_totals_equal(clone.totals(rel, 0), hfta.totals(rel, 0))
+        _assert_totals_equal(totals(clone, rel, 0), totals(hfta, rel, 0))
 
 
 class TestQueryAnswerBruteForce:
@@ -338,13 +334,13 @@ class TestKernelVsNumpyFold:
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1, 1, 2]}, [1, 2, 3])
         hfta.ingest_arrays(rel, 0, {"A": [2]}, [4])
-        assert hfta.totals(rel, 0)[(1,)].count == 3
+        assert totals(hfta, rel, 0)[(1,)].count == 3
         assert calls
         exotic = HFTA()
         exotic.ingest_arrays(rel, 1, {"A": np.array([1.5, 1.5])}, [1, 1])
         exotic.ingest_arrays(rel, 1, {"A": np.array([1.5])}, [1])
         del calls[:]
-        assert exotic.totals(rel, 1) == {(1,): GroupAggregate(3)}
+        assert totals(exotic, rel, 1) == {(1,): GroupAggregate(3)}
         assert not calls
 
     def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
@@ -353,7 +349,7 @@ class TestKernelVsNumpyFold:
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 2], [0.5, 0.25])
         hfta.ingest_arrays(rel, 0, {"A": [1]}, [4], [0.125])
-        agg = hfta.totals(rel, 0)[(1,)]
+        agg = totals(hfta, rel, 0)[(1,)]
         assert agg == GroupAggregate(7, 0.875, math.inf, -math.inf)
 
 
@@ -367,7 +363,7 @@ class TestBoundedMemory:
         for i in range(50):
             hfta.ingest_arrays(rel, 0, {"A": [i % 4]}, [1], [float(i)])
         assert len(hfta._batches[(rel, 0)]) == 50
-        hfta.totals(rel, 0)
+        totals(hfta, rel, 0)
         assert (rel, 0) not in hfta._batches
         assert hfta._columnar[(rel, 0)].n_groups == 4
 
@@ -438,7 +434,7 @@ class TestColumnarInterface:
     def test_never_fed_key_is_none(self):
         hfta = HFTA()
         assert hfta.totals_columnar(A("A"), 0) is None
-        assert hfta.totals(A("A"), 0) == {}
+        assert totals(hfta, A("A"), 0) == {}
 
     def test_first_appearance_group_order(self):
         hfta = HFTA()
@@ -455,12 +451,12 @@ class TestColumnarInterface:
         a, b = HFTA(), HFTA()
         rel = A("A")
         a.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 1])
-        a.totals(rel, 0)
+        totals(a, rel, 0)
         b.ingest_arrays(rel, 0, {"A": [2, 2]}, [1, 1])
-        b.totals(rel, 0)
+        totals(b, rel, 0)
         folds_before = a.folds + b.folds
         a.merge_from(b)
         assert a.folds == folds_before
-        a.totals(rel, 0)
+        totals(a, rel, 0)
         assert a.folds == folds_before + 1
         assert a.rows_folded >= 4

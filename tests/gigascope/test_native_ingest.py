@@ -29,6 +29,7 @@ from repro.core.configuration import Configuration
 from repro.gigascope import Dataset, simulate
 from repro.gigascope.engine import _process_relation
 from repro.gigascope.hashing import bucket_indices, relation_salt
+from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
@@ -37,6 +38,7 @@ from repro.native import merge as native_merge
 from repro.native import partition as native_partition
 from repro.parallel import HashPartitioner, split_dataset
 from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.hfta_totals import totals
 from tests.references import ABC_SCHEMA as SCHEMA, abc_stream as _dataset
 
 
@@ -66,7 +68,7 @@ class TestDegenerateShapes:
         for leaf in config.leaves:
             assert ref.hfta.epochs(leaf) == got.hfta.epochs(leaf)
             for epoch in ref.hfta.epochs(leaf):
-                a, b = (r.hfta.totals(leaf, epoch) for r in (ref, got))
+                a, b = (totals(r.hfta, leaf, epoch) for r in (ref, got))
                 assert a.keys() == b.keys()
                 for group in a:
                     np.testing.assert_array_equal(
@@ -103,7 +105,8 @@ def _block_edge_stream(m, n_buckets, edge, salt, seed):
 class TestBlockEdges:
     """The kernel hashes a block of arrivals before probing it. Runs and
     collisions across block edges, through the walk of a one-relation
-    forest, must come out as the numpy path's, bit for bit."""
+    forest, must come out as the numpy path's, bit for bit: the kernel's
+    fold of its runs equals the HFTA's fold of the numpy runs."""
 
     @needs_kernel
     @pytest.mark.parametrize("values", [False, True])
@@ -125,23 +128,24 @@ class TestBlockEdges:
                 _AB, t, w, vs, vs, vs, {"A": cols[0], "B": cols[1]},
                 m, np.int64(m + n_buckets + 2), n_buckets, salt, 0,
                 counters, times_sorted=True)
+            hfta = HFTA()
+            hfta.ingest_arrays(_AB, 0, want[5], *want[1:5])
+            state = hfta.totals_columnar(_AB, 0)
         walk = native_ingest.Walk([-1], [[0, 1]], [salt], [n_buckets],
                                   [True], values, m)
         walk.bind([cols[0], cols[1]], vs)
-        ((r, rows, run_w, run_vs, run_vmin, run_vmax),) = \
-            native_ingest.ingest_runs(walk, 0, t, w)
+        (fold,) = native_ingest.ingest_runs(walk, 0, t, w)
         c = counters.counters(_AB)
-        assert r == 0
+        assert fold.relation == 0 and fold.runs == want[1].shape[0]
         assert walk.stats.tolist() == [[
             c.arrivals_intra, c.arrivals_flush, c.evictions_intra,
             c.evictions_flush]]
-        np.testing.assert_array_equal(run_w, want[1])
-        for got, ref in zip((run_vs, run_vmin, run_vmax), want[2:5]):
-            assert (got is None) == (ref is None) == (not values)
-            if values:
-                assert got.tobytes() == ref.tobytes()
-        np.testing.assert_array_equal(cols[0][rows], want[5]["A"])
-        np.testing.assert_array_equal(cols[1][rows], want[5]["B"])
+        for got, ref in zip(fold[2:6], (state.counts, state.value_sums,
+                                        state.value_mins,
+                                        state.value_maxs)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(cols[0][fold.reps], state.columns[0])
+        np.testing.assert_array_equal(cols[1][fold.reps], state.columns[1])
 
 
 @pytest.mark.skipif(
@@ -182,9 +186,15 @@ def racer_run():
                       1.0, "v")
     counters = {rel.label(): vars(c)
                 for rel, c in result.counters.relations.items()}
+
+    def groups(leaf, epoch):
+        state = result.hfta.totals_columnar(leaf, epoch)
+        return zip(state.group_tuples(), state.counts.tolist(),
+                   state.value_sums.tolist())
+
     totals = {f"{leaf.label()}@{epoch}": sorted(
-                  [list(group), agg.count, agg.value_sum.hex()]
-                  for group, agg in result.hfta.totals(leaf, epoch).items())
+                  [list(group), count, value_sum.hex()]
+                  for group, count, value_sum in groups(leaf, epoch))
               for leaf in config.leaves for epoch in result.hfta.epochs(leaf)}
     return {"counters": counters, "totals": totals}
 """

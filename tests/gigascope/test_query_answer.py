@@ -5,7 +5,8 @@ columnar state. These tests pin what callers may rely on: it compares
 equal to the plain dict it stands for (either side of ``==``), ``len()``
 and the columnar accessors never build Python group tuples, an answer is
 a snapshot that later ingestion does not change, it pickles, and every
-aggregate kind equals the value derived from ``HFTA.totals()``.
+aggregate kind equals the value derived from the dict of
+``tests/hfta_totals.totals``.
 """
 
 import pickle
@@ -21,6 +22,7 @@ from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import HFTA
 from tests.conftest import numpy_kernels_off
+from tests.hfta_totals import totals
 from tests.references import abc_stream
 
 AB = AttributeSet.parse("AB")
@@ -55,7 +57,7 @@ def query(kind="count", having_min=None) -> AggregationQuery:
 def expected_from_totals(hfta, q, epoch) -> dict:
     """The answer derived group by group from the ``totals()`` path."""
     out = {}
-    for group, agg in hfta.totals(q.group_by, epoch).items():
+    for group, agg in totals(hfta, q.group_by, epoch).items():
         if q.having_min is not None and agg.count < q.having_min:
             continue
         out[group] = {"count": float(agg.count), "sum": agg.value_sum,

@@ -3,7 +3,7 @@
 ``simulate(dataset, ..., rows=index)`` walks the rows ``index`` names,
 reading the stream's columns in place. It must equal ``simulate`` over
 the dataset of just those rows (``split_dataset``'s copy): the same
-counters, the same HFTA batches in the same order, the same floats bit
+counters, the same HFTA states and fold counts, the same floats bit
 for bit (NaN and +-inf min/max included), on the kernel walk with one
 and three threads and on the numpy walk. An index that is not 1-D,
 integer, strictly ascending and inside the stream is refused by name.
@@ -24,6 +24,7 @@ from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     assert_same_walk,
+    columnar,
     forests,
     make_stream,
     streams,
@@ -111,9 +112,9 @@ def test_row_shapes(shape, values, mode):
     if shape == "skips-epochs":
         assert epochs == {0, 5}
     if values == "nonfinite" and shape == "every-row":
-        assert any(np.isnan(vmins).any() or np.isinf(vmaxs).any()
-                   for parts in got.hfta._batches.values()
-                   for _, _, _, vmins, vmaxs in parts)
+        assert any(np.isnan(state.value_mins).any()
+                   or np.isinf(state.value_maxs).any()
+                   for state in columnar(got.hfta).values())
 
 
 @pytest.mark.parametrize("mode", LEGS)
@@ -159,8 +160,8 @@ def test_refused_indices(name, mode):
 @needs_kernel
 def test_kernel_reads_rows_past_start():
     """``ingest_runs`` reads arrival ``j`` at row ``start + rows[j]`` and
-    hands out rows relative to ``start``; rows outside the stream past
-    ``start`` are refused before the kernel runs."""
+    hands out the groups' rows relative to ``start``; rows outside the
+    stream past ``start`` are refused before the kernel runs."""
     rng = np.random.default_rng(4)
     cols = [rng.integers(0, 4, 50) for _ in range(2)]
     values = rng.uniform(0, 9, 50)
@@ -179,10 +180,11 @@ def test_kernel_reads_rows_past_start():
         walk_of([c[start + rows] for c in cols], values[start + rows]),
         0, t, w)
     assert len(got) == len(want) == 1
-    (_, got_rows, *got_runs), (_, want_rows, *want_runs) = got[0], want[0]
-    assert np.array_equal(got_rows, rows[want_rows])
-    for a, b in zip(got_runs, want_runs):
+    (got,), (want,) = got, want
+    assert np.array_equal(got.reps, rows[want.reps])
+    for a, b in zip(got[2:6], want[2:6]):
         assert a.tobytes() == b.tobytes()
+    assert got.runs == want.runs
     for bad in (np.array([0, 1, 2, 3, 40]), np.array([-1, 0, 1, 2, 3])):
         walk = walk_of(cols, values)
         with pytest.raises(ValueError, match=r"outside \[0, 40\)"):

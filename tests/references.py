@@ -69,6 +69,7 @@ from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.lfta import run_reference
 from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
 from repro.parallel.merge import merge_results
+from tests.hfta_totals import totals
 
 ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
 
@@ -214,8 +215,8 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
     for leaf in config.leaves:
         assert got.hfta.epochs(leaf) == ref.hfta.epochs(leaf)
         for epoch in ref.hfta.epochs(leaf):
-            assert got.hfta.totals(leaf, epoch) == \
-                ref.hfta.totals(leaf, epoch)
+            assert totals(got.hfta, leaf, epoch) == \
+                totals(ref.hfta, leaf, epoch)
     return got
 
 
