@@ -311,9 +311,6 @@ def _walk_native(dataset: Dataset, config: Configuration,
                for a in names]
     if values is not None:
         values = np.ascontiguousarray(values, dtype=np.float64)
-    for w in walks:
-        w.bind(columns, values)
-        w.stats[:] = 0
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
     # an earlier shard, an earlier call), pending batches folded first.
@@ -323,6 +320,14 @@ def _walk_native(dataset: Dataset, config: Configuration,
             held = hfta.totals_columnar(rels[r], epoch_id) if emits else None
             if held is not None:
                 seeds.setdefault(epoch_id, {})[r] = held
+    # Fold outputs for the longest epoch after the largest seed, made on
+    # this thread: an array a pool thread makes stays in its arena.
+    room = times0.shape[0] + max((s.n_groups for held in seeds.values()
+                                  for s in held.values()), default=0)
+    for w in walks:
+        w.bind(columns, values)
+        w.reserve_folds(room)
+        w.stats[:] = 0
 
     def epoch_states(own: _native.Walk, epoch_id: int, lo: int,
                      hi: int) -> list:

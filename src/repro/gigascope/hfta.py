@@ -33,12 +33,13 @@ is bitwise ``S`` for any accumulated sum ``S`` (state sums are never
 ``-0.0``; they were seeded at ``+0.0``). The walk's fold keeps the same
 rule: a seeded fold puts the state the key holds first, then the runs,
 so a live epoch reopened after ``finish()`` adds its floats as one fold
-would. A sharded run walks each shard into a :meth:`fork` of the HFTA
-the shard before it left, so its folds extend the earlier shards'
-states in shard order. :meth:`merge_from`, for HFTAs filled apart, ships
-*rows* (pending batches, or a folded state as one pseudo-batch per key),
-never folds state into state when raw rows are still pending, so no
-tree-shaped float addition occurs where the sequential path is flat.
+would. A sharded run walks each shard into the HFTA the shard before
+it handed over (:meth:`hand_over`), so its folds extend the earlier
+shards' states in shard order. :meth:`merge_from`, for HFTAs filled
+apart, ships *rows* (pending batches, or a folded state as one
+pseudo-batch per key), never folds state into state when raw rows are
+still pending, so no tree-shaped float addition occurs where the
+sequential path is flat.
 
 A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
 read-only ``Mapping`` over one key's folded state, with the aggregate
@@ -292,6 +293,10 @@ class HFTA:
         #: lists are released) on the first answer call or eagerly via
         #: :meth:`finalize_epoch`.
         self._columnar: dict[tuple[AttributeSet, int], ColumnarTotals] = {}
+        #: Keys whose folded state another HFTA handed over
+        #: (:meth:`hand_over`): its fold counted them, so extending one
+        #: here continues that fold.
+        self._continued: set[tuple[AttributeSet, int]] = set()
         self.evictions_received = 0
         #: Diagnostic counters for the merge path (manifest/bench food).
         self.folds = 0
@@ -329,14 +334,26 @@ class HFTA:
         The walk folded ``rows`` evicted partials into the state the key
         held (its rows first, then the new ones in emission order — the
         ordering rule above), so ``state`` replaces it, and the counters
-        move as :meth:`_fold` would move them over those partials: one
-        fold, over the held state's rows and the new ones. The engine
-        folds a key's pending batches before the walk extends it.
+        move as :meth:`_fold` would move them over those partials. The
+        engine folds a key's pending batches before the walk extends it.
         """
         key = (relation, epoch)
         held = self._columnar.get(key)
         self._columnar[key] = state
         self.evictions_received += rows
+        self._count_fold(key, held, rows)
+
+    def _count_fold(self, key: tuple[AttributeSet, int],
+                    held: ColumnarTotals | None, rows: int) -> None:
+        """Count a fold of ``rows`` new partials into ``held``: one fold,
+        over the held state's rows and the new ones. A state handed over
+        (:meth:`hand_over`) was counted by the HFTA that folded it, so
+        its first extension here counts only the new rows, as if one
+        fold had taken them all."""
+        if key in self._continued:
+            self._continued.discard(key)
+            self.rows_folded += rows
+            return
         self.folds += 1
         self.rows_folded += rows + (0 if held is None else held.n_groups)
 
@@ -374,25 +391,31 @@ class HFTA:
         self.folds += other.folds
         self.rows_folded += other.rows_folded
 
-    def fork(self) -> "HFTA":
-        """A new HFTA holding this one's partials, its counters at zero.
+    def hand_over(self) -> "HFTA":
+        """A new HFTA that takes this one's partials; this one keeps its
+        counters and no partials.
 
-        The folded states are shared (a fold replaces a key's state and
-        never changes one) and the pending batch lists copied, so feeding
-        either HFTA leaves the other's answers as they were. A sharded run
-        walks each shard into a fork of the HFTA the shard before it
-        left, so every key's fold extends the earlier shards' state.
+        A sharded run walks each shard into the HFTA the shard before it
+        handed over, so every key's fold extends the earlier shards'
+        state (the ordering rule above) and no shard's states outlive
+        the next shard's walk. The new HFTA's counters start at zero,
+        and the first extension of a folded key counts as part of the
+        fold that began it (:meth:`_count_fold`): summed over the shards,
+        a key costs one fold over every partial, as one HFTA fed every
+        shard's evictions would count it.
         """
         other = HFTA()
-        other._columnar = dict(self._columnar)
-        for key, batches in self._batches.items():
-            other._batches[key] = list(batches)
+        other._columnar, self._columnar = self._columnar, {}
+        other._batches, self._batches = self._batches, defaultdict(list)
+        other._continued = set(other._columnar)
+        self._continued = set()
         return other
 
     def __setstate__(self, state: dict) -> None:
         # Checkpoints written before the dict answers were removed carry
-        # their (always empty) cache.
+        # their (always empty) cache, and no hand-over marks.
         state.pop("_answer_cache", None)
+        state.setdefault("_continued", set())
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
@@ -407,18 +430,18 @@ class HFTA:
         """
         key = (relation, epoch)
         batches = self._batches.pop(key, None)
-        state = self._columnar.get(key)
+        held = self._columnar.get(key)
         if not batches:
-            return state
+            return held
         names = relation.names
         parts: list[_Batch] = []
-        if state is not None:
+        if held is not None:
             # State rows first: extending an accumulated sum with new
             # rows preserves the exact sequential addition order (see
             # module docstring).
-            parts.append((dict(zip(state.names, state.columns)),
-                          state.counts, state.value_sums,
-                          state.value_mins, state.value_maxs))
+            parts.append((dict(zip(held.names, held.columns)),
+                          held.counts, held.value_sums,
+                          held.value_mins, held.value_maxs))
         parts.extend(batches)
         cat_cols = [np.concatenate([part[0][name] for part in parts])
                     for name in names]
@@ -435,8 +458,8 @@ class HFTA:
         state = ColumnarTotals(names, [col[rep] for col in cat_cols],
                                g_counts, g_vs, g_vmin, g_vmax)
         self._columnar[key] = state
-        self.folds += 1
-        self.rows_folded += int(counts.shape[0])
+        self._count_fold(key, held, sum(int(part[1].shape[0])
+                                        for part in batches))
         return state
 
     def finalize_epoch(self, epoch: int) -> int:

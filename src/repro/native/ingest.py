@@ -621,12 +621,9 @@ class Walk:
             "n_runs": np.zeros(n_rel, dtype=i64),
             "stats": np.zeros((n_rel, 4), dtype=i64),
         }
-        # Each fold's own output: rep, count / sum, min, max per group.
-        self._fold_i = np.empty((n_emit, 2, L), dtype=i64)
-        self._fold_f = np.empty((n_emit, 3, L), dtype=np.float64)
         self._folds = (_FoldStruct * n_emit)()
-        for slot in range(n_emit):
-            self._point_fold(slot, self._fold_i[slot], self._fold_f[slot])
+        self._fold_room = 0
+        self.reserve_folds(L)
         struct = self._struct = _WalkStruct(
             n_rel=n_rel, longest=L, max_buckets=max_b)
         for name, array in arrays.items():
@@ -642,16 +639,29 @@ class Walk:
         self.columns: list[np.ndarray] = []
         self.values: np.ndarray | None = None
 
-    def _point_fold(self, slot: int, ints: np.ndarray, floats: np.ndarray,
-                    n_seed: int = 0, seed: np.ndarray | None = None) -> None:
-        """Aim fold ``slot`` at outputs ``ints`` (rep, count) and
-        ``floats`` (sum, min, max), after ``n_seed`` seed groups whose
-        key column addresses are ``seed``."""
-        fold = self._folds[slot]
-        fold.n_seed = n_seed
-        fold.seed = None if seed is None else seed.ctypes.data
-        fold.rep, fold.w = ints[0].ctypes.data, ints[1].ctypes.data
-        fold.vs, fold.vmin, fold.vmax = (row.ctypes.data for row in floats)
+    def reserve_folds(self, room: int) -> None:
+        """Give every fold output room for ``room`` groups, a seed's
+        groups first: one array each of reps, counts, sums, minima and
+        maxima. The outputs are the walk's own, kept between calls and
+        grown to what a call needs (:func:`ingest_runs` grows them when
+        it must), so a seeded fold allocates nothing per call; a caller
+        that walks on other threads reserves on its own first, since an
+        array a thread allocates stays in that thread's malloc arena.
+        One array per field keeps every block as long as the epoch plus
+        the seed: one block of all of them, once freed, would raise
+        glibc's mmap threshold past the size of a stream column, and the
+        next stream's columns would stay resident in the heap."""
+        if self._fold_room >= room:
+            return
+        self._fold_room = room
+        self._fold_out = []
+        for fold in self._folds:
+            out = (np.empty(room, dtype=np.int64),
+                   np.empty(room, dtype=np.int64),
+                   *(np.empty(room, dtype=np.float64) for _ in range(3)))
+            (fold.rep, fold.w, fold.vs, fold.vmin,
+             fold.vmax) = (a.ctypes.data for a in out)
+            self._fold_out.append(out)
 
     def bind(self, columns: Sequence[np.ndarray],
              values: np.ndarray | None) -> None:
@@ -676,28 +686,21 @@ class Walk:
         self.rows = self._struct.n_stream = min(lengths, default=0)
 
 
-def _seeded_outputs(seed: Seed, k: int, n: int):
-    """A seeded fold's outputs, room for the seed's groups and ``n``
-    runs, the seed's aggregates filled in; and its ``k`` key columns as
-    the uint64 bits the kernel compares, with their addresses."""
-    cols, counts, sums, mins, maxs = seed
+def _seed_keys(seed: Seed, k: int):
+    """A seed's group count and its ``k`` key columns as the uint64 bits
+    the kernel compares, with their addresses; a seed of another shape
+    is refused."""
+    cols, counts = seed[0], seed[1]
     g = int(counts.shape[0])
     if len(cols) != k or any(np.shape(col) != (g,) for col in cols):
         raise ValueError(f"a seed needs {k} key columns of {g} rows")
     if any(np.asarray(col).dtype.kind not in "iub" for col in cols):
         raise ValueError("a seed's key columns must be integers, as the "
                          "stream's are")
-    ints = np.empty((2, g + n), dtype=np.int64)
-    floats = np.empty((3, g + n), dtype=np.float64)
-    ints[1, :g] = counts
-    # A state row enters the HFTA's fold as 0.0 + its sum.
-    np.add(sums, 0.0, out=floats[0, :g])
-    floats[1, :g] = mins
-    floats[2, :g] = maxs
     keys = [np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
             for col in cols]
     addresses = np.array([col.ctypes.data for col in keys], dtype=np.uintp)
-    return g, ints, floats, keys, addresses
+    return g, keys, addresses
 
 
 def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
@@ -740,24 +743,34 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
             raise ValueError("rows must be contiguous int64, one per "
                              "arrival")
         raw = rows.ctypes.data_as(_I64P)
-    # A seeded fold writes into outputs of its own, kept alive here.
+    # Every seed is checked before the walk's outputs take any of them.
     seeded = {}
     key_off = walk._arrays["key_off"]
     for r, seed in (seeds or {}).items():
         if not 0 <= r < len(walk.emit) or not walk.emit[r]:
             raise ValueError(f"relation {r} does not emit: nothing to seed")
-        seeded[r] = _seeded_outputs(seed, int(key_off[r + 1] - key_off[r]),
-                                    n)
+        seeded[r] = _seed_keys(seed, int(key_off[r + 1] - key_off[r]))
+    walk.reserve_folds(n + max((g for g, _, _ in seeded.values()),
+                                default=0))
     try:
-        for r, (g, ints, floats, _, addresses) in seeded.items():
-            walk._point_fold(walk.fold_slot[r], ints, floats, g, addresses)
+        for r, (g, _, addresses) in seeded.items():
+            slot = walk.fold_slot[r]
+            _, counts, sums, mins, maxs = seeds[r]
+            _, out_w, out_vs, out_vmin, out_vmax = walk._fold_out[slot]
+            out_w[:g] = counts
+            # A state row enters the HFTA's fold as 0.0 + its sum.
+            np.add(sums, 0.0, out=out_vs[:g])
+            out_vmin[:g] = mins
+            out_vmax[:g] = maxs
+            fold = walk._folds[slot]
+            fold.n_seed, fold.seed = g, addresses.ctypes.data
         status = lib.repro_walk(walk._ref, start, raw,
                                 t.ctypes.data_as(_I64P),
                                 w.ctypes.data_as(_I64P), n)
     finally:
         for r in seeded:
-            slot = walk.fold_slot[r]
-            walk._point_fold(slot, walk._fold_i[slot], walk._fold_f[slot])
+            fold = walk._folds[walk.fold_slot[r]]
+            fold.n_seed, fold.seed = 0, None
     if status == -2:
         raise MemoryError("no memory for the ingest walk's group table")
     if status >= 0:
@@ -771,11 +784,9 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
         groups = walk._folds[slot].n_groups
         if not groups:
             continue
-        if r in seeded:
-            n_seed, ints, floats = seeded[r][:3]
-        else:
-            n_seed, ints, floats = 0, walk._fold_i[slot], walk._fold_f[slot]
-        sums, mins, maxs = floats[:, :groups].copy()
-        out.append(Fold(r, ints[0, n_seed:groups], ints[1, :groups].copy(),
-                        sums, mins, maxs, int(walk.n_runs[r])))
+        n_seed = seeded[r][0] if r in seeded else 0
+        rep, *aggregates = walk._fold_out[slot]
+        out.append(Fold(r, rep[n_seed:groups],
+                        *(a[:groups].copy() for a in aggregates),
+                        int(walk.n_runs[r])))
     return out

@@ -11,19 +11,19 @@ performs on LFTA eviction batches, applied one level up.
 eviction batches, or an already-folded shard's columnar state as one
 pseudo-batch per key); the single hash-table fold at answer time then
 accumulates every group's float sum in one sequential left-to-right
-pass in shard order, with no state-into-state tree additions. The fold
-itself runs through the runtime-compiled merge kernel
-(:mod:`repro.native.merge`) when available.
+pass in shard order, with no state-into-state tree additions. Counts,
+minima and maxima therefore equal an unsharded run's exactly; a float
+sum adds the same terms in another order (shard by shard instead of
+arrival order) and can differ from the unsharded sum in the last ulp —
+the tests assert 1e-12 relative agreement. The fold itself runs through
+the runtime-compiled merge kernel (:mod:`repro.native.merge`) when
+available.
 
-:class:`~repro.parallel.ShardedStreamSystem` merges without shipping
-anything: it walks each shard into a fork of the HFTA the shard before
-it left, so the ingest walk's folds extend the earlier shards' states
-(the same left-to-right chain, in shard order), and
-:func:`chain_hftas` takes the last shard's HFTA with every shard's
-counters. Either way counts, minima and maxima equal an unsharded run's
-exactly; a float sum adds the same terms in another order (shard by
-shard instead of arrival order) and can differ from the unsharded sum
-in the last ulp — the tests assert 1e-12 relative agreement.
+:class:`~repro.parallel.ShardedStreamSystem` ships nothing: its shards
+walk one after the other, each into the partials the shard before it
+handed over (:meth:`HFTA.hand_over`), so every shard's HFTA arrives here
+with its counters only and the last hand-over, adopted by
+:meth:`HFTA.merge_from` as is, holds every group's shard-order fold.
 
 Cost counters merge by plain summation: a probe or eviction that happened
 on some shard happened in the system, so the merged counters price the
@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.metrics import CostCounters, SimulationResult
 
-__all__ = ["chain_hftas", "merge_counters", "merge_hftas", "merge_results"]
+__all__ = ["merge_counters", "merge_hftas", "merge_results"]
 
 
 def merge_counters(parts: Iterable[CostCounters],
@@ -65,23 +65,10 @@ def merge_hftas(parts: Iterable[HFTA]) -> HFTA:
     return merged
 
 
-def chain_hftas(parts: Sequence[HFTA]) -> HFTA:
-    """The HFTA of shards walked in order, each into a fork of the one
-    before it (:meth:`HFTA.fork`): the last one's partials, which hold
-    every shard's, with every shard's counters summed."""
-    merged = parts[-1].fork()
-    for part in parts:
-        merged.evictions_received += part.evictions_received
-        merged.folds += part.folds
-        merged.rows_folded += part.rows_folded
-    return merged
-
-
 def merge_results(parts: Sequence[SimulationResult],
                   configuration: Configuration,
                   n_records: int | None = None,
-                  n_epochs: int | None = None,
-                  hfta: HFTA | None = None) -> SimulationResult:
+                  n_epochs: int | None = None) -> SimulationResult:
     """One :class:`SimulationResult` equivalent to the union of the shards.
 
     ``n_records`` defaults to the shard sum (always correct for a
@@ -89,14 +76,12 @@ def merge_results(parts: Sequence[SimulationResult],
     records usually land on several shards — so it defaults to the number
     of distinct epoch ids the merged HFTA received; pass the stream's own
     distinct-epoch count when available (a shard-empty epoch contributes
-    no evictions). ``hfta`` is the merged HFTA when the caller has it
-    already (:func:`chain_hftas`); by default the parts' HFTAs merge.
+    no evictions).
     """
     if not parts:
         raise ConfigurationError("merge_results needs at least one shard")
     counters = merge_counters((p.counters for p in parts), configuration)
-    if hfta is None:
-        hfta = merge_hftas(p.hfta for p in parts)
+    hfta = merge_hftas(p.hfta for p in parts)
     if n_records is None:
         n_records = sum(p.n_records for p in parts)
     if n_epochs is None:

@@ -8,12 +8,12 @@ runs the exact vectorized engine on every shard — in this process, one
 shard after the other in shard order, each shard's epochs on the
 engine's thread pool — and merges the per-shard results and cost
 counters into one :class:`~repro.gigascope.metrics.SimulationResult`.
-Each shard walks into a fork of the HFTA the shard before it left
-(:meth:`~repro.gigascope.hfta.HFTA.fork`), so its folds extend the
-earlier shards' states, and the merged HFTA is the last shard's states
-with every shard's counters (:func:`~repro.parallel.merge.chain_hftas`):
-a group's float sum adds every shard's partials in shard order, one
-left-to-right chain.
+Each shard walks into the partials the shard before it handed over
+(:meth:`~repro.gigascope.hfta.HFTA.hand_over`), so its folds extend the
+earlier shards' states and its own HFTA keeps only its counters; the
+merged HFTA sums those counters and adopts the last hand-over: a group's
+float sum adds every shard's partials in shard order, one left-to-right
+chain.
 ``RunReport``, ``summary()`` and every cost/answer accessor therefore work
 unchanged on the merged report.
 
@@ -64,7 +64,7 @@ from repro.gigascope.runtime import RunReport, StreamSystem
 from repro.native.partition import kernel_available
 from repro.observability import MetricsRegistry
 from repro.observability.tracing import Span
-from repro.parallel.merge import chain_hftas, merge_results
+from repro.parallel.merge import merge_results
 from repro.parallel.partition import (HashPartitioner, balance_summary,
                                       check_shard_count, check_shard_ids,
                                       shard_rows)
@@ -161,8 +161,8 @@ class ShardedStreamSystem(StreamSystem):
         #: Always None; ``benchmarks/e2e`` still reads it.
         self.resilience_report = None
         #: Per-shard ``SimulationResult`` list, populated by :meth:`run`;
-        #: shard ``i``'s counters are its own, its HFTA holds the states
-        #: of shards ``0..i``.
+        #: a shard's HFTA holds its counters, not its partials (the next
+        #: shard took them over).
         self.shard_results: list[SimulationResult] | None = None
         #: Per-shard ``MetricsRegistry`` list (engine spans and counters
         #: as measured inside each shard run), populated by :meth:`run` and
@@ -227,8 +227,8 @@ class ShardedStreamSystem(StreamSystem):
             # usually land on several shards, so shard counts do not add.
             n_epochs = sum(1 for _ in dataset.epoch_slices(epoch_seconds))
         outcomes: list[_ShardRun] = []
-        # Each shard walks into a fork of the HFTA the shard before it
-        # left: its folds extend the earlier shards' states, adding each
+        # Each shard walks into the partials the shard before it handed
+        # over: its folds extend the earlier shards' states, adding each
         # group's partials in shard order, as one HFTA fed every shard's
         # evictions would.
         hfta = HFTA()
@@ -236,13 +236,13 @@ class ShardedStreamSystem(StreamSystem):
             for job in jobs:
                 try:
                     outcomes.append(_run_shard(job, hfta))
-                    hfta = outcomes[-1][1].hfta.fork()
                 except Exception as exc:
                     raise ShardExecutionError(
                         f"shard {job.index} ({len(job.rows)} records, "
                         f"{len(self.shard_buckets)} relations) failed: "
                         f"{type(exc).__name__}: {exc}",
                         shard=job.index, records=len(job.rows)) from exc
+                hfta = hfta.hand_over()
         results = [result for _, result, _ in outcomes]
         self.shard_results = results
         self.shard_registries = [reg for _, _, reg in outcomes]
@@ -252,8 +252,8 @@ class ShardedStreamSystem(StreamSystem):
         with registry.span("merge") as merge:
             merged = merge_results(
                 results, self.configuration,
-                n_records=len(dataset), n_epochs=n_epochs,
-                hfta=chain_hftas([r.hfta for r in results]))
+                n_records=len(dataset), n_epochs=n_epochs)
+            merged.hfta.merge_from(hfta)
         self._phases = (partition, engine, merge)
         return RunReport(merged, self.params, self.queries)
 

@@ -72,8 +72,9 @@ def test_pool_shapes(shape, n_workers):
     got = walk(n_workers, dataset, config, buckets)
     one = walk(1, dataset, config, buckets)
     assert_same_walk(got, one)
-    with numpy_kernels_off():
-        assert_same_walk(one, walk(1, dataset, config, buckets))
+    with numpy_kernels_off():  # the numpy walk, folded by numpy
+        assert_same_walk(one, walk(1, dataset, config, buckets),
+                         any_nan=True)
     assert got.n_epochs == sum(1 for size in SHAPES[shape] if size)
     if shape == "uneven":
         assert any(np.isnan(state.value_mins).any()

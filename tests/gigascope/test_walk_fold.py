@@ -10,7 +10,7 @@ NaN/+-inf minima and maxima, byte for byte, and the same
 batches folded by the HFTA merge kernel are the kernel path as it was
 before the walk folded (its runs are the kernel's, bit for bit), so that
 comparison is exact to the NaN; against the numpy fold a NaN sum only
-compares as NaN (see ``test_forest_walk.nan_sums``).
+compares as NaN (``test_forest_walk.states(..., any_nan=True)``).
 
 Covered: random forests and streams on 1 and 3 walk threads, with and
 without a row index and a value column, and the seeded folds — an epoch
@@ -18,6 +18,7 @@ walked in two calls, a shard after another, a live epoch reopened after
 ``finish()``.
 """
 
+import copy
 from contextlib import nullcontext
 
 import numpy as np
@@ -47,26 +48,14 @@ from tests.gigascope.test_forest_walk import (
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
 
 
-def exact(hfta) -> list:
-    """Every key's state as raw bytes, NaN bits included, then the
-    counters."""
-    out = [(rel, epoch,
-            [(name, col.dtype.str, col.tobytes())
-             for name, col in zip(state.names, state.columns)],
-            state.counts.tobytes(), state.value_sums.tobytes(),
-            state.value_mins.tobytes(), state.value_maxs.tobytes())
-           for (rel, epoch), state in columnar(hfta).items()]
-    return out + [(hfta.evictions_received, hfta.folds, hfta.rows_folded)]
-
-
 def assert_folds_match(got, numpy_walked):
     """``got`` (a kernel walk's HFTA) against a numpy walk's: exactly
     against its batches folded by the merge kernel, and NaN sums aside
     against them folded by numpy."""
-    lazy = numpy_walked.fork()  # pending batches, no counts
+    lazy = copy.deepcopy(numpy_walked)
     with numpy_kernels_off():
-        assert states(got)[:-1] == states(lazy)[:-1]
-    assert exact(got) == exact(numpy_walked)
+        assert states(got, any_nan=True) == states(lazy, any_nan=True)
+    assert states(got) == states(numpy_walked)
     assert got.folds == len(columnar(got))  # one fold per key, no more
 
 
@@ -161,10 +150,10 @@ def test_a_fold_extends_the_state_held(n_workers, stream, cut, data):
                       n_workers, numpy=False)
     want = walk_in_two(dataset, config, buckets, value_column, cut, 1,
                        numpy=True)
-    lazy = want.fork()
+    lazy = copy.deepcopy(want)
     with numpy_kernels_off():
-        assert states(got)[:-1] == states(lazy)[:-1]
-    assert exact(got) == exact(want)
+        assert states(got, any_nan=True) == states(lazy, any_nan=True)
+    assert states(got) == states(want)
 
 
 @needs_kernel
@@ -182,29 +171,36 @@ def test_a_fold_extends_pending_batches(values):
         ahead = simulate(dataset, config, buckets, 1.0, value_column,
                          rows=rows[::2])
         want = simulate(dataset, config, buckets, 1.0, value_column,
-                        hfta=ahead.hfta.fork(), rows=rows[1::2]).hfta
+                        hfta=copy.deepcopy(ahead.hfta),
+                        rows=rows[1::2]).hfta
     got = simulate(dataset, config, buckets, 1.0, value_column,
                    hfta=ahead.hfta, rows=rows[1::2]).hfta
-    assert exact(got)[:-1] == exact(want)[:-1]
+    assert states(got)[:-1] == states(want)[:-1]
 
 
 @needs_kernel
-def test_shards_extend_each_other():
-    """Each shard's walk extends the states the shards before it left:
-    the merged state is the one HFTA fold of every shard's runs in shard
-    order, as the numpy walk's merged batches fold."""
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_shards_extend_each_other(shards):
+    """Each shard's walk extends the states the shards before it handed
+    over: the merged state is the one HFTA fold of every shard's runs in
+    shard order, as the numpy walk's merged batches fold, and it counts
+    one fold per key over every partial, as that fold does. No shard's
+    HFTA keeps partials the next shard took over."""
     dataset = make_stream(5, [500, 300, 40], 5, "nonfinite", False)
     queries = QuerySet.counts(["AB", "BC", "CD"], epoch_seconds=1.0)
     stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
     the_plan = plan(queries, stats, memory=300)
-    got = ShardedStreamSystem.from_plan(dataset, queries, the_plan,
-                                        shards=3, value_column="v").run()
+    system = ShardedStreamSystem.from_plan(
+        dataset, queries, the_plan, shards=shards, value_column="v")
+    got = system.run().result.hfta
     with numpy_kernels_off():
         want = ShardedStreamSystem.from_plan(
-            dataset, queries, the_plan, shards=3, value_column="v").run()
-    assert exact(got.result.hfta)[:-1] == exact(want.result.hfta)[:-1]
-    assert got.result.hfta.evictions_received == \
-        want.result.hfta.evictions_received
+            dataset, queries, the_plan, shards=shards,
+            value_column="v").run().result.hfta
+    assert states(got) == states(want)
+    assert got.folds == len(columnar(got))
+    assert got.rows_folded == got.evictions_received
+    assert all(not columnar(r.hfta) for r in system.shard_results)
 
 
 @needs_kernel
