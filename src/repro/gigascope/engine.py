@@ -21,8 +21,8 @@ reference exactly (tests assert counter-for-counter equality).
 Which relations ship their evictions to the HFTA is one list of emit
 flags built here (today: the leaves); a relation that emits still feeds
 its children. This walk hands an emitting relation's runs to the HFTA
-as one batch per epoch (``HFTA.ingest_arrays``), and the HFTA folds the
-batch when an answer or an epoch close needs it.
+as one batch per epoch (``HFTA.ingest_arrays``), which the HFTA folds
+into the key's state at once.
 
 When the host offers a C compiler, the whole walk runs instead as one
 kernel call per epoch (:mod:`repro.native.ingest`): every relation in
@@ -36,9 +36,9 @@ first, then the runs: the HFTA's own ordering rule), and hands the HFTA
 the folded state (``HFTA.ingest_folded``); this module gathers only the
 new groups' key columns. Bit-identity contract: the same buckets, runs,
 float accumulation order and counters as the numpy walk, and the same
-HFTA state, group order and fold counts as the HFTA's fold of the numpy
-walk's batches. The numpy walk stays as the path without a compiler and
-as the reference. Which of the two runs is decided by
+HFTA state (NaN sums included), group order and fold counts as the
+HFTA's fold of the numpy walk's batches. The numpy walk stays as the
+path without a compiler and as the reference. Which of the two runs is decided by
 :mod:`repro.native` alone (no compiler or ``REPRO_NO_CKERNEL=1`` leaves
 the numpy walk); both are differentially tested against each other and
 against the record-at-a-time reference.
@@ -313,7 +313,7 @@ def _walk_native(dataset: Dataset, config: Configuration,
         values = np.ascontiguousarray(values, dtype=np.float64)
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
-    # an earlier shard, an earlier call), pending batches folded first.
+    # an earlier shard, an earlier call).
     seeds: dict[int, dict[int, ColumnarTotals]] = {}
     for epoch_id, _, _ in slices:
         for r, emits in enumerate(emit):

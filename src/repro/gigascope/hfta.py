@@ -8,38 +8,35 @@ tree can merge entries at every level without losing information.
 
 Per ``(relation, epoch)`` key the state is **columnar**: packed key
 columns plus aligned int64/float64 aggregate arrays
-(:class:`ColumnarTotals`), one row per group. Who folds where:
+(:class:`ColumnarTotals`), one row per group, and it is the HFTA's only
+state. Every producer folds on arrival:
 
 * With the ingest kernel, the engine's walk folds each emitting
   relation's evicted runs itself and hands the folded state over
-  (:meth:`HFTA.ingest_folded`); nothing is buffered.
-* Batches that arrive as rows (:meth:`HFTA.ingest_arrays` from the numpy
-  walk, the record-at-a-time reference or any caller, and
-  :meth:`merge_from`'s rows) buffer briefly and are *folded* lazily, on
-  the first answer or at :meth:`finalize_epoch`, by a hash-table
-  group-merge — the runtime-compiled C kernel of
-  :mod:`repro.native.merge` when available, else a vectorized numpy
-  fold — and the raw batch rows are released.
+  (:meth:`HFTA.ingest_folded`).
+* A batch of rows (:meth:`HFTA.ingest_arrays`: the numpy walk, one
+  batch per emitting relation and epoch; the record-at-a-time
+  reference, one per leaf at each epoch's flush; any caller) is
+  folded into the key's state at once by a vectorized numpy fold.
 
-Either way a key's memory is bounded by its group count, not by how
+A key's memory is therefore bounded by its group count, not by how
 many batches (collisions, shards) ever mentioned it.
 
 Bit-identity of float sums across incremental folds relies on one
-ordering rule: a re-fold concatenates the accumulated state's rows
-*first*, then the new batch rows in arrival order. A group's sum is then
+ordering rule: a fold takes the held state's rows *first*, then the new
+rows in arrival order. A group's sum is then
 ``(((0 + a1) + a2) + b1) + b2`` — the exact left-to-right sequence a
 from-scratch fold over all raw rows would perform — because ``0.0 + S``
 is bitwise ``S`` for any accumulated sum ``S`` (state sums are never
 ``-0.0``; they were seeded at ``+0.0``). The walk's fold keeps the same
 rule: a seeded fold puts the state the key holds first, then the runs,
 so a live epoch reopened after ``finish()`` adds its floats as one fold
-would. A sharded run walks each shard into the HFTA the shard before
-it handed over (:meth:`hand_over`), so its folds extend the earlier
-shards' states in shard order. :meth:`merge_from`, for HFTAs filled
-apart, ships *rows* (pending batches, or a folded state as one
-pseudo-batch per key), never folds state into state when raw rows are
-still pending, so no tree-shaped float addition occurs where the
-sequential path is flat.
+would. Both folds write a NaN sum as ``np.nan``'s bits, so the kernel
+and numpy paths hold the same bytes. A sharded run walks each shard
+into the HFTA the shard before it handed over (:meth:`hand_over`), so
+its folds extend the earlier shards' states in shard order.
+:meth:`merge_from`, for HFTAs filled apart, adopts the keys only the
+other side holds and folds the two states of a key both hold.
 
 A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
 read-only ``Mapping`` over one key's folded state, with the aggregate
@@ -53,7 +50,6 @@ access, once per answer.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +60,6 @@ import numpy as np
 from repro.core.attributes import AttributeSet
 from repro.core.queries import AggregationQuery
 from repro.gigascope.hashing import pack_tuples
-from repro.native import merge as _native_merge
 
 __all__ = ["ColumnarTotals", "HFTA", "QueryAnswer"]
 
@@ -210,57 +205,20 @@ def _int_list(col: np.ndarray) -> list[int]:
     return [int(v) for v in col.tolist()]
 
 
-_Batch = tuple[dict[str, np.ndarray], np.ndarray, np.ndarray,
-               np.ndarray | None, np.ndarray | None]
-
-
-def _fold_rows(cols: list[np.ndarray], counts: np.ndarray,
-               vsums: np.ndarray, vmins: np.ndarray, vmaxs: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                          np.ndarray]:
-    """Group-merge aligned partial rows; first-appearance group order.
-
-    Returns ``(rep, counts, sums, mins, maxs)`` with ``rep`` the first
-    row index of each group. Dispatches to the C kernel when it is
-    loaded and every key column is an integer kind (viewable as the
-    uint64 bits the kernel compares); the numpy fold computes the
-    identical result for everything else.
-    """
-    if _native_merge.kernel_available():
-        eq_cols = _equality_columns(cols)
-        if eq_cols is not None:
-            return _native_merge.merge_rows(eq_cols, counts, vsums,
-                                            vmins, vmaxs)
-    return _fold_rows_numpy(cols, counts, vsums, vmins, vmaxs)
-
-
-def _equality_columns(cols: list[np.ndarray]) -> list[np.ndarray] | None:
-    """uint64 views of integer key columns, or None if any is exotic."""
-    eq_cols = []
-    for col in cols:
-        if col.dtype == np.int64:
-            # Same bits, bijective: int64 -> uint64 is a view.
-            eq_cols.append(col.view(np.uint64))
-        elif col.dtype == np.uint64:
-            eq_cols.append(col)
-        elif col.dtype.kind in "iub":
-            eq_cols.append(col.astype(np.uint64))
-        else:
-            return None
-    return eq_cols
-
-
 def _fold_rows_numpy(cols: list[np.ndarray], counts: np.ndarray,
                      vsums: np.ndarray, vmins: np.ndarray,
                      vmaxs: np.ndarray):
-    """The vectorized fallback fold, canonicalized to the kernel's order.
+    """Group-merge aligned partial rows; first-appearance group order.
 
-    ``pack_tuples`` gives collision-free per-call codes (any dtype), one
-    1-D ``np.unique`` groups them, and the sorted group ids are remapped
-    to first-appearance order. ``np.bincount`` accumulates every bin in
-    row order seeded at 0.0 and the remap permutes *labels*, not rows,
-    so each group's float sum is the identical left-to-right sequence
-    the kernel performs.
+    Returns ``(rep, counts, sums, mins, maxs)`` with ``rep`` the first
+    row index of each group. ``pack_tuples`` gives collision-free
+    per-call codes (any dtype), one 1-D ``np.unique`` groups them, and
+    the sorted group ids are remapped to first-appearance order.
+    ``np.bincount`` accumulates every bin in row order seeded at 0.0 and
+    the remap permutes *labels*, not rows, so each group's float sum is
+    the left-to-right sequence the ingest walk's C fold performs. Which
+    NaN survives where two meet differs between the two, so a NaN sum is
+    written as ``np.nan``'s bits, as the C fold writes it.
     """
     codes = pack_tuples(cols)
     _, first, inverse = np.unique(codes, return_index=True,
@@ -273,6 +231,7 @@ def _fold_rows_numpy(cols: list[np.ndarray], counts: np.ndarray,
     out_counts = np.bincount(inv, weights=counts,
                              minlength=g).astype(np.int64)
     out_vs = np.bincount(inv, weights=vsums, minlength=g)
+    out_vs[np.isnan(out_vs)] = np.nan
     out_vmin = np.full(g, np.inf)
     np.minimum.at(out_vmin, inv, vmins)
     out_vmax = np.full(g, -np.inf)
@@ -280,18 +239,29 @@ def _fold_rows_numpy(cols: list[np.ndarray], counts: np.ndarray,
     return first[order], out_counts, out_vs, out_vmin, out_vmax
 
 
+def _fold(held: ColumnarTotals | None,
+          rows: ColumnarTotals) -> ColumnarTotals:
+    """``rows`` folded into ``held``: the held state's rows first, then
+    the new ones (the ordering rule of the module docstring)."""
+    parts = [rows] if held is None else [held, rows]
+    cols = [np.concatenate([part.columns[c] for part in parts])
+            for c in range(len(rows.names))]
+    rep, counts, sums, mins, maxs = _fold_rows_numpy(
+        cols, *(np.concatenate([getattr(part, field) for part in parts])
+                for field in ("counts", "value_sums", "value_mins",
+                              "value_maxs")))
+    return ColumnarTotals(rows.names, [col[rep] for col in cols], counts,
+                          sums, mins, maxs)
+
+
 class HFTA:
     """Merges evicted partial aggregates into final per-epoch answers."""
 
     def __init__(self) -> None:
-        #: Unfolded eviction batches per key (raw rows, arrival order).
-        self._batches: dict[tuple[AttributeSet, int], list[_Batch]] = \
-            defaultdict(list)
         #: Folded per-key state: one row per group, first-appearance
-        #: order. The ingest walk installs a key here directly
-        #: (:meth:`ingest_folded`); batch keys move here (and their batch
-        #: lists are released) on the first answer call or eagerly via
-        #: :meth:`finalize_epoch`.
+        #: order. Every producer folds on arrival: the ingest walk hands
+        #: its folded state over (:meth:`ingest_folded`), a batch of rows
+        #: is folded into the held state (:meth:`ingest_arrays`).
         self._columnar: dict[tuple[AttributeSet, int], ColumnarTotals] = {}
         #: Keys whose folded state another HFTA handed over
         #: (:meth:`hand_over`): its fold counted them, so extending one
@@ -311,21 +281,38 @@ class HFTA:
                       value_sums: np.ndarray | None = None,
                       value_mins: np.ndarray | None = None,
                       value_maxs: np.ndarray | None = None) -> None:
-        """Accept a batch of evicted entries as aligned arrays."""
-        n = int(np.asarray(counts).shape[0])
+        """Fold a batch of evicted entries, given as aligned arrays, into
+        the key's state: its held rows first, then the batch's.
+
+        ``columns`` holds exactly the relation's attributes and every
+        array one row per entry of ``counts``, else :class:`ValueError`,
+        raised before anything changes. Missing value arrays read as
+        the count-only partials (0.0, ``+inf``, ``-inf``).
+        """
+        names = relation.names
+        if set(columns) != set(names):
+            raise ValueError(f"a batch for {relation.label()} needs the "
+                             f"columns {list(names)}, got {list(columns)}")
+        counts = np.asarray(counts, dtype=np.int64)
+        cols = [np.asarray(columns[name]) for name in names]
+        vsums, vmins, vmaxs = (
+            np.full(counts.shape, fill) if arr is None
+            else np.asarray(arr, dtype=np.float64)
+            for arr, fill in ((value_sums, 0.0), (value_mins, np.inf),
+                              (value_maxs, -np.inf)))
+        if counts.ndim != 1 or any(arr.shape != counts.shape for arr in
+                                   (*cols, vsums, vmins, vmaxs)):
+            raise ValueError(f"a batch for {relation.label()} needs every "
+                             "array 1-D with one row per count")
+        n = len(counts)
         if n == 0:
             return
-        cols = {name: np.asarray(arr) for name, arr in columns.items()}
-        vsums = (np.zeros(n) if value_sums is None
-                 else np.asarray(value_sums, dtype=np.float64))
-        vmins = (None if value_mins is None
-                 else np.asarray(value_mins, dtype=np.float64))
-        vmaxs = (None if value_maxs is None
-                 else np.asarray(value_maxs, dtype=np.float64))
         key = (relation, epoch)
-        self._batches[key].append(
-            (cols, np.asarray(counts, dtype=np.int64), vsums, vmins, vmaxs))
+        held = self._columnar.get(key)
+        self._columnar[key] = _fold(held, ColumnarTotals(
+            names, cols, counts, vsums, vmins, vmaxs))
         self.evictions_received += n
+        self._count_fold(key, held, n)
 
     def ingest_folded(self, relation: AttributeSet, epoch: int,
                       state: ColumnarTotals, rows: int) -> None:
@@ -334,8 +321,8 @@ class HFTA:
         The walk folded ``rows`` evicted partials into the state the key
         held (its rows first, then the new ones in emission order — the
         ordering rule above), so ``state`` replaces it, and the counters
-        move as :meth:`_fold` would move them over those partials. The
-        engine folds a key's pending batches before the walk extends it.
+        move as :meth:`ingest_arrays` would move them over those
+        partials.
         """
         key = (relation, epoch)
         held = self._columnar.get(key)
@@ -360,33 +347,23 @@ class HFTA:
     def merge_from(self, other: "HFTA") -> None:
         """Fold another HFTA's partials into this one.
 
-        Partial aggregates are mergeable, so combining the contents of
-        two HFTAs — e.g. the per-shard HFTAs of a partitioned parallel
-        run — yields exactly the totals a single HFTA fed by both
-        streams would have produced. The other side's contribution
-        always arrives as *rows*: pending batches ride over verbatim,
-        and a key the other side already folded rides as one
-        pseudo-batch of its state rows (state first, then its pending
-        batches, preserving the other side's own fold order). The next
-        fold here appends those rows after this side's — the sequential
-        float-addition order of a single merged stream.
+        Partial aggregates are mergeable, so combining two HFTAs filled
+        apart yields the counts, minima and maxima a single HFTA fed
+        both streams would hold. A key only the other side holds is
+        adopted as it is; a key both hold gets one fold, this side's
+        state rows first, then the other side's. A float sum then adds
+        the two states' sums, which may differ in the last ulp from one
+        fold of every partial: a sharded run avoids that by walking each
+        shard into the state the one before it handed over
+        (:meth:`hand_over`), and merges only states no other side holds.
         """
-        other_keys = dict.fromkeys(
-            list(other._columnar) + list(other._batches))
-        for key in other_keys:
-            parts: list[_Batch] = []
-            state = other._columnar.get(key)
-            if state is not None:
-                parts.append((dict(zip(state.names, state.columns)),
-                              state.counts, state.value_sums,
-                              state.value_mins, state.value_maxs))
-            parts.extend(other._batches.get(key, ()))
-            if state is not None and key not in self._batches \
-                    and key not in self._columnar and len(parts) == 1:
-                # Nothing on this side: adopt the folded state wholesale.
+        for key, state in other._columnar.items():
+            held = self._columnar.get(key)
+            if held is None:
                 self._columnar[key] = state
-            else:
-                self._batches[key].extend(parts)
+                continue
+            self._columnar[key] = _fold(held, state)
+            self._count_fold(key, held, state.n_groups)
         self.evictions_received += other.evictions_received
         self.folds += other.folds
         self.rows_folded += other.rows_folded
@@ -399,88 +376,31 @@ class HFTA:
         handed over, so every key's fold extends the earlier shards'
         state (the ordering rule above) and no shard's states outlive
         the next shard's walk. The new HFTA's counters start at zero,
-        and the first extension of a folded key counts as part of the
-        fold that began it (:meth:`_count_fold`): summed over the shards,
-        a key costs one fold over every partial, as one HFTA fed every
+        and the first extension of a key counts as part of the fold
+        that began it (:meth:`_count_fold`): summed over the shards, a
+        key costs one fold over every partial, as one HFTA fed every
         shard's evictions would count it.
         """
         other = HFTA()
         other._columnar, self._columnar = self._columnar, {}
-        other._batches, self._batches = self._batches, defaultdict(list)
         other._continued = set(other._columnar)
         self._continued = set()
         return other
 
     def __setstate__(self, state: dict) -> None:
         # Checkpoints written before the dict answers were removed carry
-        # their (always empty) cache, and no hand-over marks.
+        # their (always empty) cache, and no hand-over marks. Those
+        # written before every producer folded on arrival carry each
+        # key's unfolded batches, folded here in arrival order; their
+        # rows were counted in when they arrived.
         state.pop("_answer_cache", None)
+        pending = state.pop("_batches", {})
         state.setdefault("_continued", set())
         self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
-    # Folding
-    # ------------------------------------------------------------------
-    def _fold(self, relation: AttributeSet,
-              epoch: int) -> ColumnarTotals | None:
-        """Fold a key's pending batches into its columnar state.
-
-        Releases the batch list (the memory-bounding step) and returns
-        the state, or None when the key was never fed.
-        """
-        key = (relation, epoch)
-        batches = self._batches.pop(key, None)
-        held = self._columnar.get(key)
-        if not batches:
-            return held
-        names = relation.names
-        parts: list[_Batch] = []
-        if held is not None:
-            # State rows first: extending an accumulated sum with new
-            # rows preserves the exact sequential addition order (see
-            # module docstring).
-            parts.append((dict(zip(held.names, held.columns)),
-                          held.counts, held.value_sums,
-                          held.value_mins, held.value_maxs))
-        parts.extend(batches)
-        cat_cols = [np.concatenate([part[0][name] for part in parts])
-                    for name in names]
-        counts = np.concatenate([part[1] for part in parts])
-        vsums = np.concatenate([part[2] for part in parts])
-        vmins = np.concatenate([
-            part[3] if part[3] is not None
-            else np.full(part[1].shape[0], np.inf) for part in parts])
-        vmaxs = np.concatenate([
-            part[4] if part[4] is not None
-            else np.full(part[1].shape[0], -np.inf) for part in parts])
-        rep, g_counts, g_vs, g_vmin, g_vmax = _fold_rows(
-            cat_cols, counts, vsums, vmins, vmaxs)
-        state = ColumnarTotals(names, [col[rep] for col in cat_cols],
-                               g_counts, g_vs, g_vmin, g_vmax)
-        self._columnar[key] = state
-        self._count_fold(key, held, sum(int(part[1].shape[0])
-                                        for part in batches))
-        return state
-
-    def finalize_epoch(self, epoch: int) -> int:
-        """Eagerly fold every relation's pending batches for one epoch.
-
-        The incremental runtime calls this as each epoch closes, so a
-        long-running system holds only compact per-group state for past
-        epochs — raw eviction batch lists are released here. Returns the
-        number of keys folded (for the ``hfta.merge`` metrics).
-        """
-        keys = [k for k in self._batches if k[1] == epoch]
-        for relation, ep in keys:
-            self._fold(relation, ep)
-        return len(keys)
-
-    def finalize(self) -> int:
-        """Fold every pending key (e.g. before checkpointing)."""
-        keys = list(self._batches)
-        for relation, epoch in keys:
-            self._fold(relation, epoch)
-        return len(keys)
+        for (relation, epoch), batches in pending.items():
+            for batch in batches:
+                self.ingest_arrays(relation, epoch, *batch)
+                self.evictions_received -= len(batch[1])
 
     # ------------------------------------------------------------------
     # Results
@@ -488,24 +408,18 @@ class HFTA:
     @property
     def epochs_seen(self) -> list[int]:
         """All epoch ids for which any relation received evictions."""
-        return sorted({epoch for (_, epoch) in self._keys()})
+        return sorted({epoch for (_, epoch) in self._columnar})
 
     def epochs(self, relation: AttributeSet) -> list[int]:
         """Epoch ids for which this relation received evictions."""
-        return sorted({epoch for (rel, epoch) in self._keys()
+        return sorted({epoch for (rel, epoch) in self._columnar
                        if rel == relation})
-
-    def _keys(self) -> set[tuple[AttributeSet, int]]:
-        return set(self._batches) | set(self._columnar)
 
     def totals_columnar(self, relation: AttributeSet,
                         epoch: int) -> ColumnarTotals | None:
-        """The folded columnar state for one key (None if never fed).
-
-        Folds pending batches first, so the returned arrays are always
-        one row per group.
-        """
-        return self._fold(relation, epoch)
+        """The folded columnar state for one key (None if never fed):
+        one row per group."""
+        return self._columnar.get((relation, epoch))
 
     def query_answer(self, query: AggregationQuery,
                      epoch: int) -> QueryAnswer:
@@ -517,7 +431,7 @@ class HFTA:
         mask; the returned :class:`QueryAnswer` builds its dict only if
         a caller reads it key by key.
         """
-        state = self._fold(query.group_by, epoch)
+        state = self._columnar.get((query.group_by, epoch))
         if state is None:  # never fed: an empty answer
             names = query.group_by.names
             state = ColumnarTotals(names, [np.empty(0, dtype=np.int64)

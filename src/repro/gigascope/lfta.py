@@ -4,7 +4,8 @@ Executes a configuration forest record-at-a-time, exactly as described in
 the paper's Section 2: every record probes each *raw* relation's table; a
 collision evicts the resident entry, which cascades as a weighted insert
 into each child table (or to the HFTA from a leaf); at each epoch boundary
-every table is flushed top-down.
+every table is flushed top-down. A leaf's evictions of an epoch reach
+the HFTA as one batch, in eviction order, after the flush.
 
 This implementation favours clarity over speed and is the ground truth the
 vectorized engine (:mod:`repro.gigascope.engine`) is tested against. Use it
@@ -12,6 +13,8 @@ for small streams only (~10^5 records).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
@@ -42,6 +45,10 @@ class SequentialLFTA:
                 b, relation_salt(rel.label(), salt_seed))
         self.counters = CostCounters(config)
         self.hfta = HFTA()
+        #: Each leaf's evictions of the open epoch, in eviction order:
+        #: (group, count, sum, min, max) rows.
+        self._outbox: dict[AttributeSet, list[tuple]] = {
+            rel: [] for rel in config.leaves}
         self._phase = "intra"
         self._epoch = 0
         # Precompute the projection index of each child's attributes within
@@ -79,10 +86,8 @@ class SequentialLFTA:
                    value_min: float, value_max: float) -> None:
         children = self.config.children(rel)
         if not children:
-            self.hfta.ingest_arrays(
-                rel, self._epoch,
-                {name: [group[i]] for i, name in enumerate(rel.names)},
-                [count], [value_sum], [value_min], [value_max])
+            self._outbox[rel].append(
+                (group, count, value_sum, value_min, value_max))
             return
         for child in children:
             child_group = tuple(group[i] for i in self._proj[child])
@@ -103,7 +108,8 @@ class SequentialLFTA:
             self._insert(rel, group, 1, vsum, vmin, vmax)
 
     def flush_epoch(self) -> None:
-        """End-of-epoch: flush every table, raw level first."""
+        """End-of-epoch: flush every table, raw level first, then hand
+        the HFTA each leaf's evictions of the epoch as one batch."""
         self._phase = "flush"
         for rel in self.config.relations:  # topological: parents first
             counters = self.counters.counters(rel)
@@ -113,6 +119,13 @@ class SequentialLFTA:
                                 evicted.value_sum, evicted.value_min,
                                 evicted.value_max)
         self._phase = "intra"
+        for rel, rows in self._outbox.items():
+            if rows:
+                groups, *partials = zip(*rows)
+                self.hfta.ingest_arrays(
+                    rel, self._epoch,
+                    dict(zip(rel.names, np.array(groups).T)), *partials)
+                rows.clear()
 
     def start_epoch(self, epoch: int) -> None:
         self._epoch = epoch

@@ -310,14 +310,6 @@ class LiveStreamSystem:
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
                      registry=self.registry, tables=era.tables)
-        # Fold the closed epoch's eviction batches into compact columnar
-        # state now (its own span, so manifests show merge vs ingest
-        # share): the raw batch lists are released, bounding HFTA memory
-        # by live group counts over arbitrarily long runs.
-        with trace(self.registry, "hfta.merge"):
-            finalized = self.hfta.finalize_epoch(epoch)
-        if self.registry is not None and finalized:
-            self.registry.counter("hfta.keys_finalized").inc(finalized)
         report = EpochReport(
             epoch, len(dataset), era.configuration,
             era.counters.measured_intra_cost(self.params).total

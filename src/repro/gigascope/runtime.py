@@ -111,17 +111,12 @@ class RunReport:
         return self.result.hfta.all_answers(query)
 
     def summary(self) -> str:
-        from repro.native import merge as native_merge
-
         hfta = self.result.hfta
         walk = self.result.walk or ""
-        # The kernel walk folds as it ingests; every other walk leaves
-        # batches that the HFTA folds when an answer or an epoch close
-        # needs them.
-        where = ("in the walk, native ingest kernel"
-                 if walk.startswith("native") else
-                 "lazily, " + ("native" if native_merge.kernel_available()
-                               else "numpy") + " merge kernel")
+        # Every walk folds as it ingests: the kernel walk in C, every
+        # other one through the HFTA's numpy fold.
+        where = "in the walk, " + ("native ingest kernel"
+                                   if walk.startswith("native") else "numpy")
         lines = [
             f"records processed : {self.result.n_records}",
             f"epochs            : {self.result.n_epochs}",

@@ -45,8 +45,8 @@ sort the runs by bucket, whichever the table size against the run count
 makes cheaper. The group table is emptied by raising its base, never by
 a scan, and grows (here, in C) only when a fold outgrows half of it.
 
-Bit-identity contract with the numpy walk and its lazy HFTA fold (pinned
-by ``tests/gigascope/test_differential.py``,
+Bit-identity contract with the numpy walk and the HFTA's fold of its
+batches (pinned by ``tests/gigascope/test_differential.py``,
 ``tests/gigascope/test_walk_fold.py`` and
 ``tests/gigascope/test_native_ingest.py``):
 
@@ -62,8 +62,9 @@ by ``tests/gigascope/test_differential.py``,
   ``0.0`` — the order and seed of ``np.bincount`` over a sorted run — and
   min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. A
   group's sum then adds its runs in emission order, after the seed's
-  sum, as the HFTA merge kernel adds the rows of a batch after the
-  state's. With contraction and fast-math off
+  sum, as the HFTA's numpy fold adds the rows of a batch after the
+  state's, and a NaN sum is written as ``np.nan``'s bits, as that fold
+  writes it. With contraction and fast-math off
   (:data:`repro.native.build.DEFAULT_FLAGS`) C doubles and numpy float64
   round identically.
 * *Order and counters.* A child sees its parent's evictions in time
@@ -103,6 +104,9 @@ _SOURCE = HASH_CHAIN_SOURCE + GROUP_TABLE_SOURCE + r"""
 
 /* The smallest group table the folds allocate. */
 #define FOLD_MIN_CAP 1024
+
+/* The bits of np.nan: every NaN sum a fold writes. */
+static const uint64_t NUMPY_NAN = 0x7ff8000000000000ULL;
 
 /* A run of equal keys in one bucket: its key's hash, its
  * representative's raw row and its partial aggregates. */
@@ -186,8 +190,10 @@ static int reserve_groups(walk_t *W, int64_t groups)
  * F: the seed's groups first, each run then extends its group or opens
  * one. A run is placed by the hash its bucket came from (chain64 with
  * `state`), a seed row by the same chain. Sums seed at 0.0 and min/max
- * propagate NaN, as the HFTA merge kernel's; a count-only run is (0.0,
- * +inf, -inf). Returns -1 when out of memory. */
+ * propagate NaN, as the HFTA's numpy fold does; a count-only run is
+ * (0.0, +inf, -inf). Which NaN survives where two meet is the
+ * compiler's choice, so every NaN sum leaves as np.nan's bits, as the
+ * numpy fold writes it. Returns -1 when out of memory. */
 static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
                      int64_t k, uint64_t state, int64_t n_runs,
                      int has_values)
@@ -237,6 +243,9 @@ static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
         if (isnan(vmax) || vmax > F->vmax[g])
             F->vmax[g] = vmax;
     }
+    for (g = 0; g < n_groups; g++)
+        if (isnan(F->vs[g]))
+            memcpy(&F->vs[g], &NUMPY_NAN, sizeof(double));
     F->n_groups = n_groups;
     W->base = base + n_groups;      /* empties the table for the next */
     return 0;

@@ -7,17 +7,12 @@ minima and maxima combine, avg is derived as sum/count at answer time.
 Merging N shard HFTAs is therefore the same operation the HFTA already
 performs on LFTA eviction batches, applied one level up.
 
-``HFTA.merge_from`` ships each shard's contribution as *rows* (pending
-eviction batches, or an already-folded shard's columnar state as one
-pseudo-batch per key); the single hash-table fold at answer time then
-accumulates every group's float sum in one sequential left-to-right
-pass in shard order, with no state-into-state tree additions. Counts,
-minima and maxima therefore equal an unsharded run's exactly; a float
-sum adds the same terms in another order (shard by shard instead of
-arrival order) and can differ from the unsharded sum in the last ulp —
-the tests assert 1e-12 relative agreement. The fold itself runs through
-the runtime-compiled merge kernel (:mod:`repro.native.merge`) when
-available.
+``HFTA.merge_from`` adopts every key only one side holds and folds the
+two states of a key both hold, this side's rows first. Counts, minima
+and maxima therefore equal an unsharded run's exactly; a float sum of a
+key both sides hold adds the two states' sums, the same terms in
+another order (shard by shard instead of arrival order), and can differ
+from the unsharded sum in the last ulp.
 
 :class:`~repro.parallel.ShardedStreamSystem` ships nothing: its shards
 walk one after the other, each into the partials the shard before it

@@ -21,7 +21,7 @@ A shard is not a copy of the stream: it is the ascending index of its
 rows (:func:`~repro.parallel.partition.shard_rows`), and its engine call
 ``simulate(dataset, ..., rows=index)`` reads the parent's columns
 through it — 8 bytes per record instead of a copy of every lane, with
-the answers, counters and HFTA batches of a copied shard, bit for bit.
+the answers, counters and HFTA states of a copied shard, bit for bit.
 
 The LFTA memory budget is divided across shards: each shard's table for
 relation ``R`` gets ``buckets_R // shards`` buckets, so a sharded run

@@ -192,7 +192,7 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("kernel function called under numpy_kernels")
 
-    for module, function in ((ingest, "ingest_runs"), (merge, "merge_rows"),
+    for module, function in ((ingest, "ingest_runs"),
                              (merge, "group_stats"),
                              (partition, "hash_shards")):
         monkeypatch.setattr(module, function, unreachable)

@@ -10,8 +10,8 @@ ones, tables of 1 bucket to far more buckets than records, count-only
 and value streams (NaN and +-inf included) and strided columns, the two
 walks must agree on every counter and every HFTA state — the kernel's
 folded in the walk, the numpy walk's batches folded by the HFTA — bit
-for bit, group order and fold counts included, and equal the reference
-wherever its plain-float min/max can follow (finite values).
+for bit, NaN sums, group order and fold counts included, and equal the
+reference wherever its plain-float min/max can follow (finite values).
 """
 
 import time
@@ -112,37 +112,27 @@ def make_stream(seed, epochs, domain, values, strided):
 
 
 def columnar(hfta: HFTA) -> dict:
-    """Every key's folded state, by relation label and epoch (pending
-    batches are folded first)."""
-    keys = sorted(set(hfta._batches) | set(hfta._columnar),
-                  key=lambda key: (key[0].label(), key[1]))
+    """Every key's folded state, by relation label and epoch."""
+    keys = sorted(hfta._columnar, key=lambda key: (key[0].label(), key[1]))
     return {key: hfta.totals_columnar(*key) for key in keys}
 
 
-def states(hfta: HFTA, any_nan: bool = False) -> list:
+def states(hfta: HFTA) -> list:
     """Every key's folded state as raw bytes, NaN bits included, then
-    the HFTA's counters.
-
-    With ``any_nan`` a NaN sum compares as NaN whatever its bits: where
-    a NaN sum meets another NaN, which one's sign survives depends on
-    the operand order the compiler picks, and the C folds and
-    ``np.bincount`` differ. Only a pair of which one side folded with
-    the numpy fold needs it."""
+    the HFTA's counters."""
     out = [(rel, epoch,
             [(name, col.dtype.str, col.tobytes())
              for name, col in zip(state.names, state.columns)],
-            state.counts.tobytes(),
-            (np.where(np.isnan(state.value_sums), np.nan, state.value_sums)
-             if any_nan else state.value_sums).tobytes(),
+            state.counts.tobytes(), state.value_sums.tobytes(),
             state.value_mins.tobytes(), state.value_maxs.tobytes())
            for (rel, epoch), state in columnar(hfta).items()]
     return out + [(hfta.evictions_received, hfta.folds, hfta.rows_folded)]
 
 
-def assert_same_walk(got, want, any_nan: bool = False):
+def assert_same_walk(got, want):
     assert got.counters.relations == want.counters.relations
     assert list(got.counters.relations) == list(want.counters.relations)
-    assert states(got.hfta, any_nan) == states(want.hfta, any_nan)
+    assert states(got.hfta) == states(want.hfta)
 
 
 @given(config=forests, stream=streams, data=st.data())

@@ -1,25 +1,23 @@
 """Differential pins for the columnar HFTA.
 
-The HFTA rebuild (packed key columns + int64/float64 aggregate arrays,
-folded by the :mod:`repro.native.merge` hash-table kernel or its numpy
-fallback) promises answers *bit-identical* to the dict-of-
-``GroupAggregate`` HFTA it replaced. These tests pin that promise three
-ways:
+The HFTA (packed key columns + int64/float64 aggregate arrays, folded
+on arrival by a vectorized numpy fold) promises answers *bit-identical*
+to the dict-of-``GroupAggregate`` HFTA it replaced. These tests pin
+that promise:
 
 * hypothesis workloads compared against a literal sequential reference
   (per-row dict accumulation in arrival order — exactly the float
-  addition sequence the pre-columnar merge performed), with folds forced
-  at arbitrary points so the incremental state-rows-first re-fold path
-  is exercised, not just the single-shot fold;
+  addition sequence the pre-columnar merge performed), batch after
+  batch, so the state-rows-first re-fold path is exercised, not just
+  the first fold;
 * ``query_answer`` compared against a brute-force per-record oracle for
   every aggregate kind, including NaN values, the ``±inf`` sentinels of
   value-less workloads, and the ``having_min`` boundary;
-* the C kernel compared against the numpy fallback row-for-row (group
-  order included), which is also what the ``REPRO_NO_CKERNEL=1`` CI leg
-  degenerates both sides to.
+* a NaN sum written as ``np.nan``'s bits, as the ingest walk's C fold
+  writes it.
 
-Plus the memory-bounding contract: folding releases raw batch lists,
-and ``finalize_epoch`` does it eagerly as the live runtime closes epochs.
+Plus the memory-bounding contract (a key holds one row per group) and
+the input check of ``ingest_arrays``.
 """
 
 import math
@@ -33,7 +31,6 @@ from repro.core.attributes import AttributeSet
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.hfta import HFTA, ColumnarTotals, _fold_rows_numpy
 from repro.native import merge as native_merge
-from tests.conftest import needs_kernel
 from tests.hfta_totals import GroupAggregate, totals
 
 # NaN workloads trip numpy's elementwise warnings inside minimum.at /
@@ -73,6 +70,14 @@ def _reference_totals(batches, names):
             acc[3] = _nanprop_max(
                 acc[3], float(vmaxs[i]) if vmaxs is not None else -math.inf)
     return {g: GroupAggregate(*acc) for g, acc in totals.items()}
+
+
+def _state_rows(state):
+    """A folded state as one batch of rows, or None."""
+    if state is None:
+        return None
+    return (dict(zip(state.names, state.columns)), state.counts,
+            state.value_sums, state.value_mins, state.value_maxs)
 
 
 def _assert_totals_equal(got, want):
@@ -119,8 +124,8 @@ def _batch(draw, with_values):
 def _workload(draw):
     with_values = draw(st.booleans())
     batches = draw(st.lists(_batch(with_values), min_size=1, max_size=6))
-    # After which batches to force a fold (exercises incremental
-    # state-rows-first re-folds and the answer cache).
+    # After which batches to read the key (an answer taken between two
+    # folds must not change what the later fold holds).
     folds = draw(st.sets(st.integers(0, len(batches) - 1)))
     return batches, folds
 
@@ -129,8 +134,9 @@ class TestDifferentialVsReference:
     @given(workload=_workload())
     @settings(max_examples=120)
     def test_totals_bit_identical(self, workload):
-        """Interleaved ingest/fold produces exactly the reference's
-        per-group count/sum/min/max — float bits included."""
+        """Batch after batch, interleaved with reads, produces exactly
+        the reference's per-group count/sum/min/max — float bits
+        included."""
         batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
@@ -144,14 +150,12 @@ class TestDifferentialVsReference:
     @given(workload=_workload(), split=st.integers(0, 6))
     @settings(max_examples=60)
     def test_merge_from_matches_single_stream(self, workload, split):
-        """Two shard HFTAs merged equal one HFTA fed both parts in
-        merge order — bit-identical float sums included. The source
-        side ships *unfolded* rows, as every shard executor does (a
-        source folded early would still be value-exact, but its rows
-        would enter the final sum as one accumulated partial — the
-        tree-shaped addition the row-shipping design exists to avoid).
-        The destination may fold whenever: its state re-enters later
-        folds first, preserving the sequence."""
+        """Two HFTAs merged: counts, minima and maxima equal one HFTA
+        fed both parts in merge order. A key both hold is one fold of
+        the two states, this side's rows first, so its sums are the
+        fold of the two states' sums in merge order (a sharded run
+        avoids that sum by walking each shard into the state the one
+        before it handed over)."""
         batches, folds = workload
         split = min(split, len(batches))
         rel = A("AB")
@@ -163,9 +167,15 @@ class TestDifferentialVsReference:
                     totals(a, rel, 0)
             else:
                 b.ingest_arrays(rel, 0, *batch)
+        parts = [_state_rows(h.totals_columnar(rel, 0)) for h in (a, b)]
         a.merge_from(b)
-        _assert_totals_equal(totals(a, rel, 0),
-                             _reference_totals(batches, ("A", "B")))
+        got = totals(a, rel, 0)
+        single = _reference_totals(batches, ("A", "B"))
+        _assert_totals_equal(
+            {g: agg._replace(value_sum=0.0) for g, agg in got.items()},
+            {g: agg._replace(value_sum=0.0) for g, agg in single.items()})
+        _assert_totals_equal(got, _reference_totals(
+            [part for part in parts if part is not None], ("A", "B")))
 
     @given(workload=_workload())
     @settings(max_examples=40)
@@ -290,58 +300,19 @@ class TestQueryAnswerBruteForce:
 
 
 class TestKernelVsNumpyFold:
-    """The two fold implementations are row-for-row identical — group
-    order (first appearance), counts, and float bits."""
+    """The HFTA's numpy fold writes what the ingest walk's C fold writes
+    (the walk's side: ``test_walk_fold.py``)."""
 
-    @st.composite
-    def _rows(draw):
-        n = draw(st.integers(1, 200))
-        k = draw(st.integers(1, 4))
-        domain = draw(st.sampled_from([1, 2, 7, 2**40]))
-        cols = [np.array(draw(st.lists(
-            st.integers(-domain, domain), min_size=n, max_size=n)),
-            dtype=np.int64) for _ in range(k)]
-        counts = np.array(draw(st.lists(st.integers(0, 50), min_size=n,
-                                        max_size=n)), dtype=np.int64)
-        floats = st.lists(_FLOATS, min_size=n, max_size=n)
-        return (cols, counts,
-                np.array(draw(floats), dtype=np.float64),
-                np.array(draw(floats), dtype=np.float64),
-                np.array(draw(floats), dtype=np.float64))
-
-    @needs_kernel
-    @given(rows=_rows())
-    @settings(max_examples=120)
-    def test_fold_rows_agree(self, rows):
-        cols, counts, vs, vmin, vmax = rows
-        eq_cols = [col.view(np.uint64) for col in cols]
-        native = native_merge.merge_rows(eq_cols, counts, vs, vmin, vmax)
-        fallback = _fold_rows_numpy(cols, counts, vs, vmin, vmax)
-        for got, want, label in zip(native, fallback,
-                                    ("rep", "counts", "sums", "mins",
-                                     "maxs")):
-            np.testing.assert_array_equal(got, want, err_msg=label)
-
-    @needs_kernel
-    def test_fold_dispatch_uses_kernel_for_int_keys(self, monkeypatch):
-        """An HFTA fold with int64 keys goes through the kernel; with a
-        float key column it silently takes the numpy fallback."""
-        calls = []
-        real = native_merge.merge_rows
-        monkeypatch.setattr(native_merge, "merge_rows",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [1, 1, 2]}, [1, 2, 3])
-        hfta.ingest_arrays(rel, 0, {"A": [2]}, [4])
-        assert totals(hfta, rel, 0)[(1,)].count == 3
-        assert calls
-        exotic = HFTA()
-        exotic.ingest_arrays(rel, 1, {"A": np.array([1.5, 1.5])}, [1, 1])
-        exotic.ingest_arrays(rel, 1, {"A": np.array([1.5])}, [1])
-        del calls[:]
-        assert totals(exotic, rel, 1) == {(1,): GroupAggregate(3)}
-        assert not calls
+    def test_nan_sums_are_numpy_nan(self):
+        """Where NaNs meet, or ``inf`` meets ``-inf``, which NaN a sum
+        ends on depends on the operand order; the fold writes every NaN
+        sum as ``np.nan``'s bits."""
+        nan_bits = np.array([np.nan]).tobytes()
+        cols = [np.array([1, 1, 2, 2, 3, 3], dtype=np.int64)]
+        vs = np.array([-np.nan, np.nan, np.inf, -np.inf, np.nan, -np.nan])
+        _, _, sums, _, _ = _fold_rows_numpy(
+            cols, np.ones(6, dtype=np.int64), vs, vs, vs)
+        assert [s.tobytes() for s in sums] == [nan_bits] * 3
 
     def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
         assert not native_merge.kernel_available()
@@ -354,36 +325,13 @@ class TestKernelVsNumpyFold:
 
 
 class TestBoundedMemory:
-    """Folding is the memory-bounding step: raw batch lists are released
-    and only one row per group remains."""
-
-    def test_fold_releases_batch_lists(self):
-        hfta = HFTA()
-        rel = A("A")
-        for i in range(50):
-            hfta.ingest_arrays(rel, 0, {"A": [i % 4]}, [1], [float(i)])
-        assert len(hfta._batches[(rel, 0)]) == 50
-        totals(hfta, rel, 0)
-        assert (rel, 0) not in hfta._batches
-        assert hfta._columnar[(rel, 0)].n_groups == 4
-
-    def test_finalize_epoch_folds_only_that_epoch(self):
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [1]}, [1])
-        hfta.ingest_arrays(rel, 1, {"A": [1]}, [2])
-        assert hfta.finalize_epoch(0) == 1
-        assert (rel, 0) in hfta._columnar
-        assert (rel, 1) in hfta._batches
-        assert hfta.finalize_epoch(0) == 0  # idempotent
-        assert hfta.finalize() == 1
-        assert not hfta._batches
+    """Every batch is folded on arrival: a key holds one row per group."""
 
     def test_live_system_holds_no_closed_epoch_batches(self):
         """The live runtime simulates an epoch's buffered records at the
-        close and finalizes the HFTA in the same step, so no raw
-        eviction batch ever outlives its epoch — the HFTA footprint is
-        folded per-group state only, regardless of stream length."""
+        close, and the HFTA folds them as they arrive: its footprint is
+        folded per-group state only, after every push, regardless of
+        stream length."""
         from repro import QuerySet, StreamSchema, plan
         from repro.core.feeding_graph import FeedingGraph
         from repro.gigascope.online import LiveStreamSystem
@@ -392,6 +340,15 @@ class TestBoundedMemory:
             measure_statistics,
             uniform_dataset,
         )
+
+        def assert_bounded(hfta):
+            # Every closed epoch holds compact columnar state: one row
+            # per group, bounded by the (6 * 12)-group universe.
+            assert set(vars(hfta)) == {
+                "_columnar", "_continued", "evictions_received", "folds",
+                "rows_folded"}
+            for state in hfta._columnar.values():
+                assert state.n_groups <= 72
 
         schema = StreamSchema(("A", "B"))
         universe = make_group_universe(schema, (6, 12), value_pool=16,
@@ -406,14 +363,10 @@ class TestBoundedMemory:
             cols = {a: dataset.columns[a][start:start + step]
                     for a in schema.attributes}
             live.push(cols, dataset.timestamps[start:start + step])
-            assert not live.hfta._batches
+            assert_bounded(live.hfta)
         live.finish()
-        assert not live.hfta._batches
+        assert_bounded(live.hfta)
         assert len(live.epoch_reports) >= 25
-        # Every closed epoch holds compact columnar state: one row per
-        # group, bounded by the (6 * 12)-group universe.
-        for state in live.hfta._columnar.values():
-            assert state.n_groups <= 72
 
 
 class TestColumnarInterface:
@@ -455,8 +408,59 @@ class TestColumnarInterface:
         b.ingest_arrays(rel, 0, {"A": [2, 2]}, [1, 1])
         totals(b, rel, 0)
         folds_before = a.folds + b.folds
+        rows_before = a.rows_folded + b.rows_folded
         a.merge_from(b)
-        assert a.folds == folds_before
+        # the key both hold: one fold over both states' rows
+        assert a.folds == folds_before + 1
+        assert a.rows_folded == rows_before + 2
         totals(a, rel, 0)
         assert a.folds == folds_before + 1
-        assert a.rows_folded >= 4
+
+    def test_legacy_pending_batches_fold_on_restore(self):
+        """A pickled HFTA from before every producer folded on arrival
+        holds unfolded batches per key: restoring folds them after the
+        key's state, in arrival order, and leaves the eviction count
+        as it was."""
+        rel = A("A")
+        legacy = HFTA()
+        legacy.ingest_arrays(rel, 0, {"A": [1]}, [2], [0.5])
+        state = dict(vars(legacy), evictions_received=4, _batches={
+            (rel, 0): [({"A": np.array([2, 1])}, np.array([1, 1]),
+                        np.array([0.25, 0.125]), None, None)],
+            (rel, 1): [({"A": np.array([3])}, np.array([1]),
+                        np.array([1.0]), np.array([1.0]),
+                        np.array([1.0]))]})
+        restored = HFTA.__new__(HFTA)
+        restored.__setstate__(state)
+        assert "_batches" not in vars(restored)
+        assert restored.evictions_received == 4
+        assert totals(restored, rel, 0) == {
+            (1,): GroupAggregate(3, 0.625, math.inf, -math.inf),
+            (2,): GroupAggregate(1, 0.25, math.inf, -math.inf)}
+        assert totals(restored, rel, 1) == {
+            (3,): GroupAggregate(1, 1.0, 1.0, 1.0)}
+
+    @pytest.mark.parametrize("columns, counts", [
+        ({"A": [1, 2]}, [1, 1]),                          # B missing
+        ({"A": [1, 2], "B": [3, 4], "C": [5, 6]}, [1, 1]),  # C extra
+        ({"A": [1, 2, 3], "B": [3, 4, 5]}, [1, 1]),       # longer keys
+        ({"A": [1], "B": [3]}, [1, 1]),                   # shorter keys
+        ({"A": [1, 2], "B": [3, 4]}, [[1, 1]]),           # 2-D counts
+    ])
+    def test_a_malformed_batch_changes_nothing(self, columns, counts):
+        """A batch whose columns are not the relation's, or whose arrays
+        do not have one row per count, is refused before the key's
+        state or any counter moves."""
+        hfta = HFTA()
+        rel = A("AB")
+        hfta.ingest_arrays(rel, 0, {"A": [1], "B": [2]}, [4], [0.5])
+        before = (totals(hfta, rel, 0), hfta.evictions_received,
+                  hfta.folds, hfta.rows_folded)
+        with pytest.raises(ValueError, match="a batch for AB"):
+            hfta.ingest_arrays(rel, 0, columns, counts)
+        with pytest.raises(ValueError, match="a batch for AB"):
+            hfta.ingest_arrays(rel, 0, {"A": [1, 2], "B": [3, 4]}, [1, 1],
+                               [0.5])  # a value array one row short
+        assert (totals(hfta, rel, 0), hfta.evictions_received,
+                hfta.folds, hfta.rows_folded) == before
+        assert hfta.query_answer(AggregationQuery(rel), 0) == {(1, 2): 4.0}

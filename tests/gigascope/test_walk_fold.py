@@ -3,22 +3,18 @@
 With the kernel, each emitting relation's runs go straight into the
 walk's group table, extending whatever state the HFTA holds for that
 relation and epoch; the numpy walk hands the same runs to the HFTA as a
-batch and the HFTA folds it lazily. For every (relation, epoch) key the
-two must hold the same state: group order, dtypes, counts, sums and
+batch, which the HFTA folds into the key's state at once. For every
+(relation, epoch) key the two must hold the same state: group order,
+dtypes, counts, sums (a NaN sum as ``np.nan``'s bits in both) and
 NaN/+-inf minima and maxima, byte for byte, and the same
-``evictions_received``/``folds``/``rows_folded``. The numpy walk's
-batches folded by the HFTA merge kernel are the kernel path as it was
-before the walk folded (its runs are the kernel's, bit for bit), so that
-comparison is exact to the NaN; against the numpy fold a NaN sum only
-compares as NaN (``test_forest_walk.states(..., any_nan=True)``).
+``evictions_received``/``folds``/``rows_folded``.
 
 Covered: random forests and streams on 1 and 3 walk threads, with and
-without a row index and a value column, and the seeded folds — an epoch
-walked in two calls, a shard after another, a live epoch reopened after
-``finish()``.
+without a row index and a value column, and the seeded folds — a stream
+walked in two calls (a contiguous cut or alternate rows), a shard after
+another, a live epoch reopened after ``finish()``.
 """
 
-import copy
 from contextlib import nullcontext
 
 import numpy as np
@@ -49,12 +45,8 @@ pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
 
 
 def assert_folds_match(got, numpy_walked):
-    """``got`` (a kernel walk's HFTA) against a numpy walk's: exactly
-    against its batches folded by the merge kernel, and NaN sums aside
-    against them folded by numpy."""
-    lazy = copy.deepcopy(numpy_walked)
-    with numpy_kernels_off():
-        assert states(got, any_nan=True) == states(lazy, any_nan=True)
+    """``got`` (a kernel walk's HFTA) against a numpy walk's, byte for
+    byte, counters included."""
     assert states(got) == states(numpy_walked)
     assert got.folds == len(columnar(got))  # one fold per key, no more
 
@@ -116,66 +108,68 @@ def test_fixed_shapes(notation, values, rows, n_workers):
                    for s in columnar(got.hfta).values())
 
 
-def walk_in_two(dataset, config, buckets, value_column, cut, n_workers,
+def walk_in_two(dataset, config, buckets, value_column, parts, n_workers,
                 numpy):
-    """The stream walked as rows ``[0, cut)`` then ``[cut, n)`` into one
-    HFTA, folded between the calls (by the merge kernel) as a live epoch
-    close folds."""
-    rows = np.arange(len(dataset))
-
+    """The stream walked as the rows of ``parts[0]``, then those of
+    ``parts[1]``, into one HFTA."""
     def walk(part, hfta=None):
         with numpy_kernels_off() if numpy else nullcontext(), \
                 walk_workers_of(n_workers):
             return simulate(dataset, config, buckets, 1.0, value_column,
                             hfta=hfta, rows=part).hfta
 
-    first = walk(rows[:cut])
-    first.finalize()
-    return walk(rows[cut:], first)
+    return walk(parts[1], walk(parts[0]))
+
+
+def split_rows(n: int, cut: float, alternate: bool):
+    """``[0, n)`` as a contiguous cut at ``cut * n``, or as its even and
+    odd rows."""
+    rows = np.arange(n)
+    if alternate:
+        return rows[::2], rows[1::2]
+    return rows[:int(cut * n)], rows[int(cut * n):]
 
 
 @needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
-@given(stream=streams, cut=st.floats(0.0, 1.0), data=st.data())
-def test_a_fold_extends_the_state_held(n_workers, stream, cut, data):
-    """An epoch walked in two calls: the second call's folds start from
+@given(stream=streams, cut=st.floats(0.0, 1.0), alternate=st.booleans(),
+       data=st.data())
+def test_a_fold_extends_the_state_held(n_workers, stream, cut, alternate,
+                                       data):
+    """A stream walked in two calls: the second call's folds start from
     the first's state, its groups first, and equal the numpy walk's two
-    batches folded as one HFTA folds them."""
+    batches folded into one HFTA, byte for byte, with the same
+    ``folds`` and ``rows_folded``."""
     config = data.draw(forests)
     dataset = make_stream(**stream)
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
     value_column = None if stream["values"] == "none" else "v"
-    cut = int(cut * len(dataset))
-    got = walk_in_two(dataset, config, buckets, value_column, cut,
+    parts = split_rows(len(dataset), cut, alternate)
+    got = walk_in_two(dataset, config, buckets, value_column, parts,
                       n_workers, numpy=False)
-    want = walk_in_two(dataset, config, buckets, value_column, cut, 1,
+    want = walk_in_two(dataset, config, buckets, value_column, parts, 1,
                        numpy=True)
-    lazy = copy.deepcopy(want)
-    with numpy_kernels_off():
-        assert states(got, any_nan=True) == states(lazy, any_nan=True)
     assert states(got) == states(want)
 
 
 @needs_kernel
-@pytest.mark.parametrize("values", ["none", "nonfinite"])
-def test_a_fold_extends_pending_batches(values):
-    """A key with batches still pending when the walk reaches it: they
-    are folded first, then extended, in the order one fold of all of
-    them would take."""
+@pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
+def test_both_legs_count_a_second_call_alike(values):
+    """Even rows, then odd rows, into one HFTA: each key's second fold
+    extends its first on both legs, so the kernel and numpy walks count
+    the same folds over the same rows."""
     config = Configuration.from_notation("ABC(AB A)")
-    dataset = make_stream(3, [300, 200], 4, "nonfinite", False)
+    dataset = make_stream(3, [300, 200], 4, "finite" if values == "none"
+                          else values, False)
     buckets = {rel: 5 for rel in config.relations}
     value_column = None if values == "none" else "v"
-    rows = np.arange(len(dataset))
-    with numpy_kernels_off():
-        ahead = simulate(dataset, config, buckets, 1.0, value_column,
-                         rows=rows[::2])
-        want = simulate(dataset, config, buckets, 1.0, value_column,
-                        hfta=copy.deepcopy(ahead.hfta),
-                        rows=rows[1::2]).hfta
-    got = simulate(dataset, config, buckets, 1.0, value_column,
-                   hfta=ahead.hfta, rows=rows[1::2]).hfta
-    assert states(got)[:-1] == states(want)[:-1]
+    parts = split_rows(len(dataset), 0.0, alternate=True)
+    got = walk_in_two(dataset, config, buckets, value_column, parts, 1,
+                      numpy=False)
+    want = walk_in_two(dataset, config, buckets, value_column, parts, 1,
+                       numpy=True)
+    assert states(got) == states(want)
+    assert got.folds == 2 * len(columnar(got))
 
 
 @needs_kernel
@@ -231,8 +225,8 @@ def test_a_seed_is_checked_before_the_kernel_reads_it():
 
 
 def test_summary_says_where_the_folds_ran():
-    """The kernel walk folds in the walk, every other walk lazily; the
-    ``HFTA merge`` line says which, over the same fold counts."""
+    """Every walk folds in the walk; the ``HFTA merge`` line says which
+    fold ran, over the same fold counts."""
     dataset = make_stream(5, [100, 100, 100], 4, "none", False)
     queries = QuerySet.counts(["AB", "CD"], epoch_seconds=1.0)
     config = Configuration.flat(queries.group_bys)
@@ -246,10 +240,10 @@ def test_summary_says_where_the_folds_ran():
         return line
 
     with numpy_kernels_off():
-        lazy = merge_line(StreamSystem(dataset, queries, config,
-                                       buckets).run())
+        numpy = merge_line(StreamSystem(dataset, queries, config,
+                                        buckets).run())
     counts = "HFTA merge        : 6 folds over 383 rows"
-    assert lazy == f"{counts} (lazily, numpy merge kernel)"
+    assert numpy == f"{counts} (in the walk, numpy)"
     if native_ingest.kernel_available():
         walked = merge_line(StreamSystem(dataset, queries, config,
                                          buckets).run())

@@ -22,8 +22,8 @@ class GroupAggregate(NamedTuple):
 
 
 def totals(hfta, relation, epoch) -> dict[tuple[int, ...], GroupAggregate]:
-    """``group -> GroupAggregate`` of one key, folded first (``{}`` when
-    the key was never fed)."""
+    """``group -> GroupAggregate`` of one key (``{}`` when the key was
+    never fed)."""
     state = hfta.totals_columnar(relation, epoch)
     if state is None:
         return {}

@@ -15,7 +15,8 @@ search-based ``Dataset.epoch_slices`` to it.
 
 For the data path the reference is the record-at-a-time ``SequentialLFTA``:
 :func:`assert_matches_reference` compares an engine run, unsharded or
-sharded, on whichever kernels the caller left available, with it, and
+sharded (:func:`sharded_reference`), on whichever kernels the caller
+left available, with it, and
 :func:`reference_report` is the ``RunReport`` a ``StreamSystem`` run
 would return, computed by it.
 
@@ -66,9 +67,11 @@ from repro.errors import (
 )
 from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
-from repro.gigascope.lfta import run_reference
+from repro.gigascope.hfta import HFTA
+from repro.gigascope.lfta import SequentialLFTA, run_reference
+from repro.gigascope.metrics import SimulationResult
 from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
-from repro.parallel.merge import merge_results
+from repro.parallel.merge import merge_counters
 from tests.hfta_totals import totals
 
 ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
@@ -182,15 +185,41 @@ def ref_epoch_slices(timestamps, epoch_seconds):
             for start, end in zip(starts, ends)]
 
 
+def sharded_reference(parts, config, buckets, epoch_seconds,
+                      value_column=None) -> SimulationResult:
+    """A sharded run as ``ShardedStreamSystem`` defines it, computed by
+    the sequential LFTA: each shard's own LFTA, in shard order, feeds
+    one shared HFTA, so every key's fold extends the shards' before it;
+    the counters are the shards' summed."""
+    hfta = HFTA()
+    counters = []
+    for part in parts:
+        lfta = SequentialLFTA(config, buckets)
+        lfta.hfta = hfta
+        values = part.values[value_column] if value_column else None
+        for epoch_id, start, end in part.epoch_slices(epoch_seconds):
+            lfta.start_epoch(epoch_id)
+            for i in range(start, end):
+                lfta.process_record(
+                    {a: int(col[i]) for a, col in part.columns.items()},
+                    None if values is None else float(values[i]))
+            lfta.flush_epoch()
+        counters.append(lfta.counters)
+    return SimulationResult(
+        merge_counters(counters, config), hfta,
+        sum(len(part) for part in parts), len(hfta.epochs_seen),
+        "record at a time")
+
+
 def assert_matches_reference(dataset, config, buckets, epoch_seconds,
                              value_column=None, shards=1):
     """The engine's counters and HFTA totals equal the sequential
     reference's, field for field; returns the engine's result.
 
     With ``shards > 1`` the engine side is a ``ShardedStreamSystem`` run
-    and the reference side the sequential LFTA over each shard of the
-    same partition, merged — so the partitioner, the per-shard engines
-    and the merge are all inside the comparison.
+    and the reference side :func:`sharded_reference` over the shards of
+    the same partition — so the partitioner, the per-shard engines and
+    the hand-over between them are all inside the comparison.
     """
     if shards == 1:
         got = simulate(dataset, config, buckets, epoch_seconds,
@@ -205,11 +234,10 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
                                      shards=shards)
         got = system.run().result
         ids = HashPartitioner().shard_ids(dataset, shards)
-        ref = merge_results(
-            [run_reference(part, config, system.shard_buckets,
-                           epoch_seconds, value_column)
-             for part in split_dataset(dataset, ids, shards) if len(part)],
-            config)
+        ref = sharded_reference(
+            [part for part in split_dataset(dataset, ids, shards)
+             if len(part)], config, system.shard_buckets, epoch_seconds,
+            value_column)
     assert got.counters.relations == ref.counters.relations
     assert got.hfta.evictions_received == ref.hfta.evictions_received
     for leaf in config.leaves:
