@@ -12,7 +12,8 @@ statistics from the dataset (``.npz`` or ``.csv`` as written by
 its per-relation EXPLAIN breakdown — optionally executing it
 (``--execute``) to report measured costs and the sustainable stream rate.
 ``--metrics-json PATH`` writes a :class:`~repro.observability.RunManifest`
-(plan, counters, per-shard phase spans, git SHA) and ``--trace`` prints
+(plan, counters, phase spans, a sharded run's partition, git SHA) and
+``--trace`` prints
 the recorded phase spans; both imply ``--execute``.
 """
 
@@ -67,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--execute", action="store_true",
                         help="also stream the dataset through the plan")
     parser.add_argument("--shards", type=int, default=1,
-                        help="run --execute on N LFTA shards, in-process, "
-                             "hash-partitioned on the full group key "
-                             "(default 1: unsharded)")
+                        help="run --execute on N LFTA shards, walked in "
+                             "one pass, hash-partitioned on the full group "
+                             "key (default 1: unsharded)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="execute incrementally through the live "
                              "runtime, checkpointing after every batch "
@@ -77,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "exists; implies --execute, single-core")
     parser.add_argument("--metrics-json", default=None, metavar="PATH",
                         help="write a RunManifest JSON (plan, counters, "
-                             "per-shard phase spans, git SHA) to PATH; "
-                             "implies --execute")
+                             "phase spans, the shard partition, git SHA) "
+                             "to PATH; implies --execute")
     parser.add_argument("--trace", action="store_true",
                         help="print the recorded phase spans after "
                              "execution; implies --execute")
@@ -242,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.metrics_json:
             manifest = RunManifest.collect(
                 report, plan=the_plan, queries=queries, registry=registry,
-                shard_results=getattr(system, "shard_results", None),
-                shard_registries=getattr(system, "shard_registries", None),
                 epoch_reports=(live.epoch_reports if live else None),
                 reconfigurations=(live.reconfigurations if live else None),
                 extra=({"partition": system.partition_summary}

@@ -89,7 +89,8 @@ class GreedySpace:
                     for i, p in enumerate(f.parent_of)]
 
         def phi_cost(f: Configuration) -> float:
-            probe, evict = eq7_sums(f.order, f.parent_of, f.leaf, phi_rates(f))
+            probe, evict = eq7_sums(f.order, f.parent_of, f.emits,
+                                    phi_rates(f))
             return probe * c1 + evict * c2
 
         def step(phantom, f: Configuration
@@ -128,6 +129,18 @@ class GreedySpace:
                             trajectory[-1].cost, tuple(trajectory))
 
 
+def _below(c1: float, c2: float, x: float, emits: bool, below: list[float],
+           children: list[int]) -> float:
+    """A relation's subtree cost per unit of reach, at collision rate
+    ``x``: its probe, ``c2 x`` if it emits (a query), and ``x`` times its
+    children's ``below`` if it feeds any — an emitting inner query pays
+    both."""
+    cost = c1 + c2 * x if emits else c1
+    if children:
+        cost += x * sum([below[k] for k in children])
+    return cost
+
+
 def _leaders(config: Configuration, remaining: list[int], used: float,
              memory: float, price: list[float], fed: list[float],
              raw: list[float], x: list[float], cost: float, c1: float,
@@ -144,13 +157,12 @@ def _leaders(config: Configuration, remaining: list[int], used: float,
     stop being raw. Returned in candidate order.
     """
     order, parent = config.order, config.parent_of
-    children, leaf = config.children_of, config.leaf
+    children, emits = config.children_of, config.emits
     reach = [0.0] * len(parent)
-    eq7_sums(order, parent, leaf, x, reach=reach)
+    eq7_sums(order, parent, emits, x, reach=reach)
     below = [0.0] * len(parent)
     for i in reversed(order):
-        below[i] = c1 + (c2 * x[i] if leaf[i]
-                         else x[i] * sum([below[k] for k in children[i]]))
+        below[i] = _below(c1, c2, x[i], emits[i], below, children[i])
     scored = []
     for p in remaining:
         if used + price[p] > memory:
@@ -161,9 +173,8 @@ def _leaders(config: Configuration, remaining: list[int], used: float,
         stay = sum([below[c] for c in captured])
         if par == RAW:
             kp, xp = 1.0, raw[p]
-            moved = sum([c1 + (c2 * fed[c] if leaf[c] else
-                               fed[c] * sum([below[k] for k in children[c]]))
-                         for c in captured])
+            moved = sum([_below(c1, c2, fed[c], emits[c], below,
+                                children[c]) for c in captured])
         else:
             kp, xp = reach[par] * x[par], fed[p]
             moved = stay

@@ -6,7 +6,9 @@ paper describes configurations as trees consistent with the feeding graph;
 because several relations can be fed directly by the stream (e.g. the paper's
 own ``AB(A B) CD(C D)``), the general shape is a *forest* whose virtual root
 is the stream. Relations fed directly by the stream are *raw*; relations with
-no children are *leaves* and must be user queries.
+no children are *leaves* and must be user queries. A relation *emits* (ships
+its evictions to the HFTA, paying ``c2``) iff it is a query: every leaf, and
+any query that also feeds other relations.
 
 One class serves the planner, the cost model and the runtime. Every
 relation a configuration may instantiate has an index in a
@@ -14,8 +16,8 @@ relation a configuration may instantiate has an index in a
 bitmask (``a`` is a strict subset of ``b`` exactly when ``a != b and
 a & b == a``). A :class:`Configuration` is a parent-index array over its
 universe (:data:`ABSENT` for a planner's candidates not instantiated)
-with children lists, roots, topological order and leaf flags; every
-accessor, Eq. 7/8 and allocator reads these arrays.
+with children lists, roots, topological order, leaf flags and emit flags;
+every accessor, Eq. 7/8 and allocator reads these arrays.
 
 The textual notation follows the paper (Section 6.1): ``"AB(A B)"`` denotes a
 phantom ``AB`` feeding queries ``A`` and ``B``; notation nests arbitrarily,
@@ -63,8 +65,8 @@ class Universe:
     in ``members`` (default: all) and 0, 0, 1 for the rest.
     """
 
-    __slots__ = ("rels", "masks", "queries", "index", "g", "h", "l",
-                 "_supersets")
+    __slots__ = ("rels", "masks", "queries", "index", "emits", "g", "h",
+                 "l", "_supersets")
 
     def __init__(self, rels: list[AttributeSet],
                  queries: Iterable[AttributeSet],
@@ -75,6 +77,8 @@ class Universe:
         self.masks = masks
         self.queries = frozenset(queries)
         self.index = {rel: i for i, rel in enumerate(rels)}
+        #: Per index: whether the relation is a query, so emits.
+        self.emits = [rel in self.queries for rel in rels]
         self._supersets: dict[int, list[int]] = {}
         if stats is not None:
             n = len(rels)
@@ -481,6 +485,18 @@ class Configuration:
 
     def is_leaf(self, rel: AttributeSet) -> bool:
         return self.leaf[self._at(rel)]
+
+    def is_emitting(self, rel: AttributeSet) -> bool:
+        """Whether ``rel`` ships its evictions to the HFTA: :attr:`emits`
+        read by relation."""
+        return self.universe.emits[self._at(rel)]
+
+    @property
+    def emits(self) -> list[bool]:
+        """Per index, beside :attr:`leaf`: whether the relation ships its
+        evictions to the HFTA, paying ``c2`` — iff it is a query. A query
+        with children emits *and* feeds them."""
+        return self.universe.emits
 
     def __contains__(self, rel: object) -> bool:
         i = self.universe.index.get(rel)

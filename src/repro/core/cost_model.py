@@ -6,11 +6,13 @@ allocation:
 * **Intra-epoch (maintenance) cost**, Eq. 7 — the expected per-record cost of
   keeping every hash table up to date. Each raw relation is probed once per
   record (cost ``c1``); a relation's children are updated (cost ``c1`` each)
-  only when it suffers a collision; collisions at *leaf* relations evict to
-  the HFTA (cost ``c2``)::
+  only when it suffers a collision; collisions at *query* relations evict
+  to the HFTA (cost ``c2``) — at the leaves, and at any query that also
+  feeds children, which pays ``c2`` and updates its children. With ``Q``
+  the instantiated queries::
 
       e_m = sum_{R in I} (prod_{R' in A_R} x_{R'}) c1
-          + sum_{R in L} (prod_{R' in A_R} x_{R'}) x_R c2
+          + sum_{R in Q} (prod_{R' in A_R} x_{R'}) x_R c2
 
 * **End-of-epoch (update) cost**, Eq. 8 — the cost of the top-down flush at
   an epoch boundary. Every resident entry of every table is propagated to
@@ -20,11 +22,11 @@ allocation:
 
       arrivals(R) = occ(parent) + x(parent) * arrivals(parent)
       E_u = sum_{R not raw} arrivals(R) c1
-          + sum_{R in L} (occ(R) + arrivals(R)) c2
+          + sum_{R in Q} (occ(R) + arrivals(R)) c2
 
   (See DESIGN.md for the derivation from the paper's garbled Eq. 8; the
-  ``c2`` term is exact in aggregate — everything arriving at a leaf during
-  the flush, plus the leaf's residents, reaches the HFTA.)
+  ``c2`` term is exact in aggregate — everything arriving at a query
+  during the flush, plus the query's residents, reaches the HFTA.)
 
 Collision rates come from a pluggable :class:`CollisionModel`; clusteredness
 divides the per-record rate by the relation's mean flow length (Eq. 15).
@@ -101,7 +103,7 @@ class CostBreakdown:
 
 
 def eq7_sums(order: Sequence[int], parent: Sequence[int],
-             leaf: Sequence[bool], x: Sequence[float],
+             emits: Sequence[bool], x: Sequence[float],
              reach: list | None = None) -> tuple[float, float]:
     """Eq. 7's probe and eviction sums, before the ``c1``/``c2`` weights.
 
@@ -117,13 +119,13 @@ def eq7_sums(order: Sequence[int], parent: Sequence[int],
         r = 1.0 if p < 0 else reach[p] * x[p]
         reach[i] = r
         probe += r
-        if leaf[i]:
+        if emits[i]:
             evict += r * x[i]
     return probe, evict
 
 
 def eq8_sums(order: Sequence[int], parent: Sequence[int],
-             leaf: Sequence[bool], x: Sequence[float],
+             emits: Sequence[bool], x: Sequence[float],
              occ: Sequence[float]) -> tuple[float, float]:
     """Eq. 8's probe and eviction sums, before the ``c1``/``c2`` weights."""
     arrivals = [0.0] * len(parent)
@@ -137,7 +139,7 @@ def eq8_sums(order: Sequence[int], parent: Sequence[int],
             a = occ[p] + x[p] * arrivals[p]
             arrivals[i] = a
             probe += a
-        if leaf[i]:
+        if emits[i]:
             evict += occ[i] + a
     return probe, evict
 
@@ -172,7 +174,7 @@ def intra_cost(config: Configuration, buckets: Sequence[float],
                clustered: bool = True) -> float:
     """Eq. 7's total for a configuration and its bucket counts."""
     x = config_rates(config, buckets, model, clustered)
-    probe, evict = eq7_sums(config.order, config.parent_of, config.leaf, x)
+    probe, evict = eq7_sums(config.order, config.parent_of, config.emits, x)
     return probe * params.probe_cost + evict * params.evict_cost
 
 
@@ -216,7 +218,7 @@ def intra_epoch_cost(config: Configuration,
                      params: CostParameters) -> CostBreakdown:
     """Eq. 7: expected per-record maintenance cost given collision rates."""
     x = [rates[rel] if rel in config else 0.0 for rel in config.universe.rels]
-    probe, evict = eq7_sums(config.order, config.parent_of, config.leaf, x)
+    probe, evict = eq7_sums(config.order, config.parent_of, config.emits, x)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)
 
@@ -267,7 +269,7 @@ def flush_cost(config: Configuration, stats: RelationStatistics,
     b = bucket_list(config, buckets)
     x = config_rates(config, b, model, clustered=False)
     occ = [expected_occupancy(g, bi) for g, bi in zip(config.universe.g, b)]
-    probe, evict = eq8_sums(config.order, config.parent_of, config.leaf, x,
+    probe, evict = eq8_sums(config.order, config.parent_of, config.emits, x,
                             occ)
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)

@@ -94,7 +94,7 @@ def explain(plan: Plan, stats: RelationStatistics,
     buckets = bucket_list(config, plan.allocation.buckets)
     rates = config_rates(config, buckets, model, plan.clustered)
     reach = [0.0] * len(buckets)
-    eq7_sums(config.order, config.parent_of, config.leaf, rates,
+    eq7_sums(config.order, config.parent_of, config.emits, rates,
              reach=reach)
     u = config.universe
     rows = []
@@ -105,7 +105,7 @@ def explain(plan: Plan, stats: RelationStatistics,
                 + ("query" if rel in u.queries else "phantom"))
         probe = reach[i] * params.probe_cost
         evict = (reach[i] * rates[i] * params.evict_cost
-                 if config.leaf[i] else 0.0)
+                 if config.emits[i] else 0.0)
         per_record += probe + evict
         g, b = u.g[i], float(buckets[i])
         rows.append(RelationExplanation(

@@ -45,21 +45,6 @@ class WorkloadError(ReproError):
     """A workload generator was given infeasible parameters."""
 
 
-class ShardExecutionError(ReproError):
-    """A shard's one engine run raised.
-
-    Carries the shard index and record count so operators see *which*
-    partition of the stream failed; the underlying exception is chained
-    as ``__cause__``.
-    """
-
-    def __init__(self, message: str, *, shard: int | None = None,
-                 records: int | None = None):
-        super().__init__(message)
-        self.shard = shard
-        self.records = records
-
-
 class CheckpointError(ReproError):
     """A live-run checkpoint could not be written or restored.
 

@@ -19,10 +19,11 @@ never overlap, reproducing the top-down bucket-scan flush of the sequential
 reference exactly (tests assert counter-for-counter equality).
 
 Which relations ship their evictions to the HFTA is one list of emit
-flags built here (today: the leaves); a relation that emits still feeds
-its children. This walk hands an emitting relation's runs to the HFTA
-as one batch per epoch (``HFTA.ingest_arrays``), which the HFTA folds
-into the key's state at once.
+flags built here: the queries. A query that feeds other relations ships
+its evictions to the HFTA *and* feeds its children. This walk hands an
+emitting relation's runs to the HFTA as one batch per epoch
+(``HFTA.ingest_arrays``), which the HFTA folds into the key's state at
+once.
 
 When the host offers a C compiler, the whole walk runs instead as one
 kernel call per epoch (:mod:`repro.native.ingest`): every relation in
@@ -52,6 +53,15 @@ hands the HFTA every folded state in epoch order, then relation order,
 after the join, and sums the threads' counters. The calls, states and
 floats are those of a one-thread walk, bit for bit. A one-epoch call
 (every live epoch close) and the numpy walk stay on the calling thread.
+
+*Shards.* A sharded run is one walk (``shards=``, one shard id per
+record): each relation's table is ``max(id) + 1`` slices of its bucket
+count side by side, and a record, or an eviction through its
+representative's row, lands in bucket ``id * b + hash mod b``. Buckets
+are shard-major, so every slice sees its shard's records in order, the
+flush scans shard 0's slice first and every fold takes shard 0's runs
+first: the counters, states and floats of the shards walked one after
+the other, each key folded once.
 """
 
 from __future__ import annotations
@@ -82,11 +92,12 @@ from repro.observability.tracing import trace
 
 __all__ = ["Tables", "bucket_counts", "simulate"]
 
-# (times, weights, value-sums, value-mins, value-maxs, group columns);
-# the three value arrays are all present or all None.
+# (times, weights, value-sums, value-mins, value-maxs, group columns,
+# shard ids); the three value arrays are all present or all None, the
+# shard ids None for a stream of one slice.
 _Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray | None,
                   np.ndarray | None, np.ndarray | None,
-                  dict[str, np.ndarray]]
+                  dict[str, np.ndarray], np.ndarray | None]
 
 
 class Tables:
@@ -98,10 +109,10 @@ class Tables:
     to the call's longest epoch and its largest fold. A caller that runs
     one configuration through many calls, one at a time —
     ``LiveStreamSystem`` closes each epoch with one — hands every call
-    the same ``Tables``, and the buffers are allocated again only
-    when the configuration, an allocation, the salts, the emit flags or
-    the value column change, or an epoch outgrows them. The results
-    never depend on it.
+    the same ``Tables``, and the buffers are allocated again only when
+    the configuration, an allocation, the salts, the emit flags, the
+    value column or the slice count change, or an epoch outgrows them.
+    The results never depend on it.
 
     A one-epoch call walks on the kept buffers on the calling thread. A
     call over several epochs walks them on a pool of threads: the first
@@ -149,6 +160,11 @@ def bucket_counts(relations, buckets: Mapping[AttributeSet, object] | None
     return sizes
 
 
+#: The largest shard id ``simulate`` takes: slices times buckets stays
+#: far inside int64.
+_MAX_SHARD = 2**31 - 1
+
+
 def _workers(n_epochs: int) -> int:
     """Threads for a kernel walk over ``n_epochs`` non-empty epochs: one
     per usable core, at most one per epoch."""
@@ -167,15 +183,18 @@ def simulate(dataset: Dataset, config: Configuration,
              hfta: HFTA | None = None,
              registry=None,
              tables: Tables | None = None,
-             rows: np.ndarray | None = None,
+             shards: np.ndarray | None = None,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
 
-    ``rows``, when given, is the integer index of the rows this call
-    walks (1-D, strictly ascending, inside ``[0, len(dataset))``, else
-    :class:`~repro.errors.ConfigurationError`): the result is that of
-    the dataset of just those rows, bit for bit, read in place. A
-    sharded run walks each shard this way.
+    ``shards``, when given, holds one shard id per record (1-D, integer,
+    ``len(dataset)`` long, each in ``[0, 2**31)``, else
+    :class:`~repro.errors.ConfigurationError`, raised before anything
+    moves): every relation's table becomes ``max(id) + 1`` slices of its
+    ``buckets`` entry, one per shard (one per id present when the largest
+    id reaches the record count), and each record is walked in its
+    shard's slice. The result is that of the shards walked one after
+    the other, in shard order, into one HFTA.
 
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
@@ -191,33 +210,33 @@ def simulate(dataset: Dataset, config: Configuration,
     rels = config.relations
     table_sizes = bucket_counts(rels, buckets)
     salts = {rel: relation_salt(rel.label(), salt_seed) for rel in rels}
-    # The emit rule: a relation ships its evictions to the HFTA iff it is
-    # a leaf. Both walks read it from here, and a relation that emits
+    # Both walks read the emit rule from here; a relation that emits
     # still feeds its children.
-    emit = [config.is_leaf(rel) for rel in rels]
-    rows = _row_index(rows, len(dataset))
-    n_records = len(dataset) if rows is None else len(rows)
+    emit = [config.is_emitting(rel) for rel in rels]
+    shards, slices = _shard_ids(shards, len(dataset))
+    n_records = len(dataset)
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
     native = _native.kernel_available()
     with trace(registry, "engine"):
-        slices = _epochs(dataset, epoch_seconds, rows)
-        n_epochs = len(slices)
+        epochs = list(dataset.epoch_slices(epoch_seconds))
+        n_epochs = len(epochs)
         workers = _workers(n_epochs) if native and n_epochs > 1 else 1
         # A raw arrival's time is its index in the epoch and its weight
         # is 1: every epoch reads a prefix of the same two buffers.
-        longest = max((end - start for _, start, end in slices), default=0)
+        longest = max((end - start for _, start, end in epochs), default=0)
         times0 = np.arange(longest, dtype=np.int64)
         ones = np.ones(longest, dtype=np.int64)
         times0.flags.writeable = ones.flags.writeable = False
         values = dataset.values[value_column] if value_column else None
-        if slices and native:
+        if epochs and native:
             _walk_native(dataset, config, table_sizes, salts, emit,
-                         counters, hfta, slices, values, times0, ones,
-                         rows, tables, workers)
-        elif slices:
+                         counters, hfta, epochs, values, times0, ones,
+                         shards, slices, tables, workers)
+        elif epochs:
             _walk_numpy(dataset, config, table_sizes, salts, emit,
-                        counters, hfta, slices, values, times0, ones, rows)
+                        counters, hfta, epochs, values, times0, ones,
+                        shards, slices)
     if registry is not None:
         registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
@@ -227,62 +246,59 @@ def simulate(dataset: Dataset, config: Configuration,
     return SimulationResult(counters, hfta, n_records, n_epochs, walk)
 
 
-def _row_index(rows, n_records: int) -> np.ndarray | None:
-    """``simulate``'s ``rows=``, checked once: None, or the index as
-    contiguous int64 once it is known to be 1-D, integer, strictly
-    ascending and inside ``[0, n_records)``."""
-    if rows is None:
-        return None
-    index = np.asarray(rows)
-    if index.ndim != 1:
+def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
+    """``simulate``'s ``shards=``, checked once: None and one slice, or
+    the ids as contiguous int64 and ``max(id) + 1`` slices, once they
+    are known to be 1-D, integer, one per record and in ``[0, 2**31)``.
+    Ids past the record count cannot all be in use: they become their
+    ranks among the ids present, in the same order, so the tables grow
+    with the shards in use and not with the largest id."""
+    if shards is None:
+        return None, 1
+    ids = np.asarray(shards)
+    if ids.ndim != 1:
         raise ConfigurationError(
-            f"rows= must be a 1-D row index, got shape {index.shape}")
-    if not np.issubdtype(index.dtype, np.integer):
+            f"shards= must be 1-D shard ids, got shape {ids.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):
         raise ConfigurationError(
-            f"rows= must be integers, got dtype {index.dtype}")
-    steps = np.flatnonzero(index[1:] <= index[:-1])
-    if steps.size:
-        i = int(steps[0]) + 1
-        defect = "repeats" if index[i] == index[i - 1] else "is below"
+            f"shards= must be integers, got dtype {ids.dtype}")
+    if ids.shape[0] != n_records:
         raise ConfigurationError(
-            f"rows= must be strictly ascending: rows[{i}] = {index[i]} "
-            f"{defect} rows[{i - 1}] = {index[i - 1]}")
-    if index.size and (index[0] < 0 or index[-1] >= n_records):
+            f"shards= needs one id per record: {ids.shape[0]} ids for "
+            f"{n_records} records")
+    if not ids.size:
+        return None, 1
+    given, ids = ids, np.ascontiguousarray(ids, dtype=np.int64)
+    # one pass: a negative id (or a wrapped uint64 one) reads as a huge
+    # unsigned one
+    unsigned = ids.view(np.uint64)
+    high = int(unsigned.max())
+    if high > _MAX_SHARD:
+        bad = int(np.flatnonzero(unsigned > _MAX_SHARD)[0])
         raise ConfigurationError(
-            f"rows= must lie in [0, {n_records}), got range "
-            f"[{index[0]}, {index[-1]}]")
-    return np.ascontiguousarray(index, dtype=np.int64)
-
-
-def _epochs(dataset: Dataset, epoch_seconds: float,
-            rows: np.ndarray | None) -> list[tuple[int, int, int]]:
-    """``(epoch_id, lo, hi)`` of every non-empty epoch: a range of
-    stream rows, or with ``rows`` a range of positions in it."""
-    slices = list(dataset.epoch_slices(epoch_seconds))
-    if rows is None or not slices:
-        return slices
-    ids, starts, ends = np.array(slices, dtype=np.int64).T
-    lo = np.searchsorted(rows, starts)
-    hi = np.searchsorted(rows, ends)
-    keep = hi > lo
-    return list(zip(ids[keep].tolist(), lo[keep].tolist(),
-                    hi[keep].tolist()))
+            f"shards= ids must lie in [0, 2**31): record {bad} has "
+            f"shard id {given[bad]}")
+    if high >= n_records:
+        present, ranks = np.unique(ids, return_inverse=True)
+        return ranks.astype(np.int64, copy=False), len(present)
+    return ids, high + 1
 
 
 def _walk_native(dataset: Dataset, config: Configuration,
                  table_sizes: dict[AttributeSet, int],
                  salts: dict[AttributeSet, int], emit: list[bool],
                  counters: CostCounters, hfta: HFTA,
-                 slices: list[tuple[int, int, int]],
+                 epochs: list[tuple[int, int, int]],
                  values: np.ndarray | None, times0: np.ndarray,
-                 ones: np.ndarray, rows: np.ndarray | None = None,
-                 tables: Tables | None = None, workers: int = 1) -> None:
+                 ones: np.ndarray, shards: np.ndarray | None = None,
+                 slices: int = 1, tables: Tables | None = None,
+                 workers: int = 1) -> None:
     """Every epoch through the ingest kernel, one call per epoch, on
-    ``workers`` threads (the calling one alone when 1). The walk folds
-    each emitting relation's runs, extending the state the HFTA already
-    holds for that relation and epoch; the HFTA and the counters take
-    the folded states after the last epoch, in epoch order. With
-    ``rows`` the kernel reads the stream's rows through it."""
+    ``workers`` threads (the calling one alone when 1), with ``slices``
+    slices per table and each row in its ``shards`` slice. The walk
+    folds each emitting relation's runs, extending the state the HFTA
+    already holds for that relation and epoch; the HFTA and the counters
+    take the folded states after the last epoch, in epoch order."""
     rels = config.relations
     names = list(dict.fromkeys(a for rel in rels for a in rel.names))
 
@@ -295,10 +311,11 @@ def _walk_native(dataset: Dataset, config: Configuration,
             [[column[a] for a in rel.names] for rel in rels],
             [salts[rel] for rel in rels],
             [table_sizes[rel] for rel in rels], emit, values is not None,
-            longest)
+            longest, slices)
 
     key = (config, tuple(table_sizes[rel] for rel in rels),
-           tuple(salts[rel] for rel in rels), tuple(emit), values is None)
+           tuple(salts[rel] for rel in rels), tuple(emit), values is None,
+           slices)
     walk = tables.walk if tables is not None and tables.key == key else None
     if walk is None or walk.longest < times0.shape[0]:
         # a kept walk that an epoch outgrew doubles
@@ -313,9 +330,9 @@ def _walk_native(dataset: Dataset, config: Configuration,
         values = np.ascontiguousarray(values, dtype=np.float64)
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
-    # an earlier shard, an earlier call).
+    # an earlier call).
     seeds: dict[int, dict[int, ColumnarTotals]] = {}
-    for epoch_id, _, _ in slices:
+    for epoch_id, _, _ in epochs:
         for r, emits in enumerate(emit):
             held = hfta.totals_columnar(rels[r], epoch_id) if emits else None
             if held is not None:
@@ -325,7 +342,7 @@ def _walk_native(dataset: Dataset, config: Configuration,
     room = times0.shape[0] + max((s.n_groups for held in seeds.values()
                                   for s in held.values()), default=0)
     for w in walks:
-        w.bind(columns, values)
+        w.bind(columns, values, shards)
         w.reserve_folds(room)
         w.stats[:] = 0
 
@@ -338,16 +355,12 @@ def _walk_native(dataset: Dataset, config: Configuration,
         held = seeds.get(epoch_id, {})
         extend = {r: (s.columns, s.counts, s.value_sums, s.value_mins,
                       s.value_maxs) for r, s in held.items()}
-        if rows is None:  # the kernel's rows are relative to ``start``
-            start, folds = lo, _native.ingest_runs(
-                own, lo, times0[:n], ones[:n], seeds=extend)
-        else:
-            start, folds = 0, _native.ingest_runs(
-                own, 0, times0[:n], ones[:n], rows[lo:hi], extend)
+        # the folds' rows are relative to ``lo``
+        folds = _native.ingest_runs(own, lo, times0[:n], ones[:n], extend)
         states = []
         for fold in folds:
             rel = rels[fold.relation]
-            cols = [dataset.columns[a][start:][fold.reps] for a in rel.names]
+            cols = [dataset.columns[a][lo:][fold.reps] for a in rel.names]
             if fold.relation in held:
                 cols = [np.concatenate((old, new)) for old, new
                         in zip(held[fold.relation].columns, cols)]
@@ -357,12 +370,12 @@ def _walk_native(dataset: Dataset, config: Configuration,
         return states
 
     if len(walks) == 1:
-        folded = [epoch_states(walk, *piece) for piece in slices]
+        folded = [epoch_states(walk, *piece) for piece in epochs]
         stats = walk.stats
     else:
-        folded = _on_pool(walks, slices, epoch_states)
+        folded = _on_pool(walks, epochs, epoch_states)
         stats = sum(w.stats for w in walks)
-    for (epoch_id, _, _), states in zip(slices, folded):
+    for (epoch_id, _, _), states in zip(epochs, folded):
         for rel, state, runs in states:
             hfta.ingest_folded(rel, epoch_id, state, runs)
     # Every relation sees arrivals in every non-empty epoch.
@@ -375,16 +388,16 @@ def _walk_native(dataset: Dataset, config: Configuration,
         c.evictions_flush += e_flush
 
 
-def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
+def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],
              epoch_states) -> list[list]:
     """``epoch_states(walk, epoch_id, start, end)`` of every epoch, on
     one thread per walk; each thread pulls the next epoch from a shared
     queue. The first exception stops the threads after their current
     epoch and is raised here."""
     todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for i in range(len(slices)):
+    for i in range(len(epochs)):
         todo.put(i)
-    folded: list = [None] * len(slices)
+    folded: list = [None] * len(epochs)
     failed = threading.Event()
 
     def run(own: _native.Walk) -> None:
@@ -394,7 +407,7 @@ def _on_pool(walks: list[_native.Walk], slices: list[tuple[int, int, int]],
                     i = todo.get_nowait()
                 except queue.Empty:
                     return
-                folded[i] = epoch_states(own, *slices[i])
+                folded[i] = epoch_states(own, *epochs[i])
         except BaseException:
             failed.set()
             raise
@@ -411,40 +424,43 @@ def _walk_numpy(dataset: Dataset, config: Configuration,
                 table_sizes: dict[AttributeSet, int],
                 salts: dict[AttributeSet, int], emit: list[bool],
                 counters: CostCounters, hfta: HFTA,
-                slices: list[tuple[int, int, int]],
+                epochs: list[tuple[int, int, int]],
                 values: np.ndarray | None, times0: np.ndarray,
-                ones: np.ndarray, rows: np.ndarray | None = None) -> None:
-    """Every epoch through the numpy walk, one relation at a time; with
-    ``rows`` each epoch gathers its rows through it."""
+                ones: np.ndarray, shards: np.ndarray | None = None,
+                slices: int = 1) -> None:
+    """Every epoch through the numpy walk, one relation at a time, with
+    ``slices`` slices per table and each row in its ``shards`` slice:
+    the shard ids travel with every arrival batch."""
     depths = {rel: config.depth(rel) for rel in config.relations}
-    max_b = max(table_sizes.values())
+    max_b = max(table_sizes.values()) * slices
     raw = set(config.raw_relations)
-    for epoch_id, lo, hi in slices:
+    for epoch_id, lo, hi in epochs:
         n = hi - lo
         stride = np.int64(n + max_b + 2)
         arrivals: dict[AttributeSet, _Arrivals] = {}
-        take = slice(lo, hi) if rows is None else rows[lo:hi]
-        vals = values[take] if values is not None else None
+        vals = values[lo:hi] if values is not None else None
+        shard = shards[lo:hi] if shards is not None else None
         for root in raw:
-            cols = {a: dataset.columns[a][take] for a in root.names}
+            cols = {a: dataset.columns[a][lo:hi] for a in root.names}
             # A single record's partials: sum = min = max = its value.
-            arrivals[root] = (times0[:n], ones[:n], vals, vals, vals, cols)
+            arrivals[root] = (times0[:n], ones[:n], vals, vals, vals, cols,
+                              shard)
         for rel, emits in zip(config.relations, emit):  # parents first
-            t, w, vs, vmin, vmax, cols = arrivals.pop(rel)
+            t, w, vs, vmin, vmax, cols, shard = arrivals.pop(rel)
             evicted = _process_relation(
                 rel, t, w, vs, vmin, vmax, cols, n, stride,
                 table_sizes[rel], salts[rel], depths[rel], counters,
-                times_sorted=rel in raw)
+                times_sorted=rel in raw, shard=shard)
             if evicted is None:
                 continue
-            ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols = evicted
+            ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols, ev_shard = evicted
             if emits:
                 hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
                                    ev_vmin, ev_vmax)
             for child in config.children(rel):
                 child_cols = {a: ev_cols[a] for a in child.names}
                 arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
-                                   child_cols)
+                                   child_cols, ev_shard)
 
 
 def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
@@ -454,6 +470,7 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                       n: int, stride: np.int64, n_buckets: int, salt: int,
                       depth: int, counters: CostCounters,
                       times_sorted: bool = False,
+                      shard: np.ndarray | None = None,
                       ) -> _Arrivals | None:
     c = counters.counters(rel)
     m = int(t.shape[0])
@@ -467,6 +484,8 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
     columns = [cols[a] for a in rel.names]
     key = pack_tuples(columns)
     bkt = bucket_indices(columns, salt, n_buckets)
+    if shard is not None:  # each shard's slice of the table
+        bkt += shard * n_buckets
     if times_sorted:
         # t is already ascending (raw streams arrive in time order), so a
         # stable single-key sort on the bucket yields the same permutation
@@ -514,4 +533,5 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
 
     rep = order[run_start]
     ev_cols = {a: cols[a][rep] for a in rel.names}
-    return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols
+    ev_shard = shard[rep] if shard is not None else None
+    return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols, ev_shard

@@ -16,11 +16,13 @@ state. Every producer folds on arrival:
   (:meth:`HFTA.ingest_folded`).
 * A batch of rows (:meth:`HFTA.ingest_arrays`: the numpy walk, one
   batch per emitting relation and epoch; the record-at-a-time
-  reference, one per leaf at each epoch's flush; any caller) is
+  reference, one per query at each epoch's flush; any caller) is
   folded into the key's state at once by a vectorized numpy fold.
 
 A key's memory is therefore bounded by its group count, not by how
-many batches (collisions, shards) ever mentioned it.
+many batches (collisions, shards) ever mentioned it. A sharded run is
+one walk whose fold takes every shard's runs, shard 0's first, so a
+key is folded once whatever the shard count.
 
 Bit-identity of float sums across incremental folds relies on one
 ordering rule: a fold takes the held state's rows *first*, then the new
@@ -32,11 +34,7 @@ is bitwise ``S`` for any accumulated sum ``S`` (state sums are never
 rule: a seeded fold puts the state the key holds first, then the runs,
 so a live epoch reopened after ``finish()`` adds its floats as one fold
 would. Both folds write a NaN sum as ``np.nan``'s bits, so the kernel
-and numpy paths hold the same bytes. A sharded run walks each shard
-into the HFTA the shard before it handed over (:meth:`hand_over`), so
-its folds extend the earlier shards' states in shard order.
-:meth:`merge_from`, for HFTAs filled apart, adopts the keys only the
-other side holds and folds the two states of a key both hold.
+and numpy paths hold the same bytes.
 
 A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
 read-only ``Mapping`` over one key's folded state, with the aggregate
@@ -254,6 +252,7 @@ def _fold(held: ColumnarTotals | None,
                           sums, mins, maxs)
 
 
+#: The fields a pickled HFTA restores.
 class HFTA:
     """Merges evicted partial aggregates into final per-epoch answers."""
 
@@ -263,10 +262,6 @@ class HFTA:
         #: its folded state over (:meth:`ingest_folded`), a batch of rows
         #: is folded into the held state (:meth:`ingest_arrays`).
         self._columnar: dict[tuple[AttributeSet, int], ColumnarTotals] = {}
-        #: Keys whose folded state another HFTA handed over
-        #: (:meth:`hand_over`): its fold counted them, so extending one
-        #: here continues that fold.
-        self._continued: set[tuple[AttributeSet, int]] = set()
         self.evictions_received = 0
         #: Diagnostic counters for the merge path (manifest/bench food).
         self.folds = 0
@@ -312,7 +307,7 @@ class HFTA:
         self._columnar[key] = _fold(held, ColumnarTotals(
             names, cols, counts, vsums, vmins, vmaxs))
         self.evictions_received += n
-        self._count_fold(key, held, n)
+        self._count_fold(held, n)
 
     def ingest_folded(self, relation: AttributeSet, epoch: int,
                       state: ColumnarTotals, rows: int) -> None:
@@ -328,74 +323,23 @@ class HFTA:
         held = self._columnar.get(key)
         self._columnar[key] = state
         self.evictions_received += rows
-        self._count_fold(key, held, rows)
+        self._count_fold(held, rows)
 
-    def _count_fold(self, key: tuple[AttributeSet, int],
-                    held: ColumnarTotals | None, rows: int) -> None:
+    def _count_fold(self, held: ColumnarTotals | None, rows: int) -> None:
         """Count a fold of ``rows`` new partials into ``held``: one fold,
-        over the held state's rows and the new ones. A state handed over
-        (:meth:`hand_over`) was counted by the HFTA that folded it, so
-        its first extension here counts only the new rows, as if one
-        fold had taken them all."""
-        if key in self._continued:
-            self._continued.discard(key)
-            self.rows_folded += rows
-            return
+        over the held state's rows and the new ones."""
         self.folds += 1
         self.rows_folded += rows + (0 if held is None else held.n_groups)
 
-    def merge_from(self, other: "HFTA") -> None:
-        """Fold another HFTA's partials into this one.
-
-        Partial aggregates are mergeable, so combining two HFTAs filled
-        apart yields the counts, minima and maxima a single HFTA fed
-        both streams would hold. A key only the other side holds is
-        adopted as it is; a key both hold gets one fold, this side's
-        state rows first, then the other side's. A float sum then adds
-        the two states' sums, which may differ in the last ulp from one
-        fold of every partial: a sharded run avoids that by walking each
-        shard into the state the one before it handed over
-        (:meth:`hand_over`), and merges only states no other side holds.
-        """
-        for key, state in other._columnar.items():
-            held = self._columnar.get(key)
-            if held is None:
-                self._columnar[key] = state
-                continue
-            self._columnar[key] = _fold(held, state)
-            self._count_fold(key, held, state.n_groups)
-        self.evictions_received += other.evictions_received
-        self.folds += other.folds
-        self.rows_folded += other.rows_folded
-
-    def hand_over(self) -> "HFTA":
-        """A new HFTA that takes this one's partials; this one keeps its
-        counters and no partials.
-
-        A sharded run walks each shard into the HFTA the shard before it
-        handed over, so every key's fold extends the earlier shards'
-        state (the ordering rule above) and no shard's states outlive
-        the next shard's walk. The new HFTA's counters start at zero,
-        and the first extension of a key counts as part of the fold
-        that began it (:meth:`_count_fold`): summed over the shards, a
-        key costs one fold over every partial, as one HFTA fed every
-        shard's evictions would count it.
-        """
-        other = HFTA()
-        other._columnar, self._columnar = self._columnar, {}
-        other._continued = set(other._columnar)
-        self._continued = set()
-        return other
-
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before the dict answers were removed carry
-        # their (always empty) cache, and no hand-over marks. Those
-        # written before every producer folded on arrival carry each
-        # key's unfolded batches, folded here in arrival order; their
-        # rows were counted in when they arrived.
+        # Older checkpoints carry fields an HFTA no longer has, both empty
+        # or derived: the dict answers' cache and the keys a sharded run
+        # handed on. Those written before every producer folded on
+        # arrival carry each key's unfolded batches, folded here in
+        # arrival order; their rows were counted in when they arrived.
         state.pop("_answer_cache", None)
+        state.pop("_continued", None)
         pending = state.pop("_batches", {})
-        state.setdefault("_continued", set())
         self.__dict__.update(state)
         for (relation, epoch), batches in pending.items():
             for batch in batches:

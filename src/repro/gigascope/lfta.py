@@ -2,10 +2,10 @@
 
 Executes a configuration forest record-at-a-time, exactly as described in
 the paper's Section 2: every record probes each *raw* relation's table; a
-collision evicts the resident entry, which cascades as a weighted insert
-into each child table (or to the HFTA from a leaf); at each epoch boundary
-every table is flushed top-down. A leaf's evictions of an epoch reach
-the HFTA as one batch, in eviction order, after the flush.
+collision evicts the resident entry, which goes to the HFTA if the relation
+is a query and cascades as a weighted insert into each child table; at each
+epoch boundary every table is flushed top-down. A query's evictions of an
+epoch reach the HFTA as one batch, in eviction order, after the flush.
 
 This implementation favours clarity over speed and is the ground truth the
 vectorized engine (:mod:`repro.gigascope.engine`) is tested against. Use it
@@ -45,10 +45,10 @@ class SequentialLFTA:
                 b, relation_salt(rel.label(), salt_seed))
         self.counters = CostCounters(config)
         self.hfta = HFTA()
-        #: Each leaf's evictions of the open epoch, in eviction order:
+        #: Each query's evictions of the open epoch, in eviction order:
         #: (group, count, sum, min, max) rows.
         self._outbox: dict[AttributeSet, list[tuple]] = {
-            rel: [] for rel in config.leaves}
+            rel: [] for rel in config.relations if config.is_emitting(rel)}
         self._phase = "intra"
         self._epoch = 0
         # Precompute the projection index of each child's attributes within
@@ -84,12 +84,10 @@ class SequentialLFTA:
     def _propagate(self, rel: AttributeSet, group: tuple[int, ...],
                    count: int, value_sum: float,
                    value_min: float, value_max: float) -> None:
-        children = self.config.children(rel)
-        if not children:
-            self._outbox[rel].append(
-                (group, count, value_sum, value_min, value_max))
-            return
-        for child in children:
+        outbox = self._outbox.get(rel)
+        if outbox is not None:  # a query: ship it to the HFTA
+            outbox.append((group, count, value_sum, value_min, value_max))
+        for child in self.config.children(rel):
             child_group = tuple(group[i] for i in self._proj[child])
             self._insert(child, child_group, count, value_sum,
                          value_min, value_max)
@@ -109,7 +107,7 @@ class SequentialLFTA:
 
     def flush_epoch(self) -> None:
         """End-of-epoch: flush every table, raw level first, then hand
-        the HFTA each leaf's evictions of the epoch as one batch."""
+        the HFTA each query's evictions of the epoch as one batch."""
         self._phase = "flush"
         for rel in self.config.relations:  # topological: parents first
             counters = self.counters.counters(rel)

@@ -2,10 +2,10 @@
 
 Counters mirror the cost model's structure: every hash-table update is an
 ``arrival`` (cost ``c1``), every entry leaving a table is an ``eviction``
-(cost ``c2`` when it leaves a *leaf* toward the HFTA; otherwise it becomes
-an arrival at the children). Intra-epoch and end-of-epoch phases are
-tracked separately so measured costs can be compared against Eq. 7 and
-Eq. 8 independently.
+(cost ``c2`` when it leaves a *query* toward the HFTA; an eviction of a
+relation with children also becomes an arrival at each of them).
+Intra-epoch and end-of-epoch phases are tracked separately so measured
+costs can be compared against Eq. 7 and Eq. 8 independently.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ class CostCounters:
     def measured_intra_cost(self, params: CostParameters) -> CostBreakdown:
         """Total intra-epoch cost actually incurred (compare with Eq. 7 * n)."""
         probe = sum(c.arrivals_intra for c in self.relations.values())
-        evict = sum(self.relations[rel].evictions_intra
-                    for rel in self.configuration.leaves
-                    if rel in self.relations)
+        evict = sum(c.evictions_intra for rel, c in self.relations.items()
+                    if self.configuration.is_emitting(rel))
         return CostBreakdown(probe * params.probe_cost,
                              evict * params.evict_cost)
 
@@ -71,9 +70,8 @@ class CostCounters:
         probe = sum(self.relations[rel].arrivals_flush
                     for rel in self.relations
                     if not self.configuration.is_raw(rel))
-        evict = sum(self.relations[rel].evictions_flush
-                    for rel in self.configuration.leaves
-                    if rel in self.relations)
+        evict = sum(c.evictions_flush for rel, c in self.relations.items()
+                    if self.configuration.is_emitting(rel))
         return CostBreakdown(probe * params.probe_cost,
                              evict * params.evict_cost)
 
@@ -91,8 +89,7 @@ class SimulationResult:
     (:func:`repro.gigascope.engine.simulate`); tests assert the two agree
     counter-for-counter. ``walk`` names how the LFTA ran: ``"native
     kernel, N workers"`` or ``"numpy"`` from the engine, ``"record at a
-    time"`` from the reference; a merge of shards keeps their distinct
-    descriptions.
+    time"`` from the reference.
     """
 
     counters: CostCounters

@@ -60,6 +60,23 @@ class StreamSchema:
         return AttributeSet(self.attributes)
 
 
+_NAN_BITS = np.float64(np.nan).view(np.uint64)
+
+
+def _canonical_nans(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN written as ``np.nan``'s bits: the array
+    itself when they all are, else a copy."""
+    nan = np.isnan(values)
+    if not nan.any():
+        return values
+    other = nan & (values.view(np.uint64) != _NAN_BITS)
+    if not other.any():
+        return values
+    values = values.copy()
+    values[other] = np.nan
+    return values
+
+
 @dataclass
 class Dataset:
     """A finite stream prefix: columns + timestamps, in arrival order.
@@ -68,6 +85,8 @@ class Dataset:
     missing or non-integer attribute column, a value column the schema
     does not declare, any column whose length differs from the
     timestamps', and timestamps that are not finite and non-decreasing.
+    A value column's NaNs enter as ``np.nan``'s bits (copied only when
+    one is not), so which NaN a minimum or maximum keeps never shows.
     """
 
     schema: StreamSchema
@@ -100,7 +119,7 @@ class Dataset:
             arr = np.asarray(raw, dtype=np.float64)
             if arr.shape != (n,):
                 raise SchemaError(f"value column {name!r} has wrong length")
-            vals[name] = arr
+            vals[name] = _canonical_nans(arr)
         self.values = vals
         # Finite ends and non-negative steps: a NaN anywhere fails a step.
         t = self.timestamps

@@ -12,8 +12,16 @@ that hashes, probes, accumulates, and detects collisions per record,
 then the end-of-epoch flush. The pass hashes a block of 64 arrivals, then
 probes that block: the hashes of a block are independent, so they overlap
 in the CPU. The raw arrivals of an epoch are a contiguous range of the
-stream's rows or, given a row index, the rows it names: a shard is
-walked in place, its attributes and values read through the index.
+stream's rows.
+
+*Shards.* A relation's table may be several slices side by side, one
+per shard: a row whose shard id is ``s`` lands in bucket ``s * b +
+hash mod b`` of a relation with ``b`` buckets per slice, and an
+eviction lands in its representative row's slice. Buckets are
+shard-major, so each slice sees its shard's records in their order,
+the flush scans shard 0's slice first and a fold takes shard 0's runs
+first: a sharded stream walks as its shards would one after the other,
+in one pass. A stream without shard ids is one slice.
 
 *The feed.* A relation appends every eviction, in the order it happens,
 to its eviction list: the collisions in arrival-time order, then the
@@ -24,8 +32,8 @@ run's representative, and children hash and compare the raw attribute
 columns through that row: equal on the parent's attributes means equal
 on the child's, so nothing is projected or copied.
 
-*The fold.* A relation whose emit flag is set (today the forest's
-leaves; a relation may emit and feed children) is the HFTA's input, and
+*The fold.* A relation whose emit flag is set (a query; a relation may
+emit and feed children) is the HFTA's input, and
 the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in the
 numpy path's emission order (bucket, start-time), go straight into an
 open-addressing group table — the ``find_slot`` probe of
@@ -130,11 +138,12 @@ typedef struct {
 } fold_t;
 
 /* One configuration bound to one stream; relations in topological
- * order. Scratch is sized for the longest epoch (`longest` arrivals per
- * relation) and the largest table. */
+ * order. Relation r's table is n_slices slices of n_buckets[r] buckets
+ * side by side; a row lands in slice shard[row] (slice 0 when shard is
+ * NULL). Scratch is sized for the longest epoch (`longest` arrivals per
+ * relation) and the largest table, every slice included. */
 typedef struct {
-    int64_t n_rel, longest, max_buckets;
-    int64_t n_stream;           /* rows of the bound stream */
+    int64_t n_rel, longest, max_buckets, n_slices;
     const int64_t *parent;      /* walk index of the parent, -1 = raw */
     const int64_t *key_off;     /* [n_rel + 1] into key_col */
     const int64_t *key_col;     /* stream column of each key column */
@@ -143,6 +152,7 @@ typedef struct {
     const int64_t *fold_slot;   /* the fold of an emitting relation */
     const uint64_t *const *columns;  /* the stream's attribute columns */
     const double *values;       /* the stream's value column, or NULL */
+    const int64_t *shard;       /* the stream's slice per row, or NULL */
     const uint64_t **keys;      /* [key_off[n_rel]] this epoch's columns */
     int64_t *slot_run;          /* [max_buckets], validated, never reset */
     int64_t *bucket_pos;        /* [max_buckets] */
@@ -251,10 +261,11 @@ static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
     return 0;
 }
 
-/* One relation-epoch. Arrival j is raw row rows[j] (row j when rows is
- * NULL) at time t[j] with weight w[j]; vs/vmin/vmax are NULL for a
- * count-only stream. A raw relation reads an arrival's value at its row,
- * a child at j (its parent's evictions). Returns -1 when out of memory. */
+/* One relation-epoch. Arrival j is row rows[j] (row j when rows is
+ * NULL: a raw relation's) at time t[j] with weight w[j], its partials
+ * vs/vmin/vmax[j], which are NULL for a count-only stream. Its bucket
+ * is its row's slice times nb plus its hash mod nb. Returns -1 when out
+ * of memory. */
 static int walk_relation(
     walk_t *W, int64_t r, int64_t start, int64_t n, int64_t stride,
     int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
@@ -264,10 +275,11 @@ static int walk_relation(
     const int64_t k = W->key_off[r + 1] - W->key_off[r];
     const uint64_t **keys = W->keys + W->key_off[r];
     const uint64_t nb = (uint64_t)W->n_buckets[r];
+    const int64_t nb_all = W->n_buckets[r] * W->n_slices;
+    const int64_t *shard = W->shard ? W->shard + start : NULL;
     const uint64_t state = mix64(W->salt[r]);
     const int64_t flush_base = n + W->depth[r] * stride;
     const int has_values = vs != NULL;
-    const int raw = W->parent[r] < 0;
     const int feeds = (int)W->feeds[r];
     int64_t *slot_run = W->slot_run;
     run_t *runs = W->runs;
@@ -319,9 +331,10 @@ static int walk_relation(
         }
         for (j = j0; j < j1; j++) {
             const int64_t row = blk_row[j - j0];
-            const int64_t v = raw ? row : j;
             if (t[j] < n) arr_intra++;
             b = (int64_t)(blk_hash[j - j0] % nb);
+            if (shard)
+                b += shard[row] * (int64_t)nb;
             q = slot_run[b];
             /* The slot is live iff it names a run of this pass that
              * started in this bucket; anything else is a stale or
@@ -333,12 +346,12 @@ static int walk_relation(
                 if (c == k) {  /* probe hit: extend the resident run */
                     R->w += w[j];
                     if (has_values) {
-                        R->vs += vs[v];
+                        R->vs += vs[j];
                         /* np.minimum/np.maximum: NaN always propagates */
-                        if (isnan(vmin[v]) || vmin[v] < R->vmin)
-                            R->vmin = vmin[v];
-                        if (isnan(vmax[v]) || vmax[v] > R->vmax)
-                            R->vmax = vmax[v];
+                        if (isnan(vmin[j]) || vmin[j] < R->vmin)
+                            R->vmin = vmin[j];
+                        if (isnan(vmax[j]) || vmax[j] > R->vmax)
+                            R->vmax = vmax[j];
                     }
                     continue;
                 }
@@ -354,18 +367,18 @@ static int walk_relation(
             R->row = row;
             R->w = w[j];
             if (has_values) {
-                R->vs = 0.0 + vs[v];  /* bincount seeds its sums at 0.0 */
-                R->vmin = vmin[v];
-                R->vmax = vmax[v];
+                R->vs = 0.0 + vs[j];  /* bincount seeds its sums at 0.0 */
+                R->vmin = vmin[j];
+                R->vmax = vmax[j];
             }
         }
     }
 
     /* End-of-epoch flush in bucket order: scan the table when it is
      * small against the runs, else sort the runs by (bucket, start). */
-    dense = nb <= 8 * (uint64_t)n_runs + 1024;
+    dense = nb_all <= 8 * n_runs + 1024;
     if (dense) {
-        for (b = 0; b < (int64_t)nb; b++) {
+        for (b = 0; b < nb_all; b++) {
             q = slot_run[b];
             if ((uint64_t)q < (uint64_t)n_runs && runs[q].bucket == b)
                 EVICT(&runs[q], flush_base + b);
@@ -390,12 +403,12 @@ static int walk_relation(
     if (W->emit[r]) {
         if (dense) {
             int64_t *bucket_pos = W->bucket_pos;
-            for (b = 0; b < (int64_t)nb; b++)
+            for (b = 0; b < nb_all; b++)
                 bucket_pos[b] = 0;
             for (q = 0; q < n_runs; q++)
                 bucket_pos[runs[q].bucket]++;
             offset = 0;
-            for (b = 0; b < (int64_t)nb; b++) {
+            for (b = 0; b < nb_all; b++) {
                 count = bucket_pos[b];
                 bucket_pos[b] = offset;
                 offset += count;
@@ -416,26 +429,18 @@ static int walk_relation(
     return 0;
 }
 
-/* One epoch through the whole forest: n rows of the stream arrive at
- * the raw relations at times t with weights w, arrival j being row
- * start + j, or start + rows[j] when rows is not NULL; every other
- * relation is fed its parent's evictions in eviction order. Returns -1;
- * or the first j whose start + rows[j] lies outside the stream, in
- * which case nothing has been walked; or -2 when a fold ran out of
- * memory. */
-int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
-                   const int64_t *t, const int64_t *w, int64_t n)
+/* One epoch through the whole forest: rows start + j, j < n, of the
+ * stream arrive at the raw relations at times t with weights w; every
+ * other relation is fed its parent's evictions in eviction order.
+ * Returns 0, or -1 when a fold ran out of memory. */
+int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
+                   const int64_t *w, int64_t n)
 {
     const int64_t L = W->longest;
     const int64_t stride = n + W->max_buckets + 2;
     const double *values = W->values ? W->values + start : NULL;
-    int64_t r, p, d, j;
+    int64_t r, p, d;
     int failed;
-
-    if (rows)
-        for (j = 0; j < n; j++)
-            if ((uint64_t)rows[j] >= (uint64_t)(W->n_stream - start))
-                return j;
 
     for (r = 0; r < W->n_rel; r++)
         if (W->emit[r])
@@ -444,7 +449,7 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
         W->n_runs[r] = 0;
         p = W->parent[r];
         if (p < 0) {
-            failed = n > 0 && walk_relation(W, r, start, n, stride, n, rows,
+            failed = n > 0 && walk_relation(W, r, start, n, stride, n, NULL,
                                             t, w, values, values, values);
         } else if (W->n_runs[p] == 0) {
             continue;
@@ -459,9 +464,9 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *rows,
                 values ? W->ev_f + d * 3 * L + 2 * L : NULL);
         }
         if (failed)
-            return -2;
+            return -1;
     }
-    return -1;
+    return 0;
 }
 
 /* Release the folds' group table. */
@@ -486,10 +491,10 @@ class _WalkStruct(ctypes.Structure):
     """``walk_t``: every pointer a ``void *`` on this side."""
 
     _fields_ = [(name, ctypes.c_int64) for name in
-                ("n_rel", "longest", "max_buckets", "n_stream")] + \
+                ("n_rel", "longest", "max_buckets", "n_slices")] + \
         [(name, ctypes.c_void_p) for name in
          ("parent", "key_off", "key_col", "salt", "n_buckets", "depth",
-          "emit", "feeds", "fold_slot", "columns", "values", "keys",
+          "emit", "feeds", "fold_slot", "columns", "values", "shard", "keys",
           "slot_run", "bucket_pos", "runs", "order", "ev_i", "ev_f",
           "folds", "n_runs", "stats", "table")] + \
         [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
@@ -499,7 +504,7 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 
 _SIGNATURES = {
     "repro_walk": (ctypes.c_int64, [
-        ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P, _I64P,
+        ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P,
         ctypes.c_int64,
     ]),
     "repro_walk_free": (None, [ctypes.POINTER(_WalkStruct)]),
@@ -551,6 +556,9 @@ class Walk:
     for a raw relation), ``keys[r]`` the indices of its attributes among
     the bound stream's columns, and ``emit[r]`` whether the walk folds
     its runs; ``values`` says whether the streams carry a value column.
+    Each relation's table is ``slices`` slices of ``buckets[r]`` buckets
+    side by side: a row lands in the slice its stream's shard id names
+    (:meth:`bind`), slice 0 when the stream has none.
     Scratch for epochs of up to ``longest`` records is allocated here,
     once, and serves every stream the walk is bound to; the folds' group
     table is allocated by the kernel, as large as the largest fold needs,
@@ -562,7 +570,7 @@ class Walk:
     def __init__(self, parent: Sequence[int],
                  keys: Sequence[Sequence[int]], salts: Sequence[int],
                  buckets: Sequence[int], emit: Sequence[bool],
-                 values: bool, longest: int):
+                 values: bool, longest: int, slices: int = 1):
         n_rel = len(parent)
         if any(len(seq) != n_rel for seq in (keys, salts, buckets, emit)):
             raise ValueError("every per-relation sequence needs one entry "
@@ -604,7 +612,8 @@ class Walk:
         key_off = np.zeros(n_rel + 1, dtype=np.int64)
         key_off[1:] = np.cumsum([len(k) for k in keys])
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
-        max_b = max(buckets, default=1)
+        self.slices = max(int(slices), 1)
+        max_b = max(buckets, default=1) * self.slices
         fl = levels if values else 0
         i64 = np.int64
         # Kept alive here for as long as the kernel may read them.
@@ -634,7 +643,7 @@ class Walk:
         self._fold_room = 0
         self.reserve_folds(L)
         struct = self._struct = _WalkStruct(
-            n_rel=n_rel, longest=L, max_buckets=max_b)
+            n_rel=n_rel, longest=L, max_buckets=max_b, n_slices=self.slices)
         for name, array in arrays.items():
             setattr(struct, name, array.ctypes.data)
         struct.folds = ctypes.addressof(self._folds)
@@ -647,6 +656,7 @@ class Walk:
         self.rows = 0
         self.columns: list[np.ndarray] = []
         self.values: np.ndarray | None = None
+        self.shards: np.ndarray | None = None
 
     def reserve_folds(self, room: int) -> None:
         """Give every fold output room for ``room`` groups, a seed's
@@ -673,26 +683,37 @@ class Walk:
             self._fold_out.append(out)
 
     def bind(self, columns: Sequence[np.ndarray],
-             values: np.ndarray | None) -> None:
+             values: np.ndarray | None,
+             shards: np.ndarray | None = None) -> None:
         """Point the walk at a stream: its integer attribute columns (the
-        ones ``keys`` index) and its value column, or None."""
+        ones ``keys`` index), its value column, or None, and its rows'
+        shard ids (each in ``[0, slices)``), or None for slice 0."""
         if len(columns) < self.n_columns or \
                 (values is not None) != self.has_values:
             raise ValueError("the stream does not have the walk's columns")
+        if shards is not None:
+            shards = np.ascontiguousarray(shards, dtype=np.int64)
+            # one pass: a negative id reads as a huge unsigned one
+            if shards.ndim != 1 or (shards.size and shards.view(
+                    np.uint64).max() >= self.slices):
+                raise ValueError(f"shard ids must be 1-D and lie in "
+                                 f"[0, {self.slices})")
         # The kernel reads the stream through base pointers: every
         # column must be one contiguous int64 (hence uint64) run.
         self.columns = [np.ascontiguousarray(col, dtype=np.int64)
                         .view(np.uint64) for col in columns]
         self.values = (None if values is None else
                        np.ascontiguousarray(values, dtype=np.float64))
+        self.shards = shards
         self._column_ptrs[:] = [
             col.ctypes.data for col in self.columns[:self.n_columns]]
         self._struct.values = (None if self.values is None
                                else self.values.ctypes.data)
+        self._struct.shard = None if shards is None else shards.ctypes.data
         lengths = [col.shape[0] for col in self.columns]
-        if self.values is not None:
-            lengths.append(self.values.shape[0])
-        self.rows = self._struct.n_stream = min(lengths, default=0)
+        lengths += [a.shape[0] for a in (self.values, shards)
+                    if a is not None]
+        self.rows = min(lengths, default=0)
 
 
 def _seed_keys(seed: Seed, k: int):
@@ -713,19 +734,15 @@ def _seed_keys(seed: Seed, k: int):
 
 
 def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
-                rows: np.ndarray | None = None,
                 seeds: Mapping[int, Seed] | None = None) -> list[Fold]:
     """Run one epoch through every relation of ``walk`` in one call.
 
     Rows ``[start, start + len(t))`` of the walk's stream arrive at the
     raw relations at times ``t`` (distinct and ascending; ``[0, n)`` in
-    every runtime) with weights ``w`` (all 1 in every runtime). With
-    ``rows`` (contiguous int64, one per arrival, each in ``[0, walk.rows
-    - start)``, which the kernel checks before it walks) arrival ``j`` is
-    row ``start + rows[j]`` instead, its attributes and value read
-    through that index. The epoch is ``n = len(t)`` long, so the flush
-    windows start at ``n``. Every other relation is fed its parent's
-    evictions.
+    every runtime) with weights ``w`` (all 1 in every runtime), each in
+    its shard's slice of every table. The epoch is ``n = len(t)`` long,
+    so the flush windows start at ``n``. Every other relation is fed its
+    parent's evictions.
 
     Every emitting relation's runs are folded in the walk, in the numpy
     path's (bucket, start-time) order; ``seeds[r]``, when given, is the
@@ -738,20 +755,12 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     lib = _kernel()
     assert lib is not None
     n = int(t.shape[0])
-    if n > walk.longest or not 0 <= start <= walk.rows or \
-            (rows is None and start + n > walk.rows):
+    if n > walk.longest or not 0 <= start <= start + n <= walk.rows:
         raise ValueError(f"epoch rows [{start}, {start + n}) outside the "
                          f"walk's stream or scratch")
     if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
             or not (t.flags.c_contiguous and w.flags.c_contiguous):
         raise ValueError("t and w must be equal-length contiguous int64")
-    raw = None
-    if rows is not None:
-        if rows.shape != t.shape or rows.dtype != np.int64 \
-                or not rows.flags.c_contiguous:
-            raise ValueError("rows must be contiguous int64, one per "
-                             "arrival")
-        raw = rows.ctypes.data_as(_I64P)
     # Every seed is checked before the walk's outputs take any of them.
     seeded = {}
     key_off = walk._arrays["key_off"]
@@ -773,19 +782,14 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
             out_vmax[:g] = maxs
             fold = walk._folds[slot]
             fold.n_seed, fold.seed = g, addresses.ctypes.data
-        status = lib.repro_walk(walk._ref, start, raw,
-                                t.ctypes.data_as(_I64P),
+        status = lib.repro_walk(walk._ref, start, t.ctypes.data_as(_I64P),
                                 w.ctypes.data_as(_I64P), n)
     finally:
         for r in seeded:
             fold = walk._folds[walk.fold_slot[r]]
             fold.n_seed, fold.seed = 0, None
-    if status == -2:
+    if status < 0:
         raise MemoryError("no memory for the ingest walk's group table")
-    if status >= 0:
-        raise ValueError(f"rows[{status}] = {rows[status]} outside [0, "
-                         f"{walk.rows - start}): the walk's stream past "
-                         f"row {start}")
     out = []
     for r, slot in enumerate(walk.fold_slot):
         if slot < 0:

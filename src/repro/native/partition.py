@@ -10,9 +10,9 @@ temporary each; this kernel makes it one streaming pass:
   :data:`repro.native.build.HASH_CHAIN_SOURCE`), reduced ``% n_shards``
   to int64 shard ids.
 
-The ids are the whole of the kernel's job: a shard is a row index into
-the stream's columns (:func:`repro.parallel.partition.shard_rows`), which
-the engine walks in place, so no lane is copied.
+The ids are the whole of the kernel's job: the engine takes them as
+they are (``simulate(..., shards=ids)``) and walks each record in its
+shard's slice of every table, so no lane is copied or indexed.
 
 Bit-identity contract (pinned by ``tests/parallel/test_partition.py``):
 int64 attribute values are *viewed* as uint64, which wraps negatives

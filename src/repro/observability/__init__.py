@@ -7,11 +7,12 @@ each usable alone:
   counters / gauges / histograms with an injected clock, mergeable
   across processes;
 * :class:`Span` / :func:`trace` (:mod:`~repro.observability.tracing`) —
-  phase timing (partition / engine / merge / flush) that no-ops when no
+  phase timing (partition / engine / flush) that no-ops when no
   registry is attached;
 * :class:`RunManifest` (:mod:`~repro.observability.manifest`) — one JSON
-  document per run: plan, allocation, per-relation counters, per-shard
-  spans, epoch reports, git SHA.
+  document per run: plan, allocation, per-relation counters, epoch
+  reports, git SHA, and whatever the caller adds (a sharded run's
+  partition).
 
 Every runtime entry point (`simulate`, `StreamSystem.run`,
 `ShardedStreamSystem`, `LiveStreamSystem`, ``repro-plan

@@ -2,16 +2,11 @@
 
 A :class:`RunManifest` captures everything needed to reproduce and audit
 one streaming run — the plan and its bucket allocation, the cost
-parameters, per-relation event counters, per-shard counters and phase
-spans, per-epoch reports and reconfigurations from live runs, the full
-metrics-registry snapshot, and the git SHA of the code that ran.
-
-Epoch-count caveat: like :func:`repro.parallel.merge.merge_results`, a
-manifest assembled from shard partials records ``n_epochs`` as reported
-by the merge — pass the stream's own distinct-epoch count where
-available, because an epoch whose records were all filtered (or landed on
-no shard) contributes no HFTA evictions and would otherwise be
-undercounted.
+parameters, per-relation event counters, per-epoch reports and
+reconfigurations from live runs, the full metrics-registry snapshot,
+and the git SHA of the code that ran. A sharded run is one walk, so its
+counters are the run's; how its records landed across shards rides in
+``extra["partition"]``.
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ class RunManifest:
     n_epochs: int = 0
     costs: dict[str, float] = field(default_factory=dict)
     relations: dict[str, dict] = field(default_factory=dict)
-    shards: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
     reconfigurations: list[dict] = field(default_factory=list)
     #: Host + native-kernel diagnostics (platform, compiler, per-kernel
@@ -81,8 +75,7 @@ class RunManifest:
 
     @classmethod
     def collect(cls, report=None, *, plan=None, queries=None,
-                buckets=None, registry=None, shard_results=None,
-                shard_registries=None, epoch_reports=None,
+                buckets=None, registry=None, epoch_reports=None,
                 reconfigurations=None,
                 created_unix: float | None = None,
                 git_sha: str | None | bool = True,
@@ -98,9 +91,6 @@ class RunManifest:
         registry:
             The run's :class:`~repro.observability.MetricsRegistry`;
             snapshotted whole into ``metrics``.
-        shard_results / shard_registries:
-            Parallel lists from :class:`ShardedStreamSystem` — per-shard
-            counters and per-shard phase spans.
         epoch_reports / reconfigurations:
             From :class:`LiveStreamSystem` incremental runs.
         git_sha:
@@ -145,19 +135,6 @@ class RunManifest:
                 queries = report.queries
         if queries is not None:
             manifest.queries = [str(q) for q in queries]
-        if shard_results:
-            registries = list(shard_registries or [])
-            for index, shard in enumerate(shard_results):
-                entry = {
-                    "index": index,
-                    "n_records": shard.n_records,
-                    "n_epochs": shard.n_epochs,
-                    "relations": _relations_dict(shard.counters),
-                }
-                if index < len(registries) and registries[index] is not None:
-                    entry["spans"] = [s.to_dict()
-                                      for s in registries[index].spans]
-                manifest.shards.append(entry)
         if epoch_reports:
             manifest.epochs = [
                 {"epoch": r.epoch, "records": r.records,
@@ -196,7 +173,6 @@ class RunManifest:
             "n_epochs": self.n_epochs,
             "costs": self.costs,
             "relations": self.relations,
-            "shards": self.shards,
             "epochs": self.epochs,
             "reconfigurations": self.reconfigurations,
             "machine": self.machine,

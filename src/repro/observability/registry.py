@@ -18,8 +18,8 @@ deterministic.
 Registries are plain objects: a sub-task can build one, run
 instrumented code, and hand the registry back to be
 :meth:`merged <MetricsRegistry.merge>` (optionally under a name prefix,
-which is how :class:`~repro.parallel.sharded.ShardedStreamSystem` folds
-per-shard sub-registries into the run-level one).
+which is how :class:`~repro.service.StreamService` folds each tenant's
+registry into its metrics).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class _Event:
 
 @dataclass
 class MetricsRegistry:
-    """Named instruments + spans + events for one run (or one shard)."""
+    """Named instruments + spans + events for one run (or one tenant)."""
 
     clock: Callable[[], float] = time.perf_counter
     counters: dict[str, Counter] = field(default_factory=dict)
@@ -155,7 +155,7 @@ class MetricsRegistry:
 
         Counters and histograms accumulate; gauges take the other
         registry's value (last write wins); spans and events are appended
-        with the prefixed name. Used to surface per-shard sub-registries
+        with the prefixed name. Used to surface per-tenant sub-registries
         in the run-level registry without name collisions.
         """
         for name, counter in other.counters.items():

@@ -1,28 +1,22 @@
-"""Sharded parallel ingestion: partition the stream, merge exact partials.
+"""Sharded ingestion: partition the stream, walk every shard at once.
 
 The paper's LFTA/HFTA split is shard-friendly by construction — partial
 aggregates for count/sum/min/max merge exactly — so the stream can be
-partitioned across N independent LFTA shard engines whose outputs one
-HFTA-level merge combines into the same per-epoch answers the single-core
-:class:`~repro.gigascope.runtime.StreamSystem` produces.
+partitioned across N LFTA shard tables whose evictions one HFTA folds
+into the same per-epoch answers the single-core
+:class:`~repro.gigascope.runtime.StreamSystem` produces. The N tables of
+a relation are N slices of one table, walked in one pass.
 
 * :mod:`~repro.parallel.partition` — record-to-shard assignment: the
   ``shard_ids(dataset, n_shards)`` protocol, its one built-in
-  implementation :class:`HashPartitioner`, and each shard's row index;
+  implementation :class:`HashPartitioner`, and its checks;
 * :mod:`~repro.parallel.sharded` — :class:`ShardedStreamSystem`, the
-  :class:`StreamSystem` subclass whose run shards (in-process, in shard
-  order, once each);
-* :mod:`~repro.parallel.merge` — exact merging of per-shard HFTAs and
-  cost counters.
+  :class:`StreamSystem` subclass whose run partitions and walks every
+  shard in one ``simulate(..., shards=ids)`` call.
 
 See ``docs/sharding.md`` for semantics and the memory-split policy.
 """
 
-from repro.parallel.merge import (
-    merge_counters,
-    merge_hftas,
-    merge_results,
-)
 from repro.parallel.partition import (
     HashPartitioner,
     shard_balance,
@@ -33,9 +27,6 @@ from repro.parallel.sharded import ShardedStreamSystem
 __all__ = [
     "HashPartitioner",
     "ShardedStreamSystem",
-    "merge_counters",
-    "merge_hftas",
-    "merge_results",
     "shard_balance",
     "split_dataset",
 ]

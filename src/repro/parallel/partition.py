@@ -6,11 +6,10 @@ returning one integer shard id in ``[0, n_shards)`` per record of a
 aggregates are exactly mergeable (counts and value sums add,
 minima/maxima combine — the same property that makes phantoms lossless),
 *any* assignment preserves query answers; :func:`check_shard_ids`
-validates one, and :func:`shard_rows` turns it into one ascending row
-index per shard. A shard is that index into the stream's columns —
-``simulate(..., rows=)`` walks it in place — so a shard costs 8 bytes
-per record, not a copy of every lane; :func:`split_dataset` gathers the
-same rows into shard datasets for callers that want copies.
+validates one, and ``simulate(..., shards=ids)`` walks every shard in
+its own slice of each table, in one pass over the stream, so a shard
+is never copied; :func:`split_dataset` gathers each shard's rows into
+a dataset of its own for callers that want copies.
 
 :class:`HashPartitioner` is the one built-in partitioner: a salted
 splitmix64 hash of a grouping-key projection. Records of one group land
@@ -42,7 +41,6 @@ __all__ = [
     "split_dataset",
     "shard_balance",
     "balance_summary",
-    "shard_rows",
     "check_shard_count",
     "check_shard_ids",
 ]
@@ -120,13 +118,6 @@ class HashPartitioner:
         return (hashes % np.uint64(n_shards)).astype(np.int64)
 
 
-def shard_rows(shard_ids: np.ndarray, n_shards: int) -> list[np.ndarray]:
-    """Each shard's rows of a checked assignment (see
-    :func:`check_shard_ids`): one ascending int64 index per shard, what
-    ``simulate(..., rows=)`` walks."""
-    return [np.flatnonzero(shard_ids == shard) for shard in range(n_shards)]
-
-
 def shard_balance(shard_ids: np.ndarray, n_shards: int,
                   strategy: str = "") -> dict:
     """Summarize how a record-to-shard assignment actually landed.
@@ -164,8 +155,8 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
     """Materialize the shard streams for a record-to-shard assignment.
 
     ``shard_ids`` must assign every record an integer id in
-    ``[0, n_shards)``. Each shard gathers the rows :func:`shard_rows`
-    gives it, so records keep their arrival order and timestamps remain
+    ``[0, n_shards)``. Each shard gathers its rows in ascending order, so
+    records keep their arrival order and timestamps remain
     non-decreasing.
     """
     n_shards = check_shard_count(n_shards)
@@ -174,4 +165,5 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
                     {a: col[rows] for a, col in dataset.columns.items()},
                     dataset.timestamps[rows],
                     {v: col[rows] for v, col in dataset.values.items()})
-            for rows in shard_rows(ids, n_shards)]
+            for rows in (np.flatnonzero(ids == shard)
+                         for shard in range(n_shards))]

@@ -3,11 +3,11 @@
 :mod:`~repro.resilience.checkpoint` — versioned snapshot/restore for
 :class:`~repro.gigascope.online.LiveStreamSystem` (and, through its
 ``extra`` payload, :class:`~repro.service.StreamService`). A sharded run
-has no recovery layer: each shard runs once, and a failing shard raises
-:class:`~repro.errors.ShardExecutionError` naming it.
+has no recovery layer: it is one walk over every shard, and an error
+fails it as one, as it fails an unsharded run.
 
-See ``docs/resilience.md`` for the checkpoint format and the shard
-failure contract.
+See ``docs/resilience.md`` for the checkpoint format and the failure
+contract.
 """
 
 from repro.resilience.checkpoint import (

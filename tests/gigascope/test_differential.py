@@ -3,8 +3,9 @@
 Does the data path compute exactly what the paper's record-at-a-time
 LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
 {C kernels walking the epochs on 1 thread, on 3, ``numpy_kernels``} x
-{flat, two-, three-level forest} x {unsharded, 2 shards} x {counts
-only, value column} over hypothesis streams; every per-relation counter
+{flat, two-, three-level forest, forests where a query feeds others} x
+{unsharded, 2 shards} x {counts only, value column} over hypothesis
+streams; every per-relation counter
 and every HFTA key's totals (``tests/hfta_totals.py``, float sums
 included) compared for equality. Every
 mode equals the reference, hence each other; without a compiler all run
@@ -23,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import QuerySet, RelationStatistics, StreamSystem, plan
 from repro.core.allocation import ExhaustiveAllocator
+from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.gigascope import Dataset, StreamSchema
@@ -83,6 +85,33 @@ def test_engine_matches_reference(mode, forest, shards, values, stream):
         assert_matches_reference(
             dataset, config, buckets, stream["epoch_seconds"],
             value_column="v" if values else None, shards=shards)
+
+
+#: Forests in which queries feed other relations, with their queries: a
+#: query with children ships its evictions to the HFTA and feeds them.
+NESTED = [("ABC(AB(A B) C)", "ABC AB A B C"), ("ABC(AB(A) BC)", "AB A BC"),
+          ("AB(A B) C", "AB A B C"), ("ABC(AC(A C) B)", "ABC AC C A B")]
+
+
+@pytest.mark.parametrize("values", [False, True], ids=["counts", "values"])
+@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+@MODES
+@given(stream=streams)
+@settings(max_examples=25)
+def test_nested_queries_match_reference(mode, shards, values, stream):
+    notation, queries = NESTED[stream["pick"] % len(NESTED)]
+    config = Configuration.from_notation(notation, queries=[
+        AttributeSet.parse(label) for label in queries.split()])
+    dataset = abc_stream(stream["seed"], stream["n"], stream["domain"],
+                         stream["duration"], stream["clustered"])
+    buckets = {rel: stream["buckets"] + 2 * i
+               for i, rel in enumerate(config.relations)}
+    with mode():
+        got = assert_matches_reference(
+            dataset, config, buckets, stream["epoch_seconds"],
+            value_column="v" if values else None, shards=shards)
+    inner = [q for q in config.queries if not config.is_leaf(q)]
+    assert inner and all(got.hfta.epochs(q) for q in inner)
 
 
 #: Fixed streams (seeded by position) beside the hypothesis matrix: an AC

@@ -88,7 +88,9 @@ BUCKETS = st.sampled_from([1, 2, 3, 7, 64, 997, 5000])
 def make_stream(seed, epochs, domain, values, strided):
     """A stream over ``NAMES`` whose epoch ``k`` (1 s long) holds
     ``epochs[k]`` records. Strided streams hand ``Dataset`` columns of a
-    2-D array and every other element of a value array."""
+    2-D array and every other element of a value array (which
+    ``Dataset`` copies when it rewrites a ``-nan``). Nonfinite values
+    are NaNs of both signs and infinities of both signs."""
     rng = np.random.default_rng(seed)
     times = np.concatenate(
         [k + (np.arange(size) + 0.5) / (size + 1)
@@ -101,13 +103,14 @@ def make_stream(seed, epochs, domain, values, strided):
         cols = {a: grid[:, i].copy() for i, a in enumerate(NAMES)}
     vals = rng.uniform(40, 1500, 2 * n)
     if values == "nonfinite":
-        special = rng.choice([np.nan, np.inf, -np.inf], 2 * n)
+        special = rng.choice([np.nan, np.inf, -np.inf, -np.nan], 2 * n)
         vals = np.where(rng.random(2 * n) < 0.2, special, vals)
     vals = vals[::2] if strided else vals[:n].copy()
     dataset = Dataset(SCHEMA, cols, times, {"v": vals})
     if strided and n > 1:
         assert not dataset.columns["A"].flags.c_contiguous
-        assert not dataset.values["v"].flags.c_contiguous
+        assert dataset.values["v"].flags.c_contiguous == (
+            np.signbit(vals[np.isnan(vals)]).any())
     return dataset
 
 

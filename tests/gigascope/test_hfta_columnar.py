@@ -20,6 +20,7 @@ Plus the memory-bounding contract (a key holds one row per group) and
 the input check of ``ingest_arrays``.
 """
 
+import copy
 import math
 import pickle
 
@@ -70,14 +71,6 @@ def _reference_totals(batches, names):
             acc[3] = _nanprop_max(
                 acc[3], float(vmaxs[i]) if vmaxs is not None else -math.inf)
     return {g: GroupAggregate(*acc) for g, acc in totals.items()}
-
-
-def _state_rows(state):
-    """A folded state as one batch of rows, or None."""
-    if state is None:
-        return None
-    return (dict(zip(state.names, state.columns)), state.counts,
-            state.value_sums, state.value_mins, state.value_maxs)
 
 
 def _assert_totals_equal(got, want):
@@ -146,54 +139,6 @@ class TestDifferentialVsReference:
                 totals(hfta, rel, 0)
         _assert_totals_equal(totals(hfta, rel, 0),
                              _reference_totals(batches, ("A", "B")))
-
-    @given(workload=_workload(), split=st.integers(0, 6))
-    @settings(max_examples=60)
-    def test_merge_from_matches_single_stream(self, workload, split):
-        """Two HFTAs merged: counts, minima and maxima equal one HFTA
-        fed both parts in merge order. A key both hold is one fold of
-        the two states, this side's rows first, so its sums are the
-        fold of the two states' sums in merge order (a sharded run
-        avoids that sum by walking each shard into the state the one
-        before it handed over)."""
-        batches, folds = workload
-        split = min(split, len(batches))
-        rel = A("AB")
-        a, b = HFTA(), HFTA()
-        for i, batch in enumerate(batches):
-            if i < split:
-                a.ingest_arrays(rel, 0, *batch)
-                if i in folds:
-                    totals(a, rel, 0)
-            else:
-                b.ingest_arrays(rel, 0, *batch)
-        parts = [_state_rows(h.totals_columnar(rel, 0)) for h in (a, b)]
-        a.merge_from(b)
-        got = totals(a, rel, 0)
-        single = _reference_totals(batches, ("A", "B"))
-        _assert_totals_equal(
-            {g: agg._replace(value_sum=0.0) for g, agg in got.items()},
-            {g: agg._replace(value_sum=0.0) for g, agg in single.items()})
-        _assert_totals_equal(got, _reference_totals(
-            [part for part in parts if part is not None], ("A", "B")))
-
-    @given(workload=_workload())
-    @settings(max_examples=40)
-    def test_merge_into_empty_adopts_folded_state_verbatim(self,
-                                                           workload):
-        """A fully folded shard merged into an empty HFTA is adopted
-        wholesale — bitwise the shard's own totals, no re-fold."""
-        batches, _ = workload
-        rel = A("AB")
-        shard = HFTA()
-        for batch in batches:
-            shard.ingest_arrays(rel, 0, *batch)
-        totals(shard, rel, 0)
-        folds_before = shard.folds
-        parent = HFTA()
-        parent.merge_from(shard)
-        _assert_totals_equal(totals(parent, rel, 0), totals(shard, rel, 0))
-        assert parent.folds == folds_before  # adoption, not a new fold
 
     @given(workload=_workload())
     @settings(max_examples=40)
@@ -345,8 +290,7 @@ class TestBoundedMemory:
             # Every closed epoch holds compact columnar state: one row
             # per group, bounded by the (6 * 12)-group universe.
             assert set(vars(hfta)) == {
-                "_columnar", "_continued", "evictions_received", "folds",
-                "rows_folded"}
+                "_columnar", "evictions_received", "folds", "rows_folded"}
             for state in hfta._columnar.values():
                 assert state.n_groups <= 72
 
@@ -400,22 +344,6 @@ class TestColumnarInterface:
         state = hfta.totals_columnar(rel, 0)
         assert state.group_tuples() == [(7,), (2,), (5,), (1,)]
 
-    def test_merge_counters_travel_with_merge_from(self):
-        a, b = HFTA(), HFTA()
-        rel = A("A")
-        a.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 1])
-        totals(a, rel, 0)
-        b.ingest_arrays(rel, 0, {"A": [2, 2]}, [1, 1])
-        totals(b, rel, 0)
-        folds_before = a.folds + b.folds
-        rows_before = a.rows_folded + b.rows_folded
-        a.merge_from(b)
-        # the key both hold: one fold over both states' rows
-        assert a.folds == folds_before + 1
-        assert a.rows_folded == rows_before + 2
-        totals(a, rel, 0)
-        assert a.folds == folds_before + 1
-
     def test_legacy_pending_batches_fold_on_restore(self):
         """A pickled HFTA from before every producer folded on arrival
         holds unfolded batches per key: restoring folds them after the
@@ -439,6 +367,32 @@ class TestColumnarInterface:
             (2,): GroupAggregate(1, 0.25, math.inf, -math.inf)}
         assert totals(restored, rel, 1) == {
             (3,): GroupAggregate(1, 1.0, 1.0, 1.0)}
+
+    def test_legacy_hand_over_marks_restore(self):
+        """A pickled HFTA from when sharded runs handed HFTAs on carries
+        its set of handed-over keys: restoring drops it, and the answers
+        and counters are those of the HFTA that was pickled."""
+        rel = A("AB")
+        hfta = HFTA()
+        hfta.ingest_arrays(rel, 0, {"A": [1, 2, 1], "B": [3, 4, 3]},
+                           [1, 2, 3], [0.5, 0.25, 0.125])
+        hfta.ingest_arrays(rel, 1, {"A": [5], "B": [6]}, [1], [1.0])
+        legacy = copy.copy(hfta)
+        legacy._continued = {(rel, 0)}
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert "_continued" not in vars(restored)
+        assert set(vars(restored)) == set(vars(hfta))
+        for epoch in (0, 1):
+            assert totals(restored, rel, epoch) == totals(hfta, rel, epoch)
+        assert (restored.evictions_received, restored.folds,
+                restored.rows_folded) == (hfta.evictions_received,
+                                          hfta.folds, hfta.rows_folded)
+        query = AggregationQuery(rel, Aggregate("sum", "v"),
+                                 epoch_seconds=1.0)
+        assert restored.all_answers(query) == hfta.all_answers(query)
+        # a fold after the restore counts as a fold of its own
+        restored.ingest_arrays(rel, 0, {"A": [1], "B": [3]}, [1])
+        assert restored.folds == hfta.folds + 1
 
     @pytest.mark.parametrize("columns, counts", [
         ({"A": [1, 2]}, [1, 1]),                          # B missing

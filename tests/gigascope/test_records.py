@@ -216,3 +216,25 @@ class TestStatisticsHelpers:
         data = make_dataset(n=10)
         assert len(data.head(4)) == 4
         assert data.head(4).duration <= data.duration
+
+
+def test_value_nans_enter_as_numpy_nan():
+    """Every NaN of a value column enters as ``np.nan``'s bits; a column
+    whose NaNs all are is taken as it is, one with another NaN copied."""
+    schema = StreamSchema(("A",), value_columns=("v",))
+    t = np.arange(4, dtype=np.float64)
+    cols = {"A": np.zeros(4, dtype=np.int64)}
+    plain = np.array([1.0, np.nan, -2.0, 3.0])
+    assert Dataset(schema, cols, t, {"v": plain}).values["v"] is plain
+    signed = np.array([1.0, -np.nan, np.nan, -np.inf])
+    payload = np.array([0x7FF8000000000001, 0], dtype=np.uint64).view(
+        np.float64)
+    for raw in (signed, np.concatenate([payload, [1.0, 2.0]])):
+        before = raw.tobytes()
+        taken = Dataset(schema, cols, t, {"v": raw}).values["v"]
+        assert raw.tobytes() == before  # the caller's array is untouched
+        nan = np.isnan(raw)
+        assert np.array_equal(np.isnan(taken), nan)
+        assert (taken[nan].view(np.uint64)
+                == np.float64(np.nan).view(np.uint64)).all()
+        assert np.array_equal(taken[~nan], raw[~nan])

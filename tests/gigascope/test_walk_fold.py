@@ -10,9 +10,10 @@ NaN/+-inf minima and maxima, byte for byte, and the same
 ``evictions_received``/``folds``/``rows_folded``.
 
 Covered: random forests and streams on 1 and 3 walk threads, with and
-without a row index and a value column, and the seeded folds — a stream
-walked in two calls (a contiguous cut or alternate rows), a shard after
-another, a live epoch reopened after ``finish()``.
+without shard ids and a value column, and the seeded folds — a stream
+walked in two calls (a contiguous cut or alternate rows) and a live
+epoch reopened after ``finish()`` — and a sharded run's one fold of
+every shard's runs.
 """
 
 from contextlib import nullcontext
@@ -29,6 +30,7 @@ from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope import Dataset, simulate
 from repro.gigascope.online import LiveStreamSystem
 from repro.native import ingest as native_ingest
+from repro.parallel import split_dataset
 from repro.workloads import measure_statistics
 from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
 from tests.gigascope.test_forest_walk import (
@@ -51,12 +53,12 @@ def assert_folds_match(got, numpy_walked):
     assert got.folds == len(columnar(got))  # one fold per key, no more
 
 
-def draw_rows(data, n: int):
-    """No index, or a random ascending subset of ``[0, n)``."""
-    if not data.draw(st.booleans(), label="rows"):
+def draw_shards(data, n: int):
+    """No shard ids, or ``n`` random ids below a drawn shard count."""
+    if not data.draw(st.booleans(), label="shards"):
         return None
-    mask = np.random.default_rng(data.draw(st.integers(0, 99))).random(n)
-    return np.flatnonzero(mask < 0.6)
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    return rng.integers(0, data.draw(st.integers(1, 4)), n)
 
 
 @needs_kernel
@@ -66,13 +68,13 @@ def test_walk_fold_equals_numpy_fold(n_workers, config, stream, data):
     dataset = make_stream(**stream)
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
     value_column = None if stream["values"] == "none" else "v"
-    rows = draw_rows(data, len(dataset))
+    shards = draw_shards(data, len(dataset))
     with walk_workers_of(n_workers):
         got = simulate(dataset, config, buckets, 1.0, value_column,
-                       rows=rows)
+                       shards=shards)
     with numpy_kernels_off():
         want = simulate(dataset, config, buckets, 1.0, value_column,
-                        rows=rows)
+                        shards=shards)
     assert_folds_match(got.hfta, want.hfta)
 
 
@@ -85,22 +87,24 @@ EPOCHS = [1, 400, 0, 3, 250, 0, 60]
 
 @needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
-@pytest.mark.parametrize("rows", [False, True], ids=["all-rows", "index"])
+@pytest.mark.parametrize("sharded", [False, True], ids=["all-rows", "index"])
 @pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
 @pytest.mark.parametrize("notation", FIXED)
-def test_fixed_shapes(notation, values, rows, n_workers):
+def test_fixed_shapes(notation, values, sharded, n_workers):
+    """``index``: the stream walked with a shard index, row ``i`` in
+    shard ``i mod 3``."""
     config = Configuration.from_notation(notation)
     dataset = make_stream(11, EPOCHS, 4, "finite" if values == "none"
                           else values, False)
     buckets = {rel: 3 + 5 * i for i, rel in enumerate(config.relations)}
     value_column = None if values == "none" else "v"
-    index = np.arange(0, len(dataset), 3) if rows else None
+    shards = np.arange(len(dataset)) % 3 if sharded else None
     with walk_workers_of(n_workers):
         got = simulate(dataset, config, buckets, 1.0, value_column,
-                       rows=index)
+                       shards=shards)
     with numpy_kernels_off():
         want = simulate(dataset, config, buckets, 1.0, value_column,
-                        rows=index)
+                        shards=shards)
     assert_folds_match(got.hfta, want.hfta)
     if values == "nonfinite":
         assert any(np.isnan(s.value_mins).any() and
@@ -111,14 +115,18 @@ def test_fixed_shapes(notation, values, rows, n_workers):
 def walk_in_two(dataset, config, buckets, value_column, parts, n_workers,
                 numpy):
     """The stream walked as the rows of ``parts[0]``, then those of
-    ``parts[1]``, into one HFTA."""
+    ``parts[1]``, each copied out, into one HFTA."""
+    ids = np.zeros(len(dataset), dtype=np.int64)
+    ids[parts[1]] = 1
+    first, second = split_dataset(dataset, ids, 2)
+
     def walk(part, hfta=None):
         with numpy_kernels_off() if numpy else nullcontext(), \
                 walk_workers_of(n_workers):
-            return simulate(dataset, config, buckets, 1.0, value_column,
-                            hfta=hfta, rows=part).hfta
+            return simulate(part, config, buckets, 1.0, value_column,
+                            hfta=hfta).hfta
 
-    return walk(parts[1], walk(parts[0]))
+    return walk(second, walk(first))
 
 
 def split_rows(n: int, cut: float, alternate: bool):
@@ -175,11 +183,10 @@ def test_both_legs_count_a_second_call_alike(values):
 @needs_kernel
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shards_extend_each_other(shards):
-    """Each shard's walk extends the states the shards before it handed
-    over: the merged state is the one HFTA fold of every shard's runs in
-    shard order, as the numpy walk's merged batches fold, and it counts
-    one fold per key over every partial, as that fold does. No shard's
-    HFTA keeps partials the next shard took over."""
+    """Each shard's runs extend the groups the shards before it folded:
+    a key's state is the one fold of every shard's runs in shard order,
+    on the kernel walk as in the numpy walk's one batch per key, and it
+    counts one fold per key over every partial."""
     dataset = make_stream(5, [500, 300, 40], 5, "nonfinite", False)
     queries = QuerySet.counts(["AB", "BC", "CD"], epoch_seconds=1.0)
     stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
@@ -194,7 +201,6 @@ def test_shards_extend_each_other(shards):
     assert states(got) == states(want)
     assert got.folds == len(columnar(got))
     assert got.rows_folded == got.evictions_received
-    assert all(not columnar(r.hfta) for r in system.shard_results)
 
 
 @needs_kernel
@@ -297,3 +303,30 @@ def test_reopened_live_epoch_is_bit_identical(where):
     assert (got.hfta.evictions_received, got.hfta.folds,
             got.hfta.rows_folded) == (want.hfta.evictions_received,
                                       want.hfta.folds, want.hfta.rows_folded)
+
+
+@needs_kernel
+def test_signed_nans_fold_alike():
+    """A value column holding NaNs of both signs: ``Dataset`` writes
+    every NaN as ``np.nan``'s bits, so the kernel and numpy walks keep
+    the same minima and maxima (and sums), byte for byte."""
+    stream = make_stream(4, [500], 5, "finite", False)
+    rng = np.random.default_rng(8)
+    values = stream.values["v"].copy()
+    draw = rng.random(len(values))
+    values[draw < 0.1] = np.nan
+    values[(draw >= 0.1) & (draw < 0.2)] = -np.nan
+    assert np.signbit(values[np.isnan(values)]).any()
+    dataset = Dataset(SCHEMA, stream.columns, stream.timestamps,
+                      {"v": values})
+    nan_bits = np.float64(np.nan).view(np.uint64)
+    taken = dataset.values["v"]
+    assert (taken[np.isnan(taken)].view(np.uint64) == nan_bits).all()
+    config = Configuration.from_notation("ABCD(ABC(AB A) CD)")
+    buckets = {rel: 5 for rel in config.relations}
+    got = simulate(dataset, config, buckets, 1.0, "v")
+    with numpy_kernels_off():
+        want = simulate(dataset, config, buckets, 1.0, "v")
+    assert_folds_match(got.hfta, want.hfta)
+    assert any(np.isnan(state.value_mins).any()
+               for state in columnar(got.hfta).values())

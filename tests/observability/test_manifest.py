@@ -69,21 +69,22 @@ class TestRunManifest:
         report = system.run()
         manifest = RunManifest.collect(
             report, plan=the_plan, queries=queries, registry=registry,
-            shard_results=system.shard_results,
-            shard_registries=system.shard_registries)
+            extra={"partition": system.partition_summary})
         doc = manifest.to_dict()
         assert set(doc["machine"]["kernels"]["shard_partition"]) >= {
             "available", "disabled", "error"}
         assert doc["metrics"]["gauges"]["partition.kernel"] == int(
             doc["machine"]["kernels"]["shard_partition"]["available"])
-        assert len(doc["shards"]) == len(system.shard_results)
-        for shard in doc["shards"]:
-            assert any(span["name"] == "engine" for span in shard["spans"])
-        for rel, merged in doc["relations"].items():
-            for key, value in merged.items():
-                assert value == sum(
-                    shard["relations"].get(rel, {}).get(key, 0)
-                    for shard in doc["shards"])
+        # one walk: the run's counters are the manifest's, and the
+        # per-shard view is the partition's record counts
+        assert "shards" not in doc
+        counters = report.result.counters.relations
+        for rel, c in counters.items():
+            assert doc["relations"][rel.label()]["arrivals_intra"] == \
+                c.arrivals_intra
+        records = doc["extra"]["partition"]["records"]
+        assert len(records) == 3 and sum(records) == doc["n_records"]
+        assert doc["metrics"]["counters"]["engine.records"] == sum(records)
 
     def test_write_round_trip(self, executed, tmp_path):
         dataset, queries, the_plan = executed

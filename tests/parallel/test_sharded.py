@@ -1,4 +1,9 @@
-"""Sharded-exactness properties: N shards + merge == one StreamSystem."""
+"""Sharded-exactness properties: N shards walked as one == one StreamSystem.
+
+Where a test needs each shard on its own, :func:`shard_runs` copies the
+shards out of the stream and walks each alone with the shard tables:
+the one walk's counters are theirs summed.
+"""
 
 import multiprocessing
 import re
@@ -18,10 +23,11 @@ from repro import (
 )
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError
+from repro.gigascope import simulate
 from repro.gigascope.filters import Comparison
 from repro.gigascope.records import Dataset
 from repro.native.partition import kernel_available
-from repro.parallel import HashPartitioner, merge_results
+from repro.parallel import HashPartitioner, split_dataset
 from repro.core.optimizer import plan
 from repro.workloads import (
     make_group_universe,
@@ -35,6 +41,18 @@ from tests.references import KeyRange, RoundRobin
 
 def A(label):
     return AttributeSet.parse(label)
+
+
+def shard_runs(system):
+    """Each non-empty shard of ``system``'s stream, copied out and
+    walked on its own with the shard tables."""
+    dataset = system.dataset
+    ids = system.partitioner.shard_ids(dataset, system.shards)
+    return [simulate(part, system.configuration, system.shard_buckets,
+                     system.queries.epoch_seconds, system.value_column,
+                     system.salt_seed)
+            for part in split_dataset(dataset, ids, system.shards)
+            if len(part)]
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +144,8 @@ class TestShardedExactness:
 class TestDegenerateShapes:
     def test_single_live_shard(self, netflow, pair_plan):
         """A range boundary above every key collapses all records onto
-        shard 0; the empty shards are skipped and answers stay exact."""
+        shard 0; the empty shards' slices stay empty and answers stay
+        exact."""
         queries, the_plan = pair_plan
         partitioner = KeyRange("A", (10**6, 10**6 + 1))
         single = StreamSystem.from_plan(netflow, queries, the_plan).run()
@@ -134,7 +153,8 @@ class TestDegenerateShapes:
             netflow, queries, the_plan, shards=3, partitioner=partitioner)
         report = system.run()
         assert system.partition_summary["empty_shards"] == 2
-        assert len(system.shard_results) == 1
+        (alone,) = shard_runs(system)
+        assert report.result.counters.relations == alone.counters.relations
         for query in queries:
             assert report.answers(query) == single.answers(query)
 
@@ -163,7 +183,8 @@ class TestCounterConsistency:
             netflow, queries, the_plan, shards=4, partitioner=partitioner)
         report = system.run()
         merged = report.result.counters
-        parts = [r.counters for r in system.shard_results]
+        runs = shard_runs(system)
+        parts = [r.counters for r in runs]
         for rel, counters in merged.relations.items():
             assert counters.arrivals_intra == sum(
                 p.relations[rel].arrivals_intra
@@ -175,7 +196,7 @@ class TestCounterConsistency:
         intra_raw = sum(merged.relations[rel].arrivals_intra for rel in raw)
         assert intra_raw == len(netflow) * len(raw)
         assert report.result.hfta.evictions_received == sum(
-            r.hfta.evictions_received for r in system.shard_results)
+            r.hfta.evictions_received for r in runs)
         # The partition kernel and its numpy fallback (REPRO_NO_CKERNEL=1)
         # cut the same shards: same balance, counters and answers.
         fallback = ShardedStreamSystem.from_plan(
@@ -264,6 +285,29 @@ class TestShardedSystemApi:
             assert detail in str(excinfo.value)
             assert system.partition_summary is None
 
+    def test_any_integer_ids_accepted(self, netflow, pair_plan):
+        """A partitioner may return ids of any integer dtype, unsigned
+        and narrow ones included: the same run as int64 ids."""
+        queries, the_plan = pair_plan
+
+        class Typed:
+            def __init__(self, dtype):
+                self.dtype = dtype
+
+            def shard_ids(self, dataset, n_shards):
+                return (np.arange(len(dataset)) % n_shards).astype(
+                    self.dtype)
+
+        reports = [ShardedStreamSystem.from_plan(
+            netflow, queries, the_plan, shards=3,
+            partitioner=Typed(dtype)).run()
+            for dtype in (np.int64, np.uint64, np.uint8, np.int16)]
+        for report in reports[1:]:
+            assert report.result.counters.relations == \
+                reports[0].result.counters.relations
+            for query in queries:
+                assert report.answers(query) == reports[0].answers(query)
+
     def test_timings_populated(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
@@ -271,7 +315,7 @@ class TestShardedSystemApi:
         assert system.last_timings is None
         system.run()
         assert set(system.last_timings) == {
-            "partition_seconds", "engine_seconds", "merge_seconds"}
+            "partition_seconds", "engine_seconds"}
         assert system.last_timings["engine_seconds"] > 0
         assert multiprocessing.active_children() == []
 
@@ -321,24 +365,12 @@ class TestObservabilityWiring:
         system.run()
         assert registry.last_span("partition") is not None
         assert registry.last_span("engine") is not None
-        assert registry.last_span("merge") is not None
+        assert registry.last_span("merge") is None  # nothing to merge
         assert registry.span_seconds("engine") > 0
-
-    def test_shard_subregistries_merged_with_prefix(self, netflow,
-                                                    pair_plan):
-        queries, the_plan = pair_plan
-        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
-                                               shards=3)
-        system.run()
-        assert system.shard_registries is not None
-        total = sum(
-            system.registry.counter(name).value
-            for name in list(system.registry.counters)
-            if name.endswith(".engine.records"))
-        assert total == len(netflow)
-        per_shard = sum(r.counter("engine.records").value
-                        for r in system.shard_registries)
-        assert per_shard == len(netflow)
+        # one walk over every record, on the run's own registry
+        assert registry.counter("engine.records").value == len(netflow)
+        assert not any(name.startswith("shard")
+                       for name in registry.counters)
 
     def test_partition_summary_surfaced(self, netflow, pair_plan):
         queries, the_plan = pair_plan
@@ -355,8 +387,8 @@ class TestObservabilityWiring:
     def test_partition_span_splits_in_two(self, netflow, pair_plan,
                                           monkeypatch):
         """``partition.assign`` (partitioner + the one id check) and
-        ``partition.rows`` (row indices + summary) lie inside the
-        ``partition`` span, one after the other."""
+        ``partition.rows`` (each shard's record count + summary) lie
+        inside the ``partition`` span, one after the other."""
         from repro.parallel import partition as partition_module
         from repro.parallel import sharded as sharded_module
 
@@ -397,14 +429,19 @@ class TestObservabilityWiring:
         timings = system.last_timings
         assert timings["engine_seconds"] > 0
         assert timings["partition_seconds"] == 0.0
-        assert timings["merge_seconds"] == 0.0
 
 
 class TestMergeResults:
-    def test_rejects_empty(self, pair_plan):
+    """The one walk's result is the shards' merged result."""
+
+    def test_rejects_empty(self, netflow, pair_plan):
+        """An empty assignment for a non-empty stream merges nothing:
+        refused before the walk."""
         _, the_plan = pair_plan
-        with pytest.raises(ConfigurationError):
-            merge_results([], the_plan.configuration)
+        buckets = the_plan.allocation.buckets
+        with pytest.raises(ConfigurationError, match="one id per record"):
+            simulate(netflow, the_plan.configuration, buckets, 10.0,
+                     shards=np.empty(0, dtype=np.int64))
 
     def test_epoch_count_from_union_not_sum(self, netflow, pair_plan):
         """Shards sharing epochs must not double-count them."""
@@ -412,7 +449,7 @@ class TestMergeResults:
         system = ShardedStreamSystem.from_plan(
             netflow, queries, the_plan, shards=3)
         report = system.run()
-        shard_epoch_sum = sum(r.n_epochs for r in system.shard_results)
+        shard_epoch_sum = sum(r.n_epochs for r in shard_runs(system))
         assert report.result.n_epochs <= shard_epoch_sum
         single_epochs = StreamSystem.from_plan(
             netflow, queries, the_plan).run().result.n_epochs
@@ -434,4 +471,4 @@ class TestMergeResults:
             partitioner=HashPartitioner(A("A")))
         assert by_a.run().result.n_epochs == 3 == StreamSystem.from_plan(
             gappy, queries, the_plan).run().result.n_epochs
-        assert sorted(r.n_epochs for r in by_a.shard_results) == [2, 3]
+        assert sorted(r.n_epochs for r in shard_runs(by_a)) == [2, 3]

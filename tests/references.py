@@ -23,7 +23,7 @@ would return, computed by it.
 :class:`RoundRobin` and :class:`KeyRange` are partitioners written the
 way user code writes one: an object with ``shard_ids(dataset,
 n_shards)`` returning numpy ids, which the sharded runtime validates and
-cuts into row indices like :class:`~repro.parallel.HashPartitioner`'s.
+walks like :class:`~repro.parallel.HashPartitioner`'s.
 
 The ``ref_*`` functions are the planner as it ran on ``Configuration``
 objects and dicts before it moved to index arrays, copied verbatim:
@@ -69,9 +69,8 @@ from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
 from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import SequentialLFTA, run_reference
-from repro.gigascope.metrics import SimulationResult
+from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
-from repro.parallel.merge import merge_counters
 from tests.hfta_totals import totals
 
 ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
@@ -185,17 +184,29 @@ def ref_epoch_slices(timestamps, epoch_seconds):
             for start, end in zip(starts, ends)]
 
 
+class _Batches:
+    """Stands in for a shard LFTA's HFTA: keeps the batches it is handed,
+    ``(relation, epoch, columns, counts, sums, mins, maxs)``."""
+
+    def __init__(self) -> None:
+        self.batches: list[tuple] = []
+
+    def ingest_arrays(self, relation, epoch, columns, *partials) -> None:
+        self.batches.append((relation, epoch, columns, *partials))
+
+
 def sharded_reference(parts, config, buckets, epoch_seconds,
                       value_column=None) -> SimulationResult:
     """A sharded run as ``ShardedStreamSystem`` defines it, computed by
-    the sequential LFTA: each shard's own LFTA, in shard order, feeds
-    one shared HFTA, so every key's fold extends the shards' before it;
-    the counters are the shards' summed."""
-    hfta = HFTA()
-    counters = []
+    the sequential LFTA: each shard (``parts``, in shard order) has its
+    own LFTA, and each query's evictions of one epoch, every shard's in
+    shard order, reach one HFTA as one batch, so every key is folded
+    once; the counters are the shards' summed."""
+    counters = CostCounters(config)
+    shipped: dict[tuple, list] = {}
     for part in parts:
         lfta = SequentialLFTA(config, buckets)
-        lfta.hfta = hfta
+        lfta.hfta = outbox = _Batches()
         values = part.values[value_column] if value_column else None
         for epoch_id, start, end in part.epoch_slices(epoch_seconds):
             lfta.start_epoch(epoch_id)
@@ -204,11 +215,21 @@ def sharded_reference(parts, config, buckets, epoch_seconds,
                     {a: int(col[i]) for a, col in part.columns.items()},
                     None if values is None else float(values[i]))
             lfta.flush_epoch()
-        counters.append(lfta.counters)
-    return SimulationResult(
-        merge_counters(counters, config), hfta,
-        sum(len(part) for part in parts), len(hfta.epochs_seen),
-        "record at a time")
+        for rel, counter in lfta.counters.relations.items():
+            counters.counters(rel).merge(counter)
+        for rel, epoch, *batch in outbox.batches:
+            shipped.setdefault((rel, epoch), []).append(batch)
+    hfta = HFTA()
+    for (rel, epoch), batches in shipped.items():
+        columns = {a: np.concatenate([cols[a] for cols, *_ in batches])
+                   for a in rel.names}
+        hfta.ingest_arrays(rel, epoch, columns, *(
+            np.concatenate([np.asarray(batch[k]) for batch in batches])
+            for k in range(1, 5)))
+    epochs = {epoch for part in parts
+              for epoch, _, _ in part.epoch_slices(epoch_seconds)}
+    return SimulationResult(counters, hfta, sum(len(part) for part in parts),
+                            len(epochs), "record at a time")
 
 
 def assert_matches_reference(dataset, config, buckets, epoch_seconds,
@@ -218,8 +239,8 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
 
     With ``shards > 1`` the engine side is a ``ShardedStreamSystem`` run
     and the reference side :func:`sharded_reference` over the shards of
-    the same partition — so the partitioner, the per-shard engines and
-    the hand-over between them are all inside the comparison.
+    the same partition — so the partitioner and the shard slices of the
+    one walk are both inside the comparison.
     """
     if shards == 1:
         got = simulate(dataset, config, buckets, epoch_seconds,
@@ -227,7 +248,7 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
         ref = run_reference(dataset, config, buckets, epoch_seconds,
                             value_column)
     else:
-        queries = QuerySet.counts([leaf.label() for leaf in config.leaves],
+        queries = QuerySet.counts([q.label() for q in config.queries],
                                   epoch_seconds=epoch_seconds)
         system = ShardedStreamSystem(dataset, queries, config, buckets,
                                      value_column=value_column,
@@ -239,12 +260,13 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
              if len(part)], config, system.shard_buckets, epoch_seconds,
             value_column)
     assert got.counters.relations == ref.counters.relations
-    assert got.hfta.evictions_received == ref.hfta.evictions_received
-    for leaf in config.leaves:
-        assert got.hfta.epochs(leaf) == ref.hfta.epochs(leaf)
-        for epoch in ref.hfta.epochs(leaf):
-            assert totals(got.hfta, leaf, epoch) == \
-                totals(ref.hfta, leaf, epoch)
+    for field in ("evictions_received", "folds", "rows_folded"):
+        assert getattr(got.hfta, field) == getattr(ref.hfta, field), field
+    for query in config.queries:
+        assert got.hfta.epochs(query) == ref.hfta.epochs(query)
+        for epoch in ref.hfta.epochs(query):
+            assert totals(got.hfta, query, epoch) == \
+                totals(ref.hfta, query, epoch)
     return got
 
 
@@ -286,7 +308,7 @@ def ref_collision_rates(config, stats, buckets, model, clustered=True):
 
 
 def ref_intra_epoch_cost(config, rates, params):
-    """Eq. 7."""
+    """Eq. 7; a query, leaf or not, pays ``c2`` on its collisions."""
     coeff = {}
     probe = 0.0
     evict = 0.0
@@ -297,7 +319,7 @@ def ref_intra_epoch_cost(config, rates, params):
         else:
             coeff[rel] = coeff[parent] * rates[parent]
         probe += coeff[rel]
-        if config.is_leaf(rel):
+        if rel in config.queries:
             evict += coeff[rel] * rates[rel]
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)
@@ -319,7 +341,7 @@ def ref_expected_occupancy(groups, buckets):
 
 
 def ref_flush_cost(config, stats, buckets, model, params):
-    """Eq. 8."""
+    """Eq. 8; a query, leaf or not, ships its flush to the HFTA."""
     rates = ref_collision_rates(config, stats, buckets, model,
                                 clustered=False)
     occ = {rel: ref_expected_occupancy(stats.group_count(rel), buckets[rel])
@@ -334,7 +356,7 @@ def ref_flush_cost(config, stats, buckets, model, params):
         else:
             arrivals[rel] = occ[parent] + rates[parent] * arrivals[parent]
             probe += arrivals[rel]
-        if config.is_leaf(rel):
+        if rel in config.queries:
             evict += occ[rel] + arrivals[rel]
     return CostBreakdown(probe * params.probe_cost,
                          evict * params.evict_cost)
@@ -566,7 +588,7 @@ def ref_plan(queries, stats, memory, params, algorithm="gcsl", phi=1.0,
 # ----------------------------------------------------------------------
 
 
-def ref_eq7_sums(order, parent, leaf, x, zero=0.0):
+def ref_eq7_sums(order, parent, emits, x, zero=0.0):
     """Eq. 7's sums; each ``x[i]`` a rate or a column of lane rates."""
     reach = [0.0] * len(parent)
     probe = evict = zero
@@ -575,7 +597,7 @@ def ref_eq7_sums(order, parent, leaf, x, zero=0.0):
         r = 1.0 if p < 0 else reach[p] * x[p]
         reach[i] = r
         probe = probe + r
-        if leaf[i]:
+        if emits[i]:
             evict = evict + r * x[i]
     return probe, evict
 
@@ -605,7 +627,7 @@ class RefCostEvaluator:
             -1 if config.parent(rel) is None else index[config.parent(rel)]
             for rel in self.relations
         ]
-        self.is_leaf = [config.is_leaf(rel) for rel in self.relations]
+        self.emits = [rel in config.queries for rel in self.relations]
         self._order = range(len(self.relations))
         self.groups = [stats.group_count(rel) for rel in self.relations]
         self.entry_units = [stats.entry_units(rel) for rel in self.relations]
@@ -629,7 +651,7 @@ class RefCostEvaluator:
 
     def cost(self, spaces):
         probe, evict = ref_eq7_sums(self._order, self.parent_index,
-                                    self.is_leaf, self.rates(spaces))
+                                    self.emits, self.rates(spaces))
         return probe * self.c1 + evict * self.c2
 
     def _model_rates(self, buckets_2d):
@@ -680,7 +702,7 @@ class RefCostEvaluator:
         np.maximum(x, 0.0, out=x)
         np.minimum(x, 1.0, out=x)
         probe, evict = ref_eq7_sums(self._order, self.parent_index,
-                                    self.is_leaf, x.T,
+                                    self.emits, x.T,
                                     zero=np.zeros(m, dtype=np.float64))
         return probe * self.c1 + evict * self.c2
 

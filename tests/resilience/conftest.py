@@ -1,5 +1,5 @@
 """Shared fixtures for the resilience suite: one small stream, one plan,
-and a shard engine that fails on cue.
+and a sharded run's engine that fails on cue.
 
 Kept deliberately small (3000 records) because several suites run the
 same stream.
@@ -57,10 +57,10 @@ def single_report(dataset, queries, config, buckets):
 
 
 class FailingEngine:
-    """Stands in for the shard engine: records the shard of every call
-    (the identity of its ``rows`` index: every shard passes the same
-    dataset), raises ``error`` on the 1-based calls in ``failing`` and
-    runs the real engine on the others."""
+    """Stands in for a sharded run's engine: records the shard ids of
+    every call (None for an unsharded one), raises ``error`` on the
+    1-based calls in ``failing`` and runs the real engine on the
+    others."""
 
     def __init__(self, failing=(), error=None):
         self.engine = sharded_module.simulate
@@ -69,7 +69,7 @@ class FailingEngine:
         self.calls = []
 
     def __call__(self, shard_dataset, *args, **kwargs):
-        self.calls.append(id(kwargs["rows"]))
+        self.calls.append(kwargs.get("shards"))
         if len(self.calls) in self.failing:
             raise self.error
         return self.engine(shard_dataset, *args, **kwargs)
@@ -78,7 +78,7 @@ class FailingEngine:
 @pytest.fixture
 def fail_shards(monkeypatch):
     """``fail_shards(failing, error)`` installs a :class:`FailingEngine`
-    as the shard engine and returns it."""
+    as the sharded run's engine and returns it."""
     def install(failing=(), error=None):
         engine = FailingEngine(failing, error)
         monkeypatch.setattr(sharded_module, "simulate", engine)

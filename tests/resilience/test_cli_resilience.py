@@ -5,6 +5,7 @@ import pytest
 
 from repro import StreamSchema
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.gigascope.online import LiveStreamSystem
 from repro.workloads import make_group_universe, uniform_dataset
 from repro.workloads.io import save_npz
@@ -66,32 +67,36 @@ class TestFlagValidation:
 
 
 class TestFaultPlanReplay:
-    """A failing shard reaches the operator as one clean error line."""
+    """A sharded run fails as one, as an unsharded run does: a library
+    error reaches the operator as one clean error line."""
 
     def test_exhausted_plan_reports_clean_error(self, npz_path,
                                                 fail_shards, capsys):
-        fail_shards({1}, RuntimeError("engine failed"))
+        fail_shards({1}, ConfigurationError("engine failed"))
         code = main(["--data", npz_path, "--execute", "--shards", "2",
                      QUERY])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: shard 0" in err
-        assert "RuntimeError: engine failed" in err
+        assert "error: engine failed" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_failing_shard_is_one_error_line(self, npz_path, fail_shards,
-                                             capsys, failing):
-        engine = fail_shards({failing + 1}, RuntimeError("engine failed"))
-        code = main(["--data", npz_path, "--execute", "--shards", "3",
-                     QUERY])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_failing_run_is_one_error_line(self, npz_path, fail_shards,
+                                           monkeypatch, capsys, shards):
+        """Sharded or not, the engine's one failing call is the one
+        error line, and no report is printed."""
+        from repro.gigascope import runtime
+
+        engine = fail_shards({1}, ConfigurationError("engine failed"))
+        monkeypatch.setattr(runtime, "simulate", engine)
+        code = main(["--data", npz_path, "--execute", "--shards",
+                     str(shards), QUERY])
         assert code == 2
         captured = capsys.readouterr()
         [line] = captured.err.strip().splitlines()
-        assert line.startswith(f"error: shard {failing} (")
-        assert line.endswith("failed: RuntimeError: engine failed")
+        assert line == "error: engine failed"
         assert "records processed" not in captured.out
-        assert len(engine.calls) == failing + 1
+        assert len(engine.calls) == 1
 
 
 class TestCheckpointDir:

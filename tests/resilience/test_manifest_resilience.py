@@ -1,4 +1,5 @@
-"""A sharded run's RunManifest: per-shard sections, no recovery section."""
+"""A sharded run's RunManifest: the partition's per-shard record counts,
+no recovery section."""
 
 import json
 
@@ -16,16 +17,15 @@ class TestManifestResilience:
         report = system.run()
         manifest = RunManifest.collect(
             report, registry=system.registry,
-            shard_results=system.shard_results,
-            shard_registries=system.shard_registries)
+            extra={"partition": system.partition_summary})
         path = manifest.write(tmp_path / "manifest.json")
         loaded = json.loads(path.read_text())
         assert loaded == json.loads(manifest.to_json())
         counters = loaded["metrics"]["counters"]
-        for index, shard in enumerate(loaded["shards"]):
-            assert counters[f"shard{index}.engine.records"] == \
-                shard["n_records"]
-            assert [s["name"] for s in shard["spans"]] == ["engine"]
+        assert counters["engine.records"] == len(dataset) == sum(
+            loaded["extra"]["partition"]["records"])
+        assert [s["name"] for s in loaded["metrics"]["spans"]] == [
+            "partition.assign", "partition.rows", "partition", "engine"]
 
     def test_collect_takes_no_resilience_argument(self, single_report):
         with pytest.raises(TypeError):
@@ -37,10 +37,9 @@ class TestManifestResilience:
                                      shards=2)
         report = system.run()
         manifest = RunManifest.collect(
-            report, shard_results=system.shard_results,
-            shard_registries=system.shard_registries)
+            report, extra={"partition": system.partition_summary})
         loaded = json.loads(manifest.to_json())
         assert "resilience" not in loaded
-        assert [shard["index"] for shard in loaded["shards"]] == [0, 1]
-        assert sum(shard["n_records"] for shard in loaded["shards"]) == \
-            len(dataset)
+        assert "shards" not in loaded
+        records = loaded["extra"]["partition"]["records"]
+        assert len(records) == 2 and sum(records) == len(dataset)

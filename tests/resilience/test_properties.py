@@ -3,7 +3,7 @@
 Hypothesis drives the workload shape (queries, shards, buckets,
 partitioner, epoch length); the single-core ``StreamSystem`` is the
 oracle. Whatever the draw, the sharded answers must be *exactly* equal,
-and a failing shard is named by the error that ends its run.
+and a failing engine call ends its run with the engine's own error.
 
 Run with ``--hypothesis-profile=ci`` for the fixed-seed, bounded CI
 configuration registered in ``tests/conftest.py``.
@@ -24,7 +24,6 @@ from repro import (
     plan,
 )
 from repro.core.feeding_graph import FeedingGraph
-from repro.errors import ShardExecutionError
 from repro.gigascope.online import LiveStreamSystem
 from repro.parallel import HashPartitioner
 from repro.parallel import sharded as sharded_module
@@ -91,27 +90,28 @@ def test_sharded_matches_single_core(workload, shards, partitioner):
        shards=st.integers(min_value=2, max_value=4),
        partitioner=partitioners,
        data=st.data())
-def test_failing_shard_is_named_and_rerun_is_exact(workload, shards,
-                                                   partitioner, data):
-    """Whichever shard's engine call raises, the run stops there with an
-    error naming that shard; the same system's next run is exact."""
+def test_failing_run_fails_as_one_and_rerun_is_exact(workload, shards,
+                                                     partitioner, data):
+    """Whichever call of the engine raises, the sharded run raises that
+    error as itself after one call; the same system's next run is
+    exact."""
     labels, epoch_seconds, bucket_size = workload
     dataset = small_dataset()
     queries = QuerySet.counts(list(labels), epoch_seconds=epoch_seconds)
     config = Configuration.flat([q.group_by for q in queries])
     buckets = {rel: bucket_size for rel in config.relations}
-    failing = data.draw(st.integers(min_value=0, max_value=shards - 1),
-                        label="failing shard")
-    engine = FailingEngine({failing + 1}, RuntimeError("engine failed"))
+    error = data.draw(st.sampled_from([RuntimeError, ValueError, OSError]),
+                      label="error")("engine failed")
+    engine = FailingEngine({1}, error)
     system = ShardedStreamSystem(
         dataset, queries, config, buckets, shards=shards,
         partitioner=partitioner)
     with patch.object(sharded_module, "simulate", engine):
-        with pytest.raises(ShardExecutionError) as info:
+        with pytest.raises(type(error)) as info:
             system.run()
-    assert info.value.shard == failing
-    assert info.value.records == system.partition_summary["records"][failing]
-    assert len(engine.calls) == failing + 1
+    assert info.value is error
+    assert len(engine.calls) == 1
+    assert system.last_timings is None
 
     report = system.run()
     expected = oracle_answers(labels, epoch_seconds, bucket_size)

@@ -86,7 +86,8 @@ class TestPlanCli:
     def test_metrics_json_writes_sharded_manifest(self, npz_path, tmp_path,
                                                   capsys):
         """The acceptance scenario: --metrics-json with --shards 4 emits
-        per-shard phase spans and counters summing to the merged ones."""
+        the one walk's counters and spans, and the partition's per-shard
+        record counts summing to the run's."""
         import json
         path, data = npz_path
         out = tmp_path / "out.json"
@@ -98,17 +99,13 @@ class TestPlanCli:
         manifest = json.loads(out.read_text())
         assert manifest["n_records"] == len(data)
         assert manifest["plan"]["algorithm"]
-        assert manifest["shards"]
-        for shard in manifest["shards"]:
-            assert any(span["name"] == "engine"
-                       for span in shard["spans"])
-        for rel, merged in manifest["relations"].items():
-            for key, value in merged.items():
-                assert value == sum(
-                    shard["relations"].get(rel, {}).get(key, 0)
-                    for shard in manifest["shards"])
-        assert any(span["name"] == "partition"
-                   for span in manifest["metrics"]["spans"])
+        records = manifest["extra"]["partition"]["records"]
+        assert len(records) == 4 and sum(records) == len(data)
+        assert manifest["metrics"]["counters"]["engine.records"] == \
+            len(data)
+        assert manifest["relations"]
+        assert [span["name"] for span in manifest["metrics"]["spans"]] == \
+            ["partition.assign", "partition.rows", "partition", "engine"]
 
     def test_metrics_json_implies_execute(self, npz_path, tmp_path,
                                           capsys):
@@ -134,7 +131,8 @@ class TestPlanCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "trace (phase spans):" in out
-        assert "engine" in out and "merge" in out
+        spans = out.split("trace (phase spans):")[1].split()
+        assert "partition" in spans and "engine" in spans
 
     def test_where_clause_filters(self, npz_path, capsys):
         path, data = npz_path
