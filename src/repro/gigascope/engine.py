@@ -33,9 +33,11 @@ its children's arrival stream, and *folds* the emitting relations' runs
 itself, in the numpy walk's (bucket, start-time) order, into one row per
 group. Who folds where: the kernel walk folds in the walk, extending the
 state the HFTA already holds for that relation and epoch (its rows
-first, then the runs: the HFTA's own ordering rule), and hands the HFTA
-the folded state (``HFTA.ingest_folded``); this module gathers only the
-new groups' key columns. Bit-identity contract: the same buckets, runs,
+first, then the runs: the HFTA's own ordering rule), writes every
+group's aggregates and key columns (read through its representative's
+row) into one block per fold sized to its groups, and the HFTA keeps
+those arrays as its state (``HFTA.ingest_folded``). Bit-identity
+contract: the same buckets, runs,
 float accumulation order and counters as the numpy walk, and the same
 HFTA state (NaN sums included), group order and fold counts as the
 HFTA's fold of the numpy walk's batches. The numpy walk stays as the
@@ -44,15 +46,27 @@ path without a compiler and as the reference. Which of the two runs is decided b
 the numpy walk); both are differentially tested against each other and
 against the record-at-a-time reference.
 
+*A bound walk.* Everything a configuration, its allocation, the salt
+seed and the presence of a value column fix — relation order, table
+sizes, salts, emit flags, column order, each relation's parent, depth
+and children, which counters are priced — is resolved once, when a
+:class:`Tables` binds to them, and the kernel's walk is built from it
+once and kept. Every :func:`simulate` call walks through a bound
+``Tables``: its own, or the caller's (``LiveStreamSystem`` keeps one
+per era, so an epoch close pays only for binding the walk to the
+epoch's columns, the walk and the fold).
+
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
 time. A kernel walk over more than one non-empty epoch runs on a pool of
-threads, one per usable core and at most one per epoch, each with its
-own scratch; they pull epochs in order from one queue, and the caller
-hands the HFTA every folded state in epoch order, then relation order,
-after the join, and sums the threads' counters. The calls, states and
-floats are those of a one-thread walk, bit for bit. A one-epoch call
-(every live epoch close) and the numpy walk stay on the calling thread.
+threads, one per usable core and at most one per epoch: the kept walk
+and one more walk of the bound forest per further thread, each with its
+own scratch, all bound to the one stream the first walk converted and
+checked. They pull epochs in order from one queue, and the caller hands
+the HFTA every folded state in epoch order, then relation order, after
+the join, and sums the threads' counters. The calls, states and floats
+are those of a one-thread walk, bit for bit. A one-epoch call (every
+live epoch close) and the numpy walk stay on the calling thread.
 
 *Shards.* A sharded run is one walk (``shards=``, one shard id per
 record): each relation's table is ``max(id) + 1`` slices of its bucket
@@ -78,6 +92,7 @@ import numpy as np
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
+from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.errors import ConfigurationError
 from repro.gigascope.hashing import (
     bucket_indices,
@@ -101,30 +116,130 @@ _Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray | None,
 
 
 class Tables:
-    """The LFTA's tables for one configuration, kept between
-    :func:`simulate` calls.
+    """The LFTA of one configuration and allocation, bound once.
 
-    Without one, the kernel walk allocates its slot arrays, runs,
-    eviction buffers, fold outputs and group table in every call, sized
-    to the call's longest epoch and its largest fold. A caller that runs
-    one configuration through many calls, one at a time —
-    ``LiveStreamSystem`` closes each epoch with one — hands every call
-    the same ``Tables``, and the buffers are allocated again only when
-    the configuration, an allocation, the salts, the emit flags, the
-    value column or the slice count change, or an epoch outgrows them.
-    The results never depend on it.
+    :meth:`bind` resolves what the configuration, the bucket map, the
+    salt seed and the presence of a value column fix: the relation
+    order, table sizes, salts, emit flags, column order, each relation's
+    parent, depth and children, and which counters are priced. The
+    kernel's :class:`~repro.native.ingest.Walk` is built from them at
+    the first kernel walk and kept, its scratch grown in place. Every
+    :func:`simulate` call binds the ``Tables`` it is handed, or a new
+    one, and walks through it; a caller that runs one configuration
+    through many calls (``LiveStreamSystem``, once per epoch close)
+    hands each the same one and pays for the binding and the walk once.
+    Binding to another configuration, allocation, salt seed or value
+    column starts again. The results never depend on it.
 
-    A one-epoch call walks on the kept buffers on the calling thread. A
-    call over several epochs walks them on a pool of threads: the first
-    one uses the kept buffers, every other thread gets its own for the
-    call.
+    A call over several epochs walks them on a pool of threads: the
+    first uses the kept walk, every other gets its own for the call.
+    After each call :attr:`stats` holds that call's counters,
+    ``(arrivals_intra, arrivals_flush, evictions_intra,
+    evictions_flush)`` per relation, until the next call.
     """
 
-    __slots__ = ("key", "walk")
+    __slots__ = ("config", "buckets", "salt_seed", "has_values", "rels",
+                 "sizes", "salts", "emit", "names", "keys", "parent",
+                 "depths", "children", "walk", "stats", "_priced",
+                 "_times", "_ones")
 
     def __init__(self) -> None:
-        self.key: tuple | None = None
+        self.config: Configuration | None = None
         self.walk: _native.Walk | None = None
+        self.stats: np.ndarray | None = None
+
+    def bind(self, config: Configuration,
+             buckets: Mapping[AttributeSet, object], salt_seed: int = 0,
+             values: bool = False) -> None:
+        """Resolve what ``config``, ``buckets``, ``salt_seed`` and
+        ``values`` (whether the stream carries a value column) fix,
+        unless this ``Tables`` is bound to them already. A bad bucket
+        map raises :class:`~repro.errors.ConfigurationError` and leaves
+        the binding as it was."""
+        if self.config is not None and (
+                config is self.config or config == self.config) \
+                and salt_seed == self.salt_seed \
+                and values == self.has_values and buckets == self.buckets:
+            return
+        rels = config.relations
+        sizes = bucket_counts(rels, buckets)
+        position = {rel: r for r, rel in enumerate(rels)}
+        parent = [-1 if p is None else position[p]
+                  for p in map(config.parent, rels)]
+        depths = [0] * len(rels)
+        children: list[list[int]] = [[] for _ in rels]
+        for r, p in enumerate(parent):  # parents first
+            if p >= 0:
+                depths[r] = depths[p] + 1
+                children[p].append(r)
+        names = list(dict.fromkeys(a for rel in rels for a in rel.names))
+        column = {a: c for c, a in enumerate(names)}
+        # Both walks read the emit rule from here; a relation that emits
+        # still feeds its children.
+        emit = [config.is_emitting(rel) for rel in rels]
+        # Which counters the cost model prices (as CostCounters prices
+        # them): every intra arrival, a flush arrival below the stream,
+        # and an emitting relation's evictions, intra and at the flush.
+        priced = np.zeros((4, len(rels), 4), dtype=np.int64)
+        priced[0, :, 0] = 1
+        priced[1, :, 2] = priced[3, :, 3] = emit
+        priced[2, :, 1] = [p >= 0 for p in parent]
+        self.config, self.buckets = config, dict(buckets)
+        self.salt_seed, self.has_values = salt_seed, values
+        self.rels, self.sizes = rels, [sizes[rel] for rel in rels]
+        self.salts = [relation_salt(rel.label(), salt_seed) for rel in rels]
+        self.emit, self.names = emit, names
+        self.keys = [[column[a] for a in rel.names] for rel in rels]
+        self.parent, self.depths, self.children = parent, depths, children
+        self._priced = priced.reshape(4, -1)
+        self._times = self._ones = np.empty(0, dtype=np.int64)
+        self.walk = self.stats = None
+
+    def new_walk(self, longest: int, slices: int = 1) -> _native.Walk:
+        """A kernel walk of the bound forest, with scratch for epochs of
+        up to ``longest`` records and ``slices`` slices per table."""
+        return _native.Walk(self.parent, self.keys, self.salts, self.sizes,
+                            self.emit, self.has_values, longest, slices)
+
+    def kept_walk(self, longest: int, slices: int = 1) -> _native.Walk:
+        """The kept walk, built at the first call and for another slice
+        count; an epoch that outgrows its scratch doubles it in place."""
+        walk = self.walk
+        if walk is None or walk.slices != slices:
+            walk = self.walk = self.new_walk(longest, slices)
+        elif walk.longest < longest:
+            walk.reserve(max(longest, 2 * walk.longest))
+        return walk
+
+    def arrivals(self, longest: int) -> tuple[np.ndarray, np.ndarray]:
+        """A raw arrival's times and weights for an epoch of up to
+        ``longest`` records: its index in the epoch and 1. Every epoch
+        reads a prefix of the same two read-only buffers."""
+        if self._times.shape[0] < longest:
+            self._times = np.arange(longest, dtype=np.int64)
+            self._ones = np.ones(longest, dtype=np.int64)
+            self._times.flags.writeable = self._ones.flags.writeable = False
+        return self._times, self._ones
+
+    def count_into(self, counters: CostCounters) -> None:
+        """Add the last call's :attr:`stats` to ``counters``."""
+        for rel, (a_intra, a_flush, e_intra, e_flush) in zip(
+                self.rels, self.stats.tolist()):
+            c = counters.counters(rel)
+            c.arrivals_intra += a_intra
+            c.arrivals_flush += a_flush
+            c.evictions_intra += e_intra
+            c.evictions_flush += e_flush
+
+    def call_costs(self, params: CostParameters) -> tuple[float, float]:
+        """The last call's intra-epoch and flush costs: its counters
+        priced as :class:`CostCounters` prices a run's."""
+        probe, evict, flush_probe, flush_evict = (
+            self._priced @ self.stats.ravel()).tolist()
+        return (CostBreakdown(probe * params.probe_cost,
+                              evict * params.evict_cost).total,
+                CostBreakdown(flush_probe * params.probe_cost,
+                              flush_evict * params.evict_cost).total)
 
 
 def bucket_counts(relations, buckets: Mapping[AttributeSet, object] | None
@@ -187,6 +302,11 @@ def simulate(dataset: Dataset, config: Configuration,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
 
+    ``dataset`` is a :class:`Dataset`, or records cut from checked ones
+    that read like one: ``columns`` and ``values`` mappings, ``len()``
+    and ``epoch_slices(epoch_seconds)`` (the live close hands the open
+    epoch's records so, checked once, when they were pushed).
+
     ``shards``, when given, holds one shard id per record (1-D, integer,
     ``len(dataset)`` long, each in ``[0, 2**31)``, else
     :class:`~repro.errors.ConfigurationError`, raised before anything
@@ -199,20 +319,17 @@ def simulate(dataset: Dataset, config: Configuration,
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
     epoch per call into shared accumulators), and the same ``tables`` to
-    keep the kernel's buffers between them. With the kernel, a call over
-    several epochs walks them on a thread pool and touches
-    ``counters``/``hfta`` only once every epoch is walked: an error
-    leaves both as they were. An optional
+    bind the configuration once and keep the kernel's walk between them
+    (:class:`Tables`, which also holds each call's own counters). With
+    the kernel, a call over several epochs walks them on a thread pool
+    and touches ``counters``/``hfta`` only once every epoch is walked:
+    an error leaves both as they were. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span, record/epoch counters and an ``engine.workers`` gauge;
     when None the engine performs no clock reads of its own.
     """
-    rels = config.relations
-    table_sizes = bucket_counts(rels, buckets)
-    salts = {rel: relation_salt(rel.label(), salt_seed) for rel in rels}
-    # Both walks read the emit rule from here; a relation that emits
-    # still feeds its children.
-    emit = [config.is_emitting(rel) for rel in rels]
+    tables = tables if tables is not None else Tables()
+    tables.bind(config, buckets, salt_seed, value_column is not None)
     shards, slices = _shard_ids(shards, len(dataset))
     n_records = len(dataset)
     counters = counters if counters is not None else CostCounters(config)
@@ -222,21 +339,17 @@ def simulate(dataset: Dataset, config: Configuration,
         epochs = list(dataset.epoch_slices(epoch_seconds))
         n_epochs = len(epochs)
         workers = _workers(n_epochs) if native and n_epochs > 1 else 1
-        # A raw arrival's time is its index in the epoch and its weight
-        # is 1: every epoch reads a prefix of the same two buffers.
-        longest = max((end - start for _, start, end in epochs), default=0)
-        times0 = np.arange(longest, dtype=np.int64)
-        ones = np.ones(longest, dtype=np.int64)
-        times0.flags.writeable = ones.flags.writeable = False
         values = dataset.values[value_column] if value_column else None
         if epochs and native:
-            _walk_native(dataset, config, table_sizes, salts, emit,
-                         counters, hfta, epochs, values, times0, ones,
-                         shards, slices, tables, workers)
+            _walk_native(tables, dataset.columns, values, epochs, hfta,
+                         shards, slices, workers)
         elif epochs:
-            _walk_numpy(dataset, config, table_sizes, salts, emit,
-                        counters, hfta, epochs, values, times0, ones,
+            _walk_numpy(tables, dataset.columns, values, epochs, hfta,
                         shards, slices)
+        else:
+            tables.stats = np.zeros((len(tables.rels), 4), dtype=np.int64)
+        if epochs:
+            tables.count_into(counters)
     if registry is not None:
         registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
@@ -284,108 +397,65 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
     return ids, high + 1
 
 
-def _walk_native(dataset: Dataset, config: Configuration,
-                 table_sizes: dict[AttributeSet, int],
-                 salts: dict[AttributeSet, int], emit: list[bool],
-                 counters: CostCounters, hfta: HFTA,
-                 epochs: list[tuple[int, int, int]],
-                 values: np.ndarray | None, times0: np.ndarray,
-                 ones: np.ndarray, shards: np.ndarray | None = None,
-                 slices: int = 1, tables: Tables | None = None,
-                 workers: int = 1) -> None:
+def _walk_native(tables: Tables, columns: Mapping[str, np.ndarray],
+                 values: np.ndarray | None, epochs: list[tuple[int, int, int]],
+                 hfta: HFTA, shards: np.ndarray | None = None,
+                 slices: int = 1, workers: int = 1) -> None:
     """Every epoch through the ingest kernel, one call per epoch, on
     ``workers`` threads (the calling one alone when 1), with ``slices``
     slices per table and each row in its ``shards`` slice. The walk
     folds each emitting relation's runs, extending the state the HFTA
-    already holds for that relation and epoch; the HFTA and the counters
-    take the folded states after the last epoch, in epoch order."""
-    rels = config.relations
-    names = list(dict.fromkeys(a for rel in rels for a in rel.names))
-
-    def new_walk(longest: int) -> _native.Walk:
-        position = {rel: i for i, rel in enumerate(rels)}
-        column = {a: i for i, a in enumerate(names)}
-        return _native.Walk(
-            [-1 if p is None else position[p]
-             for p in map(config.parent, rels)],
-            [[column[a] for a in rel.names] for rel in rels],
-            [salts[rel] for rel in rels],
-            [table_sizes[rel] for rel in rels], emit, values is not None,
-            longest, slices)
-
-    key = (config, tuple(table_sizes[rel] for rel in rels),
-           tuple(salts[rel] for rel in rels), tuple(emit), values is None,
-           slices)
-    walk = tables.walk if tables is not None and tables.key == key else None
-    if walk is None or walk.longest < times0.shape[0]:
-        # a kept walk that an epoch outgrew doubles
-        walk = new_walk(max(times0.shape[0], 2 * walk.longest if walk else 0))
-        if tables is not None:
-            tables.key, tables.walk = key, walk
-    walks = [walk] + [new_walk(times0.shape[0]) for _ in range(workers - 1)]
-    # One conversion of the stream's columns serves every walk.
-    columns = [np.ascontiguousarray(dataset.columns[a], dtype=np.int64)
-               for a in names]
-    if values is not None:
-        values = np.ascontiguousarray(values, dtype=np.float64)
+    already holds for that relation and epoch; the HFTA takes the folded
+    states after the last epoch, in epoch order, and ``tables.stats``
+    the call's counters."""
+    rels = tables.rels
+    longest = max(end - start for _, start, end in epochs)
+    times0, ones = tables.arrivals(longest)
+    walk = tables.kept_walk(longest, slices)
+    walks = [walk] + [tables.new_walk(longest, slices)
+                      for _ in range(workers - 1)]
+    # One conversion and one check of the stream serve every walk.
+    walk.bind([columns[a] for a in tables.names], values, shards)
+    for other in walks[1:]:
+        other.bind_like(walk)
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
     # an earlier call).
     seeds: dict[int, dict[int, ColumnarTotals]] = {}
     for epoch_id, _, _ in epochs:
-        for r, emits in enumerate(emit):
+        for r, emits in enumerate(tables.emit):
             held = hfta.totals_columnar(rels[r], epoch_id) if emits else None
             if held is not None:
                 seeds.setdefault(epoch_id, {})[r] = held
     # Fold outputs for the longest epoch after the largest seed, made on
     # this thread: an array a pool thread makes stays in its arena.
-    room = times0.shape[0] + max((s.n_groups for held in seeds.values()
-                                  for s in held.values()), default=0)
+    room = longest + max((s.n_groups for held in seeds.values()
+                          for s in held.values()), default=0)
     for w in walks:
-        w.bind(columns, values, shards)
         w.reserve_folds(room)
         w.stats[:] = 0
 
     def epoch_states(own: _native.Walk, epoch_id: int, lo: int,
                      hi: int) -> list:
-        """One epoch's folded states. ``reps`` is a view of the walk's
-        scratch, so the new groups' columns are gathered here, before
-        the walk's next call."""
+        """One epoch's folded states, as the kernel wrote them."""
         n = hi - lo
-        held = seeds.get(epoch_id, {})
         extend = {r: (s.columns, s.counts, s.value_sums, s.value_mins,
-                      s.value_maxs) for r, s in held.items()}
-        # the folds' rows are relative to ``lo``
+                      s.value_maxs)
+                  for r, s in seeds.get(epoch_id, {}).items()}
         folds = _native.ingest_runs(own, lo, times0[:n], ones[:n], extend)
-        states = []
-        for fold in folds:
-            rel = rels[fold.relation]
-            cols = [dataset.columns[a][lo:][fold.reps] for a in rel.names]
-            if fold.relation in held:
-                cols = [np.concatenate((old, new)) for old, new
-                        in zip(held[fold.relation].columns, cols)]
-            states.append((rel, ColumnarTotals(
-                rel.names, cols, fold.counts, fold.sums, fold.mins,
-                fold.maxs), fold.runs))
-        return states
+        return [(rels[fold.relation], ColumnarTotals(
+            rels[fold.relation].names, fold.columns, fold.counts,
+            fold.sums, fold.mins, fold.maxs), fold.runs) for fold in folds]
 
     if len(walks) == 1:
         folded = [epoch_states(walk, *piece) for piece in epochs]
-        stats = walk.stats
+        tables.stats = walk.stats
     else:
         folded = _on_pool(walks, epochs, epoch_states)
-        stats = sum(w.stats for w in walks)
+        tables.stats = sum(w.stats for w in walks)
     for (epoch_id, _, _), states in zip(epochs, folded):
         for rel, state, runs in states:
             hfta.ingest_folded(rel, epoch_id, state, runs)
-    # Every relation sees arrivals in every non-empty epoch.
-    for rel, (a_intra, a_flush, e_intra, e_flush) in zip(
-            rels, stats.tolist()):
-        c = counters.counters(rel)
-        c.arrivals_intra += a_intra
-        c.arrivals_flush += a_flush
-        c.evictions_intra += e_intra
-        c.evictions_flush += e_flush
 
 
 def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],
@@ -420,45 +490,45 @@ def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],
     return folded
 
 
-def _walk_numpy(dataset: Dataset, config: Configuration,
-                table_sizes: dict[AttributeSet, int],
-                salts: dict[AttributeSet, int], emit: list[bool],
-                counters: CostCounters, hfta: HFTA,
-                epochs: list[tuple[int, int, int]],
-                values: np.ndarray | None, times0: np.ndarray,
-                ones: np.ndarray, shards: np.ndarray | None = None,
+def _walk_numpy(tables: Tables, columns: Mapping[str, np.ndarray],
+                values: np.ndarray | None, epochs: list[tuple[int, int, int]],
+                hfta: HFTA, shards: np.ndarray | None = None,
                 slices: int = 1) -> None:
     """Every epoch through the numpy walk, one relation at a time, with
     ``slices`` slices per table and each row in its ``shards`` slice:
-    the shard ids travel with every arrival batch."""
-    depths = {rel: config.depth(rel) for rel in config.relations}
-    max_b = max(table_sizes.values()) * slices
-    raw = set(config.raw_relations)
+    the shard ids travel with every arrival batch. ``tables.stats``
+    takes the call's counters."""
+    rels = tables.rels
+    stats = tables.stats = np.zeros((len(rels), 4), dtype=np.int64)
+    max_b = max(tables.sizes) * slices
+    times0, ones = tables.arrivals(max(end - start
+                                       for _, start, end in epochs))
+    raw = [r for r, p in enumerate(tables.parent) if p < 0]
     for epoch_id, lo, hi in epochs:
         n = hi - lo
         stride = np.int64(n + max_b + 2)
-        arrivals: dict[AttributeSet, _Arrivals] = {}
+        arrivals: dict[int, _Arrivals] = {}
         vals = values[lo:hi] if values is not None else None
         shard = shards[lo:hi] if shards is not None else None
-        for root in raw:
-            cols = {a: dataset.columns[a][lo:hi] for a in root.names}
+        for r in raw:
+            cols = {a: columns[a][lo:hi] for a in rels[r].names}
             # A single record's partials: sum = min = max = its value.
-            arrivals[root] = (times0[:n], ones[:n], vals, vals, vals, cols,
-                              shard)
-        for rel, emits in zip(config.relations, emit):  # parents first
-            t, w, vs, vmin, vmax, cols, shard = arrivals.pop(rel)
+            arrivals[r] = (times0[:n], ones[:n], vals, vals, vals, cols,
+                           shard)
+        for r, rel in enumerate(rels):  # parents first
+            t, w, vs, vmin, vmax, cols, shard = arrivals.pop(r)
             evicted = _process_relation(
                 rel, t, w, vs, vmin, vmax, cols, n, stride,
-                table_sizes[rel], salts[rel], depths[rel], counters,
-                times_sorted=rel in raw, shard=shard)
+                tables.sizes[r], tables.salts[r], tables.depths[r],
+                stats[r], times_sorted=tables.parent[r] < 0, shard=shard)
             if evicted is None:
                 continue
             ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols, ev_shard = evicted
-            if emits:
+            if tables.emit[r]:
                 hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
                                    ev_vmin, ev_vmax)
-            for child in config.children(rel):
-                child_cols = {a: ev_cols[a] for a in child.names}
+            for child in tables.children[r]:
+                child_cols = {a: ev_cols[a] for a in rels[child].names}
                 arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
                                    child_cols, ev_shard)
 
@@ -468,19 +538,19 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
                       vmax: np.ndarray | None,
                       cols: dict[str, np.ndarray],
                       n: int, stride: np.int64, n_buckets: int, salt: int,
-                      depth: int, counters: CostCounters,
+                      depth: int, counts: np.ndarray,
                       times_sorted: bool = False,
                       shard: np.ndarray | None = None,
                       ) -> _Arrivals | None:
-    c = counters.counters(rel)
+    """One relation-epoch of the numpy walk: its arrivals' runs, their
+    eviction times and partials, and its counters added to ``counts``
+    (arrivals intra, at the flush, evictions intra, at the flush)."""
     m = int(t.shape[0])
     if m == 0:
         return None
 
     flush_base = np.int64(n) + np.int64(depth) * stride
     intra = int(np.count_nonzero(t < n))
-    c.arrivals_intra += intra
-    c.arrivals_flush += m - intra
     columns = [cols[a] for a in rel.names]
     key = pack_tuples(columns)
     bkt = bucket_indices(columns, salt, n_buckets)
@@ -528,8 +598,7 @@ def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
     evict_t[flush_mask] = flush_base + sb[run_start[flush_mask]]
 
     ev_intra = int(np.count_nonzero(evict_t < n))
-    c.evictions_intra += ev_intra
-    c.evictions_flush += n_runs - ev_intra
+    counts += (intra, m - intra, ev_intra, n_runs - ev_intra)
 
     rep = order[run_start]
     ev_cols = {a: cols[a][rep] for a in rel.names}

@@ -14,6 +14,15 @@ measured ÷ predicted cost per record. The first epoch of an *era* (the
 epochs under one plan) sets the baseline, which absorbs any standing
 model bias; an epoch whose ratio leaves ``REPLAN_FACTOR`` of it re-plans
 from that epoch's exact statistics, landing at the next boundary.
+
+An era holds a bound walk (:class:`~repro.gigascope.engine.Tables`):
+its first close resolves the era's relations, table sizes, salts, emit
+flags and column order and builds the kernel's walk, and every later
+close reuses them. A close hands ``simulate`` the records :meth:`push`
+checked, joined into one array per column — no second check and no
+:class:`~repro.gigascope.records.Dataset`, which only a re-plan builds
+for its statistics — and reports the epoch's intra and flush costs from
+the walk's counters of that one call.
 """
 
 from __future__ import annotations
@@ -73,8 +82,10 @@ class EpochReport:
 class _Era:
     """A maximal span of epochs sharing one plan; ``baseline`` is the
     cost ratio of its first epoch, which held ``baseline_records``.
-    ``tables`` keeps the engine's buffers from epoch to epoch while the
-    era is the newest; a checkpoint leaves them out."""
+    ``tables`` is the era's bound walk: the engine binds it at the era's
+    first close and walks every later one through it while the era is
+    the newest. A checkpoint leaves it out; a restored era binds a new
+    one at its first close."""
 
     configuration: Configuration
     buckets: dict[AttributeSet, int]
@@ -96,6 +107,30 @@ class _Era:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.tables = Tables()
+
+
+class _EpochRecords:
+    """The open epoch's records as :meth:`LiveStreamSystem.push` checked
+    them, read by ``simulate`` as it reads a :class:`Dataset`: the
+    columns, the values, the length and the one epoch they fill."""
+
+    __slots__ = ("epoch", "columns", "values")
+
+    def __init__(self, epoch: int, columns: dict[str, np.ndarray],
+                 values: dict[str, np.ndarray]) -> None:
+        self.epoch, self.columns, self.values = epoch, columns, values
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def epoch_slices(self, epoch_seconds: float):
+        return [(self.epoch, 0, len(self))]
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """One array of a column's buffered chunks (the chunk itself when
+    there is one)."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 class LiveStreamSystem:
@@ -139,13 +174,11 @@ class LiveStreamSystem:
     def _apply_plan(self, plan: Plan) -> None:
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
-        era = _Era(plan.configuration, buckets, plan)
         if self.eras:
-            # Only the newest era runs, so the engine's buffers move on
-            # to it (and are rebuilt in place for a new plan) rather than
-            # staying behind with every era of a long run.
-            era.tables, self.eras[-1].tables = self.eras[-1].tables, Tables()
-        self.eras.append(era)
+            # Only the newest era runs: the walk of an older one is let go
+            # rather than kept with every era of a long run.
+            self.eras[-1].tables = Tables()
+        self.eras.append(_Era(plan.configuration, buckets, plan))
         self._staged_plan: Plan | None = None
         self._staged_queries: QuerySet | None = None
 
@@ -294,28 +327,27 @@ class LiveStreamSystem:
     # Epoch processing
     # ------------------------------------------------------------------
     def _close_epoch(self) -> EpochReport:
+        """Walk the open epoch through the newest era's bound walk and
+        report it. The records are the ones :meth:`push` checked, handed
+        over as they are; the report's costs are the walk's own counters
+        of this call."""
         era = self.eras[-1]
         epoch = self._pending_epoch
         assert epoch is not None
-        times = np.concatenate(self._pending_times)
-        columns = {name: np.concatenate(chunks)
-                   for name, chunks in self._pending_cols.items()}
-        values = ({self.value_column: np.concatenate(self._pending_vals)}
-                  if self.value_column and self._pending_vals else {})
-        dataset = Dataset(self.schema, columns, times, values)
-        before_intra = era.counters.measured_intra_cost(self.params).total
-        before_flush = era.counters.measured_flush_cost(self.params).total
+        records = _EpochRecords(
+            epoch, {name: _joined(chunks)
+                    for name, chunks in self._pending_cols.items()},
+            {self.value_column: _joined(self._pending_vals)}
+            if self.value_column and self._pending_vals else {})
+        times = self._pending_times
         with trace(self.registry, "flush"):
-            simulate(dataset, era.configuration, era.buckets,
+            simulate(records, era.configuration, era.buckets,
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
                      registry=self.registry, tables=era.tables)
         report = EpochReport(
-            epoch, len(dataset), era.configuration,
-            era.counters.measured_intra_cost(self.params).total
-            - before_intra,
-            era.counters.measured_flush_cost(self.params).total
-            - before_flush,
+            epoch, len(records), era.configuration,
+            *era.tables.call_costs(self.params),
             era.plan.predicted_cost if era.plan is not None else None)
         self.epoch_reports.append(report)
         if self.registry is not None:
@@ -333,18 +365,20 @@ class LiveStreamSystem:
         self._pending_times = []
         self._pending_epoch = None
         if self._staged_plan is None:
-            self._judge(era, report, dataset)
+            self._judge(era, report, records, times)
         return report
 
     def _judge(self, era: _Era, report: EpochReport,
-               dataset: Dataset) -> None:
+               records: "_EpochRecords", times: list[np.ndarray]) -> None:
         """The re-plan rule: stage a new plan if this epoch's measured ÷
         predicted cost left ``REPLAN_FACTOR`` of the era's baseline.
 
         Idle for a plan without recorded planning inputs; epochs under
         half the era's first are not comparable and not judged. If the
         budget cannot be allocated for the new statistics, the plan stays
-        and this epoch becomes the era's baseline.
+        and this epoch becomes the era's baseline. Only a re-plan makes
+        the epoch's records (with their timestamps ``times``) a
+        :class:`Dataset`, for its statistics.
         """
         running = era.plan
         if running is None or running.memory is None \
@@ -358,6 +392,8 @@ class LiveStreamSystem:
                 era.baseline / REPLAN_FACTOR <= ratio \
                 <= era.baseline * REPLAN_FACTOR:
             return
+        dataset = Dataset(self.schema, records.columns,
+                          np.concatenate(times), records.values)
         stats = measure_statistics(
             dataset, FeedingGraph(self.queries).nodes,
             counters=2 if self.value_column else 1)

@@ -104,7 +104,7 @@ class Dataset:
             if name not in self.columns:
                 raise SchemaError(f"dataset missing column {name!r}")
             arr = np.asarray(self.columns[name])
-            if not np.issubdtype(arr.dtype, np.integer):
+            if arr.dtype.kind not in "iu":  # numpy's integer kinds
                 raise SchemaError(f"attribute column {name!r} must be integer")
             if arr.shape != (n,):
                 raise SchemaError(
@@ -124,7 +124,7 @@ class Dataset:
         # Finite ends and non-negative steps: a NaN anywhere fails a step.
         t = self.timestamps
         if n and not (np.isfinite(t[0]) and np.isfinite(t[-1])
-                      and (np.diff(t) >= 0).all()):
+                      and (t[1:] >= t[:-1]).all()):
             raise SchemaError("timestamps must be finite and non-decreasing")
 
     # ------------------------------------------------------------------

@@ -38,12 +38,18 @@ the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in the
 numpy path's emission order (bucket, start-time), go straight into an
 open-addressing group table — the ``find_slot`` probe of
 :mod:`repro.native.merge`, equality on the raw columns — that folds them
-to one row per group. A call returns, per emitting relation, the new
-groups' representative rows and every group's int64 count and float64
-sum/min/max, in first-appearance order. A fold may *extend* a state the
-caller hands in (a seed): the seed's groups enter first, then the runs,
-which is the HFTA's own ordering rule, so an epoch folded in two calls
-adds its floats in the order of one.
+to one row per group. A fold may *extend* a state the caller hands in
+(a seed): the seed's groups, with their aggregates, enter first, then
+the runs, which is the HFTA's own ordering rule, so an epoch folded in
+two calls adds its floats in the order of one. After the walk the kernel
+writes, per emitting relation, every group's int64 count, float64
+sum/min/max and key columns (a new group's read through its
+representative's raw row, a seed group's from the seed), in
+first-appearance order, into one block sized to that fold's groups: the
+HFTA keeps those arrays as the key's state, with no copy and no gather
+in Python. A block per fold, not per call, keeps each below the size
+glibc maps on its own, so the blocks of a run freed come back from the
+heap, as the separate arrays of a numpy fold do.
 
 *The bound.* A relation-epoch costs its arrivals and runs, never its
 table size: a slot is valid only when it names a run of the current pass
@@ -132,6 +138,8 @@ typedef struct { int64_t bucket, run; } order_t;
 typedef struct {
     int64_t n_seed, n_groups;
     const uint64_t **seed;      /* [k] the state's key columns, or NULL */
+    const int64_t *seed_w;      /* [n_seed] the state's aggregates */
+    const double *seed_vs, *seed_vmin, *seed_vmax;
     int64_t *rep;               /* new group's raw row; -1 - s: seed row s */
     int64_t *w;
     double *vs, *vmin, *vmax;
@@ -220,12 +228,17 @@ static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
     table = W->table;
     mask = (uint64_t)W->cap - 1ULL;
     base = W->base;
-    /* the state's groups are distinct: each finds an empty slot */
+    /* the state's groups are distinct: each finds an empty slot; a
+     * state row enters as 0.0 + its sum, as in the HFTA's fold */
     for (g = 0; g < n_seed; g++) {
         s = find_slot(F->seed, k, g, chain64(F->seed, k, g, state), mask,
                       table, base, F->rep, F->seed);
         table[s] = base + g;
         F->rep[g] = -1 - g;
+        F->w[g] = F->seed_w[g];
+        F->vs[g] = 0.0 + F->seed_vs[g];
+        F->vmin[g] = F->seed_vmin[g];
+        F->vmax[g] = F->seed_vmax[g];
     }
     for (i = 0; i < n_runs; i++) {
         R = &W->runs[W->order[i].run];
@@ -469,6 +482,41 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
     return 0;
 }
 
+/* Hand over the folds of the last repro_walk call: dst[slot], for each
+ * emitting relation with n > 0 groups, is room for 4 + k rows of n
+ * int64 words, k its key columns: the counts, the sums, minima and
+ * maxima (as their bits), then each key column, a group's value read
+ * through its representative's raw row or its seed row. */
+void repro_walk_take(const walk_t *W, int64_t *const *dst)
+{
+    int64_t r, c, g, n, k, rep;
+    const fold_t *F;
+    const uint64_t **keys;
+    int64_t *out, *col;
+
+    for (r = 0; r < W->n_rel; r++) {
+        if (!W->emit[r] || W->folds[W->fold_slot[r]].n_groups == 0)
+            continue;
+        F = &W->folds[W->fold_slot[r]];
+        out = dst[W->fold_slot[r]];
+        n = F->n_groups;
+        k = W->key_off[r + 1] - W->key_off[r];
+        keys = W->keys + W->key_off[r];
+        memcpy(out, F->w, (size_t)n * sizeof(int64_t));
+        memcpy(out + n, F->vs, (size_t)n * sizeof(double));
+        memcpy(out + 2 * n, F->vmin, (size_t)n * sizeof(double));
+        memcpy(out + 3 * n, F->vmax, (size_t)n * sizeof(double));
+        for (c = 0; c < k; c++) {
+            col = out + (4 + c) * n;
+            for (g = 0; g < n; g++) {
+                rep = F->rep[g];
+                col[g] = (int64_t)(rep < 0 ? F->seed[c][-1 - rep]
+                                           : keys[c][rep]);
+            }
+        }
+    }
+}
+
 /* Release the folds' group table. */
 void repro_walk_free(walk_t *W)
 {
@@ -484,7 +532,8 @@ class _FoldStruct(ctypes.Structure):
 
     _fields_ = [("n_seed", ctypes.c_int64), ("n_groups", ctypes.c_int64)] \
         + [(name, ctypes.c_void_p) for name in
-           ("seed", "rep", "w", "vs", "vmin", "vmax")]
+           ("seed", "seed_w", "seed_vs", "seed_vmin", "seed_vmax", "rep",
+            "w", "vs", "vmin", "vmax")]
 
 
 class _WalkStruct(ctypes.Structure):
@@ -500,14 +549,15 @@ class _WalkStruct(ctypes.Structure):
         [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
 
 
-_I64P = ctypes.POINTER(ctypes.c_int64)
+_WALK_P = ctypes.POINTER(_WalkStruct)
 
 _SIGNATURES = {
     "repro_walk": (ctypes.c_int64, [
-        ctypes.POINTER(_WalkStruct), ctypes.c_int64, _I64P, _I64P,
+        _WALK_P, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64,
     ]),
-    "repro_walk_free": (None, [ctypes.POINTER(_WalkStruct)]),
+    "repro_walk_take": (None, [_WALK_P, ctypes.c_void_p]),
+    "repro_walk_free": (None, [_WALK_P]),
 }
 
 #: 8-byte words of one ``run_t`` / ``order_t``.
@@ -529,15 +579,15 @@ class Fold(NamedTuple):
 
     #: The relation's walk index.
     relation: int
-    #: The new groups' representative rows, relative to the call's
-    #: ``start`` (a view of the walk's scratch, valid until its next call).
-    reps: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
     mins: np.ndarray
     maxs: np.ndarray
     #: The runs (evicted partials) the walk folded in.
     runs: int
+    #: Every group's key columns, in the relation's key order, written by
+    #: the kernel from the representative rows (the seed's as handed in).
+    columns: list[np.ndarray]
 
 
 #: A state a fold extends: its key columns (in the relation's key order)
@@ -559,12 +609,13 @@ class Walk:
     Each relation's table is ``slices`` slices of ``buckets[r]`` buckets
     side by side: a row lands in the slice its stream's shard id names
     (:meth:`bind`), slice 0 when the stream has none.
-    Scratch for epochs of up to ``longest`` records is allocated here,
-    once, and serves every stream the walk is bound to; the folds' group
-    table is allocated by the kernel, as large as the largest fold needs,
-    and released with the walk. :attr:`stats` holds the per-relation
-    counters ``(arrivals_intra, arrivals_flush, evictions_intra,
-    evictions_flush)`` summed over every call since it was last zeroed.
+    Scratch for epochs of up to ``longest`` records is allocated here
+    and grows in place (:meth:`reserve`); it serves every stream the
+    walk is bound to. The folds' group table is allocated by the kernel,
+    as large as the largest fold needs, and released with the walk.
+    :attr:`stats` holds the per-relation counters ``(arrivals_intra,
+    arrivals_flush, evictions_intra, evictions_flush)`` summed over
+    every call since it was last zeroed.
     """
 
     def __init__(self, parent: Sequence[int],
@@ -600,21 +651,21 @@ class Walk:
                 path.clear()
             path.append(r)
         self.has_values = bool(values)
-        self.longest = L = max(int(longest), 1)
         self.emit = [bool(e) for e in emit]
         self.fold_slot = fold_slot = [-1] * n_rel
-        n_emit = 0
+        #: ``(relation, fold slot, key columns)`` of every emitting one.
+        self._emitting = []
         for r, emits in enumerate(self.emit):
             if emits:
-                fold_slot[r], n_emit = n_emit, n_emit + 1
-        levels = max((depth[r] + 1 for r in range(n_rel) if feeds[r]),
-                     default=0)
+                fold_slot[r] = len(self._emitting)
+                self._emitting.append((r, fold_slot[r], len(keys[r])))
+        self._levels = max((depth[r] + 1 for r in range(n_rel) if feeds[r]),
+                           default=0)
         key_off = np.zeros(n_rel + 1, dtype=np.int64)
         key_off[1:] = np.cumsum([len(k) for k in keys])
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
         self.slices = max(int(slices), 1)
         max_b = max(buckets, default=1) * self.slices
-        fl = levels if values else 0
         i64 = np.int64
         # Kept alive here for as long as the kernel may read them.
         self._arrays = arrays = {
@@ -632,21 +683,22 @@ class Walk:
             # scratch the kernel writes before it reads
             "slot_run": np.empty(max_b, dtype=i64),
             "bucket_pos": np.empty(max_b, dtype=i64),
-            "runs": np.empty((L, _RUN_WORDS), dtype=i64),
-            "order": np.empty((L, _ORDER_WORDS), dtype=i64),
-            "ev_i": np.empty((levels, 3, L), dtype=i64),
-            "ev_f": np.empty((fl, 3, L), dtype=np.float64),
             "n_runs": np.zeros(n_rel, dtype=i64),
             "stats": np.zeros((n_rel, 4), dtype=i64),
         }
-        self._folds = (_FoldStruct * n_emit)()
+        self._folds = (_FoldStruct * len(self._emitting))()
+        # each fold's output block, for repro_walk_take
+        self._take = np.zeros(len(self._emitting), dtype=np.uintp)
+        self._take_ref = self._take.ctypes.data
         self._fold_room = 0
-        self.reserve_folds(L)
         struct = self._struct = _WalkStruct(
-            n_rel=n_rel, longest=L, max_buckets=max_b, n_slices=self.slices)
+            n_rel=n_rel, max_buckets=max_b, n_slices=self.slices)
         for name, array in arrays.items():
             setattr(struct, name, array.ctypes.data)
         struct.folds = ctypes.addressof(self._folds)
+        self.longest = 0
+        self.reserve(longest)
+        self.reserve_folds(self.longest)
         self.n_runs, self.stats = arrays["n_runs"], arrays["stats"]
         self._column_ptrs = arrays["columns"]
         self._ref = ctypes.byref(struct)
@@ -657,6 +709,26 @@ class Walk:
         self.columns: list[np.ndarray] = []
         self.values: np.ndarray | None = None
         self.shards: np.ndarray | None = None
+
+    def reserve(self, longest: int) -> None:
+        """Scratch for epochs of up to ``longest`` records: the held
+        scratch when it is enough, else new scratch in its place (the
+        walk, its bound stream and its folds stay)."""
+        longest = max(int(longest), 1)
+        if longest <= self.longest:
+            return
+        L = self.longest = longest
+        scratch = {
+            "runs": np.empty((L, _RUN_WORDS), dtype=np.int64),
+            "order": np.empty((L, _ORDER_WORDS), dtype=np.int64),
+            "ev_i": np.empty((self._levels, 3, L), dtype=np.int64),
+            "ev_f": np.empty((self._levels if self.has_values else 0, 3, L),
+                             dtype=np.float64),
+        }
+        for name, array in scratch.items():
+            setattr(self._struct, name, array.ctypes.data)
+        self._struct.longest = L
+        self._arrays.update(scratch)  # the old scratch goes only now
 
     def reserve_folds(self, room: int) -> None:
         """Give every fold output room for ``room`` groups, a seed's
@@ -715,11 +787,26 @@ class Walk:
                     if a is not None]
         self.rows = min(lengths, default=0)
 
+    def bind_like(self, other: "Walk") -> None:
+        """Point the walk at the stream ``other`` is bound to, as
+        :meth:`bind` checked it there: another thread's walk of the same
+        forest, over the same stream, without a second pass over its
+        shard ids."""
+        if (other.n_columns, other.has_values, other.slices) != \
+                (self.n_columns, self.has_values, self.slices):
+            raise ValueError("the walks are not of one forest")
+        self.columns, self.values = other.columns, other.values
+        self.shards, self.rows = other.shards, other.rows
+        self._column_ptrs[:] = other._column_ptrs
+        self._struct.values = other._struct.values
+        self._struct.shard = other._struct.shard
 
-def _seed_keys(seed: Seed, k: int):
-    """A seed's group count and its ``k`` key columns as the uint64 bits
-    the kernel compares, with their addresses; a seed of another shape
-    is refused."""
+
+def _seed_state(seed: Seed, k: int):
+    """A seed's group count, and its ``k`` key columns (as the uint64
+    bits the kernel compares) and aggregates as the contiguous arrays
+    the kernel reads, with every address; a seed of another shape is
+    refused."""
     cols, counts = seed[0], seed[1]
     g = int(counts.shape[0])
     if len(cols) != k or any(np.shape(col) != (g,) for col in cols):
@@ -727,10 +814,15 @@ def _seed_keys(seed: Seed, k: int):
     if any(np.asarray(col).dtype.kind not in "iub" for col in cols):
         raise ValueError("a seed's key columns must be integers, as the "
                          "stream's are")
+    if any(np.shape(a) != (g,) for a in seed[2:]):
+        raise ValueError(f"a seed needs its aggregates for {g} rows")
     keys = [np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
             for col in cols]
+    aggregates = [np.ascontiguousarray(counts, dtype=np.int64)] + [
+        np.ascontiguousarray(a, dtype=np.float64) for a in seed[2:]]
     addresses = np.array([col.ctypes.data for col in keys], dtype=np.uintp)
-    return g, keys, addresses
+    return g, (keys, aggregates, addresses), [
+        addresses.ctypes.data, *(a.ctypes.data for a in aggregates)]
 
 
 def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
@@ -749,7 +841,10 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     state relation ``r``'s fold extends (its groups first). Returns one
     :class:`Fold` per emitting relation with at least one run, in walk
     order; with a count-only stream the sums are 0.0 and the minima and
-    maxima ``+inf``/``-inf``. The counters accumulate in ``walk.stats``.
+    maxima ``+inf``/``-inf``. The kernel writes every fold's counts,
+    sums, minima, maxima and key columns into one block per fold, sized
+    to its groups, which the returned arrays view: the caller keeps
+    them as they are. The counters accumulate in ``walk.stats``.
     Call only when :func:`kernel_available`.
     """
     lib = _kernel()
@@ -767,39 +862,36 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     for r, seed in (seeds or {}).items():
         if not 0 <= r < len(walk.emit) or not walk.emit[r]:
             raise ValueError(f"relation {r} does not emit: nothing to seed")
-        seeded[r] = _seed_keys(seed, int(key_off[r + 1] - key_off[r]))
+        seeded[r] = _seed_state(seed, int(key_off[r + 1] - key_off[r]))
     walk.reserve_folds(n + max((g for g, _, _ in seeded.values()),
                                 default=0))
+    folds = walk._folds
     try:
         for r, (g, _, addresses) in seeded.items():
-            slot = walk.fold_slot[r]
-            _, counts, sums, mins, maxs = seeds[r]
-            _, out_w, out_vs, out_vmin, out_vmax = walk._fold_out[slot]
-            out_w[:g] = counts
-            # A state row enters the HFTA's fold as 0.0 + its sum.
-            np.add(sums, 0.0, out=out_vs[:g])
-            out_vmin[:g] = mins
-            out_vmax[:g] = maxs
-            fold = walk._folds[slot]
-            fold.n_seed, fold.seed = g, addresses.ctypes.data
-        status = lib.repro_walk(walk._ref, start, t.ctypes.data_as(_I64P),
-                                w.ctypes.data_as(_I64P), n)
+            fold = folds[walk.fold_slot[r]]
+            fold.n_seed = g
+            (fold.seed, fold.seed_w, fold.seed_vs, fold.seed_vmin,
+             fold.seed_vmax) = addresses
+        if lib.repro_walk(walk._ref, start, t.ctypes.data, w.ctypes.data,
+                          n) < 0:
+            raise MemoryError("no memory for the ingest walk's group table")
+        # One block per fold with a group, viewed by its Fold and
+        # filled by the kernel.
+        out, take = [], walk._take
+        for r, slot, k in walk._emitting:
+            groups = folds[slot].n_groups
+            if groups:
+                block = np.empty((4 + k, groups), dtype=np.int64)
+                take[slot] = ctypes.addressof(ctypes.c_char.from_buffer(block))
+                sums, mins, maxs = block[1:4].view(np.float64)
+                out.append(Fold(r, block[0], sums, mins, maxs,
+                                int(walk.n_runs[r]), list(block[4:])))
+        if out:
+            lib.repro_walk_take(walk._ref, walk._take_ref)
     finally:
         for r in seeded:
-            fold = walk._folds[walk.fold_slot[r]]
-            fold.n_seed, fold.seed = 0, None
-    if status < 0:
-        raise MemoryError("no memory for the ingest walk's group table")
-    out = []
-    for r, slot in enumerate(walk.fold_slot):
-        if slot < 0:
-            continue
-        groups = walk._folds[slot].n_groups
-        if not groups:
-            continue
-        n_seed = seeded[r][0] if r in seeded else 0
-        rep, *aggregates = walk._fold_out[slot]
-        out.append(Fold(r, rep[n_seed:groups],
-                        *(a[:groups].copy() for a in aggregates),
-                        int(walk.n_runs[r])))
+            fold = folds[walk.fold_slot[r]]
+            fold.n_seed = 0
+            fold.seed = fold.seed_w = fold.seed_vs = fold.seed_vmin = \
+                fold.seed_vmax = None
     return out

@@ -80,7 +80,13 @@ def check_shard_ids(shard_ids, n_shards: int, n_records: int | None = None,
         raise ConfigurationError(
             f"shard assignment{by} has shape {ids.shape}, "
             f"expected ({expected},): one id per record")
-    if ids.size and (ids.min() < 0 or ids.max() >= n_shards):
+    # One pass: a negative id reads as an unsigned one of at least
+    # 2**(bits - 1), past every id its dtype holds.
+    bound, unsigned = n_shards, ids
+    if ids.dtype.kind == "i":
+        bound = min(n_shards, 2 ** (8 * ids.dtype.itemsize - 1))
+        unsigned = ids.view(f"u{ids.dtype.itemsize}")
+    if ids.size and int(unsigned.max()) >= bound:
         first = int(np.flatnonzero((ids < 0) | (ids >= n_shards))[0])
         raise ConfigurationError(
             f"shard ids{by} must lie in [0, {n_shards}), got range "

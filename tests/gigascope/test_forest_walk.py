@@ -23,7 +23,6 @@ from hypothesis import given, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.gigascope import Dataset, StreamSchema, engine, simulate
-from repro.gigascope.hashing import relation_salt
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import CostCounters
@@ -161,16 +160,14 @@ def test_walks_match_each_other_and_reference(config, stream, data):
 
 def _walk(walk, config, dataset, buckets, emit, value_column):
     """One of the engine's two walks with its own emit flags."""
-    rels = config.relations
     counters, hfta = CostCounters(config), HFTA()
-    slices = list(dataset.epoch_slices(1.0))
-    longest = max(end - start for _, start, end in slices)
-    walk(dataset, config, {rel: buckets[rel] for rel in rels},
-         {rel: relation_salt(rel.label()) for rel in rels}, emit,
-         counters, hfta, slices,
+    tables = engine.Tables()
+    tables.bind(config, buckets, 0, value_column is not None)
+    tables.emit = emit
+    walk(tables, dataset.columns,
          dataset.values[value_column] if value_column else None,
-         np.arange(longest, dtype=np.int64),
-         np.ones(longest, dtype=np.int64))
+         list(dataset.epoch_slices(1.0)), hfta)
+    tables.count_into(counters)
     return counters, hfta
 
 

@@ -1,7 +1,10 @@
 """Tests for the incremental runtime and its one re-plan rule."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import (
     AttributeSet,
@@ -16,14 +19,20 @@ from repro import (
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError, SchemaError
 from repro.core.sketches import StreamStatisticsCollector
-from repro.gigascope.online import REPLAN_FACTOR, LiveStreamSystem
+from repro.gigascope import engine, simulate
+from repro.gigascope.filters import Comparison, filter_dataset
+from repro.gigascope.hfta import HFTA
+from repro.gigascope.online import (REPLAN_FACTOR, EpochReport,
+                                    LiveStreamSystem)
 from repro.gigascope.records import Dataset
+from repro.native import ingest as native_ingest
 from repro.workloads import (
     make_group_universe,
     measure_statistics,
     paper_like_trace,
     uniform_dataset,
 )
+from tests.conftest import needs_kernel, numpy_kernels_off
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
@@ -288,6 +297,227 @@ class TestLiveStreamSystem:
         with pytest.raises(ConfigurationError, match="value_column='len'"):
             live.reconfigure(base_plan, avg)
         assert live._staged_plan is None
+
+
+#: Both walks: the kernel's (where it compiled) and the numpy one.
+LEGS = [pytest.param("kernel", marks=needs_kernel), "numpy"]
+
+
+def leg(name):
+    return nullcontext() if name == "kernel" else numpy_kernels_off()
+
+
+class TestEraWalk:
+    """An era binds its walk once, at its first close: the salts, the
+    table sizes and the kernel's walk are not resolved again per epoch."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"salts": 0, "walks": 0}
+        salt = engine.relation_salt
+
+        def counted_salt(label, seed=0):
+            calls["salts"] += 1
+            return salt(label, seed)
+
+        class CountedWalk(native_ingest.Walk):
+            def __init__(self, *args, **kwargs):
+                calls["walks"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "relation_salt", counted_salt)
+        monkeypatch.setattr(native_ingest, "Walk", CountedWalk)
+        return calls
+
+    @pytest.mark.parametrize("name", LEGS)
+    def test_an_era_builds_its_walk_once(self, name, universe, queries,
+                                         base_plan, tmp_path, monkeypatch):
+        stream = uniform_dataset(universe, 9000, duration=80.0, seed=11)
+        stats = measure_statistics(stream, FeedingGraph(queries).nodes)
+        flat = plan(queries, stats, memory=800, algorithm="none")
+        first = base_plan.configuration.relations
+        calls = self._counted(monkeypatch)
+        walks = 1 if name == "kernel" else 0
+        with leg(name):
+            live = LiveStreamSystem(SCHEMA, queries, base_plan)
+            edges = np.searchsorted(stream.timestamps, [60.0, 70.0])
+            # 30 closes under one plan, in batches of every size
+            for cols, times in batches(stream.head(int(edges[0])),
+                                       [1, 500, 3, 1200] * 8):
+                live.push(cols, times)
+            live.finish()
+            assert len(live.epoch_reports) == 30 and len(live.eras) == 1
+            assert calls == {"salts": len(first), "walks": walks}
+            path = live.checkpoint(tmp_path / "live.ckpt")
+            live.reconfigure(flat)
+            rows = slice(int(edges[0]), int(edges[1]))
+            live.push({a: stream.columns[a][rows] for a in SCHEMA.attributes},
+                      stream.timestamps[rows])
+            live.finish()
+            assert len(live.eras) == 2
+            assert calls == {"salts": len(first) + len(flat.configuration),
+                             "walks": 2 * walks}
+            calls.update(salts=0, walks=0)
+            restored = LiveStreamSystem.restore(path)
+            assert calls == {"salts": 0, "walks": 0}
+            restored.push({a: stream.columns[a][rows]
+                           for a in SCHEMA.attributes},
+                          stream.timestamps[rows])
+            restored.finish()
+            assert calls == {"salts": len(first), "walks": walks}
+
+    def test_a_plan_replaced_before_any_epoch_builds_nothing(
+            self, dataset, queries, base_plan, monkeypatch):
+        stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
+        flat = plan(queries, stats, memory=800, algorithm="none")
+        calls = self._counted(monkeypatch)
+        live = LiveStreamSystem(SCHEMA, queries, base_plan)
+        live.reconfigure(flat)
+        live.reconfigure(base_plan)
+        assert calls == {"salts": 0, "walks": 0}
+        live.push_dataset(dataset.head(1))
+        assert calls == {"salts": 0, "walks": 0}
+        live.finish()
+        assert calls["salts"] == len(base_plan.configuration)
+
+
+VALUED = StreamSchema(SCHEMA.attributes, value_columns=("v",))
+#: A batch whose records all carry this A is dropped whole by ``KEEP``.
+DROPPED = -1
+KEEP = Comparison("A", ">=", 0)
+
+#: One push per batch, then what follows it: a ``finish()``, a staged
+#: plan, a checkpoint and restore (at most one of each of the last two).
+cuts = st.fixed_dictionaries({
+    # one record, a few, most of an epoch, several epochs
+    "sizes": st.lists(st.sampled_from([1, 1, 7, 150, 700, 2500]),
+                      min_size=1, max_size=10),
+    "dropped": st.sets(st.integers(0, 9), max_size=2),
+    "finishes": st.sets(st.integers(0, 9), max_size=3),
+    "reconfigure": st.none() | st.integers(0, 9),
+    "restore": st.none() | st.integers(0, 9),
+    "nan": st.booleans(),
+})
+
+
+def valued_stream(universe, case):
+    """A 5000-record stream over ``VALUED`` cut into the case's batches
+    (the last one takes the rest); a dropped batch's records all fail
+    ``KEEP``, and one value in 40 is a NaN when the case asks."""
+    base = uniform_dataset(universe, 5000, duration=9.0, seed=17)
+    rng = np.random.default_rng(len(case["sizes"]))
+    values = rng.uniform(40, 1500, len(base))
+    if case["nan"]:
+        values[rng.random(len(base)) < 0.025] = np.nan
+    columns = {a: base.columns[a].copy() for a in SCHEMA.attributes}
+    edges = np.minimum(np.cumsum([0] + case["sizes"]), len(base)).tolist()
+    if edges[-1] < len(base):
+        edges.append(len(base))
+    for i in case["dropped"]:
+        if i + 1 < len(edges):
+            columns["A"][edges[i]:edges[i + 1]] = DROPPED
+    stream = Dataset(VALUED, columns, base.timestamps, {"v": values})
+    return stream, list(zip(edges[:-1], edges[1:]))
+
+
+def rows_of(dataset, lo, hi):
+    return Dataset(dataset.schema,
+                   {a: col[lo:hi] for a, col in dataset.columns.items()},
+                   dataset.timestamps[lo:hi],
+                   {k: v[lo:hi] for k, v in dataset.values.items()})
+
+
+def state_bytes(hfta):
+    """Every key's folded state as raw bytes, NaN bits included, then
+    the HFTA's counters."""
+    keys = sorted(hfta._columnar, key=lambda key: (key[0].label(), key[1]))
+    return [(key, [col.tobytes() for col in state.columns],
+             state.counts.tobytes(), state.value_sums.tobytes(),
+             state.value_mins.tobytes(), state.value_maxs.tobytes())
+            for key, state in ((key, hfta._columnar[key]) for key in keys)
+            ] + [(hfta.evictions_received, hfta.folds, hfta.rows_folded)]
+
+
+class TestAnyCuts:
+    """Pushed in any batches — spanning epochs, one record, dropped
+    whole by WHERE — with an epoch reopened after ``finish()``, a
+    mid-stream ``reconfigure`` and a checkpoint and restore in the middle
+    of an epoch, a live run equals the numpy walk's ``simulate`` over the
+    same stream byte for byte: one call per stretch that no ``finish()``
+    and no plan swap cuts, and one per epoch for its report."""
+
+    @pytest.mark.parametrize("name", LEGS)
+    @given(case=cuts)
+    def test_matches_simulate_over_any_cuts(self, name, universe, dataset,
+                                            queries, base_plan,
+                                            tmp_path_factory, case):
+        stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
+        flat = plan(queries, stats, memory=800, algorithm="none")
+        stream, pieces = valued_stream(universe, case)
+        kept_rows = np.cumsum([0] + [
+            int(np.count_nonzero(stream.columns["A"][lo:hi] != DROPPED))
+            for lo, hi in pieces])
+        path = tmp_path_factory.mktemp("ckpt") / "live.ckpt"
+        with leg(name):
+            live = LiveStreamSystem(VALUED, queries, base_plan,
+                                    value_column="v", salt_seed=3,
+                                    where=KEEP)
+            finished = set()
+            for i, (lo, hi) in enumerate(pieces):
+                live.push({a: stream.columns[a][lo:hi]
+                           for a in SCHEMA.attributes},
+                          stream.timestamps[lo:hi], stream.values["v"][lo:hi])
+                if i in case["finishes"]:
+                    live.finish()
+                    finished.add(int(kept_rows[i + 1]))
+                if i == case["reconfigure"]:
+                    live.reconfigure(
+                        flat if live.configuration == base_plan.configuration
+                        else base_plan)
+                if i == case["restore"]:
+                    live.checkpoint(path)
+                    live = LiveStreamSystem.restore(path)
+            live.finish()
+        # the numpy walk is the reference of both legs
+        with numpy_kernels_off():
+            reports, counters, hfta = self._reference(
+                live, filter_dataset(stream, KEEP), finished, queries)
+        assert live.epoch_reports == reports
+        assert [era.counters.relations for era in live.eras] == counters
+        assert state_bytes(live.hfta) == state_bytes(hfta)
+
+    @staticmethod
+    def _reference(live, kept, finished, queries):
+        """``simulate`` over ``kept`` cut where ``finish()`` flushed the
+        tables (``finished``, in kept rows) and where each era starts."""
+        assert len(live.eras) == len(live.reconfigurations) + 1
+        epochs = list(kept.epoch_slices(queries.epoch_seconds))
+        starts = [next((s for epoch, s, _ in epochs if epoch >= first),
+                       len(kept))
+                  for first, _ in live.reconfigurations]
+        edges = sorted({0, len(kept), *finished, *starts})
+        hfta, counters, reports = HFTA(), [], []
+        for k, era in enumerate(live.eras):
+            lo = 0 if k == 0 else starts[k - 1]
+            hi = starts[k] if k < len(starts) else len(kept)
+            run = None
+            for a, b in zip(edges, edges[1:]):
+                if not lo <= a < b <= hi:
+                    continue
+                piece = rows_of(kept, a, b)
+                run = simulate(piece, era.configuration, era.buckets, 2.0,
+                               "v", 3, counters=run and run.counters,
+                               hfta=hfta)
+                for epoch, s, e in piece.epoch_slices(2.0):
+                    one = simulate(rows_of(piece, s, e), era.configuration,
+                                   era.buckets, 2.0, "v", 3)
+                    reports.append(EpochReport(
+                        epoch, e - s, era.configuration,
+                        one.intra_cost(live.params).total,
+                        one.flush_cost(live.params).total,
+                        era.plan.predicted_cost))
+            counters.append(run.counters.relations if run else {})
+        return reports, counters, hfta
 
 
 def plan_with_config(base_plan, config):
