@@ -52,11 +52,6 @@ class Aggregate:
         """Whether partial aggregates must carry a value sum."""
         return self.kind in ("sum", "avg")
 
-    @property
-    def needs_minmax(self) -> bool:
-        """Whether partial aggregates must carry value min/max."""
-        return self.kind in ("min", "max")
-
     def label(self) -> str:
         if self.kind == "count":
             return "count(*)"

@@ -25,8 +25,8 @@ emitting relation's runs to the HFTA as one batch per epoch
 (``HFTA.ingest_arrays``), which the HFTA folds into the key's state at
 once.
 
-When the host offers a C compiler, the whole walk runs instead as one
-kernel call per epoch (:mod:`repro.native.ingest`): every relation in
+When the native library is available, the whole walk runs instead as
+one kernel call per epoch (:mod:`repro.native.ingest`): every relation in
 topological order simulates its direct-mapped table record-at-a-time in
 C, appends its evictions in eviction (= time) order to a list that is
 its children's arrival stream, and *folds* the emitting relations' runs
@@ -41,10 +41,10 @@ contract: the same buckets, runs,
 float accumulation order and counters as the numpy walk, and the same
 HFTA state (NaN sums included), group order and fold counts as the
 HFTA's fold of the numpy walk's batches. The numpy walk stays as the
-path without a compiler and as the reference. Which of the two runs is decided by
-:mod:`repro.native` alone (no compiler or ``REPRO_NO_CKERNEL=1`` leaves
-the numpy walk); both are differentially tested against each other and
-against the record-at-a-time reference.
+path without a compiler and as the reference. Which of the two runs is
+decided by :func:`repro.native.available` alone (no compiler or
+``REPRO_NO_CKERNEL=1`` leaves the numpy walk); both are differentially
+tested against each other and against the record-at-a-time reference.
 
 *A bound walk.* Everything a configuration, its allocation, the salt
 seed and the presence of a value column fix — relation order, table
@@ -102,6 +102,7 @@ from repro.gigascope.hashing import (
 from repro.gigascope.hfta import HFTA, ColumnarTotals
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
+from repro.native import available as _kernel_available
 from repro.native import ingest as _native
 from repro.observability.tracing import trace
 
@@ -334,7 +335,7 @@ def simulate(dataset: Dataset, config: Configuration,
     n_records = len(dataset)
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
-    native = _native.kernel_available()
+    native = _kernel_available()
     with trace(registry, "engine"):
         epochs = list(dataset.epoch_slices(epoch_seconds))
         n_epochs = len(epochs)

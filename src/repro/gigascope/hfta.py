@@ -41,9 +41,10 @@ read-only ``Mapping`` over one key's folded state, with the aggregate
 kind applied as a whole-array operation and the HAVING threshold kept as
 a mask. It is a *snapshot* — a later fold replaces the key's state
 instead of mutating it, so an answer never changes once handed out — and
-it is *lazy*: ``len()``, ``columns`` and ``array`` touch only numpy
-arrays, and the ``{group: value}`` dict is built on first key-level
-access, once per answer.
+it is *lazy*: ``len()`` reads only the HAVING count, the aggregate's
+values are computed on the first read of ``array``, the dict or ``==``,
+and the ``{group: value}`` dict is built on first key-level access, once
+per answer.
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ class ColumnarTotals:
 class QueryAnswer(Mapping[tuple[int, ...], float]):
     """One query's answer for one epoch: ``{group tuple: value}``, lazily.
 
-    Holds the key's :class:`ColumnarTotals` snapshot, the aggregate
-    values aligned with its rows and an optional HAVING mask (``None``
-    when every group passes). ``len()``, truthiness, :attr:`columns` and
-    :attr:`array` read only those arrays; ``[]``, ``in``, iteration,
+    Holds the key's :class:`ColumnarTotals` snapshot, the aggregate kind
+    and an optional HAVING mask (``None`` when every group passes).
+    ``len()`` and truthiness read only the mask's count; the aggregate's
+    values, aligned with the state's rows, are computed on the first
+    read of :attr:`array`, the dict or ``==``; :attr:`columns` and
+    :attr:`array` build no Python objects; ``[]``, ``in``, iteration,
     ``keys()``/``items()``/``values()`` and ``==`` against a plain
     mapping (either side) build the dict once, from the state's shared
     :meth:`ColumnarTotals.group_tuples`. Two answers whose rows line up
@@ -121,10 +124,10 @@ class QueryAnswer(Mapping[tuple[int, ...], float]):
     non-writeable views.
     """
 
-    def __init__(self, state: ColumnarTotals, values: np.ndarray,
+    def __init__(self, state: ColumnarTotals, kind: str,
                  keep: np.ndarray | None = None) -> None:
         self._state = state
-        self._values = values
+        self._kind = kind
         self._keep = keep
         self._len = (state.n_groups if keep is None
                      else int(np.count_nonzero(keep)))
@@ -140,6 +143,21 @@ class QueryAnswer(Mapping[tuple[int, ...], float]):
     def array(self) -> np.ndarray:
         """The passing groups' float64 values, aligned with :attr:`columns`."""
         return self._masked(self._values)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The aggregate of every group of the state, HAVING or not."""
+        state, kind = self._state, self._kind
+        if kind == "count":
+            return state.counts.astype(np.float64)
+        if kind == "sum":
+            return state.value_sums
+        if kind == "avg":
+            values = np.zeros(state.n_groups)
+            np.divide(state.value_sums, state.counts, out=values,
+                      where=state.counts != 0)
+            return values
+        return state.value_mins if kind == "min" else state.value_maxs
 
     def _masked(self, arr: np.ndarray) -> np.ndarray:
         out = arr.view() if self._keep is None else arr[self._keep]
@@ -194,7 +212,7 @@ class QueryAnswer(Mapping[tuple[int, ...], float]):
         return f"QueryAnswer({self._dict!r})"
 
     def __reduce__(self):
-        return QueryAnswer, (self._state, self._values, self._keep)
+        return QueryAnswer, (self._state, self._kind, self._keep)
 
 
 def _int_list(col: np.ndarray) -> list[int]:
@@ -349,11 +367,6 @@ class HFTA:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    @property
-    def epochs_seen(self) -> list[int]:
-        """All epoch ids for which any relation received evictions."""
-        return sorted({epoch for (_, epoch) in self._columnar})
-
     def epochs(self, relation: AttributeSet) -> list[int]:
         """Epoch ids for which this relation received evictions."""
         return sorted({epoch for (rel, epoch) in self._columnar
@@ -369,37 +382,23 @@ class HFTA:
                      epoch: int) -> QueryAnswer:
         """The final answer of a query for one epoch.
 
-        Applies the aggregate function (``count``/``sum``/``avg``/
-        ``min``/``max``) as a whole-array operation over the columnar
-        state and turns the HAVING threshold (on group count) into a
-        mask; the returned :class:`QueryAnswer` builds its dict only if
-        a caller reads it key by key.
+        Turns the HAVING threshold (on group count) into a mask; the
+        returned :class:`QueryAnswer` applies the aggregate function
+        (``count``/``sum``/``avg``/``min``/``max``) as a whole-array
+        operation over the columnar state when its values are first
+        read, and builds its dict only if a caller reads it key by key.
         """
         state = self._columnar.get((query.group_by, epoch))
         if state is None:  # never fed: an empty answer
             names = query.group_by.names
             state = ColumnarTotals(names, [np.empty(0, dtype=np.int64)
                                            for _ in names])
-        counts = state.counts
-        kind = query.aggregate.kind
-        if kind == "count":
-            values = counts.astype(np.float64)
-        elif kind == "sum":
-            values = state.value_sums
-        elif kind == "avg":
-            values = np.zeros(state.n_groups)
-            np.divide(state.value_sums, counts, out=values,
-                      where=counts != 0)
-        elif kind == "min":
-            values = state.value_mins
-        else:  # max
-            values = state.value_maxs
         keep = None
         if query.having_min is not None:
-            keep = counts >= query.having_min
+            keep = state.counts >= query.having_min
             if keep.all():
                 keep = None
-        return QueryAnswer(state, values, keep)
+        return QueryAnswer(state, query.aggregate.kind, keep)
 
     def all_answers(self, query: AggregationQuery
                     ) -> dict[int, QueryAnswer]:

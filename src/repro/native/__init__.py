@@ -1,16 +1,16 @@
-"""Runtime-compiled native kernels (shared build machinery + fast paths).
+"""The runtime-compiled native library and its Python entries.
 
 This package is the one place that knows whether C is available.
-``repro.native.build`` owns the compile-at-first-use pattern every
-kernel shares (compiler discovery, on-disk cache, the
-``REPRO_NO_CKERNEL`` opt-out, the per-process memo of load outcomes);
-the three kernels are ``repro.native.ingest`` (the engine's LFTA walk of
-the whole forest, one call per epoch), ``repro.native.merge`` (the HFTA's
-hash-table group-merge fold, and through the same table the planner's
-exact group and flow counts) and ``repro.native.partition`` (the sharded
-runtime's partition hash). Each exposes ``kernel_available()`` — a
-lookup in that memo — and callers pick the kernel or their numpy body
-from it; there is no per-call or per-object switch.
+``repro.native.build`` owns the compile-at-first-use pattern (compiler
+discovery, on-disk cache, the ``REPRO_NO_CKERNEL`` opt-out, the
+per-process memo of load outcomes); ``repro.native.library`` holds the
+one C source, built and loaded once as one library, and
+:func:`available`, the one answer every caller picks its C or numpy
+body by — there is no per-call or per-object switch. The library's
+entries are wrapped by ``repro.native.ingest`` (the engine's LFTA walk
+of the whole forest, with the fold of what it emits, one call per
+epoch) and ``repro.native.partition`` (the sharded runtime's partition
+hash and the planner's one-pass group and flow counts).
 
 This package imports nothing from the rest of ``repro``, so any tier can
 depend on it without cycles.
@@ -23,40 +23,37 @@ import platform
 
 import numpy
 
-from repro.native import ingest, merge, partition
+from repro.native import library
 from repro.native.build import (
     DEFAULT_FLAGS,
     KernelStatus,
     compiler_path,
-    diagnostics,
     kernel_status,
     kernels_disabled,
     load_kernel,
 )
+from repro.native.library import available
 
-__all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path", "diagnostics",
+__all__ = ["DEFAULT_FLAGS", "KernelStatus", "available", "compiler_path",
            "kernel_status", "kernels_disabled", "load_kernel",
            "machine_info"]
 
 
 def machine_info() -> dict:
-    """Host + native-kernel diagnostics, JSON-shaped (for manifests).
+    """Host + native-library diagnostics, JSON-shaped (for manifests).
 
-    Every kernel's load is attempted, so availability is definitive.
-    ``c_kernel`` is True only when every kernel compiled and loaded;
-    per-kernel compiler errors live under ``kernels``.
+    The library's load is attempted, so availability is definitive:
+    ``c_kernel`` is whether it compiled and loaded, and ``kernels`` holds
+    its one record, the compiler error of a failed build included.
     """
-    for module in (ingest, merge, partition):
-        module.kernel_available()
-    kernels = diagnostics()
+    loaded = available()
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "compiler": compiler_path(),
-        "c_kernel": bool(kernels) and all(k["available"]
-                                          for k in kernels.values()),
+        "c_kernel": loaded,
         "c_kernel_disabled": kernels_disabled(),
-        "kernels": kernels,
+        "kernels": {library.NAME: kernel_status(library.NAME).to_dict()},
     }

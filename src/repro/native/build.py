@@ -1,22 +1,21 @@
-"""Shared build machinery for runtime-compiled C kernels.
+"""Build machinery for runtime-compiled C kernels.
 
-Every native fast path in the repo (the three kernels of this package:
-engine ingest, HFTA merge, shard partition) follows the same
-pattern: a self-contained C source string is compiled at first use with
-whatever compiler the host offers, cached as a shared object in the
-system temp directory keyed by a hash of the source and flags, and loaded
-through :mod:`ctypes`. This module owns that pattern once — compiler
-discovery, the on-disk cache with atomic publish, the ``REPRO_NO_CKERNEL``
-opt-out (read here and nowhere else), and the one per-process memo of
-load outcomes (library, or disabled / compiler error) that every
-``kernel_available()`` looks up and observability surfaces in
-``RunManifest.machine``.
+A self-contained C source string is compiled at first use with whatever
+compiler the host offers, cached as a shared object in the system temp
+directory keyed by a hash of the source and flags, and loaded through
+:mod:`ctypes`. This module owns that pattern once — compiler discovery,
+the on-disk cache with atomic publish, the ``REPRO_NO_CKERNEL`` opt-out
+(read here and nowhere else), and the one per-process memo of load
+outcomes (library, or disabled / compiler error). It knows no kernel of
+its own: the repo builds one library through it
+(:mod:`repro.native.library`), whose record
+:func:`repro.native.machine_info` surfaces in ``RunManifest.machine``.
 
-Kernels are best-effort by design: a missing compiler or a failed build
+A kernel is best-effort by design: a missing compiler or a failed build
 degrades to the numpy path, never to an exception. The degradation is
-not silent — the first failed load of each kernel emits a
+not silent — the first failed load of a kernel emits a
 ``RuntimeWarning`` carrying the compiler diagnostic, and the error string
-stays queryable through :func:`kernel_status` / :func:`diagnostics`.
+stays queryable through :func:`kernel_status`.
 
 The cache lives in a shared directory under a predictable name, so a
 cached file is loaded only when it is a regular file owned by this user
@@ -26,7 +25,7 @@ compiled once more before the kernel is given up.
 
 The default flags disable floating-point contraction and fast-math so C
 doubles round identically to numpy's IEEE binary64 ops — the property
-every kernel's bit-identity contract rests on.
+the library's bit-identity contract rests on.
 """
 
 from __future__ import annotations
@@ -44,42 +43,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-__all__ = ["DEFAULT_FLAGS", "HASH_CHAIN_SOURCE", "KernelStatus",
-           "compiler_path", "diagnostics", "kernels_disabled",
-           "kernel_status", "load_kernel"]
+__all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path",
+           "kernels_disabled", "kernel_status", "load_kernel"]
 
 #: Contraction and fast-math stay off: bit-identity to numpy requires
 #: every intermediate to round exactly as IEEE binary64.
 DEFAULT_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
                  "-fno-fast-math")
-
-#: C source of the salted splitmix64 chain of
-#: :func:`repro.gigascope.hashing.combine_columns`, op-for-op on
-#: ``uint64_t`` (which wraps exactly like numpy's): ``mix64`` is the
-#: finalizer, ``chain64`` hashes row ``i`` of ``k`` key columns with
-#: ``state = mix64(salt)``. The hashing kernels (ingest, HFTA merge, shard
-#: partition) start their sources with it.
-HASH_CHAIN_SOURCE = r"""
-#include <stdint.h>
-
-/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
-static uint64_t mix64(uint64_t z) {
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-/* The chain over row i of cols[0..k). */
-static inline uint64_t chain64(const uint64_t **cols, int64_t k, int64_t i,
-                               uint64_t state) {
-    uint64_t d = mix64(cols[0][i] ^ state);
-    int64_t c;
-    for (c = 1; c < k; c++)
-        d = mix64(d ^ mix64(cols[c][i] ^ state));
-    return d;
-}
-"""
 
 #: Environment opt-out honoured by every kernel (no compile attempt, no
 #: warning — the downgrade is requested, not silent).
@@ -264,8 +234,3 @@ def kernel_status(name: str) -> KernelStatus | None:
     """The recorded load outcome for ``name`` (None before any attempt)."""
     return _statuses.get(name)
 
-
-def diagnostics() -> dict[str, dict]:
-    """Status of every kernel this process has attempted, JSON-shaped."""
-    return {name: status.to_dict()
-            for name, status in sorted(_statuses.items())}

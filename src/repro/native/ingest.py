@@ -1,18 +1,19 @@
-"""Fused C kernel for the engine's LFTA pass: one call walks the forest.
+"""The engine's LFTA pass in C: one call walks the forest.
 
 The numpy engine (:mod:`repro.gigascope.engine`) spends an epoch's budget
 on a chain of whole-array passes per relation — ``pack_tuples`` (one
 ``np.unique`` per attribute), the salted splitmix64 chain, an
 ``argsort``/``lexsort`` by (bucket, time), run-boundary detection, and
 segment sums — and hands each relation's evictions to its children in
-Python. This kernel *simulates the direct-mapped tables directly*, every
-relation of the configuration in one call per epoch: for each relation in
-topological order, one cache-friendly pass over its time-ordered arrivals
-that hashes, probes, accumulates, and detects collisions per record,
-then the end-of-epoch flush. The pass hashes a block of 64 arrivals, then
-probes that block: the hashes of a block are independent, so they overlap
-in the CPU. The raw arrivals of an epoch are a contiguous range of the
-stream's rows.
+Python. ``repro_walk``, the walk of the native library
+(:mod:`repro.native.library`), *simulates the direct-mapped tables
+directly*, every relation of the configuration in one call per epoch:
+for each relation in topological order, one cache-friendly pass over its
+time-ordered arrivals that hashes, probes, accumulates, and detects
+collisions per record, then the end-of-epoch flush. The pass hashes a
+block of 64 arrivals, then probes that block: the hashes of a block are
+independent, so they overlap in the CPU. The raw arrivals of an epoch
+are a contiguous range of the stream's rows.
 
 *Shards.* A relation's table may be several slices side by side, one
 per shard: a row whose shard id is ``s`` lands in bucket ``s * b +
@@ -36,12 +37,12 @@ on the child's, so nothing is projected or copied.
 emit and feed children) is the HFTA's input, and
 the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in the
 numpy path's emission order (bucket, start-time), go straight into an
-open-addressing group table — the ``find_slot`` probe of
-:mod:`repro.native.merge`, equality on the raw columns — that folds them
-to one row per group. A fold may *extend* a state the caller hands in
-(a seed): the seed's groups, with their aggregates, enter first, then
-the runs, which is the HFTA's own ordering rule, so an epoch folded in
-two calls adds its floats in the order of one. After the walk the kernel
+open-addressing group table — the library's ``find_slot`` probe,
+equality on the raw columns — that folds them to one row per group. A
+fold may *extend* a state the caller hands in (a seed): the seed's
+groups, with their aggregates, enter first, then the runs, which is the
+HFTA's own ordering rule, so an epoch folded in two calls adds its
+floats in the order of one. After the walk the kernel
 writes, per emitting relation, every group's int64 count, float64
 sum/min/max and key columns (a new group's read through its
 representative's raw row, a seed group's from the seed), in
@@ -68,10 +69,9 @@ batches (pinned by ``tests/gigascope/test_differential.py``,
   attribute value matches the run's representative — the same
   equivalence relation as the collision-free packed codes, so the pack is
   fused away entirely.
-* *Hashes.* The in-loop splitmix64 chain (the shared ``chain64`` of
-  :data:`repro.native.build.HASH_CHAIN_SOURCE`) replicates
-  :func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``
-  (identical wrap-around arithmetic).
+* *Hashes.* The in-loop splitmix64 chain (the library's ``chain64``)
+  replicates :func:`repro.gigascope.hashing._chain` op-for-op on C
+  ``uint64_t`` (identical wrap-around arithmetic).
 * *Floats.* Value sums accumulate in arrival-time order starting from
   ``0.0`` — the order and seed of ``np.bincount`` over a sorted run — and
   min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. A
@@ -88,8 +88,8 @@ batches (pinned by ``tests/gigascope/test_differential.py``,
   numpy walk's batch gives them; the intra/flush arrival and eviction
   counts are the numpy walk's, event for event.
 
-The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` leaves
-the numpy walk, with identical results.
+Without the library (no compiler, ``REPRO_NO_CKERNEL=1``) the engine
+takes the numpy walk, with identical results.
 """
 
 from __future__ import annotations
@@ -100,435 +100,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
-from repro.native.merge import GROUP_TABLE_SOURCE
+from repro.native import library
 
-__all__ = ["KERNEL_NAME", "Fold", "Walk", "ingest_runs", "kernel_available"]
-
-KERNEL_NAME = "engine_ingest"
-
-_SOURCE = HASH_CHAIN_SOURCE + GROUP_TABLE_SOURCE + r"""
-#include <stddef.h>
-#include <stdlib.h>
-#include <string.h>
-#include <math.h>
-
-/* Arrivals hashed ahead of each probe loop. */
-#define INGEST_BLOCK 64
-
-/* The smallest group table the folds allocate. */
-#define FOLD_MIN_CAP 1024
-
-/* The bits of np.nan: every NaN sum a fold writes. */
-static const uint64_t NUMPY_NAN = 0x7ff8000000000000ULL;
-
-/* A run of equal keys in one bucket: its key's hash, its
- * representative's raw row and its partial aggregates. */
-typedef struct {
-    uint64_t hash;
-    int64_t bucket, row, w;
-    double vs, vmin, vmax;
-} run_t;
-
-typedef struct { int64_t bucket, run; } order_t;
-
-/* An emitting relation's epoch, folded: one row per group in
- * first-appearance order, the n_seed groups of the state it extends
- * first (their aggregates filled in by the caller), then the new ones. */
-typedef struct {
-    int64_t n_seed, n_groups;
-    const uint64_t **seed;      /* [k] the state's key columns, or NULL */
-    const int64_t *seed_w;      /* [n_seed] the state's aggregates */
-    const double *seed_vs, *seed_vmin, *seed_vmax;
-    int64_t *rep;               /* new group's raw row; -1 - s: seed row s */
-    int64_t *w;
-    double *vs, *vmin, *vmax;
-} fold_t;
-
-/* One configuration bound to one stream; relations in topological
- * order. Relation r's table is n_slices slices of n_buckets[r] buckets
- * side by side; a row lands in slice shard[row] (slice 0 when shard is
- * NULL). Scratch is sized for the longest epoch (`longest` arrivals per
- * relation) and the largest table, every slice included. */
-typedef struct {
-    int64_t n_rel, longest, max_buckets, n_slices;
-    const int64_t *parent;      /* walk index of the parent, -1 = raw */
-    const int64_t *key_off;     /* [n_rel + 1] into key_col */
-    const int64_t *key_col;     /* stream column of each key column */
-    const uint64_t *salt;
-    const int64_t *n_buckets, *depth, *emit, *feeds;
-    const int64_t *fold_slot;   /* the fold of an emitting relation */
-    const uint64_t *const *columns;  /* the stream's attribute columns */
-    const double *values;       /* the stream's value column, or NULL */
-    const int64_t *shard;       /* the stream's slice per row, or NULL */
-    const uint64_t **keys;      /* [key_off[n_rel]] this epoch's columns */
-    int64_t *slot_run;          /* [max_buckets], validated, never reset */
-    int64_t *bucket_pos;        /* [max_buckets] */
-    run_t *runs;                /* [longest] */
-    order_t *order;             /* [longest] */
-    int64_t *ev_i;              /* [levels][3][longest] row, time, weight */
-    double *ev_f;               /* [levels][3][longest] sum, min, max */
-    fold_t *folds;              /* [emitting] */
-    int64_t *n_runs;            /* [n_rel] this epoch's runs = evictions */
-    int64_t *stats;             /* [n_rel][4] accumulated counters */
-    int64_t *table;             /* the folds' group table, malloc'd here */
-    int64_t cap, base;          /* its capacity; entries >= base are live */
-} walk_t;
-
-static int by_bucket_then_run(const void *a, const void *b) {
-    const order_t *x = (const order_t *)a, *y = (const order_t *)b;
-    if (x->bucket != y->bucket)
-        return x->bucket < y->bucket ? -1 : 1;
-    return x->run < y->run ? -1 : (x->run > y->run);
-}
-
-/* A group table with room for `groups` at load <= 1/2: the held one, or
- * a larger one (every entry -1, base 0). Returns -1 when out of memory. */
-static int reserve_groups(walk_t *W, int64_t groups)
-{
-    int64_t cap = W->cap < FOLD_MIN_CAP ? FOLD_MIN_CAP : W->cap;
-    int64_t *table;
-
-    if (W->table != NULL && 2 * groups <= W->cap)
-        return 0;
-    while (cap < 2 * groups)
-        cap *= 2;
-    table = (int64_t *)malloc((size_t)cap * sizeof(int64_t));
-    if (table == NULL)
-        return -1;
-    memset(table, 0xff, (size_t)cap * sizeof(int64_t));
-    free(W->table);
-    W->table = table;
-    W->cap = cap;
-    W->base = 0;
-    return 0;
-}
-
-/* Fold a relation-epoch's runs, taken in the order order[0..n_runs), into
- * F: the seed's groups first, each run then extends its group or opens
- * one. A run is placed by the hash its bucket came from (chain64 with
- * `state`), a seed row by the same chain. Sums seed at 0.0 and min/max
- * propagate NaN, as the HFTA's numpy fold does; a count-only run is
- * (0.0, +inf, -inf). Which NaN survives where two meet is the
- * compiler's choice, so every NaN sum leaves as np.nan's bits, as the
- * numpy fold writes it. Returns -1 when out of memory. */
-static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
-                     int64_t k, uint64_t state, int64_t n_runs,
-                     int has_values)
-{
-    const int64_t n_seed = F->n_seed;
-    int64_t i, g, n_groups = n_seed, base;
-    uint64_t s, mask;
-    int64_t *table;
-    const run_t *R;
-    double vs, vmin, vmax;
-
-    if (reserve_groups(W, n_seed + n_runs) < 0)
-        return -1;
-    table = W->table;
-    mask = (uint64_t)W->cap - 1ULL;
-    base = W->base;
-    /* the state's groups are distinct: each finds an empty slot; a
-     * state row enters as 0.0 + its sum, as in the HFTA's fold */
-    for (g = 0; g < n_seed; g++) {
-        s = find_slot(F->seed, k, g, chain64(F->seed, k, g, state), mask,
-                      table, base, F->rep, F->seed);
-        table[s] = base + g;
-        F->rep[g] = -1 - g;
-        F->w[g] = F->seed_w[g];
-        F->vs[g] = 0.0 + F->seed_vs[g];
-        F->vmin[g] = F->seed_vmin[g];
-        F->vmax[g] = F->seed_vmax[g];
-    }
-    for (i = 0; i < n_runs; i++) {
-        R = &W->runs[W->order[i].run];
-        vs = has_values ? R->vs : 0.0;
-        vmin = has_values ? R->vmin : INFINITY;
-        vmax = has_values ? R->vmax : -INFINITY;
-        s = find_slot(keys, k, R->row, R->hash, mask, table, base, F->rep,
-                      F->seed);
-        g = table[s] - base;
-        if (g < 0) {                /* new group */
-            g = n_groups++;
-            table[s] = base + g;
-            F->rep[g] = R->row;
-            F->w[g] = R->w;
-            F->vs[g] = 0.0 + vs;    /* bincount seeds its sums at 0.0 */
-            F->vmin[g] = vmin;
-            F->vmax[g] = vmax;
-            continue;
-        }
-        F->w[g] += R->w;
-        F->vs[g] += vs;
-        /* np.minimum/np.maximum: NaN always propagates */
-        if (isnan(vmin) || vmin < F->vmin[g])
-            F->vmin[g] = vmin;
-        if (isnan(vmax) || vmax > F->vmax[g])
-            F->vmax[g] = vmax;
-    }
-    for (g = 0; g < n_groups; g++)
-        if (isnan(F->vs[g]))
-            memcpy(&F->vs[g], &NUMPY_NAN, sizeof(double));
-    F->n_groups = n_groups;
-    W->base = base + n_groups;      /* empties the table for the next */
-    return 0;
-}
-
-/* One relation-epoch. Arrival j is row rows[j] (row j when rows is
- * NULL: a raw relation's) at time t[j] with weight w[j], its partials
- * vs/vmin/vmax[j], which are NULL for a count-only stream. Its bucket
- * is its row's slice times nb plus its hash mod nb. Returns -1 when out
- * of memory. */
-static int walk_relation(
-    walk_t *W, int64_t r, int64_t start, int64_t n, int64_t stride,
-    int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
-    const double *vs, const double *vmin, const double *vmax)
-{
-    const int64_t L = W->longest;
-    const int64_t k = W->key_off[r + 1] - W->key_off[r];
-    const uint64_t **keys = W->keys + W->key_off[r];
-    const uint64_t nb = (uint64_t)W->n_buckets[r];
-    const int64_t nb_all = W->n_buckets[r] * W->n_slices;
-    const int64_t *shard = W->shard ? W->shard + start : NULL;
-    const uint64_t state = mix64(W->salt[r]);
-    const int64_t flush_base = n + W->depth[r] * stride;
-    const int has_values = vs != NULL;
-    const int feeds = (int)W->feeds[r];
-    int64_t *slot_run = W->slot_run;
-    run_t *runs = W->runs;
-    order_t *order = W->order;
-    int64_t *ev_row = NULL, *ev_t = NULL, *ev_w = NULL;
-    double *ev_vs = NULL, *ev_vmin = NULL, *ev_vmax = NULL;
-    int64_t n_runs = 0, n_ev = 0, arr_intra = 0, ev_intra = 0;
-    int64_t i, j, j0, j1, b, q, c, offset, count;
-    uint64_t blk_hash[INGEST_BLOCK];
-    int64_t blk_row[INGEST_BLOCK];
-    run_t *R;
-    int dense;
-
-    for (c = 0; c < k; c++)
-        keys[c] = W->columns[W->key_col[W->key_off[r] + c]] + start;
-    if (feeds) {
-        ev_row = W->ev_i + W->depth[r] * 3 * L;
-        ev_t = ev_row + L;
-        ev_w = ev_t + L;
-        if (has_values) {
-            ev_vs = W->ev_f + W->depth[r] * 3 * L;
-            ev_vmin = ev_vs + L;
-            ev_vmax = ev_vmin + L;
-        }
-    }
-
-#define EVICT(RUN, TIME) do {                                   \
-        if (feeds) {                                            \
-            ev_row[n_ev] = (RUN)->row;                          \
-            ev_t[n_ev] = (TIME);                                \
-            ev_w[n_ev] = (RUN)->w;                              \
-            if (has_values) {                                   \
-                ev_vs[n_ev] = (RUN)->vs;                        \
-                ev_vmin[n_ev] = (RUN)->vmin;                    \
-                ev_vmax[n_ev] = (RUN)->vmax;                    \
-            }                                                   \
-            n_ev++;                                             \
-        }                                                       \
-    } while (0)
-
-    /* Hash a block of arrivals, then probe it: the hash chains of a
-     * block are independent of each other and of the table. */
-    for (j0 = 0; j0 < m; j0 = j1) {
-        j1 = m - j0 < INGEST_BLOCK ? m : j0 + INGEST_BLOCK;
-        for (j = j0; j < j1; j++) {
-            const int64_t row = rows ? rows[j] : j;
-            blk_row[j - j0] = row;
-            blk_hash[j - j0] = chain64(keys, k, row, state);
-        }
-        for (j = j0; j < j1; j++) {
-            const int64_t row = blk_row[j - j0];
-            if (t[j] < n) arr_intra++;
-            b = (int64_t)(blk_hash[j - j0] % nb);
-            if (shard)
-                b += shard[row] * (int64_t)nb;
-            q = slot_run[b];
-            /* The slot is live iff it names a run of this pass that
-             * started in this bucket; anything else is a stale or
-             * never-written slot. */
-            if ((uint64_t)q < (uint64_t)n_runs && runs[q].bucket == b) {
-                R = &runs[q];
-                for (c = 0; c < k && keys[c][row] == keys[c][R->row]; c++)
-                    ;
-                if (c == k) {  /* probe hit: extend the resident run */
-                    R->w += w[j];
-                    if (has_values) {
-                        R->vs += vs[j];
-                        /* np.minimum/np.maximum: NaN always propagates */
-                        if (isnan(vmin[j]) || vmin[j] < R->vmin)
-                            R->vmin = vmin[j];
-                        if (isnan(vmax[j]) || vmax[j] > R->vmax)
-                            R->vmax = vmax[j];
-                    }
-                    continue;
-                }
-                /* collision: evict the resident at this arrival's time */
-                if (t[j] < n) ev_intra++;
-                EVICT(R, t[j]);
-            }
-            q = n_runs++;
-            slot_run[b] = q;
-            R = &runs[q];
-            R->hash = blk_hash[j - j0];
-            R->bucket = b;
-            R->row = row;
-            R->w = w[j];
-            if (has_values) {
-                R->vs = 0.0 + vs[j];  /* bincount seeds its sums at 0.0 */
-                R->vmin = vmin[j];
-                R->vmax = vmax[j];
-            }
-        }
-    }
-
-    /* End-of-epoch flush in bucket order: scan the table when it is
-     * small against the runs, else sort the runs by (bucket, start). */
-    dense = nb_all <= 8 * n_runs + 1024;
-    if (dense) {
-        for (b = 0; b < nb_all; b++) {
-            q = slot_run[b];
-            if ((uint64_t)q < (uint64_t)n_runs && runs[q].bucket == b)
-                EVICT(&runs[q], flush_base + b);
-        }
-    } else {
-        for (q = 0; q < n_runs; q++) {
-            order[q].bucket = runs[q].bucket;
-            order[q].run = q;
-        }
-        qsort(order, (size_t)n_runs, sizeof(order_t), by_bucket_then_run);
-        for (i = 0; i < n_runs; i++) {
-            if (i + 1 < n_runs && order[i + 1].bucket == order[i].bucket)
-                continue;  /* not the bucket's last run: evicted earlier */
-            EVICT(&runs[order[i].run], flush_base + order[i].bucket);
-        }
-    }
-#undef EVICT
-
-    /* The fold takes the runs in (bucket, start-time) order: the runs
-     * of a bucket are numbered in start order, so the sort above, or a
-     * counting sort by bucket. */
-    if (W->emit[r]) {
-        if (dense) {
-            int64_t *bucket_pos = W->bucket_pos;
-            for (b = 0; b < nb_all; b++)
-                bucket_pos[b] = 0;
-            for (q = 0; q < n_runs; q++)
-                bucket_pos[runs[q].bucket]++;
-            offset = 0;
-            for (b = 0; b < nb_all; b++) {
-                count = bucket_pos[b];
-                bucket_pos[b] = offset;
-                offset += count;
-            }
-            for (q = 0; q < n_runs; q++)
-                order[bucket_pos[runs[q].bucket]++].run = q;
-        }
-        if (fold_runs(W, &W->folds[W->fold_slot[r]], keys, k, state,
-                      n_runs, has_values) < 0)
-            return -1;
-    }
-
-    W->n_runs[r] = n_runs;
-    W->stats[4 * r + 0] += arr_intra;
-    W->stats[4 * r + 1] += m - arr_intra;
-    W->stats[4 * r + 2] += ev_intra;
-    W->stats[4 * r + 3] += n_runs - ev_intra;
-    return 0;
-}
-
-/* One epoch through the whole forest: rows start + j, j < n, of the
- * stream arrive at the raw relations at times t with weights w; every
- * other relation is fed its parent's evictions in eviction order.
- * Returns 0, or -1 when a fold ran out of memory. */
-int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
-                   const int64_t *w, int64_t n)
-{
-    const int64_t L = W->longest;
-    const int64_t stride = n + W->max_buckets + 2;
-    const double *values = W->values ? W->values + start : NULL;
-    int64_t r, p, d;
-    int failed;
-
-    for (r = 0; r < W->n_rel; r++)
-        if (W->emit[r])
-            W->folds[W->fold_slot[r]].n_groups = 0;
-    for (r = 0; r < W->n_rel; r++) {
-        W->n_runs[r] = 0;
-        p = W->parent[r];
-        if (p < 0) {
-            failed = n > 0 && walk_relation(W, r, start, n, stride, n, NULL,
-                                            t, w, values, values, values);
-        } else if (W->n_runs[p] == 0) {
-            continue;
-        } else {
-            d = W->depth[p];
-            failed = walk_relation(
-                W, r, start, n, stride, W->n_runs[p],
-                W->ev_i + d * 3 * L, W->ev_i + d * 3 * L + L,
-                W->ev_i + d * 3 * L + 2 * L,
-                values ? W->ev_f + d * 3 * L : NULL,
-                values ? W->ev_f + d * 3 * L + L : NULL,
-                values ? W->ev_f + d * 3 * L + 2 * L : NULL);
-        }
-        if (failed)
-            return -1;
-    }
-    return 0;
-}
-
-/* Hand over the folds of the last repro_walk call: dst[slot], for each
- * emitting relation with n > 0 groups, is room for 4 + k rows of n
- * int64 words, k its key columns: the counts, the sums, minima and
- * maxima (as their bits), then each key column, a group's value read
- * through its representative's raw row or its seed row. */
-void repro_walk_take(const walk_t *W, int64_t *const *dst)
-{
-    int64_t r, c, g, n, k, rep;
-    const fold_t *F;
-    const uint64_t **keys;
-    int64_t *out, *col;
-
-    for (r = 0; r < W->n_rel; r++) {
-        if (!W->emit[r] || W->folds[W->fold_slot[r]].n_groups == 0)
-            continue;
-        F = &W->folds[W->fold_slot[r]];
-        out = dst[W->fold_slot[r]];
-        n = F->n_groups;
-        k = W->key_off[r + 1] - W->key_off[r];
-        keys = W->keys + W->key_off[r];
-        memcpy(out, F->w, (size_t)n * sizeof(int64_t));
-        memcpy(out + n, F->vs, (size_t)n * sizeof(double));
-        memcpy(out + 2 * n, F->vmin, (size_t)n * sizeof(double));
-        memcpy(out + 3 * n, F->vmax, (size_t)n * sizeof(double));
-        for (c = 0; c < k; c++) {
-            col = out + (4 + c) * n;
-            for (g = 0; g < n; g++) {
-                rep = F->rep[g];
-                col[g] = (int64_t)(rep < 0 ? F->seed[c][-1 - rep]
-                                           : keys[c][rep]);
-            }
-        }
-    }
-}
-
-/* Release the folds' group table. */
-void repro_walk_free(walk_t *W)
-{
-    free(W->table);
-    W->table = NULL;
-    W->cap = W->base = 0;
-}
-"""
+__all__ = ["Fold", "Walk", "ingest_runs"]
 
 
 class _FoldStruct(ctypes.Structure):
-    """``fold_t``: every pointer a ``void *`` on this side."""
+    """``fold_t`` of :data:`repro.native.library.SOURCE`: every pointer a
+    ``void *`` on this side."""
 
     _fields_ = [("n_seed", ctypes.c_int64), ("n_groups", ctypes.c_int64)] \
         + [(name, ctypes.c_void_p) for name in
@@ -537,7 +116,8 @@ class _FoldStruct(ctypes.Structure):
 
 
 class _WalkStruct(ctypes.Structure):
-    """``walk_t``: every pointer a ``void *`` on this side."""
+    """``walk_t`` of :data:`repro.native.library.SOURCE`: every pointer a
+    ``void *`` on this side."""
 
     _fields_ = [(name, ctypes.c_int64) for name in
                 ("n_rel", "longest", "max_buckets", "n_slices")] + \
@@ -549,28 +129,8 @@ class _WalkStruct(ctypes.Structure):
         [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
 
 
-_WALK_P = ctypes.POINTER(_WalkStruct)
-
-_SIGNATURES = {
-    "repro_walk": (ctypes.c_int64, [
-        _WALK_P, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64,
-    ]),
-    "repro_walk_take": (None, [_WALK_P, ctypes.c_void_p]),
-    "repro_walk_free": (None, [_WALK_P]),
-}
-
 #: 8-byte words of one ``run_t`` / ``order_t``.
 _RUN_WORDS, _ORDER_WORDS = 7, 2
-
-
-def _kernel() -> ctypes.CDLL | None:
-    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
-
-
-def kernel_available() -> bool:
-    """Whether the fused ingest kernel could be compiled and loaded."""
-    return _kernel() is not None
 
 
 class Fold(NamedTuple):
@@ -702,7 +262,7 @@ class Walk:
         self.n_runs, self.stats = arrays["n_runs"], arrays["stats"]
         self._column_ptrs = arrays["columns"]
         self._ref = ctypes.byref(struct)
-        lib = _kernel()
+        lib = library.library()
         if lib is not None:
             weakref.finalize(self, lib.repro_walk_free, self._ref)
         self.rows = 0
@@ -770,21 +330,16 @@ class Walk:
                     np.uint64).max() >= self.slices):
                 raise ValueError(f"shard ids must be 1-D and lie in "
                                  f"[0, {self.slices})")
-        # The kernel reads the stream through base pointers: every
-        # column must be one contiguous int64 (hence uint64) run.
-        self.columns = [np.ascontiguousarray(col, dtype=np.int64)
-                        .view(np.uint64) for col in columns]
+        addresses, self.columns = library.words(columns)
         self.values = (None if values is None else
                        np.ascontiguousarray(values, dtype=np.float64))
         self.shards = shards
-        self._column_ptrs[:] = [
-            col.ctypes.data for col in self.columns[:self.n_columns]]
+        self._column_ptrs[:] = addresses[:self.n_columns]
         self._struct.values = (None if self.values is None
                                else self.values.ctypes.data)
         self._struct.shard = None if shards is None else shards.ctypes.data
-        lengths = [col.shape[0] for col in self.columns]
-        lengths += [a.shape[0] for a in (self.values, shards)
-                    if a is not None]
+        lengths = [a.shape[0] for a in (*self.columns[:1], self.values,
+                                        shards) if a is not None]
         self.rows = min(lengths, default=0)
 
     def bind_like(self, other: "Walk") -> None:
@@ -816,11 +371,9 @@ def _seed_state(seed: Seed, k: int):
                          "stream's are")
     if any(np.shape(a) != (g,) for a in seed[2:]):
         raise ValueError(f"a seed needs its aggregates for {g} rows")
-    keys = [np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
-            for col in cols]
+    addresses, keys = library.words(cols, g)
     aggregates = [np.ascontiguousarray(counts, dtype=np.int64)] + [
         np.ascontiguousarray(a, dtype=np.float64) for a in seed[2:]]
-    addresses = np.array([col.ctypes.data for col in keys], dtype=np.uintp)
     return g, (keys, aggregates, addresses), [
         addresses.ctypes.data, *(a.ctypes.data for a in aggregates)]
 
@@ -845,9 +398,9 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     sums, minima, maxima and key columns into one block per fold, sized
     to its groups, which the returned arrays view: the caller keeps
     them as they are. The counters accumulate in ``walk.stats``.
-    Call only when :func:`kernel_available`.
+    Call only when :func:`repro.native.library.available`.
     """
-    lib = _kernel()
+    lib = library.library()
     assert lib is not None
     n = int(t.shape[0])
     if n > walk.longest or not 0 <= start <= start + n <= walk.rows:

@@ -1,0 +1,632 @@
+"""The one native library: one C source, one build, one load.
+
+Every C loop of the repo is built from the same two parts: the salted
+splitmix64 chain of :func:`repro.gigascope.hashing.combine_columns` and
+an open-addressing group table whose probe, ``find_slot``, decides a
+group by equality on the raw key columns (the hash only places a row,
+so a hash collision costs probes, never correctness) — the design
+*Global Hash Tables Strike Back!* argues for in the partial-aggregate
+regime. :data:`SOURCE` holds both and the three things built on them:
+
+* ``repro_walk`` (with ``repro_walk_take`` and ``repro_walk_free``):
+  the engine's LFTA walk of the whole forest, one call per epoch, and
+  the fold of every emitting relation's runs in the walk
+  (:mod:`repro.native.ingest`);
+* ``repro_group_stats``: the planner's exact group and flow counts of
+  one relation in one pass (:func:`repro.native.partition.group_stats`);
+* ``repro_partition_hash``: the sharded runtime's record-to-shard hash
+  (:func:`repro.native.partition.hash_shards`).
+
+The source is compiled once per process at first use, through
+:func:`repro.native.build.load_kernel`, as the library named
+:data:`NAME`; :func:`available` is the one answer every caller reads
+(``simulate``, ``HashPartitioner.shard_ids``, ``measure_statistics``,
+the sharded ``partition.kernel`` gauge). No compiler, a failed build or
+``REPRO_NO_CKERNEL=1`` leaves every caller on its numpy body, with
+identical results; a failed build warns once.
+
+Bit-identity rests on two things here: ``chain64`` replicates
+:func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``,
+whose arithmetic wraps exactly like numpy's, and the build flags
+(:data:`repro.native.build.DEFAULT_FLAGS`) keep contraction and
+fast-math off, so C doubles round as numpy's float64 ops do.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from typing import Sequence
+
+import numpy as np
+
+from repro.native.build import load_kernel
+
+__all__ = ["NAME", "SOURCE", "available", "library", "words"]
+
+#: The library's name in the load memo, the on-disk cache and
+#: ``machine_info()["kernels"]``.
+NAME = "engine_ingest"
+
+SOURCE = r"""
+#include <stdint.h>
+#include <stddef.h>
+#include <stdlib.h>
+#include <string.h>
+#include <math.h>
+
+/* ---- The hash chain ---- */
+
+/* splitmix64 finalizer; uint64_t arithmetic wraps exactly like numpy's. */
+static uint64_t mix64(uint64_t z) {
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The chain over row i of cols[0..k). */
+static inline uint64_t chain64(const uint64_t **cols, int64_t k, int64_t i,
+                               uint64_t state) {
+    uint64_t d = mix64(cols[0][i] ^ state);
+    int64_t c;
+    for (c = 1; c < k; c++)
+        d = mix64(d ^ mix64(cols[c][i] ^ state));
+    return d;
+}
+
+/* ---- The forest walk, its group table and its fold ---- */
+
+/* Arrivals hashed ahead of each probe loop. */
+#define INGEST_BLOCK 64
+
+/* The smallest group table the folds allocate. */
+#define FOLD_MIN_CAP 1024
+
+/* The bits of np.nan: every NaN sum a fold writes. */
+static const uint64_t NUMPY_NAN = 0x7ff8000000000000ULL;
+
+/* A run of equal keys in one bucket: its key's hash, its
+ * representative's raw row and its partial aggregates. */
+typedef struct {
+    uint64_t hash;
+    int64_t bucket, row, w;
+    double vs, vmin, vmax;
+} run_t;
+
+typedef struct { int64_t bucket, run; } order_t;
+
+/* An emitting relation's epoch, folded: one row per group in
+ * first-appearance order, the n_seed groups of the state it extends
+ * first (their aggregates filled in by the caller), then the new ones. */
+typedef struct {
+    int64_t n_seed, n_groups;
+    const uint64_t **seed;      /* [k] the state's key columns, or NULL */
+    const int64_t *seed_w;      /* [n_seed] the state's aggregates */
+    const double *seed_vs, *seed_vmin, *seed_vmax;
+    int64_t *rep;               /* new group's raw row; -1 - s: seed row s */
+    int64_t *w;
+    double *vs, *vmin, *vmax;
+} fold_t;
+
+/* One configuration bound to one stream; relations in topological
+ * order. Relation r's table is n_slices slices of n_buckets[r] buckets
+ * side by side; a row lands in slice shard[row] (slice 0 when shard is
+ * NULL). Scratch is sized for the longest epoch (`longest` arrivals per
+ * relation) and the largest table, every slice included. */
+typedef struct {
+    int64_t n_rel, longest, max_buckets, n_slices;
+    const int64_t *parent;      /* walk index of the parent, -1 = raw */
+    const int64_t *key_off;     /* [n_rel + 1] into key_col */
+    const int64_t *key_col;     /* stream column of each key column */
+    const uint64_t *salt;
+    const int64_t *n_buckets, *depth, *emit, *feeds;
+    const int64_t *fold_slot;   /* the fold of an emitting relation */
+    const uint64_t *const *columns;  /* the stream's attribute columns */
+    const double *values;       /* the stream's value column, or NULL */
+    const int64_t *shard;       /* the stream's slice per row, or NULL */
+    const uint64_t **keys;      /* [key_off[n_rel]] this epoch's columns */
+    int64_t *slot_run;          /* [max_buckets], validated, never reset */
+    int64_t *bucket_pos;        /* [max_buckets] */
+    run_t *runs;                /* [longest] */
+    order_t *order;             /* [longest] */
+    int64_t *ev_i;              /* [levels][3][longest] row, time, weight */
+    double *ev_f;               /* [levels][3][longest] sum, min, max */
+    fold_t *folds;              /* [emitting] */
+    int64_t *n_runs;            /* [n_rel] this epoch's runs = evictions */
+    int64_t *stats;             /* [n_rel][4] accumulated counters */
+    int64_t *table;             /* the folds' group table, malloc'd here */
+    int64_t cap, base;          /* its capacity; entries >= base are live */
+} walk_t;
+
+static int by_bucket_then_run(const void *a, const void *b) {
+    const order_t *x = (const order_t *)a, *y = (const order_t *)b;
+    if (x->bucket != y->bucket)
+        return x->bucket < y->bucket ? -1 : 1;
+    return x->run < y->run ? -1 : (x->run > y->run);
+}
+
+/* A group table with room for `groups` at load <= 1/2: the held one, or
+ * a larger one (every entry -1, base 0). Returns -1 when out of memory. */
+static int reserve_groups(walk_t *W, int64_t groups)
+{
+    int64_t cap = W->cap < FOLD_MIN_CAP ? FOLD_MIN_CAP : W->cap;
+    int64_t *table;
+
+    if (W->table != NULL && 2 * groups <= W->cap)
+        return 0;
+    while (cap < 2 * groups)
+        cap *= 2;
+    table = (int64_t *)malloc((size_t)cap * sizeof(int64_t));
+    if (table == NULL)
+        return -1;
+    memset(table, 0xff, (size_t)cap * sizeof(int64_t));
+    free(W->table);
+    W->table = table;
+    W->cap = cap;
+    W->base = 0;
+    return 0;
+}
+
+/* The slot of row i's group in an open-addressing slot array (capacity
+ * mask + 1, a power of two), probed linearly from the hash h: the slot
+ * holding a group whose representative equals row i on every key
+ * column, or the empty slot where row i's group goes. An entry e names
+ * group e - base and anything below base is empty, so raising base past
+ * every group empties the table without touching it (a table filled
+ * with -1 is empty at base 0). Group g's representative is row rep[g]
+ * of cols or, when rep[g] < 0, row -1 - rep[g] of seed: the state a
+ * fold extends. The hash only places rows: equality is decided on the
+ * columns, so collisions cost probes, never correctness. */
+static inline uint64_t find_slot(
+    const uint64_t **cols, int64_t k, int64_t i, uint64_t h,
+    uint64_t mask, const int64_t *table, int64_t base,
+    const int64_t *rep, const uint64_t **seed)
+{
+    uint64_t s;
+    int64_t g, r;
+    int c;
+
+    for (s = h & mask;; s = (s + 1ULL) & mask) {
+        g = table[s] - base;
+        if (g < 0)
+            return s;
+        r = rep[g];
+        if (r >= 0) {
+            for (c = 0; c < k && cols[c][i] == cols[c][r]; c++)
+                ;
+        } else {
+            for (c = 0; c < k && cols[c][i] == seed[c][-1 - r]; c++)
+                ;
+        }
+        if (c == k)
+            return s;
+    }
+}
+
+/* Fold a relation-epoch's runs, taken in the order order[0..n_runs), into
+ * F: the seed's groups first, each run then extends its group or opens
+ * one. A run is placed by the hash its bucket came from (chain64 with
+ * `state`), a seed row by the same chain. Sums seed at 0.0 and min/max
+ * propagate NaN, as the HFTA's numpy fold does; a count-only run is
+ * (0.0, +inf, -inf). Which NaN survives where two meet is the
+ * compiler's choice, so every NaN sum leaves as np.nan's bits, as the
+ * numpy fold writes it. Returns -1 when out of memory. */
+static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
+                     int64_t k, uint64_t state, int64_t n_runs,
+                     int has_values)
+{
+    const int64_t n_seed = F->n_seed;
+    int64_t i, g, n_groups = n_seed, base;
+    uint64_t s, mask;
+    int64_t *table;
+    const run_t *R;
+    double vs, vmin, vmax;
+
+    if (reserve_groups(W, n_seed + n_runs) < 0)
+        return -1;
+    table = W->table;
+    mask = (uint64_t)W->cap - 1ULL;
+    base = W->base;
+    /* the state's groups are distinct: each finds an empty slot; a
+     * state row enters as 0.0 + its sum, as in the HFTA's fold */
+    for (g = 0; g < n_seed; g++) {
+        s = find_slot(F->seed, k, g, chain64(F->seed, k, g, state), mask,
+                      table, base, F->rep, F->seed);
+        table[s] = base + g;
+        F->rep[g] = -1 - g;
+        F->w[g] = F->seed_w[g];
+        F->vs[g] = 0.0 + F->seed_vs[g];
+        F->vmin[g] = F->seed_vmin[g];
+        F->vmax[g] = F->seed_vmax[g];
+    }
+    for (i = 0; i < n_runs; i++) {
+        R = &W->runs[W->order[i].run];
+        vs = has_values ? R->vs : 0.0;
+        vmin = has_values ? R->vmin : INFINITY;
+        vmax = has_values ? R->vmax : -INFINITY;
+        s = find_slot(keys, k, R->row, R->hash, mask, table, base, F->rep,
+                      F->seed);
+        g = table[s] - base;
+        if (g < 0) {                /* new group */
+            g = n_groups++;
+            table[s] = base + g;
+            F->rep[g] = R->row;
+            F->w[g] = R->w;
+            F->vs[g] = 0.0 + vs;    /* bincount seeds its sums at 0.0 */
+            F->vmin[g] = vmin;
+            F->vmax[g] = vmax;
+            continue;
+        }
+        F->w[g] += R->w;
+        F->vs[g] += vs;
+        /* np.minimum/np.maximum: NaN always propagates */
+        if (isnan(vmin) || vmin < F->vmin[g])
+            F->vmin[g] = vmin;
+        if (isnan(vmax) || vmax > F->vmax[g])
+            F->vmax[g] = vmax;
+    }
+    for (g = 0; g < n_groups; g++)
+        if (isnan(F->vs[g]))
+            memcpy(&F->vs[g], &NUMPY_NAN, sizeof(double));
+    F->n_groups = n_groups;
+    W->base = base + n_groups;      /* empties the table for the next */
+    return 0;
+}
+
+/* One relation-epoch. Arrival j is row rows[j] (row j when rows is
+ * NULL: a raw relation's) at time t[j] with weight w[j], its partials
+ * vs/vmin/vmax[j], which are NULL for a count-only stream. Its bucket
+ * is its row's slice times nb plus its hash mod nb. Returns -1 when out
+ * of memory. */
+static int walk_relation(
+    walk_t *W, int64_t r, int64_t start, int64_t n, int64_t stride,
+    int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
+    const double *vs, const double *vmin, const double *vmax)
+{
+    const int64_t L = W->longest;
+    const int64_t k = W->key_off[r + 1] - W->key_off[r];
+    const uint64_t **keys = W->keys + W->key_off[r];
+    const uint64_t nb = (uint64_t)W->n_buckets[r];
+    const int64_t nb_all = W->n_buckets[r] * W->n_slices;
+    const int64_t *shard = W->shard ? W->shard + start : NULL;
+    const uint64_t state = mix64(W->salt[r]);
+    const int64_t flush_base = n + W->depth[r] * stride;
+    const int has_values = vs != NULL;
+    const int feeds = (int)W->feeds[r];
+    int64_t *slot_run = W->slot_run;
+    run_t *runs = W->runs;
+    order_t *order = W->order;
+    int64_t *ev_row = NULL, *ev_t = NULL, *ev_w = NULL;
+    double *ev_vs = NULL, *ev_vmin = NULL, *ev_vmax = NULL;
+    int64_t n_runs = 0, n_ev = 0, arr_intra = 0, ev_intra = 0;
+    int64_t i, j, j0, j1, b, q, c, offset, count;
+    uint64_t blk_hash[INGEST_BLOCK];
+    int64_t blk_row[INGEST_BLOCK];
+    run_t *R;
+    int dense;
+
+    for (c = 0; c < k; c++)
+        keys[c] = W->columns[W->key_col[W->key_off[r] + c]] + start;
+    if (feeds) {
+        ev_row = W->ev_i + W->depth[r] * 3 * L;
+        ev_t = ev_row + L;
+        ev_w = ev_t + L;
+        if (has_values) {
+            ev_vs = W->ev_f + W->depth[r] * 3 * L;
+            ev_vmin = ev_vs + L;
+            ev_vmax = ev_vmin + L;
+        }
+    }
+
+#define EVICT(RUN, TIME) do {                                   \
+        if (feeds) {                                            \
+            ev_row[n_ev] = (RUN)->row;                          \
+            ev_t[n_ev] = (TIME);                                \
+            ev_w[n_ev] = (RUN)->w;                              \
+            if (has_values) {                                   \
+                ev_vs[n_ev] = (RUN)->vs;                        \
+                ev_vmin[n_ev] = (RUN)->vmin;                    \
+                ev_vmax[n_ev] = (RUN)->vmax;                    \
+            }                                                   \
+            n_ev++;                                             \
+        }                                                       \
+    } while (0)
+
+    /* Hash a block of arrivals, then probe it: the hash chains of a
+     * block are independent of each other and of the table. */
+    for (j0 = 0; j0 < m; j0 = j1) {
+        j1 = m - j0 < INGEST_BLOCK ? m : j0 + INGEST_BLOCK;
+        for (j = j0; j < j1; j++) {
+            const int64_t row = rows ? rows[j] : j;
+            blk_row[j - j0] = row;
+            blk_hash[j - j0] = chain64(keys, k, row, state);
+        }
+        for (j = j0; j < j1; j++) {
+            const int64_t row = blk_row[j - j0];
+            if (t[j] < n) arr_intra++;
+            b = (int64_t)(blk_hash[j - j0] % nb);
+            if (shard)
+                b += shard[row] * (int64_t)nb;
+            q = slot_run[b];
+            /* The slot is live iff it names a run of this pass that
+             * started in this bucket; anything else is a stale or
+             * never-written slot. */
+            if ((uint64_t)q < (uint64_t)n_runs && runs[q].bucket == b) {
+                R = &runs[q];
+                for (c = 0; c < k && keys[c][row] == keys[c][R->row]; c++)
+                    ;
+                if (c == k) {  /* probe hit: extend the resident run */
+                    R->w += w[j];
+                    if (has_values) {
+                        R->vs += vs[j];
+                        /* np.minimum/np.maximum: NaN always propagates */
+                        if (isnan(vmin[j]) || vmin[j] < R->vmin)
+                            R->vmin = vmin[j];
+                        if (isnan(vmax[j]) || vmax[j] > R->vmax)
+                            R->vmax = vmax[j];
+                    }
+                    continue;
+                }
+                /* collision: evict the resident at this arrival's time */
+                if (t[j] < n) ev_intra++;
+                EVICT(R, t[j]);
+            }
+            q = n_runs++;
+            slot_run[b] = q;
+            R = &runs[q];
+            R->hash = blk_hash[j - j0];
+            R->bucket = b;
+            R->row = row;
+            R->w = w[j];
+            if (has_values) {
+                R->vs = 0.0 + vs[j];  /* bincount seeds its sums at 0.0 */
+                R->vmin = vmin[j];
+                R->vmax = vmax[j];
+            }
+        }
+    }
+
+    /* End-of-epoch flush in bucket order: scan the table when it is
+     * small against the runs, else sort the runs by (bucket, start). */
+    dense = nb_all <= 8 * n_runs + 1024;
+    if (dense) {
+        for (b = 0; b < nb_all; b++) {
+            q = slot_run[b];
+            if ((uint64_t)q < (uint64_t)n_runs && runs[q].bucket == b)
+                EVICT(&runs[q], flush_base + b);
+        }
+    } else {
+        for (q = 0; q < n_runs; q++) {
+            order[q].bucket = runs[q].bucket;
+            order[q].run = q;
+        }
+        qsort(order, (size_t)n_runs, sizeof(order_t), by_bucket_then_run);
+        for (i = 0; i < n_runs; i++) {
+            if (i + 1 < n_runs && order[i + 1].bucket == order[i].bucket)
+                continue;  /* not the bucket's last run: evicted earlier */
+            EVICT(&runs[order[i].run], flush_base + order[i].bucket);
+        }
+    }
+#undef EVICT
+
+    /* The fold takes the runs in (bucket, start-time) order: the runs
+     * of a bucket are numbered in start order, so the sort above, or a
+     * counting sort by bucket. */
+    if (W->emit[r]) {
+        if (dense) {
+            int64_t *bucket_pos = W->bucket_pos;
+            for (b = 0; b < nb_all; b++)
+                bucket_pos[b] = 0;
+            for (q = 0; q < n_runs; q++)
+                bucket_pos[runs[q].bucket]++;
+            offset = 0;
+            for (b = 0; b < nb_all; b++) {
+                count = bucket_pos[b];
+                bucket_pos[b] = offset;
+                offset += count;
+            }
+            for (q = 0; q < n_runs; q++)
+                order[bucket_pos[runs[q].bucket]++].run = q;
+        }
+        if (fold_runs(W, &W->folds[W->fold_slot[r]], keys, k, state,
+                      n_runs, has_values) < 0)
+            return -1;
+    }
+
+    W->n_runs[r] = n_runs;
+    W->stats[4 * r + 0] += arr_intra;
+    W->stats[4 * r + 1] += m - arr_intra;
+    W->stats[4 * r + 2] += ev_intra;
+    W->stats[4 * r + 3] += n_runs - ev_intra;
+    return 0;
+}
+
+/* One epoch through the whole forest: rows start + j, j < n, of the
+ * stream arrive at the raw relations at times t with weights w; every
+ * other relation is fed its parent's evictions in eviction order.
+ * Returns 0, or -1 when a fold ran out of memory. */
+int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
+                   const int64_t *w, int64_t n)
+{
+    const int64_t L = W->longest;
+    const int64_t stride = n + W->max_buckets + 2;
+    const double *values = W->values ? W->values + start : NULL;
+    int64_t r, p, d;
+    int failed;
+
+    for (r = 0; r < W->n_rel; r++)
+        if (W->emit[r])
+            W->folds[W->fold_slot[r]].n_groups = 0;
+    for (r = 0; r < W->n_rel; r++) {
+        W->n_runs[r] = 0;
+        p = W->parent[r];
+        if (p < 0) {
+            failed = n > 0 && walk_relation(W, r, start, n, stride, n, NULL,
+                                            t, w, values, values, values);
+        } else if (W->n_runs[p] == 0) {
+            continue;
+        } else {
+            d = W->depth[p];
+            failed = walk_relation(
+                W, r, start, n, stride, W->n_runs[p],
+                W->ev_i + d * 3 * L, W->ev_i + d * 3 * L + L,
+                W->ev_i + d * 3 * L + 2 * L,
+                values ? W->ev_f + d * 3 * L : NULL,
+                values ? W->ev_f + d * 3 * L + L : NULL,
+                values ? W->ev_f + d * 3 * L + 2 * L : NULL);
+        }
+        if (failed)
+            return -1;
+    }
+    return 0;
+}
+
+/* Hand over the folds of the last repro_walk call: dst[slot], for each
+ * emitting relation with n > 0 groups, is room for 4 + k rows of n
+ * int64 words, k its key columns: the counts, the sums, minima and
+ * maxima (as their bits), then each key column, a group's value read
+ * through its representative's raw row or its seed row. */
+void repro_walk_take(const walk_t *W, int64_t *const *dst)
+{
+    int64_t r, c, g, n, k, rep;
+    const fold_t *F;
+    const uint64_t **keys;
+    int64_t *out, *col;
+
+    for (r = 0; r < W->n_rel; r++) {
+        if (!W->emit[r] || W->folds[W->fold_slot[r]].n_groups == 0)
+            continue;
+        F = &W->folds[W->fold_slot[r]];
+        out = dst[W->fold_slot[r]];
+        n = F->n_groups;
+        k = W->key_off[r + 1] - W->key_off[r];
+        keys = W->keys + W->key_off[r];
+        memcpy(out, F->w, (size_t)n * sizeof(int64_t));
+        memcpy(out + n, F->vs, (size_t)n * sizeof(double));
+        memcpy(out + 2 * n, F->vmin, (size_t)n * sizeof(double));
+        memcpy(out + 3 * n, F->vmax, (size_t)n * sizeof(double));
+        for (c = 0; c < k; c++) {
+            col = out + (4 + c) * n;
+            for (g = 0; g < n; g++) {
+                rep = F->rep[g];
+                col[g] = (int64_t)(rep < 0 ? F->seed[c][-1 - rep]
+                                           : keys[c][rep]);
+            }
+        }
+    }
+}
+
+/* Release the folds' group table. */
+void repro_walk_free(walk_t *W)
+{
+    free(W->table);
+    W->table = NULL;
+    W->cap = W->base = 0;
+}
+
+/* ---- The planner's statistics pass ---- */
+
+/* Exact group and flow counts of n records in arrival (non-decreasing
+ * time) order, through the group table's probe.
+ * last[g] is group g's latest timestamp. A new group opens a flow; a
+ * known group opens another when !((t - last) <= timeout), the sort
+ * path's continuation test negated. Returns the group count and stores
+ * the flow count in *flows. */
+int64_t repro_group_stats(
+    const uint64_t **cols, int64_t k, int64_t n, const double *ts,
+    double timeout, int64_t cap, int64_t *table,
+    int64_t *rep, double *last, int64_t *flows)
+{
+    const uint64_t mask = (uint64_t)cap - 1ULL;
+    const uint64_t state = mix64(0);
+    int64_t n_groups = 0, n_flows = 0;
+    int64_t i, g;
+    uint64_t s;
+
+    for (i = 0; i < n; i++) {
+        s = find_slot(cols, k, i, chain64(cols, k, i, state), mask, table,
+                      0, rep, NULL);
+        g = table[s];
+        if (g < 0) {                /* new group, new flow */
+            table[s] = n_groups;
+            rep[n_groups] = i;
+            last[n_groups] = ts[i];
+            n_groups++;
+            n_flows++;
+            continue;
+        }
+        if (!((ts[i] - last[g]) <= timeout))
+            n_flows++;
+        last[g] = ts[i];
+    }
+    *flows = n_flows;
+    return n_groups;
+}
+
+/* ---- The partition hash ---- */
+
+/* ids[i] = chain(cols[0..k)[i], salt) % n_shards. */
+void repro_partition_hash(
+    const uint64_t **cols, int64_t k, int64_t n,
+    uint64_t salt, uint64_t n_shards, int64_t *ids)
+{
+    const uint64_t state = mix64(salt);
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        ids[i] = (int64_t)(chain64(cols, k, i, state) % n_shards);
+}
+"""
+
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+
+#: ctypes ``(restype, argtypes)`` of every entry; every pointer is
+#: passed as an address.
+_SIGNATURES = {
+    "repro_walk": (_I64, [_P, _I64, _P, _P, _I64]),
+    "repro_walk_take": (None, [_P, _P]),
+    "repro_walk_free": (None, [_P]),
+    "repro_group_stats": (_I64, [_P, _I64, _I64, _P, ctypes.c_double, _I64,
+                                 _P, _P, _P, _P]),
+    "repro_partition_hash": (None, [_P, _I64, _I64, ctypes.c_uint64,
+                                    ctypes.c_uint64, _P]),
+}
+
+
+def library() -> ctypes.CDLL | None:
+    """The loaded library, signatures applied; None when it is
+    unavailable. One attempt per process (the memo of
+    :func:`repro.native.build.load_kernel`)."""
+    return load_kernel(NAME, SOURCE, _SIGNATURES)
+
+
+def available() -> bool:
+    """Whether the library compiled and loaded: the one answer every
+    caller picks its C or numpy body by."""
+    return library() is not None
+
+
+def words(columns: Sequence[np.ndarray],
+          n: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Stream columns as the library reads them, checked once.
+
+    Each column becomes one contiguous run of int64 words, viewed as the
+    ``uint64_t`` the C code hashes and compares (a copy only where the
+    column is not already one). There must be at least one column (the
+    hash chain reads the first; the message is ``pack_tuples``'s, the
+    numpy bodies' check), and every column must be 1-D and ``n`` long
+    (the first column's length when ``n`` is None), else ``ValueError``.
+    Returns the address array a ``const uint64_t **`` parameter takes
+    and the words, which must outlive every call that reads them.
+    """
+    if not columns:
+        raise ValueError("need at least one column to pack")
+    held = [np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
+            for col in columns]
+    if n is None:
+        n = held[0].shape[0]
+    for col in held:
+        if col.shape != (n,):
+            raise ValueError(f"stream columns must be 1-D and {n} long, "
+                             f"got shape {col.shape}")
+    return np.array([col.ctypes.data for col in held], dtype=np.uintp), held

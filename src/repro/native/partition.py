@@ -1,109 +1,89 @@
-"""C kernel for the sharded runtime's partition hash.
+"""The native library's two one-pass entries over a stream's columns.
 
-Sharding is lossless whatever the record-to-shard assignment, so the
-only thing it may cost is the partition step itself. The numpy path
-pays the salted splitmix64 chain as dozens of whole-array passes with a
-temporary each; this kernel makes it one streaming pass:
+Both hash rows through the library's salted splitmix64 chain
+(:mod:`repro.native.library`), each where its numpy body pays the chain,
+a pack or a sort as dozens of whole-array passes:
 
-* :func:`hash_shards` — the salted splitmix64 chain of
-  :func:`repro.gigascope.hashing._chain` (the shared ``chain64`` of
-  :data:`repro.native.build.HASH_CHAIN_SOURCE`), reduced ``% n_shards``
-  to int64 shard ids.
+* :func:`hash_shards` — the sharded runtime's record-to-shard hash:
+  ``chain(key columns, salt) % n_shards`` as int64 ids, the ids
+  :class:`repro.parallel.partition.HashPartitioner` hands to
+  ``simulate(..., shards=ids)``, which walks each record in its shard's
+  slice of every table, so no lane is copied or indexed. int64
+  attribute values are *viewed* as uint64, which wraps negatives
+  exactly like numpy's ``astype(np.uint64)`` (pinned by
+  ``tests/parallel/test_partition.py``).
+* :func:`group_stats` — the planner's exact statistics (``g_R`` and the
+  gap-based flow count behind ``l_R``) for one relation in one pass
+  over the records, where the numpy body (``Dataset.group_count`` +
+  ``workloads.datasets.flow_count``) packs the key columns twice and
+  sorts them twice. Each record finds or inserts its group in the
+  library's group table, equality on the raw columns, and the table
+  keeps the group's last timestamp; a new group opens a flow, a known
+  group opens another when ``!((t - last) <= timeout)``. Timestamps are
+  non-decreasing, so a group's arrivals are already the order the sort
+  path's ``lexsort`` by (code, time) visits them, and the float
+  subtraction and comparison are the same ones: the counts are equal,
+  ties and gaps exactly at the timeout included (pinned by
+  ``tests/workloads/test_datasets.py``).
 
-The ids are the whole of the kernel's job: the engine takes them as
-they are (``simulate(..., shards=ids)``) and walks each record in its
-shard's slice of every table, so no lane is copied or indexed.
-
-Bit-identity contract (pinned by ``tests/parallel/test_partition.py``):
-int64 attribute values are *viewed* as uint64, which wraps negatives
-exactly like numpy's ``astype(np.uint64)``; ``uint64_t`` arithmetic
-wraps like numpy's.
-
-The kernel is best-effort: no compiler or ``REPRO_NO_CKERNEL=1`` leaves
-:mod:`repro.parallel.partition` on its numpy body with identical
-results.
+Call either only when :func:`repro.native.library.available`; without
+the library every caller takes its numpy body, with identical results.
 """
 
 from __future__ import annotations
 
-import ctypes
+import math
 
 import numpy as np
 
-from repro.native.build import HASH_CHAIN_SOURCE, load_kernel
+from repro.native import library
 
-__all__ = ["KERNEL_NAME", "hash_shards", "kernel_available"]
-
-KERNEL_NAME = "shard_partition"
-
-_SOURCE = HASH_CHAIN_SOURCE + r"""
-#include <stddef.h>
-
-/* ids[i] = chain(cols[0..k)[i], salt) % n_shards. */
-void repro_partition_hash(
-    const uint64_t **cols, int64_t k, int64_t n,
-    uint64_t salt, uint64_t n_shards, int64_t *ids)
-{
-    const uint64_t state = mix64(salt);
-    int64_t i;
-
-    for (i = 0; i < n; i++)
-        ids[i] = (int64_t)(chain64(cols, k, i, state) % n_shards);
-}
-"""
-
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-
-_SIGNATURES = {
-    "repro_partition_hash": (None, [
-        ctypes.POINTER(_U64P), ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_uint64, ctypes.c_uint64, _I64P,
-    ]),
-}
-
-
-def _kernel() -> ctypes.CDLL | None:
-    return load_kernel(KERNEL_NAME, _SOURCE, _SIGNATURES)
-
-
-def kernel_available() -> bool:
-    """Whether the partition kernel could be compiled and loaded."""
-    return _kernel() is not None
-
-
-def _words(lanes: list[np.ndarray], n: int):
-    """The lanes' 8-byte words as a C pointer array (no copy for
-    contiguous input); the arrays are returned to be kept alive."""
-    held = []
-    for lane in lanes:
-        lane = np.ascontiguousarray(lane)
-        if lane.shape != (n,) or lane.dtype.itemsize != 8:
-            raise ValueError(
-                f"lanes must be 1-D, 8 bytes wide and {n} long, got "
-                f"{lane.dtype} {lane.shape}")
-        held.append(lane.view(np.uint64))
-    pointers = (_U64P * len(held))(*[w.ctypes.data_as(_U64P) for w in held])
-    return pointers, held
+__all__ = ["group_stats", "hash_shards"]
 
 
 def hash_shards(cols: list[np.ndarray], salt: int,
                 n_shards: int) -> np.ndarray:
     """Shard ids ``chain(cols, salt) % n_shards`` as int64.
 
-    ``cols`` are the int64 attribute columns of the partition key.
-    Call only when :func:`kernel_available`.
+    ``cols`` are the integer attribute columns of the partition key.
     """
-    lib = _kernel()
+    lib = library.library()
     assert lib is not None
-    if not cols or n_shards < 1:
-        raise ValueError("need at least one column and one shard")
-    n = int(cols[0].shape[0])
-    col_ptrs, held = _words(
-        [np.asarray(col).astype(np.int64, copy=False) for col in cols], n)
+    if n_shards < 1:
+        raise ValueError("need at least one shard")
+    addresses, held = library.words(cols)
+    n = held[0].shape[0]
     ids = np.empty(n, dtype=np.int64)
-    lib.repro_partition_hash(
-        col_ptrs, ctypes.c_int64(len(held)), ctypes.c_int64(n),
-        ctypes.c_uint64(salt & 0xFFFFFFFFFFFFFFFF),
-        ctypes.c_uint64(n_shards), ids.ctypes.data_as(_I64P))
+    lib.repro_partition_hash(addresses.ctypes.data, len(held), n,
+                             salt & 0xFFFFFFFFFFFFFFFF, n_shards,
+                             ids.ctypes.data)
     return ids
+
+
+def group_stats(cols: list[np.ndarray], timestamps: np.ndarray,
+                timeout: float | None) -> tuple[int, int]:
+    """Exact ``(groups, flows)`` of one relation in one hash pass.
+
+    ``cols`` are the relation's integer attribute columns and
+    ``timestamps`` the non-decreasing arrival times. A flow is a run of
+    one group's records whose inter-arrival gaps are all ``<= timeout``;
+    ``timeout=None`` is an infinite timeout, for callers that want the
+    group count only.
+    """
+    lib = library.library()
+    assert lib is not None
+    n = int(timestamps.shape[0])
+    addresses, held = library.words(cols, n)
+    timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
+    # A power-of-two slot array at load <= 0.5 keeps linear probes
+    # short; -1 marks an empty slot.
+    cap = 1 << max(4, (2 * n - 1).bit_length())
+    table = np.full(cap, -1, dtype=np.int64)
+    rep = np.empty(n, dtype=np.int64)
+    last = np.empty(n, dtype=np.float64)
+    flows = np.zeros(1, dtype=np.int64)
+    groups = lib.repro_group_stats(
+        addresses.ctypes.data, len(held), n, timestamps.ctypes.data,
+        math.inf if timeout is None else timeout, cap, table.ctypes.data,
+        rep.ctypes.data, last.ctypes.data, flows.ctypes.data)
+    return int(groups), int(flows[0])

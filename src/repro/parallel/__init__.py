@@ -17,16 +17,11 @@ a relation are N slices of one table, walked in one pass.
 See ``docs/sharding.md`` for semantics and the memory-split policy.
 """
 
-from repro.parallel.partition import (
-    HashPartitioner,
-    shard_balance,
-    split_dataset,
-)
+from repro.parallel.partition import HashPartitioner, split_dataset
 from repro.parallel.sharded import ShardedStreamSystem
 
 __all__ = [
     "HashPartitioner",
     "ShardedStreamSystem",
-    "shard_balance",
     "split_dataset",
 ]

@@ -17,10 +17,11 @@ on one shard, so each shard's tables see a disjoint slice of the group
 space and keep the single-system groups-per-bucket ratio the cost model
 prices.
 
-The hash behind :class:`HashPartitioner` runs through the
-runtime-compiled partition kernel whenever it loaded; the numpy body
-below is the fallback (no compiler, ``REPRO_NO_CKERNEL=1``) and the
-oracle the kernel is tested against, with identical ids.
+The hash behind :class:`HashPartitioner` runs through the native
+library (:func:`repro.native.partition.hash_shards`) whenever it loaded;
+the numpy body below is the fallback (no compiler,
+``REPRO_NO_CKERNEL=1``) and the oracle the library is tested against,
+with identical ids.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from repro.core.attributes import AttributeSet
 from repro.errors import ConfigurationError
 from repro.gigascope.hashing import combine_columns
 from repro.gigascope.records import Dataset
+from repro.native import available as _kernel_available
 from repro.native import partition as _native
 
 __all__ = [
     "HashPartitioner",
     "split_dataset",
-    "shard_balance",
     "balance_summary",
     "check_shard_count",
     "check_shard_ids",
@@ -118,31 +119,16 @@ class HashPartitioner:
                 "HashPartitioner needs at least one key attribute to hash, "
                 "got an empty key")
         columns = [dataset.columns[a] for a in attrs]
-        if _native.kernel_available():
+        if _kernel_available():
             return _native.hash_shards(columns, self.salt, n_shards)
         hashes = combine_columns(columns, self.salt)
         return (hashes % np.uint64(n_shards)).astype(np.int64)
 
 
-def shard_balance(shard_ids: np.ndarray, n_shards: int,
-                  strategy: str = "") -> dict:
-    """Summarize how a record-to-shard assignment actually landed.
-
-    The dict is JSON-ready and rides in the run manifest so skewed or
-    collapsed partitions are visible post-hoc instead of silently
-    degrading parallelism. Ids outside ``[0, n_shards)`` are a
-    :class:`~repro.errors.ConfigurationError`, as in
-    :func:`split_dataset`.
-    """
-    n_shards = check_shard_count(n_shards)
-    ids = check_shard_ids(shard_ids, n_shards, source=strategy)
-    counts = (np.bincount(ids, minlength=n_shards) if ids.size
-              else np.zeros(n_shards, dtype=np.int64))
-    return balance_summary([int(c) for c in counts], strategy)
-
-
 def balance_summary(counts: list[int], strategy: str = "") -> dict:
-    """:func:`shard_balance`'s dict from the per-shard record counts."""
+    """How a record-to-shard assignment landed, from its per-shard
+    record counts: JSON-ready, it rides in the run manifest so a skewed
+    or collapsed partition is visible after the run."""
     n_shards = len(counts)
     largest = max(counts, default=0)
     mean = sum(counts) / n_shards if n_shards else 0.0

@@ -41,7 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
 from repro.gigascope.runtime import RunReport, StreamSystem
-from repro.native.partition import kernel_available
+from repro.native import available as kernel_available
 from repro.observability import MetricsRegistry
 from repro.observability.tracing import Span
 from repro.parallel.partition import (HashPartitioner, balance_summary,

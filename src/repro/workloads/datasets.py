@@ -13,9 +13,9 @@ and flow lengths for clustered data via two estimators —
   before being evicted".
 
 :func:`measure_statistics`, the planner's input, computes a relation's
-group count and gap-based flow count in one pass through the
-``hfta_merge`` kernel's hash table (:func:`repro.native.merge.group_stats`)
-when it is available. Its numpy body — ``Dataset.group_count``'s
+group count and gap-based flow count in one pass through the native
+library's group table (:func:`repro.native.partition.group_stats`) when
+it is available. Its numpy body — ``Dataset.group_count``'s
 ``np.unique`` plus :func:`flow_count`'s ``lexsort`` — is the fallback and
 the oracle the kernel is tested against, field for field.
 """
@@ -33,10 +33,27 @@ from repro.core.statistics import RelationStatistics
 from repro.gigascope.engine import simulate
 from repro.gigascope.hashing import pack_tuples
 from repro.gigascope.records import Dataset
-from repro.native import merge
+from repro.native import available as _kernel_available
+from repro.native import partition as _native
 
 __all__ = ["flow_count", "mean_flow_length", "calibrated_flow_length",
            "measure_statistics", "one_record_per_flow"]
+
+
+def _flow_heads(dataset: Dataset, attrs: AttributeSet,
+                timeout: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one flow rule: the records in (group, time) order, and which
+    of them opens a flow. A record continues a flow iff the record
+    before it in that order is of its group and ``(t - previous) <=
+    timeout``; every other record is the head of a new flow."""
+    codes = pack_tuples([dataset.columns[a] for a in attrs])
+    order = np.lexsort((dataset.timestamps, codes))
+    sorted_codes = codes[order]
+    sorted_times = dataset.timestamps[order]
+    head = np.ones(order.shape[0], dtype=bool)
+    head[1:] = ~((sorted_codes[1:] == sorted_codes[:-1])
+                 & ((sorted_times[1:] - sorted_times[:-1]) <= timeout))
+    return order, head
 
 
 def one_record_per_flow(dataset: Dataset, attrs: AttributeSet | str,
@@ -46,20 +63,13 @@ def one_record_per_flow(dataset: Dataset, attrs: AttributeSet | str,
     The paper validates its random-data collision model by "grouping all
     packets of a flow into a single record". Flows are identified by
     gap-based segmentation at the given projection (same group, inter-packet
-    gap <= timeout); each flow is represented by its first packet, and the
-    result is re-sorted into arrival order.
+    gap <= timeout, :func:`flow_count`'s rule); each flow is represented by
+    its first packet, and the result is re-sorted into arrival order.
     """
     attrs = dataset.schema.attribute_set(attrs)
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         return dataset
-    codes = pack_tuples([dataset.columns[a] for a in attrs])
-    order = np.lexsort((dataset.timestamps, codes))
-    sorted_codes = codes[order]
-    sorted_times = dataset.timestamps[order]
-    head = np.ones(n, dtype=bool)
-    head[1:] = (sorted_codes[1:] != sorted_codes[:-1]) | \
-        ((sorted_times[1:] - sorted_times[:-1]) > timeout)
+    order, head = _flow_heads(dataset, attrs, timeout)
     keep = np.sort(order[head])
     return Dataset(
         dataset.schema,
@@ -73,17 +83,7 @@ def flow_count(dataset: Dataset, attrs: AttributeSet | str,
                timeout: float = 1.0) -> int:
     """Number of flows at a projection, by gap-based segmentation."""
     attrs = dataset.schema.attribute_set(attrs)
-    n = len(dataset)
-    if n == 0:
-        return 0
-    codes = pack_tuples([dataset.columns[a] for a in attrs])
-    order = np.lexsort((dataset.timestamps, codes))
-    sorted_codes = codes[order]
-    sorted_times = dataset.timestamps[order]
-    same_group = sorted_codes[1:] == sorted_codes[:-1]
-    within_timeout = (sorted_times[1:] - sorted_times[:-1]) <= timeout
-    continuations = int(np.count_nonzero(same_group & within_timeout))
-    return n - continuations
+    return int(np.count_nonzero(_flow_heads(dataset, attrs, timeout)[1]))
 
 
 def mean_flow_length(dataset: Dataset, attrs: AttributeSet | str,
@@ -134,17 +134,17 @@ def measure_statistics(dataset: Dataset,
 
     Pass ``flow_timeout`` for clustered traces to record gap-based flow
     lengths; omit it for random data (``l = 1`` everywhere). With the
-    ``hfta_merge`` kernel each relation costs one hash pass
-    (:func:`repro.native.merge.group_stats`); without it, a group-unique
-    and a flow sort, with equal results.
+    native library each relation costs one hash pass
+    (:func:`repro.native.partition.group_stats`); without it, a
+    group-unique and a flow sort, with equal results.
     """
     groups: dict[AttributeSet, float] = {}
     flows: dict[AttributeSet, float] = {}
-    one_pass = merge.kernel_available()
+    one_pass = _kernel_available()
     for rel in relations:
         attrs = dataset.schema.attribute_set(rel)
         if one_pass:
-            g, n_flows = merge.group_stats(
+            g, n_flows = _native.group_stats(
                 [dataset.columns[a] for a in attrs], dataset.timestamps,
                 flow_timeout)
             groups[attrs] = float(g)

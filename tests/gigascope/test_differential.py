@@ -29,7 +29,7 @@ from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.gigascope import Dataset, StreamSchema
 from repro.gigascope.online import LiveStreamSystem
-from repro.native import ingest, machine_info, merge, partition
+from repro.native import ingest, machine_info, partition
 from repro.parallel import ShardedStreamSystem
 from repro.workloads import measure_statistics
 from tests.conftest import (
@@ -222,7 +222,7 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
         raise AssertionError("kernel function called under numpy_kernels")
 
     for module, function in ((ingest, "ingest_runs"),
-                             (merge, "group_stats"),
+                             (partition, "group_stats"),
                              (partition, "hash_shards")):
         monkeypatch.setattr(module, function, unreachable)
     dataset = abc_stream(4, 600, 5, 6.0, clustered=True)
@@ -243,8 +243,8 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
         assert single.answers(query)
         assert sharded.answers(query) == single.answers(query)
         assert live.hfta.all_answers(query) == single.answers(query)
-    kernels = machine_info()["kernels"]
-    assert set(kernels) == {"engine_ingest", "hfta_merge",
-                            "shard_partition"}
-    assert all(k["disabled"] and not k["available"]
-               for k in kernels.values())
+    info = machine_info()
+    assert not info["c_kernel"]
+    assert info["kernels"] == {"engine_ingest": {
+        "available": False, "disabled": True, "compiler": None,
+        "error": None}}

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.hfta import HFTA, ColumnarTotals, _fold_rows_numpy
-from repro.native import merge as native_merge
+from repro.native import available as kernel_available
 from tests.hfta_totals import GroupAggregate, totals
 
 # NaN workloads trip numpy's elementwise warnings inside minimum.at /
@@ -260,7 +260,7 @@ class TestKernelVsNumpyFold:
         assert [s.tobytes() for s in sums] == [nan_bits] * 3
 
     def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
-        assert not native_merge.kernel_available()
+        assert not kernel_available()
         hfta = HFTA()
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 2], [0.5, 0.25])

@@ -1,13 +1,16 @@
-"""The ingest kernel's degenerate shapes, and the shared build machinery.
+"""The ingest walk's degenerate shapes, the build machinery and the one
+native library.
 
-NaN values and the edges of the kernel's hash blocks through the walk
-of a one-relation forest against the numpy path (every other degenerate
+NaN values and the edges of the walk's hash blocks through a
+one-relation forest against the numpy path (every other degenerate
 stream runs against the sequential reference on both kernel modes in
 ``test_differential.py``, whole forests in ``test_forest_walk.py``),
-and the tests of :mod:`repro.native.build`: one load attempt and one
-warning per kernel, the opt-out, the on-disk cache, racing first
-compiles, a compiler gone before the first load, and every kernel
-source compiling without a warning.
+and the tests of :mod:`repro.native.build` and
+:mod:`repro.native.library`: one load attempt and one warning per
+kernel, the opt-out, the on-disk cache, racing first compiles that
+leave one shared object, the library's one failure mode (a bad source
+or a vanished compiler: one warning, then every caller's numpy body),
+and the library's source compiling without a warning.
 """
 
 import ctypes
@@ -30,14 +33,15 @@ from repro.gigascope import Dataset, simulate
 from repro.gigascope.engine import _process_relation
 from repro.gigascope.hashing import bucket_indices, relation_salt
 from repro.gigascope.hfta import HFTA
-from repro.gigascope.metrics import CostCounters
+from repro.native import available as kernel_available
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
+from repro.native import library as native_library
 from repro.native import machine_info
-from repro.native import merge as native_merge
-from repro.native import partition as native_partition
-from repro.parallel import HashPartitioner, split_dataset
+from repro.parallel import HashPartitioner
+from repro.workloads import measure_statistics
 from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.gigascope.test_forest_walk import states
 from tests.hfta_totals import totals
 from tests.references import ABC_SCHEMA as SCHEMA, abc_stream as _dataset
 
@@ -149,19 +153,37 @@ class TestBlockEdges:
     native_build.compiler_path() is None
     or native_build.kernels_disabled(),
     reason="no C compiler available (or REPRO_NO_CKERNEL set)")
-@pytest.mark.parametrize("module", [native_ingest, native_merge,
-                                    native_partition],
-                         ids=lambda module: module.__name__)
-def test_kernel_source_compiles_without_warnings(module, tmp_path):
-    """Every kernel builds clean under ``-Wall -Wextra -Werror`` with the
-    flags it ships with."""
-    source = tmp_path / "kernel.c"
-    source.write_text(module._SOURCE)
+@pytest.mark.parametrize("entries", [
+    pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free"),
+                 id="repro.native.ingest"),
+    pytest.param(("repro_group_stats",), id="repro.native.merge"),
+    pytest.param(("repro_partition_hash",), id="repro.native.partition"),
+])
+def test_kernel_source_compiles_without_warnings(entries, strict_build):
+    """The library builds clean under ``-Wall -Wextra -Werror`` with the
+    flags it ships with, and exports each kernel's entries. One case per
+    kernel the source gathers, under the name of the module that once
+    compiled it alone."""
+    result, shared = strict_build
+    assert result.returncode == 0, result.stderr
+    lib = ctypes.CDLL(str(shared))
+    for entry in entries:
+        assert hasattr(lib, entry), entry
+
+
+@pytest.fixture(scope="module")
+def strict_build(tmp_path_factory):
+    """One ``-Wall -Wextra -Werror`` build of the library source: the
+    compiler's result and the shared object's path."""
+    directory = tmp_path_factory.mktemp("strict_build")
+    source = directory / "kernel.c"
+    source.write_text(native_library.SOURCE)
+    shared = directory / "kernel.so"
     result = subprocess.run(
         [native_build.compiler_path(), *native_build.DEFAULT_FLAGS,
-         "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
-         str(source)], capture_output=True, text=True, timeout=60.0)
-    assert result.returncode == 0, result.stderr
+         "-Wall", "-Wextra", "-Werror", "-o", str(shared), str(source)],
+        capture_output=True, text=True, timeout=60.0)
+    return result, shared
 
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -198,9 +220,9 @@ def racer_run():
 
 _RACER = _RUN_SOURCE + """
 import json
-from repro.native import build, ingest
+from repro.native import build, library
 run = racer_run()
-status = build.kernel_status(ingest.KERNEL_NAME).to_dict()
+status = build.kernel_status(library.NAME).to_dict()
 print(json.dumps({"status": {key: status[key] for key in
                              ("available", "disabled", "error")},
                   "run": run}))
@@ -211,6 +233,38 @@ def _racer_run() -> dict:
     namespace: dict = {}
     exec(_RUN_SOURCE, namespace)
     return namespace["racer_run"]()
+
+
+def _every_caller(dataset: Dataset) -> list:
+    """What each caller of the library returns: the walk's counters and
+    HFTA states (raw bytes, NaN bits included), the partition hash's ids
+    (raw bytes) and the planner's statistics."""
+    config = Configuration.from_notation("ABC(AB(A B) C)")
+    result = simulate(dataset, config, {rel: 5 for rel in config.relations},
+                      1.0, "v")
+    ids = HashPartitioner().shard_ids(dataset, 3)
+    stats = measure_statistics(dataset, config.relations, 0.5)
+    return [result.counters.relations, states(result.hfta), ids.tobytes(),
+            ids.dtype, stats]
+
+
+def _assert_one_failure_mode(dataset, want, error: str) -> None:
+    """The library is loaded afresh, with whatever breaks it already
+    patched in: exactly one ``RuntimeWarning`` naming it, ``error`` on
+    record, and every caller's numpy body, byte for byte ``want``."""
+    native_build._statuses.pop(native_library.NAME, None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not kernel_available()
+        got = _every_caller(dataset)
+        info = machine_info()
+    assert [type(w.message) for w in caught] == [RuntimeWarning]
+    assert native_library.NAME in str(caught[0].message)
+    assert got == want
+    assert not info["c_kernel"]
+    (status,) = info["kernels"].values()
+    assert not status["available"] and not status["disabled"]
+    assert error in status["error"]
 
 
 _ANSWER = {"repro_answer": (ctypes.c_int, [])}
@@ -235,26 +289,13 @@ class TestBuildMachinery:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert native_build.load_kernel(name, "this is not C", {}) is None
-        # The same failure inside a kernel module: the partition kernel's
-        # callers degrade to their numpy bodies with identical output.
-        name = native_partition.KERNEL_NAME
-        dataset = _dataset(3, 500, 40, 4.0, clustered=False)
-        ids = HashPartitioner().shard_ids(dataset, 3)
-        shards = split_dataset(dataset, ids, 3)
-        monkeypatch.setattr(native_partition, "_SOURCE", "this is not C")
-        native_build._statuses.pop(name, None)  # forget the good load
-        with pytest.warns(RuntimeWarning, match=name):
-            assert not native_partition.kernel_available()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(HashPartitioner().shard_ids(dataset, 3),
-                                  ids)
-            for got, want in zip(split_dataset(dataset, ids, 3), shards):
-                assert np.array_equal(got.timestamps, want.timestamps)
-                assert np.array_equal(got.values["v"], want.values["v"])
-        status = machine_info()["kernels"][name]
-        assert not status["available"] and not status["disabled"]
-        assert status["error"]
+        # The same failure in the library: one warning, and every caller
+        # returns what its numpy body returns.
+        dataset = _dataset(3, 500, 40, 4.0, clustered=True)
+        with numpy_kernels_off():
+            want = _every_caller(dataset)
+        monkeypatch.setattr(native_library, "SOURCE", "this is not C")
+        _assert_one_failure_mode(dataset, want, "exited")
 
     def test_opt_out_env_suppresses_attempt(self, monkeypatch):
         monkeypatch.setenv(native_build.DISABLE_ENV, "1")
@@ -320,28 +361,23 @@ class TestBuildMachinery:
         assert [o["status"] for o in outputs] == [
             {"available": True, "disabled": False, "error": None}] * 2
         assert outputs[0]["run"] == outputs[1]["run"] == _racer_run()
-        assert list(tmp_path.glob(
-            f"repro_kernel_{native_ingest.KERNEL_NAME}_*.so"))
+        (built,) = tmp_path.glob("repro_kernel_*.so")
+        assert built.name.startswith(f"repro_kernel_{native_library.NAME}_")
 
     @needs_kernel
     def test_compiler_gone_before_first_load(self, monkeypatch):
-        """The compiler vanishes before the ingest kernel's first load:
-        one warning, the error on record, the numpy walk's answers, which
-        are the kernel's."""
-        for module in (native_merge, native_partition):
-            assert module.kernel_available()
-        with pytest.MonkeyPatch.context() as patch, \
-                warnings.catch_warnings(record=True) as caught:
+        """The compiler vanishes before the library's first load: one
+        warning, the error on record, and every caller's numpy body,
+        whose results are the library's; the library loads again once
+        a compiler is back."""
+        dataset = _dataset(3, 500, 40, 4.0, clustered=True)
+        want = _every_caller(dataset)
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native_build, "compiler_path", lambda: None)
-            warnings.simplefilter("always")
-            run = _racer_run()
-        assert [type(w.message) for w in caught] == [RuntimeWarning]
-        assert native_ingest.KERNEL_NAME in str(caught[0].message)
-        status = native_build.kernel_status(native_ingest.KERNEL_NAME)
-        assert not status.available and status.error
-        native_build._statuses.pop(native_ingest.KERNEL_NAME)
-        assert native_ingest.kernel_available()
-        assert run == _racer_run()
+            _assert_one_failure_mode(dataset, want, "no C compiler")
+        native_build._statuses.pop(native_library.NAME)
+        assert kernel_available()
+        assert _every_caller(dataset) == want
 
     def test_concurrent_first_loads_wait_for_the_build(self, monkeypatch):
         """Threads asking for a kernel while another thread's first build
@@ -384,8 +420,8 @@ class TestBuildMachinery:
 
     @needs_kernel
     def test_ingest_kernel_reports_available(self):
-        assert native_ingest.kernel_available()
-        status = native_build.kernel_status(native_ingest.KERNEL_NAME)
+        assert kernel_available()
+        status = native_build.kernel_status(native_library.NAME)
         assert status is not None and status.available
         assert status.compiler
 
@@ -393,17 +429,15 @@ class TestBuildMachinery:
         info = machine_info()
         assert set(info) >= {"platform", "python", "numpy", "cpu_count",
                              "compiler", "c_kernel", "kernels"}
-        assert "engine_ingest" in info["kernels"]
-        assert native_partition.KERNEL_NAME in info["kernels"]
-        for status in info["kernels"].values():
-            assert set(status) == {"available", "disabled", "compiler",
-                                   "error"}
+        assert list(info["kernels"]) == ["engine_ingest"]
+        status = info["kernels"]["engine_ingest"]
+        assert set(status) == {"available", "disabled", "compiler", "error"}
+        assert info["c_kernel"] is status["available"] is kernel_available()
 
     def test_manifest_carries_machine_diagnostics(self):
         from repro.observability import RunManifest
 
         manifest = RunManifest.collect(git_sha=False)
         doc = manifest.to_dict()
-        assert doc["machine"]["kernels"].keys() >= {
-            "engine_ingest", native_partition.KERNEL_NAME}
+        assert doc["machine"]["kernels"].keys() == {"engine_ingest"}
         assert isinstance(doc["machine"]["c_kernel"], bool)

@@ -138,6 +138,23 @@ class TestLaziness:
         assert answer[(1, 1)] == 3.0
         assert state._tuples is not None
 
+    def test_len_alone_computes_no_values(self, monkeypatch):
+        """``len()``, truthiness and a pickle of an ``avg`` answer perform
+        no division: its values are computed when first read."""
+        hfta = fed_hfta()
+
+        def no_division(*args, **kwargs):
+            raise AssertionError("the answer's values were computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "divide", no_division)
+            answers = [hfta.query_answer(query("avg", having_min=h), 0)
+                       for h in (None, 2)]
+            assert [len(answer) for answer in answers] == [3, 2]
+            assert all(answers)
+            clone = pickle.loads(pickle.dumps(answers[1]))
+        assert answers[1] == clone == {(1, 1): 8.0 / 3, (1, 2): 2.5 / 2}
+
     def test_columns_and_array_align_with_items(self, mode):
         answer = fed_hfta().query_answer(query("avg", having_min=2), 0)
         cols = answer.columns

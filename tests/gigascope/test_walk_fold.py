@@ -29,6 +29,7 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope import Dataset, simulate
 from repro.gigascope.online import LiveStreamSystem
+from repro.native import available as kernel_available
 from repro.native import ingest as native_ingest
 from repro.parallel import split_dataset
 from repro.workloads import measure_statistics
@@ -250,7 +251,7 @@ def test_summary_says_where_the_folds_ran():
                                         buckets).run())
     counts = "HFTA merge        : 6 folds over 383 rows"
     assert numpy == f"{counts} (in the walk, numpy)"
-    if native_ingest.kernel_available():
+    if kernel_available():
         walked = merge_line(StreamSystem(dataset, queries, config,
                                          buckets).run())
         assert walked == f"{counts} (in the walk, native ingest kernel)"

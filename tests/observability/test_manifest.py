@@ -71,10 +71,11 @@ class TestRunManifest:
             report, plan=the_plan, queries=queries, registry=registry,
             extra={"partition": system.partition_summary})
         doc = manifest.to_dict()
-        assert set(doc["machine"]["kernels"]["shard_partition"]) >= {
+        assert list(doc["machine"]["kernels"]) == ["engine_ingest"]
+        assert set(doc["machine"]["kernels"]["engine_ingest"]) >= {
             "available", "disabled", "error"}
         assert doc["metrics"]["gauges"]["partition.kernel"] == int(
-            doc["machine"]["kernels"]["shard_partition"]["available"])
+            doc["machine"]["kernels"]["engine_ingest"]["available"])
         # one walk: the run's counters are the manifest's, and the
         # per-shard view is the partition's record counts
         assert "shards" not in doc

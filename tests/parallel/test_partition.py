@@ -16,7 +16,8 @@ from repro import (
 from repro.cli import main
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.records import Dataset
-from repro.parallel import HashPartitioner, shard_balance, split_dataset
+from repro.parallel import HashPartitioner, split_dataset
+from repro.parallel.partition import balance_summary, check_shard_ids
 from repro.workloads import make_group_universe, uniform_dataset
 from tests.conftest import needs_kernel, numpy_kernels_off
 from tests.references import KeyRange, RoundRobin
@@ -64,7 +65,6 @@ class TestHashPartitioner:
         for bad in (0, 2.9, True, "2"):
             for call in (
                     lambda: HashPartitioner().shard_ids(dataset, bad),
-                    lambda: shard_balance(ids, bad),
                     lambda: split_dataset(dataset, ids, bad)):
                 with pytest.raises(ConfigurationError, match=repr(bad)):
                     call()
@@ -87,8 +87,11 @@ class TestHashPartitioner:
 def _summary(partitioner, data: Dataset, n_shards: int) -> dict:
     """A user partitioner's ids, validated and summarized the way the
     sharded runtime does it."""
-    ids = partitioner.shard_ids(data, n_shards)
-    return shard_balance(ids, n_shards, strategy=type(partitioner).__name__)
+    strategy = type(partitioner).__name__
+    ids = check_shard_ids(partitioner.shard_ids(data, n_shards), n_shards,
+                          len(data), source=strategy)
+    return balance_summary(np.bincount(ids, minlength=n_shards).tolist(),
+                           strategy)
 
 
 class TestRoundRobinPartitioner:
@@ -170,7 +173,7 @@ class TestKeyRangePartitioner:
             keys = shard.columns["A"]
             assert np.all((keys >= edges[index]) & (keys < edges[index + 1]))
             assert np.all(np.diff(shard.timestamps) >= 0)
-        summary = shard_balance(ids, n_shards)
+        summary = _summary(KeyRange("A", bounds), data, n_shards)
         assert summary["records"] == [len(s) for s in shards]
         assert summary["empty_shards"] == sum(not len(s) for s in shards)
 
@@ -218,7 +221,7 @@ class TestSplitDataset:
     def test_rejects_out_of_range_ids(self, dataset):
         """Ids outside [0, n_shards) and non-integer ids are a typed
         error — the same one, word for word, from ``split_dataset`` and
-        ``shard_balance``, with and without the kernels."""
+        ``check_shard_ids``, with and without the kernels."""
         n = len(dataset)
         too_big = np.full(n, 5)
         negative = np.zeros(n, dtype=np.int64)
@@ -226,7 +229,7 @@ class TestSplitDataset:
         mixed = np.arange(n) % 3
         mixed[7], mixed[9] = 3, -4
         calls = (lambda ids: split_dataset(dataset, ids, 3),
-                 lambda ids: shard_balance(ids, 3))
+                 lambda ids: check_shard_ids(ids, 3, n))
         for ids, span in ((too_big, "[5, 5]"), (negative, "[-1, 0]"),
                           (mixed, "[-4, 3]"), (np.zeros(n), "float64")):
             messages = set()
@@ -239,7 +242,7 @@ class TestSplitDataset:
                 messages |= {str(kernel.value), str(fallback.value)}
             assert len(messages) == 1 and span in messages.pop()
         with pytest.raises(ConfigurationError, match="from Mine"):
-            shard_balance(too_big, 3, strategy="Mine")
+            check_shard_ids(too_big, 3, source="Mine")
 
     def test_rejects_wrong_length(self, dataset):
         for ids in (np.zeros(3, dtype=np.int64),

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.gigascope import simulate
 from repro.gigascope.filters import Comparison
 from repro.gigascope.records import Dataset
-from repro.native.partition import kernel_available
+from repro.native import available as kernel_available
 from repro.parallel import HashPartitioner, split_dataset
 from repro.core.optimizer import plan
 from repro.workloads import (

@@ -14,11 +14,14 @@ from repro.workloads import (
     make_group_universe,
     mean_flow_length,
     measure_statistics,
+    one_record_per_flow,
     paper_like_trace,
     uniform_dataset,
 )
 from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import QuerySet
+from repro.native import available as kernel_available
+from repro.native.partition import group_stats
 from tests.conftest import numpy_kernels_off
 
 
@@ -150,9 +153,35 @@ class TestOnePassStatistics:
         assert set(fast.flow_lengths) == set(nodes)
         assert all(length > 1.0 for length in fast.flow_lengths.values())
 
+    def test_empty_relation_raises_on_both_paths(self):
+        """A relation of no attributes has no key to hash: the same
+        ``ValueError`` on both paths, never a read past the columns."""
+        data = tiny_dataset([1, 2], [0.0, 1.0])
+        with pytest.raises(ValueError, match="at least one column"):
+            measure_statistics(data, [AttributeSet(())], flow_timeout=1.0)
+        with numpy_kernels_off(), \
+                pytest.raises(ValueError, match="at least one column"):
+            measure_statistics(data, [AttributeSet(())], flow_timeout=1.0)
+
     def test_empty_input_raises_on_both_paths(self):
         empty = tiny_dataset([], [])
         with pytest.raises(StatisticsError):
             measure_statistics(empty, [A("A")], flow_timeout=1.0)
         with numpy_kernels_off(), pytest.raises(StatisticsError):
             measure_statistics(empty, [A("A")], flow_timeout=1.0)
+
+
+class TestOneFlowRule:
+    @pytest.mark.parametrize("timeout", [0.0, 0.5, 1.0])
+    @given(data=abc_streams())
+    def test_collapse_and_count_agree(self, timeout, data):
+        """Collapsing every flow to its first record leaves one record
+        per flow, gaps exactly at the timeout included, and the native
+        library's one-pass flow count is the same number."""
+        for rel in ABC_RELATIONS:
+            flows = flow_count(data, rel, timeout)
+            assert len(one_record_per_flow(data, rel, timeout)) == flows
+            if kernel_available():
+                columns = [data.columns[a] for a in ABC.attribute_set(rel)]
+                assert group_stats(columns, data.timestamps,
+                                   timeout)[1] == flows
