@@ -107,8 +107,8 @@ def _column_hash(col: np.ndarray, state: np.uint64) -> np.ndarray:
 def _chain(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:
     """``h(c1)``, then ``splitmix64(acc ^ h(c))`` for each further column
     ``c``, with ``h`` the per-column step. The native library's
-    ``chain64`` (:data:`repro.native.library.SOURCE`) is the same
-    chain."""
+    ``hash_block`` (:data:`repro.native.library.SOURCE`) is the same
+    chain, computed column by column over a block of rows."""
     state = _chain_state(salt)
     acc = None
     for col in columns:

@@ -44,7 +44,9 @@ def machine_info() -> dict:
 
     The library's load is attempted, so availability is definitive:
     ``c_kernel`` is whether it compiled and loaded, and ``kernels`` holds
-    its one record, the compiler error of a failed build included.
+    its one record, the compiler error of a failed build included, and
+    ``hash_isa``, the block hasher it runs
+    (:func:`repro.native.library.hash_isa`).
     """
     loaded = available()
     return {
@@ -55,5 +57,6 @@ def machine_info() -> dict:
         "compiler": compiler_path(),
         "c_kernel": loaded,
         "c_kernel_disabled": kernels_disabled(),
-        "kernels": {library.NAME: kernel_status(library.NAME).to_dict()},
+        "kernels": {library.NAME: {**kernel_status(library.NAME).to_dict(),
+                                   "hash_isa": library.hash_isa()}},
     }

@@ -36,6 +36,7 @@ import os
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -48,7 +49,7 @@ __all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path",
 
 #: Contraction and fast-math stay off: bit-identity to numpy requires
 #: every intermediate to round exactly as IEEE binary64.
-DEFAULT_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+DEFAULT_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
                  "-fno-fast-math")
 
 #: Environment opt-out honoured by every kernel (no compile attempt, no
@@ -226,8 +227,20 @@ def _attempt(name: str, source: str,
         f"native kernel {name!r} unavailable, falling back to the "
         f"pure-python/numpy path ({status.error}); set "
         f"{DISABLE_ENV}=1 to silence this warning",
-        RuntimeWarning, stacklevel=3)
+        RuntimeWarning, stacklevel=_outside_level())
     return None
+
+
+def _outside_level() -> int:
+    """The ``stacklevel`` that makes a warning raised by this function's
+    caller name the first frame outside this package: the code whose run
+    fell back, which a ``module=`` warning filter can then target however
+    many of the package's own frames lie in between."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and (frame.f_globals.get("__name__", "")
+                                 + ".").startswith(f"{__package__}."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def kernel_status(name: str) -> KernelStatus | None:

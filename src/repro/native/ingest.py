@@ -11,8 +11,9 @@ directly*, every relation of the configuration in one call per epoch:
 for each relation in topological order, one cache-friendly pass over its
 time-ordered arrivals that hashes, probes, accumulates, and detects
 collisions per record, then the end-of-epoch flush. The pass hashes a
-block of 64 arrivals, then probes that block: the hashes of a block are
-independent, so they overlap in the CPU. The raw arrivals of an epoch
+block of 256 arrivals column by column (``hash_block``), then probes
+that block: the hashes of a block are independent, so they run in
+vector lanes. The raw arrivals of an epoch
 are a contiguous range of the stream's rows.
 
 *Shards.* A relation's table may be several slices side by side, one
@@ -69,9 +70,10 @@ batches (pinned by ``tests/gigascope/test_differential.py``,
   attribute value matches the run's representative — the same
   equivalence relation as the collision-free packed codes, so the pack is
   fused away entirely.
-* *Hashes.* The in-loop splitmix64 chain (the library's ``chain64``)
-  replicates :func:`repro.gigascope.hashing._chain` op-for-op on C
-  ``uint64_t`` (identical wrap-around arithmetic).
+* *Hashes.* The splitmix64 chain, a block of arrivals at a time (the
+  library's ``hash_block``), replicates
+  :func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``
+  (identical wrap-around arithmetic).
 * *Floats.* Value sums accumulate in arrival-time order starting from
   ``0.0`` — the order and seed of ``np.bincount`` over a sorted run — and
   min/max reproduce ``np.minimum``/``np.maximum`` NaN-propagation. A

@@ -25,11 +25,28 @@ the sharded ``partition.kernel`` gauge). No compiler, a failed build or
 ``REPRO_NO_CKERNEL=1`` leaves every caller on its numpy body, with
 identical results; a failed build warns once.
 
-Bit-identity rests on two things here: ``chain64`` replicates
+Every hash of a stream row goes through ``hash_block``, which hashes a
+block of up to ``HASH_BLOCK`` rows (contiguous, or gathered through a
+row index) column by column: one pass of independent splitmix64 rounds
+per key column, which the compiler runs in vector lanes, where the
+chain taken row by row is 2k - 1 dependent rounds per row. The walk
+hashes a block of arrivals and then probes it; a fold hashes the seed
+rows of the state it extends, and the partition hash and the
+statistics pass the stream, the same way. The library builds with
+``-O3``; on x86-64 glibc with GCC >= 12, ``hash_block`` is also cloned
+for ``x86-64-v4`` (AVX-512) through ``target_clones``, and the loader's
+ifunc picks the clone the running CPU supports, so a cached library
+stays valid on any host. Every other build, clang's included, is the
+plain loop of the same source (the ``HASH_DISPATCH`` guard admits only
+the compiler the clones were built and measured with). :func:`hash_isa`
+says which one runs, and ``machine_info()`` records it.
+
+Bit-identity rests on two things here: ``hash_block`` replicates
 :func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``,
-whose arithmetic wraps exactly like numpy's, and the build flags
-(:data:`repro.native.build.DEFAULT_FLAGS`) keep contraction and
-fast-math off, so C doubles round as numpy's float64 ops do.
+whose arithmetic wraps exactly like numpy's in any lane width, and the
+build flags (:data:`repro.native.build.DEFAULT_FLAGS`) keep
+contraction and fast-math off, so C doubles round as numpy's float64
+ops do.
 """
 
 from __future__ import annotations
@@ -41,7 +58,8 @@ import numpy as np
 
 from repro.native.build import load_kernel
 
-__all__ = ["NAME", "SOURCE", "available", "library", "words"]
+__all__ = ["NAME", "SOURCE", "available", "hash_isa", "library",
+           "words"]
 
 #: The library's name in the load memo, the on-disk cache and
 #: ``machine_info()["kernels"]``.
@@ -64,20 +82,71 @@ static uint64_t mix64(uint64_t z) {
     return z ^ (z >> 31);
 }
 
-/* The chain over row i of cols[0..k). */
-static inline uint64_t chain64(const uint64_t **cols, int64_t k, int64_t i,
-                               uint64_t state) {
-    uint64_t d = mix64(cols[0][i] ^ state);
-    int64_t c;
-    for (c = 1; c < k; c++)
-        d = mix64(d ^ mix64(cols[c][i] ^ state));
-    return d;
+/* Rows hashed per hash_block call: the walk's arrivals ahead of each
+ * probe loop, a fold's seed rows, the partition and statistics passes. */
+#define HASH_BLOCK 256
+
+/* hash_block is cloned for x86-64-v4 (AVX-512) where the loader can pick
+ * a clone at load time (x86-64 glibc, through an ifunc) and the compiler
+ * is one the clones were built with: GCC 12 and later, which take the
+ * level name in target_clones and __builtin_cpu_supports alike. Any other
+ * build, clang's included, is the plain loop from the same source. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && \
+    defined(__GNUC__) && __GNUC__ >= 12
+#define HASH_DISPATCH 1
+#endif
+
+/* The salted chain of m rows at once: out[j] = mix64(c0 ^ s), then
+ * out[j] = mix64(out[j] ^ mix64(ci ^ s)) for each further column ci of
+ * cols[0..k), over row start + j or, when rows is not NULL, row
+ * rows[start + j]. Column by column, each pass is m independent mix64
+ * rounds, which the compiler runs in vector lanes; row by row the chain
+ * is 2k - 1 dependent rounds. */
+#ifdef HASH_DISPATCH
+__attribute__((target_clones("default", "arch=x86-64-v4")))
+#endif
+static void hash_block(const uint64_t **cols, int64_t k,
+                       const int64_t *rows, int64_t start, int64_t m,
+                       uint64_t state, uint64_t *restrict out)
+{
+    const uint64_t *restrict col;
+    int64_t c, j;
+
+    if (rows != NULL) {
+        const int64_t *restrict at = rows + start;
+        col = cols[0];
+        for (j = 0; j < m; j++)
+            out[j] = mix64(col[at[j]] ^ state);
+        for (c = 1; c < k; c++) {
+            col = cols[c];
+            for (j = 0; j < m; j++)
+                out[j] = mix64(out[j] ^ mix64(col[at[j]] ^ state));
+        }
+        return;
+    }
+    col = cols[0] + start;
+    for (j = 0; j < m; j++)
+        out[j] = mix64(col[j] ^ state);
+    for (c = 1; c < k; c++) {
+        col = cols[c] + start;
+        for (j = 0; j < m; j++)
+            out[j] = mix64(out[j] ^ mix64(col[j] ^ state));
+    }
+}
+
+/* Which hash_block runs: "x86-64-v4" or "default" (the clone the loader
+ * picked, by the test its resolver makes), or "plain" (no clones). */
+const char *repro_hash_isa(void)
+{
+#ifdef HASH_DISPATCH
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v4") ? "x86-64-v4" : "default";
+#else
+    return "plain";
+#endif
 }
 
 /* ---- The forest walk, its group table and its fold ---- */
-
-/* Arrivals hashed ahead of each probe loop. */
-#define INGEST_BLOCK 64
 
 /* The smallest group table the folds allocate. */
 #define FOLD_MIN_CAP 1024
@@ -205,7 +274,7 @@ static inline uint64_t find_slot(
 
 /* Fold a relation-epoch's runs, taken in the order order[0..n_runs), into
  * F: the seed's groups first, each run then extends its group or opens
- * one. A run is placed by the hash its bucket came from (chain64 with
+ * one. A run is placed by the hash its bucket came from (hash_block with
  * `state`), a seed row by the same chain. Sums seed at 0.0 and min/max
  * propagate NaN, as the HFTA's numpy fold does; a count-only run is
  * (0.0, +inf, -inf). Which NaN survives where two meet is the
@@ -216,8 +285,8 @@ static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
                      int has_values)
 {
     const int64_t n_seed = F->n_seed;
-    int64_t i, g, n_groups = n_seed, base;
-    uint64_t s, mask;
+    int64_t i, g, g0, g1, n_groups = n_seed, base;
+    uint64_t s, mask, h[HASH_BLOCK];
     int64_t *table;
     const run_t *R;
     double vs, vmin, vmax;
@@ -229,15 +298,19 @@ static int fold_runs(walk_t *W, fold_t *F, const uint64_t **keys,
     base = W->base;
     /* the state's groups are distinct: each finds an empty slot; a
      * state row enters as 0.0 + its sum, as in the HFTA's fold */
-    for (g = 0; g < n_seed; g++) {
-        s = find_slot(F->seed, k, g, chain64(F->seed, k, g, state), mask,
-                      table, base, F->rep, F->seed);
-        table[s] = base + g;
-        F->rep[g] = -1 - g;
-        F->w[g] = F->seed_w[g];
-        F->vs[g] = 0.0 + F->seed_vs[g];
-        F->vmin[g] = F->seed_vmin[g];
-        F->vmax[g] = F->seed_vmax[g];
+    for (g0 = 0; g0 < n_seed; g0 = g1) {
+        g1 = n_seed - g0 < HASH_BLOCK ? n_seed : g0 + HASH_BLOCK;
+        hash_block(F->seed, k, NULL, g0, g1 - g0, state, h);
+        for (g = g0; g < g1; g++) {
+            s = find_slot(F->seed, k, g, h[g - g0], mask, table, base,
+                          F->rep, F->seed);
+            table[s] = base + g;
+            F->rep[g] = -1 - g;
+            F->w[g] = F->seed_w[g];
+            F->vs[g] = 0.0 + F->seed_vs[g];
+            F->vmin[g] = F->seed_vmin[g];
+            F->vmax[g] = F->seed_vmax[g];
+        }
     }
     for (i = 0; i < n_runs; i++) {
         R = &W->runs[W->order[i].run];
@@ -300,8 +373,7 @@ static int walk_relation(
     double *ev_vs = NULL, *ev_vmin = NULL, *ev_vmax = NULL;
     int64_t n_runs = 0, n_ev = 0, arr_intra = 0, ev_intra = 0;
     int64_t i, j, j0, j1, b, q, c, offset, count;
-    uint64_t blk_hash[INGEST_BLOCK];
-    int64_t blk_row[INGEST_BLOCK];
+    uint64_t blk_hash[HASH_BLOCK];
     run_t *R;
     int dense;
 
@@ -335,14 +407,10 @@ static int walk_relation(
     /* Hash a block of arrivals, then probe it: the hash chains of a
      * block are independent of each other and of the table. */
     for (j0 = 0; j0 < m; j0 = j1) {
-        j1 = m - j0 < INGEST_BLOCK ? m : j0 + INGEST_BLOCK;
+        j1 = m - j0 < HASH_BLOCK ? m : j0 + HASH_BLOCK;
+        hash_block(keys, k, rows, j0, j1 - j0, state, blk_hash);
         for (j = j0; j < j1; j++) {
             const int64_t row = rows ? rows[j] : j;
-            blk_row[j - j0] = row;
-            blk_hash[j - j0] = chain64(keys, k, row, state);
-        }
-        for (j = j0; j < j1; j++) {
-            const int64_t row = blk_row[j - j0];
             if (t[j] < n) arr_intra++;
             b = (int64_t)(blk_hash[j - j0] % nb);
             if (shard)
@@ -540,24 +608,27 @@ int64_t repro_group_stats(
     const uint64_t mask = (uint64_t)cap - 1ULL;
     const uint64_t state = mix64(0);
     int64_t n_groups = 0, n_flows = 0;
-    int64_t i, g;
-    uint64_t s;
+    int64_t i, i0, i1, g;
+    uint64_t s, h[HASH_BLOCK];
 
-    for (i = 0; i < n; i++) {
-        s = find_slot(cols, k, i, chain64(cols, k, i, state), mask, table,
-                      0, rep, NULL);
-        g = table[s];
-        if (g < 0) {                /* new group, new flow */
-            table[s] = n_groups;
-            rep[n_groups] = i;
-            last[n_groups] = ts[i];
-            n_groups++;
-            n_flows++;
-            continue;
+    for (i0 = 0; i0 < n; i0 = i1) {    /* hash a block, then probe it */
+        i1 = n - i0 < HASH_BLOCK ? n : i0 + HASH_BLOCK;
+        hash_block(cols, k, NULL, i0, i1 - i0, state, h);
+        for (i = i0; i < i1; i++) {
+            s = find_slot(cols, k, i, h[i - i0], mask, table, 0, rep, NULL);
+            g = table[s];
+            if (g < 0) {            /* new group, new flow */
+                table[s] = n_groups;
+                rep[n_groups] = i;
+                last[n_groups] = ts[i];
+                n_groups++;
+                n_flows++;
+                continue;
+            }
+            if (!((ts[i] - last[g]) <= timeout))
+                n_flows++;
+            last[g] = ts[i];
         }
-        if (!((ts[i] - last[g]) <= timeout))
-            n_flows++;
-        last[g] = ts[i];
     }
     *flows = n_flows;
     return n_groups;
@@ -565,16 +636,21 @@ int64_t repro_group_stats(
 
 /* ---- The partition hash ---- */
 
-/* ids[i] = chain(cols[0..k)[i], salt) % n_shards. */
+/* ids[i] = chain(cols[0..k)[i], salt) % n_shards, a block at a time. */
 void repro_partition_hash(
     const uint64_t **cols, int64_t k, int64_t n,
     uint64_t salt, uint64_t n_shards, int64_t *ids)
 {
     const uint64_t state = mix64(salt);
-    int64_t i;
+    uint64_t h[HASH_BLOCK];
+    int64_t i, j, m;
 
-    for (i = 0; i < n; i++)
-        ids[i] = (int64_t)(chain64(cols, k, i, state) % n_shards);
+    for (i = 0; i < n; i += m) {
+        m = n - i < HASH_BLOCK ? n - i : HASH_BLOCK;
+        hash_block(cols, k, NULL, i, m, state, h);
+        for (j = 0; j < m; j++)
+            ids[i + j] = (int64_t)(h[j] % n_shards);
+    }
 }
 """
 
@@ -590,6 +666,7 @@ _SIGNATURES = {
                                  _P, _P, _P, _P]),
     "repro_partition_hash": (None, [_P, _I64, _I64, ctypes.c_uint64,
                                     ctypes.c_uint64, _P]),
+    "repro_hash_isa": (ctypes.c_char_p, []),
 }
 
 
@@ -604,6 +681,14 @@ def available() -> bool:
     """Whether the library compiled and loaded: the one answer every
     caller picks its C or numpy body by."""
     return library() is not None
+
+
+def hash_isa() -> str | None:
+    """Which block hasher the library runs: ``"x86-64-v4"`` or
+    ``"default"`` (the clone the loader picked for this CPU) or
+    ``"plain"`` (a build without clones); None when it is unavailable."""
+    lib = library()
+    return None if lib is None else lib.repro_hash_isa().decode()
 
 
 def words(columns: Sequence[np.ndarray],

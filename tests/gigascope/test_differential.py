@@ -247,4 +247,4 @@ def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
     assert not info["c_kernel"]
     assert info["kernels"] == {"engine_ingest": {
         "available": False, "disabled": True, "compiler": None,
-        "error": None}}
+        "error": None, "hash_isa": None}}

@@ -26,20 +26,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
-from repro.gigascope import Dataset, simulate
+from repro.gigascope import Dataset, StreamSchema, simulate
 from repro.gigascope.engine import _process_relation
-from repro.gigascope.hashing import bucket_indices, relation_salt
+from repro.gigascope.hashing import (
+    bucket_indices,
+    combine_columns,
+    relation_salt,
+)
 from repro.gigascope.hfta import HFTA
 from repro.native import available as kernel_available
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import library as native_library
 from repro.native import machine_info
+from repro.native import partition as native_partition
 from repro.parallel import HashPartitioner
-from repro.workloads import measure_statistics
+from repro.workloads import flow_count, measure_statistics
 from tests.conftest import needs_kernel, numpy_kernels_off
 from tests.gigascope.test_forest_walk import states
 from tests.hfta_totals import totals
@@ -80,19 +86,21 @@ class TestDegenerateShapes:
                         np.asarray(b[group], dtype=np.float64))
 
 
-#: The kernel hashes this many arrivals ahead of its probe loop.
-_BLOCK = 64
+#: The kernel hashes ``HASH_BLOCK`` (256) arrivals ahead of its probe
+#: loop; the edge streams plant an edge every 64 arrivals, so every
+#: block edge is one of them.
+_EDGE = 64
 _AB = AttributeSet.parse("AB")
 
 
 def _block_edge_stream(m, n_buckets, edge, salt, seed):
-    """``m`` arrivals of two small-domain key columns in which, at every
-    block edge, either one run spans the edge (``edge="run"``) or the
-    first arrival of the block evicts the resident of its bucket
+    """``m`` arrivals of two small-domain key columns in which, every
+    ``_EDGE`` arrivals, either one run spans the edge (``edge="run"``) or
+    the first arrival after it evicts the resident of its bucket
     (``edge="collide"``)."""
     rng = np.random.default_rng(seed)
     cols = rng.integers(0, 5, (2, m))
-    for start in range(_BLOCK, m, _BLOCK):
+    for start in range(_EDGE, m, _EDGE):
         if edge == "run":
             cols[:, start - 3:start + 3] = cols[:, [start - 3]]
             continue
@@ -116,7 +124,8 @@ class TestBlockEdges:
     @pytest.mark.parametrize("values", [False, True])
     @pytest.mark.parametrize("edge", ["run", "collide"])
     @pytest.mark.parametrize("n_buckets", [1, 2, 7, 4205])
-    @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129, 1000])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129, 255, 256, 257,
+                                   512, 513, 1000])
     def test_kernel_equals_numpy(self, m, n_buckets, edge, values):
         salt = relation_salt(_AB.label(), m)
         cols = _block_edge_stream(m, n_buckets, edge, salt, seed=m)
@@ -149,6 +158,84 @@ class TestBlockEdges:
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+#: Row counts at and around the edge of one ``HASH_BLOCK`` (256 rows)
+#: and of a quarter block, and one spanning several blocks.
+_BLOCK_EDGES = [0, 1, 63, 64, 65, 255, 256, 257, 1000]
+
+#: int64's extremes and its neighbours of 0: what the C code views as
+#: uint64 must wrap as numpy's ``astype(np.uint64)`` does.
+_EXTREMES = np.array([-2**63, -2**63 + 1, -2, -1, 0, 1, 2**63 - 2,
+                      2**63 - 1], dtype=np.int64)
+
+
+@st.composite
+def _hash_blocks(draw, k):
+    """``k`` int64 key columns of a block-edge length, each drawn
+    from int64's extremes, a small domain (repeated groups) or the whole
+    range, and non-decreasing timestamps whose gaps include ties and gaps
+    of exactly 0.5 and 1.0."""
+    n = draw(st.sampled_from(_BLOCK_EDGES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(k):
+        domain = draw(st.sampled_from(["extremes", "small", "full"]))
+        if domain == "extremes":
+            col = rng.choice(_EXTREMES, n)
+        elif domain == "small":
+            col = rng.integers(-3, 4, n)
+        else:
+            col = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+        columns.append(col.astype(np.int64))
+    timestamps = np.cumsum(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], n))
+    return columns, timestamps
+
+
+@needs_kernel
+class TestBlockHasher:
+    """``hash_block`` against the numpy chain, through the two entries
+    that hash a whole stream: the partition ids and the statistics equal
+    their numpy bodies at every block edge, for 1 to 6 columns. The
+    gathered rows of the walk's inner relations are covered by the walk
+    differentials on forests with children."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @given(data=st.data(),
+           n_shards=st.sampled_from([1, 2, 3, 7, 2**31 - 1]),
+           salt=st.sampled_from([0, 0x5A2D_51AB, 2**64 - 1]))
+    def test_hash_shards_equal_numpy(self, k, data, n_shards, salt):
+        columns, _ = data.draw(_hash_blocks(k))
+        got = native_partition.hash_shards(columns, salt, n_shards)
+        want = (combine_columns(columns, salt)
+                % np.uint64(n_shards)).astype(np.int64)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @given(data=st.data(), timeout=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    def test_group_stats_equal_numpy(self, k, data, timeout):
+        columns, timestamps = data.draw(_hash_blocks(k))
+        names = tuple("ABCDEF"[:k])
+        stream = Dataset(StreamSchema(names), dict(zip(names, columns)),
+                         timestamps)
+        got = native_partition.group_stats(columns, timestamps, timeout)
+        if not len(stream):
+            assert got == (0, 0)
+            return
+        attrs = stream.schema.all_attributes
+        flows = (stream.group_count(attrs) if timeout is None
+                 else flow_count(stream, attrs, timeout))
+        assert got == (stream.group_count(attrs), flows)
+
+
+#: The line that clones ``hash_block`` for the CPU's widest lanes; the
+#: source without it is the plain loop every other platform builds.
+_DISPATCH = "#define HASH_DISPATCH 1\n"
+
+#: The library's two builds: ``hash_block`` dispatched (where the
+#: platform allows it) and plain.
+_VARIANTS = {"dispatched": native_library.SOURCE,
+             "plain": native_library.SOURCE.replace(_DISPATCH, "")}
+
+
 @pytest.mark.skipif(
     native_build.compiler_path() is None
     or native_build.kernels_disabled(),
@@ -157,33 +244,39 @@ class TestBlockEdges:
     pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free"),
                  id="repro.native.ingest"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
-    pytest.param(("repro_partition_hash",), id="repro.native.partition"),
+    pytest.param(("repro_partition_hash", "repro_hash_isa"),
+                 id="repro.native.partition"),
 ])
 def test_kernel_source_compiles_without_warnings(entries, strict_build):
     """The library builds clean under ``-Wall -Wextra -Werror`` with the
-    flags it ships with, and exports each kernel's entries. One case per
-    kernel the source gathers, under the name of the module that once
-    compiled it alone."""
-    result, shared = strict_build
-    assert result.returncode == 0, result.stderr
-    lib = ctypes.CDLL(str(shared))
-    for entry in entries:
-        assert hasattr(lib, entry), entry
+    flags it ships with, dispatched and plain, and each build exports
+    every kernel's entries. One case per kernel the source gathers,
+    under the name of the module that once compiled it alone."""
+    assert _VARIANTS["plain"] != _VARIANTS["dispatched"]
+    for variant, (result, shared) in strict_build.items():
+        assert result.returncode == 0, (variant, result.stderr)
+        lib = ctypes.CDLL(str(shared))
+        for entry in entries:
+            assert hasattr(lib, entry), (variant, entry)
 
 
 @pytest.fixture(scope="module")
 def strict_build(tmp_path_factory):
-    """One ``-Wall -Wextra -Werror`` build of the library source: the
-    compiler's result and the shared object's path."""
+    """One ``-Wall -Wextra -Werror`` build of each variant of the library
+    source: the compiler's result and the shared object's path, by
+    variant."""
     directory = tmp_path_factory.mktemp("strict_build")
-    source = directory / "kernel.c"
-    source.write_text(native_library.SOURCE)
-    shared = directory / "kernel.so"
-    result = subprocess.run(
-        [native_build.compiler_path(), *native_build.DEFAULT_FLAGS,
-         "-Wall", "-Wextra", "-Werror", "-o", str(shared), str(source)],
-        capture_output=True, text=True, timeout=60.0)
-    return result, shared
+    built = {}
+    for variant, text in _VARIANTS.items():
+        source = directory / f"{variant}.c"
+        source.write_text(text)
+        shared = directory / f"{variant}.so"
+        result = subprocess.run(
+            [native_build.compiler_path(), *native_build.DEFAULT_FLAGS,
+             "-Wall", "-Wextra", "-Werror", "-o", str(shared), str(source)],
+            capture_output=True, text=True, timeout=60.0)
+        built[variant] = result, shared
+    return built
 
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -267,6 +360,25 @@ def _assert_one_failure_mode(dataset, want, error: str) -> None:
     assert error in status["error"]
 
 
+@needs_kernel
+@pytest.mark.parametrize("clustered", [False, True])
+def test_plain_build_agrees_with_the_dispatched_one(clustered, monkeypatch):
+    """The library built without ``hash_block``'s clones, as every
+    platform but x86-64 glibc with a capable compiler builds it, returns
+    what the loaded library returns, byte for byte: the walk's counters
+    and states (a forest with children, so gathered rows too), the
+    partition ids and the statistics."""
+    plain = native_build.load_kernel(f"{native_library.NAME}_plain",
+                                     _VARIANTS["plain"],
+                                     native_library._SIGNATURES)
+    assert plain is not None and plain.repro_hash_isa() == b"plain"
+    dataset = _dataset(5, 3000, 40, 4.0, clustered=clustered)
+    want = _every_caller(dataset)
+    monkeypatch.setattr(native_library, "library", lambda: plain)
+    assert native_library.hash_isa() == "plain"
+    assert _every_caller(dataset) == want
+
+
 _ANSWER = {"repro_answer": (ctypes.c_int, [])}
 _ANSWER_SOURCE = "int repro_answer(void) { return %d; }"
 
@@ -296,6 +408,21 @@ class TestBuildMachinery:
             want = _every_caller(dataset)
         monkeypatch.setattr(native_library, "SOURCE", "this is not C")
         _assert_one_failure_mode(dataset, want, "exited")
+
+    def test_failed_build_warning_names_the_caller(self, monkeypatch):
+        """The fallback warning points at the first frame outside
+        ``repro.native`` (here, this file), however many of the package's
+        frames the load went through, so a ``module=`` filter on
+        ``-W error::RuntimeWarning`` can target the code that fell
+        back."""
+        monkeypatch.delenv(native_build.DISABLE_ENV, raising=False)
+        with pytest.warns(RuntimeWarning) as caught:
+            native_build.load_kernel("test_caller_kernel", "not C", {})
+        assert [w.filename for w in caught] == [__file__]
+        monkeypatch.setattr(native_library, "SOURCE", "this is not C")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert not machine_info()["c_kernel"]
+        assert [w.filename for w in caught] == [__file__]
 
     def test_opt_out_env_suppresses_attempt(self, monkeypatch):
         monkeypatch.setenv(native_build.DISABLE_ENV, "1")
@@ -431,8 +558,16 @@ class TestBuildMachinery:
                              "compiler", "c_kernel", "kernels"}
         assert list(info["kernels"]) == ["engine_ingest"]
         status = info["kernels"]["engine_ingest"]
-        assert set(status) == {"available", "disabled", "compiler", "error"}
+        assert set(status) == {"available", "disabled", "compiler", "error",
+                               "hash_isa"}
         assert info["c_kernel"] is status["available"] is kernel_available()
+        # which hash_block runs: a clone the loader picked, or the plain
+        # loop; nothing when the library is not loaded
+        assert status["hash_isa"] == native_library.hash_isa()
+        if status["available"]:
+            assert status["hash_isa"] in ("x86-64-v4", "default", "plain")
+        else:
+            assert status["hash_isa"] is None
 
     def test_manifest_carries_machine_diagnostics(self):
         from repro.observability import RunManifest

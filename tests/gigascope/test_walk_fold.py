@@ -182,6 +182,23 @@ def test_both_legs_count_a_second_call_alike(values):
 
 
 @needs_kernel
+def test_a_seed_longer_than_a_hash_block():
+    """A held state of more groups than the kernel hashes in one block
+    (256 rows) seeds the second call's folds: its rows are hashed block
+    by block, and each run of the second call finds its group, as the
+    numpy fold finds it."""
+    config = Configuration.from_notation("ABC(AB A)")
+    dataset = make_stream(7, [3000, 2000], 40, "finite", False)
+    buckets = {rel: 50 for rel in config.relations}
+    parts = split_rows(len(dataset), 0.0, alternate=True)
+    got = walk_in_two(dataset, config, buckets, "v", parts, 1, numpy=False)
+    want = walk_in_two(dataset, config, buckets, "v", parts, 1, numpy=True)
+    assert states(got) == states(want)
+    assert max(state.counts.shape[0]
+               for state in columnar(got).values()) > 2 * 256
+
+
+@needs_kernel
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shards_extend_each_other(shards):
     """Each shard's runs extend the groups the shards before it folded:
