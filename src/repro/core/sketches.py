@@ -17,11 +17,25 @@ module provides small-state streaming estimators:
   planner. This is what lets the multi-tenant service
   (:mod:`repro.service`) admit and plan every registration without
   exact counting.
+
+With the native library (:func:`repro.native.available`),
+:meth:`StreamStatisticsCollector.observe` updates every relation's
+sketch in one call per batch, ``repro_kmv_observe`` of
+:mod:`repro.native.library`: each relation's chain of the
+:func:`~repro.gigascope.hashing.combine_columns` codes, its salted key,
+then a binary search of its sorted minima. A full sketch drops every
+key at or above its largest minimum, as :meth:`KMVDistinctCounter.update`
+does, so the minima, flags and estimates are the numpy body's byte for
+byte (pinned by ``tests/core/test_sketches.py``). Without the library
+``observe`` runs the numpy body: one shared hash pass, then ``update``
+per relation. Each sketch is one block of words that both bodies update
+in place, and pickles as its minima and flag, so a checkpoint written
+by either body restores on the other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,6 +43,7 @@ from repro.core.attributes import AttributeSet
 from repro.core.statistics import RelationStatistics
 from repro.errors import StatisticsError
 from repro.gigascope.hashing import chain_hasher, splitmix64
+from repro.native import library
 
 __all__ = [
     "KMVDistinctCounter",
@@ -39,15 +54,49 @@ _HASH_SPACE = float(2 ** 64)
 
 
 class KMVDistinctCounter:
-    """k-minimum-values distinct-count estimator over 64-bit keys."""
+    """k-minimum-values distinct-count estimator over 64-bit keys.
+
+    The sketch is one block of ``k + 2`` words: the number of minima
+    held, the saturated flag, then room for ``k`` minima, ascending.
+    ``_minima`` views the held ones; the native library's
+    ``repro_kmv_observe`` updates the block in place.
+    """
 
     def __init__(self, k: int = 256, salt: int = 0):
         if k < 3:
             raise StatisticsError("KMV needs k >= 3")
         self.k = k
         self.salt = np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
-        self._minima = np.empty(0, dtype=np.uint64)
-        self._saturated = False
+        self._words = np.zeros(k + 2, dtype=np.uint64)
+
+    @property
+    def _minima(self) -> np.ndarray:
+        return self._words[2:2 + int(self._words[0])]
+
+    @_minima.setter
+    def _minima(self, minima: np.ndarray) -> None:
+        n = len(minima)
+        self._words[2:2 + n] = minima
+        self._words[0] = n
+
+    @property
+    def _saturated(self) -> bool:
+        """Whether more than ``k`` distinct keys were seen."""
+        return bool(self._words[1])
+
+    @_saturated.setter
+    def _saturated(self, saturated: bool) -> None:
+        self._words[1] = bool(saturated)
+
+    def __getstate__(self) -> dict:
+        return {"k": self.k, "salt": self.salt,
+                "_minima": self._minima.copy(),
+                "_saturated": self._saturated}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["k"], int(state["salt"]))
+        self._minima = state["_minima"]
+        self._saturated = state["_saturated"]
 
     def update(self, keys: np.ndarray) -> None:
         """Absorb a batch of (possibly repeated) 64-bit keys."""
@@ -77,7 +126,20 @@ class KMVDistinctCounter:
         return (self.k - 1) / kth
 
     def __len__(self) -> int:
-        return int(self._minima.size)
+        return int(self._words[0])
+
+
+class _Binding(NamedTuple):
+    """What ``repro_kmv_observe`` reads of a collector's sketches."""
+
+    #: The batch's column names, in the order the batches give them.
+    names: tuple[str, ...]
+    #: The columns the relations read, in that order.
+    read: list[str]
+    #: The call's arguments after the batch's columns and length.
+    args: tuple[int, ...]
+    #: The arrays the arguments point into.
+    arrays: tuple[np.ndarray, ...]
 
 
 class StreamStatisticsCollector:
@@ -104,6 +166,10 @@ class StreamStatisticsCollector:
         }
         self._counters = counters
         self.records_seen = 0
+
+    #: What the library reads of the sketches, bound at the first batch
+    #: (:meth:`_bind`); None until then and after a relation joins.
+    _bound: "_Binding | None" = None
 
     def ensure(self, relations: Iterable[AttributeSet],
                counters: int | None = None) -> list[AttributeSet]:
@@ -132,6 +198,7 @@ class StreamStatisticsCollector:
         if added:
             self.relations = sorted(self._distinct,
                                     key=AttributeSet.sort_key)
+            self._bound = None
         if counters is not None:
             self._counters = counters
         return added
@@ -139,8 +206,24 @@ class StreamStatisticsCollector:
     def observe(self, columns: Mapping[str, np.ndarray]) -> None:
         """Absorb one batch given as attribute-name -> column arrays."""
         # Value-stable hashes: equal tuples get equal codes in every
-        # batch (pack_tuples codes would be batch-local). One hash pass
-        # per batch: columns and chain prefixes are shared by relations.
+        # batch (pack_tuples codes would be batch-local).
+        lib = library.library()
+        if lib is not None:
+            # One call updates every sketch.
+            names = tuple(columns)
+            bound = self._bound
+            if bound is None or bound.names != names:
+                bound = self._bound = self._bind(names)
+            addresses, held = library.words(
+                [columns[name] for name in bound.read])
+            n = held[0].shape[0]
+            if lib.repro_kmv_observe(addresses.ctypes.data, len(held), n,
+                                     *bound.args) < 0:
+                raise MemoryError("no memory for the sketches' hashes")
+            self.records_seen += n
+            return
+        # One hash pass per batch: columns and chain prefixes are shared
+        # by relations.
         chain = chain_hasher(columns)
         n = 0
         for rel in self.relations:
@@ -148,6 +231,31 @@ class StreamStatisticsCollector:
             n = codes.size
             self._distinct[rel].update(codes)
         self.records_seen += n
+
+    def _bind(self, names: tuple[str, ...]) -> "_Binding":
+        """The library's view of every sketch, for batches whose columns
+        come as ``names``: which of them the relations read, and each
+        relation's key columns among those, salt, size and sketch."""
+        read = [name for name in names
+                if any(name in rel.names for rel in self.relations)]
+        column = {name: c for c, name in enumerate(read)}
+        counters = [self._distinct[rel] for rel in self.relations]
+        idx = [column[name] for rel in self.relations for name in rel.names]
+        off = np.zeros(len(self.relations) + 1, dtype=np.int64)
+        off[1:] = np.cumsum([len(rel) for rel in self.relations])
+        arrays = (off, np.array(idx, dtype=np.int64),
+                  np.array([c.salt for c in counters], dtype=np.uint64),
+                  np.array([c.k for c in counters], dtype=np.int64),
+                  np.array([library.address(c._words) for c in counters],
+                           dtype=np.uintp),
+                  np.empty(len(idx), dtype=np.uintp))
+        return _Binding(names, read, (len(counters), *map(library.address,
+                                                           arrays)), arrays)
+
+    def __getstate__(self) -> dict:
+        # The bound addresses are this process's: a restore binds anew.
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_bound"}
 
     def statistics(self) -> RelationStatistics:
         """A planner-ready snapshot of the current estimates."""

@@ -10,7 +10,8 @@ body by — there is no per-call or per-object switch. The library's
 entries are wrapped by ``repro.native.ingest`` (the engine's LFTA walk
 of the whole forest, with the fold of what it emits, one call per
 epoch) and ``repro.native.partition`` (the sharded runtime's partition
-hash and the planner's one-pass group and flow counts).
+hash and the planner's one-pass group and flow counts);
+``repro.core.sketches`` calls the sketches' entry itself.
 
 This package imports nothing from the rest of ``repro``, so any tier can
 depend on it without cycles.

@@ -223,46 +223,57 @@ class Walk:
                 self._emitting.append((r, fold_slot[r], len(keys[r])))
         self._levels = max((depth[r] + 1 for r in range(n_rel) if feeds[r]),
                            default=0)
-        key_off = np.zeros(n_rel + 1, dtype=np.int64)
-        key_off[1:] = np.cumsum([len(k) for k in keys])
+        n_keys = sum(len(k) for k in keys)
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
         self.slices = max(int(slices), 1)
         max_b = max(buckets, default=1) * self.slices
-        i64 = np.int64
-        # Kept alive here for as long as the kernel may read them.
+        struct = self._struct = _WalkStruct(
+            n_rel=n_rel, max_buckets=max_b, n_slices=self.slices)
+        # The per-relation arrays side by side in one block of words:
+        # one address read serves them all.
+        sizes = {"parent": n_rel, "key_off": n_rel + 1, "key_col": n_keys,
+                 "salt": n_rel, "n_buckets": n_rel, "depth": n_rel,
+                 "emit": n_rel, "feeds": n_rel, "fold_slot": n_rel,
+                 "columns": self.n_columns, "keys": n_keys,
+                 "n_runs": n_rel, "stats": 4 * n_rel}
+        block = np.zeros(sum(sizes.values()), dtype=np.int64)
+        base, offset, fields = library.address(block), 0, {}
+        for name, size in sizes.items():
+            fields[name] = block[offset:offset + size]
+            setattr(struct, name, base + 8 * offset)
+            offset += size
+        fields["parent"][:] = parent
+        fields["key_off"][1:] = np.cumsum([len(k) for k in keys])
+        fields["key_col"][:] = [c for k in keys for c in k]
+        fields["salt"].view(np.uint64)[:] = [s & 0xFFFFFFFFFFFFFFFF
+                                             for s in salts]
+        fields["n_buckets"][:] = buckets
+        fields["depth"][:] = depth
+        fields["emit"][:] = self.emit
+        fields["feeds"][:] = feeds
+        fields["fold_slot"][:] = fold_slot
+        # Kept alive here for as long as the kernel may read them; the
+        # bucket-sized scratch, which the kernel writes before it reads,
+        # is apart from the block.
         self._arrays = arrays = {
-            "parent": np.array(parent, dtype=i64), "key_off": key_off,
-            "key_col": np.array([c for k in keys for c in k], dtype=i64),
-            "salt": np.array([s & 0xFFFFFFFFFFFFFFFF for s in salts],
-                             dtype=np.uint64),
-            "n_buckets": np.array(buckets, dtype=i64),
-            "depth": np.array(depth, dtype=i64),
-            "emit": np.array(self.emit, dtype=i64),
-            "feeds": np.array(feeds, dtype=i64),
-            "fold_slot": np.array(fold_slot, dtype=i64),
-            "columns": np.zeros(self.n_columns, dtype=np.uintp),
-            "keys": np.zeros(int(key_off[-1]), dtype=np.uintp),
-            # scratch the kernel writes before it reads
-            "slot_run": np.empty(max_b, dtype=i64),
-            "bucket_pos": np.empty(max_b, dtype=i64),
-            "n_runs": np.zeros(n_rel, dtype=i64),
-            "stats": np.zeros((n_rel, 4), dtype=i64),
+            "block": block, "key_off": fields["key_off"],
+            "slot_run": np.empty(max_b, dtype=np.int64),
+            "bucket_pos": np.empty(max_b, dtype=np.int64),
         }
+        struct.slot_run = library.address(arrays["slot_run"])
+        struct.bucket_pos = library.address(arrays["bucket_pos"])
         self._folds = (_FoldStruct * len(self._emitting))()
         # each fold's output block, for repro_walk_take
         self._take = np.zeros(len(self._emitting), dtype=np.uintp)
-        self._take_ref = self._take.ctypes.data
+        self._take_ref = library.address(self._take)
         self._fold_room = 0
-        struct = self._struct = _WalkStruct(
-            n_rel=n_rel, max_buckets=max_b, n_slices=self.slices)
-        for name, array in arrays.items():
-            setattr(struct, name, array.ctypes.data)
         struct.folds = ctypes.addressof(self._folds)
         self.longest = 0
         self.reserve(longest)
         self.reserve_folds(self.longest)
-        self.n_runs, self.stats = arrays["n_runs"], arrays["stats"]
-        self._column_ptrs = arrays["columns"]
+        self.n_runs = fields["n_runs"]
+        self.stats = fields["stats"].reshape(n_rel, 4)
+        self._column_ptrs = fields["columns"].view(np.uintp)
         self._ref = ctypes.byref(struct)
         lib = library.library()
         if lib is not None:
@@ -288,7 +299,7 @@ class Walk:
                              dtype=np.float64),
         }
         for name, array in scratch.items():
-            setattr(self._struct, name, array.ctypes.data)
+            setattr(self._struct, name, library.address(array))
         self._struct.longest = L
         self._arrays.update(scratch)  # the old scratch goes only now
 
@@ -313,7 +324,7 @@ class Walk:
                    np.empty(room, dtype=np.int64),
                    *(np.empty(room, dtype=np.float64) for _ in range(3)))
             (fold.rep, fold.w, fold.vs, fold.vmin,
-             fold.vmax) = (a.ctypes.data for a in out)
+             fold.vmax) = map(library.address, out)
             self._fold_out.append(out)
 
     def bind(self, columns: Sequence[np.ndarray],

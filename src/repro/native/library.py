@@ -6,7 +6,7 @@ an open-addressing group table whose probe, ``find_slot``, decides a
 group by equality on the raw key columns (the hash only places a row,
 so a hash collision costs probes, never correctness) — the design
 *Global Hash Tables Strike Back!* argues for in the partial-aggregate
-regime. :data:`SOURCE` holds both and the three things built on them:
+regime. :data:`SOURCE` holds both and the four things built on them:
 
 * ``repro_walk`` (with ``repro_walk_take`` and ``repro_walk_free``):
   the engine's LFTA walk of the whole forest, one call per epoch, and
@@ -15,13 +15,18 @@ regime. :data:`SOURCE` holds both and the three things built on them:
 * ``repro_group_stats``: the planner's exact group and flow counts of
   one relation in one pass (:func:`repro.native.partition.group_stats`);
 * ``repro_partition_hash``: the sharded runtime's record-to-shard hash
-  (:func:`repro.native.partition.hash_shards`).
+  (:func:`repro.native.partition.hash_shards`);
+* ``repro_kmv_observe``: one batch into every relation's KMV sketch,
+  one call per batch
+  (:meth:`repro.core.sketches.StreamStatisticsCollector.observe`); it
+  hashes with the chain alone, with no group table.
 
 The source is compiled once per process at first use, through
 :func:`repro.native.build.load_kernel`, as the library named
 :data:`NAME`; :func:`available` is the one answer every caller reads
 (``simulate``, ``HashPartitioner.shard_ids``, ``measure_statistics``,
-the sharded ``partition.kernel`` gauge). No compiler, a failed build or
+``StreamStatisticsCollector.observe``, the sharded
+``partition.kernel`` gauge). No compiler, a failed build or
 ``REPRO_NO_CKERNEL=1`` leaves every caller on its numpy body, with
 identical results; a failed build warns once.
 
@@ -32,21 +37,25 @@ per key column, which the compiler runs in vector lanes, where the
 chain taken row by row is 2k - 1 dependent rounds per row. The walk
 hashes a block of arrivals and then probes it; a fold hashes the seed
 rows of the state it extends, and the partition hash and the
-statistics pass the stream, the same way. The library builds with
-``-O3``; on x86-64 glibc with GCC >= 12, ``hash_block`` is also cloned
-for ``x86-64-v4`` (AVX-512) through ``target_clones``, and the loader's
+statistics pass the stream, the same way. The sketches hash each
+stream column of a block once (``hash_block``'s first step) and finish
+every relation's chain from those hashes in ``kmv_keys``, as
+:func:`repro.gigascope.hashing.chain_hasher` shares a column's hash
+among relations. The library builds with ``-O3``; on x86-64 glibc with
+GCC >= 12, ``hash_block`` and ``kmv_keys`` are also cloned for
+``x86-64-v4`` (AVX-512) through ``target_clones``, and the loader's
 ifunc picks the clone the running CPU supports, so a cached library
 stays valid on any host. Every other build, clang's included, is the
 plain loop of the same source (the ``HASH_DISPATCH`` guard admits only
 the compiler the clones were built and measured with). :func:`hash_isa`
 says which one runs, and ``machine_info()`` records it.
 
-Bit-identity rests on two things here: ``hash_block`` replicates
-:func:`repro.gigascope.hashing._chain` op-for-op on C ``uint64_t``,
-whose arithmetic wraps exactly like numpy's in any lane width, and the
-build flags (:data:`repro.native.build.DEFAULT_FLAGS`) keep
-contraction and fast-math off, so C doubles round as numpy's float64
-ops do.
+Bit-identity rests on two things here: ``hash_block`` and ``kmv_keys``
+replicate :func:`repro.gigascope.hashing._chain` op-for-op on C
+``uint64_t``, whose arithmetic wraps exactly like numpy's in any lane
+width, and the build flags (:data:`repro.native.build.DEFAULT_FLAGS`)
+keep contraction and fast-math off, so C doubles round as numpy's
+float64 ops do.
 """
 
 from __future__ import annotations
@@ -58,8 +67,8 @@ import numpy as np
 
 from repro.native.build import load_kernel
 
-__all__ = ["NAME", "SOURCE", "available", "hash_isa", "library",
-           "words"]
+__all__ = ["NAME", "SOURCE", "address", "available", "hash_isa",
+           "library", "words"]
 
 #: The library's name in the load memo, the on-disk cache and
 #: ``machine_info()["kernels"]``.
@@ -86,11 +95,12 @@ static uint64_t mix64(uint64_t z) {
  * probe loop, a fold's seed rows, the partition and statistics passes. */
 #define HASH_BLOCK 256
 
-/* hash_block is cloned for x86-64-v4 (AVX-512) where the loader can pick
- * a clone at load time (x86-64 glibc, through an ifunc) and the compiler
- * is one the clones were built with: GCC 12 and later, which take the
- * level name in target_clones and __builtin_cpu_supports alike. Any other
- * build, clang's included, is the plain loop from the same source. */
+/* hash_block and kmv_keys, the sketches' rest of the chain, are cloned
+ * for x86-64-v4 (AVX-512) where the loader can pick a clone at load time
+ * (x86-64 glibc, through an ifunc) and the compiler is one the clones
+ * were built with: GCC 12 and later, which take the level name in
+ * target_clones and __builtin_cpu_supports alike. Any other build,
+ * clang's included, is the plain loop from the same source. */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && \
     defined(__GNUC__) && __GNUC__ >= 12
 #define HASH_DISPATCH 1
@@ -652,6 +662,129 @@ void repro_partition_hash(
             ids[i + j] = (int64_t)(h[j] % n_shards);
     }
 }
+
+/* ---- The statistics sketches ---- */
+
+/* The KMV keys of m rows of one relation, from its k columns' hashes
+ * (hash_block's first step, mix64(c ^ state), of each): the chain's
+ * further steps out[j] = mix64(out[j] ^ hashed[c][j]) from hashed[0],
+ * then the sketch's salt, out[j] = mix64(out[j] ^ salt). */
+#ifdef HASH_DISPATCH
+__attribute__((target_clones("default", "arch=x86-64-v4")))
+#endif
+static void kmv_keys(const uint64_t *const *hashed, int64_t k, int64_t m,
+                     uint64_t salt, uint64_t *restrict out)
+{
+    const uint64_t *restrict col = hashed[0];
+    int64_t c, j;
+
+    for (j = 0; j < m; j++)
+        out[j] = col[j];
+    for (c = 1; c < k; c++) {
+        col = hashed[c];
+        for (j = 0; j < m; j++)
+            out[j] = mix64(out[j] ^ col[j]);
+    }
+    for (j = 0; j < m; j++)
+        out[j] = mix64(out[j] ^ salt);
+}
+
+/* The index of the first of minima[0..len) that is not below key. */
+static inline int64_t lower_bound(const uint64_t *minima, int64_t len,
+                                  uint64_t key)
+{
+    const uint64_t *base = minima;
+    int64_t half;
+
+    if (len == 0)
+        return 0;
+    for (; len > 1; len -= half) {  /* no branch on the data */
+        half = len / 2;
+        base = base[half] < key ? base + half : base;
+    }
+    return (base - minima) + (*base < key);
+}
+
+/* One batch of n rows of the n_cols stream columns into every
+ * relation's KMV sketch. Relation r's key columns are columns
+ * idx[off[r]..off[r+1]), hashed through the chain with state mix64(0);
+ * row j's key is then mix64(code ^ salt[r]). sketch[r] points at
+ * {length, saturated, minima[cap[r]]}, the minima ascending. A full
+ * sketch takes only keys below its largest minimum: a new key above it
+ * saturates the sketch, a new key below it goes in, pushes the largest
+ * out and saturates it. So a sketch holds the cap[r] smallest distinct
+ * keys it has seen and is saturated once it has seen more. keys is room
+ * for off[n_rel] pointers. Returns 0, or -1 when out of memory. */
+int64_t repro_kmv_observe(
+    const uint64_t **columns, int64_t n_cols, int64_t n,
+    int64_t n_rel, const int64_t *off, const int64_t *idx,
+    const uint64_t *salt, const int64_t *cap, uint64_t *const *sketch,
+    const uint64_t **keys)
+{
+    const uint64_t state = mix64(0);
+    uint64_t h[HASH_BLOCK], key, bound, above, *hashed, *minima;
+    int64_t r, c, i, i0, m, k, len, lo, n_low;
+    int room;
+
+    /* each column's first chain step, a block at a time, shared by
+     * every relation that reads the column */
+    hashed = (uint64_t *)malloc((size_t)n_cols * HASH_BLOCK
+                                * sizeof(uint64_t));
+    if (hashed == NULL)
+        return -1;
+    for (c = 0; c < off[n_rel]; c++)
+        keys[c] = hashed + idx[c] * HASH_BLOCK;
+    for (i0 = 0; i0 < n; i0 += m) {
+        m = n - i0 < HASH_BLOCK ? n - i0 : HASH_BLOCK;
+        for (c = 0; c < n_cols; c++)
+            hash_block(columns + c, 1, NULL, i0, m, state,
+                       hashed + c * HASH_BLOCK);
+        for (r = 0; r < n_rel; r++) {
+            kmv_keys(keys + off[r], off[r + 1] - off[r], m, salt[r], h);
+            k = cap[r];
+            len = (int64_t)sketch[r][0];
+            minima = sketch[r] + 2;
+            /* Keep every key of a sketch that is not full and, of a
+             * full one, the keys below its largest minimum, in order; a
+             * key above it saturates the sketch. The largest minimum
+             * only falls, so no other key could change it. */
+            room = len < k;
+            bound = room ? 0 : minima[k - 1];
+            n_low = 0;
+            above = 0;
+            for (i = 0; i < m; i++) {
+                key = h[i];
+                h[n_low] = key;
+                n_low += room | (key < bound);
+                above |= !room & (key > bound);
+            }
+            if (above)
+                sketch[r][1] = 1;
+            for (i = 0; i < n_low; i++) {
+                key = h[i];
+                if (len == k && key >= minima[k - 1]) {
+                    if (key > minima[k - 1])
+                        sketch[r][1] = 1;
+                    continue;
+                }
+                lo = lower_bound(minima, len, key);
+                if (lo < len && minima[lo] == key)
+                    continue;           /* held already */
+                if (len == k) {         /* the largest makes room */
+                    sketch[r][1] = 1;
+                    len--;
+                }
+                memmove(minima + lo + 1, minima + lo,
+                        (size_t)(len - lo) * sizeof(uint64_t));
+                minima[lo] = key;
+                len++;
+            }
+            sketch[r][0] = (uint64_t)len;
+        }
+    }
+    free(hashed);
+    return 0;
+}
 """
 
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
@@ -667,6 +800,8 @@ _SIGNATURES = {
     "repro_partition_hash": (None, [_P, _I64, _I64, ctypes.c_uint64,
                                     ctypes.c_uint64, _P]),
     "repro_hash_isa": (ctypes.c_char_p, []),
+    "repro_kmv_observe": (_I64, [_P, _I64, _I64, _I64, _P, _P, _P, _P,
+                                  _P, _P]),
 }
 
 
@@ -689,6 +824,17 @@ def hash_isa() -> str | None:
     ``"plain"`` (a build without clones); None when it is unavailable."""
     lib = library()
     return None if lib is None else lib.repro_hash_isa().decode()
+
+
+_NO_BYTES = ctypes.c_char * 0
+
+
+def address(array: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's data: what
+    ``array.ctypes.data`` reads, at a fraction of its cost (a ctypes
+    view of no bytes, made and dropped), for code that binds dozens of
+    arrays per call."""
+    return ctypes.addressof(_NO_BYTES.from_buffer(array))
 
 
 def words(columns: Sequence[np.ndarray],

@@ -15,6 +15,7 @@ from repro.gigascope.hashing import (
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.workloads import measure_statistics
 
+from tests.conftest import needs_kernel, numpy_kernels_off
 from tests.references import reference_kmv_update, reference_observe
 
 
@@ -264,3 +265,90 @@ def test_observe_matches_per_relation_hashing(seed):
                 chain(rel.names),
                 combine_columns([columns[name] for name in rel]))
         assert got.statistics() == want.statistics()
+
+
+#: Batch lengths around every ``HASH_BLOCK`` (256) edge of the library.
+BATCH_LENGTHS = [0, 1, 255, 256, 257, 2048]
+
+
+def _column(rng, domain, n):
+    """``n`` values of one attribute: int64 extremes, the full int64
+    range, or ``domain`` small values (so sketches fill to exactly k,
+    one short of it or one past it, and batches repeat held minima)."""
+    if domain == "extremes":
+        return rng.choice(EXTREMES, n)
+    if domain == "wide":
+        return rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                            n, dtype=np.int64, endpoint=True)
+    return rng.integers(-1, domain - 1, n)
+
+
+@needs_kernel
+@pytest.mark.parametrize("k", [3, 4, 8, 256])
+@given(data=st.data())
+def test_library_observe_matches_the_numpy_body(k, data):
+    """``repro_kmv_observe`` against the numpy body, after every batch:
+    every sketch's minima (bytes), saturated flag and estimate, the
+    records seen and the snapshot; relations join through ``ensure``
+    between batches."""
+    parse = AttributeSet.parse
+    first = [parse(t) for t in ("A", "C", "AB", "BC", "ABC", "BCD")]
+    later = [parse(t) for t in ("D", "AD", "ABD", "ABCD")]
+    domains = {name: data.draw(st.sampled_from(
+        ["extremes", "wide", 1, k - 1, k, k + 1]), label=name)
+        for name in "ABCD"}
+    lengths = data.draw(st.lists(st.sampled_from(BATCH_LENGTHS),
+                                 min_size=1, max_size=6), label="lengths")
+    join = data.draw(st.integers(0, len(lengths)), label="join")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    got = StreamStatisticsCollector(first, k=k)
+    want = StreamStatisticsCollector(first, k=k)
+    for batch, n in enumerate(lengths):
+        if batch == join:
+            assert got.ensure(later) == want.ensure(later) == later
+        columns = {name: _column(rng, domain, n)
+                   for name, domain in domains.items()}
+        got.observe(columns)
+        with numpy_kernels_off():
+            want.observe(columns)
+        assert got.records_seen == want.records_seen
+        assert got.relations == want.relations
+        for rel in want.relations:
+            assert_same_sketch(got._distinct[rel], want._distinct[rel])
+        assert got.statistics() == want.statistics()
+
+
+def _unmix(z: int) -> int:
+    """The inverse of the splitmix64 finalizer, on Python ints."""
+    mask = 2 ** 64 - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2 ** 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+@needs_kernel
+def test_library_observe_keeps_the_largest_key():
+    """A value whose KMV key is 2**64 - 1, the largest a key can be,
+    enters a sketch that is not full, in the library as in numpy."""
+    rel = AttributeSet.parse("A")
+    salt = int(KMVDistinctCounter(salt=1).salt)  # the first relation's
+    code = _unmix(2 ** 64 - 1) ^ salt
+    value = _unmix(code) ^ int(splitmix64(np.uint64(0)))
+    columns = {"A": np.array([value, 7, value], dtype=np.uint64)
+               .view(np.int64)}
+    got = StreamStatisticsCollector([rel], k=3)
+    want = StreamStatisticsCollector([rel], k=3)
+    got.observe(columns)
+    with numpy_kernels_off():
+        want.observe(columns)
+    assert want._distinct[rel]._minima[-1] == 2 ** 64 - 1
+    assert_same_sketch(got._distinct[rel], want._distinct[rel])

@@ -30,6 +30,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
+from repro.core.sketches import StreamStatisticsCollector
 from repro.gigascope import Dataset, StreamSchema, simulate
 from repro.gigascope.engine import _process_relation
 from repro.gigascope.hashing import (
@@ -244,7 +245,8 @@ _VARIANTS = {"dispatched": native_library.SOURCE,
     pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free"),
                  id="repro.native.ingest"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
-    pytest.param(("repro_partition_hash", "repro_hash_isa"),
+    pytest.param(("repro_partition_hash", "repro_hash_isa",
+                  "repro_kmv_observe"),
                  id="repro.native.partition"),
 ])
 def test_kernel_source_compiles_without_warnings(entries, strict_build):
@@ -331,14 +333,24 @@ def _racer_run() -> dict:
 def _every_caller(dataset: Dataset) -> list:
     """What each caller of the library returns: the walk's counters and
     HFTA states (raw bytes, NaN bits included), the partition hash's ids
-    (raw bytes) and the planner's statistics."""
+    (raw bytes), the planner's statistics and the service's sketches
+    (each one's minima as raw bytes, its flag and estimate, after every
+    batch)."""
     config = Configuration.from_notation("ABC(AB(A B) C)")
     result = simulate(dataset, config, {rel: 5 for rel in config.relations},
                       1.0, "v")
     ids = HashPartitioner().shard_ids(dataset, 3)
     stats = measure_statistics(dataset, config.relations, 0.5)
+    collector = StreamStatisticsCollector(config.relations, k=8)
+    sketches = []
+    for start in range(0, len(dataset), 300):
+        collector.observe({name: column[start:start + 300]
+                           for name, column in dataset.columns.items()})
+        sketches.append([(sketch._minima.tobytes(), sketch._saturated,
+                          sketch.estimate())
+                         for sketch in collector._distinct.values()])
     return [result.counters.relations, states(result.hfta), ids.tobytes(),
-            ids.dtype, stats]
+            ids.dtype, stats, sketches, collector.records_seen]
 
 
 def _assert_one_failure_mode(dataset, want, error: str) -> None:
@@ -367,7 +379,7 @@ def test_plain_build_agrees_with_the_dispatched_one(clustered, monkeypatch):
     platform but x86-64 glibc with a capable compiler builds it, returns
     what the loaded library returns, byte for byte: the walk's counters
     and states (a forest with children, so gathered rows too), the
-    partition ids and the statistics."""
+    partition ids, the statistics and the sketches."""
     plain = native_build.load_kernel(f"{native_library.NAME}_plain",
                                      _VARIANTS["plain"],
                                      native_library._SIGNATURES)

@@ -6,6 +6,7 @@ reconfiguration that has not yet landed (a tenant registered inside the
 open epoch, then the crash).
 """
 
+from contextlib import nullcontext
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from repro.errors import CheckpointError
 from repro.gigascope.online import LiveStreamSystem
 from repro.resilience.checkpoint import read_checkpoint_document
 
+from tests.conftest import needs_kernel, numpy_kernels_off
 from tests.service.conftest import SCHEMA, push_slice, query
 
 
@@ -161,3 +163,53 @@ class TestLegacyCheckpoints:
         with pytest.raises(CheckpointError, match="cannot read") as info:
             StreamService.restore(path)
         assert str(path) in str(info.value)
+
+
+def sketches(service):
+    """Every sketch's minima (raw bytes), flag and estimate, and the
+    records the collector has seen."""
+    collector = service.collector
+    return collector.records_seen, {
+        rel.label(): (sketch._minima.tobytes(), sketch._saturated,
+                      sketch.estimate())
+        for rel, sketch in collector._distinct.items()}
+
+
+def pushed(service, dataset, start, numpy_body):
+    """``service`` fed the records from ``start`` on, through the
+    library's sketches or, with ``numpy_body``, numpy's."""
+    with numpy_kernels_off() if numpy_body else nullcontext():
+        push_slice(service, dataset, start, len(dataset))
+    return service
+
+
+@needs_kernel
+class TestSketchesOnBothBodies:
+    """The sketches a checkpoint carries are the same bytes whichever
+    body updates them, the library's or numpy's."""
+
+    def test_legacy_checkpoint_keeps_pushing_alike(self, dataset):
+        got, want = (pushed(StreamService.restore(LEGACY / "service-v5.ckpt"),
+                            dataset, len(dataset) // 2, numpy_body)
+                     for numpy_body in (False, True))
+        assert sketches(got) == sketches(want)
+
+    @pytest.mark.parametrize("written_by_numpy", [False, True])
+    def test_checkpoint_restores_on_the_other_body(
+            self, dataset, tmp_path, monkeypatch, written_by_numpy):
+        # Small sketches, so that they fill and saturate.
+        monkeypatch.setattr("repro.service.service.SKETCH_K", 16)
+        service = fresh_service()
+        service.register("acme", query("ABC"))
+        half = len(dataset) // 2
+        with numpy_kernels_off() if written_by_numpy else nullcontext():
+            push_slice(service, dataset, 0, half)
+            service.checkpoint(tmp_path / "svc.ckpt")
+        restored = pushed(StreamService.restore(tmp_path / "svc.ckpt"),
+                          dataset, half, not written_by_numpy)
+        oracle = fresh_service()
+        oracle.register("acme", query("ABC"))
+        pushed(oracle, dataset, 0, False)
+        assert sketches(restored) == sketches(oracle)
+        assert any(saturated for _, saturated, _ in
+                   sketches(oracle)[1].values())
