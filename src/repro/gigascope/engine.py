@@ -65,8 +65,21 @@ own scratch, all bound to the one stream the first walk converted and
 checked. They pull epochs in order from one queue, and the caller hands
 the HFTA every folded state in epoch order, then relation order, after
 the join, and sums the threads' counters. The calls, states and floats
-are those of a one-thread walk, bit for bit. A one-epoch call (every
-live epoch close) and the numpy walk stay on the calling thread.
+are those of a one-thread walk, bit for bit. The numpy walk stays on
+the calling thread.
+
+*One epoch on two lanes.* Once a relation is walked, its children's
+subtrees are independent work (the paper's per-relation cost, Sec. 2.2).
+A one-epoch kernel call (every live epoch close) through a ``Tables``
+that has walked before splits the forest between two lanes when two
+cores are usable and the split pays (:meth:`Tables.lanes`): the kept
+walk on the calling thread, a second walk of the forest (kept too,
+bound like the first) on the native library's helper thread. Lanes are
+assigned by list scheduling on the last call's counters; a relation
+whose parent ran on the other lane waits for it and reads its evictions
+there. The calling thread takes both lanes' folds and hands them to the
+HFTA in relation order, and the counters are summed: the call is a
+one-lane call, bit for bit (:class:`repro.native.ingest.Lanes`).
 
 *Shards.* A sharded run is one walk (``shards=``, one shard id per
 record): each relation's table is ``max(id) + 1`` slices of its bucket
@@ -133,7 +146,9 @@ class Tables:
     column starts again. The results never depend on it.
 
     A call over several epochs walks them on a pool of threads: the
-    first uses the kept walk, every other gets its own for the call.
+    first uses the kept walk, every other gets its own for the call. A
+    one-epoch call may walk on two lanes (:meth:`lanes`), the second on
+    the kept :attr:`second` walk.
     After each call :attr:`stats` holds that call's counters,
     ``(arrivals_intra, arrivals_flush, evictions_intra,
     evictions_flush)`` per relation, until the next call.
@@ -141,12 +156,14 @@ class Tables:
 
     __slots__ = ("config", "buckets", "salt_seed", "has_values", "rels",
                  "sizes", "salts", "emit", "names", "keys", "parent",
-                 "depths", "children", "walk", "stats", "_priced",
+                 "depths", "children", "walk", "second", "stats",
+                 "_epochs", "_due", "_lane_of", "_lanes", "_priced",
                  "_times", "_ones")
 
     def __init__(self) -> None:
         self.config: Configuration | None = None
         self.walk: _native.Walk | None = None
+        self.second: _native.Walk | None = None
         self.stats: np.ndarray | None = None
 
     def bind(self, config: Configuration,
@@ -194,7 +211,9 @@ class Tables:
         self.parent, self.depths, self.children = parent, depths, children
         self._priced = priced.reshape(4, -1)
         self._times = self._ones = np.empty(0, dtype=np.int64)
-        self.walk = self.stats = None
+        self.walk = self.second = self.stats = self._lanes = None
+        self._lane_of = None
+        self._epochs = self._due = 0
 
     def new_walk(self, longest: int, slices: int = 1) -> _native.Walk:
         """A kernel walk of the bound forest, with scratch for epochs of
@@ -211,6 +230,46 @@ class Tables:
         elif walk.longest < longest:
             walk.reserve(max(longest, 2 * walk.longest))
         return walk
+
+    def lanes(self, longest: int, slices: int = 1) -> _native.Lanes | None:
+        """The two lanes of a one-epoch kernel call, or None for one.
+
+        The last call's counters, per epoch, are each relation's
+        expected work: its arrivals and runs, and a query's runs once
+        more for its fold and once for the take of its folds
+        (:func:`_schedule`). The call splits when the schedule saves at
+        least one more :data:`LANE_HANDOFF` against one lane and at
+        least two cores are usable; a schedule holds for
+        :data:`RESCHEDULE` calls. The second walk is kept
+        (:attr:`second`) like the first, and the lanes while the
+        assignment holds. Call before the walks' stats are zeroed."""
+        if self.stats is None or not self._epochs or _cores() < 2:
+            return None
+        if self._due <= 0:
+            # a query's fold takes each run once more, and the take of
+            # its folds as much again (a group per run at most)
+            per_epoch = self.stats / self._epochs
+            take = per_epoch[:, 2:].sum(axis=1) * self.emit
+            lanes, saving = _schedule(
+                self.parent, self.depths, self.children,
+                (per_epoch.sum(axis=1) + take).tolist(), take.tolist())
+            self._lane_of = tuple(lanes) if saving >= LANE_HANDOFF else None
+            self._due = RESCHEDULE
+        self._due -= 1
+        if self._lane_of is None:
+            return None
+        second = self.second
+        if second is None or second.slices != slices:
+            second = self.second = self.new_walk(longest, slices)
+            self._lanes = None
+        elif second.longest < longest:
+            second.reserve(max(longest, 2 * second.longest))
+        kept = self._lanes
+        if kept is None or kept.first is not self.walk or \
+                kept.lane != self._lane_of:
+            kept = self._lanes = _native.Lanes(self.walk, second,
+                                               self._lane_of)
+        return kept
 
     def arrivals(self, longest: int) -> tuple[np.ndarray, np.ndarray]:
         """A raw arrival's times and weights for an epoch of up to
@@ -281,14 +340,88 @@ def bucket_counts(relations, buckets: Mapping[AttributeSet, object] | None
 _MAX_SHARD = 2**31 - 1
 
 
+#: One hand-off between the two lanes of a one-epoch call, in the
+#: schedule's unit of work (an arrival, a run or a folded run of one
+#: relation): the helper thread starts its lane this much after the
+#: caller starts its own, and a wait for the other lane ends this much
+#: after the relation waited for. On a 2-core Xeon (AVX-512) under KVM,
+#: a ``highcard_live`` close (seed 1) walks about 40 000 such units in
+#: 300-560 us, 8-14 ns each; the helper, asleep between closes, started
+#: its lane 13 us after the caller, and a wait that had gone to sleep
+#: ended about 13 us late, where a thread woken through a Python
+#: ``SimpleQueue`` took 20-45 us. A call splits only when the schedule
+#: saves at least one more hand-off over one lane (:meth:`Tables.lanes`).
+LANE_HANDOFF = 2048
+
+
+#: Calls of one ``Tables`` between two lane schedules: a schedule costs
+#: about 17 us of Python, and the counters of one era's closes change
+#: little from one close to the next.
+RESCHEDULE = 16
+
+
+def _schedule(parent: list[int], depths: list[int],
+              children: list[list[int]], walk: list[float],
+              take: list[float]) -> tuple[list[int], float]:
+    """Two-lane list scheduling of a forest in walk order: each
+    relation's lane, and the work the schedule saves against one lane.
+
+    ``walk[r]`` is relation ``r``'s work in its lane, ``take[r]`` the
+    work of handing its folds over, which the calling thread does for
+    both lanes: its own lane's as soon as it is walked, the other's
+    once that is walked too. A relation starts on a lane once the lane
+    is free, its parent has finished and, when it feeds, the other
+    lane's children of the lane's last relation to fill the eviction
+    buffer of its depth have finished (see
+    :class:`~repro.native.ingest.Lanes`). Lane 1 starts
+    :data:`LANE_HANDOFF` late, and a wait for the other lane ends as
+    much late. Each relation takes the lane that leaves the call's end
+    earliest, its parent's (lane 0 for a raw relation) on a tie."""
+    finish = [0.0] * len(parent)
+    lane = [0] * len(parent)
+    free = [0.0, float(LANE_HANDOFF)]
+    took = [0.0, 0.0]
+    end = 0.0
+    filled: dict[tuple[int, int], int] = {}  # (lane, depth): last
+    for r, p in enumerate(parent):
+        best = (math.inf, 0.0, 0)
+        for choice in ((lane[p], 1 - lane[p]) if p >= 0 else (0, 1)):
+            begin = max(free[choice], 0.0 if p < 0 else finish[p] + (
+                LANE_HANDOFF if lane[p] != choice else 0.0))
+            q = filled.get((choice, depths[r])) if children[r] else None
+            if q is not None:
+                begin = max([begin] + [finish[c] + LANE_HANDOFF
+                                       for c in children[q]
+                                       if lane[c] != choice])
+            done = begin + walk[r]
+            if choice == 0:
+                ends = max(done + took[0] + take[r], free[1]) + took[1]
+            else:
+                ends = max(free[0] + took[0], done) + took[1] + take[r]
+            if ends < best[0]:
+                best = (ends, done, choice)
+        end, finish[r], lane[r] = best
+        free[lane[r]] = finish[r]
+        took[lane[r]] += take[r]
+        if children[r]:
+            filled[lane[r], depths[r]] = r
+    if 1 not in lane:
+        return lane, 0.0
+    return lane, sum(walk) + sum(take) - end
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _workers(n_epochs: int) -> int:
     """Threads for a kernel walk over ``n_epochs`` non-empty epochs: one
     per usable core, at most one per epoch."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, n_epochs))
+    return max(1, min(_cores(), n_epochs))
 
 
 def simulate(dataset: Dataset, config: Configuration,
@@ -322,12 +455,16 @@ def simulate(dataset: Dataset, config: Configuration,
     epoch per call into shared accumulators), and the same ``tables`` to
     bind the configuration once and keep the kernel's walk between them
     (:class:`Tables`, which also holds each call's own counters). With
-    the kernel, a call over several epochs walks them on a thread pool
-    and touches ``counters``/``hfta`` only once every epoch is walked:
-    an error leaves both as they were. An optional
+    the kernel, a call over several epochs walks them on a thread pool,
+    and a one-epoch call may walk on two lanes; either touches
+    ``counters``/``hfta`` only once every epoch is walked: an error (a
+    fold out of memory in either lane included) leaves both as they
+    were. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
-    phase span, record/epoch counters and an ``engine.workers`` gauge;
-    when None the engine performs no clock reads of its own.
+    phase span, record/epoch counters and the ``engine.workers`` and
+    ``engine.lanes`` gauges (the threads of a call over several epochs;
+    the lanes of a one-epoch call, 2 when it split); when None the
+    engine performs no clock reads of its own.
     """
     tables = tables if tables is not None else Tables()
     tables.bind(config, buckets, salt_seed, value_column is not None)
@@ -341,9 +478,10 @@ def simulate(dataset: Dataset, config: Configuration,
         n_epochs = len(epochs)
         workers = _workers(n_epochs) if native and n_epochs > 1 else 1
         values = dataset.values[value_column] if value_column else None
+        lanes = 1
         if epochs and native:
-            _walk_native(tables, dataset.columns, values, epochs, hfta,
-                         shards, slices, workers)
+            lanes = _walk_native(tables, dataset.columns, values, epochs,
+                                 hfta, shards, slices, workers)
         elif epochs:
             _walk_numpy(tables, dataset.columns, values, epochs, hfta,
                         shards, slices)
@@ -355,8 +493,9 @@ def simulate(dataset: Dataset, config: Configuration,
         registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
         registry.gauge("engine.workers").set(workers)
+        registry.gauge("engine.lanes").set(lanes)
     walk = (f"native kernel, {workers} worker{'s' * (workers != 1)}"
-            if native else "numpy")
+            + ", 2 lanes" * (lanes == 2) if native else "numpy")
     return SimulationResult(counters, hfta, n_records, n_epochs, walk)
 
 
@@ -401,20 +540,25 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
 def _walk_native(tables: Tables, columns: Mapping[str, np.ndarray],
                  values: np.ndarray | None, epochs: list[tuple[int, int, int]],
                  hfta: HFTA, shards: np.ndarray | None = None,
-                 slices: int = 1, workers: int = 1) -> None:
+                 slices: int = 1, workers: int = 1) -> int:
     """Every epoch through the ingest kernel, one call per epoch, on
     ``workers`` threads (the calling one alone when 1), with ``slices``
-    slices per table and each row in its ``shards`` slice. The walk
-    folds each emitting relation's runs, extending the state the HFTA
-    already holds for that relation and epoch; the HFTA takes the folded
-    states after the last epoch, in epoch order, and ``tables.stats``
-    the call's counters."""
+    slices per table and each row in its ``shards`` slice; one epoch
+    alone walks on the lanes :meth:`Tables.lanes` gives. The walk folds
+    each emitting relation's runs, extending the state the HFTA already
+    holds for that relation and epoch; the HFTA takes the folded states
+    after the last epoch, in epoch order, and ``tables.stats`` the
+    call's counters. Returns the lanes the one epoch walked on (1 for
+    several epochs)."""
     rels = tables.rels
     longest = max(end - start for _, start, end in epochs)
     times0, ones = tables.arrivals(longest)
     walk = tables.kept_walk(longest, slices)
+    lanes = tables.lanes(longest, slices) if len(epochs) == 1 else None
     walks = [walk] + [tables.new_walk(longest, slices)
                       for _ in range(workers - 1)]
+    if lanes is not None:
+        walks.append(lanes.second)
     # One conversion and one check of the stream serve every walk.
     walk.bind([columns[a] for a in tables.names], values, shards)
     for other in walks[1:]:
@@ -443,20 +587,26 @@ def _walk_native(tables: Tables, columns: Mapping[str, np.ndarray],
         extend = {r: (s.columns, s.counts, s.value_sums, s.value_mins,
                       s.value_maxs)
                   for r, s in seeds.get(epoch_id, {}).items()}
-        folds = _native.ingest_runs(own, lo, times0[:n], ones[:n], extend)
+        folds = _native.ingest_runs(own, lo, times0[:n], ones[:n], extend,
+                                    lanes if own is walk else None)
         return [(rels[fold.relation], ColumnarTotals(
             rels[fold.relation].names, fold.columns, fold.counts,
             fold.sums, fold.mins, fold.maxs), fold.runs) for fold in folds]
 
+    tables._epochs = len(epochs)
     if len(walks) == 1:
         folded = [epoch_states(walk, *piece) for piece in epochs]
         tables.stats = walk.stats
+    elif lanes is not None:
+        folded = [epoch_states(walk, *epochs[0])]
+        tables.stats = walk.stats + lanes.second.stats
     else:
         folded = _on_pool(walks, epochs, epoch_states)
         tables.stats = sum(w.stats for w in walks)
     for (epoch_id, _, _), states in zip(epochs, folded):
         for rel, state, runs in states:
             hfta.ingest_folded(rel, epoch_id, state, runs)
+    return 1 if lanes is None else lanes.ran
 
 
 def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],

@@ -18,6 +18,7 @@ is an excellent cheap approximation of that ideal.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -192,12 +193,16 @@ def _factorize(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.astype(np.int64), int(uniques.size)
 
 
+@functools.lru_cache(maxsize=4096)
 def relation_salt(label: str, seed: int = 0) -> int:
     """A stable per-relation salt derived from its label and a seed.
 
     Python's builtin ``hash`` is randomized per process, so we fold the
     label bytes through splitmix64 instead (on plain ints: the same
     arithmetic as :func:`splitmix64`, without a numpy scalar per byte).
+    Memoised per ``(label, seed)``: every bind of a configuration asks
+    again for the salts of relations it has seen (``__wrapped__`` is the
+    uncached fold).
     """
     acc = seed & _MASK_INT
     for byte in label.encode("utf-8"):

@@ -249,9 +249,11 @@ def _fold_rows_numpy(cols: list[np.ndarray], counts: np.ndarray,
     out_vs = np.bincount(inv, weights=vsums, minlength=g)
     out_vs[np.isnan(out_vs)] = np.nan
     out_vmin = np.full(g, np.inf)
-    np.minimum.at(out_vmin, inv, vmins)
     out_vmax = np.full(g, -np.inf)
-    np.maximum.at(out_vmax, inv, vmaxs)
+    # NaN minima and maxima are defined input: they propagate, silently
+    with np.errstate(invalid="ignore"):
+        np.minimum.at(out_vmin, inv, vmins)
+        np.maximum.at(out_vmax, inv, vmaxs)
     return first[order], out_counts, out_vs, out_vmin, out_vmax
 
 

@@ -80,6 +80,28 @@ def walk_workers_of(n: int):
         yield
 
 
+@contextmanager
+def walk_lanes_of(on: bool):
+    """Inside the block a one-epoch kernel call after a ``Tables``' first
+    walks on two lanes whenever its schedule puts a relation on the
+    second and two cores are usable (``on``: the hand-off is priced at
+    nothing and every call schedules afresh), or always on one
+    (``engine._cores`` patched to 1)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if on:
+            patch.setattr(engine, "LANE_HANDOFF", 0)
+            patch.setattr(engine, "RESCHEDULE", 1)
+        else:
+            patch.setattr(engine, "_cores", lambda: 1)
+        yield
+
+
+def split_ran() -> bool:
+    """Whether a call under ``walk_lanes_of(True)`` can split here: two
+    usable cores (one under ``taskset -c 0``, where lanes collapse)."""
+    return engine._cores() >= 2
+
+
 @pytest.fixture
 def walk_workers():
     """``walk_workers(n)`` runs the rest of the test under

@@ -1,10 +1,11 @@
 """Tests for the GSQL-like query parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.attributes import AttributeSet
 from repro.core.sql import parse_queries, parse_query
-from repro.errors import NotationError
+from repro.errors import NotationError, SchemaError
 
 
 class TestPaperQueries:
@@ -118,7 +119,6 @@ class TestErrors:
             ])
 
     def test_mixed_epochs_rejected(self):
-        from repro.errors import SchemaError
         with pytest.raises(SchemaError):
             parse_queries([
                 "select A, count(*) from R group by A, time/10",
@@ -188,3 +188,55 @@ class TestWhereClause:
                               where=where).run()
         answers = report.answers(next(iter(queries)))
         assert answers[0] == {(1,): 1.0, (2,): 1.0}
+
+
+#: Tokens of the grammar and near misses: every keyword, names, numbers
+#: (huge, zero, fractional), every symbol, and pieces the tokenizer
+#: refuses.
+_TOKENS = st.sampled_from(
+    ["select", "from", "where", "and", "group", "by", "having", "as",
+     "time", "count", "sum", "avg", "min", "max", "A", "B", "srcIP", "R",
+     "tb", "0", "1", "60", "0.5", "1e400", "9" * 400, "(", ")", ",", "*",
+     "/", "<", ">", "=", ">=", "<=", "==", "!=", ";", "-", "'", "é",
+     ""])
+
+_TEXTS = st.one_of(
+    st.lists(_TOKENS, max_size=24).map(" ".join),
+    st.text(max_size=60),
+    # a valid query with one token dropped, doubled or swapped in
+    st.tuples(st.integers(0, 12), _TOKENS, st.sampled_from(
+        ["drop", "double", "swap"])).map(lambda case: _mutated(*case)))
+
+_VALID = ("select A , tb , count ( * ) as cnt from R where B >= 2 "
+          "group by A , time / 60 as tb having count ( * ) > 100").split()
+
+
+def _mutated(at: int, token: str, how: str) -> str:
+    words = list(_VALID)
+    if how == "drop":
+        del words[at]
+    elif how == "double":
+        words.insert(at, words[at])
+    else:
+        words[at] = token
+    return " ".join(words)
+
+
+@settings(max_examples=300)
+@given(text=_TEXTS, other=_TEXTS)
+def test_any_text_parses_or_raises_notation_error(text, other):
+    """Whatever the text, the parser returns a query or raises
+    :class:`NotationError`, never another exception. Queries that each
+    parse may still not make one query set (two with one group-by, or
+    with two epoch lengths): that is the ``QuerySet`` rule's
+    :class:`SchemaError`, as ``test_mixed_epochs_rejected`` has it."""
+    for parse in (lambda: parse_query(text),
+                  lambda: parse_queries([text])):
+        try:
+            parse()
+        except NotationError:
+            pass
+    try:
+        parse_queries([text, other])
+    except (NotationError, SchemaError):
+        pass

@@ -24,7 +24,13 @@ from repro import QuerySet, StreamSystem
 from repro.core.configuration import Configuration
 from repro.gigascope import engine, simulate
 from repro.observability import MetricsRegistry
-from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
+from tests.conftest import (
+    needs_kernel,
+    numpy_kernels_off,
+    split_ran,
+    walk_lanes_of,
+    walk_workers_of,
+)
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     assert_same_walk,
@@ -179,6 +185,29 @@ def test_run_reports_the_walk_it_took(walk_workers):
                        buckets={rel: 16 for rel in config.relations})
     assert one.run(registry=registry).result.walk == \
         "native kernel, 1 worker"
+    assert registry.gauges["engine.workers"].value == 1
+
+
+@needs_kernel
+def test_one_epoch_calls_report_their_lanes():
+    """``engine.lanes`` and the walk string name the lanes of a
+    one-epoch call: one for a ``Tables``' first call, two for the next
+    where two cores are usable."""
+    config = Configuration.from_notation("ABCD(AB BCD(BC BD CD))")
+    dataset = make_stream(9, [400], 4, "finite", False)
+    buckets = {rel: 13 for rel in config.relations}
+    registry, tables = MetricsRegistry(), engine.Tables()
+    with walk_lanes_of(True):
+        first = simulate(dataset, config, buckets, 1.0, "v",
+                         registry=registry, tables=tables)
+        assert first.walk == "native kernel, 1 worker"
+        assert registry.gauges["engine.lanes"].value == 1
+        second = simulate(dataset, config, buckets, 1.0, "v",
+                          registry=registry, tables=tables)
+    lanes = 2 if split_ran() else 1
+    assert registry.gauges["engine.lanes"].value == lanes
+    assert second.walk == "native kernel, 1 worker" + ", 2 lanes" * (
+        lanes == 2)
     assert registry.gauges["engine.workers"].value == 1
 
 

@@ -12,6 +12,14 @@ walks must agree on every counter and every HFTA state — the kernel's
 folded in the walk, the numpy walk's batches folded by the HFTA — bit
 for bit, NaN sums, group order and fold counts included, and equal the
 reference wherever its plain-float min/max can follow (finite values).
+
+One-epoch calls (every live close) walk on two lanes when a ``Tables``
+has walked before: the same stream cut into its epochs, each walked in
+a call of its own through one ``Tables``, must give the same counters
+and states on two lanes, on one lane and on the numpy walk, and equal
+the reference, for forests whose lanes cross (a relation whose parent
+ran on the other lane, with children of its own), NaN values, shard
+slices and relations that emit and feed.
 """
 
 import time
@@ -26,7 +34,13 @@ from repro.gigascope import Dataset, StreamSchema, engine, simulate
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import CostCounters
-from tests.conftest import needs_kernel, numpy_kernels_off
+from repro.parallel import split_dataset
+from tests.conftest import (
+    needs_kernel,
+    numpy_kernels_off,
+    split_ran,
+    walk_lanes_of,
+)
 from tests.hfta_totals import totals
 
 NAMES = tuple("ABCDEF")
@@ -234,3 +248,97 @@ def test_tables_kept_between_calls_change_nothing():
                        tables=tables)
         want = simulate(dataset, config, buckets, 1.0, value_column)
         assert_same_walk(got, want)
+
+
+#: Forests whose two-lane schedules cross: a relation on one lane feeds
+#: relations on the other, and a relation with children waits for its
+#: parent on the other lane. The third adds a query with children.
+LANE_SHAPES = ["ABCD(AB BCD(BC BD CD))", "ABCD(ABC(AB A) BCD(BC CD))",
+               "ABCD(AB BCD(BC BD CD))+BCD"]
+
+
+def lane_config(notation: str) -> Configuration:
+    """``notation``, with the relations named after a ``+`` made queries
+    as well."""
+    notation, *more = notation.split("+")
+    config = Configuration.from_notation(notation)
+    if not more:
+        return config
+    queries = list(config.leaves) + [AttributeSet.parse(m) for m in more]
+    return Configuration({rel: config.parent(rel)
+                          for rel in config.relations}, queries)
+
+
+def epoch_by_epoch(dataset, config, buckets, value_column, shards=None):
+    """Every epoch of ``dataset`` in a one-epoch call of its own, as a
+    live close walks it: one ``Tables``, counters and HFTA through all.
+    Returns the counters, the HFTA and each call's walk."""
+    epoch = np.floor(dataset.timestamps).astype(np.int64)
+    n_epochs = int(epoch[-1]) + 1 if len(dataset) else 1
+    counters, hfta, tables = CostCounters(config), HFTA(), engine.Tables()
+    walks = []
+    for k, part in enumerate(split_dataset(dataset, epoch, n_epochs)):
+        if len(part):
+            walks.append(simulate(
+                part, config, buckets, 1.0, value_column,
+                counters=counters, hfta=hfta, tables=tables,
+                shards=None if shards is None else shards[epoch == k]).walk)
+    return counters, hfta, walks
+
+
+def assert_lanes_agree(dataset, config, buckets, value_column, shards=None):
+    """Two lanes, one lane and the numpy walk, epoch by epoch, byte for
+    byte; returns the two-lane run's walks."""
+    with walk_lanes_of(True):
+        got = epoch_by_epoch(dataset, config, buckets, value_column, shards)
+    with walk_lanes_of(False):
+        one = epoch_by_epoch(dataset, config, buckets, value_column, shards)
+    with numpy_kernels_off():
+        want = epoch_by_epoch(dataset, config, buckets, value_column, shards)
+    for other in (one, want):
+        assert got[0].relations == other[0].relations
+        assert list(got[0].relations) == list(other[0].relations)
+        assert states(got[1]) == states(other[1])
+    assert not any(walk.endswith("lanes") for walk in one[2])
+    return got[2]
+
+
+@needs_kernel
+@pytest.mark.parametrize("sharded", [False, True], ids=["all-rows", "index"])
+@pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
+@pytest.mark.parametrize("notation", LANE_SHAPES)
+def test_one_epoch_calls_on_two_lanes(notation, values, sharded):
+    """``index``: row ``i`` in shard ``i mod 3``. Every call after the
+    first splits where two cores are usable; with finite values and no
+    shards the calls also equal the sequential reference."""
+    config = lane_config(notation)
+    dataset = make_stream(7, [300, 1, 300, 0, 300, 40, 300], 5,
+                          "finite" if values == "none" else values, False)
+    buckets = {rel: 5 + 7 * i for i, rel in enumerate(config.relations)}
+    value_column = None if values == "none" else "v"
+    shards = np.arange(len(dataset)) % 3 if sharded else None
+    walks = assert_lanes_agree(dataset, config, buckets, value_column, shards)
+    if split_ran():
+        assert walks[0] == "native kernel, 1 worker"
+        assert walks[2:] == ["native kernel, 1 worker, 2 lanes"] * 4
+    if values == "nonfinite" or sharded:
+        return  # the reference's min/max are plain floats; no shards
+    ref = run_reference(dataset, config, buckets, 1.0, value_column)
+    counters, hfta, _ = epoch_by_epoch(dataset, config, buckets,
+                                       value_column)
+    assert counters.relations == ref.counters.relations
+    for leaf in config.leaves:
+        assert hfta.epochs(leaf) == ref.hfta.epochs(leaf)
+        for epoch in ref.hfta.epochs(leaf):
+            assert totals(hfta, leaf, epoch) == totals(ref.hfta, leaf, epoch)
+
+
+@needs_kernel
+@given(config=forests, stream=streams, data=st.data())
+def test_random_forests_on_two_lanes(config, stream, data):
+    """Random forests and streams, every epoch a call of its own: two
+    lanes, one lane and the numpy walk agree byte for byte."""
+    dataset = make_stream(**stream)
+    buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
+    value_column = None if stream["values"] == "none" else "v"
+    assert_lanes_agree(dataset, config, buckets, value_column)

@@ -126,6 +126,18 @@ class TestRelationSalt:
     def test_seed_sensitivity(self):
         assert relation_salt("AB", 0) != relation_salt("AB", 1)
 
+    @given(st.lists(st.tuples(st.sampled_from(["A", "AB", "ABCD", "src+dst",
+                                               "é", ""]),
+                              st.integers(-2**70, 2**70)), max_size=30))
+    def test_memoised_salts_equal_uncached(self, asked):
+        """The memo (one entry per label and seed, asked for again at
+        every bind) returns what the fold computes, on a first ask and
+        on a repeat, for seeds of any size."""
+        for label, seed in asked + asked:
+            assert relation_salt(label, seed) == \
+                relation_salt.__wrapped__(label, seed)
+        assert relation_salt.cache_info().maxsize == 4096
+
     @given(st.text(max_size=12), st.integers(-2**70, 2**70))
     def test_equals_numpy_splitmix_fold(self, label, seed):
         """The plain-int fold is the numpy ``splitmix64`` fold, bit for

@@ -23,6 +23,7 @@ the input check of ``ingest_arrays``.
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -33,12 +34,6 @@ from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.hfta import HFTA, ColumnarTotals, _fold_rows_numpy
 from repro.native import available as kernel_available
 from tests.hfta_totals import GroupAggregate, totals
-
-# NaN workloads trip numpy's elementwise warnings inside minimum.at /
-# maximum.at; the NaN propagation itself is exactly what's under test.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:invalid value encountered")
-
 
 def A(label):
     return AttributeSet.parse(label)
@@ -258,6 +253,26 @@ class TestKernelVsNumpyFold:
         _, _, sums, _, _ = _fold_rows_numpy(
             cols, np.ones(6, dtype=np.int64), vs, vs, vs)
         assert [s.tobytes() for s in sums] == [nan_bits] * 3
+
+    def test_nan_fold_warns_nothing(self):
+        """NaN minima and maxima are defined input: the numpy fold lets
+        them propagate without a ``RuntimeWarning``, and the error state
+        it silences them under stays inside it."""
+        hfta = HFTA()
+        rel = A("A")
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):  # a fresh state, then one that is held
+                hfta.ingest_arrays(rel, 0, {"A": [1, 1, 2]}, [1, 1, 1],
+                                   [math.nan, 2.0, 1.0],
+                                   [math.nan, 2.0, 1.0],
+                                   [math.nan, 2.0, 1.0])
+        state = hfta.totals_columnar(rel, 0)
+        assert np.isnan(state.value_mins[0]) and np.isnan(
+            state.value_maxs[0])
+        assert state.value_mins[1] == state.value_maxs[1] == 1.0
+        assert np.geterr() == before
 
     def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
         assert not kernel_available()

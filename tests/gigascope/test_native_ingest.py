@@ -15,6 +15,7 @@ and the library's source compiling without a warning.
 
 import ctypes
 import json
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -31,7 +32,7 @@ from hypothesis import given, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.sketches import StreamStatisticsCollector
-from repro.gigascope import Dataset, StreamSchema, simulate
+from repro.gigascope import Dataset, StreamSchema, engine, simulate
 from repro.gigascope.engine import _process_relation
 from repro.gigascope.hashing import (
     bucket_indices,
@@ -39,16 +40,27 @@ from repro.gigascope.hashing import (
     relation_salt,
 )
 from repro.gigascope.hfta import HFTA
+from repro.gigascope.metrics import CostCounters
 from repro.native import available as kernel_available
 from repro.native import build as native_build
 from repro.native import ingest as native_ingest
 from repro.native import library as native_library
 from repro.native import machine_info
 from repro.native import partition as native_partition
-from repro.parallel import HashPartitioner
+from repro.parallel import HashPartitioner, split_dataset
 from repro.workloads import flow_count, measure_statistics
-from tests.conftest import needs_kernel, numpy_kernels_off
-from tests.gigascope.test_forest_walk import states
+from tests.conftest import (
+    needs_kernel,
+    numpy_kernels_off,
+    split_ran,
+    walk_lanes_of,
+)
+from tests.gigascope.test_forest_walk import (
+    epoch_by_epoch,
+    lane_config,
+    make_stream,
+    states,
+)
 from tests.hfta_totals import totals
 from tests.references import ABC_SCHEMA as SCHEMA, abc_stream as _dataset
 
@@ -59,7 +71,6 @@ class TestDegenerateShapes:
     other degenerate streams run in ``test_differential.py``."""
 
     @needs_kernel
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_values_propagate_like_numpy(self):
         """np.minimum/np.maximum let NaN win; the kernel's min/max must
         reproduce that, not IEEE fmin/fmax."""
@@ -242,7 +253,9 @@ _VARIANTS = {"dispatched": native_library.SOURCE,
     or native_build.kernels_disabled(),
     reason="no C compiler available (or REPRO_NO_CKERNEL set)")
 @pytest.mark.parametrize("entries", [
-    pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free"),
+    pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free",
+                  "repro_lanes_ready", "repro_walk_submit",
+                  "repro_walk_join", "repro_walk_stop"),
                  id="repro.native.ingest"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
     pytest.param(("repro_partition_hash", "repro_hash_isa",
@@ -588,3 +601,207 @@ class TestBuildMachinery:
         doc = manifest.to_dict()
         assert doc["machine"]["kernels"].keys() == {"engine_ingest"}
         assert isinstance(doc["machine"]["c_kernel"], bool)
+
+
+#: A forest whose lanes can cross every way: two relations with children
+#: at depth 1 (so a lane refills the eviction buffer the other lane's
+#: children read) and one of them a query.
+_LANE_FOREST = "ABCD(ABC(AB BC) ABD(AD BD))"
+
+
+def _lane_walks(config, dataset, emit):
+    """Three kernel walks of ``config`` bound to ``dataset``: one lane's,
+    and the two of a two-lane call."""
+    tables = engine.Tables()
+    tables.bind(config, {rel: 7 + 3 * i
+                         for i, rel in enumerate(config.relations)}, 0, True)
+    walks = [native_ingest.Walk(tables.parent, tables.keys, tables.salts,
+                                tables.sizes, emit, True, len(dataset))
+             for _ in range(3)]
+    walks[0].bind([dataset.columns[a] for a in tables.names],
+                  dataset.values["v"])
+    for walk in walks[1:]:
+        walk.bind_like(walks[0])
+    return walks
+
+
+def _folded(folds, walks) -> list:
+    """Folds as raw bytes, and the counters summed over ``walks``."""
+    return [(f.relation, f.runs, f.counts.tobytes(), f.sums.tobytes(),
+             f.mins.tobytes(), f.maxs.tobytes(),
+             [c.tobytes() for c in f.columns]) for f in folds] + [
+        sum(walk.stats for walk in walks).tobytes()]
+
+
+class TestLanes:
+    """Two lanes of one epoch (``ingest_runs(..., lanes=)``): what each
+    relation waits for, every assignment of a forest to the lanes
+    against one lane, a failing fold in either lane, and a fork."""
+
+    def test_waits(self):
+        """A relation waits for a parent on the other lane and, when it
+        refills an eviction buffer, for the other lane's readers of it."""
+        config = Configuration.from_notation(_LANE_FOREST)
+        assert [r.label() for r in config.relations] == \
+            ["ABCD", "ABC", "AB", "BC", "ABD", "AD", "BD"]
+        dataset = make_stream(1, [50], 4, "finite", False)
+        first, second, _ = _lane_walks(config, dataset, [True] * 7)
+        lanes = native_ingest.Lanes(first, second, [0, 0, 1, 0, 0, 1, 0])
+        # AB waits for ABC; ABD refills ABC's buffer, which AB reads;
+        # AD waits for ABD
+        assert lanes.waits == [[], [], [1], [], [2], [4], []]
+        # ABD refills no buffer of lane 1's: ABC, the other feeder at
+        # depth 1, is lane 0's
+        lanes = native_ingest.Lanes(first, second, [1, 0, 0, 1, 1, 1, 0])
+        assert lanes.waits == [[], [0], [], [1], [], [], [4]]
+        with pytest.raises(ValueError, match="lane 0 or 1"):
+            native_ingest.Lanes(first, second, [0, 2, 0, 0, 0, 0, 0])
+
+    @needs_kernel
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_every_assignment_equals_one_lane(self, seeded):
+        """All 128 assignments of a seven-relation forest, NaN and
+        infinite values included, with seeds or without: the folds, their runs and the
+        summed counters equal one lane's, byte for byte."""
+        config = Configuration.from_notation(_LANE_FOREST)
+        emit = [rel in config.leaves or rel.label() == "ABD"
+                for rel in config.relations]
+        dataset = make_stream(4, [600], 6, "nonfinite", False)
+        one, first, second = _lane_walks(config, dataset, emit)
+        n = len(dataset) // 2
+        t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        seeds = {}
+        if seeded:  # the states of the stream's other half
+            seeds = {f.relation: (f.columns, f.counts, f.sums, f.mins,
+                                  f.maxs)
+                     for f in native_ingest.ingest_runs(one, n, t, w)}
+        one.stats[:] = 0
+        want = _folded(native_ingest.ingest_runs(one, 0, t, w, seeds), [one])
+        for bits in range(2 ** 7):
+            lane = [bits >> r & 1 for r in range(7)]
+            lanes = native_ingest.Lanes(first, second, lane)
+            first.stats[:] = second.stats[:] = 0
+            got = native_ingest.ingest_runs(first, 0, t, w, seeds, lanes)
+            assert lanes.ran == 2
+            assert _folded(got, [first, second]) == want, lane
+
+    @needs_kernel
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_fold_stops_both_lanes(self, failing, monkeypatch):
+        """A test build whose folds fail in lane ``failing``: the other
+        lane waits for a relation that lane never walks, yet the call
+        returns, raises ``MemoryError`` and leaves the counters and the
+        HFTA as they were; the next call, on the real library, walks on
+        two lanes again."""
+        broken = native_build.load_kernel(
+            f"{native_library.NAME}_lane{failing}_fails",
+            native_library.SOURCE.replace(
+                "    if (reserve_groups(W, n_seed + n_runs) < 0)",
+                f"    if (W->lane != NULL && W->lane_id == {failing})\n"
+                "        return -1;\n"
+                "    if (reserve_groups(W, n_seed + n_runs) < 0)", 1),
+            native_library._SIGNATURES)
+        assert broken is not None
+        # BCD emits and feeds: in the failing lane it never finishes, and
+        # BC, BD and CD wait for it in the other
+        config = lane_config("ABCD(AB BCD(BC BD CD))+BCD")
+        lane = [failing, 1 - failing, failing] + [1 - failing] * 3
+        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(engine, "_schedule",
+                            lambda *args: (lane, float("inf")))
+        dataset = make_stream(3, [400, 400, 400], 4, "finite", False)
+        buckets = {rel: 9 for rel in config.relations}
+        parts = split_dataset(dataset, np.floor(dataset.timestamps).astype(
+            np.int64), 3)
+        counters, hfta, tables = CostCounters(config), HFTA(), \
+            engine.Tables()
+
+        def close(part):
+            return simulate(part, config, buckets, 1.0, "v",
+                            counters=counters, hfta=hfta, tables=tables)
+
+        close(parts[0])  # one lane: no counters to schedule by yet
+        before = (repr(counters.relations), states(hfta))
+        monkeypatch.setattr(native_library, "library", lambda: broken)
+        raised = []
+        caller = threading.Thread(target=lambda: raised.append(
+            pytest.raises(MemoryError, close, parts[1])), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a lane waits for a failed one"
+        assert len(raised) == 1
+        assert (repr(counters.relations), states(hfta)) == before
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(engine, "_schedule",
+                            lambda *args: (lane, float("inf")))
+        assert close(parts[1]).walk.endswith("2 lanes")
+        with numpy_kernels_off():
+            want = simulate(dataset.head(800), config, buckets, 1.0, "v")
+        assert counters.relations == want.counters.relations
+        assert states(hfta) == states(want.hfta)
+
+    @needs_kernel
+    def test_callers_on_many_threads_share_the_helper(self):
+        """Six threads, each closing epochs of its own through its own
+        ``Tables`` with lanes forced, a short switch interval: one call
+        at a time has the helper, the others walk one lane, and every
+        thread's counters and states equal a one-lane run's."""
+        config = Configuration.from_notation("ABCD(AB BCD(BC BD CD))")
+        buckets = {rel: 17 for rel in config.relations}
+        streams = [make_stream(20 + k, [200] * 12, 5, "finite", False)
+                   for k in range(6)]
+        with walk_lanes_of(False):
+            want = [epoch_by_epoch(s, config, buckets, "v")[:2]
+                    for s in streams]
+        got: list = [None] * len(streams)
+
+        def run(k):
+            got[k] = epoch_by_epoch(streams[k], config, buckets, "v")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with walk_lanes_of(True):
+                threads = [threading.Thread(target=run, args=(k,),
+                                            daemon=True)
+                           for k in range(len(streams))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (counters, hfta, _), (one, one_hfta) in zip(got, want):
+            assert counters.relations == one.relations
+            assert states(hfta) == states(one_hfta)
+        if split_ran():
+            assert any(walk.endswith("2 lanes")
+                       for _, _, walks in got for walk in walks)
+
+    @needs_kernel
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_a_forked_child_walks_on_its_own_helper(self):
+        """The helper thread does not survive a fork: a child started
+        after a two-lane call starts its own and walks on two lanes, to
+        the parent's result."""
+        with walk_lanes_of(True):
+            walks = _forked_walk()
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                child = pool.apply(_forked_walk)
+        assert child == walks
+        if split_ran():
+            assert walks[0].endswith("2 lanes")
+
+
+def _forked_walk():
+    """Two one-epoch calls through one ``Tables``: the second's walk and
+    its states."""
+    config = Configuration.from_notation("ABCD(AB BCD(BC BD CD))")
+    dataset = make_stream(8, [500], 4, "finite", False)
+    tables = engine.Tables()
+    buckets = {rel: 11 for rel in config.relations}
+    simulate(dataset, config, buckets, 1.0, "v", tables=tables)
+    result = simulate(dataset, config, buckets, 1.0, "v", tables=tables)
+    return result.walk, states(result.hfta)

@@ -12,8 +12,8 @@ NaN/+-inf minima and maxima, byte for byte, and the same
 Covered: random forests and streams on 1 and 3 walk threads, with and
 without shard ids and a value column, and the seeded folds — a stream
 walked in two calls (a contiguous cut or alternate rows) and a live
-epoch reopened after ``finish()`` — and a sharded run's one fold of
-every shard's runs.
+epoch reopened after ``finish()``, on one lane and on two — and a
+sharded run's one fold of every shard's runs.
 """
 
 from contextlib import nullcontext
@@ -33,7 +33,13 @@ from repro.native import available as kernel_available
 from repro.native import ingest as native_ingest
 from repro.parallel import split_dataset
 from repro.workloads import measure_statistics
-from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
+from tests.conftest import (
+    needs_kernel,
+    numpy_kernels_off,
+    split_ran,
+    walk_lanes_of,
+    walk_workers_of,
+)
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     SCHEMA,
@@ -43,8 +49,6 @@ from tests.gigascope.test_forest_walk import (
     states,
     streams,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
 
 
 def assert_folds_match(got, numpy_walked):
@@ -293,12 +297,16 @@ def reopened(dataset, the_plan, cut: int, end: int) -> LiveStreamSystem:
     return live
 
 
+@pytest.mark.parametrize("lanes", [False, True], ids=["one-lane",
+                                                       "two-lanes"])
 @pytest.mark.parametrize("where", [0.1, 0.5, 0.9])
-def test_reopened_live_epoch_is_bit_identical(where):
+def test_reopened_live_epoch_is_bit_identical(where, lanes):
     """Part of an epoch, ``finish()``, the rest of it: the reopened
     epoch's fold extends the state its first close left, and every
     answer equals the numpy walk's (``REPRO_NO_CKERNEL``) bit for bit,
-    over values whose float sums depend on their order."""
+    over values whose float sums depend on their order. ``two-lanes``:
+    every close after the era's first splits where two cores are
+    usable, the reopened one with its seeds in either lane's folds."""
     stream = make_stream(21, [900, 700, 800], 5, "finite", False)
     # non-integral values spread over magnitudes: addition order shows
     dataset = Dataset(SCHEMA, stream.columns, stream.timestamps, {
@@ -306,7 +314,10 @@ def test_reopened_live_epoch_is_bit_identical(where):
     stats = measure_statistics(dataset, FeedingGraph(QUERIES).nodes)
     the_plan = plan(QUERIES, stats, memory=400)
     cut = 900 + int(where * 700)  # inside epoch 1
-    got = reopened(dataset, the_plan, cut, len(dataset))
+    with walk_lanes_of(lanes):
+        got = reopened(dataset, the_plan, cut, len(dataset))
+    if lanes and split_ran() and kernel_available():
+        assert got.eras[0].tables._lanes.ran == 2
     with numpy_kernels_off():
         want = reopened(dataset, the_plan, cut, len(dataset))
     assert [r.epoch for r in got.epoch_reports] == [0, 1, 1, 2]
