@@ -18,19 +18,18 @@ module provides small-state streaming estimators:
   (:mod:`repro.service`) admit and plan every registration without
   exact counting.
 
-With the native library (:func:`repro.native.available`),
 :meth:`StreamStatisticsCollector.observe` updates every relation's
-sketch in one call per batch, ``repro_kmv_observe`` of
+sketch in one native-library call per batch, ``repro_kmv_observe`` of
 :mod:`repro.native.library`: each relation's chain of the
 :func:`~repro.gigascope.hashing.combine_columns` codes, its salted key,
 then a binary search of its sorted minima. A full sketch drops every
-key at or above its largest minimum, as :meth:`KMVDistinctCounter.update`
-does, so the minima, flags and estimates are the numpy body's byte for
-byte (pinned by ``tests/core/test_sketches.py``). Without the library
-``observe`` runs the numpy body: one shared hash pass, then ``update``
-per relation. Each sketch is one block of words that both bodies update
-in place, and pickles as its minima and flag, so a checkpoint written
-by either body restores on the other.
+key at or above its largest minimum, so the minima, flags and
+estimates are those of merging the whole batch into the minima and
+keeping the ``k`` smallest, byte for byte (pinned against the test
+suite's numpy reference by ``tests/core/test_sketches.py``). Each
+sketch is one block of words the library updates in place, and
+pickles as its minima and flag. Without the library ``observe`` raises
+:class:`~repro.errors.NativeLibraryError`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy as np
 from repro.core.attributes import AttributeSet
 from repro.core.statistics import RelationStatistics
 from repro.errors import StatisticsError
-from repro.gigascope.hashing import chain_hasher, splitmix64
 from repro.native import library
 
 __all__ = [
@@ -59,7 +57,8 @@ class KMVDistinctCounter:
     The sketch is one block of ``k + 2`` words: the number of minima
     held, the saturated flag, then room for ``k`` minima, ascending.
     ``_minima`` views the held ones; the native library's
-    ``repro_kmv_observe`` updates the block in place.
+    ``repro_kmv_observe`` updates the block in place, keying a code
+    ``c`` as ``splitmix64(c ^ salt)``.
     """
 
     def __init__(self, k: int = 256, salt: int = 0):
@@ -97,26 +96,6 @@ class KMVDistinctCounter:
         self.__init__(state["k"], int(state["salt"]))
         self._minima = state["_minima"]
         self._saturated = state["_saturated"]
-
-    def update(self, keys: np.ndarray) -> None:
-        """Absorb a batch of (possibly repeated) 64-bit keys."""
-        if len(keys) == 0:
-            return
-        hashes = splitmix64(np.asarray(keys, dtype=np.uint64) ^ self.salt)
-        if self._minima.size == self.k:
-            # A full sketch changes only through hashes below its k-th
-            # minimum; one above it is a (k+1)-th distinct value.
-            kth = self._minima[-1]
-            if not self._saturated:
-                self._saturated = bool((hashes > kth).any())
-            hashes = hashes[hashes < kth]
-            if hashes.size == 0:
-                return
-        merged = np.unique(np.concatenate([self._minima, hashes]))
-        if merged.size > self.k:
-            merged = merged[:self.k]
-            self._saturated = True
-        self._minima = merged
 
     def estimate(self) -> float:
         """Estimated number of distinct keys seen (exact until saturation)."""
@@ -206,30 +185,19 @@ class StreamStatisticsCollector:
     def observe(self, columns: Mapping[str, np.ndarray]) -> None:
         """Absorb one batch given as attribute-name -> column arrays."""
         # Value-stable hashes: equal tuples get equal codes in every
-        # batch (pack_tuples codes would be batch-local).
+        # batch (pack_tuples codes would be batch-local). One call
+        # updates every sketch.
         lib = library.library()
-        if lib is not None:
-            # One call updates every sketch.
-            names = tuple(columns)
-            bound = self._bound
-            if bound is None or bound.names != names:
-                bound = self._bound = self._bind(names)
-            addresses, held = library.words(
-                [columns[name] for name in bound.read])
-            n = held[0].shape[0]
-            if lib.repro_kmv_observe(addresses.ctypes.data, len(held), n,
-                                     *bound.args) < 0:
-                raise MemoryError("no memory for the sketches' hashes")
-            self.records_seen += n
-            return
-        # One hash pass per batch: columns and chain prefixes are shared
-        # by relations.
-        chain = chain_hasher(columns)
-        n = 0
-        for rel in self.relations:
-            codes = chain(rel.names)
-            n = codes.size
-            self._distinct[rel].update(codes)
+        names = tuple(columns)
+        bound = self._bound
+        if bound is None or bound.names != names:
+            bound = self._bound = self._bind(names)
+        addresses, held = library.words(
+            [columns[name] for name in bound.read])
+        n = held[0].shape[0]
+        if lib.repro_kmv_observe(addresses.ctypes.data, len(held), n,
+                                 *bound.args) < 0:
+            raise MemoryError("no memory for the sketches' hashes")
         self.records_seen += n
 
     def _bind(self, names: tuple[str, ...]) -> "_Binding":

@@ -45,6 +45,16 @@ class WorkloadError(ReproError):
     """A workload generator was given infeasible parameters."""
 
 
+class NativeLibraryError(ReproError):
+    """The native library could not be built or loaded.
+
+    A C compiler is an install requirement, like numpy: the LFTA walk,
+    the partition hash, the statistics pass and the sketch update have
+    no other body. Raised at the first use of any of them; the message
+    carries the compiler's diagnostic on one line.
+    """
+
+
 class CheckpointError(ReproError):
     """A live-run checkpoint could not be written or restored.
 

@@ -1,50 +1,34 @@
-"""The vectorized LFTA engine: exact, array-at-a-time simulation.
+"""The LFTA engine: exact simulation of the direct-mapped tables.
 
 Within an epoch, a direct-mapped table's behaviour is fully determined by,
 per bucket, the time-ordered sequence of arriving group keys: a *run* of
 equal keys accumulates into one entry; the entry is evicted when the next
 run begins in the same bucket (a collision, at the time of the colliding
-arrival) or at the end-of-epoch flush. This engine therefore:
+arrival) or at the end-of-epoch flush, which scans the tables top-down,
+bucket by bucket. The record-at-a-time reference
+(:class:`repro.gigascope.lfta.SequentialLFTA`) is that machine as the
+paper states it (Sec. 2.2, Eqs. 7/8); this engine computes the same
+counters and answers, counter for counter.
 
-1. stable-sorts each relation's arrival stream by (bucket, time),
-2. detects run boundaries and computes per-run weights with segment sums,
-3. derives each run's eviction time and cause, and
-4. feeds the evicted runs — weights, value sums and projected group
-   columns — to the relation's children (or to the HFTA from leaves).
-
-Flush ordering is encoded in the time axis: intra-epoch arrivals occupy
-times ``[0, n)``; the flush of a depth-``d`` relation occupies the window
-``n + d * stride + bucket`` with ``stride > n`` large enough that windows
-never overlap, reproducing the top-down bucket-scan flush of the sequential
-reference exactly (tests assert counter-for-counter equality).
-
-Which relations ship their evictions to the HFTA is one list of emit
-flags built here: the queries. A query that feeds other relations ships
-its evictions to the HFTA *and* feeds its children. This walk hands an
-emitting relation's runs to the HFTA as one batch per epoch
-(``HFTA.ingest_arrays``), which the HFTA folds into the key's state at
-once.
-
-When the native library is available, the whole walk runs instead as
-one kernel call per epoch (:mod:`repro.native.ingest`): every relation in
-topological order simulates its direct-mapped table record-at-a-time in
-C, appends its evictions in eviction (= time) order to a list that is
-its children's arrival stream, and *folds* the emitting relations' runs
-itself, in the numpy walk's (bucket, start-time) order, into one row per
-group. Who folds where: the kernel walk folds in the walk, extending the
-state the HFTA already holds for that relation and epoch (its rows
-first, then the runs: the HFTA's own ordering rule), writes every
-group's aggregates and key columns (read through its representative's
-row) into one block per fold sized to its groups, and the HFTA keeps
-those arrays as its state (``HFTA.ingest_folded``). Bit-identity
-contract: the same buckets, runs,
-float accumulation order and counters as the numpy walk, and the same
-HFTA state (NaN sums included), group order and fold counts as the
-HFTA's fold of the numpy walk's batches. The numpy walk stays as the
-path without a compiler and as the reference. Which of the two runs is
-decided by :func:`repro.native.available` alone (no compiler or
-``REPRO_NO_CKERNEL=1`` leaves the numpy walk); both are differentially
-tested against each other and against the record-at-a-time reference.
+The walk is the native library's, one kernel call per epoch
+(:mod:`repro.native.ingest`): every relation in topological order
+simulates its direct-mapped table record-at-a-time in C, appends its
+evictions in eviction (= time) order to a list that is its children's
+arrival stream, and *folds* the emitting relations' runs itself, in
+(bucket, start-time) order, into one row per group. Which relations
+emit is one list of flags built here: the queries. A query that feeds
+other relations ships its evictions to the HFTA *and* feeds its
+children. The kernel folds in the walk, extending the state the HFTA
+already holds for that relation and epoch (its rows first, then the
+runs: the HFTA's own ordering rule), writes every group's aggregates
+and key columns (read through its representative's row) into one block
+per fold sized to its groups, and the HFTA keeps those arrays as its
+state (``HFTA.ingest_folded``). There is no other body: without a C
+compiler a call raises :class:`~repro.errors.NativeLibraryError`. The
+test suite keeps a sort-based numpy walk (``tests/references.py``) that
+holds the kernel to the same buckets, runs, float accumulation order,
+counters, HFTA states (NaN sums included), group order and fold counts,
+byte for byte.
 
 *A bound walk.* Everything a configuration, its allocation, the salt
 seed and the presence of a value column fix — relation order, table
@@ -65,8 +49,7 @@ own scratch, all bound to the one stream the first walk converted and
 checked. They pull epochs in order from one queue, and the caller hands
 the HFTA every folded state in epoch order, then relation order, after
 the join, and sums the threads' counters. The calls, states and floats
-are those of a one-thread walk, bit for bit. The numpy walk stays on
-the calling thread.
+are those of a one-thread walk, bit for bit.
 
 *One epoch on two lanes.* Once a relation is walked, its children's
 subtrees are independent work (the paper's per-relation cost, Sec. 2.2).
@@ -107,26 +90,14 @@ from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.errors import ConfigurationError
-from repro.gigascope.hashing import (
-    bucket_indices,
-    pack_tuples,
-    relation_salt,
-)
+from repro.gigascope.hashing import relation_salt
 from repro.gigascope.hfta import HFTA, ColumnarTotals
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
-from repro.native import available as _kernel_available
 from repro.native import ingest as _native
 from repro.observability.tracing import trace
 
 __all__ = ["Tables", "bucket_counts", "simulate"]
-
-# (times, weights, value-sums, value-mins, value-maxs, group columns,
-# shard ids); the three value arrays are all present or all None, the
-# shard ids None for a stream of one slice.
-_Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray | None,
-                  np.ndarray | None, np.ndarray | None,
-                  dict[str, np.ndarray], np.ndarray | None]
 
 
 class Tables:
@@ -137,7 +108,7 @@ class Tables:
     order, table sizes, salts, emit flags, column order, each relation's
     parent, depth and children, and which counters are priced. The
     kernel's :class:`~repro.native.ingest.Walk` is built from them at
-    the first kernel walk and kept, its scratch grown in place. Every
+    the first walk and kept, its scratch grown in place. Every
     :func:`simulate` call binds the ``Tables`` it is handed, or a new
     one, and walks through it; a caller that runs one configuration
     through many calls (``LiveStreamSystem``, once per epoch close)
@@ -192,7 +163,7 @@ class Tables:
                 children[p].append(r)
         names = list(dict.fromkeys(a for rel in rels for a in rel.names))
         column = {a: c for c, a in enumerate(names)}
-        # Both walks read the emit rule from here; a relation that emits
+        # The walk reads the emit rule from here; a relation that emits
         # still feeds its children.
         emit = [config.is_emitting(rel) for rel in rels]
         # Which counters the cost model prices (as CostCounters prices
@@ -454,12 +425,13 @@ def simulate(dataset: Dataset, config: Configuration,
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
     epoch per call into shared accumulators), and the same ``tables`` to
     bind the configuration once and keep the kernel's walk between them
-    (:class:`Tables`, which also holds each call's own counters). With
-    the kernel, a call over several epochs walks them on a thread pool,
-    and a one-epoch call may walk on two lanes; either touches
-    ``counters``/``hfta`` only once every epoch is walked: an error (a
-    fold out of memory in either lane included) leaves both as they
-    were. An optional
+    (:class:`Tables`, which also holds each call's own counters). A call
+    over several epochs walks them on a thread pool, and a one-epoch
+    call may walk on two lanes; either touches ``counters``/``hfta``
+    only once every epoch is walked: an error (a fold out of memory in
+    either lane included) leaves both as they were. Without the native
+    library a call with records raises
+    :class:`~repro.errors.NativeLibraryError`. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span, record/epoch counters and the ``engine.workers`` and
     ``engine.lanes`` gauges (the threads of a call over several epochs;
@@ -472,30 +444,25 @@ def simulate(dataset: Dataset, config: Configuration,
     n_records = len(dataset)
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
-    native = _kernel_available()
     with trace(registry, "engine"):
         epochs = list(dataset.epoch_slices(epoch_seconds))
         n_epochs = len(epochs)
-        workers = _workers(n_epochs) if native and n_epochs > 1 else 1
+        workers = _workers(n_epochs) if n_epochs > 1 else 1
         values = dataset.values[value_column] if value_column else None
         lanes = 1
-        if epochs and native:
-            lanes = _walk_native(tables, dataset.columns, values, epochs,
-                                 hfta, shards, slices, workers)
-        elif epochs:
-            _walk_numpy(tables, dataset.columns, values, epochs, hfta,
-                        shards, slices)
+        if epochs:
+            lanes = _walk(tables, dataset.columns, values, epochs, hfta,
+                          shards, slices, workers)
+            tables.count_into(counters)
         else:
             tables.stats = np.zeros((len(tables.rels), 4), dtype=np.int64)
-        if epochs:
-            tables.count_into(counters)
     if registry is not None:
         registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
         registry.gauge("engine.workers").set(workers)
         registry.gauge("engine.lanes").set(lanes)
     walk = (f"native kernel, {workers} worker{'s' * (workers != 1)}"
-            + ", 2 lanes" * (lanes == 2) if native else "numpy")
+            + ", 2 lanes" * (lanes == 2))
     return SimulationResult(counters, hfta, n_records, n_epochs, walk)
 
 
@@ -537,10 +504,10 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
     return ids, high + 1
 
 
-def _walk_native(tables: Tables, columns: Mapping[str, np.ndarray],
-                 values: np.ndarray | None, epochs: list[tuple[int, int, int]],
-                 hfta: HFTA, shards: np.ndarray | None = None,
-                 slices: int = 1, workers: int = 1) -> int:
+def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
+          values: np.ndarray | None, epochs: list[tuple[int, int, int]],
+          hfta: HFTA, shards: np.ndarray | None = None,
+          slices: int = 1, workers: int = 1) -> int:
     """Every epoch through the ingest kernel, one call per epoch, on
     ``workers`` threads (the calling one alone when 1), with ``slices``
     slices per table and each row in its ``shards`` slice; one epoch
@@ -639,119 +606,3 @@ def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],
     if errors:
         raise errors[0]
     return folded
-
-
-def _walk_numpy(tables: Tables, columns: Mapping[str, np.ndarray],
-                values: np.ndarray | None, epochs: list[tuple[int, int, int]],
-                hfta: HFTA, shards: np.ndarray | None = None,
-                slices: int = 1) -> None:
-    """Every epoch through the numpy walk, one relation at a time, with
-    ``slices`` slices per table and each row in its ``shards`` slice:
-    the shard ids travel with every arrival batch. ``tables.stats``
-    takes the call's counters."""
-    rels = tables.rels
-    stats = tables.stats = np.zeros((len(rels), 4), dtype=np.int64)
-    max_b = max(tables.sizes) * slices
-    times0, ones = tables.arrivals(max(end - start
-                                       for _, start, end in epochs))
-    raw = [r for r, p in enumerate(tables.parent) if p < 0]
-    for epoch_id, lo, hi in epochs:
-        n = hi - lo
-        stride = np.int64(n + max_b + 2)
-        arrivals: dict[int, _Arrivals] = {}
-        vals = values[lo:hi] if values is not None else None
-        shard = shards[lo:hi] if shards is not None else None
-        for r in raw:
-            cols = {a: columns[a][lo:hi] for a in rels[r].names}
-            # A single record's partials: sum = min = max = its value.
-            arrivals[r] = (times0[:n], ones[:n], vals, vals, vals, cols,
-                           shard)
-        for r, rel in enumerate(rels):  # parents first
-            t, w, vs, vmin, vmax, cols, shard = arrivals.pop(r)
-            evicted = _process_relation(
-                rel, t, w, vs, vmin, vmax, cols, n, stride,
-                tables.sizes[r], tables.salts[r], tables.depths[r],
-                stats[r], times_sorted=tables.parent[r] < 0, shard=shard)
-            if evicted is None:
-                continue
-            ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols, ev_shard = evicted
-            if tables.emit[r]:
-                hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
-                                   ev_vmin, ev_vmax)
-            for child in tables.children[r]:
-                child_cols = {a: ev_cols[a] for a in rels[child].names}
-                arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
-                                   child_cols, ev_shard)
-
-
-def _process_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
-                      vs: np.ndarray | None, vmin: np.ndarray | None,
-                      vmax: np.ndarray | None,
-                      cols: dict[str, np.ndarray],
-                      n: int, stride: np.int64, n_buckets: int, salt: int,
-                      depth: int, counts: np.ndarray,
-                      times_sorted: bool = False,
-                      shard: np.ndarray | None = None,
-                      ) -> _Arrivals | None:
-    """One relation-epoch of the numpy walk: its arrivals' runs, their
-    eviction times and partials, and its counters added to ``counts``
-    (arrivals intra, at the flush, evictions intra, at the flush)."""
-    m = int(t.shape[0])
-    if m == 0:
-        return None
-
-    flush_base = np.int64(n) + np.int64(depth) * stride
-    intra = int(np.count_nonzero(t < n))
-    columns = [cols[a] for a in rel.names]
-    key = pack_tuples(columns)
-    bkt = bucket_indices(columns, salt, n_buckets)
-    if shard is not None:  # each shard's slice of the table
-        bkt += shard * n_buckets
-    if times_sorted:
-        # t is already ascending (raw streams arrive in time order), so a
-        # stable single-key sort on the bucket yields the same permutation
-        # as the two-key lexsort at roughly half the cost.
-        order = np.argsort(bkt, kind="stable")
-    else:
-        order = np.lexsort((t, bkt))
-    sb = bkt[order]
-    sk = key[order]
-    st = t[order]
-
-    new_bucket = np.empty(m, dtype=bool)
-    new_bucket[0] = True
-    np.not_equal(sb[1:], sb[:-1], out=new_bucket[1:])
-    new_run = new_bucket.copy()
-    new_run[1:] |= sk[1:] != sk[:-1]
-    run_id = np.cumsum(new_run) - 1
-    run_start = np.flatnonzero(new_run)
-    n_runs = int(run_start.shape[0])
-
-    run_w = np.bincount(run_id, weights=w[order],
-                        minlength=n_runs).astype(np.int64)
-    run_vs = (np.bincount(run_id, weights=vs[order], minlength=n_runs)
-              if vs is not None else None)
-    run_vmin = (np.minimum.reduceat(vmin[order], run_start)
-                if vmin is not None else None)
-    run_vmax = (np.maximum.reduceat(vmax[order], run_start)
-                if vmax is not None else None)
-
-    # Eviction time and cause per run: a run is evicted by the first arrival
-    # of the next run if that run shares its bucket (collision), otherwise
-    # at the flush, in bucket-scan order within this relation's window.
-    evict_t = np.empty(n_runs, dtype=np.int64)
-    flush_mask = np.ones(n_runs, dtype=bool)
-    if n_runs > 1:
-        nxt = run_start[1:]
-        collided = ~new_bucket[nxt]
-        flush_mask[:-1] = ~collided
-        evict_t[:-1][collided] = st[nxt[collided]]
-    evict_t[flush_mask] = flush_base + sb[run_start[flush_mask]]
-
-    ev_intra = int(np.count_nonzero(evict_t < n))
-    counts += (intra, m - intra, ev_intra, n_runs - ev_intra)
-
-    rep = order[run_start]
-    ev_cols = {a: cols[a][rep] for a in rel.names}
-    ev_shard = shard[rep] if shard is not None else None
-    return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols, ev_shard

@@ -4,13 +4,14 @@ Two independent concerns are served:
 
 * **Group identity** — :func:`pack_tuples` maps attribute-value tuples to
   collision-free 64-bit codes (mixed-radix packing over factorized columns).
-  Used by the vectorized engine for exact run detection and by the HFTA for
-  exact aggregation.
+  Used by the HFTA's fold and the statistics helpers for exact grouping.
 * **Bucket placement** — :func:`bucket_indices` (vectorized) and
-  :func:`bucket_of_values` (scalar) hash the raw attribute *values* through
-  a salted splitmix64 chain and reduce modulo the table size. Both
-  implementations produce identical bucket choices, which is what makes the
-  sequential reference and the vectorized engine bit-comparable.
+  :func:`bucket_of_values` (scalar, the record-at-a-time reference's)
+  hash the raw attribute *values* through a salted splitmix64 chain
+  (:func:`combine_columns`) and reduce modulo the table size. Both
+  produce identical bucket choices, and the native library's
+  ``hash_block`` replicates the chain op for op, which is what makes
+  the sequential reference and the engine bit-comparable.
 
 The paper assumes "the hash function randomly hashes the data"; splitmix64
 is an excellent cheap approximation of that ideal.
@@ -19,7 +20,7 @@ is an excellent cheap approximation of that ideal.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "bucket_indices",
     "bucket_of_values",
     "combine_columns",
-    "chain_hasher",
     "pack_tuples",
     "relation_salt",
 ]
@@ -69,51 +69,16 @@ def combine_columns(columns: Sequence[np.ndarray],
     return _chain(columns, salt)
 
 
-def chain_hasher(columns: Mapping[str, np.ndarray]
-                 ) -> Callable[[tuple[str, ...]], np.ndarray]:
-    """``names -> combine_columns([columns[n] for n in names])``, shared.
-
-    The returned function hashes each column once and memoises every
-    chain prefix (``chain(ABC) = splitmix64(chain(AB) ^ chain(C))``), so
-    many relations over one batch cost one pass per distinct prefix
-    instead of one per relation and attribute. The operations are the
-    ones :func:`combine_columns` performs, in its order: the hashes are
-    bit-identical.
-    """
-    state = _chain_state(0)
-    memo: dict[tuple[str, ...], np.ndarray] = {}
-
-    def chain(names: tuple[str, ...]) -> np.ndarray:
-        acc = memo.get(names)
-        if acc is None:
-            if len(names) == 1:
-                acc = _column_hash(columns[names[0]], state)
-            else:
-                acc = splitmix64(chain(names[:-1]) ^ chain(names[-1:]))
-            memo[names] = acc
-        return acc
-
-    return chain
-
-
-def _chain_state(salt: int) -> np.uint64:
-    return splitmix64(np.uint64(salt & 0xFFFFFFFFFFFFFFFF))
-
-
-def _column_hash(col: np.ndarray, state: np.uint64) -> np.ndarray:
-    """The chain's per-column step: ``splitmix64(col ^ state)``."""
-    return splitmix64(np.asarray(col).astype(np.uint64) ^ state)
-
-
 def _chain(columns: Sequence[np.ndarray], salt: int) -> np.ndarray:
     """``h(c1)``, then ``splitmix64(acc ^ h(c))`` for each further column
-    ``c``, with ``h`` the per-column step. The native library's
-    ``hash_block`` (:data:`repro.native.library.SOURCE`) is the same
-    chain, computed column by column over a block of rows."""
-    state = _chain_state(salt)
+    ``c``, with ``h(c) = splitmix64(c ^ splitmix64(salt))`` the
+    per-column step. The native library's ``hash_block``
+    (:data:`repro.native.library.SOURCE`) is the same chain, computed
+    column by column over a block of rows."""
+    state = splitmix64(np.uint64(salt & 0xFFFFFFFFFFFFFFFF))
     acc = None
     for col in columns:
-        h = _column_hash(col, state)
+        h = splitmix64(np.asarray(col).astype(np.uint64) ^ state)
         acc = h if acc is None else splitmix64(acc ^ h)
     if acc is None:
         raise ValueError("need at least one column to hash")

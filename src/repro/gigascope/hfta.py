@@ -11,11 +11,10 @@ columns plus aligned int64/float64 aggregate arrays
 (:class:`ColumnarTotals`), one row per group, and it is the HFTA's only
 state. Every producer folds on arrival:
 
-* With the ingest kernel, the engine's walk folds each emitting
+* The engine's walk (the native ingest kernel) folds each emitting
   relation's evicted runs itself and hands the folded state over
   (:meth:`HFTA.ingest_folded`).
-* A batch of rows (:meth:`HFTA.ingest_arrays`: the numpy walk, one
-  batch per emitting relation and epoch; the record-at-a-time
+* A batch of rows (:meth:`HFTA.ingest_arrays`: the record-at-a-time
   reference, one per query at each epoch's flush; any caller) is
   folded into the key's state at once by a vectorized numpy fold.
 
@@ -33,8 +32,8 @@ is bitwise ``S`` for any accumulated sum ``S`` (state sums are never
 ``-0.0``; they were seeded at ``+0.0``). The walk's fold keeps the same
 rule: a seeded fold puts the state the key holds first, then the runs,
 so a live epoch reopened after ``finish()`` adds its floats as one fold
-would. Both folds write a NaN sum as ``np.nan``'s bits, so the kernel
-and numpy paths hold the same bytes.
+would. Both folds write a NaN sum as ``np.nan``'s bits, so the kernel's
+fold and the numpy fold of the same rows hold the same bytes.
 
 A query answer (:meth:`query_answer`) is a :class:`QueryAnswer`: a
 read-only ``Mapping`` over one key's folded state, with the aggregate

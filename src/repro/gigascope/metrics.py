@@ -88,8 +88,8 @@ class SimulationResult:
     (:func:`repro.gigascope.lfta.run_reference`) and the vectorized engine
     (:func:`repro.gigascope.engine.simulate`); tests assert the two agree
     counter-for-counter. ``walk`` names how the LFTA ran: ``"native
-    kernel, N workers"`` or ``"numpy"`` from the engine, ``"record at a
-    time"`` from the reference.
+    kernel, N workers"`` (and ``", 2 lanes"``) from the engine,
+    ``"record at a time"`` from the reference.
     """
 
     counters: CostCounters

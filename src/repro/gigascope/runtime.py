@@ -112,11 +112,6 @@ class RunReport:
 
     def summary(self) -> str:
         hfta = self.result.hfta
-        walk = self.result.walk or ""
-        # Every walk folds as it ingests: the kernel walk in C, every
-        # other one through the HFTA's numpy fold.
-        where = "in the walk, " + ("native ingest kernel"
-                                   if walk.startswith("native") else "numpy")
         lines = [
             f"records processed : {self.result.n_records}",
             f"epochs            : {self.result.n_epochs}",
@@ -127,7 +122,7 @@ class RunReport:
             f"cost per record   : {self.per_record_cost:.3f}",
             f"HFTA evictions    : {hfta.evictions_received}",
             f"HFTA merge        : {hfta.folds} folds over "
-            f"{hfta.rows_folded} rows ({where})",
+            f"{hfta.rows_folded} rows",
         ]
         if self.result.walk is not None:
             lines.insert(-1, f"LFTA walk         : {self.result.walk}")

@@ -1,20 +1,22 @@
 """The runtime-compiled native library and its Python entries.
 
-This package is the one place that knows whether C is available.
+The library is the product's only body of four facts: the LFTA walk,
+the partition hash, the statistics pass and the sketch update. A C
+compiler is an install requirement, like numpy; without one, the first
+use of any of them raises :class:`~repro.errors.NativeLibraryError`
+with the compiler's message, and :func:`machine_info` records it.
 ``repro.native.build`` owns the compile-at-first-use pattern (compiler
-discovery, on-disk cache, the ``REPRO_NO_CKERNEL`` opt-out, the
-per-process memo of load outcomes); ``repro.native.library`` holds the
-one C source, built and loaded once as one library, and
-:func:`available`, the one answer every caller picks its C or numpy
-body by — there is no per-call or per-object switch. The library's
-entries are wrapped by ``repro.native.ingest`` (the engine's LFTA walk
-of the whole forest, with the fold of what it emits, one call per
-epoch) and ``repro.native.partition`` (the sharded runtime's partition
-hash and the planner's one-pass group and flow counts);
-``repro.core.sketches`` calls the sketches' entry itself.
+discovery, on-disk cache, the per-process memo of load outcomes);
+``repro.native.library`` holds the one C source, built and loaded once
+as one library. The library's entries are wrapped by
+``repro.native.ingest`` (the engine's LFTA walk of the whole forest,
+with the fold of what it emits, one call per epoch) and
+``repro.native.partition`` (the sharded runtime's partition hash and
+the planner's one-pass group and flow counts); ``repro.core.sketches``
+calls the sketches' entry itself.
 
-This package imports nothing from the rest of ``repro``, so any tier can
-depend on it without cycles.
+This package imports nothing from the rest of ``repro`` but
+:mod:`repro.errors`, so any tier can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ from repro.native.build import (
     KernelStatus,
     compiler_path,
     kernel_status,
-    kernels_disabled,
     load_kernel,
 )
 from repro.native.library import available
 
 __all__ = ["DEFAULT_FLAGS", "KernelStatus", "available", "compiler_path",
-           "kernel_status", "kernels_disabled", "load_kernel",
-           "machine_info"]
+           "kernel_status", "load_kernel", "machine_info"]
 
 
 def machine_info() -> dict:
@@ -45,7 +45,8 @@ def machine_info() -> dict:
 
     The library's load is attempted, so availability is definitive:
     ``c_kernel`` is whether it compiled and loaded, and ``kernels`` holds
-    its one record, the compiler error of a failed build included, and
+    its one record, the compiler error of a failed build included (this
+    call reports it; the library's first use raises it), and
     ``hash_isa``, the block hasher it runs
     (:func:`repro.native.library.hash_isa`).
     """
@@ -57,7 +58,6 @@ def machine_info() -> dict:
         "cpu_count": os.cpu_count(),
         "compiler": compiler_path(),
         "c_kernel": loaded,
-        "c_kernel_disabled": kernels_disabled(),
         "kernels": {library.NAME: {**kernel_status(library.NAME).to_dict(),
                                    "hash_isa": library.hash_isa()}},
     }

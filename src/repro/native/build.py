@@ -4,18 +4,17 @@ A self-contained C source string is compiled at first use with whatever
 compiler the host offers, cached as a shared object in the system temp
 directory keyed by a hash of the source and flags, and loaded through
 :mod:`ctypes`. This module owns that pattern once — compiler discovery,
-the on-disk cache with atomic publish, the ``REPRO_NO_CKERNEL`` opt-out
-(read here and nowhere else), and the one per-process memo of load
-outcomes (library, or disabled / compiler error). It knows no kernel of
-its own: the repo builds one library through it
+the on-disk cache with atomic publish, and the one per-process memo of
+load outcomes (library, or compiler error). It knows no kernel of its
+own: the repo builds one library through it
 (:mod:`repro.native.library`), whose record
 :func:`repro.native.machine_info` surfaces in ``RunManifest.machine``.
 
-A kernel is best-effort by design: a missing compiler or a failed build
-degrades to the numpy path, never to an exception. The degradation is
-not silent — the first failed load of a kernel emits a
-``RuntimeWarning`` carrying the compiler diagnostic, and the error string
-stays queryable through :func:`kernel_status`.
+A failed build is recorded, not raised: :func:`load_kernel` returns
+None and the error string stays queryable through
+:func:`kernel_status`. What a failure means is the caller's to say; the
+library's first use raises it as
+:class:`~repro.errors.NativeLibraryError`.
 
 The cache lives in a shared directory under a predictable name, so a
 cached file is loaded only when it is a regular file owned by this user
@@ -36,25 +35,19 @@ import os
 import shutil
 import stat
 import subprocess
-import sys
 import tempfile
 import threading
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 __all__ = ["DEFAULT_FLAGS", "KernelStatus", "compiler_path",
-           "kernels_disabled", "kernel_status", "load_kernel"]
+           "kernel_status", "load_kernel"]
 
 #: Contraction and fast-math stay off: bit-identity to numpy requires
 #: every intermediate to round exactly as IEEE binary64.
 DEFAULT_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
                  "-fno-fast-math")
-
-#: Environment opt-out honoured by every kernel (no compile attempt, no
-#: warning — the downgrade is requested, not silent).
-DISABLE_ENV = "REPRO_NO_CKERNEL"
 
 
 @dataclass
@@ -63,8 +56,6 @@ class KernelStatus:
 
     name: str
     available: bool = False
-    #: True when ``REPRO_NO_CKERNEL`` suppressed the attempt.
-    disabled: bool = False
     #: Compiler path used (None when no compiler was found).
     compiler: str | None = None
     #: Diagnostic for a failed build/load, None on success.
@@ -73,8 +64,8 @@ class KernelStatus:
     lib: ctypes.CDLL | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {"available": self.available, "disabled": self.disabled,
-                "compiler": self.compiler, "error": self.error}
+        return {"available": self.available, "compiler": self.compiler,
+                "error": self.error}
 
 
 #: The per-process memo: one load attempt, hence one record, per kernel.
@@ -84,11 +75,6 @@ _statuses: dict[str, KernelStatus] = {}
 #: Held around every first attempt, so a concurrent caller waits for its
 #: outcome instead of reading an attempt still in progress.
 _first_load = threading.Lock()
-
-
-def kernels_disabled() -> bool:
-    """Whether ``REPRO_NO_CKERNEL`` requests the pure-python paths."""
-    return bool(os.environ.get(DISABLE_ENV))
 
 
 def compiler_path() -> str | None:
@@ -182,12 +168,10 @@ def load_kernel(name: str, source: str,
 
     ``signatures`` maps each exported function to its ctypes ``(restype,
     argtypes)``, applied once when the library loads. One attempt per
-    process per name: the outcome (library or failure diagnostic) is
-    memoised here and nowhere else, so callers gate hot paths on this
-    freely; a thread that asks while another thread's first attempt is
-    under way waits for its outcome. A failed build emits a one-time
-    ``RuntimeWarning`` with the compiler error; ``REPRO_NO_CKERNEL``
-    suppresses both the attempt and the warning.
+    process per name: the outcome (library or failure diagnostic,
+    :func:`kernel_status`) is memoised here and nowhere else, so callers
+    ask for it freely; a thread that asks while another thread's first
+    attempt is under way waits for its outcome.
     """
     status = _statuses.get(name)
     if status is not None:
@@ -208,9 +192,6 @@ def _attempt(name: str, source: str,
              flags: tuple[str, ...], status: KernelStatus
              ) -> ctypes.CDLL | None:
     """:func:`load_kernel`'s one attempt, recorded into ``status``."""
-    if kernels_disabled():
-        status.disabled = True
-        return None
     try:
         lib = _build_and_load(name, source, flags, status)
         if lib is not None:
@@ -223,27 +204,9 @@ def _attempt(name: str, source: str,
     except Exception as exc:  # e.g. a fresh build that does not load
         if status.error is None:
             status.error = f"{type(exc).__name__}: {exc}"
-    warnings.warn(
-        f"native kernel {name!r} unavailable, falling back to the "
-        f"pure-python/numpy path ({status.error}); set "
-        f"{DISABLE_ENV}=1 to silence this warning",
-        RuntimeWarning, stacklevel=_outside_level())
     return None
-
-
-def _outside_level() -> int:
-    """The ``stacklevel`` that makes a warning raised by this function's
-    caller name the first frame outside this package: the code whose run
-    fell back, which a ``module=`` warning filter can then target however
-    many of the package's own frames lie in between."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and (frame.f_globals.get("__name__", "")
-                                 + ".").startswith(f"{__package__}."):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def kernel_status(name: str) -> KernelStatus | None:
     """The recorded load outcome for ``name`` (None before any attempt)."""
     return _statuses.get(name)
-

@@ -1,19 +1,19 @@
 """The engine's LFTA pass in C: one call walks the forest.
 
-The numpy engine (:mod:`repro.gigascope.engine`) spends an epoch's budget
-on a chain of whole-array passes per relation — ``pack_tuples`` (one
-``np.unique`` per attribute), the salted splitmix64 chain, an
-``argsort``/``lexsort`` by (bucket, time), run-boundary detection, and
-segment sums — and hands each relation's evictions to its children in
-Python. ``repro_walk``, the walk of the native library
+``repro_walk``, the walk of the native library
 (:mod:`repro.native.library`), *simulates the direct-mapped tables
 directly*, every relation of the configuration in one call per epoch:
 for each relation in topological order, one cache-friendly pass over its
 time-ordered arrivals that hashes, probes, accumulates, and detects
-collisions per record, then the end-of-epoch flush. The pass hashes a
-block of 256 arrivals column by column (``hash_block``), then probes
-that block: the hashes of a block are independent, so they run in
-vector lanes. The raw arrivals of an epoch
+collisions per record, then the end-of-epoch flush. A vectorized walk
+would instead pay a chain of whole-array passes per relation — a pack
+of the key columns, the salted splitmix64 chain, an ``argsort`` by
+(bucket, time), run-boundary detection, segment sums — and hand each
+relation's evictions to its children in Python; that sort-based walk
+is the test suite's reference (``tests/references.py``).
+The pass hashes a block of 256 arrivals column by column
+(``hash_block``), then probes that block: the hashes of a block are
+independent, so they run in vector lanes. The raw arrivals of an epoch
 are a contiguous range of the stream's rows.
 
 *Shards.* A relation's table may be several slices side by side, one
@@ -36,8 +36,8 @@ on the child's, so nothing is projected or copied.
 
 *The fold.* A relation whose emit flag is set (a query; a relation may
 emit and feed children) is the HFTA's input, and
-the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in the
-numpy path's emission order (bucket, start-time), go straight into an
+the walk does the HFTA's work on it (paper Sec. 2.2): its runs, in
+emission order (bucket, start-time), go straight into an
 open-addressing group table — the library's ``find_slot`` probe,
 equality on the raw columns — that folds them to one row per group. A
 fold may *extend* a state the caller hands in (a seed): the seed's
@@ -82,10 +82,12 @@ comes from its malloc arena. The folds, runs and summed
 counters are a one-lane call's, bit for bit: each relation is walked
 once, from the same arrivals, into a walk of its own.
 
-Bit-identity contract with the numpy walk and the HFTA's fold of its
-batches (pinned by ``tests/gigascope/test_differential.py``,
+Bit-identity contract with the reference numpy walk of the test suite
+and the HFTA's fold of its batches (pinned by
+``tests/gigascope/test_forest_walk.py``,
 ``tests/gigascope/test_walk_fold.py`` and
-``tests/gigascope/test_native_ingest.py``):
+``tests/gigascope/test_native_ingest.py``; the record-at-a-time
+``SequentialLFTA`` judges both in ``test_differential.py``):
 
 * *Runs.* A bucket's resident run is extended only while every raw
   attribute value matches the run's representative — the same
@@ -111,8 +113,8 @@ batches (pinned by ``tests/gigascope/test_differential.py``,
   numpy walk's batch gives them; the intra/flush arrival and eviction
   counts are the numpy walk's, event for event.
 
-Without the library (no compiler, ``REPRO_NO_CKERNEL=1``) the engine
-takes the numpy walk, with identical results.
+Without the library a :class:`Walk` cannot be built: its constructor
+raises :class:`~repro.errors.NativeLibraryError`.
 """
 
 from __future__ import annotations
@@ -210,6 +212,7 @@ class Walk:
                  keys: Sequence[Sequence[int]], salts: Sequence[int],
                  buckets: Sequence[int], emit: Sequence[bool],
                  values: bool, longest: int, slices: int = 1):
+        lib = library.library()
         n_rel = len(parent)
         if any(len(seq) != n_rel for seq in (keys, salts, buckets, emit)):
             raise ValueError("every per-relation sequence needs one entry "
@@ -299,9 +302,7 @@ class Walk:
         self.stats = fields["stats"].reshape(n_rel, 4)
         self._column_ptrs = fields["columns"].view(np.uintp)
         self._ref = ctypes.byref(struct)
-        lib = library.library()
-        if lib is not None:
-            weakref.finalize(self, lib.repro_walk_free, self._ref)
+        weakref.finalize(self, lib.repro_walk_free, self._ref)
         self.rows = 0
         self.columns: list[np.ndarray] = []
         self.values: np.ndarray | None = None
@@ -561,8 +562,8 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     so the flush windows start at ``n``. Every other relation is fed its
     parent's evictions.
 
-    Every emitting relation's runs are folded in the walk, in the numpy
-    path's (bucket, start-time) order; ``seeds[r]``, when given, is the
+    Every emitting relation's runs are folded in the walk, in
+    (bucket, start-time) order; ``seeds[r]``, when given, is the
     state relation ``r``'s fold extends (its groups first). Returns one
     :class:`Fold` per emitting relation with at least one run, in walk
     order; with a count-only stream the sums are 0.0 and the minima and
@@ -576,11 +577,9 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     thread, each relation's counters in its lane's ``stats``; the folds,
     the runs and the counters' sum are those of one lane, bit for bit.
     A fold that runs out of memory in either lane stops both and raises
-    :class:`MemoryError`. Call only when
-    :func:`repro.native.library.available`.
+    :class:`MemoryError`.
     """
     lib = library.library()
-    assert lib is not None
     n = int(t.shape[0])
     walks = (walk,) if lanes is None else (walk, lanes.second)
     if lanes is not None and lanes.first is not walk:

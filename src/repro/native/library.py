@@ -26,12 +26,14 @@ regime. :data:`SOURCE` holds both and the four things built on them:
 
 The source is compiled once per process at first use, through
 :func:`repro.native.build.load_kernel`, as the library named
-:data:`NAME`; :func:`available` is the one answer every caller reads
-(``simulate``, ``HashPartitioner.shard_ids``, ``measure_statistics``,
-``StreamStatisticsCollector.observe``, the sharded
-``partition.kernel`` gauge). No compiler, a failed build or
-``REPRO_NO_CKERNEL=1`` leaves every caller on its numpy body, with
-identical results; a failed build warns once.
+:data:`NAME`. It is the only body of the four (a C compiler is an
+install requirement, like numpy): :func:`library` hands it to every
+caller (``simulate``, ``HashPartitioner.shard_ids``,
+``measure_statistics``, ``StreamStatisticsCollector.observe``), and a
+library that did not build raises
+:class:`~repro.errors.NativeLibraryError` there, with the compiler's
+message. :func:`available` only reports the outcome, for
+``machine_info()``.
 
 Every hash of a stream row goes through ``hash_block``, which hashes a
 block of up to ``HASH_BLOCK`` rows (contiguous, or gathered through a
@@ -42,10 +44,10 @@ hashes a block of arrivals and then probes it; a fold hashes the seed
 rows of the state it extends, and the partition hash and the
 statistics pass the stream, the same way. The sketches hash each
 stream column of a block once (``hash_block``'s first step) and finish
-every relation's chain from those hashes in ``kmv_keys``, as
-:func:`repro.gigascope.hashing.chain_hasher` shares a column's hash
-among relations. The library builds with ``-O3``; on x86-64 glibc with
-GCC >= 12, ``hash_block`` and ``kmv_keys`` are also cloned for
+every relation's chain from those hashes in ``kmv_keys``, so a
+column's hash is shared among relations. The library builds with
+``-O3``; on x86-64 glibc with GCC >= 12, ``hash_block`` and
+``kmv_keys`` are also cloned for
 ``x86-64-v4`` (AVX-512) through ``target_clones``, and the loader's
 ifunc picks the clone the running CPU supports, so a cached library
 stays valid on any host. Every other build, clang's included, is the
@@ -68,7 +70,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.native.build import load_kernel
+from repro.errors import NativeLibraryError
+from repro.native.build import kernel_status, load_kernel
 
 __all__ = ["NAME", "SOURCE", "address", "available", "hash_isa",
            "library", "words"]
@@ -1096,25 +1099,31 @@ _SIGNATURES = {
 }
 
 
-def library() -> ctypes.CDLL | None:
-    """The loaded library, signatures applied; None when it is
-    unavailable. One attempt per process (the memo of
-    :func:`repro.native.build.load_kernel`)."""
-    return load_kernel(NAME, SOURCE, _SIGNATURES)
+def library() -> ctypes.CDLL:
+    """The loaded library, signatures applied. One attempt per process
+    (the memo of :func:`repro.native.build.load_kernel`); when it
+    failed, every call raises :class:`~repro.errors.NativeLibraryError`
+    with the compiler's message on one line."""
+    lib = load_kernel(NAME, SOURCE, _SIGNATURES)
+    if lib is None:
+        error = " ".join(kernel_status(NAME).error.split())
+        raise NativeLibraryError(
+            f"the native library {NAME!r} could not be built or loaded "
+            f"(a C compiler is required): {error}")
+    return lib
 
 
 def available() -> bool:
-    """Whether the library compiled and loaded: the one answer every
-    caller picks its C or numpy body by."""
-    return library() is not None
+    """Whether the library compiled and loaded; a failed build is
+    reported, not raised."""
+    return load_kernel(NAME, SOURCE, _SIGNATURES) is not None
 
 
 def hash_isa() -> str | None:
     """Which block hasher the library runs: ``"x86-64-v4"`` or
     ``"default"`` (the clone the loader picked for this CPU) or
     ``"plain"`` (a build without clones); None when it is unavailable."""
-    lib = library()
-    return None if lib is None else lib.repro_hash_isa().decode()
+    return library().repro_hash_isa().decode() if available() else None
 
 
 _NO_BYTES = ctypes.c_char * 0
@@ -1135,9 +1144,9 @@ def words(columns: Sequence[np.ndarray],
     Each column becomes one contiguous run of int64 words, viewed as the
     ``uint64_t`` the C code hashes and compares (a copy only where the
     column is not already one). There must be at least one column (the
-    hash chain reads the first; the message is ``pack_tuples``'s, the
-    numpy bodies' check), and every column must be 1-D and ``n`` long
-    (the first column's length when ``n`` is None), else ``ValueError``.
+    hash chain reads the first; the message is ``pack_tuples``'), and
+    every column must be 1-D and ``n`` long (the first column's length
+    when ``n`` is None), else ``ValueError``.
     Returns the address array a ``const uint64_t **`` parameter takes
     and the words, which must outlive every call that reads them.
     """

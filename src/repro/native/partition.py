@@ -1,8 +1,8 @@
 """The native library's two one-pass entries over a stream's columns.
 
 Both hash rows through the library's salted splitmix64 chain
-(:mod:`repro.native.library`), each where its numpy body pays the chain,
-a pack or a sort as dozens of whole-array passes:
+(:mod:`repro.native.library`) in one pass over the stream, where numpy
+would pay the chain, a pack or a sort as dozens of whole-array passes:
 
 * :func:`hash_shards` — the sharded runtime's record-to-shard hash:
   ``chain(key columns, salt) % n_shards`` as int64 ids, the ids
@@ -10,24 +10,25 @@ a pack or a sort as dozens of whole-array passes:
   ``simulate(..., shards=ids)``, which walks each record in its shard's
   slice of every table, so no lane is copied or indexed. int64
   attribute values are *viewed* as uint64, which wraps negatives
-  exactly like numpy's ``astype(np.uint64)`` (pinned by
+  exactly like numpy's ``astype(np.uint64)``: the ids are
+  ``combine_columns(cols, salt) % n_shards`` (pinned by
   ``tests/parallel/test_partition.py``).
 * :func:`group_stats` — the planner's exact statistics (``g_R`` and the
   gap-based flow count behind ``l_R``) for one relation in one pass
-  over the records, where the numpy body (``Dataset.group_count`` +
-  ``workloads.datasets.flow_count``) packs the key columns twice and
-  sorts them twice. Each record finds or inserts its group in the
+  over the records, the counts ``Dataset.group_count`` and
+  ``workloads.datasets.flow_count`` take a pack and a sort each for.
+  Each record finds or inserts its group in the
   library's group table, equality on the raw columns, and the table
   keeps the group's last timestamp; a new group opens a flow, a known
   group opens another when ``!((t - last) <= timeout)``. Timestamps are
-  non-decreasing, so a group's arrivals are already the order the sort
-  path's ``lexsort`` by (code, time) visits them, and the float
-  subtraction and comparison are the same ones: the counts are equal,
-  ties and gaps exactly at the timeout included (pinned by
+  non-decreasing, so a group's arrivals are already the order
+  ``flow_count``'s ``lexsort`` by (code, time) visits them, and the
+  float subtraction and comparison are the same ones: the counts are
+  equal, ties and gaps exactly at the timeout included (pinned by
   ``tests/workloads/test_datasets.py``).
 
-Call either only when :func:`repro.native.library.available`; without
-the library every caller takes its numpy body, with identical results.
+Without the library either raises
+:class:`~repro.errors.NativeLibraryError`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ def hash_shards(cols: list[np.ndarray], salt: int,
     ``cols`` are the integer attribute columns of the partition key.
     """
     lib = library.library()
-    assert lib is not None
     if n_shards < 1:
         raise ValueError("need at least one shard")
     addresses, held = library.words(cols)
@@ -71,7 +71,6 @@ def group_stats(cols: list[np.ndarray], timestamps: np.ndarray,
     group count only.
     """
     lib = library.library()
-    assert lib is not None
     n = int(timestamps.shape[0])
     addresses, held = library.words(cols, n)
     timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)

@@ -17,11 +17,10 @@ a relation are N slices of one table, walked in one pass.
 See ``docs/sharding.md`` for semantics and the memory-split policy.
 """
 
-from repro.parallel.partition import HashPartitioner, split_dataset
+from repro.parallel.partition import HashPartitioner
 from repro.parallel.sharded import ShardedStreamSystem
 
 __all__ = [
     "HashPartitioner",
     "ShardedStreamSystem",
-    "split_dataset",
 ]

@@ -8,8 +8,7 @@ minima/maxima combine — the same property that makes phantoms lossless),
 *any* assignment preserves query answers; :func:`check_shard_ids`
 validates one, and ``simulate(..., shards=ids)`` walks every shard in
 its own slice of each table, in one pass over the stream, so a shard
-is never copied; :func:`split_dataset` gathers each shard's rows into
-a dataset of its own for callers that want copies.
+is never copied.
 
 :class:`HashPartitioner` is the one built-in partitioner: a salted
 splitmix64 hash of a grouping-key projection. Records of one group land
@@ -17,11 +16,10 @@ on one shard, so each shard's tables see a disjoint slice of the group
 space and keep the single-system groups-per-bucket ratio the cost model
 prices.
 
-The hash behind :class:`HashPartitioner` runs through the native
-library (:func:`repro.native.partition.hash_shards`) whenever it loaded;
-the numpy body below is the fallback (no compiler,
-``REPRO_NO_CKERNEL=1``) and the oracle the library is tested against,
-with identical ids.
+The hash behind :class:`HashPartitioner` is the native library's
+(:func:`repro.native.partition.hash_shards`): the ids are
+``combine_columns(key columns, salt) % n_shards``, the chain of
+:mod:`repro.gigascope.hashing`, which the tests hold it to.
 """
 
 from __future__ import annotations
@@ -33,14 +31,11 @@ import numpy as np
 
 from repro.core.attributes import AttributeSet
 from repro.errors import ConfigurationError
-from repro.gigascope.hashing import combine_columns
 from repro.gigascope.records import Dataset
-from repro.native import available as _kernel_available
 from repro.native import partition as _native
 
 __all__ = [
     "HashPartitioner",
-    "split_dataset",
     "balance_summary",
     "check_shard_count",
     "check_shard_ids",
@@ -118,11 +113,8 @@ class HashPartitioner:
             raise ConfigurationError(
                 "HashPartitioner needs at least one key attribute to hash, "
                 "got an empty key")
-        columns = [dataset.columns[a] for a in attrs]
-        if _kernel_available():
-            return _native.hash_shards(columns, self.salt, n_shards)
-        hashes = combine_columns(columns, self.salt)
-        return (hashes % np.uint64(n_shards)).astype(np.int64)
+        return _native.hash_shards([dataset.columns[a] for a in attrs],
+                                   self.salt, n_shards)
 
 
 def balance_summary(counts: list[int], strategy: str = "") -> dict:
@@ -140,22 +132,3 @@ def balance_summary(counts: list[int], strategy: str = "") -> dict:
         "largest_shard": largest,
         "imbalance": float(largest / mean) if mean else 1.0,
     }
-
-
-def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
-                  n_shards: int) -> list[Dataset]:
-    """Materialize the shard streams for a record-to-shard assignment.
-
-    ``shard_ids`` must assign every record an integer id in
-    ``[0, n_shards)``. Each shard gathers its rows in ascending order, so
-    records keep their arrival order and timestamps remain
-    non-decreasing.
-    """
-    n_shards = check_shard_count(n_shards)
-    ids = check_shard_ids(shard_ids, n_shards, len(dataset))
-    return [Dataset(dataset.schema,
-                    {a: col[rows] for a, col in dataset.columns.items()},
-                    dataset.timestamps[rows],
-                    {v: col[rows] for v, col in dataset.values.items()})
-            for rows in (np.flatnonzero(ids == shard)
-                         for shard in range(n_shards))]

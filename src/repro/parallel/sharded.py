@@ -41,7 +41,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
 from repro.gigascope.runtime import RunReport, StreamSystem
-from repro.native import available as kernel_available
 from repro.observability import MetricsRegistry
 from repro.observability.tracing import Span
 from repro.parallel.partition import (HashPartitioner, balance_summary,
@@ -161,7 +160,6 @@ class ShardedStreamSystem(StreamSystem):
             registry.gauge("partition.empty_shards").set(
                 summary["empty_shards"])
             registry.gauge("partition.imbalance").set(summary["imbalance"])
-            registry.gauge("partition.kernel").set(int(kernel_available()))
         result = simulate(dataset, self.configuration, self.shard_buckets,
                           self.queries.epoch_seconds, self.value_column,
                           self.salt_seed, registry=registry, shards=ids)

@@ -14,10 +14,9 @@ and flow lengths for clustered data via two estimators —
 
 :func:`measure_statistics`, the planner's input, computes a relation's
 group count and gap-based flow count in one pass through the native
-library's group table (:func:`repro.native.partition.group_stats`) when
-it is available. Its numpy body — ``Dataset.group_count``'s
-``np.unique`` plus :func:`flow_count`'s ``lexsort`` — is the fallback and
-the oracle the kernel is tested against, field for field.
+library's group table (:func:`repro.native.partition.group_stats`),
+equal field for field to ``Dataset.group_count`` and :func:`flow_count`
+(the test suite holds it to them).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.statistics import RelationStatistics
 from repro.gigascope.engine import simulate
 from repro.gigascope.hashing import pack_tuples
 from repro.gigascope.records import Dataset
-from repro.native import available as _kernel_available
 from repro.native import partition as _native
 
 __all__ = ["flow_count", "mean_flow_length", "calibrated_flow_length",
@@ -133,25 +131,18 @@ def measure_statistics(dataset: Dataset,
     """Exact group counts (and optionally flow lengths) for relations.
 
     Pass ``flow_timeout`` for clustered traces to record gap-based flow
-    lengths; omit it for random data (``l = 1`` everywhere). With the
-    native library each relation costs one hash pass
-    (:func:`repro.native.partition.group_stats`); without it, a
-    group-unique and a flow sort, with equal results.
+    lengths; omit it for random data (``l = 1`` everywhere). Each
+    relation costs one hash pass of the native library
+    (:func:`repro.native.partition.group_stats`).
     """
     groups: dict[AttributeSet, float] = {}
     flows: dict[AttributeSet, float] = {}
-    one_pass = _kernel_available()
     for rel in relations:
         attrs = dataset.schema.attribute_set(rel)
-        if one_pass:
-            g, n_flows = _native.group_stats(
-                [dataset.columns[a] for a in attrs], dataset.timestamps,
-                flow_timeout)
-            groups[attrs] = float(g)
-            if flow_timeout is not None:
-                flows[attrs] = _mean_length(len(dataset), n_flows)
-        else:
-            groups[attrs] = float(dataset.group_count(attrs))
-            if flow_timeout is not None:
-                flows[attrs] = mean_flow_length(dataset, attrs, flow_timeout)
+        g, n_flows = _native.group_stats(
+            [dataset.columns[a] for a in attrs], dataset.timestamps,
+            flow_timeout)
+        groups[attrs] = float(g)
+        if flow_timeout is not None:
+            flows[attrs] = _mean_length(len(dataset), n_flows)
     return RelationStatistics(groups, flows, counters=counters)

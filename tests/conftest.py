@@ -31,7 +31,6 @@ from repro import (
 )
 from repro.gigascope import engine
 from repro.native import build as native_build
-from repro.native import machine_info
 from repro.workloads import make_group_universe, uniform_dataset
 
 
@@ -45,36 +44,23 @@ PAPER_GROUPS = {
 }
 
 
-#: For tests that call a kernel function directly.
-needs_kernel = pytest.mark.skipif(
-    not machine_info()["c_kernel"],
-    reason="no C compiler available (or REPRO_NO_CKERNEL set)")
-
-
 @contextmanager
-def numpy_kernels_off():
-    """Inside the block no C kernel is available: ``REPRO_NO_CKERNEL=1``
-    and a fresh load memo, exactly what a process started with the
-    variable sees. The kernels' callers take their numpy/scalar bodies;
-    calling a kernel function directly is an error."""
+def without_library():
+    """Inside the block the native library cannot be built: no C
+    compiler is found and the load memo is fresh, as a process on a host
+    without one sees it. Every product use of the library raises
+    :class:`~repro.errors.NativeLibraryError`."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(native_build.DISABLE_ENV, "1")
+        patch.setattr(native_build, "compiler_path", lambda: None)
         patch.setattr(native_build, "_statuses", {})
-        yield
-
-
-@pytest.fixture
-def numpy_kernels():
-    """The whole test runs under :func:`numpy_kernels_off`."""
-    with numpy_kernels_off():
         yield
 
 
 @contextmanager
 def walk_workers_of(n: int):
     """Inside the block every kernel walk over more than one epoch runs
-    on ``n`` threads, ``n`` larger than the epoch count included;
-    ``engine._workers`` is patched, so the numpy walk is untouched."""
+    on ``n`` threads, ``n`` larger than the epoch count included
+    (``engine._workers`` is patched)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_workers", lambda n_epochs: n)
         yield

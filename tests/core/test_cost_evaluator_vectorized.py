@@ -24,7 +24,7 @@ from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, intra_cost, per_record_cost
 from repro.core.statistics import RelationStatistics
 from repro.errors import AllocationError
-from tests.conftest import numpy_kernels_off
+from tests.conftest import without_library
 from tests.references import RefCostEvaluator, ref_scalar_descend
 
 
@@ -122,11 +122,12 @@ class TestDescentEquivalence:
             START_STEP * memory, POLISH_STEP * memory)
 
     def test_allocate_same_without_kernel(self):
-        """ES reaches no C kernel: switching them off leaves its buckets
-        as they were. It fails only if a kernel path comes back that
-        does not match the scalar descent."""
+        """ES reaches no C kernel: without the native library it
+        allocates the same buckets. It fails if ES comes to need the
+        library, or if a kernel path comes back that does not match the
+        scalar descent."""
         a = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0, PARAMS)
-        with numpy_kernels_off():
+        with without_library():
             b = ExhaustiveAllocator().allocate(CONFIG, STATS, 40000.0,
                                                PARAMS)
         assert a.buckets == b.buckets
@@ -136,7 +137,7 @@ class TestDescentEquivalence:
         config = Configuration.from_notation("(ABC(AB BC))")
         es = ExhaustiveAllocator(clustered=False)
         kernel = es.allocate(config, STATS, 20000.0, PARAMS).buckets
-        with numpy_kernels_off():
+        with without_library():
             assert es.allocate(config, STATS, 20000.0,
                                PARAMS).buckets == kernel
 

@@ -1,4 +1,10 @@
-"""Tests for the streaming sketches."""
+"""Tests for the streaming sketches.
+
+Every sketch is updated by the native library's ``repro_kmv_observe``
+(``StreamStatisticsCollector.observe``); the numpy reference of
+``tests/references.py`` (the unfiltered update, one hash chain per
+relation) holds it to the same minima, flags and estimates, byte for
+byte."""
 
 import numpy as np
 import pytest
@@ -7,74 +13,76 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
 from repro.errors import StatisticsError
-from repro.gigascope.hashing import (
-    chain_hasher,
-    combine_columns,
-    splitmix64,
-)
+from repro.gigascope.hashing import combine_columns, splitmix64
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.workloads import measure_statistics
 
-from tests.conftest import needs_kernel, numpy_kernels_off
-from tests.references import reference_kmv_update, reference_observe
+from tests.references import reference_observe
+
+#: Two relations of one attribute each: the collector salts their
+#: sketches 1 and 2 (its first and second relation).
+A, B = AttributeSet.parse("A"), AttributeSet.parse("B")
+
+
+def observed(*batches, k=64, relations=(A,)):
+    """A collector over ``relations`` after each batch of values, as
+    the column of every attribute, went through ``observe``."""
+    collector = StreamStatisticsCollector(relations, k=k)
+    for batch in batches:
+        values = np.asarray(batch, dtype=np.int64)
+        collector.observe({"A": values, "B": values})
+    return collector
+
+
+def sketch_of(*batches, k=64):
+    """``A``'s KMV sketch after the batches."""
+    return observed(*batches, k=k)._distinct[A]
 
 
 class TestKMV:
     def test_exact_below_k(self):
-        counter = KMVDistinctCounter(k=64)
-        counter.update(np.array([1, 2, 3, 2, 1], dtype=np.uint64))
-        assert counter.estimate() == 3.0
+        assert sketch_of([1, 2, 3, 2, 1]).estimate() == 3.0
 
     def test_duplicates_across_batches(self):
-        counter = KMVDistinctCounter(k=64)
-        counter.update(np.arange(10, dtype=np.uint64))
-        counter.update(np.arange(10, dtype=np.uint64))
-        assert counter.estimate() == 10.0
+        assert sketch_of(np.arange(10), np.arange(10)).estimate() == 10.0
 
     def test_estimate_accuracy_when_saturated(self):
         rng = np.random.default_rng(0)
         true_distinct = 50_000
-        counter = KMVDistinctCounter(k=512)
-        keys = rng.integers(0, true_distinct, size=200_000).astype(np.uint64)
-        counter.update(keys)
+        keys = rng.integers(0, true_distinct, size=200_000)
         realized = np.unique(keys).size
-        assert counter.estimate() == pytest.approx(realized, rel=0.15)
+        assert sketch_of(keys, k=512).estimate() == pytest.approx(
+            realized, rel=0.15)
 
     def test_merge_equals_union(self):
         """Two overlapping batches in a row leave the sketch of their
         union; sketches of separate substreams are never merged."""
         rng = np.random.default_rng(1)
-        a = KMVDistinctCounter(k=128)
-        left = rng.integers(0, 5000, 20_000).astype(np.uint64)
-        right = rng.integers(2500, 7500, 20_000).astype(np.uint64)
-        a.update(left)
-        a.update(right)
-        combined = KMVDistinctCounter(k=128)
-        combined.update(np.concatenate([left, right]))
-        assert_same_sketch(a, combined)
+        left = rng.integers(0, 5000, 20_000)
+        right = rng.integers(2500, 7500, 20_000)
+        a = sketch_of(left, right, k=128)
+        assert_same_sketch(a, sketch_of(np.concatenate([left, right]),
+                                        k=128))
         assert not hasattr(a, "merge")
 
     def test_merge_requires_same_parameters(self):
         """``k`` and the salt decide the sketch: a smaller ``k`` keeps a
         prefix of a larger one's minima, another salt other minima."""
-        keys = np.random.default_rng(3).integers(
-            0, 2**40, 5000).astype(np.uint64)
-        small, large, salted = (KMVDistinctCounter(k=64),
-                                KMVDistinctCounter(k=128),
-                                KMVDistinctCounter(k=64, salt=2))
-        for sketch in (small, large, salted):
-            sketch.update(keys)
-        assert np.array_equal(small._minima, large._minima[:64])
-        assert not np.array_equal(small._minima, salted._minima)
+        keys = np.random.default_rng(3).integers(0, 2**40, 5000)
+        small = observed(keys, k=64, relations=(A, B))
+        large = observed(keys, k=128)
+        assert (small._distinct[A].salt, small._distinct[B].salt) == (1, 2)
+        assert np.array_equal(small._distinct[A]._minima,
+                              large._distinct[A]._minima[:64])
+        assert not np.array_equal(small._distinct[A]._minima,
+                                  small._distinct[B]._minima)
 
     def test_rejects_tiny_k(self):
         with pytest.raises(StatisticsError):
             KMVDistinctCounter(k=2)
 
     def test_empty_update(self):
-        counter = KMVDistinctCounter()
-        counter.update(np.array([], dtype=np.uint64))
-        assert counter.estimate() == 0.0
+        assert sketch_of([]).estimate() == 0.0
 
 
 def flow_length(*batches, timeout=1.0):
@@ -151,11 +159,8 @@ class TestCollector:
 @settings(max_examples=50)
 def test_kmv_exact_for_small_cardinalities(values, n_batches):
     """With k above the true cardinality, KMV is exact."""
-    counter = KMVDistinctCounter(k=64)
-    arr = np.array(values, dtype=np.uint64)
-    for chunk in np.array_split(arr, n_batches):
-        counter.update(chunk)
-    assert counter.estimate() == len(set(values))
+    chunks = np.array_split(np.array(values, dtype=np.int64), n_batches)
+    assert sketch_of(*chunks).estimate() == len(set(values))
 
 
 def assert_same_sketch(got, want):
@@ -165,25 +170,42 @@ def assert_same_sketch(got, want):
     assert got.estimate() == want.estimate()
 
 
-def feed_both(batches, k, salt=0):
-    """The same batches through ``update`` and the unfiltered reference,
-    compared after every batch; returns the two sketches."""
-    got, want = KMVDistinctCounter(k, salt), KMVDistinctCounter(k, salt)
+def feed(got, want, batch):
+    """One batch of values, as ``A`` and ``B``, into ``got`` through the
+    library and into ``want`` through the reference; every sketch is
+    compared after it."""
+    values = np.asarray(batch, dtype=np.int64)
+    columns = {"A": values, "B": values}
+    got.observe(columns)
+    reference_observe(want, columns)
+    for rel in want.relations:
+        assert_same_sketch(got._distinct[rel], want._distinct[rel])
+
+
+def feed_both(batches, k):
+    """The same batches through the library's filtered update and the
+    unfiltered reference, compared after every batch; returns the two
+    collectors (relations ``A`` and ``B``)."""
+    got, want = (StreamStatisticsCollector([A, B], k=k) for _ in range(2))
     for batch in batches:
-        keys = np.array(batch, dtype=np.uint64)
-        got.update(keys)
-        reference_kmv_update(want, keys)
-        assert_same_sketch(got, want)
+        feed(got, want, batch)
     return got, want
 
 
 @given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=8),
        st.lists(st.lists(st.integers(20, 60), max_size=30), max_size=4),
-       st.integers(3, 12), st.integers(0, 3))
-def test_filtered_update_matches_unfiltered_reference(left, right, k, salt):
+       st.integers(3, 12))
+def test_filtered_update_matches_unfiltered_reference(left, right, k):
     """Small key domains around small ``k``: sketches fill, batches repeat
     held minima, and the second run of batches overlaps the first."""
-    feed_both(left + right, k, salt)
+    feed_both(left + right, k)
+
+
+def key_of(values) -> np.ndarray:
+    """The keys values take in ``A``'s sketch: the chain, then the
+    sketch's salt."""
+    return splitmix64(combine_columns([np.asarray(values, dtype=np.int64)])
+                      ^ np.uint64(1))
 
 
 class TestKMVThresholdFilter:
@@ -192,21 +214,20 @@ class TestKMVThresholdFilter:
     K = 8
 
     def keys_by_hash(self):
-        keys = np.arange(64, dtype=np.uint64)
-        return keys[np.argsort(splitmix64(keys))]
-
-    def full(self):
-        """Both sketches holding the keys ranked 4..11: room below."""
-        return feed_both([self.keys_by_hash()[4:4 + self.K]], self.K)
+        """Values ranked by their key in ``A``'s sketch."""
+        values = np.arange(64, dtype=np.int64)
+        return values[np.argsort(key_of(values))]
 
     def step(self, keys):
-        got, want = self.full()
-        assert len(got) == self.K and not got._saturated
-        before = got._minima.copy()
-        got.update(keys)
-        reference_kmv_update(want, keys)
-        assert_same_sketch(got, want)
-        return got, before
+        """Both collectors holding the values ranked 4..11 in ``A``
+        (room below), then ``keys``: ``A``'s sketch and its minima
+        before."""
+        got, want = feed_both([self.keys_by_hash()[4:4 + self.K]], self.K)
+        sketch = got._distinct[A]
+        assert len(sketch) == self.K and not sketch._saturated
+        before = sketch._minima.copy()
+        feed(got, want, keys)
+        return sketch, before
 
     def test_empty_and_held_keys_leave_it_exact(self):
         ranked = self.keys_by_hash()
@@ -228,7 +249,7 @@ class TestKMVThresholdFilter:
         ranked = self.keys_by_hash()
         got, before = self.step(ranked[:1])
         assert got._saturated
-        assert got._minima[0] == splitmix64(ranked[:1])[0]
+        assert got._minima[0] == key_of(ranked[:1])[0]
         assert np.array_equal(got._minima[1:], before[:-1])
 
 
@@ -238,8 +259,8 @@ EXTREMES = np.array([np.iinfo(np.int64).min, -1, 0, 1,
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_observe_matches_per_relation_hashing(seed):
-    """One shared hash pass per batch against one chain per relation:
-    int64 extremes, relations joining through ``ensure``."""
+    """The library's one hash pass per batch against one chain per
+    relation: int64 extremes, relations joining through ``ensure``."""
     rng = np.random.default_rng(seed)
     parse = AttributeSet.parse
     first = [parse(t) for t in ("A", "C", "AB", "BC", "ABC", "BCD")]
@@ -257,13 +278,8 @@ def test_observe_matches_per_relation_hashing(seed):
         reference_observe(want, columns)
         assert got.records_seen == want.records_seen
         assert got.relations == want.relations
-        chain = chain_hasher(columns)
         for rel in want.relations:
             assert_same_sketch(got._distinct[rel], want._distinct[rel])
-            # Every hash, not only the k smallest the sketches keep.
-            assert np.array_equal(
-                chain(rel.names),
-                combine_columns([columns[name] for name in rel]))
         assert got.statistics() == want.statistics()
 
 
@@ -283,11 +299,10 @@ def _column(rng, domain, n):
     return rng.integers(-1, domain - 1, n)
 
 
-@needs_kernel
 @pytest.mark.parametrize("k", [3, 4, 8, 256])
 @given(data=st.data())
 def test_library_observe_matches_the_numpy_body(k, data):
-    """``repro_kmv_observe`` against the numpy body, after every batch:
+    """``repro_kmv_observe`` against the numpy reference, after every batch:
     every sketch's minima (bytes), saturated flag and estimate, the
     records seen and the snapshot; relations join through ``ensure``
     between batches."""
@@ -310,8 +325,7 @@ def test_library_observe_matches_the_numpy_body(k, data):
         columns = {name: _column(rng, domain, n)
                    for name, domain in domains.items()}
         got.observe(columns)
-        with numpy_kernels_off():
-            want.observe(columns)
+        reference_observe(want, columns)
         assert got.records_seen == want.records_seen
         assert got.relations == want.relations
         for rel in want.relations:
@@ -335,7 +349,6 @@ def _unmix(z: int) -> int:
     return (z - 0x9E3779B97F4A7C15) & mask
 
 
-@needs_kernel
 def test_library_observe_keeps_the_largest_key():
     """A value whose KMV key is 2**64 - 1, the largest a key can be,
     enters a sketch that is not full, in the library as in numpy."""
@@ -348,7 +361,6 @@ def test_library_observe_keeps_the_largest_key():
     got = StreamStatisticsCollector([rel], k=3)
     want = StreamStatisticsCollector([rel], k=3)
     got.observe(columns)
-    with numpy_kernels_off():
-        want.observe(columns)
+    reference_observe(want, columns)
     assert want._distinct[rel]._minima[-1] == 2 ** 64 - 1
     assert_same_sketch(got._distinct[rel], want._distinct[rel])

@@ -2,14 +2,14 @@
 
 Does the data path compute exactly what the paper's record-at-a-time
 LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
-{C kernels walking the epochs on 1 thread, on 3, ``numpy_kernels``} x
+{the native library walking the epochs on 1 thread, on 3, the numpy
+bodies of ``tests/references.py`` swapped in (``numpy_bodies``)} x
 {flat, two-, three-level forest, forests where a query feeds others} x
 {unsharded, 2 shards} x {counts only, value column} over hypothesis
 streams; every per-relation counter
 and every HFTA key's totals (``tests/hfta_totals.py``, float sums
 included) compared for equality. Every
-mode equals the reference, hence each other; without a compiler all run
-the numpy bodies and stay green.
+mode equals the reference, hence each other.
 Pinned, small-table and degenerate streams run through the same
 comparison.
 Kernel-function checks live beside the code they test, the NaN-value
@@ -22,32 +22,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import QuerySet, RelationStatistics, StreamSystem, plan
-from repro.core.allocation import ExhaustiveAllocator
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostParameters
 from repro.gigascope import Dataset, StreamSchema
-from repro.gigascope.online import LiveStreamSystem
-from repro.native import ingest, machine_info, partition
-from repro.parallel import ShardedStreamSystem
-from repro.workloads import measure_statistics
-from tests.conftest import (
-    PAPER_GROUPS,
-    needs_kernel,
-    numpy_kernels_off,
-    walk_workers_of,
+from tests.conftest import walk_workers_of
+from tests.references import (
+    ABC_SCHEMA,
+    abc_stream,
+    assert_matches_reference,
+    numpy_bodies,
 )
-from tests.references import ABC_SCHEMA, abc_stream, assert_matches_reference
 
-#: The ways the data path runs: compiled kernels walking the epochs on
-#: one thread or on a pool of three, and the numpy bodies. Without a
-#: compiler the pool leg would repeat the numpy one, so it is skipped.
+#: The ways the data path runs: the library walking the epochs on one
+#: thread or on a pool of three, and the numpy bodies it is held to.
 MODES = pytest.mark.parametrize("mode", [
     pytest.param(partial(walk_workers_of, 1), id="kernels"),
-    pytest.param(partial(walk_workers_of, 3), id="kernels-3-workers",
-                 marks=needs_kernel),
-    pytest.param(numpy_kernels_off, id="numpy_kernels")])
+    pytest.param(partial(walk_workers_of, 3), id="kernels-3-workers"),
+    pytest.param(numpy_bodies, id="numpy_bodies")])
 
 #: Deeper forests feed the kernel in parent emission order, not time order.
 FORESTS = {
@@ -165,7 +156,7 @@ def _all_collide():
 
 
 def _max_width():
-    """Eight wide-domain attributes: the numpy path's ``pack_tuples``
+    """Eight wide-domain attributes: the numpy walk's ``pack_tuples``
     re-factorizes them (radix overflow) while the kernel compares column
     by column."""
     names = tuple("ABCDEFGH")
@@ -214,37 +205,3 @@ def test_degenerate_stream_matches_reference(mode, shape):
         (counters,) = got.counters.relations.values()
         assert counters.evictions_intra == len(dataset) - 1
 
-
-def test_numpy_kernels_reach_no_kernel(numpy_kernels, monkeypatch):
-    """Under ``numpy_kernels`` every entry point finishes without one
-    call into C, and the manifest says why."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("kernel function called under numpy_kernels")
-
-    for module, function in ((ingest, "ingest_runs"),
-                             (partition, "group_stats"),
-                             (partition, "hash_shards")):
-        monkeypatch.setattr(module, function, unreachable)
-    dataset = abc_stream(4, 600, 5, 6.0, clustered=True)
-    queries = QuerySet.counts(["AB", "BC"], epoch_seconds=2.0)
-    measured = measure_statistics(dataset, queries.group_bys, 1.0)
-    assert measured.covered(queries.group_bys)
-    stats = RelationStatistics.from_counts(PAPER_GROUPS)
-    the_plan = plan(queries, stats, 4000.0)
-    single = StreamSystem.from_plan(dataset, queries, the_plan).run()
-    sharded = ShardedStreamSystem.from_plan(
-        dataset, queries, the_plan, shards=2).run()
-    live = LiveStreamSystem(dataset.schema, queries, the_plan)
-    live.push_dataset(dataset)
-    live.finish()
-    ExhaustiveAllocator().allocate(
-        the_plan.configuration, stats, 4000.0, CostParameters())
-    for query in queries:
-        assert single.answers(query)
-        assert sharded.answers(query) == single.answers(query)
-        assert live.hfta.all_answers(query) == single.answers(query)
-    info = machine_info()
-    assert not info["c_kernel"]
-    assert info["kernels"] == {"engine_ingest": {
-        "available": False, "disabled": True, "compiler": None,
-        "error": None, "hash_isa": None}}

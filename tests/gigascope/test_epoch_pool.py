@@ -6,7 +6,8 @@ and the caller hands the HFTA the folded states in epoch order after the
 join. Over random forests and streams (NaN and +-inf values included),
 more threads than epochs, one epoch, no records, epochs of very different
 sizes and a kept ``Tables``, N threads must give the counters and HFTA
-states of one, and one thread those of the numpy walk: the same states,
+states of one, and one thread those of the reference numpy walk
+(``tests/references.py``): the same states,
 bit for bit, and the same fold counts. A failing epoch
 must reach the caller with its own exception and leave the passed
 counters and HFTA as they were.
@@ -24,13 +25,7 @@ from repro import QuerySet, StreamSystem
 from repro.core.configuration import Configuration
 from repro.gigascope import engine, simulate
 from repro.observability import MetricsRegistry
-from tests.conftest import (
-    needs_kernel,
-    numpy_kernels_off,
-    split_ran,
-    walk_lanes_of,
-    walk_workers_of,
-)
+from tests.conftest import split_ran, walk_lanes_of, walk_workers_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     assert_same_walk,
@@ -40,6 +35,7 @@ from tests.gigascope.test_forest_walk import (
     states,
     streams,
 )
+from tests.references import numpy_bodies
 
 NOTATION = "ABCD(ABC(AB A) CD)"
 
@@ -50,7 +46,6 @@ def walk(n_workers, dataset, config, buckets, value_column="v", **kwargs):
                         **kwargs)
 
 
-@needs_kernel
 @given(config=forests, stream=streams, data=st.data())
 def test_pool_equals_one_thread(config, stream, data):
     dataset = make_stream(**stream)
@@ -68,7 +63,6 @@ SHAPES = {"uneven": [1, 3000, 0, 2, 700, 0, 0, 1, 40],
           "one-epoch": [500], "empty": []}
 
 
-@needs_kernel
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("n_workers", [2, 3, 16])
 def test_pool_shapes(shape, n_workers):
@@ -78,7 +72,7 @@ def test_pool_shapes(shape, n_workers):
     got = walk(n_workers, dataset, config, buckets)
     one = walk(1, dataset, config, buckets)
     assert_same_walk(got, one)
-    with numpy_kernels_off():  # the numpy walk, folded by numpy
+    with numpy_bodies():  # the numpy walk, folded by numpy
         assert_same_walk(one, walk(1, dataset, config, buckets))
     assert got.n_epochs == sum(1 for size in SHAPES[shape] if size)
     if shape == "uneven":
@@ -86,7 +80,6 @@ def test_pool_shapes(shape, n_workers):
                    for state in columnar(got.hfta).values())
 
 
-@needs_kernel
 def test_kept_tables_through_the_pool():
     """One ``Tables`` through multi- and one-epoch calls on 3 threads,
     growing epochs included: every call equals a one-thread call
@@ -105,7 +98,6 @@ def test_kept_tables_through_the_pool():
     assert tables.walk is kept
 
 
-@needs_kernel
 def test_many_threads_lose_no_epoch():
     """Sixteen threads over 60 short epochs, switching as often as the
     interpreter allows: every epoch's states arrive exactly once, in
@@ -130,7 +122,6 @@ class KernelFault(RuntimeError):
     pass
 
 
-@needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
 def test_failing_epoch_leaves_accumulators_untouched(n_workers,
                                                      monkeypatch):
@@ -165,7 +156,6 @@ def test_workers_follow_the_usable_cores():
     assert engine._workers(2) == min(2, cores)
 
 
-@needs_kernel
 def test_run_reports_the_walk_it_took(walk_workers):
     """``engine.workers`` and the summary's ``LFTA walk`` line name the
     path taken; the pool runs threads, never processes."""
@@ -188,7 +178,6 @@ def test_run_reports_the_walk_it_took(walk_workers):
     assert registry.gauges["engine.workers"].value == 1
 
 
-@needs_kernel
 def test_one_epoch_calls_report_their_lanes():
     """``engine.lanes`` and the walk string name the lanes of a
     one-epoch call: one for a ``Tables``' first call, two for the next
@@ -210,13 +199,3 @@ def test_one_epoch_calls_report_their_lanes():
         lanes == 2)
     assert registry.gauges["engine.workers"].value == 1
 
-
-def test_numpy_walk_is_one_thread(numpy_kernels, walk_workers):
-    walk_workers(3)
-    config = Configuration.from_notation(NOTATION)
-    registry = MetricsRegistry()
-    result = simulate(make_stream(6, [50, 50, 50], 4, "finite", False),
-                      config, {rel: 9 for rel in config.relations}, 1.0,
-                      "v", registry=registry)
-    assert result.walk == "numpy"
-    assert registry.gauges["engine.workers"].value == 1

@@ -1,10 +1,11 @@
 """The forest walk: the ingest kernel's one call per epoch against the
-numpy walk and the record-at-a-time reference.
+reference numpy walk and the record-at-a-time reference.
 
 The kernel walks every relation of a configuration in C and feeds each
-child its parent's evictions in eviction order; the numpy walk runs one
-vectorized pass per relation, sorting each one's arrivals by (bucket,
-time); ``lfta.run_reference`` runs the paper's sequential LFTA. On random forests up to depth 4 (phantom
+child its parent's evictions in eviction order; the numpy walk of
+``tests/references.py`` runs one vectorized pass per relation, sorting
+each one's arrivals by (bucket, time); ``lfta.run_reference`` runs the
+paper's sequential LFTA. On random forests up to depth 4 (phantom
 chains, fan-out 3), epochs of one record and empty epochs between full
 ones, tables of 1 bucket to far more buckets than records, count-only
 and value streams (NaN and +-inf included) and strided columns, the two
@@ -34,14 +35,9 @@ from repro.gigascope import Dataset, StreamSchema, engine, simulate
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import CostCounters
-from repro.parallel import split_dataset
-from tests.conftest import (
-    needs_kernel,
-    numpy_kernels_off,
-    split_ran,
-    walk_lanes_of,
-)
+from tests.conftest import split_ran, walk_lanes_of
 from tests.hfta_totals import totals
+from tests.references import numpy_bodies, numpy_walk, split_dataset
 
 NAMES = tuple("ABCDEF")
 SCHEMA = StreamSchema(NAMES, value_columns=("v",))
@@ -157,7 +153,7 @@ def test_walks_match_each_other_and_reference(config, stream, data):
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
     value_column = None if stream["values"] == "none" else "v"
     got = simulate(dataset, config, buckets, 1.0, value_column)
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = simulate(dataset, config, buckets, 1.0, value_column)
     assert_same_walk(got, want)
     assert got.n_epochs == sum(1 for size in stream["epochs"] if size)
@@ -173,7 +169,8 @@ def test_walks_match_each_other_and_reference(config, stream, data):
 
 
 def _walk(walk, config, dataset, buckets, emit, value_column):
-    """One of the engine's two walks with its own emit flags."""
+    """The engine's walk or the reference numpy walk, with its own emit
+    flags."""
     counters, hfta = CostCounters(config), HFTA()
     tables = engine.Tables()
     tables.bind(config, buckets, 0, value_column is not None)
@@ -185,7 +182,6 @@ def _walk(walk, config, dataset, buckets, emit, value_column):
     return counters, hfta
 
 
-@needs_kernel
 @pytest.mark.parametrize("notation", DEEP[:3])
 @pytest.mark.parametrize("value_column", [None, "v"])
 @given(stream=streams, data=st.data())
@@ -199,10 +195,8 @@ def test_inner_relation_emits_and_feeds(notation, value_column, stream,
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
     emit = [data.draw(st.booleans()) or not config.is_leaf(rel)
             for rel in config.relations]
-    got = _walk(engine._walk_native, config, dataset, buckets, emit,
-                value_column)
-    want = _walk(engine._walk_numpy, config, dataset, buckets, emit,
-                 value_column)
+    got = _walk(engine._walk, config, dataset, buckets, emit, value_column)
+    want = _walk(numpy_walk, config, dataset, buckets, emit, value_column)
     assert got[0].relations == want[0].relations
     assert states(got[1]) == states(want[1])
     inner = {rel for rel, e in zip(config.relations, emit)
@@ -222,7 +216,7 @@ def test_huge_tables_cost_the_epoch_not_the_table(records):
     began = time.perf_counter()
     got = simulate(dataset, config, buckets, 1.0, "v")
     elapsed = time.perf_counter() - began
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = simulate(dataset, config, buckets, 1.0, "v")
     assert_same_walk(got, want)
     assert elapsed < 0.5
@@ -293,7 +287,7 @@ def assert_lanes_agree(dataset, config, buckets, value_column, shards=None):
         got = epoch_by_epoch(dataset, config, buckets, value_column, shards)
     with walk_lanes_of(False):
         one = epoch_by_epoch(dataset, config, buckets, value_column, shards)
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = epoch_by_epoch(dataset, config, buckets, value_column, shards)
     for other in (one, want):
         assert got[0].relations == other[0].relations
@@ -303,7 +297,6 @@ def assert_lanes_agree(dataset, config, buckets, value_column, shards=None):
     return got[2]
 
 
-@needs_kernel
 @pytest.mark.parametrize("sharded", [False, True], ids=["all-rows", "index"])
 @pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
 @pytest.mark.parametrize("notation", LANE_SHAPES)
@@ -333,7 +326,6 @@ def test_one_epoch_calls_on_two_lanes(notation, values, sharded):
             assert totals(hfta, leaf, epoch) == totals(ref.hfta, leaf, epoch)
 
 
-@needs_kernel
 @given(config=forests, stream=streams, data=st.data())
 def test_random_forests_on_two_lanes(config, stream, data):
     """Random forests and streams, every epoch a call of its own: two

@@ -32,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.hfta import HFTA, ColumnarTotals, _fold_rows_numpy
-from repro.native import available as kernel_available
 from tests.hfta_totals import GroupAggregate, totals
 
 def A(label):
@@ -274,8 +273,10 @@ class TestKernelVsNumpyFold:
         assert state.value_mins[1] == state.value_maxs[1] == 1.0
         assert np.geterr() == before
 
-    def test_no_ckernel_env_forces_fallback(self, numpy_kernels):
-        assert not kernel_available()
+    def test_second_batch_extends_the_first(self):
+        """A second batch of a key folds into the held state: counts and
+        sums add, and batches without minima and maxima leave them at
+        +-inf."""
         hfta = HFTA()
         rel = A("A")
         hfta.ingest_arrays(rel, 0, {"A": [1, 1]}, [1, 2], [0.5, 0.25])

@@ -32,7 +32,7 @@ from repro.workloads import (
     paper_like_trace,
     uniform_dataset,
 )
-from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.references import numpy_bodies
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
@@ -299,12 +299,12 @@ class TestLiveStreamSystem:
         assert live._staged_plan is None
 
 
-#: Both walks: the kernel's (where it compiled) and the numpy one.
-LEGS = [pytest.param("kernel", marks=needs_kernel), "numpy"]
+#: Both walks: the kernel's and the reference numpy one.
+LEGS = ["kernel", "numpy"]
 
 
 def leg(name):
-    return nullcontext() if name == "kernel" else numpy_kernels_off()
+    return nullcontext() if name == "kernel" else numpy_bodies()
 
 
 class TestEraWalk:
@@ -479,7 +479,7 @@ class TestAnyCuts:
                     live = LiveStreamSystem.restore(path)
             live.finish()
         # the numpy walk is the reference of both legs
-        with numpy_kernels_off():
+        with numpy_bodies():
             reports, counters, hfta = self._reference(
                 live, filter_dataset(stream, KEEP), finished, queries)
         assert live.epoch_reports == reports

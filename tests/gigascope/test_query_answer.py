@@ -21,16 +21,15 @@ from repro.core.configuration import Configuration
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope.engine import simulate
 from repro.gigascope.hfta import HFTA
-from tests.conftest import numpy_kernels_off
 from tests.hfta_totals import totals
-from tests.references import abc_stream
+from tests.references import abc_stream, numpy_bodies
 
 AB = AttributeSet.parse("AB")
 KINDS = ("count", "sum", "avg", "min", "max")
 
 
-@pytest.fixture(params=[nullcontext, numpy_kernels_off],
-                ids=["kernels", "numpy_kernels"])
+@pytest.fixture(params=[nullcontext, numpy_bodies],
+                ids=["kernels", "numpy_bodies"])
 def mode(request):
     with request.param():
         yield

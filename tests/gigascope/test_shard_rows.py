@@ -9,7 +9,8 @@ shard's slice, in one pass. It must equal
 shard order, every query's evictions of an epoch folded into one HFTA
 once — on every counter, ``evictions_received``/``folds``/
 ``rows_folded`` and every answer; and the kernel walk on one and three
-threads and the numpy walk must hold the same states byte for byte (NaN
+threads and the reference numpy walk must hold the same states byte for
+byte (NaN
 and +-inf min/max included, which the reference's plain floats do not
 follow). ``ShardedStreamSystem`` is held to the same reference under
 every partitioner, with empty shards and with a table of one bucket per
@@ -30,8 +31,8 @@ from repro.errors import ConfigurationError
 from repro.gigascope import engine, simulate
 from repro.gigascope.metrics import CostCounters
 from repro.native import ingest as native_ingest
-from repro.parallel import HashPartitioner, split_dataset
-from tests.conftest import needs_kernel, numpy_kernels_off, walk_workers_of
+from repro.parallel import HashPartitioner
+from tests.conftest import walk_workers_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     columnar,
@@ -41,20 +42,27 @@ from tests.gigascope.test_forest_walk import (
     streams,
 )
 from tests.hfta_totals import totals
-from tests.references import KeyRange, RoundRobin, sharded_reference
+from tests.references import (
+    KeyRange,
+    RoundRobin,
+    numpy_bodies,
+    sharded_reference,
+    split_dataset,
+)
 
 NOTATION = "ABCD(ABC(AB A) CD)"
 
-#: The kernel walk on one and on three threads, and the numpy walk.
-LEGS = [pytest.param(("kernels", 1), marks=needs_kernel, id="kernels-1"),
-        pytest.param(("kernels", 3), marks=needs_kernel, id="kernels-3"),
+#: The kernel walk on one and on three threads, and the reference numpy
+#: walk.
+LEGS = [pytest.param(("kernels", 1), id="kernels-1"),
+        pytest.param(("kernels", 3), id="kernels-3"),
         pytest.param(("numpy", 1), id="numpy")]
 
 
 @contextmanager
 def leg(mode):
     kernels, n_workers = mode
-    with numpy_kernels_off() if kernels == "numpy" else nullcontext(), \
+    with numpy_bodies() if kernels == "numpy" else nullcontext(), \
             walk_workers_of(n_workers):
         yield
 
@@ -95,7 +103,7 @@ def assert_one_walk(mode, dataset, ids, config, buckets, value_column):
     assert_matches(got, reference_of(dataset, ids, config, buckets,
                                      value_column), config, finite)
     if mode[0] != "numpy":
-        with numpy_kernels_off():
+        with numpy_bodies():
             want = simulate(dataset, config, buckets, 1.0, value_column,
                             shards=ids)
         assert states(got.hfta) == states(want.hfta)
@@ -269,7 +277,6 @@ def test_sparse_ids_walk_as_their_ranks(mode):
         (want.hfta.folds, want.hfta.rows_folded)
 
 
-@needs_kernel
 def test_kernel_reads_rows_past_start():
     """``ingest_runs`` reads arrival ``j``'s shard id at row ``start +
     j``, as it reads its attributes; ids all 0 walk as no ids; ``bind``

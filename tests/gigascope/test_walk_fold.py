@@ -1,9 +1,10 @@
 """The ingest walk folds what it emits.
 
-With the kernel, each emitting relation's runs go straight into the
+The kernel sends each emitting relation's runs straight into the
 walk's group table, extending whatever state the HFTA holds for that
-relation and epoch; the numpy walk hands the same runs to the HFTA as a
-batch, which the HFTA folds into the key's state at once. For every
+relation and epoch; the reference numpy walk (``tests/references.py``)
+hands the same runs to the HFTA as a batch, which the HFTA folds into
+the key's state at once. For every
 (relation, epoch) key the two must hold the same state: group order,
 dtypes, counts, sums (a NaN sum as ``np.nan``'s bits in both) and
 NaN/+-inf minima and maxima, byte for byte, and the same
@@ -29,17 +30,9 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.gigascope import Dataset, simulate
 from repro.gigascope.online import LiveStreamSystem
-from repro.native import available as kernel_available
 from repro.native import ingest as native_ingest
-from repro.parallel import split_dataset
 from repro.workloads import measure_statistics
-from tests.conftest import (
-    needs_kernel,
-    numpy_kernels_off,
-    split_ran,
-    walk_lanes_of,
-    walk_workers_of,
-)
+from tests.conftest import split_ran, walk_lanes_of, walk_workers_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     SCHEMA,
@@ -49,6 +42,7 @@ from tests.gigascope.test_forest_walk import (
     states,
     streams,
 )
+from tests.references import numpy_bodies, split_dataset
 
 
 def assert_folds_match(got, numpy_walked):
@@ -66,7 +60,6 @@ def draw_shards(data, n: int):
     return rng.integers(0, data.draw(st.integers(1, 4)), n)
 
 
-@needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
 @given(config=forests, stream=streams, data=st.data())
 def test_walk_fold_equals_numpy_fold(n_workers, config, stream, data):
@@ -77,7 +70,7 @@ def test_walk_fold_equals_numpy_fold(n_workers, config, stream, data):
     with walk_workers_of(n_workers):
         got = simulate(dataset, config, buckets, 1.0, value_column,
                        shards=shards)
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = simulate(dataset, config, buckets, 1.0, value_column,
                         shards=shards)
     assert_folds_match(got.hfta, want.hfta)
@@ -90,7 +83,6 @@ FIXED = ["ABCD(ABC(AB A) CD)", "ABCDE(ABCD(ABC(AB(A) C) BCD) CDE(CD DE E))",
 EPOCHS = [1, 400, 0, 3, 250, 0, 60]
 
 
-@needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
 @pytest.mark.parametrize("sharded", [False, True], ids=["all-rows", "index"])
 @pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
@@ -107,7 +99,7 @@ def test_fixed_shapes(notation, values, sharded, n_workers):
     with walk_workers_of(n_workers):
         got = simulate(dataset, config, buckets, 1.0, value_column,
                        shards=shards)
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = simulate(dataset, config, buckets, 1.0, value_column,
                         shards=shards)
     assert_folds_match(got.hfta, want.hfta)
@@ -126,7 +118,7 @@ def walk_in_two(dataset, config, buckets, value_column, parts, n_workers,
     first, second = split_dataset(dataset, ids, 2)
 
     def walk(part, hfta=None):
-        with numpy_kernels_off() if numpy else nullcontext(), \
+        with numpy_bodies() if numpy else nullcontext(), \
                 walk_workers_of(n_workers):
             return simulate(part, config, buckets, 1.0, value_column,
                             hfta=hfta).hfta
@@ -143,7 +135,6 @@ def split_rows(n: int, cut: float, alternate: bool):
     return rows[:int(cut * n)], rows[int(cut * n):]
 
 
-@needs_kernel
 @pytest.mark.parametrize("n_workers", [1, 3])
 @given(stream=streams, cut=st.floats(0.0, 1.0), alternate=st.booleans(),
        data=st.data())
@@ -165,7 +156,6 @@ def test_a_fold_extends_the_state_held(n_workers, stream, cut, alternate,
     assert states(got) == states(want)
 
 
-@needs_kernel
 @pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
 def test_both_legs_count_a_second_call_alike(values):
     """Even rows, then odd rows, into one HFTA: each key's second fold
@@ -185,7 +175,6 @@ def test_both_legs_count_a_second_call_alike(values):
     assert got.folds == 2 * len(columnar(got))
 
 
-@needs_kernel
 def test_a_seed_longer_than_a_hash_block():
     """A held state of more groups than the kernel hashes in one block
     (256 rows) seeds the second call's folds: its rows are hashed block
@@ -202,7 +191,6 @@ def test_a_seed_longer_than_a_hash_block():
                for state in columnar(got).values()) > 2 * 256
 
 
-@needs_kernel
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shards_extend_each_other(shards):
     """Each shard's runs extend the groups the shards before it folded:
@@ -216,7 +204,7 @@ def test_shards_extend_each_other(shards):
     system = ShardedStreamSystem.from_plan(
         dataset, queries, the_plan, shards=shards, value_column="v")
     got = system.run().result.hfta
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = ShardedStreamSystem.from_plan(
             dataset, queries, the_plan, shards=shards,
             value_column="v").run().result.hfta
@@ -225,7 +213,6 @@ def test_shards_extend_each_other(shards):
     assert got.rows_folded == got.evictions_received
 
 
-@needs_kernel
 def test_a_seed_is_checked_before_the_kernel_reads_it():
     """A seed for a relation that does not emit, or whose key columns do
     not match its relation or its counts, is refused before the walk,
@@ -253,29 +240,19 @@ def test_a_seed_is_checked_before_the_kernel_reads_it():
 
 
 def test_summary_says_where_the_folds_ran():
-    """Every walk folds in the walk; the ``HFTA merge`` line says which
-    fold ran, over the same fold counts."""
+    """Every walk folds in the walk: the ``HFTA merge`` line gives the
+    folds and the rows folded, and the ``LFTA walk`` line the walk."""
     dataset = make_stream(5, [100, 100, 100], 4, "none", False)
     queries = QuerySet.counts(["AB", "CD"], epoch_seconds=1.0)
     config = Configuration.flat(queries.group_bys)
     buckets = {rel: 16 for rel in config.relations}
-
-    def merge_line(report):
-        for query in queries:
-            report.answers(query)
-        (line,) = [line for line in report.summary().splitlines()
-                   if line.startswith("HFTA merge")]
-        return line
-
-    with numpy_kernels_off():
-        numpy = merge_line(StreamSystem(dataset, queries, config,
-                                        buckets).run())
-    counts = "HFTA merge        : 6 folds over 383 rows"
-    assert numpy == f"{counts} (in the walk, numpy)"
-    if kernel_available():
-        walked = merge_line(StreamSystem(dataset, queries, config,
-                                         buckets).run())
-        assert walked == f"{counts} (in the walk, native ingest kernel)"
+    report = StreamSystem(dataset, queries, config, buckets).run()
+    for query in queries:
+        report.answers(query)
+    lines = report.summary().splitlines()
+    assert "HFTA merge        : 6 folds over 383 rows" in lines
+    assert any(line.startswith("LFTA walk         : native kernel, ")
+               for line in lines)
 
 
 QUERIES = QuerySet([
@@ -303,7 +280,7 @@ def reopened(dataset, the_plan, cut: int, end: int) -> LiveStreamSystem:
 def test_reopened_live_epoch_is_bit_identical(where, lanes):
     """Part of an epoch, ``finish()``, the rest of it: the reopened
     epoch's fold extends the state its first close left, and every
-    answer equals the numpy walk's (``REPRO_NO_CKERNEL``) bit for bit,
+    answer equals the reference numpy walk's bit for bit,
     over values whose float sums depend on their order. ``two-lanes``:
     every close after the era's first splits where two cores are
     usable, the reopened one with its seeds in either lane's folds."""
@@ -316,9 +293,9 @@ def test_reopened_live_epoch_is_bit_identical(where, lanes):
     cut = 900 + int(where * 700)  # inside epoch 1
     with walk_lanes_of(lanes):
         got = reopened(dataset, the_plan, cut, len(dataset))
-    if lanes and split_ran() and kernel_available():
+    if lanes and split_ran():
         assert got.eras[0].tables._lanes.ran == 2
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = reopened(dataset, the_plan, cut, len(dataset))
     assert [r.epoch for r in got.epoch_reports] == [0, 1, 1, 2]
     for query in QUERIES:
@@ -334,7 +311,6 @@ def test_reopened_live_epoch_is_bit_identical(where, lanes):
                                       want.hfta.folds, want.hfta.rows_folded)
 
 
-@needs_kernel
 def test_signed_nans_fold_alike():
     """A value column holding NaNs of both signs: ``Dataset`` writes
     every NaN as ``np.nan``'s bits, so the kernel and numpy walks keep
@@ -354,7 +330,7 @@ def test_signed_nans_fold_alike():
     config = Configuration.from_notation("ABCD(ABC(AB A) CD)")
     buckets = {rel: 5 for rel in config.relations}
     got = simulate(dataset, config, buckets, 1.0, "v")
-    with numpy_kernels_off():
+    with numpy_bodies():
         want = simulate(dataset, config, buckets, 1.0, "v")
     assert_folds_match(got.hfta, want.hfta)
     assert any(np.isnan(state.value_mins).any()

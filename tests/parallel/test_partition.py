@@ -1,6 +1,6 @@
 """Tests for record-to-shard assignment: the built-in hash partitioner,
 the ``shard_ids`` protocol user partitioners implement, and the shard
-datasets ``split_dataset`` gathers."""
+datasets the references' ``split_dataset`` gathers."""
 
 import numpy as np
 import pytest
@@ -16,11 +16,10 @@ from repro import (
 from repro.cli import main
 from repro.errors import ConfigurationError, SchemaError
 from repro.gigascope.records import Dataset
-from repro.parallel import HashPartitioner, split_dataset
+from repro.parallel import HashPartitioner
 from repro.parallel.partition import balance_summary, check_shard_ids
 from repro.workloads import make_group_universe, uniform_dataset
-from tests.conftest import needs_kernel, numpy_kernels_off
-from tests.references import KeyRange, RoundRobin
+from tests.references import KeyRange, RoundRobin, numpy_bodies, split_dataset
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
 
@@ -72,16 +71,10 @@ class TestHashPartitioner:
     def test_rejects_unknown_key(self, dataset):
         with pytest.raises(SchemaError):
             HashPartitioner(AttributeSet.parse("AZ")).shard_ids(dataset, 2)
-        # An empty key has nothing to hash: one typed error, worded the
-        # same by the kernel and the numpy path.
-        empty = HashPartitioner(AttributeSet(()))
-        with pytest.raises(ConfigurationError) as kernel:
-            empty.shard_ids(dataset, 2)
-        with numpy_kernels_off(), \
-                pytest.raises(ConfigurationError) as fallback:
-            empty.shard_ids(dataset, 2)
-        assert str(kernel.value) == str(fallback.value)
-        assert "empty key" in str(kernel.value)
+        # An empty key has nothing to hash: one typed error, before the
+        # library is asked.
+        with pytest.raises(ConfigurationError, match="empty key"):
+            HashPartitioner(AttributeSet(())).shard_ids(dataset, 2)
 
 
 def _summary(partitioner, data: Dataset, n_shards: int) -> dict:
@@ -221,7 +214,7 @@ class TestSplitDataset:
     def test_rejects_out_of_range_ids(self, dataset):
         """Ids outside [0, n_shards) and non-integer ids are a typed
         error — the same one, word for word, from ``split_dataset`` and
-        ``check_shard_ids``, with and without the kernels."""
+        ``check_shard_ids``."""
         n = len(dataset)
         too_big = np.full(n, 5)
         negative = np.zeros(n, dtype=np.int64)
@@ -234,12 +227,9 @@ class TestSplitDataset:
                           (mixed, "[-4, 3]"), (np.zeros(n), "float64")):
             messages = set()
             for call in calls:
-                with pytest.raises(ConfigurationError) as kernel:
+                with pytest.raises(ConfigurationError) as refused:
                     call(ids)
-                with numpy_kernels_off(), \
-                        pytest.raises(ConfigurationError) as fallback:
-                    call(ids)
-                messages |= {str(kernel.value), str(fallback.value)}
+                messages.add(str(refused.value))
             assert len(messages) == 1 and span in messages.pop()
         with pytest.raises(ConfigurationError, match="from Mine"):
             check_shard_ids(too_big, 3, source="Mine")
@@ -248,9 +238,6 @@ class TestSplitDataset:
         for ids in (np.zeros(3, dtype=np.int64),
                     np.zeros((len(dataset), 1), dtype=np.int64)):
             with pytest.raises(ConfigurationError, match="shape"):
-                split_dataset(dataset, ids, 2)
-            with numpy_kernels_off(), \
-                    pytest.raises(ConfigurationError, match="shape"):
                 split_dataset(dataset, ids, 2)
 
 
@@ -308,34 +295,28 @@ _PARTITIONERS = {
 
 
 def _assert_split_agrees(data: Dataset, ids: np.ndarray, n_shards: int):
-    """The split with and without the kernels == the masked lanes, lane
-    for lane, and every shard is a dataset the engine can take as it
-    is."""
+    """The split == the masked lanes, lane for lane, and every shard is a
+    dataset the engine can take as it is."""
     shards = split_dataset(data, ids, n_shards)
-    with numpy_kernels_off():
-        expected = split_dataset(data, ids, n_shards)
-    assert len(shards) == len(expected) == n_shards
-    for shard, (index, ref) in zip(shards, enumerate(expected)):
-        assert shard.schema == ref.schema == data.schema
+    assert len(shards) == n_shards
+    for index, shard in enumerate(shards):
+        assert shard.schema == data.schema
         keep = ids == index
-        lanes = [(shard.timestamps, ref.timestamps, data.timestamps)]
-        lanes += [(shard.columns[a], ref.columns[a], data.columns[a])
-                  for a in data.columns]
-        lanes += [(shard.values[v], ref.values[v], data.values[v])
-                  for v in data.values]
+        lanes = [(shard.timestamps, data.timestamps)]
+        lanes += [(shard.columns[a], data.columns[a]) for a in data.columns]
+        lanes += [(shard.values[v], data.values[v]) for v in data.values]
         assert shard.values.keys() == data.values.keys()
-        for got, want, source in lanes:
-            assert got.dtype == want.dtype == source.dtype
+        for got, source in lanes:
+            assert got.dtype == source.dtype
             assert got.flags.c_contiguous
             # arrival order kept; NaN == NaN, -0.0 != 0.0 (bytes moved)
-            assert got.tobytes() == want.tobytes() == source[keep].tobytes()
+            assert got.tobytes() == source[keep].tobytes()
         assert np.all(np.diff(shard.timestamps) >= 0)
 
 
-@needs_kernel
 class TestKernelDifferential:
-    """The partition kernel against the numpy bodies it replaces, and the
-    split of its ids."""
+    """The partition kernel against the numpy hash of
+    ``tests/references.py``, and the split of its ids."""
 
     @given(data=streams(), n_shards=st.integers(min_value=1, max_value=7),
            key=st.sampled_from([None, AttributeSet.parse("AB")]),
@@ -345,7 +326,7 @@ class TestKernelDifferential:
         like numpy's ``astype`` — INT64_MIN/-1/INT64_MAX included."""
         part = HashPartitioner(key, salt)
         ids = part.shard_ids(data, n_shards)
-        with numpy_kernels_off():
+        with numpy_bodies():
             expected = part.shard_ids(data, n_shards)
         assert ids.dtype == expected.dtype == np.int64
         assert np.array_equal(ids, expected)
@@ -380,7 +361,7 @@ class TestKernelDifferential:
                        {**dataset.columns, "A": wide[::2]},
                        dataset.timestamps, {})
         ids = HashPartitioner().shard_ids(data, 3)
-        with numpy_kernels_off():
+        with numpy_bodies():
             assert np.array_equal(ids, HashPartitioner().shard_ids(data, 3))
         _assert_split_agrees(data, ids.astype(np.int32), 3)
 

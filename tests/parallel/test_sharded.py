@@ -26,8 +26,7 @@ from repro.errors import ConfigurationError
 from repro.gigascope import simulate
 from repro.gigascope.filters import Comparison
 from repro.gigascope.records import Dataset
-from repro.native import available as kernel_available
-from repro.parallel import HashPartitioner, split_dataset
+from repro.parallel import HashPartitioner
 from repro.core.optimizer import plan
 from repro.workloads import (
     make_group_universe,
@@ -35,8 +34,7 @@ from repro.workloads import (
     paper_like_trace,
     uniform_dataset,
 )
-from tests.conftest import numpy_kernels_off
-from tests.references import KeyRange, RoundRobin
+from tests.references import KeyRange, RoundRobin, numpy_bodies, split_dataset
 
 
 def A(label):
@@ -197,13 +195,13 @@ class TestCounterConsistency:
         assert intra_raw == len(netflow) * len(raw)
         assert report.result.hfta.evictions_received == sum(
             r.hfta.evictions_received for r in runs)
-        # The partition kernel and its numpy fallback (REPRO_NO_CKERNEL=1)
-        # cut the same shards: same balance, counters and answers.
-        fallback = ShardedStreamSystem.from_plan(
+        # The library and the numpy bodies of tests/references.py cut
+        # the same shards: same balance, counters and answers.
+        on_numpy = ShardedStreamSystem.from_plan(
             netflow, queries, the_plan, shards=4, partitioner=partitioner)
-        with numpy_kernels_off():
-            numpy_report = fallback.run()
-        assert fallback.partition_summary == system.partition_summary
+        with numpy_bodies():
+            numpy_report = on_numpy.run()
+        assert on_numpy.partition_summary == system.partition_summary
         assert numpy_report.result.counters.relations == merged.relations
         for query in queries:
             assert numpy_report.answers(query) == report.answers(query)
@@ -381,8 +379,7 @@ class TestObservabilityWiring:
         assert summary["strategy"] == "HashPartitioner"
         assert sum(summary["records"]) == len(netflow)
         assert system.registry.gauges["partition.imbalance"].value >= 1.0
-        assert system.registry.gauges["partition.kernel"].value == \
-            int(kernel_available())
+        assert "partition.kernel" not in system.registry.gauges
 
     def test_partition_span_splits_in_two(self, netflow, pair_plan,
                                           monkeypatch):

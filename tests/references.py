@@ -15,10 +15,17 @@ search-based ``Dataset.epoch_slices`` to it.
 
 For the data path the reference is the record-at-a-time ``SequentialLFTA``:
 :func:`assert_matches_reference` compares an engine run, unsharded or
-sharded (:func:`sharded_reference`), on whichever kernels the caller
-left available, with it, and
-:func:`reference_report` is the ``RunReport`` a ``StreamSystem`` run
-would return, computed by it.
+sharded (:func:`sharded_reference`, over the shard copies
+:func:`split_dataset` gathers), with it, and :func:`reference_report`
+is the ``RunReport`` a ``StreamSystem`` run would return, computed by
+it.
+
+The native library is the product's only body of four facts; their
+numpy bodies live here as the references it is held to byte for byte:
+the sort-based LFTA walk (:func:`numpy_walk`), the partition hash, the
+statistics pass and the sketch update (:func:`reference_observe`).
+:func:`numpy_bodies` swaps all four into the product, so a whole run
+can be compared with one on the library.
 
 :class:`RoundRobin` and :class:`KeyRange` are partitioners written the
 way user code writes one: an object with ``shard_ids(dataset,
@@ -44,11 +51,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+import pytest
 
 from repro.core.allocation.analytic import flat_spaces, two_level_split
 from repro.core.allocation.base import Allocation
@@ -59,18 +68,26 @@ from repro.core.collision.lookup import PAPER_MU, LinearModel, LookupModel
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.core.queries import QuerySet
+from repro.core.sketches import StreamStatisticsCollector
 from repro.errors import (
     AdmissionError,
     AllocationError,
     ConfigurationError,
     NotationError,
 )
-from repro.gigascope import Dataset, RunReport, StreamSchema, simulate
-from repro.gigascope.hashing import combine_columns, splitmix64
+from repro.gigascope import Dataset, RunReport, StreamSchema, engine, simulate
+from repro.gigascope.hashing import (
+    bucket_indices,
+    combine_columns,
+    pack_tuples,
+    splitmix64,
+)
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import SequentialLFTA, run_reference
 from repro.gigascope.metrics import CostCounters, SimulationResult
-from repro.parallel import HashPartitioner, ShardedStreamSystem, split_dataset
+from repro.native import partition as native_partition
+from repro.parallel import HashPartitioner, ShardedStreamSystem
+from repro.parallel.partition import check_shard_count, check_shard_ids
 from tests.hfta_totals import totals
 
 ABC_SCHEMA = StreamSchema(("A", "B", "C"), value_columns=("v",))
@@ -118,7 +135,9 @@ def reference_phantoms(query_attrs) -> list[AttributeSet]:
 
 
 def reference_kmv_update(counter, keys: np.ndarray) -> None:
-    """``KMVDistinctCounter.update`` merging the whole batch, unfiltered."""
+    """A batch of keys into a ``KMVDistinctCounter``: each key salted and
+    hashed, the whole batch merged into the minima, unfiltered, and the
+    ``k`` smallest kept."""
     if len(keys) == 0:
         return
     hashes = splitmix64(np.asarray(keys, dtype=np.uint64) ^ counter.salt)
@@ -130,13 +149,14 @@ def reference_kmv_update(counter, keys: np.ndarray) -> None:
 
 
 def reference_observe(collector, columns) -> None:
-    """``StreamStatisticsCollector.observe``, one hash chain per relation."""
+    """``StreamStatisticsCollector.observe``, one hash chain per relation
+    and the unfiltered update."""
     n = None
     for rel in collector.relations:
         codes = combine_columns([np.asarray(columns[a]) for a in rel])
         if n is None:
             n = codes.size
-        collector._distinct[rel].update(codes)
+        reference_kmv_update(collector._distinct[rel], codes)
     collector.records_seen += int(n or 0)
 
 
@@ -268,6 +288,208 @@ def assert_matches_reference(dataset, config, buckets, epoch_seconds,
             assert totals(got.hfta, query, epoch) == \
                 totals(ref.hfta, query, epoch)
     return got
+
+
+# ----------------------------------------------------------------------
+# The numpy bodies of the native library's four entries
+# ----------------------------------------------------------------------
+# (times, weights, value-sums, value-mins, value-maxs, group columns,
+# shard ids); the three value arrays are all present or all None, the
+# shard ids None for a stream of one slice.
+_Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                  np.ndarray | None, np.ndarray | None,
+                  dict[str, np.ndarray], np.ndarray | None]
+
+
+def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
+               values: np.ndarray | None, epochs: list[tuple[int, int, int]],
+               hfta: HFTA, shards: np.ndarray | None = None,
+               slices: int = 1) -> None:
+    """Every epoch through the numpy walk, one relation at a time, with
+    ``slices`` slices per table and each row in its ``shards`` slice:
+    the shard ids travel with every arrival batch. ``tables.stats``
+    takes the call's counters.
+
+    The sort-based twin of the kernel's hash-based walk. Per relation
+    it stable-sorts the arrivals by (bucket, time), finds the runs of
+    equal keys with segment sums, derives each run's eviction time and
+    cause, and hands the evicted runs to the children, and an emitting
+    relation's to the HFTA as one batch per epoch. Flush order is
+    encoded in the time axis: arrivals occupy ``[0, n)``, the flush of
+    a depth-``d`` relation the window ``n + d * stride + bucket``,
+    ``stride > n``, so windows never overlap and the top-down
+    bucket-scan flush comes out in order."""
+    rels = tables.rels
+    stats = tables.stats = np.zeros((len(rels), 4), dtype=np.int64)
+    max_b = max(tables.sizes) * slices
+    times0, ones = tables.arrivals(max(end - start
+                                       for _, start, end in epochs))
+    raw = [r for r, p in enumerate(tables.parent) if p < 0]
+    for epoch_id, lo, hi in epochs:
+        n = hi - lo
+        stride = np.int64(n + max_b + 2)
+        arrivals: dict[int, _Arrivals] = {}
+        vals = values[lo:hi] if values is not None else None
+        shard = shards[lo:hi] if shards is not None else None
+        for r in raw:
+            cols = {a: columns[a][lo:hi] for a in rels[r].names}
+            # A single record's partials: sum = min = max = its value.
+            arrivals[r] = (times0[:n], ones[:n], vals, vals, vals, cols,
+                           shard)
+        for r, rel in enumerate(rels):  # parents first
+            t, w, vs, vmin, vmax, cols, shard = arrivals.pop(r)
+            evicted = numpy_relation(
+                rel, t, w, vs, vmin, vmax, cols, n, stride,
+                tables.sizes[r], tables.salts[r], tables.depths[r],
+                stats[r], times_sorted=tables.parent[r] < 0, shard=shard)
+            if evicted is None:
+                continue
+            ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols, ev_shard = evicted
+            if tables.emit[r]:
+                hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
+                                   ev_vmin, ev_vmax)
+            for child in tables.children[r]:
+                child_cols = {a: ev_cols[a] for a in rels[child].names}
+                arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
+                                   child_cols, ev_shard)
+
+
+def numpy_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
+                   vs: np.ndarray | None, vmin: np.ndarray | None,
+                   vmax: np.ndarray | None,
+                   cols: dict[str, np.ndarray],
+                   n: int, stride: np.int64, n_buckets: int, salt: int,
+                   depth: int, counts: np.ndarray,
+                   times_sorted: bool = False,
+                   shard: np.ndarray | None = None,
+                   ) -> _Arrivals | None:
+    """One relation-epoch of the numpy walk: its arrivals' runs, their
+    eviction times and partials, and its counters added to ``counts``
+    (arrivals intra, at the flush, evictions intra, at the flush)."""
+    m = int(t.shape[0])
+    if m == 0:
+        return None
+
+    flush_base = np.int64(n) + np.int64(depth) * stride
+    intra = int(np.count_nonzero(t < n))
+    columns = [cols[a] for a in rel.names]
+    key = pack_tuples(columns)
+    bkt = bucket_indices(columns, salt, n_buckets)
+    if shard is not None:  # each shard's slice of the table
+        bkt += shard * n_buckets
+    if times_sorted:
+        # t is already ascending (raw streams arrive in time order), so a
+        # stable single-key sort on the bucket yields the same permutation
+        # as the two-key lexsort at roughly half the cost.
+        order = np.argsort(bkt, kind="stable")
+    else:
+        order = np.lexsort((t, bkt))
+    sb = bkt[order]
+    sk = key[order]
+    st = t[order]
+
+    new_bucket = np.empty(m, dtype=bool)
+    new_bucket[0] = True
+    np.not_equal(sb[1:], sb[:-1], out=new_bucket[1:])
+    new_run = new_bucket.copy()
+    new_run[1:] |= sk[1:] != sk[:-1]
+    run_id = np.cumsum(new_run) - 1
+    run_start = np.flatnonzero(new_run)
+    n_runs = int(run_start.shape[0])
+
+    run_w = np.bincount(run_id, weights=w[order],
+                        minlength=n_runs).astype(np.int64)
+    run_vs = (np.bincount(run_id, weights=vs[order], minlength=n_runs)
+              if vs is not None else None)
+    run_vmin = (np.minimum.reduceat(vmin[order], run_start)
+                if vmin is not None else None)
+    run_vmax = (np.maximum.reduceat(vmax[order], run_start)
+                if vmax is not None else None)
+
+    # Eviction time and cause per run: a run is evicted by the first arrival
+    # of the next run if that run shares its bucket (collision), otherwise
+    # at the flush, in bucket-scan order within this relation's window.
+    evict_t = np.empty(n_runs, dtype=np.int64)
+    flush_mask = np.ones(n_runs, dtype=bool)
+    if n_runs > 1:
+        nxt = run_start[1:]
+        collided = ~new_bucket[nxt]
+        flush_mask[:-1] = ~collided
+        evict_t[:-1][collided] = st[nxt[collided]]
+    evict_t[flush_mask] = flush_base + sb[run_start[flush_mask]]
+
+    ev_intra = int(np.count_nonzero(evict_t < n))
+    counts += (intra, m - intra, ev_intra, n_runs - ev_intra)
+
+    rep = order[run_start]
+    ev_cols = {a: cols[a][rep] for a in rel.names}
+    ev_shard = shard[rep] if shard is not None else None
+    return evict_t, run_w, run_vs, run_vmin, run_vmax, ev_cols, ev_shard
+
+
+def reference_walk(tables, columns, values, epochs, hfta, shards=None,
+                   slices=1, workers=1) -> int:
+    """``engine._walk`` on :func:`numpy_walk`: always one thread and one
+    lane."""
+    numpy_walk(tables, columns, values, epochs, hfta, shards, slices)
+    return 1
+
+
+def reference_hash_shards(cols, salt: int, n_shards: int) -> np.ndarray:
+    """``native.partition.hash_shards``: the chain modulo the shards."""
+    return (combine_columns(cols, salt) % np.uint64(n_shards)).astype(
+        np.int64)
+
+
+def reference_group_stats(cols, timestamps, timeout) -> tuple[int, int]:
+    """``native.partition.group_stats`` as numpy counts it: the distinct
+    packed keys, and the records that open a flow in (key, time) order,
+    ``flow_count``'s rule (the flows are the groups when ``timeout`` is
+    None, an infinite timeout)."""
+    codes = pack_tuples(cols)
+    groups = int(np.unique(codes).size)
+    if timeout is None:
+        return groups, groups
+    order = np.lexsort((timestamps, codes))
+    codes, times = codes[order], np.asarray(timestamps)[order]
+    heads = np.ones(codes.shape[0], dtype=bool)
+    heads[1:] = ~((codes[1:] == codes[:-1])
+                  & ((times[1:] - times[:-1]) <= timeout))
+    return groups, int(np.count_nonzero(heads))
+
+
+@contextmanager
+def numpy_bodies():
+    """Inside the block the product runs the numpy bodies of this
+    section in place of the native library's: the walk, the partition
+    hash, the statistics pass and the sketch update. Whole systems run
+    on them so, to be compared with a run on the library."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_walk", reference_walk)
+        patch.setattr(native_partition, "hash_shards", reference_hash_shards)
+        patch.setattr(native_partition, "group_stats", reference_group_stats)
+        patch.setattr(StreamStatisticsCollector, "observe",
+                      reference_observe)
+        yield
+
+
+def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
+                  n_shards: int) -> list[Dataset]:
+    """Materialize the shard streams for a record-to-shard assignment.
+
+    ``shard_ids`` must assign every record an integer id in
+    ``[0, n_shards)``. Each shard gathers its rows in ascending order, so
+    records keep their arrival order and timestamps remain
+    non-decreasing.
+    """
+    n_shards = check_shard_count(n_shards)
+    ids = check_shard_ids(shard_ids, n_shards, len(dataset))
+    return [Dataset(dataset.schema,
+                    {a: col[rows] for a, col in dataset.columns.items()},
+                    dataset.timestamps[rows],
+                    {v: col[rows] for v, col in dataset.values.items()})
+            for rows in (np.flatnonzero(ids == shard)
+                         for shard in range(n_shards))]
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro import (
     StreamService,
 )
 from repro.core.queries import Aggregate, AggregationQuery
-from repro.core.sketches import KMVDistinctCounter, StreamStatisticsCollector
+from repro.core.sketches import StreamStatisticsCollector
 from repro.errors import AllocationError, ConfigurationError, SchemaError
 from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset, StreamSchema
@@ -31,7 +31,6 @@ from repro.workloads import (
 )
 
 from tests.references import (
-    reference_kmv_update,
     reference_observe,
     reference_phantoms,
 )
@@ -516,8 +515,6 @@ class TestPlansPinned:
         if reference:
             monkeypatch.setattr("repro.core.feeding_graph.enumerate_phantoms",
                                 reference_phantoms)
-            monkeypatch.setattr(KMVDistinctCounter, "update",
-                                reference_kmv_update)
             monkeypatch.setattr(StreamStatisticsCollector, "observe",
                                 reference_observe)
         returned = []

@@ -17,7 +17,7 @@ from repro.errors import CheckpointError
 from repro.gigascope.online import LiveStreamSystem
 from repro.resilience.checkpoint import read_checkpoint_document
 
-from tests.conftest import needs_kernel, numpy_kernels_off
+from tests.references import numpy_bodies
 from tests.service.conftest import SCHEMA, push_slice, query
 
 
@@ -177,16 +177,15 @@ def sketches(service):
 
 def pushed(service, dataset, start, numpy_body):
     """``service`` fed the records from ``start`` on, through the
-    library's sketches or, with ``numpy_body``, numpy's."""
-    with numpy_kernels_off() if numpy_body else nullcontext():
+    library's sketches or, with ``numpy_body``, the numpy reference's."""
+    with numpy_bodies() if numpy_body else nullcontext():
         push_slice(service, dataset, start, len(dataset))
     return service
 
 
-@needs_kernel
 class TestSketchesOnBothBodies:
     """The sketches a checkpoint carries are the same bytes whichever
-    body updates them, the library's or numpy's."""
+    body updates them, the library's or the numpy reference's."""
 
     def test_legacy_checkpoint_keeps_pushing_alike(self, dataset):
         got, want = (pushed(StreamService.restore(LEGACY / "service-v5.ckpt"),
@@ -202,7 +201,7 @@ class TestSketchesOnBothBodies:
         service = fresh_service()
         service.register("acme", query("ABC"))
         half = len(dataset) // 2
-        with numpy_kernels_off() if written_by_numpy else nullcontext():
+        with numpy_bodies() if written_by_numpy else nullcontext():
             push_slice(service, dataset, 0, half)
             service.checkpoint(tmp_path / "svc.ckpt")
         restored = pushed(StreamService.restore(tmp_path / "svc.ckpt"),

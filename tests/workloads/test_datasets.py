@@ -20,9 +20,8 @@ from repro.workloads import (
 )
 from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import QuerySet
-from repro.native import available as kernel_available
 from repro.native.partition import group_stats
-from tests.conftest import numpy_kernels_off
+from tests.references import numpy_bodies
 
 
 def A(label):
@@ -106,7 +105,7 @@ class TestMeasureStatistics:
 
 
 # ----------------------------------------------------------------------
-# The one-pass statistics kernel against the numpy body (its oracle)
+# The one-pass statistics kernel against the numpy body of the references
 # ----------------------------------------------------------------------
 ABC = StreamSchema(("A", "B", "C"))
 #: Every projection of ABC, so one stream exercises 1..3 key columns.
@@ -137,7 +136,7 @@ class TestOnePassStatistics:
     @given(data=abc_streams())
     def test_kernel_matches_numpy_body(self, flow_timeout, data):
         fast = measure_statistics(data, ABC_RELATIONS, flow_timeout)
-        with numpy_kernels_off():
+        with numpy_bodies():
             slow = measure_statistics(data, ABC_RELATIONS, flow_timeout)
         assert fast == slow
 
@@ -147,7 +146,7 @@ class TestOnePassStatistics:
         data = paper_like_trace(n_records=60_000, seed=1).head(20_000)
         nodes = FeedingGraph(QuerySet.counts(["AB", "BC", "BD", "CD"])).nodes
         fast = measure_statistics(data, nodes, flow_timeout=1.0)
-        with numpy_kernels_off():
+        with numpy_bodies():
             slow = measure_statistics(data, nodes, flow_timeout=1.0)
         assert fast == slow
         assert set(fast.flow_lengths) == set(nodes)
@@ -155,11 +154,12 @@ class TestOnePassStatistics:
 
     def test_empty_relation_raises_on_both_paths(self):
         """A relation of no attributes has no key to hash: the same
-        ``ValueError`` on both paths, never a read past the columns."""
+        ``ValueError`` from the library and the numpy body, never a read
+        past the columns."""
         data = tiny_dataset([1, 2], [0.0, 1.0])
         with pytest.raises(ValueError, match="at least one column"):
             measure_statistics(data, [AttributeSet(())], flow_timeout=1.0)
-        with numpy_kernels_off(), \
+        with numpy_bodies(), \
                 pytest.raises(ValueError, match="at least one column"):
             measure_statistics(data, [AttributeSet(())], flow_timeout=1.0)
 
@@ -167,7 +167,7 @@ class TestOnePassStatistics:
         empty = tiny_dataset([], [])
         with pytest.raises(StatisticsError):
             measure_statistics(empty, [A("A")], flow_timeout=1.0)
-        with numpy_kernels_off(), pytest.raises(StatisticsError):
+        with numpy_bodies(), pytest.raises(StatisticsError):
             measure_statistics(empty, [A("A")], flow_timeout=1.0)
 
 
@@ -181,7 +181,6 @@ class TestOneFlowRule:
         for rel in ABC_RELATIONS:
             flows = flow_count(data, rel, timeout)
             assert len(one_record_per_flow(data, rel, timeout)) == flows
-            if kernel_available():
-                columns = [data.columns[a] for a in ABC.attribute_set(rel)]
-                assert group_stats(columns, data.timestamps,
-                                   timeout)[1] == flows
+            columns = [data.columns[a] for a in ABC.attribute_set(rel)]
+            assert group_stats(columns, data.timestamps,
+                               timeout)[1] == flows
