@@ -32,37 +32,40 @@ byte for byte.
 
 *A bound walk.* Everything a configuration, its allocation, the salt
 seed and the presence of a value column fix — relation order, table
-sizes, salts, emit flags, column order, each relation's parent, depth
-and children, which counters are priced — is resolved once, when a
-:class:`Tables` binds to them, and the kernel's walk is built from it
-once and kept. Every :func:`simulate` call walks through a bound
+sizes, salts, emit flags, column order, each relation's parent, which
+counters are priced — is resolved once, when a :class:`Tables` binds to
+them, and the kernel's walks of that forest are built from it at first
+need and kept, one list of them (:meth:`Tables.walks`) for every way a
+call walks. Every :func:`simulate` call walks through a bound
 ``Tables``: its own, or the caller's (``LiveStreamSystem`` keeps one
-per era, so an epoch close pays only for binding the walk to the
-epoch's columns, the walk and the fold).
+for the whole run, so an epoch close pays only for binding the walk to
+the epoch's columns, the walk and the fold, and an era only for
+binding its configuration).
 
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
 time. A kernel walk over more than one non-empty epoch runs on a pool of
-threads, one per usable core and at most one per epoch: the kept walk
-and one more walk of the bound forest per further thread, each with its
-own scratch, all bound to the one stream the first walk converted and
-checked. They pull epochs in order from one queue, and the caller hands
-the HFTA every folded state in epoch order, then relation order, after
-the join, and sums the threads' counters. The calls, states and floats
-are those of a one-thread walk, bit for bit.
+threads, one per usable core and at most one per epoch, each on its own
+kept walk with its own scratch, all bound to the one stream the first
+walk converted and checked. They pull epochs in order from one queue,
+and the caller hands the HFTA every folded state in epoch order, then
+relation order, after the join, and sums the threads' counters. The
+calls, states and floats are those of a one-thread walk, bit for bit.
 
 *One epoch on two lanes.* Once a relation is walked, its children's
 subtrees are independent work (the paper's per-relation cost, Sec. 2.2).
 A one-epoch kernel call (every live epoch close) through a ``Tables``
 that has walked before splits the forest between two lanes when two
-cores are usable and the split pays (:meth:`Tables.lanes`): the kept
-walk on the calling thread, a second walk of the forest (kept too,
-bound like the first) on the native library's helper thread. Lanes are
-assigned by list scheduling on the last call's counters; a relation
-whose parent ran on the other lane waits for it and reads its evictions
-there. The calling thread takes both lanes' folds and hands them to the
-HFTA in relation order, and the counters are summed: the call is a
-one-lane call, bit for bit (:class:`repro.native.ingest.Lanes`).
+cores are usable and the split pays (:meth:`Tables.lanes`): the first
+kept walk on the calling thread, the second on the native library's
+helper thread. Lanes are assigned once per binding, by list scheduling
+on the counters of the binding's first call; a relation waits for what
+the lanes' one wait rule names
+(:func:`repro.native.ingest.lane_waits`), a parent on the other lane
+among them, whose evictions it reads there. The calling thread takes
+both lanes' folds and hands them to the HFTA in relation order, and the
+counters are summed: the call is a one-lane call, bit for bit
+(:class:`repro.native.ingest.Lanes`).
 
 *Shards.* A sharded run is one walk (``shards=``, one shard id per
 record): each relation's table is ``max(id) + 1`` slices of its bucket
@@ -106,20 +109,18 @@ class Tables:
     :meth:`bind` resolves what the configuration, the bucket map, the
     salt seed and the presence of a value column fix: the relation
     order, table sizes, salts, emit flags, column order, each relation's
-    parent, depth and children, and which counters are priced. The
-    kernel's :class:`~repro.native.ingest.Walk` is built from them at
-    the first walk and kept, its scratch grown in place. Every
+    parent, and which counters are priced. The kernel's walks of the
+    bound forest are one kept list (:meth:`walks`), which serves a
+    one-epoch call, the threads of a call over several epochs and the
+    two lanes of a one-epoch call (:meth:`lanes`) alike. Every
     :func:`simulate` call binds the ``Tables`` it is handed, or a new
     one, and walks through it; a caller that runs one configuration
     through many calls (``LiveStreamSystem``, once per epoch close)
-    hands each the same one and pays for the binding and the walk once.
-    Binding to another configuration, allocation, salt seed or value
-    column starts again. The results never depend on it.
+    hands each the same one and pays for the binding, the walks and the
+    lane schedule once. Binding to another configuration, allocation,
+    salt seed or value column starts again. The results never depend on
+    it.
 
-    A call over several epochs walks them on a pool of threads: the
-    first uses the kept walk, every other gets its own for the call. A
-    one-epoch call may walk on two lanes (:meth:`lanes`), the second on
-    the kept :attr:`second` walk.
     After each call :attr:`stats` holds that call's counters,
     ``(arrivals_intra, arrivals_flush, evictions_intra,
     evictions_flush)`` per relation, until the next call.
@@ -127,15 +128,13 @@ class Tables:
 
     __slots__ = ("config", "buckets", "salt_seed", "has_values", "rels",
                  "sizes", "salts", "emit", "names", "keys", "parent",
-                 "depths", "children", "walk", "second", "stats",
-                 "_epochs", "_due", "_lane_of", "_lanes", "_priced",
-                 "_times", "_ones")
+                 "stats", "_walks", "_epochs", "_lane_of", "_lanes",
+                 "_priced", "_times", "_ones")
 
     def __init__(self) -> None:
         self.config: Configuration | None = None
-        self.walk: _native.Walk | None = None
-        self.second: _native.Walk | None = None
         self.stats: np.ndarray | None = None
+        self._walks: list[_native.Walk] = []
 
     def bind(self, config: Configuration,
              buckets: Mapping[AttributeSet, object], salt_seed: int = 0,
@@ -155,12 +154,6 @@ class Tables:
         position = {rel: r for r, rel in enumerate(rels)}
         parent = [-1 if p is None else position[p]
                   for p in map(config.parent, rels)]
-        depths = [0] * len(rels)
-        children: list[list[int]] = [[] for _ in rels]
-        for r, p in enumerate(parent):  # parents first
-            if p >= 0:
-                depths[r] = depths[p] + 1
-                children[p].append(r)
         names = list(dict.fromkeys(a for rel in rels for a in rel.names))
         column = {a: c for c, a in enumerate(names)}
         # The walk reads the emit rule from here; a relation that emits
@@ -177,70 +170,63 @@ class Tables:
         self.salt_seed, self.has_values = salt_seed, values
         self.rels, self.sizes = rels, [sizes[rel] for rel in rels]
         self.salts = [relation_salt(rel.label(), salt_seed) for rel in rels]
-        self.emit, self.names = emit, names
+        self.emit, self.names, self.parent = emit, names, parent
         self.keys = [[column[a] for a in rel.names] for rel in rels]
-        self.parent, self.depths, self.children = parent, depths, children
         self._priced = priced.reshape(4, -1)
         self._times = self._ones = np.empty(0, dtype=np.int64)
-        self.walk = self.second = self.stats = self._lanes = None
-        self._lane_of = None
-        self._epochs = self._due = 0
+        self._walks = []
+        self.stats = self._lanes = self._lane_of = None
+        self._epochs = 0
 
-    def new_walk(self, longest: int, slices: int = 1) -> _native.Walk:
-        """A kernel walk of the bound forest, with scratch for epochs of
-        up to ``longest`` records and ``slices`` slices per table."""
-        return _native.Walk(self.parent, self.keys, self.salts, self.sizes,
-                            self.emit, self.has_values, longest, slices)
-
-    def kept_walk(self, longest: int, slices: int = 1) -> _native.Walk:
-        """The kept walk, built at the first call and for another slice
-        count; an epoch that outgrows its scratch doubles it in place."""
-        walk = self.walk
-        if walk is None or walk.slices != slices:
-            walk = self.walk = self.new_walk(longest, slices)
-        elif walk.longest < longest:
-            walk.reserve(max(longest, 2 * walk.longest))
-        return walk
+    def walks(self, n: int, longest: int,
+              slices: int = 1) -> list[_native.Walk]:
+        """The first ``n`` kept kernel walks of the bound forest, with
+        scratch for epochs of up to ``longest`` records and ``slices``
+        slices per table. The list is built at first need; a walk whose
+        scratch an epoch outgrows doubles it in place, and another slice
+        count builds the whole list again."""
+        kept = self._walks
+        if kept and kept[0].slices != slices:
+            kept.clear()
+        for walk in kept[:n]:
+            if walk.longest < longest:
+                walk.reserve(max(longest, 2 * walk.longest))
+        while len(kept) < n:
+            kept.append(_native.Walk(self.parent, self.keys, self.salts,
+                                     self.sizes, self.emit, self.has_values,
+                                     longest, slices))
+        return kept[:n]
 
     def lanes(self, longest: int, slices: int = 1) -> _native.Lanes | None:
         """The two lanes of a one-epoch kernel call, or None for one.
 
-        The last call's counters, per epoch, are each relation's
-        expected work: its arrivals and runs, and a query's runs once
-        more for its fold and once for the take of its folds
-        (:func:`_schedule`). The call splits when the schedule saves at
-        least one more :data:`LANE_HANDOFF` against one lane and at
-        least two cores are usable; a schedule holds for
-        :data:`RESCHEDULE` calls. The second walk is kept
-        (:attr:`second`) like the first, and the lanes while the
-        assignment holds. Call before the walks' stats are zeroed."""
-        if self.stats is None or not self._epochs or _cores() < 2:
+        A binding schedules its lanes once, at the first one-epoch call
+        after a call that walked: that call's counters, per epoch, are
+        each relation's expected work: its arrivals and runs, and a
+        query's runs once more for its fold and once for the take of its
+        folds (:func:`_schedule`). The binding's one-epoch calls split
+        when the schedule saves at least one more :data:`LANE_HANDOFF`
+        against one lane and at least two cores are usable; the lanes
+        are the first two kept walks (:meth:`walks`)."""
+        if _cores() < 2:
             return None
-        if self._due <= 0:
+        if self._lane_of is None:
+            if not self._epochs:
+                return None
             # a query's fold takes each run once more, and the take of
             # its folds as much again (a group per run at most)
             per_epoch = self.stats / self._epochs
             take = per_epoch[:, 2:].sum(axis=1) * self.emit
             lanes, saving = _schedule(
-                self.parent, self.depths, self.children,
-                (per_epoch.sum(axis=1) + take).tolist(), take.tolist())
-            self._lane_of = tuple(lanes) if saving >= LANE_HANDOFF else None
-            self._due = RESCHEDULE
-        self._due -= 1
-        if self._lane_of is None:
+                self._walks[0], (per_epoch.sum(axis=1) + take).tolist(),
+                take.tolist())
+            self._lane_of = tuple(lanes) if saving >= LANE_HANDOFF else ()
+        if not self._lane_of:
             return None
-        second = self.second
-        if second is None or second.slices != slices:
-            second = self.second = self.new_walk(longest, slices)
-            self._lanes = None
-        elif second.longest < longest:
-            second.reserve(max(longest, 2 * second.longest))
-        kept = self._lanes
-        if kept is None or kept.first is not self.walk or \
-                kept.lane != self._lane_of:
-            kept = self._lanes = _native.Lanes(self.walk, second,
-                                               self._lane_of)
-        return kept
+        first, second = self.walks(2, longest, slices)
+        if self._lanes is None or self._lanes.walks[0] is not first:
+            self._lanes = _native.Lanes(first, second, self._lane_of)
+        return self._lanes
 
     def arrivals(self, longest: int) -> tuple[np.ndarray, np.ndarray]:
         """A raw arrival's times and weights for an epoch of up to
@@ -325,46 +311,34 @@ _MAX_SHARD = 2**31 - 1
 LANE_HANDOFF = 2048
 
 
-#: Calls of one ``Tables`` between two lane schedules: a schedule costs
-#: about 17 us of Python, and the counters of one era's closes change
-#: little from one close to the next.
-RESCHEDULE = 16
-
-
-def _schedule(parent: list[int], depths: list[int],
-              children: list[list[int]], walk: list[float],
+def _schedule(walk: _native.Walk, work: list[float],
               take: list[float]) -> tuple[list[int], float]:
-    """Two-lane list scheduling of a forest in walk order: each
+    """Two-lane list scheduling of ``walk``'s forest in walk order: each
     relation's lane, and the work the schedule saves against one lane.
 
-    ``walk[r]`` is relation ``r``'s work in its lane, ``take[r]`` the
+    ``work[r]`` is relation ``r``'s work in its lane, ``take[r]`` the
     work of handing its folds over, which the calling thread does for
     both lanes: its own lane's as soon as it is walked, the other's
     once that is walked too. A relation starts on a lane once the lane
-    is free, its parent has finished and, when it feeds, the other
-    lane's children of the lane's last relation to fill the eviction
-    buffer of its depth have finished (see
-    :class:`~repro.native.ingest.Lanes`). Lane 1 starts
+    is free and what it waits for there has finished
+    (:func:`~repro.native.ingest.lane_waits`). Lane 1 starts
     :data:`LANE_HANDOFF` late, and a wait for the other lane ends as
     much late. Each relation takes the lane that leaves the call's end
     earliest, its parent's (lane 0 for a raw relation) on a tie."""
+    parent = walk.parent
     finish = [0.0] * len(parent)
     lane = [0] * len(parent)
     free = [0.0, float(LANE_HANDOFF)]
     took = [0.0, 0.0]
     end = 0.0
-    filled: dict[tuple[int, int], int] = {}  # (lane, depth): last
     for r, p in enumerate(parent):
         best = (math.inf, 0.0, 0)
         for choice in ((lane[p], 1 - lane[p]) if p >= 0 else (0, 1)):
-            begin = max(free[choice], 0.0 if p < 0 else finish[p] + (
-                LANE_HANDOFF if lane[p] != choice else 0.0))
-            q = filled.get((choice, depths[r])) if children[r] else None
-            if q is not None:
-                begin = max([begin] + [finish[c] + LANE_HANDOFF
-                                       for c in children[q]
-                                       if lane[c] != choice])
-            done = begin + walk[r]
+            lane[r] = choice
+            begin = max([free[choice]] + [
+                finish[q] + LANE_HANDOFF
+                for q in _native.lane_waits(walk, lane, r)])
+            done = begin + work[r]
             if choice == 0:
                 ends = max(done + took[0] + take[r], free[1]) + took[1]
             else:
@@ -374,11 +348,9 @@ def _schedule(parent: list[int], depths: list[int],
         end, finish[r], lane[r] = best
         free[lane[r]] = finish[r]
         took[lane[r]] += take[r]
-        if children[r]:
-            filled[lane[r], depths[r]] = r
     if 1 not in lane:
         return lane, 0.0
-    return lane, sum(walk) + sum(take) - end
+    return lane, sum(work) + sum(take) - end
 
 
 def _cores() -> int:
@@ -424,7 +396,7 @@ def simulate(dataset: Dataset, config: Configuration,
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
     epoch per call into shared accumulators), and the same ``tables`` to
-    bind the configuration once and keep the kernel's walk between them
+    bind the configuration once and keep the kernel's walks between them
     (:class:`Tables`, which also holds each call's own counters). A call
     over several epochs walks them on a thread pool, and a one-epoch
     call may walk on two lanes; either touches ``counters``/``hfta``
@@ -520,12 +492,9 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     rels = tables.rels
     longest = max(end - start for _, start, end in epochs)
     times0, ones = tables.arrivals(longest)
-    walk = tables.kept_walk(longest, slices)
     lanes = tables.lanes(longest, slices) if len(epochs) == 1 else None
-    walks = [walk] + [tables.new_walk(longest, slices)
-                      for _ in range(workers - 1)]
-    if lanes is not None:
-        walks.append(lanes.second)
+    walks = tables.walks(workers if lanes is None else 2, longest, slices)
+    walk = walks[0]
     # One conversion and one check of the stream serve every walk.
     walk.bind([columns[a] for a in tables.names], values, shards)
     for other in walks[1:]:
@@ -560,16 +529,11 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
             rels[fold.relation].names, fold.columns, fold.counts,
             fold.sums, fold.mins, fold.maxs), fold.runs) for fold in folds]
 
-    tables._epochs = len(epochs)
-    if len(walks) == 1:
-        folded = [epoch_states(walk, *piece) for piece in epochs]
-        tables.stats = walk.stats
-    elif lanes is not None:
-        folded = [epoch_states(walk, *epochs[0])]
-        tables.stats = walk.stats + lanes.second.stats
-    else:
+    if lanes is None and len(walks) > 1:
         folded = _on_pool(walks, epochs, epoch_states)
-        tables.stats = sum(w.stats for w in walks)
+    else:
+        folded = [epoch_states(walk, *piece) for piece in epochs]
+    tables.stats, tables._epochs = sum(w.stats for w in walks), len(epochs)
     for (epoch_id, _, _), states in zip(epochs, folded):
         for rel, state, runs in states:
             hfta.ingest_folded(rel, epoch_id, state, runs)

@@ -15,11 +15,13 @@ epochs under one plan) sets the baseline, which absorbs any standing
 model bias; an epoch whose ratio leaves ``REPLAN_FACTOR`` of it re-plans
 from that epoch's exact statistics, landing at the next boundary.
 
-An era holds a bound walk (:class:`~repro.gigascope.engine.Tables`):
-its first close resolves the era's relations, table sizes, salts, emit
-flags and column order and builds the kernel's walk, and every later
-close reuses them. A close hands ``simulate`` the records :meth:`push`
-checked, joined into one array per column — no second check and no
+The system keeps one bound walk (:class:`~repro.gigascope.engine.Tables`)
+for the whole run: the first close of an era binds it to the era's
+relations, table sizes, salts, emit flags and column order (a re-plan to
+the same configuration and allocation keeps the binding, its walks and
+its lane schedule), and every later close reuses them. A close hands
+``simulate`` the records :meth:`push` checked, joined into one array per
+column — no second check and no
 :class:`~repro.gigascope.records.Dataset`, which only a re-plan builds
 for its statistics — and reports the epoch's intra and flush costs from
 the walk's counters of that one call.
@@ -81,11 +83,7 @@ class EpochReport:
 @dataclass
 class _Era:
     """A maximal span of epochs sharing one plan; ``baseline`` is the
-    cost ratio of its first epoch, which held ``baseline_records``.
-    ``tables`` is the era's bound walk: the engine binds it at the era's
-    first close and walks every later one through it while the era is
-    the newest. A checkpoint leaves it out; a restored era binds a new
-    one at its first close."""
+    cost ratio of its first epoch, which held ``baseline_records``."""
 
     configuration: Configuration
     buckets: dict[AttributeSet, int]
@@ -93,20 +91,9 @@ class _Era:
     baseline: float | None = None
     baseline_records: int = 0
     counters: CostCounters = field(init=False)
-    tables: Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.counters = CostCounters(self.configuration)
-        self.tables = Tables()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["tables"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.tables = Tables()
 
 
 class _EpochRecords:
@@ -155,6 +142,9 @@ class LiveStreamSystem:
         self.registry = registry
         self.epoch_seconds = queries.epoch_seconds
         self.hfta = HFTA()
+        #: The one bound walk every close walks through; a checkpoint
+        #: leaves it out and a restored system starts a new one.
+        self.tables = Tables()
         self.eras: list[_Era] = []
         self.epoch_reports: list[EpochReport] = []
         self.reconfigurations: list[tuple[int, Configuration]] = []
@@ -174,10 +164,6 @@ class LiveStreamSystem:
     def _apply_plan(self, plan: Plan) -> None:
         buckets = {rel: max(int(b), 1)
                    for rel, b in plan.allocation.buckets.items()}
-        if self.eras:
-            # Only the newest era runs: the walk of an older one is let go
-            # rather than kept with every era of a long run.
-            self.eras[-1].tables = Tables()
         self.eras.append(_Era(plan.configuration, buckets, plan))
         self._staged_plan: Plan | None = None
         self._staged_queries: QuerySet | None = None
@@ -327,10 +313,10 @@ class LiveStreamSystem:
     # Epoch processing
     # ------------------------------------------------------------------
     def _close_epoch(self) -> EpochReport:
-        """Walk the open epoch through the newest era's bound walk and
-        report it. The records are the ones :meth:`push` checked, handed
-        over as they are; the report's costs are the walk's own counters
-        of this call."""
+        """Walk the open epoch through the bound walk, bound to the
+        newest era, and report it. The records are the ones :meth:`push`
+        checked, handed over as they are; the report's costs are the
+        walk's own counters of this call."""
         era = self.eras[-1]
         epoch = self._pending_epoch
         assert epoch is not None
@@ -344,10 +330,10 @@ class LiveStreamSystem:
             simulate(records, era.configuration, era.buckets,
                      self.epoch_seconds, self.value_column, self.salt_seed,
                      counters=era.counters, hfta=self.hfta,
-                     registry=self.registry, tables=era.tables)
+                     registry=self.registry, tables=self.tables)
         report = EpochReport(
             epoch, len(records), era.configuration,
-            *era.tables.call_costs(self.params),
+            *self.tables.call_costs(self.params),
             era.plan.predicted_cost if era.plan is not None else None)
         self.epoch_reports.append(report)
         if self.registry is not None:

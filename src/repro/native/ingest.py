@@ -70,7 +70,9 @@ both lanes share) and reads its eviction list in the other walk. A walk
 keeps one eviction buffer per depth, which siblings at that depth
 refill in turn; so a relation that would refill a buffer the other
 lane's children still read waits for them first (a release, not a
-copy). Every wait is on an earlier relation, so the lanes cannot wait
+copy). :func:`lane_waits` is that rule, the one body both the
+:class:`Lanes` a call hands the kernel and the engine's lane schedule
+read. Every wait is on an earlier relation, so the lanes cannot wait
 in a circle; a waiting thread spins a while, then sleeps on a futex.
 A fold that fails in either lane marks the call failed and the other
 stops at its next wait. The helper is one thread per process, started
@@ -129,7 +131,7 @@ import numpy as np
 
 from repro.native import library
 
-__all__ = ["Fold", "Lanes", "Walk", "ingest_runs"]
+__all__ = ["Fold", "Lanes", "Walk", "ingest_runs", "lane_waits"]
 
 
 class _FoldStruct(ctypes.Structure):
@@ -416,44 +418,52 @@ def _seed_state(seed: Seed, k: int):
         addresses.ctypes.data, *(a.ctypes.data for a in aggregates)]
 
 
+def lane_waits(walk: Walk, lane: Sequence[int], r: int) -> list[int]:
+    """What relation ``r`` of ``walk``'s forest waits for when the
+    relations up to it walk on lanes ``lane[:r + 1]`` (0 or 1): the
+    lanes' one wait rule, which :class:`Lanes` hands the kernel and the
+    engine's lane schedule prices.
+
+    A relation waits for its parent when the parent walks on the other
+    lane. When it feeds, it also waits for the other lane's children of
+    the relation before it in its lane at its depth that feeds: those
+    children read the eviction buffer this relation refills (a walk
+    keeps one buffer per depth). Every relation waited for comes
+    earlier in the walk order, so two lanes never wait on each other in
+    a circle."""
+    parent, depth, feeds = walk.parent, walk.depth, walk.feeds
+    own, p = lane[r], parent[r]
+    waits = [p] if p >= 0 and lane[p] != own else []
+    if feeds[r]:
+        q = next((q for q in range(r - 1, -1, -1) if feeds[q]
+                  and lane[q] == own and depth[q] == depth[r]), None)
+        if q is not None:  # q's children all come before r
+            waits += [c for c in range(q + 1, r)
+                      if parent[c] == q and lane[c] != own]
+    return waits
+
+
 class Lanes:
     """Two walks of one forest that walk one epoch together
-    (:func:`ingest_runs`'s ``lanes=``): ``first`` on the calling thread,
-    ``second`` on the helper thread, relation ``r`` on walk
-    ``lane[r]`` (0 or 1).
-
-    Besides its parent, a relation waits for one more set: when it
-    feeds, the other lane's children of the relation before it in its
-    lane at its depth. Those children read the eviction buffer that
-    this relation refills (a walk keeps one buffer per depth). Every
-    relation waited for comes earlier in the walk order, so the two
-    lanes never wait on each other in a circle. :attr:`ran` is the lane
-    count of the last call through these lanes: 2, or 1 when another
-    call held the helper thread."""
+    (:func:`ingest_runs`'s ``lanes=``): :attr:`walks` is ``(first,
+    second)``, the first walked on the calling thread and the second on
+    the helper thread, relation ``r`` on walk ``lane[r]`` (0 or 1),
+    waiting for what :func:`lane_waits` names.
+    :attr:`ran` is the lane count of the last call through these lanes:
+    2, or 1 when another call held the helper thread."""
 
     def __init__(self, first: Walk, second: Walk, lane: Sequence[int]):
         if (first.parent, first.n_columns, first.has_values,
                 first.slices) != (second.parent, second.n_columns,
                                   second.has_values, second.slices):
             raise ValueError("the walks are not of one forest")
-        parent, depth, feeds = first.parent, first.depth, first.feeds
-        n_rel = len(parent)
+        n_rel = len(first.parent)
         self.lane = lane = tuple(int(x) for x in lane)
         if len(lane) != n_rel or not set(lane) <= {0, 1}:
             raise ValueError("every relation needs lane 0 or 1")
-        waits: list[list[int]] = [[] for _ in range(n_rel)]
-        filled: dict[tuple[int, int], int] = {}  # (lane, depth): last
-        for r, p in enumerate(parent):
-            if p >= 0 and lane[p] != lane[r]:
-                waits[r].append(p)
-            if feeds[r]:
-                q = filled.get((lane[r], depth[r]))
-                if q is not None:  # q's children all come before r
-                    waits[r] += [c for c in range(q + 1, r)
-                                 if parent[c] == q and lane[c] != lane[r]]
-                filled[lane[r], depth[r]] = r
-        self.first, self.second, self.ran = first, second, 1
-        self.waits = waits
+        self.waits = waits = [lane_waits(first, lane, r)
+                              for r in range(n_rel)]
+        self.walks, self.ran = (first, second), 1
         offsets = np.cumsum([0] + [len(x) for x in waits])
         self._block = block = np.zeros(
             3 * n_rel + 4 + int(offsets[-1]), dtype=np.int64)
@@ -471,7 +481,7 @@ class Lanes:
 
     def _point(self, on: bool) -> None:
         """Point both walks at the lanes for a call, or back to one."""
-        walks = (self.first, self.second)
+        walks = self.walks
         for lane_id, own in enumerate(walks):
             struct = own._struct
             (struct.lane, struct.wait_off, struct.wait_rel,
@@ -522,7 +532,7 @@ def _walk_lanes(lib, lanes: Lanes, start: int, t: np.ndarray,
     arena, as a one-lane take's do, and the helper never needs the GIL.
     Returns every fold in walk order, or None when a fold of either lane
     ran out of memory."""
-    first, second = lanes.first, lanes.second
+    first, second = lanes.walks
     t_at, w_at = t.ctypes.data, w.ctypes.data
     lanes.done[:] = 0
     lanes._point(True)
@@ -581,8 +591,8 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     """
     lib = library.library()
     n = int(t.shape[0])
-    walks = (walk,) if lanes is None else (walk, lanes.second)
-    if lanes is not None and lanes.first is not walk:
+    walks = (walk,) if lanes is None else lanes.walks
+    if walks[0] is not walk:
         raise ValueError("the lanes are another walk's")
     if any(n > own.longest for own in walks) or \
             not 0 <= start <= start + n <= min(own.rows for own in walks):

@@ -24,7 +24,9 @@ stores its query registry, tenant activation windows and admission
 configuration there so a restart is transparent to tenants.
 
 The metrics ``registry`` is deliberately *not* serialized (it never
-affects answers); re-attach one on restore. The re-plan rule's state
+affects answers); re-attach one on restore. Nor is the bound walk
+(``LiveStreamSystem.tables``): a restored system gets a new one, bound
+at its first close. The re-plan rule's state
 rides in the eras; an era from a file written before eras kept their
 plan has none, and the rule stays idle until that era's next swap.
 
@@ -123,12 +125,13 @@ def read_checkpoint_document(path: str | Path) -> dict:
 
 
 def _system_from_state(state: dict, registry=None):
+    from repro.gigascope.engine import Tables
     from repro.gigascope.online import LiveStreamSystem
 
     system = LiveStreamSystem.__new__(LiveStreamSystem)
     for name in _STATE_ATTRS:
         setattr(system, name, state[name])
-    system.registry = registry
+    system.registry, system.tables = registry, Tables()
     return system
 
 

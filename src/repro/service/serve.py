@@ -109,23 +109,44 @@ def _parse_op(line: str) -> dict:
     return op
 
 
-def _field(op: dict, name: str):
-    """``op[name]``, or a ReproError naming the op and the missing field."""
+#: What a JSON value of each type is called in an error.
+_JSON_NAMES = {str: "a string", dict: "an object", list: "an array",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+_REQUIRED = object()
+
+
+def _field(op: dict, name: str, kind: tuple[type, ...],
+           default=_REQUIRED):
+    """``op[name]`` when its JSON type is one of ``kind`` (exact types:
+    a bool is no number), or ``default`` when the field is absent and
+    has one; else a ReproError naming the op and the missing or wrongly
+    typed field."""
     if name not in op:
-        raise ReproError(f"{op.get('op')} op needs a {name!r} field")
-    return op[name]
+        if default is _REQUIRED:
+            raise ReproError(f"{op.get('op')} op needs a {name!r} field")
+        return default
+    value = op[name]
+    if type(value) not in kind:
+        raise ReproError(
+            f"{op.get('op')} op's {name!r} field must be "
+            f"{_JSON_NAMES[kind[0]]}, not "
+            f"{_JSON_NAMES.get(type(value), type(value).__name__)}")
+    return value
 
 
 def _register_query(args, op: dict) -> AggregationQuery:
     if "query" in op:
-        parsed = parse_query(op["query"], args.epoch_seconds)
+        parsed = parse_query(_field(op, "query", (str,)),
+                             args.epoch_seconds)
         if parsed.where is not None:
             raise ReproError(
                 "repro-serve queries cannot carry WHERE clauses (the "
                 "service shares one unfiltered stream)")
         return parsed.query
-    return AggregationQuery(AttributeSet.parse(_field(op, "group_by")),
-                            epoch_seconds=args.epoch_seconds)
+    return AggregationQuery(
+        AttributeSet.parse(_field(op, "group_by", (str,))),
+        epoch_seconds=args.epoch_seconds)
 
 
 def _answer_jsonable(answer: QueryAnswer) -> dict[str, float]:
@@ -216,26 +237,28 @@ def main(argv: list[str] | None = None) -> int:
                 kind = op.get("op")
                 if kind == "register":
                     query = _register_query(args, op)
-                    tenant = _field(op, "tenant")
+                    tenant = _field(op, "tenant", (str,))
                     service.register(tenant, query,
-                                     expected_groups=op.get(
-                                         "expected_groups"))
+                                     expected_groups=_field(
+                                         op, "expected_groups",
+                                         (int, float, type(None)), None))
                     _emit("registered", tenant=tenant,
                           group_by=query.group_by.label())
                 elif kind == "retire":
-                    tenant = _field(op, "tenant")
-                    retired = service.retire(tenant, op.get("group_by"))
+                    tenant = _field(op, "tenant", (str,))
+                    retired = service.retire(tenant, _field(
+                        op, "group_by", (str, type(None)), None))
                     _emit("retired", tenant=tenant,
                           group_bys=[r.group_by.label()
                                      for r in retired])
                 elif kind == "push":
                     columns = {name: np.asarray(values)
                                for name, values in
-                               _field(op, "columns").items()}
-                    values = (np.asarray(op["values"])
-                              if "values" in op else None)
+                               _field(op, "columns", (dict,)).items()}
+                    values = _field(op, "values", (list,), None)
                     reports = service.push(
-                        columns, _field(op, "timestamps"), values)
+                        columns, _field(op, "timestamps", (list,)),
+                        None if values is None else np.asarray(values))
                     written = manifests.epochs_completed(service,
                                                          reports)
                     _emit("epochs",
@@ -250,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
                         epochs_since_checkpoint = 0
                         _emit("checkpointed", path=args.checkpoint)
                 elif kind == "checkpoint":
-                    path = op.get("path") or args.checkpoint
+                    path = _field(op, "path", (str, type(None)),
+                                  None) or args.checkpoint
                     if not path:
                         raise ReproError(
                             "checkpoint op needs a path (or "

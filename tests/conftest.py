@@ -68,15 +68,14 @@ def walk_workers_of(n: int):
 
 @contextmanager
 def walk_lanes_of(on: bool):
-    """Inside the block a one-epoch kernel call after a ``Tables``' first
-    walks on two lanes whenever its schedule puts a relation on the
-    second and two cores are usable (``on``: the hand-off is priced at
-    nothing and every call schedules afresh), or always on one
-    (``engine._cores`` patched to 1)."""
+    """Inside the block a one-epoch kernel call after a binding's first
+    walks on two lanes whenever the binding's schedule puts a relation
+    on the second and two cores are usable (``on``: the hand-off is
+    priced at nothing), or always on one (``engine._cores`` patched to
+    1)."""
     with pytest.MonkeyPatch.context() as patch:
         if on:
             patch.setattr(engine, "LANE_HANDOFF", 0)
-            patch.setattr(engine, "RESCHEDULE", 1)
         else:
             patch.setattr(engine, "_cores", lambda: 1)
         yield

@@ -14,6 +14,7 @@ counters and HFTA as they were.
 """
 
 import multiprocessing
+import operator
 import os
 import sys
 
@@ -83,19 +84,20 @@ def test_pool_shapes(shape, n_workers):
 def test_kept_tables_through_the_pool():
     """One ``Tables`` through multi- and one-epoch calls on 3 threads,
     growing epochs included: every call equals a one-thread call
-    without it, and a one-epoch call walks on the kept buffers."""
+    without it, and every call walks on the walks the first one built,
+    one per thread, kept in one list."""
     config = Configuration.from_notation(NOTATION)
     buckets = {rel: 5 + i for i, rel in enumerate(config.relations)}
     tables = engine.Tables()
+    kept = None
     for seed, epochs in enumerate([[40, 3, 250], [600], [1, 900, 2, 5],
-                                   [30]]):
+                                   [30], [20]]):
         dataset = make_stream(seed, epochs, 4, "finite", seed % 2 == 1)
         got = walk(3, dataset, config, buckets, tables=tables)
         assert_same_walk(got, walk(1, dataset, config, buckets))
-    kept = tables.walk
-    walk(3, make_stream(9, [20], 4, "finite", False), config, buckets,
-         tables=tables)
-    assert tables.walk is kept
+        kept = kept or list(tables._walks)
+        assert len(kept) == 3
+        assert all(map(operator.is_, tables._walks, kept))
 
 
 def test_many_threads_lose_no_epoch():

@@ -19,7 +19,7 @@ from repro import (
 from repro.core.feeding_graph import FeedingGraph
 from repro.errors import ConfigurationError, SchemaError
 from repro.core.sketches import StreamStatisticsCollector
-from repro.gigascope import engine, simulate
+from repro.gigascope import engine, online, simulate
 from repro.gigascope.filters import Comparison, filter_dataset
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.online import (REPLAN_FACTOR, EpochReport,
@@ -32,6 +32,7 @@ from repro.workloads import (
     paper_like_trace,
     uniform_dataset,
 )
+from tests.conftest import split_ran, walk_lanes_of
 from tests.references import numpy_bodies
 
 SCHEMA = StreamSchema(("A", "B", "C", "D"))
@@ -254,19 +255,29 @@ class TestLiveStreamSystem:
         for q in queries:
             assert live.answers(q) == reference.answers(q)
 
-    def test_only_the_newest_era_keeps_engine_buffers(self, dataset,
-                                                      queries, base_plan):
-        """Re-planning every epoch leaves one era holding the engine's
-        buffers, not one per era of the run."""
+    def test_one_tables_keeps_the_engine_buffers(self, dataset, queries,
+                                                 base_plan, monkeypatch):
+        """Re-planning every epoch leaves one ``Tables`` holding the
+        engine's buffers, every close walked through it, with at most
+        two walks (two lanes), not one per era of the run."""
         stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
         other_plan = plan(queries, stats, memory=800, algorithm="none")
+        walked = []
+
+        def recorded(*args, **kwargs):
+            walked.append(kwargs["tables"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(online, "simulate", recorded)
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
         for i, (cols, times) in enumerate(batches(dataset, [700] * 8)):
             live.push(cols, times)
             live.reconfigure(other_plan if i % 2 == 0 else base_plan)
         live.finish()
         assert len(live.eras) > 3
-        assert all(era.tables.walk is None for era in live.eras[:-1])
+        assert len(walked) == len(live.epoch_reports)
+        assert all(tables is live.tables for tables in walked)
+        assert 1 <= len(live.tables._walks) <= 2
 
     def test_rejects_plan_missing_queries(self, queries, base_plan):
         bad = Configuration.flat([AttributeSet.parse("AB")])
@@ -365,6 +376,65 @@ class TestEraWalk:
                           stream.timestamps[rows])
             restored.finish()
             assert calls == {"salts": len(first), "walks": walks}
+
+    def test_a_binding_schedules_its_lanes_once(self, universe, queries,
+                                                base_plan, monkeypatch):
+        """Over an era's closes with lanes forced the lanes are scheduled
+        once, at the second close; a re-plan to another configuration
+        binds again and schedules again (never where one core is
+        usable)."""
+        stream = uniform_dataset(universe, 9000, duration=80.0, seed=11)
+        stats = measure_statistics(stream, FeedingGraph(queries).nodes)
+        flat = plan(queries, stats, memory=800, algorithm="none")
+        scheduled = []
+        schedule = engine._schedule
+
+        def counted(*args):
+            scheduled.append(args)
+            return schedule(*args)
+
+        monkeypatch.setattr(engine, "_schedule", counted)
+        once = 1 if split_ran() else 0
+        edges = np.searchsorted(stream.timestamps, [30.0, 60.0]).tolist()
+        with walk_lanes_of(True):
+            live = LiveStreamSystem(SCHEMA, queries, base_plan)
+            live.push_dataset(stream.head(edges[0]))
+            live.finish()
+            assert len(live.epoch_reports) == 15
+            assert len(scheduled) == once
+            live.reconfigure(flat)
+            rows = slice(edges[0], edges[1])
+            live.push({a: stream.columns[a][rows] for a in SCHEMA.attributes},
+                      stream.timestamps[rows])
+            live.finish()
+        assert len(live.eras) == 2
+        assert len(scheduled) == 2 * once
+
+    def test_an_equal_replan_keeps_the_binding(self, universe, queries,
+                                               base_plan):
+        """A staged plan of the same configuration and buckets starts an
+        era but keeps the binding: the walk the first close built walks
+        every later close, and the reports and answers are those of a
+        run without the re-plan."""
+        stream = uniform_dataset(universe, 9000, duration=40.0, seed=13)
+
+        def run(replan):
+            live = LiveStreamSystem(SCHEMA, queries, base_plan)
+            kept = None
+            for i, (cols, times) in enumerate(batches(stream, [600] * 15)):
+                live.push(cols, times)
+                kept = kept or live.tables._walks[:1]
+                if replan and i == 6:
+                    live.reconfigure(base_plan)
+            live.finish()
+            assert live.tables._walks[0] is kept[0]
+            return live
+
+        got, want = run(True), run(False)
+        assert len(got.eras) == 2 and len(want.eras) == 1
+        assert got.epoch_reports == want.epoch_reports
+        for query in queries:
+            assert got.answers(query) == want.answers(query)
 
     def test_a_plan_replaced_before_any_epoch_builds_nothing(
             self, dataset, queries, base_plan, monkeypatch):

@@ -325,6 +325,12 @@ def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
     times0, ones = tables.arrivals(max(end - start
                                        for _, start, end in epochs))
     raw = [r for r, p in enumerate(tables.parent) if p < 0]
+    depths = [0] * len(rels)
+    children: list[list[int]] = [[] for _ in rels]
+    for r, p in enumerate(tables.parent):  # parents first
+        if p >= 0:
+            depths[r] = depths[p] + 1
+            children[p].append(r)
     for epoch_id, lo, hi in epochs:
         n = hi - lo
         stride = np.int64(n + max_b + 2)
@@ -340,7 +346,7 @@ def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
             t, w, vs, vmin, vmax, cols, shard = arrivals.pop(r)
             evicted = numpy_relation(
                 rel, t, w, vs, vmin, vmax, cols, n, stride,
-                tables.sizes[r], tables.salts[r], tables.depths[r],
+                tables.sizes[r], tables.salts[r], depths[r],
                 stats[r], times_sorted=tables.parent[r] < 0, shard=shard)
             if evicted is None:
                 continue
@@ -348,7 +354,7 @@ def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
             if tables.emit[r]:
                 hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
                                    ev_vmin, ev_vmax)
-            for child in tables.children[r]:
+            for child in children[r]:
                 child_cols = {a: ev_cols[a] for a in rels[child].names}
                 arrivals[child] = (ev_t, ev_w, ev_vs, ev_vmin, ev_vmax,
                                    child_cols, ev_shard)

@@ -93,7 +93,19 @@ def test_malformed_lines_are_error_events(tmp_path, dataset, capsys):
     bad = {2: "not json",
            3: json.dumps({"op": "bogus"}),
            4: json.dumps({"op": "register", "group_by": "CD"}),
-           5: json.dumps(no_b)}
+           5: json.dumps(no_b),
+           # wrongly typed fields
+           6: json.dumps({**no_b, "columns": [1, 2]}),
+           7: json.dumps({"op": "register", "tenant": ["x"],
+                          "group_by": "CD"}),
+           8: json.dumps({"op": "register", "tenant": "acme",
+                          "group_by": 7}),
+           9: json.dumps({"op": "retire", "tenant": "acme",
+                          "group_by": 7}),
+           10: json.dumps({"op": "register", "tenant": "acme",
+                           "group_by": "CD", "expected_groups": [1]}),
+           11: json.dumps({"op": "register", "tenant": "acme",
+                           "query": 5})}
     good = [json.dumps({"op": "register", "tenant": "acme",
                         "group_by": "AB"}),
             _push(dataset, values, 0, half),
@@ -119,5 +131,13 @@ def test_malformed_lines_are_error_events(tmp_path, dataset, capsys):
     assert "unknown op 'bogus'" in errors[1]["message"]
     assert "'tenant'" in errors[2]["message"]
     assert "missing column 'B'" in errors[3]["message"]
+    assert [e["message"] for e in errors[4:]] == [
+        "push op's 'columns' field must be an object, not an array",
+        "register op's 'tenant' field must be a string, not an array",
+        "register op's 'group_by' field must be a string, not a number",
+        "retire op's 'group_by' field must be a string, not a number",
+        "register op's 'expected_groups' field must be a number, not an "
+        "array",
+        "register op's 'query' field must be a string, not a number"]
     assert noisy == clean
     assert json.loads(noisy)["acme"]["AB"]["0"]
