@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +88,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro import native
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
@@ -208,7 +208,7 @@ class Tables:
         when the schedule saves at least one more :data:`LANE_HANDOFF`
         against one lane and at least two cores are usable; the lanes
         are the first two kept walks (:meth:`walks`)."""
-        if _cores() < 2:
+        if native.cores() < 2:
             return None
         if self._lane_of is None:
             if not self._epochs:
@@ -353,18 +353,10 @@ def _schedule(walk: _native.Walk, work: list[float],
     return lane, sum(work) + sum(take) - end
 
 
-def _cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _workers(n_epochs: int) -> int:
     """Threads for a kernel walk over ``n_epochs`` non-empty epochs: one
     per usable core, at most one per epoch."""
-    return max(1, min(_cores(), n_epochs))
+    return max(1, min(native.cores(), n_epochs))
 
 
 def simulate(dataset: Dataset, config: Configuration,

@@ -12,8 +12,12 @@ as one library. The library's entries are wrapped by
 ``repro.native.ingest`` (the engine's LFTA walk of the whole forest,
 with the fold of what it emits, one call per epoch) and
 ``repro.native.partition`` (the sharded runtime's partition hash and
-the planner's one-pass group and flow counts); ``repro.core.sketches``
-calls the sketches' entry itself.
+shard-id count, and the planner's one-pass group and flow counts);
+``repro.core.sketches`` calls the sketches' entry itself.
+
+:func:`cores` is the one answer to how many cores the process may use:
+the engine's epoch pool, its two lanes and the partition hash's split
+all read it, so patching it pins all three.
 
 This package imports nothing from the rest of ``repro`` but
 :mod:`repro.errors`, so any tier can depend on it without cycles.
@@ -37,7 +41,15 @@ from repro.native.build import (
 from repro.native.library import available
 
 __all__ = ["DEFAULT_FLAGS", "KernelStatus", "available", "compiler_path",
-           "kernel_status", "load_kernel", "machine_info"]
+           "cores", "kernel_status", "load_kernel", "machine_info"]
+
+
+def cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def machine_info() -> dict:

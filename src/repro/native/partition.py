@@ -1,6 +1,7 @@
-"""The native library's two one-pass entries over a stream's columns.
+"""The native library's one-pass entries over a stream's columns and
+its shard ids.
 
-Both hash rows through the library's salted splitmix64 chain
+The first two hash rows through the library's salted splitmix64 chain
 (:mod:`repro.native.library`) in one pass over the stream, where numpy
 would pay the chain, a pack or a sort as dozens of whole-array passes:
 
@@ -12,7 +13,14 @@ would pay the chain, a pack or a sort as dozens of whole-array passes:
   attribute values are *viewed* as uint64, which wraps negatives
   exactly like numpy's ``astype(np.uint64)``: the ids are
   ``combine_columns(cols, salt) % n_shards`` (pinned by
-  ``tests/parallel/test_partition.py``).
+  ``tests/parallel/test_partition.py``). The remainder is a multiply by
+  a reciprocal computed once per call, exact for every hash and shard
+  count, not a divide. A row's id depends on its row alone, so the rows
+  are hashed in contiguous ranges, one per usable core
+  (:func:`repro.native.cores`) and each at least :data:`SPLIT_ROWS`
+  long, each range by its own kernel call on its own thread (ctypes
+  releases the GIL for the call), all writing one ``ids`` array; a
+  shorter stream, or one core, is one call on the caller's thread.
 * :func:`group_stats` — the planner's exact statistics (``g_R`` and the
   gap-based flow count behind ``l_R``) for one relation in one pass
   over the records, the counts ``Dataset.group_count`` and
@@ -27,6 +35,14 @@ would pay the chain, a pack or a sort as dozens of whole-array passes:
   equal, ties and gaps exactly at the timeout included (pinned by
   ``tests/workloads/test_datasets.py``).
 
+The third reads shard ids, any partitioner's:
+
+* :func:`shard_counts` — the check of a record-to-shard assignment and
+  each shard's record count in one pass
+  (:func:`repro.parallel.partition.check_shard_ids`): every id compared
+  with ``n_shards`` as an unsigned word, so a negative one fails, and
+  counted.
+
 Without the library either raises
 :class:`~repro.errors.NativeLibraryError`.
 """
@@ -34,30 +50,71 @@ Without the library either raises
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro import native
 from repro.native import library
 
-__all__ = ["group_stats", "hash_shards"]
+__all__ = ["SPLIT_ROWS", "group_stats", "hash_shards", "shard_counts"]
+
+#: The fewest rows a range of the partition hash is given a thread for:
+#: below twice this a stream is hashed in one call on the caller's
+#: thread.
+SPLIT_ROWS = 1 << 16
 
 
 def hash_shards(cols: list[np.ndarray], salt: int,
                 n_shards: int) -> np.ndarray:
     """Shard ids ``chain(cols, salt) % n_shards`` as int64.
 
-    ``cols`` are the integer attribute columns of the partition key.
+    ``cols`` are the integer attribute columns of the partition key;
+    ``n_shards`` lies in ``[1, 2**64)``, else ``ValueError``.
     """
     lib = library.library()
-    if n_shards < 1:
-        raise ValueError("need at least one shard")
+    if not 1 <= n_shards < 2**64:
+        raise ValueError(
+            f"need between 1 and 2**64 - 1 shards, got {n_shards}")
     addresses, held = library.words(cols)
     n = held[0].shape[0]
     ids = np.empty(n, dtype=np.int64)
-    lib.repro_partition_hash(addresses.ctypes.data, len(held), n,
-                             salt & 0xFFFFFFFFFFFFFFFF, n_shards,
-                             ids.ctypes.data)
+    parts = max(1, min(native.cores(), n // SPLIT_ROWS))
+    edges = [n * part // parts for part in range(parts + 1)]
+    salt &= 0xFFFFFFFFFFFFFFFF
+
+    def hash_range(part: int) -> None:
+        # every column, and ids, from the range's first row on: 8-byte
+        # words (the shifted addresses are held through the call)
+        start, stop = edges[part], edges[part + 1]
+        shifted = addresses + 8 * start
+        lib.repro_partition_hash(shifted.ctypes.data, len(held),
+                                 stop - start, salt, n_shards,
+                                 ids.ctypes.data + 8 * start)
+
+    if parts == 1:
+        hash_range(0)
+        return ids
+    with ThreadPoolExecutor(parts - 1) as pool:
+        others = pool.map(hash_range, range(1, parts))
+        hash_range(0)
+        list(others)  # raises what a range raised
     return ids
+
+
+def shard_counts(ids: np.ndarray, n_shards: int) -> tuple[np.ndarray, int]:
+    """Each shard's record count of the int64 ``ids``, and the index of
+    the first id outside ``[0, n_shards)``, or -1 when there is none
+    (the counts are partial then).
+
+    ``ids`` are C-contiguous int64 and ``n_shards`` is at least 1; the
+    counts are ``n_shards`` int64 entries.
+    """
+    lib = library.library()
+    counts = np.zeros(n_shards, dtype=np.int64)
+    first = lib.repro_shard_counts(ids.ctypes.data, ids.shape[0], n_shards,
+                                   counts.ctypes.data)
+    return counts, int(first)
 
 
 def group_stats(cols: list[np.ndarray], timestamps: np.ndarray,

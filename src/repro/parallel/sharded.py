@@ -23,9 +23,14 @@ bucket), so the constructor raises
 overshooting — use fewer shards or a larger budget. Exactness does not
 depend on the split — only the measured collision/eviction counts do.
 
+The built-in partitioner hashes on every usable core
+(:func:`repro.native.partition.hash_shards`), and the checked ids go to
+the walk as the contiguous int64 it takes, with no copy.
+
 Every run records a ``partition`` span — split into ``partition.assign``
-(the partitioner and the id check) and ``partition.rows`` (each shard's
-record count, one ``np.bincount``, and the balance) — and the walk's
+(the partitioner, then one pass that checks the ids and counts each
+shard's records; :func:`~repro.parallel.partition.check_shard_ids`) and
+``partition.rows`` (the balance, from those counts) — and the walk's
 ``engine`` span into a
 :class:`~repro.observability.MetricsRegistry` (pass your own or read the
 system's). The per-shard view is :attr:`ShardedStreamSystem.
@@ -35,8 +40,6 @@ and a failed run publishes no timings.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
@@ -148,13 +151,11 @@ class ShardedStreamSystem(StreamSystem):
                 strategy = type(self.partitioner).__name__
                 # Validated before anything is published: a bad
                 # partitioner fails here, typed, with no partition_summary.
-                ids = check_shard_ids(
+                # The check's one pass counts each shard's records too.
+                ids, counts = check_shard_ids(
                     self.partitioner.shard_ids(dataset, self.shards),
                     self.shards, len(dataset), source=strategy)
             with registry.span("partition.rows"):
-                # checked ids lie in [0, shards): any integer dtype casts
-                counts = np.bincount(ids.astype(np.intp, copy=False),
-                                     minlength=self.shards)
                 summary = balance_summary(counts.tolist(), strategy)
             self.partition_summary = summary
             registry.gauge("partition.empty_shards").set(

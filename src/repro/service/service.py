@@ -42,6 +42,7 @@ cold-start admission errs toward caution rather than crashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 from repro.core.attributes import AttributeSet
 from repro.core.cost_model import CostParameters
@@ -49,7 +50,8 @@ from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.core.sketches import StreamStatisticsCollector
 from repro.core.statistics import RelationStatistics
-from repro.errors import AdmissionError, CheckpointError, SchemaError
+from repro.errors import (AdmissionError, CheckpointError, SchemaError,
+                          StatisticsError)
 from repro.gigascope.hfta import QueryAnswer
 from repro.gigascope.online import EpochReport, LiveStreamSystem
 from repro.gigascope.records import StreamSchema
@@ -64,6 +66,13 @@ __all__ = ["StreamService"]
 #: KMV size per sketched relation: ~6 % relative error on group counts,
 #: ample for planning, whose inputs enter through square roots and ratios.
 SKETCH_K = 256
+
+#: The largest ``expected_groups`` hint :meth:`StreamService.register`
+#: takes: no relation holds more groups than records, and no stream of
+#: records counted in int64 has more than this. Up to it the planner's
+#: arithmetic stays finite; a hint near float64's largest value (1e308)
+#: overflows it to a NaN collision rate, and every later plan fails.
+MAX_EXPECTED_GROUPS = 2.0 ** 63
 
 
 @dataclass
@@ -185,12 +194,21 @@ class StreamService:
 
         ``expected_groups`` hints the group count of the query's
         grouping attributes for admission before data has flowed; it is
-        kept for later plans only once the registration lands. A query
+        kept for later plans only once the registration lands. A hint
+        that is not a real number from 1 to :data:`MAX_EXPECTED_GROUPS`
+        raises :class:`~repro.errors.StatisticsError`, a query
         :func:`~repro.gigascope.runtime.check_run` refuses raises its
-        error, a rejection :class:`~repro.errors.AdmissionError`; either
+        error, a rejection :class:`~repro.errors.AdmissionError`; each
         way the registry, the hints, the live plan and every other
         tenant are untouched.
         """
+        if expected_groups is not None and not (
+                isinstance(expected_groups, Real)
+                and not isinstance(expected_groups, bool)
+                and 1 <= expected_groups <= MAX_EXPECTED_GROUPS):
+            raise StatisticsError(
+                f"expected_groups must be a finite number in [1, "
+                f"{MAX_EXPECTED_GROUPS:.0f}], got {expected_groups!r}")
         check_run(self.schema, [query], value_column=self.value_column)
         if self.registry.epoch_seconds is not None and \
                 query.epoch_seconds != self.registry.epoch_seconds:

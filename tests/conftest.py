@@ -29,6 +29,7 @@ from repro import (
     RelationStatistics,
     StreamSchema,
 )
+import repro.native
 from repro.gigascope import engine
 from repro.native import build as native_build
 from repro.workloads import make_group_universe, uniform_dataset
@@ -71,20 +72,32 @@ def walk_lanes_of(on: bool):
     """Inside the block a one-epoch kernel call after a binding's first
     walks on two lanes whenever the binding's schedule puts a relation
     on the second and two cores are usable (``on``: the hand-off is
-    priced at nothing), or always on one (``engine._cores`` patched to
-    1)."""
-    with pytest.MonkeyPatch.context() as patch:
-        if on:
+    priced at nothing), or always on one (``on`` false:
+    :func:`on_cores` of 1, which also walks every epoch pool on one
+    thread and hashes every partition in one call)."""
+    if on:
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "LANE_HANDOFF", 0)
-        else:
-            patch.setattr(engine, "_cores", lambda: 1)
+            yield
+    else:
+        with on_cores(1):
+            yield
+
+
+@contextmanager
+def on_cores(n: int):
+    """Inside the block the process reads ``n`` usable cores
+    (``repro.native.cores`` patched): the one count the epoch pool, the
+    lanes and the partition hash's split are sized by."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.native, "cores", lambda: n)
         yield
 
 
 def split_ran() -> bool:
     """Whether a call under ``walk_lanes_of(True)`` can split here: two
     usable cores (one under ``taskset -c 0``, where lanes collapse)."""
-    return engine._cores() >= 2
+    return repro.native.cores() >= 2
 
 
 @pytest.fixture

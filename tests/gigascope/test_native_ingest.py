@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.native
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro import RelationStatistics, plan
@@ -259,8 +260,8 @@ _VARIANTS = {"dispatched": native_library.SOURCE,
                   "repro_walk_join", "repro_walk_stop"),
                  id="repro.native.ingest"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
-    pytest.param(("repro_partition_hash", "repro_hash_isa",
-                  "repro_kmv_observe"),
+    pytest.param(("repro_partition_hash", "repro_shard_counts",
+                  "repro_hash_isa", "repro_kmv_observe"),
                  id="repro.native.partition"),
 ])
 def test_kernel_source_compiles_without_warnings(entries, strict_build):
@@ -762,7 +763,7 @@ class TestLanes:
         # BC, BD and CD wait for it in the other
         config = lane_config("ABCD(AB BCD(BC BD CD))+BCD")
         lane = [failing, 1 - failing, failing] + [1 - failing] * 3
-        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(repro.native, "cores", lambda: 2)
         monkeypatch.setattr(engine, "_schedule",
                             lambda *args: (lane, float("inf")))
         dataset = make_stream(3, [400, 400, 400], 4, "finite", False)
@@ -788,7 +789,7 @@ class TestLanes:
         assert len(raised) == 1
         assert (repr(counters.relations), states(hfta)) == before
         monkeypatch.undo()
-        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(repro.native, "cores", lambda: 2)
         monkeypatch.setattr(engine, "_schedule",
                             lambda *args: (lane, float("inf")))
         assert close(parts[1]).walk.endswith("2 lanes")

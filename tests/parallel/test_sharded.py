@@ -306,6 +306,39 @@ class TestShardedSystemApi:
             for query in queries:
                 assert report.answers(query) == reports[0].answers(query)
 
+    def test_walk_takes_the_checked_ids_uncopied(self, netflow, pair_plan,
+                                                 monkeypatch):
+        """Whatever integer dtype a partitioner returns, the walk is
+        handed the check's contiguous int64 ids, which ``simulate``
+        keeps as they are, and the summary counts each shard's
+        records."""
+        from repro.gigascope import engine
+        queries, the_plan = pair_plan
+        seen = []
+        check = engine._shard_ids
+
+        def spy(shards, n_records):
+            checked, slices = check(shards, n_records)
+            seen.append((shards, checked))
+            return checked, slices
+
+        monkeypatch.setattr(engine, "_shard_ids", spy)
+
+        class Narrow:
+            def shard_ids(self, dataset, n_shards):
+                return HashPartitioner().shard_ids(
+                    dataset, n_shards).astype(np.uint8)
+
+        system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,
+                                               shards=3,
+                                               partitioner=Narrow())
+        system.run()
+        ((handed, walked),) = seen
+        assert handed.dtype == np.int64 and handed.flags.c_contiguous
+        assert walked is handed
+        assert system.partition_summary["records"] == \
+            np.bincount(handed, minlength=3).tolist()
+
     def test_timings_populated(self, netflow, pair_plan):
         queries, the_plan = pair_plan
         system = ShardedStreamSystem.from_plan(netflow, queries, the_plan,

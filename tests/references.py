@@ -489,7 +489,7 @@ def split_dataset(dataset: Dataset, shard_ids: np.ndarray,
     non-decreasing.
     """
     n_shards = check_shard_count(n_shards)
-    ids = check_shard_ids(shard_ids, n_shards, len(dataset))
+    ids, _ = check_shard_ids(shard_ids, n_shards, len(dataset))
     return [Dataset(dataset.schema,
                     {a: col[rows] for a, col in dataset.columns.items()},
                     dataset.timestamps[rows],

@@ -9,6 +9,7 @@ same float text, same layout.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -105,7 +106,16 @@ def test_malformed_lines_are_error_events(tmp_path, dataset, capsys):
            10: json.dumps({"op": "register", "tenant": "acme",
                            "group_by": "CD", "expected_groups": [1]}),
            11: json.dumps({"op": "register", "tenant": "acme",
-                           "query": 5})}
+                           "query": 5}),
+           # group-count hints no plan can take
+           12: json.dumps({"op": "register", "tenant": "acme",
+                           "group_by": "CD", "expected_groups": math.nan}),
+           13: json.dumps({"op": "register", "tenant": "acme",
+                           "group_by": "CD", "expected_groups": math.inf}),
+           14: json.dumps({"op": "register", "tenant": "acme",
+                           "group_by": "CD", "expected_groups": -5}),
+           15: json.dumps({"op": "register", "tenant": "acme",
+                           "group_by": "CD", "expected_groups": 1e308})}
     good = [json.dumps({"op": "register", "tenant": "acme",
                         "group_by": "AB"}),
             _push(dataset, values, 0, half),
@@ -138,6 +148,9 @@ def test_malformed_lines_are_error_events(tmp_path, dataset, capsys):
         "retire op's 'group_by' field must be a string, not a number",
         "register op's 'expected_groups' field must be a number, not an "
         "array",
-        "register op's 'query' field must be a string, not a number"]
+        "register op's 'query' field must be a string, not a number",
+        *(f"expected_groups must be a finite number in "
+          f"[1, {2**63}], got {hint}"
+          for hint in ("nan", "inf", "-5", "1e+308"))]
     assert noisy == clean
     assert json.loads(noisy)["acme"]["AB"]["0"]

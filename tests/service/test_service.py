@@ -20,10 +20,16 @@ from repro import (
 )
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.core.sketches import StreamStatisticsCollector
-from repro.errors import AllocationError, ConfigurationError, SchemaError
+from repro.errors import (
+    AllocationError,
+    ConfigurationError,
+    SchemaError,
+    StatisticsError,
+)
 from repro.gigascope.engine import simulate
 from repro.gigascope.records import Dataset, StreamSchema
 from repro.service.replan import IncrementalReplanner
+from repro.service.service import MAX_EXPECTED_GROUPS
 from repro.workloads import (
     make_group_universe,
     paper_like_trace,
@@ -217,6 +223,53 @@ class TestAdmissionIsolation:
         snapshot = service.metrics_snapshot().to_dict()["counters"]
         assert snapshot["service.rejections"] == 2
         assert snapshot["tenant.hog.rejections"] == 2
+
+    @pytest.mark.parametrize("hint", [
+        np.nan, np.inf, -np.inf, -5, 0, 0.5, 1e308,
+        np.nextafter(MAX_EXPECTED_GROUPS, np.inf), 2**63 + 1, True, "10"])
+    def test_bad_group_hints_are_refused_before_anything_moves(
+            self, dataset, hint):
+        """A hint that is not a finite real number in [1, 2**63] is a
+        typed error raised before the registry, the hints or the plan
+        move; the service then registers and serves as if it never
+        came."""
+        service = StreamService(SCHEMA, memory=800)
+        service.register("acme", query("AB"))
+        push_slice(service, dataset, 0, len(dataset) // 2)
+        before = (service.registry.version, dict(service._hints),
+                  service.live._staged_plan, len(service.live.eras))
+        with pytest.raises(StatisticsError, match="expected_groups"):
+            service.register("acme", query("CD"), expected_groups=hint)
+        assert (service.registry.version, service._hints,
+                service.live._staged_plan, len(service.live.eras)) == before
+        service.register("acme", query("CD"), expected_groups=50)
+        push_slice(service, dataset, len(dataset) // 2, len(dataset))
+        service.finish()
+        assert service.answers("acme")["AB"] == \
+            offline_answers(dataset, "AB")
+
+    def test_the_largest_group_hint_plans_and_serves(self, dataset):
+        """A hint of exactly :data:`MAX_EXPECTED_GROUPS` registers, is
+        kept, and every later plan and push succeeds."""
+        service = StreamService(SCHEMA, memory=800)
+        service.register("acme", query("AB"),
+                         expected_groups=MAX_EXPECTED_GROUPS)
+        assert service._hints == {AttributeSet.parse("AB"):
+                                  MAX_EXPECTED_GROUPS}
+        n = len(dataset)
+        push_slice(service, dataset, 0, n // 3)
+        service.register("acme", query("CD"),
+                         expected_groups=MAX_EXPECTED_GROUPS)
+        push_slice(service, dataset, n // 3, n)
+        service.finish()
+        answers = service.answers("acme")
+        assert answers["AB"] == offline_answers(dataset, "AB")
+        start = service.leases("acme")[1]["start"]
+        assert start is not None
+        want = offline_answers(dataset, "CD")
+        assert answers["CD"] == {epoch: answer
+                                 for epoch, answer in want.items()
+                                 if epoch >= start}
 
     def test_readmission_after_rejection_succeeds(self):
         """A rejected tenant can come back once capacity frees up.
