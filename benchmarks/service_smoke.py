@@ -3,9 +3,11 @@
 Boots the real CLI as subprocesses against a generated workload:
 
 1. **Phase one** registers two tenants, streams half the data, registers
-   a third tenant mid-epoch, and checkpoints. The process then exits —
-   from the service's point of view, a kill: everything after the
-   checkpoint is lost.
+   a third tenant mid-epoch, streams on, registers a fourth and
+   checkpoints with that registration still pending: the checkpoint is
+   the boundary that plans it. The process then exits — from the
+   service's point of view, a kill: everything after the checkpoint is
+   lost.
 2. **Phase two** boots a fresh process with ``--resume``, retires a
    tenant mid-run, streams the rest, and dumps per-tenant answers.
 3. The answers are checked against an offline one-shot
@@ -18,6 +20,10 @@ Each phase also sends one malformed push ahead of the valid push of the
 same records: float attribute values in phase one, a NaN timestamp
 mid-batch in phase two. Each must get an ``error`` event naming its line
 and change nothing, so the oracle check also covers them.
+
+Registry changes are planned at the next boundary call (push, finish,
+checkpoint), once per boundary whose physical set changed: each phase's
+last manifest must count exactly those plans in ``service.replans``.
 
 Exits non-zero on any mismatch. Used by the gating CI ``service-smoke``
 job::
@@ -116,6 +122,13 @@ def oracle_answers(dataset, group_by: str) -> dict[int, dict[str, float]]:
     }
 
 
+def replans(manifest_dir: Path) -> int:
+    """``service.replans`` in the phase's last manifest."""
+    last = sorted(manifest_dir.glob("manifest-*.json"))[-1]
+    counters = json.loads(last.read_text())["metrics"]["counters"]
+    return counters.get("service.replans", 0)
+
+
 def main() -> int:
     dataset = make_dataset()
     n = len(dataset)
@@ -124,6 +137,7 @@ def main() -> int:
     cut_half = int(np.searchsorted(dataset.timestamps, 4.6))  # epoch 2
     cut_late = int(np.searchsorted(dataset.timestamps, 6.9))  # epoch 3
     late_start = 2    # registered during epoch 1 -> active from 2
+    tail_start = 3    # registered during epoch 2 -> active from 3
     leaver_end = 4    # retired during epoch 3 -> inactive from 4
 
     workdir = Path(tempfile.mkdtemp(prefix="service-smoke-"))
@@ -138,14 +152,21 @@ def main() -> int:
         op(op="register", tenant="late", group_by="CD"),
         float_push_op(dataset, cut_mid, cut_half),
         push_op(dataset, cut_mid, cut_half),
+        op(op="register", tenant="tail", group_by="BD"),
         op(op="checkpoint", path=str(checkpoint)),
     ]
     phase1.write_text("\n".join(lines) + "\n")
     events = run_serve(phase1, "--attributes", "A,B,C,D",
                        "--memory", str(MEMORY),
-                       "--epoch-seconds", str(EPOCH))
+                       "--epoch-seconds", str(EPOCH),
+                       "--manifest-dir", str(workdir / "phase1"))
     assert any(e["event"] == "checkpointed" for e in events), events
     check_refused(events, lines, 4)
+    # Boundaries whose set changed: the first push ({AB, BC}), the
+    # refused push after ``late`` registered, the checkpoint after
+    # ``tail`` did.
+    planned = replans(workdir / "phase1")
+    assert planned == 3, f"phase 1 made {planned} plans, not 3"
     print(f"phase 1: {len(events)} events, checkpoint written")
     # The process exits here; state after the checkpoint is lost.
 
@@ -159,9 +180,14 @@ def main() -> int:
     ]
     phase2.write_text("\n".join(lines) + "\n")
     events = run_serve(phase2, "--resume", str(checkpoint),
-                       "--answers-json", str(answers_path))
+                       "--answers-json", str(answers_path),
+                       "--manifest-dir", str(workdir / "phase2"))
     assert any(e["event"] == "resumed" for e in events), events
     check_refused(events, lines, 2)
+    # ``tail``'s plan came staged in the checkpoint; the one change left
+    # is the retirement, planned at the refused push after it.
+    planned = replans(workdir / "phase2")
+    assert planned == 1, f"phase 2 made {planned} plans, not 1"
     print(f"phase 2: {len(events)} events, resumed from checkpoint")
 
     answers = json.loads(answers_path.read_text())
@@ -169,6 +195,7 @@ def main() -> int:
         ("steady", "AB"): (0, 5),
         ("leaver", "BC"): (0, leaver_end),
         ("late", "CD"): (late_start, 5),
+        ("tail", "BD"): (tail_start, 5),
     }
     failures = 0
     for (tenant, group_by), (start, end) in windows.items():

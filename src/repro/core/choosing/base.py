@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro.core.attributes import AttributeSet
 from repro.core.allocation.base import Allocation
 from repro.core.configuration import Configuration, Universe
-from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
 
@@ -52,7 +51,7 @@ def plan_universe(queries: QuerySet,
                   stats: RelationStatistics) -> Universe:
     """What a plan may instantiate: the queries and each candidate phantom
     with statistics, in the feeding graph's order and with its masks."""
-    graph = FeedingGraph(queries)
+    graph = queries.graph
     nodes = graph.nodes
     keep = [k for k, rel in enumerate(nodes)
             if graph.is_query(rel) or stats.has(rel)]

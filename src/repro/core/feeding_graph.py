@@ -56,7 +56,10 @@ class FeedingGraph:
     Parameters
     ----------
     queries:
-        The user queries (always instantiated at the LFTA).
+        The user queries (always instantiated at the LFTA). A query set
+        keeps the graph it needs, :attr:`QuerySet.graph
+        <repro.core.queries.QuerySet.graph>`; build one here only for a
+        set that is used once.
 
     Attributes
     ----------
@@ -71,7 +74,6 @@ class FeedingGraph:
     """
 
     def __init__(self, queries: QuerySet):
-        self._query_set = queries
         self.queries: list[AttributeSet] = list(queries.group_bys)
         self.phantoms: list[AttributeSet] = enumerate_phantoms(self.queries)
         self._queries = frozenset(self.queries)

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.attributes import AttributeSet
 from repro.errors import SchemaError
+
+if TYPE_CHECKING:
+    from repro.core.feeding_graph import FeedingGraph
 
 __all__ = ["Aggregate", "AggregationQuery", "QuerySet"]
 
@@ -105,7 +108,15 @@ class QuerySet:
 
     The optimizer requires all queries to share the same epoch, because the
     LFTA flushes every table at each epoch boundary.
+
+    A query set never changes once built, so it keeps its feeding graph
+    (:attr:`graph`) from the first time one is needed: everything that
+    plans or measures the same set shares one graph.
     """
+
+    #: The feeding graph, built at first need (:attr:`graph`); never
+    #: pickled, so a restored set builds its own.
+    _graph: "FeedingGraph | None" = None
 
     def __init__(self, queries: Iterable[AggregationQuery]):
         self._queries: list[AggregationQuery] = []
@@ -149,6 +160,19 @@ class QuerySet:
     def group_bys(self) -> list[AttributeSet]:
         """The grouping attribute sets, in query order."""
         return [q.group_by for q in self._queries]
+
+    @property
+    def graph(self) -> "FeedingGraph":
+        """The :class:`~repro.core.feeding_graph.FeedingGraph` of these
+        queries, built once and kept."""
+        if self._graph is None:
+            from repro.core.feeding_graph import FeedingGraph
+            self._graph = FeedingGraph(self)
+        return self._graph
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_graph"}
 
     def query_for(self, attrs: AttributeSet) -> AggregationQuery:
         for query in self._queries:

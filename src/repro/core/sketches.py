@@ -225,8 +225,11 @@ class StreamStatisticsCollector:
         return {key: value for key, value in self.__dict__.items()
                 if key != "_bound"}
 
+    def group_count(self, rel: AttributeSet) -> float:
+        """One tracked relation's estimated group count (at least 1)."""
+        return max(self._distinct[rel].estimate(), 1.0)
+
     def statistics(self) -> RelationStatistics:
-        """A planner-ready snapshot of the current estimates."""
-        groups = {rel: max(counter.estimate(), 1.0)
-                  for rel, counter in self._distinct.items()}
+        """A planner-ready snapshot of every relation's estimate."""
+        groups = {rel: self.group_count(rel) for rel in self._distinct}
         return RelationStatistics(groups, {}, counters=self._counters)

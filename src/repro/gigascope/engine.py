@@ -98,6 +98,7 @@ from repro.gigascope.hfta import HFTA, ColumnarTotals
 from repro.gigascope.metrics import CostCounters, SimulationResult
 from repro.gigascope.records import Dataset
 from repro.native import ingest as _native
+from repro.native.ingest import ShardIds
 from repro.observability.tracing import trace
 
 __all__ = ["Tables", "bucket_counts", "simulate"]
@@ -367,7 +368,7 @@ def simulate(dataset: Dataset, config: Configuration,
              hfta: HFTA | None = None,
              registry=None,
              tables: Tables | None = None,
-             shards: np.ndarray | None = None,
+             shards: np.ndarray | ShardIds | None = None,
              ) -> SimulationResult:
     """Stream a dataset through a configuration; return counters + HFTA.
 
@@ -383,7 +384,11 @@ def simulate(dataset: Dataset, config: Configuration,
     ``buckets`` entry, one per shard (one per id present when the largest
     id reaches the record count), and each record is walked in its
     shard's slice. The result is that of the shards walked one after
-    the other, in shard order, into one HFTA.
+    the other, in shard order, into one HFTA. Ids whose maker checked
+    them may come as :class:`~repro.native.ingest.ShardIds` with
+    ``max(id) + 1`` as ``slices``, at most the record count; only their
+    length and slice count are compared then, and no pass reads them
+    before the walk.
 
     Pass existing ``counters``/``hfta`` to accumulate across several calls
     (the incremental runtime in :mod:`repro.gigascope.online` streams one
@@ -404,7 +409,7 @@ def simulate(dataset: Dataset, config: Configuration,
     """
     tables = tables if tables is not None else Tables()
     tables.bind(config, buckets, salt_seed, value_column is not None)
-    shards, slices = _shard_ids(shards, len(dataset))
+    ids, slices = _shard_ids(shards, len(dataset))
     n_records = len(dataset)
     counters = counters if counters is not None else CostCounters(config)
     hfta = hfta if hfta is not None else HFTA()
@@ -416,7 +421,8 @@ def simulate(dataset: Dataset, config: Configuration,
         lanes = 1
         if epochs:
             lanes = _walk(tables, dataset.columns, values, epochs, hfta,
-                          shards, slices, workers)
+                          None if ids is None else ShardIds(ids, slices),
+                          workers)
             tables.count_into(counters)
         else:
             tables.stats = np.zeros((len(tables.rels), 4), dtype=np.int64)
@@ -436,9 +442,18 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
     are known to be 1-D, integer, one per record and in ``[0, 2**31)``.
     Ids past the record count cannot all be in use: they become their
     ranks among the ids present, in the same order, so the tables grow
-    with the shards in use and not with the largest id."""
+    with the shards in use and not with the largest id. Checked
+    :class:`~repro.native.ingest.ShardIds` are taken as they are, once
+    their length and slice count fit the records."""
     if shards is None:
         return None, 1
+    if isinstance(shards, ShardIds):
+        if shards.ids.shape != (n_records,) or \
+                not 1 <= shards.slices <= n_records:
+            raise ConfigurationError(
+                f"checked shard ids do not fit {n_records} records: "
+                f"{shards.ids.shape[0]} ids in {shards.slices} slices")
+        return shards
     ids = np.asarray(shards)
     if ids.ndim != 1:
         raise ConfigurationError(
@@ -470,11 +485,12 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
 
 def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
           values: np.ndarray | None, epochs: list[tuple[int, int, int]],
-          hfta: HFTA, shards: np.ndarray | None = None,
-          slices: int = 1, workers: int = 1) -> int:
+          hfta: HFTA, shards: ShardIds | None = None,
+          workers: int = 1) -> int:
     """Every epoch through the ingest kernel, one call per epoch, on
-    ``workers`` threads (the calling one alone when 1), with ``slices``
-    slices per table and each row in its ``shards`` slice; one epoch
+    ``workers`` threads (the calling one alone when 1), with
+    ``shards.slices`` slices per table and each row in its ``shards``
+    slice (one slice without shards); one epoch
     alone walks on the lanes :meth:`Tables.lanes` gives. The walk folds
     each emitting relation's runs, extending the state the HFTA already
     holds for that relation and epoch; the HFTA takes the folded states
@@ -482,6 +498,7 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     call's counters. Returns the lanes the one epoch walked on (1 for
     several epochs)."""
     rels = tables.rels
+    slices = 1 if shards is None else shards.slices
     longest = max(end - start for _, start, end in epochs)
     times0, ones = tables.arrivals(longest)
     lanes = tables.lanes(longest, slices) if len(epochs) == 1 else None

@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
-from repro.core.feeding_graph import FeedingGraph
 from repro.core.optimizer import Plan, plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import AllocationError, ConfigurationError, SchemaError
@@ -381,7 +380,7 @@ class LiveStreamSystem:
         dataset = Dataset(self.schema, records.columns,
                           np.concatenate(times), records.values)
         stats = measure_statistics(
-            dataset, FeedingGraph(self.queries).nodes,
+            dataset, self.queries.graph.nodes,
             counters=2 if self.value_column else 1)
         try:
             new_plan = plan(

@@ -131,7 +131,8 @@ import numpy as np
 
 from repro.native import library
 
-__all__ = ["Fold", "Lanes", "Walk", "ingest_runs", "lane_waits"]
+__all__ = ["Fold", "Lanes", "ShardIds", "Walk", "ingest_runs",
+           "lane_waits"]
 
 
 class _FoldStruct(ctypes.Structure):
@@ -186,6 +187,16 @@ class Fold(NamedTuple):
 #: and its counts, sums, minima and maxima, one row per group.
 Seed = tuple[Sequence[np.ndarray], np.ndarray, np.ndarray, np.ndarray,
              np.ndarray]
+
+
+class ShardIds(NamedTuple):
+    """Shard ids whose maker has checked them: C-contiguous int64, each
+    in ``[0, slices)``. :meth:`Walk.bind` takes them without a pass over
+    the ids, as ``simulate(..., shards=)`` does; an id outside the range
+    would be walked into another table's memory."""
+
+    ids: np.ndarray
+    slices: int
 
 
 class Walk:
@@ -356,14 +367,20 @@ class Walk:
 
     def bind(self, columns: Sequence[np.ndarray],
              values: np.ndarray | None,
-             shards: np.ndarray | None = None) -> None:
+             shards: "np.ndarray | ShardIds | None" = None) -> None:
         """Point the walk at a stream: its integer attribute columns (the
         ones ``keys`` index), its value column, or None, and its rows'
-        shard ids (each in ``[0, slices)``), or None for slice 0."""
+        shard ids (each in ``[0, slices)``, checked here in one pass
+        unless they come as :class:`ShardIds`), or None for slice 0."""
         if len(columns) < self.n_columns or \
                 (values is not None) != self.has_values:
             raise ValueError("the stream does not have the walk's columns")
-        if shards is not None:
+        if isinstance(shards, ShardIds):
+            if shards.slices > self.slices:
+                raise ValueError(f"shard ids must lie in [0, "
+                                 f"{self.slices})")
+            shards = shards.ids
+        elif shards is not None:
             shards = np.ascontiguousarray(shards, dtype=np.int64)
             # one pass: a negative id reads as a huge unsigned one
             if shards.ndim != 1 or (shards.size and shards.view(

@@ -25,7 +25,9 @@ depend on the split — only the measured collision/eviction counts do.
 
 The built-in partitioner hashes on every usable core
 (:func:`repro.native.partition.hash_shards`), and the checked ids go to
-the walk as the contiguous int64 it takes, with no copy.
+the walk as the contiguous int64 it takes, with no copy, and as
+:class:`~repro.native.ingest.ShardIds` with the slice count the check's
+counts give: neither ``simulate`` nor the walk reads them again.
 
 Every run records a ``partition`` span — split into ``partition.assign``
 (the partitioner, then one pass that checks the ids and counts each
@@ -41,9 +43,12 @@ and a failed run publishes no timings.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.gigascope.engine import simulate
 from repro.gigascope.runtime import RunReport, StreamSystem
+from repro.native.ingest import ShardIds
 from repro.observability import MetricsRegistry
 from repro.observability.tracing import Span
 from repro.parallel.partition import (HashPartitioner, balance_summary,
@@ -161,6 +166,13 @@ class ShardedStreamSystem(StreamSystem):
             registry.gauge("partition.empty_shards").set(
                 summary["empty_shards"])
             registry.gauge("partition.imbalance").set(summary["imbalance"])
+        # The check's counts give the slices the walk needs, so no
+        # pass reads the ids again before the walk; ids past the record
+        # count (more shards than records) go in plain, to be ranked.
+        used = np.flatnonzero(counts)
+        slices = int(used[-1]) + 1 if used.size else 0
+        if 0 < slices <= len(dataset):
+            ids = ShardIds(ids, slices)
         result = simulate(dataset, self.configuration, self.shard_buckets,
                           self.queries.epoch_seconds, self.value_column,
                           self.salt_seed, registry=registry, shards=ids)

@@ -13,9 +13,13 @@ The registry is pure bookkeeping: admission control
 (:mod:`repro.service.admission`) decides whether a registration is
 *allowed*, the :class:`~repro.service.service.StreamService` decides
 when changes take *effect* (at epoch boundaries, via staged
-reconfiguration). ``version`` increments on every successful mutation so
-the re-planner can recognize no-op changes (same distinct group-by set)
-and skip planning entirely.
+reconfiguration). ``version`` increments on every successful mutation.
+
+The registry hands out one :class:`~repro.core.queries.QuerySet` per
+physical set: asked again for the set it last handed out, or for its
+own, it returns the same object, so an admitted candidate *is* the next
+physical set, and the feeding graph the set keeps is built once for
+admission, statistics and the plan together.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ class QueryRegistry:
         #: Bumped on every successful mutation (register or retire).
         self.version = 0
         self._seq = 0
+        #: Query sets :meth:`physical_query_set` handed out, by group-by
+        #: set: the last one and the registry's own.
+        self._handed: dict[frozenset[AttributeSet], QuerySet] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -147,15 +154,28 @@ class QueryRegistry:
         count plus (when a value column flows) value sum/min/max — so the
         representative's aggregate kind does not matter; per-tenant
         answers apply each tenant's own aggregate to the shared partials.
+        A set handed out before keeps the query order it was built in;
+        a plan does not depend on it.
         """
         group_bys = self.group_bys()
-        if extra is not None and extra.group_by not in group_bys:
+        own = frozenset(group_bys)
+        if extra is not None and extra.group_by not in own:
             group_bys.append(extra.group_by)
         epoch = self.epoch_seconds if self.epoch_seconds is not None else \
             (extra.epoch_seconds if extra is not None else None)
         if not group_bys or epoch is None:
             raise SchemaError("the registry holds no queries")
-        return QuerySet.counts(group_bys, epoch_seconds=epoch)
+        key = frozenset(group_bys)
+        queries = self._handed.get(key)
+        if queries is None or queries.epoch_seconds != epoch:
+            queries = QuerySet.counts(group_bys, epoch_seconds=epoch)
+        # Kept: this set, which an admitted candidate becomes, and the
+        # registry's own, which a candidate that adds no table is.
+        kept = {key: queries}
+        if own != key and own in self._handed:
+            kept[own] = self._handed[own]
+        self._handed = kept
+        return queries
 
     # ------------------------------------------------------------------
     # Serialization (rides in the service checkpoint payload)

@@ -4,20 +4,23 @@
 :class:`~repro.gigascope.online.LiveStreamSystem` and turns it into a
 service tenants talk to:
 
-* **register/retire** — admission-checked (:mod:`.admission`), recorded
-  in the :class:`~repro.service.registry.QueryRegistry`, and turned into
-  a reconfiguration via the
-  :class:`~repro.service.replan.IncrementalReplanner`. The swap lands at
-  the first epoch not yet processed; the open epoch is never touched, so
-  registry churn never blocks ingest.
+* **register/retire** — admission-checked (:mod:`.admission`) and
+  recorded in the :class:`~repro.service.registry.QueryRegistry`; the
+  physical query set they leave is planned once, by the
+  :class:`~repro.service.replan.IncrementalReplanner`, at the next
+  :meth:`~StreamService.push`, :meth:`~StreamService.finish` or
+  :meth:`~StreamService.checkpoint`, so a burst of changes costs one
+  plan and a burst that returns to the running set costs none. The swap
+  lands at the first epoch not yet processed; the open epoch is never
+  touched, so registry churn never blocks ingest.
 * **activation windows** — each registration owns a *lease* recording
   the epoch range in which it was live. A tenant registering mid-stream
   only sees epochs from its activation on; a retired tenant keeps read
   access to the window it paid for. Windows align exactly with plan
   swaps: every lease edge is that first unprocessed epoch at call time
-  (:meth:`StreamService._boundary_epoch`), which is where the swap
-  lands, so "active from" always equals "first epoch computed under a
-  plan that includes me".
+  (:meth:`StreamService._boundary_epoch`). No epoch closes between the
+  call and the plan, so that is where the swap lands, and "active from"
+  always equals "first epoch computed under a plan that includes me".
 * **answers** — per-tenant, rendered from the shared HFTA partials with
   each tenant's own aggregate and HAVING threshold, filtered to the
   lease window. Tenants sharing a group-by share physical state but
@@ -47,6 +50,7 @@ from numbers import Real
 from repro.core.attributes import AttributeSet
 from repro.core.cost_model import CostParameters
 from repro.core.feeding_graph import FeedingGraph
+from repro.core.optimizer import Plan
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.core.sketches import StreamStatisticsCollector
 from repro.core.statistics import RelationStatistics
@@ -127,6 +131,9 @@ class StreamService:
         self._hints: dict[AttributeSet, float] = {}
         self._leases: dict[tuple[str, str], _Lease] = {}
         self._tenant_metrics: dict[str, MetricsRegistry] = {}
+        #: Each attribute alone: the relations the cold bound multiplies.
+        self._singles = {name: AttributeSet.of(name)
+                         for name in schema.attributes}
 
     # ------------------------------------------------------------------
     # Statistics
@@ -143,8 +150,7 @@ class StreamService:
         return registry
 
     def _ensure_collector(self, graph: FeedingGraph) -> None:
-        relations = graph.nodes + [AttributeSet.parse(name)
-                                   for name in self.schema.attributes]
+        relations = graph.nodes + list(self._singles.values())
         if self.collector is None:
             self.collector = StreamStatisticsCollector(
                 relations, k=SKETCH_K, counters=self._counters)
@@ -162,28 +168,31 @@ class StreamService:
         get the most conservative defensible estimate: the product of
         their single-attribute estimates, capped by the number of
         records seen, further raised by the ``expected_groups`` hint of
-        a landed registration.
+        a registration. Only the graph's nodes are estimated, and the
+        single attributes the bound multiplies.
         """
-        graph = FeedingGraph(queries)
+        graph = queries.graph
         self._ensure_collector(graph)
-        assert self.collector is not None
-        stats = self.collector.statistics()
-        groups = dict(stats.groups)
-        seen = max(self.collector.records_seen, 1)
+        collector = self.collector
+        assert collector is not None
+        groups: dict[AttributeSet, float] = {}
+        seen = max(collector.records_seen, 1)
+        # Nodes come by size, so a single-attribute node is settled
+        # before any bound reads it.
         for rel in graph.nodes:
-            est = groups.get(rel, 1.0)
-            hint = self._hints.get(rel, 1.0)
+            est = collector.group_count(rel)
             if est <= 1.0:
                 # Cold sketch: bound by the attribute-wise product, which
                 # can never undercount, capped by the records seen, which
                 # can never be exceeded.
                 bound = 1.0
                 for name in rel:
-                    bound *= groups.get(AttributeSet.parse(name), 1.0)
+                    single = self._singles[name]
+                    bound *= groups[single] if single in groups else \
+                        collector.group_count(single)
                 est = max(min(bound, float(seen)), 1.0)
-            groups[rel] = max(est, hint)
-        return RelationStatistics(groups, stats.flow_lengths,
-                                  counters=stats.counters)
+            groups[rel] = max(est, self._hints.get(rel, 1.0))
+        return RelationStatistics(groups, {}, counters=self._counters)
 
     # ------------------------------------------------------------------
     # Registration lifecycle
@@ -201,6 +210,10 @@ class StreamService:
         error, a rejection :class:`~repro.errors.AdmissionError`; each
         way the registry, the hints, the live plan and every other
         tenant are untouched.
+
+        An admitted registration lands in the registry and its lease at
+        once; the plan that carries it is made at the next boundary
+        call (:meth:`push`, :meth:`finish`, :meth:`checkpoint`).
         """
         if expected_groups is not None and not (
                 isinstance(expected_groups, Real)
@@ -232,24 +245,8 @@ class StreamService:
             self.tenant_metrics(tenant).counter("rejections").inc()
             raise
         registration = self.registry.register(tenant, query)
-        lease = _Lease(tenant, query)
-        key = (tenant, query.group_by.label())
-        previous = self._leases.get(key)
-        self._leases[key] = lease
-        try:
-            self._reconcile(stats=stats, starting=[lease])
-        except Exception:
-            # Admission is a feasibility floor, not a full plan; should
-            # the planner still fail on an admitted registration, unwind
-            # to the pre-call state before re-raising (registration is
-            # all-or-nothing).
-            self.registry.retire(tenant, query.group_by)
-            if previous is None:
-                del self._leases[key]
-            else:
-                self._leases[key] = previous
-            self.replanner.invalidate()
-            raise
+        self._leases[(tenant, gb.label())] = _Lease(
+            tenant, query, start=self._boundary_epoch())
         if expected_groups is not None:
             self._hints[gb] = max(self._hints.get(gb, 1.0),
                                   float(expected_groups))
@@ -264,17 +261,22 @@ class StreamService:
                ) -> list[Registration]:
         """Retire one query (or all of a tenant's); returns them.
 
-        The tenant keeps read access to the epochs its lease covered.
+        The tenant keeps read access to the epochs its lease covered;
+        before any data a retirement drops a lease that never was. The
+        plan without the query is made at the next boundary call.
         """
         retired = self.registry.retire(tenant, group_by)
-        ending = []
+        boundary = self._boundary_epoch()
         for registration in retired:
-            lease = self._leases.get(
-                (tenant, registration.group_by.label()))
-            if lease is not None:
-                lease.retired = True
-                ending.append(lease)
-        self._reconcile(ending=ending)
+            key = (tenant, registration.group_by.label())
+            lease = self._leases.get(key)
+            if lease is None:
+                continue
+            lease.retired = True
+            if boundary is None:
+                del self._leases[key]
+            else:
+                lease.end = boundary
         self.metrics.counter("service.retirements").inc(len(retired))
         tm = self.tenant_metrics(tenant)
         tm.counter("retirements").inc(len(retired))
@@ -300,69 +302,57 @@ class StreamService:
             return live.epoch_reports[-1].epoch + 1
         return None
 
-    def _reconcile(self, stats: RelationStatistics | None = None,
-                   starting: list[_Lease] | None = None,
-                   ending: list[_Lease] | None = None) -> None:
-        """Bring the live plan in line with the registry.
-
-        Reconfigures the live system when the physical query set changed,
-        then sets the affected leases' window edges to the boundary epoch,
-        where that change lands. Before any data a registration is active
-        from the start and a retirement drops a lease that never was.
-        """
-        live = self.live
-        if live is not None and self.registry.is_empty:
-            # Nothing left to plan for; the old tables idle until the
-            # next registration re-plans.
-            self.replanner.invalidate()
-        elif live is not None:
-            target = self.registry.physical_query_set()
-            changed = set(target.group_bys) != set(live.queries.group_bys)
-            staged = live._staged_queries
-            if staged is not None:
-                changed = changed or \
-                    set(target.group_bys) != set(staged.group_bys)
-            if changed:
-                if stats is None:
-                    stats = self.planning_statistics(target)
-                assert self.collector is not None
-                new_plan, _ = self.replanner.replan(
-                    target, stats, token=self.collector.records_seen)
-                live.reconfigure(new_plan, target)
-        boundary = self._boundary_epoch()
-        for lease in starting or []:
-            lease.start = boundary
-        for lease in ending or []:
-            if boundary is None:
-                self._leases.pop(
-                    (lease.tenant, lease.query.group_by.label()), None)
-            else:
-                lease.end = boundary
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _live_system(self) -> LiveStreamSystem:
-        """The live system, or a new one planned for the registry."""
-        if self.live is not None:
-            return self.live
-        if self.registry.is_empty:
-            raise SchemaError("cannot ingest: no tenant has registered "
-                              "a query yet")
-        queries = self.registry.physical_query_set()
+    def _plan(self, queries: QuerySet) -> Plan:
         stats = self.planning_statistics(queries)
         assert self.collector is not None
-        first_plan, _ = self.replanner.replan(
+        new_plan, _ = self.replanner.replan(
             queries, stats, token=self.collector.records_seen)
-        return LiveStreamSystem(
-            self.schema, queries, first_plan, self.params,
-            value_column=self.value_column, salt_seed=self.salt_seed,
-            registry=self.metrics)
+        return new_plan
+
+    def _live_system(self) -> LiveStreamSystem:
+        """The live system with the registry's physical set planned: a
+        new one before the first batch, else the running one with the
+        plan of every change since the last boundary staged.
+
+        This is the boundary every change waits for, so a burst of
+        register/retire calls costs one plan, from the statistics the
+        last change saw (no batch was observed in between), and a burst
+        that returns to the set the system runs next costs none. A plan
+        that fails raises here, before the caller moves anything; the
+        change stays pending for the next boundary.
+        """
+        live = self.live
+        if live is None:
+            if self.registry.is_empty:
+                raise SchemaError("cannot ingest: no tenant has "
+                                  "registered a query yet")
+            queries = self.registry.physical_query_set()
+            return LiveStreamSystem(
+                self.schema, queries, self._plan(queries), self.params,
+                value_column=self.value_column, salt_seed=self.salt_seed,
+                registry=self.metrics)
+        if self.registry.is_empty:
+            # Nothing left to plan for; the old tables idle until the
+            # next registration re-plans.
+            self.replanner.invalidate()
+            return live
+        staged = live._staged_queries
+        upcoming = live.queries if staged is None else staged
+        if set(self.registry.group_bys()) != set(upcoming.group_bys):
+            target = self.registry.physical_query_set()
+            live.reconfigure(self._plan(target), target)
+        return live
 
     def push(self, columns, timestamps, values=None) -> list[EpochReport]:
         """Feed one in-order batch; returns completed-epoch reports.
 
-        A first batch the live system refuses does not start the
+        The registry changes since the last boundary are planned first,
+        before any record of the batch is seen; a plan that fails raises
+        with the batch, registry, leases, sketches and live plan as they
+        were. A first batch the live system refuses does not start the
         stream: registrations after it still take effect from epoch 0.
         """
         live = self._live_system()
@@ -378,10 +368,12 @@ class StreamService:
         return reports
 
     def finish(self) -> list[EpochReport]:
-        """Flush the open epoch (end of stream)."""
+        """Flush the open epoch (end of stream), with the registry
+        changes since the last boundary planned first, as :meth:`push`
+        plans them."""
         if self.live is None:
             return []
-        reports = self.live.finish()
+        reports = self._live_system().finish()
         self._after_epochs(reports)
         return reports
 
@@ -460,13 +452,15 @@ class StreamService:
         The registry, leases, sketches, hints and construction
         parameters ride in the checkpoint's ``extra`` payload, so
         :meth:`restore` resumes mid-epoch with every tenant's window
-        and every admission input intact.
+        and every admission input intact. The registry changes since
+        the last boundary are planned first, as :meth:`push` plans
+        them, and their plan rides staged in the live checkpoint.
         """
-        live = self.live
-        if live is None:
+        if self.live is None:
             raise CheckpointError(
                 "nothing to checkpoint: the service has not ingested "
                 "any data yet")
+        live = self._live_system()
         payload = {"service": {
             "registry": self.registry.to_state(),
             "leases": list(self._leases.values()),

@@ -314,3 +314,38 @@ def test_kernel_reads_rows_past_start():
     for bad in (np.full(50, 3), np.full(50, -1), np.zeros((50, 1))):
         with pytest.raises(ValueError, match=r"in \[0, 3\)"):
             walk_of(cols, values, bad)
+
+
+def test_checked_ids_are_bound_without_a_pass():
+    """``ShardIds`` come checked: ``bind`` compares only their slice
+    count with the walk's (ids past it are not read, so they are not
+    refused here; a walk over them would go out of its tables), and
+    ``simulate`` only their length and slice count against the
+    records. Plain ids keep every check."""
+    ids = np.full(50, 7, dtype=np.int64)
+    cols = [np.zeros(50, dtype=np.int64) for _ in range(2)]
+    walk = native_ingest.Walk([-1], [[0, 1]], [5], [3], [True], False,
+                              32, slices=3)
+    walk.bind(cols, None, native_ingest.ShardIds(ids, 3))
+    assert walk.shards is ids
+    with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+        walk.bind(cols, None, native_ingest.ShardIds(ids, 4))
+    with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+        walk.bind(cols, None, ids)
+
+    dataset = make_stream(2, [30], 4, "finite", False)
+    n = len(dataset)
+    for wrong in (native_ingest.ShardIds(np.zeros(n - 1, np.int64), 1),
+                  native_ingest.ShardIds(np.zeros(n, np.int64), 0),
+                  native_ingest.ShardIds(np.zeros(n, np.int64), n + 1)):
+        with pytest.raises(ConfigurationError, match="checked shard ids"):
+            engine._shard_ids(wrong, n)
+    ranks = np.random.default_rng(5).integers(0, 3, n)
+    checked = native_ingest.ShardIds(ranks.astype(np.int64), 3)
+    assert engine._shard_ids(checked, n) is checked
+    config = Configuration.from_notation(NOTATION)
+    buckets = {rel: 3 + i for i, rel in enumerate(config.relations)}
+    got, want = (simulate(dataset, config, buckets, 1.0, "v", shards=s)
+                 for s in (checked, ranks))
+    assert got.counters.relations == want.counters.relations
+    assert states(got.hfta) == states(want.hfta)

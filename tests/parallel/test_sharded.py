@@ -309,20 +309,28 @@ class TestShardedSystemApi:
     def test_walk_takes_the_checked_ids_uncopied(self, netflow, pair_plan,
                                                  monkeypatch):
         """Whatever integer dtype a partitioner returns, the walk is
-        handed the check's contiguous int64 ids, which ``simulate``
-        keeps as they are, and the summary counts each shard's
-        records."""
+        handed the check's contiguous int64 ids with the slice count
+        its counts give (``ShardIds``), which ``simulate`` keeps as
+        they are and ``Walk.bind`` takes without a pass; the summary
+        counts each shard's records."""
         from repro.gigascope import engine
+        from repro.native.ingest import ShardIds, Walk
         queries, the_plan = pair_plan
-        seen = []
+        seen, bound = [], []
         check = engine._shard_ids
+        bind = Walk.bind
 
         def spy(shards, n_records):
             checked, slices = check(shards, n_records)
-            seen.append((shards, checked))
+            seen.append((shards, checked, slices))
             return checked, slices
 
+        def bind_spy(walk, columns, values, shards=None):
+            bound.append(shards)
+            return bind(walk, columns, values, shards)
+
         monkeypatch.setattr(engine, "_shard_ids", spy)
+        monkeypatch.setattr(Walk, "bind", bind_spy)
 
         class Narrow:
             def shard_ids(self, dataset, n_shards):
@@ -333,11 +341,16 @@ class TestShardedSystemApi:
                                                shards=3,
                                                partitioner=Narrow())
         system.run()
-        ((handed, walked),) = seen
-        assert handed.dtype == np.int64 and handed.flags.c_contiguous
-        assert walked is handed
+        ((handed, walked, slices),) = seen
+        assert isinstance(handed, ShardIds)
+        ids = handed.ids
+        assert ids.dtype == np.int64 and ids.flags.c_contiguous
+        assert walked is ids
+        assert slices == handed.slices == int(ids.max()) + 1 == 3
+        assert bound and all(isinstance(shards, ShardIds)
+                             and shards.ids is ids for shards in bound)
         assert system.partition_summary["records"] == \
-            np.bincount(handed, minlength=3).tolist()
+            np.bincount(ids, minlength=3).tolist()
 
     def test_timings_populated(self, netflow, pair_plan):
         queries, the_plan = pair_plan

@@ -434,10 +434,14 @@ def numpy_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
 
 
 def reference_walk(tables, columns, values, epochs, hfta, shards=None,
-                   slices=1, workers=1) -> int:
+                   workers=1) -> int:
     """``engine._walk`` on :func:`numpy_walk`: always one thread and one
-    lane."""
-    numpy_walk(tables, columns, values, epochs, hfta, shards, slices)
+    lane. ``shards`` are the engine's checked ``ShardIds``, or None."""
+    if shards is None:
+        numpy_walk(tables, columns, values, epochs, hfta)
+    else:
+        numpy_walk(tables, columns, values, epochs, hfta, shards.ids,
+                   shards.slices)
     return 1
 
 

@@ -18,6 +18,7 @@ from repro import (
     StreamSchema,
     StreamSystem,
 )
+from repro.native.ingest import ShardIds
 from repro.parallel import sharded as sharded_module
 from repro.workloads import make_group_universe, uniform_dataset
 
@@ -58,9 +59,9 @@ def single_report(dataset, queries, config, buckets):
 
 class FailingEngine:
     """Stands in for a sharded run's engine: records the shard ids of
-    every call (None for an unsharded one), raises ``error`` on the
-    1-based calls in ``failing`` and runs the real engine on the
-    others."""
+    every call (the array inside the run's checked ``ShardIds``; None
+    for an unsharded one), raises ``error`` on the 1-based calls in
+    ``failing`` and runs the real engine on the others."""
 
     def __init__(self, failing=(), error=None):
         self.engine = sharded_module.simulate
@@ -69,7 +70,9 @@ class FailingEngine:
         self.calls = []
 
     def __call__(self, shard_dataset, *args, **kwargs):
-        self.calls.append(kwargs.get("shards"))
+        shards = kwargs.get("shards")
+        self.calls.append(shards.ids if isinstance(shards, ShardIds)
+                          else shards)
         if len(self.calls) in self.failing:
             raise self.error
         return self.engine(shard_dataset, *args, **kwargs)

@@ -18,6 +18,7 @@ from repro import (
     Configuration,
     StreamService,
 )
+from repro.core.feeding_graph import FeedingGraph
 from repro.core.queries import Aggregate, AggregationQuery
 from repro.core.sketches import StreamStatisticsCollector
 from repro.errors import (
@@ -193,6 +194,25 @@ class TestChurnExactness:
         assert set(service.answers("acme")) == {"AB"}
 
 
+    def test_multi_character_attribute_names_plan_and_serve(self):
+        """The cold bound's single attributes are the schema's names,
+        each one attribute: ``src`` is not the set ``{s, r, c}``, so the
+        sketches bind to the batch's columns."""
+        schema = StreamSchema(("src", "dst"))
+        rng = np.random.default_rng(0)
+        data = Dataset(schema, {"src": rng.integers(0, 9, 400),
+                                "dst": rng.integers(0, 30, 400)},
+                       np.linspace(0.0, 7.9, 400))
+        service = StreamService(schema, memory=800)
+        service.register("acme", AggregationQuery(
+            AttributeSet.of("src", "dst"), epoch_seconds=EPOCH))
+        service.push(data.columns, data.timestamps)
+        service.finish()
+        assert service.collector.records_seen == 400
+        (answers,) = service.answers("acme").values()
+        assert answers == offline_answers(data, "src+dst")
+
+
 class TestAdmissionIsolation:
     def test_over_budget_rejection_leaves_existing_tenants_unaffected(
             self, dataset):
@@ -288,12 +308,14 @@ class TestAdmissionIsolation:
         service.register("bursty", query("ABCD"))
         assert "bursty" in service.registry.tenants
 
-    def test_planner_failure_after_admission_rolls_back(self, dataset,
-                                                         monkeypatch):
+    def test_planner_failure_at_the_boundary_moves_nothing(
+            self, dataset, monkeypatch, tmp_path):
         """Admission is a feasibility floor, not a plan: should the
-        optimizer still fail on a registration it admitted, the
-        registration must unwind whole — registry, lease, hint, and the
-        ability to keep serving the admitted tenants. (GS pays for its
+        optimizer still fail on a registration it admitted, the boundary
+        call that plans it (``push``, ``checkpoint``, ``finish``) raises
+        with everything as it was — batch, registry, lease, hint,
+        sketches, live plan — and the change stays pending, so the next
+        boundary plans it and every tenant is served. (GS pays for its
         one-bucket floors, so a budget the floor accepts plans; the
         failure is injected.)"""
         service = StreamService(SCHEMA, memory=4000,
@@ -302,29 +324,90 @@ class TestAdmissionIsolation:
         service.register("acme", query("CD"))
         half = len(dataset) // 2
         push_slice(service, dataset, 0, half)
+        live = service.live
+        service.register("hog", query("ABCD"), expected_groups=10**9)
+        # Admitted and leased at once; nothing is planned yet.
+        assert service.registry.tenants == ["acme", "hog"]
+        assert service.leases("hog")[0]["start"] == live.open_epoch + 1
+        assert service._hints == {AttributeSet.parse("ABCD"): 10**9}
+        assert live._staged_plan is None
+
+        def state():
+            return (service.registry.version, service.registry.tenants,
+                    service.leases(), dict(service._hints),
+                    service.collector.records_seen,
+                    {rel.label(): sketch._minima.tobytes()
+                     for rel, sketch in service.collector._distinct.items()},
+                    live.records_seen, live.open_epoch, len(live.eras),
+                    list(live.epoch_reports), live._staged_plan,
+                    service.metrics.counter("service.replans").value)
+
+        before = state()
 
         def failing(*args, **kwargs):
             raise AllocationError("memory 4000 too small for integer "
                                   "allocation (needs 4002 units)")
 
+        path = tmp_path / "svc.ckpt"
         with monkeypatch.context() as patch:
             patch.setattr(service.replanner, "replan", failing)
             with pytest.raises(AllocationError):
-                service.register("hog", query("ABCD"),
-                                 expected_groups=10**9)
-        assert service.registry.tenants == ["acme"]
-        assert service.leases("hog") == []
-        assert service.live._staged_plan is None
-        # The rolled-back hint is gone with it: ABCD without a hint is
-        # planned from the sketches, as on a service that never saw it.
-        assert service._hints == {}
-        service.register("acme", query("ABCD"))
-        assert service.live._staged_plan is not None
+                push_slice(service, dataset, half, len(dataset))
+            with pytest.raises(AllocationError):
+                service.checkpoint(path)
+            with pytest.raises(AllocationError):
+                service.finish()
+        assert state() == before
+        assert service.live is live and live._staged_plan is None
+        assert not path.exists()
 
+        # Still pending: the next boundary plans it, once.
+        service.checkpoint(path)
+        assert live._staged_plan is not None
+        assert AttributeSet.parse("ABCD") in live._staged_queries
+        assert service.metrics.counter("service.replans").value == \
+            before[-1] + 1
         push_slice(service, dataset, half, len(dataset))
         service.finish()
+        assert service.metrics.counter("service.replans").value == \
+            before[-1] + 1
         assert service.answers("acme")["AB"] == \
             offline_answers(dataset, "AB")
+        start = service.leases("hog")[0]["start"]
+        assert service.answers("hog")["ABCD"] == {
+            epoch: answer for epoch, answer
+            in offline_answers(dataset, "ABCD").items() if epoch >= start}
+
+    def test_a_change_given_up_before_the_boundary_plans_nothing(
+            self, dataset, monkeypatch):
+        """A client that retires a registration whose plan failed takes
+        the registry back to the running set: the next boundary plans
+        nothing, so the failure never recurs, and the admitted tenants
+        are served as by a service that never saw it."""
+        service = StreamService(SCHEMA, memory=4000,
+                                policy=AdmissionPolicy(memory=4000))
+        service.register("acme", query("AB"))
+        service.register("acme", query("CD"))
+        half = len(dataset) // 2
+        push_slice(service, dataset, 0, half)
+        service.register("hog", query("ABCD"))
+
+        def failing(*args, **kwargs):
+            raise AllocationError("memory 4000 too small")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(service.replanner, "replan", failing)
+            with pytest.raises(AllocationError):
+                push_slice(service, dataset, half, len(dataset))
+            service.retire("hog")
+            assert service.registry.tenants == ["acme"]
+            push_slice(service, dataset, half, len(dataset))
+            service.finish()
+        assert service.live._staged_plan is None
+        assert service.live.reconfigurations == []
+        assert service.answers("acme")["AB"] == \
+            offline_answers(dataset, "AB")
+        assert service.answers("hog") == {"ABCD": {}}
 
     def test_rejected_first_batch_does_not_start_the_stream(self, dataset):
         """A first batch the live system refuses leaves no live system
@@ -378,14 +461,20 @@ class TestStagedSwap:
         assert open_epoch is not None
 
         service.register("newbie", query("CD"))
-        # Staged, not applied: same era, same configuration, epoch
-        # still open with its buffered records intact.
+        assert service.leases("newbie")[0]["start"] == open_epoch + 1
+        # The next boundary plans it: a push that stays inside the open
+        # epoch stages the swap, not applied: same era, same
+        # configuration, epoch still open with its buffered records
+        # intact.
+        inside = int(np.searchsorted(dataset.timestamps, 1.75 * EPOCH))
+        assert live._staged_plan is None
+        push_slice(service, dataset, cut, inside)
         assert live.configuration is config_before
         assert live.open_epoch == open_epoch
         assert live._staged_plan is not None
         n_eras = len(live.eras)
 
-        push_slice(service, dataset, cut, len(dataset))
+        push_slice(service, dataset, inside, len(dataset))
         service.finish()
         # The swap landed exactly once, at the first boundary.
         assert len(live.eras) == n_eras + 1
@@ -558,7 +647,9 @@ class TestPlansPinned:
     retires beyond six live) is driven twice: once as shipped, once with
     the reference closure, unfiltered KMV update and per-relation
     ``observe`` of the differential suites swapped in. Every plan the
-    replanner returns must be the same, in order."""
+    replanner returns must be the same, in order. A register and a
+    retire after one close are one change, planned at the next push,
+    so the run has 24 epochs for more than 20 plans."""
 
     CHURN_SCHEMA = StreamSchema(tuple("ABCDEF"))
     GROUP_BYS = ("AB", "BCD", "BCE", "AC", "BCF", "BDE", "AD", "BDF", "BEF",
@@ -587,8 +678,8 @@ class TestPlansPinned:
         monkeypatch.setattr("repro.service.service.SKETCH_K", 64)
         universe = make_group_universe(
             self.CHURN_SCHEMA, (10, 40, 100, 300, 600, 900), seed=seed)
-        data = uniform_dataset(universe, 6000, duration=12.0, seed=seed + 1,
-                               zipf_exponent=0.8)
+        data = uniform_dataset(universe, 12_000, duration=24.0,
+                               seed=seed + 1, zipf_exponent=0.8)
         service = StreamService(self.CHURN_SCHEMA, memory=50_000.0)
         live = []
 
@@ -626,3 +717,92 @@ class TestPlansPinned:
         assert saturated > 10
         assert any(config.phantoms for _, config, _ in shipped)
         assert shipped == plain
+
+
+class TestOnePlanPerBoundary:
+    """Registry changes wait for the next boundary call (``push``,
+    ``finish``, ``checkpoint``): each boundary whose physical set
+    changed makes one plan, from the statistics the last change saw,
+    and each distinct physical set builds one feeding graph, shared by
+    admission, statistics and the plan."""
+
+    CHURN_SCHEMA = StreamSchema(tuple("ABCDEF"))
+    GROUP_BYS = TestPlansPinned.GROUP_BYS
+
+    def test_churn_plans_once_per_changed_boundary(self, monkeypatch,
+                                                   tmp_path):
+        built = []
+        init = FeedingGraph.__init__
+
+        def counting(graph, queries):
+            built.append(frozenset(queries.group_bys))
+            init(graph, queries)
+
+        monkeypatch.setattr(FeedingGraph, "__init__", counting)
+        universe = make_group_universe(
+            self.CHURN_SCHEMA, (10, 40, 100, 300, 600, 900), seed=3)
+        data = uniform_dataset(universe, 3000, duration=12.0, seed=4,
+                               zipf_exponent=0.8)
+        service = StreamService(self.CHURN_SCHEMA, memory=50_000.0)
+        replans = service.metrics.counter("service.replans")
+        live, seen, planned = [], [], None
+        expected = 0
+        closed = 0
+
+        def physical():
+            return frozenset(service.registry.group_bys())
+
+        def register(tenant, group_by):
+            if AttributeSet.parse(group_by) not in physical():
+                seen.append(physical() | {AttributeSet.parse(group_by)})
+            service.register(tenant, AggregationQuery(
+                AttributeSet.parse(group_by), epoch_seconds=1.0))
+
+        def boundary(call, *args):
+            nonlocal expected, planned
+            if physical() != planned:
+                expected, planned = expected + 1, physical()
+                seen.append(planned)
+            out = call(*args)
+            assert replans.value == expected
+            return out
+
+        for index in range(4):
+            live.append(f"t{index}")
+            register(live[-1], self.GROUP_BYS[index])
+        for start in range(0, len(data), 250):
+            columns = {a: data.columns[a][start:start + 250]
+                       for a in self.CHURN_SCHEMA.attributes}
+            for _ in boundary(service.push, columns,
+                              data.timestamps[start:start + 250]):
+                closed += 1
+                index = len(service.leases())
+                live.append(f"t{index}")
+                register(live[-1], self.GROUP_BYS[index % 15])
+                if len(live) > 5:
+                    service.retire(live.pop(0))
+                if closed % 3 == 0:  # a sharer joins: no new set
+                    service.register(f"s{closed}", AggregationQuery(
+                        service.registry.group_bys()[0],
+                        epoch_seconds=1.0))
+                if closed % 4 == 0:  # a burst back to the same set
+                    register(f"b{closed}", self.GROUP_BYS[-1])
+                    service.retire(f"b{closed}")
+                if closed == 6:  # with a registration pending
+                    boundary(service.checkpoint, tmp_path / "svc.ckpt")
+        boundary(service.finish)
+
+        assert closed == 11 and expected > 10
+        assert replans.value == expected
+        # One graph per distinct set, and only for sets that were
+        # candidates or planned.
+        assert len(built) == len(set(built))
+        assert set(built) == set(seen)
+        for window in service.leases():
+            gb = window["group_by"]
+            want = offline_answers(data, gb, epoch_seconds=1.0)
+            start = window["start"] or 0
+            end = window["end"] if window["end"] is not None else np.inf
+            assert service.answers(window["tenant"])[gb] == {
+                epoch: answer for epoch, answer in want.items()
+                if start <= epoch < end}

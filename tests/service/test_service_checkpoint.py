@@ -44,12 +44,14 @@ class TestRoundTrip:
         service.register("beta", query("BC"))
         half = len(dataset) // 2
         push_slice(service, dataset, 0, half)
-        # Register inside the open epoch so a reconfiguration (plan AND
-        # query-set swap) is staged but not yet applied at the cut.
+        # Register inside the open epoch, with no boundary since: the
+        # checkpoint plans it, so a reconfiguration (plan AND query-set
+        # swap) is staged but not yet applied at the cut.
         service.register("late", query("CD"))
         if interrupt:
             path = tmp_path / "svc.ckpt"
             service.checkpoint(path)
+            assert service.live._staged_plan is not None
             del service  # the "crash"
             service = StreamService.restore(path)
         push_slice(service, dataset, half, len(dataset))
@@ -69,6 +71,10 @@ class TestRoundTrip:
         assert restored.live.epoch_reports == oracle.live.epoch_reports
         assert restored.live.reconfigurations == \
             oracle.live.reconfigurations
+        # Two plans in all (the first, then late's); the restored
+        # service plans nothing more, its change came staged.
+        assert oracle.metrics.counter("service.replans").value == 2
+        assert restored.metrics.counter("service.replans").value == 0
         # The pickled sketches kept absorbing batches after the restore.
         target = oracle.registry.physical_query_set()
         assert restored.planning_statistics(target) == \
