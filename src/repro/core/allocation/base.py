@@ -34,11 +34,6 @@ class Allocation:
 
     buckets: Mapping[AttributeSet, float]
 
-    def space_used(self, stats: RelationStatistics) -> float:
-        """Total units consumed: ``sum_R buckets_R * h_R``."""
-        return sum(b * stats.entry_units(rel)
-                   for rel, b in self.buckets.items())
-
     def scaled(self, factor: float) -> "Allocation":
         """Every bucket count multiplied by ``factor`` (floored at 1)."""
         return Allocation({rel: max(1.0, b * factor)

@@ -41,11 +41,6 @@ class ChoiceResult:
     cost: float
     trajectory: tuple[ChoiceStep, ...] = field(default_factory=tuple)
 
-    @property
-    def phantoms_chosen(self) -> list[AttributeSet]:
-        return [step.phantom for step in self.trajectory
-                if step.phantom is not None]
-
 
 def plan_universe(queries: QuerySet,
                   stats: RelationStatistics) -> Universe:

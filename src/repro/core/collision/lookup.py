@@ -61,8 +61,7 @@ class LookupModel:
     curve is asymptotically 1).
     """
 
-    _cache: dict[tuple[int, float, int],
-                 tuple[list[float], np.ndarray, float]] = {}
+    _cache: dict[tuple[int, float, int], tuple[list[float], float]] = {}
 
     def __init__(self, max_ratio: float = 64.0, points: int = 4096,
                  buckets: int = REFERENCE_BUCKETS):
@@ -71,9 +70,8 @@ class LookupModel:
             ratios = np.linspace(0.0, max_ratio, points)
             rates = reference_curve(ratios, buckets)
             step = max_ratio / (points - 1)
-            array = np.ascontiguousarray(rates, dtype=np.float64)
-            self._cache[key] = (array.tolist(), array, step)
-        self._table, self._array, self._step = self._cache[key]
+            self._cache[key] = (rates.astype(np.float64).tolist(), step)
+        self._table, self._step = self._cache[key]
 
     def rate(self, groups: float, buckets: float) -> float:
         if groups <= 1.0 or buckets <= 0:
@@ -85,16 +83,6 @@ class LookupModel:
             return table[-1]
         frac = position - index
         return table[index] * (1.0 - frac) + table[index + 1] * frac
-
-    @property
-    def table_array(self) -> np.ndarray:
-        """The lookup table as a float64 ndarray (do not mutate)."""
-        return self._array
-
-    @property
-    def table_step(self) -> float:
-        """Uniform ratio spacing between adjacent table entries."""
-        return self._step
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,6 @@ class Aggregate:
         if self.kind in ("sum", "avg", "min", "max") and not self.column:
             raise SchemaError(f"{self.kind} requires a value column")
 
-    @property
-    def needs_value(self) -> bool:
-        """Whether partial aggregates must carry a value sum."""
-        return self.kind in ("sum", "avg")
-
     def label(self) -> str:
         if self.kind == "count":
             return "count(*)"

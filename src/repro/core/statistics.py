@@ -102,12 +102,3 @@ class RelationStatistics:
     def covered(self, relations: Iterable[AttributeSet]) -> bool:
         return all(r in self.groups for r in relations)
 
-    def scaled_groups(self, factor: float) -> "RelationStatistics":
-        """A copy with every group count multiplied by ``factor``.
-
-        Useful for sensitivity studies (what happens if the stream grows).
-        """
-        return RelationStatistics(
-            {a: g * factor for a, g in self.groups.items()},
-            dict(self.flow_lengths),
-            self.attr_units, self.counter_units, self.counters)

@@ -44,27 +44,25 @@ binding its configuration).
 
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
-time. A kernel walk over more than one non-empty epoch runs on a pool of
-threads, one per usable core and at most one per epoch, each on its own
-kept walk with its own scratch, all bound to the one stream the first
-walk converted and checked. They pull epochs in order from one queue,
-and the caller hands the HFTA every folded state in epoch order, then
-relation order, after the join, and sums the threads' counters. The
-calls, states and floats are those of a one-thread walk, bit for bit.
+time. A kernel walk over more than one non-empty epoch runs on kept
+walks, one per usable core and at most one per epoch, all bound to the
+one stream the first walk converted and checked: the native library's
+pool of helper threads walks epochs on them and the calling thread walks
+too, and takes every epoch's folds in epoch order
+(:func:`repro.native.ingest.ingest_epochs`). The HFTA gets the folded
+states in epoch order, then relation order, and the walks' counters are
+summed: the call is a one-walk call, bit for bit.
 
 *One epoch on two lanes.* Once a relation is walked, its children's
 subtrees are independent work (the paper's per-relation cost, Sec. 2.2).
 A one-epoch kernel call (every live epoch close) through a ``Tables``
 that has walked before splits the forest between two lanes when two
 cores are usable and the split pays (:meth:`Tables.lanes`): the first
-kept walk on the calling thread, the second on the native library's
-helper thread. Lanes are assigned once per binding, by list scheduling
-on the counters of the binding's first call; a relation waits for what
-the lanes' one wait rule names
-(:func:`repro.native.ingest.lane_waits`), a parent on the other lane
-among them, whose evictions it reads there. The calling thread takes
-both lanes' folds and hands them to the HFTA in relation order, and the
-counters are summed: the call is a one-lane call, bit for bit
+kept walk on the calling thread, the second a job of the pool. Lanes
+are assigned once per binding, by list scheduling on the counters of
+the binding's first call; a relation waits for what the lanes' one wait
+rule names (:func:`repro.native.ingest.lane_waits`). The calling thread
+takes both lanes' folds, and the call is a one-lane call, bit for bit
 (:class:`repro.native.ingest.Lanes`).
 
 *Shards.* A sharded run is one walk (``shards=``, one shard id per
@@ -81,9 +79,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
 import numpy as np
@@ -112,7 +107,7 @@ class Tables:
     order, table sizes, salts, emit flags, column order, each relation's
     parent, and which counters are priced. The kernel's walks of the
     bound forest are one kept list (:meth:`walks`), which serves a
-    one-epoch call, the threads of a call over several epochs and the
+    one-epoch call, the walks of a call over several epochs and the
     two lanes of a one-epoch call (:meth:`lanes`) alike. Every
     :func:`simulate` call binds the ``Tables`` it is handed, or a new
     one, and walks through it; a caller that runs one configuration
@@ -300,14 +295,14 @@ _MAX_SHARD = 2**31 - 1
 
 #: One hand-off between the two lanes of a one-epoch call, in the
 #: schedule's unit of work (an arrival, a run or a folded run of one
-#: relation): the helper thread starts its lane this much after the
+#: relation): the pool's helper starts its lane this much after the
 #: caller starts its own, and a wait for the other lane ends this much
 #: after the relation waited for. On a 2-core Xeon (AVX-512) under KVM,
 #: a ``highcard_live`` close (seed 1) walks about 40 000 such units in
 #: 300-560 us, 8-14 ns each; the helper, asleep between closes, started
 #: its lane 13 us after the caller, and a wait that had gone to sleep
-#: ended about 13 us late, where a thread woken through a Python
-#: ``SimpleQueue`` took 20-45 us. A call splits only when the schedule
+#: ended about 13 us late, where a Python thread woken through a queue
+#: took 20-45 us. A call splits only when the schedule
 #: saves at least one more hand-off over one lane (:meth:`Tables.lanes`).
 LANE_HANDOFF = 2048
 
@@ -354,12 +349,6 @@ def _schedule(walk: _native.Walk, work: list[float],
     return lane, sum(work) + sum(take) - end
 
 
-def _workers(n_epochs: int) -> int:
-    """Threads for a kernel walk over ``n_epochs`` non-empty epochs: one
-    per usable core, at most one per epoch."""
-    return max(1, min(native.cores(), n_epochs))
-
-
 def simulate(dataset: Dataset, config: Configuration,
              buckets: Mapping[AttributeSet, int], epoch_seconds: float,
              value_column: str | None = None,
@@ -395,16 +384,17 @@ def simulate(dataset: Dataset, config: Configuration,
     epoch per call into shared accumulators), and the same ``tables`` to
     bind the configuration once and keep the kernel's walks between them
     (:class:`Tables`, which also holds each call's own counters). A call
-    over several epochs walks them on a thread pool, and a one-epoch
-    call may walk on two lanes; either touches ``counters``/``hfta``
-    only once every epoch is walked: an error (a fold out of memory in
-    either lane included) leaves both as they were. Without the native
-    library a call with records raises
+    over several epochs walks them on the native library's pool, and a
+    one-epoch call may walk on two lanes; either touches
+    ``counters``/``hfta`` only once every job has run: an error (a fold
+    out of memory in any walk or lane) leaves both as they were. Without
+    the native library a call with records raises
     :class:`~repro.errors.NativeLibraryError`. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
     phase span, record/epoch counters and the ``engine.workers`` and
-    ``engine.lanes`` gauges (the threads of a call over several epochs;
-    the lanes of a one-epoch call, 2 when it split); when None the
+    ``engine.lanes`` gauges (the kept walks of a call over several
+    epochs, the caller's and the helpers' together; the lanes of a
+    one-epoch call, 2 when it split); when None the
     engine performs no clock reads of its own.
     """
     tables = tables if tables is not None else Tables()
@@ -416,7 +406,7 @@ def simulate(dataset: Dataset, config: Configuration,
     with trace(registry, "engine"):
         epochs = list(dataset.epoch_slices(epoch_seconds))
         n_epochs = len(epochs)
-        workers = _workers(n_epochs) if n_epochs > 1 else 1
+        workers = max(1, min(native.cores(), n_epochs))
         values = dataset.values[value_column] if value_column else None
         lanes = 1
         if epochs:
@@ -488,15 +478,15 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
           hfta: HFTA, shards: ShardIds | None = None,
           workers: int = 1) -> int:
     """Every epoch through the ingest kernel, one call per epoch, on
-    ``workers`` threads (the calling one alone when 1), with
-    ``shards.slices`` slices per table and each row in its ``shards``
-    slice (one slice without shards); one epoch
-    alone walks on the lanes :meth:`Tables.lanes` gives. The walk folds
-    each emitting relation's runs, extending the state the HFTA already
-    holds for that relation and epoch; the HFTA takes the folded states
-    after the last epoch, in epoch order, and ``tables.stats`` the
-    call's counters. Returns the lanes the one epoch walked on (1 for
-    several epochs)."""
+    ``workers`` kept walks (the caller and the library's pool,
+    :func:`~repro.native.ingest.ingest_epochs`), with ``shards.slices``
+    slices per table and each row in its ``shards`` slice (one slice
+    without shards); one epoch alone walks on the lanes
+    :meth:`Tables.lanes` gives. The walk folds each emitting relation's
+    runs, extending the state the HFTA already holds for that relation
+    and epoch; the HFTA takes the folded states after the last epoch, in
+    epoch order, and ``tables.stats`` the call's counters. Returns the
+    lanes the one epoch walked on (1 for several epochs)."""
     rels = tables.rels
     slices = 1 if shards is None else shards.slices
     longest = max(end - start for _, start, end in epochs)
@@ -511,71 +501,25 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
     # an earlier call).
-    seeds: dict[int, dict[int, ColumnarTotals]] = {}
-    for epoch_id, _, _ in epochs:
-        for r, emits in enumerate(tables.emit):
-            held = hfta.totals_columnar(rels[r], epoch_id) if emits else None
-            if held is not None:
-                seeds.setdefault(epoch_id, {})[r] = held
-    # Fold outputs for the longest epoch after the largest seed, made on
-    # this thread: an array a pool thread makes stays in its arena.
-    room = longest + max((s.n_groups for held in seeds.values()
-                          for s in held.values()), default=0)
+    pieces = []
+    for epoch_id, lo, hi in epochs:
+        held = (hfta.totals_columnar(rels[r], epoch_id) if emits else None
+                for r, emits in enumerate(tables.emit))
+        pieces.append((lo, times0[:hi - lo], ones[:hi - lo], {
+            r: (s.columns, s.counts, s.value_sums, s.value_mins,
+                s.value_maxs)
+            for r, s in enumerate(held) if s is not None}))
     for w in walks:
-        w.reserve_folds(room)
         w.stats[:] = 0
-
-    def epoch_states(own: _native.Walk, epoch_id: int, lo: int,
-                     hi: int) -> list:
-        """One epoch's folded states, as the kernel wrote them."""
-        n = hi - lo
-        extend = {r: (s.columns, s.counts, s.value_sums, s.value_mins,
-                      s.value_maxs)
-                  for r, s in seeds.get(epoch_id, {}).items()}
-        folds = _native.ingest_runs(own, lo, times0[:n], ones[:n], extend,
-                                    lanes if own is walk else None)
-        return [(rels[fold.relation], ColumnarTotals(
-            rels[fold.relation].names, fold.columns, fold.counts,
-            fold.sums, fold.mins, fold.maxs), fold.runs) for fold in folds]
-
-    if lanes is None and len(walks) > 1:
-        folded = _on_pool(walks, epochs, epoch_states)
+    if len(pieces) > 1:
+        folded = _native.ingest_epochs(walks, pieces)
     else:
-        folded = [epoch_states(walk, *piece) for piece in epochs]
+        folded = [_native.ingest_runs(walk, *pieces[0], lanes)]
     tables.stats, tables._epochs = sum(w.stats for w in walks), len(epochs)
-    for (epoch_id, _, _), states in zip(epochs, folded):
-        for rel, state, runs in states:
-            hfta.ingest_folded(rel, epoch_id, state, runs)
+    for (epoch_id, _, _), folds in zip(epochs, folded):
+        for fold in folds:
+            rel = rels[fold.relation]
+            hfta.ingest_folded(rel, epoch_id, ColumnarTotals(
+                rel.names, fold.columns, fold.counts, fold.sums, fold.mins,
+                fold.maxs), fold.runs)
     return 1 if lanes is None else lanes.ran
-
-
-def _on_pool(walks: list[_native.Walk], epochs: list[tuple[int, int, int]],
-             epoch_states) -> list[list]:
-    """``epoch_states(walk, epoch_id, start, end)`` of every epoch, on
-    one thread per walk; each thread pulls the next epoch from a shared
-    queue. The first exception stops the threads after their current
-    epoch and is raised here."""
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for i in range(len(epochs)):
-        todo.put(i)
-    folded: list = [None] * len(epochs)
-    failed = threading.Event()
-
-    def run(own: _native.Walk) -> None:
-        try:
-            while not failed.is_set():
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                folded[i] = epoch_states(own, *epochs[i])
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(len(walks)) as pool:
-        futures = [pool.submit(run, w) for w in walks]
-    errors = [f.exception() for f in futures if f.exception()]
-    if errors:
-        raise errors[0]
-    return folded

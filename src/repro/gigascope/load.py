@@ -6,7 +6,7 @@ the LFTA, increasing the likelihood that records in the stream are not
 dropped". This module closes that loop: given a CPU budget for the LFTA
 (a NIC core, in Gigascope) and the real-time prices of a probe and an
 eviction, it converts a plan's per-record cost into a *sustainable stream
-rate*, and a stream rate into an expected *drop fraction*.
+rate*.
 
 The defaults are calibrated to the paper's setting: a probe is "a few
 hundred nanoseconds" (Sec. 1 says packet forwarding itself is; we price
@@ -58,34 +58,3 @@ class LoadModel:
     def sustainable_rate(self, per_record_cost: float) -> float:
         """Records/second the LFTA can absorb without dropping."""
         return self.utilization / self.seconds_per_record(per_record_cost)
-
-    def drop_fraction(self, per_record_cost: float,
-                      offered_rate: float) -> float:
-        """Expected fraction of records dropped at an offered rate.
-
-        Uses the fluid model: work arrives at ``rate * seconds_per_record``
-        processor-seconds per second; anything above ``utilization`` is
-        lost. (A finite NIC buffer only shifts *when* the loss happens.)
-        """
-        if offered_rate <= 0:
-            return 0.0
-        demand = offered_rate * self.seconds_per_record(per_record_cost)
-        if demand <= self.utilization:
-            return 0.0
-        return 1.0 - self.utilization / demand
-
-    def headroom(self, per_record_cost: float,
-                 offered_rate: float) -> float:
-        """``sustainable_rate / offered_rate`` — > 1 means no drops."""
-        if offered_rate <= 0:
-            return float("inf")
-        return self.sustainable_rate(per_record_cost) / offered_rate
-
-    def flush_seconds(self, flush_cost: float) -> float:
-        """Wall-clock duration of an end-of-epoch flush (Eq. 8 total).
-
-        The peak-load constraint ``E_p`` of Sec. 3.3 is exactly a bound on
-        this: the flush must fit in the slack the stream leaves.
-        """
-        return (flush_cost / self.params.probe_cost * self.probe_seconds
-                / self.utilization)

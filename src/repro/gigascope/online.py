@@ -296,12 +296,6 @@ class LiveStreamSystem:
             self._land_staged(latest_epoch)
         return completed
 
-    def push_dataset(self, dataset: Dataset) -> list[EpochReport]:
-        """Convenience: push a whole :class:`Dataset` as one batch."""
-        values = (dataset.values[self.value_column]
-                  if self.value_column else None)
-        return self.push(dataset.columns, dataset.timestamps, values)
-
     def finish(self) -> list[EpochReport]:
         """Flush the open epoch (end of stream)."""
         if self._pending_epoch is None:

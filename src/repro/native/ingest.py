@@ -61,28 +61,33 @@ sort the runs by bucket, whichever the table size against the run count
 makes cheaper. The group table is emptied by raising its base, never by
 a scan, and grows (here, in C) only when a fold outgrows half of it.
 
+*The pool.* Walks run off the caller's thread as jobs of the library's
+pool of persistent helper threads (``repro_pool_submit``/``wait``): no
+GIL, started at the first job that asks for them (up to ``cores() -
+1``), asleep between jobs, pinned away from the caller's CPU, none in a
+forked child. A job no helper is free for runs on the caller. The
+caller takes every fold, so every block comes from its malloc arena,
+and a call's first failing job sets its stop word: nothing further
+starts, and the call raises once every job has run.
+:func:`ingest_epochs` walks a call's epochs on kept walks, the caller's
+one at a time and the helpers' alongside, and takes them in epoch
+order.
+
 *Two lanes.* One epoch may be walked by two walks of the forest at
-once (:class:`Lanes`): the caller's on its thread, a second on the
-library's helper thread, each relation by one of them into that walk's
-scratch, folds and counters. A relation whose parent the other lane
-walks waits for it (the kernel marks each relation walked in a word
-both lanes share) and reads its eviction list in the other walk. A walk
-keeps one eviction buffer per depth, which siblings at that depth
-refill in turn; so a relation that would refill a buffer the other
-lane's children still read waits for them first (a release, not a
-copy). :func:`lane_waits` is that rule, the one body both the
-:class:`Lanes` a call hands the kernel and the engine's lane schedule
-read. Every wait is on an earlier relation, so the lanes cannot wait
-in a circle; a waiting thread spins a while, then sleeps on a futex.
-A fold that fails in either lane marks the call failed and the other
-stops at its next wait. The helper is one thread per process, started
-at the first two-lane call, asleep between calls and pinned away from
-the caller's CPU (woken on that CPU, it would share the caller's core);
-a forked child starts its own. The caller takes both lanes' folds, the
-helper's each as soon as its relation is marked walked, so every block
-comes from its malloc arena. The folds, runs and summed
-counters are a one-lane call's, bit for bit: each relation is walked
-once, from the same arrivals, into a walk of its own.
+once (:class:`Lanes`): the caller's on its thread, a second as a job of
+the pool, each relation by one of them into that walk's scratch, folds
+and counters. A relation whose parent the other lane walks waits for it
+(the kernel marks each relation walked in a word both lanes share) and
+reads its eviction list in the other walk. A walk keeps one eviction
+buffer per depth, which siblings at that depth refill in turn; so a
+relation that would refill a buffer the other lane's children still
+read waits for them first (a release, not a copy). :func:`lane_waits`
+is that rule, the one body both the :class:`Lanes` a call hands the
+kernel and the engine's lane schedule read. Every wait is on an earlier
+relation, so the lanes cannot wait in a circle; a waiting thread spins
+a while, then sleeps on a futex. The caller takes the second lane's
+folds each as soon as its relation is marked walked. The folds, runs
+and summed counters are a one-lane call's, bit for bit.
 
 Bit-identity contract with the reference numpy walk of the test suite
 and the HFTA's fold of its batches (pinned by
@@ -122,17 +127,16 @@ raises :class:`~repro.errors.NativeLibraryError`.
 from __future__ import annotations
 
 import ctypes
-import os
-import threading
 import weakref
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.native import library
 
-__all__ = ["Fold", "Lanes", "ShardIds", "Walk", "ingest_runs",
-           "lane_waits"]
+__all__ = ["Fold", "Lanes", "ShardIds", "Walk", "ingest_epochs",
+           "ingest_runs", "lane_waits"]
 
 
 class _FoldStruct(ctypes.Structure):
@@ -463,11 +467,11 @@ def lane_waits(walk: Walk, lane: Sequence[int], r: int) -> list[int]:
 class Lanes:
     """Two walks of one forest that walk one epoch together
     (:func:`ingest_runs`'s ``lanes=``): :attr:`walks` is ``(first,
-    second)``, the first walked on the calling thread and the second on
-    the helper thread, relation ``r`` on walk ``lane[r]`` (0 or 1),
-    waiting for what :func:`lane_waits` names.
+    second)``, the first walked on the calling thread and the second by
+    a helper of the library's pool, relation ``r`` on walk ``lane[r]``
+    (0 or 1), waiting for what :func:`lane_waits` names.
     :attr:`ran` is the lane count of the last call through these lanes:
-    2, or 1 when another call held the helper thread."""
+    2, or 1 when no helper was free."""
 
     def __init__(self, first: Walk, second: Walk, lane: Sequence[int]):
         if (first.parent, first.n_columns, first.has_values,
@@ -495,6 +499,9 @@ class Lanes:
         self._pointers = (base, base + 8 * n_rel,
                           base + 8 * (3 * n_rel + 4),
                           base + 8 * (2 * n_rel + 1))
+        #: The call's stop word, ``done[n_rel]``, and the second lane's job.
+        self._stop = base + 8 * (3 * n_rel + 1)
+        self._job = np.zeros(10, dtype=np.uint64)
 
     def _point(self, on: bool) -> None:
         """Point both walks at the lanes for a call, or back to one."""
@@ -506,21 +513,6 @@ class Lanes:
             struct.other = (ctypes.addressof(walks[1 - lane_id]._struct)
                             if on else None)
             struct.lane_id = lane_id
-
-
-#: Held by the one call at a time that walks on two lanes: the library
-#: has one helper thread. A forked child gets a new one
-#: (:func:`_reset_after_fork`).
-_LANE_LOCK = threading.Lock()
-
-
-def _reset_after_fork() -> None:
-    global _LANE_LOCK
-    _LANE_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
@@ -539,25 +531,79 @@ def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
     return out
 
 
-def _walk_lanes(lib, lanes: Lanes, start: int, t: np.ndarray,
-                w: np.ndarray, n: int) -> list[Fold] | None:
-    """Both lanes of one call, the caller holding the lane lock: the
-    second lane's walk on the library's helper thread, the first's here.
-    This thread takes both walks' folds, its own while the second lane
-    still walks and each of the second's as soon as the kernel marks its
-    relation walked, so every block comes from this thread's malloc
-    arena, as a one-lane take's do, and the helper never needs the GIL.
-    Returns every fold in walk order, or None when a fold of either lane
-    ran out of memory."""
+def _checked(walks: Sequence[Walk], start: int, t: np.ndarray,
+             w: np.ndarray, seeds: Mapping[int, Seed] | None) -> tuple:
+    """One epoch of a call, checked against ``walks`` (of one forest)
+    before any of them reads it: its first row, times and weights, and
+    each seed's group count, held arrays and addresses, by relation."""
+    n = int(t.shape[0])
+    if any(n > own.longest or not 0 <= start <= start + n <= own.rows
+           for own in walks):
+        raise ValueError(f"epoch rows [{start}, {start + n}) outside the "
+                         f"walk's stream or scratch")
+    if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
+            or not (t.flags.c_contiguous and w.flags.c_contiguous):
+        raise ValueError("t and w must be equal-length contiguous int64")
+    seeded = {}
+    key_off = walks[0]._arrays["key_off"]
+    for r, seed in (seeds or {}).items():
+        if not 0 <= r < len(walks[0].emit) or not walks[0].emit[r]:
+            raise ValueError(f"relation {r} does not emit: nothing to seed")
+        seeded[r] = _seed_state(seed, int(key_off[r + 1] - key_off[r]))
+    return start, t, w, seeded
+
+
+def _arm(walks: Sequence[Walk], seeded: dict, on: bool = True) -> None:
+    """Point the folds of each seeded relation in ``walks`` at its seed
+    (``on``), or back at none."""
+    for own in walks:
+        for r, (g, _, addresses) in seeded.items():
+            fold = own._folds[own.fold_slot[r]]
+            fold.n_seed = g if on else 0
+            (fold.seed, fold.seed_w, fold.seed_vs, fold.seed_vmin,
+             fold.seed_vmax) = addresses if on else (None,) * 5
+
+
+def _room(walks: Sequence[Walk], epochs: Sequence[tuple]) -> None:
+    """Fold outputs in every walk for the longest epoch after its
+    seeds, made on the calling thread."""
+    room = max((t.shape[0] + max((g for g, _, _ in seeded.values()),
+                                 default=0)
+                for _, t, _, seeded in epochs), default=0)
+    for own in walks:
+        own.reserve_folds(room)
+
+
+def _walk_job(row: np.ndarray, own: Walk, epoch: tuple, stop: int) -> int:
+    """``row`` made the job that walks ``epoch`` on ``own``."""
+    start, t, w, _ = epoch
+    return library.job(row, library.JOB_WALK, stop,
+                       ctypes.addressof(own._struct), start, t.ctypes.data,
+                       w.ctypes.data, t.shape[0])
+
+
+def _walk_lanes(lib, lanes: Lanes, epoch: tuple) -> list[Fold] | None:
+    """Both lanes of one epoch, the second lane's walk a job of the
+    library's pool and the first's here; None, with nothing walked, when
+    no helper is free. This thread takes both walks' folds, its own
+    while the second lane still walks and each of the second's as soon
+    as the kernel marks its relation walked, so every block comes from
+    this thread's malloc arena, as a one-lane take's do. Every fold in
+    walk order, or :class:`MemoryError` once both lanes have stopped
+    when a fold of either ran out of memory."""
     first, second = lanes.walks
-    t_at, w_at = t.ctypes.data, w.ctypes.data
+    start, t, w, _ = epoch
+    lanes.ran = 1
     lanes.done[:] = 0
     lanes._point(True)
-    out = None
     try:
-        lib.repro_walk_submit(second._ref, start, t_at, w_at, n)
+        job = _walk_job(lanes._job, second, epoch, lanes._stop)
+        if lib.repro_pool_submit(job, native.cores() - 1) < 0:
+            return None
+        out = None
         try:
-            if lib.repro_walk(first._ref, start, t_at, w_at, n) == 0:
+            if lib.repro_walk(first._ref, start, t.ctypes.data,
+                              w.ctypes.data, t.shape[0]) == 0:
                 out = _take(lib, first)
                 for r, _, _ in second._emitting:
                     if lanes.lane[r] == 1:
@@ -568,12 +614,13 @@ def _walk_lanes(lib, lanes: Lanes, start: int, t: np.ndarray,
         finally:
             if out is None:  # failed or raised: the other lane stops
                 lib.repro_walk_stop(first._ref)
-            if lib.repro_walk_join(first._ref) < 0:
+            if lib.repro_pool_wait(job) < 0:
                 out = None
     finally:
         lanes._point(False)
     if out is None:
-        return None
+        raise MemoryError("no memory for the ingest walk's group table")
+    lanes.ran = 2
     return sorted(out, key=lambda fold: fold.relation)
 
 
@@ -600,70 +647,91 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     them as they are. The counters accumulate in ``walk.stats``.
 
     With ``lanes`` (of ``walk`` and a second walk bound like it) the
-    epoch is walked on two lanes at once, the second on the helper
-    thread, each relation's counters in its lane's ``stats``; the folds,
-    the runs and the counters' sum are those of one lane, bit for bit.
-    A fold that runs out of memory in either lane stops both and raises
-    :class:`MemoryError`.
+    epoch is walked on two lanes at once, the second a job of the
+    library's pool, each relation's counters in its lane's ``stats``;
+    when no helper is free the call walks one lane (``lanes.ran``). The
+    folds, the runs and the counters' sum are those of one lane, bit
+    for bit. A fold that runs out of memory in either lane stops both
+    and raises :class:`MemoryError`.
+    """
+    if lanes is not None:
+        if lanes.walks[0] is not walk:
+            raise ValueError("the lanes are another walk's")
+        epoch = _checked(lanes.walks, start, t, w, seeds)
+        _room(lanes.walks, [epoch])
+        # a seed goes to the fold of whichever walk walks its relation
+        _arm(lanes.walks, epoch[3])
+        try:
+            out = _walk_lanes(library.library(), lanes, epoch)
+        finally:
+            _arm(lanes.walks, epoch[3], on=False)
+        if out is not None:
+            return out
+    return ingest_epochs([walk], [(start, t, w, seeds)])[0]
+
+
+def ingest_epochs(walks: Sequence[Walk],
+                  epochs: Sequence[tuple[int, np.ndarray, np.ndarray,
+                                         Mapping[int, Seed] | None]]
+                  ) -> list[list[Fold]]:
+    """Several epochs, each ``(start, t, w, seeds)`` as
+    :func:`ingest_runs` takes one, each walked on one of ``walks`` (kept
+    walks of one forest, bound like the first): every epoch's folds, in
+    epoch order.
+
+    The library's pool walks epochs on up to ``len(walks) - 1`` helpers
+    and the calling thread walks too. Before each take the caller hands
+    the next epochs to free walks while a helper takes them, and walks
+    the first no helper took itself; it takes every epoch's folds in
+    epoch order, which frees that epoch's walk for the next. So the
+    folds, runs and summed counters are those of one walk, bit for bit,
+    and every block comes from the caller's malloc arena. A walk that
+    fails sets the call's stop word: no further epoch starts, and once
+    every job has run the call raises :class:`MemoryError` (an exception
+    on the caller stops it so too, and is raised as itself).
     """
     lib = library.library()
-    n = int(t.shape[0])
-    walks = (walk,) if lanes is None else lanes.walks
-    if walks[0] is not walk:
-        raise ValueError("the lanes are another walk's")
-    if any(n > own.longest for own in walks) or \
-            not 0 <= start <= start + n <= min(own.rows for own in walks):
-        raise ValueError(f"epoch rows [{start}, {start + n}) outside the "
-                         f"walk's stream or scratch")
-    if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
-            or not (t.flags.c_contiguous and w.flags.c_contiguous):
-        raise ValueError("t and w must be equal-length contiguous int64")
-    # Every seed is checked before the walk's outputs take any of them.
-    seeded = {}
-    key_off = walk._arrays["key_off"]
-    for r, seed in (seeds or {}).items():
-        if not 0 <= r < len(walk.emit) or not walk.emit[r]:
-            raise ValueError(f"relation {r} does not emit: nothing to seed")
-        seeded[r] = _seed_state(seed, int(key_off[r + 1] - key_off[r]))
-    room = n + max((g for g, _, _ in seeded.values()), default=0)
-    for own in walks:
-        own.reserve_folds(room)
-    lock = _LANE_LOCK
-    if lanes is not None:
-        # one call at a time on two lanes: while another holds the
-        # helper thread, or without one, this call walks one lane
-        lanes.ran = 1
-        if lock.acquire(blocking=False):
-            if lib.repro_lanes_ready() == 0:
-                lanes.ran = 2
-            else:
-                lock.release()
-        if lanes.ran == 1:
-            walks = (walk,)
-    # a seed goes to the fold of the walk that walks its relation
-    owner = {r: walks[lanes.lane[r] if len(walks) == 2 else 0]
-             for r in seeded}
+    checked = [_checked(walks, *epoch) for epoch in epochs]
+    _room(walks, checked)
+    helpers = min(native.cores(), len(walks)) - 1
+    jobs = np.zeros((len(walks), 10), dtype=np.uint64)
+    stop = np.zeros(1, dtype=np.int64)
+    stop_at, free = library.address(stop), list(range(len(walks)))
+    #: epoch -> (its walk, its job, or None when the caller walks it)
+    held: dict[int, tuple[int, int | None]] = {}
+    out, begun = [], 0
     try:
-        for r, (g, _, addresses) in seeded.items():
-            fold = owner[r]._folds[walk.fold_slot[r]]
-            fold.n_seed = g
-            (fold.seed, fold.seed_w, fold.seed_vs, fold.seed_vmin,
-             fold.seed_vmax) = addresses
-        if len(walks) == 2:
-            out = _walk_lanes(lib, lanes, start, t, w, n)
-        elif lib.repro_walk(walk._ref, start, t.ctypes.data, w.ctypes.data,
-                            n) < 0:
-            out = None
-        else:
-            out = _take(lib, walk)
-        if out is None:
-            raise MemoryError("no memory for the ingest walk's group table")
+        for i in range(len(checked)):
+            while begun < len(checked) and free and not stop[0]:
+                k, epoch = free.pop(), checked[begun]
+                _arm([walks[k]], epoch[3])
+                job = _walk_job(jobs[k], walks[k], epoch, stop_at)
+                took = helpers and lib.repro_pool_submit(job, helpers) == 0
+                held[begun] = k, job if took else None
+                begun += 1
+                if not took:
+                    start, t, w, _ = epoch
+                    if lib.repro_walk(walks[k]._ref, start, t.ctypes.data,
+                                      w.ctypes.data, t.shape[0]) < 0:
+                        stop[0] = 1
+                    break
+            k, job = held[i]
+            if job is not None:
+                lib.repro_pool_wait(job)
+            if stop[0]:
+                break
+            out.append(_take(lib, walks[k]))
+            del held[i]
+            _arm([walks[k]], checked[i][3], on=False)
+            free.append(k)
+    except BaseException:
+        stop[0] = 1
+        raise
     finally:
-        if len(walks) == 2:
-            lock.release()
-        for r in seeded:
-            fold = owner[r]._folds[walk.fold_slot[r]]
-            fold.n_seed = 0
-            fold.seed = fold.seed_w = fold.seed_vs = fold.seed_vmin = \
-                fold.seed_vmax = None
+        for i, (k, job) in held.items():
+            if job is not None:
+                lib.repro_pool_wait(job)
+            _arm([walks[k]], checked[i][3], on=False)
+    if stop[0]:
+        raise MemoryError("no memory for the ingest walk's group table")
     return out

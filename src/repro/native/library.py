@@ -6,16 +6,18 @@ an open-addressing group table whose probe, ``find_slot``, decides a
 group by equality on the raw key columns (the hash only places a row,
 so a hash collision costs probes, never correctness) — the design
 *Global Hash Tables Strike Back!* argues for in the partial-aggregate
-regime. :data:`SOURCE` holds both, the four things built on them and
-one check of shard ids:
+regime. :data:`SOURCE` holds both, the four things built on them, one
+check of shard ids and the pool that runs them on other cores:
 
 * ``repro_walk`` (with ``repro_walk_take`` and ``repro_walk_free``):
   the engine's LFTA walk of the whole forest, one call per epoch, and
   the fold of every emitting relation's runs in the walk
-  (:mod:`repro.native.ingest`); one epoch may walk on two lanes, the
-  second on the library's helper thread (``repro_lanes_ready``,
-  ``repro_walk_submit``, ``repro_walk_wait``, ``repro_walk_join``,
-  ``repro_walk_stop``; Linux only, as the lanes wait on futexes);
+  (:mod:`repro.native.ingest`); one epoch may walk on two lanes
+  (``repro_walk_wait``, ``repro_walk_stop``);
+* ``repro_pool_submit`` and ``repro_pool_wait``: the library's pool of
+  persistent helper threads, which runs a job, a walk or a range of the
+  partition hash, off the caller's thread (:func:`job`; Linux only, as
+  its waits are futexes);
 * ``repro_group_stats``: the planner's exact group and flow counts of
   one relation in one pass (:func:`repro.native.partition.group_stats`);
 * ``repro_partition_hash``: the sharded runtime's record-to-shard hash
@@ -81,8 +83,8 @@ import numpy as np
 from repro.errors import NativeLibraryError
 from repro.native.build import kernel_status, load_kernel
 
-__all__ = ["NAME", "SOURCE", "address", "available", "hash_isa",
-           "library", "words"]
+__all__ = ["JOB_HASH", "JOB_WALK", "NAME", "SOURCE", "address",
+           "available", "hash_isa", "job", "library", "words"]
 
 #: The library's name in the load memo, the on-disk cache and
 #: ``machine_info()["kernels"]``.
@@ -554,16 +556,16 @@ static int walk_relation(
     return 0;
 }
 
-/* ---- Two lanes: the waits between them and the helper thread ---- */
+/* ---- Waits: the lanes' and the pool's ---- */
 
-/* How long a waiting thread spins before it sleeps. A wait on a lane
- * that runs on another core is short: the longest is the second lane's
- * wait for the first relation, one relation's walk (50-100 us), and a
- * thread that went to sleep wakes 10-50 us late. But a thread that
- * spins while the one it waits for shares its core holds that core for
- * a whole time slice. So it spins this long at most, then sleeps until
- * it is woken. Two lanes need Linux's futexes; on any other system
- * repro_lanes_ready says no and every call walks on one lane. */
+/* How long a waiting thread spins before it sleeps. A wait on a thread
+ * that runs on another core is short: the longest a lane waits is the
+ * second lane's wait for the first relation, one relation's walk
+ * (50-100 us), and a thread that went to sleep wakes 10-50 us late. But
+ * a thread that spins while the one it waits for shares its core holds
+ * that core for a whole time slice. So it spins this long at most, then
+ * sleeps until it is woken. The waits need Linux's futexes; on any other
+ * system the pool has no helpers and every call runs on its caller. */
 #define SPIN_NS 100000
 
 static int64_t now_ns(void)
@@ -635,8 +637,9 @@ static void store_and_wake(int64_t *flag, int64_t value, int32_t *word,
 }
 
 /* A two-lane call's shared words (the Lanes block): done[r] once
- * relation r is walked, done[n_rel] once a lane has failed, then the
- * futex word (the first 32 bits of done[n_rel + 1]) and the sleepers. */
+ * relation r is walked, done[n_rel] once a lane has failed (the call's
+ * stop word), then the futex word (the first 32 bits of
+ * done[n_rel + 1]) and the sleepers. */
 #define LANE_WORD(W) ((int32_t *)&(W)->done[(W)->n_rel + 1])
 #define LANE_SLEEPERS(W) (&(W)->done[(W)->n_rel + 2])
 
@@ -658,8 +661,8 @@ static int wait_walked(const walk_t *W, int64_t r)
     return 0;
 }
 
-/* Tell the other lane of a two-lane call that this one stopped: it
- * returns -1 at its next wait, or now if it sleeps. */
+/* Set a two-lane call's stop word: the other lane returns -1 at its
+ * next wait, or now if it sleeps. */
 void repro_walk_stop(const walk_t *W)
 {
     lane_mark(W, W->n_rel);
@@ -671,125 +674,6 @@ int64_t repro_walk_wait(const walk_t *W, int64_t r)
 {
     return wait_until(&W->done[r], 1, &W->done[W->n_rel], LANE_WORD(W),
                       LANE_SLEEPERS(W));
-}
-
-/* The helper thread: one per process, started by the first two-lane
- * call (repro_lanes_ready) and kept, asleep between calls. It walks the
- * second lane of each call (repro_walk_submit, then repro_walk_join),
- * pinned away from the CPU the caller runs on: woken there, it would
- * share the caller's core. The caller side is one thread at a time (the
- * Python wrapper holds a lock). A forked child starts without it. */
-static struct {
-    int32_t jobs;               /* futex word: jobs handed over */
-    int32_t ends;               /* futex word: stores to finished */
-    int64_t finished;           /* jobs the helper has left */
-    int64_t sleepers;           /* callers asleep in repro_walk_join */
-    int64_t started, status;
-    walk_t *W;
-    int64_t start, n;
-    const int64_t *t, *w;
-#ifdef __linux__
-    int cpu;                    /* the caller's CPU, or -1 */
-    cpu_set_t allowed;          /* the caller's CPUs */
-#endif
-} helper;
-
-int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
-                   const int64_t *w, int64_t n);
-
-#ifdef __linux__
-static void *helper_main(void *unused)
-{
-    int32_t taken = 0;
-    cpu_set_t pinned, set;
-
-    (void)unused;
-    CPU_ZERO(&pinned);
-    for (;;) {
-        while (__atomic_load_n(&helper.jobs, __ATOMIC_SEQ_CST) == taken)
-            futex_sleep(&helper.jobs, taken);
-        taken++;
-        set = helper.allowed;
-        if (helper.cpu >= 0)
-            CPU_CLR(helper.cpu, &set);
-        if (CPU_COUNT(&set) > 0 && !CPU_EQUAL(&set, &pinned)) {
-            pinned = set;
-            (void)sched_setaffinity(0, sizeof set, &set);
-        }
-        helper.status = repro_walk(helper.W, helper.start, helper.t,
-                                   helper.w, helper.n);
-        /* from here on the helper reads nothing of the call's */
-        store_and_wake(&helper.finished, taken, &helper.ends,
-                       &helper.sleepers);
-    }
-    return NULL;
-}
-
-static void helper_forked(void)
-{
-    memset(&helper, 0, sizeof helper);
-}
-#endif
-
-/* Start the helper thread unless it runs: 0, or -1 when there is none
- * (no thread could be started, or not Linux). */
-int64_t repro_lanes_ready(void)
-{
-#ifdef __linux__
-    static int registered;
-    pthread_attr_t attr;
-    pthread_t thread;
-    int failed;
-
-    if (helper.started)
-        return 0;
-    if (!registered && pthread_atfork(NULL, NULL, helper_forked) != 0)
-        return -1;
-    registered = 1;
-    if (pthread_attr_init(&attr) != 0)
-        return -1;
-    failed = pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED)
-        || pthread_create(&thread, &attr, helper_main, NULL);
-    pthread_attr_destroy(&attr);
-    if (failed)
-        return -1;
-    helper.started = 1;
-    return 0;
-#else
-    return -1;
-#endif
-}
-
-/* Hand the helper thread the second lane of a call: repro_walk(W, start,
- * t, w, n) with W pointed at its lanes. The caller walks the first lane
- * itself, then calls repro_walk_join before it reads the second walk or
- * points it elsewhere. Call only after repro_lanes_ready said 0. */
-void repro_walk_submit(walk_t *W, int64_t start, const int64_t *t,
-                       const int64_t *w, int64_t n)
-{
-    helper.W = W;
-    helper.start = start;
-    helper.t = t;
-    helper.w = w;
-    helper.n = n;
-#ifdef __linux__
-    helper.cpu = sched_getcpu();
-    if (sched_getaffinity(0, sizeof helper.allowed, &helper.allowed) != 0)
-        CPU_ZERO(&helper.allowed);
-#endif
-    __atomic_add_fetch(&helper.jobs, 1, __ATOMIC_SEQ_CST);
-    futex_wake(&helper.jobs);
-}
-
-/* Wait until the helper thread has left the submitted walk: 0, or -1
- * when either lane failed. */
-int64_t repro_walk_join(const walk_t *W)
-{
-    wait_until(&helper.finished,
-               __atomic_load_n(&helper.jobs, __ATOMIC_SEQ_CST), NULL,
-               &helper.ends, &helper.sleepers);
-    return helper.status < 0 ||
-        __atomic_load_n(&W->done[W->n_rel], __ATOMIC_SEQ_CST) ? -1 : 0;
 }
 
 /* One epoch through the whole forest: rows start + j, j < n, of the
@@ -1011,6 +895,173 @@ int64_t repro_shard_counts(const int64_t *ids, int64_t n,
     return -1;
 }
 
+/* ---- The pool: persistent helper threads ---- */
+
+/* The most helpers the pool starts. */
+#define MAX_HELPERS 256
+
+/* What a job runs, its arguments in arg in this order:
+ * JOB_WALK  repro_walk(W, start, t, w, n);
+ * JOB_HASH  repro_partition_hash(cols, k, n, salt, n_shards, ids). */
+enum { JOB_WALK = 0, JOB_HASH = 1 };
+
+/* One job of a call: filled by the caller, handed to a helper
+ * (repro_pool_submit) and waited for (repro_pool_wait) before the caller
+ * reads, reuses or frees anything the job touches. stop, when not NULL,
+ * is the call's stop word: the first of its jobs that fails sets it,
+ * and a job that finds it set does not run. */
+typedef struct {
+    int64_t kind, status, done;
+    int64_t *stop;
+    uint64_t arg[6];
+} job_t;
+
+typedef struct {
+    int32_t jobs;               /* futex word: jobs handed to the helper */
+    int64_t busy;               /* from its claim until the job ran */
+    job_t *job;
+#ifdef __linux__
+    int cpu;                    /* the submitter's CPU, or -1 */
+    cpu_set_t allowed;          /* the submitter's CPUs */
+#endif
+} helper_t;
+
+/* The helpers: started at the first submit that asks for more than run,
+ * never stopped, asleep between jobs, each pinned away from its
+ * submitter's CPU (woken there, it would share the submitter's core).
+ * A forked child starts with none (pool_forked). */
+static struct {
+    int64_t started;            /* helpers running */
+    int32_t ends;               /* futex word: jobs done */
+    int64_t sleepers;           /* callers asleep in repro_pool_wait */
+    helper_t helper[MAX_HELPERS];
+} pool;
+
+static void run_job(job_t *job)
+{
+    const uint64_t *a = job->arg;
+
+    if (job->stop != NULL && __atomic_load_n(job->stop, __ATOMIC_SEQ_CST)) {
+        job->status = -1;
+        return;
+    }
+    job->status = 0;
+    if (job->kind == JOB_WALK)
+        job->status = repro_walk((walk_t *)(uintptr_t)a[0], (int64_t)a[1],
+                                 (const int64_t *)(uintptr_t)a[2],
+                                 (const int64_t *)(uintptr_t)a[3],
+                                 (int64_t)a[4]);
+    else
+        repro_partition_hash((const uint64_t **)(uintptr_t)a[0],
+                             (int64_t)a[1], (int64_t)a[2], a[3], a[4],
+                             (int64_t *)(uintptr_t)a[5]);
+    if (job->status < 0 && job->stop != NULL)
+        __atomic_store_n(job->stop, 1, __ATOMIC_SEQ_CST);
+}
+
+#ifdef __linux__
+static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
+
+static void *helper_main(void *arg)
+{
+    helper_t *H = (helper_t *)arg;
+    int32_t taken = 0;
+    cpu_set_t pinned, set;
+    job_t *job;
+
+    CPU_ZERO(&pinned);
+    for (;;) {
+        while (__atomic_load_n(&H->jobs, __ATOMIC_SEQ_CST) == taken)
+            futex_sleep(&H->jobs, taken);
+        taken++;
+        set = H->allowed;
+        if (H->cpu >= 0)
+            CPU_CLR(H->cpu, &set);
+        if (CPU_COUNT(&set) > 0 && !CPU_EQUAL(&set, &pinned)) {
+            pinned = set;
+            (void)sched_setaffinity(0, sizeof set, &set);
+        }
+        job = H->job;
+        run_job(job);
+        /* free before the job is done, so that the caller's next submit
+         * finds the helper free; from here on the helper touches nothing
+         * of the job's but its done word */
+        __atomic_store_n(&H->busy, 0, __ATOMIC_SEQ_CST);
+        store_and_wake(&job->done, 1, &pool.ends, &pool.sleepers);
+    }
+    return NULL;
+}
+
+/* The one fork rule: a child has no helpers, whatever the parent ran. */
+static void pool_forked(void)
+{
+    memset(&pool, 0, sizeof pool);
+    pthread_mutex_init(&pool_lock, NULL);
+}
+
+/* Start helpers until `helpers` run (or one fails to start): how many
+ * of the first `helpers` run. */
+static int64_t pool_grow(int64_t helpers)
+{
+    static int registered;
+    pthread_t thread;
+    int64_t i;
+
+    pthread_mutex_lock(&pool_lock);
+    if (!registered)
+        registered = pthread_atfork(NULL, NULL, pool_forked) == 0;
+    for (i = pool.started; registered && i < helpers; i++) {
+        if (pthread_create(&thread, NULL, helper_main, &pool.helper[i]))
+            break;
+        pthread_detach(thread);
+        __atomic_store_n(&pool.started, i + 1, __ATOMIC_SEQ_CST);
+    }
+    pthread_mutex_unlock(&pool_lock);
+    return pool.started < helpers ? pool.started : helpers;
+}
+#endif
+
+/* Hand a job to a free one of the pool's first `helpers` helpers,
+ * starting them first where fewer run: 0, or -1 when none is free (or
+ * there are none: not Linux, or none could start), and the caller runs
+ * the job itself. */
+int64_t repro_pool_submit(job_t *job, int64_t helpers)
+{
+#ifdef __linux__
+    int64_t i, idle;
+    helper_t *H;
+
+    helpers = helpers > MAX_HELPERS ? MAX_HELPERS : helpers;
+    if (__atomic_load_n(&pool.started, __ATOMIC_SEQ_CST) < helpers)
+        helpers = pool_grow(helpers);
+    for (i = 0; i < helpers; i++) {
+        H = &pool.helper[i];
+        idle = 0;
+        if (!__atomic_compare_exchange_n(&H->busy, &idle, 1, 0,
+                                         __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+            continue;
+        H->job = job;
+        H->cpu = sched_getcpu();
+        if (sched_getaffinity(0, sizeof H->allowed, &H->allowed) != 0)
+            CPU_ZERO(&H->allowed);
+        __atomic_add_fetch(&H->jobs, 1, __ATOMIC_SEQ_CST);
+        futex_wake(&H->jobs);
+        return 0;
+    }
+#else
+    (void)job;
+    (void)helpers;
+#endif
+    return -1;
+}
+
+/* Wait until a submitted job has run: its status, 0 or -1. */
+int64_t repro_pool_wait(job_t *job)
+{
+    wait_until(&job->done, 1, NULL, &pool.ends, &pool.sleepers);
+    return job->status;
+}
+
 /* ---- The statistics sketches ---- */
 
 /* The KMV keys of m rows of one relation, from its k columns' hashes
@@ -1144,10 +1195,9 @@ _SIGNATURES = {
     "repro_walk_take": (None, [_P, _I64, _P]),
     "repro_walk_free": (None, [_P]),
     "repro_walk_stop": (None, [_P]),
-    "repro_walk_submit": (None, [_P, _I64, _P, _P, _I64]),
-    "repro_walk_join": (_I64, [_P]),
     "repro_walk_wait": (_I64, [_P, _I64]),
-    "repro_lanes_ready": (_I64, []),
+    "repro_pool_submit": (_I64, [_P, _I64]),
+    "repro_pool_wait": (_I64, [_P]),
     "repro_group_stats": (_I64, [_P, _I64, _I64, _P, ctypes.c_double, _I64,
                                  _P, _P, _P, _P]),
     "repro_partition_hash": (None, [_P, _I64, _I64, ctypes.c_uint64,
@@ -1187,6 +1237,21 @@ def hash_isa() -> str | None:
 
 
 _NO_BYTES = ctypes.c_char * 0
+
+#: A job's kinds (``job_t`` of :data:`SOURCE`): a ``repro_walk`` call, a
+#: ``repro_partition_hash`` call.
+JOB_WALK, JOB_HASH = 0, 1
+
+
+def job(row: np.ndarray, kind: int, stop: int, *args: int) -> int:
+    """Write a ``job_t`` into ``row``, a contiguous row of 10 uint64
+    words, and return its address for ``repro_pool_submit``: ``kind``,
+    the address of the call's stop word (0 for none) and the entry's
+    arguments, integers and addresses. The row must outlive the job's
+    ``repro_pool_wait``."""
+    row[:4] = kind, 0, 0, stop
+    row[4:4 + len(args)] = args
+    return address(row)
 
 
 def address(array: np.ndarray) -> int:

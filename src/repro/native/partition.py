@@ -18,9 +18,10 @@ would pay the chain, a pack or a sort as dozens of whole-array passes:
   count, not a divide. A row's id depends on its row alone, so the rows
   are hashed in contiguous ranges, one per usable core
   (:func:`repro.native.cores`) and each at least :data:`SPLIT_ROWS`
-  long, each range by its own kernel call on its own thread (ctypes
-  releases the GIL for the call), all writing one ``ids`` array; a
-  shorter stream, or one core, is one call on the caller's thread.
+  long, all writing one ``ids`` array: every range but the first is a
+  job of the library's pool, and the caller hashes the first (and any
+  range no helper was free for); a shorter stream, or one core, is one
+  call on the caller's thread.
 * :func:`group_stats` — the planner's exact statistics (``g_R`` and the
   gap-based flow count behind ``l_R``) for one relation in one pass
   over the records, the counts ``Dataset.group_count`` and
@@ -50,7 +51,6 @@ Without the library either raises
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.native import library
 
 __all__ = ["SPLIT_ROWS", "group_stats", "hash_shards", "shard_counts"]
 
-#: The fewest rows a range of the partition hash is given a thread for:
+#: The fewest rows a range of the partition hash is given a helper for:
 #: below twice this a stream is hashed in one call on the caller's
 #: thread.
 SPLIT_ROWS = 1 << 16
@@ -81,24 +81,27 @@ def hash_shards(cols: list[np.ndarray], salt: int,
     ids = np.empty(n, dtype=np.int64)
     parts = max(1, min(native.cores(), n // SPLIT_ROWS))
     edges = [n * part // parts for part in range(parts + 1)]
+    # every column, and ids, from a range's first row on: 8-byte words
+    # (the shifted addresses are held through the call)
+    shifted = [addresses + 8 * start for start in edges[:-1]]
     salt &= 0xFFFFFFFFFFFFFFFF
-
-    def hash_range(part: int) -> None:
-        # every column, and ids, from the range's first row on: 8-byte
-        # words (the shifted addresses are held through the call)
-        start, stop = edges[part], edges[part + 1]
-        shifted = addresses + 8 * start
-        lib.repro_partition_hash(shifted.ctypes.data, len(held),
-                                 stop - start, salt, n_shards,
-                                 ids.ctypes.data + 8 * start)
-
-    if parts == 1:
-        hash_range(0)
-        return ids
-    with ThreadPoolExecutor(parts - 1) as pool:
-        others = pool.map(hash_range, range(1, parts))
-        hash_range(0)
-        list(others)  # raises what a range raised
+    ranges = [(library.address(shifted[part]), len(held),
+               edges[part + 1] - edges[part], salt, n_shards,
+               ids.ctypes.data + 8 * edges[part]) for part in range(parts)]
+    jobs = np.zeros((parts, 10), dtype=np.uint64)
+    submitted = []
+    try:
+        for part in range(1, parts):
+            job = library.job(jobs[part], library.JOB_HASH, 0,
+                              *ranges[part])
+            if lib.repro_pool_submit(job, parts - 1) == 0:
+                submitted.append(job)
+            else:  # no helper free: the caller hashes it
+                lib.repro_partition_hash(*ranges[part])
+        lib.repro_partition_hash(*ranges[0])
+    finally:
+        for job in submitted:
+            lib.repro_pool_wait(job)
     return ids
 
 

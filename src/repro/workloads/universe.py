@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.attributes import AttributeSet
 from repro.errors import WorkloadError
-from repro.gigascope.hashing import pack_tuples
 from repro.gigascope.records import StreamSchema
 
 __all__ = ["GroupUniverse", "make_group_universe", "PAPER_CHAIN"]
@@ -47,13 +45,6 @@ class GroupUniverse:
     @property
     def n_groups(self) -> int:
         return int(self.tuples.shape[0])
-
-    def projection_count(self, attrs: AttributeSet | str) -> int:
-        """Exact distinct count of the universe at a projection."""
-        attrs = self.schema.attribute_set(attrs)
-        idx = [self.schema.attributes.index(a) for a in attrs]
-        codes = pack_tuples([self.tuples[:, i] for i in idx])
-        return int(np.unique(codes).size)
 
     def columns_for(self, group_indices: np.ndarray) -> dict[str, np.ndarray]:
         """Materialize attribute columns for a sequence of group indices."""

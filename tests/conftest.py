@@ -58,16 +58,6 @@ def without_library():
 
 
 @contextmanager
-def walk_workers_of(n: int):
-    """Inside the block every kernel walk over more than one epoch runs
-    on ``n`` threads, ``n`` larger than the epoch count included
-    (``engine._workers`` is patched)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_workers", lambda n_epochs: n)
-        yield
-
-
-@contextmanager
 def walk_lanes_of(on: bool):
     """Inside the block a one-epoch kernel call after a binding's first
     walks on two lanes whenever the binding's schedule puts a relation
@@ -88,7 +78,10 @@ def walk_lanes_of(on: bool):
 def on_cores(n: int):
     """Inside the block the process reads ``n`` usable cores
     (``repro.native.cores`` patched): the one count the epoch pool, the
-    lanes and the partition hash's split are sized by."""
+    lanes and the partition hash's split are sized by. A call over
+    several epochs walks on ``min(n, epochs)`` kept walks, the caller's
+    and ``n - 1`` helpers of the library's pool at most, which starts
+    as many helpers as the count asks for (on any number of CPUs)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.native, "cores", lambda: n)
         yield
@@ -98,15 +91,6 @@ def split_ran() -> bool:
     """Whether a call under ``walk_lanes_of(True)`` can split here: two
     usable cores (one under ``taskset -c 0``, where lanes collapse)."""
     return repro.native.cores() >= 2
-
-
-@pytest.fixture
-def walk_workers():
-    """``walk_workers(n)`` runs the rest of the test under
-    :func:`walk_workers_of`."""
-    with pytest.MonkeyPatch.context() as patch:
-        yield lambda n: patch.setattr(engine, "_workers",
-                                      lambda n_epochs: n)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from repro.core import Plan, QuerySet, RelationStatistics, plan
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters, flush_cost
 from repro.core.collision import LookupModel
+from tests.references import space_used
 
 STATS = RelationStatistics.from_counts({
     "A": 552, "B": 760, "C": 940, "D": 1120,
@@ -28,7 +29,7 @@ class TestPlan:
         p = plan(QUERIES, STATS, 40_000)
         assert all(float(b).is_integer() and b >= 1
                    for b in p.allocation.buckets.values())
-        assert p.allocation.space_used(STATS) <= 40_000
+        assert space_used(p.allocation, STATS) <= 40_000
 
     def test_fractional_allocation(self):
         p = plan(QUERIES, STATS, 40_000, integer=False)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import QuerySet, plan
 from repro.core.feeding_graph import FeedingGraph
 from repro.core.statistics import RelationStatistics
+from tests.references import space_used
 
 
 def _random_stats(rng: np.random.Generator,
@@ -65,7 +66,7 @@ def test_plans_are_always_well_formed(labels, seed, memory, algorithm):
     for rel in config.relations:
         buckets = result.allocation[rel]
         assert buckets >= 1 and float(buckets).is_integer()
-    assert result.allocation.space_used(stats) <= memory * (1 + 1e-9)
+    assert space_used(result.allocation, stats) <= memory * (1 + 1e-9)
     assert result.predicted_cost > 0
     if algorithm == "gcsl":
         # Greedy only adds phantoms while they reduce the model cost, and

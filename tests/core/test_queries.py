@@ -26,9 +26,8 @@ class TestAggregate:
         with pytest.raises(SchemaError):
             Aggregate("median", "len")
 
-    def test_needs_value(self):
-        assert not Aggregate().needs_value
-        assert Aggregate("avg", "len").needs_value
+    def test_label(self):
+        assert Aggregate().label() == "count(*)"
         assert Aggregate("sum", "len").label() == "sum(len)"
 
 

@@ -59,9 +59,3 @@ class TestAccessors:
         stats = RelationStatistics.from_counts({"A": 10, "B": 20})
         assert stats.covered([A("A"), A("B")])
         assert not stats.covered([A("A"), A("C")])
-
-    def test_scaled_groups(self):
-        stats = RelationStatistics.from_counts({"A": 10}, {"A": 3.0})
-        doubled = stats.scaled_groups(2.0)
-        assert doubled.group_count(A("A")) == 20
-        assert doubled.flow_length(A("A")) == 3.0

@@ -2,7 +2,7 @@
 
 Does the data path compute exactly what the paper's record-at-a-time
 LFTA computes, whichever way it runs? Reference ``SequentialLFTA`` x
-{the native library walking the epochs on 1 thread, on 3, the numpy
+{the native library walking the epochs on 1 core, on 3, the numpy
 bodies of ``tests/references.py`` swapped in (``numpy_bodies``)} x
 {flat, two-, three-level forest, forests where a query feeds others} x
 {unsharded, 2 shards} x {counts only, value column} over hypothesis
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.gigascope import Dataset, StreamSchema
-from tests.conftest import walk_workers_of
+from tests.conftest import on_cores
 from tests.references import (
     ABC_SCHEMA,
     abc_stream,
@@ -34,10 +34,11 @@ from tests.references import (
 )
 
 #: The ways the data path runs: the library walking the epochs on one
-#: thread or on a pool of three, and the numpy bodies it is held to.
+#: core or on three (the caller and two helpers), and the numpy bodies it
+#: is held to.
 MODES = pytest.mark.parametrize("mode", [
-    pytest.param(partial(walk_workers_of, 1), id="kernels"),
-    pytest.param(partial(walk_workers_of, 3), id="kernels-3-workers"),
+    pytest.param(partial(on_cores, 1), id="kernels"),
+    pytest.param(partial(on_cores, 3), id="kernels-3-cores"),
     pytest.param(numpy_bodies, id="numpy_bodies")])
 
 #: Deeper forests feed the kernel in parent emission order, not time order.

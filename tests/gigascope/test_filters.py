@@ -176,7 +176,7 @@ class TestRuntimeIntegration:
         p = plan(queries, stats, memory=64)
         where = Comparison("A", "!=", 3)
         live = LiveStreamSystem(data.schema, queries, p, where=where)
-        live.push_dataset(data)
+        live.push(data.columns, data.timestamps)
         live.finish()
         batch = StreamSystem.from_plan(data, queries, p, where=where).run()
         q = queries.query_for(AttributeSet.parse("A"))

@@ -59,6 +59,7 @@ from repro.workloads import flow_count, measure_statistics
 from repro.workloads.io import save_npz
 from tests.conftest import (
     PAPER_GROUPS,
+    on_cores,
     split_ran,
     walk_lanes_of,
     without_library,
@@ -256,9 +257,9 @@ _VARIANTS = {"dispatched": native_library.SOURCE,
 
 @pytest.mark.parametrize("entries", [
     pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free",
-                  "repro_lanes_ready", "repro_walk_submit",
-                  "repro_walk_join", "repro_walk_stop"),
+                  "repro_walk_wait", "repro_walk_stop"),
                  id="repro.native.ingest"),
+    pytest.param(("repro_pool_submit", "repro_pool_wait"), id="pool"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
     pytest.param(("repro_partition_hash", "repro_shard_counts",
                   "repro_hash_isa", "repro_kmv_observe"),
@@ -268,7 +269,8 @@ def test_kernel_source_compiles_without_warnings(entries, strict_build):
     """The library builds clean under ``-Wall -Wextra -Werror`` with the
     flags it ships with, dispatched and plain, and each build exports
     every kernel's entries. One case per kernel the source gathers,
-    under the name of the module that once compiled it alone."""
+    under the name of the module that once compiled it alone, and one
+    for the pool of helper threads that runs them on other cores."""
     assert _VARIANTS["plain"] != _VARIANTS["dispatched"]
     for variant, (result, shared) in strict_build.items():
         assert result.returncode == 0, (variant, result.stderr)
@@ -695,7 +697,8 @@ def _folded(folds, walks) -> list:
 class TestLanes:
     """Two lanes of one epoch (``ingest_runs(..., lanes=)``): what each
     relation waits for, every assignment of a forest to the lanes
-    against one lane, a failing fold in either lane, and a fork."""
+    against one lane, a failing fold in either lane, callers that
+    contend for the pool's helpers, and a fork."""
 
     def test_waits(self):
         """A relation waits for a parent on the other lane and, when it
@@ -716,11 +719,14 @@ class TestLanes:
         with pytest.raises(ValueError, match="lane 0 or 1"):
             native_ingest.Lanes(first, second, [0, 2, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("seeded", [False, True])
-    def test_every_assignment_equals_one_lane(self, seeded):
+    def test_every_assignment_equals_one_lane(self, seeded, n_cores):
         """All 128 assignments of a seven-relation forest, NaN and
-        infinite values included, with seeds or without: the folds, their runs and the
-        summed counters equal one lane's, byte for byte."""
+        infinite values included, with seeds or without, on one to four
+        cores (one lane on one: the pool has no helper to give): the
+        folds, their runs and the summed counters equal one lane's, byte
+        for byte."""
         config = Configuration.from_notation(_LANE_FOREST)
         emit = [rel in config.leaves or rel.label() == "ABD"
                 for rel in config.relations]
@@ -739,8 +745,10 @@ class TestLanes:
             lane = [bits >> r & 1 for r in range(7)]
             lanes = native_ingest.Lanes(first, second, lane)
             first.stats[:] = second.stats[:] = 0
-            got = native_ingest.ingest_runs(first, 0, t, w, seeds, lanes)
-            assert lanes.ran == 2
+            with on_cores(n_cores):
+                got = native_ingest.ingest_runs(first, 0, t, w, seeds,
+                                                lanes)
+            assert lanes.ran == min(n_cores, 2)
             assert _folded(got, [first, second]) == want, lane
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -800,8 +808,8 @@ class TestLanes:
 
     def test_callers_on_many_threads_share_the_helper(self):
         """Six threads, each closing epochs of its own through its own
-        ``Tables`` with lanes forced, a short switch interval: one call
-        at a time has the helper, the others walk one lane, and every
+        ``Tables`` with lanes forced, a short switch interval: a call
+        that finds no helper of the pool free walks one lane, and every
         thread's counters and states equal a one-lane run's."""
         config = Configuration.from_notation("ABCD(AB BCD(BC BD CD))")
         buckets = {rel: 17 for rel in config.relations}
@@ -838,25 +846,34 @@ class TestLanes:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
     def test_a_forked_child_walks_on_its_own_helper(self):
-        """The helper thread does not survive a fork: a child started
-        after a two-lane call starts its own and walks on two lanes, to
-        the parent's result."""
-        with walk_lanes_of(True):
-            walks = _forked_walk()
+        """The pool's helpers do not survive a fork: after the parent
+        has used every helper (two, on three cores), a forked child
+        starts its own and runs a two-lane close, a multi-epoch call and
+        a split partition hash to the parent's results."""
+        with on_cores(3), walk_lanes_of(True):
+            work = _forked_work()
             with multiprocessing.get_context("fork").Pool(1) as pool:
-                child = pool.apply(_forked_walk)
-        assert child == walks
-        if split_ran():
-            assert walks[0].endswith("2 lanes")
+                child = pool.apply(_forked_work)
+        assert child == work
+        assert work[0][0] == "native kernel, 1 worker, 2 lanes"
+        assert work[1][0] == "native kernel, 3 workers"
 
 
-def _forked_walk():
-    """Two one-epoch calls through one ``Tables``: the second's walk and
-    its states."""
+def _forked_work():
+    """Two one-epoch calls through one ``Tables`` (the second's walk and
+    states), a six-epoch call (its walk and states) and a partition hash
+    of three ranges (its ids)."""
     config = Configuration.from_notation("ABCD(AB BCD(BC BD CD))")
+    buckets = {rel: 11 for rel in config.relations}
     dataset = make_stream(8, [500], 4, "finite", False)
     tables = engine.Tables()
-    buckets = {rel: 11 for rel in config.relations}
     simulate(dataset, config, buckets, 1.0, "v", tables=tables)
-    result = simulate(dataset, config, buckets, 1.0, "v", tables=tables)
-    return result.walk, states(result.hfta)
+    close = simulate(dataset, config, buckets, 1.0, "v", tables=tables)
+    many = simulate(make_stream(9, [300] * 6, 4, "finite", False), config,
+                    buckets, 1.0, "v")
+    rng = np.random.default_rng(3)
+    cols = [rng.integers(0, 1000, 3 * native_partition.SPLIT_ROWS)
+            for _ in range(2)]
+    ids = native_partition.hash_shards(cols, 7, 5)
+    return ((close.walk, states(close.hfta)),
+            (many.walk, states(many.hfta)), ids.tobytes())

@@ -97,7 +97,7 @@ class TestLiveStreamSystem:
 
     def test_epoch_reports_cover_stream(self, dataset, queries, base_plan):
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
-        live.push_dataset(dataset)
+        live.push(dataset.columns, dataset.timestamps)
         live.finish()
         assert sum(r.records for r in live.epoch_reports) == len(dataset)
         epochs = [r.epoch for r in live.epoch_reports]
@@ -151,7 +151,8 @@ class TestLiveStreamSystem:
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
         # Feed the first epoch's worth, then reconfigure mid-epoch 1.
         half = len(dataset) // 2
-        live.push_dataset(dataset.head(half))
+        part = dataset.head(half)
+        live.push(part.columns, part.timestamps)
         live.reconfigure(other_plan)
         cols = {a: dataset.columns[a][half:] for a in SCHEMA.attributes}
         live.push(cols, dataset.timestamps[half:])
@@ -230,7 +231,7 @@ class TestLiveStreamSystem:
         flat = plan(queries, stats, memory=800, algorithm="none")
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
         live.reconfigure(flat)
-        live.push_dataset(dataset)
+        live.push(dataset.columns, dataset.timestamps)
         live.finish()
         assert [era.plan for era in live.eras] == [flat]
         assert {r.configuration for r in live.epoch_reports} == \
@@ -245,7 +246,8 @@ class TestLiveStreamSystem:
         stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
         other_plan = plan(queries, stats, memory=800, algorithm="none")
         live = LiveStreamSystem(SCHEMA, queries, base_plan)
-        live.push_dataset(dataset.head(2000))
+        part = dataset.head(2000)
+        live.push(part.columns, part.timestamps)
         live.reconfigure(other_plan)
         cols = {a: dataset.columns[a][2000:] for a in SCHEMA.attributes}
         live.push(cols, dataset.timestamps[2000:])
@@ -398,7 +400,8 @@ class TestEraWalk:
         edges = np.searchsorted(stream.timestamps, [30.0, 60.0]).tolist()
         with walk_lanes_of(True):
             live = LiveStreamSystem(SCHEMA, queries, base_plan)
-            live.push_dataset(stream.head(edges[0]))
+            part = stream.head(edges[0])
+            live.push(part.columns, part.timestamps)
             live.finish()
             assert len(live.epoch_reports) == 15
             assert len(scheduled) == once
@@ -445,7 +448,8 @@ class TestEraWalk:
         live.reconfigure(flat)
         live.reconfigure(base_plan)
         assert calls == {"salts": 0, "walks": 0}
-        live.push_dataset(dataset.head(1))
+        part = dataset.head(1)
+        live.push(part.columns, part.timestamps)
         assert calls == {"salts": 0, "walks": 0}
         live.finish()
         assert calls["salts"] == len(base_plan.configuration)
@@ -720,7 +724,7 @@ class TestLiveMetrics:
         registry = MetricsRegistry()
         live = LiveStreamSystem(SCHEMA, queries, base_plan,
                                 registry=registry)
-        live.push_dataset(dataset)
+        live.push(dataset.columns, dataset.timestamps)
         live.finish()
         assert registry.counter("live.epochs").value == \
             len(live.epoch_reports)
@@ -739,7 +743,8 @@ class TestLiveMetrics:
         live = LiveStreamSystem(SCHEMA, queries, base_plan,
                                 registry=registry)
         half = len(dataset) // 2
-        live.push_dataset(dataset.head(half))
+        part = dataset.head(half)
+        live.push(part.columns, part.timestamps)
         live.reconfigure(other_plan)
         cols = {a: dataset.columns[a][half:] for a in SCHEMA.attributes}
         live.push(cols, dataset.timestamps[half:])
@@ -777,8 +782,8 @@ class TestAdaptiveController:
         registry = MetricsRegistry()
         live = LiveStreamSystem(SCHEMA, queries, first, params=params,
                                 registry=registry)
-        live.push_dataset(calm)
-        live.push_dataset(burst)
+        live.push(calm.columns, calm.timestamps)
+        live.push(burst.columns, burst.timestamps)
         live.finish()
         # Exactly one re-plan: judged on the first burst epoch (2), it
         # lands at epoch 3, and the new era calibrates to the burst.
@@ -804,7 +809,7 @@ class TestAdaptiveController:
         stats = measure_statistics(data, FeedingGraph(queries).nodes)
         first = plan(queries, stats, memory=800)
         live = LiveStreamSystem(SCHEMA, queries, first)
-        live.push_dataset(data)
+        live.push(data.columns, data.timestamps)
         live.finish()
         assert live.reconfigurations == []
         era = live.eras[0]
@@ -821,7 +826,7 @@ class TestAdaptiveController:
         collector.observe(data.head(400).columns)
         first = plan(queries, collector.statistics(), memory=800)
         live = LiveStreamSystem(SCHEMA, queries, first)
-        live.push_dataset(data)
+        live.push(data.columns, data.timestamps)
         live.finish()
         ratios = [r.per_record_cost / r.predicted_cost
                   for r in live.epoch_reports]
@@ -835,8 +840,9 @@ class TestAdaptiveController:
         stats = measure_statistics(calm, FeedingGraph(queries).nodes)
         first = plan(queries, stats, memory=3000)
         live = LiveStreamSystem(SCHEMA, queries, first)
-        live.push_dataset(calm)
-        live.push_dataset(burst.head(900))  # a burst epoch of 900 < 1980/2
+        live.push(calm.columns, calm.timestamps)
+        part = burst.head(900)  # a burst epoch of 900 < 1980/2
+        live.push(part.columns, part.timestamps)
         live.finish()
         assert [r.records for r in live.epoch_reports] == [1980, 2020, 900]
         assert live.epoch_reports[-1].per_record_cost > \
@@ -851,8 +857,9 @@ class TestAdaptiveController:
         first = plan(queries, stats, memory=3000)
         flat = plan(queries, stats, memory=3000, algorithm="none")
         live = LiveStreamSystem(SCHEMA, queries, first)
-        live.push_dataset(calm)
-        live.push_dataset(burst.head(10))  # epoch 2 opens
+        live.push(calm.columns, calm.timestamps)
+        part = burst.head(10)  # epoch 2 opens
+        live.push(part.columns, part.timestamps)
         live.reconfigure(flat)
         live.push({a: burst.columns[a][10:] for a in SCHEMA.attributes},
                   burst.timestamps[10:])
@@ -875,8 +882,8 @@ class TestAdaptiveController:
         first = plan(queries, stats, memory=3000)
         monkeypatch.setattr(online, "plan", no_budget)
         live = LiveStreamSystem(SCHEMA, queries, first)
-        live.push_dataset(calm)
-        live.push_dataset(burst)
+        live.push(calm.columns, calm.timestamps)
+        live.push(burst.columns, burst.timestamps)
         live.finish()
         assert live.reconfigurations == []
         drifted = live.epoch_reports[2]

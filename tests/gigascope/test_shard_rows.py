@@ -9,7 +9,7 @@ shard's slice, in one pass. It must equal
 shard order, every query's evictions of an epoch folded into one HFTA
 once — on every counter, ``evictions_received``/``folds``/
 ``rows_folded`` and every answer; and the kernel walk on one and three
-threads and the reference numpy walk must hold the same states byte for
+cores and the reference numpy walk must hold the same states byte for
 byte (NaN
 and +-inf min/max included, which the reference's plain floats do not
 follow). ``ShardedStreamSystem`` is held to the same reference under
@@ -32,7 +32,7 @@ from repro.gigascope import engine, simulate
 from repro.gigascope.metrics import CostCounters
 from repro.native import ingest as native_ingest
 from repro.parallel import HashPartitioner
-from tests.conftest import walk_workers_of
+from tests.conftest import on_cores
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     columnar,
@@ -52,7 +52,7 @@ from tests.references import (
 
 NOTATION = "ABCD(ABC(AB A) CD)"
 
-#: The kernel walk on one and on three threads, and the reference numpy
+#: The kernel walk on one and on three cores, and the reference numpy
 #: walk.
 LEGS = [pytest.param(("kernels", 1), id="kernels-1"),
         pytest.param(("kernels", 3), id="kernels-3"),
@@ -61,9 +61,9 @@ LEGS = [pytest.param(("kernels", 1), id="kernels-1"),
 
 @contextmanager
 def leg(mode):
-    kernels, n_workers = mode
+    kernels, n_cores = mode
     with numpy_bodies() if kernels == "numpy" else nullcontext(), \
-            walk_workers_of(n_workers):
+            on_cores(n_cores):
         yield
 
 

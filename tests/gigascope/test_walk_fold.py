@@ -10,7 +10,7 @@ dtypes, counts, sums (a NaN sum as ``np.nan``'s bits in both) and
 NaN/+-inf minima and maxima, byte for byte, and the same
 ``evictions_received``/``folds``/``rows_folded``.
 
-Covered: random forests and streams on 1 and 3 walk threads, with and
+Covered: random forests and streams on 1 and 3 cores, with and
 without shard ids and a value column, and the seeded folds — a stream
 walked in two calls (a contiguous cut or alternate rows) and a live
 epoch reopened after ``finish()``, on one lane and on two — and a
@@ -32,7 +32,7 @@ from repro.gigascope import Dataset, simulate
 from repro.gigascope.online import LiveStreamSystem
 from repro.native import ingest as native_ingest
 from repro.workloads import measure_statistics
-from tests.conftest import split_ran, walk_lanes_of, walk_workers_of
+from tests.conftest import on_cores, split_ran, walk_lanes_of
 from tests.gigascope.test_forest_walk import (
     BUCKETS,
     SCHEMA,
@@ -60,14 +60,14 @@ def draw_shards(data, n: int):
     return rng.integers(0, data.draw(st.integers(1, 4)), n)
 
 
-@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("n_cores", [1, 3])
 @given(config=forests, stream=streams, data=st.data())
-def test_walk_fold_equals_numpy_fold(n_workers, config, stream, data):
+def test_walk_fold_equals_numpy_fold(n_cores, config, stream, data):
     dataset = make_stream(**stream)
     buckets = {rel: data.draw(BUCKETS) for rel in config.relations}
     value_column = None if stream["values"] == "none" else "v"
     shards = draw_shards(data, len(dataset))
-    with walk_workers_of(n_workers):
+    with on_cores(n_cores):
         got = simulate(dataset, config, buckets, 1.0, value_column,
                        shards=shards)
     with numpy_bodies():
@@ -83,11 +83,11 @@ FIXED = ["ABCD(ABC(AB A) CD)", "ABCDE(ABCD(ABC(AB(A) C) BCD) CDE(CD DE E))",
 EPOCHS = [1, 400, 0, 3, 250, 0, 60]
 
 
-@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("n_cores", [1, 3])
 @pytest.mark.parametrize("sharded", [False, True], ids=["all-rows", "index"])
 @pytest.mark.parametrize("values", ["none", "finite", "nonfinite"])
 @pytest.mark.parametrize("notation", FIXED)
-def test_fixed_shapes(notation, values, sharded, n_workers):
+def test_fixed_shapes(notation, values, sharded, n_cores):
     """``index``: the stream walked with a shard index, row ``i`` in
     shard ``i mod 3``."""
     config = Configuration.from_notation(notation)
@@ -96,7 +96,7 @@ def test_fixed_shapes(notation, values, sharded, n_workers):
     buckets = {rel: 3 + 5 * i for i, rel in enumerate(config.relations)}
     value_column = None if values == "none" else "v"
     shards = np.arange(len(dataset)) % 3 if sharded else None
-    with walk_workers_of(n_workers):
+    with on_cores(n_cores):
         got = simulate(dataset, config, buckets, 1.0, value_column,
                        shards=shards)
     with numpy_bodies():
@@ -109,7 +109,7 @@ def test_fixed_shapes(notation, values, sharded, n_workers):
                    for s in columnar(got.hfta).values())
 
 
-def walk_in_two(dataset, config, buckets, value_column, parts, n_workers,
+def walk_in_two(dataset, config, buckets, value_column, parts, n_cores,
                 numpy):
     """The stream walked as the rows of ``parts[0]``, then those of
     ``parts[1]``, each copied out, into one HFTA."""
@@ -119,7 +119,7 @@ def walk_in_two(dataset, config, buckets, value_column, parts, n_workers,
 
     def walk(part, hfta=None):
         with numpy_bodies() if numpy else nullcontext(), \
-                walk_workers_of(n_workers):
+                on_cores(n_cores):
             return simulate(part, config, buckets, 1.0, value_column,
                             hfta=hfta).hfta
 
@@ -135,10 +135,10 @@ def split_rows(n: int, cut: float, alternate: bool):
     return rows[:int(cut * n)], rows[int(cut * n):]
 
 
-@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("n_cores", [1, 3])
 @given(stream=streams, cut=st.floats(0.0, 1.0), alternate=st.booleans(),
        data=st.data())
-def test_a_fold_extends_the_state_held(n_workers, stream, cut, alternate,
+def test_a_fold_extends_the_state_held(n_cores, stream, cut, alternate,
                                        data):
     """A stream walked in two calls: the second call's folds start from
     the first's state, its groups first, and equal the numpy walk's two
@@ -150,7 +150,7 @@ def test_a_fold_extends_the_state_held(n_workers, stream, cut, alternate,
     value_column = None if stream["values"] == "none" else "v"
     parts = split_rows(len(dataset), cut, alternate)
     got = walk_in_two(dataset, config, buckets, value_column, parts,
-                      n_workers, numpy=False)
+                      n_cores, numpy=False)
     want = walk_in_two(dataset, config, buckets, value_column, parts, 1,
                        numpy=True)
     assert states(got) == states(want)

@@ -4,7 +4,6 @@ datasets the references' ``split_dataset`` gathers, and the native
 partition pass: the hash split across cores with its remainder taken
 without a divide, and the one pass that checks and counts shard ids."""
 
-import threading
 
 import numpy as np
 import pytest
@@ -434,22 +433,27 @@ _SHARD_COUNTS = (1, 2, 3, 7, 2**31 - 1, 2**32 + 1, 2**63 + 1, 2**64 - 1)
 
 
 class _Calls:
-    """The native library, recording the threads of its partition hash
-    calls."""
+    """The native library, counting the partition hash's ranges: the
+    ones the caller hashed and the ones a helper of the pool took."""
 
     def __init__(self, lib):
         self._lib = lib
-        self.threads = []
+        self.here = self.handed = 0
 
     def __getattr__(self, name):
         entry = getattr(self._lib, name)
-        if name != "repro_partition_hash":
-            return entry
-
-        def call(*args):
-            self.threads.append(threading.get_ident())
-            return entry(*args)
-        return call
+        if name == "repro_partition_hash":
+            def call(*args):
+                self.here += 1
+                return entry(*args)
+            return call
+        if name == "repro_pool_submit":
+            def submit(*args):
+                took = entry(*args)
+                self.handed += took == 0
+                return took
+            return submit
+        return entry
 
 
 class TestPartitionPass:
@@ -465,7 +469,7 @@ class TestPartitionPass:
                 rng.integers(-5, 5, n)]
 
     @pytest.mark.parametrize("n", _LENGTHS)
-    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     def test_hash_ids_bit_equal_on_any_cores(self, columns, cores, n,
                                              monkeypatch):
         cols = [column[:n] for column in columns]
@@ -479,12 +483,11 @@ class TestPartitionPass:
                 assert got.dtype == want.dtype == np.int64
                 assert got.tobytes() == want.tobytes(), n_shards
         # one range per usable core, each at least 2**16 rows long; the
-        # caller hashes the first itself
+        # caller hashes the first itself and the pool's free helpers
+        # take the rest
         parts = max(1, min(cores, n // native_partition.SPLIT_ROWS))
-        assert len(calls.threads) == parts * len(_SHARD_COUNTS)
-        assert len(set(calls.threads)) >= min(parts, 2)
-        assert calls.threads.count(threading.get_ident()) == \
-            len(_SHARD_COUNTS)
+        assert calls.handed == (parts - 1) * len(_SHARD_COUNTS)
+        assert calls.here == len(_SHARD_COUNTS)
 
     def test_shard_count_out_of_range(self, columns):
         for n_shards in (0, -1, 2**64):

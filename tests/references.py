@@ -114,6 +114,12 @@ class KeyRange:
                                dataset.columns[self.column], side="right")
 
 
+def space_used(allocation: Allocation, stats) -> float:
+    """An allocation's total units: ``sum_R buckets_R * h_R``."""
+    return sum(b * stats.entry_units(rel)
+               for rel, b in allocation.buckets.items())
+
+
 def reference_phantoms(query_attrs) -> list[AttributeSet]:
     """Close the query set under pairwise ``AttributeSet`` union."""
     queries = list(dict.fromkeys(query_attrs))
@@ -899,8 +905,8 @@ class RefCostEvaluator:
         return np.asarray(flat, dtype=np.float64).reshape(buckets_2d.shape)
 
     def _lookup_rates(self, buckets_2d):
-        table = self.model.table_array
-        tstep = self.model.table_step
+        table = np.asarray(self.model._table, dtype=np.float64)
+        tstep = self.model._step
         positive = buckets_2d > 0
         valid = positive & self._groups_valid
         safe = np.where(positive, buckets_2d, 1.0)

@@ -61,7 +61,7 @@ def push_slice(live, dataset, start, stop):
 
 def run_uninterrupted(dataset, queries, the_plan):
     live = LiveStreamSystem(SCHEMA, queries, the_plan)
-    live.push_dataset(dataset)
+    live.push(dataset.columns, dataset.timestamps)
     live.finish()
     return live
 

@@ -149,7 +149,7 @@ class TestCheckpointDir:
         assert "records processed : 3000" in out
 
         oracle = LiveStreamSystem(dataset.schema, queries, the_plan)
-        oracle.push_dataset(dataset)
+        oracle.push(dataset.columns, dataset.timestamps)
         oracle.finish()
         resumed = LiveStreamSystem.restore(ckpt_dir / "live.ckpt")
         assert resumed.epoch_reports == oracle.epoch_reports

@@ -126,7 +126,7 @@ def live_fixture():
     stats = measure_statistics(dataset, FeedingGraph(queries).nodes)
     the_plan = plan(queries, stats, memory=600)
     oracle = LiveStreamSystem(SCHEMA, queries, the_plan)
-    oracle.push_dataset(dataset)
+    oracle.push(dataset.columns, dataset.timestamps)
     oracle.finish()
     return dataset, queries, the_plan, oracle
 

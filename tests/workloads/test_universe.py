@@ -10,15 +10,22 @@ from repro.gigascope.hashing import pack_tuples
 from repro.workloads import PAPER_CHAIN, GroupUniverse, make_group_universe
 
 
+def projection_count(universe, attrs: str) -> int:
+    """The universe's distinct groups at a projection."""
+    idx = [universe.schema.attributes.index(a) for a in attrs]
+    codes = pack_tuples([universe.tuples[:, i] for i in idx])
+    return int(np.unique(codes).size)
+
+
 class TestMakeGroupUniverse:
     def test_paper_chain_exact(self):
         schema = StreamSchema(("A", "B", "C", "D"))
         universe = make_group_universe(schema, PAPER_CHAIN, seed=0)
         assert universe.n_groups == 2837
-        assert universe.projection_count("A") == 552
-        assert universe.projection_count("AB") == 1846
-        assert universe.projection_count("ABC") == 2117
-        assert universe.projection_count("ABCD") == 2837
+        assert projection_count(universe, "A") == 552
+        assert projection_count(universe, "AB") == 1846
+        assert projection_count(universe, "ABC") == 2117
+        assert projection_count(universe, "ABCD") == 2837
 
     def test_tuples_are_distinct(self):
         schema = StreamSchema(("A", "B", "C"))
@@ -31,7 +38,7 @@ class TestMakeGroupUniverse:
         schema = StreamSchema(("A", "B", "C", "D"))
         universe = make_group_universe(schema, (10, 40, 80, 160),
                                        value_pool=64, seed=2)
-        bd = universe.projection_count("BD")
+        bd = projection_count(universe, "BD")
         assert 10 <= bd <= 160
 
     def test_rejects_wrong_chain_length(self):
@@ -82,4 +89,4 @@ def test_chain_counts_always_exact(raw_chain, seed):
     universe = make_group_universe(schema, chain, value_pool=128, seed=seed)
     for j in range(len(chain)):
         prefix = "".join(schema.attributes[:j + 1])
-        assert universe.projection_count(prefix) == chain[j]
+        assert projection_count(universe, prefix) == chain[j]
