@@ -60,8 +60,8 @@ that has walked before splits the forest between two lanes when two
 cores are usable and the split pays (:meth:`Tables.lanes`): the first
 kept walk on the calling thread, the second a job of the pool. Lanes
 are assigned once per binding, by list scheduling on the counters of
-the binding's first call; a relation waits for what the lanes' one wait
-rule names (:func:`repro.native.ingest.lane_waits`). The calling thread
+the binding's first call; a relation waits for its parent when the
+other lane walks it, and for nothing else. The calling thread
 takes both lanes' folds, and the call is a one-lane call, bit for bit
 (:class:`repro.native.ingest.Lanes`).
 
@@ -86,11 +86,15 @@ import numpy as np
 from repro import native
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
-from repro.core.cost_model import CostBreakdown, CostParameters
+from repro.core.cost_model import CostParameters
 from repro.errors import ConfigurationError
 from repro.gigascope.hashing import relation_salt
 from repro.gigascope.hfta import HFTA, ColumnarTotals
-from repro.gigascope.metrics import CostCounters, SimulationResult
+from repro.gigascope.metrics import (
+    CostCounters,
+    SimulationResult,
+    priced_costs,
+)
 from repro.gigascope.records import Dataset
 from repro.native import ingest as _native
 from repro.native.ingest import ShardIds
@@ -125,7 +129,7 @@ class Tables:
     __slots__ = ("config", "buckets", "salt_seed", "has_values", "rels",
                  "sizes", "salts", "emit", "names", "keys", "parent",
                  "stats", "_walks", "_epochs", "_lane_of", "_lanes",
-                 "_priced", "_times", "_ones")
+                 "_raw", "_times", "_ones")
 
     def __init__(self) -> None:
         self.config: Configuration | None = None
@@ -155,20 +159,13 @@ class Tables:
         # The walk reads the emit rule from here; a relation that emits
         # still feeds its children.
         emit = [config.is_emitting(rel) for rel in rels]
-        # Which counters the cost model prices (as CostCounters prices
-        # them): every intra arrival, a flush arrival below the stream,
-        # and an emitting relation's evictions, intra and at the flush.
-        priced = np.zeros((4, len(rels), 4), dtype=np.int64)
-        priced[0, :, 0] = 1
-        priced[1, :, 2] = priced[3, :, 3] = emit
-        priced[2, :, 1] = [p >= 0 for p in parent]
         self.config, self.buckets = config, dict(buckets)
         self.salt_seed, self.has_values = salt_seed, values
         self.rels, self.sizes = rels, [sizes[rel] for rel in rels]
         self.salts = [relation_salt(rel.label(), salt_seed) for rel in rels]
         self.emit, self.names, self.parent = emit, names, parent
         self.keys = [[column[a] for a in rel.names] for rel in rels]
-        self._priced = priced.reshape(4, -1)
+        self._raw = [p < 0 for p in parent]
         self._times = self._ones = np.empty(0, dtype=np.int64)
         self._walks = []
         self.stats = self._lanes = self._lane_of = None
@@ -214,7 +211,7 @@ class Tables:
             per_epoch = self.stats / self._epochs
             take = per_epoch[:, 2:].sum(axis=1) * self.emit
             lanes, saving = _schedule(
-                self._walks[0], (per_epoch.sum(axis=1) + take).tolist(),
+                self.parent, (per_epoch.sum(axis=1) + take).tolist(),
                 take.tolist())
             self._lane_of = tuple(lanes) if saving >= LANE_HANDOFF else ()
         if not self._lane_of:
@@ -247,12 +244,9 @@ class Tables:
     def call_costs(self, params: CostParameters) -> tuple[float, float]:
         """The last call's intra-epoch and flush costs: its counters
         priced as :class:`CostCounters` prices a run's."""
-        probe, evict, flush_probe, flush_evict = (
-            self._priced @ self.stats.ravel()).tolist()
-        return (CostBreakdown(probe * params.probe_cost,
-                              evict * params.evict_cost).total,
-                CostBreakdown(flush_probe * params.probe_cost,
-                              flush_evict * params.evict_cost).total)
+        intra, flush = priced_costs(self.stats.tolist(), self.emit,
+                                    self._raw, params)
+        return intra.total, flush.total
 
 
 def bucket_counts(relations, buckets: Mapping[AttributeSet, object] | None
@@ -307,21 +301,21 @@ _MAX_SHARD = 2**31 - 1
 LANE_HANDOFF = 2048
 
 
-def _schedule(walk: _native.Walk, work: list[float],
+def _schedule(parent: list[int], work: list[float],
               take: list[float]) -> tuple[list[int], float]:
-    """Two-lane list scheduling of ``walk``'s forest in walk order: each
+    """Two-lane list scheduling of the forest of walk order ``parent``
+    (each relation's parent, negative for a raw relation): each
     relation's lane, and the work the schedule saves against one lane.
 
     ``work[r]`` is relation ``r``'s work in its lane, ``take[r]`` the
     work of handing its folds over, which the calling thread does for
     both lanes: its own lane's as soon as it is walked, the other's
     once that is walked too. A relation starts on a lane once the lane
-    is free and what it waits for there has finished
-    (:func:`~repro.native.ingest.lane_waits`). Lane 1 starts
-    :data:`LANE_HANDOFF` late, and a wait for the other lane ends as
-    much late. Each relation takes the lane that leaves the call's end
-    earliest, its parent's (lane 0 for a raw relation) on a tie."""
-    parent = walk.parent
+    is free and, when the other lane walks its parent, the parent has
+    finished. Lane 1 starts :data:`LANE_HANDOFF` late, and a wait for
+    the other lane ends as much late. Each relation takes the lane that
+    leaves the call's end earliest, its parent's (lane 0 for a raw
+    relation) on a tie."""
     finish = [0.0] * len(parent)
     lane = [0] * len(parent)
     free = [0.0, float(LANE_HANDOFF)]
@@ -330,10 +324,9 @@ def _schedule(walk: _native.Walk, work: list[float],
     for r, p in enumerate(parent):
         best = (math.inf, 0.0, 0)
         for choice in ((lane[p], 1 - lane[p]) if p >= 0 else (0, 1)):
-            lane[r] = choice
-            begin = max([free[choice]] + [
-                finish[q] + LANE_HANDOFF
-                for q in _native.lane_waits(walk, lane, r)])
+            begin = free[choice]
+            if p >= 0 and lane[p] != choice:
+                begin = max(begin, finish[p] + LANE_HANDOFF)
             done = begin + work[r]
             if choice == 0:
                 ends = max(done + took[0] + take[r], free[1]) + took[1]

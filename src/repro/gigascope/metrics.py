@@ -10,14 +10,40 @@ costs can be compared against Eq. 7 and Eq. 8 independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import Iterable, Sequence
 
 from repro.core.attributes import AttributeSet
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostBreakdown, CostParameters
 from repro.gigascope.hfta import HFTA
 
-__all__ = ["RelationCounters", "CostCounters", "SimulationResult"]
+__all__ = ["RelationCounters", "CostCounters", "SimulationResult",
+           "priced_costs"]
+
+
+def priced_costs(counts: Iterable[Sequence[int]], emitting: Iterable[bool],
+                 raw: Iterable[bool], params: CostParameters
+                 ) -> tuple[CostBreakdown, CostBreakdown]:
+    """The intra-epoch and flush costs of per-relation counters, each
+    ``(arrivals_intra, arrivals_flush, evictions_intra,
+    evictions_flush)``, beside whether the relation emits and whether it
+    is raw: the cost model prices every intra arrival, a flush arrival
+    below the stream, and an emitting relation's evictions, intra and at
+    the flush."""
+    probe = evict = flush_probe = flush_evict = 0
+    for (a_intra, a_flush, e_intra, e_flush), emits, is_raw in zip(
+            counts, emitting, raw):
+        probe += a_intra
+        if not is_raw:
+            flush_probe += a_flush
+        if emits:
+            evict += e_intra
+            flush_evict += e_flush
+    return (CostBreakdown(probe * params.probe_cost,
+                          evict * params.evict_cost),
+            CostBreakdown(flush_probe * params.probe_cost,
+                          flush_evict * params.evict_cost))
 
 
 @dataclass
@@ -57,23 +83,20 @@ class CostCounters:
             self.relations[rel] = RelationCounters()
         return self.relations[rel]
 
+    def _costs(self, params: CostParameters
+               ) -> tuple[CostBreakdown, CostBreakdown]:
+        config = self.configuration
+        return priced_costs(map(astuple, self.relations.values()),
+                            map(config.is_emitting, self.relations),
+                            map(config.is_raw, self.relations), params)
+
     def measured_intra_cost(self, params: CostParameters) -> CostBreakdown:
         """Total intra-epoch cost actually incurred (compare with Eq. 7 * n)."""
-        probe = sum(c.arrivals_intra for c in self.relations.values())
-        evict = sum(c.evictions_intra for rel, c in self.relations.items()
-                    if self.configuration.is_emitting(rel))
-        return CostBreakdown(probe * params.probe_cost,
-                             evict * params.evict_cost)
+        return self._costs(params)[0]
 
     def measured_flush_cost(self, params: CostParameters) -> CostBreakdown:
         """Total end-of-epoch cost actually incurred (compare with Eq. 8)."""
-        probe = sum(self.relations[rel].arrivals_flush
-                    for rel in self.relations
-                    if not self.configuration.is_raw(rel))
-        evict = sum(c.evictions_flush for rel, c in self.relations.items()
-                    if self.configuration.is_emitting(rel))
-        return CostBreakdown(probe * params.probe_cost,
-                             evict * params.evict_cost)
+        return self._costs(params)[1]
 
     def measured_total_cost(self, params: CostParameters) -> float:
         return (self.measured_intra_cost(params).total

@@ -78,16 +78,13 @@ once (:class:`Lanes`): the caller's on its thread, a second as a job of
 the pool, each relation by one of them into that walk's scratch, folds
 and counters. A relation whose parent the other lane walks waits for it
 (the kernel marks each relation walked in a word both lanes share) and
-reads its eviction list in the other walk. A walk keeps one eviction
-buffer per depth, which siblings at that depth refill in turn; so a
-relation that would refill a buffer the other lane's children still
-read waits for them first (a release, not a copy). :func:`lane_waits`
-is that rule, the one body both the :class:`Lanes` a call hands the
-kernel and the engine's lane schedule read. Every wait is on an earlier
-relation, so the lanes cannot wait in a circle; a waiting thread spins
-a while, then sleeps on a futex. The caller takes the second lane's
-folds each as soon as its relation is marked walked. The folds, runs
-and summed counters are a one-lane call's, bit for bit.
+reads its eviction list in the other walk; it waits for nothing else,
+since every relation with children has an eviction list of its own,
+written once a call. A parent comes before its children, so the lanes
+cannot wait in a circle; a waiting thread spins a while, then sleeps on
+a futex. The caller takes the second lane's folds each as soon as its
+relation is marked walked. The folds, runs and summed counters are a
+one-lane call's, bit for bit.
 
 Bit-identity contract with the reference numpy walk of the test suite
 and the HFTA's fold of its batches (pinned by
@@ -136,7 +133,7 @@ from repro import native
 from repro.native import library
 
 __all__ = ["Fold", "Lanes", "ShardIds", "Walk", "ingest_epochs",
-           "ingest_runs", "lane_waits"]
+           "ingest_runs"]
 
 
 class _FoldStruct(ctypes.Structure):
@@ -162,7 +159,7 @@ class _WalkStruct(ctypes.Structure):
           "folds", "n_runs", "stats", "table")] + \
         [("cap", ctypes.c_int64), ("base", ctypes.c_int64)] + \
         [(name, ctypes.c_void_p) for name in
-         ("lane", "wait_off", "wait_rel", "done", "other")] + \
+         ("lane", "done", "other")] + \
         [("lane_id", ctypes.c_int64)]
 
 
@@ -197,7 +194,8 @@ class ShardIds(NamedTuple):
     """Shard ids whose maker has checked them: C-contiguous int64, each
     in ``[0, slices)``. :meth:`Walk.bind` takes them without a pass over
     the ids, as ``simulate(..., shards=)`` does; an id outside the range
-    would be walked into another table's memory."""
+    would be walked into another table's memory. ``simulate`` and
+    ``check_shard_ids`` are the checks that make them."""
 
     ids: np.ndarray
     slices: int
@@ -207,12 +205,12 @@ class Walk:
     """A configuration's forest and the kernel's scratch, for
     :func:`ingest_runs`; :meth:`bind` points it at a stream.
 
-    Relations are numbered in topological order (a parent before its
-    children, each subtree contiguous, as ``Configuration.order`` walks
-    them). ``parent[r]`` is relation ``r``'s parent's number (negative
-    for a raw relation), ``keys[r]`` the indices of its attributes among
-    the bound stream's columns, and ``emit[r]`` whether the walk folds
-    its runs; ``values`` says whether the streams carry a value column.
+    Relations are numbered parents first (a parent before its children,
+    in any order besides). ``parent[r]`` is relation ``r``'s parent's
+    number (negative for a raw relation), ``keys[r]`` the indices of its
+    attributes among the bound stream's columns, and ``emit[r]`` whether
+    the walk folds its runs; ``values`` says whether the streams carry a
+    value column.
     Each relation's table is ``slices`` slices of ``buckets[r]`` buckets
     side by side: a row lands in the slice its stream's shard id names
     (:meth:`bind`), slice 0 when the stream has none.
@@ -240,25 +238,18 @@ class Walk:
             raise ValueError("every table needs >= 1 bucket")
         if any(not k or min(k) < 0 for k in keys):
             raise ValueError("every relation needs >= 1 key column")
-        depth = [0] * n_rel
-        feeds = [0] * n_rel
-        # One eviction buffer per depth is enough when each subtree is
-        # contiguous: a relation's parent is still on the path from its
-        # root when the relation's turn comes.
-        path: list[int] = []
+        # A relation with children appends its evictions to its own
+        # list: feeds[r] is that list's slot plus 1, 0 for a leaf.
+        depth, feeds, feeders = [0] * n_rel, [0] * n_rel, 0
         for r, p in enumerate(parent):
+            if p >= r:
+                raise ValueError("relations must come parents first")
             if p >= 0:
-                while path and path[-1] != p:
-                    path.pop()
-                if not path:
-                    raise ValueError("relations must come in depth-first "
-                                     "order, parents first")
                 depth[r] = depth[p] + 1
-                feeds[p] = 1
-            else:
-                path.clear()
-            path.append(r)
-        self.parent, self.depth, self.feeds = parent, depth, feeds
+                if not feeds[p]:
+                    feeders += 1
+                    feeds[p] = feeders
+        self.parent, self._feeders = parent, feeders
         self.has_values = bool(values)
         self.emit = [bool(e) for e in emit]
         self.fold_slot = fold_slot = [-1] * n_rel
@@ -268,8 +259,6 @@ class Walk:
             if emits:
                 fold_slot[r] = len(self._emitting)
                 self._emitting.append((r, fold_slot[r], len(keys[r])))
-        self._levels = max((depth[r] + 1 for r in range(n_rel) if feeds[r]),
-                           default=0)
         n_keys = sum(len(k) for k in keys)
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
         self.slices = max(int(slices), 1)
@@ -336,9 +325,9 @@ class Walk:
         scratch = {
             "runs": np.empty((L, _RUN_WORDS), dtype=np.int64),
             "order": np.empty((L, _ORDER_WORDS), dtype=np.int64),
-            "ev_i": np.empty((self._levels, 3, L), dtype=np.int64),
-            "ev_f": np.empty((self._levels if self.has_values else 0, 3, L),
-                             dtype=np.float64),
+            "ev_i": np.empty((self._feeders, 3, L), dtype=np.int64),
+            "ev_f": np.empty((self._feeders if self.has_values else 0, 3,
+                              L), dtype=np.float64),
         }
         for name, array in scratch.items():
             setattr(self._struct, name, library.address(array))
@@ -371,26 +360,19 @@ class Walk:
 
     def bind(self, columns: Sequence[np.ndarray],
              values: np.ndarray | None,
-             shards: "np.ndarray | ShardIds | None" = None) -> None:
+             shards: ShardIds | None = None) -> None:
         """Point the walk at a stream: its integer attribute columns (the
         ones ``keys`` index), its value column, or None, and its rows'
-        shard ids (each in ``[0, slices)``, checked here in one pass
-        unless they come as :class:`ShardIds`), or None for slice 0."""
+        checked shard ids, whose slice count must not pass the walk's,
+        or None for slice 0."""
         if len(columns) < self.n_columns or \
                 (values is not None) != self.has_values:
             raise ValueError("the stream does not have the walk's columns")
-        if isinstance(shards, ShardIds):
+        if shards is not None:
             if shards.slices > self.slices:
                 raise ValueError(f"shard ids must lie in [0, "
                                  f"{self.slices})")
             shards = shards.ids
-        elif shards is not None:
-            shards = np.ascontiguousarray(shards, dtype=np.int64)
-            # one pass: a negative id reads as a huge unsigned one
-            if shards.ndim != 1 or (shards.size and shards.view(
-                    np.uint64).max() >= self.slices):
-                raise ValueError(f"shard ids must be 1-D and lie in "
-                                 f"[0, {self.slices})")
         addresses, self.columns = library.words(columns)
         self.values = (None if values is None else
                        np.ascontiguousarray(values, dtype=np.float64))
@@ -439,37 +421,12 @@ def _seed_state(seed: Seed, k: int):
         addresses.ctypes.data, *(a.ctypes.data for a in aggregates)]
 
 
-def lane_waits(walk: Walk, lane: Sequence[int], r: int) -> list[int]:
-    """What relation ``r`` of ``walk``'s forest waits for when the
-    relations up to it walk on lanes ``lane[:r + 1]`` (0 or 1): the
-    lanes' one wait rule, which :class:`Lanes` hands the kernel and the
-    engine's lane schedule prices.
-
-    A relation waits for its parent when the parent walks on the other
-    lane. When it feeds, it also waits for the other lane's children of
-    the relation before it in its lane at its depth that feeds: those
-    children read the eviction buffer this relation refills (a walk
-    keeps one buffer per depth). Every relation waited for comes
-    earlier in the walk order, so two lanes never wait on each other in
-    a circle."""
-    parent, depth, feeds = walk.parent, walk.depth, walk.feeds
-    own, p = lane[r], parent[r]
-    waits = [p] if p >= 0 and lane[p] != own else []
-    if feeds[r]:
-        q = next((q for q in range(r - 1, -1, -1) if feeds[q]
-                  and lane[q] == own and depth[q] == depth[r]), None)
-        if q is not None:  # q's children all come before r
-            waits += [c for c in range(q + 1, r)
-                      if parent[c] == q and lane[c] != own]
-    return waits
-
-
 class Lanes:
     """Two walks of one forest that walk one epoch together
     (:func:`ingest_runs`'s ``lanes=``): :attr:`walks` is ``(first,
     second)``, the first walked on the calling thread and the second by
     a helper of the library's pool, relation ``r`` on walk ``lane[r]``
-    (0 or 1), waiting for what :func:`lane_waits` names.
+    (0 or 1), waiting for its parent when the other walk walks it.
     :attr:`ran` is the lane count of the last call through these lanes:
     2, or 1 when no helper was free."""
 
@@ -482,25 +439,17 @@ class Lanes:
         self.lane = lane = tuple(int(x) for x in lane)
         if len(lane) != n_rel or not set(lane) <= {0, 1}:
             raise ValueError("every relation needs lane 0 or 1")
-        self.waits = waits = [lane_waits(first, lane, r)
-                              for r in range(n_rel)]
         self.walks, self.ran = (first, second), 1
-        offsets = np.cumsum([0] + [len(x) for x in waits])
-        self._block = block = np.zeros(
-            3 * n_rel + 4 + int(offsets[-1]), dtype=np.int64)
+        self._block = block = np.zeros(2 * n_rel + 3, dtype=np.int64)
         block[:n_rel] = lane
-        block[n_rel:2 * n_rel + 1] = offsets
         #: Set by the kernel: ``done[r]`` once relation ``r`` is walked,
         #: ``done[n_rel]`` once a lane has failed; then its count of
         #: marks and of lanes asleep.
-        self.done = block[2 * n_rel + 1:3 * n_rel + 4]
-        block[3 * n_rel + 4:] = [x for w in waits for x in w]
+        self.done = block[n_rel:]
         base = library.address(block)
-        self._pointers = (base, base + 8 * n_rel,
-                          base + 8 * (3 * n_rel + 4),
-                          base + 8 * (2 * n_rel + 1))
+        self._pointers = (base, base + 8 * n_rel)
         #: The call's stop word, ``done[n_rel]``, and the second lane's job.
-        self._stop = base + 8 * (3 * n_rel + 1)
+        self._stop = base + 8 * (2 * n_rel)
         self._job = np.zeros(10, dtype=np.uint64)
 
     def _point(self, on: bool) -> None:
@@ -508,8 +457,7 @@ class Lanes:
         walks = self.walks
         for lane_id, own in enumerate(walks):
             struct = own._struct
-            (struct.lane, struct.wait_off, struct.wait_rel,
-             struct.done) = self._pointers if on else (None,) * 4
+            struct.lane, struct.done = self._pointers if on else (None,) * 2
             struct.other = (ctypes.addressof(walks[1 - lane_id]._struct)
                             if on else None)
             struct.lane_id = lane_id

@@ -217,10 +217,12 @@ typedef struct {
  * order. Relation r's table is n_slices slices of n_buckets[r] buckets
  * side by side; a row lands in slice shard[row] (slice 0 when shard is
  * NULL). Scratch is sized for the longest epoch (`longest` arrivals per
- * relation) and the largest table, every slice included. When lane is
- * not NULL the walk is one of two lanes of one epoch (see repro_walk):
- * it walks the relations r with lane[r] == lane_id, each once the
- * relations wait_rel[wait_off[r]..wait_off[r + 1]) are walked. */
+ * relation) and the largest table, every slice included. A relation
+ * with children appends its evictions to its own list, slot feeds[r] - 1
+ * of ev_i/ev_f (feeds[r] is 0 for a relation without). When lane is not
+ * NULL the walk is one of two lanes of one epoch (see repro_walk): it
+ * walks the relations r with lane[r] == lane_id, each once its parent
+ * is walked when the other lane walks it. */
 typedef struct walk_s {
     int64_t n_rel, longest, max_buckets, n_slices;
     const int64_t *parent;      /* walk index of the parent, -1 = raw */
@@ -237,16 +239,14 @@ typedef struct walk_s {
     int64_t *bucket_pos;        /* [max_buckets] */
     run_t *runs;                /* [longest] */
     order_t *order;             /* [longest] */
-    int64_t *ev_i;              /* [levels][3][longest] row, time, weight */
-    double *ev_f;               /* [levels][3][longest] sum, min, max */
+    int64_t *ev_i;              /* [feeders][3][longest] row, time, weight */
+    double *ev_f;               /* [feeders][3][longest] sum, min, max */
     fold_t *folds;              /* [emitting] */
     int64_t *n_runs;            /* [n_rel] this epoch's runs = evictions */
     int64_t *stats;             /* [n_rel][4] accumulated counters */
     int64_t *table;             /* the folds' group table, malloc'd here */
     int64_t cap, base;          /* its capacity; entries >= base are live */
     const int64_t *lane;        /* [n_rel] each relation's lane, or NULL */
-    const int64_t *wait_off;    /* [n_rel + 1] into wait_rel */
-    const int64_t *wait_rel;    /* what each relation waits for */
     int64_t *done;              /* [n_rel + 3] shared by both lanes: r is
                                  * walked; [n_rel]: a lane failed; then
                                  * the marks and the lanes asleep */
@@ -412,7 +412,7 @@ static int walk_relation(
     const uint64_t state = mix64(W->salt[r]);
     const int64_t flush_base = n + W->depth[r] * stride;
     const int has_values = vs != NULL;
-    const int feeds = (int)W->feeds[r];
+    const int64_t feeds = W->feeds[r];
     int64_t *slot_run = W->slot_run;
     run_t *runs = W->runs;
     order_t *order = W->order;
@@ -427,11 +427,11 @@ static int walk_relation(
     for (c = 0; c < k; c++)
         keys[c] = W->columns[W->key_col[W->key_off[r] + c]] + start;
     if (feeds) {
-        ev_row = W->ev_i + W->depth[r] * 3 * L;
+        ev_row = W->ev_i + (feeds - 1) * 3 * L;
         ev_t = ev_row + L;
         ev_w = ev_t + L;
         if (has_values) {
-            ev_vs = W->ev_f + W->depth[r] * 3 * L;
+            ev_vs = W->ev_f + (feeds - 1) * 3 * L;
             ev_vmin = ev_vs + L;
             ev_vmax = ev_vmin + L;
         }
@@ -648,19 +648,6 @@ static void lane_mark(const walk_t *W, int64_t slot)
     store_and_wake(&W->done[slot], 1, LANE_WORD(W), LANE_SLEEPERS(W));
 }
 
-/* Wait until every relation relation r waits for is walked: -1 as soon
- * as a lane has failed instead, so no lane waits for one that stopped. */
-static int wait_walked(const walk_t *W, int64_t r)
-{
-    int64_t i;
-
-    for (i = W->wait_off[r]; i < W->wait_off[r + 1]; i++)
-        if (wait_until(&W->done[W->wait_rel[i]], 1, &W->done[W->n_rel],
-                       LANE_WORD(W), LANE_SLEEPERS(W)) < 0)
-            return -1;
-    return 0;
-}
-
 /* Set a two-lane call's stop word: the other lane returns -1 at its
  * next wait, or now if it sleeps. */
 void repro_walk_stop(const walk_t *W)
@@ -669,7 +656,8 @@ void repro_walk_stop(const walk_t *W)
 }
 
 /* Wait until relation r of a two-lane call is walked, in either lane:
- * 0, or -1 when a lane failed. */
+ * 0, or -1 as soon as a lane has failed instead, so no lane waits for
+ * one that stopped. */
 int64_t repro_walk_wait(const walk_t *W, int64_t r)
 {
     return wait_until(&W->done[r], 1, &W->done[W->n_rel], LANE_WORD(W),
@@ -683,13 +671,10 @@ int64_t repro_walk_wait(const walk_t *W, int64_t r)
  * Two lanes: two walks of one forest, bound to one stream, called at
  * once on two threads with the same arguments, each walk its own
  * relations (lane[r] == lane_id) into its own scratch, folds and
- * counters. A relation whose parent is the other lane's reads that
- * parent's evictions from the other walk once the parent is walked. A
- * walk's evictions at one depth share one buffer, so a relation that
- * refills the buffer its lane's previous relation at that depth filled
- * first waits until the other lane's readers of that one are walked.
- * Both are in wait_rel (see repro.native.ingest.Lanes); everything a
- * relation waits for comes before it, so the lowest relation not yet
+ * counters. A relation whose parent is the other lane's waits until
+ * the parent is walked and reads its eviction list in the other walk;
+ * it waits for nothing else, as every list is written once a call. A
+ * parent comes before its children, so the lowest relation not yet
  * walked can always go on and the lanes cannot wait on each other in a
  * circle. Returns 0, or -1 when a fold ran out of memory (or, in two
  * lanes, when either lane's did: the failing lane tells the other,
@@ -700,7 +685,7 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
     const int64_t stride = n + W->max_buckets + 2;
     const double *values = W->values ? W->values + start : NULL;
     const walk_t *P;
-    int64_t r, p, d, L;
+    int64_t r, p, f, L;
     int failed;
 
     for (r = 0; r < W->n_rel; r++) {
@@ -709,30 +694,28 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
             W->folds[W->fold_slot[r]].n_groups = 0;
     }
     for (r = 0; r < W->n_rel; r++) {
-        if (W->lane != NULL) {
-            if (W->lane[r] != W->lane_id)
-                continue;
-            if (wait_walked(W, r) < 0)
-                return -1;
-        }
+        if (W->lane != NULL && W->lane[r] != W->lane_id)
+            continue;
         p = W->parent[r];
         P = W->lane != NULL && p >= 0 && W->lane[p] != W->lane_id
             ? W->other : W;         /* the walk holding p's evictions */
+        if (P != W && repro_walk_wait(W, p) < 0)
+            return -1;
         if (p < 0) {
             failed = n > 0 && walk_relation(W, r, start, n, stride, n, NULL,
                                             t, w, values, values, values);
         } else if (P->n_runs[p] == 0) {
             failed = 0;
         } else {
-            d = P->depth[p];
+            f = (P->feeds[p] - 1) * 3;
             L = P->longest;
             failed = walk_relation(
                 W, r, start, n, stride, P->n_runs[p],
-                P->ev_i + d * 3 * L, P->ev_i + d * 3 * L + L,
-                P->ev_i + d * 3 * L + 2 * L,
-                values ? P->ev_f + d * 3 * L : NULL,
-                values ? P->ev_f + d * 3 * L + L : NULL,
-                values ? P->ev_f + d * 3 * L + 2 * L : NULL);
+                P->ev_i + f * L, P->ev_i + (f + 1) * L,
+                P->ev_i + (f + 2) * L,
+                values ? P->ev_f + f * L : NULL,
+                values ? P->ev_f + (f + 1) * L : NULL,
+                values ? P->ev_f + (f + 2) * L : NULL);
         }
         if (W->lane == NULL) {
             if (failed)

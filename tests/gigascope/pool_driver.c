@@ -35,13 +35,12 @@ static const uint64_t salt[N_REL] = {11, 12, 13};
 static const int64_t n_buckets[N_REL] = {61, 7, 5};
 static const int64_t depth[N_REL] = {0, 1, 1};
 static const int64_t emit[N_REL] = {1, 1, 1};
-static const int64_t feeds[N_REL] = {1, 0, 0};
+static const int64_t feeds[N_REL] = {1, 0, 0};   /* AB's list: slot 0 */
 static const int64_t fold_slot[N_REL] = {0, 1, 2};
 
-/* Lanes: A on the second lane, waiting for AB; B on the first. */
+/* Lanes: A on the second lane, waiting for its parent AB; B on the
+ * first. */
 static const int64_t lane[N_REL] = {0, 1, 0};
-static const int64_t wait_off[N_REL + 1] = {0, 0, 1, 1};
-static const int64_t wait_rel[1] = {0};
 
 static uint64_t col_a[ROWS], col_b[ROWS];
 static const uint64_t *const columns[2] = {col_a, col_b};
@@ -144,8 +143,6 @@ static void point_lanes(walk_t *first, walk_t *second, int64_t *done)
 
     for (id = 0; id < 2; id++) {
         walks[id]->lane = done ? lane : NULL;
-        walks[id]->wait_off = wait_off;
-        walks[id]->wait_rel = wait_rel;
         walks[id]->done = done;
         walks[id]->other = walks[1 - id];
         walks[id]->lane_id = id;

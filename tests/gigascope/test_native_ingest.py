@@ -665,20 +665,27 @@ class TestBuildMachinery:
 
 
 #: A forest whose lanes can cross every way: two relations with children
-#: at depth 1 (so a lane refills the eviction buffer the other lane's
-#: children read) and one of them a query.
+#: at depth 1 (whose evictions one list per depth would have to share, so
+#: that a lane refilled the list the other lane's children read) and one
+#: of them a query.
 _LANE_FOREST = "ABCD(ABC(AB BC) ABD(AD BD))"
 
 
-def _lane_walks(config, dataset, emit):
+def _lane_walks(config, dataset, emit, order=None):
     """Three kernel walks of ``config`` bound to ``dataset``: one lane's,
-    and the two of a two-lane call."""
+    and the two of a two-lane call. With ``order``, the walks take the
+    relations in that order of their indices in ``config`` (parents
+    still first), and ``emit`` is read in ``config``'s."""
     tables = engine.Tables()
     tables.bind(config, {rel: 7 + 3 * i
                          for i, rel in enumerate(config.relations)}, 0, True)
-    walks = [native_ingest.Walk(tables.parent, tables.keys, tables.salts,
-                                tables.sizes, emit, True, len(dataset))
-             for _ in range(3)]
+    order = range(len(tables.parent)) if order is None else order
+    at = {r: i for i, r in enumerate(order)}
+    parent = [at.get(tables.parent[r], -1) for r in order]
+    walks = [native_ingest.Walk(
+        parent, *([seq[r] for r in order] for seq in (
+            tables.keys, tables.salts, tables.sizes, emit)),
+        True, len(dataset)) for _ in range(3)]
     walks[0].bind([dataset.columns[a] for a in tables.names],
                   dataset.values["v"])
     for walk in walks[1:]:
@@ -686,12 +693,32 @@ def _lane_walks(config, dataset, emit):
     return walks
 
 
-def _folded(folds, walks) -> list:
-    """Folds as raw bytes, and the counters summed over ``walks``."""
+def _folded(folds, walks, order=None) -> list:
+    """Folds as raw bytes, and the counters summed over ``walks``; with
+    ``order`` (as :func:`_lane_walks` takes it), each fold and counter
+    row under its relation's index in the configuration."""
+    stats = sum(walk.stats for walk in walks)
+    if order is not None:
+        folds = sorted((f._replace(relation=order[f.relation])
+                        for f in folds), key=lambda f: f.relation)
+        stats = stats[np.argsort(order)]
     return [(f.relation, f.runs, f.counts.tobytes(), f.sums.tobytes(),
              f.mins.tobytes(), f.maxs.tobytes(),
              [c.tobytes() for c in f.columns]) for f in folds] + [
-        sum(walk.stats for walk in walks).tobytes()]
+        stats.tobytes()]
+
+
+def _walk_lane(lanes, lane_id, n):
+    """Start lane ``lane_id`` of ``lanes`` over the first ``n`` rows on a
+    thread of its own, as the kernel's job would walk it: the thread,
+    and the list its walk's status goes to."""
+    lib, status = native_library.library(), []
+    t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    thread = threading.Thread(target=lambda: status.append(lib.repro_walk(
+        lanes.walks[lane_id]._ref, 0, t.ctypes.data, w.ctypes.data, n)),
+        daemon=True)
+    thread.start()
+    return thread, status
 
 
 class TestLanes:
@@ -701,23 +728,94 @@ class TestLanes:
     contend for the pool's helpers, and a fork."""
 
     def test_waits(self):
-        """A relation waits for a parent on the other lane and, when it
-        refills an eviction buffer, for the other lane's readers of it."""
+        """A relation waits for its parent when the other lane walks it,
+        and for nothing else: every relation with children has an
+        eviction list of its own, so none waits to refill a list the
+        other lane still reads. Each lane is walked on a thread of its
+        own, one after the other, and the folds equal one lane's."""
         config = Configuration.from_notation(_LANE_FOREST)
         assert [r.label() for r in config.relations] == \
             ["ABCD", "ABC", "AB", "BC", "ABD", "AD", "BD"]
         dataset = make_stream(1, [50], 4, "finite", False)
-        first, second, _ = _lane_walks(config, dataset, [True] * 7)
-        lanes = native_ingest.Lanes(first, second, [0, 0, 1, 0, 0, 1, 0])
-        # AB waits for ABC; ABD refills ABC's buffer, which AB reads;
-        # AD waits for ABD
-        assert lanes.waits == [[], [], [1], [], [2], [4], []]
-        # ABD refills no buffer of lane 1's: ABC, the other feeder at
-        # depth 1, is lane 0's
-        lanes = native_ingest.Lanes(first, second, [1, 0, 0, 1, 1, 1, 0])
-        assert lanes.waits == [[], [0], [], [1], [], [], [4]]
+        one, first, second = _lane_walks(config, dataset, [True] * 7)
+        n = len(dataset)
+        t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        want = _folded(native_ingest.ingest_runs(one, 0, t, w), [one])
+        lib = native_library.library()
+
+        def walked(lane, waiting):
+            """Lane 0 alone, then lane 1: lane 0 stops at relation
+            ``waiting`` (None: none) until lane 1 walks."""
+            lanes = native_ingest.Lanes(first, second, lane)
+            lanes.done[:] = 0
+            first.stats[:] = second.stats[:] = 0
+            lanes._point(True)
+            try:
+                thread, status = _walk_lane(lanes, 0, n)
+                thread.join(timeout=0.2 if waiting is not None else 60)
+                assert thread.is_alive() == (waiting is not None), lane
+                mine = [r for r in range(7) if lane[r] == 0]
+                before = mine if waiting is None else \
+                    mine[:mine.index(waiting)]
+                assert list(np.flatnonzero(lanes.done[:7])) == before
+                other, other_status = _walk_lane(lanes, 1, n)
+                for each in (other, thread):
+                    each.join(timeout=60)
+                    assert not each.is_alive(), lane
+                assert status == other_status == [0]
+            finally:
+                lib.repro_walk_stop(first._ref)  # a stuck lane returns
+                lanes._point(False)
+            folds = native_ingest._take(lib, first) + \
+                native_ingest._take(lib, second)
+            return _folded(sorted(folds, key=lambda f: f.relation),
+                           [first, second])
+
+        # ABD (lane 0) once waited to refill the list ABC (lane 0) filled
+        # for AB (lane 1): now lane 0 walks all five of its relations
+        # before lane 1 begins
+        assert walked([0, 0, 1, 0, 0, 1, 0], None) == want
+        # ABC waits for ABCD, which lane 1 walks, and lane 0 with it
+        assert walked([1, 0, 0, 1, 1, 1, 0], 1) == want
+        # lane 0 walks ABCD, then waits at AD for lane 1's ABD
+        assert walked([0, 1, 1, 1, 1, 0, 1], 5) == want
         with pytest.raises(ValueError, match="lane 0 or 1"):
             native_ingest.Lanes(first, second, [0, 2, 0, 0, 0, 0, 0])
+
+    def test_a_forest_walks_parents_first_in_any_order(self):
+        """The netflow forest given breadth-first (ABCD, ABC, BCD, AB,
+        BC, BD, CD) walks as given depth-first, on one lane and on every
+        assignment to two: the folds, mapped by relation, their runs
+        and the counters equal byte for byte. A relation whose parent
+        comes after it is refused."""
+        config = Configuration.from_notation("ABCD(ABC(AB) BCD(BC BD CD))")
+        assert [r.label() for r in config.relations] == \
+            ["ABCD", "ABC", "AB", "BCD", "BC", "BD", "CD"]
+        order = [0, 1, 3, 2, 4, 5, 6]
+        emit = [rel in config.leaves or rel.label() == "BCD"
+                for rel in config.relations]
+        dataset = make_stream(5, [600], 6, "nonfinite", False)
+        n = len(dataset)
+        t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        depth_first = _lane_walks(config, dataset, emit)[0]
+        want = _folded(native_ingest.ingest_runs(depth_first, 0, t, w),
+                       [depth_first])
+        one, first, second = _lane_walks(config, dataset, emit, order)
+        assert one.parent == [-1, 0, 0, 1, 2, 2, 2]
+        assert _folded(native_ingest.ingest_runs(one, 0, t, w), [one],
+                       order) == want
+        for bits in range(2 ** 7):
+            lane = [bits >> r & 1 for r in range(7)]
+            lanes = native_ingest.Lanes(first, second, lane)
+            first.stats[:] = second.stats[:] = 0
+            with on_cores(2):
+                got = native_ingest.ingest_runs(first, 0, t, w, None, lanes)
+            assert lanes.ran == 2
+            assert _folded(got, [first, second], order) == want, lane
+        for parent in ([1, -1], [0, -1], [-1, 1]):
+            with pytest.raises(ValueError, match="parents first"):
+                native_ingest.Walk(parent, [[0, 1], [0]], [1, 2], [3, 3],
+                                   [True, True], False, 8)
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("seeded", [False, True])

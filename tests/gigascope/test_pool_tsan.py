@@ -10,10 +10,14 @@ with ``-fsanitize=thread``, it must print ``ok`` with no
 ``ThreadSanitizer`` report. The source is built without its
 ``HASH_DISPATCH`` line: the plain ``hash_block``, which equals the
 dispatched one byte for byte, keeps the loader's ifunc out of an
-instrumented executable. Skipped only where the compiler cannot link
+instrumented executable. The driver and its build run without an
+inherited ``LD_PRELOAD``: another sanitizer's runtime preloaded into
+the test run (``tests/sanitizers.py``) cannot share a process with
+TSan's. Skipped only where the compiler cannot link
 ``-fsanitize=thread``.
 """
 
+import os
 import subprocess
 from pathlib import Path
 
@@ -25,6 +29,9 @@ from repro.native import library as native_library
 DRIVER = Path(__file__).with_name("pool_driver.c")
 
 FLAGS = ("-fsanitize=thread", "-g", "-O1", "-pthread")
+
+#: The environment the driver is built and run in.
+ENV = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
 
 
 def _source() -> str:
@@ -52,7 +59,8 @@ def tsan_cc(tmp_path_factory):
     (work / "probe.c").write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([cc, *FLAGS, "-o", str(work / "probe"),
                             str(work / "probe.c")],
-                           capture_output=True, text=True, timeout=60.0)
+                           capture_output=True, text=True, timeout=60.0,
+                           env=ENV)
     if probe.returncode != 0:
         pytest.skip(f"{cc} cannot link -fsanitize=thread: "
                     f"{probe.stderr.strip()[:200]}")
@@ -65,9 +73,9 @@ def test_pool_driver_is_race_free(tsan_cc, tmp_path):
     built = subprocess.run(
         [tsan_cc, *FLAGS, "-o", str(tmp_path / "driver"),
          str(tmp_path / "driver.c"), "-lm"],
-        capture_output=True, text=True, timeout=120.0)
+        capture_output=True, text=True, timeout=120.0, env=ENV)
     assert built.returncode == 0, built.stderr
     ran = subprocess.run([str(tmp_path / "driver")], capture_output=True,
-                         text=True, timeout=120.0)
+                         text=True, timeout=120.0, env=ENV)
     assert "ThreadSanitizer" not in ran.stderr, ran.stderr
     assert (ran.returncode, ran.stdout) == (0, "ok\n"), ran.stdout
