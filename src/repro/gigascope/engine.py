@@ -30,23 +30,25 @@ holds the kernel to the same buckets, runs, float accumulation order,
 counters, HFTA states (NaN sums included), group order and fold counts,
 byte for byte.
 
-*A bound walk.* Everything a configuration, its allocation, the salt
-seed and the presence of a value column fix — relation order, table
-sizes, salts, emit flags, column order, each relation's parent, which
-counters are priced — is resolved once, when a :class:`Tables` binds to
-them, and the kernel's walks of that forest are built from it at first
+*One forest per binding.* Everything a configuration, its allocation,
+the salt seed and the presence of a value column fix — relation order,
+table sizes, salts, emit flags, column order, each relation's parent,
+which counters are priced — is resolved once, when a :class:`Tables`
+binds to them, into one :class:`~repro.native.ingest.Forest`, and the
+kernel's walks of it, each one thread's scratch, are built at first
 need and kept, one list of them (:meth:`Tables.walks`) for every way a
-call walks. Every :func:`simulate` call walks through a bound
+call walks. A call binds its stream once, on the forest, and every walk
+reads it there. Every :func:`simulate` call walks through a bound
 ``Tables``: its own, or the caller's (``LiveStreamSystem`` keeps one
-for the whole run, so an epoch close pays only for binding the walk to
-the epoch's columns, the walk and the fold, and an era only for
+for the whole run, so an epoch close pays only for binding the forest
+to the epoch's columns, the walk and the fold, and an era only for
 binding its configuration).
 
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
 time. A kernel walk over more than one non-empty epoch runs on kept
-walks, one per usable core and at most one per epoch, all bound to the
-one stream the first walk converted and checked: the native library's
+walks, one per usable core and at most one per epoch, all reading the
+one stream the forest converted and checked: the native library's
 pool of helper threads walks epochs on them and the calling thread walks
 too, and takes every epoch's folds in epoch order
 (:func:`repro.native.ingest.ingest_epochs`). The HFTA gets the folded
@@ -108,11 +110,13 @@ class Tables:
 
     :meth:`bind` resolves what the configuration, the bucket map, the
     salt seed and the presence of a value column fix: the relation
-    order, table sizes, salts, emit flags, column order, each relation's
-    parent, and which counters are priced. The kernel's walks of the
-    bound forest are one kept list (:meth:`walks`), which serves a
-    one-epoch call, the walks of a call over several epochs and the
-    two lanes of a one-epoch call (:meth:`lanes`) alike. Every
+    order, table sizes, salts, emit flags, column order and each
+    relation's parent, into one :attr:`forest`
+    (:class:`~repro.native.ingest.Forest`), and which counters are
+    priced. The kernel's walks of the forest are one kept list
+    (:meth:`walks`), which serves a one-epoch call, the walks of a call
+    over several epochs and the two lanes of a one-epoch call
+    (:meth:`lanes`) alike. Every
     :func:`simulate` call binds the ``Tables`` it is handed, or a new
     one, and walks through it; a caller that runs one configuration
     through many calls (``LiveStreamSystem``, once per epoch close)
@@ -126,10 +130,9 @@ class Tables:
     evictions_flush)`` per relation, until the next call.
     """
 
-    __slots__ = ("config", "buckets", "salt_seed", "has_values", "rels",
-                 "sizes", "salts", "emit", "names", "keys", "parent",
-                 "stats", "_walks", "_epochs", "_lane_of", "_lanes",
-                 "_raw", "_times", "_ones")
+    __slots__ = ("config", "buckets", "salt_seed", "rels", "names",
+                 "forest", "stats", "_walks", "_epochs", "_lane_of",
+                 "_lanes", "_times", "_ones")
 
     def __init__(self) -> None:
         self.config: Configuration | None = None
@@ -147,7 +150,8 @@ class Tables:
         if self.config is not None and (
                 config is self.config or config == self.config) \
                 and salt_seed == self.salt_seed \
-                and values == self.has_values and buckets == self.buckets:
+                and values == self.forest.has_values \
+                and buckets == self.buckets:
             return
         rels = config.relations
         sizes = bucket_counts(rels, buckets)
@@ -158,14 +162,13 @@ class Tables:
         column = {a: c for c, a in enumerate(names)}
         # The walk reads the emit rule from here; a relation that emits
         # still feeds its children.
-        emit = [config.is_emitting(rel) for rel in rels]
+        self.forest = _native.Forest(
+            parent, [[column[a] for a in rel.names] for rel in rels],
+            [relation_salt(rel.label(), salt_seed) for rel in rels],
+            [sizes[rel] for rel in rels],
+            [config.is_emitting(rel) for rel in rels], values)
         self.config, self.buckets = config, dict(buckets)
-        self.salt_seed, self.has_values = salt_seed, values
-        self.rels, self.sizes = rels, [sizes[rel] for rel in rels]
-        self.salts = [relation_salt(rel.label(), salt_seed) for rel in rels]
-        self.emit, self.names, self.parent = emit, names, parent
-        self.keys = [[column[a] for a in rel.names] for rel in rels]
-        self._raw = [p < 0 for p in parent]
+        self.salt_seed, self.rels, self.names = salt_seed, rels, names
         self._times = self._ones = np.empty(0, dtype=np.int64)
         self._walks = []
         self.stats = self._lanes = self._lane_of = None
@@ -173,21 +176,22 @@ class Tables:
 
     def walks(self, n: int, longest: int,
               slices: int = 1) -> list[_native.Walk]:
-        """The first ``n`` kept kernel walks of the bound forest, with
+        """The first ``n`` kept kernel walks of :attr:`forest`, with
         scratch for epochs of up to ``longest`` records and ``slices``
         slices per table. The list is built at first need; a walk whose
         scratch an epoch outgrows doubles it in place, and another slice
-        count builds the whole list again."""
-        kept = self._walks
-        if kept and kept[0].slices != slices:
+        count builds the forest and the whole list again."""
+        kept, forest = self._walks, self.forest
+        if forest.slices != slices:
+            self.forest = _native.Forest(
+                forest.parent, forest.keys, forest.salts, forest.sizes,
+                forest.emit, forest.has_values, slices)
             kept.clear()
         for walk in kept[:n]:
             if walk.longest < longest:
                 walk.reserve(max(longest, 2 * walk.longest))
         while len(kept) < n:
-            kept.append(_native.Walk(self.parent, self.keys, self.salts,
-                                     self.sizes, self.emit, self.has_values,
-                                     longest, slices))
+            kept.append(_native.Walk(self.forest, longest))
         return kept[:n]
 
     def lanes(self, longest: int, slices: int = 1) -> _native.Lanes | None:
@@ -209,9 +213,9 @@ class Tables:
             # a query's fold takes each run once more, and the take of
             # its folds as much again (a group per run at most)
             per_epoch = self.stats / self._epochs
-            take = per_epoch[:, 2:].sum(axis=1) * self.emit
+            take = per_epoch[:, 2:].sum(axis=1) * self.forest.emit
             lanes, saving = _schedule(
-                self.parent, (per_epoch.sum(axis=1) + take).tolist(),
+                self.forest.parent, (per_epoch.sum(axis=1) + take).tolist(),
                 take.tolist())
             self._lane_of = tuple(lanes) if saving >= LANE_HANDOFF else ()
         if not self._lane_of:
@@ -244,8 +248,9 @@ class Tables:
     def call_costs(self, params: CostParameters) -> tuple[float, float]:
         """The last call's intra-epoch and flush costs: its counters
         priced as :class:`CostCounters` prices a run's."""
-        intra, flush = priced_costs(self.stats.tolist(), self.emit,
-                                    self._raw, params)
+        forest = self.forest
+        intra, flush = priced_costs(self.stats.tolist(), forest.emit,
+                                    [p < 0 for p in forest.parent], params)
         return intra.total, flush.total
 
 
@@ -486,18 +491,15 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     times0, ones = tables.arrivals(longest)
     lanes = tables.lanes(longest, slices) if len(epochs) == 1 else None
     walks = tables.walks(workers if lanes is None else 2, longest, slices)
-    walk = walks[0]
     # One conversion and one check of the stream serve every walk.
-    walk.bind([columns[a] for a in tables.names], values, shards)
-    for other in walks[1:]:
-        other.bind_like(walk)
+    tables.forest.bind([columns[a] for a in tables.names], values, shards)
     # The states the folds extend: whatever the HFTA holds for an
     # emitting relation in an epoch of this call (a reopened live epoch,
     # an earlier call).
     pieces = []
     for epoch_id, lo, hi in epochs:
         held = (hfta.totals_columnar(rels[r], epoch_id) if emits else None
-                for r, emits in enumerate(tables.emit))
+                for r, emits in enumerate(tables.forest.emit))
         pieces.append((lo, times0[:hi - lo], ones[:hi - lo], {
             r: (s.columns, s.counts, s.value_sums, s.value_mins,
                 s.value_maxs)
@@ -507,7 +509,7 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     if len(pieces) > 1:
         folded = _native.ingest_epochs(walks, pieces)
     else:
-        folded = [_native.ingest_runs(walk, *pieces[0], lanes)]
+        folded = [_native.ingest_runs(walks[0], *pieces[0], lanes)]
     tables.stats, tables._epochs = sum(w.stats for w in walks), len(epochs)
     for (epoch_id, _, _), folds in zip(epochs, folded):
         for fold in folds:

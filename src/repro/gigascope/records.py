@@ -190,8 +190,9 @@ class Dataset:
             start = end
 
     def group_count(self, attrs: AttributeSet) -> int:
-        """Exact number of distinct groups at this projection."""
+        """Exact number of distinct groups at this projection, counted by
+        :func:`repro.native.partition.group_stats`."""
         attrs = self.schema.attribute_set(attrs)
-        from repro.gigascope.hashing import pack_tuples  # avoid cycle at import
-        codes = pack_tuples([self.columns[a] for a in attrs])
-        return int(np.unique(codes).size)
+        from repro.native import partition  # avoid cycle at import
+        return partition.group_stats([self.columns[a] for a in attrs],
+                                     self.timestamps, None)[0]

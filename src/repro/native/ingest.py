@@ -73,18 +73,25 @@ starts, and the call raises once every job has run.
 one at a time and the helpers' alongside, and takes them in epoch
 order.
 
+*One forest, many walks.* A :class:`Forest` is the configuration's
+forest, derived and checked once, and the stream a call is bound to
+(bound once per call, :meth:`Forest.bind`); a :class:`Walk` is one
+thread's scratch, folds and counters, and points at it. The pool's
+walks and the lanes are only threads over the one forest.
+
 *Two lanes.* One epoch may be walked by two walks of the forest at
 once (:class:`Lanes`): the caller's on its thread, a second as a job of
-the pool, each relation by one of them into that walk's scratch, folds
-and counters. A relation whose parent the other lane walks waits for it
-(the kernel marks each relation walked in a word both lanes share) and
-reads its eviction list in the other walk; it waits for nothing else,
-since every relation with children has an eviction list of its own,
-written once a call. A parent comes before its children, so the lanes
-cannot wait in a circle; a waiting thread spins a while, then sleeps on
-a futex. The caller takes the second lane's folds each as soon as its
-relation is marked walked. The folds, runs and summed counters are a
-one-lane call's, bit for bit.
+the pool, each relation by the walk the forest names its holder, into
+that walk's scratch, folds and counters. A relation whose parent
+another walk holds waits for it (the kernel marks each relation walked
+in the forest's ``done`` words) and reads its eviction list through
+that holder; it waits for nothing else, since every relation with
+children has an eviction list of its own, written once a call. A parent
+comes before its children, so the lanes cannot wait in a circle; a
+waiting thread spins a while, then sleeps on the pool's wait word. The
+caller takes the second lane's folds each as soon as its relation is
+marked walked. The folds, runs and summed counters are a one-lane
+call's, bit for bit.
 
 Bit-identity contract with the reference numpy walk of the test suite
 and the HFTA's fold of its batches (pinned by
@@ -132,7 +139,7 @@ import numpy as np
 from repro import native
 from repro.native import library
 
-__all__ = ["Fold", "Lanes", "ShardIds", "Walk", "ingest_epochs",
+__all__ = ["Fold", "Forest", "Lanes", "ShardIds", "Walk", "ingest_epochs",
            "ingest_runs"]
 
 
@@ -146,21 +153,27 @@ class _FoldStruct(ctypes.Structure):
             "w", "vs", "vmin", "vmax")]
 
 
+class _ForestStruct(ctypes.Structure):
+    """``forest_t`` of :data:`repro.native.library.SOURCE`: every pointer a
+    ``void *`` on this side."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in
+                ("n_rel", "max_buckets", "n_slices")] + \
+        [(name, ctypes.c_void_p) for name in
+         ("parent", "key_off", "key_col", "salt", "n_buckets", "depth",
+          "emit", "feeds", "fold_slot", "columns", "values", "shard", "done",
+          "holder")]
+
+
 class _WalkStruct(ctypes.Structure):
     """``walk_t`` of :data:`repro.native.library.SOURCE`: every pointer a
     ``void *`` on this side."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in
-                ("n_rel", "longest", "max_buckets", "n_slices")] + \
+    _fields_ = [("forest", ctypes.c_void_p), ("longest", ctypes.c_int64)] + \
         [(name, ctypes.c_void_p) for name in
-         ("parent", "key_off", "key_col", "salt", "n_buckets", "depth",
-          "emit", "feeds", "fold_slot", "columns", "values", "shard", "keys",
-          "slot_run", "bucket_pos", "runs", "order", "ev_i", "ev_f",
+         ("keys", "slot_run", "bucket_pos", "runs", "order", "ev_i", "ev_f",
           "folds", "n_runs", "stats", "table")] + \
-        [("cap", ctypes.c_int64), ("base", ctypes.c_int64)] + \
-        [(name, ctypes.c_void_p) for name in
-         ("lane", "done", "other")] + \
-        [("lane_id", ctypes.c_int64)]
+        [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
 
 
 #: 8-byte words of one ``run_t`` / ``order_t``.
@@ -192,7 +205,7 @@ Seed = tuple[Sequence[np.ndarray], np.ndarray, np.ndarray, np.ndarray,
 
 class ShardIds(NamedTuple):
     """Shard ids whose maker has checked them: C-contiguous int64, each
-    in ``[0, slices)``. :meth:`Walk.bind` takes them without a pass over
+    in ``[0, slices)``. :meth:`Forest.bind` takes them without a pass over
     the ids, as ``simulate(..., shards=)`` does; an id outside the range
     would be walked into another table's memory. ``simulate`` and
     ``check_shard_ids`` are the checks that make them."""
@@ -201,40 +214,39 @@ class ShardIds(NamedTuple):
     slices: int
 
 
-class Walk:
-    """A configuration's forest and the kernel's scratch, for
-    :func:`ingest_runs`; :meth:`bind` points it at a stream.
+class Forest:
+    """A configuration's forest, derived and checked once, and the stream
+    a call is bound to: what every :class:`Walk` of it reads.
 
     Relations are numbered parents first (a parent before its children,
     in any order besides). ``parent[r]`` is relation ``r``'s parent's
     number (negative for a raw relation), ``keys[r]`` the indices of its
-    attributes among the bound stream's columns, and ``emit[r]`` whether
-    the walk folds its runs; ``values`` says whether the streams carry a
-    value column.
-    Each relation's table is ``slices`` slices of ``buckets[r]`` buckets
+    attributes among the bound stream's columns, ``salts[r]`` its salt,
+    ``sizes[r]`` its bucket count and ``emit[r]`` whether the walk folds
+    its runs; ``values`` says whether the streams carry a value column.
+    Each relation's table is ``slices`` slices of ``sizes[r]`` buckets
     side by side: a row lands in the slice its stream's shard id names
-    (:meth:`bind`), slice 0 when the stream has none.
-    Scratch for epochs of up to ``longest`` records is allocated here
-    and grows in place (:meth:`reserve`); it serves every stream the
-    walk is bound to. The folds' group table is allocated by the kernel,
-    as large as the largest fold needs, and released with the walk.
-    :attr:`stats` holds the per-relation counters ``(arrivals_intra,
-    arrivals_flush, evictions_intra, evictions_flush)`` summed over
-    every call since it was last zeroed.
+    (:meth:`bind`), slice 0 when the stream has none. :attr:`done` holds
+    a lane call's words (:class:`Lanes`): ``done[r]`` once relation
+    ``r`` is walked, ``done[n_rel]`` once a lane has failed.
     """
 
     def __init__(self, parent: Sequence[int],
                  keys: Sequence[Sequence[int]], salts: Sequence[int],
-                 buckets: Sequence[int], emit: Sequence[bool],
-                 values: bool, longest: int, slices: int = 1):
-        lib = library.library()
+                 sizes: Sequence[int], emit: Sequence[bool], values: bool,
+                 slices: int = 1):
         n_rel = len(parent)
-        if any(len(seq) != n_rel for seq in (keys, salts, buckets, emit)):
+        if any(len(seq) != n_rel for seq in (keys, salts, sizes, emit)):
             raise ValueError("every per-relation sequence needs one entry "
                              "per relation")
-        parent = [int(p) for p in parent]
-        buckets = [int(b) for b in buckets]
-        if min(buckets, default=1) < 1:
+        self.parent = parent = [int(p) for p in parent]
+        self.keys = keys = [[int(c) for c in k] for k in keys]
+        self.salts = list(salts)
+        self.sizes = sizes = [int(b) for b in sizes]
+        self.emit = [bool(e) for e in emit]
+        self.has_values = bool(values)
+        self.slices = max(int(slices), 1)
+        if min(sizes, default=1) < 1:
             raise ValueError("every table needs >= 1 bucket")
         if any(not k or min(k) < 0 for k in keys):
             raise ValueError("every relation needs >= 1 key column")
@@ -249,84 +261,123 @@ class Walk:
                 if not feeds[p]:
                     feeders += 1
                     feeds[p] = feeders
-        self.parent, self._feeders = parent, feeders
-        self.has_values = bool(values)
-        self.emit = [bool(e) for e in emit]
+        self.feeders = feeders
         self.fold_slot = fold_slot = [-1] * n_rel
         #: ``(relation, fold slot, key columns)`` of every emitting one.
-        self._emitting = []
+        self.emitting = []
         for r, emits in enumerate(self.emit):
             if emits:
-                fold_slot[r] = len(self._emitting)
-                self._emitting.append((r, fold_slot[r], len(keys[r])))
-        n_keys = sum(len(k) for k in keys)
+                fold_slot[r] = len(self.emitting)
+                self.emitting.append((r, fold_slot[r], len(keys[r])))
+        self.n_keys = sum(len(k) for k in keys)
         self.n_columns = max((max(k) + 1 for k in keys), default=0)
-        self.slices = max(int(slices), 1)
-        max_b = max(buckets, default=1) * self.slices
-        struct = self._struct = _WalkStruct(
-            n_rel=n_rel, max_buckets=max_b, n_slices=self.slices)
+        self.max_buckets = max(sizes, default=1) * self.slices
+        struct = self._struct = _ForestStruct(
+            n_rel=n_rel, max_buckets=self.max_buckets, n_slices=self.slices)
         # The per-relation arrays side by side in one block of words:
         # one address read serves them all.
-        sizes = {"parent": n_rel, "key_off": n_rel + 1, "key_col": n_keys,
-                 "salt": n_rel, "n_buckets": n_rel, "depth": n_rel,
-                 "emit": n_rel, "feeds": n_rel, "fold_slot": n_rel,
-                 "columns": self.n_columns, "keys": n_keys,
-                 "n_runs": n_rel, "stats": 4 * n_rel}
-        block = np.zeros(sum(sizes.values()), dtype=np.int64)
+        words = {"parent": parent, "key_off": np.cumsum([0, *map(len, keys)]),
+                 "key_col": [c for k in keys for c in k],
+                 "salt": np.array([s & 0xFFFFFFFFFFFFFFFF for s in self.salts],
+                                  dtype=np.uint64).view(np.int64),
+                 "n_buckets": sizes, "depth": depth, "emit": self.emit,
+                 "feeds": feeds, "fold_slot": fold_slot,
+                 "columns": [0] * self.n_columns, "done": [0] * (n_rel + 1)}
+        self._block = block = np.concatenate(
+            [np.asarray(w, dtype=np.int64) for w in words.values()])
         base, offset, fields = library.address(block), 0, {}
-        for name, size in sizes.items():
-            fields[name] = block[offset:offset + size]
+        for name, w in words.items():
+            fields[name] = block[offset:offset + len(w)]
             setattr(struct, name, base + 8 * offset)
-            offset += size
-        fields["parent"][:] = parent
-        fields["key_off"][1:] = np.cumsum([len(k) for k in keys])
-        fields["key_col"][:] = [c for k in keys for c in k]
-        fields["salt"].view(np.uint64)[:] = [s & 0xFFFFFFFFFFFFFFFF
-                                             for s in salts]
-        fields["n_buckets"][:] = buckets
-        fields["depth"][:] = depth
-        fields["emit"][:] = self.emit
-        fields["feeds"][:] = feeds
-        fields["fold_slot"][:] = fold_slot
-        # Kept alive here for as long as the kernel may read them; the
-        # bucket-sized scratch, which the kernel writes before it reads,
-        # is apart from the block.
+            offset += len(w)
+        self.done = fields["done"]
+        #: The address of a lane call's stop word, ``done[n_rel]``.
+        self._stop = struct.done + 8 * n_rel
+        self._column_ptrs = fields["columns"].view(np.uintp)
+        self._ref = ctypes.byref(struct)
+        self.rows, self.columns, self.values, self.shards = 0, [], None, None
+
+    def bind(self, columns: Sequence[np.ndarray],
+             values: np.ndarray | None,
+             shards: ShardIds | None = None) -> None:
+        """Point every walk of the forest at a stream: its integer
+        attribute columns (the ones ``keys`` index), its value column,
+        or None, and its rows' checked shard ids, whose slice count must
+        not pass the forest's, or None for slice 0."""
+        if len(columns) < self.n_columns or \
+                (values is not None) != self.has_values:
+            raise ValueError("the stream does not have the forest's "
+                             "columns")
+        if shards is not None:
+            if shards.slices > self.slices:
+                raise ValueError(f"shard ids must lie in [0, "
+                                 f"{self.slices})")
+            shards = shards.ids
+        addresses, self.columns = library.words(columns)
+        self.values = (None if values is None else
+                       np.ascontiguousarray(values, dtype=np.float64))
+        self.shards = shards
+        self._column_ptrs[:] = addresses[:self.n_columns]
+        self._struct.values = (None if self.values is None
+                               else self.values.ctypes.data)
+        self._struct.shard = None if shards is None else shards.ctypes.data
+        lengths = [a.shape[0] for a in (*self.columns[:1], self.values,
+                                        shards) if a is not None]
+        self.rows = min(lengths, default=0)
+
+
+class Walk:
+    """One thread's scratch for walks of a :class:`Forest`, for
+    :func:`ingest_runs`: it walks whatever stream the forest is bound
+    to.
+
+    Scratch for epochs of up to ``longest`` records is allocated here
+    and grows in place (:meth:`reserve`). The folds' group table is
+    allocated by the kernel, as large as the largest fold needs, and
+    released with the walk. :attr:`stats` holds the per-relation
+    counters ``(arrivals_intra, arrivals_flush, evictions_intra,
+    evictions_flush)`` summed over every call since it was last zeroed.
+    """
+
+    def __init__(self, forest: Forest, longest: int):
+        lib = library.library()
+        self.forest = forest
+        n_rel = len(forest.parent)
+        struct = self._struct = _WalkStruct(
+            forest=ctypes.addressof(forest._struct))
+        # Kept alive here for as long as the kernel may read them.
         self._arrays = arrays = {
-            "block": block, "key_off": fields["key_off"],
-            "slot_run": np.empty(max_b, dtype=np.int64),
-            "bucket_pos": np.empty(max_b, dtype=np.int64),
-        }
-        struct.slot_run = library.address(arrays["slot_run"])
-        struct.bucket_pos = library.address(arrays["bucket_pos"])
-        self._folds = (_FoldStruct * len(self._emitting))()
+            "keys": np.zeros(forest.n_keys, dtype=np.int64),
+            "n_runs": np.zeros(n_rel, dtype=np.int64),
+            "stats": np.zeros((n_rel, 4), dtype=np.int64),
+            "slot_run": np.empty(forest.max_buckets, dtype=np.int64),
+            "bucket_pos": np.empty(forest.max_buckets, dtype=np.int64)}
+        for name, array in arrays.items():
+            setattr(struct, name, library.address(array))
+        self.n_runs, self.stats = arrays["n_runs"], arrays["stats"]
+        self._folds = (_FoldStruct * len(forest.emitting))()
         self._fold_room = 0
         struct.folds = ctypes.addressof(self._folds)
         self.longest = 0
         self.reserve(longest)
         self.reserve_folds(self.longest)
-        self.n_runs = fields["n_runs"]
-        self.stats = fields["stats"].reshape(n_rel, 4)
-        self._column_ptrs = fields["columns"].view(np.uintp)
         self._ref = ctypes.byref(struct)
         weakref.finalize(self, lib.repro_walk_free, self._ref)
-        self.rows = 0
-        self.columns: list[np.ndarray] = []
-        self.values: np.ndarray | None = None
-        self.shards: np.ndarray | None = None
 
     def reserve(self, longest: int) -> None:
         """Scratch for epochs of up to ``longest`` records: the held
         scratch when it is enough, else new scratch in its place (the
-        walk, its bound stream and its folds stay)."""
+        walk and its folds stay)."""
         longest = max(int(longest), 1)
         if longest <= self.longest:
             return
         L = self.longest = longest
+        feeders = self.forest.feeders
         scratch = {
             "runs": np.empty((L, _RUN_WORDS), dtype=np.int64),
             "order": np.empty((L, _ORDER_WORDS), dtype=np.int64),
-            "ev_i": np.empty((self._feeders, 3, L), dtype=np.int64),
-            "ev_f": np.empty((self._feeders if self.has_values else 0, 3,
+            "ev_i": np.empty((feeders, 3, L), dtype=np.int64),
+            "ev_f": np.empty((feeders if self.forest.has_values else 0, 3,
                               L), dtype=np.float64),
         }
         for name, array in scratch.items():
@@ -358,47 +409,6 @@ class Walk:
              fold.vmax) = map(library.address, out)
             self._fold_out.append(out)
 
-    def bind(self, columns: Sequence[np.ndarray],
-             values: np.ndarray | None,
-             shards: ShardIds | None = None) -> None:
-        """Point the walk at a stream: its integer attribute columns (the
-        ones ``keys`` index), its value column, or None, and its rows'
-        checked shard ids, whose slice count must not pass the walk's,
-        or None for slice 0."""
-        if len(columns) < self.n_columns or \
-                (values is not None) != self.has_values:
-            raise ValueError("the stream does not have the walk's columns")
-        if shards is not None:
-            if shards.slices > self.slices:
-                raise ValueError(f"shard ids must lie in [0, "
-                                 f"{self.slices})")
-            shards = shards.ids
-        addresses, self.columns = library.words(columns)
-        self.values = (None if values is None else
-                       np.ascontiguousarray(values, dtype=np.float64))
-        self.shards = shards
-        self._column_ptrs[:] = addresses[:self.n_columns]
-        self._struct.values = (None if self.values is None
-                               else self.values.ctypes.data)
-        self._struct.shard = None if shards is None else shards.ctypes.data
-        lengths = [a.shape[0] for a in (*self.columns[:1], self.values,
-                                        shards) if a is not None]
-        self.rows = min(lengths, default=0)
-
-    def bind_like(self, other: "Walk") -> None:
-        """Point the walk at the stream ``other`` is bound to, as
-        :meth:`bind` checked it there: another thread's walk of the same
-        forest, over the same stream, without a second pass over its
-        shard ids."""
-        if (other.n_columns, other.has_values, other.slices) != \
-                (self.n_columns, self.has_values, self.slices):
-            raise ValueError("the walks are not of one forest")
-        self.columns, self.values = other.columns, other.values
-        self.shards, self.rows = other.shards, other.rows
-        self._column_ptrs[:] = other._column_ptrs
-        self._struct.values = other._struct.values
-        self._struct.shard = other._struct.shard
-
 
 def _seed_state(seed: Seed, k: int):
     """A seed's group count, and its ``k`` key columns (as the uint64
@@ -425,42 +435,26 @@ class Lanes:
     """Two walks of one forest that walk one epoch together
     (:func:`ingest_runs`'s ``lanes=``): :attr:`walks` is ``(first,
     second)``, the first walked on the calling thread and the second by
-    a helper of the library's pool, relation ``r`` on walk ``lane[r]``
-    (0 or 1), waiting for its parent when the other walk walks it.
+    a helper of the library's pool, relation ``r`` by walk ``lane[r]``
+    (0 or 1), waiting for its parent when the other walk holds it.
     :attr:`ran` is the lane count of the last call through these lanes:
     2, or 1 when no helper was free."""
 
     def __init__(self, first: Walk, second: Walk, lane: Sequence[int]):
-        if (first.parent, first.n_columns, first.has_values,
-                first.slices) != (second.parent, second.n_columns,
-                                  second.has_values, second.slices):
-            raise ValueError("the walks are not of one forest")
-        n_rel = len(first.parent)
         self.lane = lane = tuple(int(x) for x in lane)
-        if len(lane) != n_rel or not set(lane) <= {0, 1}:
+        if len(lane) != len(first.forest.parent) or not set(lane) <= {0, 1}:
             raise ValueError("every relation needs lane 0 or 1")
         self.walks, self.ran = (first, second), 1
-        self._block = block = np.zeros(2 * n_rel + 3, dtype=np.int64)
-        block[:n_rel] = lane
-        #: Set by the kernel: ``done[r]`` once relation ``r`` is walked,
-        #: ``done[n_rel]`` once a lane has failed; then its count of
-        #: marks and of lanes asleep.
-        self.done = block[n_rel:]
-        base = library.address(block)
-        self._pointers = (base, base + 8 * n_rel)
-        #: The call's stop word, ``done[n_rel]``, and the second lane's job.
-        self._stop = base + 8 * (2 * n_rel)
+        #: ``holder[r]``, the walk that walks relation ``r``.
+        self._holder = np.array([ctypes.addressof(self.walks[x]._struct)
+                                 for x in lane], dtype=np.uintp)
+        #: The second lane's job.
         self._job = np.zeros(10, dtype=np.uint64)
 
     def _point(self, on: bool) -> None:
-        """Point both walks at the lanes for a call, or back to one."""
-        walks = self.walks
-        for lane_id, own in enumerate(walks):
-            struct = own._struct
-            struct.lane, struct.done = self._pointers if on else (None,) * 2
-            struct.other = (ctypes.addressof(walks[1 - lane_id]._struct)
-                            if on else None)
-            struct.lane_id = lane_id
+        """Point the forest at the lanes for a call, or back to one."""
+        self.walks[0].forest._struct.holder = (
+            library.address(self._holder) if on else None)
 
 
 def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
@@ -468,7 +462,7 @@ def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
     ``relation`` alone), in walk order: one block per fold with a group,
     made here and filled by the kernel, which the Fold views."""
     out, folds = [], own._folds
-    for r, slot, k in own._emitting:
+    for r, slot, k in own.forest.emitting:
         groups = folds[slot].n_groups
         if groups and relation in (None, r):
             block = np.empty((4 + k, groups), dtype=np.int64)
@@ -481,23 +475,23 @@ def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
 
 def _checked(walks: Sequence[Walk], start: int, t: np.ndarray,
              w: np.ndarray, seeds: Mapping[int, Seed] | None) -> tuple:
-    """One epoch of a call, checked against ``walks`` (of one forest)
-    before any of them reads it: its first row, times and weights, and
-    each seed's group count, held arrays and addresses, by relation."""
-    n = int(t.shape[0])
-    if any(n > own.longest or not 0 <= start <= start + n <= own.rows
-           for own in walks):
+    """One epoch of a call, checked against the forest of ``walks`` and
+    their scratch before any of them reads it: its first row, times and
+    weights, and each seed's group count, held arrays and addresses, by
+    relation."""
+    forest, n = walks[0].forest, int(t.shape[0])
+    if not 0 <= start <= start + n <= forest.rows or \
+            any(n > own.longest for own in walks):
         raise ValueError(f"epoch rows [{start}, {start + n}) outside the "
-                         f"walk's stream or scratch")
+                         f"forest's stream or a walk's scratch")
     if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
             or not (t.flags.c_contiguous and w.flags.c_contiguous):
         raise ValueError("t and w must be equal-length contiguous int64")
     seeded = {}
-    key_off = walks[0]._arrays["key_off"]
     for r, seed in (seeds or {}).items():
-        if not 0 <= r < len(walks[0].emit) or not walks[0].emit[r]:
+        if not 0 <= r < len(forest.emit) or not forest.emit[r]:
             raise ValueError(f"relation {r} does not emit: nothing to seed")
-        seeded[r] = _seed_state(seed, int(key_off[r + 1] - key_off[r]))
+        seeded[r] = _seed_state(seed, len(forest.keys[r]))
     return start, t, w, seeded
 
 
@@ -506,7 +500,7 @@ def _arm(walks: Sequence[Walk], seeded: dict, on: bool = True) -> None:
     (``on``), or back at none."""
     for own in walks:
         for r, (g, _, addresses) in seeded.items():
-            fold = own._folds[own.fold_slot[r]]
+            fold = own._folds[own.forest.fold_slot[r]]
             fold.n_seed = g if on else 0
             (fold.seed, fold.seed_w, fold.seed_vs, fold.seed_vmin,
              fold.seed_vmax) = addresses if on else (None,) * 5
@@ -536,16 +530,20 @@ def _walk_lanes(lib, lanes: Lanes, epoch: tuple) -> list[Fold] | None:
     no helper is free. This thread takes both walks' folds, its own
     while the second lane still walks and each of the second's as soon
     as the kernel marks its relation walked, so every block comes from
-    this thread's malloc arena, as a one-lane take's do. Every fold in
-    walk order, or :class:`MemoryError` once both lanes have stopped
-    when a fold of either ran out of memory."""
+    this thread's malloc arena, as a one-lane take's do. The first
+    lane's walk returns once its relations are marked or the stop word
+    is set, so whatever this thread raises, the second lane's job ends
+    and is waited for. Every fold in walk order, or :class:`MemoryError`
+    once both lanes have stopped when a fold of either ran out of
+    memory."""
     first, second = lanes.walks
+    forest = first.forest
     start, t, w, _ = epoch
     lanes.ran = 1
-    lanes.done[:] = 0
+    forest.done[:] = 0
     lanes._point(True)
     try:
-        job = _walk_job(lanes._job, second, epoch, lanes._stop)
+        job = _walk_job(lanes._job, second, epoch, forest._stop)
         if lib.repro_pool_submit(job, native.cores() - 1) < 0:
             return None
         out = None
@@ -553,15 +551,13 @@ def _walk_lanes(lib, lanes: Lanes, epoch: tuple) -> list[Fold] | None:
             if lib.repro_walk(first._ref, start, t.ctypes.data,
                               w.ctypes.data, t.shape[0]) == 0:
                 out = _take(lib, first)
-                for r, _, _ in second._emitting:
+                for r, _, _ in forest.emitting:
                     if lanes.lane[r] == 1:
-                        if lib.repro_walk_wait(first._ref, r) < 0:
+                        if lib.repro_walk_wait(forest._ref, r) < 0:
                             out = None
                             break
                         out += _take(lib, second, r)
         finally:
-            if out is None:  # failed or raised: the other lane stops
-                lib.repro_walk_stop(first._ref)
             if lib.repro_pool_wait(job) < 0:
                 out = None
     finally:
@@ -577,7 +573,7 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
                 lanes: Lanes | None = None) -> list[Fold]:
     """Run one epoch through every relation of ``walk`` in one call.
 
-    Rows ``[start, start + len(t))`` of the walk's stream arrive at the
+    Rows ``[start, start + len(t))`` of the forest's stream arrive at the
     raw relations at times ``t`` (distinct and ascending; ``[0, n)`` in
     every runtime) with weights ``w`` (all 1 in every runtime), each in
     its shard's slice of every table. The epoch is ``n = len(t)`` long,
@@ -594,7 +590,7 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     to its groups, which the returned arrays view: the caller keeps
     them as they are. The counters accumulate in ``walk.stats``.
 
-    With ``lanes`` (of ``walk`` and a second walk bound like it) the
+    With ``lanes`` (of ``walk`` and a second walk of its forest) the
     epoch is walked on two lanes at once, the second a job of the
     library's pool, each relation's counters in its lane's ``stats``;
     when no helper is free the call walks one lane (``lanes.ran``). The
@@ -624,8 +620,8 @@ def ingest_epochs(walks: Sequence[Walk],
                   ) -> list[list[Fold]]:
     """Several epochs, each ``(start, t, w, seeds)`` as
     :func:`ingest_runs` takes one, each walked on one of ``walks`` (kept
-    walks of one forest, bound like the first): every epoch's folds, in
-    epoch order.
+    walks of one forest, which is bound to the stream): every epoch's
+    folds, in epoch order.
 
     The library's pool walks epochs on up to ``len(walks) - 1`` helpers
     and the calling thread walks too. Before each take the caller hands

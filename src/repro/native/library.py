@@ -12,8 +12,10 @@ check of shard ids and the pool that runs them on other cores:
 * ``repro_walk`` (with ``repro_walk_take`` and ``repro_walk_free``):
   the engine's LFTA walk of the whole forest, one call per epoch, and
   the fold of every emitting relation's runs in the walk
-  (:mod:`repro.native.ingest`); one epoch may walk on two lanes
-  (``repro_walk_wait``, ``repro_walk_stop``);
+  (:mod:`repro.native.ingest`): a walk is one thread's scratch over a
+  ``forest_t``, the configuration and the stream its walks share; one
+  epoch may walk on lanes, walks of one forest that each walk the
+  relations they hold (``repro_walk_wait``);
 * ``repro_pool_submit`` and ``repro_pool_wait``: the library's pool of
   persistent helper threads, which runs a job, a walk or a range of the
   partition hash, off the caller's thread (:func:`job`; Linux only, as
@@ -213,19 +215,19 @@ typedef struct {
     double *vs, *vmin, *vmax;
 } fold_t;
 
-/* One configuration bound to one stream; relations in topological
- * order. Relation r's table is n_slices slices of n_buckets[r] buckets
- * side by side; a row lands in slice shard[row] (slice 0 when shard is
- * NULL). Scratch is sized for the longest epoch (`longest` arrivals per
- * relation) and the largest table, every slice included. A relation
- * with children appends its evictions to its own list, slot feeds[r] - 1
- * of ev_i/ev_f (feeds[r] is 0 for a relation without). When lane is not
- * NULL the walk is one of two lanes of one epoch (see repro_walk): it
- * walks the relations r with lane[r] == lane_id, each once its parent
- * is walked when the other lane walks it. */
-typedef struct walk_s {
-    int64_t n_rel, longest, max_buckets, n_slices;
-    const int64_t *parent;      /* walk index of the parent, -1 = raw */
+/* A configuration's forest, built and checked once per binding, and
+ * the stream a call is bound to; relations in topological order.
+ * Relation r's table is n_slices slices of n_buckets[r] buckets side by
+ * side; a row lands in slice shard[row] (slice 0 when shard is NULL). A
+ * relation with children appends its evictions to its own list, slot
+ * feeds[r] - 1 of a walk's ev_i/ev_f (feeds[r] is 0 for a relation
+ * without). On a lane call holder[r] is the walk that walks relation r
+ * and holds its eviction list and run count (see repro_walk); on a
+ * one-lane or pool call holder is NULL. */
+typedef struct walk_s walk_t;
+typedef struct {
+    int64_t n_rel, max_buckets, n_slices;
+    const int64_t *parent;      /* index of the parent, -1 = raw */
     const int64_t *key_off;     /* [n_rel + 1] into key_col */
     const int64_t *key_col;     /* stream column of each key column */
     const uint64_t *salt;
@@ -234,6 +236,17 @@ typedef struct walk_s {
     const uint64_t *const *columns;  /* the stream's attribute columns */
     const double *values;       /* the stream's value column, or NULL */
     const int64_t *shard;       /* the stream's slice per row, or NULL */
+    int64_t *done;              /* [n_rel + 1] a lane call's: r is walked;
+                                 * [n_rel]: a lane failed (the stop word) */
+    const walk_t *const *holder;    /* [n_rel] on a lane call, or NULL */
+} forest_t;
+
+/* One thread's scratch for walks of a forest, sized for the longest
+ * epoch (`longest` arrivals per relation) and the largest table, every
+ * slice included, with its folds and counters. */
+struct walk_s {
+    const forest_t *forest;
+    int64_t longest;
     const uint64_t **keys;      /* [key_off[n_rel]] this epoch's columns */
     int64_t *slot_run;          /* [max_buckets], validated, never reset */
     int64_t *bucket_pos;        /* [max_buckets] */
@@ -246,13 +259,7 @@ typedef struct walk_s {
     int64_t *stats;             /* [n_rel][4] accumulated counters */
     int64_t *table;             /* the folds' group table, malloc'd here */
     int64_t cap, base;          /* its capacity; entries >= base are live */
-    const int64_t *lane;        /* [n_rel] each relation's lane, or NULL */
-    int64_t *done;              /* [n_rel + 3] shared by both lanes: r is
-                                 * walked; [n_rel]: a lane failed; then
-                                 * the marks and the lanes asleep */
-    const struct walk_s *other; /* the other lane's walk */
-    int64_t lane_id;            /* this walk's lane */
-} walk_t;
+};
 
 static int by_bucket_then_run(const void *a, const void *b) {
     const order_t *x = (const order_t *)a, *y = (const order_t *)b;
@@ -403,16 +410,17 @@ static int walk_relation(
     int64_t m, const int64_t *rows, const int64_t *t, const int64_t *w,
     const double *vs, const double *vmin, const double *vmax)
 {
+    const forest_t *T = W->forest;
     const int64_t L = W->longest;
-    const int64_t k = W->key_off[r + 1] - W->key_off[r];
-    const uint64_t **keys = W->keys + W->key_off[r];
-    const uint64_t nb = (uint64_t)W->n_buckets[r];
-    const int64_t nb_all = W->n_buckets[r] * W->n_slices;
-    const int64_t *shard = W->shard ? W->shard + start : NULL;
-    const uint64_t state = mix64(W->salt[r]);
-    const int64_t flush_base = n + W->depth[r] * stride;
+    const int64_t k = T->key_off[r + 1] - T->key_off[r];
+    const uint64_t **keys = W->keys + T->key_off[r];
+    const uint64_t nb = (uint64_t)T->n_buckets[r];
+    const int64_t nb_all = T->n_buckets[r] * T->n_slices;
+    const int64_t *shard = T->shard ? T->shard + start : NULL;
+    const uint64_t state = mix64(T->salt[r]);
+    const int64_t flush_base = n + T->depth[r] * stride;
     const int has_values = vs != NULL;
-    const int64_t feeds = W->feeds[r];
+    const int64_t feeds = T->feeds[r];
     int64_t *slot_run = W->slot_run;
     run_t *runs = W->runs;
     order_t *order = W->order;
@@ -425,7 +433,7 @@ static int walk_relation(
     int dense;
 
     for (c = 0; c < k; c++)
-        keys[c] = W->columns[W->key_col[W->key_off[r] + c]] + start;
+        keys[c] = T->columns[T->key_col[T->key_off[r] + c]] + start;
     if (feeds) {
         ev_row = W->ev_i + (feeds - 1) * 3 * L;
         ev_t = ev_row + L;
@@ -527,7 +535,7 @@ static int walk_relation(
     /* The fold takes the runs in (bucket, start-time) order: the runs
      * of a bucket are numbered in start order, so the sort above, or a
      * counting sort by bucket. */
-    if (W->emit[r]) {
+    if (T->emit[r]) {
         if (dense) {
             int64_t *bucket_pos = W->bucket_pos;
             for (b = 0; b < nb_all; b++)
@@ -543,7 +551,7 @@ static int walk_relation(
             for (q = 0; q < n_runs; q++)
                 order[bucket_pos[runs[q].bucket]++].run = q;
         }
-        if (fold_runs(W, &W->folds[W->fold_slot[r]], keys, k, state,
+        if (fold_runs(W, &W->folds[T->fold_slot[r]], keys, k, state,
                       n_runs, has_values) < 0)
             return -1;
     }
@@ -636,70 +644,100 @@ static void store_and_wake(int64_t *flag, int64_t value, int32_t *word,
         futex_wake(word);
 }
 
-/* A two-lane call's shared words (the Lanes block): done[r] once
- * relation r is walked, done[n_rel] once a lane has failed (the call's
- * stop word), then the futex word (the first 32 bits of
- * done[n_rel + 1]) and the sleepers. */
-#define LANE_WORD(W) ((int32_t *)&(W)->done[(W)->n_rel + 1])
-#define LANE_SLEEPERS(W) (&(W)->done[(W)->n_rel + 2])
+/* The most helpers the pool starts. */
+#define MAX_HELPERS 256
 
-static void lane_mark(const walk_t *W, int64_t slot)
+/* What a job runs, its arguments in arg in this order:
+ * JOB_WALK  repro_walk(W, start, t, w, n);
+ * JOB_HASH  repro_partition_hash(cols, k, n, salt, n_shards, ids). */
+enum { JOB_WALK = 0, JOB_HASH = 1 };
+
+/* One job of a call: filled by the caller, handed to a helper
+ * (repro_pool_submit) and waited for (repro_pool_wait) before the caller
+ * reads, reuses or frees anything the job touches. stop, when not NULL,
+ * is the call's stop word: the first of its jobs that fails sets it,
+ * and a job that finds it set does not run. */
+typedef struct {
+    int64_t kind, status, done;
+    int64_t *stop;
+    uint64_t arg[6];
+} job_t;
+
+typedef struct {
+    int32_t jobs;               /* futex word: jobs handed to the helper */
+    int64_t busy;               /* from its claim until the job ran */
+    job_t *job;
+#ifdef __linux__
+    int cpu;                    /* the submitter's CPU, or -1 */
+    cpu_set_t allowed;          /* the submitter's CPUs */
+#endif
+} helper_t;
+
+/* The helpers: started at the first submit that asks for more than run,
+ * never stopped, asleep between jobs, each pinned away from its
+ * submitter's CPU (woken there, it would share the submitter's core).
+ * A forked child starts with none (pool_forked). */
+static struct {
+    int64_t started;            /* helpers running */
+    int32_t ends;               /* futex word: jobs done, lane marks */
+    int64_t sleepers;           /* threads asleep on it, in either wait */
+    helper_t helper[MAX_HELPERS];
+} pool;
+
+/* Mark slot of a lane call's done words (a relation walked, or the stop
+ * word), waking sleepers through the pool's wait word; a wake that ends
+ * no wait is harmless, as wait_until reads its flags again. */
+static void lane_mark(const forest_t *T, int64_t slot)
 {
-    store_and_wake(&W->done[slot], 1, LANE_WORD(W), LANE_SLEEPERS(W));
+    store_and_wake(&T->done[slot], 1, &pool.ends, &pool.sleepers);
 }
 
-/* Set a two-lane call's stop word: the other lane returns -1 at its
- * next wait, or now if it sleeps. */
-void repro_walk_stop(const walk_t *W)
+/* Wait until relation r of a lane call is walked, in any lane: 0, or -1
+ * as soon as a lane has failed instead, so no lane waits for one that
+ * stopped. */
+int64_t repro_walk_wait(const forest_t *T, int64_t r)
 {
-    lane_mark(W, W->n_rel);
-}
-
-/* Wait until relation r of a two-lane call is walked, in either lane:
- * 0, or -1 as soon as a lane has failed instead, so no lane waits for
- * one that stopped. */
-int64_t repro_walk_wait(const walk_t *W, int64_t r)
-{
-    return wait_until(&W->done[r], 1, &W->done[W->n_rel], LANE_WORD(W),
-                      LANE_SLEEPERS(W));
+    return wait_until(&T->done[r], 1, &T->done[T->n_rel], &pool.ends,
+                      &pool.sleepers);
 }
 
 /* One epoch through the whole forest: rows start + j, j < n, of the
  * stream arrive at the raw relations at times t with weights w; every
  * other relation is fed its parent's evictions in eviction order.
  *
- * Two lanes: two walks of one forest, bound to one stream, called at
- * once on two threads with the same arguments, each walk its own
- * relations (lane[r] == lane_id) into its own scratch, folds and
- * counters. A relation whose parent is the other lane's waits until
- * the parent is walked and reads its eviction list in the other walk;
- * it waits for nothing else, as every list is written once a call. A
- * parent comes before its children, so the lowest relation not yet
- * walked can always go on and the lanes cannot wait on each other in a
- * circle. Returns 0, or -1 when a fold ran out of memory (or, in two
- * lanes, when either lane's did: the failing lane tells the other,
- * which stops at its next wait). */
+ * Lanes: walks of one forest, called at once on their threads with the
+ * same arguments, each walking the relations it holds (holder[r] == W)
+ * into its own scratch, folds and counters, and marking each done. A
+ * relation whose parent another walk holds waits until the parent is
+ * marked and reads its eviction list through holder[p]; it waits for
+ * nothing else, as every list is written once a call. A parent comes
+ * before its children, so the lowest relation not yet walked can always
+ * go on and the lanes cannot wait on each other in a circle. Returns 0
+ * once each of W's relations is marked, or -1 when a fold ran out of
+ * memory (or, on lanes, when any lane's did: the failing lane sets the
+ * stop word, and the others stop at their next wait). */
 int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
                    const int64_t *w, int64_t n)
 {
-    const int64_t stride = n + W->max_buckets + 2;
-    const double *values = W->values ? W->values + start : NULL;
+    const forest_t *T = W->forest;
+    const walk_t *const *holder = T->holder;
+    const int64_t stride = n + T->max_buckets + 2;
+    const double *values = T->values ? T->values + start : NULL;
     const walk_t *P;
     int64_t r, p, f, L;
     int failed;
 
-    for (r = 0; r < W->n_rel; r++) {
+    for (r = 0; r < T->n_rel; r++) {
         W->n_runs[r] = 0;
-        if (W->emit[r])
-            W->folds[W->fold_slot[r]].n_groups = 0;
+        if (T->emit[r])
+            W->folds[T->fold_slot[r]].n_groups = 0;
     }
-    for (r = 0; r < W->n_rel; r++) {
-        if (W->lane != NULL && W->lane[r] != W->lane_id)
+    for (r = 0; r < T->n_rel; r++) {
+        if (holder != NULL && holder[r] != W)
             continue;
-        p = W->parent[r];
-        P = W->lane != NULL && p >= 0 && W->lane[p] != W->lane_id
-            ? W->other : W;         /* the walk holding p's evictions */
-        if (P != W && repro_walk_wait(W, p) < 0)
+        p = T->parent[r];
+        P = holder != NULL && p >= 0 ? holder[p] : W;  /* p's evictions */
+        if (P != W && repro_walk_wait(T, p) < 0)
             return -1;
         if (p < 0) {
             failed = n > 0 && walk_relation(W, r, start, n, stride, n, NULL,
@@ -707,7 +745,7 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
         } else if (P->n_runs[p] == 0) {
             failed = 0;
         } else {
-            f = (P->feeds[p] - 1) * 3;
+            f = (T->feeds[p] - 1) * 3;
             L = P->longest;
             failed = walk_relation(
                 W, r, start, n, stride, P->n_runs[p],
@@ -717,15 +755,10 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
                 values ? P->ev_f + (f + 1) * L : NULL,
                 values ? P->ev_f + (f + 2) * L : NULL);
         }
-        if (W->lane == NULL) {
-            if (failed)
-                return -1;
-        } else if (failed) {
-            lane_mark(W, W->n_rel);
+        if (holder != NULL)
+            lane_mark(T, failed ? T->n_rel : r);
+        if (failed)
             return -1;
-        } else {
-            lane_mark(W, r);
-        }
     }
     return 0;
 }
@@ -734,14 +767,15 @@ int64_t repro_walk(walk_t *W, int64_t start, const int64_t *t,
  * for 4 + k rows of its n > 0 groups' int64 words, k its key columns:
  * the counts, the sums, minima and maxima (as their bits), then each
  * key column, a group's value read through its representative's raw
- * row or its seed row. In two lanes the caller may take a relation of
- * the other lane once it is walked (repro_walk_wait): nothing the take
+ * row or its seed row. On lanes the caller may take a relation of
+ * another lane once it is walked (repro_walk_wait): nothing the take
  * reads is written again in that call. */
 void repro_walk_take(const walk_t *W, int64_t r, int64_t *dst)
 {
-    const fold_t *F = &W->folds[W->fold_slot[r]];
-    const int64_t n = F->n_groups, k = W->key_off[r + 1] - W->key_off[r];
-    const uint64_t **keys = W->keys + W->key_off[r];
+    const forest_t *T = W->forest;
+    const fold_t *F = &W->folds[T->fold_slot[r]];
+    const int64_t n = F->n_groups, k = T->key_off[r + 1] - T->key_off[r];
+    const uint64_t **keys = W->keys + T->key_off[r];
     int64_t c, g, rep, *col;
 
     memcpy(dst, F->w, (size_t)n * sizeof(int64_t));
@@ -879,46 +913,6 @@ int64_t repro_shard_counts(const int64_t *ids, int64_t n,
 }
 
 /* ---- The pool: persistent helper threads ---- */
-
-/* The most helpers the pool starts. */
-#define MAX_HELPERS 256
-
-/* What a job runs, its arguments in arg in this order:
- * JOB_WALK  repro_walk(W, start, t, w, n);
- * JOB_HASH  repro_partition_hash(cols, k, n, salt, n_shards, ids). */
-enum { JOB_WALK = 0, JOB_HASH = 1 };
-
-/* One job of a call: filled by the caller, handed to a helper
- * (repro_pool_submit) and waited for (repro_pool_wait) before the caller
- * reads, reuses or frees anything the job touches. stop, when not NULL,
- * is the call's stop word: the first of its jobs that fails sets it,
- * and a job that finds it set does not run. */
-typedef struct {
-    int64_t kind, status, done;
-    int64_t *stop;
-    uint64_t arg[6];
-} job_t;
-
-typedef struct {
-    int32_t jobs;               /* futex word: jobs handed to the helper */
-    int64_t busy;               /* from its claim until the job ran */
-    job_t *job;
-#ifdef __linux__
-    int cpu;                    /* the submitter's CPU, or -1 */
-    cpu_set_t allowed;          /* the submitter's CPUs */
-#endif
-} helper_t;
-
-/* The helpers: started at the first submit that asks for more than run,
- * never stopped, asleep between jobs, each pinned away from its
- * submitter's CPU (woken there, it would share the submitter's core).
- * A forked child starts with none (pool_forked). */
-static struct {
-    int64_t started;            /* helpers running */
-    int32_t ends;               /* futex word: jobs done */
-    int64_t sleepers;           /* callers asleep in repro_pool_wait */
-    helper_t helper[MAX_HELPERS];
-} pool;
 
 static void run_job(job_t *job)
 {
@@ -1177,7 +1171,6 @@ _SIGNATURES = {
     "repro_walk": (_I64, [_P, _I64, _P, _P, _I64]),
     "repro_walk_take": (None, [_P, _I64, _P]),
     "repro_walk_free": (None, [_P]),
-    "repro_walk_stop": (None, [_P]),
     "repro_walk_wait": (_I64, [_P, _I64]),
     "repro_pool_submit": (_I64, [_P, _I64]),
     "repro_pool_wait": (_I64, [_P]),

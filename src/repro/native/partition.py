@@ -24,17 +24,18 @@ would pay the chain, a pack or a sort as dozens of whole-array passes:
   call on the caller's thread.
 * :func:`group_stats` — the planner's exact statistics (``g_R`` and the
   gap-based flow count behind ``l_R``) for one relation in one pass
-  over the records, the counts ``Dataset.group_count`` and
-  ``workloads.datasets.flow_count`` take a pack and a sort each for.
+  over the records, and the one body of ``Dataset.group_count`` and
+  ``workloads.datasets.flow_count``.
   Each record finds or inserts its group in the
   library's group table, equality on the raw columns, and the table
   keeps the group's last timestamp; a new group opens a flow, a known
   group opens another when ``!((t - last) <= timeout)``. Timestamps are
-  non-decreasing, so a group's arrivals are already the order
-  ``flow_count``'s ``lexsort`` by (code, time) visits them, and the
+  non-decreasing, so a group's arrivals are already the order the flow
+  rule's ``lexsort`` by (code, time) visits them, and the
   float subtraction and comparison are the same ones: the counts are
-  equal, ties and gaps exactly at the timeout included (pinned by
-  ``tests/workloads/test_datasets.py``).
+  equal, ties and gaps exactly at the timeout included (pinned against
+  the numpy reference by ``tests/gigascope/test_native_ingest.py`` and
+  against ``one_record_per_flow`` by ``tests/workloads/test_datasets.py``).
 
 The third reads shard ids, any partitioner's:
 

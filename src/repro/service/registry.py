@@ -16,10 +16,11 @@ when changes take *effect* (at epoch boundaries, via staged
 reconfiguration). ``version`` increments on every successful mutation.
 
 The registry hands out one :class:`~repro.core.queries.QuerySet` per
-physical set: asked again for the set it last handed out, or for its
-own, it returns the same object, so an admitted candidate *is* the next
-physical set, and the feeding graph the set keeps is built once for
-admission, statistics and the plan together.
+physical set: asked again for one of the :data:`RECENT_SETS` sets it
+handed out last, it returns the same object, so an admitted candidate
+*is* the next physical set, a set that churn brings back is the one
+handed out before, and the feeding graph a set keeps is built once for
+admission, statistics and every plan of it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from repro.core.attributes import AttributeSet
 from repro.core.queries import AggregationQuery, QuerySet
 from repro.errors import SchemaError
 
-__all__ = ["QueryRegistry", "Registration"]
+__all__ = ["QueryRegistry", "RECENT_SETS", "Registration"]
+
+#: How many physical query sets, the most recently handed out, a
+#: registry keeps to hand out again.
+RECENT_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ class QueryRegistry:
         #: Bumped on every successful mutation (register or retire).
         self.version = 0
         self._seq = 0
-        #: Query sets :meth:`physical_query_set` handed out, by group-by
-        #: set: the last one and the registry's own.
+        #: The :data:`RECENT_SETS` query sets :meth:`physical_query_set`
+        #: handed out last, by group-by set, the latest last.
         self._handed: dict[frozenset[AttributeSet], QuerySet] = {}
 
     # ------------------------------------------------------------------
@@ -166,15 +171,12 @@ class QueryRegistry:
         if not group_bys or epoch is None:
             raise SchemaError("the registry holds no queries")
         key = frozenset(group_bys)
-        queries = self._handed.get(key)
+        queries = self._handed.pop(key, None)
         if queries is None or queries.epoch_seconds != epoch:
             queries = QuerySet.counts(group_bys, epoch_seconds=epoch)
-        # Kept: this set, which an admitted candidate becomes, and the
-        # registry's own, which a candidate that adds no table is.
-        kept = {key: queries}
-        if own != key and own in self._handed:
-            kept[own] = self._handed[own]
-        self._handed = kept
+        self._handed[key] = queries
+        if len(self._handed) > RECENT_SETS:
+            del self._handed[next(iter(self._handed))]
         return queries
 
     # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ and flow lengths for clustered data via two estimators —
 
 :func:`measure_statistics`, the planner's input, computes a relation's
 group count and gap-based flow count in one pass through the native
-library's group table (:func:`repro.native.partition.group_stats`),
-equal field for field to ``Dataset.group_count`` and :func:`flow_count`
-(the test suite holds it to them).
+library's group table (:func:`repro.native.partition.group_stats`), the
+one body of both counts: ``Dataset.group_count`` and :func:`flow_count`
+call it too, and the test suite holds it to a numpy reference.
 """
 
 from __future__ import annotations
@@ -79,9 +79,12 @@ def one_record_per_flow(dataset: Dataset, attrs: AttributeSet | str,
 
 def flow_count(dataset: Dataset, attrs: AttributeSet | str,
                timeout: float = 1.0) -> int:
-    """Number of flows at a projection, by gap-based segmentation."""
+    """Number of flows at a projection, by gap-based segmentation:
+    :func:`_flow_heads`' rule, counted by
+    :func:`repro.native.partition.group_stats`."""
     attrs = dataset.schema.attribute_set(attrs)
-    return int(np.count_nonzero(_flow_heads(dataset, attrs, timeout)[1]))
+    return _native.group_stats([dataset.columns[a] for a in attrs],
+                               dataset.timestamps, timeout)[1]
 
 
 def mean_flow_length(dataset: Dataset, attrs: AttributeSet | str,

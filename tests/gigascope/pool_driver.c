@@ -1,14 +1,15 @@
 /* A driver of the native library's pool for ThreadSanitizer.
  *
  * It includes the library's source (written next to it as lib.c, with
- * fail_walk: a walk whose folds fail) and runs, on a three-relation
- * forest AB(A B) over two shard slices with a value column, what the
- * Python side runs through the pool:
+ * fail_walk: a walk whose folds fail) and runs, on one forest_t of three
+ * relations, AB(A B), over two shard slices with a value column, and
+ * walks of it, what the Python side runs through the pool:
  *
  *   1. a multi-epoch walk on the caller and three helpers, each epoch's
  *      folds taken by the caller, against one thread;
- *   2. two-lane walks, the second lane a pool job, the caller taking
- *      the second lane's folds as each relation is marked walked;
+ *   2. two-lane walks, the forest's holder naming each relation's walk,
+ *      the second lane a pool job, the caller taking the second lane's
+ *      folds as each relation is marked walked;
  *   3. a partition hash split into three ranges, two of them jobs;
  *   4. calls whose job fails: a failed epoch sets the call's stop word
  *      and a job handed over after it does not run; a failing fold in
@@ -48,6 +49,11 @@ static double values[ROWS];
 static int64_t shard[ROWS];
 static int64_t times[LONGEST], ones[LONGEST];
 
+static int64_t done[N_REL + 1];
+static forest_t forest = {
+    N_REL, 61 * SLICES, SLICES, parent, key_off, key_col, salt, n_buckets,
+    depth, emit, feeds, fold_slot, columns, values, shard, done, NULL};
+
 static int failures;
 
 static void check(int ok, const char *what, int64_t at)
@@ -61,25 +67,11 @@ static walk_t *new_walk(void)
     walk_t *W = calloc(1, sizeof *W);
     int64_t r;
 
-    W->n_rel = N_REL;
+    W->forest = &forest;
     W->longest = LONGEST;
-    W->max_buckets = 61 * SLICES;
-    W->n_slices = SLICES;
-    W->parent = parent;
-    W->key_off = key_off;
-    W->key_col = key_col;
-    W->salt = salt;
-    W->n_buckets = n_buckets;
-    W->depth = depth;
-    W->emit = emit;
-    W->feeds = feeds;
-    W->fold_slot = fold_slot;
-    W->columns = columns;
-    W->values = values;
-    W->shard = shard;
     W->keys = calloc(key_off[N_REL], sizeof *W->keys);
-    W->slot_run = malloc(W->max_buckets * sizeof(int64_t));
-    W->bucket_pos = malloc(W->max_buckets * sizeof(int64_t));
+    W->slot_run = malloc(forest.max_buckets * sizeof(int64_t));
+    W->bucket_pos = malloc(forest.max_buckets * sizeof(int64_t));
     W->runs = malloc(LONGEST * sizeof(run_t));
     W->order = malloc(LONGEST * sizeof(order_t));
     W->ev_i = malloc(3 * LONGEST * sizeof(int64_t));
@@ -135,46 +127,32 @@ static job_t *walk_job(job_t *job, walk_t *W, int64_t epoch, int64_t *stop)
     return job;
 }
 
-/* Point both walks at the lanes sharing done, or back to one (NULL). */
-static void point_lanes(walk_t *first, walk_t *second, int64_t *done)
-{
-    walk_t *walks[2] = {first, second};
-    int64_t id;
-
-    for (id = 0; id < 2; id++) {
-        walks[id]->lane = done ? lane : NULL;
-        walks[id]->done = done;
-        walks[id]->other = walks[1 - id];
-        walks[id]->lane_id = id;
-    }
-}
-
 /* One two-lane walk of an epoch: the first lane here, the second a pool
  * job; the folds' digest in relation order, or 0 when the call failed. */
 static uint64_t walk_lanes(walk_t *first, walk_t *second, int64_t epoch)
 {
-    static int64_t done[N_REL + 3];
+    const walk_t *holder[N_REL];
     job_t job;
     uint64_t h = 0;
     int64_t r, failed;
 
+    for (r = 0; r < N_REL; r++)
+        holder[r] = lane[r] ? second : first;
     memset(done, 0, sizeof done);
-    point_lanes(first, second, done);
+    forest.holder = holder;
     walk_job(&job, second, epoch, &done[N_REL]);
     check(repro_pool_submit(&job, 1) == 0, "a lane job found no helper",
           epoch);
     failed = repro_walk(first, epoch * LONGEST, times, ones, LONGEST) < 0;
     for (r = 0; r < N_REL && !failed; r++) {
-        if (lane[r] == 1 && repro_walk_wait(first, r) < 0)
+        if (lane[r] == 1 && repro_walk_wait(&forest, r) < 0)
             failed = 1;
         else
-            h = digest(lane[r] ? second : first, r, h);
+            h = digest(holder[r], r, h);
     }
-    if (failed)
-        repro_walk_stop(first);
     if (repro_pool_wait(&job) < 0)
         failed = 1;
-    point_lanes(first, second, NULL);
+    forest.holder = NULL;
     return failed ? 0 : h;
 }
 

@@ -154,12 +154,13 @@ def test_a_failing_walk_leaves_accumulators_untouched(n_cores, monkeypatch):
     the HFTA as they were; the next call, on the real library, walks."""
 
     def fault(fail_at):
+        line = "    const int64_t stride = n + T->max_buckets + 2;\n"
+        assert line in native_library.SOURCE
         broken = native_build.load_kernel(
             f"{native_library.NAME}_epoch_{fail_at}_fails",
             native_library.SOURCE.replace(
-                "    const int64_t stride = n + W->max_buckets + 2;\n",
-                "    const int64_t stride = n + W->max_buckets + 2;\n"
-                f"    if (start == {fail_at})\n        return -1;\n", 1),
+                line, f"{line}    if (start == {fail_at})\n"
+                "        return -1;\n", 1),
             native_library._SIGNATURES)
         assert broken is not None
         monkeypatch.setattr(native_library, "library", lambda: broken)

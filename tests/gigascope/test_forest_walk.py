@@ -35,6 +35,7 @@ from repro.gigascope import Dataset, StreamSchema, engine, simulate
 from repro.gigascope.hfta import HFTA
 from repro.gigascope.lfta import run_reference
 from repro.gigascope.metrics import CostCounters
+from repro.native import ingest as native_ingest
 from tests.conftest import split_ran, walk_lanes_of
 from tests.hfta_totals import totals
 from tests.references import numpy_bodies, numpy_walk, split_dataset
@@ -174,7 +175,10 @@ def _walk(walk, config, dataset, buckets, emit, value_column):
     counters, hfta = CostCounters(config), HFTA()
     tables = engine.Tables()
     tables.bind(config, buckets, 0, value_column is not None)
-    tables.emit = emit
+    forest = tables.forest
+    tables.forest = native_ingest.Forest(forest.parent, forest.keys,
+                                         forest.salts, forest.sizes, emit,
+                                         forest.has_values)
     walk(tables, dataset.columns,
          dataset.values[value_column] if value_column else None,
          list(dataset.epoch_slices(1.0)), hfta)

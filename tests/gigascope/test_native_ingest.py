@@ -55,7 +55,7 @@ from repro.native import library as native_library
 from repro.native import machine_info
 from repro.native import partition as native_partition
 from repro.parallel import HashPartitioner
-from repro.workloads import flow_count, measure_statistics
+from repro.workloads import measure_statistics
 from repro.workloads.io import save_npz
 from tests.conftest import (
     PAPER_GROUPS,
@@ -72,7 +72,12 @@ from tests.gigascope.test_forest_walk import (
 )
 from tests.hfta_totals import totals
 from tests.references import ABC_SCHEMA as SCHEMA, abc_stream as _dataset
-from tests.references import numpy_bodies, numpy_relation, split_dataset
+from tests.references import (
+    numpy_bodies,
+    numpy_relation,
+    reference_group_stats,
+    split_dataset,
+)
 
 
 class TestDegenerateShapes:
@@ -163,9 +168,10 @@ class TestBlockEdges:
         hfta = HFTA()
         hfta.ingest_arrays(_AB, 0, want[5], *want[1:5])
         state = hfta.totals_columnar(_AB, 0)
-        walk = native_ingest.Walk([-1], [[0, 1]], [salt], [n_buckets],
-                                  [True], values, m)
-        walk.bind([cols[0], cols[1]], vs)
+        forest = native_ingest.Forest([-1], [[0, 1]], [salt], [n_buckets],
+                                      [True], values)
+        forest.bind([cols[0], cols[1]], vs)
+        walk = native_ingest.Walk(forest, m)
         (fold,) = native_ingest.ingest_runs(walk, 0, t, w)
         assert fold.relation == 0 and fold.runs == want[1].shape[0]
         assert walk.stats.tolist() == [counts.tolist()]
@@ -212,8 +218,8 @@ def _hash_blocks(draw, k):
 class TestBlockHasher:
     """``hash_block`` against the numpy chain, through the two entries
     that hash a whole stream: the partition ids and the statistics equal
-    numpy's (``combine_columns``, ``Dataset.group_count``,
-    ``flow_count``) at every block edge, for 1 to 6 columns. The
+    numpy's (``combine_columns``, ``reference_group_stats`` of
+    ``tests/references.py``) at every block edge, for 1 to 6 columns. The
     gathered rows of the walk's inner relations are covered by the walk
     differentials on forests with children."""
 
@@ -232,17 +238,11 @@ class TestBlockHasher:
     @given(data=st.data(), timeout=st.sampled_from([None, 0.0, 0.5, 1.0]))
     def test_group_stats_equal_numpy(self, k, data, timeout):
         columns, timestamps = data.draw(_hash_blocks(k))
-        names = tuple("ABCDEF"[:k])
-        stream = Dataset(StreamSchema(names), dict(zip(names, columns)),
-                         timestamps)
         got = native_partition.group_stats(columns, timestamps, timeout)
-        if not len(stream):
+        if not len(timestamps):
             assert got == (0, 0)
             return
-        attrs = stream.schema.all_attributes
-        flows = (stream.group_count(attrs) if timeout is None
-                 else flow_count(stream, attrs, timeout))
-        assert got == (stream.group_count(attrs), flows)
+        assert got == reference_group_stats(columns, timestamps, timeout)
 
 
 #: The line that clones ``hash_block`` for the CPU's widest lanes; the
@@ -257,7 +257,7 @@ _VARIANTS = {"dispatched": native_library.SOURCE,
 
 @pytest.mark.parametrize("entries", [
     pytest.param(("repro_walk", "repro_walk_take", "repro_walk_free",
-                  "repro_walk_wait", "repro_walk_stop"),
+                  "repro_walk_wait"),
                  id="repro.native.ingest"),
     pytest.param(("repro_pool_submit", "repro_pool_wait"), id="pool"),
     pytest.param(("repro_group_stats",), id="repro.native.merge"),
@@ -672,25 +672,24 @@ _LANE_FOREST = "ABCD(ABC(AB BC) ABD(AD BD))"
 
 
 def _lane_walks(config, dataset, emit, order=None):
-    """Three kernel walks of ``config`` bound to ``dataset``: one lane's,
-    and the two of a two-lane call. With ``order``, the walks take the
-    relations in that order of their indices in ``config`` (parents
-    still first), and ``emit`` is read in ``config``'s."""
+    """Three kernel walks of one forest of ``config``, bound to
+    ``dataset``: one lane's, and the two of a two-lane call. With
+    ``order``, the forest takes the relations in that order of their
+    indices in ``config`` (parents still first), and ``emit`` is read in
+    ``config``'s."""
     tables = engine.Tables()
     tables.bind(config, {rel: 7 + 3 * i
                          for i, rel in enumerate(config.relations)}, 0, True)
-    order = range(len(tables.parent)) if order is None else order
+    bound = tables.forest
+    order = range(len(bound.parent)) if order is None else order
     at = {r: i for i, r in enumerate(order)}
-    parent = [at.get(tables.parent[r], -1) for r in order]
-    walks = [native_ingest.Walk(
+    parent = [at.get(bound.parent[r], -1) for r in order]
+    forest = native_ingest.Forest(
         parent, *([seq[r] for r in order] for seq in (
-            tables.keys, tables.salts, tables.sizes, emit)),
-        True, len(dataset)) for _ in range(3)]
-    walks[0].bind([dataset.columns[a] for a in tables.names],
-                  dataset.values["v"])
-    for walk in walks[1:]:
-        walk.bind_like(walks[0])
-    return walks
+            bound.keys, bound.salts, bound.sizes, emit)), True)
+    forest.bind([dataset.columns[a] for a in tables.names],
+                dataset.values["v"])
+    return [native_ingest.Walk(forest, len(dataset)) for _ in range(3)]
 
 
 def _folded(folds, walks, order=None) -> list:
@@ -708,14 +707,14 @@ def _folded(folds, walks, order=None) -> list:
         stats.tobytes()]
 
 
-def _walk_lane(lanes, lane_id, n):
-    """Start lane ``lane_id`` of ``lanes`` over the first ``n`` rows on a
+def _walk_lane(lanes, which, n):
+    """Start lane ``which`` of ``lanes`` over the first ``n`` rows on a
     thread of its own, as the kernel's job would walk it: the thread,
     and the list its walk's status goes to."""
     lib, status = native_library.library(), []
     t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
     thread = threading.Thread(target=lambda: status.append(lib.repro_walk(
-        lanes.walks[lane_id]._ref, 0, t.ctypes.data, w.ctypes.data, n)),
+        lanes.walks[which]._ref, 0, t.ctypes.data, w.ctypes.data, n)),
         daemon=True)
     thread.start()
     return thread, status
@@ -738,6 +737,7 @@ class TestLanes:
             ["ABCD", "ABC", "AB", "BC", "ABD", "AD", "BD"]
         dataset = make_stream(1, [50], 4, "finite", False)
         one, first, second = _lane_walks(config, dataset, [True] * 7)
+        forest = first.forest
         n = len(dataset)
         t, w = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
         want = _folded(native_ingest.ingest_runs(one, 0, t, w), [one])
@@ -745,27 +745,28 @@ class TestLanes:
 
         def walked(lane, waiting):
             """Lane 0 alone, then lane 1: lane 0 stops at relation
-            ``waiting`` (None: none) until lane 1 walks."""
+            ``waiting`` (None: none) until lane 1 walks. Lane 0 waits
+            for nothing but lane 1's relations, so running lane 1 is
+            what unsticks it, whatever the checks in between find."""
             lanes = native_ingest.Lanes(first, second, lane)
-            lanes.done[:] = 0
+            forest.done[:] = 0
             first.stats[:] = second.stats[:] = 0
             lanes._point(True)
+            thread, status = _walk_lane(lanes, 0, n)
             try:
-                thread, status = _walk_lane(lanes, 0, n)
                 thread.join(timeout=0.2 if waiting is not None else 60)
                 assert thread.is_alive() == (waiting is not None), lane
                 mine = [r for r in range(7) if lane[r] == 0]
                 before = mine if waiting is None else \
                     mine[:mine.index(waiting)]
-                assert list(np.flatnonzero(lanes.done[:7])) == before
+                assert list(np.flatnonzero(forest.done[:7])) == before
+            finally:
                 other, other_status = _walk_lane(lanes, 1, n)
                 for each in (other, thread):
                     each.join(timeout=60)
-                    assert not each.is_alive(), lane
-                assert status == other_status == [0]
-            finally:
-                lib.repro_walk_stop(first._ref)  # a stuck lane returns
                 lanes._point(False)
+            assert not other.is_alive() and not thread.is_alive(), lane
+            assert status == other_status == [0]
             folds = native_ingest._take(lib, first) + \
                 native_ingest._take(lib, second)
             return _folded(sorted(folds, key=lambda f: f.relation),
@@ -801,7 +802,7 @@ class TestLanes:
         want = _folded(native_ingest.ingest_runs(depth_first, 0, t, w),
                        [depth_first])
         one, first, second = _lane_walks(config, dataset, emit, order)
-        assert one.parent == [-1, 0, 0, 1, 2, 2, 2]
+        assert one.forest.parent == [-1, 0, 0, 1, 2, 2, 2]
         assert _folded(native_ingest.ingest_runs(one, 0, t, w), [one],
                        order) == want
         for bits in range(2 ** 7):
@@ -814,8 +815,8 @@ class TestLanes:
             assert _folded(got, [first, second], order) == want, lane
         for parent in ([1, -1], [0, -1], [-1, 1]):
             with pytest.raises(ValueError, match="parents first"):
-                native_ingest.Walk(parent, [[0, 1], [0]], [1, 2], [3, 3],
-                                   [True, True], False, 8)
+                native_ingest.Forest(parent, [[0, 1], [0]], [1, 2], [3, 3],
+                                     [True, True], False)
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("seeded", [False, True])
@@ -851,16 +852,18 @@ class TestLanes:
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_fold_stops_both_lanes(self, failing, monkeypatch):
-        """A test build whose folds fail in lane ``failing``: the other
-        lane waits for a relation that lane never walks, yet the call
-        returns, raises ``MemoryError`` and leaves the counters and the
-        HFTA as they were; the next call, on the real library, walks on
-        two lanes again."""
+        """A test build whose folds fail in the walk that holds relation
+        0 on a lane call, lane ``failing`` here: the other lane waits
+        for a relation that lane never walks, yet the call returns,
+        raises ``MemoryError`` and leaves the counters and the HFTA as
+        they were; the next call, on the real library, walks on two
+        lanes again."""
         broken = native_build.load_kernel(
-            f"{native_library.NAME}_lane{failing}_fails",
+            f"{native_library.NAME}_holder_of_0_fails",
             native_library.SOURCE.replace(
                 "    if (reserve_groups(W, n_seed + n_runs) < 0)",
-                f"    if (W->lane != NULL && W->lane_id == {failing})\n"
+                "    if (W->forest->holder != NULL &&\n"
+                "        W->forest->holder[0] == W)\n"
                 "        return -1;\n"
                 "    if (reserve_groups(W, n_seed + n_runs) < 0)", 1),
             native_library._SIGNATURES)

@@ -291,11 +291,11 @@ def test_kernel_reads_rows_past_start():
     w = np.ones(n, dtype=np.int64)
 
     def walk_of(columns, vals, shard_ids):
-        walk = native_ingest.Walk([-1], [[0, 1]], [5], [3], [True], True,
-                                  32, slices=3)
-        walk.bind(columns, vals, None if shard_ids is None else
-                  native_ingest.ShardIds(shard_ids, 3))
-        return walk
+        forest = native_ingest.Forest([-1], [[0, 1]], [5], [3], [True],
+                                      True, slices=3)
+        forest.bind(columns, vals, None if shard_ids is None else
+                    native_ingest.ShardIds(shard_ids, 3))
+        return native_ingest.Walk(forest, 32)
 
     got = native_ingest.ingest_runs(walk_of(cols, values, ids), start, t, w)
     want = native_ingest.ingest_runs(
@@ -316,19 +316,19 @@ def test_kernel_reads_rows_past_start():
 
 
 def test_checked_ids_are_bound_without_a_pass():
-    """``ShardIds`` come checked: ``bind`` compares only their slice
-    count with the walk's (ids past it are not read, so they are not
-    refused here; a walk over them would go out of its tables), and
+    """``ShardIds`` come checked: ``Forest.bind`` compares only their
+    slice count with the forest's (ids past it are not read, so they are
+    not refused here; a walk over them would go out of its tables), and
     ``simulate`` only their length and slice count against the
     records. Plain ids get every check of ``simulate``'s."""
     ids = np.full(50, 7, dtype=np.int64)
     cols = [np.zeros(50, dtype=np.int64) for _ in range(2)]
-    walk = native_ingest.Walk([-1], [[0, 1]], [5], [3], [True], False,
-                              32, slices=3)
-    walk.bind(cols, None, native_ingest.ShardIds(ids, 3))
-    assert walk.shards is ids
+    forest = native_ingest.Forest([-1], [[0, 1]], [5], [3], [True], False,
+                                  slices=3)
+    forest.bind(cols, None, native_ingest.ShardIds(ids, 3))
+    assert forest.shards is ids
     with pytest.raises(ValueError, match=r"in \[0, 3\)"):
-        walk.bind(cols, None, native_ingest.ShardIds(ids, 4))
+        forest.bind(cols, None, native_ingest.ShardIds(ids, 4))
 
     dataset = make_stream(2, [30], 4, "finite", False)
     n = len(dataset)

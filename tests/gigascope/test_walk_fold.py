@@ -217,10 +217,11 @@ def test_a_seed_is_checked_before_the_kernel_reads_it():
     """A seed for a relation that does not emit, or whose key columns do
     not match its relation or its counts, is refused before the walk,
     and the walk folds as before afterwards."""
-    walk = native_ingest.Walk([-1, 0], [[0, 1], [0]], [3, 4], [5, 5],
-                              [False, True], False, 8)
+    forest = native_ingest.Forest([-1, 0], [[0, 1], [0]], [3, 4], [5, 5],
+                                  [False, True], False)
     cols = [np.array([1, 2, 1, 2, 3], dtype=np.int64)] * 2
-    walk.bind(cols, None)
+    forest.bind(cols, None)
+    walk = native_ingest.Walk(forest, 8)
     t = np.arange(5, dtype=np.int64)
     w = np.ones(5, dtype=np.int64)
     want = native_ingest.ingest_runs(walk, 0, t, w)

@@ -311,26 +311,26 @@ class TestShardedSystemApi:
         """Whatever integer dtype a partitioner returns, the walk is
         handed the check's contiguous int64 ids with the slice count
         its counts give (``ShardIds``), which ``simulate`` keeps as
-        they are and ``Walk.bind`` takes without a pass; the summary
+        they are and ``Forest.bind`` takes without a pass; the summary
         counts each shard's records."""
         from repro.gigascope import engine
-        from repro.native.ingest import ShardIds, Walk
+        from repro.native.ingest import Forest, ShardIds
         queries, the_plan = pair_plan
         seen, bound = [], []
         check = engine._shard_ids
-        bind = Walk.bind
+        bind = Forest.bind
 
         def spy(shards, n_records):
             checked, slices = check(shards, n_records)
             seen.append((shards, checked, slices))
             return checked, slices
 
-        def bind_spy(walk, columns, values, shards=None):
+        def bind_spy(forest, columns, values, shards=None):
             bound.append(shards)
-            return bind(walk, columns, values, shards)
+            return bind(forest, columns, values, shards)
 
         monkeypatch.setattr(engine, "_shard_ids", spy)
-        monkeypatch.setattr(Walk, "bind", bind_spy)
+        monkeypatch.setattr(Forest, "bind", bind_spy)
 
         class Narrow:
             def shard_ids(self, dataset, n_shards):

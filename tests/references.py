@@ -325,15 +325,15 @@ def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
     a depth-``d`` relation the window ``n + d * stride + bucket``,
     ``stride > n``, so windows never overlap and the top-down
     bucket-scan flush comes out in order."""
-    rels = tables.rels
+    rels, forest = tables.rels, tables.forest
     stats = tables.stats = np.zeros((len(rels), 4), dtype=np.int64)
-    max_b = max(tables.sizes) * slices
+    max_b = max(forest.sizes) * slices
     times0, ones = tables.arrivals(max(end - start
                                        for _, start, end in epochs))
-    raw = [r for r, p in enumerate(tables.parent) if p < 0]
+    raw = [r for r, p in enumerate(forest.parent) if p < 0]
     depths = [0] * len(rels)
     children: list[list[int]] = [[] for _ in rels]
-    for r, p in enumerate(tables.parent):  # parents first
+    for r, p in enumerate(forest.parent):  # parents first
         if p >= 0:
             depths[r] = depths[p] + 1
             children[p].append(r)
@@ -352,12 +352,12 @@ def numpy_walk(tables: engine.Tables, columns: Mapping[str, np.ndarray],
             t, w, vs, vmin, vmax, cols, shard = arrivals.pop(r)
             evicted = numpy_relation(
                 rel, t, w, vs, vmin, vmax, cols, n, stride,
-                tables.sizes[r], tables.salts[r], depths[r],
-                stats[r], times_sorted=tables.parent[r] < 0, shard=shard)
+                forest.sizes[r], forest.salts[r], depths[r],
+                stats[r], times_sorted=forest.parent[r] < 0, shard=shard)
             if evicted is None:
                 continue
             ev_t, ev_w, ev_vs, ev_vmin, ev_vmax, ev_cols, ev_shard = evicted
-            if tables.emit[r]:
+            if forest.emit[r]:
                 hfta.ingest_arrays(rel, epoch_id, ev_cols, ev_w, ev_vs,
                                    ev_vmin, ev_vmax)
             for child in children[r]:

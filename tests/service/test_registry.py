@@ -1,10 +1,12 @@
 """Registry lifecycle: register/retire bookkeeping and its edge cases."""
 
+from itertools import combinations
+
 import pytest
 
 from repro import AttributeSet, QueryRegistry
 from repro.errors import SchemaError
-from repro.service.registry import Registration
+from repro.service.registry import RECENT_SETS, Registration
 
 from tests.service.conftest import query
 
@@ -54,6 +56,22 @@ class TestRegister:
             ["acme", "beta"]
         physical = registry.physical_query_set()
         assert len(physical.group_bys) == 2
+
+    def test_a_recent_physical_set_is_handed_out_again(self):
+        """Each of the ``RECENT_SETS`` physical sets handed out last is
+        handed out again as the same object; one set more pushes the
+        oldest out, which is then built anew."""
+        registry = QueryRegistry()
+        registry.register("acme", query("AB"))
+        pairs = [a + b for a, b in combinations("ABCDEFGHIJKL", 2)][1:]
+        extras = [query(pair) for pair in pairs[:RECENT_SETS]]
+        handed = [registry.physical_query_set(extra) for extra in extras]
+        assert all(registry.physical_query_set(extra) is queries
+                   for extra, queries in zip(extras, handed))
+        registry.physical_query_set(query(pairs[RECENT_SETS]))
+        again = registry.physical_query_set(extras[0])
+        assert again is not handed[0]
+        assert again.group_bys == handed[0].group_bys
 
 
 class TestRetire:
