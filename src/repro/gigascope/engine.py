@@ -46,14 +46,17 @@ binding its configuration).
 
 *Epochs in parallel.* Every table is flushed at each epoch boundary, so
 no LFTA state crosses an epoch and two epochs can be walked at the same
-time. A kernel walk over more than one non-empty epoch runs on kept
-walks, one per usable core and at most one per epoch, all reading the
-one stream the forest converted and checked: the native library's
-pool of helper threads walks epochs on them and the calling thread walks
-too, and takes every epoch's folds in epoch order
-(:func:`repro.native.ingest.ingest_epochs`). The HFTA gets the folded
-states in epoch order, then relation order, and the walks' counters are
-summed: the call is a one-walk call, bit for bit.
+time. A kernel walk over more than one non-empty epoch runs on one
+thread per usable core, at most one per epoch, and on one more kept
+walk than threads (at most one per epoch), all reading the one stream
+the forest converted and checked. The call is one descriptor that its
+threads pull epochs from: the native library's helper threads each
+take a free walk, claim the next epoch and walk it, without waiting
+for the caller, and the calling thread takes every epoch's folds as
+soon as it is walked, walking epochs itself between takes
+(:func:`repro.native.ingest.ingest_epochs`). The HFTA gets the
+folded states in epoch order, then relation order, and the walks'
+counters are summed: the call is a one-walk call, bit for bit.
 
 *One epoch on two lanes.* Once a relation is walked, its children's
 subtrees are independent work (the paper's per-relation cost, Sec. 2.2).
@@ -115,8 +118,8 @@ class Tables:
     (:class:`~repro.native.ingest.Forest`), and which counters are
     priced. The kernel's walks of the forest are one kept list
     (:meth:`walks`), which serves a one-epoch call, the walks of a call
-    over several epochs and the two lanes of a one-epoch call
-    (:meth:`lanes`) alike. Every
+    over several epochs (one more than its threads) and the two lanes
+    of a one-epoch call (:meth:`lanes`) alike. Every
     :func:`simulate` call binds the ``Tables`` it is handed, or a new
     one, and walks through it; a caller that runs one configuration
     through many calls (``LiveStreamSystem``, once per epoch close)
@@ -389,11 +392,12 @@ def simulate(dataset: Dataset, config: Configuration,
     the native library a call with records raises
     :class:`~repro.errors.NativeLibraryError`. An optional
     :class:`~repro.observability.MetricsRegistry` records an ``engine``
-    phase span, record/epoch counters and the ``engine.workers`` and
-    ``engine.lanes`` gauges (the kept walks of a call over several
-    epochs, the caller's and the helpers' together; the lanes of a
-    one-epoch call, 2 when it split); when None the
-    engine performs no clock reads of its own.
+    phase span, record/epoch counters and the ``engine.workers``,
+    ``engine.caller_epochs`` and ``engine.lanes`` gauges (the threads of
+    a call over several epochs, the caller and the helpers together,
+    which walk on one more kept walk than that; the epochs the calling
+    thread walked; the lanes of a one-epoch call, 2 when it split); when
+    None the engine performs no clock reads of its own.
     """
     tables = tables if tables is not None else Tables()
     tables.bind(config, buckets, salt_seed, value_column is not None)
@@ -406,11 +410,11 @@ def simulate(dataset: Dataset, config: Configuration,
         n_epochs = len(epochs)
         workers = max(1, min(native.cores(), n_epochs))
         values = dataset.values[value_column] if value_column else None
-        lanes = 1
+        lanes, caller = 1, 0
         if epochs:
-            lanes = _walk(tables, dataset.columns, values, epochs, hfta,
-                          None if ids is None else ShardIds(ids, slices),
-                          workers)
+            lanes, caller = _walk(
+                tables, dataset.columns, values, epochs, hfta,
+                None if ids is None else ShardIds(ids, slices), workers)
             tables.count_into(counters)
         else:
             tables.stats = np.zeros((len(tables.rels), 4), dtype=np.int64)
@@ -418,6 +422,7 @@ def simulate(dataset: Dataset, config: Configuration,
         registry.counter("engine.records").inc(n_records)
         registry.counter("engine.epochs").inc(n_epochs)
         registry.gauge("engine.workers").set(workers)
+        registry.gauge("engine.caller_epochs").set(caller)
         registry.gauge("engine.lanes").set(lanes)
     walk = (f"native kernel, {workers} worker{'s' * (workers != 1)}"
             + ", 2 lanes" * (lanes == 2))
@@ -474,23 +479,29 @@ def _shard_ids(shards, n_records: int) -> tuple[np.ndarray | None, int]:
 def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
           values: np.ndarray | None, epochs: list[tuple[int, int, int]],
           hfta: HFTA, shards: ShardIds | None = None,
-          workers: int = 1) -> int:
+          workers: int = 1) -> tuple[int, int]:
     """Every epoch through the ingest kernel, one call per epoch, on
-    ``workers`` kept walks (the caller and the library's pool,
-    :func:`~repro.native.ingest.ingest_epochs`), with ``shards.slices``
+    ``workers`` threads (the caller and the library's pool,
+    :func:`~repro.native.ingest.ingest_epochs`) and, when there are
+    several, one more kept walk than threads, with ``shards.slices``
     slices per table and each row in its ``shards`` slice (one slice
     without shards); one epoch alone walks on the lanes
     :meth:`Tables.lanes` gives. The walk folds each emitting relation's
     runs, extending the state the HFTA already holds for that relation
     and epoch; the HFTA takes the folded states after the last epoch, in
     epoch order, and ``tables.stats`` the call's counters. Returns the
-    lanes the one epoch walked on (1 for several epochs)."""
+    lanes the one epoch walked on (1 for several epochs) and the epochs
+    the calling thread walked."""
     rels = tables.rels
     slices = 1 if shards is None else shards.slices
     longest = max(end - start for _, start, end in epochs)
     times0, ones = tables.arrivals(longest)
     lanes = tables.lanes(longest, slices) if len(epochs) == 1 else None
-    walks = tables.walks(workers if lanes is None else 2, longest, slices)
+    if lanes is not None:
+        n_walks = 2
+    else:  # one more walk than threads, when helpers walk too
+        n_walks = min(workers + (workers > 1), len(epochs))
+    walks = tables.walks(n_walks, longest, slices)
     # One conversion and one check of the stream serve every walk.
     tables.forest.bind([columns[a] for a in tables.names], values, shards)
     # The states the folds extend: whatever the HFTA holds for an
@@ -507,9 +518,10 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
     for w in walks:
         w.stats[:] = 0
     if len(pieces) > 1:
-        folded = _native.ingest_epochs(walks, pieces)
+        folded, caller = _native.ingest_epochs(walks, pieces)
     else:
         folded = [_native.ingest_runs(walks[0], *pieces[0], lanes)]
+        caller = 1
     tables.stats, tables._epochs = sum(w.stats for w in walks), len(epochs)
     for (epoch_id, _, _), folds in zip(epochs, folded):
         for fold in folds:
@@ -517,4 +529,4 @@ def _walk(tables: Tables, columns: Mapping[str, np.ndarray],
             hfta.ingest_folded(rel, epoch_id, ColumnarTotals(
                 rel.names, fold.columns, fold.counts, fold.sums, fold.mins,
                 fold.maxs), fold.runs)
-    return 1 if lanes is None else lanes.ran
+    return (1 if lanes is None else lanes.ran), caller

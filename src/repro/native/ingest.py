@@ -65,13 +65,20 @@ a scan, and grows (here, in C) only when a fold outgrows half of it.
 pool of persistent helper threads (``repro_pool_submit``/``wait``): no
 GIL, started at the first job that asks for them (up to ``cores() -
 1``), asleep between jobs, pinned away from the caller's CPU, none in a
-forked child. A job no helper is free for runs on the caller. The
-caller takes every fold, so every block comes from its malloc arena,
-and a call's first failing job sets its stop word: nothing further
-starts, and the call raises once every job has run.
-:func:`ingest_epochs` walks a call's epochs on kept walks, the caller's
-one at a time and the helpers' alongside, and takes them in epoch
-order.
+forked child. The caller takes every fold, so every block comes from
+its malloc arena, and a call's first failing job sets its stop word:
+nothing further starts, and the call raises once every job has run.
+:func:`ingest_epochs` makes a call over several epochs one descriptor
+that its threads pull epochs from. Each helper runs one job that takes
+a free walk, claims the next epoch, arms the walk with the epoch's
+seeds (in C), walks it and marks it walked, until no epoch is left; the
+caller takes each epoch's folds as soon as it is walked, in the order
+epochs are walked, which frees its walk, and between takes claims and
+walks epochs itself. So no helper waits for the caller to hand it an
+epoch, only for a free walk, and the call keeps one more walk than
+threads.
+A one-epoch call walks directly, or on lanes; a lane job no helper is
+free for runs on the caller.
 
 *One forest, many walks.* A :class:`Forest` is the configuration's
 forest, derived and checked once, and the stream a call is bound to
@@ -174,10 +181,6 @@ class _WalkStruct(ctypes.Structure):
          ("keys", "slot_run", "bucket_pos", "runs", "order", "ev_i", "ev_f",
           "folds", "n_runs", "stats", "table")] + \
         [("cap", ctypes.c_int64), ("base", ctypes.c_int64)]
-
-
-#: 8-byte words of one ``run_t`` / ``order_t``.
-_RUN_WORDS, _ORDER_WORDS = 7, 2
 
 
 class Fold(NamedTuple):
@@ -331,12 +334,13 @@ class Walk:
     :func:`ingest_runs`: it walks whatever stream the forest is bound
     to.
 
-    Scratch for epochs of up to ``longest`` records is allocated here
-    and grows in place (:meth:`reserve`). The folds' group table is
-    allocated by the kernel, as large as the largest fold needs, and
-    released with the walk. :attr:`stats` holds the per-relation
-    counters ``(arrivals_intra, arrivals_flush, evictions_intra,
-    evictions_flush)`` summed over every call since it was last zeroed.
+    Scratch for epochs of up to ``longest`` records is allocated by the
+    kernel (``repro_walk_reserve``) and grows in place (:meth:`reserve`),
+    and so is the folds' group table, as large as the largest fold
+    needs; both are released with the walk. :attr:`stats` holds the
+    per-relation counters ``(arrivals_intra, arrivals_flush,
+    evictions_intra, evictions_flush)`` summed over every call since it
+    was last zeroed.
     """
 
     def __init__(self, forest: Forest, longest: int):
@@ -358,32 +362,26 @@ class Walk:
         self._folds = (_FoldStruct * len(forest.emitting))()
         self._fold_room = 0
         struct.folds = ctypes.addressof(self._folds)
-        self.longest = 0
-        self.reserve(longest)
-        self.reserve_folds(self.longest)
         self._ref = ctypes.byref(struct)
         weakref.finalize(self, lib.repro_walk_free, self._ref)
+        self.reserve(longest)
+        self.reserve_folds(self.longest)
+
+    @property
+    def longest(self) -> int:
+        """The longest epoch the held scratch takes."""
+        return self._struct.longest
 
     def reserve(self, longest: int) -> None:
         """Scratch for epochs of up to ``longest`` records: the held
         scratch when it is enough, else new scratch in its place (the
-        walk and its folds stay)."""
+        walk and its folds stay); :class:`MemoryError` when there is no
+        memory for it."""
         longest = max(int(longest), 1)
-        if longest <= self.longest:
-            return
-        L = self.longest = longest
-        feeders = self.forest.feeders
-        scratch = {
-            "runs": np.empty((L, _RUN_WORDS), dtype=np.int64),
-            "order": np.empty((L, _ORDER_WORDS), dtype=np.int64),
-            "ev_i": np.empty((feeders, 3, L), dtype=np.int64),
-            "ev_f": np.empty((feeders if self.forest.has_values else 0, 3,
-                              L), dtype=np.float64),
-        }
-        for name, array in scratch.items():
-            setattr(self._struct, name, library.address(array))
-        self._struct.longest = L
-        self._arrays.update(scratch)  # the old scratch goes only now
+        if longest > self.longest and library.library().repro_walk_reserve(
+                self._ref, longest, self.forest.feeders,
+                self.forest.has_values) < 0:
+            raise MemoryError("no memory for a walk's scratch")
 
     def reserve_folds(self, room: int) -> None:
         """Give every fold output room for ``room`` groups, a seed's
@@ -473,12 +471,33 @@ def _take(lib, own: Walk, relation: int | None = None) -> list[Fold]:
     return out
 
 
+#: Words of an epoch ahead of its seeds (its first row, length, times
+#: and weights) and of one fold slot's seed (its group count and five
+#: addresses): ``EPOCH_HEAD`` and ``SEED_WORDS`` of the library's source.
+_EPOCH_HEAD, _SEED_WORDS = 4, 6
+
+
+class _Epoch(NamedTuple):
+    """One epoch of a call, checked (:func:`_checked`)."""
+
+    start: int
+    t: np.ndarray
+    w: np.ndarray
+    #: Its words as the library reads them: the head, then each fold
+    #: slot's seed (all 0 for none).
+    words: np.ndarray
+    #: The fold room it needs: its records after its largest seed.
+    room: int
+    #: The seed arrays its words point into.
+    held: list
+
+
 def _checked(walks: Sequence[Walk], start: int, t: np.ndarray,
-             w: np.ndarray, seeds: Mapping[int, Seed] | None) -> tuple:
+             w: np.ndarray, seeds: Mapping[int, Seed] | None,
+             words: np.ndarray | None = None) -> _Epoch:
     """One epoch of a call, checked against the forest of ``walks`` and
-    their scratch before any of them reads it: its first row, times and
-    weights, and each seed's group count, held arrays and addresses, by
-    relation."""
+    their scratch before any of them reads it, its words written into
+    ``words`` (a row of the call's, or a new one)."""
     forest, n = walks[0].forest, int(t.shape[0])
     if not 0 <= start <= start + n <= forest.rows or \
             any(n > own.longest for own in walks):
@@ -487,44 +506,39 @@ def _checked(walks: Sequence[Walk], start: int, t: np.ndarray,
     if w.shape != t.shape or t.dtype != np.int64 or w.dtype != np.int64 \
             or not (t.flags.c_contiguous and w.flags.c_contiguous):
         raise ValueError("t and w must be equal-length contiguous int64")
-    seeded = {}
+    if words is None:
+        words = np.zeros(_EPOCH_HEAD + _SEED_WORDS * len(forest.emitting),
+                         dtype=np.uint64)
+    words[:_EPOCH_HEAD] = start, n, t.ctypes.data, w.ctypes.data
+    held, largest = [], 0
     for r, seed in (seeds or {}).items():
         if not 0 <= r < len(forest.emit) or not forest.emit[r]:
             raise ValueError(f"relation {r} does not emit: nothing to seed")
-        seeded[r] = _seed_state(seed, len(forest.keys[r]))
-    return start, t, w, seeded
+        g, arrays, addresses = _seed_state(seed, len(forest.keys[r]))
+        at = _EPOCH_HEAD + _SEED_WORDS * forest.fold_slot[r]
+        words[at:at + _SEED_WORDS] = g, *addresses
+        held.append(arrays)
+        largest = max(largest, g)
+    return _Epoch(start, t, w, words, n + largest, held)
 
 
-def _arm(walks: Sequence[Walk], seeded: dict, on: bool = True) -> None:
-    """Point the folds of each seeded relation in ``walks`` at its seed
-    (``on``), or back at none."""
+def _arm(lib, walks: Sequence[Walk], epoch: _Epoch | None) -> None:
+    """Point the folds of ``walks`` at ``epoch``'s seeds, or at none."""
+    seeds = None if epoch is None else \
+        epoch.words.ctypes.data + 8 * _EPOCH_HEAD
     for own in walks:
-        for r, (g, _, addresses) in seeded.items():
-            fold = own._folds[own.forest.fold_slot[r]]
-            fold.n_seed = g if on else 0
-            (fold.seed, fold.seed_w, fold.seed_vs, fold.seed_vmin,
-             fold.seed_vmax) = addresses if on else (None,) * 5
+        lib.repro_walk_arm(own._ref, seeds)
 
 
-def _room(walks: Sequence[Walk], epochs: Sequence[tuple]) -> None:
+def _room(walks: Sequence[Walk], epochs: Sequence[_Epoch]) -> None:
     """Fold outputs in every walk for the longest epoch after its
     seeds, made on the calling thread."""
-    room = max((t.shape[0] + max((g for g, _, _ in seeded.values()),
-                                 default=0)
-                for _, t, _, seeded in epochs), default=0)
+    room = max((epoch.room for epoch in epochs), default=0)
     for own in walks:
         own.reserve_folds(room)
 
 
-def _walk_job(row: np.ndarray, own: Walk, epoch: tuple, stop: int) -> int:
-    """``row`` made the job that walks ``epoch`` on ``own``."""
-    start, t, w, _ = epoch
-    return library.job(row, library.JOB_WALK, stop,
-                       ctypes.addressof(own._struct), start, t.ctypes.data,
-                       w.ctypes.data, t.shape[0])
-
-
-def _walk_lanes(lib, lanes: Lanes, epoch: tuple) -> list[Fold] | None:
+def _walk_lanes(lib, lanes: Lanes, epoch: _Epoch) -> list[Fold] | None:
     """Both lanes of one epoch, the second lane's walk a job of the
     library's pool and the first's here; None, with nothing walked, when
     no helper is free. This thread takes both walks' folds, its own
@@ -538,12 +552,14 @@ def _walk_lanes(lib, lanes: Lanes, epoch: tuple) -> list[Fold] | None:
     memory."""
     first, second = lanes.walks
     forest = first.forest
-    start, t, w, _ = epoch
+    start, t, w = epoch.start, epoch.t, epoch.w
     lanes.ran = 1
     forest.done[:] = 0
     lanes._point(True)
     try:
-        job = _walk_job(lanes._job, second, epoch, forest._stop)
+        job = library.job(lanes._job, library.JOB_WALK, forest._stop,
+                          ctypes.addressof(second._struct), start,
+                          t.ctypes.data, w.ctypes.data, t.shape[0])
         if lib.repro_pool_submit(job, native.cores() - 1) < 0:
             return None
         out = None
@@ -598,84 +614,120 @@ def ingest_runs(walk: Walk, start: int, t: np.ndarray, w: np.ndarray,
     for bit. A fold that runs out of memory in either lane stops both
     and raises :class:`MemoryError`.
     """
-    if lanes is not None:
-        if lanes.walks[0] is not walk:
-            raise ValueError("the lanes are another walk's")
-        epoch = _checked(lanes.walks, start, t, w, seeds)
-        _room(lanes.walks, [epoch])
-        # a seed goes to the fold of whichever walk walks its relation
-        _arm(lanes.walks, epoch[3])
-        try:
-            out = _walk_lanes(library.library(), lanes, epoch)
-        finally:
-            _arm(lanes.walks, epoch[3], on=False)
-        if out is not None:
-            return out
-    return ingest_epochs([walk], [(start, t, w, seeds)])[0]
+    lib = library.library()
+    walks = (walk,) if lanes is None else lanes.walks
+    if walks[0] is not walk:
+        raise ValueError("the lanes are another walk's")
+    epoch = _checked(walks, start, t, w, seeds)
+    _room(walks, [epoch])
+    # a seed goes to the fold of whichever walk walks its relation
+    _arm(lib, walks, epoch)
+    try:
+        out = None if lanes is None else _walk_lanes(lib, lanes, epoch)
+        if out is None:
+            if lib.repro_walk(walk._ref, start, t.ctypes.data,
+                              w.ctypes.data, t.shape[0]) < 0:
+                raise MemoryError(
+                    "no memory for the ingest walk's group table")
+            out = _take(lib, walk)
+    finally:
+        _arm(lib, walks, None)
+    return out
+
+
+class _EpochsStruct(ctypes.Structure):
+    """``epochs_t`` of :data:`repro.native.library.SOURCE`: every pointer
+    a ``void *`` on this side."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in
+                ("n_epochs", "n_walks", "row")] + \
+        [(name, ctypes.c_void_p) for name in
+         ("epochs", "walks", "state", "idle")] + \
+        [(name, ctypes.c_int64) for name in
+         ("free", "next", "walked", "stop", "by_caller", "low")]
+
+
+class _Epochs:
+    """A call over several epochs as the threads that walk it see it: one
+    descriptor (``epochs_t``) with each epoch's checked words, the walks
+    and which of them are free, a claim counter, the call's stop word and
+    one state word per epoch (:attr:`state`: 0 until it is walked, then
+    1 + the walk holding its folds, then -1 once they are taken)."""
+
+    def __init__(self, walks: Sequence[Walk], epochs: Sequence[tuple]):
+        forest = walks[0].forest
+        self.words = np.zeros(
+            (len(epochs), _EPOCH_HEAD + _SEED_WORDS * len(forest.emitting)),
+            dtype=np.uint64)
+        self.epochs = [_checked(walks, *epoch, words)
+                       for epoch, words in zip(epochs, self.words)]
+        self.state = np.zeros(len(epochs), dtype=np.int64)
+        self._idle = np.ones(len(walks), dtype=np.int64)
+        self._walks = np.array([ctypes.addressof(own._struct)
+                                for own in walks], dtype=np.uintp)
+        self._struct = _EpochsStruct(
+            n_epochs=len(epochs), n_walks=len(walks),
+            row=self.words.shape[1], epochs=self.words.ctypes.data,
+            walks=self._walks.ctypes.data, state=self.state.ctypes.data,
+            idle=self._idle.ctypes.data, free=len(walks))
+        self._ref = ctypes.byref(self._struct)
+
+    def job(self, row: np.ndarray) -> int:
+        """``row`` made a helper's job of the call."""
+        at = ctypes.addressof(self._struct)
+        return library.job(row, library.JOB_EPOCHS,
+                           at + _EpochsStruct.stop.offset, at)
 
 
 def ingest_epochs(walks: Sequence[Walk],
                   epochs: Sequence[tuple[int, np.ndarray, np.ndarray,
                                          Mapping[int, Seed] | None]]
-                  ) -> list[list[Fold]]:
+                  ) -> tuple[list[list[Fold]], int]:
     """Several epochs, each ``(start, t, w, seeds)`` as
     :func:`ingest_runs` takes one, each walked on one of ``walks`` (kept
     walks of one forest, which is bound to the stream): every epoch's
-    folds, in epoch order.
+    folds, in epoch order, and how many epochs the calling thread
+    walked.
 
-    The library's pool walks epochs on up to ``len(walks) - 1`` helpers
-    and the calling thread walks too. Before each take the caller hands
-    the next epochs to free walks while a helper takes them, and walks
-    the first no helper took itself; it takes every epoch's folds in
-    epoch order, which frees that epoch's walk for the next. So the
-    folds, runs and summed counters are those of one walk, bit for bit,
-    and every block comes from the caller's malloc arena. A walk that
-    fails sets the call's stop word: no further epoch starts, and once
-    every job has run the call raises :class:`MemoryError` (an exception
-    on the caller stops it so too, and is raised as itself).
+    The call is one descriptor that its threads pull epochs from: up to
+    ``min(cores, epochs) - 1`` helpers of the library's pool, each one
+    job that takes a free walk, claims the next epoch, arms the walk
+    with the epoch's seeds, walks it and marks it walked, until no epoch
+    is left; and the calling thread, which takes each epoch's folds as
+    soon as it is walked, in the order epochs are walked, which frees
+    its walk, and between takes claims and walks epochs itself. No
+    thread waits for another to hand it an epoch, and with one more walk
+    than threads a thread that finishes an epoch finds a free walk while
+    the caller still walks or takes. The folds are returned in epoch
+    order; the folds, runs and summed counters are those of one walk,
+    bit for bit, and every block comes from the caller's malloc arena.
+    A walk that fails sets the call's stop word: no further epoch is
+    claimed, and once every job has run the call raises
+    :class:`MemoryError` (an exception on the caller stops it so too,
+    and is raised as itself). Whatever ends the call, no walk keeps a
+    seed of it.
     """
     lib = library.library()
-    checked = [_checked(walks, *epoch) for epoch in epochs]
-    _room(walks, checked)
-    helpers = min(native.cores(), len(walks)) - 1
-    jobs = np.zeros((len(walks), 10), dtype=np.uint64)
-    stop = np.zeros(1, dtype=np.int64)
-    stop_at, free = library.address(stop), list(range(len(walks)))
-    #: epoch -> (its walk, its job, or None when the caller walks it)
-    held: dict[int, tuple[int, int | None]] = {}
-    out, begun = [], 0
+    call = _Epochs(walks, epochs)
+    _room(walks, call.epochs)
+    helpers = min(native.cores(), len(epochs), len(walks)) - 1
+    rows = np.zeros((max(helpers, 0), 10), dtype=np.uint64)
+    jobs, out, e = [], [None] * len(epochs), -1
     try:
-        for i in range(len(checked)):
-            while begun < len(checked) and free and not stop[0]:
-                k, epoch = free.pop(), checked[begun]
-                _arm([walks[k]], epoch[3])
-                job = _walk_job(jobs[k], walks[k], epoch, stop_at)
-                took = helpers and lib.repro_pool_submit(job, helpers) == 0
-                held[begun] = k, job if took else None
-                begun += 1
-                if not took:
-                    start, t, w, _ = epoch
-                    if lib.repro_walk(walks[k]._ref, start, t.ctypes.data,
-                                      w.ctypes.data, t.shape[0]) < 0:
-                        stop[0] = 1
-                    break
-            k, job = held[i]
-            if job is not None:
-                lib.repro_pool_wait(job)
-            if stop[0]:
+        for row in rows:
+            job = call.job(row)
+            if lib.repro_pool_submit(job, helpers) < 0:
                 break
-            out.append(_take(lib, walks[k]))
-            del held[i]
-            _arm([walks[k]], checked[i][3], on=False)
-            free.append(k)
+            jobs.append(job)
+        while 0 <= (e := lib.repro_epochs_next(call._ref, e)) < len(out):
+            out[e] = _take(lib, walks[call.state[e] - 1])
     except BaseException:
-        stop[0] = 1
+        lib.repro_epochs_stop(call._ref)
         raise
     finally:
-        for i, (k, job) in held.items():
-            if job is not None:
-                lib.repro_pool_wait(job)
-            _arm([walks[k]], checked[i][3], on=False)
-    if stop[0]:
+        for job in jobs:
+            lib.repro_pool_wait(job)
+        _arm(lib, walks, None)
+    if call._struct.stop:
         raise MemoryError("no memory for the ingest walk's group table")
-    return out
+    return out, call._struct.by_caller

@@ -9,7 +9,8 @@ so a hash collision costs probes, never correctness) — the design
 regime. :data:`SOURCE` holds both, the four things built on them, one
 check of shard ids and the pool that runs them on other cores:
 
-* ``repro_walk`` (with ``repro_walk_take`` and ``repro_walk_free``):
+* ``repro_walk`` (with ``repro_walk_reserve``, ``repro_walk_take`` and
+  ``repro_walk_free``):
   the engine's LFTA walk of the whole forest, one call per epoch, and
   the fold of every emitting relation's runs in the walk
   (:mod:`repro.native.ingest`): a walk is one thread's scratch over a
@@ -17,9 +18,11 @@ check of shard ids and the pool that runs them on other cores:
   epoch may walk on lanes, walks of one forest that each walk the
   relations they hold (``repro_walk_wait``);
 * ``repro_pool_submit`` and ``repro_pool_wait``: the library's pool of
-  persistent helper threads, which runs a job, a walk or a range of the
-  partition hash, off the caller's thread (:func:`job`; Linux only, as
-  its waits are futexes);
+  persistent helper threads, which runs a job, a walk, a range of the
+  partition hash or a helper's share of a call's epochs, off the
+  caller's thread (:func:`job`; Linux only, as its waits are futexes);
+  a call over several epochs is one ``epochs_t`` that the helpers and
+  the caller (``repro_epochs_next``) pull epochs from;
 * ``repro_group_stats``: the planner's exact group and flow counts of
   one relation in one pass (:func:`repro.native.partition.group_stats`);
 * ``repro_partition_hash``: the sharded runtime's record-to-shard hash
@@ -85,7 +88,7 @@ import numpy as np
 from repro.errors import NativeLibraryError
 from repro.native.build import kernel_status, load_kernel
 
-__all__ = ["JOB_HASH", "JOB_WALK", "NAME", "SOURCE", "address",
+__all__ = ["JOB_EPOCHS", "JOB_HASH", "JOB_WALK", "NAME", "SOURCE", "address",
            "available", "hash_isa", "job", "library", "words"]
 
 #: The library's name in the load memo, the on-disk cache and
@@ -605,7 +608,7 @@ static void futex_wake(int32_t *word)
 #endif
 }
 
-/* Spin, then sleep, until *flag == want or, when stop is not NULL,
+/* Spin, then sleep, until *flag >= want or, when stop is not NULL,
  * *stop is nonzero: 0, or -1 on a stop. *word counts the stores that
  * may end the wait (each counted after it is made) and *sleepers the
  * threads asleep on it: a waiter reads the word before the flags, so a
@@ -620,7 +623,7 @@ static int wait_until(const int64_t *flag, int64_t want,
 
     for (spins = 0;; spins++) {
         seen = __atomic_load_n(word, __ATOMIC_SEQ_CST);
-        if (__atomic_load_n(flag, __ATOMIC_SEQ_CST) == want)
+        if (__atomic_load_n(flag, __ATOMIC_SEQ_CST) >= want)
             return 0;
         if (stop != NULL && __atomic_load_n(stop, __ATOMIC_SEQ_CST))
             return -1;
@@ -634,23 +637,30 @@ static int wait_until(const int64_t *flag, int64_t want,
     }
 }
 
+/* Count a store that may end a wait on *word and wake the sleepers. */
+static void wake_waiters(int32_t *word, int64_t *sleepers)
+{
+    __atomic_add_fetch(word, 1, __ATOMIC_SEQ_CST);
+    if (__atomic_load_n(sleepers, __ATOMIC_SEQ_CST))
+        futex_wake(word);
+}
+
 /* Store *flag = value, count it on *word and wake the sleepers. */
 static void store_and_wake(int64_t *flag, int64_t value, int32_t *word,
                            int64_t *sleepers)
 {
     __atomic_store_n(flag, value, __ATOMIC_SEQ_CST);
-    __atomic_add_fetch(word, 1, __ATOMIC_SEQ_CST);
-    if (__atomic_load_n(sleepers, __ATOMIC_SEQ_CST))
-        futex_wake(word);
+    wake_waiters(word, sleepers);
 }
 
 /* The most helpers the pool starts. */
 #define MAX_HELPERS 256
 
 /* What a job runs, its arguments in arg in this order:
- * JOB_WALK  repro_walk(W, start, t, w, n);
- * JOB_HASH  repro_partition_hash(cols, k, n, salt, n_shards, ids). */
-enum { JOB_WALK = 0, JOB_HASH = 1 };
+ * JOB_WALK    repro_walk(W, start, t, w, n);
+ * JOB_HASH    repro_partition_hash(cols, k, n, salt, n_shards, ids);
+ * JOB_EPOCHS  epochs_pull(C), a helper's share of a call's epochs. */
+enum { JOB_WALK = 0, JOB_HASH = 1, JOB_EPOCHS = 2 };
 
 /* One job of a call: filled by the caller, handed to a helper
  * (repro_pool_submit) and waited for (repro_pool_wait) before the caller
@@ -792,12 +802,237 @@ void repro_walk_take(const walk_t *W, int64_t r, int64_t *dst)
     }
 }
 
-/* Release the folds' group table. */
+/* Scratch for epochs of up to `longest` arrivals in place of W's: the
+ * runs, their order and `feeders` eviction lists, with their partials
+ * when `values`. It is malloc'd here, where numpy would ask for huge
+ * pages for arrays this large: a walk touches only the head of each, and
+ * a fresh huge page is zeroed whole at its first touch, which made a new
+ * walk's first epoch twice as slow. 0, or -1 when out of memory, with
+ * W's scratch as it was. */
+int64_t repro_walk_reserve(walk_t *W, int64_t longest, int64_t feeders,
+                           int64_t values)
+{
+    const size_t L = (size_t)longest, lists = (size_t)feeders * 3 * L;
+    run_t *runs = (run_t *)malloc(L * sizeof(run_t));
+    order_t *order = (order_t *)malloc(L * sizeof(order_t));
+    int64_t *ev_i = (int64_t *)malloc(lists * sizeof(int64_t) + 1);
+    double *ev_f = (double *)malloc((values ? lists : 0) * sizeof(double)
+                                    + 1);
+
+    if (runs == NULL || order == NULL || ev_i == NULL || ev_f == NULL) {
+        free(runs);
+        free(order);
+        free(ev_i);
+        free(ev_f);
+        return -1;
+    }
+    free(W->runs);
+    free(W->order);
+    free(W->ev_i);
+    free(W->ev_f);
+    W->runs = runs;
+    W->order = order;
+    W->ev_i = ev_i;
+    W->ev_f = ev_f;
+    W->longest = longest;
+    return 0;
+}
+
+/* Release what W malloc'd: its scratch and the folds' group table. */
 void repro_walk_free(walk_t *W)
 {
+    free(W->runs);
+    free(W->order);
+    free(W->ev_i);
+    free(W->ev_f);
     free(W->table);
+    W->runs = NULL;
+    W->order = NULL;
+    W->ev_i = NULL;
+    W->ev_f = NULL;
     W->table = NULL;
-    W->cap = W->base = 0;
+    W->longest = W->cap = W->base = 0;
+}
+
+/* ---- A call over several epochs, pulled by the threads that walk it ---- */
+
+/* An epoch's words: its first row, its length and the addresses of its
+ * times and weights (EPOCH_HEAD words), then for each fold slot the seed
+ * that fold extends (SEED_WORDS words: its group count and the addresses
+ * of its key-column array, counts, sums, minima and maxima; all 0 for
+ * none). */
+#define EPOCH_HEAD 4
+#define SEED_WORDS 6
+
+/* Point W's folds at the seeds of an epoch's words (the words after its
+ * head), or at none when seeds is NULL. */
+void repro_walk_arm(walk_t *W, const uint64_t *seeds)
+{
+    const forest_t *T = W->forest;
+    const uint64_t *s;
+    fold_t *F;
+    int64_t r;
+
+    for (r = 0; r < T->n_rel; r++) {
+        if (!T->emit[r])
+            continue;
+        F = &W->folds[T->fold_slot[r]];
+        s = seeds != NULL ? seeds + SEED_WORDS * T->fold_slot[r] : NULL;
+        F->n_seed = s != NULL ? (int64_t)s[0] : 0;
+        F->seed = s != NULL ? (const uint64_t **)(uintptr_t)s[1] : NULL;
+        F->seed_w = s != NULL ? (const int64_t *)(uintptr_t)s[2] : NULL;
+        F->seed_vs = s != NULL ? (const double *)(uintptr_t)s[3] : NULL;
+        F->seed_vmin = s != NULL ? (const double *)(uintptr_t)s[4] : NULL;
+        F->seed_vmax = s != NULL ? (const double *)(uintptr_t)s[5] : NULL;
+    }
+}
+
+/* An epoch's state word in a call: 0 until it is walked, then 1 + the
+ * walk that holds its folds, then EPOCH_TAKEN once the caller took them
+ * and freed that walk. */
+#define EPOCH_TAKEN (-1)
+
+/* A call over several epochs, every thread that walks it working from
+ * it: the caller (repro_epochs_next) and the helpers (JOB_EPOCHS jobs).
+ * A thread takes a free walk, then claims the next epoch and walks it on
+ * that walk, which stays the epoch's until the caller has taken its
+ * folds. The caller takes each epoch as soon as it finds it walked, not
+ * in epoch order; the epochs claimed and not taken never outnumber the
+ * walks. */
+typedef struct {
+    int64_t n_epochs, n_walks, row;  /* row: words per epoch */
+    const uint64_t *epochs;     /* [n_epochs][row] each epoch's words */
+    walk_t *const *walks;       /* [n_walks] */
+    int64_t *state;             /* [n_epochs] each epoch's state word */
+    int64_t *idle;              /* [n_walks] 1 while the walk is free */
+    int64_t free;               /* the free walks */
+    int64_t next;               /* the next epoch to claim */
+    int64_t walked;             /* the epochs walked so far */
+    int64_t stop;               /* the call's stop word */
+    int64_t by_caller;          /* the caller's: the epochs it walked */
+    int64_t low;                /* the caller's: no epoch below is open */
+} epochs_t;
+
+/* Hand walk k back to C's free walks. */
+static void give_walk(epochs_t *C, int64_t k)
+{
+    __atomic_store_n(&C->idle[k], 1, __ATOMIC_SEQ_CST);
+    __atomic_add_fetch(&C->free, 1, __ATOMIC_SEQ_CST);
+    wake_waiters(&pool.ends, &pool.sleepers);
+}
+
+/* Take a free walk of C and claim the next epoch: the epoch, its walk in
+ * *k, or -1 when no epoch is left, the stop word is set or (unless
+ * wait) no walk is free. With wait, a thread that finds no free walk
+ * sleeps until a take frees one. */
+static int64_t epochs_claim(epochs_t *C, int wait, int64_t *k)
+{
+    int64_t free, e, one;
+
+    for (;;) {
+        if (__atomic_load_n(&C->stop, __ATOMIC_SEQ_CST) ||
+            __atomic_load_n(&C->next, __ATOMIC_SEQ_CST) >= C->n_epochs)
+            return -1;
+        free = __atomic_load_n(&C->free, __ATOMIC_SEQ_CST);
+        if (free == 0) {
+            if (!wait || wait_until(&C->free, 1, &C->stop, &pool.ends,
+                                    &pool.sleepers) < 0)
+                return -1;
+            continue;
+        }
+        if (__atomic_compare_exchange_n(&C->free, &free, free - 1, 0,
+                                        __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+            break;
+    }
+    for (*k = 0;; *k = (*k + 1) % C->n_walks) {  /* one is reserved */
+        one = 1;
+        if (__atomic_compare_exchange_n(&C->idle[*k], &one, 0, 0,
+                                        __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+            break;
+    }
+    e = __atomic_fetch_add(&C->next, 1, __ATOMIC_SEQ_CST);
+    if (e < C->n_epochs)
+        return e;
+    give_walk(C, *k);
+    return -1;
+}
+
+/* Arm walk k with epoch e's seeds, walk e on it and mark e walked: 0, or
+ * -1 when its fold ran out of memory (the stop word is then set). */
+static int64_t epochs_walk(epochs_t *C, int64_t e, int64_t k)
+{
+    const uint64_t *row = C->epochs + e * C->row;
+    walk_t *W = C->walks[k];
+
+    repro_walk_arm(W, row + EPOCH_HEAD);
+    if (repro_walk(W, (int64_t)row[0], (const int64_t *)(uintptr_t)row[2],
+                   (const int64_t *)(uintptr_t)row[3], (int64_t)row[1]) < 0) {
+        store_and_wake(&C->stop, 1, &pool.ends, &pool.sleepers);
+        return -1;
+    }
+    __atomic_store_n(&C->state[e], 1 + k, __ATOMIC_SEQ_CST);
+    __atomic_add_fetch(&C->walked, 1, __ATOMIC_SEQ_CST);
+    wake_waiters(&pool.ends, &pool.sleepers);
+    return 0;
+}
+
+/* A helper's share of C (JOB_EPOCHS): take a free walk, claim, walk,
+ * repeat, until no epoch is left or the stop word is set. 0, or -1 when
+ * a walk failed. */
+static int64_t epochs_pull(epochs_t *C)
+{
+    int64_t e, k;
+
+    while ((e = epochs_claim(C, 1, &k)) >= 0)
+        if (epochs_walk(C, e, k) < 0)
+            return -1;
+    return 0;
+}
+
+/* The caller's part of C: epoch `taken`'s folds are taken (none when it
+ * is negative), so its walk is free again. Returns an epoch walked and
+ * not yet taken, the first found from the lowest open one; until there
+ * is one, claims and walks epochs itself, and waits only when no walk is
+ * free or no epoch is left. Returns n_epochs once every epoch is taken,
+ * or -1 once the stop word is set. */
+int64_t repro_epochs_next(epochs_t *C, int64_t taken)
+{
+    int64_t e, k, claimed, seen, walk;
+
+    if (taken >= 0) {
+        walk = __atomic_load_n(&C->state[taken], __ATOMIC_SEQ_CST) - 1;
+        __atomic_store_n(&C->state[taken], EPOCH_TAKEN, __ATOMIC_SEQ_CST);
+        give_walk(C, walk);
+    }
+    for (;;) {
+        if (__atomic_load_n(&C->stop, __ATOMIC_SEQ_CST))
+            return -1;
+        seen = __atomic_load_n(&C->walked, __ATOMIC_SEQ_CST);
+        while (C->low < C->n_epochs && __atomic_load_n(
+                   &C->state[C->low], __ATOMIC_SEQ_CST) == EPOCH_TAKEN)
+            C->low++;
+        if (C->low == C->n_epochs)
+            return C->n_epochs;
+        claimed = __atomic_load_n(&C->next, __ATOMIC_SEQ_CST);
+        for (e = C->low; e < claimed && e < C->n_epochs; e++)
+            if (__atomic_load_n(&C->state[e], __ATOMIC_SEQ_CST) > 0)
+                return e;
+        e = epochs_claim(C, 0, &k);
+        if (e >= 0) {
+            C->by_caller++;
+            if (epochs_walk(C, e, k) < 0)
+                return -1;
+        } else if (wait_until(&C->walked, seen + 1, &C->stop, &pool.ends,
+                              &pool.sleepers) < 0) {
+            return -1;
+        }
+    }
+}
+
+/* Set C's stop word from the caller: no epoch is claimed after it. */
+void repro_epochs_stop(epochs_t *C)
+{
+    store_and_wake(&C->stop, 1, &pool.ends, &pool.sleepers);
 }
 
 /* ---- The planner's statistics pass ---- */
@@ -928,6 +1163,8 @@ static void run_job(job_t *job)
                                  (const int64_t *)(uintptr_t)a[2],
                                  (const int64_t *)(uintptr_t)a[3],
                                  (int64_t)a[4]);
+    else if (job->kind == JOB_EPOCHS)
+        job->status = epochs_pull((epochs_t *)(uintptr_t)a[0]);
     else
         repro_partition_hash((const uint64_t **)(uintptr_t)a[0],
                              (int64_t)a[1], (int64_t)a[2], a[3], a[4],
@@ -1171,7 +1408,11 @@ _SIGNATURES = {
     "repro_walk": (_I64, [_P, _I64, _P, _P, _I64]),
     "repro_walk_take": (None, [_P, _I64, _P]),
     "repro_walk_free": (None, [_P]),
+    "repro_walk_reserve": (_I64, [_P, _I64, _I64, _I64]),
     "repro_walk_wait": (_I64, [_P, _I64]),
+    "repro_walk_arm": (None, [_P, _P]),
+    "repro_epochs_next": (_I64, [_P, _I64]),
+    "repro_epochs_stop": (None, [_P]),
     "repro_pool_submit": (_I64, [_P, _I64]),
     "repro_pool_wait": (_I64, [_P]),
     "repro_group_stats": (_I64, [_P, _I64, _I64, _P, ctypes.c_double, _I64,
@@ -1215,8 +1456,9 @@ def hash_isa() -> str | None:
 _NO_BYTES = ctypes.c_char * 0
 
 #: A job's kinds (``job_t`` of :data:`SOURCE`): a ``repro_walk`` call, a
-#: ``repro_partition_hash`` call.
-JOB_WALK, JOB_HASH = 0, 1
+#: ``repro_partition_hash`` call, a helper's share of a call's epochs
+#: (an ``epochs_t``, :func:`repro.native.ingest.ingest_epochs`).
+JOB_WALK, JOB_HASH, JOB_EPOCHS = 0, 1, 2
 
 
 def job(row: np.ndarray, kind: int, stop: int, *args: int) -> int:

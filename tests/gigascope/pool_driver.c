@@ -5,14 +5,20 @@
  * relations, AB(A B), over two shard slices with a value column, and
  * walks of it, what the Python side runs through the pool:
  *
- *   1. a multi-epoch walk on the caller and three helpers, each epoch's
- *      folds taken by the caller, against one thread;
+ *   1. calls over several epochs that the caller and three helpers pull
+ *      from one descriptor (epochs_t), with one more walk than threads
+ *      and more epochs than walks, each epoch's folds taken by the
+ *      caller, against one thread: as fast as the caller can, and with
+ *      a caller that sleeps before each take, so that helpers park
+ *      epochs and wait for a free walk;
  *   2. two-lane walks, the forest's holder naming each relation's walk,
  *      the second lane a pool job, the caller taking the second lane's
  *      folds as each relation is marked walked;
  *   3. a partition hash split into three ranges, two of them jobs;
  *   4. calls whose job fails: a failed epoch sets the call's stop word
- *      and a job handed over after it does not run; a failing fold in
+ *      and a job handed over after it does not run; a pulled epoch that
+ *      fails on a helper while other epochs are parked stops the call;
+ *      a caller that sets the stop word ends it; a failing fold in
  *      either lane stops the other.
  *
  * It prints "ok" and exits 0, or names the first mismatch and exits 1.
@@ -27,7 +33,9 @@
 #define ROWS 4000
 #define EPOCHS 8
 #define LONGEST (ROWS / EPOCHS)
-#define WALKS 4
+#define HELPERS 3
+#define WALKS (HELPERS + 2)     /* one more than the caller and helpers */
+#define ROW (EPOCH_HEAD + SEED_WORDS * N_REL)
 
 static const int64_t parent[N_REL] = {-1, 0, 0};
 static const int64_t key_off[N_REL + 1] = {0, 2, 3, 4};
@@ -48,6 +56,8 @@ static const uint64_t *const columns[2] = {col_a, col_b};
 static double values[ROWS];
 static int64_t shard[ROWS];
 static int64_t times[LONGEST], ones[LONGEST];
+static uint64_t words[EPOCHS][ROW];     /* no seeds: every seed word 0 */
+static int64_t state[EPOCHS], idle[WALKS];
 
 static int64_t done[N_REL + 1];
 static forest_t forest = {
@@ -72,10 +82,7 @@ static walk_t *new_walk(void)
     W->keys = calloc(key_off[N_REL], sizeof *W->keys);
     W->slot_run = malloc(forest.max_buckets * sizeof(int64_t));
     W->bucket_pos = malloc(forest.max_buckets * sizeof(int64_t));
-    W->runs = malloc(LONGEST * sizeof(run_t));
-    W->order = malloc(LONGEST * sizeof(order_t));
-    W->ev_i = malloc(3 * LONGEST * sizeof(int64_t));
-    W->ev_f = malloc(3 * LONGEST * sizeof(double));
+    check(repro_walk_reserve(W, LONGEST, 1, 1) == 0, "a walk's scratch", 0);
     W->folds = calloc(N_REL, sizeof(fold_t));
     for (r = 0; r < N_REL; r++) {
         W->folds[r].rep = malloc(LONGEST * sizeof(int64_t));
@@ -127,6 +134,81 @@ static job_t *walk_job(job_t *job, walk_t *W, int64_t epoch, int64_t *stop)
     return job;
 }
 
+/* A fresh call over every epoch, pulled on the first n_walks walks. */
+static epochs_t *new_call(epochs_t *C, walk_t **walks, int64_t n_walks)
+{
+    int64_t e;
+
+    memset(C, 0, sizeof *C);
+    memset(state, 0, sizeof state);
+    for (e = 0; e < n_walks; e++)
+        idle[e] = 1;
+    for (e = 0; e < EPOCHS; e++) {
+        words[e][0] = (uint64_t)(e * LONGEST);
+        words[e][1] = LONGEST;
+        words[e][2] = (uint64_t)(uintptr_t)times;
+        words[e][3] = (uint64_t)(uintptr_t)ones;
+    }
+    C->n_epochs = EPOCHS;
+    C->n_walks = n_walks;
+    C->row = ROW;
+    C->epochs = &words[0][0];
+    C->walks = walks;
+    C->state = state;
+    C->idle = idle;
+    C->free = n_walks;
+    return C;
+}
+
+/* Hand the helpers their jobs of call C. */
+static void pull_jobs(epochs_t *C, job_t *jobs)
+{
+    int64_t k;
+
+    for (k = 0; k < HELPERS; k++) {
+        memset(&jobs[k], 0, sizeof jobs[k]);
+        jobs[k].kind = JOB_EPOCHS;
+        jobs[k].stop = &C->stop;
+        jobs[k].arg[0] = (uint64_t)(uintptr_t)C;
+        check(repro_pool_submit(&jobs[k], HELPERS) == 0,
+              "an epochs job found no helper", k);
+    }
+}
+
+/* The caller's part of call C, as ingest_epochs plays it: each epoch's
+ * folds as repro_epochs_next hands them over, checked against want,
+ * after a sleep of nap_ns before each take; with stop_at >= 0 the
+ * caller sets the stop word in place of its take number stop_at. Waits
+ * for every job; returns the epochs taken. */
+static int64_t pull(epochs_t *C, long nap_ns, int64_t stop_at,
+                    const uint64_t *want)
+{
+    const struct timespec nap = {0, nap_ns};
+    job_t jobs[HELPERS];
+    int64_t e = -1, k, taken = 0, seen[EPOCHS] = {0};
+
+    pull_jobs(C, jobs);
+    for (;;) {
+        if (taken == stop_at) {
+            repro_epochs_stop(C);
+            break;
+        }
+        e = repro_epochs_next(C, e);
+        if (e < 0 || e == EPOCHS)
+            break;
+        check(!seen[e]++, "an epoch handed over twice", e);
+        if (nap_ns)
+            nanosleep(&nap, NULL);
+        check(digest_all(C->walks[C->state[e] - 1]) == want[e],
+              "a pulled epoch", e);
+        taken++;
+    }
+    check(e != EPOCHS || taken == EPOCHS, "an epoch not handed over", e);
+    for (k = 0; k < HELPERS; k++)
+        repro_pool_wait(&jobs[k]);
+    return taken;
+}
+
 /* One two-lane walk of an epoch: the first lane here, the second a pool
  * job; the folds' digest in relation order, or 0 when the call failed. */
 static uint64_t walk_lanes(walk_t *first, walk_t *second, int64_t epoch)
@@ -158,17 +240,19 @@ static uint64_t walk_lanes(walk_t *first, walk_t *second, int64_t epoch)
 
 int main(void)
 {
-    uint64_t want[EPOCHS], state = 7;
+    const struct timespec tick = {0, 100000};
+    uint64_t want[EPOCHS], seed = 7;
     walk_t *one, *walks[WALKS];
-    job_t jobs[WALKS];
+    job_t jobs[HELPERS + 1];
+    epochs_t call;
     int64_t i, e, k, stop;
 
     for (i = 0; i < ROWS; i++) {
-        state = mix64(state);
-        col_a[i] = state % 13;
-        col_b[i] = (state >> 20) % 17;
-        values[i] = (double)(state >> 40) / 1024.0;
-        shard[i] = (int64_t)((state >> 8) % SLICES);
+        seed = mix64(seed);
+        col_a[i] = seed % 13;
+        col_b[i] = (seed >> 20) % 17;
+        values[i] = (double)(seed >> 40) / 1024.0;
+        shard[i] = (int64_t)((seed >> 8) % SLICES);
     }
     for (i = 0; i < LONGEST; i++) {
         times[i] = i;
@@ -183,23 +267,16 @@ int main(void)
     for (k = 0; k < WALKS; k++)
         walks[k] = new_walk();
 
-    /* 1. Epochs on the caller and three helpers, taken in epoch order. */
-    for (e = 0; e < EPOCHS; e += WALKS) {
-        for (k = 1; k < WALKS; k++)
-            check(repro_pool_submit(walk_job(&jobs[k], walks[k], e + k - 1,
-                                             NULL), WALKS - 1) == 0,
-                  "an epoch job found no helper", e + k - 1);
-        check(repro_walk(walks[0], (e + WALKS - 1) * LONGEST, times, ones,
-                         LONGEST) == 0, "the caller's epoch failed", e);
-        for (k = 1; k < WALKS; k++) {
-            check(repro_pool_wait(&jobs[k]) == 0, "an epoch job failed",
-                  e + k - 1);
-            check(digest_all(walks[k]) == want[e + k - 1],
-                  "a helper's epoch", e + k - 1);
-        }
-        check(digest_all(walks[0]) == want[e + WALKS - 1],
-              "the caller's epoch", e + WALKS - 1);
+    /* 1. Epochs pulled by the caller and three helpers, taken in epoch
+     * order: at once, and after a nap before each take. */
+    for (k = 0; k < 4; k++) {
+        check(pull(new_call(&call, walks, WALKS), 0, -1, want) == EPOCHS,
+              "a pulled call", k);
+        check(call.by_caller >= 0 && call.by_caller <= EPOCHS,
+              "the caller's epochs", k);
     }
+    check(pull(new_call(&call, walks, WALKS), 2000000, -1, want) == EPOCHS,
+          "a pulled call with naps", 0);
 
     /* 2. Two lanes, every epoch. */
     for (e = 0; e < EPOCHS; e++)
@@ -240,18 +317,47 @@ int main(void)
      * other. */
     fail_walk = walks[2];
     stop = 0;
-    for (k = 1; k < WALKS; k++)
+    for (k = 1; k <= HELPERS; k++)
         check(repro_pool_submit(walk_job(&jobs[k], walks[k], k, &stop),
-                                WALKS - 1) == 0,
+                                HELPERS) == 0,
               "a failing call's job found no helper", k);
     check(repro_pool_wait(&jobs[2]) < 0, "the failing epoch's status", 2);
     check(__atomic_load_n(&stop, __ATOMIC_SEQ_CST) == 1,
           "the failing call's stop word", 2);
-    for (k = 1; k < WALKS; k++)
+    for (k = 1; k <= HELPERS; k++)
         repro_pool_wait(&jobs[k]);
     check(repro_pool_submit(walk_job(&jobs[1], walks[1], 0, &stop),
-                            WALKS - 1) == 0, "a job after the stop", 0);
+                            HELPERS) == 0, "a job after the stop", 0);
     check(repro_pool_wait(&jobs[1]) < 0, "a job ran after the stop", 0);
+
+    /* A pulled epoch fails on a helper while the others park: the
+     * caller claims nothing before the stop word is set, as the helpers
+     * fill the free walks, lowest first, and fail on walks[3]; then
+     * nothing is taken, no epoch past the walks was claimed and no
+     * epoch's state names the failed walk. */
+    fail_walk = walks[3];
+    new_call(&call, walks, WALKS);
+    pull_jobs(&call, jobs);
+    while (!__atomic_load_n(&call.stop, __ATOMIC_SEQ_CST))
+        nanosleep(&tick, NULL);
+    check(repro_epochs_next(&call, 0) < 0, "a take after a helper failed",
+          0);
+    for (k = 0; k < HELPERS; k++)
+        repro_pool_wait(&jobs[k]);
+    check(call.by_caller == 0, "the caller walked before the failure", 0);
+    check(call.next <= WALKS, "an epoch claimed past the walks", call.next);
+    for (e = 0; e < EPOCHS; e++)
+        check(state[e] != 1 + 3, "the failed walk's epoch", e);
+    fail_walk = NULL;
+
+    /* The caller sets the stop word after two takes: the call ends,
+     * every job returns, and the walks pull a whole call again. */
+    check(pull(new_call(&call, walks, WALKS), 0, 2, want) == 2,
+          "a call the caller stopped", 2);
+    check(call.stop == 1 && call.next <= 2 + WALKS,
+          "the stopped call's words", call.next);
+    check(pull(new_call(&call, walks, WALKS), 0, -1, want) == EPOCHS,
+          "a pulled call after the stops", 0);
     for (k = 0; k < 2; k++) {
         fail_walk = walks[k];
         check(walk_lanes(walks[0], walks[1], 0) == 0,

@@ -1,10 +1,12 @@
 """Epochs in parallel: the caller and the library's pool against one
 thread.
 
-Every LFTA table is flushed at each epoch boundary, so the kernel walk
-hands a call's epochs to the native library's pool of helper threads,
-each epoch on a kept walk with its own scratch; the calling thread walks
-epochs too and takes every fold in epoch order. Over random forests and
+Every LFTA table is flushed at each epoch boundary, so a kernel call
+over several epochs is one descriptor that the native library's helper
+threads pull epochs from, each epoch on a kept walk with its own
+scratch; the calling thread walks epochs too, between its takes of
+every fold as its epoch is walked, and no helper waits for it to hand
+out an epoch. Over random forests and
 streams (NaN and +-inf values included, with and without shard ids),
 more cores than epochs, one epoch, no records, epochs of very different
 sizes and a kept ``Tables``, ``on_cores(n)`` must give the counters and
@@ -16,6 +18,7 @@ and leave the passed counters and HFTA as they were.
 """
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro import QuerySet, StreamSystem
 from repro.core.configuration import Configuration
 from repro.gigascope import engine, simulate
 from repro.native import build as native_build
+from repro.native import ingest
 from repro.native import library as native_library
 from repro.observability import MetricsRegistry
 from tests.conftest import on_cores, split_ran, walk_lanes_of
@@ -91,20 +95,66 @@ def test_pool_shapes(shape, n_cores):
 def test_kept_tables_through_the_pool():
     """One ``Tables`` through multi- and one-epoch calls on 3 cores,
     growing epochs included: every call equals a one-core call without
-    it, and every call walks on the walks the first one built, one per
-    core, kept in one list."""
+    it, and walks on the kept walks: one more than its threads, at most
+    one per epoch (3 for three epochs, 4 for four), the list only ever
+    extended."""
     config = Configuration.from_notation(NOTATION)
     buckets = {rel: 5 + i for i, rel in enumerate(config.relations)}
     tables = engine.Tables()
-    kept = None
-    for seed, epochs in enumerate([[40, 3, 250], [600], [1, 900, 2, 5],
-                                   [30], [20]]):
+    kept = []
+    for seed, (epochs, walks) in enumerate([
+            ([40, 3, 250], 3), ([600], 3), ([1, 900, 2, 5], 4), ([30], 4),
+            ([20], 4)]):
         dataset = make_stream(seed, epochs, 4, "finite", seed % 2 == 1)
         got = walk(3, dataset, config, buckets, tables=tables)
         assert_same_walk(got, walk(1, dataset, config, buckets))
-        kept = kept or list(tables._walks)
-        assert len(kept) == 3
+        assert len(tables._walks) == walks
         assert all(a is b for a, b in zip(tables._walks, kept))
+        kept = list(tables._walks)
+
+
+def _recorded(monkeypatch) -> list:
+    """The list every call descriptor ``ingest_epochs`` makes goes
+    into, from here on."""
+    calls = []
+
+    class Recorded(ingest._Epochs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append(self)
+
+    monkeypatch.setattr(ingest, "_Epochs", Recorded)
+    return calls
+
+
+def test_helpers_walk_while_the_caller_takes(monkeypatch):
+    """Helpers pull epochs without the caller: while the calling thread
+    is held in its first take, the helpers walk every epoch the free
+    walks allow, one per kept walk (3 threads, 4 walks), read from the
+    call's per-epoch state words, and no more; the result is one
+    core's, bit for bit."""
+    config = Configuration.from_notation(NOTATION)
+    buckets = {rel: 6 for rel in config.relations}
+    dataset = make_stream(4, [20_000] * 8, 4, "finite", False)
+    want = walk(1, dataset, config, buckets)
+    calls, walked = _recorded(monkeypatch), []
+    take = ingest._take
+
+    def held(lib, own, relation=None):
+        if not walked:
+            state, deadline = calls[-1].state, time.monotonic() + 10.0
+            while np.count_nonzero(state) < 4 and \
+                    time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)  # and nothing further starts
+            walked.append(np.count_nonzero(state))
+        return take(lib, own, relation)
+
+    monkeypatch.setattr(ingest, "_take", held)
+    got = walk(3, dataset, config, buckets)
+    assert_same_walk(got, want)
+    assert walked == [4]
+    assert (calls[-1].state == -1).all()  # every epoch taken
 
 
 def test_many_helpers_lose_no_epoch():
@@ -125,8 +175,22 @@ class KernelFault(RuntimeError):
     pass
 
 
-def _failing_call(n_cores, monkeypatch, fault):
-    """A five-epoch call on ``n_cores`` into a run's counters and HFTA,
+def _broken_library(monkeypatch, name: str, fault: str) -> None:
+    """Run a test build of the library, ``name``, whose ``repro_walk``
+    runs the C statements ``fault`` once its locals are set."""
+    line = "    const int64_t stride = n + T->max_buckets + 2;\n"
+    assert line in native_library.SOURCE
+    broken = native_build.load_kernel(
+        f"{native_library.NAME}_{name}",
+        native_library.SOURCE.replace(line, line + fault, 1),
+        native_library._SIGNATURES)
+    assert broken is not None
+    monkeypatch.setattr(native_library, "library", lambda: broken)
+
+
+def _failing_call(n_cores, monkeypatch, fault, tables=None):
+    """A five-epoch call on ``n_cores`` into a run's counters and HFTA
+    (which seed its first two epochs), through ``tables`` when given,
     with ``fault(fail_at)`` installed first (``fail_at`` the row the
     fourth epoch starts at): the counters and states before the call,
     and the call."""
@@ -141,7 +205,7 @@ def _failing_call(n_cores, monkeypatch, fault):
 
     def call():
         return walk(n_cores, dataset, config, buckets, counters=counters,
-                    hfta=hfta)
+                    hfta=hfta, tables=tables)
 
     return before, lambda: (repr(counters.relations), states(hfta)), call
 
@@ -154,16 +218,9 @@ def test_a_failing_walk_leaves_accumulators_untouched(n_cores, monkeypatch):
     the HFTA as they were; the next call, on the real library, walks."""
 
     def fault(fail_at):
-        line = "    const int64_t stride = n + T->max_buckets + 2;\n"
-        assert line in native_library.SOURCE
-        broken = native_build.load_kernel(
-            f"{native_library.NAME}_epoch_{fail_at}_fails",
-            native_library.SOURCE.replace(
-                line, f"{line}    if (start == {fail_at})\n"
-                "        return -1;\n", 1),
-            native_library._SIGNATURES)
-        assert broken is not None
-        monkeypatch.setattr(native_library, "library", lambda: broken)
+        _broken_library(monkeypatch, f"epoch_{fail_at}_fails",
+                        f"    if (start == {fail_at})\n"
+                        "        return -1;\n")
 
     before, now, call = _failing_call(n_cores, monkeypatch, fault)
     with pytest.raises(MemoryError):
@@ -173,7 +230,42 @@ def test_a_failing_walk_leaves_accumulators_untouched(n_cores, monkeypatch):
     call()
 
 
-@pytest.mark.parametrize("n_cores", [1, 3])
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_a_helper_failing_beside_parked_epochs(n_cores, monkeypatch):
+    """A test build in which the caller's walks are slow (20 ms each)
+    and every helper walk from the fourth epoch on fails: while the
+    caller walks, the helpers park epochs and fail on a later one. The
+    call raises ``MemoryError`` once every job has run, a parked epoch's
+    folds are never taken, no walk keeps a seed, and the counters and
+    the HFTA are as they were. The next call, on the real library and
+    the same walks, is a one-core call's."""
+    want = _failing_call(1, monkeypatch, lambda fail_at: None)[2]()
+    tables, calls = engine.Tables(), _recorded(monkeypatch)
+
+    def fault(fail_at):
+        _broken_library(
+            monkeypatch, f"helpers_fail_from_{fail_at}",
+            "    if (syscall(SYS_gettid) == getpid()) {\n"
+            "        const struct timespec nap = {0, 20000000};\n"
+            "        nanosleep(&nap, NULL);\n"
+            f"    }} else if (start >= {fail_at}) {{\n"
+            "        return -1;\n"
+            "    }\n")
+
+    before, now, call = _failing_call(n_cores, monkeypatch, fault, tables)
+    with pytest.raises(MemoryError):
+        call()
+    assert now() == before
+    assert (calls[-1].state > 0).any()  # walked, never taken
+    assert all(fold.n_seed == 0 and not fold.seed
+               for own in tables._walks for fold in own._folds)
+    monkeypatch.undo()
+    assert_same_walk(call(), want)
+
+
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
 def test_a_caller_exception_leaves_accumulators_untouched(n_cores,
                                                           monkeypatch):
     """An exception while the caller takes the fourth epoch's folds
@@ -197,18 +289,27 @@ def test_a_caller_exception_leaves_accumulators_untouched(n_cores,
 
 
 def test_workers_follow_the_usable_cores():
-    """``engine.workers`` is the call's kept walks: one per usable core,
-    at most one per non-empty epoch, one for a call of one epoch."""
+    """``engine.workers`` is the call's threads: one per usable core, at
+    most one per non-empty epoch, one for a call of one epoch.
+    ``engine.caller_epochs`` is the epochs the calling thread walked:
+    all of them on one core, one of a one-epoch call, none of an empty
+    one."""
     config = Configuration.from_notation(NOTATION)
     buckets = {rel: 6 for rel in config.relations}
     dataset = make_stream(3, [20, 20, 20], 4, "none", False)
     registry = MetricsRegistry()
+    gauges = registry.gauges
     for n_cores in (1, 2, 3, 4):
         walk(n_cores, dataset, config, buckets, None, registry=registry)
-        assert registry.gauges["engine.workers"].value == min(n_cores, 3)
+        assert gauges["engine.workers"].value == min(n_cores, 3)
+        caller = gauges["engine.caller_epochs"].value
+        assert caller == 3 if n_cores == 1 else 0 <= caller <= 3
         walk(n_cores, dataset.head(20), config, buckets, None,
              registry=registry)
-        assert registry.gauges["engine.workers"].value == 1
+        assert gauges["engine.workers"].value == 1
+        assert gauges["engine.caller_epochs"].value == 1
+    walk(2, dataset.head(0), config, buckets, None, registry=registry)
+    assert gauges["engine.caller_epochs"].value == 0
     simulate(dataset, config, buckets, 1.0, registry=registry)
     assert registry.gauges["engine.workers"].value == \
         min(repro.native.cores(), 3)

@@ -3,9 +3,13 @@
 TSan cannot run through the Python interpreter here (a preloaded
 ``libtsan`` crashes it at start), so ``pool_driver.c``, a small C
 driver, includes the library's source and drives the pool as the Python
-side does: a multi-epoch walk on the caller and three helpers, two-lane
-walks, a split partition hash, and calls whose job fails (a walk whose
-folds fail, ``fail_walk``, is the one addition to the source). Built
+side does: calls over more epochs than walks that the caller and three
+helpers pull from one descriptor (also with a caller that sleeps before
+each take, so that helpers park epochs and wait for a free walk),
+two-lane walks, a split partition hash, and calls that stop: a job
+whose walk fails, a pulled epoch that fails on a helper while others
+are parked, a caller that sets the stop word (a walk whose folds fail,
+``fail_walk``, is the one addition to the source). Built
 with ``-fsanitize=thread``, it must print ``ok`` with no
 ``ThreadSanitizer`` report. The source is built without its
 ``HASH_DISPATCH`` line: the plain ``hash_block``, which equals the

@@ -33,7 +33,7 @@ _FOREST = "ABCD(AB BCD(BC BD CD))"
 def test_a_lane_call_reads_the_new_stream_in_every_walk():
     """A multi-epoch call on one stream, then a two-lane one-epoch call
     on another through the same ``Tables``: both lanes walk the new
-    stream (the second lane is the walk a helper walked epochs on), and
+    stream (the lanes are walks the pool walked epochs on), and
     the close equals a fresh one-lane run of the new stream. Every kept
     walk points at the binding's one forest."""
     config = Configuration.from_notation(_FOREST)
@@ -48,7 +48,7 @@ def test_a_lane_call_reads_the_new_stream_in_every_walk():
     assert close.walk == "native kernel, 1 worker, 2 lanes"
     assert 1 in tables._lanes.lane
     forest = tables.forest
-    assert len(tables._walks) == 2
+    assert len(tables._walks) == 3  # two threads and one more walk
     for walk in tables._walks:
         assert walk.forest is forest
         assert walk._struct.forest == ctypes.addressof(forest._struct)

@@ -440,15 +440,16 @@ def numpy_relation(rel: AttributeSet, t: np.ndarray, w: np.ndarray,
 
 
 def reference_walk(tables, columns, values, epochs, hfta, shards=None,
-                   workers=1) -> int:
+                   workers=1) -> tuple[int, int]:
     """``engine._walk`` on :func:`numpy_walk`: always one thread and one
-    lane. ``shards`` are the engine's checked ``ShardIds``, or None."""
+    lane, so the calling thread walks every epoch. ``shards`` are the
+    engine's checked ``ShardIds``, or None."""
     if shards is None:
         numpy_walk(tables, columns, values, epochs, hfta)
     else:
         numpy_walk(tables, columns, values, epochs, hfta, shards.ids,
                    shards.slices)
-    return 1
+    return 1, len(epochs)
 
 
 def reference_hash_shards(cols, salt: int, n_shards: int) -> np.ndarray:
